@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.faults import FAULTS
+from repro.options import ExecutionOptions
 from repro.server import Server
 from repro.workloads import concurrent_mix_operations
 
@@ -104,10 +105,10 @@ def _measure(configs: list) -> list:
                 make_scaled_database(SCALE),
                 max_concurrency=MAX_CONCURRENCY,
                 queue_limit=None,
-                **server_kwargs,
+                options=ExecutionOptions(**option_fields),
             ),
         )
-        for config, server_kwargs in configs
+        for config, option_fields in configs
     ]
     walls: dict = {config: [] for config, _ in servers}
     try:

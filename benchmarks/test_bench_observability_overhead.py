@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.obs import Tracer
+from repro.options import ExecutionOptions
 from repro.server import Server
 from repro.workloads import concurrent_mix_operations
 
@@ -86,7 +87,7 @@ def _drive_mix(server: Server) -> float:
     return wall
 
 
-def _measure(config: str, **server_kwargs) -> dict:
+def _measure(config: str, **option_fields) -> dict:
     """Min-of-REPEATS wall clock for one server configuration.
 
     One database and server serve all repeats, so after the first repeat the
@@ -96,7 +97,10 @@ def _measure(config: str, **server_kwargs) -> dict:
     database = make_scaled_database(SCALE)
     walls: list = []
     with Server(
-        database, max_concurrency=MAX_CONCURRENCY, queue_limit=None, **server_kwargs
+        database,
+        max_concurrency=MAX_CONCURRENCY,
+        queue_limit=None,
+        options=ExecutionOptions(**option_fields),
     ) as server:
         for _ in range(REPEATS):
             walls.append(_drive_mix(server))
@@ -150,7 +154,10 @@ def test_perf_traces_actually_recorded_under_load():
     tracer = Tracer(keep=8)
     database = make_scaled_database(SCALE)
     with Server(
-        database, max_concurrency=MAX_CONCURRENCY, queue_limit=None, tracer=tracer
+        database,
+        max_concurrency=MAX_CONCURRENCY,
+        queue_limit=None,
+        options=ExecutionOptions(tracer=tracer),
     ) as server:
         _drive_mix(server)
     recent = tracer.recent()

@@ -31,6 +31,7 @@ from repro.core.expressions import (
 )
 from repro.core.operations import BaseRelation, Projection, Sort, TemporalJoin
 from repro.core.order_spec import OrderSpec
+from repro.options import ExecutionOptions
 from repro.stratum import TemporalDatabase
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, scaled_paper_workload
 
@@ -45,7 +46,7 @@ RESULTS: dict = {"scale": SCALE}
 
 def make_database() -> TemporalDatabase:
     employees, projects = scaled_paper_workload(SCALE)
-    database = TemporalDatabase(optimize_queries=False)
+    database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
     database.register("EMPLOYEE", employees)
     database.register("PROJECT", projects)
     RESULTS["employee_tuples"] = len(employees)

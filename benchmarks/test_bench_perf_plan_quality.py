@@ -53,6 +53,7 @@ from repro.core.query import QueryResultSpec
 from repro.core.relation import Relation
 from repro.core.rules import DEFAULT_RULES, JOIN_RULES
 from repro.core.schema import INTEGER, RelationSchema, STRING
+from repro.options import ExecutionOptions
 from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
 
 from .conftest import banner
@@ -94,7 +95,7 @@ def make_database() -> TemporalDatabase:
     maintenance = Relation.from_rows(
         MAINTENANCE_SCHEMA, _interval_rows(SCALE, "m", rng)
     )
-    database = TemporalDatabase(optimize_queries=False)
+    database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
     database.register("RESERVATION", reservations)
     database.register("MAINTENANCE", maintenance)
     RESULTS["reservation_tuples"] = len(reservations)

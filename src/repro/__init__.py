@@ -80,10 +80,8 @@ Quick start::
 :class:`TemporalDatabase`, :class:`Session`, :class:`Relation`,
 :class:`RelationSchema`, :class:`Tuple` and friends — everything execution
 takes as configuration rides in one frozen :class:`ExecutionOptions`.
-Modules whose name starts with an underscore (``repro._legacy``) are
-internal: no deprecation period applies to them, and new internal modules
-follow the same leading-underscore convention.  ``from repro.core import *``
-re-exports remain importable for backward compatibility.
+``from repro.core import *`` re-exports remain importable for backward
+compatibility.
 """
 
 from typing import Optional
@@ -96,7 +94,7 @@ from .options import DEFAULT_BATCH_SIZE, ExecutionOptions
 from .stratum import TemporalDatabase
 from .session import Session
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 
 def connect(options: Optional[ExecutionOptions] = None) -> TemporalDatabase:

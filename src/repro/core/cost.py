@@ -110,13 +110,6 @@ class CostModel:
     #: and with a weight > 1 the formula is asymmetric in its inputs, so the
     #: optimizer prefers plans that build on the smaller input.
     hash_build_weight: float = 2.0
-    #: Per-tuple CPU weight of stratum-side work under the columnar batch
-    #: engine, relative to the tuple-at-a-time pipeline the model's other
-    #: constants were originally scaled to.  Column-wise kernels amortize
-    #: interpreter overhead across a chunk, so a calibrated value is < 1;
-    #: the default 1.0 keeps every pinned cost expectation unchanged until
-    #: :func:`repro.stats.calibrate_cost_model` fits a measured value.
-    stratum_batch_weight: float = 1.0
 
 
 @dataclass
@@ -334,7 +327,7 @@ def _operator_work(
 
 def _engine_factor(node: Operation, engine: str, model: CostModel) -> float:
     if engine == Engine.STRATUM:
-        return model.stratum_batch_weight
+        return 1.0
     if node.is_temporal_operator or isinstance(node, Coalescing):
         return model.dbms_temporal_penalty
     return model.dbms_speed

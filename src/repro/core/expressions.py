@@ -97,29 +97,24 @@ class Expression:
 RelationSchemaLike = Any
 
 
-def positional_guard(
-    schema: RelationSchemaLike,
-    compiled: CompiledExpression,
-    fallback: CompiledExpression,
-    recompile: Optional[Callable[[RelationSchemaLike], CompiledExpression]] = None,
+def guarded_compile(
+    expression: "Expression | ProjectionItem", schema: RelationSchemaLike
 ) -> CompiledExpression:
-    """Wrap a positionally compiled closure with a per-tuple order check.
+    """Compile against ``schema``, guarded against permuted tuple orders.
 
     Positionally compiled closures require the tuple's attribute order to
     match the compile-time schema.  Relations only guarantee attribute-*set*
-    equality, so the returned closure checks the order (an identity check in
-    the common case of a shared schema object) and falls back to name-based
-    access for permuted tuples.  The single authoritative implementation of
-    the guard every physical operator relies on for list-compatibility.
-
-    When ``recompile`` is given, the permuted path compiles a positional
-    closure for each attribute order it encounters and caches it keyed by the
-    attribute tuple — so a relation full of permuted tuples pays one tree
-    re-resolution per distinct order plus one dict hit per tuple, instead of
-    re-resolving every attribute by name for every tuple.  ``fallback`` (pure
-    name-based evaluation) remains the last resort when no recompiler is
-    supplied.
+    equality, so the returned closure checks the order per tuple (an identity
+    check in the common case of a shared schema object).  For a permuted
+    tuple it compiles a positional closure for that attribute order and
+    caches it keyed by the attribute tuple — so a relation full of permuted
+    tuples pays one tree re-resolution per distinct order plus one dict hit
+    per tuple, instead of re-resolving every attribute by name for every
+    tuple.  This is what the DBMS engine's physical operators use for
+    predicates and projection items.
     """
+    target = expression.expression if isinstance(expression, ProjectionItem) else expression
+    compiled = target.compile(schema)
     attributes = schema.attributes
     variants: Dict[PyTuple[str, ...], CompiledExpression] = {}
 
@@ -127,31 +122,13 @@ def positional_guard(
         tup_schema = tup.schema
         if tup_schema is schema or tup_schema.attributes == attributes:
             return compiled(tup)
-        if recompile is None:
-            return fallback(tup)
         key = tup_schema.attributes
         variant = variants.get(key)
         if variant is None:
-            variant = variants[key] = recompile(tup_schema)
+            variant = variants[key] = target.compile(tup_schema)
         return variant(tup)
 
     return evaluate
-
-
-def guarded_compile(
-    expression: "Expression | ProjectionItem", schema: RelationSchemaLike
-) -> CompiledExpression:
-    """Compile against ``schema`` with the :func:`positional_guard` fallback.
-
-    This is what the physical operators of both engines use for predicates
-    and projection items.  Permuted tuple orders are handled by recompiling
-    the expression positionally once per distinct order (cached inside the
-    guard), not by per-tuple name resolution.
-    """
-    target = expression.expression if isinstance(expression, ProjectionItem) else expression
-    return positional_guard(
-        schema, target.compile(schema), target.evaluate, recompile=target.compile
-    )
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,9 @@
 """`ExecutionOptions` — the one configuration object of the public API.
 
-Nine PRs of growth left execution configuration scattered over constructor
-keywords: ``TemporalDatabase(use_statistics=)``, ``Session(tracer=,
-metrics=, slow_query_seconds=)``, ``Server(cancellation=,
-max_rows_per_request=)``, …  This module consolidates all of it into one
-frozen dataclass accepted by :class:`~repro.stratum.layer.TemporalDatabase`,
+All execution configuration lives in one frozen dataclass accepted by
+:class:`~repro.stratum.layer.TemporalDatabase`,
 :class:`~repro.session.session.Session` and
-:class:`~repro.server.server.Server` as ``options=``; the old keywords keep
-working through a deprecation shim (:mod:`repro._legacy`) that folds them
-into an ``ExecutionOptions`` with a single :class:`DeprecationWarning`.
+:class:`~repro.server.server.Server` as ``options=``.
 
 The module is deliberately a leaf: it imports nothing from the rest of the
 package, so every layer can depend on it without cycles.
@@ -20,9 +15,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-#: Default rows per columnar chunk — re-declared here (not imported from
-#: :mod:`repro.stratum.columnar`) to keep this module dependency-free; a
-#: regression test asserts the two constants agree.
+#: Default rows per columnar chunk.  Large enough to amortize per-batch
+#: bookkeeping (accounting, kernel dispatch), small enough that a chunk of
+#: Python lists stays cache- and memory-friendly.
 DEFAULT_BATCH_SIZE = 1024
 
 
@@ -37,25 +32,10 @@ class ExecutionOptions:
     session.  Instances are frozen (hashable, safely shared across threads);
     derive variants with :meth:`replace`.
 
-    **Migration from legacy keyword arguments**
-
-    | Legacy keyword | Constructor | ExecutionOptions field |
-    | --- | --- | --- |
-    | ``use_statistics=`` | ``TemporalDatabase`` | ``use_statistics`` |
-    | ``optimize_queries=`` | ``TemporalDatabase`` | ``optimize_queries`` |
-    | ``tracer=`` | ``Session``, ``Server`` | ``tracer`` |
-    | ``metrics=`` | ``Session``, ``Server`` | ``metrics`` |
-    | ``slow_query_seconds=`` | ``Session``, ``Server`` | ``slow_query_seconds`` |
-    | ``slow_query_logger=`` | ``Session`` | ``slow_query_logger`` |
-    | ``cancellation=`` | ``Server`` | ``cancellation`` |
-    | ``max_rows_per_request=`` | ``Server`` | ``max_rows_per_request`` |
-    | ``max_bytes_per_request=`` | ``Server`` | ``max_bytes_per_request`` |
-
-    The legacy keywords still work (folded into an ``ExecutionOptions`` with
-    one ``DeprecationWarning`` per constructor call); pool-shape arguments —
-    ``Server(max_concurrency=, queue_limit=, request_timeout=, cache_size=)``
-    and ``Session(cache_size=, cache=)`` — describe the *container*, not the
-    execution of one query, and stay constructor arguments.
+    Pool-shape arguments — ``Server(max_concurrency=, queue_limit=,
+    request_timeout=, cache_size=)`` and ``Session(cache_size=, cache=)`` —
+    describe the *container*, not the execution of one query, and stay
+    constructor arguments.
 
     Fields:
 
@@ -66,7 +46,7 @@ class ExecutionOptions:
     * ``strategy`` — plan-search strategy, ``"memo"`` (default) or
       ``"exhaustive"`` (validated by the optimizer).
     * ``batch_size`` — rows per columnar chunk in the stratum's physical
-      engine; ``None`` selects the tuple-at-a-time pipeline.
+      engine, a positive integer.
     * ``tracer`` — a :class:`~repro.obs.trace.Tracer` for structured
       per-request traces (``None``: tracing off).
     * ``metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry`; the
@@ -82,7 +62,7 @@ class ExecutionOptions:
     use_statistics: bool = False
     optimize_queries: bool = True
     strategy: str = "memo"
-    batch_size: Optional[int] = DEFAULT_BATCH_SIZE
+    batch_size: int = DEFAULT_BATCH_SIZE
     tracer: Optional[Any] = None
     metrics: Optional[Any] = None
     slow_query_seconds: Optional[float] = None
@@ -92,8 +72,10 @@ class ExecutionOptions:
     max_bytes_per_request: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer or None")
+        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be a positive integer, got {self.batch_size!r}"
+            )
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
         """A copy with the given fields replaced (the instance is frozen).

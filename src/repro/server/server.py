@@ -33,7 +33,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence
 
-from .._legacy import UNSET, resolve_options
 from ..core.exceptions import (
     CancelledError,
     DeadlineExceededError,
@@ -168,38 +167,20 @@ class Server:
         request_timeout: Optional[float] = None,
         cache_size: int = 512,
         plan_cache: Optional[PlanCache] = None,
-        metrics=UNSET,
-        tracer=UNSET,
-        slow_query_seconds=UNSET,
-        cancellation=UNSET,
-        max_rows_per_request=UNSET,
-        max_bytes_per_request=UNSET,
         options: Optional[ExecutionOptions] = None,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be at least 1")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be at least 1 (or None for unbounded)")
+        self.database = database or TemporalDatabase(options=options)
         #: Execution configuration applied to every worker session (and,
-        #: when the server creates its own database, to the database too).
-        #: The per-field keywords above are a deprecated shim; pool-shape
+        #: when the server creates its own database, to the database too);
+        #: inherited from the database when not given.  Pool-shape
         #: arguments (``max_concurrency``, ``queue_limit``,
         #: ``request_timeout``, ``cache_size``, ``plan_cache``) describe the
         #: container and stay constructor arguments.
-        resolved = resolve_options(
-            "Server",
-            options,
-            metrics=metrics,
-            tracer=tracer,
-            slow_query_seconds=slow_query_seconds,
-            cancellation=cancellation,
-            max_rows_per_request=max_rows_per_request,
-            max_bytes_per_request=max_bytes_per_request,
-        )
-        if options is None and not resolved.non_defaults() and database is not None:
-            resolved = database.options
-        self.options = resolved
-        self.database = database or TemporalDatabase(options=resolved)
+        resolved = self.options = options if options is not None else self.database.options
         self.max_concurrency = max_concurrency
         self.queue_limit = queue_limit
         #: Default request deadline in seconds (``None``: no deadline).

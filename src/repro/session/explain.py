@@ -105,8 +105,8 @@ class ExplainReport:
     dbms_calls: Optional[int] = None
     transferred_tuples: Optional[int] = None
     result_rows: Optional[int] = None
-    #: Rows per columnar chunk the stratum executed with (``None`` in the
-    #: tuple-at-a-time mode); only shown for ``EXPLAIN ANALYZE``.
+    #: Rows per columnar chunk the stratum executed with; only set (and
+    #: shown) for ``EXPLAIN ANALYZE``.
     batch_size: Optional[int] = None
     execute_seconds: Optional[float] = None
 
@@ -166,11 +166,7 @@ class ExplainReport:
                 execution.append(f"dbms calls={self.dbms_calls}")
             if self.transferred_tuples is not None:
                 execution.append(f"transferred tuples={self.transferred_tuples}")
-            execution.append(
-                "batch size=tuple-at-a-time"
-                if self.batch_size is None
-                else f"batch size={self.batch_size}"
-            )
+            execution.append(f"batch size={self.batch_size}")
             if self.execute_seconds is not None:
                 execution.append(f"time={self.execute_seconds * 1e3:.3f}ms")
             if execution:

@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple as PyTuple
 
-from .._legacy import UNSET, resolve_options
 from ..core.cost import cost_annotations
 from ..core.exceptions import ParameterError, error_code
 from ..options import ExecutionOptions
@@ -120,28 +119,13 @@ class Session:
         database: Optional[TemporalDatabase] = None,
         cache_size: int = 128,
         cache: Optional[PlanCache] = None,
-        tracer=UNSET,
-        metrics=UNSET,
-        slow_query_seconds=UNSET,
-        slow_query_logger=UNSET,
         options: Optional[ExecutionOptions] = None,
     ) -> None:
-        #: Execution configuration (:class:`~repro.options.ExecutionOptions`).
-        #: ``options=`` is the blessed way to configure observability and the
-        #: batch size; the per-field keywords above are a deprecated shim.
-        #: When neither is given, the database's own options are inherited.
-        resolved = resolve_options(
-            "Session",
-            options,
-            tracer=tracer,
-            metrics=metrics,
-            slow_query_seconds=slow_query_seconds,
-            slow_query_logger=slow_query_logger,
-        )
-        if options is None and not resolved.non_defaults() and database is not None:
-            resolved = database.options
-        self.options = resolved
-        self.database = database or TemporalDatabase(options=resolved)
+        self.database = database or TemporalDatabase(options=options)
+        #: Execution configuration (:class:`~repro.options.ExecutionOptions`):
+        #: observability and the batch size.  When not given, the database's
+        #: own options are inherited.
+        resolved = self.options = options if options is not None else self.database.options
         #: ``cache`` lets many sessions share one (thread-safe) plan cache —
         #: the serving layer (:mod:`repro.server`) passes its process-wide
         #: cache here, so a statement optimized by any session is a cache

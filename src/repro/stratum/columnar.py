@@ -1,18 +1,16 @@
 """Columnar batches for the stratum's vectorized physical operators.
 
-The pipelined operators of PR 4 removed the algorithmic overhead of reference
-evaluation but still interpret one Python :class:`~repro.core.tuples.Tuple`
-at a time: every operator materializes a validated tuple per row, and every
-predicate/projection closure runs per tuple.  This module provides the chunk
-format the batch operators exchange instead — a :class:`ColumnBatch` holding
-one value list per schema attribute (valid-time ``T1``/``T2`` are ordinary
+This module provides the chunk format the operators of
+:mod:`repro.stratum.physical` exchange — a :class:`ColumnBatch` holding one
+value list per schema attribute (valid-time ``T1``/``T2`` are ordinary
 columns of a temporal schema) — so that operators build, probe and sort on
-plain value columns and convert to tuples only at operator-tree boundaries.
+plain value columns and convert to :class:`~repro.core.tuples.Tuple` objects
+only at operator-tree boundaries.
 
 The list-compatibility contract of the stratum is preserved exactly: a batch
 is an array-of-columns view of a *slice* of the operator's output sequence,
 so concatenating ``batch.to_tuples()`` over an operator's batches yields the
-identical tuple list the tuple-at-a-time path produces, for every batch size.
+identical tuple list the reference semantics produce, for every batch size.
 """
 
 from __future__ import annotations
@@ -21,11 +19,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.schema import RelationSchema
 from ..core.tuples import Tuple
-
-#: Default number of rows per batch.  Large enough to amortize per-batch
-#: bookkeeping (accounting, kernel dispatch), small enough that a chunk of
-#: Python lists stays cache- and memory-friendly.
-DEFAULT_BATCH_SIZE = 1024
 
 
 class ColumnBatch:

@@ -7,7 +7,9 @@ Execution is recursive over the plan:
   splicing their materialised results back in as literal relations);
 * every node above runs in the stratum, using the efficient temporal
   implementations of :mod:`repro.stratum.temporal_exec` for the temporal
-  operations and the reference semantics for the conventional ones;
+  operations, the columnar operators of :mod:`repro.stratum.physical` for
+  the pipelinable conventional ones (degrading to the reference semantics
+  when a region fails), and the reference semantics for the rest;
 * a base relation referenced directly from stratum territory is fetched from
   the DBMS catalog — logically an implicit transfer, which the execution
   report counts as such.
@@ -42,7 +44,7 @@ from ..core.operations.base import EvaluationContext
 from ..core.relation import Relation
 from ..dbms.engine import ConventionalDBMS
 from ..dbms.executor import OperatorSpan
-from .columnar import DEFAULT_BATCH_SIZE
+from ..options import DEFAULT_BATCH_SIZE
 from .physical import is_pipelined, lower_plan
 from .temporal_exec import (
     coalesce_fast,
@@ -90,12 +92,13 @@ class StratumExecutor:
         optimize_dbms_fragments: bool = True,
         clock: Optional[Callable[[], float]] = None,
         control=None,
-        batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
+        if not isinstance(batch_size, int) or batch_size < 1:
+            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
         self._dbms = dbms
         self._optimize_dbms_fragments = optimize_dbms_fragments
-        #: Chunk size of the columnar physical engine; ``None`` selects the
-        #: tuple-at-a-time pipeline (see :mod:`repro.stratum.physical`).
+        #: Rows per chunk of the physical engine (:mod:`repro.stratum.physical`).
         self._batch_size = batch_size
         #: With a ``clock`` (a monotonic callable; observability on) the
         #: report also carries per-node wall-clock intervals and the timed
@@ -164,7 +167,7 @@ class StratumExecutor:
 
         Selections, projections, sorts, products and the join idioms execute
         through :mod:`repro.stratum.physical` — hash/interval joins instead
-        of materialised Cartesian products, compiled predicates instead of
+        of materialised Cartesian products, column-wise kernels instead of
         per-tuple expression-tree walks.  Boundary subtrees (transfers, base
         relations, the temporal operations) are materialised through the
         ordinary recursion above.  Each physical operator counts the rows it

@@ -34,7 +34,6 @@ from ..core.rules import DEFAULT_RULES
 from ..core.rules.base import TransformationRule
 from ..core.schema import RelationSchema
 from ..dbms.engine import ConventionalDBMS
-from .._legacy import UNSET, resolve_options
 from ..options import ExecutionOptions
 from ..search import MemoSearch, SearchOptions, SearchResult
 from .executor import StratumExecutionReport, StratumExecutor
@@ -210,27 +209,19 @@ class TemporalDatabase:
     """A temporal DBMS realised as a stratum on top of a conventional DBMS.
 
     Execution configuration comes from an
-    :class:`~repro.options.ExecutionOptions` (``options=``); the historic
-    ``optimize_queries=``/``use_statistics=`` keywords still work through
-    the deprecation shim.  ``repro.connect()`` is the blessed constructor
-    wrapper.
+    :class:`~repro.options.ExecutionOptions` (``options=``).
+    ``repro.connect()`` is the blessed constructor wrapper.
     """
 
     def __init__(
         self,
         dbms: Optional[ConventionalDBMS] = None,
         optimizer: Optional[TemporalQueryOptimizer] = None,
-        optimize_queries: "bool | object" = UNSET,
-        use_statistics: "bool | object" = UNSET,
         options: Optional[ExecutionOptions] = None,
     ) -> None:
-        options = resolve_options(
-            "TemporalDatabase",
-            options,
-            optimize_queries=optimize_queries,
-            use_statistics=use_statistics,
-        )
-        #: The resolved execution configuration; sessions created through
+        if options is None:
+            options = ExecutionOptions()
+        #: The execution configuration; sessions created through
         #: :meth:`session` inherit it.
         self.options = options
         self.dbms = dbms or ConventionalDBMS(use_statistics=options.use_statistics)

@@ -13,25 +13,25 @@ projection, sort, the products and the join idioms) to iterator operators:
   carrying an explicit ``ls < re ∧ rs < le`` overlap pair;
 * streaming **nested loop** otherwise (no intermediate materialisation);
 * streaming selection/projection and blocking sort, with predicates and
-  projection items compiled once per query (:meth:`Expression.compile`)
-  instead of tree-walked once per tuple.
+  projection items compiled once per query
+  (:meth:`Expression.compile_batch`) instead of tree-walked once per tuple.
 
-Operators execute in one of two modes.  The default is **columnar**: they
-exchange :class:`~repro.stratum.columnar.ColumnBatch` chunks through
-:meth:`StratumOperator.next_batch`, run predicates/projections as
-column-wise kernels (:meth:`Expression.compile_batch`), join and sort on
-plain value rows, and materialize :class:`~repro.core.tuples.Tuple` objects
-only at operator-tree boundaries.  Setting ``batch_size=None`` selects the
-original tuple-at-a-time pipeline, kept intact both as the reference for
-the columnar differential tests and as the degradation path.
+Execution is **columnar**: operators exchange
+:class:`~repro.stratum.columnar.ColumnBatch` chunks of ``batch_size`` rows
+through :meth:`StratumOperator.next_batch`, run predicates/projections as
+column-wise kernels, join and sort on plain value rows, and materialize
+:class:`~repro.core.tuples.Tuple` objects only at operator-tree boundaries.
+This is the stratum's only pull protocol; when a region fails, the executor
+degrades to the reference recursion, which shares no code with this module.
 
-Every operator is **list-compatible** with the reference semantics in both
-modes: it yields the *identical tuple sequence*, only faster.  The same guarantee —
-and the same reason — as :mod:`repro.stratum.temporal_exec`: several
-temporal operations are order-sensitive (Section 6), so a merely
+Every operator is **list-compatible** with the reference semantics at every
+batch size: it yields the *identical tuple sequence*, only faster.  The same
+guarantee — and the same reason — as :mod:`repro.stratum.temporal_exec`:
+several temporal operations are order-sensitive (Section 6), so a merely
 multiset-equivalent result could change the answer of an enclosing
-operator.  ``tests/test_stratum_physical.py`` cross-checks every operator
-tuple-for-tuple against ``_evaluate`` on randomized inputs.
+operator.  ``tests/test_stratum_physical.py`` and
+``tests/test_columnar_exec.py`` cross-check every operator tuple-for-tuple
+against ``_evaluate`` on randomized inputs.
 
 The algorithm choice comes from :mod:`repro.core.joinsplit`, which the cost
 annotations consume too, so EXPLAIN reports exactly what runs here.
@@ -42,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
-from ..core.expressions import Expression, ProjectionItem, guarded_compile, positional_guard
+from ..core.expressions import Expression, ProjectionItem
 from ..core.joinsplit import JoinSplit, split_for_join, split_for_product, split_for_selection
 from ..core.operations import (
     CartesianProduct,
@@ -60,7 +60,8 @@ from ..core.period import T1, T2
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..core.tuples import Tuple
-from .columnar import BatchBuilder, ColumnBatch, DEFAULT_BATCH_SIZE
+from ..options import DEFAULT_BATCH_SIZE
+from .columnar import BatchBuilder, ColumnBatch
 
 #: Logical node types the stratum lowers to pipelined operators.
 PIPELINED_TYPES = (
@@ -80,47 +81,6 @@ def is_pipelined(node: Operation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Compiled access helpers
-# ---------------------------------------------------------------------------
-#
-# Compiled closures resolve attributes positionally against the schema they
-# were compiled for; :func:`repro.core.expressions.positional_guard` keeps
-# them correct (name-based fallback) for attribute-order-permuted tuples.
-
-
-def _key_function(schema: RelationSchema, indexes: Sequence[int]) -> Callable[[Tuple], PyTuple]:
-    """Extract the join-key values at the given positions of ``schema``."""
-    names = tuple(schema.attributes[i] for i in indexes)
-    index_tuple = tuple(indexes)
-
-    def compiled(tup: Tuple) -> PyTuple:
-        values = tup.values()
-        return tuple(values[i] for i in index_tuple)
-
-    def fallback(tup: Tuple) -> PyTuple:
-        return tuple(tup[name] for name in names)
-
-    return positional_guard(schema, compiled, fallback)
-
-
-def _interval_function(
-    schema: RelationSchema, start_index: int, end_index: int
-) -> Callable[[Tuple], PyTuple]:
-    """Extract an ``(start, end)`` interval from the given positions."""
-    start_name = schema.attributes[start_index]
-    end_name = schema.attributes[end_index]
-
-    def compiled(tup: Tuple) -> PyTuple:
-        values = tup.values()
-        return values[start_index], values[end_index]
-
-    def fallback(tup: Tuple) -> PyTuple:
-        return tup[start_name], tup[end_name]
-
-    return positional_guard(schema, compiled, fallback)
-
-
-# ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
 
@@ -128,15 +88,11 @@ def _interval_function(
 class StratumOperator:
     """A batch-producing operator yielding the exact reference sequence.
 
-    The primary pull interface is :meth:`next_batch` /:meth:`batches`:
-    operators exchange :class:`~repro.stratum.columnar.ColumnBatch` chunks
-    and concatenating an operator's batches row-wise gives the identical
-    tuple sequence the reference semantics produce.  ``__iter__`` remains as
-    a thin adapter over the batch stream (and as the complete
-    tuple-at-a-time engine when ``batch_size`` is ``None``), so everything
-    built on the iterator contract — the executor, EXPLAIN ANALYZE row
-    accounting, the differential suite — keeps working unchanged at chunk
-    boundaries.
+    The pull interface is :meth:`next_batch` /:meth:`batches`: operators
+    exchange :class:`~repro.stratum.columnar.ColumnBatch` chunks and
+    concatenating an operator's batches row-wise gives the identical tuple
+    sequence the reference semantics produce.  ``__iter__`` is a thin
+    adapter over the batch stream for callers that want tuples.
 
     ``paths`` names the logical plan nodes this operator realises (a fused
     selection-over-product realises two); ``paths[0]`` is the node whose
@@ -152,12 +108,11 @@ class StratumOperator:
     control it assigns ``_control``
     (:class:`~repro.faults.control.ExecutionControl`); the drain then ticks
     the ``stratum.pull`` fault point — once at start and every
-    ``control.interval`` tuples (the batch drain ticks once per interval
-    *boundary crossed*, so the check count, and with it the resource-guard
-    row accounting, is identical for every batch size) — which is where
-    cancellation, deadlines, resource budgets and fault injection
-    interpose.  The plain path is the default and costs exactly two extra
-    branches per drain.
+    ``control.interval`` tuples (once per interval *boundary crossed*, so
+    the check count, and with it the resource-guard row accounting, is
+    identical for every batch size) — which is where cancellation,
+    deadlines, resource budgets and fault injection interpose.  The plain
+    path is the default and costs exactly two extra branches per drain.
     """
 
     #: The fault point this layer's pull loops tick (see :mod:`repro.faults`).
@@ -173,7 +128,7 @@ class StratumOperator:
         self.order = order
         self.paths = paths
         self.rows_out: Optional[int] = None
-        self.batch_size: Optional[int] = DEFAULT_BATCH_SIZE
+        self.batch_size: int = DEFAULT_BATCH_SIZE
         self._timer: Optional[Callable[[], float]] = None
         self._control = None
         self._batch_stream: Optional[Iterator[ColumnBatch]] = None
@@ -198,8 +153,7 @@ class StratumOperator:
 
         This wrapper owns the per-drain accounting: row counting for
         EXPLAIN ANALYZE, inclusive wall-clock under observability, and
-        control ticks under cancellation/resource guards — the batch-mode
-        counterpart of the accounting ``__iter__`` does per tuple.
+        control ticks under cancellation/resource guards.
         """
         clock = self._timer
         control = self._control
@@ -224,53 +178,12 @@ class StratumOperator:
             self.elapsed_seconds = clock() - self.started_at
 
     def _batches(self) -> Iterator[ColumnBatch]:
-        """The operator's batch implementation, without accounting.
-
-        The base implementation re-chunks :meth:`_iterate`, so an operator
-        without a vectorized kernel is batch-correct by default; every
-        shipped operator overrides this with a columnar implementation.
-        """
-        size = self.batch_size or DEFAULT_BATCH_SIZE
-        schema = self.output_schema
-        chunk: List[Tuple] = []
-        for tup in self._iterate():
-            chunk.append(tup)
-            if len(chunk) >= size:
-                yield ColumnBatch.from_tuples(schema, chunk)
-                chunk = []
-        if chunk:
-            yield ColumnBatch.from_tuples(schema, chunk)
-
-    # -- the iterator adapter --------------------------------------------------
+        """The operator's batch implementation, without accounting."""
+        raise NotImplementedError
 
     def __iter__(self) -> Iterator[Tuple]:
-        if self.batch_size is not None:
-            for batch in self.batches():
-                yield from batch.to_tuples()
-            return
-        clock = self._timer
-        control = self._control
-        if clock is not None:
-            self.started_at = clock()
-        count = 0
-        if control is None:
-            for tup in self._iterate():
-                count += 1
-                yield tup
-        else:
-            control.tick(self.FAULT_POINT)
-            interval = control.interval
-            for tup in self._iterate():
-                count += 1
-                if not count % interval:
-                    control.tick(self.FAULT_POINT)
-                yield tup
-        self.rows_out = count
-        if clock is not None:
-            self.elapsed_seconds = clock() - self.started_at
-
-    def _iterate(self) -> Iterator[Tuple]:
-        raise NotImplementedError
+        for batch in self.batches():
+            yield from batch.to_tuples()
 
     def children(self) -> Sequence["StratumOperator"]:
         return ()
@@ -281,21 +194,15 @@ class StratumOperator:
         for child in self.children():
             yield from child.operators()
 
-    def set_batch_size(self, batch_size: Optional[int]) -> None:
-        """Configure the whole operator tree's chunk size.
-
-        ``None`` selects the tuple-at-a-time engine (the pre-columnar
-        pipeline, kept as the degradation-friendly reference
-        implementation); any positive integer selects the columnar engine
-        with that chunk size.
-        """
+    def set_batch_size(self, batch_size: int) -> None:
+        """Configure the whole operator tree's chunk size (a positive integer)."""
+        if not isinstance(batch_size, int) or batch_size < 1:
+            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
         for operator in self.operators():
             operator.batch_size = batch_size
 
     def to_relation(self) -> Relation:
         """Drain the operator into a relation carrying the derived order."""
-        if self.batch_size is None:
-            return Relation(self.output_schema, list(self), order=self.order)
         tuples: List[Tuple] = []
         for batch in self.batches():
             tuples.extend(batch.to_tuples())
@@ -312,14 +219,11 @@ class SourceOp(StratumOperator):
         super().__init__(relation.schema, relation.order, ())
         self._relation = relation
 
-    def _iterate(self) -> Iterator[Tuple]:
-        return iter(self._relation)
-
     def _batches(self) -> Iterator[ColumnBatch]:
         # The source boundary is where tuples become columns; permuted
         # attribute orders are normalized here so every kernel upstream is
         # purely positional.
-        size = self.batch_size or DEFAULT_BATCH_SIZE
+        size = self.batch_size
         schema = self.output_schema
         tuples = self._relation.tuples
         for offset in range(0, len(tuples), size):
@@ -330,7 +234,7 @@ class SourceOp(StratumOperator):
 
 
 class FilterOp(StratumOperator):
-    """Streaming selection with a compiled predicate."""
+    """Streaming selection with a column-wise predicate kernel."""
 
     def __init__(
         self,
@@ -340,18 +244,11 @@ class FilterOp(StratumOperator):
         paths: PyTuple[PlanPath, ...],
     ) -> None:
         super().__init__(child.output_schema, order, paths)
-        self._predicate = guarded_compile(predicate, child.output_schema)
-        self._predicate_expression = predicate
+        self._predicate = predicate
         self._child = child
 
-    def _iterate(self) -> Iterator[Tuple]:
-        predicate = self._predicate
-        for tup in self._child:
-            if predicate(tup):
-                yield tup
-
     def _batches(self) -> Iterator[ColumnBatch]:
-        kernel = self._predicate_expression.compile_batch(self._child.output_schema)
+        kernel = self._predicate.compile_batch(self._child.output_schema)
         for batch in self._child.batches():
             flags = kernel(batch.columns, batch.length)
             selected = [i for i in range(batch.length) if flags[i]]
@@ -370,7 +267,7 @@ class FilterOp(StratumOperator):
 
 
 class ProjectOp(StratumOperator):
-    """Streaming projection with compiled item expressions."""
+    """Streaming projection with column-wise item kernels."""
 
     def __init__(
         self,
@@ -381,18 +278,8 @@ class ProjectOp(StratumOperator):
         paths: PyTuple[PlanPath, ...],
     ) -> None:
         super().__init__(output_schema, order, paths)
-        child_schema = child.output_schema
         self._items = tuple(items)
-        self._columns = tuple(
-            (item.output_name, guarded_compile(item, child_schema)) for item in items
-        )
         self._child = child
-
-    def _iterate(self) -> Iterator[Tuple]:
-        schema = self.output_schema
-        columns = self._columns
-        for tup in self._child:
-            yield Tuple(schema, {name: expression(tup) for name, expression in columns})
 
     def _batches(self) -> Iterator[ColumnBatch]:
         child_schema = self._child.output_schema
@@ -423,12 +310,8 @@ class SortOp(StratumOperator):
         self._sort_order = sort_order
         self._child = child
 
-    def _iterate(self) -> Iterator[Tuple]:
-        key = self._sort_order.comparison_key()
-        return iter(sorted(self._child, key=key))
-
     def _batches(self) -> Iterator[ColumnBatch]:
-        size = self.batch_size or DEFAULT_BATCH_SIZE
+        size = self.batch_size
         schema = self.output_schema
         rows: List[PyTuple] = []
         for batch in self._child.batches():
@@ -436,7 +319,7 @@ class SortOp(StratumOperator):
         if not rows:
             return
         # Stable sort over value rows — input order is the tie-breaker, the
-        # same sequence the tuple path's sorted(child, comparison_key) yields.
+        # same sequence the reference sorted(child, comparison_key) yields.
         rows.sort(key=self._sort_order.positional_key(schema.attributes))
         for offset in range(0, len(rows), size):
             yield ColumnBatch.from_rows(schema, rows[offset : offset + size])
@@ -470,40 +353,18 @@ class _JoinOp(StratumOperator):
         self._split = split
         self._left = left
         self._right = right
-        self._residual = (
-            None
-            if split.residual is None
-            else guarded_compile(split.residual, output_schema)
-        )
         self._temporal = split.temporal
         if split.temporal:
             left_schema = left.output_schema
             right_schema = right.output_schema
             self._left_time = (left_schema.index_of(T1), left_schema.index_of(T2))
             self._right_time = (right_schema.index_of(T1), right_schema.index_of(T2))
-            self._left_period = _interval_function(left_schema, *self._left_time)
-            self._right_period = _interval_function(right_schema, *self._right_time)
 
     def children(self) -> Sequence[StratumOperator]:
         return (self._left, self._right)
 
     def describe(self) -> str:
         return f"Join[{self._split.describe()}]"
-
-    def _emit(
-        self, left_tuple: Tuple, right_tuple: Tuple, period: Optional[PyTuple[int, int]]
-    ) -> Optional[Tuple]:
-        """Build the joined tuple; apply the residual; None when rejected."""
-        schema = self.output_schema
-        values = list(left_tuple.values()) + list(right_tuple.values())
-        if period is not None:
-            values += [period[0], period[1]]
-        joined = Tuple(schema, dict(zip(schema.attributes, values)))
-        if self._residual is not None and not self._residual(joined):
-            return None
-        return joined
-
-    # -- columnar machinery ----------------------------------------------------
 
     def _residual_kernel(self):
         """The residual predicate compiled column-wise, or ``None``."""
@@ -526,7 +387,7 @@ class _JoinOp(StratumOperator):
 
     def _output_batches(self, rows: "Iterator[PyTuple]") -> Iterator[ColumnBatch]:
         """Re-chunk joined value rows and apply the residual per chunk."""
-        builder = BatchBuilder(self.output_schema, self.batch_size or DEFAULT_BATCH_SIZE)
+        builder = BatchBuilder(self.output_schema, self.batch_size)
         kernel = self._residual_kernel()
         for row in rows:
             full = builder.add(row)
@@ -555,37 +416,6 @@ class HashJoinOp(_JoinOp):
     the fresh ``T1``/``T2`` carry the intersection.  Buckets keep right
     input order, so the output sequence matches the reference product.
     """
-
-    def _iterate(self) -> Iterator[Tuple]:
-        split = self._split
-        left_key = _key_function(self._left.output_schema, split.equi_left_indexes)
-        right_key = _key_function(self._right.output_schema, split.equi_right_indexes)
-        temporal = self._temporal
-        table: dict = {}
-        for right_tuple in self._right:
-            entry = (
-                (right_tuple, self._right_period(right_tuple)) if temporal else right_tuple
-            )
-            table.setdefault(right_key(right_tuple), []).append(entry)
-        for left_tuple in self._left:
-            bucket = table.get(left_key(left_tuple))
-            if not bucket:
-                continue
-            if temporal:
-                l1, l2 = self._left_period(left_tuple)
-                for right_tuple, (r1, r2) in bucket:
-                    start = l1 if l1 > r1 else r1
-                    end = l2 if l2 < r2 else r2
-                    if start >= end:
-                        continue
-                    joined = self._emit(left_tuple, right_tuple, (start, end))
-                    if joined is not None:
-                        yield joined
-            else:
-                for right_tuple in bucket:
-                    joined = self._emit(left_tuple, right_tuple, None)
-                    if joined is not None:
-                        yield joined
 
     def _join_rows(self) -> Iterator[PyTuple]:
         split = self._split
@@ -656,41 +486,6 @@ class IntervalJoinOp(_JoinOp):
     position to preserve the reference sequence.
     """
 
-    def _iterate(self) -> Iterator[Tuple]:
-        split = self._split
-        if split.temporal:
-            left_interval = self._left_period
-            right_interval = self._right_period
-        else:
-            ls, le, rs, re = split.overlap_indexes
-            left_interval = _interval_function(self._left.output_schema, ls, le)
-            right_interval = _interval_function(self._right.output_schema, rs, re)
-        entries: List[PyTuple] = []  # (start, position, end, tuple)
-        for position, right_tuple in enumerate(self._right):
-            start, end = right_interval(right_tuple)
-            entries.append((start, position, end, right_tuple))
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        starts = [entry[0] for entry in entries]
-        temporal = self._temporal
-        for left_tuple in self._left:
-            l1, l2 = left_interval(left_tuple)
-            limit = bisect_left(starts, l2)
-            matches = [
-                (position, start, end, right_tuple)
-                for start, position, end, right_tuple in entries[:limit]
-                if end > l1
-            ]
-            matches.sort()
-            for position, r1, r2, right_tuple in matches:
-                if temporal:
-                    start = l1 if l1 > r1 else r1
-                    end = l2 if l2 < r2 else r2
-                    joined = self._emit(left_tuple, right_tuple, (start, end))
-                else:
-                    joined = self._emit(left_tuple, right_tuple, None)
-                if joined is not None:
-                    yield joined
-
     def _join_rows(self) -> Iterator[PyTuple]:
         split = self._split
         if split.temporal:
@@ -748,15 +543,6 @@ class NestedLoopJoinOp(_JoinOp):
             )
         super().__init__(split, *args, **kwargs)
 
-    def _iterate(self) -> Iterator[Tuple]:
-        right_rows = list(self._right)
-        emit = self._emit
-        for left_tuple in self._left:
-            for right_tuple in right_rows:
-                joined = emit(left_tuple, right_tuple, None)
-                if joined is not None:
-                    yield joined
-
     def _join_rows(self) -> Iterator[PyTuple]:
         right_rows: List[PyTuple] = []
         for batch in self._right.batches():
@@ -779,16 +565,11 @@ _JOIN_OPERATORS = {
 # ---------------------------------------------------------------------------
 
 
-#: Sentinel distinguishing "no batch-size override" from an explicit ``None``
-#: (which selects the tuple-at-a-time engine).
-_KEEP_BATCH_SIZE = object()
-
-
 def lower_plan(
     node: Operation,
     path: PlanPath,
     fetch: Callable[[Operation, PlanPath], Relation],
-    batch_size: "Optional[int] | object" = _KEEP_BATCH_SIZE,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> StratumOperator:
     """Lower a pipelinable logical subtree to a physical operator tree.
 
@@ -796,14 +577,11 @@ def lower_plan(
     temporal operations with their own fast paths) through the executor's
     ordinary recursion, which keeps their per-node accounting.
 
-    ``batch_size`` (keyword, optional) configures the built tree's chunk
-    size: a positive integer selects the columnar engine with that chunk
-    size, ``None`` the tuple-at-a-time engine; omitted, operators keep the
-    default (:data:`~repro.stratum.columnar.DEFAULT_BATCH_SIZE`).
+    ``batch_size`` is the built tree's chunk size, a positive integer
+    (default :data:`~repro.options.DEFAULT_BATCH_SIZE`).
     """
     root = _lower_node(node, path, fetch)
-    if batch_size is not _KEEP_BATCH_SIZE:
-        root.set_batch_size(batch_size)  # type: ignore[arg-type]
+    root.set_batch_size(batch_size)
     return root
 
 

@@ -18,6 +18,7 @@ from repro.faults import (
     ExecutionControl,
     ResourceGuard,
 )
+from repro.options import ExecutionOptions
 from repro.server import Server
 from repro.session import Session
 from repro.workloads import employee_relation, project_relation
@@ -231,14 +232,20 @@ class TestServerCancellation:
             assert response.status == "timed_out" and response.code == "TIMED_OUT"
 
     def test_cancellation_disabled_reverts_to_queue_deadline_only(self):
-        server = Server(make_database(), max_concurrency=1, cancellation=False)
+        server = Server(
+            make_database(), max_concurrency=1, options=ExecutionOptions(cancellation=False)
+        )
         with server:
             future = server.submit("SELECT EmpName FROM EMPLOYEE")
             assert server.cancel(future.request_id) is False  # no token registered
             assert future.result(timeout=5.0).ok
 
     def test_per_request_resource_budget(self):
-        server = Server(make_database(), max_concurrency=1, max_rows_per_request=2)
+        server = Server(
+            make_database(),
+            max_concurrency=1,
+            options=ExecutionOptions(max_rows_per_request=2),
+        )
         with server:
             response = server.query("SELECT EmpName FROM EMPLOYEE")
             assert response.status == "error"
@@ -248,7 +255,7 @@ class TestServerCancellation:
         from repro.obs import Tracer
 
         tracer = Tracer()
-        server = Server(make_database(), max_concurrency=1, tracer=tracer)
+        server = Server(make_database(), max_concurrency=1, options=ExecutionOptions(tracer=tracer))
         with server:
             with FAULTS.armed("dbms.scan", kind="latency", latency=0.5, times=4):
                 server.query("SELECT EmpName FROM EMPLOYEE", timeout=0.05)

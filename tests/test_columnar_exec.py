@@ -1,43 +1,55 @@
 """The columnar batch engine: identical results at every chunking.
 
-The stratum's physical operators execute columnar ``ColumnBatch`` chunks by
-default (see ``docs/architecture.md#columnar-execution``).  Because the
-algebra is list-based, correctness is *sequence* identity, not multiset
-identity — so the contract tested here is strict: for any join-shaped plan
-and any batch size (including 1, sizes that straddle operator boundaries,
-and sizes larger than the input), the batch engine must produce the
-byte-identical tuple sequence of the tuple-at-a-time pipeline and of the
-reference semantics, with the same per-operator row accounting and the
-same control-tick cadence.
+The stratum's physical operators execute columnar ``ColumnBatch`` chunks
+(see ``docs/architecture.md#columnar-execution``).  Because the algebra is
+list-based, correctness is *sequence* identity, not multiset identity — so
+the contract tested here is strict: for any join-shaped plan and any batch
+size (including 1, sizes that straddle operator boundaries, and sizes
+larger than the input), the batch engine must produce the byte-identical
+tuple sequence of the reference semantics, with the same per-operator row
+accounting and the same control-tick cadence.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 
+from repro import TemporalDatabase
 from repro.core.expressions import (
+    And,
     AttributeRef,
     Comparison,
     ComparisonOperator,
+    Expression,
     Literal,
-    positional_guard,
+    guarded_compile,
 )
-from repro.core.operations import LiteralRelation, Selection
+from repro.core.operations import (
+    BaseRelation,
+    LiteralRelation,
+    Projection,
+    Selection,
+    Sort,
+    TemporalJoin,
+)
 from repro.core.operations.base import EvaluationContext
+from repro.core.order_spec import OrderSpec
 from repro.core.relation import Relation
 from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.core.tuples import Tuple
 from repro.dbms.engine import ConventionalDBMS
 from repro.faults import ExecutionControl
 from repro.session import Session
-from repro.stratum.columnar import BatchBuilder, ColumnBatch, DEFAULT_BATCH_SIZE
+from repro.stratum.columnar import BatchBuilder, ColumnBatch
 from repro.stratum.executor import StratumExecutor
-from repro.options import (
-    DEFAULT_BATCH_SIZE as OPTIONS_DEFAULT_BATCH_SIZE,
-    ExecutionOptions,
+from repro.options import ExecutionOptions
+from repro.workloads import (
+    EMPLOYEE_SCHEMA,
+    PROJECT_SCHEMA,
+    employee_relation,
+    project_relation,
+    scaled_paper_workload,
 )
-from repro.workloads import employee_relation, project_relation
 
 from .strategies import TEMPORAL_SCHEMA, join_shaped_plans
 
@@ -67,12 +79,33 @@ class TestChunkingDifferential:
         for batch_size in BATCH_SIZES:
             assert_list_identical(run_stratum(plan, batch_size), reference)
 
-    @settings(max_examples=40, deadline=None)
-    @given(join_shaped_plans())
-    def test_batch_and_tuple_modes_agree(self, plan):
-        tuple_mode = run_stratum(plan, None)
-        for batch_size in (1, 7, 4096):
-            assert_list_identical(run_stratum(plan, batch_size), tuple_mode)
+    def test_join_heavy_workload_matches_reference(self):
+        """EMPLOYEE ⋈T PROJECT on EmpName with a residual, projected and
+        sorted, over the scaled paper workload (the shape the ledger's
+        ``relational-exec`` workload times, at a scale the reference can
+        evaluate)."""
+        employees, projects = scaled_paper_workload(20)
+        database = TemporalDatabase()
+        database.register("EMPLOYEE", employees)
+        database.register("PROJECT", projects)
+        predicate = And(
+            Comparison(
+                ComparisonOperator.EQ, AttributeRef("1.EmpName"), AttributeRef("2.EmpName")
+            ),
+            Comparison(ComparisonOperator.NE, AttributeRef("Dept"), Literal("Legal")),
+        )
+        join = TemporalJoin(
+            predicate,
+            BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA),
+            BaseRelation("PROJECT", PROJECT_SCHEMA),
+        )
+        projected = Projection(["1.EmpName", "Dept", "Prj", "T1", "T2"], join)
+        plan = Sort(OrderSpec.ascending("1.EmpName"), projected)
+        reference = database.evaluate_reference(plan)
+        assert len(reference) > 0
+        for batch_size in (1, 2, 7, 64, 1024):
+            executor = StratumExecutor(database.dbms, batch_size=batch_size)
+            assert_list_identical(executor.execute(plan), reference)
 
 
 class TestAccountingParity:
@@ -91,9 +124,12 @@ class TestAccountingParity:
     )
 
     def test_explain_analyze_actuals_agree_across_chunkings(self):
-        reference = self._session(None).explain(self.STATEMENT)
+        # batch_size=1 is per-tuple cadence: every operator sees one row
+        # per pull, so its counts are the chunking-free baseline.
+        reference = self._session(1).explain(self.STATEMENT)
         expected = {line.path: line.actual_rows for line in reference.lines}
-        for batch_size in (1, 7, 4096):
+        assert any(count for count in expected.values())
+        for batch_size in (7, 4096):
             report = self._session(batch_size).explain(self.STATEMENT)
             actuals = {line.path: line.actual_rows for line in report.lines}
             assert actuals == expected
@@ -101,10 +137,6 @@ class TestAccountingParity:
 
     def test_explain_render_shows_the_batch_size(self):
         assert "batch size=7" in self._session(7).explain(self.STATEMENT).render()
-        assert (
-            "batch size=tuple-at-a-time"
-            in self._session(None).explain(self.STATEMENT).render()
-        )
 
     def test_plain_explain_shows_no_batch_size(self):
         report = self._session(7).explain(self.STATEMENT, analyze=False)
@@ -135,10 +167,14 @@ class TestAccountingParity:
             executor.execute(plan)
             return control.ticks
 
-        reference = ticks(None)
-        assert reference > 2  # 300 rows at interval 128: the loop really ticked
+        # Each operator ticks once at drain start and once per interval
+        # boundary its output crosses: the source emits 300 rows, the
+        # filter keeps the 200 non-"Ads" ones.
+        interval = ExecutionControl().interval
+        expected = (1 + 300 // interval) + (1 + 200 // interval)
+        assert expected > 2  # the loops really tick beyond the start check
         for batch_size in (1, 7, 64, 4096):
-            assert ticks(batch_size) == reference
+            assert ticks(batch_size) == expected
 
 
 class TestColumnBatch:
@@ -190,34 +226,30 @@ class TestColumnBatch:
         assert hash(trusted) == hash(validated)
         assert trusted["Amount"] == 1
 
-    def test_default_batch_size_constants_agree(self):
-        # repro.options re-declares the constant to stay a leaf module.
-        assert OPTIONS_DEFAULT_BATCH_SIZE == DEFAULT_BATCH_SIZE
-        assert ExecutionOptions().batch_size == DEFAULT_BATCH_SIZE
+
+class CountingExpression(Expression):
+    """Delegates to a wrapped expression, recording every ``compile`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.compiles = []
+
+    def compile(self, schema=None):
+        self.compiles.append(schema.attributes)
+        return self.inner.compile(schema)
 
 
 class TestPermutationCache:
-    """The positional guard recompiles once per distinct attribute order."""
+    """``guarded_compile`` recompiles once per distinct attribute order."""
 
     SCHEMA = RelationSchema.snapshot([("Name", STRING), ("Amount", INTEGER)], name="C")
     PERMUTED = RelationSchema.snapshot([("Amount", INTEGER), ("Name", STRING)], name="C")
 
     def test_recompile_runs_once_per_layout(self):
-        expression = Comparison(
-            ComparisonOperator.GT, AttributeRef("Amount"), Literal(1)
+        expression = CountingExpression(
+            Comparison(ComparisonOperator.GT, AttributeRef("Amount"), Literal(1))
         )
-        compiles = []
-
-        def counting_compile(schema):
-            compiles.append(schema.attributes)
-            return expression.compile(schema)
-
-        guarded = positional_guard(
-            self.SCHEMA,
-            expression.compile(self.SCHEMA),
-            expression.evaluate,
-            recompile=counting_compile,
-        )
+        guarded = guarded_compile(expression, self.SCHEMA)
         aligned = Tuple(self.SCHEMA, {"Name": "John", "Amount": 1})
         permuted = [
             Tuple(self.PERMUTED, {"Amount": i, "Name": "Anna"}) for i in range(50)
@@ -225,22 +257,14 @@ class TestPermutationCache:
         assert guarded(aligned) is False
         results = [guarded(tup) for tup in permuted]
         assert results == [i > 1 for i in range(50)]
-        # 50 permuted tuples, one layout: exactly one recompilation.
-        assert compiles == [("Amount", "Name")]
+        # The compile-time layout, then 50 permuted tuples of one layout:
+        # exactly one recompilation.
+        assert expression.compiles == [("Name", "Amount"), ("Amount", "Name")]
 
-    def test_guard_without_recompiler_uses_the_fallback(self):
+    def test_permuted_tuples_evaluate_like_aligned_ones(self):
         expression = Comparison(
             ComparisonOperator.GT, AttributeRef("Amount"), Literal(1)
         )
-        guarded = positional_guard(
-            self.SCHEMA, expression.compile(self.SCHEMA), expression.evaluate
-        )
+        guarded = guarded_compile(expression, self.SCHEMA)
         assert guarded(Tuple(self.PERMUTED, {"Amount": 5, "Name": "Mia"})) is True
-
-
-class TestBatchSizeValidation:
-    def test_executor_rejects_nonpositive_sizes_via_options(self):
-        with pytest.raises(ValueError):
-            ExecutionOptions(batch_size=0)
-        with pytest.raises(ValueError):
-            ExecutionOptions(batch_size=-3)
+        assert guarded(Tuple(self.SCHEMA, {"Name": "Mia", "Amount": 5})) is True

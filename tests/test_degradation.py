@@ -22,6 +22,7 @@ from repro.core.exceptions import (
 )
 from repro.faults import FAULTS, CancellationToken, ResourceGuard
 from repro.obs import MetricsRegistry, Tracer
+from repro.options import ExecutionOptions
 from repro.session import Session
 from repro.stratum import TemporalDatabase
 from repro.workloads import employee_relation, project_relation
@@ -86,7 +87,9 @@ class TestMemoSearchDegradation:
     def test_memo_degradation_counted_and_flagged_on_trace(self):
         metrics = MetricsRegistry()
         tracer = Tracer()
-        session = Session(make_database(), tracer=tracer, metrics=metrics)
+        session = Session(
+            make_database(), options=ExecutionOptions(tracer=tracer, metrics=metrics)
+        )
         with FAULTS.armed("search.memo", times=1):
             session.execute(STATEMENTS[1])
         assert 'repro_degraded_total{stage="memo_search"} 1' in metrics.exposition()
@@ -121,7 +124,9 @@ class TestStratumPhysicalDegradation:
     def test_stratum_degradation_counted_and_flagged_on_trace(self):
         metrics = MetricsRegistry()
         tracer = Tracer()
-        session = Session(make_database(), tracer=tracer, metrics=metrics)
+        session = Session(
+            make_database(), options=ExecutionOptions(tracer=tracer, metrics=metrics)
+        )
         with FAULTS.armed("stratum.pull", times=1):
             session.execute(STATEMENTS[2])
         assert 'repro_degraded_total{stage="stratum_physical"} 1' in metrics.exposition()

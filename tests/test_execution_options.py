@@ -1,29 +1,26 @@
 """The redesigned configuration surface: ``ExecutionOptions`` everywhere.
 
 One frozen options object rides through all three constructors
-(``TemporalDatabase``, ``Session``, ``Server``); the pre-existing
-per-constructor keywords keep working through a shim that emits exactly one
-``DeprecationWarning`` per constructor call.  These tests pin the
-round-trip, the warning contract, behavioral equivalence of the two
-spellings, and the ``repro.connect`` facade.
+(``TemporalDatabase``, ``Session``, ``Server``).  These tests pin the
+round-trip and inheritance, ``batch_size`` validation, that the removed
+per-constructor keywords are rejected, and the ``repro.connect`` facade.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
-from repro import ExecutionOptions, Session, TemporalDatabase, connect
+from repro import DEFAULT_BATCH_SIZE, ExecutionOptions, Session, TemporalDatabase, connect
+from repro.core.operations import LiteralRelation
+from repro.core.operations.base import ROOT_PATH
+from repro.dbms.engine import ConventionalDBMS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.server import Server
+from repro.stratum.executor import StratumExecutor
+from repro.stratum.physical import lower_plan
 from repro.workloads import employee_relation
-
-
-def _deprecations(caught):
-    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 class TestOptionsObject:
@@ -41,10 +38,25 @@ class TestOptionsObject:
 
     def test_non_defaults_names_the_turned_knobs(self):
         assert ExecutionOptions().non_defaults() == {}
-        assert ExecutionOptions(batch_size=None, cancellation=False).non_defaults() == {
-            "batch_size": None,
+        assert ExecutionOptions(batch_size=7, cancellation=False).non_defaults() == {
+            "batch_size": 7,
             "cancellation": False,
         }
+
+    def test_batch_size_is_a_positive_integer(self):
+        assert ExecutionOptions().batch_size == DEFAULT_BATCH_SIZE
+        for invalid in (None, 0, -3, 2.5):
+            with pytest.raises(ValueError):
+                ExecutionOptions(batch_size=invalid)
+            with pytest.raises(ValueError):
+                StratumExecutor(ConventionalDBMS(), batch_size=invalid)
+            with pytest.raises(ValueError):
+                lower_plan(
+                    LiteralRelation(employee_relation()),
+                    ROOT_PATH,
+                    lambda node, path: node.relation,
+                    batch_size=invalid,
+                )
 
 
 class TestRoundTrip:
@@ -59,8 +71,8 @@ class TestRoundTrip:
 
     def test_session_inherits_database_options(self):
         db = TemporalDatabase(options=ExecutionOptions(batch_size=32))
-        assert Session(db).options.batch_size == 32
-        assert db.session().options.batch_size == 32
+        assert Session(db).options is db.options
+        assert db.session().options is db.options
 
     def test_session_own_options_win(self):
         db = TemporalDatabase(options=ExecutionOptions(batch_size=32))
@@ -80,8 +92,10 @@ class TestRoundTrip:
         assert server.database.options is options
 
     def test_server_inherits_database_options(self):
-        db = TemporalDatabase(options=ExecutionOptions(batch_size=16))
-        assert Server(database=db).options.batch_size == 16
+        db = TemporalDatabase(options=ExecutionOptions(batch_size=16, cancellation=False))
+        server = Server(database=db)
+        assert server.options is db.options
+        assert server.cancellation is False
 
     def test_server_defaults_to_a_private_registry(self):
         assert isinstance(Server().metrics, MetricsRegistry)
@@ -89,52 +103,29 @@ class TestRoundTrip:
         assert Server(options=ExecutionOptions(metrics=registry)).metrics is registry
 
 
-class TestDeprecationShim:
-    """Legacy keywords work and warn exactly once, naming every keyword."""
+class TestRemovedKeywords:
+    """The pre-``ExecutionOptions`` keywords are gone from every constructor."""
 
-    def test_database_legacy_kwargs_warn_once(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            db = TemporalDatabase(use_statistics=True, optimize_queries=False)
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert "TemporalDatabase" in message
-        assert "use_statistics" in message and "optimize_queries" in message
-        assert "ExecutionOptions" in message
-        assert db.use_statistics is True and db.optimize_queries is False
-
-    def test_session_legacy_kwargs_warn_once(self):
-        tracer = Tracer()
-        with pytest.warns(DeprecationWarning) as caught:
-            session = Session(tracer=tracer, slow_query_seconds=0.5)
-        assert len(_deprecations(caught)) == 1
-        assert session.tracer is tracer
-        assert session.options.slow_query_seconds == 0.5
-
-    def test_server_legacy_kwargs_warn_once(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            server = Server(cancellation=False, max_rows_per_request=10)
-        assert len(_deprecations(caught)) == 1
-        assert server.cancellation is False and server.max_rows_per_request == 10
-
-    def test_options_path_is_warning_free(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            TemporalDatabase(options=ExecutionOptions(use_statistics=True))
-            Session(options=ExecutionOptions(slow_query_seconds=1.0))
-            with Server(options=ExecutionOptions(cancellation=False)) as server:
-                server.database.register("EMPLOYEE", employee_relation())
-                assert server.query("SELECT EmpName FROM EMPLOYEE").ok
-        assert _deprecations(caught) == []
-
-    def test_both_spellings_behave_identically(self):
-        legacy_db = None
-        with pytest.warns(DeprecationWarning):
-            legacy_db = TemporalDatabase(use_statistics=True)
-        blessed_db = TemporalDatabase(options=ExecutionOptions(use_statistics=True))
-        for db in (legacy_db, blessed_db):
-            db.register("EMPLOYEE", employee_relation())
-        query = "SELECT EmpName FROM EMPLOYEE WHERE Dept = 'Sales'"
-        assert list(legacy_db.query(query).tuples) == list(blessed_db.query(query).tuples)
+    @pytest.mark.parametrize(
+        "constructor, keyword",
+        [
+            (TemporalDatabase, "optimize_queries"),
+            (TemporalDatabase, "use_statistics"),
+            (Session, "tracer"),
+            (Session, "metrics"),
+            (Session, "slow_query_seconds"),
+            (Session, "slow_query_logger"),
+            (Server, "metrics"),
+            (Server, "tracer"),
+            (Server, "slow_query_seconds"),
+            (Server, "cancellation"),
+            (Server, "max_rows_per_request"),
+            (Server, "max_bytes_per_request"),
+        ],
+    )
+    def test_legacy_keyword_is_a_type_error(self, constructor, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            constructor(**{keyword: None})
 
 
 class TestFacade:
@@ -142,9 +133,9 @@ class TestFacade:
         db = connect()
         assert isinstance(db, TemporalDatabase)
         assert db.options == ExecutionOptions()
-        custom = connect(ExecutionOptions(batch_size=None))
-        assert custom.options.batch_size is None
-        assert custom.session().options.batch_size is None
+        custom = connect(ExecutionOptions(batch_size=3))
+        assert custom.options.batch_size == 3
+        assert custom.session().options.batch_size == 3
 
     def test_blessed_names_lead_the_public_all(self):
         blessed = {

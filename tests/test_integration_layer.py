@@ -12,6 +12,7 @@ import pytest
 from repro.core.applicability import results_acceptable
 from repro.core.equivalence import list_equivalent, multiset_equivalent
 from repro.core.operations import Coalescing, Sort, TemporalDifference, TransferToStratum
+from repro.options import ExecutionOptions
 from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
 from repro.workloads import (
     WorkloadParameters,
@@ -29,7 +30,7 @@ class TestPaperExample:
         assert list_equivalent(result, expected_result)
 
     def test_unoptimized_execution_matches_too(self, employee, project, paper_statement, expected_result):
-        database = TemporalDatabase(optimize_queries=False)
+        database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
         database.register("EMPLOYEE", employee)
         database.register("PROJECT", project)
         result = database.query(paper_statement)

@@ -52,6 +52,7 @@ from repro.core.rules.join_rules import (
     FuseSelectionOverTemporalProduct,
 )
 from repro.dbms.optimizer import CostGuidedConventionalOptimizer
+from repro.options import ExecutionOptions
 from repro.search import search_best_plan
 from repro.stratum import TemporalDatabase
 from repro.workloads import (
@@ -193,7 +194,7 @@ class TestRewriteDifferential:
             else FuseSelectionOverProduct()
         )
         rewritten = rule.apply(plan).replacement
-        database = TemporalDatabase(optimize_queries=False)
+        database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
         reference = plan.evaluate(EvaluationContext())
         assert list(database.run_plan(plan).tuples) == list(reference.tuples)
         assert list(database.run_plan(rewritten).tuples) == list(reference.tuples)
@@ -475,7 +476,7 @@ class TestJoinQueryPins:
     def test_chosen_plan_runs_list_compatibly_in_the_stratum(self, build):
         plan, spec = build()
         result = search_best_plan(plan, spec, statistics=STATISTICS)
-        database = TemporalDatabase(optimize_queries=False)
+        database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
         database.register("EMPLOYEE", employee_relation())
         database.register("PROJECT", project_relation())
         produced = database.run_plan(result.best_plan)

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.obs import MetricsRegistry, SlowQueryLog, Tracer, q_error
+from repro.options import ExecutionOptions
 from repro.session import Session
 from repro.stratum import TemporalDatabase
 from repro.stratum.executor import StratumExecutor
@@ -308,7 +309,7 @@ class TestExecutionTimings:
 
     def test_session_trace_covers_the_lifecycle_with_operator_children(self):
         tracer = Tracer()
-        session = Session(make_database(), tracer=tracer)
+        session = Session(make_database(), options=ExecutionOptions(tracer=tracer))
         result = session.execute(PAPER_SQL)
         assert result.trace_id is not None
         trace = tracer.recent()[-1]
@@ -325,7 +326,7 @@ class TestExecutionTimings:
 
     def test_trace_operator_rows_match_explain_analyze(self):
         tracer = Tracer()
-        session = Session(make_database(), tracer=tracer)
+        session = Session(make_database(), options=ExecutionOptions(tracer=tracer))
         session.execute(PAPER_SQL)
         trace = tracer.recent()[-1]
         execute = trace.find("execute")
@@ -366,7 +367,7 @@ class TestExecutionTimings:
 
 class TestSlowQueryLog:
     def test_emits_structured_record_with_q_errors(self, caplog):
-        session = Session(make_database(), slow_query_seconds=0.0)
+        session = Session(make_database(), options=ExecutionOptions(slow_query_seconds=0.0))
         with caplog.at_level(logging.WARNING, logger="repro.slow_query"):
             result = session.execute(PAPER_SQL)
         records = [r for r in caplog.records if hasattr(r, "slow_query")]

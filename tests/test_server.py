@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.options import ExecutionOptions
 from repro.server import (
     Server,
     ServerClosedError,
@@ -337,7 +338,7 @@ class TestTCPFrontend:
 
 class TestObservabilityIntegration:
     def test_response_carries_timings_and_exposition_matches_stats(self):
-        with make_server(max_concurrency=2, tracer=Tracer()) as server:
+        with make_server(max_concurrency=2, options=ExecutionOptions(tracer=Tracer())) as server:
             with TCPFrontend(server) as frontend:
                 host, port = frontend.address
                 with TCPClient(host, port) as client:

@@ -7,6 +7,7 @@ import pytest
 from repro.core.exceptions import ParameterError
 from repro.core.expressions import Literal, Parameter
 from repro.core.operations import Selection
+from repro.options import ExecutionOptions
 from repro.session import (
     PlanCache,
     Session,
@@ -258,7 +259,7 @@ class TestExplainWorkloads:
         from repro.workloads import skewed_paper_workload
 
         employees, projects = skewed_paper_workload(8)
-        db = TemporalDatabase(use_statistics=True)
+        db = TemporalDatabase(options=ExecutionOptions(use_statistics=True))
         db.register("EMPLOYEE", employees)
         db.register("PROJECT", projects)
         report = Session(db).explain(self.CHAINED)
@@ -269,7 +270,7 @@ class TestExplainWorkloads:
 
 class TestUseStatistics:
     def test_session_over_statistics_database(self):
-        db = TemporalDatabase(use_statistics=True)
+        db = TemporalDatabase(options=ExecutionOptions(use_statistics=True))
         db.register("EMPLOYEE", employee_relation())
         db.register("PROJECT", project_relation())
         session = Session(db)

@@ -249,13 +249,16 @@ class TestStatisticsWiring:
             )
 
     def test_unoptimized_execution_reports_histogram_backed_cost(self, skewed):
+        from repro.options import ExecutionOptions
         from repro.stratum import TemporalDatabase
         from repro.workloads import paper_query
 
         plan, spec = paper_query()
         outcomes = {}
         for use_statistics in (False, True):
-            db = TemporalDatabase(optimize_queries=False, use_statistics=use_statistics)
+            db = TemporalDatabase(
+                options=ExecutionOptions(optimize_queries=False, use_statistics=use_statistics)
+            )
             for name, relation in skewed.items():
                 db.register(name, relation)
             outcomes[use_statistics] = db.execute_plan(plan, spec)

@@ -9,6 +9,7 @@ from repro.core.operations import BaseRelation, Coalescing, Projection, Sort, Tr
 from repro.core.order_spec import OrderSpec
 from repro.core.query import QueryResultSpec
 from repro.core.rules import rules_by_name
+from repro.options import ExecutionOptions
 from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
 from repro.workloads import EMPLOYEE_SCHEMA, employee_relation
 
@@ -103,7 +104,9 @@ class TestTemporalDatabaseFacade:
 
     def test_execute_plan_with_optimization_disabled(self, temporal_db, paper_statement):
         plan, spec = temporal_db.parse(paper_statement)
-        database = TemporalDatabase(dbms=temporal_db.dbms, optimize_queries=False)
+        database = TemporalDatabase(
+            dbms=temporal_db.dbms, options=ExecutionOptions(optimize_queries=False)
+        )
         outcome = database.execute_plan(plan, spec)
         assert outcome.optimization.chosen_plan == plan
         assert outcome.optimization.plans_considered == 1
