@@ -19,33 +19,31 @@ one branch per site (``FAULTS.active``, ``control.tick``) and nothing else.
   cheap path.
 
 ``FT_BENCH_SCALE`` scales the stored relations, ``FT_BENCH_OPS`` the
-per-client operation count.  The measurements land in ``FT_BENCH_JSON``
-(default ``.benchmarks/fault_tolerance_overhead.json``), archived by CI
-like the other benchmark artifacts.
+per-client operation count.  The measurements land in the file
+``FT_BENCH_JSON`` names (CI sets and archives it; unset, nothing is
+written).  The wall-clock gate carries the ``timing_gate`` marker, which
+``pytest.ini`` deselects by default: CI selects it, tier-1 does not.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from pathlib import Path
+
+import pytest
 
 from repro.faults import FAULTS
 from repro.options import ExecutionOptions
 from repro.server import Server
 from repro.workloads import concurrent_mix_operations
 
-from .conftest import banner, make_scaled_database
+from .conftest import archive_results, banner, make_scaled_database
 
 SCALE = int(os.environ.get("FT_BENCH_SCALE", "8"))
 OPS = int(os.environ.get("FT_BENCH_OPS", "16"))
 REPEATS = int(os.environ.get("FT_BENCH_REPEATS", "5"))
 TOLERANCE = float(os.environ.get("FT_BENCH_TOLERANCE", "0.05"))
-JSON_PATH = Path(
-    os.environ.get("FT_BENCH_JSON", ".benchmarks/fault_tolerance_overhead.json")
-)
 
 MAX_CONCURRENCY = 4
 CLIENTS = 4
@@ -138,6 +136,7 @@ def _measure(configs: list) -> list:
     ]
 
 
+@pytest.mark.timing_gate
 def test_perf_quiet_fault_tolerance_is_free():
     """cancellation=False vs. the default: the quiet path costs ≤5%."""
     print(banner(f"Perf-F — fault-tolerance overhead, scale {SCALE}, {OPS} ops/client"))
@@ -195,7 +194,5 @@ def test_perf_cancellation_still_works_at_benchmark_scale():
 
 def test_write_benchmark_json():
     """Flush the measurements (runs after the benchmarks within this module)."""
-    JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(json.dumps(RESULTS, indent=2, sort_keys=True))
-    print(banner(f"Perf-F — results written to {JSON_PATH}"))
+    archive_results("FT_BENCH_JSON", RESULTS, "Perf-F")
     assert "baseline" in RESULTS and "cancellation" in RESULTS

@@ -13,7 +13,7 @@ Properties of the implementation:
   catalogue order, and locations in pre-order, and the output is a set keyed
   on structural plan identity, so the same inputs always yield the same set
   of plans (Section 6 proves the analogous statement for the paper's
-  algorithm).
+  algorithm).  The rule index drops only pairs whose root cannot match.
 * **Terminating** — with the default rule set (which never introduces new
   operations) the reachable plan space is finite; an explicit ``max_plans``
   budget additionally guards against rule sets that are not size-bounded,
@@ -28,15 +28,14 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple as PyTuple, Union
 
 from .applicability import involved_properties, rule_application_allowed
 from .exceptions import EnumerationError
 from .operations import Operation
 from .properties import annotate
 from .query import QueryResultSpec
-from .rules import DEFAULT_RULES
-from .rules.base import TransformationRule
+from .rules import RuleIndex, TransformationRule, rule_index
 
 
 @dataclass
@@ -79,7 +78,7 @@ class EnumerationResult:
 def enumerate_plans(
     initial_plan: Operation,
     query: QueryResultSpec,
-    rules: Optional[Sequence[TransformationRule]] = None,
+    rules: Optional[Union[RuleIndex, Iterable[TransformationRule]]] = None,
     max_plans: int = 5000,
 ) -> EnumerationResult:
     """Generate every query plan reachable from ``initial_plan``.
@@ -93,14 +92,15 @@ def enumerate_plans(
     query:
         The outermost DISTINCT / ORDER BY specification (Definition 5.1).
     rules:
-        The rule set; defaults to :data:`repro.core.rules.DEFAULT_RULES`.
+        The rule set (or a prebuilt index over it); defaults to
+        :data:`repro.core.rules.DEFAULT_RULES`.
     max_plans:
         Safety budget; exceeding it marks the result as truncated instead of
         looping forever on a non-terminating rule set.
     """
     if max_plans < 1:
         raise EnumerationError("max_plans must be at least 1")
-    rule_set: Sequence[TransformationRule] = tuple(rules) if rules is not None else DEFAULT_RULES
+    index = rule_index(rules)
 
     statistics = EnumerationStatistics()
     plans: "OrderedDict[PyTuple, Operation]" = OrderedDict()
@@ -112,28 +112,27 @@ def enumerate_plans(
         plan = queue.popleft()
         statistics.plans_considered += 1
         properties = annotate(plan, query)
-        for rule in rule_set:
-            for location, node in plan.locations():
-                statistics.applications_attempted += 1
-                application = rule.apply(node)
-                if application is None:
-                    continue
-                equivalence = application.equivalence or rule.equivalence
-                if not rule_application_allowed(
-                    equivalence, involved_properties(properties, location, application)
-                ):
-                    statistics.rejected_by_properties += 1
-                    continue
-                new_plan = plan.replace_at(location, application.replacement)
-                signature = new_plan.signature()
-                if signature in plans:
-                    continue
-                statistics.applications_succeeded += 1
-                statistics.record_use(rule)
-                plans[signature] = new_plan
-                statistics.plans_generated += 1
-                if len(plans) >= max_plans:
-                    statistics.truncated = True
-                    return EnumerationResult(list(plans.values()), statistics)
-                queue.append(new_plan)
+        for rule, location, node in index.matches(plan):
+            statistics.applications_attempted += 1
+            application = rule.apply(node)
+            if application is None:
+                continue
+            equivalence = application.equivalence or rule.equivalence
+            if not rule_application_allowed(
+                equivalence, involved_properties(properties, location, application)
+            ):
+                statistics.rejected_by_properties += 1
+                continue
+            new_plan = plan.replace_at(location, application.replacement)
+            signature = new_plan.signature()
+            if signature in plans:
+                continue
+            statistics.applications_succeeded += 1
+            statistics.record_use(rule)
+            plans[signature] = new_plan
+            statistics.plans_generated += 1
+            if len(plans) >= max_plans:
+                statistics.truncated = True
+                return EnumerationResult(list(plans.values()), statistics)
+            queue.append(new_plan)
     return EnumerationResult(list(plans.values()), statistics)

@@ -139,7 +139,7 @@ class Operation:
     paper_order: str = ""
     paper_cardinality: str = ""
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "_signature")
 
     def __init__(self, *children: "Operation") -> None:
         if len(children) != self.arity:
@@ -147,6 +147,8 @@ class Operation:
                 f"{type(self).__name__} expects {self.arity} child(ren), got {len(children)}"
             )
         self.children: PyTuple["Operation", ...] = tuple(children)
+        #: :meth:`signature`, computed once (nodes are immutable; a copy is a new node).
+        self._signature: Optional[PyTuple[Any, ...]] = None
 
     # -- parameters and copying -------------------------------------------------
 
@@ -243,11 +245,14 @@ class Operation:
 
     def signature(self) -> PyTuple[Any, ...]:
         """A hashable structural signature of the subtree."""
-        return (
-            type(self).__name__,
-            self.params(),
-            tuple(child.signature() for child in self.children),
-        )
+        signature = self._signature
+        if signature is None:
+            signature = self._signature = (
+                type(self).__name__,
+                self.params(),
+                tuple(child.signature() for child in self.children),
+            )
+        return signature
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operation):

@@ -80,8 +80,9 @@ def coalesce_tuples(tuples: List[Tuple]) -> List[Tuple]:
     """
     groups: Dict[PyTuple, List[List]] = {}
     for position, tup in enumerate(tuples):
-        # Entries: (original position of the earliest participant, tuple).
-        groups.setdefault(tup.value_part(), []).append([position, tup])
+        # Entries: (original position of the earliest participant, tuple, its
+        # period: ``Tuple.period`` builds one per access, the pair scan must not).
+        groups.setdefault(tup.value_part(), []).append([position, tup, tup.period])
     merged: List[List] = []
     for entries in groups.values():
         changed = True
@@ -91,13 +92,14 @@ def coalesce_tuples(tuples: List[Tuple]) -> List[Tuple]:
                 if changed:
                     break
                 for j in range(i + 1, len(entries)):
-                    first, second = entries[i][1], entries[j][1]
-                    if not first.period.is_adjacent_to(second.period):
+                    first, second = entries[i][2], entries[j][2]
+                    if not first.is_adjacent_to(second):
                         continue
-                    merged_period = first.period.merge(second.period)
+                    merged_period = first.merge(second)
                     entries[i] = [
                         min(entries[i][0], entries[j][0]),
-                        first.with_period(merged_period),
+                        entries[i][1].with_period(merged_period),
+                        merged_period,
                     ]
                     del entries[j]
                     changed = True

@@ -10,7 +10,9 @@ reachable plan space is finite.  Rules that *introduce* operations (e.g.
 heuristics.
 """
 
-from .base import LambdaRule, RuleApplication, TransformationRule, application
+from typing import Iterable, Union
+
+from .base import LambdaRule, RuleApplication, RuleIndex, TransformationRule, application
 from .coalescing_rules import COALESCING_RULES
 from .conventional_rules import CONVENTIONAL_RULES
 from .duplicate_rules import DUPLICATE_RULES
@@ -25,6 +27,16 @@ ALGEBRAIC_RULES = (
 
 #: The default, terminating rule set used by plan enumeration.
 DEFAULT_RULES = ALGEBRAIC_RULES + TRANSFER_RULES
+
+_DEFAULT_INDEX = RuleIndex(DEFAULT_RULES)
+
+
+def rule_index(rules: Union[RuleIndex, Iterable[TransformationRule], None] = None) -> RuleIndex:
+    """The shared :data:`DEFAULT_RULES` index for ``None``, ``rules`` itself when
+    it already is an index, else a new index over the collection."""
+    if rules is None:
+        return _DEFAULT_INDEX
+    return rules if isinstance(rules, RuleIndex) else RuleIndex(rules)
 
 
 def rules_by_name() -> dict:
@@ -42,9 +54,11 @@ __all__ = [
     "JOIN_RULES",
     "LambdaRule",
     "RuleApplication",
+    "RuleIndex",
     "SORTING_RULES",
     "TRANSFER_RULES",
     "TransformationRule",
     "application",
+    "rule_index",
     "rules_by_name",
 ]

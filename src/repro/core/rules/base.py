@@ -18,8 +18,8 @@ given equivalence type may fire at the location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple as PyTuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple as PyTuple, Union
 
 from ..equivalence import EquivalenceType
 from ..operations import Operation
@@ -46,10 +46,11 @@ class RuleApplication:
 class TransformationRule:
     """A single directed rewrite with a declared equivalence type.
 
-    Subclasses implement :meth:`apply`, returning ``None`` when the rule's
-    syntactic pattern or its local (pre-)conditions do not hold at the given
-    subtree root, and a :class:`RuleApplication` otherwise.  ``apply`` must
-    be pure: it may inspect the subtree but never mutate it.
+    Subclasses declare :attr:`root` and implement :meth:`rewrite`, returning
+    ``None`` when the rule's syntactic pattern or its local (pre-)conditions
+    do not hold at the given subtree root, and a :class:`RuleApplication`
+    otherwise.  ``rewrite`` must be pure: it may inspect the subtree but
+    never mutate it.
     """
 
     #: Short identifier, e.g. ``"D2"`` or ``"push-selection-below-product"``.
@@ -63,14 +64,19 @@ class TransformationRule:
     #: reaches cheap plans (tight upper bounds) early.  Exhaustive
     #: enumeration ignores it — the reachable plan set is order independent.
     promise: float = 1.0
+    #: The operator type(s) the pattern's root must be an instance of
+    #: (``Operation``: anything); drivers consult it through a :class:`RuleIndex`.
+    root: Union[type, PyTuple[type, ...]] = Operation
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
         """Try to rewrite the subtree rooted at ``node``."""
-        raise NotImplementedError
+        if not isinstance(node, self.root):
+            return None
+        return self.rewrite(node)
 
-    def matches(self, node: Operation) -> bool:
-        """True if the rule applies at ``node`` (ignoring plan-level properties)."""
-        return self.apply(node) is not None
+    def rewrite(self, node: Operation) -> Optional[RuleApplication]:
+        """The rewrite of a subtree whose root is already known to fit :attr:`root`."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Rule {self.name} ({self.equivalence})>"
@@ -83,7 +89,8 @@ class LambdaRule(TransformationRule):
     """A rule defined by a plain rewrite function.
 
     Convenient for the many rules whose pattern match is a couple of
-    ``isinstance`` checks; larger rules get their own classes.
+    ``isinstance`` checks; larger rules get their own classes.  Without a
+    ``root`` the rule is tried at every operator.
     """
 
     def __init__(
@@ -92,14 +99,51 @@ class LambdaRule(TransformationRule):
         equivalence: EquivalenceType,
         description: str,
         rewrite: Callable[[Operation], Optional[RuleApplication]],
+        root: Union[type, PyTuple[type, ...]] = Operation,
+        promise: float = 1.0,
     ) -> None:
         self.name = name
         self.equivalence = equivalence
         self.description = description
-        self._rewrite = rewrite
+        self.rewrite = rewrite  # type: ignore[method-assign]
+        self.root = root
+        self.promise = promise
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        return self._rewrite(node)
+
+class RuleIndex:
+    """A rule set indexed by the concrete operator types its rules can match.
+
+    Built once per catalogue, not per optimisation: module-level singletons for
+    the default catalogues, in the optimizer's constructor for a caller's list.
+    """
+
+    def __init__(self, rules: Iterable[TransformationRule]) -> None:
+        #: The rules in catalogue order.
+        self.rules: PyTuple[TransformationRule, ...] = tuple(rules)
+        # Stable sort: highest promise first, catalogue order within a tier.
+        self._by_promise = sorted(enumerate(self.rules), key=lambda pair: -pair[1].promise)
+        self._matching: Dict[type, PyTuple[PyTuple[int, TransformationRule], ...]] = {}
+
+    def matching(self, operator_type: type) -> PyTuple[PyTuple[int, TransformationRule], ...]:
+        """``(catalogue position, rule)`` of the rules whose root admits the type,
+        in the memo search's firing order: highest promise first."""
+        found = self._matching.get(operator_type)
+        if found is None:
+            found = self._matching[operator_type] = tuple(
+                pair for pair in self._by_promise if issubclass(operator_type, pair[1].root)
+            )
+        return found
+
+    def matches(self, plan: Operation) -> List[PyTuple[TransformationRule, PlanPath, Operation]]:
+        """Every type-compatible ``(rule, location, node)`` of ``plan``, in the
+        exhaustive drivers' order: catalogue order, pre-order within a rule."""
+        found = [
+            (position, order, rule, location, node)
+            for order, (location, node) in enumerate(plan.locations())
+            for position, rule in self.matching(type(node))
+        ]
+        found.sort(key=lambda match: match[:2])
+        return [match[2:] for match in found]
 
 
 def application(
@@ -115,13 +159,3 @@ def application(
     return RuleApplication(
         replacement=replacement, involved=tuple(paths), equivalence=equivalence
     )
-
-
-def involved_unary(depth: int = 1) -> PyTuple[PlanPath, ...]:
-    """Relative paths for a chain pattern ``op(op(...(r)))`` of ``depth`` operators."""
-    paths: List[PlanPath] = [()]
-    current: PlanPath = ()
-    for _ in range(depth):
-        current = current + (0,)
-        paths.append(current)
-    return tuple(paths)

@@ -28,7 +28,6 @@ from ..analysis import guarantees_coalesced, guarantees_no_snapshot_duplicates
 from ..equivalence import EquivalenceType
 from ..operations import (
     Coalescing,
-    Operation,
     Projection,
     Selection,
     TemporalAggregation,
@@ -50,10 +49,9 @@ class RemoveRedundantCoalescing(TransformationRule):
     equivalence = EquivalenceType.LIST
     promise = 2.0
     description = "coalT(r) = r when r is coalesced"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         if not guarantees_coalesced(node.child):
             return None
         return application(node.child, (0,))
@@ -66,10 +64,9 @@ class DropCoalescingAsSnapshotMultiset(TransformationRule):
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
     promise = 2.0
     description = "coalT(r) = r as snapshot multisets"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         return application(node.child, (0,))
 
 
@@ -79,10 +76,9 @@ class PushSelectionBelowCoalescing(TransformationRule):
     name = "C3"
     equivalence = EquivalenceType.LIST
     description = "selection and coalescing commute when the predicate is non-temporal"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         coalescing = node.child
         if not isinstance(coalescing, Coalescing):
             return None
@@ -99,10 +95,9 @@ class DropCoalescingBelowNonTemporalProjection(TransformationRule):
     equivalence = EquivalenceType.SET
     promise = 1.5
     description = "coalescing below a non-temporal projection is unnecessary for sets"
+    root = Projection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Projection):
-            return None
+    def rewrite(self, node: Projection) -> Optional[RuleApplication]:
         coalescing = node.child
         if not isinstance(coalescing, Coalescing):
             return None
@@ -127,10 +122,9 @@ class MergeCoalescingOverUnionAll(TransformationRule):
     name = "C5"
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
     description = "inner coalescings below union ALL are redundant (snapshot multisets)"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, UnionAll):
             return None
@@ -146,10 +140,9 @@ class MergeCoalescingOverTemporalUnion(TransformationRule):
     name = "C6"
     equivalence = EquivalenceType.LIST
     description = "inner coalescings below temporal union are redundant"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, TemporalUnion):
             return None
@@ -165,10 +158,9 @@ class MergeCoalescingOverTemporalAggregation(TransformationRule):
     name = "C7"
     equivalence = EquivalenceType.LIST
     description = "coalescing the argument of a temporal aggregation is redundant"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         aggregation = node.child
         if not isinstance(aggregation, TemporalAggregation):
             return None
@@ -191,10 +183,9 @@ class MergeCoalescingOverProjection(TransformationRule):
     name = "C8"
     equivalence = EquivalenceType.LIST
     description = "coalescing the argument of a time-preserving projection is redundant"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         projection = node.child
         if not isinstance(projection, Projection):
             return None
@@ -225,10 +216,9 @@ class PushCoalescingBelowTemporalProduct(TransformationRule):
     name = "C9"
     equivalence = EquivalenceType.MULTISET
     description = "coalesce the arguments of a temporal product instead of its projection"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         projection = node.child
         if not isinstance(projection, Projection):
             return None
@@ -267,10 +257,9 @@ class PushCoalescingBelowTemporalDifference(TransformationRule):
     name = "C10"
     equivalence = EquivalenceType.MULTISET
     description = "push coalescing below temporal difference"
+    root = Coalescing
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
-            return None
+    def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         difference = node.child
         if not isinstance(difference, TemporalDifference):
             return None

@@ -31,7 +31,6 @@ from ..operations import (
     CartesianProduct,
     Difference,
     DuplicateElimination,
-    Operation,
     Projection,
     Selection,
     Sort,
@@ -60,10 +59,9 @@ class CommuteSelections(TransformationRule):
     name = "σ-commute"
     equivalence = EquivalenceType.LIST
     description = "adjacent selections commute"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         inner = node.child
         if not isinstance(inner, Selection):
             return None
@@ -77,10 +75,9 @@ class PushSelectionBelowProjection(TransformationRule):
     name = "σ-below-π"
     equivalence = EquivalenceType.LIST
     description = "push selection below projection"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         projection = node.child
         if not isinstance(projection, Projection):
             return None
@@ -97,10 +94,9 @@ class PushSelectionBelowSort(TransformationRule):
     name = "σ-below-sort"
     equivalence = EquivalenceType.LIST
     description = "push selection below sort"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         sort = node.child
         if not isinstance(sort, Sort):
             return None
@@ -114,10 +110,9 @@ class PushSelectionBelowDuplicateElimination(TransformationRule):
     name = "σ-below-rdup"
     equivalence = EquivalenceType.LIST
     description = "push selection below duplicate elimination"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         rdup = node.child
         if not isinstance(rdup, DuplicateElimination):
             return None
@@ -135,10 +130,9 @@ class PushSelectionBelowTemporalDuplicateElimination(TransformationRule):
     name = "σ-below-rdupT"
     equivalence = EquivalenceType.LIST
     description = "push selection below temporal duplicate elimination"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         rdup = node.child
         if not isinstance(rdup, TemporalDuplicateElimination):
             return None
@@ -154,8 +148,9 @@ class PushSelectionIntoProductLeft(TransformationRule):
     name = "σ-into-×-left"
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a product"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         return _push_into_product(node, CartesianProduct, side=0)
 
 
@@ -165,8 +160,9 @@ class PushSelectionIntoProductRight(TransformationRule):
     name = "σ-into-×-right"
     equivalence = EquivalenceType.LIST
     description = "push selection into the right argument of a product"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         return _push_into_product(node, CartesianProduct, side=1)
 
 
@@ -180,8 +176,9 @@ class PushSelectionIntoTemporalProductLeft(TransformationRule):
     name = "σ-into-×T-left"
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a temporal product"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         return _push_into_product(node, TemporalCartesianProduct, side=0)
 
 
@@ -191,14 +188,13 @@ class PushSelectionIntoTemporalProductRight(TransformationRule):
     name = "σ-into-×T-right"
     equivalence = EquivalenceType.LIST
     description = "push selection into the right argument of a temporal product"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         return _push_into_product(node, TemporalCartesianProduct, side=1)
 
 
-def _push_into_product(node: Operation, product_type: type, side: int) -> Optional[RuleApplication]:
-    if not isinstance(node, Selection):
-        return None
+def _push_into_product(node: Selection, product_type: type, side: int) -> Optional[RuleApplication]:
     product = node.child
     if not isinstance(product, product_type):
         return None
@@ -228,10 +224,9 @@ class PushSelectionBelowUnionAll(TransformationRule):
     name = "σ-below-⊔"
     equivalence = EquivalenceType.LIST
     description = "push selection below union ALL"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, UnionAll):
             return None
@@ -247,10 +242,9 @@ class PushSelectionBelowUnion(TransformationRule):
     name = "σ-below-∪"
     equivalence = EquivalenceType.MULTISET
     description = "push selection below multiset union"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, Union):
             return None
@@ -270,10 +264,9 @@ class PushSelectionBelowTemporalUnion(TransformationRule):
     name = "σ-below-∪T"
     equivalence = EquivalenceType.MULTISET
     description = "push selection below temporal union"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, TemporalUnion):
             return None
@@ -291,10 +284,9 @@ class PushSelectionIntoDifferenceLeft(TransformationRule):
     name = "σ-into-\\-left"
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a difference"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         difference = node.child
         if not isinstance(difference, Difference):
             return None
@@ -310,10 +302,9 @@ class PushSelectionIntoTemporalDifferenceLeft(TransformationRule):
     name = "σ-into-\\T-left"
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a temporal difference"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         difference = node.child
         if not isinstance(difference, TemporalDifference):
             return None
@@ -331,10 +322,9 @@ class PushSelectionBelowAggregation(TransformationRule):
     name = "σ-below-γ"
     equivalence = EquivalenceType.LIST
     description = "push a grouping-attribute selection below aggregation"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         aggregation = node.child
         if not isinstance(aggregation, Aggregation):
             return None
@@ -361,10 +351,9 @@ class PushSelectionBelowTemporalAggregation(TransformationRule):
     name = "σ-below-γT"
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
     description = "push a grouping-attribute selection below temporal aggregation"
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         aggregation = node.child
         if not isinstance(aggregation, TemporalAggregation):
             return None
@@ -389,10 +378,9 @@ class MergeProjections(TransformationRule):
     name = "π-cascade"
     equivalence = EquivalenceType.LIST
     description = "merge consecutive projections"
+    root = Projection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Projection):
-            return None
+    def rewrite(self, node: Projection) -> Optional[RuleApplication]:
         inner = node.child
         if not isinstance(inner, Projection):
             return None
@@ -410,10 +398,9 @@ class PushProjectionBelowUnionAll(TransformationRule):
     name = "π-below-⊔"
     equivalence = EquivalenceType.LIST
     description = "push projection below union ALL"
+    root = Projection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Projection):
-            return None
+    def rewrite(self, node: Projection) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, UnionAll):
             return None
@@ -439,10 +426,9 @@ class CommuteCartesianProduct(TransformationRule):
     name = "×-commute"
     equivalence = EquivalenceType.MULTISET
     description = "Cartesian product commutes (as multisets)"
+    root = CartesianProduct
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, CartesianProduct):
-            return None
+    def rewrite(self, node: CartesianProduct) -> Optional[RuleApplication]:
         left_schema = node.left.output_schema()
         right_schema = node.right.output_schema()
         if left_schema.is_temporal or right_schema.is_temporal:
@@ -459,10 +445,9 @@ class CommuteUnionAll(TransformationRule):
     name = "⊔-commute"
     equivalence = EquivalenceType.MULTISET
     description = "union ALL commutes (as multisets)"
+    root = UnionAll
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, UnionAll):
-            return None
+    def rewrite(self, node: UnionAll) -> Optional[RuleApplication]:
         return application(UnionAll(node.right, node.left), (0,), (1,))
 
 
@@ -472,10 +457,9 @@ class CommuteUnion(TransformationRule):
     name = "∪-commute"
     equivalence = EquivalenceType.MULTISET
     description = "multiset union commutes"
+    root = Union
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Union):
-            return None
+    def rewrite(self, node: Union) -> Optional[RuleApplication]:
         return application(Union(node.right, node.left), (0,), (1,))
 
 
@@ -493,10 +477,9 @@ class CommuteTemporalUnion(TransformationRule):
     name = "∪T-commute"
     equivalence = EquivalenceType.SNAPSHOT_SET
     description = "temporal union commutes as snapshot sets"
+    root = TemporalUnion
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalUnion):
-            return None
+    def rewrite(self, node: TemporalUnion) -> Optional[RuleApplication]:
         return application(TemporalUnion(node.right, node.left), (0,), (1,))
 
 
@@ -506,10 +489,9 @@ class AssociateUnionAll(TransformationRule):
     name = "⊔-assoc"
     equivalence = EquivalenceType.LIST
     description = "union ALL is associative"
+    root = UnionAll
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, UnionAll):
-            return None
+    def rewrite(self, node: UnionAll) -> Optional[RuleApplication]:
         inner = node.left
         if not isinstance(inner, UnionAll):
             return None

@@ -27,7 +27,6 @@ from ..analysis import guarantees_no_duplicates, guarantees_no_snapshot_duplicat
 from ..equivalence import EquivalenceType
 from ..operations import (
     DuplicateElimination,
-    Operation,
     TemporalDuplicateElimination,
     TemporalUnion,
     Union,
@@ -42,10 +41,9 @@ class RemoveRedundantDuplicateElimination(TransformationRule):
     equivalence = EquivalenceType.LIST
     promise = 2.0
     description = "rdup(r) = r when r has no duplicates"
+    root = DuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
-            return None
+    def rewrite(self, node: DuplicateElimination) -> Optional[RuleApplication]:
         child = node.child
         if child.output_schema().is_temporal:
             return None
@@ -61,10 +59,9 @@ class RemoveRedundantTemporalDuplicateElimination(TransformationRule):
     equivalence = EquivalenceType.LIST
     promise = 2.0
     description = "rdupT(r) = r when r has no duplicates in snapshots"
+    root = TemporalDuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
-            return None
+    def rewrite(self, node: TemporalDuplicateElimination) -> Optional[RuleApplication]:
         child = node.child
         if not guarantees_no_snapshot_duplicates(child):
             return None
@@ -78,10 +75,9 @@ class DropDuplicateEliminationAsSet(TransformationRule):
     equivalence = EquivalenceType.SET
     promise = 2.0
     description = "rdup(r) = r as sets"
+    root = DuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
-            return None
+    def rewrite(self, node: DuplicateElimination) -> Optional[RuleApplication]:
         if node.child.output_schema().is_temporal:
             return None
         return application(node.child, (0,))
@@ -94,10 +90,9 @@ class DropTemporalDuplicateEliminationAsSnapshotSet(TransformationRule):
     equivalence = EquivalenceType.SNAPSHOT_SET
     promise = 2.0
     description = "rdupT(r) = r as snapshot sets"
+    root = TemporalDuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
-            return None
+    def rewrite(self, node: TemporalDuplicateElimination) -> Optional[RuleApplication]:
         return application(node.child, (0,))
 
 
@@ -111,10 +106,9 @@ class PushDuplicateEliminationBelowUnion(TransformationRule):
     name = "D5"
     equivalence = EquivalenceType.LIST
     description = "push rdup below multiset union"
+    root = DuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
-            return None
+    def rewrite(self, node: DuplicateElimination) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, Union):
             return None
@@ -130,10 +124,9 @@ class PushTemporalDuplicateEliminationBelowTemporalUnion(TransformationRule):
     name = "D6"
     equivalence = EquivalenceType.LIST
     description = "push rdupT below temporal union"
+    root = TemporalDuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
-            return None
+    def rewrite(self, node: TemporalDuplicateElimination) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union, TemporalUnion):
             return None
@@ -151,10 +144,9 @@ class CollapseDuplicateElimination(TransformationRule):
     equivalence = EquivalenceType.LIST
     promise = 2.0
     description = "rdup is idempotent"
+    root = DuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
-            return None
+    def rewrite(self, node: DuplicateElimination) -> Optional[RuleApplication]:
         if not isinstance(node.child, DuplicateElimination):
             return None
         return application(node.child, (0,), (0, 0))
@@ -167,10 +159,9 @@ class CollapseTemporalDuplicateElimination(TransformationRule):
     equivalence = EquivalenceType.LIST
     promise = 2.0
     description = "rdupT is idempotent"
+    root = TemporalDuplicateElimination
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
-            return None
+    def rewrite(self, node: TemporalDuplicateElimination) -> Optional[RuleApplication]:
         if not isinstance(node.child, TemporalDuplicateElimination):
             return None
         return application(node.child, (0,), (0, 0))

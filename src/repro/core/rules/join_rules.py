@@ -35,7 +35,6 @@ from ..equivalence import EquivalenceType
 from ..operations import (
     CartesianProduct,
     Join,
-    Operation,
     Selection,
     TemporalCartesianProduct,
     TemporalJoin,
@@ -52,10 +51,9 @@ class FuseSelectionOverProduct(TransformationRule):
     #: Removing the materialised product is the catalogue's biggest win;
     #: fire early so the memo search gets tight upper bounds fast.
     promise = 2.0
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         product = node.child
         if not isinstance(product, CartesianProduct):
             return None
@@ -70,10 +68,9 @@ class FuseSelectionOverTemporalProduct(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "fuse a selection over a temporal product into a temporal join"
     promise = 2.0
+    root = Selection
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
-            return None
+    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         product = node.child
         if not isinstance(product, TemporalCartesianProduct):
             return None

@@ -25,7 +25,6 @@ from ..operations import (
     Coalescing,
     Difference,
     DuplicateElimination,
-    Operation,
     Projection,
     Selection,
     Sort,
@@ -44,10 +43,9 @@ class RemoveSatisfiedSort(TransformationRule):
     equivalence = EquivalenceType.LIST
     promise = 2.0
     description = "drop a sort whose order the argument already satisfies"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         existing = derive_order(node.child)
         if not node.sort_order.is_prefix_of(existing):
             return None
@@ -61,10 +59,9 @@ class DropSortAsMultiset(TransformationRule):
     equivalence = EquivalenceType.MULTISET
     promise = 2.0
     description = "drop a sort when only the multiset matters"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         return application(node.child, (0,))
 
 
@@ -78,10 +75,9 @@ class CollapseSorts(TransformationRule):
     equivalence = EquivalenceType.LIST
     promise = 2.0
     description = "collapse consecutive sorts"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         inner = node.child
         if not isinstance(inner, Sort):
             return None
@@ -96,10 +92,9 @@ class PushSortBelowSelection(TransformationRule):
     name = "S-push-σ"
     equivalence = EquivalenceType.LIST
     description = "push sort below selection"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         selection = node.child
         if not isinstance(selection, Selection):
             return None
@@ -113,10 +108,9 @@ class PushSortBelowProjection(TransformationRule):
     name = "S-push-π"
     equivalence = EquivalenceType.LIST
     description = "push sort below projection"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         projection = node.child
         if not isinstance(projection, Projection):
             return None
@@ -133,10 +127,9 @@ class PushSortBelowDuplicateElimination(TransformationRule):
     name = "S-push-rdup"
     equivalence = EquivalenceType.LIST
     description = "push sort below duplicate elimination"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         rdup = node.child
         if not isinstance(rdup, DuplicateElimination):
             return None
@@ -154,10 +147,9 @@ class PushSortBelowCoalescing(TransformationRule):
     name = "S-push-coal"
     equivalence = EquivalenceType.LIST
     description = "push sort below coalescing"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         coalescing = node.child
         if not isinstance(coalescing, Coalescing):
             return None
@@ -173,10 +165,9 @@ class PushSortBelowDifference(TransformationRule):
     name = "S-push-diff"
     equivalence = EquivalenceType.LIST
     description = "push sort into the left argument of a difference"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         difference = node.child
         if not isinstance(difference, Difference):
             return None
@@ -194,10 +185,9 @@ class PushSortBelowTemporalDifference(TransformationRule):
     name = "S-push-diffT"
     equivalence = EquivalenceType.LIST
     description = "push sort into the left argument of a temporal difference"
+    root = Sort
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
-            return None
+    def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         difference = node.child
         if not isinstance(difference, TemporalDifference):
             return None

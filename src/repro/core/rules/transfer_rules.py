@@ -66,10 +66,9 @@ class EliminateTransferRoundTripToDBMS(TransformationRule):
     equivalence = EquivalenceType.MULTISET
     promise = 2.0
     description = "eliminate a TS(TD(r)) round trip"
+    root = TransferToStratum
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TransferToStratum):
-            return None
+    def rewrite(self, node: TransferToStratum) -> Optional[RuleApplication]:
         if not isinstance(node.child, TransferToDBMS):
             return None
         return application(node.child.child, (0,), (0, 0))
@@ -82,10 +81,9 @@ class EliminateTransferRoundTripToStratum(TransformationRule):
     equivalence = EquivalenceType.MULTISET
     promise = 2.0
     description = "eliminate a TD(TS(r)) round trip"
+    root = TransferToDBMS
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TransferToDBMS):
-            return None
+    def rewrite(self, node: TransferToDBMS) -> Optional[RuleApplication]:
         if not isinstance(node.child, TransferToStratum):
             return None
         return application(node.child.child, (0,), (0, 0))
@@ -104,10 +102,9 @@ class MoveOperationToStratum(TransformationRule):
     name = "T-to-stratum"
     equivalence = EquivalenceType.MULTISET
     description = "move the operation directly below a TS into the stratum"
+    root = TransferToStratum
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TransferToStratum):
-            return None
+    def rewrite(self, node: TransferToStratum) -> Optional[RuleApplication]:
         moved = node.child
         if isinstance(moved, (TransferToStratum, TransferToDBMS)) or moved.arity == 0:
             return None
@@ -129,10 +126,9 @@ class MoveOperationToDBMS(TransformationRule):
     name = "T-to-dbms"
     equivalence = EquivalenceType.MULTISET
     description = "move an operation whose inputs all come from the DBMS into the DBMS"
+    root = CONVENTIONAL_OPERATIONS
 
-    def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, CONVENTIONAL_OPERATIONS):
-            return None
+    def rewrite(self, node: Operation) -> Optional[RuleApplication]:
         if node.arity == 0 or not node.children:
             return None
         if not all(isinstance(child, TransferToStratum) for child in node.children):

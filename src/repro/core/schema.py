@@ -299,7 +299,11 @@ class RelationSchema:
         return f"{label}({cols})"
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((a, d.name) for a, d in self.domains.items())))
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = hash(tuple(sorted((a, d.name) for a, d in self.domains.items())))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelationSchema):

@@ -22,7 +22,7 @@ from ..core.equivalence import EquivalenceType
 from ..core.operations import Operation, Sort
 from ..core.query import QueryResultSpec
 from ..core.rules import CONVENTIONAL_RULES, DUPLICATE_RULES, JOIN_RULES, SORTING_RULES
-from ..core.rules.base import TransformationRule
+from ..core.rules.base import RuleIndex, TransformationRule
 
 #: Rule names that push work toward the leaves or remove redundant work.
 _HEURISTIC_RULE_NAMES = {
@@ -42,22 +42,27 @@ _HEURISTIC_RULE_NAMES = {
 }
 
 
-def _heuristic_rules() -> List[TransformationRule]:
-    rules: List[TransformationRule] = []
-    for rule in CONVENTIONAL_RULES + DUPLICATE_RULES + SORTING_RULES:
-        if rule.name in _HEURISTIC_RULE_NAMES and rule.equivalence in (
-            EquivalenceType.LIST,
-            EquivalenceType.MULTISET,
-        ):
-            rules.append(rule)
-    return rules
+#: The full conventional-side catalogue, restricted to ≡L / ≡M rules: an
+#: engine that only promises multisets may apply list and multiset
+#: equivalences freely; set-level rules (D3, C4, ...) would change the
+#: duplicate structure it must preserve.  Both default catalogues are built
+#: once, at import — a pinned snapshot (one per server request) constructs an
+#: optimizer without filtering or indexing them again.
+_MULTISET_SAFE_INDEX = RuleIndex(
+    rule
+    for rule in CONVENTIONAL_RULES + DUPLICATE_RULES + SORTING_RULES + JOIN_RULES
+    if rule.equivalence in (EquivalenceType.LIST, EquivalenceType.MULTISET)
+)
+_HEURISTIC_INDEX = RuleIndex(
+    rule for rule in _MULTISET_SAFE_INDEX.rules if rule.name in _HEURISTIC_RULE_NAMES
+)
 
 
 class ConventionalOptimizer:
     """Greedy, fixpoint-based rewriter for DBMS-side plan fragments."""
 
     def __init__(self, rules: Optional[Sequence[TransformationRule]] = None, max_passes: int = 25) -> None:
-        self._rules: List[TransformationRule] = list(rules) if rules is not None else _heuristic_rules()
+        self._index = RuleIndex(rules) if rules is not None else _HEURISTIC_INDEX
         self._max_passes = max_passes
         #: Instrumentation for the most recent :meth:`optimize` call.
         self.last_run_passes: int = 0
@@ -66,7 +71,7 @@ class ConventionalOptimizer:
     @property
     def rules(self) -> Sequence[TransformationRule]:
         """The rewrite rules the optimizer applies."""
-        return tuple(self._rules)
+        return self._index.rules
 
     def optimize(self, plan: Operation) -> Operation:
         """Rewrite ``plan`` to a fixpoint (or until the pass budget runs out).
@@ -92,46 +97,31 @@ class ConventionalOptimizer:
         """Apply every non-overlapping match of every rule once, in one pass.
 
         Rules are tried in catalogue order; locations within a rule in
-        pre-order.  A location is skipped when it lies inside a region some
-        earlier rewrite of this pass already replaced (the paths below a
-        rewritten location address the *new* subtree and are revisited on the
-        next pass), so all rewrites of one pass touch disjoint subtrees and
-        the pre-pass location list stays valid throughout.
+        pre-order (only where the rule's root operator can match).  A
+        location is skipped when it lies inside a region some earlier rewrite
+        of this pass already replaced (the paths below a rewritten location
+        address the *new* subtree and are revisited on the next pass), so
+        all rewrites of one pass touch disjoint subtrees and the pre-pass
+        matches — locations and the nodes found there — stay valid throughout.
         """
         current = plan
         applied: List = []
-        for rule in self._rules:
-            for location, _ in plan.locations():
-                if any(
-                    location[: len(done)] == done or done[: len(location)] == location
-                    for done in applied
-                ):
-                    continue
-                node = current.subtree_at(location)
-                result = rule.apply(node)
-                if result is None:
-                    continue
-                replacement = current.replace_at(location, result.replacement)
-                if replacement == current:
-                    continue
-                current = replacement
-                applied.append(location)
-                self.last_run_rewrites += 1
+        for rule, location, node in self._index.matches(plan):
+            if any(
+                location[: len(done)] == done or done[: len(location)] == location
+                for done in applied
+            ):
+                continue
+            result = rule.apply(node)
+            if result is None:
+                continue
+            replacement = current.replace_at(location, result.replacement)
+            if replacement == current:
+                continue
+            current = replacement
+            applied.append(location)
+            self.last_run_rewrites += 1
         return current if applied else None
-
-
-def _multiset_safe_rules() -> List[TransformationRule]:
-    """The full conventional-side catalogue, restricted to ≡L / ≡M rules.
-
-    An engine that only promises multisets may apply list and multiset
-    equivalences freely; set-level rules (D3, C4, ...) would change the
-    duplicate structure it must preserve.
-    """
-    rules: List[TransformationRule] = []
-    for rule in CONVENTIONAL_RULES + DUPLICATE_RULES + SORTING_RULES + JOIN_RULES:
-        if rule.equivalence in (EquivalenceType.LIST, EquivalenceType.MULTISET):
-            rules.append(rule)
-    return rules
 
 
 class CostGuidedConventionalOptimizer:
@@ -153,9 +143,7 @@ class CostGuidedConventionalOptimizer:
         statistics_provider: Optional[Callable[[], Mapping[str, int]]] = None,
         estimator_provider: Optional[Callable[[], object]] = None,
     ) -> None:
-        self._rules: List[TransformationRule] = (
-            list(rules) if rules is not None else _multiset_safe_rules()
-        )
+        self._index = RuleIndex(rules) if rules is not None else _MULTISET_SAFE_INDEX
         self._cost_model = cost_model or CostModel()
         self._statistics_provider = statistics_provider
         #: Optional zero-argument callable producing a
@@ -167,7 +155,7 @@ class CostGuidedConventionalOptimizer:
     @property
     def rules(self) -> Sequence[TransformationRule]:
         """The rewrite rules the optimizer may apply."""
-        return tuple(self._rules)
+        return self._index.rules
 
     def optimize(self, plan: Operation) -> Operation:
         """Return the cheapest fragment plan the rule set can reach."""
@@ -181,7 +169,7 @@ class CostGuidedConventionalOptimizer:
         statistics = self._statistics_provider() if self._statistics_provider else None
         estimator = self._estimator_provider() if self._estimator_provider else None
         search = MemoSearch(
-            rules=self._rules,
+            rules=self._index,
             cost_model=self._cost_model,
             options=SearchOptions(max_expressions=600, max_sweeps=6),
             root_engine=Engine.DBMS,

@@ -34,7 +34,7 @@ enumerator's count on workloads where the latter truncates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple as PyTuple, Union
 
 from ..core.cost import (
     CostModel,
@@ -48,8 +48,7 @@ from ..core.cost import (
 from ..core.operations import Difference, Operation, TransferToDBMS, TransferToStratum
 from ..core.properties import root_properties
 from ..core.query import QueryResultSpec
-from ..core.rules import DEFAULT_RULES
-from ..core.rules.base import TransformationRule
+from ..core.rules import RuleIndex, TransformationRule, rule_index
 from .enforcers import ensure_output_properties
 from .memo import Group, GroupExpression, Memo
 from .tasks import ExplorationOptions, ExplorationStatistics, explore
@@ -86,8 +85,10 @@ class SearchStatistics:
     def as_span_attributes(self) -> Dict[str, object]:
         """The counters as flat attributes for a request trace's optimize span.
 
-        ``memo.tasks`` counts the rule-application tasks attempted — the
-        memo search's unit of work, the analogue of Cascades' task count.
+        ``memo.tasks`` counts the rule applications attempted — the memo
+        search's unit of work, the analogue of Cascades' task count.  Only
+        type-compatible bindings are ever built (the rule index), so it
+        counts real match attempts, once per ``rule.apply`` call.
         """
         return {
             "memo.groups": self.groups,
@@ -319,15 +320,13 @@ class MemoSearch:
 
     def __init__(
         self,
-        rules: Optional[Sequence[TransformationRule]] = None,
+        rules: Optional[Union[RuleIndex, Iterable[TransformationRule]]] = None,
         cost_model: Optional[CostModel] = None,
         options: Optional[SearchOptions] = None,
         root_engine: str = Engine.STRATUM,
         estimator=None,
     ) -> None:
-        self.rules: Sequence[TransformationRule] = (
-            tuple(rules) if rules is not None else DEFAULT_RULES
-        )
+        self.index = rule_index(rules)
         self.cost_model = cost_model or CostModel()
         self.options = options or SearchOptions()
         #: Optional histogram-backed cardinality estimator (see
@@ -353,7 +352,7 @@ class MemoSearch:
         search_statistics = SearchStatistics()
         search_statistics.initial_expressions = memo.expressions_created
 
-        exploration = explore(memo, root, self.rules, self.options.exploration_options())
+        exploration = explore(memo, root, self.index, self.options.exploration_options())
         search_statistics.absorb(exploration)
         search_statistics.groups = len(memo.groups)
         search_statistics.expressions = memo.expressions_created
@@ -411,7 +410,7 @@ class MemoSearch:
 def search_best_plan(
     initial_plan: Operation,
     query: QueryResultSpec,
-    rules: Optional[Sequence[TransformationRule]] = None,
+    rules: Optional[Union[RuleIndex, Iterable[TransformationRule]]] = None,
     statistics: Optional[Mapping[str, int]] = None,
     cost_model: Optional[CostModel] = None,
     options: Optional[SearchOptions] = None,

@@ -9,8 +9,9 @@ of small tasks, in the Cascades style:
 
 ``ExploreGroup``
     schedules, for every expression of the group, an ``ApplyRule`` task per
-    catalogue rule — highest :attr:`~repro.core.rules.base.TransformationRule.promise`
-    first — plus an ``OptimizeInputs`` task.
+    catalogue rule whose declared root admits the expression's operator —
+    highest :attr:`~repro.core.rules.base.TransformationRule.promise` first —
+    plus an ``OptimizeInputs`` task.
 
 ``ApplyRule``
     binds a rule's pattern against an expression: the expression's shell is
@@ -18,7 +19,8 @@ of small tasks, in the Cascades style:
     ``apply`` runs on each binding, and admitted replacements (per the same
     Figure 5 ``rule_application_allowed`` / involved-properties check the
     exhaustive enumerator performs) are interned back into the expression's
-    group.
+    group.  A task whose child groups are unchanged since its last completed
+    run is skipped: it could only re-enumerate bindings it has already tried.
 
 ``OptimizeInputs``
     recurses into the child groups, and performs *context upgrades*: when a
@@ -44,7 +46,7 @@ from ..core.applicability import rule_application_allowed
 from ..core.operations import Operation
 from ..core.operations.base import PlanPath
 from ..core.properties import OperationProperties, child_properties
-from ..core.rules.base import TransformationRule
+from ..core.rules.base import RuleIndex, TransformationRule
 from .memo import Context, GroupExpression, Memo
 
 
@@ -198,20 +200,28 @@ class OptimizeInputs(_Task):
 class ApplyRule(_Task):
     group_id: int
     expression: GroupExpression
-    rule_index: int
+    position: int
+    rule: TransformationRule
 
     def execute(self, state: "ExplorationState") -> None:
         memo = state.memo
         statistics = state.statistics
         options = state.options
-        group = memo.group(self.group_id)
         expression = self.expression
-        rule = state.rules[self.rule_index]
+        rule = self.rule
+        key = (expression.id, self.position)
+        child_groups = [memo.group(child_id) for child_id in expression.children]
+        # All this task reads of the memo (apply is pure, the context fixed):
+        # unchanged since its last completed run, every binding is in ``tried``.
+        stamp = tuple((child.id, child.generation) for child in child_groups)
+        if state.stamps.get(key) == stamp:
+            return
+        group = memo.group(self.group_id)
         candidate_lists = [
-            memo.group(child_id).binding_candidates(options.max_candidates_per_child)
-            for child_id in expression.children
+            child.binding_candidates(options.max_candidates_per_child)
+            for child in child_groups
         ]
-        tried = state.tried.setdefault((expression.id, self.rule_index), set())
+        tried = state.tried.setdefault(key, set())
         combinations = 0
         for combo in itertools.product(*candidate_lists):
             if combinations >= options.max_binding_combinations:
@@ -246,6 +256,7 @@ class ApplyRule(_Task):
                 statistics.applications_succeeded += 1
                 statistics.record_use(rule)
                 state.schedule_expression(memo.find(group.id), added)
+        state.stamps[key] = stamp
 
 
 class ExplorationState:
@@ -254,21 +265,22 @@ class ExplorationState:
     def __init__(
         self,
         memo: Memo,
-        rules: Sequence[TransformationRule],
+        index: RuleIndex,
         options: ExplorationOptions,
         statistics: ExplorationStatistics,
     ) -> None:
         self.memo = memo
-        # Stable sort: highest promise first, catalogue order within a tier.
-        self.rules: List[TransformationRule] = sorted(
-            rules, key=lambda rule: -rule.promise
-        )
+        self.index = index
         self.options = options
         self.statistics = statistics
         self.stack: List[_Task] = []
         self.visited_generation: Dict[int, int] = {}
         self.scheduled: Set[int] = set()
+        # Both per (expression id, rule position): the binding signatures
+        # already applied, and the child groups' ``(canonical id, generation)``
+        # at the start of the last *completed* run.
         self.tried: Dict[PyTuple[int, int], Set[PyTuple]] = {}
+        self.stamps: Dict[PyTuple[int, int], PyTuple] = {}
 
     def push(self, task: _Task) -> None:
         self.stack.append(task)
@@ -280,8 +292,8 @@ class ExplorationState:
         self.scheduled.add(expression.id)
         self.push(OptimizeInputs(group_id, expression))
         # Pushed in reverse so the highest-promise rule is applied first.
-        for index in range(len(self.rules) - 1, -1, -1):
-            self.push(ApplyRule(group_id, expression, index))
+        for position, rule in reversed(self.index.matching(type(expression.shell))):
+            self.push(ApplyRule(group_id, expression, position, rule))
 
     @property
     def truncated(self) -> bool:
@@ -291,7 +303,7 @@ class ExplorationState:
 def explore(
     memo: Memo,
     root_group: int,
-    rules: Sequence[TransformationRule],
+    index: RuleIndex,
     options: Optional[ExplorationOptions] = None,
 ) -> ExplorationStatistics:
     """Run exploration sweeps until the memo reaches its closure (or a budget).
@@ -300,7 +312,7 @@ def explore(
     """
     options = options or ExplorationOptions()
     statistics = ExplorationStatistics()
-    state = ExplorationState(memo, rules, options, statistics)
+    state = ExplorationState(memo, index, options, statistics)
     while statistics.sweeps < options.max_sweeps and not state.truncated:
         statistics.sweeps += 1
         mutations_before = memo.mutations

@@ -30,7 +30,7 @@ from ..core.operations.base import EvaluationContext
 from ..core.order_spec import OrderSpec
 from ..core.query import QueryResultSpec
 from ..core.relation import Relation
-from ..core.rules import DEFAULT_RULES
+from ..core.rules import rule_index
 from ..core.rules.base import TransformationRule
 from ..core.schema import RelationSchema
 from ..dbms.engine import ConventionalDBMS
@@ -114,7 +114,8 @@ class TemporalQueryOptimizer:
     ) -> None:
         if strategy not in ("memo", "exhaustive"):
             raise ValueError(f"unknown optimizer strategy {strategy!r}")
-        self.rules: Sequence[TransformationRule] = tuple(rules) if rules is not None else DEFAULT_RULES
+        #: Built once, here (the default catalogue's is a process-wide singleton).
+        self.index = rule_index(rules)
         self.cost_model = cost_model or CostModel()
         self.max_plans = max_plans
         self.strategy = strategy
@@ -123,6 +124,11 @@ class TemporalQueryOptimizer:
         #: :mod:`repro.stats`); a per-call estimator passed to
         #: :meth:`optimize` takes precedence.
         self.estimator = estimator
+
+    @property
+    def rules(self) -> Sequence[TransformationRule]:
+        """The transformation rules, in catalogue order."""
+        return self.index.rules
 
     def optimize(
         self,
@@ -157,7 +163,7 @@ class TemporalQueryOptimizer:
             if FAULTS.active:
                 FAULTS.check("search.memo")
             search = MemoSearch(
-                rules=self.rules,
+                rules=self.index,
                 cost_model=self.cost_model,
                 options=self.search_options,
                 estimator=estimator,
@@ -188,7 +194,7 @@ class TemporalQueryOptimizer:
         estimator=None,
     ) -> OptimizationOutcome:
         enumeration = enumerate_plans(
-            initial_plan, query_spec, rules=self.rules, max_plans=self.max_plans
+            initial_plan, query_spec, rules=self.index, max_plans=self.max_plans
         )
         chosen_plan, chosen_cost = choose_best_plan(
             enumeration.plans, statistics, self.cost_model, estimator=estimator

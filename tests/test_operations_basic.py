@@ -177,6 +177,23 @@ class TestTreeNavigation:
         assert hash(a) == hash(b)
         assert a != c
 
+    def test_copies_never_inherit_a_cached_signature(self, scan):
+        """The signature is computed once per instance; every copy is a new one."""
+        plan = Sort(OrderSpec.ascending("EmpName"), Selection(equals("Dept", "Sales"), scan))
+        cached = plan.signature()
+        assert plan.signature() is cached
+        other = Selection(equals("Dept", "Ads"), scan)
+        rebuilt = plan.with_children([other])
+        replaced = plan.replace_at((0,), other)
+        expected = Sort(OrderSpec.ascending("EmpName"), other)
+        for copy in (rebuilt, replaced):
+            assert copy.signature() == expected.signature() != cached
+            assert copy == expected and hash(copy) == hash(expected)
+        # A same-shaped copy is equal by value, through its own signature.
+        same = plan.with_children(plan.children)
+        assert same is not plan and same.signature() == cached
+        assert plan.signature() is cached
+
     def test_size_and_contains_operator(self, scan):
         plan = Sort(OrderSpec.ascending("EmpName"), Selection(equals("Dept", "Sales"), scan))
         assert plan.size() == 3

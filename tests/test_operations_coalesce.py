@@ -155,3 +155,20 @@ class TestPerClassFixpointMatchesGlobalScan:
             (tup["Name"], tup["T1"], tup["T2"])
             for tup in coalesce_tuples(list(relation.tuples))
         ] == [("b", 1, 4), ("a", 3, 7), ("c", 1, 2)]
+
+    def test_pair_scan_reads_each_period_once(self, monkeypatch):
+        """``Tuple.period`` builds a ``Period`` per access; the fixpoint's pair
+        scan compares stored periods, so a class of n tuples costs n reads
+        whatever the number of comparisons and restarts."""
+        from repro.core.tuples import Tuple
+
+        reads = []
+        period = Tuple.period
+        monkeypatch.setattr(
+            Tuple, "period", property(lambda tup: reads.append(tup) or period.fget(tup))
+        )
+        tuples = list(rel(*(("a", 2 * k, 2 * k + 1) for k in range(12))).tuples)
+        tuples += list(rel(*(("a", 2 * k + 1, 2 * k + 2) for k in range(11))).tuples)
+        (merged,) = coalesce_tuples(tuples)
+        assert (merged["T1"], merged["T2"]) == (0, 23)
+        assert len(reads) == len(tuples)

@@ -1,0 +1,426 @@
+"""The rule index and the incremental memo exploration, against their oracle.
+
+The oracle is the same catalogue with every root erased: each rule wrapped
+in a root-less :class:`LambdaRule` lands in the index's match-anything
+bucket, so all three drivers try it at every operator — which is what they
+did before rules declared their roots.  Everything except the count of
+attempts must come out identical.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+
+from repro.core.enumeration import enumerate_plans
+from repro.core.operations import (
+    CartesianProduct,
+    Coalescing,
+    DuplicateElimination,
+    Operation,
+    Projection,
+    Selection,
+    Sort,
+    TemporalDuplicateElimination,
+    TemporalUnion,
+    TransferToDBMS,
+    TransferToStratum,
+    Union,
+    UnionAll,
+)
+from repro.core.properties import root_properties
+from repro.core.query import QueryResultSpec
+from repro.core.relation import Relation
+from repro.core.rules import (
+    CONVENTIONAL_OPERATIONS,
+    DEFAULT_RULES,
+    LambdaRule,
+    RuleIndex,
+    rule_index,
+    rules_by_name,
+)
+from repro.dbms.optimizer import ConventionalOptimizer
+from repro.search import Memo, MemoSearch
+from repro.search.memo import Group
+from repro.search.tasks import (
+    ApplyRule,
+    ExplorationOptions,
+    ExplorationState,
+    ExplorationStatistics,
+    OptimizeGroup,
+)
+from repro.workloads import paper_query
+from repro.workloads.queries import WORKLOAD_QUERIES
+
+from .strategies import NARROW_TEMPORAL_SCHEMA, SNAPSHOT_SCHEMA, join_shaped_plans
+from .test_dbms_optimizer_passes import selection_chain
+from .test_rules_property_based import scenarios
+
+STATISTICS = {"EMPLOYEE": 60, "PROJECT": 96}
+
+
+def erase_roots(rules):
+    """The same rules, tried at every operator (the pre-index behaviour)."""
+    return [
+        LambdaRule(rule.name, rule.equivalence, rule.description, rule.apply, promise=rule.promise)
+        for rule in rules
+    ]
+
+
+ERASED_RULES = erase_roots(DEFAULT_RULES)
+
+
+def fixed_scenarios():
+    t1 = Relation.from_rows(
+        NARROW_TEMPORAL_SCHEMA, [("John", 1, 4), ("John", 3, 6), ("John", 6, 8), ("Anna", 2, 5)]
+    )
+    t2 = Relation.from_rows(NARROW_TEMPORAL_SCHEMA, [("John", 2, 5), ("Mia", 1, 3)])
+    s1 = Relation.from_rows(SNAPSHOT_SCHEMA, [("John", 1), ("John", 1), ("Anna", 2)])
+    s2 = Relation.from_rows(SNAPSHOT_SCHEMA, [("John", 1), ("Mia", 3)])
+    return scenarios(t1, t2, s1, s2)
+
+
+#: The operator every rule's hand-written leading ``isinstance`` guard tested
+#: on the parent commit, transcribed mechanically from its source.  A
+#: declaration narrower than its old guard would silently hide matches from
+#: all three drivers; one wider only costs attempts.
+PARENT_GUARDS = {
+    Coalescing: "C1 C2 C5 C6 C7 C8 C9 C10",
+    Selection: (
+        "C3 σ-commute σ-below-π σ-below-sort σ-below-rdup σ-below-rdupT σ-into-×-left "
+        "σ-into-×-right σ-into-×T-left σ-into-×T-right σ-below-⊔ σ-below-∪ σ-below-∪T "
+        "σ-into-\\-left σ-into-\\T-left σ-below-γ σ-below-γT σ×→⋈ σ×T→⋈T"
+    ),
+    Projection: "C4 π-cascade π-below-⊔",
+    CartesianProduct: "×-commute",
+    UnionAll: "⊔-commute ⊔-assoc",
+    Union: "∪-commute",
+    TemporalUnion: "∪T-commute",
+    DuplicateElimination: "D1 D3 D5 D-idem",
+    TemporalDuplicateElimination: "D2 D4 D6 DT-idem",
+    Sort: "S1 S2 S3 S-push-σ S-push-π S-push-rdup S-push-coal S-push-diff S-push-diffT",
+    TransferToStratum: "T-roundtrip-SD T-to-stratum",
+    TransferToDBMS: "T-roundtrip-DS",
+    CONVENTIONAL_OPERATIONS: "T-to-dbms",
+}
+
+
+#: Rules whose rewrite reads nothing of its root but ``child``/``left``/
+#: ``right``: un-guarded it "matches" any operator of that arity (D1 would drop
+#: a selection over a duplicate-free input), so for these the declared root
+#: *is* the pattern and :data:`PARENT_GUARDS` is the only pin.
+ROOT_IS_THE_WHOLE_PATTERN = set(
+    "C1 C2 C10 D1 D2 D3 D4 D5 D6 D-idem DT-idem S2 ⊔-commute ∪-commute ∪T-commute "
+    "T-roundtrip-DS T-to-stratum T-to-dbms".split()
+)
+
+
+def matches_outside_its_root(rule, node):
+    """Does the un-guarded rewrite fire at a ``node`` the declared root excludes?"""
+    roots = rule.root if isinstance(rule.root, tuple) else (rule.root,)
+    if isinstance(node, roots) or node.arity not in {root.arity for root in roots}:
+        return False
+    try:
+        return rule.rewrite(node) is not None
+    except AttributeError:  # it reads an attribute only its root operator has
+        return False
+
+
+class TestDeclaredRoots:
+    def test_every_default_rule_declares_its_parent_guard_as_root(self):
+        expected = {name: root for root, names in PARENT_GUARDS.items() for name in names.split()}
+        assert {rule.name: rule.root for rule in DEFAULT_RULES} == expected
+        assert Operation not in expected.values(), "no default rule matches anything"
+
+    def test_apply_checks_the_root_before_the_rewrite(self):
+        """The guard lives in ``apply``; ``rewrite`` may assume its root."""
+        for plan in fixed_scenarios():
+            for rule in DEFAULT_RULES:
+                if not isinstance(plan, rule.root):
+                    assert rule.apply(plan) is None
+                elif rule.apply(plan) is not None:
+                    assert rule.rewrite(plan) == rule.apply(plan)
+
+    @settings(max_examples=40, deadline=None)
+    @given(join_shaped_plans())
+    def test_no_unguarded_rewrite_matches_outside_its_declared_root(self, plan):
+        """A too-narrow declaration fails here, whatever PARENT_GUARDS says."""
+        for _, node in TransferToStratum(plan).locations():
+            for rule in DEFAULT_RULES:
+                if rule.name not in ROOT_IS_THE_WHOLE_PATTERN:
+                    assert not matches_outside_its_root(rule, node), (rule.name, node)
+
+    def test_only_rules_that_read_nothing_but_children_are_exempt(self):
+        plans = fixed_scenarios() + [query.build()[0] for query in WORKLOAD_QUERIES]
+        nodes = [node for plan in plans for _, node in plan.locations()]
+        outside = {
+            rule.name
+            for rule in DEFAULT_RULES
+            if any(matches_outside_its_root(rule, node) for node in nodes)
+        }
+        assert outside == ROOT_IS_THE_WHOLE_PATTERN
+
+    @settings(max_examples=40, deadline=None)
+    @given(join_shaped_plans())
+    def test_the_index_never_hides_a_match(self, plan):
+        index = rule_index()
+        for _, node in TransferToStratum(plan).locations():
+            indexed = {rule.name for _, rule in index.matching(type(node))}
+            for rule in DEFAULT_RULES:
+                if rule.apply(node) is not None:
+                    assert rule.name in indexed
+
+
+class TestRuleIndex:
+    def test_matching_is_promise_ordered_and_type_compatible(self):
+        index = RuleIndex(DEFAULT_RULES)
+        for plan in fixed_scenarios():
+            found = index.matching(type(plan))
+            assert found is index.matching(type(plan)), "computed once per type"
+            promises = [rule.promise for _, rule in found]
+            assert promises == sorted(promises, reverse=True)
+            for tier in set(promises):
+                positions = [p for p, rule in found if rule.promise == tier]
+                assert positions == sorted(positions), "catalogue order within a tier"
+            assert {rule.name for _, rule in found} == {
+                rule.name for rule in DEFAULT_RULES if isinstance(plan, rule.root)
+            }
+            assert all(DEFAULT_RULES[position] is rule for position, rule in found)
+
+    def test_rootless_rules_land_in_the_match_anything_bucket(self):
+        index = RuleIndex(ERASED_RULES)
+        for plan in fixed_scenarios():
+            assert len(index.matching(type(plan))) == len(ERASED_RULES)
+
+    def test_matches_keeps_rule_major_preorder(self):
+        plan, _ = paper_query()
+        expected = [
+            (rule, location)
+            for rule in DEFAULT_RULES
+            for location, node in plan.locations()
+            if isinstance(node, rule.root)
+        ]
+        found = rule_index().matches(plan)
+        assert [(rule, location) for rule, location, _ in found] == expected
+        assert all(plan.subtree_at(location) is node for _, location, node in found)
+
+    def test_rule_index_shares_the_default_and_passes_an_index_through(self):
+        assert rule_index() is rule_index(None)
+        assert rule_index().rules == DEFAULT_RULES
+        custom = RuleIndex(DEFAULT_RULES[:3])
+        assert rule_index(custom) is custom
+        assert rule_index(list(DEFAULT_RULES[:3])).rules == DEFAULT_RULES[:3]
+
+
+def memo_fingerprint(result):
+    statistics = result.statistics
+    return {
+        "groups": statistics.groups,
+        "keys": set(result.memo._expression_index),
+        "rule_usage": statistics.rule_usage,
+        "sweeps": statistics.sweeps,
+        "context_upgrades": statistics.context_upgrades,
+        "merges": statistics.merges,
+        "succeeded": statistics.applications_succeeded,
+        "rejected": statistics.rejected_by_properties,
+        "best_plan": result.best_plan.signature(),
+        "best_cost": result.best_cost,
+    }
+
+
+def assert_same_memo(plan, spec, statistics=None):
+    declared = MemoSearch().optimize(plan, spec, statistics)
+    erased = MemoSearch(rules=ERASED_RULES).optimize(plan, spec, statistics)
+    assert memo_fingerprint(declared) == memo_fingerprint(erased)
+    return declared, erased
+
+
+#: ``(applications_attempted, groups, expressions, applications_succeeded,
+#: sweeps)`` of the memo search per registry query on the parent commit, before
+#: rules declared roots and before the stamps (independent of the statistics
+#: and of ``PYTHONHASHSEED``).
+PRE_INDEX_MEMO = {
+    "paper": (8456, 26, 55, 26, 4),
+    "paper-multiset": (26320, 18, 52, 27, 4),
+    "paper-set": (25928, 16, 50, 26, 4),
+    "double-elimination": (11984, 26, 61, 30, 4),
+    "selection": (3248, 16, 33, 17, 5),
+    "snapshot-except": (3024, 20, 34, 14, 3),
+    "union-all": (1792, 12, 19, 6, 3),
+    "temporal-union": (1120, 12, 16, 4, 2),
+    "equijoin": (784, 8, 12, 4, 3),
+    "temporal-join": (784, 8, 12, 4, 3),
+    "join-cascade": (8176, 26, 57, 31, 5),
+    "chain-2": (9072, 26, 49, 22, 4),
+    "chain-3": (3192, 28, 41, 13, 3),
+    "chain-4": (8120, 34, 58, 22, 4),
+    "chain-6": (8792, 38, 64, 24, 4),
+}
+
+
+class TestMemoOracle:
+    @pytest.mark.parametrize("query", WORKLOAD_QUERIES, ids=lambda query: query.name)
+    def test_registry_query_explores_to_the_same_memo(self, query):
+        plan, spec = query.build()
+        declared, erased = assert_same_memo(plan, spec, STATISTICS)
+        # The erased catalogue *is* the old driver (the stamps skip only runs
+        # that would have found every binding already tried), and the
+        # declared one closes the same memo in as many sweeps.
+        statistics = declared.statistics
+        assert (
+            erased.statistics.applications_attempted, statistics.groups, statistics.expressions,
+            statistics.applications_succeeded, statistics.sweeps,
+        ) == PRE_INDEX_MEMO[query.name]
+        assert statistics.applications_attempted < erased.statistics.applications_attempted
+
+    @settings(max_examples=25, deadline=None)
+    @given(join_shaped_plans())
+    def test_generated_plan_explores_to_the_same_memo(self, plan):
+        declared, erased = assert_same_memo(TransferToStratum(plan), QueryResultSpec.multiset())
+        assert (
+            declared.statistics.applications_attempted < erased.statistics.applications_attempted
+        )
+
+
+def run_stack(state, root, until=None):
+    """One sweep's task loop; returns the last task executed."""
+    state.push(OptimizeGroup(state.memo.find(root)))
+    task = None
+    while state.stack and not state.truncated:
+        task = state.stack.pop()
+        task.execute(state)
+        if until is not None and until(task):
+            break
+    return task
+
+
+def exploration_state(options=None):
+    plan, spec = paper_query()
+    memo = Memo()
+    root = memo.copy_in(plan, root_properties(spec))
+    state = ExplorationState(
+        memo, rule_index(), options or ExplorationOptions(), ExplorationStatistics()
+    )
+    return state, root
+
+
+class TestStamps:
+    def test_completed_runs_are_stamped_and_skipped_until_a_child_changes(self, monkeypatch):
+        state, root = exploration_state()
+        run_stack(state, root)
+        task = next(
+            ApplyRule(group.id, expression, position, rule)
+            for group in state.memo.groups.values()
+            for expression in group.expressions
+            if expression.children
+            for position, rule in state.index.matching(type(expression.shell))
+            if (expression.id, position) in state.stamps
+        )
+        key = (task.expression.id, task.position)
+        reads = []
+        original = Group.binding_candidates
+        monkeypatch.setattr(
+            Group, "binding_candidates",
+            lambda group, limit: reads.append(group.id) or original(group, limit),
+        )
+        attempted = state.statistics.applications_attempted
+        task.execute(state)
+        assert reads == [], "an unchanged stamp skips the run before it reads anything"
+
+        # A new binding candidate in a child group invalidates the stamp.
+        child = state.memo.group(task.expression.children[0])
+        stamp = state.stamps[key]
+        child.generation += 1
+        task.execute(state)
+        assert reads == [state.memo.find(c) for c in task.expression.children]
+        assert state.stamps[key] != stamp
+        assert state.statistics.applications_attempted == attempted, "nothing new to try"
+
+        # So does a merge that forwards the child to another group.
+        stamp = state.stamps[key]
+        other = next(
+            group for group in state.memo.groups.values()
+            if group.context == child.context and group.id != child.id
+        )
+        state.memo._merge(other.id, child.id)
+        del reads[:]
+        task.execute(state)
+        assert reads and state.stamps[key] != stamp
+        assert state.stamps[key][0][0] == other.id
+
+    def test_a_truncated_run_records_no_stamp(self):
+        plan, spec = paper_query()
+        seed_expressions = Memo()
+        seed_expressions.copy_in(plan, root_properties(spec))
+        budget = seed_expressions.expressions_created + 1
+        state, root = exploration_state(ExplorationOptions(max_expressions=budget))
+        last = run_stack(state, root)
+        assert state.truncated and isinstance(last, ApplyRule)
+        assert (last.expression.id, last.position) not in state.stamps
+        assert state.stamps, "the runs that completed before it are stamped"
+
+
+def plan_digest(plans):
+    return hashlib.sha256("\n".join(str(plan) for plan in plans).encode()).hexdigest()[:16]
+
+
+#: ``(plans, digest of the plans in generation order, applications_attempted)``
+#: of ``enumerate_plans`` on the parent commit, per fully enumerable registry
+#: query (``paper`` is also the parsed Figure 5 statement's plan).
+PRE_INDEX_ENUMERATION = {
+    "paper": (126, "d83ef734e3b6b969", 72912),
+    "paper-multiset": (165, "853d8cb71e57fff1", 93408),
+    "paper-set": (165, "853d8cb71e57fff1", 93408),
+    "double-elimination": (296, "0575c6b6db2476cf", 181104),
+    "selection": (24, "42df0089efc59ce3", 6720),
+    "snapshot-except": (30, "764c3e71c4f39741", 14560),
+    "union-all": (12, "f593ae5c1731c3c0", 5152),
+    "temporal-union": (6, "91dd7edb74ac6b25", 2576),
+    "equijoin": (5, "d6699c18b21fe38a", 1400),
+    "temporal-join": (5, "bced721552e90d23", 1400),
+    "join-cascade": (106, "45a588973c47a45f", 46592),
+    "chain-2": (276, "d08ab818cf1ae408", 230944),
+    "chain-3": (68, "954cd51d1a76d5fe", 70112),
+    "chain-4": (660, "ac539f5c0b762dbb", 851648),
+}
+
+
+class TestExhaustiveOraclesUnchanged:
+    @pytest.mark.parametrize("name", PRE_INDEX_ENUMERATION)
+    def test_enumeration_generates_the_same_plans_in_the_same_order(self, name):
+        plans, digest, attempted = PRE_INDEX_ENUMERATION[name]
+        plan, spec = next(query for query in WORKLOAD_QUERIES if query.name == name).build()
+        declared = enumerate_plans(plan, spec)
+        assert (len(declared), plan_digest(declared)) == (plans, digest)
+        assert declared.statistics.applications_attempted < attempted
+        if name == "chain-4":  # 850 000 rule applications: pinned above, not replayed
+            return
+        erased = enumerate_plans(plan, spec, rules=ERASED_RULES)
+        assert erased.statistics.applications_attempted == attempted
+        assert [p.signature() for p in erased] == [p.signature() for p in declared]
+        assert erased.statistics.rule_usage == declared.statistics.rule_usage
+        assert (
+            erased.statistics.rejected_by_properties == declared.statistics.rejected_by_properties
+        )
+
+    def test_conventional_optimizer_passes_and_rewrites(self):
+        """``(passes, rewrites)`` as on the parent commit, and as with roots erased."""
+        fragments = {query.name: query.build()[0].child for query in WORKLOAD_QUERIES}
+        fragments.update({"chain-depth-3": selection_chain(3), "chain-depth-6": selection_chain(6)})
+        expected = dict.fromkeys(fragments, (0, 0))
+        expected.update({"selection": (1, 1), "chain-depth-3": (5, 40), "chain-depth-6": (11, 88)})
+        declared = ConventionalOptimizer()
+        erased = ConventionalOptimizer(rules=erase_roots(declared.rules))
+        for name, fragment in fragments.items():
+            optimized = declared.optimize(fragment)
+            assert (declared.last_run_passes, declared.last_run_rewrites) == expected[name], name
+            assert erased.optimize(fragment) == optimized
+            assert (erased.last_run_passes, erased.last_run_rewrites) == expected[name], name
+
+    def test_a_catalogue_subset_still_drives_all_three(self):
+        """A caller-supplied rule list gets its own index (``rules=[D2]``)."""
+        plan, spec = paper_query()
+        only_d2 = [rules_by_name()["D2"]]
+        assert len(enumerate_plans(plan, spec, rules=only_d2)) == 2
+        result = MemoSearch(rules=only_d2).optimize(plan, spec, STATISTICS)
+        assert result.statistics.rule_usage == {"D2": 1}

@@ -169,6 +169,9 @@ class TestSchemaDerivation:
         b = RelationSchema.from_pairs([("B", INTEGER), ("A", STRING)], name="Y")
         assert a == b
         assert hash(a) == hash(b)
+        # The hash is cached per instance; the cached value still agrees.
+        assert hash(a) == hash(b) == hash(RelationSchema.from_pairs([("A", STRING), ("B", INTEGER)]))
+        assert hash(a) != hash(RelationSchema.from_pairs([("A", STRING), ("B", STRING)]))
 
     def test_rename(self):
         renamed = self.schema.rename("STAFF")

@@ -12,7 +12,7 @@ from repro.core.operations import (
 from repro.core.order_spec import OrderSpec
 from repro.core.properties import root_properties
 from repro.core.query import QueryResultSpec
-from repro.core.rules import DEFAULT_RULES, rules_by_name
+from repro.core.rules import DEFAULT_RULES, RuleIndex, rules_by_name
 from repro.search import Memo, search_best_plan
 from repro.search.memo import binding_feature
 from repro.search.tasks import explore
@@ -72,8 +72,7 @@ class TestMemoInterning:
         plan = TemporalDuplicateElimination(TemporalDuplicateElimination(employee_names()))
         context = root_properties(LIST_QUERY)
         root = memo.copy_in(plan, context)
-        rules = [rules_by_name()["DT-idem"]]
-        explore(memo, root, rules)
+        explore(memo, root, RuleIndex([rules_by_name()["DT-idem"]]))
         group = memo.group(root)
         assert len(group.expressions) == 2
         shells = {type(expression.shell).__name__ for expression in group.expressions}
