@@ -72,10 +72,12 @@ def banner(title: str) -> str:
 def archive_results(variable: str, results: dict, title: str) -> None:
     """Write ``results`` to the file the environment variable ``variable`` names.
 
-    For the two benchmarks whose measurements come from a ``timing_gate`` test
-    (Perf-F, Perf-O): CI selects the gate, sets the variable and uploads the
-    file; tier-1 deselects the gate, so there is nothing to archive and the
-    calling test skips.
+    CI sets the variable and uploads the file.  A local run does not, and
+    the calling ``test_write_benchmark_json`` skips here instead of
+    rewriting a committed ``.benchmarks/*.json`` with fresh timing noise —
+    so a caller with assertions over ``results`` makes them *before* this
+    call.  (Perf-F and Perf-O fill ``results`` from a ``timing_gate`` test
+    tier-1 deselects; for them the skip also means there is nothing to check.)
     """
     path = os.environ.get(variable)
     if path is None:

@@ -12,15 +12,13 @@ path to be at least 10× faster end to end.
 
 ``PHYSICAL_BENCH_SCALE`` shrinks the workload for smoke runs (default 400:
 2 000 EMPLOYEE and 3 200 PROJECT tuples, i.e. 6.4M candidate pairs for the
-reference product).  The measurements are written as JSON
-(``PHYSICAL_BENCH_JSON``, default ``.benchmarks/physical_exec.json``) so CI
-can archive the run next to the plan-cache and q-error artifacts.
+reference product).  The measurements are written as JSON to the file
+``PHYSICAL_BENCH_JSON`` names, when set, so CI can archive the run next to
+the plan-cache and q-error artifacts; a local run writes nothing.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.core.expressions import (
     AttributeRef,
@@ -35,10 +33,9 @@ from repro.options import ExecutionOptions
 from repro.stratum import TemporalDatabase
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, scaled_paper_workload
 
-from .conftest import banner
+from .conftest import archive_results, banner
 
 SCALE = int(os.environ.get("PHYSICAL_BENCH_SCALE", "400"))
-JSON_PATH = Path(os.environ.get("PHYSICAL_BENCH_JSON", ".benchmarks/physical_exec.json"))
 
 #: Shared between the tests of this module and flushed to JSON at the end.
 RESULTS: dict = {"scale": SCALE}
@@ -115,8 +112,6 @@ def test_perf_physical_execution_speedup(benchmark):
 
 
 def test_write_benchmark_json():
-    """Flush the measurements (runs after the benchmark within this module)."""
-    JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(json.dumps(RESULTS, indent=2, sort_keys=True))
-    print(banner(f"Perf-P — results written to {JSON_PATH}"))
+    """Check the module's measurements; archive them when ``PHYSICAL_BENCH_JSON`` names a file."""
     assert "speedup" in RESULTS
+    archive_results("PHYSICAL_BENCH_JSON", RESULTS, "Perf-P")

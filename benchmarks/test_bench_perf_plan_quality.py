@@ -27,16 +27,14 @@ chosen cost must still equal the exhaustive enumeration's minimum.
 tuples per side, i.e. 90 000 candidate pairs for the product plan; keep it
 ≥ ~120 — below that, fixed per-plan overheads swamp the quadratic term the
 2× gate measures).  The time span scales with the tuple count, so the join
-result stays non-empty at every scale.  The measurements land in
-``PLAN_QUALITY_JSON`` (default ``.benchmarks/plan_quality.json``) so CI can
-archive them next to the other benchmark artifacts.
+result stays non-empty at every scale.  The measurements land in the file
+``PLAN_QUALITY_JSON`` names, when set, so CI can archive them next to the
+other benchmark artifacts; a local run writes nothing.
 """
 
-import json
 import os
 import random
 import time
-from pathlib import Path
 
 from repro.core.cost import choose_best_plan, measure_cost
 from repro.core.enumeration import enumerate_plans
@@ -56,10 +54,9 @@ from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.options import ExecutionOptions
 from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
 
-from .conftest import banner
+from .conftest import archive_results, banner
 
 SCALE = int(os.environ.get("PLAN_QUALITY_SCALE", "300"))
-JSON_PATH = Path(os.environ.get("PLAN_QUALITY_JSON", ".benchmarks/plan_quality.json"))
 
 #: Shared between the tests of this module and flushed to JSON at the end.
 RESULTS: dict = {"scale": SCALE}
@@ -238,9 +235,7 @@ def test_memo_agrees_with_exhaustive_on_the_flip_workload():
 
 
 def test_write_benchmark_json():
-    """Flush the measurements (runs after the benchmarks within this module)."""
-    JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(json.dumps(RESULTS, indent=2, sort_keys=True))
-    print(banner(f"Perf-Q — results written to {JSON_PATH}"))
+    """Check the module's measurements; archive them when ``PLAN_QUALITY_JSON`` names a file."""
     assert "speedup" in RESULTS
     assert RESULTS["memo_exhaustive_agreement"] is True
+    archive_results("PLAN_QUALITY_JSON", RESULTS, "Perf-Q")

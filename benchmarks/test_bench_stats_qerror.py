@@ -15,16 +15,14 @@ generated workload (Zipf values, clustered periods, heavy duplication):
   (the cost model evaluated at the plan's actual cardinalities,
   :func:`repro.core.cost.measure_cost`).
 
-The results are written as JSON (``STATS_QERROR_JSON``, default
-``.benchmarks/stats_qerror.json``) so CI can archive the run as an
-artifact; ``STATS_BENCH_SCALE`` shrinks the workload for smoke runs.
+The results are written as JSON to the file ``STATS_QERROR_JSON`` names,
+when set, so CI can archive the run as an artifact (a local run writes
+nothing); ``STATS_BENCH_SCALE`` shrinks the workload for smoke runs.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from statistics import median
 
 import pytest
@@ -59,10 +57,9 @@ from repro.workloads import (
     skewed_paper_workload,
 )
 
-from .conftest import banner
+from .conftest import archive_results, banner
 
 SCALE = int(os.environ.get("STATS_BENCH_SCALE", "40"))
-JSON_PATH = Path(os.environ.get("STATS_QERROR_JSON", ".benchmarks/stats_qerror.json"))
 
 #: Shared between the tests of this module and flushed to JSON at the end.
 RESULTS: dict = {"scale": SCALE}
@@ -191,7 +188,6 @@ def test_plan_quality_stats_flip_at_least_one_query_to_cheaper_plan(workload):
 
 
 def test_write_benchmark_json():
+    """Check the module's measurements; archive them when ``STATS_QERROR_JSON`` names a file."""
     assert "qerror" in RESULTS and "plan_quality" in RESULTS, "run the full module"
-    JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(json.dumps(RESULTS, indent=2, sort_keys=True))
-    print(banner(f"Stats-Q — results written to {JSON_PATH}"))
+    archive_results("STATS_QERROR_JSON", RESULTS, "Stats-Q")

@@ -239,7 +239,7 @@ def _join_algorithm_work(
 ) -> float:
     """Work of one pipelined physical join, by the algorithm its split selects.
 
-    The formulas mirror :mod:`repro.stratum.physical` operator for operator
+    The formulas mirror :mod:`repro.core.physical` operator for operator
     and are monotone in both input cardinalities (the branch-and-bound lower
     bounds of the memo search require that):
 
@@ -272,10 +272,11 @@ def _join_work(
     """Engine-aware work of a ``Join``/``TemporalJoin`` idiom node.
 
     The stratum executes every join through the physical layer, so its work
-    is the split algorithm's.  The conventional DBMS substrate implements
-    only the *hash equi-join* natively (:mod:`repro.dbms.executor`): a
-    keyless join runs there as a filter over the streamed product, and a
-    temporal join is emulated at product cost (the temporal-penalty engine
+    is the split algorithm's.  The conventional DBMS substrate plans only
+    the *hash equi-join* beyond the product (:mod:`repro.dbms.executor`): a
+    keyless join runs there as a nested loop with the whole predicate as
+    residual — never the interval join — and a temporal join is emulated at
+    product cost (the temporal-penalty engine
     factor comes on top, as for every emulated temporal operation).
     """
     split = split_for_join(node)
@@ -444,10 +445,10 @@ def _fused_selection_split(node: Operation, engine: str) -> Optional[JoinSplit]:
     """The split the executor fuses a σ-over-product pair with, or ``None``.
 
     The stratum fuses *every* selection directly over a product; the
-    conventional DBMS executor fuses only the hash equi-join over a
-    conventional product (:func:`repro.dbms.executor.extract_equi_join` —
-    anything else runs there as a filter over the streamed product, which
-    the product bound already prices).
+    conventional DBMS's planner (:mod:`repro.dbms.executor`) reads the same
+    split but only lets equi keys change the algorithm — over a conventional
+    product it runs a hash join, anything else is a nested loop filtering the
+    streamed product, which the product bound already prices.
     """
     pair = split_for_selection(node)
     if pair is None:

@@ -27,11 +27,8 @@ from .tuples import Tuple
 # ---------------------------------------------------------------------------
 
 
-#: A compiled expression: a closure evaluating one tuple.
-CompiledExpression = Callable[[Tuple], Any]
-
 #: A batch of columns: one value sequence per schema attribute, all of equal
-#: length (the :class:`repro.stratum.columnar.ColumnBatch` layout).
+#: length (the :class:`repro.core.columnar.ColumnBatch` layout).
 BatchColumns = Sequence[Sequence[Any]]
 
 #: A compiled batch kernel: ``kernel(columns, count)`` returns a sequence of
@@ -50,19 +47,6 @@ class Expression:
         """Evaluate the expression against a single tuple."""
         raise NotImplementedError
 
-    def compile(self, schema: Optional["RelationSchemaLike"] = None) -> CompiledExpression:
-        """Compile the expression tree into a per-tuple Python closure.
-
-        The closure computes exactly what :meth:`evaluate` computes (same
-        values, same exceptions) without re-walking the syntax tree per
-        tuple.  When ``schema`` is given, attribute references are resolved
-        to positions once at compile time; the closure may then only be
-        applied to tuples of that schema.  Physical operators compile their
-        predicates and projection items against their input schema and pay
-        the tree walk once per query instead of once per tuple.
-        """
-        return self.evaluate
-
     def compile_batch(self, schema: "RelationSchemaLike") -> BatchKernel:
         """Compile the expression into a column-wise kernel.
 
@@ -70,10 +54,11 @@ class Expression:
         a sequence of per-row results — the same values, raising the same
         exceptions, as applying :meth:`evaluate` row by row.  Every concrete
         expression overrides this with a vectorized implementation; the base
-        fallback materializes one trusted tuple per row so that any future
-        expression class is batch-correct by default, merely not fast.
+        fallback calls :meth:`evaluate` on one trusted tuple per row so that
+        any future expression class is batch-correct by default, merely not
+        fast.
         """
-        evaluate = self.compile(schema)
+        evaluate = self.evaluate
         trusted = Tuple.trusted
 
         def kernel(columns: BatchColumns, count: int) -> Sequence[Any]:
@@ -97,40 +82,6 @@ class Expression:
 RelationSchemaLike = Any
 
 
-def guarded_compile(
-    expression: "Expression | ProjectionItem", schema: RelationSchemaLike
-) -> CompiledExpression:
-    """Compile against ``schema``, guarded against permuted tuple orders.
-
-    Positionally compiled closures require the tuple's attribute order to
-    match the compile-time schema.  Relations only guarantee attribute-*set*
-    equality, so the returned closure checks the order per tuple (an identity
-    check in the common case of a shared schema object).  For a permuted
-    tuple it compiles a positional closure for that attribute order and
-    caches it keyed by the attribute tuple — so a relation full of permuted
-    tuples pays one tree re-resolution per distinct order plus one dict hit
-    per tuple, instead of re-resolving every attribute by name for every
-    tuple.  This is what the DBMS engine's physical operators use for
-    predicates and projection items.
-    """
-    target = expression.expression if isinstance(expression, ProjectionItem) else expression
-    compiled = target.compile(schema)
-    attributes = schema.attributes
-    variants: Dict[PyTuple[str, ...], CompiledExpression] = {}
-
-    def evaluate(tup: Tuple) -> Any:
-        tup_schema = tup.schema
-        if tup_schema is schema or tup_schema.attributes == attributes:
-            return compiled(tup)
-        key = tup_schema.attributes
-        variant = variants.get(key)
-        if variant is None:
-            variant = variants[key] = target.compile(tup_schema)
-        return variant(tup)
-
-    return evaluate
-
-
 @dataclass(frozen=True)
 class AttributeRef(Expression):
     """A reference to an attribute of the input tuple."""
@@ -146,12 +97,6 @@ class AttributeRef(Expression):
                 f"attribute {self.name!r} not found in schema {tup.schema}"
             )
         return tup[self.name]
-
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        if schema is not None and schema.has_attribute(self.name):
-            index = schema.index_of(self.name)
-            return lambda tup: tup.values()[index]
-        return self.evaluate
 
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         if not schema.has_attribute(self.name):
@@ -184,10 +129,6 @@ class Literal(Expression):
 
     def evaluate(self, tup: Tuple) -> Any:
         return self.value
-
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        value = self.value
-        return lambda tup: value
 
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         value = self.value
@@ -255,8 +196,8 @@ class ComparisonOperator(Enum):
         return _COMPARISON_FUNCTIONS[self](left, right)
 
 
-#: Comparison implementations, resolved once so compiled closures skip the
-#: enum dispatch per tuple.
+#: Comparison implementations, resolved once so batch kernels skip the
+#: enum dispatch per row.
 _COMPARISON_FUNCTIONS: Dict["ComparisonOperator", Callable[[Any, Any], bool]] = {
     ComparisonOperator.EQ: _operator.eq,
     ComparisonOperator.NE: _operator.ne,
@@ -283,19 +224,6 @@ class Comparison(Expression):
             return self.operator.apply(self.left.evaluate(tup), self.right.evaluate(tup))
         except TypeError as exc:
             raise EvaluationError(f"cannot evaluate comparison {self}: {exc}") from exc
-
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        compare = _COMPARISON_FUNCTIONS[self.operator]
-
-        def evaluate(tup: Tuple) -> bool:
-            try:
-                return compare(left(tup), right(tup))
-            except TypeError as exc:
-                raise EvaluationError(f"cannot evaluate comparison {self}: {exc}") from exc
-
-        return evaluate
 
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         left = self.left.compile_batch(schema)
@@ -336,17 +264,6 @@ class And(Expression):
 
     def evaluate(self, tup: Tuple) -> bool:
         return all(operand.evaluate(tup) for operand in self.operands)
-
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        compiled = tuple(operand.compile(schema) for operand in self.operands)
-
-        def evaluate(tup: Tuple) -> bool:
-            for operand in compiled:
-                if not operand(tup):
-                    return False
-            return True
-
-        return evaluate
 
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         kernels = tuple(operand.compile_batch(schema) for operand in self.operands)
@@ -400,17 +317,6 @@ class Or(Expression):
     def evaluate(self, tup: Tuple) -> bool:
         return any(operand.evaluate(tup) for operand in self.operands)
 
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        compiled = tuple(operand.compile(schema) for operand in self.operands)
-
-        def evaluate(tup: Tuple) -> bool:
-            for operand in compiled:
-                if operand(tup):
-                    return True
-            return False
-
-        return evaluate
-
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         kernels = tuple(operand.compile_batch(schema) for operand in self.operands)
 
@@ -462,10 +368,6 @@ class Not(Expression):
 
     def evaluate(self, tup: Tuple) -> bool:
         return not self.operand.evaluate(tup)
-
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        operand = self.operand.compile(schema)
-        return lambda tup: not operand(tup)
 
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         operand = self.operand.compile_batch(schema)
@@ -522,12 +424,6 @@ class Arithmetic(Expression):
 
     def evaluate(self, tup: Tuple) -> Any:
         return self.operator.apply(self.left.evaluate(tup), self.right.evaluate(tup))
-
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        apply = _ARITHMETIC_FUNCTIONS[self.operator]
-        return lambda tup: apply(left(tup), right(tup))
 
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         left = self.left.compile_batch(schema)
@@ -641,10 +537,6 @@ class ProjectionItem:
             self.alias is None or self.alias == self.expression.name
         )
 
-    def compile(self, schema: Optional[RelationSchemaLike] = None) -> CompiledExpression:
-        """Compile the item's expression (see :meth:`Expression.compile`)."""
-        return self.expression.compile(schema)
-
     def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
         """Compile the item's expression column-wise (see :meth:`Expression.compile_batch`)."""
         return self.expression.compile_batch(schema)
@@ -727,11 +619,22 @@ class AggregateFunction:
 
     def compute(self, tuples: Sequence[Tuple]) -> Any:
         """Compute the aggregate over a group of tuples."""
+        argument = self.argument
+        return self.reduce(tuples if argument is None else [tup[argument] for tup in tuples])
+
+    def reduce(self, column: Sequence[Any]) -> Any:
+        """Compute the aggregate over a group's argument values.
+
+        ``column`` holds one entry per row of the group — the argument
+        attribute's values (any per-row sequence for ``COUNT(*)``, which only
+        counts rows).  The batch aggregate operator calls this on a column
+        slice; :meth:`compute` on the values it pulls out of tuples.
+        """
+        if self.argument is None:
+            return len(column)
+        values = [value for value in column if value is not None]
         if self.kind is AggregateKind.COUNT:
-            if self.argument is None:
-                return len(tuples)
-            return sum(1 for tup in tuples if tup[self.argument] is not None)
-        values = [tup[self.argument] for tup in tuples if tup[self.argument] is not None]
+            return len(values)
         if not values:
             return None
         if self.kind is AggregateKind.SUM:

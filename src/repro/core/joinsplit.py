@@ -16,10 +16,12 @@ the *shape of the predicate*:
 * everything else stays behind as a **residual filter** evaluated on the
   joined tuple, or falls back to a streaming nested loop.
 
-The split is computed here, once, in core — the stratum's physical layer
-(:mod:`repro.stratum.physical`) builds its operators from it and the cost
-annotations of :mod:`repro.core.cost` describe the same choice in EXPLAIN
-output, so what the report prints is by construction what the executor runs.
+The split is computed here, once, in core — both planners
+(:mod:`repro.stratum.physical`, and :mod:`repro.dbms.executor` for the equi
+keys: the DBMS never runs the interval join) build their operators from it
+and the cost annotations of :mod:`repro.core.cost` describe the same choice
+in EXPLAIN output, so what the report prints is by construction what the
+executor runs.
 """
 
 from __future__ import annotations

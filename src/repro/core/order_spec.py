@@ -9,14 +9,15 @@ set of surviving attributes.  The sorting transformation rules (S1–S3) use
 ``IsPrefixOf``.
 
 This module provides the value types :class:`SortKey` and :class:`OrderSpec`
-together with those helpers and a comparison-key builder used by the sort
-operators of both engines.
+together with those helpers, the comparison-key builder of the reference
+sort and the comparator-free row sort of the physical ``SortOp``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .exceptions import AttributeNotFound
@@ -43,7 +44,8 @@ class _Reversed:
     """Reversing comparator wrapper implementing DESC sort keys.
 
     Wrapping (rather than negating) keeps heterogeneous, non-negatable
-    values sortable; shared by the tuple-at-a-time and columnar sort paths.
+    values sortable.  Only the reference sort (:meth:`OrderSpec.comparison_key`)
+    pays for it; the physical sort is :meth:`OrderSpec.sort_rows`.
     """
 
     __slots__ = ("value",)
@@ -250,33 +252,31 @@ class OrderSpec:
 
         return key_fn
 
-    def positional_key(
-        self, attributes: Sequence[str]
-    ) -> Callable[[Sequence[Any]], Tuple]:
-        """Return a key function over value rows in ``attributes`` order.
+    def sort_rows(self, rows: List[Sequence[Any]], attributes: Sequence[str]) -> None:
+        """Stably sort value rows (in ``attributes`` order) in place.
 
-        The columnar sort resolves each sort attribute to its position once
-        per batch drain instead of once per tuple; the returned function maps
-        a row (the values of one tuple in ``attributes`` order) to the same
-        comparison key :meth:`comparison_key` would produce for that tuple.
-        Raises :class:`AttributeNotFound` at build time when a sort attribute
-        is missing, matching what per-tuple evaluation raises on first use.
+        The physical sort: yields the sequence ``sorted(tuples,
+        key=comparison_key())`` yields for the corresponding tuples, ties
+        included, without a Python-level comparator.  The keys are applied
+        from least to most significant, one stable ``list.sort`` per run of
+        same-direction keys — ``reverse=True`` keeps equal elements in input
+        order, so descending keys need no negation and non-negatable values
+        sort correctly.  Raises :class:`AttributeNotFound` before touching
+        ``rows`` when a sort attribute is missing.
         """
-        resolved: List[Tuple[int, SortDirection]] = []
+        runs: List[Tuple[SortDirection, List[int]]] = []
         for sort_key in self._keys:
             if sort_key.attribute not in attributes:
                 raise AttributeNotFound(
                     f"sort key {sort_key.attribute!r} not in attributes {attributes!r}"
                 )
-            resolved.append((attributes.index(sort_key.attribute), sort_key.direction))
-
-        def key_fn(row: Sequence[Any]) -> Tuple:
-            return tuple(
-                row[index] if direction is ASC else _Reversed(row[index])
-                for index, direction in resolved
-            )
-
-        return key_fn
+            index = attributes.index(sort_key.attribute)
+            if runs and runs[-1][0] is sort_key.direction:
+                runs[-1][1].append(index)
+            else:
+                runs.append((sort_key.direction, [index]))
+        for direction, indexes in reversed(runs):
+            rows.sort(key=itemgetter(*indexes), reverse=direction is DESC)
 
     # -- comparison / presentation ------------------------------------------------------
 

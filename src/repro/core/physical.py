@@ -1,0 +1,671 @@
+"""The physical operator set both engines execute on.
+
+One library of batch operators runs every conventional operation, whichever
+layer the optimizer assigned it to.  The paper separates the stratum from
+the conventional DBMS by *capability* — the DBMS lacks the temporal
+operations and pays an emulation penalty for them — not by implementation,
+so each engine is a planner that builds a **declared subset** of these
+operators and names the fault point their drains tick:
+:mod:`repro.stratum.physical` (all three join algorithms, ``stratum.pull``)
+and :mod:`repro.dbms.executor` (the multiset operators, never the interval
+join, ``dbms.scan``).
+
+Execution is **columnar**: operators exchange
+:class:`~repro.core.columnar.ColumnBatch` chunks of ``batch_size`` rows, run
+predicates and projections as column-wise kernels
+(:meth:`Expression.compile_batch`), join, sort and hash on plain value rows,
+and build :class:`~repro.core.tuples.Tuple` objects only at operator-tree
+boundaries.  :meth:`BatchOperator.batches` is the single place that counts
+rows, reads the clock and ticks execution control.
+
+Every operator yields the same tuple sequence at every batch size; the ones
+the stratum builds are moreover **list-compatible** with the reference
+semantics — the *identical* sequence, only faster — because several temporal
+operations are order-sensitive (Section 6), so a merely multiset-equivalent
+result could change the answer of an enclosing operator.  Join algorithm
+choice comes from :mod:`repro.core.joinsplit`, which the cost annotations
+consume too, so EXPLAIN reports exactly what runs here.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from collections import Counter
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
+
+from ..options import DEFAULT_BATCH_SIZE
+from .columnar import ColumnBatch
+from .expressions import AggregateFunction, Expression, ProjectionItem
+from .joinsplit import JoinSplit
+from .operations.base import PlanPath
+from .order_spec import OrderSpec
+from .period import T1, T2
+from .relation import Relation
+from .schema import RelationSchema
+from .tuples import Tuple
+
+_UNORDERED = OrderSpec.unordered()
+
+
+# ---------------------------------------------------------------------------
+# The operator base: protocol and accounting
+# ---------------------------------------------------------------------------
+
+
+class BatchOperator:
+    """A batch-producing physical operator.
+
+    :meth:`batches` is the pull protocol: operators exchange
+    :class:`~repro.core.columnar.ColumnBatch` chunks over their
+    ``output_schema``, and concatenating an operator's batches row-wise gives
+    the same tuple sequence at every ``batch_size``.
+
+    ``order`` is the known order of the output (Table 1's ``Order(r)``) and
+    ``paths`` names the logical plan nodes the operator realises (a fused
+    selection-over-product realises two); ``paths[0]`` is the node whose
+    output the operator produces.  The stratum's lowering fills both in; the
+    DBMS, a multiset engine whose fragments are opaque to the plan-path
+    accounting, leaves them empty except for the order a sort establishes.
+    ``rows_out`` — filled once the operator has been drained — is the actual
+    output cardinality EXPLAIN ANALYZE and the operator spans report.
+
+    The planner that built the operator configures it (:meth:`instrument`):
+    chunk size, the fault point its drain ticks (``stratum.pull`` or
+    ``dbms.scan`` — the only per-engine difference on an operator) and the
+    engine's clock and execution control.  With a clock (a monotonic
+    callable; observability on) the drain records ``started_at``/
+    ``elapsed_seconds`` — *inclusive* wall-clock from first pull to
+    exhaustion, children included.  With a control
+    (:class:`~repro.faults.control.ExecutionControl`) it ticks the fault
+    point once at drain start and once per ``control.interval`` rows — once
+    per interval *boundary crossed* by a batch, so the check count, and with
+    it the resource-guard row accounting, is identical for every batch size —
+    which is where cancellation, deadlines, resource budgets and fault
+    injection interpose.  The plain path costs two extra branches per drain.
+    """
+
+    def __init__(
+        self,
+        output_schema: RelationSchema,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> None:
+        self.output_schema = output_schema
+        self.order = order
+        self.paths = paths
+        self.rows_out: Optional[int] = None
+        self.batch_size: int = DEFAULT_BATCH_SIZE
+        self.fault_point: Optional[str] = None
+        self._clock: Optional[Callable[[], float]] = None
+        self._control = None
+        self.started_at: Optional[float] = None
+        self.elapsed_seconds: Optional[float] = None
+
+    def instrument(
+        self,
+        fault_point: str,
+        batch_size: int,
+        clock: Optional[Callable[[], float]] = None,
+        control=None,
+    ) -> None:
+        """Configure the drain: fault point, chunk size, clock and control."""
+        self.fault_point = fault_point
+        self.batch_size = batch_size
+        self._clock = clock
+        self._control = control
+
+    def batches(self) -> Iterator[ColumnBatch]:
+        """The operator's output as a stream of column batches.
+
+        This wrapper owns the per-drain accounting of both engines: row
+        counting for EXPLAIN ANALYZE, inclusive wall-clock under
+        observability, and control ticks under cancellation/resource guards.
+        Every call starts a fresh drain of the operator (and its children).
+        """
+        clock = self._clock
+        control = self._control
+        if clock is not None:
+            self.started_at = clock()
+        count = 0
+        if control is None:
+            for batch in self._batches():
+                count += batch.length
+                yield batch
+        else:
+            point = self.fault_point
+            control.tick(point)
+            interval = control.interval
+            for batch in self._batches():
+                before = count
+                count += batch.length
+                for _ in range(count // interval - before // interval):
+                    control.tick(point)
+                yield batch
+        self.rows_out = count
+        if clock is not None:
+            self.elapsed_seconds = clock() - self.started_at
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        """The operator's batch implementation, without accounting."""
+        raise NotImplementedError
+
+    def children(self) -> Sequence["BatchOperator"]:
+        return ()
+
+    def operators(self) -> Iterator["BatchOperator"]:
+        """This operator and all descendants, pre-order."""
+        yield self
+        for child in self.children():
+            yield from child.operators()
+
+    def to_relation(self) -> Relation:
+        """Drain the operator into a relation carrying the known order."""
+        tuples: List[Tuple] = []
+        for batch in self.batches():
+            tuples.extend(batch.to_tuples())
+        # Every batch is over ``output_schema`` and ``to_tuples`` just built
+        # the tuples over it: nothing left for the validating constructor.
+        return Relation.trusted(self.output_schema, tuples, order=self.order)
+
+    def describe(self) -> str:
+        """One-line description: the operator's span name and EXPLAIN line."""
+        return type(self).__name__.removesuffix("Op")
+
+    def explain(self, indent: int = 0) -> str:
+        """Indented rendering of the operator tree."""
+        lines = [" " * indent + self.describe()]
+        lines.extend(child.explain(indent + 2) for child in self.children())
+        return "\n".join(lines)
+
+
+def _keep(batch: ColumnBatch, selected: Sequence[int]) -> Optional[ColumnBatch]:
+    """The rows of ``batch`` at the ascending indexes ``selected``.
+
+    ``None`` when nothing is selected, the batch itself when everything is.
+    """
+    if not selected:
+        return None
+    if len(selected) == batch.length:
+        return batch
+    return batch.take(selected)
+
+
+def _filtered(batch: ColumnBatch, kernel) -> Optional[ColumnBatch]:
+    """The rows of ``batch`` a predicate kernel accepts (see :func:`_keep`)."""
+    flags = kernel(batch.columns, batch.length)
+    return _keep(batch, [i for i in range(batch.length) if flags[i]])
+
+
+# ---------------------------------------------------------------------------
+# Operators of both engines
+# ---------------------------------------------------------------------------
+
+
+class SourceOp(BatchOperator):
+    """A materialised input: a stored table, a literal, a boundary subtree's
+    result or an emulated temporal operation's."""
+
+    def __init__(self, relation: Relation, name: Optional[str] = None) -> None:
+        super().__init__(relation.schema, relation.order)
+        self._relation = relation
+        self._name = name
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        # The source boundary is where tuples become columns (when a
+        # consumer first reads them); permuted attribute orders are
+        # normalized there so every kernel upstream is purely positional.
+        size = self.batch_size
+        schema = self.output_schema
+        tuples = self._relation.tuples
+        for offset in range(0, len(tuples), size):
+            yield ColumnBatch.from_tuples(schema, tuples[offset : offset + size])
+
+    def to_relation(self) -> Relation:
+        """The source relation itself: the drain only does the accounting.
+
+        A source at the root of an operator tree — a bare table scan shipped
+        across ``TS`` — computes nothing, so no tuple is taken apart into
+        columns only to be rebuilt.
+        """
+        for _ in self.batches():
+            pass
+        return self._relation
+
+    def describe(self) -> str:
+        name = "" if self._name is None else f"{self._name}, "
+        return f"Source({name}rows={len(self._relation)})"
+
+
+class FilterOp(BatchOperator):
+    """Streaming selection with a column-wise predicate kernel."""
+
+    def __init__(
+        self,
+        predicate: Expression,
+        child: BatchOperator,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> None:
+        super().__init__(child.output_schema, order, paths)
+        self._predicate = predicate
+        self._child = child
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        kernel = self._predicate.compile_batch(self._child.output_schema)
+        for batch in self._child.batches():
+            kept = _filtered(batch, kernel)
+            if kept is not None:
+                yield kept
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._child,)
+
+    def describe(self) -> str:
+        return f"Filter({self._predicate})"
+
+
+class ProjectOp(BatchOperator):
+    """Streaming projection with column-wise item kernels."""
+
+    def __init__(
+        self,
+        items: Sequence[ProjectionItem],
+        output_schema: RelationSchema,
+        child: BatchOperator,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> None:
+        super().__init__(output_schema, order, paths)
+        self._items = tuple(items)
+        self._child = child
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        child_schema = self._child.output_schema
+        kernels = tuple(item.compile_batch(child_schema) for item in self._items)
+        schema = self.output_schema
+        for batch in self._child.batches():
+            columns = [kernel(batch.columns, batch.length) for kernel in kernels]
+            yield ColumnBatch(schema, columns, batch.length)
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._child,)
+
+    def describe(self) -> str:
+        return "Project(" + ", ".join(str(item) for item in self._items) + ")"
+
+
+class SortOp(BatchOperator):
+    """Blocking stable sort (identical to the reference ``sort_A``)."""
+
+    def __init__(
+        self,
+        sort_order: OrderSpec,
+        child: BatchOperator,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> None:
+        super().__init__(child.output_schema, order, paths)
+        self._sort_order = sort_order
+        self._child = child
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        schema = self.output_schema
+        rows: List[PyTuple] = []
+        for batch in self._child.batches():
+            rows.extend(batch.rows())
+        if not rows:
+            return
+        # Stable sort over value rows — input order is the tie-breaker, the
+        # same sequence the reference sorted(child, comparison_key) yields.
+        self._sort_order.sort_rows(rows, schema.attributes)
+        yield from _chunked(schema, rows, self.batch_size)
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._child,)
+
+    def describe(self) -> str:
+        return f"Sort({self._sort_order})"
+
+
+def _chunked(
+    schema: RelationSchema, rows: Sequence[PyTuple], size: int
+) -> Iterator[ColumnBatch]:
+    """Materialised value rows as batches of at most ``size`` rows."""
+    for offset in range(0, len(rows), size):
+        yield ColumnBatch.from_rows(schema, rows[offset : offset + size])
+
+
+class _JoinOp(BatchOperator):
+    """Common machinery of the join operators.
+
+    The output sequence contract, shared by all three algorithms: left-major
+    order — for each left tuple in input order, its matches in right *input*
+    order — which is exactly the sequence "filter the materialised product"
+    produces.
+    """
+
+    def __init__(
+        self,
+        split: JoinSplit,
+        output_schema: RelationSchema,
+        left: BatchOperator,
+        right: BatchOperator,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> None:
+        super().__init__(output_schema, order, paths)
+        self._split = split
+        self._left = left
+        self._right = right
+        self._temporal = split.temporal
+        if split.temporal:
+            left_schema = left.output_schema
+            right_schema = right.output_schema
+            self._left_time = (left_schema.index_of(T1), left_schema.index_of(T2))
+            self._right_time = (right_schema.index_of(T1), right_schema.index_of(T2))
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._left, self._right)
+
+    def describe(self) -> str:
+        return f"{super().describe()}[{self._split.describe()}]"
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        """Chunk the joined value rows and apply the residual per chunk."""
+        schema = self.output_schema
+        size = self.batch_size
+        residual = self._split.residual
+        kernel = None if residual is None else residual.compile_batch(schema)
+        rows = self._join_rows()
+        while chunk := list(islice(rows, size)):
+            batch = ColumnBatch.from_rows(schema, chunk)
+            if kernel is not None:
+                batch = _filtered(batch, kernel)
+            if batch is not None:
+                yield batch
+
+    def _join_rows(self) -> "Iterator[PyTuple]":
+        """Joined value rows (pre-residual), in the reference sequence."""
+        raise NotImplementedError
+
+
+class HashJoinOp(_JoinOp):
+    """Hash equi-join: build on the right input, probe with the left.
+
+    For a temporal join the period-overlap test runs per bucket entry and
+    the fresh ``T1``/``T2`` carry the intersection.  Buckets keep right
+    input order, so the output sequence matches the reference product.
+    """
+
+    def _join_rows(self) -> Iterator[PyTuple]:
+        split = self._split
+        temporal = self._temporal
+        table: dict = {}
+        for batch in self._right.batches():
+            columns = batch.columns
+            keys = _join_keys(columns, split.equi_right_indexes)
+            if temporal:
+                rt1, rt2 = self._right_time
+                for key, entry in zip(keys, zip(batch.rows(), columns[rt1], columns[rt2])):
+                    table.setdefault(key, []).append(entry)
+            else:
+                for key, row in zip(keys, batch.rows()):
+                    table.setdefault(key, []).append(row)
+        get_bucket = table.get
+        for batch in self._left.batches():
+            columns = batch.columns
+            keys = _join_keys(columns, split.equi_left_indexes)
+            if temporal:
+                lt1, lt2 = self._left_time
+                for key, row, l1, l2 in zip(keys, batch.rows(), columns[lt1], columns[lt2]):
+                    for right_row, r1, r2 in get_bucket(key, ()):
+                        start = l1 if l1 > r1 else r1
+                        end = l2 if l2 < r2 else r2
+                        if start < end:
+                            yield row + right_row + (start, end)
+            else:
+                for key, row in zip(keys, batch.rows()):
+                    for right_row in get_bucket(key, ()):
+                        yield row + right_row
+
+
+def _join_keys(columns: Sequence[Sequence], indexes: Sequence[int]) -> Sequence:
+    """One hash key per row of a batch.
+
+    A single-attribute key (the common case) is the bare column — scalars
+    cost no allocation per row; several attributes give one tuple per row.
+    """
+    if len(indexes) == 1:
+        return columns[indexes[0]]
+    return list(zip(*[columns[i] for i in indexes]))
+
+
+class IntervalJoinOp(_JoinOp):
+    """Sort-merge interval-overlap join.
+
+    The right input is materialised sorted by interval start (stably, so
+    input order survives as the tie-breaker); each left tuple probes the
+    prefix with ``right.start < left.end`` by binary search and keeps the
+    candidates with ``right.end > left.start``, re-ordered by right input
+    position to preserve the reference sequence.
+    """
+
+    def _join_rows(self) -> Iterator[PyTuple]:
+        split = self._split
+        if split.temporal:
+            ls, le = self._left_time
+            rs, re = self._right_time
+        else:
+            ls, le, rs, re = split.overlap_indexes
+        entries: List[PyTuple] = []  # (start, position, end, row)
+        position = 0
+        for batch in self._right.batches():
+            columns = batch.columns
+            starts_column, ends_column = columns[rs], columns[re]
+            for offset, row in enumerate(batch.rows()):
+                entries.append((starts_column[offset], position, ends_column[offset], row))
+                position += 1
+        entries.sort(key=lambda entry: (entry[0], entry[1]))
+        starts = [entry[0] for entry in entries]
+        temporal = self._temporal
+        for batch in self._left.batches():
+            columns = batch.columns
+            left_starts, left_ends = columns[ls], columns[le]
+            for offset, row in enumerate(batch.rows()):
+                l1, l2 = left_starts[offset], left_ends[offset]
+                limit = bisect_left(starts, l2)
+                matches = [
+                    (entry_position, start, end, right_row)
+                    for start, entry_position, end, right_row in entries[:limit]
+                    if end > l1
+                ]
+                matches.sort()
+                if temporal:
+                    for entry_position, r1, r2, right_row in matches:
+                        start = l1 if l1 > r1 else r1
+                        end = l2 if l2 < r2 else r2
+                        yield row + right_row + (start, end)
+                else:
+                    for entry_position, r1, r2, right_row in matches:
+                        yield row + right_row
+
+
+class NestedLoopJoinOp(_JoinOp):
+    """Streaming nested loop — the fallback when the predicate offers no
+    keys.  Still an improvement over the reference: the product is never
+    materialised and the predicate is compiled.
+
+    A temporal split never selects this operator
+    (:attr:`JoinSplit.algorithm` returns ``"interval"`` for any keyless
+    temporal join), so the loop needs no period handling.
+    """
+
+    def __init__(self, split: JoinSplit, *args, **kwargs) -> None:
+        if split.temporal:
+            raise ValueError(
+                "temporal joins lower to the interval or hash operator, never a nested loop"
+            )
+        super().__init__(split, *args, **kwargs)
+
+    def _join_rows(self) -> Iterator[PyTuple]:
+        right_rows: List[PyTuple] = []
+        for batch in self._right.batches():
+            right_rows.extend(batch.rows())
+        for batch in self._left.batches():
+            for row in batch.rows():
+                for right_row in right_rows:
+                    yield row + right_row
+
+
+# ---------------------------------------------------------------------------
+# The multiset operators only the DBMS plans today
+# ---------------------------------------------------------------------------
+#
+# They work on value rows positionally: the planner has already brought every
+# input into the output's attribute order (a renaming :class:`ProjectOp`).
+
+
+class DistinctOp(BatchOperator):
+    """Hash duplicate elimination: the first occurrence of each row survives."""
+
+    def __init__(self, child: BatchOperator) -> None:
+        super().__init__(child.output_schema)
+        self._child = child
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        seen: set = set()
+        add = seen.add
+        for batch in self._child.batches():
+            selected = []
+            for index, row in enumerate(batch.rows()):
+                if row not in seen:
+                    add(row)
+                    selected.append(index)
+            kept = _keep(batch, selected)
+            if kept is not None:
+                yield kept
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._child,)
+
+
+class AggregateOp(BatchOperator):
+    """Hash aggregation: one output row per group, in first-occurrence order."""
+
+    def __init__(
+        self,
+        grouping: Sequence[str],
+        functions: Sequence[AggregateFunction],
+        output_schema: RelationSchema,
+        child: BatchOperator,
+    ) -> None:
+        super().__init__(output_schema)
+        self._grouping = tuple(grouping)
+        self._functions = tuple(functions)
+        self._child = child
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        child_schema = self._child.output_schema
+        key_indexes = [child_schema.index_of(a) for a in self._grouping]
+        arguments = [
+            (function, None if function.argument is None else child_schema.index_of(function.argument))
+            for function in self._functions
+        ]
+        groups: Dict[PyTuple, List[PyTuple]] = {}
+        for batch in self._child.batches():
+            for row in batch.rows():
+                key = tuple(row[i] for i in key_indexes)
+                groups.setdefault(key, []).append(row)
+        rows = [
+            key
+            + tuple(
+                function.reduce(members if index is None else [row[index] for row in members])
+                for function, index in arguments
+            )
+            for key, members in groups.items()
+        ]
+        yield from _chunked(self.output_schema, rows, self.batch_size)
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._child,)
+
+    def describe(self) -> str:
+        functions = ", ".join(str(function) for function in self._functions)
+        return f"Aggregate(by={list(self._grouping)}; {functions})"
+
+
+class _SetOp(BatchOperator):
+    """Two inputs already in the output's attribute order."""
+
+    def __init__(self, left: BatchOperator, right: BatchOperator) -> None:
+        super().__init__(left.output_schema)
+        self._left = left
+        self._right = right
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._left, self._right)
+
+    def _right_batches(self) -> Iterator[ColumnBatch]:
+        """The right input's batches, carried over the output schema."""
+        schema = self.output_schema
+        for batch in self._right.batches():
+            if batch.schema is not schema:
+                batch = ColumnBatch(schema, batch.columns, batch.length)
+            yield batch
+
+
+class UnionAllOp(_SetOp):
+    """Concatenation: the left input's batches, then the right's."""
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        yield from self._left.batches()
+        yield from self._right_batches()
+
+
+class DifferenceOp(_SetOp):
+    """Multiset difference (EXCEPT ALL): each right row cancels one equal
+    left row, the earliest; survivors keep the left order."""
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        budget: Counter = Counter()
+        for batch in self._right.batches():
+            budget.update(batch.rows())
+        for batch in self._left.batches():
+            selected = []
+            for index, row in enumerate(batch.rows()):
+                if budget[row] > 0:
+                    budget[row] -= 1
+                else:
+                    selected.append(index)
+            kept = _keep(batch, selected)
+            if kept is not None:
+                yield kept
+
+
+class UnionOp(_SetOp):
+    """Multiset union: every row occurs the maximum of its two input counts.
+
+    All left rows, then — in right order — the first occurrences of each
+    right row that exceed its left count.
+    """
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        left_counts: Counter = Counter()
+        for batch in self._left.batches():
+            left_counts.update(batch.rows())
+            yield batch
+        right_batches = list(self._right_batches())
+        surplus: Counter = Counter()
+        for batch in right_batches:
+            surplus.update(batch.rows())
+        surplus.subtract(left_counts)
+        for batch in right_batches:
+            selected = []
+            for index, row in enumerate(batch.rows()):
+                if surplus[row] > 0:
+                    surplus[row] -= 1
+                    selected.append(index)
+            kept = _keep(batch, selected)
+            if kept is not None:
+                yield kept

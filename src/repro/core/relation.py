@@ -73,6 +73,28 @@ class Relation:
     # -- construction -----------------------------------------------------------
 
     @classmethod
+    def trusted(
+        cls,
+        schema: RelationSchema,
+        tuples: Iterable[Tuple],
+        order: Optional[OrderSpec] = None,
+    ) -> "Relation":
+        """Build a relation from tuples already known to conform to ``schema``.
+
+        Skips the per-tuple schema check of ``__init__``.  The caller
+        guarantees every tuple was built over ``schema`` (or a schema with
+        the same attribute set) — a physical operator draining its batches
+        into a relation uses this, because it created each tuple over its own
+        output schema one line earlier, so walking them again would only
+        re-prove what their construction already proved.
+        """
+        relation = cls.__new__(cls)
+        relation._schema = schema
+        relation._tuples = tuple(tuples)
+        relation._order = order or OrderSpec.unordered()
+        return relation
+
+    @classmethod
     def from_rows(
         cls,
         schema: RelationSchema,

@@ -2,7 +2,7 @@
 
 from .catalog import Catalog, Table, TableStatistics
 from .engine import ConventionalDBMS, DBMSResult
-from .executor import ExecutionReport, PhysicalPlanner, extract_equi_join
+from .executor import ExecutionReport, PhysicalPlanner
 from .optimizer import ConventionalOptimizer, CostGuidedConventionalOptimizer
 from .sqlgen import to_sql
 
@@ -16,6 +16,5 @@ __all__ = [
     "PhysicalPlanner",
     "Table",
     "TableStatistics",
-    "extract_equi_join",
     "to_sql",
 ]

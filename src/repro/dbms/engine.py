@@ -7,6 +7,10 @@ multiset semantics, and can show the SQL text a fragment corresponds to.  It
 knows nothing about valid time beyond treating ``T1``/``T2`` as ordinary
 integer columns — temporal operations reaching it are only ever *emulated*
 (slowly), which the execution report exposes.
+
+It executes on the same batch operators as the stratum
+(:mod:`repro.core.physical`); what it may build from them — no interval
+join, no temporal operation — is declared in :mod:`repro.dbms.executor`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from ..core.operations import Operation
 from ..core.order_spec import OrderSpec
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
+from ..options import DEFAULT_BATCH_SIZE
 from .catalog import Catalog, CatalogSnapshot, Table
 from .executor import ExecutionReport, PhysicalPlanner
 from .optimizer import ConventionalOptimizer, CostGuidedConventionalOptimizer
@@ -33,7 +38,62 @@ class DBMSResult:
     optimized_plan: Operation
 
 
-class ConventionalDBMS:
+class _Engine:
+    """What the live engine and a pinned snapshot share: querying a catalog.
+
+    Subclasses set ``catalog`` (a :class:`Catalog` or a
+    :class:`CatalogSnapshot`), ``use_statistics`` and ``_optimizer``.
+    """
+
+    def statistics(self) -> Mapping[str, int]:
+        """Cardinality per table (consumed by the stratum's cost model)."""
+        return self.catalog.statistics()
+
+    def statistics_epoch(self) -> int:
+        """The catalog's statistics epoch (see :attr:`Catalog.epoch`); a
+        snapshot's never advances."""
+        return self.catalog.epoch
+
+    def estimator(self, **kwargs):
+        """A histogram-backed estimator over the catalog's contents."""
+        return self.catalog.estimator(**kwargs)
+
+    def optimize(self, plan: Operation) -> Operation:
+        """Run the DBMS's own optimizer over a logical plan fragment."""
+        return self._optimizer.optimize(plan)
+
+    def execute(
+        self,
+        plan: Operation,
+        optimize: bool = True,
+        clock=None,
+        control=None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> DBMSResult:
+        """Optimize (optionally) and execute a logical plan fragment.
+
+        ``clock`` (a monotonic callable) turns on per-operator timing: the
+        report's ``operator_spans`` then carry each physical operator's
+        rows and wall-clock for EXPLAIN ANALYZE and request traces.
+        ``control`` (an :class:`~repro.faults.control.ExecutionControl`)
+        threads cancellation, deadlines, resource budgets and fault
+        injection into the physical operators' drains.  ``batch_size`` is
+        the operators' chunk size — the stratum executor passes its own
+        (``ExecutionOptions.batch_size``) through.
+        """
+        final_plan = self.optimize(plan) if optimize else plan
+        planner = PhysicalPlanner(
+            self.catalog, clock=clock, control=control, batch_size=batch_size
+        )
+        relation = planner.execute(final_plan)
+        return DBMSResult(relation=relation, report=planner.report, optimized_plan=final_plan)
+
+    def query(self, plan: Operation, optimize: bool = True) -> Relation:
+        """Execute a plan and return only the result relation."""
+        return self.execute(plan, optimize=optimize).relation
+
+
+class ConventionalDBMS(_Engine):
     """An in-memory, multiset-semantics SQL engine.
 
     By default the engine's own optimization is the cost-guided memo search
@@ -78,45 +138,6 @@ class ConventionalDBMS:
         """Drop a table."""
         self.catalog.drop_table(name)
 
-    def statistics(self) -> Mapping[str, int]:
-        """Cardinality per table (consumed by the stratum's cost model)."""
-        return self.catalog.statistics()
-
-    def statistics_epoch(self) -> int:
-        """The catalog's statistics epoch (see :attr:`Catalog.epoch`)."""
-        return self.catalog.epoch
-
-    def estimator(self, **kwargs):
-        """A histogram-backed estimator over the current catalog contents."""
-        return self.catalog.estimator(**kwargs)
-
-    # -- querying -----------------------------------------------------------------
-
-    def optimize(self, plan: Operation) -> Operation:
-        """Run the DBMS's own optimizer over a logical plan fragment."""
-        return self._optimizer.optimize(plan)
-
-    def execute(
-        self, plan: Operation, optimize: bool = True, clock=None, control=None
-    ) -> DBMSResult:
-        """Optimize (optionally) and execute a logical plan fragment.
-
-        ``clock`` (a monotonic callable) turns on per-operator timing: the
-        report's ``operator_spans`` then carry each physical operator's
-        rows and wall-clock for EXPLAIN ANALYZE and request traces.
-        ``control`` (an :class:`~repro.faults.control.ExecutionControl`)
-        threads cancellation, deadlines, resource budgets and fault
-        injection into the physical operators' pull loops.
-        """
-        final_plan = self.optimize(plan) if optimize else plan
-        planner = PhysicalPlanner(self.catalog, clock=clock, control=control)
-        relation = planner.execute(final_plan)
-        return DBMSResult(relation=relation, report=planner.report, optimized_plan=final_plan)
-
-    def query(self, plan: Operation, optimize: bool = True) -> Relation:
-        """Execute a plan and return only the result relation."""
-        return self.execute(plan, optimize=optimize).relation
-
     # -- introspection --------------------------------------------------------------
 
     def explain(self, plan: Operation, optimize: bool = True) -> str:
@@ -143,7 +164,7 @@ class ConventionalDBMS:
         return SnapshotDBMS(self.catalog.snapshot(), use_statistics=self.use_statistics)
 
 
-class SnapshotDBMS:
+class SnapshotDBMS(_Engine):
     """A read-only :class:`ConventionalDBMS` facade over a pinned catalog.
 
     Execution-compatible with the live engine (``catalog``/``execute``/
@@ -161,32 +182,3 @@ class SnapshotDBMS:
             statistics_provider=catalog.statistics,
             estimator_provider=catalog.estimator if use_statistics else None,
         )
-
-    def statistics(self) -> Mapping[str, int]:
-        """Cardinality per pinned table."""
-        return self.catalog.statistics()
-
-    def statistics_epoch(self) -> int:
-        """The epoch the snapshot was taken at (never advances)."""
-        return self.catalog.epoch
-
-    def estimator(self, **kwargs):
-        """A histogram-backed estimator over the pinned contents."""
-        return self.catalog.estimator(**kwargs)
-
-    def optimize(self, plan: Operation) -> Operation:
-        """Optimize a fragment against the pinned statistics."""
-        return self._optimizer.optimize(plan)
-
-    def execute(
-        self, plan: Operation, optimize: bool = True, clock=None, control=None
-    ) -> DBMSResult:
-        """Optimize (optionally) and execute a fragment over the pinned data."""
-        final_plan = self.optimize(plan) if optimize else plan
-        planner = PhysicalPlanner(self.catalog, clock=clock, control=control)
-        relation = planner.execute(final_plan)
-        return DBMSResult(relation=relation, report=planner.report, optimized_plan=final_plan)
-
-    def query(self, plan: Operation, optimize: bool = True) -> Relation:
-        """Execute a plan and return only the result relation."""
-        return self.execute(plan, optimize=optimize).relation

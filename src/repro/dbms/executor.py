@@ -1,24 +1,37 @@
-"""Compilation of logical plans into physical operator trees.
+"""The conventional DBMS as a planner over the shared physical operators.
 
-The conventional DBMS substrate executes the *conventional* operations of the
-algebra natively (scans, filters, projections, sorts, hash-based duplicate
-elimination, aggregation, joins, set operations).  Temporal operations have
-no native counterpart in a conventional engine; when a plan fragment shipped
-to the DBMS nevertheless contains one — the paper's initial plans do exactly
-that — the executor falls back to *emulation*: it materialises the inputs and
-runs the reference (specification-level) implementation of the operation.
-Emulations are counted and reported, because their inefficiency is the
-paper's motivation for letting the stratum take those operations over.
+The substrate executes the *conventional* operations of the algebra natively
+(scans, filters, projections, sorts, hash-based duplicate elimination,
+aggregation, joins, set operations) by compiling a plan fragment to the
+batch operators of :mod:`repro.core.physical` — the operator set the stratum
+lowers its regions to as well.  What makes it the DBMS is *capability*, not
+implementation: its admissible subset is :data:`ADMISSIBLE_OPERATORS`, its
+drains tick the :data:`FAULT_POINT` ``dbms.scan``, it promises multiset
+semantics only (no operator but a sort knows an order), and:
+
+* its join is a hash join when :mod:`repro.core.joinsplit` finds equi keys
+  and otherwise a nested loop with the whole predicate as residual — **never
+  the interval join**, even for an ``ls < re ∧ rs < le`` overlap pair:
+  :mod:`repro.core.cost` prices a keyless DBMS join at the product bound,
+  and the optimizer's choice to pull such a join up into the stratum depends
+  on the DBMS actually being quadratic there;
+* temporal operations have no native counterpart in a conventional engine;
+  when a fragment shipped to the DBMS nevertheless contains one — the
+  paper's initial plans do exactly that — the planner falls back to
+  *emulation*: it materialises the inputs and runs the reference
+  (specification-level) implementation of the operation.  Emulations are
+  counted and reported, because their inefficiency is the paper's motivation
+  for letting the stratum take those operations over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple as PyTuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional
 
-from ..core.exceptions import EngineError
-from ..core.expressions import And, AttributeRef, Comparison, ComparisonOperator, Expression
-from ..core.joinsplit import flatten_conjuncts
+from ..core.exceptions import EngineError, SchemaError
+from ..core.expressions import AttributeRef, ProjectionItem
+from ..core.joinsplit import JoinSplit, split_for_join, split_for_product, split_for_selection
 from ..core.operations import (
     Aggregation,
     BaseRelation,
@@ -44,25 +57,45 @@ from ..core.operations import (
     UnionAll,
 )
 from ..core.operations.base import EvaluationContext
-from ..core.period import T1, T2
-from ..core.relation import Relation
-from .catalog import Catalog
-from .physical import (
-    FilterOperator,
-    HashAggregate,
-    HashDistinct,
-    HashJoin,
-    HashMultisetDifference,
-    HashMultisetUnion,
-    MaterializedInput,
-    NestedLoopProduct,
-    PhysicalOperator,
-    ProjectOperator,
-    RelabelOperator,
-    SortOperator,
-    TableScan,
-    UnionAllOperator,
+from ..core.physical import (
+    AggregateOp,
+    BatchOperator,
+    DifferenceOp,
+    DistinctOp,
+    FilterOp,
+    HashJoinOp,
+    NestedLoopJoinOp,
+    ProjectOp,
+    SortOp,
+    SourceOp,
+    UnionAllOp,
+    UnionOp,
 )
+from ..core.relation import Relation
+from ..core.schema import RelationSchema
+from ..options import DEFAULT_BATCH_SIZE, check_batch_size
+from .catalog import Catalog
+
+#: The fault point the drains of DBMS-built operators tick.
+FAULT_POINT = "dbms.scan"
+
+#: The operators the DBMS's planner may build: everything but the interval
+#: join (see the module docstring).
+ADMISSIBLE_OPERATORS = (
+    SourceOp,
+    FilterOp,
+    ProjectOp,
+    SortOp,
+    HashJoinOp,
+    NestedLoopJoinOp,
+    DistinctOp,
+    AggregateOp,
+    UnionAllOp,
+    DifferenceOp,
+    UnionOp,
+)
+
+_SET_OPERATORS = {Difference: DifferenceOp, UnionAll: UnionAllOp, Union: UnionOp}
 
 #: Logical operations the conventional engine cannot execute natively.
 TEMPORAL_OPERATIONS = (
@@ -106,71 +139,18 @@ class ExecutionReport:
         return len(self.emulated_operations)
 
 
-@dataclass(frozen=True)
-class EquiJoinCondition:
-    """An extracted equi-join: key pairs plus an optional residual predicate."""
-
-    left_keys: PyTuple[str, ...]
-    right_keys: PyTuple[str, ...]
-    residual: Optional[Expression]
-
-
-def extract_equi_join(
-    predicate: Expression, left_names: Sequence[str], right_names: Sequence[str]
-) -> Optional[EquiJoinCondition]:
-    """Split a predicate into hash-join key pairs and a residual.
-
-    Returns ``None`` unless at least one conjunct is an equality between one
-    left attribute and one right attribute (by their names in the product's
-    output schema).  Conjuncts are flattened through nested ``And`` nodes,
-    matching :func:`repro.core.joinsplit.flatten_conjuncts` — the cost model
-    prices a DBMS-side join as a hash join exactly when the split finds an
-    equi conjunct, so the executor must find the same ones.
-    """
-    conjuncts: List[Expression] = flatten_conjuncts(predicate)
-    left_set, right_set = set(left_names), set(right_names)
-    left_keys: List[str] = []
-    right_keys: List[str] = []
-    residual: List[Expression] = []
-    for conjunct in conjuncts:
-        if (
-            isinstance(conjunct, Comparison)
-            and conjunct.operator is ComparisonOperator.EQ
-            and isinstance(conjunct.left, AttributeRef)
-            and isinstance(conjunct.right, AttributeRef)
-        ):
-            a, b = conjunct.left.name, conjunct.right.name
-            if a in left_set and b in right_set:
-                left_keys.append(a)
-                right_keys.append(b)
-                continue
-            if b in left_set and a in right_set:
-                left_keys.append(b)
-                right_keys.append(a)
-                continue
-        residual.append(conjunct)
-    if not left_keys:
-        return None
-    residual_expr: Optional[Expression] = None
-    if len(residual) == 1:
-        residual_expr = residual[0]
-    elif residual:
-        residual_expr = And(*residual)
-    return EquiJoinCondition(tuple(left_keys), tuple(right_keys), residual_expr)
-
-
 class PhysicalPlanner:
     """Compile logical plans against a catalog into physical operators.
 
-    With a ``clock`` (a monotonic callable; observability on) every
-    constructed operator gets a timer before any draining happens — which
-    matters for emulated temporal fragments, whose children are drained
-    *during* compilation — and :meth:`execute` fills
-    :attr:`ExecutionReport.operator_spans` afterwards.  A ``control``
-    (:class:`~repro.faults.control.ExecutionControl`) is attached the same
-    way and for the same reason: the pull loops then tick the ``dbms.scan``
-    point, so cancellation, budgets and fault injection reach even the
-    fragments that drain mid-compilation.
+    Every operator is instrumented as soon as it is built — with the DBMS's
+    fault point, the ``batch_size`` and, when given, the ``clock`` (a
+    monotonic callable; observability on) and the ``control``
+    (:class:`~repro.faults.control.ExecutionControl`) — which matters for
+    emulated temporal fragments, whose children are drained *during*
+    compilation: cancellation, budgets and fault injection reach those
+    drains too.  With a clock, :meth:`execute` fills
+    :attr:`ExecutionReport.operator_spans` from the operators' ``rows_out``/
+    ``started_at``/``elapsed_seconds`` afterwards.
     """
 
     def __init__(
@@ -178,25 +158,27 @@ class PhysicalPlanner:
         catalog: Catalog,
         clock: Optional[Callable[[], float]] = None,
         control=None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         self._catalog = catalog
         self._clock = clock
         self._control = control
-        self._timed_operators: List[PhysicalOperator] = []
+        self._batch_size = check_batch_size(batch_size)
+        #: Every operator built by the last :meth:`plan`, children before parents.
+        self.operators: List[BatchOperator] = []
         self.report = ExecutionReport()
 
     # -- public API ------------------------------------------------------------
 
-    def plan(self, logical: Operation) -> PhysicalOperator:
+    def plan(self, logical: Operation) -> BatchOperator:
         """Compile ``logical`` into a physical operator tree."""
         self.report = ExecutionReport()
-        self._timed_operators = []
+        self.operators = []
         return self._plan(logical)
 
     def execute(self, logical: Operation) -> Relation:
         """Compile and drain ``logical``, returning the result relation."""
-        physical = self.plan(logical)
-        relation = physical.to_relation()
+        relation = self.plan(logical).to_relation()
         if self._clock is not None:
             self.report.operator_spans.extend(
                 OperatorSpan(
@@ -205,34 +187,14 @@ class PhysicalPlanner:
                     start=operator.started_at,
                     duration=operator.elapsed_seconds,
                 )
-                for operator in self._timed_operators
+                for operator in self.operators
                 if operator.elapsed_seconds is not None
             )
-        if isinstance(logical, Sort):
-            return relation.with_order(logical.sort_order)
         return relation
 
     # -- compilation ------------------------------------------------------------
 
-    def _plan(self, node: Operation) -> PhysicalOperator:
-        if self._clock is None and self._control is None:
-            return self._compile(node)
-        operator = self._compile(node)
-        if self._control is not None:
-            operator._control = self._control
-        if self._clock is not None:
-            operator._timer = self._clock
-            self._timed_operators.append(operator)
-        return operator
-
-    def _compile(self, node: Operation) -> PhysicalOperator:
-        if isinstance(node, BaseRelation):
-            table = self._catalog.table(node.relation_name)
-            self.report.native_operations += 1
-            return TableScan(table.relation, node.relation_name)
-        if isinstance(node, LiteralRelation):
-            self.report.native_operations += 1
-            return TableScan(node.relation, "literal")
+    def _plan(self, node: Operation) -> BatchOperator:
         if isinstance(node, (TransferToDBMS, TransferToStratum)):
             # Transfers are engine boundaries, not work; inside a DBMS
             # fragment they are identities.
@@ -240,77 +202,94 @@ class PhysicalPlanner:
         if isinstance(node, TEMPORAL_OPERATIONS):
             return self._emulate(node)
         self.report.native_operations += 1
+        return self._admit(self._compile(node))
+
+    def _admit(self, operator: BatchOperator) -> BatchOperator:
+        """Configure a freshly built operator before anything drains it."""
+        operator.instrument(FAULT_POINT, self._batch_size, self._clock, self._control)
+        self.operators.append(operator)
+        return operator
+
+    def _compile(self, node: Operation) -> BatchOperator:
+        if isinstance(node, BaseRelation):
+            table = self._catalog.table(node.relation_name)
+            return SourceOp(table.relation, node.relation_name)
+        if isinstance(node, LiteralRelation):
+            return SourceOp(node.relation, "literal")
         if isinstance(node, Selection):
-            return self._plan_selection(node)
+            fused = split_for_selection(node)
+            if fused is not None and isinstance(fused[1], CartesianProduct):
+                split, product = fused
+                return self._join(split, node.predicate, product.output_schema(), product)
+            return FilterOp(node.predicate, self._plan(node.child))
         if isinstance(node, Projection):
-            return ProjectOperator(node.items, node.output_schema(), self._plan(node.child))
+            return ProjectOp(node.items, node.output_schema(), self._plan(node.child))
         if isinstance(node, Sort):
-            return SortOperator(node.sort_order, self._plan(node.child))
+            return SortOp(node.sort_order, self._plan(node.child), order=node.sort_order)
         if isinstance(node, DuplicateElimination):
-            return HashDistinct(self._plan(node.child), node.output_schema())
+            return DistinctOp(self._relabelled(node.child, node.output_schema()))
         if isinstance(node, Aggregation):
-            group_output_names = [
-                "1." + attribute if attribute in (T1, T2) else attribute
-                for attribute in node.grouping
-            ]
-            return HashAggregate(
-                node.grouping,
-                node.functions,
-                node.output_schema(),
-                self._plan(node.child),
-                group_output_names,
+            return AggregateOp(
+                node.grouping, node.functions, node.output_schema(), self._plan(node.child)
             )
         if isinstance(node, Join):
-            return self._plan_join(node)
+            return self._join(split_for_join(node), node.predicate, node.output_schema(), node)
         if isinstance(node, CartesianProduct):
-            return NestedLoopProduct(
-                node.output_schema(), self._plan(node.left), self._plan(node.right)
-            )
-        if isinstance(node, Difference):
-            return HashMultisetDifference(
-                node.output_schema(), self._plan(node.left), self._plan(node.right)
-            )
-        if isinstance(node, UnionAll):
-            return UnionAllOperator(self._plan(node.left), self._plan(node.right))
-        if isinstance(node, Union):
-            return HashMultisetUnion(
-                node.output_schema(), self._plan(node.left), self._plan(node.right)
+            return self._join(split_for_product(node), None, node.output_schema(), node)
+        if type(node) in _SET_OPERATORS:
+            schema = node.output_schema()
+            return _SET_OPERATORS[type(node)](
+                self._relabelled(node.left, schema), self._relabelled(node.right, schema)
             )
         raise EngineError(f"the conventional DBMS cannot execute operation {node.label()!r}")
 
-    def _plan_selection(self, node: Selection) -> PhysicalOperator:
-        child = node.child
-        if isinstance(child, CartesianProduct):
-            product_schema = child.output_schema()
-            # The product's output schema lists the (possibly 1./2.-renamed)
-            # left attributes first, then the right attributes.
-            left_width = len(child.left.output_schema().attributes)
-            left_names = list(product_schema.attributes[:left_width])
-            right_names = list(product_schema.attributes[left_width:])
-            condition = extract_equi_join(node.predicate, left_names, right_names)
-            if condition is not None:
-                # Translate the (possibly renamed) output attribute names back
-                # to the children's own attribute names for hashing/probing.
-                left_map = dict(zip(left_names, child.left.output_schema().attributes))
-                right_map = dict(zip(right_names, child.right.output_schema().attributes))
-                return HashJoin(
-                    [left_map[name] for name in condition.left_keys],
-                    [right_map[name] for name in condition.right_keys],
-                    condition.residual,
-                    product_schema,
-                    self._plan(child.left),
-                    self._plan(child.right),
-                )
-        return FilterOperator(node.predicate, self._plan(child))
+    def _relabelled(self, node: Operation, schema: RelationSchema) -> BatchOperator:
+        """``node``'s operator, presenting its rows over ``schema``'s attributes.
 
-    def _plan_join(self, node: Join) -> PhysicalOperator:
-        expanded = node.expand()
-        assert isinstance(expanded, Selection)
-        return self._plan_selection(expanded)
+        The batch form of the reference ``_relabel``, as a projection of
+        renamed attribute references (which copies no value): by name when
+        the two schemas name the same attributes — a set operation's right
+        input may list them in another order — otherwise positionally, which
+        is how ``rdup``, ``\\`` and ``∪`` demote ``T1``/``T2`` to ``1.T1``/``1.T2``.
+        """
+        child = self._plan(node)
+        source = child.output_schema
+        if source.attributes == schema.attributes:
+            return child
+        by_name = source.attribute_set() == schema.attribute_set()
+        if not by_name and [source.domain_of(a).name for a in source.attributes] != [
+            schema.domain_of(a).name for a in schema.attributes
+        ]:
+            raise SchemaError(f"cannot relabel {source} positionally as {schema}")
+        items = [
+            ProjectionItem(AttributeRef(target if by_name else name), alias=target)
+            for name, target in zip(source.attributes, schema.attributes)
+        ]
+        return self._admit(ProjectOp(items, schema, child))
 
-    def _emulate(self, node: Operation) -> PhysicalOperator:
+    def _join(
+        self,
+        split: JoinSplit,
+        predicate,
+        output_schema: RelationSchema,
+        inputs: Operation,
+    ) -> BatchOperator:
+        """Hash join on the split's equi keys, else a nested loop.
+
+        A keyless split keeps the *whole* predicate as the residual of a
+        nested loop, overlap pair included — the DBMS never runs the
+        interval join (see the module docstring).
+        """
+        left = self._plan(inputs.children[0])
+        right = self._plan(inputs.children[1])
+        if split.equi_left_indexes:
+            return HashJoinOp(split, output_schema, left, right)
+        keyless = replace(split, overlap_names=None, overlap_indexes=None, residual=predicate)
+        return NestedLoopJoinOp(keyless, output_schema, left, right)
+
+    def _emulate(self, node: Operation) -> BatchOperator:
         """Materialise the inputs and run the reference temporal implementation."""
         child_relations = [self._plan(child).to_relation() for child in node.children]
         result = node._evaluate(child_relations, EvaluationContext())
         self.report.emulated_operations.append(node.label())
-        return MaterializedInput(result, note=f"emulated {node.symbol}")
+        return self._admit(SourceOp(result, f"emulated {node.symbol}"))

@@ -20,14 +20,16 @@ object raises when the request should stop:
   gating pattern the observability clock uses).
 
 The check interval trades responsiveness for overhead: at the default of
-128 tuples the per-tuple cost is one integer modulo, and a cancel lands
-within 128 pulled tuples plus one operator drain.
+128 tuples the cost is one integer division per batch, and a cancel lands
+within 128 pulled tuples (or one batch, if larger) plus one operator drain.
+The one place that ticks is the drain of a physical operator
+(:meth:`repro.core.physical.BatchOperator.batches`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..core.exceptions import (
     CancelledError,
@@ -147,7 +149,7 @@ class ExecutionControl:
     :class:`ResourceGuard` and the armed-fault registry behind one object:
     executors keep a single ``_control`` attribute that is ``None`` on the
     default path — the same one-branch gating as the observability timer —
-    and call :meth:`tick` every ``interval`` tuples when it is not.
+    and call :meth:`tick` once per ``interval`` tuples when it is not.
     """
 
     __slots__ = ("token", "guard", "interval", "_faults")
@@ -182,19 +184,3 @@ class ExecutionControl:
             self.guard.charge_rows(self.interval)
         if self._faults.active:
             self._faults.check(point, token=token)
-
-    def guarded(self, iterator: Iterator, point: str) -> Iterator:
-        """Wrap a tuple iterator with a control check every ``interval`` pulls.
-
-        Also checks once at drain start, so latency and error injection at
-        ``point`` fire even for operators over tiny inputs, and a cancel
-        never has to wait for the first full interval.
-        """
-        self.tick(point)
-        interval = self.interval
-        count = 0
-        for item in iterator:
-            count += 1
-            if not count % interval:
-                self.tick(point)
-            yield item

@@ -21,6 +21,13 @@ from typing import Any, Dict, Optional
 DEFAULT_BATCH_SIZE = 1024
 
 
+def check_batch_size(batch_size: int) -> int:
+    """Return ``batch_size`` if it is a valid chunk size (a positive integer)."""
+    if not isinstance(batch_size, int) or batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+    return batch_size
+
+
 @dataclass(frozen=True)
 class ExecutionOptions:
     """Execution configuration shared by database, session and server.
@@ -45,8 +52,8 @@ class ExecutionOptions:
       translated plan as-is; useful in benchmarks and tests).
     * ``strategy`` — plan-search strategy, ``"memo"`` (default) or
       ``"exhaustive"`` (validated by the optimizer).
-    * ``batch_size`` — rows per columnar chunk in the stratum's physical
-      engine, a positive integer.
+    * ``batch_size`` — rows per columnar chunk of the physical operators
+      (both engines), a positive integer.
     * ``tracer`` — a :class:`~repro.obs.trace.Tracer` for structured
       per-request traces (``None``: tracing off).
     * ``metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry`; the
@@ -72,10 +79,7 @@ class ExecutionOptions:
     max_bytes_per_request: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
+        check_batch_size(self.batch_size)
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
         """A copy with the given fields replaced (the instance is frozen).

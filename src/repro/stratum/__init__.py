@@ -12,7 +12,6 @@ from .physical import (
     HashJoinOp,
     IntervalJoinOp,
     NestedLoopJoinOp,
-    StratumOperator,
     lower_plan,
 )
 from .temporal_exec import (
@@ -33,7 +32,6 @@ __all__ = [
     "STRATUM",
     "StratumExecutionReport",
     "StratumExecutor",
-    "StratumOperator",
     "TemporalDatabase",
     "TemporalQueryOptimizer",
     "coalesce_fast",

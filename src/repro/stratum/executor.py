@@ -7,9 +7,10 @@ Execution is recursive over the plan:
   splicing their materialised results back in as literal relations);
 * every node above runs in the stratum, using the efficient temporal
   implementations of :mod:`repro.stratum.temporal_exec` for the temporal
-  operations, the columnar operators of :mod:`repro.stratum.physical` for
-  the pipelinable conventional ones (degrading to the reference semantics
-  when a region fails), and the reference semantics for the rest;
+  operations, the batch operators of :mod:`repro.core.physical` (lowered by
+  :mod:`repro.stratum.physical`) for the pipelinable conventional ones
+  (degrading to the reference semantics when a region fails), and the
+  reference semantics for the rest;
 * a base relation referenced directly from stratum territory is fetched from
   the DBMS catalog — logically an implicit transfer, which the execution
   report counts as such.
@@ -44,7 +45,7 @@ from ..core.operations.base import EvaluationContext
 from ..core.relation import Relation
 from ..dbms.engine import ConventionalDBMS
 from ..dbms.executor import OperatorSpan
-from ..options import DEFAULT_BATCH_SIZE
+from ..options import DEFAULT_BATCH_SIZE, check_batch_size
 from .physical import is_pipelined, lower_plan
 from .temporal_exec import (
     coalesce_fast,
@@ -94,12 +95,11 @@ class StratumExecutor:
         control=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if not isinstance(batch_size, int) or batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
         self._dbms = dbms
         self._optimize_dbms_fragments = optimize_dbms_fragments
-        #: Rows per chunk of the physical engine (:mod:`repro.stratum.physical`).
-        self._batch_size = batch_size
+        #: Rows per chunk of the physical operators (:mod:`repro.core.physical`),
+        #: in the stratum's regions and in the DBMS fragments alike.
+        self._batch_size = check_batch_size(batch_size)
         #: With a ``clock`` (a monotonic callable; observability on) the
         #: report also carries per-node wall-clock intervals and the timed
         #: operator drains inside DBMS fragments.  Without one — the
@@ -166,7 +166,7 @@ class StratumExecutor:
         """Lower a pipelinable region to physical operators and drain it.
 
         Selections, projections, sorts, products and the join idioms execute
-        through :mod:`repro.stratum.physical` — hash/interval joins instead
+        through :mod:`repro.core.physical` — hash/interval joins instead
         of materialised Cartesian products, column-wise kernels instead of
         per-tuple expression-tree walks.  Boundary subtrees (transfers, base
         relations, the temporal operations) are materialised through the
@@ -185,12 +185,13 @@ class StratumExecutor:
         """
         try:
             root = lower_plan(
-                node, path, self._execute_stratum, batch_size=self._batch_size
+                node,
+                path,
+                self._execute_stratum,
+                batch_size=self._batch_size,
+                clock=self._clock,
+                control=self._control,
             )
-            if self._clock is not None or self._control is not None:
-                for operator in root.operators():
-                    operator._timer = self._clock
-                    operator._control = self._control
             relation = root.to_relation()
         except (CancelledError, ResourceExhaustedError):
             raise
@@ -247,6 +248,7 @@ class StratumExecutor:
             optimize=self._optimize_dbms_fragments,
             clock=self._clock,
             control=self._control,
+            batch_size=self._batch_size,
         )
         self.report.dbms_operator_spans.extend(result.report.operator_spans)
         self.report.dbms_emulated_operations.extend(result.report.emulated_operations)

@@ -19,9 +19,15 @@ from repro.core.expressions import (
     Comparison,
     ComparisonOperator,
     Literal,
+    agg_max,
+    agg_sum,
+    count,
 )
 from repro.core.operations import (
+    Aggregation,
     CartesianProduct,
+    Difference,
+    DuplicateElimination,
     Join,
     LiteralRelation,
     Operation,
@@ -30,7 +36,10 @@ from repro.core.operations import (
     Sort,
     TemporalCartesianProduct,
     TemporalJoin,
+    Union,
+    UnionAll,
 )
+from repro.core.period import T1, T2
 from repro.core.order_spec import OrderSpec, SortKey, SortDirection
 from repro.core.relation import Relation
 from repro.core.schema import INTEGER, RelationSchema, STRING
@@ -271,3 +280,127 @@ def order_specs(draw, attributes: PyTuple[str, ...] = ("Name", "Dept")) -> Order
         direction = draw(st.sampled_from([SortDirection.ASC, SortDirection.DESC]))
         keys.append(SortKey(attribute, direction))
     return OrderSpec(keys)
+
+
+# ---------------------------------------------------------------------------
+# Conventional plans: everything the DBMS's planner admits
+# ---------------------------------------------------------------------------
+
+#: ``SNAPSHOT_SCHEMA`` with the attribute order permuted — union-compatible
+#: with it (schemas are attribute *sets*), so a set operation's right input
+#: may arrive in this layout and must be aligned by name.
+PERMUTED_SNAPSHOT_SCHEMA = RelationSchema.snapshot(
+    [("Amount", INTEGER), ("Name", STRING)], name="P"
+)
+
+
+@st.composite
+def _selection_over(draw, plan: Operation) -> Operation:
+    schema = plan.output_schema()
+    attribute = draw(st.sampled_from(schema.attributes))
+    if schema.domain_of(attribute).name == STRING.name:
+        value = draw(st.sampled_from(NAMES + DEPARTMENTS + CODES))
+        operator = draw(st.sampled_from([ComparisonOperator.EQ, ComparisonOperator.NE]))
+    else:
+        value = draw(st.integers(min_value=1, max_value=6))
+        operator = draw(st.sampled_from(list(ComparisonOperator)))
+    return Selection(Comparison(operator, AttributeRef(attribute), Literal(value)), plan)
+
+
+@st.composite
+def _projection_over(draw, plan: Operation) -> Operation:
+    attributes = plan.output_schema().attributes
+    chosen = draw(st.lists(st.sampled_from(attributes), unique=True, min_size=1))
+    if (T1 in chosen) != (T2 in chosen):  # a schema carries both or neither
+        chosen = [a for a in chosen if a not in (T1, T2)] or list(attributes)
+    return Projection(chosen, plan)
+
+
+@st.composite
+def _aggregation_over(draw, plan: Operation) -> Operation:
+    schema = plan.output_schema()
+    grouping = draw(st.lists(st.sampled_from(schema.attributes), unique=True, max_size=2))
+    functions = [count(alias="n")]
+    numeric = [a for a in schema.attributes if schema.domain_of(a).name != STRING.name]
+    if numeric and draw(st.booleans()):
+        argument = draw(st.sampled_from(numeric))
+        functions += [agg_sum(argument, alias="total"), agg_max(argument, alias="top")]
+    return Aggregation(grouping, functions, plan)
+
+
+@st.composite
+def _unary_stack(draw, plan: Operation, max_depth: int = 3) -> Operation:
+    """``plan`` under up to ``max_depth`` of σ, π, sort, rdup and γ."""
+    for _ in range(draw(st.integers(min_value=0, max_value=max_depth))):
+        kinds = ["select", "project", "sort", "rdup"]
+        if "n" not in plan.output_schema().attributes:  # the aggregates' aliases are fixed
+            kinds.append("aggregate")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "select":
+            plan = draw(_selection_over(plan))
+        elif kind == "project":
+            plan = draw(_projection_over(plan))
+        elif kind == "sort":
+            plan = Sort(draw(order_specs(plan.output_schema().attributes)), plan)
+        elif kind == "rdup":
+            plan = DuplicateElimination(plan)
+        else:
+            plan = draw(_aggregation_over(plan))
+    return plan
+
+
+@st.composite
+def _permuted_snapshot_relations(draw, max_size: int = 8) -> Relation:
+    rows = draw(st.lists(snapshot_rows(), min_size=0, max_size=max_size))
+    return Relation.from_rows(PERMUTED_SNAPSHOT_SCHEMA, [(amount, name) for name, amount in rows])
+
+
+@st.composite
+def conventional_plans(draw, max_size: int = 8) -> Operation:
+    """A plan over literal relations using only conventional operations.
+
+    Covers every operation the DBMS's planner compiles natively — σ, π, sort
+    (mixed ASC/DESC), rdup, γ, ×, ⋈, ∪ALL, ∪ and \\ — including the shapes
+    that need a relabel: temporal inputs under rdup/\\/∪/γ (``T1`` becomes
+    ``1.T1``) and a set operation whose right input lists the attributes in
+    another order.  Join predicates come from :func:`join_predicates`, so a
+    keyless ``ls < re ∧ rs < le`` overlap pair occurs.
+    """
+    shape = draw(st.sampled_from(["unary", "set", "join"]))
+    if shape == "unary":
+        leaf = draw(
+            st.one_of(
+                snapshot_relations(max_size),
+                temporal_relations(max_size=max_size),
+                _permuted_snapshot_relations(max_size),
+            )
+        )
+        plan: Operation = LiteralRelation(leaf)
+    elif shape == "set":
+        if draw(st.booleans()):
+            left = draw(snapshot_relations(max_size))
+            right = draw(st.one_of(snapshot_relations(max_size), _permuted_snapshot_relations(max_size)))
+        else:
+            left = draw(temporal_relations(max_size=max_size))
+            right = draw(temporal_relations(schema=TEMPORAL_SCHEMA_2, max_size=max_size))
+        operation = draw(st.sampled_from([UnionAll, Union, Difference]))
+        plan = operation(
+            draw(_unary_stack(LiteralRelation(left), max_depth=1).filter(_keeps_schema(left))),
+            draw(_unary_stack(LiteralRelation(right), max_depth=1).filter(_keeps_schema(right))),
+        )
+    else:
+        left = LiteralRelation(draw(temporal_relations(max_size=max_size)))
+        right = LiteralRelation(draw(join_right_relations(max_size=max_size)))
+        if draw(st.booleans()):
+            plan = CartesianProduct(left, right)
+            if draw(st.booleans()):
+                plan = Selection(draw(join_predicates(temporal=False)), plan)
+        else:
+            plan = Join(draw(join_predicates(temporal=False)), left, right)
+    return draw(_unary_stack(plan))
+
+
+def _keeps_schema(relation: Relation):
+    """Filter: the plan still produces ``relation``'s attributes, in order."""
+    attributes = relation.schema.attributes
+    return lambda plan: plan.output_schema().attributes == attributes

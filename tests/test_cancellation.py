@@ -12,6 +12,9 @@ from repro.core.exceptions import (
     DeadlineExceededError,
     ResourceExhaustedError,
 )
+from repro.core.physical import SourceOp
+from repro.core.relation import Relation
+from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.faults import (
     FAULTS,
     CancellationToken,
@@ -22,6 +25,8 @@ from repro.options import ExecutionOptions
 from repro.server import Server
 from repro.session import Session
 from repro.workloads import employee_relation, project_relation
+
+SNAPSHOT = RelationSchema.snapshot([("Name", STRING), ("Amount", INTEGER)])
 
 
 class TestCancellationToken:
@@ -98,20 +103,17 @@ class TestExecutionControl:
         with pytest.raises(CancelledError):
             control.tick("stratum.pull")
 
-    def test_guarded_iterator_stops_within_one_interval(self):
+    def test_a_drain_stops_within_one_interval_of_the_cancel(self):
         token = CancellationToken()
         control = ExecutionControl(token=token, interval=10)
+        source = SourceOp(Relation.from_rows(SNAPSHOT, [("n", i) for i in range(1000)]))
+        source.instrument("dbms.scan", 1, control=control)
         pulled = []
-
-        def source():
-            for i in range(1000):
-                if i == 15:
-                    token.cancel()
-                yield i
-
         with pytest.raises(CancelledError):
-            for item in control.guarded(source(), "dbms.scan"):
-                pulled.append(item)
+            for batch in source.batches():
+                pulled.extend(batch.rows())
+                if len(pulled) == 15:
+                    token.cancel()
         # cancelled at tuple 15, next check at tuple 20: within one interval
         assert 15 <= len(pulled) <= 20
 

@@ -1,7 +1,7 @@
 """The columnar batch engine: identical results at every chunking.
 
-The stratum's physical operators execute columnar ``ColumnBatch`` chunks
-(see ``docs/architecture.md#columnar-execution``).  Because the algebra is
+The physical operators execute columnar ``ColumnBatch`` chunks (see
+``docs/architecture.md#physical-execution``).  Because the algebra is
 list-based, correctness is *sequence* identity, not multiset identity — so
 the contract tested here is strict: for any join-shaped plan and any batch
 size (including 1, sizes that straddle operator boundaries, and sizes
@@ -20,9 +20,7 @@ from repro.core.expressions import (
     AttributeRef,
     Comparison,
     ComparisonOperator,
-    Expression,
     Literal,
-    guarded_compile,
 )
 from repro.core.operations import (
     BaseRelation,
@@ -40,7 +38,7 @@ from repro.core.tuples import Tuple
 from repro.dbms.engine import ConventionalDBMS
 from repro.faults import ExecutionControl
 from repro.session import Session
-from repro.stratum.columnar import BatchBuilder, ColumnBatch
+from repro.core.columnar import ColumnBatch
 from repro.stratum.executor import StratumExecutor
 from repro.options import ExecutionOptions
 from repro.workloads import (
@@ -205,19 +203,31 @@ class TestColumnBatch:
         assert rebuilt.schema.attributes == self.SCHEMA.attributes
         assert rebuilt["Name"] == "Mia" and rebuilt["Amount"] == 3
 
+    def test_a_tuple_slice_is_transposed_on_first_read_of_its_columns(self):
+        permuted = RelationSchema.snapshot(
+            [("Amount", INTEGER), ("Name", STRING)], name="C"
+        )
+        tuples = (
+            Tuple(self.SCHEMA, {"Name": "John", "Amount": 1}),
+            Tuple(permuted, {"Amount": 3, "Name": "Mia"}),
+        )
+        batch = ColumnBatch.from_tuples(self.SCHEMA, tuples)
+        assert batch._columns is None and batch.length == 2
+        # Row-wise readers (sort, hash build) never need the columns ...
+        assert list(batch.rows()) == [("John", 1), ("Mia", 3)]
+        assert batch._columns is None
+        # ... kernels do, and get the same normalised values.
+        assert batch.columns == [["John", "Mia"], [1, 3]]
+        assert list(batch.rows()) == [("John", 1), ("Mia", 3)]
+        assert batch.take([1]).columns == [["Mia"], [3]]
+        empty = ColumnBatch.from_tuples(self.SCHEMA, ())
+        assert empty.columns == [[], []] and list(empty.rows()) == []
+
     def test_take_gathers_a_selection(self):
         batch = ColumnBatch(self.SCHEMA, [["a", "b", "c"], [1, 2, 3]], 3)
         taken = batch.take([0, 2])
         assert taken.columns == [["a", "c"], [1, 3]]
         assert taken.length == 2
-
-    def test_builder_chunks_at_the_configured_size(self):
-        builder = BatchBuilder(self.SCHEMA, 2)
-        emitted = [b for row in [("a", 1), ("b", 2), ("c", 3)] if (b := builder.add(row))]
-        assert [b.length for b in emitted] == [2]
-        tail = builder.flush()
-        assert tail is not None and tail.length == 1
-        assert builder.flush() is None
 
     def test_trusted_tuples_equal_validated_tuples(self):
         validated = Tuple(self.SCHEMA, {"Name": "John", "Amount": 1})
@@ -225,46 +235,3 @@ class TestColumnBatch:
         assert trusted == validated
         assert hash(trusted) == hash(validated)
         assert trusted["Amount"] == 1
-
-
-class CountingExpression(Expression):
-    """Delegates to a wrapped expression, recording every ``compile`` call."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.compiles = []
-
-    def compile(self, schema=None):
-        self.compiles.append(schema.attributes)
-        return self.inner.compile(schema)
-
-
-class TestPermutationCache:
-    """``guarded_compile`` recompiles once per distinct attribute order."""
-
-    SCHEMA = RelationSchema.snapshot([("Name", STRING), ("Amount", INTEGER)], name="C")
-    PERMUTED = RelationSchema.snapshot([("Amount", INTEGER), ("Name", STRING)], name="C")
-
-    def test_recompile_runs_once_per_layout(self):
-        expression = CountingExpression(
-            Comparison(ComparisonOperator.GT, AttributeRef("Amount"), Literal(1))
-        )
-        guarded = guarded_compile(expression, self.SCHEMA)
-        aligned = Tuple(self.SCHEMA, {"Name": "John", "Amount": 1})
-        permuted = [
-            Tuple(self.PERMUTED, {"Amount": i, "Name": "Anna"}) for i in range(50)
-        ]
-        assert guarded(aligned) is False
-        results = [guarded(tup) for tup in permuted]
-        assert results == [i > 1 for i in range(50)]
-        # The compile-time layout, then 50 permuted tuples of one layout:
-        # exactly one recompilation.
-        assert expression.compiles == [("Name", "Amount"), ("Amount", "Name")]
-
-    def test_permuted_tuples_evaluate_like_aligned_ones(self):
-        expression = Comparison(
-            ComparisonOperator.GT, AttributeRef("Amount"), Literal(1)
-        )
-        guarded = guarded_compile(expression, self.SCHEMA)
-        assert guarded(Tuple(self.PERMUTED, {"Amount": 5, "Name": "Mia"})) is True
-        assert guarded(Tuple(self.SCHEMA, {"Name": "Mia", "Amount": 5})) is True

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.equivalence import multiset_equivalent
 from repro.core.exceptions import CatalogError
-from repro.core.expressions import And, Comparison, ComparisonOperator, attribute, count, equals, greater_than
+from repro.core.expressions import And, Comparison, ComparisonOperator, attribute, count, equals
 from repro.core.operations import (
     Aggregation,
     BaseRelation,
@@ -23,7 +23,8 @@ from repro.core.operations import (
 )
 from repro.core.operations.base import EvaluationContext
 from repro.core.order_spec import OrderSpec
-from repro.dbms import ConventionalDBMS, PhysicalPlanner, extract_equi_join
+from repro.core.physical import HashJoinOp, NestedLoopJoinOp
+from repro.dbms import ConventionalDBMS, PhysicalPlanner
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA
 
 
@@ -132,30 +133,37 @@ class TestEmulatedTemporalOperations:
         assert multiset_equivalent(outcome.relation, expected)
 
 
-class TestEquiJoinExtraction:
-    def test_single_equality(self):
-        predicate = Comparison(ComparisonOperator.EQ, attribute("A"), attribute("B"))
-        condition = extract_equi_join(predicate, ["A"], ["B"])
-        assert condition.left_keys == ("A",)
-        assert condition.right_keys == ("B",)
-        assert condition.residual is None
+class TestJoinAlgorithmChoice:
+    """The planner reads ``core.joinsplit``: hash on equi keys, else nested loop."""
 
-    def test_reversed_sides(self):
-        predicate = Comparison(ComparisonOperator.EQ, attribute("B"), attribute("A"))
-        condition = extract_equi_join(predicate, ["A"], ["B"])
-        assert condition.left_keys == ("A",)
+    @staticmethod
+    def _root(dbms, predicate):
+        plan = Selection(predicate, CartesianProduct(employee_scan(), project_scan()))
+        return PhysicalPlanner(dbms.catalog).plan(plan)
 
-    def test_conjunction_with_residual(self):
+    def test_single_equality(self, dbms):
+        root = self._root(dbms, Comparison(ComparisonOperator.EQ, attribute("1.EmpName"), attribute("2.EmpName")))
+        assert isinstance(root, HashJoinOp)
+        assert root.describe() == "HashJoin[hash: 1.EmpName=2.EmpName]"
+
+    def test_reversed_sides(self, dbms):
+        root = self._root(dbms, Comparison(ComparisonOperator.EQ, attribute("2.EmpName"), attribute("1.EmpName")))
+        assert root.describe() == "HashJoin[hash: 1.EmpName=2.EmpName]"
+
+    def test_conjunction_with_residual(self, dbms):
         predicate = And(
-            Comparison(ComparisonOperator.EQ, attribute("A"), attribute("B")),
-            greater_than("C", 5),
+            Comparison(ComparisonOperator.EQ, attribute("1.EmpName"), attribute("2.EmpName")),
+            equals("Dept", "Sales"),
         )
-        condition = extract_equi_join(predicate, ["A", "C"], ["B"])
-        assert condition.left_keys == ("A",)
-        assert condition.residual is not None
+        root = self._root(dbms, predicate)
+        assert isinstance(root, HashJoinOp)
+        assert root.describe().endswith("residual: Dept = 'Sales']")
 
-    def test_no_equality_returns_none(self):
-        assert extract_equi_join(greater_than("A", 5), ["A"], ["B"]) is None
+    def test_no_equality_is_a_nested_loop_over_the_whole_predicate(self, dbms):
+        predicate = equals("Dept", "Sales")
+        root = self._root(dbms, predicate)
+        assert isinstance(root, NestedLoopJoinOp)
+        assert root.describe() == f"NestedLoopJoin[nested-loop, residual: {predicate}]"
 
 
 class TestEngineFacade:
@@ -174,4 +182,4 @@ class TestEngineFacade:
     def test_explain_renders_physical_plan(self, dbms):
         plan = Sort(OrderSpec.ascending("EmpName"), employee_scan())
         explanation = dbms.explain(plan)
-        assert "Sort" in explanation and "TableScan" in explanation
+        assert "Sort" in explanation and "Source(EMPLOYEE" in explanation

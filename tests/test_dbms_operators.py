@@ -1,0 +1,331 @@
+"""The conventional DBMS on the shared batch operators.
+
+``PhysicalPlanner`` compiles a conventional plan to the operators of
+``repro.core.physical`` — the set the stratum runs on too.  The DBMS only
+promises *multiset* semantics, but one operator set means one behaviour to
+pin, so the contract here is the strict one: for generated plans over every
+operation the planner admits, every batch size yields the **same tuple
+sequence**, that sequence is multiset-equal to the reference (list-equal
+under a ``Sort`` root), and the drain accounting — rows, control ticks,
+spans — is the chunking-free count the per-tuple engine it replaced had.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+
+from repro.core.equivalence import multiset_equivalent
+from repro.core.exceptions import SchemaError
+from repro.core.expressions import And, AttributeRef, Comparison, ComparisonOperator, agg_sum, count
+from repro.core.operations import (
+    Aggregation,
+    BaseRelation,
+    CartesianProduct,
+    Coalescing,
+    Difference,
+    DuplicateElimination,
+    Join,
+    LiteralRelation,
+    Projection,
+    Selection,
+    Sort,
+    TemporalDuplicateElimination,
+    TransferToStratum,
+    Union,
+    UnionAll,
+)
+from repro.core.operations.base import EvaluationContext, ROOT_PATH
+from repro.core.order_spec import OrderSpec
+from repro.core.physical import (
+    BatchOperator,
+    DistinctOp,
+    IntervalJoinOp,
+    NestedLoopJoinOp,
+    SourceOp,
+)
+from repro.core.relation import Relation
+from repro.dbms import ConventionalDBMS, PhysicalPlanner
+from repro.dbms import executor as dbms_planner
+from repro.dbms.catalog import Catalog
+from repro.faults import ExecutionControl
+from repro.stratum import StratumExecutor
+from repro.stratum import physical as stratum_planner
+from repro.workloads import employee_relation
+
+from .strategies import (
+    JOIN_RIGHT_SCHEMA,
+    PERMUTED_SNAPSHOT_SCHEMA,
+    SNAPSHOT_SCHEMA,
+    TEMPORAL_SCHEMA,
+    conventional_plans,
+    join_shaped_plans,
+)
+
+CONTEXT = EvaluationContext()
+BATCH_SIZES = (1, 2, 7, 1024)
+
+OVERLAP = And(
+    Comparison(ComparisonOperator.LT, AttributeRef("1.T1"), AttributeRef("2.T2")),
+    Comparison(ComparisonOperator.LT, AttributeRef("2.T1"), AttributeRef("1.T2")),
+)
+
+
+def snapshot(*rows):
+    return LiteralRelation(Relation.from_rows(SNAPSHOT_SCHEMA, rows))
+
+
+def temporal(*rows):
+    return LiteralRelation(Relation.from_rows(TEMPORAL_SCHEMA, rows))
+
+
+def run_dbms(plan, batch_size=1024, **kwargs):
+    return PhysicalPlanner(Catalog(), batch_size=batch_size, **kwargs).execute(plan)
+
+
+def values(relation):
+    return [tup.values() for tup in relation]
+
+
+class CountingControl(ExecutionControl):
+    """Counts ticks per fault point; a small interval makes row ticks visible."""
+
+    def __init__(self, interval=3):
+        super().__init__(interval=interval)
+        self.ticks = Counter()
+
+    def tick(self, point):
+        self.ticks[point] += 1
+        super().tick(point)
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(conventional_plans())
+    def test_every_batch_size_yields_one_sequence_equal_to_the_reference(self, plan):
+        reference = plan.evaluate(CONTEXT)
+        results = [run_dbms(plan, batch_size) for batch_size in BATCH_SIZES]
+        first = results[0]
+        assert first.schema.attributes == reference.schema.attributes
+        if isinstance(plan, Sort):
+            assert list(first.tuples) == list(reference.tuples)
+            assert first.order == plan.sort_order
+        else:
+            assert multiset_equivalent(first, reference), plan.pretty()
+        for other in results[1:]:
+            assert list(other.tuples) == list(first.tuples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conventional_plans())
+    def test_operators_are_admissible_redrainable_and_emit_their_own_schema(self, plan):
+        root = PhysicalPlanner(Catalog(), batch_size=2).plan(plan)
+        for operator in root.operators():
+            assert type(operator) in dbms_planner.ADMISSIBLE_OPERATORS
+            assert operator.fault_point == dbms_planner.FAULT_POINT == "dbms.scan"
+            first = [batch for batch in operator.batches()]
+            assert all(batch.schema is operator.output_schema for batch in first)
+            assert all(0 < batch.length <= 2 for batch in first)
+            rows = [row for batch in first for row in batch.rows()]
+            assert [row for batch in operator.batches() for row in batch.rows()] == rows
+            assert operator.rows_out == len(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(join_shaped_plans())
+    def test_the_stratum_builds_only_its_admissible_operators(self, plan):
+        root = stratum_planner.lower_plan(
+            plan, ROOT_PATH, lambda node, path: node.relation, batch_size=2
+        )
+        for operator in root.operators():
+            assert isinstance(operator, BatchOperator)
+            assert type(operator) in stratum_planner.ADMISSIBLE_OPERATORS
+            assert operator.fault_point == stratum_planner.FAULT_POINT == "stratum.pull"
+            for batch in operator.batches():
+                assert batch.schema is operator.output_schema and 0 < batch.length <= 2
+
+    def test_the_engines_differ_by_the_interval_join_and_the_multiset_operators(self):
+        stratum = set(stratum_planner.ADMISSIBLE_OPERATORS)
+        dbms = set(dbms_planner.ADMISSIBLE_OPERATORS)
+        assert stratum - dbms == {IntervalJoinOp}
+        assert {op.__name__ for op in dbms - stratum} == {
+            "DistinctOp", "AggregateOp", "UnionAllOp", "DifferenceOp", "UnionOp",
+        }
+
+
+class TestAccounting:
+    @settings(max_examples=80, deadline=None)
+    @given(conventional_plans())
+    def test_ticks_follow_the_closed_form_at_every_batch_size(self, plan):
+        for batch_size in BATCH_SIZES:
+            control = CountingControl(interval=3)
+            planner = PhysicalPlanner(Catalog(), control=control, batch_size=batch_size)
+            planner.execute(plan)
+            expected = sum(1 + operator.rows_out // 3 for operator in planner.operators)
+            assert control.ticks == {"dbms.scan": expected}
+
+    @settings(max_examples=60, deadline=None)
+    @given(conventional_plans())
+    def test_operator_spans_report_rows_out(self, plan):
+        ticks = iter(range(10**6))
+        planner = PhysicalPlanner(Catalog(), clock=lambda: float(next(ticks)), batch_size=2)
+        result = planner.execute(plan)
+        spans = planner.report.operator_spans
+        assert [span.rows for span in spans] == [op.rows_out for op in planner.operators]
+        assert [span.operator for span in spans] == [op.describe() for op in planner.operators]
+        assert all(span.duration > 0 for span in spans)
+        assert spans[-1].rows == len(result)  # the root is admitted last
+        relabels = sum(
+            isinstance(node, (DuplicateElimination, Difference, Union, UnionAll))
+            for _, node in plan.locations()
+        )
+        assert 0 <= len(planner.operators) - planner.report.native_operations <= 2 * relabels
+
+    def test_no_clock_no_spans(self):
+        planner = PhysicalPlanner(Catalog())
+        planner.execute(snapshot(("a", 1)))
+        assert planner.report.operator_spans == []
+
+    def test_span_names(self):
+        ticks = iter(range(100))
+        plan = Selection(
+            Comparison(ComparisonOperator.GT, AttributeRef("Amount"), AttributeRef("Amount")),
+            DuplicateElimination(snapshot(("a", 1), ("a", 1))),
+        )
+        planner = PhysicalPlanner(Catalog(), clock=lambda: float(next(ticks)))
+        planner.execute(plan)
+        assert [span.operator for span in planner.report.operator_spans] == [
+            "Source(literal, rows=2)",
+            "Distinct",
+            "Filter(Amount > Amount)",
+        ]
+
+    def test_invalid_batch_size_is_rejected(self):
+        for invalid in (0, -1, 1.5, None):
+            with pytest.raises(ValueError):
+                PhysicalPlanner(Catalog(), batch_size=invalid)
+
+
+class TestPlannerChoices:
+    def test_keyless_overlap_predicate_is_a_nested_loop_not_an_interval_join(self):
+        left = temporal(("John", "Sales", 1, 5), ("Anna", "Ads", 2, 8))
+        right = LiteralRelation(
+            Relation.from_rows(JOIN_RIGHT_SCHEMA, [("John", "X", 2, 6), ("Mia", "Y", 7, 9)])
+        )
+        for plan in (Join(OVERLAP, left, right), Selection(OVERLAP, CartesianProduct(left, right))):
+            root = PhysicalPlanner(Catalog()).plan(plan)
+            assert isinstance(root, NestedLoopJoinOp)
+            assert not any(isinstance(op, IntervalJoinOp) for op in root.operators())
+            assert root.describe() == f"NestedLoopJoin[nested-loop, residual: {OVERLAP}]"
+            assert multiset_equivalent(root.to_relation(), plan.evaluate(CONTEXT))
+        # The same predicate in stratum territory does get the interval join.
+        lowered = stratum_planner.lower_plan(
+            Join(OVERLAP, left, right), ROOT_PATH, lambda node, path: node.relation
+        )
+        assert isinstance(lowered, IntervalJoinOp)
+
+    def test_temporal_inputs_are_relabelled_positionally(self):
+        argument = temporal(("John", "Sales", 1, 5), ("John", "Sales", 1, 5), ("Anna", "Ads", 2, 8))
+        root = PhysicalPlanner(Catalog()).plan(DuplicateElimination(argument))
+        assert isinstance(root, DistinctOp)
+        (relabel,) = root.children()
+        assert relabel.describe() == "Project(Name, Dept, T1 AS 1.T1, T2 AS 1.T2)"
+        assert values(root.to_relation()) == [("John", "Sales", 1, 5), ("Anna", "Ads", 2, 8)]
+
+    def test_snapshot_inputs_need_no_relabel(self):
+        root = PhysicalPlanner(Catalog()).plan(DuplicateElimination(snapshot(("a", 1))))
+        assert isinstance(root.children()[0], SourceOp)
+
+    def test_permuted_right_input_is_aligned_by_name(self):
+        left = snapshot(("a", 1), ("a", 1), ("b", 2))
+        right = LiteralRelation(
+            Relation.from_rows(PERMUTED_SNAPSHOT_SCHEMA, [(1, "a"), (3, "c")])
+        )
+        assert values(run_dbms(Difference(left, right))) == [("a", 1), ("b", 2)]
+        assert values(run_dbms(UnionAll(left, right)))[-2:] == [("a", 1), ("c", 3)]
+        assert values(run_dbms(Union(left, right))) == [("a", 1), ("a", 1), ("b", 2), ("c", 3)]
+
+    def test_positional_relabel_rejects_mismatched_domains(self):
+        # Like the reference ``_relabel``: a temporal right input in another
+        # attribute order cannot be matched up position by position.
+        right = Relation.from_rows(TEMPORAL_SCHEMA.project(["T1", "T2", "Name", "Dept"]), [])
+        plan = Difference(temporal(), LiteralRelation(right))
+        with pytest.raises(SchemaError):
+            PhysicalPlanner(Catalog()).plan(plan)
+
+    def test_union_keeps_the_first_surplus_occurrences_in_right_order(self):
+        left = snapshot(("a", 1))
+        right = snapshot(("a", 1), ("b", 2), ("a", 1), ("b", 2))
+        plan = Union(left, right)
+        for batch_size in BATCH_SIZES:
+            result = run_dbms(plan, batch_size)
+            assert list(result.tuples) == list(plan.evaluate(CONTEXT).tuples)
+            assert values(result) == [("a", 1), ("a", 1), ("b", 2), ("b", 2)]
+
+    def test_aggregate_relabels_grouped_time_attributes(self):
+        argument = temporal(("John", "Sales", 1, 5), ("Anna", "Ads", 1, 8), ("Mia", "Ads", 2, 8))
+        plan = Aggregation(["T1"], [count(alias="n"), agg_sum("T2", alias="total")], argument)
+        result = run_dbms(plan)
+        assert result.schema.attributes == ("1.T1", "n", "total")
+        assert values(result) == [(1, 2, 13), (2, 1, 8)]
+
+    def test_a_bare_scan_hands_over_the_stored_relation_and_is_still_accounted(self):
+        dbms = ConventionalDBMS()
+        stored = dbms.load_relation("EMPLOYEE", employee_relation()).relation
+        ticks = iter(range(100))
+        control = CountingControl(interval=2)
+        outcome = dbms.execute(
+            BaseRelation("EMPLOYEE", stored.schema),
+            clock=lambda: float(next(ticks)),
+            control=control,
+            batch_size=2,
+        )
+        assert outcome.relation is stored  # no tuple taken apart and rebuilt
+        assert control.ticks == {"dbms.scan": 1 + len(stored) // 2}
+        (span,) = outcome.report.operator_spans
+        assert (span.operator, span.rows) == (f"Source(EMPLOYEE, rows={len(stored)})", len(stored))
+
+    def test_transfers_inside_a_fragment_are_identities(self):
+        plan = TransferToStratum(Sort(OrderSpec.of("Amount DESC"), snapshot(("a", 1), ("b", 2))))
+        result = run_dbms(plan)
+        assert values(result) == [("b", 2), ("a", 1)]
+        assert result.order == OrderSpec.of("Amount DESC")
+
+
+class TestEmulation:
+    def test_emulated_temporal_fragments_are_counted_and_drain_under_control(self):
+        dbms = ConventionalDBMS()
+        dbms.load_relation("EMPLOYEE", employee_relation())
+        plan = Coalescing(
+            TemporalDuplicateElimination(
+                Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))
+            )
+        )
+        control = CountingControl(interval=2)
+        outcome = dbms.execute(plan, optimize=False, control=control, batch_size=2)
+        assert outcome.report.emulated_operations == ["rdupT", "coalT"]
+        assert multiset_equivalent(outcome.relation, plan.evaluate(CONTEXT))
+        # Source and projection drain during compilation, under the same control.
+        assert control.ticks["dbms.scan"] > 4
+
+    def test_the_stratum_passes_its_batch_size_and_reports_the_emulations(self, monkeypatch):
+        dbms = ConventionalDBMS()
+        dbms.load_relation("EMPLOYEE", employee_relation())
+        plan = TransferToStratum(
+            TemporalDuplicateElimination(
+                Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))
+            )
+        )
+        seen = []
+        original = BatchOperator.batches
+
+        def recording(self):
+            seen.append(self.batch_size)
+            return original(self)
+
+        executor = StratumExecutor(dbms, optimize_dbms_fragments=False, batch_size=3)
+        monkeypatch.setattr(BatchOperator, "batches", recording)
+        executor.execute(plan)
+        assert seen and set(seen) == {3}
+        assert executor.report.dbms_emulated_operations == ["rdupT"]
+        assert executor.report.dbms_calls == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.columnar import ColumnBatch
 from repro.core.exceptions import AttributeNotFound, EvaluationError
 from repro.core.expressions import (
     AggregateFunction,
@@ -12,6 +13,7 @@ from repro.core.expressions import (
     AttributeRef,
     Comparison,
     ComparisonOperator,
+    Expression,
     Literal,
     Not,
     Or,
@@ -171,8 +173,14 @@ class TestAggregates:
         assert count().to_sql() == "COUNT(*) AS count"
 
 
-class TestCompilation:
-    """``Expression.compile`` closures agree with tree-walking ``evaluate``."""
+def run_kernel(expression, tuples):
+    """Apply ``expression``'s batch kernel to ``tuples`` as one column batch."""
+    batch = ColumnBatch.from_tuples(SCHEMA, tuples)
+    return list(expression.compile_batch(SCHEMA)(batch.columns, batch.length))
+
+
+class TestBatchKernels:
+    """``compile_batch`` kernels agree with tree-walking ``evaluate``."""
 
     CASES = [
         equals("Name", "John"),
@@ -189,52 +197,48 @@ class TestCompilation:
         attribute("Amount"),
     ]
 
-    def test_compiled_matches_evaluate(self):
+    def test_kernel_matches_evaluate(self):
         tuples = [row(), row("Anna", 2), row("Mia", 10)]
         for expression in self.CASES:
-            schemaless = expression.compile()
-            positional = expression.compile(SCHEMA)
-            for tup in tuples:
-                expected = expression.evaluate(tup)
-                assert schemaless(tup) == expected
-                assert positional(tup) == expected
+            expected = [expression.evaluate(tup) for tup in tuples]
+            assert run_kernel(expression, tuples) == expected
+            assert run_kernel(expression, []) == []
 
-    def test_compiled_comparison_wraps_type_errors(self):
-        predicate = less_than("Name", 3)
-        compiled = predicate.compile(SCHEMA)
+    def test_kernel_comparison_wraps_type_errors(self):
         with pytest.raises(EvaluationError):
-            compiled(row())
+            run_kernel(less_than("Name", 3), [row()])
 
-    def test_compiled_division_by_zero_raises(self):
+    def test_kernel_division_by_zero_raises(self):
         expression = Arithmetic(ArithmeticOperator.DIV, attribute("Amount"), literal(0))
         with pytest.raises(EvaluationError):
-            expression.compile(SCHEMA)(row())
+            run_kernel(expression, [row()])
 
-    def test_compiled_short_circuits_like_evaluate(self):
-        # The second operand would raise on evaluation; conjunction must
-        # short-circuit exactly as all()/any() do in the reference.
+    def test_kernel_short_circuits_like_evaluate(self):
+        # The second operand would raise on evaluation; the selection-vector
+        # kernels must skip exactly the rows all()/any() skip in the reference.
         exploding = Comparison(ComparisonOperator.LT, attribute("Missing"), literal(1))
-        predicate = And(equals("Name", "Anna"), exploding)
-        assert predicate.compile(SCHEMA)(row()) is False
-        disjunction = Or(equals("Name", "John"), exploding)
-        assert disjunction.compile(SCHEMA)(row()) is True
+        assert run_kernel(And(equals("Name", "Anna"), exploding), [row()]) == [False]
+        assert run_kernel(Or(equals("Name", "John"), exploding), [row()]) == [True]
+        with pytest.raises(AttributeNotFound):
+            run_kernel(And(equals("Name", "John"), exploding), [row()])
 
-    def test_compile_against_missing_attribute_falls_back(self):
-        other = RelationSchema.snapshot([("Other", INTEGER)])
-        compiled = attribute("Name").compile(other)
-        assert compiled(row()) == "John"
-
-    def test_guarded_compile_handles_permuted_schemas(self):
-        from repro.core.expressions import guarded_compile
-
+    def test_permuted_tuples_are_normalised_at_the_batch_boundary(self):
+        # Kernels are purely positional; ``ColumnBatch.from_tuples`` is where a
+        # tuple whose schema lists the attributes in another order is aligned.
         permuted = RelationSchema.snapshot([("Amount", INTEGER), ("Name", STRING)])
-        predicate = equals("Name", "John")
-        guarded = guarded_compile(predicate, SCHEMA)
-        assert guarded(row()) is True
-        assert guarded(Tuple(permuted, {"Amount": 5, "Name": "John"})) is True
+        tuples = [row(), Tuple(permuted, {"Amount": 5, "Name": "John"})]
+        assert run_kernel(equals("Name", "John"), tuples) == [True, True]
 
-    def test_projection_item_compile(self):
+    def test_base_class_fallback_evaluates_row_by_row(self):
+        class Doubled(Expression):
+            def evaluate(self, tup):
+                return 2 * tup["Amount"]
+
+        assert run_kernel(Doubled(), [row(), row("Anna", 2)]) == [10, 4]
+
+    def test_projection_item_kernel(self):
         item = ProjectionItem(
             Arithmetic(ArithmeticOperator.ADD, attribute("Amount"), literal(1)), "Bigger"
         )
-        assert item.compile(SCHEMA)(row()) == 6
+        batch = ColumnBatch.from_tuples(SCHEMA, [row()])
+        assert list(item.compile_batch(SCHEMA)(batch.columns, batch.length)) == [6]

@@ -15,6 +15,9 @@ from repro.core.exceptions import (
     SchemaError,
     error_code,
 )
+from repro.core.physical import SourceOp
+from repro.core.relation import Relation
+from repro.core.schema import INTEGER, RelationSchema
 from repro.faults import (
     FAULT_POINTS,
     FAULTS,
@@ -243,12 +246,19 @@ class TestExecutionControlFaultGate:
             with pytest.raises(InjectedFaultError):
                 control.tick("stratum.pull")
 
-    def test_guarded_checks_at_drain_start_and_every_interval(self):
+    def test_a_drain_checks_at_its_start_and_every_interval(self):
         registry = FaultRegistry()
-        registry.arm("dbms.scan", times=None)
         control = ExecutionControl(interval=10, faults=registry)
+        relation = Relation.from_rows(
+            RelationSchema.snapshot([("N", INTEGER)]), [(i,) for i in range(25)]
+        )
+        source = SourceOp(relation)
+        source.instrument("dbms.scan", 4, control=control)
+        registry.arm("dbms.scan", times=None)
         with pytest.raises(InjectedFaultError):
-            list(control.guarded(iter(range(100)), "dbms.scan"))
+            next(source.batches())  # the start check fires before the first batch
         registry.reset()
-        # without faults the wrapper is transparent
-        assert list(control.guarded(iter(range(25)), "dbms.scan")) == list(range(25))
+        # without faults the accounting is transparent
+        assert [row for batch in source.batches() for row in batch.rows()] == [
+            (i,) for i in range(25)
+        ]

@@ -1,10 +1,12 @@
 """Unit and property tests for order specifications (Order(r), Prefix, IsPrefixOf)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+from repro.core import order_spec as order_spec_module
 from repro.core.exceptions import AttributeNotFound
 from repro.core.order_spec import ASC, DESC, OrderSpec, SortDirection, SortKey
+from repro.core.physical import SortOp, SourceOp
 from repro.core.relation import Relation
 from repro.core.schema import INTEGER, RelationSchema, STRING
 
@@ -92,6 +94,80 @@ class TestComparisonKeys:
         relation = Relation.from_rows(SCHEMA, [("a", 1, 1)])
         with pytest.raises(AttributeNotFound):
             relation.sorted_by(OrderSpec.ascending("Nope"))
+
+
+class _Unnegatable:
+    """An ordered value with no ``-x``: DESC must not rely on negation."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def __lt__(self, other):
+        return self.rank < other.rank
+
+    def __eq__(self, other):
+        return self.rank == other.rank
+
+    def __hash__(self):
+        return hash(self.rank)
+
+
+class TestSortRows:
+    """The physical sort equals the reference sort, without its comparator."""
+
+    @given(
+        order_specs(attributes=("A", "B", "C")),
+        st.lists(
+            st.tuples(st.sampled_from("ab"), st.integers(0, 2), st.integers(0, 1)), max_size=12
+        ),
+    )
+    def test_matches_the_reference_sort_on_duplicates_and_ties(self, spec, rows):
+        relation = Relation.from_rows(SCHEMA, rows)
+        # Tag rows with their input position: equal keys must keep input order.
+        tagged = [row + (position,) for position, row in enumerate(rows)]
+        spec.sort_rows(tagged, SCHEMA.attributes + ("position",))
+        expected = sorted(enumerate(relation.tuples), key=lambda pair: spec.comparison_key()(pair[1]))
+        assert [row[-1] for row in tagged] == [position for position, _ in expected]
+        assert [row[:-1] for row in tagged] == [tup.values() for _, tup in expected]
+
+    def test_one_pass_per_run_of_same_direction_keys(self):
+        rows = [("a", 1, 2), ("a", 1, 1), ("b", 1, 3), ("a", 2, 9)]
+        OrderSpec.of("A", "B DESC", "C DESC").sort_rows(rows, SCHEMA.attributes)
+        assert rows == [("a", 2, 9), ("a", 1, 2), ("a", 1, 1), ("b", 1, 3)]
+
+    def test_descending_works_for_values_that_cannot_be_negated(self):
+        rows = [(_Unnegatable(1), "x"), (_Unnegatable(3), "y"), (_Unnegatable(1), "z")]
+        OrderSpec.of("K DESC").sort_rows(rows, ("K", "V"))
+        assert [value for _, value in rows] == ["y", "x", "z"]
+
+    def test_unordered_spec_leaves_rows_alone(self):
+        rows = [("b", 2, 0), ("a", 1, 0)]
+        OrderSpec.unordered().sort_rows(rows, SCHEMA.attributes)
+        assert rows == [("b", 2, 0), ("a", 1, 0)]
+
+    def test_unknown_sort_attribute_raises_before_sorting(self):
+        rows = [("b", 2, 0), ("a", 1, 0)]
+        with pytest.raises(AttributeNotFound):
+            OrderSpec.of("A", "Nope").sort_rows(rows, SCHEMA.attributes)
+        assert rows == [("b", 2, 0), ("a", 1, 0)]
+
+    def test_a_sort_operator_drain_builds_no_reversing_comparator(self, monkeypatch):
+        built = []
+        original = order_spec_module._Reversed.__init__
+
+        def counting(self, value):
+            built.append(value)
+            original(self, value)
+
+        monkeypatch.setattr(order_spec_module._Reversed, "__init__", counting)
+        relation = Relation.from_rows(SCHEMA, [("a", 1, 2), ("b", 3, 1), ("a", 2, 2)])
+        spec = OrderSpec.of("A DESC", "B", "C DESC")
+        operator = SortOp(spec, SourceOp(relation), order=spec)
+        assert list(operator.to_relation().tuples) == list(relation.sorted_by(spec).tuples)
+        assert len(built) == 6  # the reference sort above: two DESC keys x three tuples
+        del built[:]
+        operator.to_relation()
+        assert built == []
 
 
 class TestProperties:

@@ -31,6 +31,17 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Relation(employee.schema, list(other.tuples))
 
+    def test_trusted_builds_the_same_relation_without_the_check(self, employee):
+        order = OrderSpec.ascending("EmpName")
+        vouched = Relation.trusted(employee.schema, list(employee.tuples), order=order)
+        assert vouched == employee and hash(vouched) == hash(employee)
+        assert vouched.order == order and vouched.tuples == employee.tuples
+        assert Relation.trusted(employee.schema, []).order.is_unordered()
+        # A contract, not a check: the caller vouches for the tuples, so the
+        # foreign tuple the constructor rejects (above) goes through here.
+        foreign = Relation.from_rows(SNAPSHOT, [("a", 1)]).tuples
+        assert len(Relation.trusted(employee.schema, foreign)) == 1
+
     def test_relations_are_lists_order_matters(self):
         a = Relation.from_rows(SNAPSHOT, [("a", 1), ("b", 2)])
         b = Relation.from_rows(SNAPSHOT, [("b", 2), ("a", 1)])

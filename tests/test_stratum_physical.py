@@ -232,6 +232,28 @@ class TestExecutorAccounting:
         assert executor.report.stratum_operations == 3
 
 
+class TestDrainIntoRelation:
+    def test_to_relation_skips_the_validating_constructor(self, monkeypatch):
+        """The operator built every tuple over its own output schema one line
+        earlier; ``Relation.__init__`` would walk them all again."""
+        plan = Projection(["Name", "T1", "T2"], SAMPLE_LEFT)
+        root = lower_plan(plan, ROOT_PATH, lambda node, path: node.relation)
+        validated = []
+        original = Relation.__init__
+
+        def counting(self, schema, tuples=(), order=None):
+            validated.append(schema)
+            original(self, schema, tuples, order)
+
+        monkeypatch.setattr(Relation, "__init__", counting)
+        relation = root.to_relation()
+        assert validated == []
+        assert all(tup.schema is root.output_schema for tup in relation)
+        assert relation.order == root.order
+        monkeypatch.undo()
+        assert relation == plan.evaluate(CONTEXT)
+
+
 class TestExplainAnnotation:
     def test_cost_annotations_carry_the_algorithm(self):
         plan = Selection(EQUI, TemporalCartesianProduct(SAMPLE_LEFT, SAMPLE_RIGHT))
