@@ -8,15 +8,12 @@ adjacency-heavy workload, where coalescing shrinks the left argument
 substantially, and reports the intermediate cardinalities driving the effect.
 """
 
-from repro.stratum import (
-    coalesce_fast,
-    temporal_difference_fast,
-    temporal_duplicate_elimination_fast,
-)
+from repro.dbms import ConventionalDBMS
+from repro.stratum import StratumExecutor, coalesce_fast, temporal_difference_fast
 from repro.workloads import WorkloadParameters, generate_employees, generate_projects
 
 from .conftest import banner
-from repro.core.operations import LiteralRelation, Projection
+from repro.core.operations import LiteralRelation, Projection, TemporalDuplicateElimination
 from repro.core.operations.base import EvaluationContext
 
 CONTEXT = EvaluationContext()
@@ -28,8 +25,8 @@ PROJECTS = generate_projects(
     WorkloadParameters(tuples=3000, entities=150, adjacency_ratio=0.1, overlap_ratio=0.05, seed=42)
 )
 
-LEFT = temporal_duplicate_elimination_fast(
-    Projection(["EmpName", "T1", "T2"], LiteralRelation(EMPLOYEES)).evaluate(CONTEXT)
+LEFT = StratumExecutor(ConventionalDBMS()).execute(
+    TemporalDuplicateElimination(Projection(["EmpName", "T1", "T2"], LiteralRelation(EMPLOYEES)))
 )
 RIGHT = Projection(["EmpName", "T1", "T2"], LiteralRelation(PROJECTS)).evaluate(CONTEXT)
 

@@ -1,14 +1,15 @@
 """The physical operator set both engines execute on.
 
 One library of batch operators runs every conventional operation, whichever
-layer the optimizer assigned it to.  The paper separates the stratum from
-the conventional DBMS by *capability* — the DBMS lacks the temporal
-operations and pays an emulation penalty for them — not by implementation,
-so each engine is a planner that builds a **declared subset** of these
-operators and names the fault point their drains tick:
-:mod:`repro.stratum.physical` (all three join algorithms, ``stratum.pull``)
-and :mod:`repro.dbms.executor` (the multiset operators, never the interval
-join, ``dbms.scan``).
+layer the optimizer assigned it to, and the temporal ones ported so far.  The
+paper separates the stratum from the conventional DBMS by *capability* — the
+DBMS lacks the temporal operations and pays an emulation penalty for them —
+not by implementation, so each engine is a planner that builds a **declared
+subset** of these operators and names the fault point their drains tick:
+:mod:`repro.stratum.physical` (all three join algorithms and the temporal
+operators — ``rdupT`` and ``γT`` so far —, ``stratum.pull``) and
+:mod:`repro.dbms.executor` (the multiset operators, never the interval join
+or a temporal operator, ``dbms.scan``).
 
 Execution is **columnar**: operators exchange
 :class:`~repro.core.columnar.ColumnBatch` chunks of ``batch_size`` rows, run
@@ -29,10 +30,11 @@ consume too, so EXPLAIN reports exactly what runs here.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..options import DEFAULT_BATCH_SIZE
 from .columnar import ColumnBatch
@@ -237,19 +239,29 @@ class SourceOp(BatchOperator):
         return f"Source({name}rows={len(self._relation)})"
 
 
-class FilterOp(BatchOperator):
-    """Streaming selection with a column-wise predicate kernel."""
+class _UnaryOp(BatchOperator):
+    """An operator over one input, emitting the input's schema unless told otherwise."""
 
     def __init__(
         self,
-        predicate: Expression,
         child: BatchOperator,
         order: OrderSpec = _UNORDERED,
         paths: PyTuple[PlanPath, ...] = (),
+        output_schema: Optional[RelationSchema] = None,
     ) -> None:
-        super().__init__(child.output_schema, order, paths)
-        self._predicate = predicate
+        super().__init__(output_schema or child.output_schema, order, paths)
         self._child = child
+
+    def children(self) -> Sequence[BatchOperator]:
+        return (self._child,)
+
+
+class FilterOp(_UnaryOp):
+    """Streaming selection with a column-wise predicate kernel."""
+
+    def __init__(self, predicate: Expression, child: BatchOperator, *args, **kwargs) -> None:
+        super().__init__(child, *args, **kwargs)
+        self._predicate = predicate
 
     def _batches(self) -> Iterator[ColumnBatch]:
         kernel = self._predicate.compile_batch(self._child.output_schema)
@@ -258,14 +270,11 @@ class FilterOp(BatchOperator):
             if kept is not None:
                 yield kept
 
-    def children(self) -> Sequence[BatchOperator]:
-        return (self._child,)
-
     def describe(self) -> str:
         return f"Filter({self._predicate})"
 
 
-class ProjectOp(BatchOperator):
+class ProjectOp(_UnaryOp):
     """Streaming projection with column-wise item kernels."""
 
     def __init__(
@@ -276,9 +285,8 @@ class ProjectOp(BatchOperator):
         order: OrderSpec = _UNORDERED,
         paths: PyTuple[PlanPath, ...] = (),
     ) -> None:
-        super().__init__(output_schema, order, paths)
+        super().__init__(child, order, paths, output_schema)
         self._items = tuple(items)
-        self._child = child
 
     def _batches(self) -> Iterator[ColumnBatch]:
         child_schema = self._child.output_schema
@@ -288,26 +296,16 @@ class ProjectOp(BatchOperator):
             columns = [kernel(batch.columns, batch.length) for kernel in kernels]
             yield ColumnBatch(schema, columns, batch.length)
 
-    def children(self) -> Sequence[BatchOperator]:
-        return (self._child,)
-
     def describe(self) -> str:
         return "Project(" + ", ".join(str(item) for item in self._items) + ")"
 
 
-class SortOp(BatchOperator):
+class SortOp(_UnaryOp):
     """Blocking stable sort (identical to the reference ``sort_A``)."""
 
-    def __init__(
-        self,
-        sort_order: OrderSpec,
-        child: BatchOperator,
-        order: OrderSpec = _UNORDERED,
-        paths: PyTuple[PlanPath, ...] = (),
-    ) -> None:
-        super().__init__(child.output_schema, order, paths)
+    def __init__(self, sort_order: OrderSpec, child: BatchOperator, *args, **kwargs) -> None:
+        super().__init__(child, *args, **kwargs)
         self._sort_order = sort_order
-        self._child = child
 
     def _batches(self) -> Iterator[ColumnBatch]:
         schema = self.output_schema
@@ -321,19 +319,17 @@ class SortOp(BatchOperator):
         self._sort_order.sort_rows(rows, schema.attributes)
         yield from _chunked(schema, rows, self.batch_size)
 
-    def children(self) -> Sequence[BatchOperator]:
-        return (self._child,)
-
     def describe(self) -> str:
         return f"Sort({self._sort_order})"
 
 
 def _chunked(
-    schema: RelationSchema, rows: Sequence[PyTuple], size: int
+    schema: RelationSchema, rows: Iterable[PyTuple], size: int
 ) -> Iterator[ColumnBatch]:
-    """Materialised value rows as batches of at most ``size`` rows."""
-    for offset in range(0, len(rows), size):
-        yield ColumnBatch.from_rows(schema, rows[offset : offset + size])
+    """Value rows, materialised or generated, as batches of at most ``size`` rows."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, size)):
+        yield ColumnBatch.from_rows(schema, chunk)
 
 
 class _JoinOp(BatchOperator):
@@ -374,12 +370,9 @@ class _JoinOp(BatchOperator):
     def _batches(self) -> Iterator[ColumnBatch]:
         """Chunk the joined value rows and apply the residual per chunk."""
         schema = self.output_schema
-        size = self.batch_size
         residual = self._split.residual
         kernel = None if residual is None else residual.compile_batch(schema)
-        rows = self._join_rows()
-        while chunk := list(islice(rows, size)):
-            batch = ColumnBatch.from_rows(schema, chunk)
+        for batch in _chunked(schema, self._join_rows(), self.batch_size):
             if kernel is not None:
                 batch = _filtered(batch, kernel)
             if batch is not None:
@@ -526,12 +519,8 @@ class NestedLoopJoinOp(_JoinOp):
 # input into the output's attribute order (a renaming :class:`ProjectOp`).
 
 
-class DistinctOp(BatchOperator):
+class DistinctOp(_UnaryOp):
     """Hash duplicate elimination: the first occurrence of each row survives."""
-
-    def __init__(self, child: BatchOperator) -> None:
-        super().__init__(child.output_schema)
-        self._child = child
 
     def _batches(self) -> Iterator[ColumnBatch]:
         seen: set = set()
@@ -546,11 +535,8 @@ class DistinctOp(BatchOperator):
             if kept is not None:
                 yield kept
 
-    def children(self) -> Sequence[BatchOperator]:
-        return (self._child,)
 
-
-class AggregateOp(BatchOperator):
+class AggregateOp(_UnaryOp):
     """Hash aggregation: one output row per group, in first-occurrence order."""
 
     def __init__(
@@ -559,13 +545,16 @@ class AggregateOp(BatchOperator):
         functions: Sequence[AggregateFunction],
         output_schema: RelationSchema,
         child: BatchOperator,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
     ) -> None:
-        super().__init__(output_schema)
+        super().__init__(child, order, paths, output_schema)
         self._grouping = tuple(grouping)
         self._functions = tuple(functions)
-        self._child = child
 
-    def _batches(self) -> Iterator[ColumnBatch]:
+    def _grouped(self) -> PyTuple[Dict[PyTuple, List[PyTuple]], List[PyTuple]]:
+        """The child's rows by grouping key, groups in first-occurrence order,
+        and each function paired with its argument's position (``None``: ``*``)."""
         child_schema = self._child.output_schema
         key_indexes = [child_schema.index_of(a) for a in self._grouping]
         arguments = [
@@ -577,22 +566,22 @@ class AggregateOp(BatchOperator):
             for row in batch.rows():
                 key = tuple(row[i] for i in key_indexes)
                 groups.setdefault(key, []).append(row)
-        rows = [
-            key
-            + tuple(
+        return groups, arguments
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        yield from _chunked(self.output_schema, self._rows(), self.batch_size)
+
+    def _rows(self) -> Iterator[PyTuple]:
+        groups, arguments = self._grouped()
+        for key, members in groups.items():
+            yield key + tuple(
                 function.reduce(members if index is None else [row[index] for row in members])
                 for function, index in arguments
             )
-            for key, members in groups.items()
-        ]
-        yield from _chunked(self.output_schema, rows, self.batch_size)
-
-    def children(self) -> Sequence[BatchOperator]:
-        return (self._child,)
 
     def describe(self) -> str:
         functions = ", ".join(str(function) for function in self._functions)
-        return f"Aggregate(by={list(self._grouping)}; {functions})"
+        return f"{super().describe()}(by={list(self._grouping)}; {functions})"
 
 
 class _SetOp(BatchOperator):
@@ -669,3 +658,115 @@ class UnionOp(_SetOp):
             kept = _keep(batch, selected)
             if kept is not None:
                 yield kept
+
+
+# ---------------------------------------------------------------------------
+# The temporal operators only the stratum plans
+# ---------------------------------------------------------------------------
+#
+# They read ``T1``/``T2`` as two integer columns found by name and build no
+# ``Period``.  A *cover* is a set of time points held as disjoint, non-adjacent
+# intervals sorted by start, in two parallel lists ``(starts, ends)``.
+
+
+def _cover_gaps(starts: List[int], ends: List[int], t1: int, t2: int) -> List[PyTuple[int, int]]:
+    """The parts of ``[t1, t2)`` outside the cover, ascending."""
+    pieces = []
+    for index in range(bisect_right(ends, t1), bisect_left(starts, t2)):
+        if t1 < starts[index]:
+            pieces.append((t1, starts[index]))
+        t1 = ends[index]
+    if t1 < t2:
+        pieces.append((t1, t2))
+    return pieces
+
+
+def _cover_add(starts: List[int], ends: List[int], t1: int, t2: int) -> None:
+    """Add ``[t1, t2)`` to the cover, absorbing every interval it meets."""
+    low, high = bisect_left(ends, t1), bisect_right(starts, t2)
+    if low < high:
+        t1, t2 = min(t1, starts[low]), max(t2, ends[high - 1])
+    starts[low:high] = [t1]
+    ends[low:high] = [t2]
+
+
+class TemporalDistinctOp(_UnaryOp):
+    """Streaming ``rdupT``: each row keeps the part of its period that no
+    earlier value-equivalent row covered.
+
+    This is the reference sequence: the work-list head is emitted unchanged
+    and every later value-equivalent tuple loses the head's period in place,
+    so a tuple reaching the head has lost exactly the union of the earlier
+    value-equivalent periods and its fragments sit, ascending, in its slot.
+    """
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        # Re-chunked: one input row can leave several fragments.
+        yield from _chunked(self.output_schema, self._rows(), self.batch_size)
+
+    def _rows(self) -> Iterator[PyTuple]:
+        schema = self.output_schema
+        first, last = schema.index_of(T1), schema.index_of(T2)
+        value_indexes = schema.value_indexes()
+        value_of = itemgetter(*value_indexes) if value_indexes else lambda row: ()
+        covers: Dict[object, PyTuple[List[int], List[int]]] = {}
+        for batch in self._child.batches():
+            for row in batch.rows():
+                t1, t2 = row[first], row[last]
+                key = value_of(row)
+                cover = covers.get(key)
+                if cover is None:  # the first of its value class loses nothing
+                    covers[key] = ([t1], [t2])
+                    yield row
+                    continue
+                for piece in _cover_gaps(*cover, t1, t2):
+                    if piece == (t1, t2):
+                        yield row
+                    else:
+                        fragment = list(row)
+                        fragment[first], fragment[last] = piece
+                        yield tuple(fragment)
+                _cover_add(*cover, t1, t2)
+
+
+class TemporalAggregateOp(AggregateOp):
+    """Blocking ``γT``: per group, one sweep over the argument's sorted period
+    endpoints inside the group's span, one row per non-empty constant interval.
+
+    The active members are kept in input order, so every aggregate reduces
+    the value sequence the reference's ``compute(valid)`` sees (``AVG``'s
+    float summation order included); it is recomputed only when they change.
+    """
+
+    def _rows(self) -> Iterator[PyTuple]:
+        groups, arguments = self._grouped()
+        child_schema = self._child.output_schema
+        first, last = child_schema.index_of(T1), child_schema.index_of(T2)
+        endpoints = sorted(
+            {row[i] for members in groups.values() for row in members for i in (first, last)}
+        )
+        for key, members in groups.items():
+            opening: Dict[int, List[int]] = {}
+            closing: Dict[int, List[int]] = {}
+            for position, row in enumerate(members):
+                opening.setdefault(row[first], []).append(position)
+                closing.setdefault(row[last], []).append(position)
+            active: List[int] = []  # member positions, ascending = input order
+            aggregates: PyTuple = ()
+            for index in range(
+                bisect_left(endpoints, min(opening)), bisect_left(endpoints, max(closing))
+            ):
+                point = endpoints[index]
+                if point in opening or point in closing:
+                    for position in closing.get(point, ()):
+                        del active[bisect_left(active, position)]
+                    for position in opening.get(point, ()):
+                        insort(active, position)
+                    aggregates = tuple(
+                        function.reduce(
+                            active if at is None else [members[position][at] for position in active]
+                        )
+                        for function, at in arguments
+                    )
+                if active:
+                    yield key + aggregates + (point, endpoints[index + 1])

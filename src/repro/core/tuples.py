@@ -136,8 +136,18 @@ class Tuple:
         return cached
 
     def value_equivalent(self, other: "Tuple") -> bool:
-        """Return True if both tuples agree on every non-temporal attribute."""
-        return self.value_part() == other.value_part()
+        """Return True if both tuples agree on every non-temporal attribute.
+
+        Agreement is by attribute *name*, like union compatibility; tuples
+        listing their attributes in the same order — the usual case, in the
+        reference operations' inner loops — compare their cached value parts.
+        """
+        mine, theirs = self._schema, other._schema
+        if mine is theirs or mine.attributes == theirs.attributes:
+            return self.value_part() == other.value_part()
+        if mine.attribute_set() != theirs.attribute_set():
+            return False
+        return all(self[a] == other[a] for a in mine.nontemporal_attributes)
 
     # -- derivation ----------------------------------------------------------------
 

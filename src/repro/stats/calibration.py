@@ -100,8 +100,8 @@ def calibrate_cost_model(
     * conventional probe — a selection and a sort; ``dbms_speed`` is the
       median DBMS/stratum time ratio;
     * temporal probe — temporal duplicate elimination; the DBMS emulates it
-      with the reference semantics while the stratum uses its fast path, and
-      the ratio (relative to conventional speed) gives the penalty;
+      with the reference semantics while the stratum runs its batch operator,
+      and the ratio (relative to conventional speed) gives the penalty;
     * transfer probe — executing ``TS(relation)`` via the stratum executor;
       its per-tuple time relative to the stratum's per-tuple streaming time
       gives ``transfer_cost``.
@@ -112,7 +112,6 @@ def calibrate_cost_model(
     """
     from ..dbms.engine import ConventionalDBMS
     from ..stratum.executor import StratumExecutor
-    from ..stratum.temporal_exec import temporal_duplicate_elimination_fast
     from ..workloads.generator import generate_assignment_history
 
     base_model = base_model or CostModel()
@@ -153,20 +152,15 @@ def calibrate_cost_model(
     speed = median([dbms_selection / stratum_selection, dbms_sort / stratum_sort])
     dbms_speed = _clamp(speed, SPEED_RANGE)
 
-    # Temporal probe: the stratum's fast path vs. the DBMS's emulation.
-    stratum_temporal = measure(
-        "rdupT", "stratum", lambda: temporal_duplicate_elimination_fast(context_relation)
-    )
-    dbms_temporal = measure(
-        "rdupT",
-        "dbms",
-        lambda: dbms.execute(TemporalDuplicateElimination(base), optimize=False),
-    )
+    # Temporal probe: the stratum's batch operator vs. the DBMS's emulation.
+    executor = StratumExecutor(dbms, optimize_dbms_fragments=False)
+    rdupt = TemporalDuplicateElimination(base)
+    stratum_temporal = measure("rdupT", "stratum", lambda: executor.execute(rdupt))
+    dbms_temporal = measure("rdupT", "dbms", lambda: dbms.execute(rdupt, optimize=False))
     penalty = _clamp(dbms_temporal / stratum_temporal, PENALTY_RANGE)
 
     # Transfer probe: shipping the whole relation across the boundary,
     # normalized by the stratum's per-tuple streaming cost.
-    executor = StratumExecutor(dbms, optimize_dbms_fragments=False)
     transfer_seconds = measure(
         "transfer", "boundary", lambda: executor.execute(TransferToStratum(base))
     )

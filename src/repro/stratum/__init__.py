@@ -17,7 +17,6 @@ from .physical import (
 from .temporal_exec import (
     coalesce_fast,
     temporal_difference_fast,
-    temporal_duplicate_elimination_fast,
     temporal_union_fast,
 )
 
@@ -39,6 +38,5 @@ __all__ = [
     "lower_plan",
     "partition_plan",
     "temporal_difference_fast",
-    "temporal_duplicate_elimination_fast",
     "temporal_union_fast",
 ]

@@ -5,12 +5,13 @@ Execution is recursive over the plan:
 * the subtree below a ``TS`` transfer is handed to the conventional DBMS
   (after first executing any ``TD`` islands inside it in the stratum and
   splicing their materialised results back in as literal relations);
-* every node above runs in the stratum, using the efficient temporal
-  implementations of :mod:`repro.stratum.temporal_exec` for the temporal
-  operations, the batch operators of :mod:`repro.core.physical` (lowered by
-  :mod:`repro.stratum.physical`) for the pipelinable conventional ones
-  (degrading to the reference semantics when a region fails), and the
-  reference semantics for the rest;
+* every node above runs in the stratum: the pipelinable operations — the
+  conventional ones and ``rdupT``/``γT`` — as regions of the batch operators
+  of :mod:`repro.core.physical` (lowered by :mod:`repro.stratum.physical`,
+  degrading to the reference semantics when a region fails), ``coalT``,
+  ``\\T`` and ``∪T`` through the hash-partitioned implementations of
+  :mod:`repro.stratum.temporal_exec`, and the rest through the reference
+  semantics;
 * a base relation referenced directly from stratum territory is fetched from
   the DBMS catalog — logically an implicit transfer, which the execution
   report counts as such.
@@ -36,7 +37,6 @@ from ..core.operations import (
     Operation,
     Sort,
     TemporalDifference,
-    TemporalDuplicateElimination,
     TemporalUnion,
     TransferToDBMS,
     TransferToStratum,
@@ -50,7 +50,6 @@ from .physical import is_pipelined, lower_plan
 from .temporal_exec import (
     coalesce_fast,
     temporal_difference_fast,
-    temporal_duplicate_elimination_fast,
     temporal_union_fast,
 )
 
@@ -168,11 +167,12 @@ class StratumExecutor:
         Selections, projections, sorts, products and the join idioms execute
         through :mod:`repro.core.physical` — hash/interval joins instead
         of materialised Cartesian products, column-wise kernels instead of
-        per-tuple expression-tree walks.  Boundary subtrees (transfers, base
-        relations, the temporal operations) are materialised through the
-        ordinary recursion above.  Each physical operator counts the rows it
-        emits, so per-node actuals stay available to EXPLAIN ANALYZE; a
-        product fused into a join never materialises and reports no count.
+        per-tuple expression-tree walks, sweep-line ``rdupT``/``γT``.  Boundary
+        subtrees (transfers, base relations, the unported temporal
+        operations) are materialised through the ordinary recursion above.
+        Each physical operator counts the rows it emits, so per-node actuals
+        stay available to EXPLAIN ANALYZE; a product fused into a join never
+        materialises and reports no count.
 
         When lowering or draining the region fails, execution **degrades**
         instead of dying: the region is re-executed through the reference
@@ -224,17 +224,16 @@ class StratumExecutor:
 
     def _apply(self, node: Operation, child_results: Sequence[Relation]) -> Relation:
         derived_order = node.result_order([relation.order for relation in child_results])
-        if isinstance(node, TemporalDuplicateElimination):
-            result = temporal_duplicate_elimination_fast(child_results[0])
-        elif isinstance(node, Coalescing):
+        if isinstance(node, Coalescing):
             result = coalesce_fast(child_results[0])
         elif isinstance(node, TemporalDifference):
             result = temporal_difference_fast(child_results[0], child_results[1])
         elif isinstance(node, TemporalUnion):
             result = temporal_union_fast(child_results[0], child_results[1])
         else:
-            # Conventional operations (and the remaining temporal ones) use
-            # the reference semantics directly.
+            # Everything else uses the reference semantics directly; for the
+            # pipelined operations (rdupT and γT among them) this is only the
+            # degradation target.
             result = node._evaluate(list(child_results), EvaluationContext())
         return result.with_order(derived_order)
 

@@ -4,11 +4,14 @@ The stratum used to execute every conventional operation through the
 reference λ-calculus semantics — in particular a join was "materialise the
 full Cartesian product, then filter", quadratic in time *and memory*.  This
 module lowers a maximal region of pipelinable logical operators (selection,
-projection, sort, the products and the join idioms) to the batch operators
-of :mod:`repro.core.physical`, the set the conventional DBMS compiles its
-fragments to as well.  The stratum's admissible subset is
+projection, sort, the products and the join idioms, ``rdupT`` and ``γT``) to
+the batch operators of :mod:`repro.core.physical`, the set the conventional
+DBMS compiles its fragments to as well.  The stratum's admissible subset is
 :data:`ADMISSIBLE_OPERATORS` — all three join algorithms, the sort-merge
-interval join included — and its drains tick :data:`FAULT_POINT`.
+interval join included, and the two temporal operators, which only the
+stratum may build (that *is* the paper's capability split) — and its drains
+tick :data:`FAULT_POINT`.  ``coalT``, ``\\T`` and ``∪T`` are not ported yet:
+they stay region boundaries, materialised by the executor.
 
 Every operator built here is **list-compatible** with the reference semantics
 at every batch size (see :mod:`repro.core.physical`), the same guarantee as
@@ -28,7 +31,9 @@ from ..core.operations import (
     Projection,
     Selection,
     Sort,
+    TemporalAggregation,
     TemporalCartesianProduct,
+    TemporalDuplicateElimination,
     TemporalJoin,
 )
 from ..core.operations.base import PlanPath
@@ -42,6 +47,8 @@ from ..core.physical import (
     ProjectOp,
     SortOp,
     SourceOp,
+    TemporalAggregateOp,
+    TemporalDistinctOp,
 )
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
@@ -59,6 +66,8 @@ PIPELINED_TYPES = (
     TemporalJoin,
     CartesianProduct,
     TemporalCartesianProduct,
+    TemporalDuplicateElimination,
+    TemporalAggregation,
 )
 
 _JOIN_OPERATORS = {
@@ -68,7 +77,15 @@ _JOIN_OPERATORS = {
 }
 
 #: The operators the stratum's lowering may build.
-ADMISSIBLE_OPERATORS = (SourceOp, FilterOp, ProjectOp, SortOp, *_JOIN_OPERATORS.values())
+ADMISSIBLE_OPERATORS = (
+    SourceOp,
+    FilterOp,
+    ProjectOp,
+    SortOp,
+    *_JOIN_OPERATORS.values(),
+    TemporalDistinctOp,
+    TemporalAggregateOp,
+)
 
 
 def is_pipelined(node: Operation) -> bool:
@@ -87,8 +104,8 @@ def lower_plan(
     """Lower a pipelinable logical subtree to a physical operator tree.
 
     ``fetch`` materialises boundary subtrees (transfers, base relations, the
-    temporal operations with their own fast paths) through the executor's
-    ordinary recursion, which keeps their per-node accounting.
+    three temporal operations still on their own fast paths) through the
+    executor's ordinary recursion, which keeps their per-node accounting.
 
     ``batch_size`` is the built tree's chunk size, a positive integer
     (default :data:`~repro.options.DEFAULT_BATCH_SIZE`); every operator is
@@ -116,23 +133,28 @@ def _lower_node(
             return _make_join(
                 split, product.output_schema(), node, left, right, (path, path + (0,))
             )
-        child = _lower_node(node.child, path + (0,), fetch)
-        order = node.result_order([child.order])
-        return FilterOp(node.predicate, child, order, (path,))
-    if isinstance(node, (Join, TemporalJoin, CartesianProduct, TemporalCartesianProduct)):
+    elif isinstance(node, (Join, TemporalJoin, CartesianProduct, TemporalCartesianProduct)):
         split = split_for_join(node) or split_for_product(node)
         left = _lower_node(node.children[0], path + (0,), fetch)
         right = _lower_node(node.children[1], path + (1,), fetch)
         return _make_join(split, node.output_schema(), node, left, right, (path,))
+    elif not is_pipelined(node):
+        return SourceOp(fetch(node, path))
+    # The unary operators: the child's subtree lowers into the same region.
+    child = _lower_node(node.child, path + (0,), fetch)
+    order = node.result_order([child.order])
+    if isinstance(node, Selection):
+        return FilterOp(node.predicate, child, order, (path,))
     if isinstance(node, Projection):
-        child = _lower_node(node.child, path + (0,), fetch)
-        order = node.result_order([child.order])
         return ProjectOp(node.items, node.output_schema(), child, order, (path,))
     if isinstance(node, Sort):
-        child = _lower_node(node.child, path + (0,), fetch)
-        order = node.result_order([child.order])
         return SortOp(node.sort_order, child, order, (path,))
-    return SourceOp(fetch(node, path))
+    if isinstance(node, TemporalDuplicateElimination):
+        return TemporalDistinctOp(child, order, (path,))
+    assert isinstance(node, TemporalAggregation), node  # the last of PIPELINED_TYPES
+    return TemporalAggregateOp(
+        node.grouping, node.functions, node.output_schema(), child, order, (path,)
+    )
 
 
 def _make_join(

@@ -1,15 +1,12 @@
-"""Efficient stratum-side implementations of the temporal operations.
+"""Stratum-side implementations of the temporal operations not yet ported.
 
-The reference implementations in :mod:`repro.core.operations` follow the
-paper's λ-calculus definitions and repeatedly scan the whole tuple list, so
-they are quadratic in the relation size even when only a handful of tuples
-are value-equivalent.  The stratum — whose reason for existing is that
-"complex temporal operations ... are often not processed efficiently in
-conventional DBMSs and might advantageously be supported by the stratum" —
-uses the hash-partitioned algorithms in this module instead: only
-value-equivalent tuples interact in temporal duplicate elimination,
-coalescing, temporal difference and temporal union, so partitioning by the
-value part first reduces the work to the (small) equivalence classes.
+``rdupT`` and ``γT`` run as batch operators (``TemporalDistinctOp`` and
+``TemporalAggregateOp`` of :mod:`repro.core.physical`) inside the stratum's
+pipelined regions.  ``coalT``, ``\\T`` and ``∪T`` still materialise their
+arguments and run here: only value-equivalent tuples interact in them, so
+hashing by the value part first reduces the reference definitions' repeated
+scans of the whole tuple list to the (small) equivalence classes.  This
+module goes when they become operators over the same period-cover helpers.
 
 Every function is **list-compatible** with its reference counterpart: it
 produces the *identical* sequence of tuples, only faster.  This matters
@@ -21,65 +18,11 @@ suite cross-checks the outputs tuple-for-tuple on randomized inputs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple as PyTuple
+from typing import Dict, List, Tuple as PyTuple
 
 from ..core.period import Period, subtract_periods
 from ..core.relation import Relation
 from ..core.tuples import Tuple
-
-
-def _group_positions_by_value(tuples: Sequence[Tuple]) -> Dict[PyTuple, List[int]]:
-    groups: Dict[PyTuple, List[int]] = {}
-    for position, tup in enumerate(tuples):
-        groups.setdefault(tup.value_part(), []).append(position)
-    return groups
-
-
-# ---------------------------------------------------------------------------
-# Temporal duplicate elimination
-# ---------------------------------------------------------------------------
-
-
-def temporal_duplicate_elimination_fast(relation: Relation) -> Relation:
-    """``rdupT`` with hash partitioning by value part.
-
-    The reference algorithm emits tuples in work-list order, where every cut
-    fragment occupies the slot of the tuple it was cut from.  Because tuples
-    of different value-equivalence classes never interact, the algorithm can
-    run per class (carrying the global slot of each work item along) and the
-    global output is re-assembled by sorting the per-class outputs by slot,
-    which reproduces the reference output exactly.
-    """
-    tuples = list(relation.tuples)
-    groups = _group_positions_by_value(tuples)
-    emitted: List[PyTuple[int, int, Tuple]] = []
-    for positions in groups.values():
-        # Work items are (slot, tuple); fragments inherit the slot of the
-        # tuple they replace, mirroring the in-place replacement of the
-        # reference definition.
-        work: List[PyTuple[int, Tuple]] = [(slot, tuples[slot]) for slot in positions]
-        sequence = 0
-        while work:
-            head_slot, head = work[0]
-            rest = work[1:]
-            overlap_index = None
-            for index, (_, candidate) in enumerate(rest):
-                if candidate.period.overlaps(head.period):
-                    overlap_index = index
-                    break
-            if overlap_index is None:
-                emitted.append((head_slot, sequence, head))
-                sequence += 1
-                work = rest
-                continue
-            slot, overlapping = rest[overlap_index]
-            fragments = [
-                (slot, overlapping.with_period(piece))
-                for piece in overlapping.period.subtract(head.period)
-            ]
-            work = [(head_slot, head)] + rest[:overlap_index] + fragments + rest[overlap_index + 1 :]
-    emitted.sort(key=lambda item: (item[0], item[1]))
-    return Relation(relation.schema, [tup for _, _, tup in emitted])
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +49,19 @@ def coalesce_fast(relation: Relation) -> Relation:
 
 
 def temporal_difference_fast(left: Relation, right: Relation) -> Relation:
-    """``\\T`` with the right argument hashed by value part."""
+    """``\\T`` with the right argument hashed by value part.
+
+    Union compatibility is by name, so the right argument may list its
+    attributes in another order: its keys follow the left schema's order,
+    which is decided once per call, not per tuple.
+    """
     schema = left.schema
     right_periods: Dict[PyTuple, List[Period]] = {}
+    names = schema.nontemporal_attributes
+    same_order = right.schema.attributes == schema.attributes
     for tup in right:
-        right_periods.setdefault(tup.value_part(), []).append(tup.period)
+        key = tup.value_part() if same_order else tuple(tup[name] for name in names)
+        right_periods.setdefault(key, []).append(tup.period)
     result: List[Tuple] = []
     for tup in left:
         aligned = tup.project(schema)

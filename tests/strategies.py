@@ -14,6 +14,8 @@ from typing import List, Tuple as PyTuple
 from hypothesis import strategies as st
 
 from repro.core.expressions import (
+    AggregateFunction,
+    AggregateKind,
     And,
     AttributeRef,
     Comparison,
@@ -26,6 +28,7 @@ from repro.core.expressions import (
 from repro.core.operations import (
     Aggregation,
     CartesianProduct,
+    Coalescing,
     Difference,
     DuplicateElimination,
     Join,
@@ -34,15 +37,19 @@ from repro.core.operations import (
     Projection,
     Selection,
     Sort,
+    TemporalAggregation,
     TemporalCartesianProduct,
+    TemporalDifference,
+    TemporalDuplicateElimination,
     TemporalJoin,
+    TemporalUnion,
     Union,
     UnionAll,
 )
 from repro.core.period import T1, T2
 from repro.core.order_spec import OrderSpec, SortKey, SortDirection
 from repro.core.relation import Relation
-from repro.core.schema import INTEGER, RelationSchema, STRING
+from repro.core.schema import FLOAT, INTEGER, RelationSchema, STRING
 
 #: Temporal schema used by most property tests: (Name, Dept, T1, T2).
 TEMPORAL_SCHEMA = RelationSchema.temporal(
@@ -404,3 +411,95 @@ def _keeps_schema(relation: Relation):
     """Filter: the plan still produces ``relation``'s attributes, in order."""
     attributes = relation.schema.attributes
     return lambda plan: plan.output_schema().attributes == attributes
+
+
+# ---------------------------------------------------------------------------
+# Temporal plans: rdupT and γT inside the stratum's pipelined regions
+# ---------------------------------------------------------------------------
+
+#: Temporal schema with a float attribute whose sums depend on the summation
+#: order (``1e16`` swallows the small scores), so ``AVG``/``SUM`` pin the
+#: order in which an aggregate sees a group's members.
+SCORED_SCHEMA = RelationSchema.temporal([("Name", STRING), ("Score", FLOAT)], name="M")
+SCORES = (0.1, 0.2, 0.3, 1e16, -1e16)
+
+
+@st.composite
+def scored_relations(draw, max_size: int = 8) -> Relation:
+    """A small temporal relation over the (Name, Score, T1, T2) schema."""
+    row = st.tuples(st.sampled_from(NAMES), st.sampled_from(SCORES), periods())
+    rows = draw(st.lists(row, max_size=max_size))
+    return Relation.from_rows(SCORED_SCHEMA, [(name, score, *period) for name, score, period in rows])
+
+
+@st.composite
+def _temporal_projection_over(draw, plan: Operation) -> Operation:
+    """π keeping ``T1``/``T2`` — anywhere in the list, not only at its end."""
+    values = plan.output_schema().nontemporal_attributes
+    chosen = draw(st.lists(st.sampled_from(values), unique=True)) if values else []
+    return Projection(draw(st.permutations(chosen + [T1, T2])), plan)
+
+
+@st.composite
+def _temporal_aggregation_over(draw, plan: Operation, tag: int) -> Operation:
+    """γT with 0–2 grouping attributes and aggregates of every kind.
+
+    ``COUNT`` takes ``*`` or any attribute; the numeric kinds take a numeric
+    one (``T1``/``T2`` and earlier aggregates included).  ``tag`` keeps the
+    output names of stacked aggregations apart.
+    """
+    schema = plan.output_schema()
+    values = schema.nontemporal_attributes
+    grouping = draw(st.lists(st.sampled_from(values), unique=True, max_size=2)) if values else []
+    numeric = [a for a in schema.attributes if schema.domain_of(a).name != STRING.name]
+    functions = [count(alias=f"n{tag}")] if draw(st.booleans()) else []
+    kinds = draw(st.lists(st.sampled_from(list(AggregateKind)), unique=True, min_size=not functions))
+    for kind in kinds:
+        arguments = schema.attributes if kind is AggregateKind.COUNT else numeric
+        functions.append(
+            AggregateFunction(kind, draw(st.sampled_from(arguments)), f"{kind.value.lower()}{tag}")
+        )
+    return TemporalAggregation(grouping, functions, plan)
+
+
+_TEMPORAL_STEPS = ("select", "project", "sort", "rdupT", "γT", "coalT", "\\T", "∪T")
+
+
+@st.composite
+def temporal_shaped_plans(draw, max_size: int = 6, max_depth: int = 4) -> Operation:
+    """A stack of temporal and streaming operations over a literal relation.
+
+    At least one ``rdupT`` or ``γT`` — the two temporal operations the stratum
+    runs as batch operators — over and under σ, π (possibly moving ``T1``/
+    ``T2`` off the trailing positions), mixed-direction sorts and the
+    unported ``coalT``, ``\\T`` and ``∪T``, which stay region boundaries.  The
+    binary operations take a selection of the plan itself as their right
+    argument (union-compatible by construction), half the time with its
+    attributes permuted.
+    """
+    leaf = draw(st.one_of(temporal_relations(max_size=max_size), scored_relations(max_size)))
+    plan: Operation = LiteralRelation(leaf)
+    steps = draw(
+        st.lists(st.sampled_from(_TEMPORAL_STEPS), min_size=1, max_size=max_depth).filter(
+            lambda steps: "rdupT" in steps or "γT" in steps
+        )
+    )
+    for tag, step in enumerate(steps):
+        if step == "select":
+            plan = draw(_selection_over(plan))
+        elif step == "project":
+            plan = draw(_temporal_projection_over(plan))
+        elif step == "sort":
+            plan = Sort(draw(order_specs(plan.output_schema().attributes)), plan)
+        elif step == "rdupT":
+            plan = TemporalDuplicateElimination(plan)
+        elif step == "γT":
+            plan = draw(_temporal_aggregation_over(plan, tag))
+        elif step == "coalT":
+            plan = Coalescing(plan)
+        else:
+            right = draw(_selection_over(plan))
+            if draw(st.booleans()):
+                right = Projection(draw(st.permutations(plan.output_schema().attributes)), right)
+            plan = (TemporalDifference if step == "\\T" else TemporalUnion)(plan, right)
+    return plan

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -12,9 +13,13 @@ from repro.core.exceptions import (
     DeadlineExceededError,
     ResourceExhaustedError,
 )
+from repro.core.expressions import count
+from repro.core.operations import LiteralRelation, TemporalAggregation, TemporalDuplicateElimination
+from repro.core.operations.base import EvaluationContext
 from repro.core.physical import SourceOp
 from repro.core.relation import Relation
 from repro.core.schema import INTEGER, RelationSchema, STRING
+from repro.dbms import ConventionalDBMS
 from repro.faults import (
     FAULTS,
     CancellationToken,
@@ -116,6 +121,59 @@ class TestExecutionControl:
                     token.cancel()
         # cancelled at tuple 15, next check at tuple 20: within one interval
         assert 15 <= len(pulled) <= 20
+
+
+HISTORY = LiteralRelation(
+    Relation.from_rows(
+        RelationSchema.temporal([("Name", STRING)]),
+        [(f"n{i % 7}", i % 40, i % 40 + 1 + i % 9) for i in range(300)],
+    )
+)
+
+
+class TestDeadlineInsideATemporalDrain:
+    """``rdupT`` and ``γT`` drain as batch operators, so they tick.
+
+    A deadline that expires while one of them is producing rows raises from
+    inside that drain — before this they ran as one uninterruptible call
+    between two plan-node checkpoints.
+    """
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            TemporalDuplicateElimination(HISTORY),
+            TemporalAggregation(["Name"], [count(alias="n")], HISTORY),
+        ],
+        ids=["rdupT", "γT"],
+    )
+    def test_the_typed_error_comes_from_the_operators_own_ticks(self, plan):
+        from repro.stratum import StratumExecutor
+
+        interval = 16
+        rows_in = len(HISTORY.relation)
+        rows_out = len(plan.evaluate(EvaluationContext()))
+
+        def executor_with(deadline):
+            clock = itertools.count(1)  # one reading per token check
+            token = CancellationToken(deadline=deadline, clock=lambda: next(clock))
+            control = ExecutionControl(token=token, interval=interval)
+            return StratumExecutor(ConventionalDBMS(), control=control), clock
+
+        executor, clock = executor_with(deadline=10**6)
+        executor.execute(plan)
+        checks = next(clock) - 1
+        # Two plan-node checkpoints, the source's drain, and the temporal
+        # operator's own: one tick at its start and one per `interval` rows out.
+        assert rows_out // interval >= 2
+        assert checks == 2 + (1 + rows_in // interval) + (1 + rows_out // interval)
+        # Expire on the very last check: by then the source is exhausted, so
+        # only the temporal operator's drain can be the one that raises.
+        executor, _ = executor_with(deadline=checks - 1)
+        with pytest.raises(DeadlineExceededError):
+            executor.execute(plan)
+        assert () not in executor.report.node_rows  # the region never finished
+        assert executor.report.degraded_operations == []  # "stop", not "broken"
 
 
 def make_database():

@@ -20,11 +20,21 @@ from repro.core.exceptions import (
     CancelledError,
     ResourceExhaustedError,
 )
-from repro.faults import FAULTS, CancellationToken, ResourceGuard
+from repro.core.expressions import count
+from repro.core.operations import (
+    LiteralRelation,
+    Projection,
+    Sort,
+    TemporalAggregation,
+    TemporalDuplicateElimination,
+)
+from repro.core.order_spec import OrderSpec
+from repro.dbms import ConventionalDBMS
+from repro.faults import FAULTS, CancellationToken, ExecutionControl, ResourceGuard
 from repro.obs import MetricsRegistry, Tracer
 from repro.options import ExecutionOptions
 from repro.session import Session
-from repro.stratum import TemporalDatabase
+from repro.stratum import StratumExecutor, TemporalDatabase
 from repro.workloads import employee_relation, project_relation
 
 
@@ -146,6 +156,41 @@ class TestStratumPhysicalDegradation:
         second = session.execute(statement)
         assert not second.report.degraded_operations
         assert rows_of(second.relation) == healthy_rows
+
+
+class TestTemporalRegionDegradation:
+    """A region holding ``rdupT``/``γT`` operators falls back like any other:
+    the reference recursion — the only place ``node._evaluate`` still runs for
+    them — re-executes it to the identical tuple sequence."""
+
+    def plan(self):
+        narrow = Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))
+        counted = TemporalAggregation(["EmpName"], [count(alias="n")], TemporalDuplicateElimination(narrow))
+        return Sort(OrderSpec.of("EmpName DESC"), counted)
+
+    def test_a_failed_region_with_rdupt_reexecutes_through_the_reference(self, monkeypatch):
+        evaluated = []
+        for node_type in (TemporalDuplicateElimination, TemporalAggregation):
+
+            def spy(self, child_results, context, original=node_type._evaluate):
+                evaluated.append(self.symbol)
+                return original(self, child_results, context)
+
+            monkeypatch.setattr(node_type, "_evaluate", spy)
+
+        def execute(faults):
+            executor = StratumExecutor(ConventionalDBMS(), control=ExecutionControl())
+            with FAULTS.armed("stratum.pull", times=faults):
+                return executor.execute(self.plan()), executor.report
+
+        healthy, healthy_report = execute(faults=0)
+        assert healthy_report.degraded_operations == [] and evaluated == []
+        degraded, report = execute(faults=1)
+        assert report.degraded_operations == ["sort[EmpName DESC] at (): FAULT_INJECTED"]
+        assert evaluated == ["rdupT", "γT"]
+        assert list(degraded.tuples) == list(healthy.tuples)
+        assert degraded.order == healthy.order
+        assert report.node_rows == healthy_report.node_rows
 
 
 class TestDegradationNeverMasksControl:

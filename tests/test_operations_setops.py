@@ -202,3 +202,68 @@ class TestTemporalDifference:
         for time in points:
             expected = deduplicated.snapshot(time).as_set() - right.snapshot(time).as_set()
             assert result.snapshot(time).as_set() == expected
+
+
+VALUE_SCHEMA = RelationSchema.temporal([("A", STRING), ("B", STRING)], name="L")
+#: The same attributes in another order: union-compatible with ``VALUE_SCHEMA``.
+PERMUTED_VALUE_SCHEMA = RelationSchema.from_pairs(
+    [(name, VALUE_SCHEMA.domain_of(name)) for name in ("B", "A", "T1", "T2")], name="P"
+)
+
+
+class TestValueEquivalenceIsByName:
+    """Union compatibility ignores attribute order, so value equivalence must.
+
+    A right argument over ``(B, A, T1, T2)`` holds the same values as a left
+    one over ``(A, B, T1, T2)``; ``\\T`` and ``∪T`` — the reference definitions
+    and the stratum's hash-partitioned paths alike — must see them as equal,
+    and the unchanged-order case must give exactly the rows it always gave.
+    """
+
+    def relations(self, permuted):
+        left = Relation.from_rows(VALUE_SCHEMA, [("x", "y", 1, 5), ("y", "x", 2, 9)])
+        rows = [("x", "y", 3, 5), ("y", "x", 1, 4)]  # as (A, B, T1, T2)
+        if not permuted:
+            return left, Relation.from_rows(VALUE_SCHEMA, rows)
+        return left, Relation.from_rows(
+            PERMUTED_VALUE_SCHEMA, [(b, a, t1, t2) for a, b, t1, t2 in rows]
+        )
+
+    def both_paths(self, operation, fast, left, right):
+        """The reference definition's result and the stratum fast path's."""
+        return [run(operation(LiteralRelation(left), LiteralRelation(right))), fast(left, right)]
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_temporal_difference(self, permuted):
+        from repro.stratum import temporal_difference_fast
+
+        left, right = self.relations(permuted)
+        for result in self.both_paths(TemporalDifference, temporal_difference_fast, left, right):
+            assert result.schema.attributes == ("A", "B", "T1", "T2")
+            assert [tup.values() for tup in result] == [("x", "y", 1, 3), ("y", "x", 4, 9)]
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_temporal_union(self, permuted):
+        from repro.stratum import temporal_union_fast
+
+        left, right = self.relations(permuted)
+        for result in self.both_paths(TemporalUnion, temporal_union_fast, left, right):
+            assert result.schema.attributes == ("A", "B", "T1", "T2")
+            assert [tup.values() for tup in result] == [
+                ("x", "y", 1, 5), ("y", "x", 2, 9), ("y", "x", 1, 2),
+            ]
+
+    def test_equal_values_under_swapped_names_cancel(self):
+        from repro.stratum import temporal_difference_fast
+
+        left = Relation.from_rows(VALUE_SCHEMA, [("x", "y", 1, 5)])
+        right = Relation.from_rows(PERMUTED_VALUE_SCHEMA, [("y", "x", 1, 5)])  # B=y, A=x
+        for result in self.both_paths(TemporalDifference, temporal_difference_fast, left, right):
+            assert result.is_empty()
+
+    def test_tuples_over_other_attributes_are_never_value_equivalent(self):
+        (left,) = Relation.from_rows(VALUE_SCHEMA, [("x", "y", 1, 5)]).tuples
+        (permuted,) = Relation.from_rows(PERMUTED_VALUE_SCHEMA, [("y", "x", 7, 8)]).tuples
+        (narrow,) = trel(("x", 1, 5)).tuples
+        assert left.value_equivalent(permuted) and permuted.value_equivalent(left)
+        assert not left.value_equivalent(narrow)

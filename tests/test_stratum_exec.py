@@ -27,7 +27,6 @@ from repro.stratum import (
     coalesce_fast,
     partition_plan,
     temporal_difference_fast,
-    temporal_duplicate_elimination_fast,
     temporal_union_fast,
 )
 from repro.stratum.partition import DBMS, STRATUM, describe_partition
@@ -38,14 +37,21 @@ from .strategies import narrow_temporal_relations
 CONTEXT = EvaluationContext()
 
 
+def rdupt_in_stratum(relation):
+    """``rdupT`` as the stratum runs it: a ``TemporalDistinctOp`` region."""
+    executor = StratumExecutor(ConventionalDBMS())
+    result = executor.execute(TemporalDuplicateElimination(LiteralRelation(relation)))
+    assert executor.report.degraded_operations == []
+    return result
+
+
 class TestFastImplementationsMatchReference:
     """The stratum operators are list-compatible with the reference semantics."""
 
     @given(narrow_temporal_relations(max_size=8))
     def test_rdupt(self, relation):
         reference = TemporalDuplicateElimination(LiteralRelation(relation)).evaluate(CONTEXT)
-        fast = temporal_duplicate_elimination_fast(relation)
-        assert list_equivalent(fast, reference)
+        assert list_equivalent(rdupt_in_stratum(relation), reference)
 
     @given(narrow_temporal_relations(max_size=8))
     def test_coalesce(self, relation):
@@ -68,7 +74,7 @@ class TestFastImplementationsMatchReference:
         assert list_equivalent(fast, reference)
 
     def test_figure3(self, r1, r3):
-        assert list_equivalent(temporal_duplicate_elimination_fast(r1), r3)
+        assert list_equivalent(rdupt_in_stratum(r1), r3)
 
 
 class TestPlanPartitioning:
