@@ -76,8 +76,8 @@ def archive_results(variable: str, results: dict, title: str) -> None:
     the calling ``test_write_benchmark_json`` skips here instead of
     rewriting a committed ``.benchmarks/*.json`` with fresh timing noise —
     so a caller with assertions over ``results`` makes them *before* this
-    call.  (Perf-F and Perf-O fill ``results`` from a ``timing_gate`` test
-    tier-1 deselects; for them the skip also means there is nothing to check.)
+    call.  (Perf-F fills ``results`` from a ``timing_gate`` test tier-1
+    deselects; for it the skip also means there is nothing to check.)
     """
     path = os.environ.get(variable)
     if path is None:

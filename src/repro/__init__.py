@@ -94,7 +94,7 @@ from .options import DEFAULT_BATCH_SIZE, ExecutionOptions
 from .stratum import TemporalDatabase
 from .session import Session
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 
 def connect(options: Optional[ExecutionOptions] = None) -> TemporalDatabase:

@@ -2,12 +2,13 @@
 
 When a session (or every worker session of a server) is given
 ``slow_query_seconds``, any request whose total wall-clock meets the
-threshold emits one structured record through stdlib :mod:`logging` —
-fingerprint, phase timings, chosen-plan cost, and the per-operator
-estimate-vs-actual q-error.  The q-errors are the point: they are the
-seed data the ROADMAP's feedback-driven re-optimization item will
-consume, and reading them off the slow tail is exactly where feedback
-pays.
+threshold emits one structured record through stdlib :mod:`logging` — a
+rendering of the request's record
+(:class:`~repro.session.session.SessionResult`): fingerprint, its phase
+seconds, chosen-plan cost, and per operator EXPLAIN's own line (rows,
+inclusive seconds) with the estimate-vs-actual q-error.  The q-errors are
+the point: reading them off the slow tail is exactly where estimation
+feedback pays.
 
 The record is attached to the log record as the ``slow_query`` attribute
 (and rendered as JSON in the message), so both a human tail and a
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 _LOGGER_NAME = "repro.slow_query"
 
@@ -34,52 +35,40 @@ def q_error(estimated: float, actual: float) -> float:
     return max(est / act, act / est)
 
 
-def build_slow_query_record(
-    result: Any,
-    annotations: Optional[Mapping[Any, Any]] = None,
-) -> Dict[str, Any]:
+def build_slow_query_record(result: Any) -> Dict[str, Any]:
     """The structured record for one slow request.
 
-    ``result`` is a :class:`~repro.session.session.SessionResult`;
-    ``annotations`` (per-operator cost annotations for the executed plan)
-    are optional because computing them costs a costing pass — the session
-    only computes them once a request has already crossed the threshold.
+    ``result`` is the request's finished
+    :class:`~repro.session.session.SessionResult`; ``operators`` are its
+    EXPLAIN lines (``result.operators``, built with the costing pass the
+    session pays only once a request has crossed the threshold) that have an
+    actual row count.
     """
-    timings = result.timings
+    operators = [
+        {
+            "path": list(line.path),
+            "operator": line.label,
+            "estimated_rows": line.estimated_rows,
+            "actual_rows": line.actual_rows,
+            "seconds": line.time_seconds,
+            "q_error": q_error(line.estimated_rows, line.actual_rows),
+        }
+        for line in result.operators
+        if line.actual_rows is not None
+    ]
     record: Dict[str, Any] = {
         "fingerprint": result.fingerprint,
         "statement": result.statement,
         "epoch": result.epoch,
         "cache_hit": result.cache_hit,
-        "total_seconds": timings.total_seconds,
-        "phase_seconds": {
-            "parse": timings.parse_seconds,
-            "optimize": timings.plan_seconds,
-            "execute": timings.execute_seconds,
-        },
+        "total_seconds": result.timings.total_seconds,
+        "phase_seconds": result.phase_seconds(),
         "chosen_plan_cost": result.optimization.chosen_cost.total,
-        "trace_id": getattr(result, "trace_id", None),
+        "trace_id": result.trace_id,
+        "operators": operators,
     }
-    report = getattr(result, "report", None)
-    if annotations is not None and report is not None:
-        operators = []
-        for path, node in result.plan.locations():
-            annotation = annotations.get(path)
-            actual = report.node_rows.get(path)
-            if annotation is None or actual is None:
-                continue
-            operators.append(
-                {
-                    "path": list(path),
-                    "operator": node.label(),
-                    "estimated_rows": annotation.output_cardinality,
-                    "actual_rows": actual,
-                    "q_error": q_error(annotation.output_cardinality, actual),
-                }
-            )
-        record["operators"] = operators
-        if operators:
-            record["max_q_error"] = max(op["q_error"] for op in operators)
+    if operators:
+        record["max_q_error"] = max(op["q_error"] for op in operators)
     return record
 
 

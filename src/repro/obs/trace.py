@@ -1,25 +1,26 @@
-"""Structured tracing: per-request traces of nested, timed spans.
+"""Structured tracing: span trees rendered from per-request records.
 
-One :class:`Trace` records one request's journey through the layers —
-parse → bind → optimize → execute, with per-operator children under the
-execute span — as a tree of :class:`Span` objects, each carrying a
-monotonic start offset, a duration and free-form attributes.  The
-:class:`Tracer` is the factory and retention policy: it decides (by a
-deterministic modular sampler) whether a request is traced at all, stamps
-trace ids, and keeps the last N finished traces for the ``trace``
-introspection command of the TCP front end.
+A request's journey through the layers — parse → optimize → bind →
+execute, with per-operator children under the execute span — is *measured*
+by the session, which stamps every phase of every request on one record
+(:class:`~repro.session.session.SessionResult`).  This module holds what is
+the tracer's own and the export format:
 
-Two design rules keep the layer honest on the serving path:
+* the :class:`Tracer` decides by a deterministic modular sampler whether a
+  request is sampled (which is also what turns the executors' per-operator
+  clock on), stamps its trace id, and keeps the last N sampled requests —
+  as the names, numbers and plan paths of their records, nothing heavier —
+  for the ``trace`` introspection command of the TCP front end;
+* :class:`Trace`/:class:`Span` trees are built from those numbers **on
+  export** (:meth:`Tracer.recent`) by :func:`build_trace`; an unsampled
+  request never builds a span, and a sampled one only when somebody looks.
+* **the clock is injected** — every timestamp of a request comes from the
+  tracer's ``clock`` callable (default :func:`time.perf_counter`), so tests
+  drive a fake monotonic clock and assert exact durations.
 
-* **disabled means one branch** — an untraced request costs exactly one
-  ``if tracer is None`` / ``start_trace() is None`` test per span site;
-  no object is allocated, no clock is read.  The overhead benchmark
-  (``benchmarks/test_bench_observability_overhead.py``) pins this.
-* **the clock is injected** — every timestamp comes from the tracer's
-  ``clock`` callable (default :func:`time.perf_counter`), so tests drive a
-  fake monotonic clock and assert exact durations.
-
-Traces export two ways: :meth:`Trace.to_dict` (structured, JSON-safe) and
+:meth:`Tracer.start_trace`/:meth:`Trace.span` remain for code that wants to
+record spans by hand around its own sections.  Traces export two ways:
+:meth:`Trace.to_dict` (structured, JSON-safe) and
 :meth:`Trace.to_chrome_trace` — the Chrome trace-event format (complete
 ``"X"`` events with microsecond ``ts``/``dur``), loadable directly in
 Perfetto or ``chrome://tracing``.
@@ -31,7 +32,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
 class Span:
@@ -39,17 +41,23 @@ class Span:
 
     ``start`` is in the trace's clock domain (monotonic seconds);
     ``duration`` is filled when the span closes.  ``attributes`` is a flat
-    ``str -> JSON-safe value`` mapping; ``children`` are spans opened (or
-    recorded after the fact) while this span was the innermost open one.
+    ``str -> JSON-safe value`` mapping; ``children`` are the spans opened
+    while this span was the innermost open one.
     """
 
     __slots__ = ("name", "start", "duration", "attributes", "children")
 
-    def __init__(self, name: str, start: float) -> None:
+    def __init__(
+        self,
+        name: str,
+        start: float,
+        duration: Optional[float] = None,
+        attributes: Optional[Mapping[str, Any]] = None,
+    ) -> None:
         self.name = name
         self.start = start
-        self.duration: Optional[float] = None
-        self.attributes: Dict[str, Any] = {}
+        self.duration = duration
+        self.attributes: Dict[str, Any] = dict(attributes or ())
         self.children: List["Span"] = []
 
     def set(self, **attributes: Any) -> "Span":
@@ -68,86 +76,40 @@ class Span:
         }
 
 
-class _OpenSpan:
-    """Context manager produced by :meth:`Trace.span`."""
-
-    __slots__ = ("_trace", "span")
-
-    def __init__(self, trace: "Trace", span: Span) -> None:
-        self._trace = trace
-        self.span = span
-
-    def set(self, **attributes: Any) -> None:
-        self.span.set(**attributes)
-
-    def __enter__(self) -> "_OpenSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._trace._close(self.span)
-
-
 class Trace:
     """One request's span tree, rooted at the request span itself.
 
-    Spans nest through a stack: :meth:`span` opens a child of the innermost
-    open span and closes it when the ``with`` block exits.  Operator spans
-    measured elsewhere (the executors time their operators themselves) are
-    attached after the fact with :meth:`record`, which takes an explicit
-    ``start``/``duration`` pair from the same clock.
+    A session request's trace arrives complete (:func:`build_trace`).  One
+    recorded by hand nests through a stack: :meth:`span` opens a child of
+    the innermost open span and closes it when the ``with`` block exits.
     """
 
-    def __init__(self, trace_id: str, name: str, clock: Callable[[], float]) -> None:
+    def __init__(
+        self, trace_id: str, root: Span, clock: Callable[[], float] = time.perf_counter
+    ) -> None:
         self.trace_id = trace_id
         self.clock = clock
-        self.root = Span(name, clock())
-        self._stack: List[Span] = [self.root]
+        self.root = root
+        self._stack: List[Span] = [root]
 
     # -- recording ---------------------------------------------------------------
 
-    def span(self, name: str, **attributes: Any) -> _OpenSpan:
-        """Open a child span of the innermost open span (a context manager)."""
-        span = Span(name, self.clock())
-        if attributes:
-            span.attributes.update(attributes)
+    @contextmanager
+    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+        """Open a child span of the innermost open span for the ``with`` block."""
+        span = Span(name, self.clock(), attributes=attributes)
         self._stack[-1].children.append(span)
         self._stack.append(span)
-        return _OpenSpan(self, span)
-
-    def record(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        attributes: Optional[Dict[str, Any]] = None,
-    ) -> Span:
-        """Attach an already-measured span under the innermost open span."""
-        span = Span(name, start)
-        span.duration = duration
-        if attributes:
-            span.attributes.update(attributes)
-        self._stack[-1].children.append(span)
-        return span
-
-    def _close(self, span: Span) -> None:
-        span.duration = self.clock() - span.start
-        # Close any deeper spans left open (defensive; the context-manager
-        # discipline normally keeps the stack aligned).
-        while self._stack and self._stack[-1] is not span:
-            dangling = self._stack.pop()
-            if dangling.duration is None:
-                dangling.duration = span.duration
-        if self._stack:
+        try:
+            yield span
+        finally:  # ``with`` blocks exit innermost first, so ``span`` is on top
+            span.duration = self.clock() - span.start
             self._stack.pop()
 
     def finish(self) -> "Trace":
-        """Close the root (and anything still open); idempotent."""
+        """Close the root; idempotent."""
         if self.root.duration is None:
-            now = self.clock()
-            while self._stack:
-                span = self._stack.pop()
-                if span.duration is None:
-                    span.duration = now - span.start
+            self.root.duration = self.clock() - self.root.start
         return self
 
     # -- export ------------------------------------------------------------------
@@ -208,8 +170,52 @@ class Trace:
         }
 
 
+def build_trace(
+    trace_id: str,
+    statement: str,
+    phases: Mapping[str, Tuple[float, float, Mapping[str, Any]]],
+    operators: Iterable[Any] = (),
+    dbms_spans: Iterable[Any] = (),
+    error_code: Optional[str] = None,
+) -> Trace:
+    """Render the numbers one sampled request left behind as its span tree.
+
+    ``phases`` is the request record's ``name -> (start, seconds,
+    attributes)`` mapping, in lifecycle order; the root ``request`` span
+    covers them and, for a failed request, carries ``error``/``error_code``.
+    ``operators`` are the record's EXPLAIN lines
+    (:class:`~repro.session.explain.OperatorLine`): those the stratum timed
+    become children of the ``execute`` span, in plan order, followed by the
+    timed drains inside the DBMS fragments (``dbms_spans``,
+    :class:`~repro.dbms.executor.OperatorSpan`) in call order.
+    """
+    spans = [Span(name, *stamp) for name, stamp in phases.items()]
+    start = spans[0].start if spans else 0.0
+    end = spans[-1].start + spans[-1].duration if spans else start
+    root = Span("request", start, end - start, {"statement": statement})
+    if error_code is not None:
+        root.set(error=True, error_code=error_code)
+    root.children = spans
+    for span in spans:
+        if span.name == "execute":
+            span.children = [
+                Span(
+                    line.label,
+                    line.start_seconds,
+                    line.time_seconds,
+                    {"path": list(line.path), "rows": line.actual_rows},
+                )
+                for line in operators
+                if line.time_seconds is not None
+            ] + [
+                Span(drain.operator, drain.start, drain.duration, {"rows": drain.rows, "engine": "dbms"})
+                for drain in dbms_spans
+            ]
+    return Trace(trace_id, root)
+
+
 class Tracer:
-    """Factory, sampler and retention ring for :class:`Trace` objects.
+    """Sampler, trace-id source and retention ring.
 
     >>> from repro.obs import Tracer
     >>> ticks = iter(range(100))
@@ -222,11 +228,10 @@ class Tracer:
     ['request', 'parse']
 
     Sampling is **deterministic**: with ``sample_every=n`` exactly every
-    n-th ``start_trace`` call returns a trace (the first call always does),
-    so tests — and capacity planning — see a fixed fraction instead of a
-    coin flip.  ``enabled=False`` (or ``sample_every=0``) disables tracing
-    entirely: ``start_trace`` returns ``None`` without reading the clock,
-    which is the one-branch disabled path every span site relies on.
+    n-th :meth:`sample` call is sampled (the first call always is), so tests
+    — and capacity planning — see a fixed fraction instead of a coin flip.
+    ``enabled=False`` (or ``sample_every=0``) disables tracing entirely:
+    nothing is ever sampled and the clock is never read here.
     """
 
     def __init__(
@@ -243,20 +248,23 @@ class Tracer:
         self.clock = clock
         self._ids = itertools.count(1)
         self._calls = itertools.count()
-        self._finished: "deque[Trace]" = deque(maxlen=max(1, keep))
+        #: Finished hand-recorded :class:`Trace` objects and, per sampled
+        #: session request, the keyword arguments of :func:`build_trace`.
+        self._finished: "deque[Any]" = deque(maxlen=max(1, keep))
         self._lock = threading.Lock()
 
+    def sample(self) -> Optional[str]:
+        """The sampling decision: a fresh trace id, or ``None`` (not sampled)."""
+        if not self.enabled or next(self._calls) % self.sample_every:
+            return None
+        return f"t{next(self._ids):08x}"
+
     def start_trace(self, name: str, **attributes: Any) -> Optional[Trace]:
-        """A new :class:`Trace`, or ``None`` when disabled / not sampled."""
-        if not self.enabled:
+        """A new hand-recorded :class:`Trace`, or ``None`` when not sampled."""
+        trace_id = self.sample()
+        if trace_id is None:
             return None
-        call = next(self._calls)
-        if call % self.sample_every:
-            return None
-        trace = Trace(f"t{next(self._ids):08x}", name, self.clock)
-        if attributes:
-            trace.root.attributes.update(attributes)
-        return trace
+        return Trace(trace_id, Span(name, self.clock(), attributes=attributes), self.clock)
 
     def finish(self, trace: Optional[Trace]) -> None:
         """Close ``trace`` and retain it in the last-N ring (None is a no-op)."""
@@ -266,10 +274,17 @@ class Tracer:
         with self._lock:
             self._finished.append(trace)
 
-    def recent(self, limit: Optional[int] = None) -> List[Trace]:
-        """The most recently finished traces, oldest first."""
+    def retain(self, **request: Any) -> None:
+        """Keep one sampled request — :func:`build_trace`'s arguments — in the ring."""
         with self._lock:
-            traces = list(self._finished)
+            self._finished.append(request)
+
+    def recent(self, limit: Optional[int] = None) -> List[Trace]:
+        """The most recently finished traces, oldest first (built here, on export)."""
+        with self._lock:
+            entries = list(self._finished)
         if limit is not None and limit >= 0:
-            traces = traces[-limit:] if limit else []
-        return traces
+            entries = entries[-limit:] if limit else []
+        return [
+            entry if isinstance(entry, Trace) else build_trace(**entry) for entry in entries
+        ]

@@ -50,8 +50,6 @@ class ExecutionOptions:
       histogram-backed cardinality estimator into the optimizer.
     * ``optimize_queries`` — run the cost-based optimizer (off: execute the
       translated plan as-is; useful in benchmarks and tests).
-    * ``strategy`` — plan-search strategy, ``"memo"`` (default) or
-      ``"exhaustive"`` (validated by the optimizer).
     * ``batch_size`` — rows per columnar chunk of the physical operators
       (both engines), a positive integer.
     * ``tracer`` — a :class:`~repro.obs.trace.Tracer` for structured
@@ -68,7 +66,6 @@ class ExecutionOptions:
 
     use_statistics: bool = False
     optimize_queries: bool = True
-    strategy: str = "memo"
     batch_size: int = DEFAULT_BATCH_SIZE
     tracer: Optional[Any] = None
     metrics: Optional[Any] = None

@@ -81,10 +81,11 @@ class Response:
 
     ``status`` is ``"ok"``, ``"error"``, ``"timed_out"`` or
     ``"cancelled"``; rejected requests never produce a response (admission
-    raises instead).  For an ``ok`` query ``relation`` holds the rows and
-    ``epoch`` the statistics epoch the query was admitted (snapshotted)
-    at; for an ``ok`` append ``rows_inserted`` and the epoch *after* the
-    append are set.  Every non-``ok`` response carries the stable error
+    raises instead).  For an ``ok`` query ``relation`` holds the rows — or,
+    for an ``EXPLAIN [ANALYZE]`` statement, ``explain`` the rendered report
+    — and ``epoch`` the statistics epoch the query was admitted
+    (snapshotted) at; for an ``ok`` append ``rows_inserted`` and the epoch
+    *after* the append are set.  Every non-``ok`` response carries the stable error
     ``code`` next to the human-readable ``error`` text — clients branch on
     the code (see :data:`~repro.core.exceptions.RETRYABLE_CODES`), never
     on the text.
@@ -93,6 +94,8 @@ class Response:
     status: str
     kind: str
     relation: Optional[Relation] = None
+    #: The text of the report an ``ok`` ``EXPLAIN [ANALYZE]`` answers with.
+    explain: Optional[str] = None
     rows_inserted: int = 0
     epoch: int = -1
     cache_hit: bool = False
@@ -539,18 +542,15 @@ class Server:
                         token=token,
                         guard=self._guard(),
                     )
-                    timings = result.timings
+                    seconds = result.phase_seconds()
                     response = Response(
                         status="ok",
                         kind="query",
                         relation=result.relation,
+                        explain=None if result.explain is None else result.explain.render(),
                         epoch=result.epoch,
                         cache_hit=result.cache_hit,
-                        timings={
-                            "parse": timings.parse_seconds,
-                            "optimize": timings.plan_seconds,
-                            "execute": timings.execute_seconds,
-                        },
+                        timings={name: seconds[name] for name in ("parse", "optimize", "execute")},
                         trace_id=result.trace_id,
                         request_id=request.request_id,
                     )

@@ -6,7 +6,9 @@ carry an ``op``:
 ``{"op": "query", "statement": "...", "params": [...], "timeout": 1.5}``
     Run a statement (``params`` and ``timeout`` optional).  The response is
     ``{"status": "ok", "columns": [...], "rows": [[...], ...], "epoch": N,
-    "cache_hit": true, "latency_seconds": ...}`` — or ``status`` of
+    "cache_hit": true, "latency_seconds": ...}`` — for an ``EXPLAIN
+    [ANALYZE]`` statement ``"explain"``, the rendered report, in place of
+    the rows — or ``status`` of
     ``"error"``/``"timed_out"``/``"cancelled"``/``"rejected"`` with an
     ``"error"`` message and a stable ``"code"`` (see
     :mod:`repro.core.exceptions`).  An optional client-chosen ``"id"``
@@ -91,6 +93,8 @@ def response_to_wire(response: Response) -> Dict[str, Any]:
         payload["columns"] = list(response.relation.schema.attributes)
         payload["rows"] = [list(t.values()) for t in response.relation.tuples]
         payload["cache_hit"] = response.cache_hit
+    if response.explain is not None:
+        payload["explain"] = response.explain
     if response.kind == "append":
         payload["rows_inserted"] = response.rows_inserted
     if response.timings is not None:

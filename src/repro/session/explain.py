@@ -11,23 +11,33 @@ The report answers the three questions a plan investigation starts with:
   and expressions, sweeps), the catalogue rules that fired during
   exploration, and the provenance rules that derived the chosen plan.
 
-Actual cardinalities come from two sources merged: the stratum executor
-records the output of every node it evaluates itself
-(:attr:`~repro.stratum.executor.StratumExecutionReport.node_rows`), and a
-reference evaluation walk fills in the operators inside DBMS fragments,
-which the substrate executes as one opaque call.
+The report is a *rendering* of the request's record
+(:class:`~repro.session.session.SessionResult`): :func:`build_operator_lines`
+joins plan path → label, engine, estimate, actual rows and inclusive time
+once per request — the one walk of the plan in the session and
+observability layers — and the EXPLAIN table, the slow-query log's
+``operators`` and the trace's operator spans all read those lines, so they
+cannot disagree.  Actual cardinalities come from two sources merged: the
+stratum executor records the output of every node it evaluates itself
+(:attr:`~repro.stratum.executor.StratumExecutionReport.node_rows`), and for
+``EXPLAIN ANALYZE`` a reference evaluation walk fills in the operators
+inside DBMS fragments, which the substrate executes as one opaque call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple as PyTuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple as PyTuple
 
 from ..core.cost import OperatorCostAnnotation
 from ..core.operations import Operation
 from ..core.operations.base import EvaluationContext, PlanPath, ROOT_PATH
 from ..core.query import QueryResultSpec
+from ..stratum.executor import StratumExecutionReport
 from ..stratum.partition import partition_plan
+
+if TYPE_CHECKING:
+    from .session import SessionResult
 
 
 def actual_cardinalities(
@@ -61,8 +71,11 @@ class OperatorLine:
     path: PlanPath
     label: str
     engine: str
-    estimated_rows: float
-    cost: float
+    estimated_rows: Optional[float] = None
+    """Estimated output cardinality and (``cost``) work; ``None`` on the
+    lines of a request that was only traced — the costing pass is paid for
+    EXPLAIN and for the slow-query log, not per sampled request."""
+    cost: Optional[float] = None
     actual_rows: Optional[int] = None
     physical: Optional[str] = None
     """The physical algorithm the executing engine runs this operator with
@@ -75,10 +88,8 @@ class OperatorLine:
     ANALYZE execution; ``None`` — rendered ``-`` like the actuals — for
     operators the executing engine never drained separately: a product
     fused into a join, or the nodes inside an opaque DBMS fragment."""
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
+    start_seconds: Optional[float] = None
+    """When the operator was first pulled, on the request's clock."""
 
 
 @dataclass
@@ -109,6 +120,9 @@ class ExplainReport:
     #: shown) for ``EXPLAIN ANALYZE``.
     batch_size: Optional[int] = None
     execute_seconds: Optional[float] = None
+    #: Seconds per lifecycle phase of the request the report renders
+    #: (``parse``/``optimize``/``bind``/``execute``).
+    phase_seconds: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def improvement_factor(self) -> float:
@@ -174,26 +188,23 @@ class ExplainReport:
         return "\n".join(out)
 
     def _render_tree(self) -> str:
-        by_path = {line.path: line for line in self.lines}
-        rows: List[PyTuple[str, OperatorLine]] = []
+        # The lines are the plan in pre-order; a node is its parent's last
+        # child when no line sits at the next sibling's path.
+        paths = {line.path for line in self.lines}
 
-        def walk(node: Operation, path: PlanPath, prefix: str, connector: str, child_prefix: str) -> None:
-            line = by_path[path]
-            text = prefix + connector + line.label
+        def last(path: PlanPath) -> bool:
+            return path[:-1] + (path[-1] + 1,) not in paths
+
+        rows: List[PyTuple[str, OperatorLine]] = []
+        for line in self.lines:
+            path = line.path
+            text = "".join("   " if last(path[:k]) else "│  " for k in range(1, len(path)))
+            if path:
+                text += "└─ " if last(path) else "├─ "
+            text += line.label
             if line.physical is not None:
                 text += f" [{line.physical}]"
             rows.append((text, line))
-            for index, child in enumerate(node.children):
-                last = index == len(node.children) - 1
-                walk(
-                    child,
-                    path + (index,),
-                    child_prefix,
-                    "└─ " if last else "├─ ",
-                    child_prefix + ("   " if last else "│  "),
-                )
-
-        walk(self.plan, ROOT_PATH, "", "", "")
         width = max(len(text) for text, _ in rows)
         # Time columns appear only on ANALYZE runs that measured anything;
         # percentages are of the root's inclusive wall-clock.
@@ -224,30 +235,84 @@ class ExplainReport:
 
 def build_operator_lines(
     plan: Operation,
-    annotations: Mapping[PlanPath, OperatorCostAnnotation],
-    actuals: Optional[Mapping[PlanPath, int]] = None,
-    timings: Optional[Mapping[PlanPath, PyTuple[float, float]]] = None,
+    report: Optional[StratumExecutionReport] = None,
+    annotations: Optional[Mapping[PlanPath, OperatorCostAnnotation]] = None,
+    context: Optional[EvaluationContext] = None,
 ) -> List[OperatorLine]:
-    """Assemble the plan-table rows from cost annotations, actuals and timings.
+    """Join every plan path to its label, engine, estimate, actuals and time.
 
-    ``timings`` maps plan paths to ``(start, duration)`` pairs as recorded in
-    :attr:`~repro.stratum.executor.StratumExecutionReport.node_timings`.
+    ``report`` is the execution's (absent for a plain ``EXPLAIN``): its
+    ``node_rows``/``node_timings`` give the actual rows and the inclusive
+    ``(start, duration)`` of every node the stratum evaluated.  With a
+    ``context`` (``EXPLAIN ANALYZE``) a reference walk of each DBMS fragment
+    adds the rows of the nodes inside it.  ``annotations`` are the costing
+    pass's, when one was paid.
     """
     partition = partition_plan(plan)
+    rows: Dict[PlanPath, int] = {}
+    if context is not None:
+        for fragment_path in partition.dbms_fragments:
+            counts = actual_cardinalities(plan.subtree_at(fragment_path), context)
+            rows.update((fragment_path + path, count) for path, count in counts.items())
+    timings: Mapping[PlanPath, PyTuple[float, float]] = {}
+    if report is not None:
+        rows.update(report.node_rows)
+        timings = report.node_timings
     lines: List[OperatorLine] = []
     for path, node in plan.locations():
-        annotation = annotations[path]
-        timing = None if timings is None else timings.get(path)
+        annotation = None if annotations is None else annotations[path]
+        start, seconds = timings.get(path, (None, None))
         lines.append(
             OperatorLine(
                 path=path,
                 label=node.label(),
                 engine=partition.engine_of(path),
-                estimated_rows=annotation.output_cardinality,
-                cost=annotation.work,
-                actual_rows=None if actuals is None else actuals.get(path),
-                physical=annotation.physical,
-                time_seconds=None if timing is None else timing[1],
+                estimated_rows=None if annotation is None else annotation.output_cardinality,
+                cost=None if annotation is None else annotation.work,
+                actual_rows=rows.get(path),
+                physical=None if annotation is None else annotation.physical,
+                time_seconds=seconds,
+                start_seconds=start,
             )
         )
     return lines
+
+
+def build_explain_report(
+    record: "SessionResult", normalized_statement: str, batch_size: int
+) -> ExplainReport:
+    """The EXPLAIN rendering of a finished request record (its ``operators`` set).
+
+    The record of an ``EXPLAIN ANALYZE`` is the one that carries an
+    execution ``report``.
+    """
+    optimization = record.optimization
+    statistics = None if optimization.search is None else optimization.search.statistics
+    report = record.report
+    analyze = report is not None
+    root = record.operators[0]
+    return ExplainReport(
+        statement=record.statement,
+        normalized_statement=normalized_statement,
+        fingerprint=record.fingerprint,
+        epoch=record.epoch,
+        cache_hit=record.cache_hit,
+        analyze=analyze,
+        query_spec=record.query_spec,
+        plan=record.plan,
+        lines=record.operators,
+        estimated_cost=optimization.chosen_cost.total,
+        initial_cost=optimization.initial_cost.total,
+        plans_considered=optimization.plans_considered,
+        memo_groups=None if statistics is None else statistics.groups,
+        memo_expressions=None if statistics is None else statistics.expressions,
+        sweeps=None if statistics is None else statistics.sweeps,
+        rule_usage={} if statistics is None else dict(statistics.rule_usage),
+        rules_applied=() if statistics is None else optimization.search.rules_applied,
+        dbms_calls=report.dbms_calls if analyze else None,
+        transferred_tuples=report.transferred_tuples if analyze else None,
+        result_rows=root.actual_rows,
+        batch_size=batch_size if analyze else None,
+        execute_seconds=root.time_seconds,
+        phase_seconds=record.phase_seconds(),
+    )

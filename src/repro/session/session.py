@@ -1,12 +1,12 @@
-"""The :class:`Session` façade: parse → translate → optimize → execute.
+"""The :class:`Session` façade: parse → optimize → bind → execute.
 
 One object drives the whole query lifecycle the layers below implement:
 
 * :mod:`repro.tsql` lexes/parses the statement and translates it to the
   initial algebra plan plus its Definition 5.1 result specification;
-* the :class:`~repro.stratum.layer.TemporalQueryOptimizer` (memo search by
-  default) rewrites the plan under the rule catalogue and picks the
-  cheapest alternative, consuming the catalog's statistics — and, with
+* the :class:`~repro.stratum.layer.TemporalQueryOptimizer` (memo search)
+  rewrites the plan under the rule catalogue and picks the cheapest
+  alternative, consuming the catalog's statistics — and, with
   ``use_statistics=True`` on the database, its histogram-backed
   :class:`~repro.stats.estimator.CardinalityEstimator`;
 * the :class:`~repro.stratum.executor.StratumExecutor` runs the chosen plan
@@ -21,17 +21,20 @@ What the session adds over calling the layers directly:
 * **positional parameters**: ``?`` markers are optimized as placeholders
   and bound per execution, so every constant variant of a statement shares
   one cache entry;
-* **EXPLAIN** (:meth:`Session.explain`, or the ``EXPLAIN [ANALYZE]``
-  statement prefix): the chosen plan with per-operator estimated vs.
-  actual cardinalities, costs, engine assignment, optimizer counters and
-  rule provenance.
+* **one record per request**: every statement — plain, ``EXPLAIN``,
+  ``EXPLAIN ANALYZE``, traced or not, successful or failed — runs the same
+  lifecycle once and fills one :class:`SessionResult`, each phase stamped on
+  one clock.  The trace, the ``EXPLAIN`` report
+  (:meth:`Session.explain`, or the statement prefix), the slow-query record,
+  the metric observations and the server's ``Response.timings`` are
+  renderings of that record.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple as PyTuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.cost import cost_annotations
 from ..core.exceptions import ParameterError, error_code
@@ -41,58 +44,92 @@ from ..core.operations import Operation
 from ..core.query import QueryResultSpec
 from ..core.relation import Relation
 from ..obs.slowlog import SlowQueryLog, build_slow_query_record
+from ..obs.trace import Tracer
 from ..stratum.executor import StratumExecutionReport, StratumExecutor
 from ..stratum.layer import OptimizationOutcome, TemporalDatabase
-from ..stratum.partition import partition_plan
 from ..tsql.ast import Statement
 from ..tsql.parser import parse_statement
 from ..tsql.translator import translate
 from ..tsql.unparse import unparse_statement
 from .cache import CachedPlan, PlanCache, PlanCacheInfo, PlanCacheKey
-from .explain import ExplainReport, actual_cardinalities, build_operator_lines
+from .explain import ExplainReport, OperatorLine, build_explain_report, build_operator_lines
 from .fingerprint import statement_fingerprint
 from .parameters import bind_parameters
+
+#: The lifecycle phases, in order; a request's record holds the ones it entered.
+PHASES = ("parse", "optimize", "bind", "execute")
+
+#: Stands in when the options carry no tracer: samples nothing, and lends
+#: its clock (:func:`time.perf_counter`) to the phase stamps.
+_UNTRACED = Tracer(enabled=False)
 
 
 @dataclass(frozen=True)
 class SessionTimings:
-    """Wall-clock seconds spent in each lifecycle stage of one execution.
+    """Wall-clock seconds spent in each lifecycle phase of one execution.
 
-    ``plan_seconds`` covers everything between parsing and execution —
-    cache lookup plus, on a miss, translation and optimization.  The plan
-    cache's entire point is visible here: on a hit it collapses to the
-    lookup.  For an ``EXPLAIN`` statement ``execute_seconds`` covers the
-    report construction, including the ANALYZE execution when requested.
+    ``plan_seconds`` covers everything between parsing and binding — cache
+    lookup plus, on a miss, translation and optimization.  The plan cache's
+    entire point is visible here: on a hit it collapses to the lookup.  A
+    phase the request never entered (``execute`` for a plain ``EXPLAIN``)
+    reads 0.
     """
 
     parse_seconds: float
     plan_seconds: float
+    bind_seconds: float
     execute_seconds: float
 
     @property
     def total_seconds(self) -> float:
-        return self.parse_seconds + self.plan_seconds + self.execute_seconds
+        return self.parse_seconds + self.plan_seconds + self.bind_seconds + self.execute_seconds
 
 
 @dataclass
 class SessionResult:
-    """The full record of one :meth:`Session.execute` call."""
+    """The record of one request: created on entry, filled phase by phase.
+
+    A failed request leaves one too (the session finishes it before the
+    exception propagates): the phases it entered, the failing one carrying
+    the stable error code, and ``error_code`` set.
+    """
 
     statement: str
-    relation: Optional[Relation]
-    query_spec: QueryResultSpec
-    optimization: OptimizationOutcome
-    plan: Operation
-    cache_hit: bool
-    fingerprint: str
-    epoch: int
-    parameters: PyTuple[object, ...]
-    timings: SessionTimings
+    parameters: PyTuple[object, ...] = ()
+    #: ``name -> (start, seconds, attributes)`` of every phase entered, in
+    #: order, on one clock (:meth:`Session._phase`); the attributes are the
+    #: ones the phase's trace span shows.
+    phases: Dict[str, PyTuple[float, float, Dict[str, object]]] = field(default_factory=dict)
+    #: The statement's coarse kind (``Statement.kind``); labels the latency metric.
+    kind: str = ""
+    cache_hit: bool = False
+    fingerprint: str = ""
+    epoch: int = -1
+    query_spec: Optional[QueryResultSpec] = None
+    optimization: Optional[OptimizationOutcome] = None
+    #: The executed (bound) plan.
+    plan: Optional[Operation] = None
+    #: The result rows; ``None`` for ``EXPLAIN [ANALYZE]``, whose answer is ``explain``.
+    relation: Optional[Relation] = None
+    #: The execution report — also of an ``EXPLAIN ANALYZE``.
     report: Optional[StratumExecutionReport] = None
+    #: The per-operator join of path, label, estimate, actuals and time;
+    #: built once, when EXPLAIN, the slow log or a sampled trace reads it.
+    operators: Optional[List[OperatorLine]] = None
     explain: Optional[ExplainReport] = None
     #: The id of the request trace this execution recorded, when the
     #: session's tracer sampled it — correlate with ``Tracer.recent()``.
     trace_id: Optional[str] = None
+    #: The stable error code of a failed request.
+    error_code: Optional[str] = None
+
+    def phase_seconds(self) -> Dict[str, float]:
+        """Seconds per lifecycle phase (0 for one never entered)."""
+        return {name: self.phases[name][1] if name in self.phases else 0.0 for name in PHASES}
+
+    @property
+    def timings(self) -> SessionTimings:
+        return SessionTimings(*self.phase_seconds().values())
 
 
 class Session:
@@ -131,10 +168,9 @@ class Session:
         #: cache here, so a statement optimized by any session is a cache
         #: hit for every other session at the same statistics epoch.
         self.cache = cache if cache is not None else PlanCache(cache_size)
-        #: Observability is opt-in and ``None``-gated: without a tracer /
-        #: registry / threshold, every instrumentation site below is a
-        #: single branch on the default path.
-        self.tracer = resolved.tracer
+        #: The tracer decides which requests are sampled and lends the
+        #: lifecycle its clock; a disabled stand-in when the options carry none.
+        self.tracer = resolved.tracer if resolved.tracer is not None else _UNTRACED
         metrics = self.metrics = resolved.metrics
         self.slow_query_log = SlowQueryLog(
             resolved.slow_query_seconds, logger=resolved.slow_query_logger
@@ -180,6 +216,9 @@ class Session:
         cached) optimization outcome and the execution report; for an
         ``EXPLAIN [ANALYZE]`` statement ``relation`` is ``None`` and
         ``explain`` holds the :class:`~repro.session.explain.ExplainReport`.
+        Either way it is the same lifecycle: ``EXPLAIN`` stops after binding,
+        ``EXPLAIN ANALYZE`` executes like the plain statement (same snapshot,
+        token, guard and armed faults) with the per-operator clock on.
 
         With a ``snapshot`` (a :class:`~repro.stratum.layer.DatabaseSnapshot`
         from :meth:`TemporalDatabase.snapshot`) the whole lifecycle runs
@@ -191,118 +230,18 @@ class Session:
 
         With a ``token`` (:class:`~repro.faults.control.CancellationToken`)
         the lifecycle is cooperatively cancellable: the token is checked
-        between phases and every few tuples inside both engines' pull
-        loops, so a cancel or an expired deadline stops the statement
+        on entry to every phase and every few tuples inside both engines'
+        pull loops, so a cancel or an expired deadline stops the statement
         within one check interval, raising
         :class:`~repro.core.exceptions.CancelledError` /
         :class:`~repro.core.exceptions.DeadlineExceededError`.  A ``guard``
         (:class:`~repro.faults.control.ResourceGuard`) bounds rows pulled
         and bytes materialized on the same hook.  Any failure is recorded
-        before it propagates: the request trace (when sampled) finishes
-        with ``error=True`` and the stable error code, and
+        before it propagates: the record is finished with the stable error
+        code (so is the request's trace, when sampled), and
         ``repro_request_errors_total{code=}`` counts it.
         """
-        tracer = self.tracer
-        trace = None if tracer is None else tracer.start_trace("request", statement=statement)
-        try:
-            return self._execute(statement, params, snapshot, token, guard, trace)
-        except BaseException as exc:
-            self._record_failure(exc, trace)
-            raise
-
-    def _execute(
-        self, statement: str, params: Sequence[object], snapshot, token, guard, trace
-    ) -> SessionResult:
-        tracer = self.tracer
-        if token is not None:
-            token.check()
-        started = time.perf_counter()
-        if trace is None:
-            ast = parse_statement(statement)
-        else:
-            with trace.span("parse"):
-                ast = parse_statement(statement)
-        parse_seconds = time.perf_counter() - started
-        if ast.explain:
-            entry, hit, plan_seconds = self._plan_traced(ast, None, trace)
-            explain_started = time.perf_counter()
-            if trace is None:
-                report = self._explain_entry(
-                    entry, hit, params, analyze=ast.analyze, text=statement
-                )
-            else:
-                with trace.span("explain", analyze=ast.analyze):
-                    report = self._explain_entry(
-                        entry, hit, params, analyze=ast.analyze, text=statement
-                    )
-            explain_seconds = time.perf_counter() - explain_started
-            result = SessionResult(
-                statement=statement,
-                relation=None,
-                query_spec=entry.query_spec,
-                optimization=entry.optimization,
-                plan=entry.plan,
-                cache_hit=hit,
-                fingerprint=entry.key.fingerprint,
-                epoch=entry.key.epoch,
-                parameters=tuple(params),
-                timings=SessionTimings(parse_seconds, plan_seconds, explain_seconds),
-                explain=report,
-                trace_id=None if trace is None else trace.trace_id,
-            )
-            self._finish_request(ast, result, trace)
-            return result
-        entry, hit, plan_seconds = self._plan_traced(ast, snapshot, trace)
-        if token is not None:
-            token.check()
-        if trace is None:
-            bound = self._bind(entry, params)
-        else:
-            with trace.span("bind", parameters=len(params)):
-                bound = self._bind(entry, params)
-        # The control bundle exists only when something rides on it — a
-        # token, a budget, or an armed fault point; the default path hands
-        # the executors ``None`` and stays control-free end to end.
-        control = None
-        if token is not None or guard is not None or FAULTS.active:
-            control = ExecutionControl(token=token, guard=guard)
-        executor = StratumExecutor(
-            snapshot.dbms if snapshot is not None else self.database.dbms,
-            clock=None if trace is None else tracer.clock,
-            control=control,
-            batch_size=self.options.batch_size,
-        )
-        execute_started = time.perf_counter()
-        if trace is None:
-            relation = executor.execute(bound)
-        else:
-            with trace.span("execute") as span:
-                relation = executor.execute(bound)
-                span.set(
-                    rows=len(relation),
-                    dbms_calls=executor.report.dbms_calls,
-                    transferred_tuples=executor.report.transferred_tuples,
-                )
-                if executor.report.degraded_operations:
-                    span.set(degraded=list(executor.report.degraded_operations))
-                self._record_operator_spans(trace, bound, executor.report)
-        execute_seconds = time.perf_counter() - execute_started
-        result = SessionResult(
-            statement=statement,
-            relation=relation,
-            query_spec=entry.query_spec,
-            optimization=entry.optimization,
-            plan=bound,
-            cache_hit=hit,
-            fingerprint=entry.key.fingerprint,
-            epoch=entry.key.epoch,
-            parameters=tuple(params),
-            timings=SessionTimings(parse_seconds, plan_seconds, execute_seconds),
-            report=executor.report,
-            trace_id=None if trace is None else trace.trace_id,
-        )
-        self._finish_request(ast, result, trace)
-        return result
+        return self._request(statement, params, snapshot, token, guard)
 
     def query(self, statement: str, params: Sequence[object] = ()):
         """Execute and return the result relation (or, for EXPLAIN, the text)."""
@@ -316,19 +255,173 @@ class Session:
         statement: str,
         params: Sequence[object] = (),
         analyze: bool = True,
+        snapshot=None,
+        token=None,
+        guard=None,
     ) -> ExplainReport:
         """The chosen plan for ``statement``, annotated per operator.
 
-        With ``analyze=True`` (the default) the plan is also executed and
+        The same request as ``execute("EXPLAIN [ANALYZE] " + statement)``:
+        with ``analyze=True`` (the default) the plan is also executed and
         every operator's actual output cardinality is reported next to its
         estimate; ``analyze=False`` skips execution and reports estimates
         only.  The lookup populates the same cache ``execute`` uses.
         """
-        ast = parse_statement(statement)
-        entry, hit = self._entry_for(ast)
-        return self._explain_entry(
-            entry, hit, params, analyze=analyze or ast.analyze, text=statement
-        )
+        return self._request(statement, params, snapshot, token, guard, explain=analyze).explain
+
+    def _request(
+        self, statement, params, snapshot, token, guard, explain: Optional[bool] = None
+    ) -> SessionResult:
+        record = SessionResult(statement, tuple(params), trace_id=self.tracer.sample())
+        try:
+            self._lifecycle(record, snapshot, token, guard, explain)
+        except BaseException as exc:
+            # Intentionally BaseException — a worker killed by
+            # KeyboardInterrupt should leave a finished record behind.
+            record.error_code = error_code(exc)
+            raise
+        finally:
+            self._observe(record)
+        return record
+
+    @contextmanager
+    def _phase(
+        self, record: SessionResult, name: str, token, **attributes: object
+    ) -> Iterator[Dict[str, object]]:
+        """Stamp one lifecycle phase on the record: the only clock reads per request.
+
+        The token is checked on entry, inside the stamp, so a request
+        stopped between phases shows where it was stopped; a phase that
+        raises is stamped all the same, with the stable error code.
+        """
+        clock = self.tracer.clock
+        start = clock()
+        try:
+            if token is not None:
+                token.check()
+            yield attributes
+        except BaseException as exc:
+            attributes["error_code"] = error_code(exc)
+            raise
+        finally:
+            record.phases[name] = (start, clock() - start, attributes)
+
+    def _lifecycle(
+        self, record: SessionResult, snapshot, token, guard, explain: Optional[bool]
+    ) -> None:
+        """parse → optimize → bind → execute, each once; then the renderings that need the plan."""
+        params = record.parameters
+        source = snapshot if snapshot is not None else self.database
+        with self._phase(record, "parse", token):
+            ast = parse_statement(record.statement)
+            if explain is not None:  # Session.explain(): the prefix, as an argument
+                ast = replace(ast, explain=True, analyze=explain or ast.analyze)
+            record.kind = ast.kind
+        with self._phase(record, "optimize", token) as attributes:
+            entry, record.cache_hit = self._entry_for(ast, snapshot)
+            optimization = record.optimization = entry.optimization
+            record.query_spec = entry.query_spec
+            record.fingerprint, record.epoch = entry.key.fingerprint, entry.key.epoch
+            attributes.update(
+                cache_hit=record.cache_hit, fingerprint=record.fingerprint, epoch=record.epoch
+            )
+            if optimization.degraded is not None:
+                attributes["degraded"] = optimization.degraded
+            if optimization.search is not None:
+                attributes.update(optimization.search.statistics.as_span_attributes())
+        with self._phase(record, "bind", token, parameters=len(params)):
+            # Estimates-only EXPLAIN of a parameterized statement: the markers
+            # may stay unbound (selectivities fall back to constants).
+            record.plan = self._bind(entry, params, optional=ast.explain and not ast.analyze)
+        if not ast.explain or ast.analyze:
+            with self._phase(record, "execute", token) as attributes:
+                # The control bundle exists only when something rides on it —
+                # a token, a budget, or an armed fault point; the default path
+                # hands the executors ``None`` and stays control-free.
+                control = None
+                if token is not None or guard is not None or FAULTS.active:
+                    control = ExecutionControl(token=token, guard=guard)
+                # The per-operator clock is what sampling (or ANALYZE) turns on.
+                timed = record.trace_id is not None or ast.analyze
+                executor = StratumExecutor(
+                    source.dbms,
+                    clock=self.tracer.clock if timed else None,
+                    control=control,
+                    batch_size=self.options.batch_size,
+                )
+                relation = executor.execute(record.plan)
+                report = record.report = executor.report
+                if not ast.explain:
+                    record.relation = relation
+                attributes.update(
+                    rows=len(relation),
+                    dbms_calls=report.dbms_calls,
+                    transferred_tuples=report.transferred_tuples,
+                )
+                if report.degraded_operations:
+                    attributes["degraded"] = list(report.degraded_operations)
+        log = self.slow_query_log
+        slow = log.enabled and log.should_log(record.timings.total_seconds)
+        # The costing pass is paid only for EXPLAIN or once the threshold has
+        # been crossed — never on the fast path, nor per sampled request.
+        costed = ast.explain or slow
+        if costed or record.trace_id is not None:
+            annotations = None
+            if costed:
+                database = self.database
+                annotations = cost_annotations(
+                    record.plan,
+                    source.statistics(),
+                    database.optimizer.cost_model,
+                    estimator=source.estimator() if database.use_statistics else None,
+                )
+            record.operators = build_operator_lines(
+                record.plan,
+                record.report,
+                annotations,
+                source.evaluation_context() if ast.analyze else None,
+            )
+        if ast.explain:
+            record.explain = build_explain_report(
+                record, entry.normalized_statement, self.options.batch_size
+            )
+        if slow:
+            log.emit(build_slow_query_record(record))
+
+    def _observe(self, record: SessionResult) -> None:
+        """Everything taken from a finished record, success and failure alike."""
+        if record.trace_id is not None:
+            # Names, numbers and plan paths only: the ring must not pin a
+            # relation or a plan.  Spans are built from these on export.
+            self.tracer.retain(
+                trace_id=record.trace_id,
+                statement=record.statement,
+                phases=record.phases,
+                operators=record.operators or (),
+                dbms_spans=() if record.report is None else record.report.dbms_operator_spans,
+                error_code=record.error_code,
+            )
+        if self.metrics is None:
+            return
+        if record.error_code is not None:
+            self._errors.labels(code=record.error_code).inc()
+        else:
+            self._latency_histogram.labels(kind=record.kind).observe(
+                record.timings.total_seconds
+            )
+        optimization = record.optimization
+        if optimization is not None and not record.cache_hit:
+            if optimization.search is not None:
+                self._memo_tasks.inc(optimization.search.statistics.applications_attempted)
+            if optimization.degraded is not None:
+                self._degraded.labels(stage="memo_search").inc()
+        report = record.report
+        if report is not None:
+            self._operator_rows.inc(sum(report.node_rows.values()))
+            if report.degraded_operations:
+                self._degraded.labels(stage="stratum_physical").inc(
+                    len(report.degraded_operations)
+                )
 
     def cache_info(self) -> PlanCacheInfo:
         """Plan-cache counters (hits, misses, evictions, invalidations)."""
@@ -336,111 +429,12 @@ class Session:
 
     # -- internals ----------------------------------------------------------------
 
-    def _plan_traced(self, ast: Statement, snapshot, trace) -> "PyTuple[CachedPlan, bool, float]":
-        """Plan, recording the optimize span (cache outcome + memo counters)."""
-        if trace is None:
-            return self._plan(ast, snapshot)
-        with trace.span("optimize") as span:
-            entry, hit, plan_seconds = self._plan(ast, snapshot)
-            attributes = {
-                "cache_hit": hit,
-                "fingerprint": entry.key.fingerprint,
-                "epoch": entry.key.epoch,
-            }
-            if entry.optimization.degraded is not None:
-                attributes["degraded"] = entry.optimization.degraded
-            search = entry.optimization.search
-            if search is not None:
-                attributes.update(search.statistics.as_span_attributes())
-            span.set(**attributes)
-        return entry, hit, plan_seconds
-
-    @staticmethod
-    def _record_operator_spans(trace, plan: Operation, report: StratumExecutionReport) -> None:
-        """Attach per-operator child spans under the open execute span.
-
-        Timings are inclusive (a node's interval covers its children), so
-        the Chrome-trace view nests them by time; row counts are the same
-        per-path actuals EXPLAIN ANALYZE reports.
-        """
-        labels = {path: node.label() for path, node in plan.locations()}
-        for path in sorted(report.node_timings):
-            start, duration = report.node_timings[path]
-            trace.record(
-                labels.get(path, "operator"),
-                start,
-                duration,
-                {"path": list(path), "rows": report.node_rows.get(path)},
-            )
-        for span in report.dbms_operator_spans:
-            trace.record(
-                span.operator,
-                span.start,
-                span.duration,
-                {"rows": span.rows, "engine": "dbms"},
-            )
-
-    def _record_failure(self, exc: BaseException, trace) -> None:
-        """Mark a failed execution before the exception propagates.
-
-        Failures stay *visible* even though the session re-raises: the
-        sampled trace finishes flagged with the stable error code (instead
-        of leaking unfinished), and the error counter records one more
-        failure under that code.  Intentionally takes ``BaseException`` —
-        a worker killed by ``KeyboardInterrupt`` should leave a marked
-        trace behind, not a dangling one.
-        """
-        if self.tracer is not None and trace is not None:
-            trace.root.set(error=True, error_code=error_code(exc))
-            self.tracer.finish(trace)
-        if self.metrics is not None:
-            self._errors.labels(code=error_code(exc)).inc()
-
-    def _finish_request(self, ast: Statement, result: SessionResult, trace) -> None:
-        """Post-request observability: finish the trace, count, slow-log."""
-        if self.tracer is not None:
-            self.tracer.finish(trace)
-        if self.metrics is not None:
-            self._latency_histogram.labels(kind=ast.kind).observe(
-                result.timings.total_seconds
-            )
-            if not result.cache_hit:
-                search = result.optimization.search
-                if search is not None:
-                    self._memo_tasks.inc(search.statistics.applications_attempted)
-                if result.optimization.degraded is not None:
-                    self._degraded.labels(stage="memo_search").inc()
-            if result.report is not None:
-                self._operator_rows.inc(sum(result.report.node_rows.values()))
-                if result.report.degraded_operations:
-                    self._degraded.labels(stage="stratum_physical").inc(
-                        len(result.report.degraded_operations)
-                    )
-        if self.slow_query_log.should_log(result.timings.total_seconds):
-            # The costing pass is paid only here, after the threshold has
-            # already been crossed — never on the fast path.
-            annotations = None
-            if result.report is not None:
-                database = self.database
-                estimator = database.estimator() if database.use_statistics else None
-                annotations = cost_annotations(
-                    result.plan,
-                    database.statistics(),
-                    database.optimizer.cost_model,
-                    estimator=estimator,
-                )
-            self.slow_query_log.emit(build_slow_query_record(result, annotations))
-
-    def _plan(self, ast: Statement, snapshot=None) -> "PyTuple[CachedPlan, bool, float]":
-        started = time.perf_counter()
-        entry, hit = self._entry_for(ast, snapshot)
-        return entry, hit, time.perf_counter() - started
-
     def _entry_for(self, ast: Statement, snapshot=None) -> "PyTuple[CachedPlan, bool]":
         database = self.database
-        fingerprint = statement_fingerprint(ast)
-        epoch = snapshot.epoch if snapshot is not None else database.statistics_epoch()
-        key = PlanCacheKey(fingerprint=fingerprint, epoch=epoch)
+        source = snapshot if snapshot is not None else database
+        key = PlanCacheKey(
+            fingerprint=statement_fingerprint(ast), epoch=source.statistics_epoch()
+        )
         cached = self.cache.get(key)
         if cached is not None:
             return cached, True
@@ -450,8 +444,7 @@ class Session:
         self.cache.purge_stale(database.statistics_epoch())
         if ast.explain or ast.analyze:
             ast = replace(ast, explain=False, analyze=False)
-        schemas = snapshot.schemas() if snapshot is not None else self._schemas()
-        initial_plan, query_spec = translate(ast, schemas)
+        initial_plan, query_spec = translate(ast, source.schemas())
         optimization = database.optimize_plan(initial_plan, query_spec, snapshot=snapshot)
         entry = CachedPlan(
             key=key,
@@ -464,10 +457,10 @@ class Session:
         self.cache.put(entry)
         return entry, False
 
-    def _bind(self, entry: CachedPlan, params: Sequence[object]) -> Operation:
+    def _bind(self, entry: CachedPlan, params: Sequence[object], optional: bool = False) -> Operation:
         if FAULTS.active:
             FAULTS.check("session.bind")
-        if entry.parameter_count == 0 and not params:
+        if not params and (optional or entry.parameter_count == 0):
             return entry.plan
         if len(params) != entry.parameter_count:
             raise ParameterError(
@@ -475,89 +468,3 @@ class Session:
                 f"got {len(params)} value(s)"
             )
         return bind_parameters(entry.plan, params)
-
-    def _explain_entry(
-        self,
-        entry: CachedPlan,
-        hit: bool,
-        params: Sequence[object],
-        analyze: bool,
-        text: str,
-    ) -> ExplainReport:
-        database = self.database
-        if not analyze and not params and entry.parameter_count:
-            # Estimates-only explain of a parameterized statement: the
-            # markers stay unbound (selectivities fall back to constants).
-            bound = entry.plan
-        else:
-            bound = self._bind(entry, params)
-        estimator = database.estimator() if database.use_statistics else None
-        annotations = cost_annotations(
-            bound,
-            database.statistics(),
-            database.optimizer.cost_model,
-            estimator=estimator,
-        )
-        actuals = None
-        report = None
-        result_rows = None
-        timings = None
-        execute_seconds = None
-        if analyze:
-            # ANALYZE always times: per-operator wall-clock is the point of
-            # executing the plan at all.  The session's tracer clock (when
-            # present) keeps tests deterministic.
-            clock = self.tracer.clock if self.tracer is not None else time.perf_counter
-            executor = StratumExecutor(
-                database.dbms, clock=clock, batch_size=self.options.batch_size
-            )
-            relation = executor.execute(bound)
-            report = executor.report
-            result_rows = len(relation)
-            timings = report.node_timings
-            root_timing = timings.get(())
-            execute_seconds = None if root_timing is None else root_timing[1]
-            # The executor already counted every node it evaluated itself; a
-            # reference walk breaks out only the operators inside DBMS
-            # fragments, which the substrate executed as one opaque call.
-            actuals = {}
-            context = database.evaluation_context()
-            for fragment_path in partition_plan(bound).dbms_fragments:
-                fragment_counts = actual_cardinalities(
-                    bound.subtree_at(fragment_path), context
-                )
-                actuals.update(
-                    (fragment_path + path, count)
-                    for path, count in fragment_counts.items()
-                )
-            actuals.update(report.node_rows)
-        optimization = entry.optimization
-        search = optimization.search
-        return ExplainReport(
-            statement=text,
-            normalized_statement=entry.normalized_statement,
-            fingerprint=entry.key.fingerprint,
-            epoch=entry.key.epoch,
-            cache_hit=hit,
-            analyze=analyze,
-            query_spec=entry.query_spec,
-            plan=bound,
-            lines=build_operator_lines(bound, annotations, actuals, timings),
-            estimated_cost=optimization.chosen_cost.total,
-            initial_cost=optimization.initial_cost.total,
-            plans_considered=optimization.plans_considered,
-            memo_groups=None if search is None else search.statistics.groups,
-            memo_expressions=None if search is None else search.statistics.expressions,
-            sweeps=None if search is None else search.statistics.sweeps,
-            rule_usage=dict(search.statistics.rule_usage) if search is not None else {},
-            rules_applied=() if search is None else search.rules_applied,
-            dbms_calls=None if report is None else report.dbms_calls,
-            transferred_tuples=None if report is None else report.transferred_tuples,
-            result_rows=result_rows,
-            batch_size=self.options.batch_size if analyze else None,
-            execute_seconds=execute_seconds,
-        )
-
-    def _schemas(self):
-        catalog = self.database.dbms.catalog
-        return {name: catalog.table(name).schema for name in catalog.table_names()}

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 from typing import Tuple as PyTuple
 
-from ..core.cost import CostModel, PlanCost, choose_best_plan, estimate_cost
-from ..core.enumeration import EnumerationResult, EnumerationStatistics, enumerate_plans
+from ..core.cost import CostModel, PlanCost, estimate_cost
 from ..core.exceptions import CancelledError, ResourceExhaustedError, error_code
 from ..faults import FAULTS
 from ..core.operations import Operation
@@ -44,18 +43,16 @@ from .partition import describe_partition
 class OptimizationOutcome:
     """The result of optimizing one query.
 
-    Exactly one of ``enumeration`` (exhaustive strategy) and ``search``
-    (memo strategy) is set; with optimization disabled both may describe the
-    trivial single-plan outcome.
+    ``search`` is the memo search's result; it is ``None`` for the trivial
+    single-plan outcome (optimization disabled, or degraded).
     """
 
     initial_plan: Operation
     chosen_plan: Operation
     chosen_cost: PlanCost
     initial_cost: PlanCost
-    enumeration: Optional[EnumerationResult] = None
     search: Optional[SearchResult] = None
-    #: Set when optimization *degraded*: the strategy failed and the initial
+    #: Set when optimization *degraded*: the search failed and the initial
     #: (untransformed) plan was chosen instead — correct by rule soundness,
     #: just not cost-improved.  Holds ``"memo_search:<error code>"``; the
     #: session counts it and flags the optimize trace span.
@@ -65,8 +62,6 @@ class OptimizationOutcome:
     def plans_considered(self) -> int:
         if self.search is not None:
             return self.search.statistics.plans_considered
-        if self.enumeration is not None:
-            return len(self.enumeration)
         return 1
 
     @property
@@ -91,16 +86,11 @@ class QueryOutcome:
 class TemporalQueryOptimizer:
     """Cost-based plan selection over the paper's rule catalogue.
 
-    Two strategies are available:
-
-    ``"memo"`` (the default)
-        the memo-based, cost-guided search of :mod:`repro.search` — shares
-        rewritten sub-plans across alternatives and never materializes the
-        plan space, so it scales to queries the exhaustive enumerator
-        truncates on;
-    ``"exhaustive"``
-        the paper's Figure 5 enumeration followed by costing every plan —
-        retained as the oracle the agreement tests compare against.
+    The memo-based, cost-guided search of :mod:`repro.search`: it shares
+    rewritten sub-plans across alternatives and never materializes the plan
+    space, so it scales to queries the paper's Figure 5 enumeration
+    (:mod:`repro.core.enumeration`, the oracle the agreement tests compare
+    against) truncates on.
     """
 
     def __init__(
@@ -108,17 +98,13 @@ class TemporalQueryOptimizer:
         rules: Optional[Sequence[TransformationRule]] = None,
         cost_model: Optional[CostModel] = None,
         max_plans: int = 3000,
-        strategy: str = "memo",
         search_options: Optional[SearchOptions] = None,
         estimator=None,
     ) -> None:
-        if strategy not in ("memo", "exhaustive"):
-            raise ValueError(f"unknown optimizer strategy {strategy!r}")
         #: Built once, here (the default catalogue's is a process-wide singleton).
         self.index = rule_index(rules)
         self.cost_model = cost_model or CostModel()
         self.max_plans = max_plans
-        self.strategy = strategy
         self.search_options = search_options or SearchOptions(max_expressions=max_plans)
         #: Optional histogram-backed cardinality estimator (see
         #: :mod:`repro.stats`); a per-call estimator passed to
@@ -139,17 +125,6 @@ class TemporalQueryOptimizer:
     ) -> OptimizationOutcome:
         """Find the cheapest plan equivalent to ``initial_plan``."""
         estimator = estimator if estimator is not None else self.estimator
-        if self.strategy == "memo":
-            return self._optimize_memo(initial_plan, query_spec, statistics, estimator)
-        return self._optimize_exhaustive(initial_plan, query_spec, statistics, estimator)
-
-    def _optimize_memo(
-        self,
-        initial_plan: Operation,
-        query_spec: QueryResultSpec,
-        statistics: Optional[Mapping[str, int]],
-        estimator=None,
-    ) -> OptimizationOutcome:
         initial_cost = estimate_cost(
             initial_plan, statistics, self.cost_model, estimator=estimator
         )
@@ -186,32 +161,50 @@ class TemporalQueryOptimizer:
             search=search,
         )
 
-    def _optimize_exhaustive(
-        self,
-        initial_plan: Operation,
-        query_spec: QueryResultSpec,
-        statistics: Optional[Mapping[str, int]],
-        estimator=None,
-    ) -> OptimizationOutcome:
-        enumeration = enumerate_plans(
-            initial_plan, query_spec, rules=self.index, max_plans=self.max_plans
-        )
-        chosen_plan, chosen_cost = choose_best_plan(
-            enumeration.plans, statistics, self.cost_model, estimator=estimator
-        )
-        initial_cost = estimate_cost(
-            initial_plan, statistics, self.cost_model, estimator=estimator
-        )
-        return OptimizationOutcome(
-            initial_plan=initial_plan,
-            chosen_plan=chosen_plan,
-            chosen_cost=chosen_cost,
-            initial_cost=initial_cost,
-            enumeration=enumeration,
-        )
+
+class _CatalogReads:
+    """What a query reads of the catalog, over ``self.dbms`` — live or pinned.
+
+    Shared by :class:`TemporalDatabase` and :class:`DatabaseSnapshot`, so the
+    session runs one lifecycle against either.
+    """
+
+    def table(self, name: str) -> Relation:
+        """The contents of a base table."""
+        return self.dbms.catalog.table(name).relation
+
+    def statistics(self) -> Mapping[str, int]:
+        """Base-table cardinalities, as used by the cost model."""
+        return self.dbms.statistics()
+
+    def statistics_epoch(self) -> int:
+        """Monotone counter advanced by every statistics-relevant change.
+
+        Any DDL or data change (create/drop/insert/replace) advances it; the
+        plan cache of :mod:`repro.session` keys entries on the epoch, so a
+        bump invalidates every plan optimized against the older statistics.
+        A snapshot's never advances.
+        """
+        return self.dbms.statistics_epoch()
+
+    def estimator(self, **kwargs):
+        """A histogram-backed estimator over the base tables."""
+        return self.dbms.estimator(**kwargs)
+
+    def evaluation_context(self) -> EvaluationContext:
+        """A reference-evaluation context over all base tables."""
+        context = EvaluationContext()
+        for name in self.dbms.catalog.table_names():
+            context = context.bind(name, self.table(name))
+        return context
+
+    def schemas(self) -> Mapping[str, RelationSchema]:
+        """Schema per table (the front end's translation input)."""
+        catalog = self.dbms.catalog
+        return {name: catalog.table(name).schema for name in catalog.table_names()}
 
 
-class TemporalDatabase:
+class TemporalDatabase(_CatalogReads):
     """A temporal DBMS realised as a stratum on top of a conventional DBMS.
 
     Execution configuration comes from an
@@ -231,7 +224,7 @@ class TemporalDatabase:
         #: :meth:`session` inherit it.
         self.options = options
         self.dbms = dbms or ConventionalDBMS(use_statistics=options.use_statistics)
-        self.optimizer = optimizer or TemporalQueryOptimizer(strategy=options.strategy)
+        self.optimizer = optimizer or TemporalQueryOptimizer()
         self.optimize_queries = options.optimize_queries
         #: When True, every optimization consumes a fresh histogram-backed
         #: estimator built from the catalog (see :mod:`repro.stats`) instead
@@ -262,23 +255,6 @@ class TemporalDatabase:
         """
         return self.dbms.catalog.insert(name, rows)
 
-    def table(self, name: str) -> Relation:
-        """The current contents of a base table."""
-        return self.dbms.catalog.table(name).relation
-
-    def statistics(self) -> Mapping[str, int]:
-        """Base-table cardinalities, as used by the cost model."""
-        return self.dbms.statistics()
-
-    def statistics_epoch(self) -> int:
-        """Monotone counter advanced by every statistics-relevant change.
-
-        Any DDL or data change (create/drop/insert/replace) advances it; the
-        plan cache of :mod:`repro.session` keys entries on the epoch, so a
-        bump invalidates every plan optimized against the older statistics.
-        """
-        return self.dbms.statistics_epoch()
-
     def snapshot(self) -> "DatabaseSnapshot":
         """Pin the current table contents and epoch for consistent reads.
 
@@ -290,24 +266,13 @@ class TemporalDatabase:
         """
         return DatabaseSnapshot(self, self.dbms.snapshot())
 
-    def estimator(self, **kwargs):
-        """A histogram-backed estimator over the current base tables."""
-        return self.dbms.estimator(**kwargs)
-
-    def evaluation_context(self) -> EvaluationContext:
-        """A reference-evaluation context over all base tables."""
-        context = EvaluationContext()
-        for name in self.dbms.catalog.table_names():
-            context = context.bind(name, self.dbms.catalog.table(name).relation)
-        return context
-
     # -- querying -----------------------------------------------------------------
 
     def parse(self, statement: str):
         """Parse a temporal SQL statement into ``(initial plan, query spec)``."""
         from ..tsql import translate_statement
 
-        return translate_statement(statement, self._schemas())
+        return translate_statement(statement, self.schemas())
 
     def query(self, statement: str) -> Relation:
         """Parse, optimize, execute; return the result relation."""
@@ -377,7 +342,6 @@ class TemporalDatabase:
             chosen_plan=initial_plan,
             chosen_cost=cost,
             initial_cost=cost,
-            enumeration=EnumerationResult([initial_plan], EnumerationStatistics(plans_generated=1)),
         )
 
     def execute_plan(self, initial_plan: Operation, query_spec: QueryResultSpec) -> QueryOutcome:
@@ -429,16 +393,8 @@ class TemporalDatabase:
         ]
         return "\n".join(lines)
 
-    # -- helpers -----------------------------------------------------------------------
 
-    def _schemas(self) -> Mapping[str, RelationSchema]:
-        return {
-            name: self.dbms.catalog.table(name).schema
-            for name in self.dbms.catalog.table_names()
-        }
-
-
-class DatabaseSnapshot:
+class DatabaseSnapshot(_CatalogReads):
     """A consistent read view of a :class:`TemporalDatabase` at one epoch.
 
     Wraps the substrate's :class:`~repro.dbms.engine.SnapshotDBMS` (every
@@ -456,33 +412,3 @@ class DatabaseSnapshot:
         self.dbms = dbms
         #: The statistics epoch the snapshot was taken at.
         self.epoch = dbms.statistics_epoch()
-
-    def statistics(self) -> Mapping[str, int]:
-        """Base-table cardinalities of the pinned contents."""
-        return self.dbms.statistics()
-
-    def statistics_epoch(self) -> int:
-        """The pinned epoch (never advances)."""
-        return self.epoch
-
-    def estimator(self, **kwargs):
-        """A histogram-backed estimator over the pinned contents."""
-        return self.dbms.estimator(**kwargs)
-
-    def table(self, name: str) -> Relation:
-        """The pinned contents of a base table."""
-        return self.dbms.catalog.table(name).relation
-
-    def evaluation_context(self) -> EvaluationContext:
-        """A reference-evaluation context over the pinned base tables."""
-        context = EvaluationContext()
-        for name in self.dbms.catalog.table_names():
-            context = context.bind(name, self.dbms.catalog.table(name).relation)
-        return context
-
-    def schemas(self) -> Mapping[str, RelationSchema]:
-        """Schema per pinned table (the front end's translation input)."""
-        return {
-            name: self.dbms.catalog.table(name).schema
-            for name in self.dbms.catalog.table_names()
-        }

@@ -9,7 +9,7 @@ quadratic reference implementations fast.
 
 from __future__ import annotations
 
-from typing import List, Tuple as PyTuple
+from typing import List, Optional, Tuple as PyTuple
 
 from hypothesis import strategies as st
 
@@ -323,26 +323,49 @@ def _projection_over(draw, plan: Operation) -> Operation:
     return Projection(chosen, plan)
 
 
+#: The fixed output names of :func:`aggregation`'s aggregates.
+AGGREGATE_ALIASES = ("n", "total", "top")
+
+
+def aggregation(plan: Operation, grouping, argument: Optional[str] = None) -> Aggregation:
+    """γ counting rows as ``n`` and, given a numeric ``argument``, its ``total``/``top``."""
+    functions = [count(alias="n")]
+    if argument is not None:
+        functions += [agg_sum(argument, alias="total"), agg_max(argument, alias="top")]
+    return Aggregation(grouping, functions, plan)
+
+
+def numeric_attributes(schema: RelationSchema) -> List[str]:
+    return [a for a in schema.attributes if schema.domain_of(a).name != STRING.name]
+
+
 @st.composite
 def _aggregation_over(draw, plan: Operation) -> Operation:
     schema = plan.output_schema()
     grouping = draw(st.lists(st.sampled_from(schema.attributes), unique=True, max_size=2))
-    functions = [count(alias="n")]
-    numeric = [a for a in schema.attributes if schema.domain_of(a).name != STRING.name]
-    if numeric and draw(st.booleans()):
-        argument = draw(st.sampled_from(numeric))
-        functions += [agg_sum(argument, alias="total"), agg_max(argument, alias="top")]
-    return Aggregation(grouping, functions, plan)
+    numeric = numeric_attributes(schema)
+    argument = draw(st.sampled_from(numeric)) if numeric and draw(st.booleans()) else None
+    return aggregation(plan, grouping, argument)
+
+
+def unary_step_kinds(plan: Operation) -> List[str]:
+    """The steps :func:`_unary_stack` may put on top of ``plan``.
+
+    γ's aliases are fixed, so it is refused while *any* of them is still in
+    the schema: a π in between can drop ``n`` and keep ``total``, and a
+    second γ grouping by that ``total`` would name two outputs alike.
+    """
+    kinds = ["select", "project", "sort", "rdup"]
+    if not set(AGGREGATE_ALIASES) & set(plan.output_schema().attributes):
+        kinds.append("aggregate")
+    return kinds
 
 
 @st.composite
 def _unary_stack(draw, plan: Operation, max_depth: int = 3) -> Operation:
     """``plan`` under up to ``max_depth`` of σ, π, sort, rdup and γ."""
     for _ in range(draw(st.integers(min_value=0, max_value=max_depth))):
-        kinds = ["select", "project", "sort", "rdup"]
-        if "n" not in plan.output_schema().attributes:  # the aggregates' aliases are fixed
-            kinds.append("aggregate")
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(unary_step_kinds(plan)))
         if kind == "select":
             plan = draw(_selection_over(plan))
         elif kind == "project":
@@ -451,7 +474,7 @@ def _temporal_aggregation_over(draw, plan: Operation, tag: int) -> Operation:
     schema = plan.output_schema()
     values = schema.nontemporal_attributes
     grouping = draw(st.lists(st.sampled_from(values), unique=True, max_size=2)) if values else []
-    numeric = [a for a in schema.attributes if schema.domain_of(a).name != STRING.name]
+    numeric = numeric_attributes(schema)
     functions = [count(alias=f"n{tag}")] if draw(st.booleans()) else []
     kinds = draw(st.lists(st.sampled_from(list(AggregateKind)), unique=True, min_size=not functions))
     for kind in kinds:

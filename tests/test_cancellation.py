@@ -229,12 +229,17 @@ class TestSessionCancellation:
 class TestServerCancellation:
     """The acceptance path: deadline and cancel end to end through the server."""
 
-    def test_slow_query_times_out_well_under_uncancelled_runtime(self):
+    #: ``EXPLAIN ANALYZE`` is the same lifecycle: the deadline and the cancel
+    #: reach its drain exactly as they reach the plain statement's.
+    PREFIXES = pytest.mark.parametrize("prefix", ["", "EXPLAIN ANALYZE "])
+
+    @PREFIXES
+    def test_slow_query_times_out_well_under_uncancelled_runtime(self, prefix):
         server = Server(make_database(), max_concurrency=2)
         with server:
             with FAULTS.armed("dbms.scan", kind="latency", latency=0.5, times=4):
                 started = time.perf_counter()
-                response = server.query("SELECT EmpName FROM EMPLOYEE", timeout=0.05)
+                response = server.query(prefix + "SELECT EmpName FROM EMPLOYEE", timeout=0.05)
                 wall = time.perf_counter() - started
             assert response.status == "timed_out"
             assert response.code == "TIMED_OUT"
@@ -245,11 +250,12 @@ class TestServerCancellation:
             stats = server.stats()
             assert stats.timed_out == 1 and stats.worker_crashes == 0
 
-    def test_explicit_cancel_stops_a_running_query(self):
+    @PREFIXES
+    def test_explicit_cancel_stops_a_running_query(self, prefix):
         server = Server(make_database(), max_concurrency=2)
         with server:
             with FAULTS.armed("dbms.scan", kind="latency", latency=10.0, times=4):
-                future = server.submit("SELECT EmpName FROM EMPLOYEE")
+                future = server.submit(prefix + "SELECT EmpName FROM EMPLOYEE")
                 time.sleep(0.05)  # let a worker pick it up and hit the stall
                 assert server.cancel(future.request_id) is True
                 response = future.result(timeout=5.0)

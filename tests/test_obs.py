@@ -11,16 +11,29 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 
 import pytest
 
+import repro.obs.trace
+from repro.core.exceptions import ParameterError, ParseError, ResourceExhaustedError
+from repro.faults import FAULTS, ResourceGuard
 from repro.obs import MetricsRegistry, SlowQueryLog, Tracer, q_error
 from repro.options import ExecutionOptions
+from repro.server import Server
 from repro.session import Session
 from repro.stratum import TemporalDatabase
 from repro.stratum.executor import StratumExecutor
 from repro.tsql.parser import parse_statement
-from repro.workloads import PAPER_SQL, POINT_SQL, employee_relation, project_relation
+from repro.workloads import (
+    CONCURRENT_MIX_READS,
+    PAPER_SQL,
+    POINT_SQL,
+    concurrent_mix_operations,
+    employee_relation,
+    project_relation,
+    scaled_paper_workload,
+)
 
 
 class ManualClock:
@@ -324,26 +337,6 @@ class TestExecutionTimings:
         assert execute.attributes["rows"] == len(result.relation)
         assert execute.children  # per-operator spans
 
-    def test_trace_operator_rows_match_explain_analyze(self):
-        tracer = Tracer()
-        session = Session(make_database(), options=ExecutionOptions(tracer=tracer))
-        session.execute(PAPER_SQL)
-        trace = tracer.recent()[-1]
-        execute = trace.find("execute")
-        traced_rows = {
-            tuple(child.attributes["path"]): child.attributes["rows"]
-            for child in execute.children
-            if "path" in child.attributes
-        }
-        assert traced_rows
-        explain = session.explain(PAPER_SQL, analyze=True)
-        compared = 0
-        for line in explain.lines:
-            if line.path in traced_rows and line.actual_rows is not None:
-                assert traced_rows[line.path] == line.actual_rows
-                compared += 1
-        assert compared >= 3
-
     def test_explain_analyze_renders_time_columns(self):
         session = Session(make_database())
         rendered = session.query("EXPLAIN ANALYZE " + PAPER_SQL)
@@ -361,6 +354,235 @@ class TestExecutionTimings:
 
 
 # ---------------------------------------------------------------------------
+# One record per request: every surface is a rendering of it
+# ---------------------------------------------------------------------------
+
+
+class CountingClock:
+    """:func:`time.perf_counter` that counts its reads."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return time.perf_counter()
+
+
+def slow_query_payloads(caplog):
+    return [r.slow_query for r in caplog.records if hasattr(r, "slow_query")]
+
+
+class TestOneRequestRecord:
+    @pytest.mark.parametrize("read", CONCURRENT_MIX_READS, ids=lambda read: read.name)
+    def test_trace_slow_log_and_explain_analyze_are_one_record(self, read, caplog):
+        """One execution; equal with ``==`` because they are the same numbers."""
+        tracer = Tracer()
+        session = Session(
+            make_database(), options=ExecutionOptions(tracer=tracer, slow_query_seconds=0.0)
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.slow_query"):
+            result = session.execute("EXPLAIN ANALYZE " + read.statement, read.params[0])
+        report = result.explain
+        (trace,) = tracer.recent()
+        (logged,) = slow_query_payloads(caplog)
+        assert trace.trace_id == result.trace_id == logged["trace_id"]
+
+        spans = {span.name: span.duration for span in trace.root.children}
+        assert list(spans) == ["parse", "optimize", "bind", "execute"]
+        assert spans == logged["phase_seconds"] == report.phase_seconds == result.phase_seconds()
+        timings = result.timings
+        assert list(spans.values()) == [
+            timings.parse_seconds,
+            timings.plan_seconds,
+            timings.bind_seconds,
+            timings.execute_seconds,
+        ]
+        assert logged["total_seconds"] == timings.total_seconds == sum(spans.values())
+
+        explained = {
+            line.path: (line.label, line.actual_rows, line.time_seconds)
+            for line in report.lines
+            if line.actual_rows is not None
+        }
+        slow = {
+            tuple(op["path"]): (op["operator"], op["actual_rows"], op["seconds"])
+            for op in logged["operators"]
+        }
+        assert slow == explained
+        traced = {
+            tuple(span.attributes["path"]): (span.name, span.attributes["rows"], span.duration)
+            for span in trace.find("execute").children
+            if "path" in span.attributes
+        }
+        timed = {path: line for path, line in explained.items() if line[2] is not None}
+        assert traced == timed and traced
+        # The stratum's own read-out, which the frozen ledger classifies by path.
+        assert {path: rows for path, (_, rows, _) in traced.items()} == result.report.node_rows
+        assert report.execute_seconds == traced[()][2]
+
+    def test_unsampled_request_builds_no_span_and_reads_no_operator_clock(self, monkeypatch):
+        built = []
+        original = repro.obs.trace.Span.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(repro.obs.trace.Span, "__init__", counting_init)
+        clock = CountingClock()
+        tracer = Tracer(sample_every=2, clock=clock)
+        session = Session(make_database(), options=ExecutionOptions(tracer=tracer))
+        sampled = session.execute(PAPER_SQL)
+        sampled_reads, clock.reads = clock.reads, 0
+        unsampled = session.execute(PAPER_SQL)
+        assert sampled.trace_id is not None and unsampled.trace_id is None
+        # Two reads per phase and nothing else; sampling turns the operators' on.
+        assert clock.reads == 2 * len(unsampled.phases) == 8
+        assert sampled_reads > clock.reads
+        assert unsampled.report.node_timings == {} and sampled.report.node_timings
+        # No span exists until somebody looks — then the sampled request's do.
+        assert built == []
+        (trace,) = tracer.recent()
+        assert trace.trace_id == sampled.trace_id
+        assert len(built) == len(trace.spans()) > 5
+        tracer.recent()[0].to_dict()
+        assert len(built) == 2 * len(trace.spans())
+
+    def test_ring_entries_hold_no_relation_plan_or_operator(self):
+        tracer = Tracer()
+        session = Session(make_database(), options=ExecutionOptions(tracer=tracer))
+        session.execute(PAPER_SQL)
+        (entry,) = tracer._finished
+
+        def leaves(value):
+            if isinstance(value, dict):
+                for item in value.values():
+                    yield from leaves(item)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from leaves(item)
+            elif hasattr(value, "__dataclass_fields__"):
+                yield from leaves(vars(value))
+            else:
+                yield value
+
+        assert all(
+            value is None or isinstance(value, (str, int, float, bool))
+            for value in leaves(entry)
+        )
+
+
+#: (statement, params, options, armed fault point, expected status, error
+#: code, the phases the request entered)
+FAILING_REQUESTS = {
+    "parse": ("SELEC EmpName FROM", (), {}, None, "error", "PARSE_ERROR", ["parse"]),
+    "bind": (POINT_SQL, (), {}, None, "error", "PARAMETER_ERROR", ["parse", "optimize", "bind"]),
+    "degraded-search": (
+        PAPER_SQL, (), {}, "search.memo", "ok", None, ["parse", "optimize", "bind", "execute"],
+    ),
+    "mid-drain": (
+        PAPER_SQL,
+        (),
+        {"max_rows_per_request": 1},
+        None,
+        "error",
+        "RESOURCE_EXHAUSTED",
+        ["parse", "optimize", "bind", "execute"],
+    ),
+}
+
+
+class TestFailedRequestsLeaveAFinishedRecord:
+    @pytest.mark.parametrize("case", FAILING_REQUESTS)
+    def test_through_the_server(self, case):
+        statement, params, options, fault, status, code, phases = FAILING_REQUESTS[case]
+        tracer = Tracer()
+        server = Server(
+            make_database(),
+            max_concurrency=1,
+            options=ExecutionOptions(tracer=tracer, **options),
+        )
+        with server:
+            if fault is None:
+                response = server.query(statement, params)
+            else:
+                with FAULTS.armed(fault, times=1):
+                    response = server.query(statement, params)
+        assert (response.status, response.code) == (status, code)
+        # Session and server together count the failure exactly once.
+        errors = [
+            line
+            for line in server.metrics_exposition().splitlines()
+            if line.startswith("repro_request_errors_total{")
+        ]
+        assert errors == ([f'repro_request_errors_total{{code="{code}"}} 1'] if code else [])
+        # Nothing dangling in the ring: one finished trace, every span closed.
+        (trace,) = tracer.recent()
+        assert [span.name for span in trace.root.children] == phases
+        assert all(span.duration is not None for span in trace.spans())
+        assert trace.root.attributes.get("error_code") == code
+        failing = trace.root.children[-1]
+        assert failing.attributes.get("error_code") == code
+        if fault is not None:
+            assert trace.find("optimize").attributes["degraded"] == "memo_search:FAULT_INJECTED"
+            assert 'repro_degraded_total{stage="memo_search"} 1' in server.metrics_exposition()
+
+    @pytest.mark.parametrize(
+        "statement, params, guard, error",
+        [
+            ("SELEC EmpName FROM", (), None, ParseError),
+            (POINT_SQL, (), None, ParameterError),
+            (PAPER_SQL, (), ResourceGuard(max_rows=1), ResourceExhaustedError),
+        ],
+    )
+    def test_session_counts_its_own_failures_once(self, statement, params, guard, error):
+        metrics = MetricsRegistry()
+        session = Session(make_database(), options=ExecutionOptions(metrics=metrics))
+        with pytest.raises(error):
+            session.execute(statement, params, guard=guard)
+        assert f'repro_request_errors_total{{code="{error.code}"}} 1' in metrics.exposition()
+        assert "repro_request_seconds_count" not in metrics.exposition()
+
+
+class TestTracesUnderLoad:
+    def test_traces_actually_recorded_under_load(self):
+        """Four clients on four workers: the ring keeps the last N real traces."""
+        clients, operations = 4, 16
+        employees, projects = scaled_paper_workload(8)
+        database = TemporalDatabase()
+        database.register("EMPLOYEE", employees)
+        database.register("PROJECT", projects)
+        tracer = Tracer(keep=8)
+        errors: list = []
+
+        def client(index: int) -> None:
+            for _, statement, params in concurrent_mix_operations(operations, client=index):
+                response = server.query(statement, params=params)
+                if not response.ok:  # pragma: no cover - failure path
+                    errors.append(response.error)
+
+        with Server(
+            database,
+            max_concurrency=4,
+            queue_limit=None,
+            options=ExecutionOptions(tracer=tracer),
+        ) as server:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        recent = tracer.recent()
+        assert len(recent) == 8  # ring holds the last N of clients * operations requests
+        for trace in recent:
+            names = [span.name for span in trace.root.children]
+            assert "parse" in names and "execute" in names
+
+
+# ---------------------------------------------------------------------------
 # Slow-query log
 # ---------------------------------------------------------------------------
 
@@ -374,7 +596,7 @@ class TestSlowQueryLog:
         assert records
         payload = records[-1].slow_query
         assert payload["fingerprint"] == result.fingerprint
-        assert set(payload["phase_seconds"]) == {"parse", "optimize", "execute"}
+        assert list(payload["phase_seconds"]) == ["parse", "optimize", "bind", "execute"]
         assert payload["chosen_plan_cost"] > 0
         assert payload["operators"]
         assert all(op["q_error"] >= 1.0 for op in payload["operators"])

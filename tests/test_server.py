@@ -310,6 +310,26 @@ class TestTCPFrontend:
                     assert stats["completed"] >= 3
                     assert stats["plan_cache"]["misses"] >= 1
 
+    def test_explain_is_answered_with_the_rendered_report(self):
+        with make_server() as server:
+            session = Session(server.database)
+            with TCPFrontend(server) as frontend:
+                with TCPClient(*frontend.address) as client:
+                    for prefix in ("EXPLAIN ", "EXPLAIN ANALYZE "):
+                        response = server.query(prefix + PAPER_SQL)
+                        assert response.ok and response.relation is None
+                        assert response.explain.startswith("statement:  SELECT DISTINCT EmpName")
+                        reply = client.query(prefix + PAPER_SQL)
+                        assert reply["status"] == "ok" and "rows" not in reply
+                        assert "est rows=" in reply["explain"]
+                        assert ("result rows=10" in reply["explain"]) == ("ANALYZE" in prefix)
+                    # What the server answers is what the session renders.
+                    plain = session.query("EXPLAIN " + PAPER_SQL)
+                    assert server.query("EXPLAIN " + PAPER_SQL).explain.splitlines()[3:] == (
+                        plain.splitlines()[3:]
+                    )
+                    assert "explain" not in client.query(PAPER_SQL)
+
     def test_protocol_errors_keep_the_connection_alive(self):
         with make_server() as server:
             with TCPFrontend(server) as frontend:

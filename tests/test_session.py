@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.exceptions import ParameterError
+from repro.core.exceptions import ParameterError, ResourceExhaustedError
 from repro.core.expressions import Literal, Parameter
 from repro.core.operations import Selection
+from repro.faults import ResourceGuard
 from repro.options import ExecutionOptions
 from repro.session import (
     PlanCache,
@@ -236,6 +237,55 @@ class TestExplain:
         text = session.query("EXPLAIN " + PAPER_STATEMENT)
         assert isinstance(text, str)
         assert "plan cache:" in text
+
+
+class TestExplainIsTheSameLifecycle:
+    """``EXPLAIN [ANALYZE]`` and ``Session.explain()`` run the plain
+    statement's lifecycle: same snapshot, same guard, same record."""
+
+    ROWS = "SELECT EmpName FROM EMPLOYEE"
+
+    def test_explain_analyze_honours_the_guard(self, session):
+        for run in (
+            lambda guard: session.execute(PAPER_STATEMENT, guard=guard),
+            lambda guard: session.execute("EXPLAIN ANALYZE " + PAPER_STATEMENT, guard=guard),
+            lambda guard: session.explain(PAPER_STATEMENT, guard=guard),
+        ):
+            with pytest.raises(ResourceExhaustedError):
+                run(ResourceGuard(max_rows=1))
+        # A plain EXPLAIN pulls no row, so it has nothing to exhaust.
+        assert session.explain(PAPER_STATEMENT, analyze=False, guard=ResourceGuard(max_rows=1))
+
+    def test_explain_reads_the_snapshot(self, session):
+        database = session.database
+        snapshot = database.snapshot()
+        database.append("EMPLOYEE", [("Zoe", "Sales", 1, 3)])
+        assert database.statistics_epoch() == snapshot.epoch + 1 == 3
+        plain = session.execute(self.ROWS, snapshot=snapshot)
+        assert (len(plain.relation), plain.epoch) == (5, 2)
+        for report in (
+            session.execute("EXPLAIN ANALYZE " + self.ROWS, snapshot=snapshot).explain,
+            session.explain(self.ROWS, snapshot=snapshot),
+        ):
+            assert (report.result_rows, report.epoch) == (5, 2)
+            assert [line.actual_rows for line in report.lines] == [5, 5, 5]
+        # A plain EXPLAIN plans against the snapshot's statistics ...
+        estimated = session.execute("EXPLAIN " + self.ROWS, snapshot=snapshot).explain
+        assert estimated.epoch == 2 and estimated.lines[-1].estimated_rows == 5
+        # ... and without one, all of them see the live catalog.
+        live = session.explain(self.ROWS)
+        assert (live.result_rows, live.epoch, live.lines[-1].estimated_rows) == (6, 3, 6)
+
+    def test_explain_analyze_record_carries_its_execution(self, session):
+        plain = session.execute(PAPER_STATEMENT)
+        analyzed = session.execute("EXPLAIN ANALYZE " + PAPER_STATEMENT)
+        assert analyzed.relation is None and analyzed.report is not None
+        assert analyzed.report.node_rows == plain.report.node_rows
+        assert analyzed.report.dbms_calls == plain.report.dbms_calls == analyzed.explain.dbms_calls
+        assert list(analyzed.phases) == list(plain.phases)
+        assert list(session.execute("EXPLAIN " + PAPER_STATEMENT).phases) == [
+            "parse", "optimize", "bind",
+        ]
 
 
 class TestExplainWorkloads:

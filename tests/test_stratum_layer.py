@@ -24,26 +24,9 @@ class TestTemporalQueryOptimizer:
         outcome = optimizer.optimize(plan, spec, temporal_db.statistics())
         assert outcome.chosen_cost.total <= outcome.initial_cost.total
         assert outcome.initial_plan == plan
-        # The default strategy is the memo search; it records its own statistics.
-        assert outcome.enumeration is None
+        # The memo search records its own statistics.
         assert outcome.search is not None
         assert outcome.plans_considered == outcome.search.statistics.plans_considered
-
-    def test_exhaustive_strategy_remains_available(self, temporal_db, paper_statement):
-        plan, spec = self.make_initial(temporal_db, paper_statement)
-        optimizer = TemporalQueryOptimizer(strategy="exhaustive")
-        outcome = optimizer.optimize(plan, spec, temporal_db.statistics())
-        assert outcome.search is None
-        assert outcome.plans_considered == len(outcome.enumeration)
-        memo_outcome = TemporalQueryOptimizer().optimize(plan, spec, temporal_db.statistics())
-        # Both strategies find the same minimum cost ...
-        assert memo_outcome.chosen_cost.total == pytest.approx(outcome.chosen_cost.total)
-        # ... but the memo search considers strictly fewer plans.
-        assert memo_outcome.plans_considered < outcome.plans_considered
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            TemporalQueryOptimizer(strategy="bogus")
 
     def test_restricted_rule_set(self, temporal_db, paper_statement):
         plan, spec = self.make_initial(temporal_db, paper_statement)
