@@ -9,11 +9,17 @@ substantially, and reports the intermediate cardinalities driving the effect.
 """
 
 from repro.dbms import ConventionalDBMS
-from repro.stratum import StratumExecutor, coalesce_fast, temporal_difference_fast
+from repro.stratum import StratumExecutor
 from repro.workloads import WorkloadParameters, generate_employees, generate_projects
 
 from .conftest import banner
-from repro.core.operations import LiteralRelation, Projection, TemporalDuplicateElimination
+from repro.core.operations import (
+    Coalescing,
+    LiteralRelation,
+    Projection,
+    TemporalDifference,
+    TemporalDuplicateElimination,
+)
 from repro.core.operations.base import EvaluationContext
 
 CONTEXT = EvaluationContext()
@@ -25,20 +31,30 @@ PROJECTS = generate_projects(
     WorkloadParameters(tuples=3000, entities=150, adjacency_ratio=0.1, overlap_ratio=0.05, seed=42)
 )
 
-LEFT = StratumExecutor(ConventionalDBMS()).execute(
-    TemporalDuplicateElimination(Projection(["EmpName", "T1", "T2"], LiteralRelation(EMPLOYEES)))
+
+def in_stratum(plan):
+    """``plan`` as the stratum runs it: one region of batch operators."""
+    return StratumExecutor(ConventionalDBMS()).execute(plan)
+
+
+LEFT = LiteralRelation(
+    in_stratum(
+        TemporalDuplicateElimination(Projection(["EmpName", "T1", "T2"], LiteralRelation(EMPLOYEES)))
+    )
 )
-RIGHT = Projection(["EmpName", "T1", "T2"], LiteralRelation(PROJECTS)).evaluate(CONTEXT)
+RIGHT = LiteralRelation(
+    Projection(["EmpName", "T1", "T2"], LiteralRelation(PROJECTS)).evaluate(CONTEXT)
+)
 
 
 def coalesce_after_difference():
     """coalT(L \\T R) — the initial plan's shape."""
-    return coalesce_fast(temporal_difference_fast(LEFT, RIGHT))
+    return in_stratum(Coalescing(TemporalDifference(LEFT, RIGHT)))
 
 
 def coalesce_before_difference():
     """coalT(L) \\T coalT(R) — the C10-rewritten shape."""
-    return temporal_difference_fast(coalesce_fast(LEFT), coalesce_fast(RIGHT))
+    return in_stratum(TemporalDifference(Coalescing(LEFT), Coalescing(RIGHT)))
 
 
 def test_perf_coalesce_after_difference(benchmark):
@@ -53,18 +69,18 @@ def test_perf_coalesce_before_difference(benchmark):
 
 def test_perf_coalesce_placement_cardinalities(benchmark):
     def measure():
-        coalesced_left = coalesce_fast(LEFT)
-        difference = temporal_difference_fast(LEFT, RIGHT)
+        coalesced_left = in_stratum(Coalescing(LEFT))
+        difference = in_stratum(TemporalDifference(LEFT, RIGHT))
         return coalesced_left, difference
 
     coalesced_left, difference = benchmark(measure)
     print(banner("Perf-B — coalescing before vs. after the temporal difference"))
-    print(f"left argument (rdupT'd):                {LEFT.cardinality:>6} tuples")
+    print(f"left argument (rdupT'd):                {LEFT.relation.cardinality:>6} tuples")
     print(f"left argument after coalescing:         {coalesced_left.cardinality:>6} tuples")
     print(f"difference result (uncoalesced input):  {difference.cardinality:>6} tuples")
     # The C10 rewrite pays off exactly when coalescing shrinks its input — the
     # adjacency-heavy workload guarantees it does.
-    assert coalesced_left.cardinality < LEFT.cardinality
+    assert coalesced_left.cardinality < LEFT.relation.cardinality
     # Both placements produce snapshot-equivalent answers (checked at scale in
     # the unit tests; here we only confirm the multisets are comparable sizes).
     after = coalesce_after_difference()

@@ -82,13 +82,24 @@ class ColumnBatch:
 
     def _tuple_rows(self) -> List[PyTuple[Any, ...]]:
         """The source tuples' values, each in schema attribute order."""
+        tuples = self._tuples
+        if not tuples:
+            return []
         schema = self.schema
         attributes = schema.attributes
+        # Almost always the tuples share one schema object in the batch's
+        # attribute order (the batch's own, or a stored table's under another
+        # name): one identity test per tuple instead of a re-check by value.
+        shared = tuples[0]._schema
+        if shared is schema or shared.attributes == attributes:
+            rows = [tup._values for tup in tuples if tup._schema is shared]
+            if len(rows) == len(tuples):
+                return rows
         return [
             tup.values()
             if tup.schema is schema or tup.schema.attributes == attributes
             else tuple(tup[a] for a in attributes)
-            for tup in self._tuples
+            for tup in tuples
         ]
 
     # -- conversion ------------------------------------------------------------

@@ -79,10 +79,19 @@ def coalesce_tuples(tuples: List[Tuple]) -> List[Tuple]:
     and a merge in one class never changes another class's entries.
     """
     groups: Dict[PyTuple, List[List]] = {}
+    first = tuples[0].schema if tuples else None
     for position, tup in enumerate(tuples):
+        # Value equivalence is by attribute name, and a relation admits tuples
+        # listing its attributes in another order: such a tuple's key follows
+        # the first tuple's order, like everyone else's.
+        schema = tup.schema
+        if schema is first or schema.attributes == first.attributes:
+            key = tup.value_part()
+        else:
+            key = tuple(tup[a] for a in first.nontemporal_attributes)
         # Entries: (original position of the earliest participant, tuple, its
         # period: ``Tuple.period`` builds one per access, the pair scan must not).
-        groups.setdefault(tup.value_part(), []).append([position, tup, tup.period])
+        groups.setdefault(key, []).append([position, tup, tup.period])
     merged: List[List] = []
     for entries in groups.values():
         changed = True

@@ -1,13 +1,13 @@
 """The physical operator set both engines execute on.
 
 One library of batch operators runs every conventional operation, whichever
-layer the optimizer assigned it to, and the temporal ones ported so far.  The
+layer the optimizer assigned it to, and the paper's five temporal ones.  The
 paper separates the stratum from the conventional DBMS by *capability* — the
 DBMS lacks the temporal operations and pays an emulation penalty for them —
 not by implementation, so each engine is a planner that builds a **declared
 subset** of these operators and names the fault point their drains tick:
 :mod:`repro.stratum.physical` (all three join algorithms and the temporal
-operators — ``rdupT`` and ``γT`` so far —, ``stratum.pull``) and
+operators — ``rdupT``, ``γT``, ``\\T``, ``∪T``, ``coalT`` —, ``stratum.pull``) and
 :mod:`repro.dbms.executor` (the multiset operators, never the interval join
 or a temporal operator, ``dbms.scan``).
 
@@ -149,7 +149,13 @@ class BatchOperator:
             self.elapsed_seconds = clock() - self.started_at
 
     def _batches(self) -> Iterator[ColumnBatch]:
-        """The operator's batch implementation, without accounting."""
+        """The operator's batch implementation, without accounting: unless
+        overridden, the value rows of :meth:`_rows` in chunks of ``batch_size``
+        (one input row may leave several output rows, or none)."""
+        yield from _chunked(self.output_schema, self._rows(), self.batch_size)
+
+    def _rows(self) -> Iterable[PyTuple]:
+        """The output as value rows, for operators that produce it row-wise."""
         raise NotImplementedError
 
     def children(self) -> Sequence["BatchOperator"]:
@@ -568,9 +574,6 @@ class AggregateOp(_UnaryOp):
                 groups.setdefault(key, []).append(row)
         return groups, arguments
 
-    def _batches(self) -> Iterator[ColumnBatch]:
-        yield from _chunked(self.output_schema, self._rows(), self.batch_size)
-
     def _rows(self) -> Iterator[PyTuple]:
         groups, arguments = self._grouped()
         for key, members in groups.items():
@@ -587,8 +590,14 @@ class AggregateOp(_UnaryOp):
 class _SetOp(BatchOperator):
     """Two inputs already in the output's attribute order."""
 
-    def __init__(self, left: BatchOperator, right: BatchOperator) -> None:
-        super().__init__(left.output_schema)
+    def __init__(
+        self,
+        left: BatchOperator,
+        right: BatchOperator,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> None:
+        super().__init__(left.output_schema, order, paths)
         self._left = left
         self._right = right
 
@@ -690,6 +699,31 @@ def _cover_add(starts: List[int], ends: List[int], t1: int, t2: int) -> None:
     ends[low:high] = [t2]
 
 
+def _period_layout(schema: RelationSchema):
+    """Where rows over a temporal ``schema`` keep ``T1`` and ``T2``, and the
+    function taking a row to its value-class key (its non-temporal values)."""
+    value_indexes = schema.value_indexes()
+    value_of = itemgetter(*value_indexes) if value_indexes else lambda row: ()
+    return schema.index_of(T1), schema.index_of(T2), value_of
+
+
+def _with_period(row: PyTuple, first: int, last: int, period: PyTuple[int, int]) -> PyTuple:
+    """``row`` with its own values and another period."""
+    fragment = list(row)
+    fragment[first], fragment[last] = period
+    return tuple(fragment)
+
+
+def _uncovered(row: PyTuple, cover, first: int, last: int) -> List[PyTuple]:
+    """``row`` cut down to the parts of its period outside ``cover``: ascending
+    fragments carrying the row's own values, the row itself if it loses nothing."""
+    t1, t2 = row[first], row[last]
+    pieces = _cover_gaps(*cover, t1, t2)
+    if pieces == [(t1, t2)]:
+        return [row]
+    return [_with_period(row, first, last, piece) for piece in pieces]
+
+
 class TemporalDistinctOp(_UnaryOp):
     """Streaming ``rdupT``: each row keeps the part of its period that no
     earlier value-equivalent row covered.
@@ -700,33 +734,162 @@ class TemporalDistinctOp(_UnaryOp):
     value-equivalent periods and its fragments sit, ascending, in its slot.
     """
 
-    def _batches(self) -> Iterator[ColumnBatch]:
-        # Re-chunked: one input row can leave several fragments.
-        yield from _chunked(self.output_schema, self._rows(), self.batch_size)
-
     def _rows(self) -> Iterator[PyTuple]:
-        schema = self.output_schema
-        first, last = schema.index_of(T1), schema.index_of(T2)
-        value_indexes = schema.value_indexes()
-        value_of = itemgetter(*value_indexes) if value_indexes else lambda row: ()
+        first, last, value_of = _period_layout(self.output_schema)
         covers: Dict[object, PyTuple[List[int], List[int]]] = {}
         for batch in self._child.batches():
             for row in batch.rows():
-                t1, t2 = row[first], row[last]
                 key = value_of(row)
                 cover = covers.get(key)
                 if cover is None:  # the first of its value class loses nothing
-                    covers[key] = ([t1], [t2])
+                    covers[key] = ([row[first]], [row[last]])
                     yield row
                     continue
-                for piece in _cover_gaps(*cover, t1, t2):
-                    if piece == (t1, t2):
-                        yield row
+                yield from _uncovered(row, cover, first, last)
+                _cover_add(*cover, row[first], row[last])
+
+
+class _TemporalSetOp(_SetOp):
+    """``\\T`` and ``∪T``: one side's periods become a cover per value class,
+    the other side's rows keep what lies outside their class's cover.
+
+    Classes are keyed by name in the left (= output) schema's attribute order,
+    as value equivalence and union compatibility are; a right input listing
+    its attributes in another order is aligned once per drain.
+    """
+
+    def _aligned_right_rows(self) -> Iterator[PyTuple]:
+        """The right input's rows with their values in the output's attribute order."""
+        attributes = self.output_schema.attributes
+        right = self._right.output_schema
+        if right.attributes == attributes:
+            for batch in self._right.batches():
+                yield from batch.rows()
+        else:
+            align = itemgetter(*map(right.index_of, attributes))
+            for batch in self._right.batches():
+                yield from map(align, batch.rows())
+
+
+def _cover_rows(covers: Dict, rows: Iterable[PyTuple], first: int, last: int, value_of) -> None:
+    """Add the period of every row to its value class's cover."""
+    for row in rows:
+        key = value_of(row)
+        cover = covers.get(key)
+        if cover is None:
+            covers[key] = ([row[first]], [row[last]])
+        else:
+            _cover_add(*cover, row[first], row[last])
+
+
+def _rows_outside(
+    covers: Dict, rows: Iterable[PyTuple], first: int, last: int, value_of
+) -> Iterator[PyTuple]:
+    """Each row's fragments outside its value class's cover, in its slot; a
+    row of a class without a cover (``None`` is a key like any) passes."""
+    get_cover = covers.get
+    for row in rows:
+        cover = get_cover(value_of(row))
+        if cover is None:
+            yield row
+        else:
+            yield from _uncovered(row, cover, first, last)
+
+
+class TemporalDifferenceOp(_TemporalSetOp):
+    """``\\T``: blocking on the right input, streaming over the left — each
+    left row loses the union of the value-equivalent right periods."""
+
+    def _rows(self) -> Iterator[PyTuple]:
+        layout = _period_layout(self.output_schema)
+        covers: Dict = {}
+        _cover_rows(covers, self._aligned_right_rows(), *layout)
+        for batch in self._left.batches():
+            yield from _rows_outside(covers, batch.rows(), *layout)
+
+
+class TemporalUnionOp(_TemporalSetOp):
+    """``∪T``: the left batches pass through unchanged, then each right row
+    keeps what no value-equivalent *left* row covered (earlier right rows
+    never subtract), its own values in the left schema's attribute order."""
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        layout = _period_layout(self.output_schema)
+        covers: Dict = {}
+        for batch in self._left.batches():
+            _cover_rows(covers, batch.rows(), *layout)
+            yield batch
+        rows = _rows_outside(covers, self._aligned_right_rows(), *layout)
+        yield from _chunked(self.output_schema, rows, self.batch_size)
+
+
+class CoalesceOp(_UnaryOp):
+    """Blocking ``coalT``: saturation in input order within each value class.
+
+    The members of a class are visited in input order, absorbed ones skipped;
+    the visited member repeatedly absorbs the *earliest later* unabsorbed
+    member whose period is adjacent to its current period, and the output is
+    the absorbers in input order, each with its own values and final period.
+    That is the reference's merge-the-first-adjacent-pair-and-restart: a merged
+    period's endpoints are endpoints of its participants, so an entry adjacent
+    to neither participant is not adjacent to the merge — a saturated prefix
+    stays saturated and the restart resumes at the same member.
+    """
+
+    def _rows(self) -> Iterator[PyTuple]:
+        first, last, value_of = _period_layout(self.output_schema)
+        rows: List[Optional[PyTuple]] = []  # an absorbed row becomes ``None``
+        for batch in self._child.batches():
+            rows.extend(batch.rows())
+        classes: Dict[object, List[int]] = {}
+        for position, row in enumerate(rows):
+            classes.setdefault(value_of(row), []).append(position)
+        for members in classes.values():
+            if len(members) == 1:
+                continue
+            # Later positions by period start and by period end, latest first,
+            # so that ``pop()`` hands out the earliest.
+            starting: Dict[int, List[int]] = {}
+            ending: Dict[int, List[int]] = {}
+            for position in reversed(members):
+                starting.setdefault(rows[position][first], []).append(position)
+                ending.setdefault(rows[position][last], []).append(position)
+            for position in members:
+                row = rows[position]
+                if row is None:
+                    continue
+                start, end = period = row[first], row[last]
+                while True:
+                    after = _earliest_later(starting.get(end), position, rows)
+                    before = _earliest_later(ending.get(start), position, rows)
+                    if after is not None and (before is None or after < before):
+                        starting[end].pop()
+                        end = rows[after][last]
+                        rows[after] = None
+                    elif before is not None:
+                        ending[start].pop()
+                        start = rows[before][first]
+                        rows[before] = None
                     else:
-                        fragment = list(row)
-                        fragment[first], fragment[last] = piece
-                        yield tuple(fragment)
-                _cover_add(*cover, t1, t2)
+                        break
+                if (start, end) != period:
+                    rows[position] = _with_period(row, first, last, (start, end))
+        return (row for row in rows if row is not None)
+
+
+def _earliest_later(positions: Optional[List[int]], absorber: int, rows: List) -> Optional[int]:
+    """The earliest position after ``absorber`` whose row is not absorbed yet.
+
+    ``positions`` is latest-first; the dead ones at its end — at or before the
+    absorber, which only moves forward, or absorbed — are dropped for good, so
+    every position is popped at most once from each of the two indexes.
+    """
+    while positions:
+        position = positions[-1]
+        if position > absorber and rows[position] is not None:
+            return position
+        positions.pop()
+    return None
 
 
 class TemporalAggregateOp(AggregateOp):

@@ -14,11 +14,6 @@ from .physical import (
     NestedLoopJoinOp,
     lower_plan,
 )
-from .temporal_exec import (
-    coalesce_fast,
-    temporal_difference_fast,
-    temporal_union_fast,
-)
 
 __all__ = [
     "DBMS",
@@ -33,10 +28,7 @@ __all__ = [
     "StratumExecutor",
     "TemporalDatabase",
     "TemporalQueryOptimizer",
-    "coalesce_fast",
     "describe_partition",
     "lower_plan",
     "partition_plan",
-    "temporal_difference_fast",
-    "temporal_union_fast",
 ]

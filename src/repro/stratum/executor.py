@@ -6,12 +6,11 @@ Execution is recursive over the plan:
   (after first executing any ``TD`` islands inside it in the stratum and
   splicing their materialised results back in as literal relations);
 * every node above runs in the stratum: the pipelinable operations — the
-  conventional ones and ``rdupT``/``γT`` — as regions of the batch operators
-  of :mod:`repro.core.physical` (lowered by :mod:`repro.stratum.physical`,
-  degrading to the reference semantics when a region fails), ``coalT``,
-  ``\\T`` and ``∪T`` through the hash-partitioned implementations of
-  :mod:`repro.stratum.temporal_exec`, and the rest through the reference
-  semantics;
+  conventional ones and all five temporal operations (``rdupT``, ``γT``,
+  ``\\T``, ``∪T``, ``coalT``) — as regions of the batch operators of
+  :mod:`repro.core.physical` (lowered by :mod:`repro.stratum.physical`,
+  degrading to the reference semantics when a region fails), and the rest —
+  the conventional multiset operations — through the reference semantics;
 * a base relation referenced directly from stratum territory is fetched from
   the DBMS catalog — logically an implicit transfer, which the execution
   report counts as such.
@@ -32,12 +31,8 @@ from ..core.exceptions import (
 )
 from ..core.operations import (
     BaseRelation,
-    Coalescing,
     LiteralRelation,
     Operation,
-    Sort,
-    TemporalDifference,
-    TemporalUnion,
     TransferToDBMS,
     TransferToStratum,
 )
@@ -47,11 +42,6 @@ from ..dbms.engine import ConventionalDBMS
 from ..dbms.executor import OperatorSpan
 from ..options import DEFAULT_BATCH_SIZE, check_batch_size
 from .physical import is_pipelined, lower_plan
-from .temporal_exec import (
-    coalesce_fast,
-    temporal_difference_fast,
-    temporal_union_fast,
-)
 
 
 @dataclass
@@ -167,9 +157,9 @@ class StratumExecutor:
         Selections, projections, sorts, products and the join idioms execute
         through :mod:`repro.core.physical` — hash/interval joins instead
         of materialised Cartesian products, column-wise kernels instead of
-        per-tuple expression-tree walks, sweep-line ``rdupT``/``γT``.  Boundary
-        subtrees (transfers, base relations, the unported temporal
-        operations) are materialised through the ordinary recursion above.
+        per-tuple expression-tree walks, sweep-line temporal operators.  Boundary
+        subtrees (transfers, base relations, literals, the conventional
+        multiset operations) are materialised through the ordinary recursion above.
         Each physical operator counts the rows it emits, so per-node actuals
         stay available to EXPLAIN ANALYZE; a product fused into a join never
         materialises and reports no count.
@@ -223,18 +213,10 @@ class StratumExecutor:
         return relation
 
     def _apply(self, node: Operation, child_results: Sequence[Relation]) -> Relation:
+        """The reference semantics: what the conventional multiset operations
+        run on, and the degradation target of every pipelined operation."""
         derived_order = node.result_order([relation.order for relation in child_results])
-        if isinstance(node, Coalescing):
-            result = coalesce_fast(child_results[0])
-        elif isinstance(node, TemporalDifference):
-            result = temporal_difference_fast(child_results[0], child_results[1])
-        elif isinstance(node, TemporalUnion):
-            result = temporal_union_fast(child_results[0], child_results[1])
-        else:
-            # Everything else uses the reference semantics directly; for the
-            # pipelined operations (rdupT and γT among them) this is only the
-            # degradation target.
-            result = node._evaluate(list(child_results), EvaluationContext())
+        result = node._evaluate(list(child_results), EvaluationContext())
         return result.with_order(derived_order)
 
     # -- DBMS side ------------------------------------------------------------------

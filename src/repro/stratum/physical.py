@@ -4,19 +4,22 @@ The stratum used to execute every conventional operation through the
 reference λ-calculus semantics — in particular a join was "materialise the
 full Cartesian product, then filter", quadratic in time *and memory*.  This
 module lowers a maximal region of pipelinable logical operators (selection,
-projection, sort, the products and the join idioms, ``rdupT`` and ``γT``) to
-the batch operators of :mod:`repro.core.physical`, the set the conventional
-DBMS compiles its fragments to as well.  The stratum's admissible subset is
+projection, sort, the products and the join idioms, and the five temporal
+operations ``rdupT``, ``γT``, ``\\T``, ``∪T`` and ``coalT``) to the batch
+operators of :mod:`repro.core.physical`, the set the conventional DBMS
+compiles its fragments to as well.  The stratum's admissible subset is
 :data:`ADMISSIBLE_OPERATORS` — all three join algorithms, the sort-merge
-interval join included, and the two temporal operators, which only the
+interval join included, and the five temporal operators, which only the
 stratum may build (that *is* the paper's capability split) — and its drains
-tick :data:`FAULT_POINT`.  ``coalT``, ``\\T`` and ``∪T`` are not ported yet:
-they stay region boundaries, materialised by the executor.
+tick :data:`FAULT_POINT`.  A whole temporal plan is one operator tree: only
+transfers, base relations, literals and the conventional multiset operations
+(``rdup``, ``γ``, ``⊔``, ``∪``, ``\\``) are region boundaries, materialised by
+the executor.
 
 Every operator built here is **list-compatible** with the reference semantics
-at every batch size (see :mod:`repro.core.physical`), the same guarantee as
-:mod:`repro.stratum.temporal_exec`.  When a region fails, the executor
-degrades to the reference recursion, which shares no code with the operators.
+at every batch size (see :mod:`repro.core.physical`).  When a region fails,
+the executor degrades to the reference recursion, which shares no code with
+the operators.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Callable, Optional, Tuple as PyTuple
 from ..core.joinsplit import JoinSplit, split_for_join, split_for_product, split_for_selection
 from ..core.operations import (
     CartesianProduct,
+    Coalescing,
     Join,
     Operation,
     Projection,
@@ -33,13 +37,16 @@ from ..core.operations import (
     Sort,
     TemporalAggregation,
     TemporalCartesianProduct,
+    TemporalDifference,
     TemporalDuplicateElimination,
     TemporalJoin,
+    TemporalUnion,
 )
 from ..core.operations.base import PlanPath
 from ..core.order_spec import OrderSpec
 from ..core.physical import (
     BatchOperator,
+    CoalesceOp,
     FilterOp,
     HashJoinOp,
     IntervalJoinOp,
@@ -48,7 +55,9 @@ from ..core.physical import (
     SortOp,
     SourceOp,
     TemporalAggregateOp,
+    TemporalDifferenceOp,
     TemporalDistinctOp,
+    TemporalUnionOp,
 )
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
@@ -68,12 +77,20 @@ PIPELINED_TYPES = (
     TemporalCartesianProduct,
     TemporalDuplicateElimination,
     TemporalAggregation,
+    TemporalDifference,
+    TemporalUnion,
+    Coalescing,
 )
 
 _JOIN_OPERATORS = {
     "hash": HashJoinOp,
     "interval": IntervalJoinOp,
     "nested-loop": NestedLoopJoinOp,
+}
+
+_TEMPORAL_SET_OPERATORS = {
+    TemporalDifference: TemporalDifferenceOp,
+    TemporalUnion: TemporalUnionOp,
 }
 
 #: The operators the stratum's lowering may build.
@@ -85,6 +102,8 @@ ADMISSIBLE_OPERATORS = (
     *_JOIN_OPERATORS.values(),
     TemporalDistinctOp,
     TemporalAggregateOp,
+    *_TEMPORAL_SET_OPERATORS.values(),
+    CoalesceOp,
 )
 
 
@@ -103,9 +122,9 @@ def lower_plan(
 ) -> BatchOperator:
     """Lower a pipelinable logical subtree to a physical operator tree.
 
-    ``fetch`` materialises boundary subtrees (transfers, base relations, the
-    three temporal operations still on their own fast paths) through the
-    executor's ordinary recursion, which keeps their per-node accounting.
+    ``fetch`` materialises boundary subtrees (transfers, base relations,
+    literals, the conventional multiset operations) through the executor's
+    ordinary recursion, which keeps their per-node accounting.
 
     ``batch_size`` is the built tree's chunk size, a positive integer
     (default :data:`~repro.options.DEFAULT_BATCH_SIZE`); every operator is
@@ -133,13 +152,17 @@ def _lower_node(
             return _make_join(
                 split, product.output_schema(), node, left, right, (path, path + (0,))
             )
-    elif isinstance(node, (Join, TemporalJoin, CartesianProduct, TemporalCartesianProduct)):
-        split = split_for_join(node) or split_for_product(node)
-        left = _lower_node(node.children[0], path + (0,), fetch)
-        right = _lower_node(node.children[1], path + (1,), fetch)
-        return _make_join(split, node.output_schema(), node, left, right, (path,))
     elif not is_pipelined(node):
         return SourceOp(fetch(node, path))
+    elif len(node.children) == 2:
+        left = _lower_node(node.children[0], path + (0,), fetch)
+        right = _lower_node(node.children[1], path + (1,), fetch)
+        for node_type, operator_type in _TEMPORAL_SET_OPERATORS.items():
+            if isinstance(node, node_type):
+                order = node.result_order([left.order, right.order])
+                return operator_type(left, right, order, (path,))
+        split = split_for_join(node) or split_for_product(node)
+        return _make_join(split, node.output_schema(), node, left, right, (path,))
     # The unary operators: the child's subtree lowers into the same region.
     child = _lower_node(node.child, path + (0,), fetch)
     order = node.result_order([child.order])
@@ -151,6 +174,8 @@ def _lower_node(
         return SortOp(node.sort_order, child, order, (path,))
     if isinstance(node, TemporalDuplicateElimination):
         return TemporalDistinctOp(child, order, (path,))
+    if isinstance(node, Coalescing):
+        return CoalesceOp(child, order, (path,))
     assert isinstance(node, TemporalAggregation), node  # the last of PIPELINED_TYPES
     return TemporalAggregateOp(
         node.grouping, node.functions, node.output_schema(), child, order, (path,)

@@ -486,25 +486,27 @@ def _temporal_aggregation_over(draw, plan: Operation, tag: int) -> Operation:
 
 
 _TEMPORAL_STEPS = ("select", "project", "sort", "rdupT", "γT", "coalT", "\\T", "∪T")
+_STREAMING_STEPS = frozenset(_TEMPORAL_STEPS[:3])
 
 
 @st.composite
 def temporal_shaped_plans(draw, max_size: int = 6, max_depth: int = 4) -> Operation:
     """A stack of temporal and streaming operations over a literal relation.
 
-    At least one ``rdupT`` or ``γT`` — the two temporal operations the stratum
-    runs as batch operators — over and under σ, π (possibly moving ``T1``/
-    ``T2`` off the trailing positions), mixed-direction sorts and the
-    unported ``coalT``, ``\\T`` and ``∪T``, which stay region boundaries.  The
-    binary operations take a selection of the plan itself as their right
-    argument (union-compatible by construction), half the time with its
-    attributes permuted.
+    At least one of the five temporal operations the stratum runs as batch
+    operators — ``rdupT``, ``γT``, ``coalT``, ``\\T``, ``∪T`` — over and under
+    σ, π (possibly moving ``T1``/``T2`` off the trailing positions) and
+    mixed-direction sorts.  The binary operations pair the plan with a
+    selection of itself (union-compatible by construction), half the time with
+    its attributes permuted: the selection is the right argument, or — for
+    ``∪T``, where a right argument that is a subset of the left emits nothing
+    — half the time the left one.
     """
     leaf = draw(st.one_of(temporal_relations(max_size=max_size), scored_relations(max_size)))
     plan: Operation = LiteralRelation(leaf)
     steps = draw(
         st.lists(st.sampled_from(_TEMPORAL_STEPS), min_size=1, max_size=max_depth).filter(
-            lambda steps: "rdupT" in steps or "γT" in steps
+            lambda steps: not _STREAMING_STEPS.issuperset(steps)
         )
     )
     for tag, step in enumerate(steps):
@@ -524,5 +526,10 @@ def temporal_shaped_plans(draw, max_size: int = 6, max_depth: int = 4) -> Operat
             right = draw(_selection_over(plan))
             if draw(st.booleans()):
                 right = Projection(draw(st.permutations(plan.output_schema().attributes)), right)
-            plan = (TemporalDifference if step == "\\T" else TemporalUnion)(plan, right)
+            if step == "\\T":
+                plan = TemporalDifference(plan, right)
+            elif draw(st.booleans()):
+                plan = TemporalUnion(plan, right)
+            else:  # the subset on the left: the right rows keep fragments
+                plan = TemporalUnion(right, plan)
     return plan

@@ -14,8 +14,15 @@ from repro.core.exceptions import (
     ResourceExhaustedError,
 )
 from repro.core.expressions import count
-from repro.core.operations import LiteralRelation, TemporalAggregation, TemporalDuplicateElimination
-from repro.core.operations.base import EvaluationContext
+from repro.core.operations import (
+    Coalescing,
+    LiteralRelation,
+    TemporalAggregation,
+    TemporalDifference,
+    TemporalDuplicateElimination,
+    TemporalUnion,
+)
+from repro.core.operations.base import EvaluationContext, ROOT_PATH
 from repro.core.physical import SourceOp
 from repro.core.relation import Relation
 from repro.core.schema import INTEGER, RelationSchema, STRING
@@ -130,14 +137,33 @@ HISTORY = LiteralRelation(
     )
 )
 
+#: Every third row of ``HISTORY``, shifted: the same value classes, other periods.
+SHIFTED = LiteralRelation(
+    Relation.from_rows(
+        HISTORY.relation.schema,
+        [(name, t1 + 3, t2 + 5) for name, t1, t2 in (tup.values() for tup in HISTORY.relation.tuples[::3])],
+    )
+)
+
 
 class TestDeadlineInsideATemporalDrain:
-    """``rdupT`` and ``γT`` drain as batch operators, so they tick.
+    """All five temporal operations drain as batch operators, so they tick.
 
     A deadline that expires while one of them is producing rows raises from
     inside that drain — before this they ran as one uninterruptible call
     between two plan-node checkpoints.
     """
+
+    INTERVAL = 16
+
+    def executor_with(self, deadline):
+        """An executor whose token's clock advances by one per check, and that clock."""
+        from repro.stratum import StratumExecutor
+
+        clock = itertools.count(1)
+        token = CancellationToken(deadline=deadline, clock=lambda: next(clock))
+        control = ExecutionControl(token=token, interval=self.INTERVAL)
+        return StratumExecutor(ConventionalDBMS(), control=control), clock
 
     @pytest.mark.parametrize(
         "plan",
@@ -148,19 +174,11 @@ class TestDeadlineInsideATemporalDrain:
         ids=["rdupT", "γT"],
     )
     def test_the_typed_error_comes_from_the_operators_own_ticks(self, plan):
-        from repro.stratum import StratumExecutor
-
-        interval = 16
+        interval = self.INTERVAL
         rows_in = len(HISTORY.relation)
         rows_out = len(plan.evaluate(EvaluationContext()))
 
-        def executor_with(deadline):
-            clock = itertools.count(1)  # one reading per token check
-            token = CancellationToken(deadline=deadline, clock=lambda: next(clock))
-            control = ExecutionControl(token=token, interval=interval)
-            return StratumExecutor(ConventionalDBMS(), control=control), clock
-
-        executor, clock = executor_with(deadline=10**6)
+        executor, clock = self.executor_with(deadline=10**6)
         executor.execute(plan)
         checks = next(clock) - 1
         # Two plan-node checkpoints, the source's drain, and the temporal
@@ -169,11 +187,45 @@ class TestDeadlineInsideATemporalDrain:
         assert checks == 2 + (1 + rows_in // interval) + (1 + rows_out // interval)
         # Expire on the very last check: by then the source is exhausted, so
         # only the temporal operator's drain can be the one that raises.
-        executor, _ = executor_with(deadline=checks - 1)
+        executor, _ = self.executor_with(deadline=checks - 1)
         with pytest.raises(DeadlineExceededError):
             executor.execute(plan)
         assert () not in executor.report.node_rows  # the region never finished
         assert executor.report.degraded_operations == []  # "stop", not "broken"
+
+    def test_a_deadline_lands_inside_a_coalesce_union_difference_drain(self):
+        from repro.stratum.physical import lower_plan
+
+        interval = self.INTERVAL
+        plan = Coalescing(TemporalUnion(TemporalDifference(HISTORY, SHIFTED), SHIFTED))
+        context = EvaluationContext()
+        root = lower_plan(plan, ROOT_PATH, lambda node, path: node.evaluate(context))
+        root.to_relation()
+        operators = list(root.operators())
+        assert [operator.describe() for operator in operators] == [
+            "Coalesce", "TemporalUnion", "TemporalDifference",
+            "Source(rows=300)", "Source(rows=100)", "Source(rows=100)",
+        ]
+        # Each of the three emits several intervals' worth of rows: it ticks
+        # while it runs, not only when it starts.
+        assert all(operator.rows_out // interval >= 2 for operator in operators[:3])
+
+        executor, clock = self.executor_with(deadline=10**6)
+        executor.execute(plan)
+        checks = next(clock) - 1
+        # One plan-node checkpoint for the region and one per literal fetched
+        # into it — none between the three operations any more — and every
+        # operator's own ticks: one at its start, one per `interval` rows out.
+        assert checks == 4 + sum(1 + operator.rows_out // interval for operator in operators)
+        # Wherever the deadline falls the typed error comes out and nothing
+        # degrades; on the very last check every input is exhausted, so only
+        # coalT's own drain can be the one that raises.
+        for deadline in range(1, checks):
+            executor, _ = self.executor_with(deadline)
+            with pytest.raises(DeadlineExceededError):
+                executor.execute(plan)
+            assert () not in executor.report.node_rows  # the region never finished
+            assert executor.report.degraded_operations == []  # "stop", not "broken"
 
 
 def make_database():

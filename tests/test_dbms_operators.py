@@ -41,12 +41,15 @@ from repro.core.operations.base import EvaluationContext, ROOT_PATH
 from repro.core.order_spec import OrderSpec
 from repro.core.physical import (
     BatchOperator,
+    CoalesceOp,
     DistinctOp,
     IntervalJoinOp,
     NestedLoopJoinOp,
     SourceOp,
     TemporalAggregateOp,
+    TemporalDifferenceOp,
     TemporalDistinctOp,
+    TemporalUnionOp,
 )
 from repro.core.relation import Relation
 from repro.dbms import ConventionalDBMS, PhysicalPlanner
@@ -150,7 +153,10 @@ class TestDifferential:
         stratum = set(stratum_planner.ADMISSIBLE_OPERATORS)
         dbms = set(dbms_planner.ADMISSIBLE_OPERATORS)
         # The paper's capability split: the temporal operators are the stratum's.
-        assert stratum - dbms == {IntervalJoinOp, TemporalDistinctOp, TemporalAggregateOp}
+        assert stratum - dbms == {
+            IntervalJoinOp,
+            TemporalDistinctOp, TemporalAggregateOp, TemporalDifferenceOp, TemporalUnionOp, CoalesceOp,
+        }
         assert {op.__name__ for op in dbms - stratum} == {
             "DistinctOp", "AggregateOp", "UnionAllOp", "DifferenceOp", "UnionOp",
         }

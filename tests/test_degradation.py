@@ -22,11 +22,14 @@ from repro.core.exceptions import (
 )
 from repro.core.expressions import count
 from repro.core.operations import (
+    Coalescing,
     LiteralRelation,
     Projection,
     Sort,
     TemporalAggregation,
+    TemporalDifference,
     TemporalDuplicateElimination,
+    TemporalUnion,
 )
 from repro.core.order_spec import OrderSpec
 from repro.dbms import ConventionalDBMS
@@ -159,18 +162,35 @@ class TestStratumPhysicalDegradation:
 
 
 class TestTemporalRegionDegradation:
-    """A region holding ``rdupT``/``γT`` operators falls back like any other:
-    the reference recursion — the only place ``node._evaluate`` still runs for
+    """A region holding temporal operators falls back like any other: the
+    reference recursion — the only place ``node._evaluate`` still runs for
     them — re-executes it to the identical tuple sequence."""
 
-    def plan(self):
+    def counted(self):
         narrow = Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))
         counted = TemporalAggregation(["EmpName"], [count(alias="n")], TemporalDuplicateElimination(narrow))
         return Sort(OrderSpec.of("EmpName DESC"), counted)
 
+    def chained(self):
+        """All five temporal operations in one region, the ``chained`` shape on top."""
+        employee = Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))
+        project = Projection(["EmpName", "T1", "T2"], LiteralRelation(project_relation()))
+        idle = TemporalDifference(TemporalDuplicateElimination(employee), project)
+        merged = Coalescing(TemporalUnion(idle, TemporalDuplicateElimination(project)))
+        return Sort(
+            OrderSpec.of("EmpName DESC"), TemporalAggregation(["EmpName"], [count(alias="n")], merged)
+        )
+
     def test_a_failed_region_with_rdupt_reexecutes_through_the_reference(self, monkeypatch):
+        self.check_reference_reexecution(self.counted(), ["rdupT", "γT"], monkeypatch)
+
+    def test_a_failed_region_with_all_five_operations_reexecutes_through_the_reference(self, monkeypatch):
+        calls = ["rdupT", "\\T", "rdupT", "∪T", "coalT", "γT"]
+        self.check_reference_reexecution(self.chained(), calls, monkeypatch)
+
+    def check_reference_reexecution(self, plan, reference_calls, monkeypatch):
         evaluated = []
-        for node_type in (TemporalDuplicateElimination, TemporalAggregation):
+        for node_type in {type(node) for _, node in plan.locations() if node.is_temporal_operator}:
 
             def spy(self, child_results, context, original=node_type._evaluate):
                 evaluated.append(self.symbol)
@@ -181,13 +201,13 @@ class TestTemporalRegionDegradation:
         def execute(faults):
             executor = StratumExecutor(ConventionalDBMS(), control=ExecutionControl())
             with FAULTS.armed("stratum.pull", times=faults):
-                return executor.execute(self.plan()), executor.report
+                return executor.execute(plan), executor.report
 
         healthy, healthy_report = execute(faults=0)
         assert healthy_report.degraded_operations == [] and evaluated == []
         degraded, report = execute(faults=1)
         assert report.degraded_operations == ["sort[EmpName DESC] at (): FAULT_INJECTED"]
-        assert evaluated == ["rdupT", "γT"]
+        assert evaluated == reference_calls
         assert list(degraded.tuples) == list(healthy.tuples)
         assert degraded.order == healthy.order
         assert report.node_rows == healthy_report.node_rows

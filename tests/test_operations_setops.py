@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 
 from repro.core.exceptions import SchemaError
+from repro.core.expressions import count
 from repro.core.operations import (
+    Coalescing,
     Difference,
     LiteralRelation,
+    TemporalAggregation,
     TemporalDifference,
     TemporalDuplicateElimination,
     TemporalUnion,
@@ -16,6 +19,7 @@ from repro.core.operations import (
 from repro.core.operations.base import EvaluationContext
 from repro.core.relation import Relation
 from repro.core.schema import RelationSchema, STRING
+from repro.core.tuples import Tuple
 
 from .strategies import (
     NARROW_TEMPORAL_SCHEMA,
@@ -216,7 +220,7 @@ class TestValueEquivalenceIsByName:
 
     A right argument over ``(B, A, T1, T2)`` holds the same values as a left
     one over ``(A, B, T1, T2)``; ``\\T`` and ``∪T`` — the reference definitions
-    and the stratum's hash-partitioned paths alike — must see them as equal,
+    and the stratum's operators alike — must see them as equal,
     and the unchanged-order case must give exactly the rows it always gave.
     """
 
@@ -229,37 +233,87 @@ class TestValueEquivalenceIsByName:
             PERMUTED_VALUE_SCHEMA, [(b, a, t1, t2) for a, b, t1, t2 in rows]
         )
 
-    def both_paths(self, operation, fast, left, right):
-        """The reference definition's result and the stratum fast path's."""
-        return [run(operation(LiteralRelation(left), LiteralRelation(right))), fast(left, right)]
+    def both_paths(self, operation, *arguments):
+        """The reference definition's result and the stratum executor's."""
+        from repro.dbms import ConventionalDBMS
+        from repro.stratum import StratumExecutor
+
+        plan = operation(*map(LiteralRelation, arguments))
+        executor = StratumExecutor(ConventionalDBMS())
+        results = [run(plan), executor.execute(plan)]
+        assert executor.report.degraded_operations == []
+        return results
 
     @pytest.mark.parametrize("permuted", [False, True])
     def test_temporal_difference(self, permuted):
-        from repro.stratum import temporal_difference_fast
-
         left, right = self.relations(permuted)
-        for result in self.both_paths(TemporalDifference, temporal_difference_fast, left, right):
+        for result in self.both_paths(TemporalDifference, left, right):
             assert result.schema.attributes == ("A", "B", "T1", "T2")
             assert [tup.values() for tup in result] == [("x", "y", 1, 3), ("y", "x", 4, 9)]
 
     @pytest.mark.parametrize("permuted", [False, True])
     def test_temporal_union(self, permuted):
-        from repro.stratum import temporal_union_fast
-
         left, right = self.relations(permuted)
-        for result in self.both_paths(TemporalUnion, temporal_union_fast, left, right):
+        for result in self.both_paths(TemporalUnion, left, right):
             assert result.schema.attributes == ("A", "B", "T1", "T2")
             assert [tup.values() for tup in result] == [
                 ("x", "y", 1, 5), ("y", "x", 2, 9), ("y", "x", 1, 2),
             ]
 
     def test_equal_values_under_swapped_names_cancel(self):
-        from repro.stratum import temporal_difference_fast
-
         left = Relation.from_rows(VALUE_SCHEMA, [("x", "y", 1, 5)])
         right = Relation.from_rows(PERMUTED_VALUE_SCHEMA, [("y", "x", 1, 5)])  # B=y, A=x
-        for result in self.both_paths(TemporalDifference, temporal_difference_fast, left, right):
+        for result in self.both_paths(TemporalDifference, left, right):
             assert result.is_empty()
+
+    def test_one_relation_may_mix_attribute_orders(self):
+        """A relation admits tuples over any schema with its attribute set, so
+        every temporal operation must class its tuples by name — ``coalT``
+        used to key them by position and left ``[1,3)``/``[3,5)`` unmerged."""
+
+        def tup(schema, a, b, t1, t2):
+            return Tuple(schema, {"A": a, "B": b, "T1": t1, "T2": t2})
+
+        ours, theirs = VALUE_SCHEMA, PERMUTED_VALUE_SCHEMA
+        mixed = Relation(
+            ours,
+            [
+                tup(ours, "x", "y", 1, 3), tup(theirs, "x", "y", 3, 5), tup(ours, "y", "x", 1, 4),
+                tup(theirs, "x", "y", 2, 6), tup(theirs, "y", "x", 4, 6),
+            ],
+        )
+        other = Relation(theirs, [tup(theirs, "x", "y", 2, 4), tup(theirs, "y", "x", 0, 2)])
+
+        def by_name(result):
+            return [tuple(tup[a] for a in ("A", "B", "T1", "T2")) for tup in result]
+
+        expected = {
+            (Coalescing, mixed): [("x", "y", 1, 5), ("y", "x", 1, 6), ("x", "y", 2, 6)],
+            (TemporalDuplicateElimination, mixed): [
+                ("x", "y", 1, 3), ("x", "y", 3, 5), ("y", "x", 1, 4), ("x", "y", 5, 6), ("y", "x", 4, 6),
+            ],
+            (TemporalDifference, mixed, other): [
+                ("x", "y", 1, 2), ("x", "y", 4, 5), ("y", "x", 2, 4), ("x", "y", 4, 6), ("y", "x", 4, 6),
+            ],
+            (TemporalDifference, other, mixed): [("y", "x", 0, 1)],
+            (TemporalUnion, mixed, other): by_name(mixed) + [("y", "x", 0, 1)],
+            (TemporalUnion, other, mixed): by_name(other) + [
+                ("x", "y", 1, 2), ("x", "y", 4, 5), ("y", "x", 2, 4), ("x", "y", 4, 6), ("y", "x", 4, 6),
+            ],
+        }
+        for (operation, *arguments), rows in expected.items():
+            reference, executed = self.both_paths(operation, *arguments)
+            assert by_name(reference) == rows, operation.symbol
+            assert list(executed.tuples) == list(reference.tuples), operation.symbol
+
+        def aggregation(argument):
+            return TemporalAggregation(["A", "B"], [count(alias="n")], argument)
+
+        reference, executed = self.both_paths(aggregation, mixed)
+        assert [tup.values() for tup in reference][:3] == [
+            ("x", "y", 1, 1, 2), ("x", "y", 2, 2, 3), ("x", "y", 2, 3, 4),
+        ]
+        assert list(executed.tuples) == list(reference.tuples)
 
     def test_tuples_over_other_attributes_are_never_value_equivalent(self):
         (left,) = Relation.from_rows(VALUE_SCHEMA, [("x", "y", 1, 5)]).tuples

@@ -22,13 +22,7 @@ from repro.core.operations import (
 from repro.core.operations.base import EvaluationContext
 from repro.core.order_spec import OrderSpec
 from repro.dbms import ConventionalDBMS
-from repro.stratum import (
-    StratumExecutor,
-    coalesce_fast,
-    partition_plan,
-    temporal_difference_fast,
-    temporal_union_fast,
-)
+from repro.stratum import StratumExecutor, partition_plan
 from repro.stratum.partition import DBMS, STRATUM, describe_partition
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA
 
@@ -37,10 +31,10 @@ from .strategies import narrow_temporal_relations
 CONTEXT = EvaluationContext()
 
 
-def rdupt_in_stratum(relation):
-    """``rdupT`` as the stratum runs it: a ``TemporalDistinctOp`` region."""
+def in_stratum(operation, *relations):
+    """A temporal operation as the stratum runs it: one undegraded operator region."""
     executor = StratumExecutor(ConventionalDBMS())
-    result = executor.execute(TemporalDuplicateElimination(LiteralRelation(relation)))
+    result = executor.execute(operation(*map(LiteralRelation, relations)))
     assert executor.report.degraded_operations == []
     return result
 
@@ -51,30 +45,27 @@ class TestFastImplementationsMatchReference:
     @given(narrow_temporal_relations(max_size=8))
     def test_rdupt(self, relation):
         reference = TemporalDuplicateElimination(LiteralRelation(relation)).evaluate(CONTEXT)
-        assert list_equivalent(rdupt_in_stratum(relation), reference)
+        assert list_equivalent(in_stratum(TemporalDuplicateElimination, relation), reference)
 
     @given(narrow_temporal_relations(max_size=8))
     def test_coalesce(self, relation):
         reference = Coalescing(LiteralRelation(relation)).evaluate(CONTEXT)
-        fast = coalesce_fast(relation)
-        assert list_equivalent(fast, reference)
+        assert list_equivalent(in_stratum(Coalescing, relation), reference)
 
     @given(narrow_temporal_relations(max_size=6), narrow_temporal_relations(max_size=6))
     def test_temporal_difference(self, left, right):
         reference = TemporalDifference(LiteralRelation(left), LiteralRelation(right)).evaluate(
             CONTEXT
         )
-        fast = temporal_difference_fast(left, right)
-        assert list_equivalent(fast, reference)
+        assert list_equivalent(in_stratum(TemporalDifference, left, right), reference)
 
     @given(narrow_temporal_relations(max_size=6), narrow_temporal_relations(max_size=6))
     def test_temporal_union(self, left, right):
         reference = TemporalUnion(LiteralRelation(left), LiteralRelation(right)).evaluate(CONTEXT)
-        fast = temporal_union_fast(left, right)
-        assert list_equivalent(fast, reference)
+        assert list_equivalent(in_stratum(TemporalUnion, left, right), reference)
 
     def test_figure3(self, r1, r3):
-        assert list_equivalent(rdupt_in_stratum(r1), r3)
+        assert list_equivalent(in_stratum(TemporalDuplicateElimination, r1), r3)
 
 
 class TestPlanPartitioning:

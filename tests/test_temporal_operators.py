@@ -1,14 +1,16 @@
-"""``rdupT`` and ``γT`` as batch operators inside the stratum's regions.
+"""The five temporal operations as batch operators inside the stratum's regions.
 
-``TemporalDistinctOp`` and ``TemporalAggregateOp`` replace a per-tuple
-work-list function and the reference recursion, so the contract is the
+``TemporalDistinctOp``, ``TemporalAggregateOp``, ``TemporalDifferenceOp``,
+``TemporalUnionOp`` and ``CoalesceOp`` replace per-tuple functions over
+materialised relations and the reference recursion, so the contract is the
 strict one: on generated stacks of temporal and streaming operations the
 stratum yields, at every batch size, the **identical tuple sequence** the
 reference ``node._evaluate`` does (several temporal operations are
 order-sensitive, Section 6); the operators account like every other batch
-operator (rows, ticks, chunking); only the stratum builds them; and their
-cost is pinned by counts — no ``Period``, no ``Tuple``, O(n log n) cover
-steps — not by a clock.
+operator (rows, ticks, chunking); only the stratum builds them; a whole
+temporal plan is one operator tree; and their cost is pinned by counts — no
+``Period``, no ``Tuple``, O(n log n) cover steps, O(n) absorptions — not by a
+clock.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.core.expressions import (
     equals,
 )
 from repro.core.operations import (
+    BaseRelation,
     Coalescing,
     LiteralRelation,
     Projection,
@@ -36,12 +39,20 @@ from repro.core.operations import (
     TemporalAggregation,
     TemporalDifference,
     TemporalDuplicateElimination,
+    TemporalUnion,
     TransferToStratum,
 )
 from repro.core.operations.base import EvaluationContext, ROOT_PATH
 from repro.core.order_spec import OrderSpec
 from repro.core.period import Period
-from repro.core.physical import SourceOp, TemporalAggregateOp, TemporalDistinctOp
+from repro.core.physical import (
+    CoalesceOp,
+    SourceOp,
+    TemporalAggregateOp,
+    TemporalDifferenceOp,
+    TemporalDistinctOp,
+    TemporalUnionOp,
+)
 from repro.core.relation import Relation
 from repro.core.schema import Domain, INTEGER, RelationSchema, STRING, TIME
 from repro.core.tuples import Tuple
@@ -56,8 +67,12 @@ from .strategies import NARROW_TEMPORAL_SCHEMA, SCORED_SCHEMA, temporal_shaped_p
 from .test_dbms_operators import BATCH_SIZES, CountingControl
 
 CONTEXT = EvaluationContext()
-TEMPORAL_OPERATORS = (TemporalDistinctOp, TemporalAggregateOp)
-TEMPORAL_NODES = (TemporalDuplicateElimination, TemporalAggregation)
+TEMPORAL_OPERATORS = (
+    TemporalDistinctOp, TemporalAggregateOp, TemporalDifferenceOp, TemporalUnionOp, CoalesceOp,
+)
+TEMPORAL_NODES = (
+    TemporalDuplicateElimination, TemporalAggregation, TemporalDifference, TemporalUnion, Coalescing,
+)
 
 
 def run_stratum(plan, batch_size=1024, **kwargs):
@@ -84,8 +99,12 @@ def values(relation):
     return [tup.values() for tup in relation]
 
 
+def literal(schema, *rows):
+    return LiteralRelation(Relation.from_rows(schema, rows))
+
+
 def narrow(*rows):
-    return LiteralRelation(Relation.from_rows(NARROW_TEMPORAL_SCHEMA, rows))
+    return literal(NARROW_TEMPORAL_SCHEMA, *rows)
 
 
 class TestDifferential:
@@ -113,13 +132,13 @@ class TestDifferential:
 
     @settings(max_examples=60, deadline=None)
     @given(temporal_shaped_plans())
-    def test_the_dbms_planner_builds_neither_operator(self, plan):
+    def test_the_dbms_planner_builds_none_of_the_operators(self, plan):
         planner = PhysicalPlanner(Catalog())
         root = planner.plan(plan)
         for operator in root.operators():
             assert type(operator) in dbms_planner.ADMISSIBLE_OPERATORS
             assert not isinstance(operator, TEMPORAL_OPERATORS)
-        # Every rdupT and γT is materialise-and-emulate there, as before.
+        # Every temporal operation is materialise-and-emulate there, as before.
         temporal = Counter(
             node.label() for _, node in plan.locations() if isinstance(node, TEMPORAL_NODES)
         )
@@ -131,10 +150,49 @@ class TestDifferential:
             assert operator_type not in dbms_planner.ADMISSIBLE_OPERATORS
         for node_type in TEMPORAL_NODES:
             assert node_type in stratum_planner.PIPELINED_TYPES
-        # The three unported temporal operations stay region boundaries.
+        # All five are pipelined: nothing temporal is a region boundary.
         plan = Coalescing(TemporalDifference(narrow(("a", 1, 5)), narrow(("a", 2, 3))))
-        assert not stratum_planner.is_pipelined(plan) and not stratum_planner.is_pipelined(plan.child)
-        assert isinstance(lower(TemporalDuplicateElimination(plan)).children()[0], SourceOp)
+        assert stratum_planner.is_pipelined(plan) and stratum_planner.is_pipelined(plan.child)
+        root = lower(TemporalDuplicateElimination(plan))
+        assert [type(operator) for operator in root.operators()] == [
+            TemporalDistinctOp, CoalesceOp, TemporalDifferenceOp, SourceOp, SourceOp,
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(temporal_shaped_plans())
+    def test_a_lowered_plan_has_a_source_only_over_a_transfer_base_or_literal_leaf(self, plan):
+        fetched = []
+
+        def fetch(node, path):
+            fetched.append(node)
+            return node.evaluate(CONTEXT)
+
+        root = stratum_planner.lower_plan(plan, ROOT_PATH, fetch)
+        assert all(isinstance(node, (TransferToStratum, BaseRelation, LiteralRelation)) for node in fetched)
+        sources = [operator for operator in root.operators() if isinstance(operator, SourceOp)]
+        assert len(sources) == len(fetched)
+
+    def test_the_chained_shape_is_one_tree_over_its_three_leaves(self):
+        leaf = narrow(("a", 1, 5), ("a", 3, 9), ("b", 2, 4))
+        distinct = TemporalDuplicateElimination(leaf)
+        plan = Sort(
+            OrderSpec.of("Name"),
+            Coalescing(TemporalUnion(TemporalDifference(distinct, leaf), distinct)),
+        )
+        assert lower(plan).explain().splitlines() == [
+            "Sort(Name ASC)",
+            "  Coalesce",
+            "    TemporalUnion",
+            "      TemporalDifference",
+            "        TemporalDistinct",
+            "          Source(rows=3)",
+            "        Source(rows=3)",
+            "      TemporalDistinct",
+            "        Source(rows=3)",
+        ]
+        result, report = run_stratum(plan)
+        assert_list_identical(result, plan.evaluate(CONTEXT))
+        assert report.stratum_operations == 6
 
     def test_a_stack_is_one_operator_tree_with_no_relation_in_between(self):
         argument = LiteralRelation(figure3_r1())
@@ -376,6 +434,234 @@ class TestTemporalAggregate:
         assert result.schema.attributes == ("Name", "total", "T1", "T2")
 
 
+PAIR_SCHEMA = RelationSchema.temporal([("A", STRING), ("B", STRING)], name="L")
+PERIOD_SCHEMA = RelationSchema.temporal([], name="T")
+#: One value attribute that admits anything: ``None``, and ``1``/``1.0``/``True``,
+#: which hash and compare equal but are not the same value to print.
+ANY_SCHEMA = RelationSchema.temporal([("V", Domain("any"))], name="V")
+
+
+def printed(relation):
+    return [repr(tup.values()) for tup in relation]
+
+
+def run_checked(plan):
+    """The stratum's result, identical to the reference's at every batch size."""
+    reference = plan.evaluate(CONTEXT)
+    for batch_size in BATCH_SIZES:
+        result, _ = run_stratum(plan, batch_size)
+        assert_list_identical(result, reference)
+        assert printed(result) == printed(reference)
+    return result
+
+
+class TestTemporalDifferenceAndUnion:
+    LEFT = literal(
+        PAIR_SCHEMA, ("x", "y", 1, 9), ("y", "x", 2, 6), ("x", "y", 4, 12), ("z", "z", 1, 3)
+    )
+
+    @staticmethod
+    def right(permuted, *rows):
+        """``rows`` as (A, B, T1, T2), optionally behind a permuting projection."""
+        argument = literal(PAIR_SCHEMA, *rows)
+        return Projection(["T2", "B", "A", "T1"], argument) if permuted else argument
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_difference_leaves_each_left_rows_fragments_in_its_slot(self, permuted):
+        right = self.right(
+            permuted, ("y", "x", 3, 4), ("x", "y", 2, 3), ("x", "y", 5, 7), ("x", "y", 6, 10), ("q", "q", 1, 2)
+        )
+        root = lower(TemporalDifference(self.LEFT, right))
+        assert isinstance(root, TemporalDifferenceOp) and root.describe() == "TemporalDifference"
+        result = run_checked(TemporalDifference(self.LEFT, right))
+        assert result.schema.attributes == ("A", "B", "T1", "T2")
+        assert values(result) == [
+            ("x", "y", 1, 2), ("x", "y", 3, 5),
+            ("y", "x", 2, 3), ("y", "x", 4, 6),
+            ("x", "y", 4, 5), ("x", "y", 10, 12),
+            ("z", "z", 1, 3),
+        ]
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_union_subtracts_the_left_cover_only_and_aligns_the_right_rows(self, permuted):
+        right = self.right(
+            permuted, ("x", "y", 0, 14), ("y", "x", 1, 3), ("y", "x", 1, 3), ("q", "p", 1, 2), ("z", "z", 2, 3)
+        )
+        root = lower(TemporalUnion(self.LEFT, right))
+        assert isinstance(root, TemporalUnionOp) and root.describe() == "TemporalUnion"
+        result = run_checked(TemporalUnion(self.LEFT, right))
+        assert result.schema.attributes == ("A", "B", "T1", "T2")
+        assert values(result) == values(self.LEFT.relation) + [
+            ("x", "y", 0, 1), ("x", "y", 12, 14),
+            ("y", "x", 1, 2),
+            ("y", "x", 1, 2),  # an earlier right row never subtracts
+            ("q", "p", 1, 2),
+        ]
+
+    def test_equal_values_under_swapped_names_are_another_class(self):
+        # Right rows (B=y, A=x): by name the left's class, by position another.
+        right = self.right(True, ("x", "y", 1, 9))
+        assert right.output_schema().attributes == ("T2", "B", "A", "T1")
+        left = literal(PAIR_SCHEMA, ("x", "y", 1, 9), ("y", "x", 1, 9))
+        assert values(run_checked(TemporalDifference(left, right))) == [("y", "x", 1, 9)]
+        assert values(run_checked(TemporalUnion(left, right))) == values(left.relation)
+
+    def test_a_relation_of_nothing_but_periods_is_one_value_class(self):
+        left = literal(PERIOD_SCHEMA, (1, 9), (2, 4))
+        right = literal(PERIOD_SCHEMA, (3, 5), (7, 8), (0, 2), (8, 12))
+        assert values(run_checked(TemporalDifference(left, right))) == [(2, 3), (5, 7), (2, 3)]
+        assert values(run_checked(TemporalUnion(left, right))) == [(1, 9), (2, 4), (0, 1), (9, 12)]
+
+    def test_an_empty_side(self):
+        rows = [("x", "y", 1, 9), ("x", "y", 2, 4)]
+        full, empty = literal(PAIR_SCHEMA, *rows), literal(PAIR_SCHEMA)
+        assert values(run_checked(TemporalDifference(full, empty))) == rows
+        assert values(run_checked(TemporalUnion(full, empty))) == rows
+        assert values(run_checked(TemporalUnion(empty, full))) == rows
+        root = lower(TemporalDifference(empty, full))
+        assert list(root.batches()) == [] and root.rows_out == 0
+
+    def test_none_is_a_class_key_not_a_missing_cover(self):
+        left = literal(ANY_SCHEMA, (None, 1, 9), (5, 1, 9))
+        right = literal(ANY_SCHEMA, (None, 3, 5))
+        assert values(run_checked(TemporalDifference(left, right))) == [(None, 1, 3), (None, 5, 9), (5, 1, 9)]
+        assert values(run_checked(TemporalUnion(right, left))) == [
+            (None, 3, 5), (None, 1, 3), (None, 5, 9), (5, 1, 9),
+        ]
+
+    def test_fragments_carry_the_emitting_rows_own_values(self):
+        left = literal(ANY_SCHEMA, (1, 1, 9), (1.0, 2, 6), (True, 0, 3))
+        right = literal(ANY_SCHEMA, (1.0, 2, 4))
+        assert printed(run_checked(TemporalDifference(left, right))) == [
+            "(1, 1, 2)", "(1, 4, 9)", "(1.0, 4, 6)", "(True, 0, 2)",
+        ]
+        assert printed(run_checked(TemporalUnion(right, left))) == [
+            "(1.0, 2, 4)", "(1, 1, 2)", "(1, 4, 9)", "(1.0, 4, 6)", "(True, 0, 2)",
+        ]
+
+    def test_time_attributes_need_not_be_the_trailing_columns(self):
+        left = Projection(["T1", "A", "T2", "B"], self.LEFT)
+        right = self.right(True, ("x", "y", 2, 5), ("z", "z", 0, 2))
+        difference = run_checked(TemporalDifference(left, right))
+        assert difference.schema.attributes == ("T1", "A", "T2", "B")
+        assert values(difference) == [
+            (1, "x", 2, "y"), (5, "x", 9, "y"), (2, "y", 6, "x"), (5, "x", 12, "y"), (2, "z", 3, "z"),
+        ]
+        union = run_checked(TemporalUnion(left, right))
+        assert values(union)[4:] == [(0, "z", 1, "z")]
+
+    def test_one_class_takes_one_add_per_covering_row_and_one_gaps_per_row_cut(self, monkeypatch):
+        m, n = 40, 25
+        covering = narrow(*[("a", 3 * i, 3 * i + 2) for i in range(m)])
+        cut = narrow(*[("a", i, i + 7) for i in range(n)])
+        steps = Counter()
+        for name in ("_cover_gaps", "_cover_add"):
+
+            def counted(*args, name=name, original=getattr(physical, name)):
+                steps[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(physical, name, counted)
+        run_stratum(TemporalDifference(cut, covering))
+        assert steps == {"_cover_add": m - 1, "_cover_gaps": n}
+        steps.clear()
+        run_stratum(TemporalUnion(covering, cut))
+        assert steps == {"_cover_add": m - 1, "_cover_gaps": n}
+
+
+class TestCoalesce:
+    @pytest.mark.parametrize(
+        "periods, merged",
+        [
+            # "Earliest later", not "next after the last one absorbed".
+            ([(1, 3), (5, 7), (3, 5)], [(1, 7)]),
+            ([(1, 3), (3, 5), (3, 7)], [(1, 5), (3, 7)]),
+            ([(1, 3), (3, 7), (3, 5)], [(1, 7), (3, 5)]),
+            ([(5, 7), (1, 3), (3, 5)], [(1, 7)]),
+            ([(1, 3), (1, 3), (3, 5)], [(1, 5), (1, 3)]),
+            # Either end may grow, whichever neighbour comes first in the input.
+            ([(4, 6), (6, 8), (2, 4), (8, 9), (0, 2)], [(0, 9)]),
+            ([(1, 5), (2, 6), (3, 9)], [(1, 5), (2, 6), (3, 9)]),  # overlap is rdupT's business
+        ],
+    )
+    def test_saturation_in_input_order(self, periods, merged):
+        plan = Coalescing(narrow(*[("a", *period) for period in periods]))
+        root = lower(plan)
+        assert isinstance(root, CoalesceOp) and root.describe() == "Coalesce"
+        assert values(run_checked(plan)) == [("a", *period) for period in merged]
+
+    def test_an_absorber_keeps_its_slot_among_the_other_classes(self):
+        plan = Coalescing(
+            narrow(("a", 5, 7), ("b", 1, 2), ("c", 4, 5), ("a", 1, 3), ("b", 2, 3), ("a", 3, 5))
+        )
+        assert values(run_checked(plan)) == [("a", 1, 7), ("b", 1, 3), ("c", 4, 5)]
+
+    def test_the_merged_row_carries_the_absorbers_own_values(self):
+        rows = [(1, 1, 3), (1.0, 3, 5), (True, 5, 7)]
+        assert printed(run_checked(Coalescing(literal(ANY_SCHEMA, *rows)))) == ["(1, 1, 7)"]
+        assert printed(run_checked(Coalescing(literal(ANY_SCHEMA, *reversed(rows))))) == ["(True, 1, 7)"]
+        nullable = literal(ANY_SCHEMA, (None, 1, 3), (0, 3, 5), (None, 3, 4))
+        assert values(run_checked(Coalescing(nullable))) == [(None, 1, 4), (0, 3, 5)]
+
+    def test_schemas_without_values_or_with_leading_time_attributes(self):
+        periods = literal(PERIOD_SCHEMA, (3, 5), (7, 9), (1, 3), (5, 6))
+        assert values(run_checked(Coalescing(periods))) == [(1, 6), (7, 9)]
+        schema = RelationSchema.from_pairs(
+            [("T1", TIME), ("Name", STRING), ("T2", TIME), ("Dept", STRING)], name="X"
+        )
+        plan = Coalescing(literal(schema, (3, "a", 5, "s"), (5, "a", 8, "t"), (1, "a", 3, "s"), (8, "a", 9, "t")))
+        assert values(run_checked(plan)) == [(1, "a", 5, "s"), (5, "a", 9, "t")]
+
+    def test_an_empty_argument_yields_no_batch(self):
+        root = lower(Coalescing(narrow()))
+        assert list(root.batches()) == [] and root.rows_out == 0
+
+    def test_a_row_that_keeps_its_period_is_not_rebuilt(self, monkeypatch):
+        rebuilt = []
+        original = physical._with_period
+        monkeypatch.setattr(
+            physical, "_with_period", lambda row, *args: rebuilt.append(row) or original(row, *args)
+        )
+        left = narrow(("a", 1, 3), ("b", 3, 5), ("a", 4, 6), ("c", 1, 2), ("c", 2, 3))
+        right = narrow(("a", 3, 4), ("b", 5, 9), ("c", 2, 3))
+        plan = Coalescing(TemporalUnion(TemporalDifference(TemporalDuplicateElimination(left), right), right))
+        result, _ = run_stratum(plan)
+        assert_list_identical(result, plan.evaluate(CONTEXT))
+        # No row loses anything to rdupT, \\T or ∪T; coalT rebuilds its three
+        # absorbers once each, however many members they absorb (a takes two).
+        assert values(result) == [("a", 1, 6), ("b", 3, 9), ("c", 1, 3)]
+        assert rebuilt == [("a", 1, 3), ("b", 3, 5), ("c", 1, 2)]
+
+    def test_a_reversed_chain_of_n_takes_n_minus_one_absorptions(self, monkeypatch):
+        n = 300
+        chain = [("a", start, start + 1) for start in reversed(range(n))]
+        plan = Coalescing(narrow(*chain, ("b", 0, 1)))
+        probes = Counter()
+
+        def counted(*args, original=physical._earliest_later):
+            found = original(*args)
+            probes["hit" if found is not None else "miss"] += 1
+            return found
+
+        monkeypatch.setattr(physical, "_earliest_later", counted)
+        monkeypatch.setattr(Period, "is_adjacent_to", None)  # the pair scan is gone
+        result, _ = run_stratum(plan)
+        assert values(result) == [("a", 0, n), ("b", 0, 1)]
+        # The first member absorbs the other n - 1, one per probe of the "ends
+        # at my start" index; nothing ever starts at its end, and the last
+        # round finds neither.  The single-member class is never probed.
+        assert probes == {"hit": n - 1, "miss": n + 1}
+
+
+def five_operation_stack(leaf):
+    """``γT ∘ coalT ∘ ∪T(\\T(rdupT(r), σ(r)), rdupT(π(r)))``, the right sides permuted."""
+    distinct = TemporalDuplicateElimination(leaf)
+    ads = Projection(["T2", "Bonus", "Dept", "Name", "T1", "Amount"], Selection(equals("Dept", "Ads"), leaf))
+    permuted = Projection(["Amount", "Name", "T1", "T2", "Dept", "Bonus"], leaf)
+    union = TemporalUnion(TemporalDifference(distinct, ads), TemporalDuplicateElimination(permuted))
+    return TemporalAggregation(["Name"], [count(alias="n"), agg_sum("Amount", alias="total")], Coalescing(union))
+
+
 class TestNoTupleAtATimeWork:
     """Count-based: a drain builds no ``Period`` and no ``Tuple``."""
 
@@ -409,10 +695,12 @@ class TestNoTupleAtATimeWork:
                 OrderSpec.of("n DESC"),
                 TemporalAggregation(["Name"], [count(alias="n"), agg_avg("Amount", alias="m")], leaf),
             ),
+            five_operation_stack,
         ],
-        ids=["rdupT", "γT"],
+        ids=["rdupT", "γT", "all five"],
     )
-    def test_tuples_appear_only_in_to_relation(self, make_plan, built):
+    def test_tuples_appear_only_in_to_relation(self, make_plan, built, monkeypatch):
+        monkeypatch.setattr(Period, "is_adjacent_to", None)  # nor is any pair of periods compared
         plan = make_plan(LiteralRelation(MEASURED))
         reference = plan.evaluate(CONTEXT)
         root = lower(plan, batch_size=2)
