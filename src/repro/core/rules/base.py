@@ -136,7 +136,7 @@ class RuleIndex:
 
     def matches(self, plan: Operation) -> List[PyTuple[TransformationRule, PlanPath, Operation]]:
         """Every type-compatible ``(rule, location, node)`` of ``plan``, in the
-        exhaustive drivers' order: catalogue order, pre-order within a rule."""
+        exhaustive enumerator's order: catalogue order, pre-order within a rule."""
         found = [
             (position, order, rule, location, node)
             for order, (location, node) in enumerate(plan.locations())

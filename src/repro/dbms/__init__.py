@@ -3,13 +3,12 @@
 from .catalog import Catalog, Table, TableStatistics
 from .engine import ConventionalDBMS, DBMSResult
 from .executor import ExecutionReport, PhysicalPlanner
-from .optimizer import ConventionalOptimizer, CostGuidedConventionalOptimizer
+from .optimizer import CostGuidedConventionalOptimizer
 from .sqlgen import to_sql
 
 __all__ = [
     "Catalog",
     "ConventionalDBMS",
-    "ConventionalOptimizer",
     "CostGuidedConventionalOptimizer",
     "DBMSResult",
     "ExecutionReport",

@@ -2,8 +2,8 @@
 
 :class:`ConventionalDBMS` is the "unaltered, conventional DBMS" of the
 paper's layered architecture: it stores relations, accepts (conventional)
-logical plans, optimizes them with its own heuristics, executes them with
-multiset semantics, and can show the SQL text a fragment corresponds to.  It
+logical plans, optimizes them with its own cost-guided search, executes them
+with multiset semantics, and can show the SQL text a fragment corresponds to.  It
 knows nothing about valid time beyond treating ``T1``/``T2`` as ordinary
 integer columns — temporal operations reaching it are only ever *emulated*
 (slowly), which the execution report exposes.
@@ -23,9 +23,10 @@ from ..core.order_spec import OrderSpec
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..options import DEFAULT_BATCH_SIZE
+from ..search import SearchResult
 from .catalog import Catalog, CatalogSnapshot, Table
 from .executor import ExecutionReport, PhysicalPlanner
-from .optimizer import ConventionalOptimizer, CostGuidedConventionalOptimizer
+from .optimizer import CostGuidedConventionalOptimizer
 from .sqlgen import to_sql
 
 
@@ -58,9 +59,15 @@ class _Engine:
         """A histogram-backed estimator over the catalog's contents."""
         return self.catalog.estimator(**kwargs)
 
+    def search(self, plan: Operation) -> SearchResult:
+        """Run the DBMS's own optimizer over a logical plan fragment: the
+        whole search — ``best_plan`` plus the counters the stratum reports
+        when it plans a statement's fragments."""
+        return self._optimizer.search(plan)
+
     def optimize(self, plan: Operation) -> Operation:
-        """Run the DBMS's own optimizer over a logical plan fragment."""
-        return self._optimizer.optimize(plan)
+        """The fragment :meth:`search` finds cheapest."""
+        return self.search(plan).best_plan
 
     def execute(
         self,
@@ -79,7 +86,9 @@ class _Engine:
         threads cancellation, deadlines, resource budgets and fault
         injection into the physical operators' drains.  ``batch_size`` is
         the operators' chunk size — the stratum executor passes its own
-        (``ExecutionOptions.batch_size``) through.
+        (``ExecutionOptions.batch_size``) through, and always
+        ``optimize=False``: its fragments were optimized when the statement
+        was planned (:meth:`repro.stratum.layer.TemporalDatabase.optimize_plan`).
         """
         final_plan = self.optimize(plan) if optimize else plan
         planner = PhysicalPlanner(
@@ -96,11 +105,11 @@ class _Engine:
 class ConventionalDBMS(_Engine):
     """An in-memory, multiset-semantics SQL engine.
 
-    By default the engine's own optimization is the cost-guided memo search
-    over its catalog statistics (:class:`CostGuidedConventionalOptimizer`);
-    pass a :class:`ConventionalOptimizer` to fall back to the purely
-    heuristic fixpoint rewriter.  With ``use_statistics=True`` the fragment
-    costing additionally consumes the catalog's histogram-backed
+    The engine's own optimization is the cost-guided memo search over its
+    catalog statistics (:class:`CostGuidedConventionalOptimizer`; pass one
+    as ``optimizer`` to change its rules or cost model).  With
+    ``use_statistics=True`` the fragment costing additionally consumes the
+    catalog's histogram-backed
     :class:`~repro.stats.estimator.CardinalityEstimator` instead of the
     fixed selectivity constants.
     """
@@ -172,7 +181,8 @@ class SnapshotDBMS(_Engine):
     stratum executor and the session layer can run whole queries against a
     snapshot unchanged.  Fragment optimization uses the cost-guided
     optimizer over the *pinned* statistics, keeping plan choice and data
-    from the same moment.
+    from the same moment — on a plan-cache miss only: a request that hits
+    the cache never calls it.
     """
 
     def __init__(self, catalog: CatalogSnapshot, use_statistics: bool = False) -> None:

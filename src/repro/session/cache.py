@@ -14,6 +14,13 @@ repeated statements while staying *correct by keying*:
   good as the statistics it was costed against, so any insert, create, drop
   or replace moves every lookup to a fresh key, and the stale entries are
   purged on the next miss.
+
+Next to the plans the cache keeps what depends on the statement *text*
+alone: an LRU from the exact text to its parsed ``(Statement, fingerprint)``,
+so a repeated text is neither lexed, parsed nor hashed again.  It needs no
+epoch (a parse does not read the catalog — an epoch bump leaves it alone),
+shares the plans' lock and capacity, and is emptied by :meth:`PlanCache.clear`
+with them: "cold" means parse + fingerprint + translate + search.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple as PyTuple
 
 from ..core.operations import Operation
 from ..core.query import QueryResultSpec
 from ..stratum.layer import OptimizationOutcome
+from ..tsql.ast import Statement
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,8 @@ class PlanCacheInfo:
     capacity: int
     evictions: int
     invalidations: int
+    #: Statement texts whose parse is remembered (at most ``capacity``).
+    texts: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -84,6 +94,10 @@ class PlanCache:
             raise ValueError("plan cache capacity must be at least 1")
         self.capacity = capacity
         self._entries: "OrderedDict[PlanCacheKey, CachedPlan]" = OrderedDict()
+        #: Exact statement text -> its parse and fingerprint.  The stored
+        #: ``Statement`` is shared by every request for that text: read it,
+        #: ``dataclasses.replace`` it, never assign to it.
+        self._statements: "OrderedDict[str, PyTuple[Statement, str]]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -119,6 +133,22 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
+    def statement(self, text: str) -> Optional[PyTuple[Statement, str]]:
+        """The remembered ``(Statement, fingerprint)`` of an exact text, if any."""
+        with self._lock:
+            parsed = self._statements.get(text)
+            if parsed is not None:
+                self._statements.move_to_end(text)
+            return parsed
+
+    def remember_statement(self, text: str, statement: Statement, fingerprint: str) -> None:
+        """Remember a *successful* parse of ``text`` (LRU beyond capacity)."""
+        with self._lock:
+            self._statements[text] = (statement, fingerprint)
+            self._statements.move_to_end(text)
+            while len(self._statements) > self.capacity:
+                self._statements.popitem(last=False)
+
     def purge_stale(self, current_epoch: int) -> int:
         """Drop entries optimized against a different statistics epoch.
 
@@ -134,10 +164,11 @@ class PlanCache:
             return len(stale)
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every plan and every remembered parse (counters are kept)."""
         with self._lock:
             self.invalidations += len(self._entries)
             self._entries.clear()
+            self._statements.clear()
 
     def info(self) -> PlanCacheInfo:
         """The current counters as an immutable snapshot."""
@@ -149,4 +180,5 @@ class PlanCache:
                 capacity=self.capacity,
                 evictions=self.evictions,
                 invalidations=self.invalidations,
+                texts=len(self._statements),
             )

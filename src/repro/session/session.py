@@ -16,8 +16,11 @@ What the session adds over calling the layers directly:
 
 * a **plan cache** (:class:`~repro.session.cache.PlanCache`) keyed by
   ``(statement fingerprint, statistics epoch)`` — repeated statements skip
-  translation and optimization entirely, and any data change invalidates by
-  moving the epoch;
+  translation and optimization entirely (the statement's search *and* the
+  DBMS's searches over its fragments: the cached plan is the plan that
+  executes), and any data change invalidates by moving the epoch; a repeated
+  statement *text* also skips the lexer, the parser and the fingerprint — a
+  warm execution is lookup + bind + execute;
 * **positional parameters**: ``?`` markers are optimized as placeholders
   and bound per execution, so every constant variant of a statement shares
   one cache entry;
@@ -312,13 +315,13 @@ class Session:
         """parse → optimize → bind → execute, each once; then the renderings that need the plan."""
         params = record.parameters
         source = snapshot if snapshot is not None else self.database
-        with self._phase(record, "parse", token):
-            ast = parse_statement(record.statement)
+        with self._phase(record, "parse", token) as attributes:
+            ast, fingerprint, attributes["memo_hit"] = self._parse(record.statement)
             if explain is not None:  # Session.explain(): the prefix, as an argument
                 ast = replace(ast, explain=True, analyze=explain or ast.analyze)
             record.kind = ast.kind
         with self._phase(record, "optimize", token) as attributes:
-            entry, record.cache_hit = self._entry_for(ast, snapshot)
+            entry, record.cache_hit = self._entry_for(ast, fingerprint, snapshot)
             optimization = record.optimization = entry.optimization
             record.query_spec = entry.query_spec
             record.fingerprint, record.epoch = entry.key.fingerprint, entry.key.epoch
@@ -329,6 +332,16 @@ class Session:
                 attributes["degraded"] = optimization.degraded
             if optimization.search is not None:
                 attributes.update(optimization.search.statistics.as_span_attributes())
+            if not record.cache_hit:
+                # What this request ran on top: the DBMS's searches over the
+                # plan's fragments, under their own keys — ``memo.*`` stays
+                # the statement's search alone.
+                fragments = optimization.fragment_searches
+                attributes.update({
+                    "fragments.searched": len(fragments),
+                    "fragments.tasks": sum(s.applications_attempted for s in fragments),
+                    "fragments.rewritten": optimization.fragments_rewritten,
+                })
         with self._phase(record, "bind", token, parameters=len(params)):
             # Estimates-only EXPLAIN of a parameterized statement: the markers
             # may stay unbound (selectivities fall back to constants).
@@ -414,7 +427,8 @@ class Session:
             if optimization.search is not None:
                 self._memo_tasks.inc(optimization.search.statistics.applications_attempted)
             if optimization.degraded is not None:
-                self._degraded.labels(stage="memo_search").inc()
+                # "memo_search:<code>" / "dbms_fragment_search:<code>"
+                self._degraded.labels(stage=optimization.degraded.partition(":")[0]).inc()
         report = record.report
         if report is not None:
             self._operator_rows.inc(sum(report.node_rows.values()))
@@ -429,12 +443,29 @@ class Session:
 
     # -- internals ----------------------------------------------------------------
 
-    def _entry_for(self, ast: Statement, snapshot=None) -> "PyTuple[CachedPlan, bool]":
+    def _parse(self, text: str) -> "PyTuple[Statement, str, bool]":
+        """``(Statement, fingerprint, resolved from the cache's text memo?)``.
+
+        The stored ``Statement`` is shared between requests and never
+        assigned to.  A text that fails to parse is not remembered, and the
+        ``tsql.parse`` fault point fires whether or not the parser runs.
+        """
+        parsed = self.cache.statement(text)
+        if parsed is not None:
+            if FAULTS.active:
+                FAULTS.check("tsql.parse")
+            return parsed + (True,)
+        ast = parse_statement(text)
+        fingerprint = statement_fingerprint(ast)
+        self.cache.remember_statement(text, ast, fingerprint)
+        return ast, fingerprint, False
+
+    def _entry_for(
+        self, ast: Statement, fingerprint: str, snapshot=None
+    ) -> "PyTuple[CachedPlan, bool]":
         database = self.database
         source = snapshot if snapshot is not None else database
-        key = PlanCacheKey(
-            fingerprint=statement_fingerprint(ast), epoch=source.statistics_epoch()
-        )
+        key = PlanCacheKey(fingerprint=fingerprint, epoch=source.statistics_epoch())
         cached = self.cache.get(key)
         if cached is not None:
             return cached, True

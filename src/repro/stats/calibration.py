@@ -153,7 +153,7 @@ def calibrate_cost_model(
     dbms_speed = _clamp(speed, SPEED_RANGE)
 
     # Temporal probe: the stratum's batch operator vs. the DBMS's emulation.
-    executor = StratumExecutor(dbms, optimize_dbms_fragments=False)
+    executor = StratumExecutor(dbms)
     rdupt = TemporalDuplicateElimination(base)
     stratum_temporal = measure("rdupT", "stratum", lambda: executor.execute(rdupt))
     dbms_temporal = measure("rdupT", "dbms", lambda: dbms.execute(rdupt, optimize=False))

@@ -4,7 +4,11 @@ Execution is recursive over the plan:
 
 * the subtree below a ``TS`` transfer is handed to the conventional DBMS
   (after first executing any ``TD`` islands inside it in the stratum and
-  splicing their materialised results back in as literal relations);
+  splicing their materialised results back in as literal relations) and run
+  **as given**: the executor never optimizes — a statement's fragments were
+  optimized when its plan was chosen
+  (:meth:`repro.stratum.layer.TemporalDatabase.optimize_plan`), so the plan
+  in the cache entry is the plan that executes;
 * every node above runs in the stratum: the pipelinable operations — the
   conventional ones and all five temporal operations (``rdupT``, ``γT``,
   ``\\T``, ``∪T``, ``coalT``) — as regions of the batch operators of
@@ -79,13 +83,11 @@ class StratumExecutor:
     def __init__(
         self,
         dbms: ConventionalDBMS,
-        optimize_dbms_fragments: bool = True,
         clock: Optional[Callable[[], float]] = None,
         control=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         self._dbms = dbms
-        self._optimize_dbms_fragments = optimize_dbms_fragments
         #: Rows per chunk of the physical operators (:mod:`repro.core.physical`),
         #: in the stratum's regions and in the DBMS fragments alike.
         self._batch_size = check_batch_size(batch_size)
@@ -226,7 +228,7 @@ class StratumExecutor:
         self.report.dbms_calls += 1
         result = self._dbms.execute(
             prepared,
-            optimize=self._optimize_dbms_fragments,
+            optimize=False,
             clock=self._clock,
             control=self._control,
             batch_size=self._batch_size,

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import repro.session.fingerprint
+import repro.tsql.parser
 from repro.core.operations import BaseRelation
 from repro.core.operations.base import EvaluationContext
 from repro.dbms import ConventionalDBMS
+from repro.search import MemoSearch
 from repro.stratum import TemporalDatabase
 from repro.workloads import (
     EMPLOYEE_SCHEMA,
@@ -26,6 +31,33 @@ def _reset_faults():
 
     if FAULTS.active:
         FAULTS.reset()
+
+
+@pytest.fixture
+def planning_work(monkeypatch):
+    """Counts the work a request may do once per (statement text, epoch).
+
+    A :class:`~collections.Counter` over ``"searches"`` (every
+    ``MemoSearch.optimize`` — the statement's and the DBMS fragments'),
+    ``"tokenize"`` and ``"fingerprint"``, spied where the session's code
+    looks the functions up.  ``clear()`` it between requests; a request that
+    did none of the three leaves it empty.
+    """
+    counts: Counter = Counter()
+
+    def spy(owner, name: str, key: str) -> None:
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(MemoSearch, "optimize", "searches")
+    spy(repro.tsql.parser, "tokenize", "tokenize")
+    spy(repro.session.fingerprint, "structural_fingerprint", "fingerprint")
+    return counts
 
 
 #: The paper's motivating statement, in the front end's temporal SQL dialect.

@@ -245,6 +245,28 @@ class TestSessionCancellation:
         with pytest.raises(CancelledError):
             session.execute("SELECT EmpName FROM EMPLOYEE", token=token)
 
+    def test_a_remembered_text_is_still_stopped_in_parse(self, monkeypatch):
+        """The text memo skips the parser, never the phase's token check."""
+        session = Session(make_database())
+        statement = "SELECT EmpName FROM EMPLOYEE"
+        session.execute(statement)
+        assert session.cache.statement(statement) is not None
+        records = []
+        real_observe = Session._observe
+
+        def observe(self, record):
+            records.append(record)
+            real_observe(self, record)
+
+        monkeypatch.setattr(Session, "_observe", observe)
+        token = CancellationToken()
+        token.cancel("gone")
+        with pytest.raises(CancelledError):
+            session.execute(statement, token=token)
+        (record,) = records
+        assert list(record.phases) == ["parse"]
+        assert record.phases["parse"][2] == {"error_code": "CANCELLED"}
+
     def test_deadline_stops_mid_execution(self):
         session = Session(make_database())
         token = CancellationToken(deadline=time.perf_counter() + 0.05)

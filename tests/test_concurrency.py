@@ -10,6 +10,7 @@ at the data structure, not the scheduling above it.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.core.query import QueryResultSpec
 from repro.dbms.catalog import Catalog
 from repro.core.exceptions import CatalogError
+from repro.session import Session
 from repro.session.cache import CachedPlan, PlanCache, PlanCacheKey
 from repro.stratum import TemporalDatabase
 from repro.workloads import EMPLOYEE_SCHEMA, employee_relation
@@ -102,6 +104,50 @@ class TestPlanCacheThreadSafety:
             thread.join()
         timer.cancel()
         assert not wrong
+
+
+class TestStatementMemoThreadSafety:
+    def test_sessions_racing_new_texts_leave_one_entry_each(self):
+        """Threads sharing one cache race the same new texts: one memo entry
+        and one plan per text, equal fingerprints, never above capacity."""
+        database = TemporalDatabase()
+        database.register("EMPLOYEE", employee_relation())
+        cache = PlanCache(capacity=4)
+        texts = [f"SELECT EmpName FROM EMPLOYEE WHERE Dept = '{d}'" for d in "ABC"]
+        threads = 6
+        fingerprints: list = [[] for _ in range(threads)]
+        errors: list = []
+        barrier = threading.Barrier(threads)
+
+        def race(worker: int) -> None:
+            try:
+                session = Session(database, cache=cache)
+                barrier.wait(timeout=30.0)
+                for round_ in range(40):
+                    text = texts[(worker + round_) % len(texts)]
+                    fingerprints[worker].append((text, session.execute(text).fingerprint))
+                    info = cache.info()
+                    assert info.texts <= info.capacity and info.size <= info.capacity
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=race, args=(index,)) for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors
+        seen = {pair for per_worker in fingerprints for pair in per_worker}
+        assert len(seen) == len(texts)  # one fingerprint per text, whoever parsed it
+        info = cache.info()
+        assert (info.texts, info.size) == (len(texts), len(texts))
 
 
 class TestCatalogConcurrency:

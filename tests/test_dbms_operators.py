@@ -332,7 +332,7 @@ class TestEmulation:
             seen.append(self.batch_size)
             return original(self)
 
-        executor = StratumExecutor(dbms, optimize_dbms_fragments=False, batch_size=3)
+        executor = StratumExecutor(dbms, batch_size=3)
         monkeypatch.setattr(BatchOperator, "batches", recording)
         executor.execute(plan)
         assert seen and set(seen) == {3}

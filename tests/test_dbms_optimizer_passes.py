@@ -1,69 +1,14 @@
-"""Regression tests for the conventional optimizer's multi-match passes."""
+"""Tests for the DBMS's cost-guided fragment optimizer."""
 
 from repro.core.expressions import AttributeRef, Comparison, ComparisonOperator, Literal
-from repro.core.operations import (
-    BaseRelation,
-    Projection,
-    Selection,
-    Sort,
-    UnionAll,
-)
+from repro.core.operations import BaseRelation, Projection, Selection, Sort
 from repro.core.order_spec import OrderSpec
-from repro.dbms.optimizer import ConventionalOptimizer, CostGuidedConventionalOptimizer
+from repro.dbms.optimizer import CostGuidedConventionalOptimizer
 from repro.workloads import EMPLOYEE_SCHEMA
 
 
 def predicate(value="Sales"):
     return Comparison(ComparisonOperator.EQ, AttributeRef("Dept"), Literal(value))
-
-
-def selection_chain(depth):
-    """``depth`` independent selection-over-sort chains joined by union ALL.
-
-    Every chain offers one σ-below-sort rewrite per pass; the old
-    one-rewrite-per-pass optimizer needed ``depth × chains`` passes and ran
-    out of its budget, the multi-match optimizer handles all chains at once.
-    """
-    def chain():
-        current = BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA)
-        for _ in range(depth):
-            current = Sort(OrderSpec.ascending("EmpName"), current)
-        return Selection(predicate(), current)
-
-    plan = chain()
-    for _ in range(7):
-        plan = UnionAll(plan, chain())
-    return plan
-
-
-class TestMultiMatchPasses:
-    def test_pass_count_bounded_on_deep_wide_plan(self):
-        optimizer = ConventionalOptimizer()
-        plan = selection_chain(depth=6)
-        optimized = optimizer.optimize(plan)
-        # The eight chains move in lock step — at least one rewrite per chain
-        # per pass — so the pass count stays around the chain depth while the
-        # rewrite count is many times larger.  The old one-rewrite-per-pass
-        # optimizer needed one pass per rewrite and exhausted its 25-pass
-        # budget on this plan without reaching the fixpoint.
-        assert optimizer.last_run_rewrites > 25
-        assert optimizer.last_run_passes <= 2 * 6
-        assert optimizer.last_run_passes < optimizer.last_run_rewrites
-        # Fixpoint actually reached: the selections sit below every sort.
-        rerun = optimizer.optimize(optimized)
-        assert rerun == optimized
-
-    def test_single_rewrite_still_works(self):
-        optimizer = ConventionalOptimizer()
-        plan = Selection(
-            predicate(),
-            Projection(["EmpName", "Dept", "T1", "T2"], BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA)),
-        )
-        optimized = optimizer.optimize(plan)
-        assert isinstance(optimized, Projection)
-        assert isinstance(optimized.child, Selection)
-        assert optimizer.last_run_passes == 1
-        assert optimizer.last_run_rewrites == 1
 
 
 class TestCostGuidedConventionalOptimizer:

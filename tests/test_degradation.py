@@ -6,7 +6,8 @@ because a fallback that changes answers is a correctness bug wearing a
 robustness costume:
 
 * **memo-search failure** → the optimizer returns the default (initial)
-  plan, flagged ``OptimizationOutcome.degraded``;
+  plan, flagged ``OptimizationOutcome.degraded``; a failing *DBMS fragment*
+  search keeps the fragment the statement's search extracted, same flag;
 * **stratum physical-operator failure** → the failed pipelined region
   re-executes through the reference evaluator, flagged in
   ``StratumExecutionReport.degraded_operations``.
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core.exceptions import (
     CancelledError,
+    InjectedFaultError,
     ResourceExhaustedError,
 )
 from repro.core.expressions import count
@@ -32,7 +34,7 @@ from repro.core.operations import (
     TemporalUnion,
 )
 from repro.core.order_spec import OrderSpec
-from repro.dbms import ConventionalDBMS
+from repro.dbms import ConventionalDBMS, CostGuidedConventionalOptimizer
 from repro.faults import FAULTS, CancellationToken, ExecutionControl, ResourceGuard
 from repro.obs import MetricsRegistry, Tracer
 from repro.options import ExecutionOptions
@@ -94,8 +96,14 @@ class TestMemoSearchDegradation:
         with FAULTS.armed("search.memo", times=1):
             result = session.execute(STATEMENTS[2])
         outcome = result.optimization
-        assert outcome.chosen_plan is outcome.initial_plan
-        assert outcome.chosen_cost == outcome.initial_cost
+        # The whole statement is one DBMS fragment of the initial plan; the
+        # DBMS's own search over it is not the machinery that failed.
+        initial = outcome.initial_plan
+        fragment = session.database.dbms.optimize(initial.child)
+        assert outcome.search is None
+        assert outcome.chosen_plan == initial.with_children([fragment])
+        assert len(outcome.fragment_searches) == 1
+        assert outcome.chosen_cost.total <= outcome.initial_cost.total
 
     def test_memo_degradation_counted_and_flagged_on_trace(self):
         metrics = MetricsRegistry()
@@ -116,6 +124,87 @@ class TestMemoSearchDegradation:
             session.execute(STATEMENTS[0])
         result = session.execute(STATEMENTS[1])
         assert result.optimization.degraded is None
+
+
+class TestFragmentSearchDegradation:
+    """The DBMS's search over a fragment runs once, at plan time — and may fail."""
+
+    @staticmethod
+    def break_fragment_search(monkeypatch, error=RuntimeError("the DBMS's optimizer is broken")):
+        def search(self, plan):
+            raise error
+
+        monkeypatch.setattr(CostGuidedConventionalOptimizer, "search", search)
+
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_the_fragment_stays_as_extracted_and_the_answer_is_identical(
+        self, statement, monkeypatch
+    ):
+        healthy = Session(make_database()).execute(statement)
+        assert healthy.optimization.fragments_rewritten == 0
+        self.break_fragment_search(monkeypatch)
+        degraded = Session(make_database()).execute(statement)
+        outcome = degraded.optimization
+        assert outcome.degraded == "dbms_fragment_search:INTERNAL"
+        assert outcome.fragment_searches == []
+        assert outcome.chosen_plan is outcome.search.best_plan
+        assert list(degraded.relation.tuples) == list(healthy.relation.tuples)
+
+    def test_counted_once_flagged_on_the_span_and_the_request_is_ok(self, monkeypatch):
+        self.break_fragment_search(monkeypatch)
+        metrics = MetricsRegistry()
+        tracer = Tracer()
+        session = Session(
+            make_database(), options=ExecutionOptions(tracer=tracer, metrics=metrics)
+        )
+        first = session.execute(STATEMENTS[2])
+        hit = session.execute(STATEMENTS[2])  # the degraded entry serves, uncounted
+        assert first.error_code is None and hit.cache_hit
+        exposition = metrics.exposition()
+        assert 'repro_degraded_total{stage="dbms_fragment_search"} 1' in exposition
+        assert "repro_request_errors_total{" not in exposition
+        spans = [
+            next(s for s in trace.root.children if s.name == "optimize").attributes
+            for trace in tracer.recent(2)
+        ]
+        assert [s["degraded"] for s in spans] == ["dbms_fragment_search:INTERNAL"] * 2
+        assert spans[0]["fragments.searched"] == 0
+        assert "fragments.searched" not in spans[1]  # the hit searched nothing
+
+    def test_a_degraded_statement_search_keeps_its_own_marker(self, monkeypatch):
+        self.break_fragment_search(monkeypatch)
+        session = Session(make_database())
+        with FAULTS.armed("search.memo", times=1):
+            result = session.execute(STATEMENTS[2])
+        assert result.optimization.degraded == "memo_search:FAULT_INJECTED"
+        assert result.optimization.chosen_plan is result.optimization.initial_plan
+
+    @pytest.mark.parametrize("stop", [CancelledError("stop"), ResourceExhaustedError("stop")])
+    def test_stop_errors_propagate(self, stop, monkeypatch):
+        self.break_fragment_search(monkeypatch, stop)
+        session = Session(make_database())
+        with pytest.raises(type(stop)):
+            session.execute(STATEMENTS[0])
+        assert len(session.cache) == 0
+
+
+class TestTheTextMemoSwallowsNoFault:
+    def test_an_armed_parse_fault_fails_a_remembered_text(self):
+        session = Session(make_database())
+        session.execute(STATEMENTS[0])
+        assert session.cache.statement(STATEMENTS[0]) is not None
+        with FAULTS.armed("tsql.parse", times=1) as fault:
+            with pytest.raises(InjectedFaultError):
+                session.execute(STATEMENTS[0])
+            assert fault.fired == 1
+        assert session.execute(STATEMENTS[0]).cache_hit  # nothing was forgotten
+
+    def test_the_fault_fires_once_per_request_hit_or_miss(self):
+        session = Session(make_database())
+        with FAULTS.armed("tsql.parse", kind="latency", latency=1e-6, times=None) as fault:
+            session.execute(STATEMENTS[0])  # parsed: the parser's own check
+            session.execute(STATEMENTS[0])  # remembered: the session's
+            assert fault.fired == 2
 
 
 class TestStratumPhysicalDegradation:

@@ -39,7 +39,6 @@ from repro.core.rules import (
     rule_index,
     rules_by_name,
 )
-from repro.dbms.optimizer import ConventionalOptimizer
 from repro.search import Memo, MemoSearch
 from repro.search.memo import Group
 from repro.search.tasks import (
@@ -53,7 +52,6 @@ from repro.workloads import paper_query
 from repro.workloads.queries import WORKLOAD_QUERIES
 
 from .strategies import NARROW_TEMPORAL_SCHEMA, SNAPSHOT_SCHEMA, join_shaped_plans
-from .test_dbms_optimizer_passes import selection_chain
 from .test_rules_property_based import scenarios
 
 STATISTICS = {"EMPLOYEE": 60, "PROJECT": 96}
@@ -402,20 +400,6 @@ class TestExhaustiveOraclesUnchanged:
         assert (
             erased.statistics.rejected_by_properties == declared.statistics.rejected_by_properties
         )
-
-    def test_conventional_optimizer_passes_and_rewrites(self):
-        """``(passes, rewrites)`` as on the parent commit, and as with roots erased."""
-        fragments = {query.name: query.build()[0].child for query in WORKLOAD_QUERIES}
-        fragments.update({"chain-depth-3": selection_chain(3), "chain-depth-6": selection_chain(6)})
-        expected = dict.fromkeys(fragments, (0, 0))
-        expected.update({"selection": (1, 1), "chain-depth-3": (5, 40), "chain-depth-6": (11, 88)})
-        declared = ConventionalOptimizer()
-        erased = ConventionalOptimizer(rules=erase_roots(declared.rules))
-        for name, fragment in fragments.items():
-            optimized = declared.optimize(fragment)
-            assert (declared.last_run_passes, declared.last_run_rewrites) == expected[name], name
-            assert erased.optimize(fragment) == optimized
-            assert (erased.last_run_passes, erased.last_run_rewrites) == expected[name], name
 
     def test_a_catalogue_subset_still_drives_all_three(self):
         """A caller-supplied rule list gets its own index (``rules=[D2]``)."""

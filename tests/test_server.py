@@ -154,6 +154,47 @@ class TestSharedPlanCache:
             assert info.misses == 1
             assert info.hits == 8
 
+    def test_a_text_first_seen_by_one_worker_costs_the_other_nothing(
+        self, monkeypatch, planning_work
+    ):
+        """Worker B's first sight of a text worker A planned: no search, no lexer, no hash.
+
+        Each worker is parked in turn, so which of the two serves a request
+        is decided by the test, not by the queue.
+        """
+        gates = {"PARK-FIRST": threading.Event(), "PARK-SECOND": threading.Event()}
+        served_by = []
+        real_execute = Session.execute
+
+        def execute(self, statement, params=(), **kwargs):
+            if statement in gates:
+                assert gates[statement].wait(timeout=30.0), "test never released the worker"
+                raise ValueError("parked worker released")
+            served_by.append(threading.current_thread().name)
+            return real_execute(self, statement, params, **kwargs)
+
+        monkeypatch.setattr(Session, "execute", execute)
+        with make_server(max_concurrency=2) as server:
+            try:
+                parked = server.submit("PARK-FIRST")
+                _wait_until(lambda: server.stats().active_workers == 1)
+                first = server.query(PAPER_SQL)  # the one free worker
+                assert first.ok and not first.cache_hit
+                assert planning_work == {"searches": 3, "tokenize": 1, "fingerprint": 1}
+                server.submit("PARK-SECOND")  # ... which now parks too
+                _wait_until(lambda: server.stats().active_workers == 2)
+                gates["PARK-FIRST"].set()
+                assert parked.result(timeout=30.0).status == "error"
+                planning_work.clear()
+                second = server.query(PAPER_SQL)  # the other worker, its first sight
+                assert second.ok and second.cache_hit
+                assert not planning_work
+                assert len(set(served_by)) == 2
+                assert list(second.relation.tuples) == list(first.relation.tuples)
+            finally:
+                for gate in gates.values():
+                    gate.set()
+
     def test_external_cache_is_shared_across_servers(self):
         cache = PlanCache(64)
         database = TemporalDatabase()

@@ -2,23 +2,35 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from repro.core.exceptions import ParameterError, ResourceExhaustedError
+from repro.core.exceptions import ParameterError, ParseError, ResourceExhaustedError
 from repro.core.expressions import Literal, Parameter
 from repro.core.operations import Selection
+from repro.dbms import ConventionalDBMS
 from repro.faults import ResourceGuard
 from repro.options import ExecutionOptions
 from repro.session import (
     PlanCache,
+    PlanCacheKey,
     Session,
     bind_parameters,
     collect_parameters,
     statement_fingerprint,
 )
-from repro.stratum import TemporalDatabase
+from repro.stratum import StratumExecutor, TemporalDatabase
+from repro.stratum.partition import partition_plan
 from repro.tsql import parse_statement
-from repro.workloads import employee_relation, project_relation
+from repro.tsql.unparse import unparse_statement
+from repro.workloads import (
+    CHAINED_SQL,
+    PAPER_SQL,
+    POINT_SQL,
+    employee_relation,
+    project_relation,
+)
 
 from .conftest import PAPER_STATEMENT
 
@@ -330,3 +342,164 @@ class TestUseStatistics:
         assert first.relation.as_list() == second.relation.as_list()
         report = session.explain(PAPER_STATEMENT)
         assert all(line.actual_rows is not None for line in report.lines)
+
+
+FIRST = {"tokenize": 1, "fingerprint": 1}
+
+
+class TestAHitIsAHit:
+    """A plan-cache hit runs no search, no lexer and no fingerprint — by count.
+
+    ``fragments`` is the number of ``TS`` fragments of the chosen plan: a
+    first execution runs the statement's search plus one DBMS search each.
+    """
+
+    CASES = [
+        pytest.param(PAPER_SQL, (), 2, id="paper"),
+        pytest.param(CHAINED_SQL, (), 3, id="chained"),
+        pytest.param(POINT_SQL, ("Sales",), 1, id="point"),
+    ]
+
+    @pytest.mark.parametrize("sql, params, fragments", CASES)
+    def test_first_execution_plans_once_and_every_repeat_does_nothing(
+        self, session, planning_work, sql, params, fragments
+    ):
+        first = session.execute(sql, params)
+        assert planning_work == {"searches": 1 + fragments, **FIRST}
+        assert len(first.optimization.fragment_searches) == fragments
+        assert first.report.dbms_calls == fragments
+        planning_work.clear()
+
+        repeat = session.execute(sql, params)
+        other_values = session.execute(sql, ("Advertising",) if params else ())
+        explained = session.explain(sql, params)
+        pinned = session.execute(sql, params, snapshot=session.database.snapshot())
+        assert not planning_work
+        assert repeat.cache_hit and other_values.cache_hit and pinned.cache_hit
+        assert explained.cache_hit
+        assert pinned.relation.as_list() == first.relation.as_list()
+
+        # The prefixed text is a text of its own: lexed and hashed once, to
+        # the same fingerprint — and so to the same plan, with no search.
+        assert session.execute("EXPLAIN ANALYZE " + sql, params).cache_hit
+        assert planning_work == FIRST
+        planning_work.clear()
+        assert session.execute("EXPLAIN ANALYZE " + sql, params).explain is not None
+        assert not planning_work
+
+    @pytest.mark.parametrize("sql, params, fragments", CASES)
+    def test_an_epoch_bump_replans_but_does_not_reparse(
+        self, session, planning_work, sql, params, fragments
+    ):
+        session.execute(sql, params)
+        planning_work.clear()
+        session.database.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
+        assert not session.execute(sql, params).cache_hit
+        assert planning_work == {"searches": 1 + fragments}
+        planning_work.clear()
+        assert session.execute(sql, params).cache_hit
+        assert not planning_work
+
+    def test_clear_makes_the_next_request_cold_again(self, session, planning_work):
+        session.execute(PAPER_SQL)
+        session.cache.clear()
+        assert session.cache_info().texts == 0
+        planning_work.clear()
+        assert not session.execute(PAPER_SQL).cache_hit
+        assert planning_work == {"searches": 3, **FIRST}
+
+    def test_the_cached_plan_is_the_plan_that_executes(self, session, monkeypatch):
+        handed_over = []
+        real_execute = ConventionalDBMS.execute
+
+        def execute(self, plan, optimize=True, **kwargs):
+            result = real_execute(self, plan, optimize=optimize, **kwargs)
+            handed_over.append((plan, optimize, result.optimized_plan))
+            return result
+
+        monkeypatch.setattr(ConventionalDBMS, "execute", execute)
+        session.execute(CHAINED_SQL)
+        hit = session.execute(CHAINED_SQL)
+        entry = session.cache.get(PlanCacheKey(hit.fingerprint, hit.epoch))
+        assert hit.plan is entry.plan is hit.optimization.chosen_plan
+        fragments = [hit.plan.subtree_at(path) for path in partition_plan(hit.plan).dbms_fragments]
+        assert len(handed_over) == 2 * len(fragments) == 6
+        for (given, optimize, ran), fragment in zip(handed_over[3:], fragments):
+            assert optimize is False
+            assert given is fragment and ran is fragment
+
+    def test_the_executor_has_no_optimize_switch(self):
+        parameters = list(inspect.signature(StratumExecutor.__init__).parameters)
+        assert parameters == ["self", "dbms", "clock", "control", "batch_size"]
+
+
+class TestStatementMemo:
+    """Exact text → ``(Statement, fingerprint)``, inside the plan cache."""
+
+    def test_explain_and_plain_are_two_texts_one_fingerprint_one_plan(self, session):
+        plain = session.execute(POINT_SQL, ("Sales",))
+        explained = session.execute("EXPLAIN " + POINT_SQL)
+        assert explained.fingerprint == plain.fingerprint and explained.cache_hit
+        info = session.cache_info()
+        assert (info.texts, info.size) == (2, 1)
+
+    def test_a_parse_error_is_never_remembered(self, session, planning_work):
+        session.execute(POINT_SQL, ("Sales",))
+        planning_work.clear()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as raised:
+                session.execute("SELECT FROM WHERE")
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert planning_work == {"tokenize": 2}
+        assert session.cache_info().texts == 1  # nothing stored, nothing evicted
+
+    def test_the_memo_is_an_lru_of_at_most_capacity_texts(self, session, planning_work):
+        session.cache = PlanCache(capacity=2)
+        texts = [f"SELECT EmpName FROM EMPLOYEE WHERE Dept = '{d}'" for d in "ABC"]
+        session.execute(texts[0])
+        session.execute(texts[1])
+        session.execute(texts[0])  # refreshes texts[0]
+        session.execute(texts[2])  # evicts texts[1], the least recently used
+        assert session.cache_info().texts == 2
+        planning_work.clear()
+        session.execute(texts[0])
+        assert not planning_work
+        session.execute(texts[1])
+        assert planning_work["tokenize"] == 1
+
+    def test_an_epoch_bump_and_purge_leave_the_memo_alone(self, session):
+        session.execute(PAPER_SQL)
+        session.database.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
+        session.cache.purge_stale(session.database.statistics_epoch())
+        assert session.cache_info().size == 0
+        assert session.cache_info().texts == 1
+
+    def test_explain_never_mutates_the_stored_statement(self, session):
+        session.execute(PAPER_SQL)
+        stored, fingerprint = session.cache.statement(PAPER_SQL)
+        before = unparse_statement(stored)
+        for analyze in (False, True):
+            assert session.explain(PAPER_SQL, analyze=analyze).cache_hit
+        again, _ = session.cache.statement(PAPER_SQL)
+        assert again is stored
+        assert (stored.explain, stored.analyze) == (False, False)
+        assert unparse_statement(stored) == before
+        assert statement_fingerprint(stored) == fingerprint
+        assert session.execute(PAPER_SQL).relation is not None  # still a plain statement
+
+    def test_the_record_says_what_happened(self, session):
+        first = session.execute(PAPER_SQL)
+        second = session.execute(PAPER_SQL)
+        assert first.phases["parse"][2] == {"memo_hit": False}
+        assert second.phases["parse"][2] == {"memo_hit": True}
+        planned, hit = first.phases["optimize"][2], second.phases["optimize"][2]
+        searches = first.optimization.fragment_searches
+        assert planned["fragments.searched"] == len(searches) == 2
+        assert planned["fragments.tasks"] == sum(s.applications_attempted for s in searches) > 0
+        assert planned["fragments.rewritten"] == 0
+        # Their own keys: the statement's search is reported alone, hit or miss.
+        assert planned["memo.tasks"] == first.optimization.search.statistics.applications_attempted
+        assert hit["memo.tasks"] == planned["memo.tasks"]
+        assert not any(key.startswith("fragments.") for key in hit)

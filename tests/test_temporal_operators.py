@@ -722,7 +722,7 @@ class TestNoTupleAtATimeWork:
 class TestBoundaries:
     def test_a_ts_fragment_keeps_emulating_in_the_dbms(self):
         plan = TransferToStratum(TemporalDuplicateElimination(LiteralRelation(figure3_r1())))
-        executor = StratumExecutor(ConventionalDBMS(), optimize_dbms_fragments=False)
+        executor = StratumExecutor(ConventionalDBMS())
         result = executor.execute(plan)
         assert executor.report.dbms_emulated_operations == ["rdupT"]
         assert executor.report.stratum_operations == 0
