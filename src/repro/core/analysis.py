@@ -14,6 +14,14 @@ real optimizer would reason.
 The module also derives, for a whole subtree, the ``Order(r)`` specification
 and the cardinality bounds of Table 1, which the sorting rules and the cost
 model use.
+
+The three guarantees and ``Order(r)`` are **memoised on the immutable node**
+(:func:`static_guarantees`, :func:`derive_order`): a subtree is analysed the
+first time anyone asks and every later caller — rule preconditions, the
+property propagation, the memo's binding features, the cost model — reads
+the stored answer.  A copy (``with_children``, ``replace_at``, parameter
+binding) is a new node and is analysed afresh; the subtrees it shares with
+the original keep theirs.
 """
 
 from __future__ import annotations
@@ -48,12 +56,42 @@ from .order_spec import OrderSpec
 
 
 # ---------------------------------------------------------------------------
-# Duplicate-freedom
+# The three guarantees, once per node
 # ---------------------------------------------------------------------------
+
+
+def static_guarantees(op: Operation) -> PyTuple[bool, bool, bool]:
+    """``(no duplicates, no snapshot duplicates, coalesced)`` of the subtree's result."""
+    guarantees = op._guarantees
+    if guarantees is None:
+        guarantees = op._guarantees = (
+            _no_duplicates(op),
+            _no_snapshot_duplicates(op),
+            _coalesced(op),
+        )
+    return guarantees
 
 
 def guarantees_no_duplicates(op: Operation) -> bool:
     """True if the subtree's result provably contains no regular duplicates."""
+    return static_guarantees(op)[0]
+
+
+def guarantees_no_snapshot_duplicates(op: Operation) -> bool:
+    """True if the subtree's result provably has duplicate-free snapshots.
+
+    Defined for subtrees producing temporal relations; for snapshot-relation
+    subtrees this degenerates to regular duplicate freedom.
+    """
+    return static_guarantees(op)[1]
+
+
+def guarantees_coalesced(op: Operation) -> bool:
+    """True if the subtree's result is provably coalesced."""
+    return static_guarantees(op)[2]
+
+
+def _no_duplicates(op: Operation) -> bool:
     if isinstance(op, LiteralRelation):
         return not op.relation.has_duplicates()
     if isinstance(op, BaseRelation):
@@ -72,12 +110,7 @@ def guarantees_no_duplicates(op: Operation) -> bool:
     return all(guarantees_no_duplicates(child) for child in op.children)
 
 
-def guarantees_no_snapshot_duplicates(op: Operation) -> bool:
-    """True if the subtree's result provably has duplicate-free snapshots.
-
-    Defined for subtrees producing temporal relations; for snapshot-relation
-    subtrees this degenerates to regular duplicate freedom.
-    """
+def _no_snapshot_duplicates(op: Operation) -> bool:
     if isinstance(op, LiteralRelation):
         relation = op.relation
         return not relation.has_snapshot_duplicates()
@@ -104,8 +137,7 @@ def guarantees_no_snapshot_duplicates(op: Operation) -> bool:
     return False
 
 
-def guarantees_coalesced(op: Operation) -> bool:
-    """True if the subtree's result is provably coalesced."""
+def _coalesced(op: Operation) -> bool:
     if isinstance(op, LiteralRelation):
         relation = op.relation
         return relation.is_temporal and relation.is_coalesced()
@@ -125,8 +157,10 @@ def guarantees_coalesced(op: Operation) -> bool:
 
 def derive_order(op: Operation) -> OrderSpec:
     """``Order(r)`` for the subtree's result, derived per Table 1."""
-    child_orders = [derive_order(child) for child in op.children]
-    return op.result_order(child_orders)
+    order = op._order
+    if order is None:
+        order = op._order = op.result_order([derive_order(child) for child in op.children])
+    return order
 
 
 def derive_cardinality_bounds(op: Operation) -> PyTuple[int, int]:

@@ -139,7 +139,7 @@ class Operation:
     paper_order: str = ""
     paper_cardinality: str = ""
 
-    __slots__ = ("children", "_signature")
+    __slots__ = ("children", "_signature", "_hash", "_order", "_guarantees")
 
     def __init__(self, *children: "Operation") -> None:
         if len(children) != self.arity:
@@ -147,8 +147,13 @@ class Operation:
                 f"{type(self).__name__} expects {self.arity} child(ren), got {len(children)}"
             )
         self.children: PyTuple["Operation", ...] = tuple(children)
-        #: :meth:`signature`, computed once (nodes are immutable; a copy is a new node).
+        #: Computed once each (nodes are immutable; a copy is a new node with
+        #: empty caches): :meth:`signature`, :meth:`__hash__`, and — filled by
+        #: :mod:`repro.core.analysis` — ``derive_order`` and ``static_guarantees``.
         self._signature: Optional[PyTuple[Any, ...]] = None
+        self._hash: Optional[int] = None
+        self._order: Optional[OrderSpec] = None
+        self._guarantees: Optional[PyTuple[bool, bool, bool]] = None
 
     # -- parameters and copying -------------------------------------------------
 
@@ -260,7 +265,14 @@ class Operation:
         return self.signature() == other.signature()
 
     def __hash__(self) -> int:
-        return hash(self.signature())
+        # Structural like :meth:`signature`, but over the children's cached
+        # hashes: a new root over shared children hashes only its own parameters.
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(
+                (type(self).__name__, self.params(), tuple(map(hash, self.children)))
+            )
+        return value
 
     # -- presentation -----------------------------------------------------------------------------
 

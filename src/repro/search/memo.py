@@ -25,6 +25,15 @@ as the rule-binding candidates during exploration and as witnesses for the
 semantic guarantees (duplicate freedom, snapshot-duplicate freedom,
 coalescedness) that both rule preconditions and the property propagation of
 Table 2 consult.
+
+Trees are immutable and remember their own hash, derived order and static
+guarantees (:mod:`repro.core.analysis`), so interning one costs a look at
+its new root.  Each structurally distinct tree is also given one small
+**binding number**, memo-wide (:meth:`Memo._intern_tree`): ``Group.trees``
+maps number to tree, and exploration identifies a rule binding by the tuple
+of its trees' numbers instead of hashing whole plans.  The number belongs to
+the tree, not to the group holding it — a tree that a merge re-interns into
+the keeping group is the binding it was, so it is not applied again.
 """
 
 from __future__ import annotations
@@ -32,12 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple as PyTuple
 
-from ..core.analysis import (
-    derive_order,
-    guarantees_coalesced,
-    guarantees_no_duplicates,
-    guarantees_no_snapshot_duplicates,
-)
+from ..core.analysis import derive_order, static_guarantees
 from ..core.operations import Operation
 from ..core.properties import OperationProperties, child_properties
 
@@ -47,14 +51,6 @@ Context = OperationProperties
 #: Hashable identity of a group expression: operator type, parameters and
 #: (canonical) child group ids.
 ExpressionSignature = PyTuple[Any, ...]
-
-
-def _guarantee_triple(tree: Operation) -> PyTuple[bool, bool, bool]:
-    return (
-        guarantees_no_duplicates(tree),
-        guarantees_no_snapshot_duplicates(tree),
-        guarantees_coalesced(tree),
-    )
 
 
 def _node_feature(node: Operation) -> PyTuple[Any, ...]:
@@ -76,16 +72,16 @@ def binding_feature(tree: Operation) -> PyTuple[Any, ...]:
     children = tuple(
         (
             _node_feature(child),
-            _guarantee_triple(child),
+            static_guarantees(child),
             derive_order(child),
             tuple(
-                (_node_feature(grandchild), _guarantee_triple(grandchild))
+                (_node_feature(grandchild), static_guarantees(grandchild))
                 for grandchild in child.children
             ),
         )
         for child in tree.children
     )
-    return (_node_feature(tree), _guarantee_triple(tree), derive_order(tree), children)
+    return (_node_feature(tree), static_guarantees(tree), derive_order(tree), children)
 
 
 @dataclass
@@ -117,8 +113,8 @@ class Group:
     context: Context
     expressions: List[GroupExpression] = field(default_factory=list)
     #: Concrete member trees, one representative per binding feature (see
-    #: :func:`binding_feature`), by structural signature.
-    trees: Dict[PyTuple, Operation] = field(default_factory=dict)
+    #: :func:`binding_feature`), by binding number (:meth:`Memo._intern_tree`).
+    trees: Dict[int, Operation] = field(default_factory=dict)
     #: Binding features already covered by a representative in ``trees``.
     features: Dict[PyTuple, Operation] = field(default_factory=dict)
     #: Concrete witnesses for the static guarantees (None until discovered).
@@ -153,12 +149,12 @@ class Group:
                 return witness
         return self.canonical_tree
 
-    def binding_candidates(self, limit: int) -> List[PyTuple[PyTuple, Operation]]:
-        """``(signature, tree)`` pairs to bind a rule pattern against.
+    def binding_candidates(self, limit: int) -> List[PyTuple[int, Operation]]:
+        """``(binding number, tree)`` pairs to bind a rule pattern against.
 
-        One representative per binding feature; the signatures let callers
-        deduplicate whole bindings without rebuilding trees.  Cached until
-        the group changes.
+        One representative per binding feature; the numbers let callers
+        deduplicate whole bindings without rebuilding (or hashing) trees.
+        Cached until the group changes.
         """
         cache = self._candidates_cache
         if cache is not None and cache[0] == self.generation and cache[1] >= limit:
@@ -169,7 +165,7 @@ class Group:
 
 
 class Memo:
-    """The memo table: groups, expressions and their signature indexes."""
+    """The memo table: groups, expressions, their indexes and the binding numbers."""
 
     def __init__(self) -> None:
         self.groups: Dict[int, Group] = {}
@@ -177,8 +173,12 @@ class Memo:
         self._next_expression_id = 0
         #: (context, expression signature) -> group id
         self._expression_index: Dict[PyTuple, int] = {}
-        #: (context, concrete tree signature) -> group id
+        #: (context, concrete tree) -> group id
         self._tree_index: Dict[PyTuple, int] = {}
+        #: Concrete tree -> its binding number: one small integer per
+        #: structural signature, memo-wide, so a tree that moves between
+        #: groups in a merge is still the binding it was.
+        self._binding_numbers: Dict[Operation, int] = {}
         #: Union-find forwarding map for merged groups.
         self._forward: Dict[int, int] = {}
         #: Bumped on every mutation; sweeps run until this stops moving.
@@ -195,7 +195,9 @@ class Memo:
         return group_id
 
     def group(self, group_id: int) -> Group:
-        return self.groups[self.find(group_id)]
+        # A merged group leaves ``groups``, so an id found there is canonical.
+        group = self.groups.get(group_id)
+        return group if group is not None else self.groups[self.find(group_id)]
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -210,7 +212,7 @@ class Memo:
         so a rule admitted at some location of a concrete plan is admitted at
         the corresponding (group, context) of the memo.
         """
-        tree_key = (context, tree.signature())
+        tree_key = (context, tree)
         existing = self._tree_index.get(tree_key)
         if existing is not None:
             return self.find(existing)
@@ -282,7 +284,7 @@ class Memo:
         self.mutations += 1
         self._expression_index[key] = group.id
         self._intern_tree(group, source)
-        self._tree_index.setdefault((group.context, source.signature()), group.id)
+        self._tree_index.setdefault((group.context, source), group.id)
         return expression
 
     # -- internals --------------------------------------------------------------
@@ -333,7 +335,8 @@ class Memo:
         if feature in group.features:
             return
         group.features[feature] = tree
-        group.trees[tree.signature()] = tree
+        numbers = self._binding_numbers
+        group.trees[numbers.setdefault(tree, len(numbers))] = tree
         group.generation += 1
         self.mutations += 1
         no_duplicates, no_snapshot_duplicates, coalesced = feature[1]

@@ -228,10 +228,10 @@ class ApplyRule(_Task):
                 statistics.bindings_truncated += 1
                 break
             combinations += 1
-            signature = tuple(candidate_signature for candidate_signature, _ in combo)
-            if signature in tried:
+            numbers = tuple(number for number, _ in combo)
+            if numbers in tried:
                 continue
-            tried.add(signature)
+            tried.add(numbers)
             binding = (
                 expression.shell.with_children([tree for _, tree in combo])
                 if combo
@@ -276,10 +276,11 @@ class ExplorationState:
         self.stack: List[_Task] = []
         self.visited_generation: Dict[int, int] = {}
         self.scheduled: Set[int] = set()
-        # Both per (expression id, rule position): the binding signatures
-        # already applied, and the child groups' ``(canonical id, generation)``
-        # at the start of the last *completed* run.
-        self.tried: Dict[PyTuple[int, int], Set[PyTuple]] = {}
+        # Both per (expression id, rule position): the bindings already
+        # applied (each a tuple of its trees' memo-wide binding numbers), and
+        # the child groups' ``(canonical id, generation)`` at the start of the
+        # last *completed* run.
+        self.tried: Dict[PyTuple[int, int], Set[PyTuple[int, ...]]] = {}
         self.stamps: Dict[PyTuple[int, int], PyTuple] = {}
 
     def push(self, task: _Task) -> None:

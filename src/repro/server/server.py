@@ -290,6 +290,12 @@ class Server:
             kind="counter",
         )
         registry.callback(
+            "repro_plan_cache_coalesced_total",
+            "Shared plan-cache hits served by waiting for another request's search.",
+            lambda: self.plan_cache.info().coalesced,
+            kind="counter",
+        )
+        registry.callback(
             "repro_plan_cache_size",
             "Plans currently cached.",
             lambda: self.plan_cache.info().size,

@@ -21,19 +21,34 @@ so a repeated text is neither lexed, parsed nor hashed again.  It needs no
 epoch (a parse does not read the catalog — an epoch bump leaves it alone),
 shares the plans' lock and capacity, and is emptied by :meth:`PlanCache.clear`
 with them: "cold" means parse + fingerprint + translate + search.
+
+Concurrent misses of one key are **single-flight**
+(:meth:`PlanCache.get_or_plan`): the first request to miss registers a
+*flight* and plans; every request that misses the same key while it is in the
+air waits for that flight instead of racing it with an identical search, and
+is served the entry it lands.  So per (fingerprint, epoch) the search runs
+once, however many workers ask at the same moment — ``misses`` counts
+searches started, not requests that arrived early.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple as PyTuple
+from typing import Callable, Dict, Optional, Tuple as PyTuple
 
 from ..core.operations import Operation
 from ..core.query import QueryResultSpec
 from ..stratum.layer import OptimizationOutcome
 from ..tsql.ast import Statement
+
+
+#: Seconds a waiter blocks on another request's flight between two checks of
+#: its own cancellation token — how late its deadline or cancel can land.
+#: A constant like :data:`repro.faults.registry.LATENCY_SLICE_SECONDS`.
+WAIT_SLICE_SECONDS = 0.002
 
 
 @dataclass(frozen=True)
@@ -70,6 +85,9 @@ class PlanCacheInfo:
     invalidations: int
     #: Statement texts whose parse is remembered (at most ``capacity``).
     texts: int = 0
+    #: Of ``hits``, the lookups that missed, waited for another request's
+    #: search of the same key and were served its entry.
+    coalesced: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -86,7 +104,14 @@ class PlanCache:
     LRU recency moves and the counters are all serialized behind one lock.
     The critical sections are tiny (dict operations on already-optimized
     plans) — the expensive work the cache exists to avoid happens outside
-    it, unlocked.
+    it, unlocked, and through :meth:`get_or_plan` *once* per key: requests
+    that miss a key someone is already planning wait for that flight.
+
+    The counters are an identity: ``misses`` is the number of searches
+    started (``get`` misses and ``get_or_plan`` leaders, failed ones too), a
+    served waiter is a hit (also counted in ``coalesced``), and
+    ``hits + misses`` is the number of lookups — except that a waiter stopped
+    by its own token is neither.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -98,9 +123,12 @@ class PlanCache:
         #: ``Statement`` is shared by every request for that text: read it,
         #: ``dataclasses.replace`` it, never assign to it.
         self._statements: "OrderedDict[str, PyTuple[Statement, str]]" = OrderedDict()
+        #: Keys being planned right now -> the event their leader sets on landing.
+        self._flights: Dict[PlanCacheKey, threading.Event] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
+        self.coalesced = 0
         self.evictions = 0
         self.invalidations = 0
 
@@ -112,17 +140,76 @@ class PlanCache:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: PlanCacheKey) -> Optional[CachedPlan]:
-        """Look up a plan; counts a hit or miss and refreshes recency."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
+    def _serve(self, key: PlanCacheKey) -> Optional[CachedPlan]:
+        """The entry under ``key``, counted as a hit and made most recent (lock held)."""
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
             self.hits += 1
             entry.hits += 1
+        return entry
+
+    def get(self, key: PlanCacheKey) -> Optional[CachedPlan]:
+        """Look up a plan; counts a hit or miss and refreshes recency.
+
+        The primitive: a caller that plans on a miss goes through
+        :meth:`get_or_plan`, so that concurrent misses of one key plan once.
+        """
+        with self._lock:
+            entry = self._serve(key)
+            if entry is None:
+                self.misses += 1
             return entry
+
+    def get_or_plan(
+        self, key: PlanCacheKey, plan: Callable[[], CachedPlan], token=None
+    ) -> "PyTuple[CachedPlan, bool, Optional[float]]":
+        """``(entry, hit, seconds waited)`` — planning at most once per key at a time.
+
+        A present entry is a hit, exactly :meth:`get`.  Otherwise the first
+        caller *leads*: it counts the miss, runs ``plan()`` unlocked and stores
+        the result with :meth:`put` (``hit`` is False).  A caller that misses
+        while a leader is planning the same key waits for it outside the lock
+        and is served the entry it lands — a hit, counted in ``coalesced``,
+        with the seconds it waited (``None`` for a caller that never waited).
+
+        A waiter keeps its own ``token``: it wakes every
+        :data:`WAIT_SLICE_SECONDS` to check it, so its deadline or cancel
+        ends *its* lookup with the typed error and leaves the leader alone
+        (without a token it waits unbounded).  A leader whose ``plan()``
+        raises caches nothing; its waiters wake, find no entry, and one of
+        them leads the next flight.  Different keys never wait for each other.
+        """
+        waited: Optional[float] = None
+        while True:
+            with self._lock:
+                entry = self._serve(key)
+                if entry is not None:
+                    if waited is not None:
+                        self.coalesced += 1
+                    return entry, True, waited
+                flight = self._flights.get(key)
+                if flight is None:
+                    landing = self._flights[key] = threading.Event()
+                    self.misses += 1
+                    break
+            started = time.perf_counter()
+            if token is None:
+                flight.wait()
+            else:
+                while not flight.wait(WAIT_SLICE_SECONDS):
+                    token.check()
+            waited = (waited or 0.0) + time.perf_counter() - started
+        try:
+            entry = plan()
+            self.put(entry)
+            return entry, False, waited
+        finally:
+            # Also on failure (a BaseException included): a flight left behind
+            # would park every later request for the key forever.
+            with self._lock:
+                del self._flights[key]
+            landing.set()
 
     def put(self, entry: CachedPlan) -> None:
         """Insert an entry, evicting the least recently used beyond capacity."""
@@ -181,4 +268,5 @@ class PlanCache:
                 evictions=self.evictions,
                 invalidations=self.invalidations,
                 texts=len(self._statements),
+                coalesced=self.coalesced,
             )

@@ -72,7 +72,8 @@ class SessionTimings:
     """Wall-clock seconds spent in each lifecycle phase of one execution.
 
     ``plan_seconds`` covers everything between parsing and binding — cache
-    lookup plus, on a miss, translation and optimization.  The plan cache's
+    lookup plus, on a miss, translation and optimization (or the wait for
+    another request's search of the same key).  The plan cache's
     entire point is visible here: on a hit it collapses to the lookup.  A
     phase the request never entered (``execute`` for a plain ``EXPLAIN``)
     reads 0.
@@ -321,13 +322,19 @@ class Session:
                 ast = replace(ast, explain=True, analyze=explain or ast.analyze)
             record.kind = ast.kind
         with self._phase(record, "optimize", token) as attributes:
-            entry, record.cache_hit = self._entry_for(ast, fingerprint, snapshot)
+            entry, record.cache_hit, waited = self._entry_for(ast, fingerprint, snapshot, token)
             optimization = record.optimization = entry.optimization
             record.query_spec = entry.query_spec
             record.fingerprint, record.epoch = entry.key.fingerprint, entry.key.epoch
             attributes.update(
                 cache_hit=record.cache_hit, fingerprint=record.fingerprint, epoch=record.epoch
             )
+            if waited is not None:
+                # Missed while another request was searching the same
+                # (fingerprint, epoch): it waited here, inside ``optimize``,
+                # and — unless that search failed and this one took over —
+                # was served the other request's entry.
+                attributes.update(coalesced=record.cache_hit, wait_seconds=waited)
             if optimization.degraded is not None:
                 attributes["degraded"] = optimization.degraded
             if optimization.search is not None:
@@ -461,32 +468,31 @@ class Session:
         return ast, fingerprint, False
 
     def _entry_for(
-        self, ast: Statement, fingerprint: str, snapshot=None
-    ) -> "PyTuple[CachedPlan, bool]":
+        self, ast: Statement, fingerprint: str, snapshot=None, token=None
+    ) -> "PyTuple[CachedPlan, bool, Optional[float]]":
+        """``(entry, cache hit?, seconds spent waiting on another request's search)``."""
         database = self.database
         source = snapshot if snapshot is not None else database
         key = PlanCacheKey(fingerprint=fingerprint, epoch=source.statistics_epoch())
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached, True
-        # Purge against the *live* epoch: a request planning against an
-        # older snapshot must not evict entries the current epoch still
-        # serves from a shared cache.
-        self.cache.purge_stale(database.statistics_epoch())
-        if ast.explain or ast.analyze:
-            ast = replace(ast, explain=False, analyze=False)
-        initial_plan, query_spec = translate(ast, source.schemas())
-        optimization = database.optimize_plan(initial_plan, query_spec, snapshot=snapshot)
-        entry = CachedPlan(
-            key=key,
-            plan=optimization.chosen_plan,
-            query_spec=query_spec,
-            optimization=optimization,
-            parameter_count=ast.parameter_count,
-            normalized_statement=unparse_statement(ast),
-        )
-        self.cache.put(entry)
-        return entry, False
+
+        def plan() -> CachedPlan:
+            # Purge against the *live* epoch: a request planning against an
+            # older snapshot must not evict entries the current epoch still
+            # serves from a shared cache.
+            self.cache.purge_stale(database.statistics_epoch())
+            statement = replace(ast, explain=False, analyze=False)
+            initial_plan, query_spec = translate(statement, source.schemas())
+            optimization = database.optimize_plan(initial_plan, query_spec, snapshot=snapshot)
+            return CachedPlan(
+                key=key,
+                plan=optimization.chosen_plan,
+                query_spec=query_spec,
+                optimization=optimization,
+                parameter_count=statement.parameter_count,
+                normalized_statement=unparse_statement(statement),
+            )
+
+        return self.cache.get_or_plan(key, plan, token)
 
     def _bind(self, entry: CachedPlan, params: Sequence[object], optional: bool = False) -> Operation:
         if FAULTS.active:

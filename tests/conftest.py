@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -12,6 +15,8 @@ from repro.core.operations import BaseRelation
 from repro.core.operations.base import EvaluationContext
 from repro.dbms import ConventionalDBMS
 from repro.search import MemoSearch
+from repro.session import Session
+from repro.session.cache import PlanCache
 from repro.stratum import TemporalDatabase
 from repro.workloads import (
     EMPLOYEE_SCHEMA,
@@ -58,6 +63,126 @@ def planning_work(monkeypatch):
     spy(repro.tsql.parser, "tokenize", "tokenize")
     spy(repro.session.fingerprint, "structural_fingerprint", "fingerprint")
     return counts
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """Every request record the sessions finish, failed ones included."""
+    seen: list = []
+    real_observe = Session._observe
+
+    def observe(self, record):
+        seen.append(record)
+        real_observe(self, record)
+
+    monkeypatch.setattr(Session, "_observe", observe)
+    return seen
+
+
+class ParkedCall:
+    """A callable whose *first* call parks on an event; every other call runs through.
+
+    ``entered`` is set once the first call is parked; it blocks until the
+    test sets ``release``, then runs ``original`` — or raises ``then_raise``.
+    ``calls`` counts every call made.
+    """
+
+    def __init__(self, original, then_raise=None) -> None:
+        self.original, self.then_raise = original, then_raise
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *args, **kwargs):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            self.entered.set()
+            assert self.release.wait(timeout=30.0), "test never released the parked call"
+            if self.then_raise is not None:
+                raise self.then_raise
+        return self.original(*args, **kwargs)
+
+
+@pytest.fixture
+def park_first_call(monkeypatch):
+    """``park_first_call(owner, name, then_raise=None)`` patches in a :class:`ParkedCall`.
+
+    Patch after :func:`planning_work` to have the spy count the parked call
+    when it finally runs.  Whatever is still parked at teardown is released.
+    """
+    gates = []
+
+    def park(owner, name: str, then_raise=None) -> ParkedCall:
+        gate = ParkedCall(getattr(owner, name), then_raise)
+        gates.append(gate)
+        # A plain function, so that a patched method still binds ``self``.
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: gate(*args, **kwargs))
+        return gate
+
+    yield park
+    for gate in gates:
+        gate.release.set()
+
+
+def flight_waiters(cache: PlanCache) -> int:
+    """Threads blocked on one of ``cache``'s flights right now.
+
+    Read off the interpreter's frames (``Event.wait`` called directly from
+    ``cache.get_or_plan``), so a test can hold the leader parked until every
+    other request has *become* a waiter — by observation, with no hook in
+    the cache and no sleep standing in for "probably there".
+    """
+    wait, lookup = threading.Event.wait.__code__, PlanCache.get_or_plan.__code__
+    waiting = 0
+    for frame in sys._current_frames().values():
+        while frame.f_back is not None:
+            caller = frame.f_back
+            if frame.f_code is wait and caller.f_code is lookup:
+                waiting += caller.f_locals["self"] is cache
+                break
+            frame = caller
+    return waiting
+
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    """Poll until ``predicate()`` holds; fail the test if it never does."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.002)
+
+
+def in_threads(*targets, timeout: float = 30.0):
+    """Start one thread per callable; ``join()`` returns their outcomes in order.
+
+    An outcome is the callable's return value, or the exception it raised
+    (``BaseException`` included — a ``KeyboardInterrupt`` must not reach the
+    thread's excepthook).  Every join is bounded and asserted.
+    """
+    outcomes = [None] * len(targets)
+
+    def run(index: int, target) -> None:
+        try:
+            outcomes[index] = target()
+        except BaseException as exc:  # noqa: BLE001 - the outcome *is* the exception
+            outcomes[index] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(index, target), daemon=True)
+        for index, target in enumerate(targets)
+    ]
+    for thread in threads:
+        thread.start()
+
+    def join():
+        for thread in threads:
+            thread.join(timeout=timeout)
+            assert not thread.is_alive(), "a request never returned"
+        return outcomes
+
+    return join
 
 
 #: The paper's motivating statement, in the front end's temporal SQL dialect.

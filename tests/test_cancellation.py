@@ -34,9 +34,13 @@ from repro.faults import (
     ResourceGuard,
 )
 from repro.options import ExecutionOptions
+from repro.search import MemoSearch
 from repro.server import Server
 from repro.session import Session
-from repro.workloads import employee_relation, project_relation
+from repro.session.cache import PlanCache
+from repro.workloads import PAPER_SQL, employee_relation, project_relation
+
+from .conftest import flight_waiters, in_threads, wait_until
 
 SNAPSHOT = RelationSchema.snapshot([("Name", STRING), ("Amount", INTEGER)])
 
@@ -298,6 +302,56 @@ class TestSessionCancellation:
             "SELECT EmpName FROM EMPLOYEE WHERE Dept = ?", ("Sales",), token=token
         )
         assert {t["EmpName"] for t in result.relation.tuples} == {"Anna", "John"}
+
+
+class TestAWaitersTokenIsItsOwn:
+    """A request waiting on another's search gives up alone; the search goes on."""
+
+    def test_a_waiters_deadline_ends_it_in_optimize_while_the_leader_is_parked(
+        self, park_first_call, records
+    ):
+        database, cache = make_database(), PlanCache()
+        gate = park_first_call(MemoSearch, "optimize")
+        leader = in_threads(lambda: Session(database, cache=cache).execute(PAPER_SQL))
+        assert gate.entered.wait(timeout=30.0)
+        now = [0.0]  # the waiter's own clock: its deadline passes when the test says so
+        token = CancellationToken(deadline=1.0, clock=lambda: now[0])
+        waiter = in_threads(
+            lambda: Session(database, cache=cache).execute(PAPER_SQL, token=token)
+        )
+        wait_until(lambda: flight_waiters(cache) == 1)
+        now[0] = 2.0
+        (outcome,) = waiter()  # within a wait slice — the leader is still parked
+        assert isinstance(outcome, DeadlineExceededError) and not gate.release.is_set()
+        (record,) = records
+        assert record.error_code == "TIMED_OUT" and list(record.phases) == ["parse", "optimize"]
+        assert record.phases["optimize"][2] == {"error_code": "TIMED_OUT"}
+        # The leader never noticed: it lands its entry and the next request hits.
+        gate.release.set()
+        (led,) = leader()
+        assert led.relation is not None and not led.cache_hit
+        assert Session(database, cache=cache).execute(PAPER_SQL).cache_hit
+        info = cache.info()
+        assert (info.misses, info.hits, info.coalesced) == (1, 1, 0)
+
+    def test_server_cancel_reaches_a_waiting_request_and_only_it(self, park_first_call):
+        server = Server(make_database(), max_concurrency=2)
+        with server:
+            gate = park_first_call(MemoSearch, "optimize")
+            leader = server.submit(PAPER_SQL)
+            assert gate.entered.wait(timeout=30.0)
+            waiter = server.submit(PAPER_SQL)
+            wait_until(lambda: flight_waiters(server.plan_cache) == 1)
+            assert server.cancel(waiter.request_id) is True
+            cancelled = waiter.result(timeout=30.0)
+            assert cancelled.status == "cancelled" and cancelled.code == "CANCELLED"
+            assert not gate.release.is_set() and not leader.done()
+            gate.release.set()
+            assert leader.result(timeout=30.0).ok
+            assert server.query(PAPER_SQL).cache_hit
+            stats = server.stats()
+            assert (stats.cancelled, stats.completed, stats.worker_crashes) == (1, 2, 0)
+            assert (stats.plan_cache.misses, stats.plan_cache.coalesced) == (1, 0)
 
 
 class TestServerCancellation:

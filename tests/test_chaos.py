@@ -52,6 +52,9 @@ PROBE = "SELECT EmpName FROM EMPLOYEE WHERE Dept = ?"
 MENU = [
     ("tsql.parse", "error"),
     ("search.memo", "error"),
+    # A stalled *leader*: the other client's identical statement waits on its
+    # flight (or gives up on its own deadline) instead of searching too.
+    ("search.memo", "latency"),
     ("session.bind", "error"),
     ("stratum.pull", "error"),
     ("stratum.pull", "latency"),

@@ -9,12 +9,14 @@ The snapshot-differential and stress coverage lives in
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
 import pytest
 
 from repro.options import ExecutionOptions
+from repro.search import MemoSearch
 from repro.server import (
     Server,
     ServerClosedError,
@@ -36,6 +38,8 @@ def make_server(**kwargs) -> Server:
     database.register("PROJECT", project_relation())
     return Server(database, **kwargs)
 
+
+from .conftest import flight_waiters, wait_until
 
 BLOCK_MARKER = "SELECT-BLOCK-MARKER"
 
@@ -59,13 +63,6 @@ def blockable(monkeypatch):
     monkeypatch.setattr(Session, "execute", execute)
     yield release
     release.set()
-
-
-def _wait_until(predicate, timeout: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.005)
 
 
 class TestLifecycle:
@@ -93,7 +90,7 @@ class TestLifecycle:
         server = make_server(max_concurrency=1)
         server.start()
         blocker = server.submit(BLOCK_MARKER)
-        _wait_until(lambda: server.stats().active_workers == 1)
+        wait_until(lambda: server.stats().active_workers == 1)
         queued = server.submit(POINT_SQL, params=("Sales",))
         blockable.set()
         server.close()
@@ -177,12 +174,12 @@ class TestSharedPlanCache:
         with make_server(max_concurrency=2) as server:
             try:
                 parked = server.submit("PARK-FIRST")
-                _wait_until(lambda: server.stats().active_workers == 1)
+                wait_until(lambda: server.stats().active_workers == 1)
                 first = server.query(PAPER_SQL)  # the one free worker
                 assert first.ok and not first.cache_hit
                 assert planning_work == {"searches": 3, "tokenize": 1, "fingerprint": 1}
                 server.submit("PARK-SECOND")  # ... which now parks too
-                _wait_until(lambda: server.stats().active_workers == 2)
+                wait_until(lambda: server.stats().active_workers == 2)
                 gates["PARK-FIRST"].set()
                 assert parked.result(timeout=30.0).status == "error"
                 planning_work.clear()
@@ -216,13 +213,63 @@ class TestSharedPlanCache:
             assert server.query(POINT_SQL, params=("Sales",)).cache_hit
 
 
+class TestSingleFlightAcrossWorkers:
+    """Two workers missing one (statement, epoch) at once run one search."""
+
+    def both_workers_miss(self, server, gate, statement=PAPER_SQL):
+        """Worker A parked inside its search, worker B waiting on A's flight."""
+        leader = server.submit(statement)
+        assert gate.entered.wait(timeout=30.0)
+        waiter = server.submit(statement)
+        wait_until(lambda: flight_waiters(server.plan_cache) == 1)
+        gate.release.set()
+        return leader.result(timeout=30.0), waiter.result(timeout=30.0)
+
+    def test_the_second_worker_waits_and_is_served_the_firsts_entry(
+        self, planning_work, park_first_call
+    ):
+        with make_server(max_concurrency=2) as server:
+            serial = server.query(PAPER_SQL)
+            server.append("EMPLOYEE", [("Fresh", "Sales", 2, 4)])  # both workers now miss
+            planning_work.clear()
+            gate = park_first_call(MemoSearch, "optimize")
+            led, served = self.both_workers_miss(server, gate)
+            assert led.ok and served.ok and (led.cache_hit, served.cache_hit) == (False, True)
+            assert planning_work == {"searches": 3}  # the statement's + its two fragments'
+            assert list(served.relation.tuples) == list(led.relation.tuples)
+            assert led.epoch == served.epoch == serial.epoch + 1
+            # The wait is inside the waiter's ``optimize`` phase, so inside its service time.
+            assert served.timings["optimize"] > 0
+            info = server.plan_cache.info()
+            assert (info.misses, info.hits, info.coalesced) == (2, 1, 1)
+            stats = dataclasses.asdict(server.stats())["plan_cache"]  # what the stats op sends
+            assert (stats["hits"], stats["misses"], stats["coalesced"]) == (1, 2, 1)
+            exposition = server.metrics_exposition()
+            assert "repro_plan_cache_coalesced_total 1" in exposition
+            assert "repro_plan_cache_misses_total 2" in exposition
+            assert server.query(PAPER_SQL).cache_hit
+            assert server.plan_cache.info().coalesced == 1  # a plain hit is not coalesced
+
+    def test_a_degraded_search_is_shared_and_counted_once(self, park_first_call):
+        """The leader's fallback plan is an entry like any other: served, not re-derived."""
+        with make_server(max_concurrency=2) as server:
+            gate = park_first_call(MemoSearch, "optimize", then_raise=RuntimeError("search broke"))
+            led, served = self.both_workers_miss(server, gate)
+            assert led.ok and served.ok and (led.cache_hit, served.cache_hit) == (False, True)
+            assert list(served.relation.tuples) == list(led.relation.tuples)
+            exposition = server.metrics_exposition()
+            assert 'repro_degraded_total{stage="memo_search"} 1' in exposition
+            info = server.plan_cache.info()
+            assert (info.misses, info.coalesced) == (1, 1)
+
+
 class TestAdmissionControl:
     def test_full_queue_rejects_with_backpressure(self, blockable):
         server = make_server(max_concurrency=1, queue_limit=2)
         server.start()
         try:
             blocker = server.submit(BLOCK_MARKER)
-            _wait_until(lambda: server.stats().active_workers == 1)
+            wait_until(lambda: server.stats().active_workers == 1)
             queued = [server.submit(POINT_SQL, params=("Sales",)) for _ in range(2)]
             with pytest.raises(ServerOverloadedError):
                 server.submit(POINT_SQL, params=("Sales",))
@@ -243,7 +290,7 @@ class TestAdmissionControl:
         server.start()
         try:
             blocker = server.submit(BLOCK_MARKER)
-            _wait_until(lambda: server.stats().active_workers == 1)
+            wait_until(lambda: server.stats().active_workers == 1)
             doomed = server.submit(POINT_SQL, params=("Sales",), timeout=0.01)
             time.sleep(0.05)  # let the deadline pass while it queues
             blockable.set()
@@ -262,7 +309,7 @@ class TestAdmissionControl:
         server.start()
         try:
             blocker = server.submit(BLOCK_MARKER, timeout=30.0)
-            _wait_until(lambda: server.stats().active_workers == 1)
+            wait_until(lambda: server.stats().active_workers == 1)
             doomed = server.submit(POINT_SQL, params=("Sales",))
             time.sleep(0.05)
             blockable.set()
@@ -285,7 +332,7 @@ class TestAdmissionControl:
         server.start()
         try:
             blocker = server.submit(BLOCK_MARKER)
-            _wait_until(lambda: server.stats().active_workers == 1)
+            wait_until(lambda: server.stats().active_workers == 1)
             server.submit(POINT_SQL, params=("Sales",))
             with pytest.raises(ServerOverloadedError):
                 server.submit(POINT_SQL, params=("Sales",))
