@@ -4,12 +4,12 @@ The operators of :mod:`repro.core.physical` — the one operator set both the
 stratum and the conventional DBMS execute on — exchange
 :class:`ColumnBatch` chunks holding one value list per schema attribute
 (valid-time ``T1``/``T2`` are ordinary columns of a temporal schema), so that
-operators build, probe and sort on plain value columns and convert to
-:class:`~repro.core.tuples.Tuple` objects only at operator-tree boundaries.
+operators build, probe and sort on plain value columns and rows and never
+touch a :class:`~repro.core.tuples.Tuple`.
 
 A batch is an array-of-columns view of a *slice* of the operator's output
-sequence, so concatenating ``batch.to_tuples()`` over an operator's batches
-yields the same tuple list for every batch size — the identical list the
+sequence, so concatenating ``batch.rows()`` over an operator's batches
+yields the same row list for every batch size — the identical list the
 reference semantics produce, for the operators that promise list
 compatibility.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
+from .relation import Relation
 from .schema import RelationSchema
 from .tuples import Tuple
 
@@ -31,13 +32,14 @@ class ColumnBatch:
     always originate from tuples that were validated at construction or from
     kernels over such values.
 
-    A batch built :meth:`from_tuples` transposes its tuples on the first
-    read of ``columns``, so a source slice nobody computes on (a bare table
-    scan handed across ``TS``) or that is only read row-wise (a sort or a
-    hash build directly over a source) never pays for columns.
+    A batch built :meth:`from_rows` keeps its rows and transposes them on
+    the first read of ``columns``, so a slice nobody computes on (a bare
+    table scan handed across ``TS``, a sort's output at the root of a tree)
+    or that is only read row-wise (a sort or a hash build directly over a
+    source) never pays for columns.
     """
 
-    __slots__ = ("schema", "length", "_columns", "_tuples")
+    __slots__ = ("schema", "length", "_columns", "_rows")
 
     def __init__(
         self,
@@ -48,85 +50,63 @@ class ColumnBatch:
         self.schema = schema
         self.length = length
         self._columns: Optional[Sequence[Sequence[Any]]] = columns
-        self._tuples: Sequence[Tuple] = ()
+        self._rows: Optional[Sequence[PyTuple[Any, ...]]] = None
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_tuples(cls, schema: RelationSchema, tuples: Sequence[Tuple]) -> "ColumnBatch":
-        """A batch over a slice of tuples (transposed on first use).
-
-        Tuples whose schema permutes the attribute order are normalized into
-        ``schema`` order when the slice is first read, once at the source
-        boundary — downstream kernels are purely positional.
-        """
-        batch = cls(schema, None, len(tuples))
-        batch._tuples = tuples
+    def from_rows(
+        cls, schema: RelationSchema, rows: Sequence[PyTuple[Any, ...]]
+    ) -> "ColumnBatch":
+        """A batch over value rows already in schema attribute order
+        (transposed on first use)."""
+        batch = cls(schema, None, len(rows))
+        batch._rows = rows
         return batch
 
     @classmethod
-    def from_rows(
-        cls, schema: RelationSchema, rows: Sequence[Sequence[Any]]
-    ) -> "ColumnBatch":
-        """Transpose value rows (already in schema attribute order)."""
-        return cls(schema, _transposed(schema, rows), len(rows))
+    def from_tuples(cls, schema: RelationSchema, tuples: Sequence[Tuple]) -> "ColumnBatch":
+        """A batch over the rows of ``tuples`` — a convenience for callers
+        holding ``Tuple`` objects; no operator goes through it.
+
+        Tuples whose schema permutes the attribute order are normalized into
+        ``schema`` order, as :class:`~repro.core.relation.Relation` does.
+        """
+        return cls.from_rows(schema, Relation(schema, tuples).rows)
 
     @property
     def columns(self) -> Sequence[Sequence[Any]]:
         """One value sequence per schema attribute."""
         columns = self._columns
         if columns is None:
-            columns = self._columns = _transposed(self.schema, self._tuple_rows())
-            self._tuples = ()
+            columns = self._columns = _transposed(self.schema, self._rows)
         return columns
-
-    def _tuple_rows(self) -> List[PyTuple[Any, ...]]:
-        """The source tuples' values, each in schema attribute order."""
-        tuples = self._tuples
-        if not tuples:
-            return []
-        schema = self.schema
-        attributes = schema.attributes
-        # Almost always the tuples share one schema object in the batch's
-        # attribute order (the batch's own, or a stored table's under another
-        # name): one identity test per tuple instead of a re-check by value.
-        shared = tuples[0]._schema
-        if shared is schema or shared.attributes == attributes:
-            rows = [tup._values for tup in tuples if tup._schema is shared]
-            if len(rows) == len(tuples):
-                return rows
-        return [
-            tup.values()
-            if tup.schema is schema or tup.schema.attributes == attributes
-            else tuple(tup[a] for a in attributes)
-            for tup in tuples
-        ]
 
     # -- conversion ------------------------------------------------------------
 
     def rows(self) -> Iterator[PyTuple[Any, ...]]:
         """Iterate the batch row-wise as plain value tuples."""
+        rows = self._rows
+        if rows is not None:
+            return iter(rows)
         columns = self._columns
-        if columns is None:
-            return iter(self._tuple_rows())
         if not columns:
             return iter([()] * self.length)
         return zip(*columns)
 
     def to_tuples(self) -> List[Tuple]:
-        """Materialize the batch as validated-by-provenance ``Tuple`` objects.
-
-        This is the only place the columnar path builds ``Tuple`` objects;
-        it uses the trusted constructor because every value came out of a
-        tuple validated at its own construction.
-        """
+        """The batch as ``Tuple`` views, valid by provenance — the counterpart
+        of :meth:`from_tuples`, equally off every operator's path."""
         schema = self.schema
         trusted = Tuple.trusted
         return [trusted(schema, row) for row in self.rows()]
 
     def take(self, indexes: Sequence[int]) -> "ColumnBatch":
         """A new batch keeping the given row indexes, in the given order."""
-        columns = [[column[i] for i in indexes] for column in self.columns]
+        if self._columns is None:
+            rows = self._rows
+            return ColumnBatch.from_rows(self.schema, [rows[i] for i in indexes])
+        columns = [[column[i] for i in indexes] for column in self._columns]
         return ColumnBatch(self.schema, columns, len(indexes))
 
 

@@ -15,9 +15,10 @@ Execution is **columnar**: operators exchange
 :class:`~repro.core.columnar.ColumnBatch` chunks of ``batch_size`` rows, run
 predicates and projections as column-wise kernels
 (:meth:`Expression.compile_batch`), join, sort and hash on plain value rows,
-and build :class:`~repro.core.tuples.Tuple` objects only at operator-tree
-boundaries.  :meth:`BatchOperator.batches` is the single place that counts
-rows, reads the clock and ticks execution control.
+and build no :class:`~repro.core.tuples.Tuple` at all: a tree takes the rows
+of its source relations and drains into a relation of rows.
+:meth:`BatchOperator.batches` is the single place that counts rows, reads the
+clock and ticks execution control.
 
 Every operator yields the same tuple sequence at every batch size; the ones
 the stratum builds are moreover **list-compatible** with the reference
@@ -45,7 +46,6 @@ from .order_spec import OrderSpec
 from .period import T1, T2
 from .relation import Relation
 from .schema import RelationSchema
-from .tuples import Tuple
 
 _UNORDERED = OrderSpec.unordered()
 
@@ -169,12 +169,12 @@ class BatchOperator:
 
     def to_relation(self) -> Relation:
         """Drain the operator into a relation carrying the known order."""
-        tuples: List[Tuple] = []
+        rows: List[PyTuple] = []
         for batch in self.batches():
-            tuples.extend(batch.to_tuples())
-        # Every batch is over ``output_schema`` and ``to_tuples`` just built
-        # the tuples over it: nothing left for the validating constructor.
-        return Relation.trusted(self.output_schema, tuples, order=self.order)
+            rows.extend(batch.rows())
+        # Every batch is over ``output_schema`` and its values came out of
+        # validated tuples: nothing left for a validating constructor.
+        return Relation.of_rows(self.output_schema, rows, order=self.order)
 
     def describe(self) -> str:
         """One-line description: the operator's span name and EXPLAIN line."""
@@ -220,21 +220,20 @@ class SourceOp(BatchOperator):
         self._name = name
 
     def _batches(self) -> Iterator[ColumnBatch]:
-        # The source boundary is where tuples become columns (when a
-        # consumer first reads them); permuted attribute orders are
-        # normalized there so every kernel upstream is purely positional.
+        # Slices of the relation's rows, which are in schema attribute order
+        # whatever order their tuples listed the attributes in, so every
+        # kernel upstream is purely positional.
         size = self.batch_size
         schema = self.output_schema
-        tuples = self._relation.tuples
-        for offset in range(0, len(tuples), size):
-            yield ColumnBatch.from_tuples(schema, tuples[offset : offset + size])
+        rows = self._relation.rows
+        for offset in range(0, len(rows), size):
+            yield ColumnBatch.from_rows(schema, rows[offset : offset + size])
 
     def to_relation(self) -> Relation:
         """The source relation itself: the drain only does the accounting.
 
         A source at the root of an operator tree — a bare table scan shipped
-        across ``TS`` — computes nothing, so no tuple is taken apart into
-        columns only to be rebuilt.
+        across ``TS`` — computes nothing, so not even the row list is copied.
         """
         for _ in self.batches():
             pass
@@ -398,46 +397,41 @@ class HashJoinOp(_JoinOp):
     """
 
     def _join_rows(self) -> Iterator[PyTuple]:
+        # Keys and periods are read from the rows: a single-attribute key
+        # (the common case) is the bare value, several give one tuple per row.
         split = self._split
-        temporal = self._temporal
-        table: dict = {}
-        for batch in self._right.batches():
-            columns = batch.columns
-            keys = _join_keys(columns, split.equi_right_indexes)
-            if temporal:
-                rt1, rt2 = self._right_time
-                for key, entry in zip(keys, zip(batch.rows(), columns[rt1], columns[rt2])):
-                    table.setdefault(key, []).append(entry)
-            else:
-                for key, row in zip(keys, batch.rows()):
-                    table.setdefault(key, []).append(row)
+        right_key = itemgetter(*split.equi_right_indexes)
+        left_key = itemgetter(*split.equi_left_indexes)
+        table: Dict[object, List[PyTuple]] = {}
         get_bucket = table.get
-        for batch in self._left.batches():
-            columns = batch.columns
-            keys = _join_keys(columns, split.equi_left_indexes)
-            if temporal:
-                lt1, lt2 = self._left_time
-                for key, row, l1, l2 in zip(keys, batch.rows(), columns[lt1], columns[lt2]):
-                    for right_row, r1, r2 in get_bucket(key, ()):
+        for batch in self._right.batches():
+            for row in batch.rows():
+                key = right_key(row)
+                bucket = get_bucket(key)
+                if bucket is None:
+                    table[key] = [row]
+                else:
+                    bucket.append(row)
+        if self._temporal:
+            lt1, lt2 = self._left_time
+            rt1, rt2 = self._right_time
+            for batch in self._left.batches():
+                for row in batch.rows():
+                    bucket = get_bucket(left_key(row))
+                    if bucket is None:
+                        continue
+                    l1, l2 = row[lt1], row[lt2]
+                    for right_row in bucket:
+                        r1, r2 = right_row[rt1], right_row[rt2]
                         start = l1 if l1 > r1 else r1
                         end = l2 if l2 < r2 else r2
                         if start < end:
                             yield row + right_row + (start, end)
-            else:
-                for key, row in zip(keys, batch.rows()):
-                    for right_row in get_bucket(key, ()):
+        else:
+            for batch in self._left.batches():
+                for row in batch.rows():
+                    for right_row in get_bucket(left_key(row), ()):
                         yield row + right_row
-
-
-def _join_keys(columns: Sequence[Sequence], indexes: Sequence[int]) -> Sequence:
-    """One hash key per row of a batch.
-
-    A single-attribute key (the common case) is the bare column — scalars
-    cost no allocation per row; several attributes give one tuple per row.
-    """
-    if len(indexes) == 1:
-        return columns[indexes[0]]
-    return list(zip(*[columns[i] for i in indexes]))
 
 
 class IntervalJoinOp(_JoinOp):
@@ -458,21 +452,15 @@ class IntervalJoinOp(_JoinOp):
         else:
             ls, le, rs, re = split.overlap_indexes
         entries: List[PyTuple] = []  # (start, position, end, row)
-        position = 0
         for batch in self._right.batches():
-            columns = batch.columns
-            starts_column, ends_column = columns[rs], columns[re]
-            for offset, row in enumerate(batch.rows()):
-                entries.append((starts_column[offset], position, ends_column[offset], row))
-                position += 1
+            for row in batch.rows():
+                entries.append((row[rs], len(entries), row[re], row))
         entries.sort(key=lambda entry: (entry[0], entry[1]))
         starts = [entry[0] for entry in entries]
         temporal = self._temporal
         for batch in self._left.batches():
-            columns = batch.columns
-            left_starts, left_ends = columns[ls], columns[le]
-            for offset, row in enumerate(batch.rows()):
-                l1, l2 = left_starts[offset], left_ends[offset]
+            for row in batch.rows():
+                l1, l2 = row[ls], row[le]
                 limit = bisect_left(starts, l2)
                 matches = [
                     (entry_position, start, end, right_row)

@@ -20,11 +20,20 @@ which mirrors the ``Order(r)`` column of Table 1: operators derive the order
 of their result from the order of their arguments.  The known order is
 metadata — it never changes which tuples are present — and it is checked
 against the actual tuple sequence in the test suite.
+
+**Representation.**  What a relation *stores* is its **rows**: one plain
+value tuple per element, in schema attribute order.  The executors, the
+stored tables and the wire work on :attr:`Relation.rows` alone.  A
+:class:`~repro.core.tuples.Tuple` is a *view* of one row under the schema:
+:attr:`Relation.tuples`, iteration and indexing build the views on first use
+and keep them, so only the callers that ask for ``Tuple`` objects — the
+reference operations, the analyses below — pay for them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import (
     Any,
     Dict,
@@ -46,9 +55,9 @@ from .tuples import Tuple
 
 
 class Relation:
-    """A finite sequence of tuples over a common schema."""
+    """A finite sequence of tuples over a common schema, stored as value rows."""
 
-    __slots__ = ("_schema", "_tuples", "_order")
+    __slots__ = ("_schema", "_rows", "_order", "_views")
 
     def __init__(
         self,
@@ -58,39 +67,52 @@ class Relation:
     ) -> None:
         self._schema = schema
         expected = schema.attribute_set()
-        tuple_list: List[Tuple] = []
-        for tup in tuples:
+        attributes = schema.attributes
+        given = tuple(tuples)
+        rows: List[PyTuple[Any, ...]] = []
+        in_order = True
+        for tup in given:
             # Identity fast path: tuples almost always carry the relation's
-            # own schema object, making the per-tuple set compare redundant.
-            if tup.schema is not schema and tup.schema.attribute_set() != expected:
+            # own schema object, making the per-tuple compares redundant.
+            theirs = tup._schema
+            if theirs is schema or theirs.attributes == attributes:
+                rows.append(tup._values)
+            elif theirs.attribute_set() == expected:
+                # Same attributes, listed in another order: a row is by name.
+                rows.append(tuple(tup[a] for a in attributes))
+                in_order = False
+            else:
                 raise SchemaError(
-                    f"tuple schema {tup.schema} does not match relation schema {schema}"
+                    f"tuple schema {theirs} does not match relation schema {schema}"
                 )
-            tuple_list.append(tup)
-        self._tuples: PyTuple[Tuple, ...] = tuple(tuple_list)
+        self._rows: PyTuple[PyTuple[Any, ...], ...] = tuple(rows)
+        # The given tuples serve as the views unless one of them would read
+        # its values in another order than the relation's rows.
+        self._views: Optional[PyTuple[Tuple, ...]] = given if in_order else None
         self._order = order or OrderSpec.unordered()
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def trusted(
+    def of_rows(
         cls,
         schema: RelationSchema,
-        tuples: Iterable[Tuple],
+        rows: Iterable[PyTuple[Any, ...]],
         order: Optional[OrderSpec] = None,
     ) -> "Relation":
-        """Build a relation from tuples already known to conform to ``schema``.
+        """Build a relation from value rows already known to be valid.
 
-        Skips the per-tuple schema check of ``__init__``.  The caller
-        guarantees every tuple was built over ``schema`` (or a schema with
-        the same attribute set) — a physical operator draining its batches
-        into a relation uses this, because it created each tuple over its own
-        output schema one line earlier, so walking them again would only
-        re-prove what their construction already proved.
+        Skips every check.  The caller guarantees each row is a plain tuple
+        in ``schema`` attribute order whose values came out of validated
+        tuples — a physical operator draining its batches, a table extending
+        its stored rows by a batch it has just validated — so walking them
+        again would only re-prove what their provenance already proved.  Use
+        :meth:`from_rows` for rows from outside.
         """
         relation = cls.__new__(cls)
         relation._schema = schema
-        relation._tuples = tuple(tuples)
+        relation._rows = tuple(rows)
+        relation._views = None
         relation._order = order or OrderSpec.unordered()
         return relation
 
@@ -132,23 +154,39 @@ class Relation:
         return self._order
 
     @property
+    def rows(self) -> PyTuple[PyTuple[Any, ...], ...]:
+        """The stored value rows, each in schema attribute order."""
+        return self._rows
+
+    @property
     def tuples(self) -> PyTuple[Tuple, ...]:
-        """The tuples as an immutable sequence."""
-        return self._tuples
+        """The tuples as an immutable sequence: one view per row, built on
+        the first read.
+
+        No lock: two threads racing the first read each build the views and
+        one assignment wins, which is harmless — views of the same row are
+        equal, and nothing relies on their identity.
+        """
+        views = self._views
+        if views is None:
+            schema = self._schema
+            trusted = Tuple.trusted
+            views = self._views = tuple([trusted(schema, row) for row in self._rows])
+        return views
 
     @property
     def cardinality(self) -> int:
         """``n(r)`` — the number of tuples, counting duplicates."""
-        return len(self._tuples)
+        return len(self._rows)
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Tuple]:
-        return iter(self._tuples)
+        return iter(self.tuples)
 
     def __getitem__(self, index: int) -> Tuple:
-        return self._tuples[index]
+        return self.tuples[index]
 
     @property
     def is_temporal(self) -> bool:
@@ -157,13 +195,18 @@ class Relation:
 
     def is_empty(self) -> bool:
         """True if the relation has no tuples."""
-        return not self._tuples
+        return not self._rows
 
     # -- derivation ------------------------------------------------------------------
 
     def with_order(self, order: OrderSpec) -> "Relation":
-        """Return the same tuple sequence annotated with a different known order."""
-        return Relation(self._schema, self._tuples, order=order)
+        """Return the same tuple sequence annotated with a different known order.
+
+        The rows (and the views, if already built) are shared, not copied.
+        """
+        relation = Relation.of_rows(self._schema, self._rows, order)
+        relation._views = self._views
+        return relation
 
     def with_tuples(self, tuples: Iterable[Tuple], order: Optional[OrderSpec] = None) -> "Relation":
         """Return a relation over the same schema with a new tuple sequence."""
@@ -172,7 +215,7 @@ class Relation:
     def sorted_by(self, order: OrderSpec) -> "Relation":
         """Return the relation stably sorted according to ``order``."""
         key = order.comparison_key()
-        return Relation(self._schema, sorted(self._tuples, key=key), order=order)
+        return Relation(self._schema, sorted(self.tuples, key=key), order=order)
 
     def concat(self, other: "Relation") -> "Relation":
         """Concatenate two relations over union-compatible schemas (union ALL)."""
@@ -180,28 +223,39 @@ class Relation:
             raise SchemaError(
                 f"schemas are not union compatible: {self._schema} vs {other._schema}"
             )
-        aligned = [tup.project(self._schema) for tup in other._tuples]
-        return Relation(self._schema, list(self._tuples) + aligned)
+        return Relation.of_rows(
+            self._schema, self._rows + other.rows_over(self._schema.attributes)
+        )
+
+    def rows_over(self, attributes: PyTuple[str, ...]) -> PyTuple[PyTuple[Any, ...], ...]:
+        """The rows with their values in the order ``attributes`` — all of
+        the schema's attributes — lists them in."""
+        if attributes == self._schema.attributes:
+            return self._rows
+        # Two orders of one attribute set differ only from two attributes up,
+        # where ``itemgetter`` returns a tuple.
+        align = itemgetter(*map(self._schema.index_of, attributes))
+        return tuple(map(align, self._rows))
 
     # -- views used by the equivalence relations ----------------------------------------
 
     def as_list(self) -> List[Tuple]:
         """The tuples as a plain list (list view)."""
-        return list(self._tuples)
+        return list(self.tuples)
 
     def as_multiset(self) -> Counter:
         """The tuples as a multiset (``Counter``), ignoring order."""
-        return Counter(self._tuples)
+        return Counter(self.tuples)
 
     def as_set(self) -> Set[Tuple]:
         """The distinct tuples, ignoring order and duplicates."""
-        return set(self._tuples)
+        return set(self.tuples)
 
     # -- duplicate analyses ---------------------------------------------------------------
 
     def has_duplicates(self) -> bool:
         """True if some tuple occurs more than once (regular duplicates)."""
-        return any(count > 1 for count in self.as_multiset().values())
+        return len(set(self._rows)) < len(self._rows)
 
     def has_snapshot_duplicates(self) -> bool:
         """True if some snapshot of the relation contains duplicate tuples.
@@ -255,7 +309,7 @@ class Relation:
         if not self.is_temporal:
             raise TemporalSchemaError("value groups are defined for temporal relations only")
         groups: Dict[PyTuple[Any, ...], List[Period]] = {}
-        for tup in self._tuples:
+        for tup in self.tuples:
             groups.setdefault(tup.value_part(), []).append(tup.period)
         return groups
 
@@ -277,7 +331,7 @@ class Relation:
             raise TemporalSchemaError("snapshots are defined for temporal relations only")
         target = self.snapshot_schema()
         qualifying = [
-            tup.without_time(target) for tup in self._tuples if tup.period.contains_point(time)
+            tup.without_time(target) for tup in self.tuples if tup.period.contains_point(time)
         ]
         return Relation(target, qualifying, order=self._order.restricted_to(target.attributes))
 
@@ -286,7 +340,7 @@ class Relation:
         if not self.is_temporal:
             raise TemporalSchemaError("time points are defined for temporal relations only")
         points: Set[int] = set()
-        for tup in self._tuples:
+        for tup in self.tuples:
             points.update(tup.period.points())
         return sorted(points)
 
@@ -301,7 +355,7 @@ class Relation:
         if not self.is_temporal:
             raise TemporalSchemaError("time points are defined for temporal relations only")
         points: Set[int] = set()
-        for tup in self._tuples:
+        for tup in self.tuples:
             period = tup.period
             points.add(period.start)
             points.add(period.end - 1)
@@ -312,7 +366,7 @@ class Relation:
         """The smallest period covering every tuple's period, or None if empty."""
         if not self.is_temporal:
             raise TemporalSchemaError("time span is defined for temporal relations only")
-        periods = [tup.period for tup in self._tuples]
+        periods = [tup.period for tup in self.tuples]
         if not periods:
             return None
         return Period(min(p.start for p in periods), max(p.end for p in periods))
@@ -323,19 +377,25 @@ class Relation:
         """List equality: same schema, same tuples in the same order."""
         if not isinstance(other, Relation):
             return NotImplemented
-        return self._schema == other._schema and self._tuples == other._tuples
+        # Schemas are equal as mappings, so the other side's rows are read in
+        # this side's attribute order before they are compared.
+        return self._schema == other._schema and self._rows == other.rows_over(
+            self._schema.attributes
+        )
 
     def __hash__(self) -> int:
-        return hash((self._schema, self._tuples))
+        # Attribute order does not matter to equality: hash the rows in one
+        # order every equal relation agrees on, sorted by attribute name.
+        return hash((self._schema, self.rows_over(tuple(sorted(self._schema.attributes)))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = self._schema.name or "relation"
-        return f"<Relation {name} n={len(self._tuples)}>"
+        return f"<Relation {name} n={len(self._rows)}>"
 
     def to_table(self, max_rows: Optional[int] = None) -> str:
         """Render the relation as an aligned text table (used by the examples)."""
         attributes = self._schema.attributes
-        rows = [[str(tup[a]) for a in attributes] for tup in self._tuples]
+        rows = [[str(value) for value in row] for row in self._rows]
         shown = rows if max_rows is None else rows[:max_rows]
         widths = [
             max([len(attribute)] + [len(row[i]) for row in shown])

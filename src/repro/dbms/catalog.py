@@ -11,14 +11,18 @@ batch into :meth:`TableStatistics.observe` (cardinality and the per-attribute
 distinct-value sets update in O(batch)), while the heavier summaries — the
 equi-depth histograms, the valid-time period histogram and the duplication
 ratios of :class:`repro.stats.estimator.TableProfile` — are rebuilt lazily
-from the accumulated rows the first time they are read after a change.
+from the table's relation the first time they are read after a change.
+
+A table stores **value rows** (see :mod:`repro.core.relation`): one relation
+of plain tuples per table, no ``Tuple`` object per stored row, and the
+statistics keep no second copy of them.
 
 **Concurrency.**  A catalog may be shared by many serving threads (see
 :mod:`repro.server`): every mutation — table creation, drop, row inserts,
 wholesale replacement — and every epoch advance happens under one catalog
 lock, so :attr:`Catalog.epoch` and the table contents always move together.
 Stored rows are held in immutable :class:`~repro.core.relation.Relation`
-instances that are swapped wholesale on change, which makes **snapshots**
+instances that are swapped on change, which makes **snapshots**
 cheap: :meth:`Catalog.snapshot` pins, under the lock, the current relation
 of every table plus the epoch, giving long-running readers a consistent
 view that concurrent appends can never tear.
@@ -44,60 +48,53 @@ from ..stats.histograms import EquiDepthHistogram, PeriodHistogram
 class TableStatistics:
     """Statistics maintained per stored table, updated batch-incrementally.
 
-    The object keeps its own accumulated row feed (``Tuple`` references
-    shared with the owning table, not copies) so it stays usable standalone
-    — ``from_relation`` plus ``observe`` — and can rebuild its lazy profile
-    without asking the table back for its data; callers that do hold the
-    current relation can pass it to :meth:`profile` to skip the rebuild's
-    relation construction.
+    The object refers to the relation it has observed so far — the owning
+    table's own, not a copy — so it stays usable standalone
+    (``from_relation`` plus ``observe``) and can rebuild its lazy profile
+    without asking the table back for its data.
     """
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
         self.cardinality = 0
-        self._value_sets: Dict[str, Set] = {a: set() for a in schema.attributes}
-        self._rows: List[Tuple] = []
+        self._value_sets: List[Set] = [set() for _ in schema.attributes]
+        self._relation = Relation.empty(schema)
         self._profile: Optional[TableProfile] = None
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "TableStatistics":
         """Compute statistics for a relation instance."""
         statistics = cls(relation.schema)
-        statistics.observe(relation.tuples)
+        statistics.observe(relation)
         return statistics
 
     @property
     def distinct_values(self) -> Dict[str, int]:
         """Exact distinct count per attribute (incrementally maintained)."""
-        return {attribute: len(values) for attribute, values in self._value_sets.items()}
+        return {
+            attribute: len(values)
+            for attribute, values in zip(self.schema.attributes, self._value_sets)
+        }
 
-    def observe(self, tuples: Iterable[Tuple]) -> int:
-        """Fold a batch of new tuples into the statistics; returns batch size."""
-        added = 0
-        for tup in tuples:
-            self._rows.append(tup)
-            for attribute, values in self._value_sets.items():
-                values.add(tup[attribute])
-            added += 1
-        if added:
-            self.cardinality += added
+    def observe(self, relation: Relation) -> int:
+        """Fold in the rows ``relation`` — the relation observed so far,
+        extended at its end — holds beyond those already counted; returns
+        how many."""
+        batch = relation.rows[self.cardinality :]
+        self._relation = relation
+        if batch:
+            for values, column in zip(self._value_sets, zip(*batch)):
+                values.update(column)
+            self.cardinality += len(batch)
             self._profile = None
-        return added
+        return len(batch)
 
-    def profile(
-        self, name: Optional[str] = None, relation: Optional[Relation] = None
-    ) -> TableProfile:
-        """The table's histogram/period/ratio summary (rebuilt lazily).
-
-        ``relation`` lets a caller that already holds the current rows (the
-        owning :class:`Table`) avoid re-materialising them for the rebuild.
-        """
+    def profile(self, name: Optional[str] = None) -> TableProfile:
+        """The table's histogram/period/ratio summary (rebuilt lazily)."""
         if name is None:
             name = self.schema.name or ""
         if self._profile is None:
-            if relation is None:
-                relation = Relation(self.schema, tuple(self._rows))
-            self._profile = TableProfile.from_relation(name, relation)
+            self._profile = TableProfile.from_relation(name, self._relation)
         elif self._profile.name != name:
             # Same data under a different label: relabel the cached profile
             # instead of rebuilding the histograms.
@@ -145,8 +142,14 @@ class Table:
                 raise SchemaError(
                     f"rows for table {name!r} have schema {rows.schema}, expected {schema}"
                 )
-            self._relation = Relation(self.schema, rows.tuples, order=self.clustering)
+            self._relation = self._stored(rows, self.clustering)
         self.statistics = TableStatistics.from_relation(self._relation)
+
+    def _stored(self, relation: Relation, order: OrderSpec) -> Relation:
+        """``relation``'s rows under the table's schema: a relation is valid
+        by construction, so its rows are taken as they are — in the table's
+        attribute order — and none of its ``Tuple`` views is kept."""
+        return Relation.of_rows(self.schema, relation.rows_over(self.schema.attributes), order)
 
     @property
     def _lock(self) -> threading.RLock:
@@ -166,20 +169,19 @@ class Table:
     def insert(self, rows: Iterable[Sequence]) -> int:
         """Append rows (given in schema attribute order); returns how many.
 
-        Statistics update incrementally from the new batch alone — the stored
-        relation is not rescanned.  The relation swap, the statistics update
+        Only the new batch is validated (arity, domains, periods — one
+        ``Tuple`` per new row, dropped again) and statistics update
+        incrementally from it alone — the stored relation is neither rescanned
+        nor re-validated.  The relation swap, the statistics update
         and the epoch advance happen atomically under the catalog lock;
         readers holding the previous relation (or a snapshot pinning it)
         keep an untouched, consistent view.
         """
-        batch: List[Tuple] = []
-        for row in rows:
-            batch.append(Tuple.from_sequence(self.schema, row))
+        schema = self.schema
+        batch = tuple([Tuple.from_sequence(schema, row).values() for row in rows])
         with self._lock:
-            new_tuples: List[Tuple] = list(self._relation.tuples)
-            new_tuples.extend(batch)
-            self._relation = Relation(self.schema, new_tuples, order=OrderSpec.unordered())
-            self.statistics.observe(batch)
+            self._relation = Relation.of_rows(schema, self._relation.rows + batch)
+            self.statistics.observe(self._relation)
             if batch:
                 self._bump()
         return len(batch)
@@ -192,7 +194,7 @@ class Table:
                 f"expected {self.schema}"
             )
         with self._lock:
-            self._relation = Relation(self.schema, relation.tuples, order=relation.order)
+            self._relation = self._stored(relation, relation.order)
             self.statistics = TableStatistics.from_relation(self._relation)
             self._bump()
 
@@ -209,7 +211,7 @@ class Table:
         concurrent insert's statistics update.
         """
         with self._lock:
-            return self.statistics.profile(self.name, relation=self._relation)
+            return self.statistics.profile(self.name)
 
     def pin(self) -> "SnapshotTable":
         """A read-only view of the table's current contents and version."""

@@ -91,7 +91,7 @@ def response_to_wire(response: Response) -> Dict[str, Any]:
         payload["code"] = response.code
     if response.kind == "query" and response.relation is not None:
         payload["columns"] = list(response.relation.schema.attributes)
-        payload["rows"] = [list(t.values()) for t in response.relation.tuples]
+        payload["rows"] = [list(row) for row in response.relation.rows]
         payload["cache_hit"] = response.cache_hit
     if response.explain is not None:
         payload["explain"] = response.explain

@@ -63,6 +63,7 @@ from ..core.operations.coalesce import coalesce_tuples
 from ..core.operations.duplicates import temporal_duplicate_elimination
 from ..core.period import T1, T2
 from ..core.relation import Relation
+from ..core.tuples import Tuple
 from .distinct import estimate_distinct
 from .histograms import DEFAULT_BUCKETS, EquiDepthHistogram, PeriodHistogram
 
@@ -102,24 +103,27 @@ class TableProfile:
         cls, name: str, relation: Relation, buckets: int = DEFAULT_BUCKETS
     ) -> "TableProfile":
         """Profile a relation instance (exactly for small, sampled for large)."""
-        tuples = relation.tuples
-        n = len(tuples)
+        schema = relation.schema
+        rows = relation.rows
+        n = len(rows)
+        columns = list(zip(*rows)) if rows else [()] * len(schema.attributes)
         attributes: Dict[str, AttributeStatistics] = {}
-        for attribute in relation.schema.attributes:
-            values = [tup[attribute] for tup in tuples]
+        for attribute, values in zip(schema.attributes, columns):
             attributes[attribute] = AttributeStatistics(
                 histogram=EquiDepthHistogram.build(values, buckets=buckets),
                 distinct=estimate_distinct(values),
             )
         period = None
-        if relation.schema.is_temporal and n:
+        if schema.is_temporal and n:
             period = PeriodHistogram.build(
-                [(tup[T1], tup[T2]) for tup in tuples], buckets=buckets
+                list(zip(columns[schema.index_of(T1)], columns[schema.index_of(T2)])),
+                buckets=buckets,
             )
-        value_attributes = relation.schema.nontemporal_attributes
-        rows = [tuple(tup[a] for a in relation.schema.attributes) for tup in tuples]
-        value_parts = [tuple(tup[a] for a in value_attributes) for tup in tuples]
-        coalesced_fraction, tdup_fraction = _temporal_shrink_fractions(relation)
+        value_indexes = schema.value_indexes()
+        value_parts = (
+            list(zip(*[columns[i] for i in value_indexes])) if value_indexes else [()] * n
+        )
+        coalesced_fraction, tdup_fraction = _temporal_shrink_fractions(relation, value_parts)
         return cls(
             name=name,
             cardinality=n,
@@ -143,8 +147,11 @@ def _ratio(distinct: float, total: int) -> float:
 _EXACT_GROUP_LIMIT = 256
 
 
-def _temporal_shrink_fractions(relation: Relation) -> PyTuple[float, float]:
-    """``(coalT output / n, rdupT output / n)`` for a stored relation.
+def _temporal_shrink_fractions(
+    relation: Relation, value_parts: Sequence[PyTuple[Any, ...]]
+) -> PyTuple[float, float]:
+    """``(coalT output / n, rdupT output / n)`` for a stored relation whose
+    rows have the non-temporal values ``value_parts``, position by position.
 
     Both operators only interact *within* a value-equivalence class, so the
     reference implementations are applied per group — exact, and near-linear
@@ -153,19 +160,24 @@ def _temporal_shrink_fractions(relation: Relation) -> PyTuple[float, float]:
     union as a lower bound on ``rdupT`` fragments).
     """
     n = len(relation)
-    if n == 0 or not relation.schema.is_temporal:
+    schema = relation.schema
+    if n == 0 or not schema.is_temporal:
         return 1.0, 1.0
-    groups: Dict[PyTuple[Any, ...], List] = {}
-    for tup in relation.tuples:
-        groups.setdefault(tup.value_part(), []).append(tup)
+    first, last = schema.index_of(T1), schema.index_of(T2)
+    groups: Dict[PyTuple[Any, ...], List[PyTuple[Any, ...]]] = {}
+    for key, row in zip(value_parts, relation.rows):
+        groups.setdefault(key, []).append(row)
     coalesced = 0
     deduplicated = 0
     for members in groups.values():
         if len(members) <= _EXACT_GROUP_LIMIT:
-            coalesced += len(coalesce_tuples(list(members)))
-            deduplicated += len(temporal_duplicate_elimination(list(members)))
+            # The reference operators work on ``Tuple``s: views of this
+            # group's rows alone, dropped again — none is left on ``relation``.
+            tuples = [Tuple.trusted(schema, row) for row in members]
+            coalesced += len(coalesce_tuples(tuples))
+            deduplicated += len(temporal_duplicate_elimination(tuples))
         else:
-            periods = sorted((tup[T1], tup[T2]) for tup in members)
+            periods = sorted((row[first], row[last]) for row in members)
             coalesced += _adjacency_chain_count(periods)
             deduplicated += _merged_union_count(periods)
     return _ratio(float(coalesced), n), _ratio(float(deduplicated), n)

@@ -13,6 +13,7 @@ import repro.session.fingerprint
 import repro.tsql.parser
 from repro.core.operations import BaseRelation
 from repro.core.operations.base import EvaluationContext
+from repro.core.tuples import Tuple
 from repro.dbms import ConventionalDBMS
 from repro.search import MemoSearch
 from repro.session import Session
@@ -62,6 +63,35 @@ def planning_work(monkeypatch):
     spy(MemoSearch, "optimize", "searches")
     spy(repro.tsql.parser, "tokenize", "tokenize")
     spy(repro.session.fingerprint, "structural_fingerprint", "fingerprint")
+    return counts
+
+
+@pytest.fixture
+def tuple_constructions(monkeypatch):
+    """Counts every ``Tuple`` object built, by constructor.
+
+    A :class:`~collections.Counter` over ``"validated"`` (``Tuple.__init__``:
+    the checking constructor and everything that goes through it —
+    ``from_sequence``, ``project``, ``replace``, ``concat``) and ``"trusted"``
+    (``Tuple.trusted``: the views a relation builds over its rows).  Execution
+    works on value rows, so a request served by the batch operators leaves it
+    empty — ``clear()`` it after set-up; the reference semantics (the
+    conventional multiset operations in the stratum, DBMS emulation of
+    temporal operations, degradation) legitimately build views.
+    """
+    counts: Counter = Counter()
+    validating, trusted = Tuple.__init__, Tuple.trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        counts["validated"] += 1
+        validating(self, *args, **kwargs)
+
+    def counted_trusted(cls, schema, values):
+        counts["trusted"] += 1
+        return trusted(cls, schema, values)
+
+    monkeypatch.setattr(Tuple, "__init__", counted_init)
+    monkeypatch.setattr(Tuple, "trusted", classmethod(counted_trusted))
     return counts
 
 

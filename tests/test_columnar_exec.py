@@ -12,7 +12,12 @@ accounting and the same control-tick cadence.
 
 from __future__ import annotations
 
+import gc
+
+import pytest
 from hypothesis import given, settings
+
+from benchmarks.ledger.workloads import CHECK_SCALE, STATEMENTS, build_database, build_relations
 
 from repro import TemporalDatabase
 from repro.core.expressions import (
@@ -24,6 +29,7 @@ from repro.core.expressions import (
 )
 from repro.core.operations import (
     BaseRelation,
+    DuplicateElimination,
     LiteralRelation,
     Projection,
     Selection,
@@ -37,6 +43,8 @@ from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.core.tuples import Tuple
 from repro.dbms.engine import ConventionalDBMS
 from repro.faults import ExecutionControl
+from repro.server import Server
+from repro.server.tcp import response_to_wire
 from repro.session import Session
 from repro.core.columnar import ColumnBatch
 from repro.stratum.executor import StratumExecutor
@@ -77,11 +85,12 @@ class TestChunkingDifferential:
         for batch_size in BATCH_SIZES:
             assert_list_identical(run_stratum(plan, batch_size), reference)
 
-    def test_join_heavy_workload_matches_reference(self):
+    def test_join_heavy_workload_matches_reference(self, tuple_constructions):
         """EMPLOYEE ⋈T PROJECT on EmpName with a residual, projected and
         sorted, over the scaled paper workload (the shape the ledger's
         ``relational-exec`` workload times, at a scale the reference can
-        evaluate)."""
+        evaluate) — a plan that lowers wholly to batch operators, so rows go
+        in and rows come out: no ``Tuple`` is built at any batch size."""
         employees, projects = scaled_paper_workload(20)
         database = TemporalDatabase()
         database.register("EMPLOYEE", employees)
@@ -103,7 +112,10 @@ class TestChunkingDifferential:
         assert len(reference) > 0
         for batch_size in (1, 2, 7, 64, 1024):
             executor = StratumExecutor(database.dbms, batch_size=batch_size)
-            assert_list_identical(executor.execute(plan), reference)
+            tuple_constructions.clear()
+            result = executor.execute(plan)
+            assert tuple_constructions == {}
+            assert_list_identical(result, reference)
 
 
 class TestAccountingParity:
@@ -229,9 +241,101 @@ class TestColumnBatch:
         assert taken.columns == [["a", "c"], [1, 3]]
         assert taken.length == 2
 
+    def test_rows_are_kept_and_transposed_on_first_read_of_the_columns(self):
+        rows = (("a", 1), ("b", 2), ("c", 3))
+        batch = ColumnBatch.from_rows(self.SCHEMA, rows)
+        assert batch._columns is None and batch.length == 3
+        # Row-wise readers get the rows that were put in, not copies ...
+        assert all(got is put for got, put in zip(batch.rows(), rows))
+        taken = batch.take([2, 0])
+        assert list(taken.rows()) == [("c", 3), ("a", 1)]
+        assert batch._columns is None and taken._columns is None
+        # ... kernels read the columns, and the rows stay what they were.
+        assert batch.columns == [["a", "b", "c"], [1, 2, 3]]
+        assert all(got is put for got, put in zip(batch.rows(), rows))
+        assert taken.columns == [["c", "a"], [3, 1]]
+
     def test_trusted_tuples_equal_validated_tuples(self):
         validated = Tuple(self.SCHEMA, {"Name": "John", "Amount": 1})
         trusted = Tuple.trusted(self.SCHEMA, ("John", 1))
         assert trusted == validated
         assert hash(trusted) == hash(validated)
         assert trusted["Amount"] == 1
+
+
+class TestValueRowsEndToEnd:
+    """A request builds no ``Tuple``: stored tables, ``TS``/``TD``, operator
+    roots and the wire move value rows, and a ``Tuple`` is a view the result
+    builds for the caller that asks for one (``tuple_constructions`` in
+    ``conftest.py`` counts both constructors)."""
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    def test_a_warm_ledger_statement_constructs_no_tuple(self, name, tuple_constructions):
+        statement = STATEMENTS[name]
+        session = build_database(CHECK_SCALE, 0).session()
+        session.execute(statement.sql, statement.params[0])
+        tuple_constructions.clear()
+        relation = session.execute(statement.sql, statement.params[0]).relation
+        assert tuple_constructions == {}
+        assert len(relation) > 0
+        # The first read of ``.tuples`` builds one view per row; the second none.
+        tuples = relation.tuples
+        assert tuple_constructions == {"trusted": len(relation)}
+        assert relation.tuples is tuples and [t.values() for t in tuples] == list(relation.rows)
+        assert tuple_constructions == {"trusted": len(relation)}
+
+    def test_a_served_request_constructs_no_tuple(self, tuple_constructions):
+        statement = STATEMENTS["tjoin"]
+        with Server(build_database(CHECK_SCALE, 0), max_concurrency=1) as server:
+            expected = server.query(statement.sql, statement.params[0]).relation
+            tuple_constructions.clear()
+            response = server.query(statement.sql, statement.params[0])
+            payload = response_to_wire(response)
+        assert response.ok and response.cache_hit
+        assert tuple_constructions == {}
+        assert payload["rows"] == [list(row) for row in expected.rows] != []
+
+    def test_the_reference_paths_do_build_views(self, tuple_constructions):
+        # The conventional multiset operations in the stratum (like DBMS
+        # emulation of temporal operations, and degradation) run the reference
+        # semantics, which work on ``Tuple``s: the counters see them.
+        stored = Relation.of_rows(EMPLOYEE_SCHEMA, employee_relation().rows)
+        tuple_constructions.clear()
+        result = run_stratum(DuplicateElimination(LiteralRelation(stored)), 2)
+        assert tuple_constructions["trusted"] == len(stored) and len(result) > 0
+
+
+def tuples_alive(besides=()):
+    """Every live ``Tuple`` except those of ``besides`` (other test modules
+    keep relations of them in globals; the caller keeps ``besides`` alive, so
+    no identity is reused)."""
+    gc.collect()
+    known = set(map(id, besides))
+    return [
+        found for found in gc.get_objects() if type(found) is Tuple and id(found) not in known
+    ]
+
+
+class TestTheCollectorsView:
+    """What the cyclic collector has to walk: a registered table is rows, so
+    no ``Tuple`` stays reachable from the database — count-based, by type,
+    over ``gc.get_objects()``."""
+
+    def test_a_database_holds_no_tuple_after_register_or_a_request(self):
+        others = tuples_alive()
+        relations = build_relations(CHECK_SCALE, 0)
+        assert len(tuples_alive(others)) == sum(len(r) for r in relations.values())
+        database = TemporalDatabase()
+        for name in list(relations):
+            database.register(name, relations.pop(name))
+        assert tuples_alive(others) == []
+        session = database.session()
+        for statement in STATEMENTS.values():
+            session.execute(statement.sql, statement.params[0])  # cold: searches, builds profiles
+            result = session.execute(statement.sql, statement.params[0])
+            assert len(result.relation) > 0
+        del result
+        assert tuples_alive(others) == []
+        database.insert("EMPLOYEE", [("Zoe", "Legal", 3, 9)])
+        assert tuples_alive(others) == []
+        assert database.dbms.catalog.table("EMPLOYEE").relation.rows[-1] == ("Zoe", "Legal", 3, 9)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.exceptions import CatalogError, SchemaError
+from repro.core.exceptions import CatalogError, PeriodError, SchemaError
 from repro.core.order_spec import OrderSpec
 from repro.core.relation import Relation
 from repro.dbms.catalog import Catalog, Table, TableStatistics
@@ -156,6 +156,34 @@ class TestIncrementalStatistics:
         monkeypatch.setattr(TableStatistics, "from_relation", fail_from_relation)
         table.insert(self.BATCHES[1])
         assert table.statistics.cardinality == 3
+
+    def test_an_append_validates_the_new_rows_only(self, employee, tuple_constructions):
+        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
+        pinned = table.pin()
+        before = table.relation.rows
+        tuple_constructions.clear()
+        assert table.insert(self.BATCHES[2]) == 3
+        # k tuple validations for k new rows, whatever the table already holds;
+        # a table is rows, so nothing else is constructed either.
+        assert tuple_constructions == {"validated": 3}
+        assert table.relation.rows == before + tuple(self.BATCHES[2])
+        assert pinned.relation.rows is before and pinned.cardinality == len(employee)
+        # Every check of a new row is kept: arity, domains, the period.
+        for bad, error in (
+            (("Mia", "Sales", 9), SchemaError),
+            (("Mia", 7, 4, 9), SchemaError),
+            (("Mia", "Sales", 9, 4), PeriodError),
+        ):
+            with pytest.raises(error):
+                table.insert([("Ann", "Ads", 1, 2), bad])
+        assert table.cardinality == len(employee) + 3
+
+    def test_a_table_takes_a_valid_relation_as_it_is(self, employee, tuple_constructions):
+        tuple_constructions.clear()
+        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
+        table.replace(employee)
+        assert tuple_constructions == {}
+        assert table.relation.rows is employee.rows and table.relation.schema.name == "EMPLOYEE"
 
     def test_profile_cache_invalidated_by_insert(self):
         table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)

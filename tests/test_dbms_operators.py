@@ -33,6 +33,7 @@ from repro.core.operations import (
     Selection,
     Sort,
     TemporalDuplicateElimination,
+    TemporalJoin,
     TransferToStratum,
     Union,
     UnionAll,
@@ -43,6 +44,7 @@ from repro.core.physical import (
     BatchOperator,
     CoalesceOp,
     DistinctOp,
+    HashJoinOp,
     IntervalJoinOp,
     NestedLoopJoinOp,
     SourceOp,
@@ -299,6 +301,70 @@ class TestPlannerChoices:
         result = run_dbms(plan)
         assert values(result) == [("b", 2), ("a", 1)]
         assert result.order == OrderSpec.of("Amount DESC")
+
+
+class TestHashJoinSequence:
+    """The hash join reads keys and periods from the rows it is handed; its
+    output is still the reference sequence — left-major, matches in right
+    input order — with duplicate keys, several key attributes or an empty side."""
+
+    LEFT = (
+        ("John", "Sales", 1, 5),
+        ("Anna", "Ads", 2, 9),
+        ("John", "Sales", 4, 8),
+        ("Mia", "Ads", 1, 3),
+        ("John", "Ads", 1, 9),
+    )
+    RIGHT = (
+        ("John", "Sales", 3, 6),
+        ("John", "Ads", 1, 2),
+        ("Anna", "Ads", 9, 12),
+        ("John", "Sales", 5, 9),
+        ("Anna", "Ads", 1, 4),
+    )
+    ON_NAME = Comparison(ComparisonOperator.EQ, AttributeRef("1.Name"), AttributeRef("2.Name"))
+    ON_BOTH = And(
+        ON_NAME, Comparison(ComparisonOperator.EQ, AttributeRef("Dept"), AttributeRef("Code"))
+    )
+
+    @staticmethod
+    def inputs(left, right):
+        return (
+            temporal(*left),
+            LiteralRelation(Relation.from_rows(JOIN_RIGHT_SCHEMA, right)),
+        )
+
+    @staticmethod
+    def lower(plan, batch_size):
+        return stratum_planner.lower_plan(
+            plan, ROOT_PATH, lambda node, path: node.evaluate(CONTEXT), batch_size=batch_size
+        )
+
+    @pytest.mark.parametrize("predicate", [ON_NAME, ON_BOTH], ids=["one key", "two keys"])
+    @pytest.mark.parametrize("join", [Join, TemporalJoin])
+    @pytest.mark.parametrize(
+        "left, right", [(LEFT, RIGHT), (LEFT, ()), ((), RIGHT)], ids=["both", "no right", "no left"]
+    )
+    def test_every_batch_size_yields_the_reference_sequence(self, join, predicate, left, right):
+        plan = join(predicate, *self.inputs(left, right))
+        reference = plan.evaluate(CONTEXT)
+        assert (len(reference) > 0) == bool(left and right)
+        for batch_size in BATCH_SIZES:
+            root = self.lower(plan, batch_size)
+            assert isinstance(root, HashJoinOp)
+            assert list(root.to_relation().rows) == values(reference)
+            if join is Join:  # the DBMS emulates the temporal join
+                assert list(run_dbms(plan, batch_size).rows) == values(reference)
+
+    def test_the_sequence_is_the_one_it_always_was(self):
+        plan = TemporalJoin(self.ON_BOTH, *self.inputs(self.LEFT, self.RIGHT))
+        assert list(self.lower(plan, 2).to_relation().rows) == [
+            ("John", "Sales", 1, 5, "John", "Sales", 3, 6, 3, 5),
+            ("Anna", "Ads", 2, 9, "Anna", "Ads", 1, 4, 2, 4),
+            ("John", "Sales", 4, 8, "John", "Sales", 3, 6, 4, 6),
+            ("John", "Sales", 4, 8, "John", "Sales", 5, 9, 5, 8),
+            ("John", "Ads", 1, 9, "John", "Ads", 1, 2, 1, 2),
+        ]
 
 
 class TestEmulation:

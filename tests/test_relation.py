@@ -1,13 +1,22 @@
 """Unit tests for list-based relations (Definition 2.2) and their analyses."""
 
+import os
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import SchemaError, TemporalSchemaError
 from repro.core.order_spec import OrderSpec
 from repro.core.period import Period
 from repro.core.relation import Relation
 from repro.core.schema import INTEGER, RelationSchema, STRING
+from repro.core.tuples import Tuple
 from repro.workloads import EMPLOYEE_NAME_SCHEMA, employee_relation, figure3_r1
+
+from .conftest import in_threads
+from .strategies import TEMPORAL_SCHEMA, temporal_rows
 
 SNAPSHOT = RelationSchema.snapshot([("Name", STRING), ("Amount", INTEGER)])
 
@@ -31,16 +40,17 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Relation(employee.schema, list(other.tuples))
 
-    def test_trusted_builds_the_same_relation_without_the_check(self, employee):
+    def test_of_rows_builds_the_same_relation_without_the_check(self, employee):
         order = OrderSpec.ascending("EmpName")
-        vouched = Relation.trusted(employee.schema, list(employee.tuples), order=order)
+        vouched = Relation.of_rows(employee.schema, list(employee.rows), order=order)
         assert vouched == employee and hash(vouched) == hash(employee)
         assert vouched.order == order and vouched.tuples == employee.tuples
-        assert Relation.trusted(employee.schema, []).order.is_unordered()
-        # A contract, not a check: the caller vouches for the tuples, so the
-        # foreign tuple the constructor rejects (above) goes through here.
-        foreign = Relation.from_rows(SNAPSHOT, [("a", 1)]).tuples
-        assert len(Relation.trusted(employee.schema, foreign)) == 1
+        assert Relation.of_rows(employee.schema, []).order.is_unordered()
+        # A contract, not a check: the caller vouches for the rows, so the
+        # foreign row ``from_rows`` rejects goes through here.
+        with pytest.raises(SchemaError):
+            Relation.from_rows(employee.schema, [("a", 1)])
+        assert len(Relation.of_rows(employee.schema, [("a", 1)])) == 1
 
     def test_relations_are_lists_order_matters(self):
         a = Relation.from_rows(SNAPSHOT, [("a", 1), ("b", 2)])
@@ -182,3 +192,104 @@ class TestDerivation:
     def test_to_table_truncation(self, employee):
         table = employee.to_table(max_rows=2)
         assert "more rows" in table
+
+
+class TestRowsAndViews:
+    """A relation built from ``Tuple``s and one built from value rows over
+    the same data are the same relation — also when the tuples list the
+    attributes in other orders than the relation, where a row is by *name*."""
+
+    #: Every order of TEMPORAL_SCHEMA's attributes a tuple may come in.
+    ORDERS = (
+        ("Name", "Dept", "T1", "T2"),
+        ("T2", "Dept", "Name", "T1"),
+        ("Dept", "T1", "T2", "Name"),
+    )
+    SCHEMAS = tuple(TEMPORAL_SCHEMA.project(order) for order in ORDERS)
+
+    @staticmethod
+    def analyses(relation, times):
+        order = OrderSpec.of("Dept DESC", "T1")
+        return (
+            relation.rows,
+            [(tup.schema.attributes, tup.values()) for tup in relation.tuples],
+            relation.as_multiset(),
+            relation.has_duplicates(),
+            relation.has_snapshot_duplicates(),
+            relation.is_coalesced(),
+            relation.value_groups(),
+            [relation.snapshot(time).rows for time in times],
+            relation.sorted_by(order).rows,
+            relation.concat(relation).rows,
+            relation.with_order(order).rows,
+            relation.with_order(order).order,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(temporal_rows(), st.sampled_from(SCHEMAS)), max_size=8),
+        st.sampled_from(SCHEMAS),
+    )
+    def test_tuple_built_and_rows_built_relations_agree(self, data, other_schema):
+        rows = [row for row, _ in data]
+        times = sorted({time for row in rows for time in row[2:]})
+        by_rows = Relation.of_rows(TEMPORAL_SCHEMA, rows)
+        by_tuples = Relation(
+            TEMPORAL_SCHEMA,
+            [Tuple(schema, dict(zip(TEMPORAL_SCHEMA.attributes, row))) for row, schema in data],
+        )
+        assert by_tuples.rows == by_rows.rows == tuple(rows)
+        assert by_tuples == by_rows and hash(by_tuples) == hash(by_rows)
+        assert len(by_tuples) == len(by_rows) == len(rows)
+        assert by_tuples.is_empty() == by_rows.is_empty() == (not rows)
+        assert self.analyses(by_tuples, times) == self.analyses(by_rows, times)
+        # The same data under a schema listing the attributes differently is
+        # the same relation again: equality and hashing are by name.
+        elsewhere = Relation(other_schema, by_tuples.tuples)
+        assert elsewhere.schema.attributes == other_schema.attributes
+        assert elsewhere == by_rows and by_rows == elsewhere
+        assert hash(elsewhere) == hash(by_rows)
+        assert elsewhere.as_multiset() == by_rows.as_multiset()
+        assert by_rows.concat(elsewhere).rows == tuple(rows + rows)
+        if rows:
+            changed = Relation.of_rows(TEMPORAL_SCHEMA, rows[:-1] + [("Zoe",) + rows[-1][1:]])
+            assert elsewhere != changed and changed != by_tuples
+
+    def test_views_are_built_once_and_shared_with_a_reordering(self, employee):
+        relation = Relation.of_rows(employee.schema, employee.rows)
+        annotated = relation.with_order(OrderSpec.ascending("EmpName"))
+        assert annotated.rows is relation.rows
+        views = relation.tuples
+        assert relation.tuples is views and relation[0] is views[0] and list(relation) == list(views)
+        assert relation.with_order(OrderSpec.unordered()).tuples is views
+        assert annotated.tuples is not views and annotated.tuples == views
+
+    def test_racing_first_reads_of_the_views_are_harmless(self):
+        # The view cache takes no lock: readers racing the first read may
+        # each build the views, and every one of them gets a complete,
+        # correct sequence; afterwards the cache is stable.
+        rows = [(f"n{i}", "Ads", 1 + i % 5, 7 + i % 5) for i in range(3000)]
+        workers = 2 * (os.cpu_count() or 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                relation = Relation.of_rows(TEMPORAL_SCHEMA, rows)
+                barrier = threading.Barrier(workers)
+
+                def read():
+                    barrier.wait(timeout=10)
+                    return [tup.values() for tup in relation.tuples]
+
+                outcomes = in_threads(*[read] * workers)()
+                assert all(outcome == rows for outcome in outcomes)
+                assert relation.tuples is relation.tuples and len(relation.tuples) == len(rows)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_given_tuples_serve_as_the_views_when_they_are_in_order(self, employee):
+        assert Relation(employee.schema, employee.tuples).tuples == employee.tuples
+        assert all(
+            kept is given
+            for kept, given in zip(Relation(employee.schema, employee.tuples).tuples, employee.tuples)
+        )

@@ -55,7 +55,6 @@ from repro.core.physical import (
 )
 from repro.core.relation import Relation
 from repro.core.schema import Domain, INTEGER, RelationSchema, STRING, TIME
-from repro.core.tuples import Tuple
 from repro.dbms import ConventionalDBMS, PhysicalPlanner
 from repro.dbms import executor as dbms_planner
 from repro.dbms.catalog import Catalog
@@ -663,29 +662,20 @@ def five_operation_stack(leaf):
 
 
 class TestNoTupleAtATimeWork:
-    """Count-based: a drain builds no ``Period`` and no ``Tuple``."""
+    """Count-based: an operator tree builds no ``Period`` and no ``Tuple`` —
+    not in its drain and not in ``to_relation``; a ``Tuple`` is a view the
+    result builds for the caller that asks for one."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        built = Counter()
-        period_init, tuple_init, trusted = Period.__init__, Tuple.__init__, Tuple.trusted
+    def built(self, monkeypatch, tuple_constructions):
+        period_init = Period.__init__
 
         def counting_period(self, *args, **kwargs):
-            built["Period"] += 1
+            tuple_constructions["Period"] += 1
             period_init(self, *args, **kwargs)
 
-        def counting_tuple(self, *args, **kwargs):
-            built["Tuple"] += 1
-            tuple_init(self, *args, **kwargs)
-
-        def counting_trusted(cls, schema, row):
-            built["Tuple"] += 1
-            return trusted(schema, row)
-
         monkeypatch.setattr(Period, "__init__", counting_period)
-        monkeypatch.setattr(Tuple, "__init__", counting_tuple)
-        monkeypatch.setattr(Tuple, "trusted", classmethod(counting_trusted))
-        return built
+        return tuple_constructions
 
     @pytest.mark.parametrize(
         "make_plan",
@@ -699,24 +689,27 @@ class TestNoTupleAtATimeWork:
         ],
         ids=["rdupT", "γT", "all five"],
     )
-    def test_tuples_appear_only_in_to_relation(self, make_plan, built, monkeypatch):
+    def test_tuples_are_views_built_on_request(self, make_plan, built, monkeypatch):
         monkeypatch.setattr(Period, "is_adjacent_to", None)  # nor is any pair of periods compared
         plan = make_plan(LiteralRelation(MEASURED))
         reference = plan.evaluate(CONTEXT)
         root = lower(plan, batch_size=2)
         built.clear()
         drained = [row for batch in root.batches() for row in batch.rows()]
-        assert built == {}
-        assert drained == values(reference)
         relation = root.to_relation()
-        assert built == {"Tuple": len(reference)}
+        assert built == {}
+        assert drained == values(reference) == list(relation.rows)
+        # The first caller to ask for tuples pays one view per row, once.
+        assert len(relation.tuples) == len(reference)
+        assert built == {"trusted": len(reference)}
         assert_list_identical(relation, reference)
+        assert built == {"trusted": len(reference)}
 
     def test_the_reference_does_build_them(self, built):
         # The counters see what they claim to: the reference recursion is
         # the Period-per-comparison path the operators replace.
         TemporalDuplicateElimination(narrow(("a", 1, 5), ("a", 2, 9))).evaluate(CONTEXT)
-        assert built["Period"] > 0 and built["Tuple"] > 0
+        assert built["Period"] > 0 and built["validated"] > 0
 
 
 class TestBoundaries:
