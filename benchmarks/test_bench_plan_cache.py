@@ -108,6 +108,13 @@ def test_perf_plan_cache_epoch_bump_invalidates():
     assert not third.cache_hit, "stale plan served after a statistics change"
     assert any(t["EmpName"] == "Cached" for t in third.relation.tuples)
     assert session.cache_info().invalidations >= 1
+    # ... and re-planned by re-costing the memos the first execution explored
+    # (the statement's and its fragment's): 0 explorations after the bump.
+    searches = 1 + len(third.optimization.fragment_searches)
+    assert first.optimization.explorations == (0, searches)
+    assert third.optimization.explorations == (searches, 0)
+    assert third.phases["optimize"][2]["explorations_fresh"] == 0
+    assert session.cache_info().explorations_reused == searches
 
     # Steady state resumes at the new epoch.
     fourth = session.execute(PARAMETERIZED_STATEMENT, params=("Sales",))

@@ -23,7 +23,7 @@ from ..core.order_spec import OrderSpec
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..options import DEFAULT_BATCH_SIZE
-from ..search import SearchResult
+from ..search import ExplorationStore, SearchResult
 from .catalog import Catalog, CatalogSnapshot, Table
 from .executor import ExecutionReport, PhysicalPlanner
 from .optimizer import CostGuidedConventionalOptimizer
@@ -59,11 +59,14 @@ class _Engine:
         """A histogram-backed estimator over the catalog's contents."""
         return self.catalog.estimator(**kwargs)
 
-    def search(self, plan: Operation) -> SearchResult:
+    def search(
+        self, plan: Operation, explorations: Optional[ExplorationStore] = None
+    ) -> SearchResult:
         """Run the DBMS's own optimizer over a logical plan fragment: the
         whole search — ``best_plan`` plus the counters the stratum reports
-        when it plans a statement's fragments."""
-        return self._optimizer.search(plan)
+        when it plans a statement's fragments.  ``explorations`` is the
+        planning request's store of explored memos, if it has one."""
+        return self._optimizer.search(plan, explorations)
 
     def optimize(self, plan: Operation) -> Operation:
         """The fragment :meth:`search` finds cheapest."""

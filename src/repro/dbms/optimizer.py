@@ -25,7 +25,7 @@ from ..core.operations import Operation
 from ..core.query import QueryResultSpec
 from ..core.rules import CONVENTIONAL_RULES, DUPLICATE_RULES, JOIN_RULES, SORTING_RULES
 from ..core.rules.base import RuleIndex, TransformationRule
-from ..search import MemoSearch, SearchOptions, SearchResult
+from ..search import ExplorationStore, MemoSearch, SearchOptions, SearchResult
 
 #: The full conventional-side catalogue, restricted to ≡L / ≡M rules: an
 #: engine that only promises multisets may apply list and multiset
@@ -73,11 +73,15 @@ class CostGuidedConventionalOptimizer:
         """The rewrite rules the optimizer may apply."""
         return self._index.rules
 
-    def search(self, plan: Operation) -> SearchResult:
+    def search(
+        self, plan: Operation, explorations: Optional[ExplorationStore] = None
+    ) -> SearchResult:
         """Search the fragment's alternatives; the result carries the counters.
 
         Nothing is kept on the optimizer — the live engine's is shared by
-        every thread that plans against it.
+        every thread that plans against it.  What may be kept between
+        searches is the caller's: ``explorations`` (see
+        :meth:`repro.search.MemoSearch.explore`), keyed by the fragment tree.
         """
         order = derive_order(plan)
         specification = (
@@ -91,7 +95,7 @@ class CostGuidedConventionalOptimizer:
             options=SearchOptions(max_expressions=600, max_sweeps=6),
             root_engine=Engine.DBMS,
             estimator=estimator,
-        ).optimize(plan, specification, statistics)
+        ).optimize(plan, specification, statistics, explorations)
 
     def optimize(self, plan: Operation) -> Operation:
         """Return the cheapest fragment plan the rule set can reach."""

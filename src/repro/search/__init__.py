@@ -28,6 +28,8 @@ tests compare against); the memo search is the default optimizer behind
 from .enforcers import ensure_output_properties, missing_output_enforcers
 from .memo import Group, GroupExpression, Memo
 from .search import (
+    Exploration,
+    ExplorationStore,
     MemoSearch,
     SearchOptions,
     SearchResult,
@@ -36,6 +38,8 @@ from .search import (
 )
 
 __all__ = [
+    "Exploration",
+    "ExplorationStore",
     "Group",
     "GroupExpression",
     "Memo",

@@ -24,6 +24,13 @@ Two admissible bounds prune the extraction:
   cardinality estimate is not): an expression whose bound already exceeds
   the upper bound is cut without ever combining its children.
 
+A search is two pure steps (:meth:`MemoSearch.optimize` is their
+composition): :meth:`MemoSearch.explore` builds the memo and reads no
+statistics — the plan space depends only on the query and its result
+specification — and :meth:`MemoSearch.extract` makes the choice above and
+only reads the memo.  An :class:`Exploration` can therefore be kept (an
+:class:`ExplorationStore`) and re-costed whenever the statistics move.
+
 ``SearchStatistics`` mirrors ``EnumerationStatistics``; its
 ``plans_considered`` counts the plan alternatives the search actually
 examined — the seed plan plus one per group expression derived during
@@ -33,8 +40,19 @@ enumerator's count on workloads where the latter truncates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple as PyTuple, Union
+from dataclasses import astuple, dataclass, field, replace
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Set,
+    Tuple as PyTuple,
+    Union,
+)
 
 from ..core.cost import (
     CostModel,
@@ -72,6 +90,10 @@ class SearchStatistics:
     merges: int = 0
     expressions_pruned: int = 0
     frontier_entries: int = 0
+    #: The explored memo came from an :class:`ExplorationStore` — every
+    #: counter above ``expressions_pruned`` is then the storing search's,
+    #: which is what a fresh exploration would have counted.
+    exploration_reused: bool = False
 
     def absorb(self, exploration: ExplorationStatistics) -> None:
         self.applications_attempted = exploration.applications_attempted
@@ -139,6 +161,36 @@ class SearchResult:
     rules_applied: PyTuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class Exploration:
+    """A memo closed over the rule catalogue: the part of a search that reads no statistics.
+
+    A function of the rule index, the exploration budgets, the root property
+    context and the seed plan — the key :meth:`MemoSearch.explore` stores it
+    under.  **Frozen**: once ``explore`` has returned nothing writes the memo
+    again, so any number of extractions (other epochs, other workers, other
+    snapshots) may read one exploration at the same time.
+    """
+
+    initial_plan: Operation
+    #: ``initial_plan`` under the output enforcers its query needs.
+    seed: Operation
+    memo: Memo
+    root: int
+    #: The exploration's counters; each extraction fills in a copy.
+    statistics: SearchStatistics
+    #: Served from a store instead of explored by this search.
+    reused: bool = False
+
+
+class ExplorationStore(Protocol):
+    """Where a search may look up and leave explorations (the session's plan cache)."""
+
+    def exploration(self, key: Hashable) -> Optional[Exploration]: ...
+
+    def remember_exploration(self, key: Hashable, exploration: Exploration) -> None: ...
+
+
 @dataclass
 class _Entry:
     """One Pareto-frontier alternative of a ``(group, engine)`` pair."""
@@ -197,6 +249,9 @@ class _Extractor:
         self.upper_bound = upper_bound
         self._frontiers: Dict[PyTuple[int, str], List[_Entry]] = {}
         self._bounds: Dict[int, PyTuple[float, float]] = {}
+        #: Per expression id, ``bounds_for`` as computed outside any group's
+        #: own bound (see there).
+        self._expression_bounds: Dict[int, PyTuple[float, float]] = {}
         self._bounds_on_stack: Set[int] = set()
         self._cycle_cuts = 0
 
@@ -223,7 +278,17 @@ class _Extractor:
         return result
 
     def bounds_for(self, expression: GroupExpression) -> PyTuple[float, float]:
-        """``(cost, cardinality)`` lower bounds over the expression's plans."""
+        """``(cost, cardinality)`` lower bounds over the expression's plans.
+
+        Pure for fixed statistics, and asked once per ``(group, engine)``
+        frontier, so remembered per expression — but only a value computed
+        with no group's bound in progress: below one, a child on the stack
+        answers the cycle cut's ``(0, 0)``.  A remembered value is right
+        anywhere, since computing it left every child group's bound cached.
+        """
+        cached = self._expression_bounds.get(expression.id)
+        if cached is not None:
+            return cached
         child_bounds = [self.bounds(child) for child in expression.children]
         child_cost = sum(bound[0] for bound in child_bounds)
         child_cards = [bound[1] for bound in child_bounds]
@@ -244,7 +309,10 @@ class _Extractor:
         work = minimal_operator_work(
             expression.shell, child_cards, output, self.model
         )
-        return (child_cost + work, card)
+        result = (child_cost + work, card)
+        if not self._bounds_on_stack:
+            self._expression_bounds[expression.id] = result
+        return result
 
     # -- frontiers ---------------------------------------------------------------
 
@@ -342,18 +410,46 @@ class MemoSearch:
         initial_plan: Operation,
         query: QueryResultSpec,
         statistics: Optional[Mapping[str, int]] = None,
+        explorations: Optional[ExplorationStore] = None,
     ) -> SearchResult:
-        """Find the cheapest plan equivalent to ``initial_plan`` for ``query``."""
-        statistics_map = dict(statistics or {})
+        """Find the cheapest plan equivalent to ``initial_plan`` for ``query``.
+
+        ``extract(explore(...))``, for every caller; ``explorations`` only
+        lets the first step be looked up instead of run.
+        """
+        return self.extract(self.explore(initial_plan, query, explorations), statistics)
+
+    def explore(
+        self,
+        initial_plan: Operation,
+        query: QueryResultSpec,
+        explorations: Optional[ExplorationStore] = None,
+    ) -> Exploration:
+        """Close a memo of the seed plan over the rule catalogue.
+
+        Reads no statistics, estimator, cost model or root engine: the result
+        depends on the rule index, the exploration budgets, the root context
+        and the seed alone, and with a store that is the key it is looked up
+        and left under — compared (the index by identity, the seed
+        structurally), never assumed from where the plan came.  Stored only
+        once exploration has returned; a budget-truncated one is
+        deterministic and stored like any other.
+        """
         seed = ensure_output_properties(initial_plan, query)
+        context = root_properties(query)
+        options = self.options.exploration_options()
+        key = (self.index, astuple(options), context, seed)
+        if explorations is not None:
+            found = explorations.exploration(key)
+            if found is not None:
+                return replace(found, initial_plan=initial_plan, reused=True)
 
         memo = Memo()
-        root = memo.copy_in(seed, root_properties(query))
+        root = memo.copy_in(seed, context)
         search_statistics = SearchStatistics()
         search_statistics.initial_expressions = memo.expressions_created
 
-        exploration = explore(memo, root, self.index, self.options.exploration_options())
-        search_statistics.absorb(exploration)
+        search_statistics.absorb(explore(memo, root, self.index, options))
         search_statistics.groups = len(memo.groups)
         search_statistics.expressions = memo.expressions_created
         search_statistics.merges = memo.merges
@@ -361,6 +457,26 @@ class MemoSearch:
         # would be a distinct whole plan (or more) in the exhaustive space.
         search_statistics.plans_considered = 1 + (
             memo.expressions_created - search_statistics.initial_expressions
+        )
+        exploration = Exploration(initial_plan, seed, memo, memo.find(root), search_statistics)
+        if explorations is not None:
+            explorations.remember_exploration(key, exploration)
+        return exploration
+
+    def extract(
+        self, exploration: Exploration, statistics: Optional[Mapping[str, int]] = None
+    ) -> SearchResult:
+        """Choose the cheapest plan of an explored memo under ``statistics``.
+
+        Everything that reads cardinalities: the bounds, the frontiers, the
+        chosen plan and its cost.  Only reads the memo.
+        """
+        statistics_map = dict(statistics or {})
+        seed, memo = exploration.seed, exploration.memo
+        search_statistics = replace(
+            exploration.statistics,
+            rule_usage=dict(exploration.statistics.rule_usage),
+            exploration_reused=exploration.reused,
         )
 
         seed_cost = estimate_cost(
@@ -383,7 +499,7 @@ class MemoSearch:
             memo, statistics_map, self.cost_model, search_statistics, upper_bound,
             estimator=self.estimator,
         )
-        frontier = extractor.frontier(memo.find(root), self.root_engine)
+        frontier = extractor.frontier(exploration.root, self.root_engine)
         rules_applied: PyTuple[str, ...] = ()
         if frontier:
             best_plan = frontier[0].build()
@@ -398,7 +514,7 @@ class MemoSearch:
         else:  # pragma: no cover - the seed always survives its own bound
             best_plan, best_cost = seed, seed_cost
         return SearchResult(
-            initial_plan=initial_plan,
+            initial_plan=exploration.initial_plan,
             best_plan=best_plan,
             best_cost=best_cost,
             statistics=search_statistics,

@@ -296,6 +296,12 @@ class Server:
             kind="counter",
         )
         registry.callback(
+            "repro_plan_cache_explorations_reused_total",
+            "Searches that re-costed a remembered exploration instead of exploring.",
+            lambda: self.plan_cache.info().explorations_reused,
+            kind="counter",
+        )
+        registry.callback(
             "repro_plan_cache_size",
             "Plans currently cached.",
             lambda: self.plan_cache.info().size,

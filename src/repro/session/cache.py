@@ -22,6 +22,26 @@ epoch (a parse does not read the catalog — an epoch bump leaves it alone),
 shares the plans' lock and capacity, and is emptied by :meth:`PlanCache.clear`
 with them: "cold" means parse + fingerprint + translate + search.
 
+Third, what depends on the statement alone but takes a *search* to build:
+the **explored memos** (:class:`~repro.search.Exploration`), an LRU from what
+an exploration is a function of — rule index, exploration budgets, root
+property context and seed tree — to the closed memo.  The split is by what a
+piece of planning reads: the parse and the plan space depend on the
+*statement alone* (the paper's enumeration reads no statistics; neither does
+``repro.search.tasks.explore``), the statistics, the estimator and the rows
+on the *epoch alone*, and only the choice among the enumerated plans — the
+extraction's bounds, frontiers and costs, hence the entry — on *both*.  So a
+miss for ``(fingerprint, epoch)`` whose statement (and whose ``TS``
+fragments, keyed by their own trees) was explored under an earlier epoch
+translates and extracts, and explores nothing.  Like the text memo it has no
+epoch, shares the lock and the capacity, is emptied by :meth:`PlanCache.clear`
+and left alone by :meth:`PlanCache.purge_stale`.  Reuse is decided by
+comparing the key — a re-created table under another schema is another seed
+— and a stored memo is never written again, so extractions for several
+epochs or workers read one at the same time.  (Two *different* keys planning
+at once may both explore a fragment they share before either has stored it;
+exploration is deterministic, so whichever lands last replaces an equal.)
+
 Concurrent misses of one key are **single-flight**
 (:meth:`PlanCache.get_or_plan`): the first request to miss registers a
 *flight* and plans; every request that misses the same key while it is in the
@@ -37,10 +57,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple as PyTuple
+from typing import Callable, Dict, Hashable, Optional, Tuple as PyTuple
 
 from ..core.operations import Operation
 from ..core.query import QueryResultSpec
+from ..search import Exploration
 from ..stratum.layer import OptimizationOutcome
 from ..tsql.ast import Statement
 
@@ -88,6 +109,11 @@ class PlanCacheInfo:
     #: Of ``hits``, the lookups that missed, waited for another request's
     #: search of the same key and were served its entry.
     coalesced: int = 0
+    #: Explored memos remembered (at most ``capacity``).
+    explorations: int = 0
+    #: Searches (a statement's or a fragment's) that extracted from a
+    #: remembered exploration instead of exploring.
+    explorations_reused: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -123,12 +149,17 @@ class PlanCache:
         #: ``Statement`` is shared by every request for that text: read it,
         #: ``dataclasses.replace`` it, never assign to it.
         self._statements: "OrderedDict[str, PyTuple[Statement, str]]" = OrderedDict()
+        #: What an exploration is a function of (see
+        #: :meth:`repro.search.MemoSearch.explore`) -> the explored memo,
+        #: frozen: extractions read it concurrently, nothing writes it.
+        self._explorations: "OrderedDict[Hashable, Exploration]" = OrderedDict()
         #: Keys being planned right now -> the event their leader sets on landing.
         self._flights: Dict[PlanCacheKey, threading.Event] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
+        self.explorations_reused = 0
         self.evictions = 0
         self.invalidations = 0
 
@@ -211,14 +242,19 @@ class PlanCache:
                 del self._flights[key]
             landing.set()
 
+    def _remember(self, lru: OrderedDict, key, value) -> int:
+        """Store as most recent (lock held); how many least recent ones fell out."""
+        lru[key] = value
+        lru.move_to_end(key)
+        evicted = max(0, len(lru) - self.capacity)
+        for _ in range(evicted):
+            lru.popitem(last=False)
+        return evicted
+
     def put(self, entry: CachedPlan) -> None:
         """Insert an entry, evicting the least recently used beyond capacity."""
         with self._lock:
-            self._entries[entry.key] = entry
-            self._entries.move_to_end(entry.key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self.evictions += self._remember(self._entries, entry.key, entry)
 
     def statement(self, text: str) -> Optional[PyTuple[Statement, str]]:
         """The remembered ``(Statement, fingerprint)`` of an exact text, if any."""
@@ -231,10 +267,21 @@ class PlanCache:
     def remember_statement(self, text: str, statement: Statement, fingerprint: str) -> None:
         """Remember a *successful* parse of ``text`` (LRU beyond capacity)."""
         with self._lock:
-            self._statements[text] = (statement, fingerprint)
-            self._statements.move_to_end(text)
-            while len(self._statements) > self.capacity:
-                self._statements.popitem(last=False)
+            self._remember(self._statements, text, (statement, fingerprint))
+
+    def exploration(self, key: Hashable) -> Optional[Exploration]:
+        """The explored memo remembered under ``key``, if any (counted as reused)."""
+        with self._lock:
+            found = self._explorations.get(key)
+            if found is not None:
+                self._explorations.move_to_end(key)
+                self.explorations_reused += 1
+            return found
+
+    def remember_exploration(self, key: Hashable, exploration: Exploration) -> None:
+        """Remember a *completed* exploration (LRU beyond capacity)."""
+        with self._lock:
+            self._remember(self._explorations, key, exploration)
 
     def purge_stale(self, current_epoch: int) -> int:
         """Drop entries optimized against a different statistics epoch.
@@ -251,11 +298,12 @@ class PlanCache:
             return len(stale)
 
     def clear(self) -> None:
-        """Drop every plan and every remembered parse (counters are kept)."""
+        """Drop every plan, remembered parse and explored memo (counters are kept)."""
         with self._lock:
             self.invalidations += len(self._entries)
             self._entries.clear()
             self._statements.clear()
+            self._explorations.clear()
 
     def info(self) -> PlanCacheInfo:
         """The current counters as an immutable snapshot."""
@@ -269,4 +317,6 @@ class PlanCache:
                 invalidations=self.invalidations,
                 texts=len(self._statements),
                 coalesced=self.coalesced,
+                explorations=len(self._explorations),
+                explorations_reused=self.explorations_reused,
             )

@@ -342,12 +342,17 @@ class Session:
             if not record.cache_hit:
                 # What this request ran on top: the DBMS's searches over the
                 # plan's fragments, under their own keys — ``memo.*`` stays
-                # the statement's search alone.
+                # the statement's search alone.  ``explorations_*``: of
+                # those searches and the statement's, how many only re-costed
+                # a memo an earlier epoch's miss had explored.
                 fragments = optimization.fragment_searches
+                reused, fresh = optimization.explorations
                 attributes.update({
                     "fragments.searched": len(fragments),
                     "fragments.tasks": sum(s.applications_attempted for s in fragments),
                     "fragments.rewritten": optimization.fragments_rewritten,
+                    "explorations_reused": reused,
+                    "explorations_fresh": fresh,
                 })
         with self._phase(record, "bind", token, parameters=len(params)):
             # Estimates-only EXPLAIN of a parameterized statement: the markers
@@ -482,7 +487,11 @@ class Session:
             self.cache.purge_stale(database.statistics_epoch())
             statement = replace(ast, explain=False, analyze=False)
             initial_plan, query_spec = translate(statement, source.schemas())
-            optimization = database.optimize_plan(initial_plan, query_spec, snapshot=snapshot)
+            # The cache is also the store of explored memos: a statement (and
+            # each of its fragments) explored under another epoch is re-costed.
+            optimization = database.optimize_plan(
+                initial_plan, query_spec, snapshot=snapshot, explorations=self.cache
+            )
             return CachedPlan(
                 key=key,
                 plan=optimization.chosen_plan,

@@ -34,7 +34,13 @@ from ..core.rules.base import TransformationRule
 from ..core.schema import RelationSchema
 from ..dbms.engine import ConventionalDBMS
 from ..options import ExecutionOptions
-from ..search import MemoSearch, SearchOptions, SearchResult, SearchStatistics
+from ..search import (
+    ExplorationStore,
+    MemoSearch,
+    SearchOptions,
+    SearchResult,
+    SearchStatistics,
+)
 from .executor import StratumExecutionReport, StratumExecutor
 from .partition import describe_partition
 
@@ -73,6 +79,16 @@ class OptimizationOutcome:
         if self.search is not None:
             return self.search.statistics.plans_considered
         return 1
+
+    @property
+    def explorations(self) -> PyTuple[int, int]:
+        """``(reused, fresh)``: of the statement's search and its fragments',
+        how many extracted from a stored exploration and how many explored."""
+        searches = list(self.fragment_searches)
+        if self.search is not None:
+            searches.append(self.search.statistics)
+        reused = sum(statistics.exploration_reused for statistics in searches)
+        return reused, len(searches) - reused
 
     @property
     def improvement_factor(self) -> float:
@@ -132,8 +148,14 @@ class TemporalQueryOptimizer:
         query_spec: QueryResultSpec,
         statistics: Optional[Mapping[str, int]] = None,
         estimator=None,
+        explorations: Optional[ExplorationStore] = None,
     ) -> OptimizationOutcome:
-        """Find the cheapest plan equivalent to ``initial_plan``."""
+        """Find the cheapest plan equivalent to ``initial_plan``.
+
+        With ``explorations`` a statement explored before (under any
+        statistics) is only re-costed; the ``search.memo`` fault point fires
+        either way.
+        """
         estimator = estimator if estimator is not None else self.estimator
         initial_cost = estimate_cost(
             initial_plan, statistics, self.cost_model, estimator=estimator
@@ -152,7 +174,7 @@ class TemporalQueryOptimizer:
                 cost_model=self.cost_model,
                 options=self.search_options,
                 estimator=estimator,
-            ).optimize(initial_plan, query_spec, statistics)
+            ).optimize(initial_plan, query_spec, statistics, explorations)
         except (CancelledError, ResourceExhaustedError):
             raise
         except Exception as exc:
@@ -172,7 +194,9 @@ class TemporalQueryOptimizer:
         )
 
 
-def _optimize_fragments(outcome: OptimizationOutcome, dbms) -> None:
+def _optimize_fragments(
+    outcome: OptimizationOutcome, dbms, explorations: Optional[ExplorationStore]
+) -> None:
     """Hand every DBMS fragment of the chosen plan to the DBMS's own optimizer.
 
     "The DBMS performs its own optimization" of what the stratum ships down —
@@ -191,7 +215,7 @@ def _optimize_fragments(outcome: OptimizationOutcome, dbms) -> None:
         if isinstance(node, TransferToStratum):
             fragment = node.child
             try:
-                search = dbms.search(fragment)
+                search = dbms.search(fragment, explorations)
             except (CancelledError, ResourceExhaustedError):
                 raise
             except Exception as exc:
@@ -363,6 +387,7 @@ class TemporalDatabase(_CatalogReads):
         initial_plan: Operation,
         query_spec: QueryResultSpec,
         snapshot: Optional["DatabaseSnapshot"] = None,
+        explorations: Optional[ExplorationStore] = None,
     ) -> OptimizationOutcome:
         """Optimize a plan against the current statistics (or cost it as-is).
 
@@ -378,7 +403,9 @@ class TemporalDatabase(_CatalogReads):
         under ``use_statistics``, the estimator) come from the pinned
         contents instead of the live catalog, for the statement's search and
         the fragments' alike, so the plan matches the epoch the snapshot's
-        cache key carries.
+        cache key carries.  ``explorations`` (the session's plan cache) goes
+        to the statement's search and to every fragment's: what an earlier
+        epoch explored is re-costed, not explored again.
         """
         source = snapshot if snapshot is not None else self
         statistics = source.statistics()
@@ -386,7 +413,8 @@ class TemporalDatabase(_CatalogReads):
         estimator = source.estimator() if self.use_statistics else None
         if self.optimize_queries:
             outcome = self.optimizer.optimize(
-                initial_plan, query_spec, statistics, estimator=estimator
+                initial_plan, query_spec, statistics, estimator=estimator,
+                explorations=explorations,
             )
         else:
             cost = estimate_cost(initial_plan, statistics, cost_model, estimator=estimator)
@@ -396,7 +424,7 @@ class TemporalDatabase(_CatalogReads):
                 chosen_cost=cost,
                 initial_cost=cost,
             )
-        _optimize_fragments(outcome, source.dbms)
+        _optimize_fragments(outcome, source.dbms, explorations)
         if outcome.fragments_rewritten:
             outcome.chosen_cost = estimate_cost(
                 outcome.chosen_plan, statistics, cost_model, estimator=estimator

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import repro.search.search
 import repro.session.fingerprint
 import repro.tsql.parser
 from repro.core.operations import BaseRelation
@@ -45,9 +46,12 @@ def planning_work(monkeypatch):
 
     A :class:`~collections.Counter` over ``"searches"`` (every
     ``MemoSearch.optimize`` — the statement's and the DBMS fragments'),
-    ``"tokenize"`` and ``"fingerprint"``, spied where the session's code
-    looks the functions up.  ``clear()`` it between requests; a request that
-    did none of the three leaves it empty.
+    ``"explorations"`` (the searches among them that ran
+    ``repro.search.tasks.explore`` instead of re-costing a remembered memo —
+    at most once per (statement or fragment tree), whatever the epoch),
+    ``"tokenize"`` and ``"fingerprint"``, spied where the session's and the
+    search's code look the functions up.  ``clear()`` it between requests; a
+    request that did none of the four leaves it empty.
     """
     counts: Counter = Counter()
 
@@ -61,6 +65,7 @@ def planning_work(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     spy(MemoSearch, "optimize", "searches")
+    spy(repro.search.search, "explore", "explorations")
     spy(repro.tsql.parser, "tokenize", "tokenize")
     spy(repro.session.fingerprint, "structural_fingerprint", "fingerprint")
     return counts

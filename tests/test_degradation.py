@@ -131,7 +131,7 @@ class TestFragmentSearchDegradation:
 
     @staticmethod
     def break_fragment_search(monkeypatch, error=RuntimeError("the DBMS's optimizer is broken")):
-        def search(self, plan):
+        def search(self, plan, explorations=None):
             raise error
 
         monkeypatch.setattr(CostGuidedConventionalOptimizer, "search", search)

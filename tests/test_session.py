@@ -6,12 +6,21 @@ import inspect
 
 import pytest
 
-from repro.core.exceptions import ParameterError, ParseError, ResourceExhaustedError
+import repro.search.search
+from repro.core.exceptions import (
+    CancelledError,
+    ParameterError,
+    ParseError,
+    ResourceExhaustedError,
+)
 from repro.core.expressions import Literal, Parameter
 from repro.core.operations import Selection
+from repro.core.relation import Relation
+from repro.core.schema import STRING, RelationSchema
 from repro.dbms import ConventionalDBMS
 from repro.faults import ResourceGuard
 from repro.options import ExecutionOptions
+from repro.server import Server
 from repro.session import (
     PlanCache,
     PlanCacheKey,
@@ -32,7 +41,7 @@ from repro.workloads import (
     project_relation,
 )
 
-from .conftest import PAPER_STATEMENT
+from .conftest import PAPER_STATEMENT, flight_waiters, in_threads, wait_until
 
 
 @pytest.fixture
@@ -352,20 +361,22 @@ class TestAHitIsAHit:
 
     ``fragments`` is the number of ``TS`` fragments of the chosen plan: a
     first execution runs the statement's search plus one DBMS search each.
+    ``explored`` of those searches explore a memo: the statement's and one
+    per *distinct* fragment tree (``chained`` ships one projection twice).
     """
 
     CASES = [
-        pytest.param(PAPER_SQL, (), 2, id="paper"),
-        pytest.param(CHAINED_SQL, (), 3, id="chained"),
-        pytest.param(POINT_SQL, ("Sales",), 1, id="point"),
+        pytest.param(PAPER_SQL, (), 2, 3, id="paper"),
+        pytest.param(CHAINED_SQL, (), 3, 3, id="chained"),
+        pytest.param(POINT_SQL, ("Sales",), 1, 2, id="point"),
     ]
 
-    @pytest.mark.parametrize("sql, params, fragments", CASES)
+    @pytest.mark.parametrize("sql, params, fragments, explored", CASES)
     def test_first_execution_plans_once_and_every_repeat_does_nothing(
-        self, session, planning_work, sql, params, fragments
+        self, session, planning_work, sql, params, fragments, explored
     ):
         first = session.execute(sql, params)
-        assert planning_work == {"searches": 1 + fragments, **FIRST}
+        assert planning_work == {"searches": 1 + fragments, "explorations": explored, **FIRST}
         assert len(first.optimization.fragment_searches) == fragments
         assert first.report.dbms_calls == fragments
         planning_work.clear()
@@ -387,15 +398,19 @@ class TestAHitIsAHit:
         assert session.execute("EXPLAIN ANALYZE " + sql, params).explain is not None
         assert not planning_work
 
-    @pytest.mark.parametrize("sql, params, fragments", CASES)
-    def test_an_epoch_bump_replans_but_does_not_reparse(
-        self, session, planning_work, sql, params, fragments
+    @pytest.mark.parametrize("sql, params, fragments, explored", CASES)
+    def test_an_epoch_bump_replans_but_neither_reparses_nor_explores(
+        self, session, planning_work, sql, params, fragments, explored
     ):
         session.execute(sql, params)
         planning_work.clear()
         session.database.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
-        assert not session.execute(sql, params).cache_hit
+        replanned = session.execute(sql, params)
+        assert not replanned.cache_hit
+        # Every search runs again — as an extraction from the remembered memo.
         assert planning_work == {"searches": 1 + fragments}
+        assert planning_work["explorations"] == 0
+        assert replanned.optimization.explorations == (1 + fragments, 0)
         planning_work.clear()
         assert session.execute(sql, params).cache_hit
         assert not planning_work
@@ -405,8 +420,10 @@ class TestAHitIsAHit:
         session.cache.clear()
         assert session.cache_info().texts == 0
         planning_work.clear()
+        assert session.cache_info().explorations == 0
         assert not session.execute(PAPER_SQL).cache_hit
-        assert planning_work == {"searches": 3, **FIRST}
+        # This is what keeps the ledger's ``cold-plan`` cold: it explores again.
+        assert planning_work == {"searches": 3, "explorations": 3, **FIRST}
 
     def test_the_cached_plan_is_the_plan_that_executes(self, session, monkeypatch):
         handed_over = []
@@ -431,6 +448,174 @@ class TestAHitIsAHit:
     def test_the_executor_has_no_optimize_switch(self):
         parameters = list(inspect.signature(StratumExecutor.__init__).parameters)
         assert parameters == ["self", "dbms", "clock", "control", "batch_size"]
+
+
+class TestExploreOncePerStatement:
+    """The plan space is explored once per statement; each epoch only re-costs it.
+
+    By count (``planning_work["explorations"]`` spies on the search's
+    ``explore``): what may and what may not reuse a remembered memo.
+    """
+
+    ROW = ("Zoe", "Sales", 3, 9)
+
+    def test_any_number_of_appends_never_explores_again(self, session, planning_work):
+        for sql, params in ((PAPER_SQL, ()), (CHAINED_SQL, ()), (POINT_SQL, ("Sales",))):
+            session.execute(sql, params)
+        planning_work.clear()
+        reused_before = session.cache_info().explorations_reused  # chained's fragments are paper's
+        for round_ in range(3):
+            session.database.append("EMPLOYEE", [self.ROW])
+            for sql, params in ((PAPER_SQL, ()), (CHAINED_SQL, ()), (POINT_SQL, ("Sales",))):
+                assert not session.execute(sql, params).cache_hit
+        assert planning_work == {"searches": 3 * (3 + 4 + 2)}
+        info = session.cache_info()
+        assert info.explorations_reused - reused_before == 3 * (3 + 4 + 2)
+        assert info.explorations == 6  # 3 statements + 3 distinct fragment trees
+
+    def test_the_record_and_explain_say_what_was_reused(self, session):
+        first = session.execute(PAPER_SQL).phases["optimize"][2]
+        assert (first["explorations_reused"], first["explorations_fresh"]) == (0, 3)
+        hit = session.execute(PAPER_SQL).phases["optimize"][2]
+        assert not any(key.startswith("explorations_") for key in hit)  # it ran no search
+        session.database.append("EMPLOYEE", [self.ROW])
+        replanned = session.execute(PAPER_SQL).phases["optimize"][2]
+        assert (replanned["explorations_reused"], replanned["explorations_fresh"]) == (3, 0)
+        report = session.explain(PAPER_SQL, analyze=False)
+        assert report.explorations == (3, 0)
+        assert "explored:   fresh=0, reused=3" in report.render().splitlines()
+
+    def test_a_recreated_table_under_another_schema_is_explored_afresh(
+        self, session, planning_work
+    ):
+        sql = "SELECT EmpName FROM EMPLOYEE WHERE Dept = 'Sales'"
+        before = session.execute(sql)
+        assert before.relation.schema.is_temporal
+        database = session.database
+        database.dbms.drop_table("EMPLOYEE")
+        snapshot_schema = RelationSchema.snapshot(
+            [("EmpName", STRING), ("Dept", STRING)], name="EMPLOYEE"
+        )
+        database.register(
+            "EMPLOYEE", Relation.from_rows(snapshot_schema, [("Ann", "Sales"), ("Bob", "Ads")])
+        )
+        planning_work.clear()
+        after = session.execute(sql)
+        # Same text, same fingerprint — and another seed tree, compared, not assumed.
+        assert after.fingerprint == before.fingerprint and not after.cache_hit
+        assert planning_work["explorations"] == planning_work["searches"] == 2
+        assert after.optimization.explorations == (0, 2)
+        assert not after.relation.schema.is_temporal
+        assert [t.values() for t in after.relation.tuples] == [("Ann",)]
+
+    def test_a_pinned_request_replans_from_the_shared_exploration_at_its_own_epoch(
+        self, session, planning_work
+    ):
+        database = session.database
+        pinned = database.snapshot()
+        database.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
+        live = session.execute(POINT_SQL, ("Sales",))  # explores, at the live epoch
+        planning_work.clear()
+        old = session.execute(POINT_SQL, ("Sales",), snapshot=pinned)
+        assert not old.cache_hit and old.epoch == pinned.epoch == live.epoch - 1
+        assert planning_work == {"searches": 2}  # ... and the older epoch only extracts
+
+        def names(result):
+            return sorted(t["EmpName"] for t in result.relation.tuples)
+
+        assert "Zoe" in names(live) and "Zoe" not in names(old)
+        assert names(old) == names(Session(database).execute(POINT_SQL, ("Sales",), snapshot=pinned))
+        # Both entries are served side by side, from one exploration each way.
+        assert session.execute(POINT_SQL, ("Sales",)).cache_hit
+        assert session.execute(POINT_SQL, ("Sales",), snapshot=pinned).cache_hit
+
+    def test_the_explorations_are_an_lru_of_at_most_capacity(self, session, planning_work):
+        session.cache = PlanCache(capacity=2)
+        texts = [f"SELECT EmpName FROM EMPLOYEE WHERE Dept = '{d}'" for d in "ABC"]
+        explored = []
+        for text in texts:  # one statement memo + one fragment memo each
+            session.execute(text)
+            explored.append(session.cache_info().explorations)
+        assert explored == [2, 2, 2]
+        # Only texts[2]'s pair is left: it re-costs, texts[0] explores again ...
+        session.database.append("EMPLOYEE", [self.ROW])
+        planning_work.clear()
+        session.execute(texts[2])
+        assert planning_work == {"searches": 2}
+        session.execute(texts[0])  # (its text fell out of the text memo as well)
+        assert (planning_work["searches"], planning_work["explorations"]) == (4, 2)
+        # ... which evicted texts[2]'s, the least recently used.
+        planning_work.clear()
+        session.database.append("EMPLOYEE", [self.ROW])
+        session.execute(texts[0])
+        assert planning_work == {"searches": 2}
+        session.execute(texts[2])
+        assert planning_work["explorations"] == 2
+        assert session.cache_info().explorations == 2
+
+    def test_a_recency_refresh_protects_an_exploration(self):
+        cache = PlanCache(capacity=2)
+        for key in "ab":
+            cache.remember_exploration(key, key.upper())
+        assert cache.exploration("a") == "A"  # refreshes "a": "b" is now the oldest
+        cache.remember_exploration("c", "C")
+        assert (cache.exploration("a"), cache.exploration("b"), cache.exploration("c")) == (
+            "A", None, "C"
+        )
+        assert cache.info().explorations == 2 and cache.info().explorations_reused == 3
+        cache.purge_stale(99)
+        assert cache.info().explorations == 2  # no epoch: a purge leaves them alone
+        cache.clear()
+        assert cache.info().explorations == 0
+
+    def test_a_leader_whose_search_raises_leaves_nothing_and_the_waiter_explores_once(
+        self, session, planning_work, park_first_call
+    ):
+        database, cache = session.database, session.cache
+        gate = park_first_call(
+            repro.search.search, "explore", then_raise=CancelledError("stopped mid-search")
+        )
+
+        def request():
+            return Session(database, cache=cache).execute(PAPER_SQL)
+
+        leader = in_threads(request)
+        assert gate.entered.wait(timeout=30.0)  # parked inside its search, memo half built
+        waiter = in_threads(request)
+        wait_until(lambda: flight_waiters(cache) == 1)
+        assert cache.info().explorations == 0
+        gate.release.set()
+        (failed,), (served,) = leader(), waiter()
+        assert isinstance(failed, CancelledError)
+        assert not served.cache_hit and served.optimization.explorations == (0, 3)
+        # The leader stored neither an entry nor a memo: the waiter took over
+        # and explored the statement and its two fragments, once each.
+        assert planning_work["explorations"] == 3 and planning_work["searches"] == 4
+        info = cache.info()
+        assert (info.misses, info.size, info.explorations, info.explorations_reused) == (2, 1, 3, 0)
+
+    def test_two_server_workers_explore_each_statement_once_for_any_number_of_appends(
+        self, session, planning_work
+    ):
+        statements = ((PAPER_SQL, ()), (CHAINED_SQL, ()), (POINT_SQL, ("Sales",)))
+        with Server(session.database, max_concurrency=2) as server:
+            # One at a time first: ``paper`` and ``chained`` ship the same
+            # fragments, and two *different* statements planning at once may
+            # both explore a fragment neither has stored yet (harmless — the
+            # memos are equal — but not a count to pin).
+            for sql, params in statements:
+                assert server.query(sql, params=params).ok
+            for round_ in range(3):
+                server.append("EMPLOYEE", [self.ROW])
+                futures = [
+                    server.submit(sql, params=params) for sql, params in statements * 2
+                ]
+                assert all(future.result(timeout=30.0).ok for future in futures)
+            info = server.plan_cache.info()
+        # 3 statements + 3 distinct fragment trees, whichever worker got there first.
+        assert planning_work["explorations"] == info.explorations == 6
+        assert info.misses == 4 * 3 and planning_work["searches"] == 4 * (3 + 4 + 2)
+        assert info.explorations_reused == planning_work["searches"] - 6
 
 
 class TestStatementMemo:

@@ -180,9 +180,9 @@ class TestFragmentsAreOptimizedWhereThePlanIsChosen:
         searched_by = []
         real_search = SnapshotDBMS.search
 
-        def search(self, plan):
+        def search(self, plan, explorations=None):
             searched_by.append(self)
-            return real_search(self, plan)
+            return real_search(self, plan, explorations)
 
         monkeypatch.setattr(SnapshotDBMS, "search", search)
         snapshot = temporal_db.snapshot()
