@@ -9,6 +9,12 @@ Expressions are therefore represented as small immutable syntax trees that
 can report the attributes they use (the paper's ``attr`` function), be
 evaluated against a tuple, and be rendered as SQL text when a plan fragment
 is shipped to the conventional DBMS.
+
+The physical operators do not walk the tree per row: each expression renders
+a *row form* — one Python expression over a value row — and
+:func:`filter_kernel` / :func:`projection_kernel` compile those into one
+generated function per batch shape, with ``evaluate`` as the reference they
+must agree with.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from __future__ import annotations
 import operator as _operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple as PyTuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple as PyTuple
 
 from .exceptions import AttributeNotFound, EvaluationError
 from .tuples import Tuple
@@ -25,15 +33,6 @@ from .tuples import Tuple
 # ---------------------------------------------------------------------------
 # Expression trees
 # ---------------------------------------------------------------------------
-
-
-#: A batch of columns: one value sequence per schema attribute, all of equal
-#: length (the :class:`repro.core.columnar.ColumnBatch` layout).
-BatchColumns = Sequence[Sequence[Any]]
-
-#: A compiled batch kernel: ``kernel(columns, count)`` returns a sequence of
-#: ``count`` results, one per row of the batch.
-BatchKernel = Callable[[BatchColumns, int], Sequence[Any]]
 
 
 class Expression:
@@ -47,27 +46,20 @@ class Expression:
         """Evaluate the expression against a single tuple."""
         raise NotImplementedError
 
-    def compile_batch(self, schema: "RelationSchemaLike") -> BatchKernel:
-        """Compile the expression into a column-wise kernel.
+    def row_form(self, slots: "RowSlots") -> str:
+        """Render the expression as one Python expression over ``row``, a
+        value row of ``slots.schema``, with the same value and the same
+        exceptions as :meth:`evaluate` on a view of that row (a ``TypeError``
+        excepted: see :func:`filter_kernel`).
 
-        The kernel maps a batch of columns (in ``schema`` attribute order) to
-        a sequence of per-row results — the same values, raising the same
-        exceptions, as applying :meth:`evaluate` row by row.  Every concrete
-        expression overrides this with a vectorized implementation; the base
-        fallback calls :meth:`evaluate` on one trusted tuple per row so that
-        any future expression class is batch-correct by default, merely not
-        fast.
+        The text holds only integer indexes, slot references and tokens from
+        fixed tables (never a value, an attribute name or user text).  This
+        base form calls :meth:`evaluate` on a trusted view through a slot, so
+        an expression class without a row form of its own is correct by
+        default, merely not fast.
         """
-        evaluate = self.evaluate
-        trusted = Tuple.trusted
-
-        def kernel(columns: BatchColumns, count: int) -> Sequence[Any]:
-            return [
-                evaluate(trusted(schema, tuple(column[i] for column in columns)))
-                for i in range(count)
-            ]
-
-        return kernel
+        evaluate, schema, trusted = self.evaluate, slots.schema, Tuple.trusted
+        return slots.call(lambda row: evaluate(trusted(schema, row)))
 
     def to_sql(self) -> str:
         """Render the expression as SQL text for the DBMS substrate."""
@@ -98,18 +90,11 @@ class AttributeRef(Expression):
             )
         return tup[self.name]
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
+    def row_form(self, slots: "RowSlots") -> str:
+        schema = slots.schema
         if not schema.has_attribute(self.name):
-            name, target = self.name, schema
-
-            def missing(columns: BatchColumns, count: int) -> Sequence[Any]:
-                raise AttributeNotFound(
-                    f"attribute {name!r} not found in schema {target}"
-                )
-
-            return missing
-        index = schema.index_of(self.name)
-        return lambda columns, count: columns[index]
+            return super().row_form(slots)  # raises AttributeNotFound per row reached
+        return f"row[{schema.index_of(self.name):d}]"
 
     def to_sql(self) -> str:
         return _quote_identifier(self.name)
@@ -130,9 +115,8 @@ class Literal(Expression):
     def evaluate(self, tup: Tuple) -> Any:
         return self.value
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        value = self.value
-        return lambda columns, count: [value] * count
+    def row_form(self, slots: "RowSlots") -> str:
+        return slots.constant(self.value)
 
     def to_sql(self) -> str:
         if isinstance(self.value, str):
@@ -167,14 +151,6 @@ class Parameter(Expression):
             f"parameter ?{self.index + 1} is unbound; pass params=... when executing"
         )
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        def unbound(columns: BatchColumns, count: int) -> Sequence[Any]:
-            raise EvaluationError(
-                f"parameter ?{self.index + 1} is unbound; pass params=... when executing"
-            )
-
-        return unbound
-
     def to_sql(self) -> str:
         return "?"
 
@@ -196,8 +172,7 @@ class ComparisonOperator(Enum):
         return _COMPARISON_FUNCTIONS[self](left, right)
 
 
-#: Comparison implementations, resolved once so batch kernels skip the
-#: enum dispatch per row.
+#: Comparison implementations, resolved once.
 _COMPARISON_FUNCTIONS: Dict["ComparisonOperator", Callable[[Any, Any], bool]] = {
     ComparisonOperator.EQ: _operator.eq,
     ComparisonOperator.NE: _operator.ne,
@@ -225,20 +200,9 @@ class Comparison(Expression):
         except TypeError as exc:
             raise EvaluationError(f"cannot evaluate comparison {self}: {exc}") from exc
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        left = self.left.compile_batch(schema)
-        right = self.right.compile_batch(schema)
-        compare = _COMPARISON_FUNCTIONS[self.operator]
-
-        def kernel(columns: BatchColumns, count: int) -> Sequence[Any]:
-            left_values = left(columns, count)
-            right_values = right(columns, count)
-            try:
-                return [compare(lv, rv) for lv, rv in zip(left_values, right_values)]
-            except TypeError as exc:
-                raise EvaluationError(f"cannot evaluate comparison {self}: {exc}") from exc
-
-        return kernel
+    def row_form(self, slots: "RowSlots") -> str:
+        left = self.left.row_form(slots)
+        return f"({left} {_COMPARISON_TOKENS[self.operator]} {self.right.row_form(slots)})"
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.operator.value} {self.right.to_sql()})"
@@ -265,32 +229,8 @@ class And(Expression):
     def evaluate(self, tup: Tuple) -> bool:
         return all(operand.evaluate(tup) for operand in self.operands)
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        kernels = tuple(operand.compile_batch(schema) for operand in self.operands)
-
-        def kernel(columns: BatchColumns, count: int) -> Sequence[Any]:
-            # Selection-vector short-circuit: later operands only see the rows
-            # every earlier operand accepted, mirroring the per-tuple
-            # short-circuit (including which rows ever get evaluated).
-            active = None  # None means "all rows", avoiding a slice per level
-            for operand in kernels:
-                if active is None:
-                    values = operand(columns, count)
-                    active = [i for i in range(count) if values[i]]
-                else:
-                    sliced = [_gather(column, active) for column in columns]
-                    values = operand(sliced, len(active))
-                    active = [i for i, v in zip(active, values) if v]
-                if not active:
-                    break
-            if active is None:  # zero operands: the empty conjunction is true
-                return [True] * count
-            result = [False] * count
-            for i in active:
-                result[i] = True
-            return result
-
-        return kernel
+    def row_form(self, slots: "RowSlots") -> str:
+        return _connective(" and ", self.operands, slots, "True")
 
     def to_sql(self) -> str:
         return "(" + " AND ".join(op.to_sql() for op in self.operands) + ")"
@@ -317,38 +257,8 @@ class Or(Expression):
     def evaluate(self, tup: Tuple) -> bool:
         return any(operand.evaluate(tup) for operand in self.operands)
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        kernels = tuple(operand.compile_batch(schema) for operand in self.operands)
-
-        def kernel(columns: BatchColumns, count: int) -> Sequence[Any]:
-            # Dual of the conjunction kernel: later operands only see the rows
-            # every earlier operand rejected.
-            pending = None
-            result = [False] * count
-            for operand in kernels:
-                if pending is None:
-                    values = operand(columns, count)
-                    pending = []
-                    for i in range(count):
-                        if values[i]:
-                            result[i] = True
-                        else:
-                            pending.append(i)
-                else:
-                    sliced = [_gather(column, pending) for column in columns]
-                    values = operand(sliced, len(pending))
-                    still_pending = []
-                    for i, v in zip(pending, values):
-                        if v:
-                            result[i] = True
-                        else:
-                            still_pending.append(i)
-                    pending = still_pending
-                if not pending:
-                    break
-            return result
-
-        return kernel
+    def row_form(self, slots: "RowSlots") -> str:
+        return _connective(" or ", self.operands, slots, "False")
 
     def to_sql(self) -> str:
         return "(" + " OR ".join(op.to_sql() for op in self.operands) + ")"
@@ -369,13 +279,8 @@ class Not(Expression):
     def evaluate(self, tup: Tuple) -> bool:
         return not self.operand.evaluate(tup)
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        operand = self.operand.compile_batch(schema)
-
-        def kernel(columns: BatchColumns, count: int) -> Sequence[Any]:
-            return [not v for v in operand(columns, count)]
-
-        return kernel
+    def row_form(self, slots: "RowSlots") -> str:
+        return f"(not {self.operand.row_form(slots)})"
 
     def to_sql(self) -> str:
         return f"(NOT {self.operand.to_sql()})"
@@ -425,17 +330,11 @@ class Arithmetic(Expression):
     def evaluate(self, tup: Tuple) -> Any:
         return self.operator.apply(self.left.evaluate(tup), self.right.evaluate(tup))
 
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        left = self.left.compile_batch(schema)
-        right = self.right.compile_batch(schema)
-        apply = _ARITHMETIC_FUNCTIONS[self.operator]
-
-        def kernel(columns: BatchColumns, count: int) -> Sequence[Any]:
-            return [
-                apply(lv, rv) for lv, rv in zip(left(columns, count), right(columns, count))
-            ]
-
-        return kernel
+    def row_form(self, slots: "RowSlots") -> str:
+        left, right = self.left.row_form(slots), self.right.row_form(slots)
+        if self.operator is ArithmeticOperator.DIV:
+            return f"div({left}, {right})"
+        return f"({left} {_ARITHMETIC_TOKENS[self.operator]} {right})"
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.operator.value} {self.right.to_sql()})"
@@ -444,9 +343,143 @@ class Arithmetic(Expression):
         return f"({self.left} {self.operator.value} {self.right})"
 
 
-def _gather(column: Sequence[Any], indexes: Sequence[int]) -> Sequence[Any]:
-    """Select ``column[i]`` for each selected row index, in order."""
-    return [column[i] for i in indexes]
+#: The operator tokens of the row forms — the only operators generated
+#: source spells; ``/`` is the checked ``div(...)`` instead.
+_COMPARISON_TOKENS: Dict[ComparisonOperator, str] = {
+    ComparisonOperator.EQ: "==",
+    ComparisonOperator.NE: "!=",
+    ComparisonOperator.LT: "<",
+    ComparisonOperator.LE: "<=",
+    ComparisonOperator.GT: ">",
+    ComparisonOperator.GE: ">=",
+}
+_ARITHMETIC_TOKENS: Dict[ArithmeticOperator, str] = {
+    ArithmeticOperator.ADD: "+",
+    ArithmeticOperator.SUB: "-",
+    ArithmeticOperator.MUL: "*",
+}
+
+
+def _connective(
+    token: str, operands: Sequence[Expression], slots: "RowSlots", empty: str
+) -> str:
+    """``and``/``or`` over the operands' row forms, short-circuiting like
+    ``all``/``any`` and, like them, yielding a ``bool``."""
+    if not operands:
+        return empty
+    return f"(True if {token.join(operand.row_form(slots) for operand in operands)} else False)"
+
+
+# ---------------------------------------------------------------------------
+# Row kernels
+# ---------------------------------------------------------------------------
+
+
+class RowSlots:
+    """What a row form refers to instead of spelling it out.
+
+    Rendering over rows of ``schema`` appends each literal value to
+    ``constants`` (read as ``c[k]``) and each callable of an expression
+    without a row form to ``calls`` (called as ``e[k](row)``), in rendering
+    order, so equal shapes render equal text whatever their values.
+    """
+
+    __slots__ = ("schema", "constants", "calls")
+
+    def __init__(self, schema: RelationSchemaLike) -> None:
+        self.schema = schema
+        self.constants: List[Any] = []
+        self.calls: List[Callable[[PyTuple], Any]] = []
+
+    def constant(self, value: Any) -> str:
+        self.constants.append(value)
+        return f"c[{len(self.constants) - 1:d}]"
+
+    def call(self, function: Callable[[PyTuple], Any]) -> str:
+        self.calls.append(function)
+        return f"e[{len(self.calls) - 1:d}](row)"
+
+
+#: Kernels kept compiled, one per shape: the source is the cache key and
+#: holds no values, so every parameter variant of a statement shares one.
+KERNEL_CACHE_SIZE = 256
+
+#: All the names generated source can reach besides its arguments.
+_KERNEL_GLOBALS = {"__builtins__": {}, "div": _checked_divide}
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def compile_kernel(source: str) -> Callable:
+    """The function ``lambda rows, c, e: …`` of a kernel source, compiled
+    once per shape (``compile_kernel.cache_info()`` counts the misses)."""
+    return eval(compile(source, "<row kernel>", "eval"), _KERNEL_GLOBALS)
+
+
+RowKernel = Callable[[Sequence[PyTuple]], Sequence[PyTuple]]
+
+
+def _bound(source: str, slots: RowSlots, reference: RowKernel) -> RowKernel:
+    """The kernel of ``source`` with ``slots`` bound.
+
+    A ``TypeError`` re-runs the batch through ``reference`` — ``evaluate`` on
+    trusted views — so the caller gets the exception the reference raises
+    (``Comparison.evaluate`` wraps a ``TypeError`` in an ``EvaluationError``
+    naming the comparison).
+    """
+    kernel = compile_kernel(source)
+    constants, calls = tuple(slots.constants), tuple(slots.calls)
+
+    def run(rows: Sequence[PyTuple]) -> Sequence[PyTuple]:
+        try:
+            return kernel(rows, constants, calls)
+        except TypeError:
+            return reference(rows)
+
+    return run
+
+
+def filter_kernel(predicate: Expression, schema: RelationSchemaLike) -> RowKernel:
+    """``rows → [row for row in rows if predicate]`` over rows of ``schema``:
+    the rows ``predicate.evaluate`` accepts, in order, evaluated on exactly
+    the rows and operands the reference reaches."""
+    slots = RowSlots(schema)
+    source = f"lambda rows, c, e: [row for row in rows if {predicate.row_form(slots)}]"
+    evaluate, trusted = predicate.evaluate, Tuple.trusted
+
+    def reference(rows: Sequence[PyTuple]) -> List[PyTuple]:
+        return [row for row in rows if evaluate(trusted(schema, row))]
+
+    return _bound(source, slots, reference)
+
+
+def projection_kernel(
+    expressions: Sequence[Expression], schema: RelationSchemaLike
+) -> RowKernel:
+    """``rows → [(E1, …, En) for row in rows]`` over rows of ``schema``.
+
+    A list of attributes the schema has is a positional pick: the rows
+    themselves when it picks every position in order, ``itemgetter`` when it
+    picks several.
+    """
+    if all(
+        isinstance(e, AttributeRef) and schema.has_attribute(e.name) for e in expressions
+    ):
+        indexes = [schema.index_of(e.name) for e in expressions]
+        if indexes == list(range(len(schema.attributes))):
+            return lambda rows: rows
+        if len(indexes) > 1:
+            pick = itemgetter(*indexes)
+            return lambda rows: list(map(pick, rows))
+    slots = RowSlots(schema)
+    items = "".join(f"{e.row_form(slots)}, " for e in expressions)
+    source = f"lambda rows, c, e: [({items}) for row in rows]"
+    trusted = Tuple.trusted
+
+    def reference(rows: Sequence[PyTuple]) -> List[PyTuple]:
+        views = [trusted(schema, row) for row in rows]
+        return [tuple(e.evaluate(view) for e in expressions) for view in views]
+
+    return _bound(source, slots, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +569,6 @@ class ProjectionItem:
         return isinstance(self.expression, AttributeRef) and (
             self.alias is None or self.alias == self.expression.name
         )
-
-    def compile_batch(self, schema: RelationSchemaLike) -> BatchKernel:
-        """Compile the item's expression column-wise (see :meth:`Expression.compile_batch`)."""
-        return self.expression.compile_batch(schema)
 
     def to_sql(self) -> str:
         sql = self.expression.to_sql()

@@ -11,12 +11,14 @@ operators — ``rdupT``, ``γT``, ``\\T``, ``∪T``, ``coalT`` —, ``stratum.pu
 :mod:`repro.dbms.executor` (the multiset operators, never the interval join
 or a temporal operator, ``dbms.scan``).
 
-Execution is **columnar**: operators exchange
-:class:`~repro.core.columnar.ColumnBatch` chunks of ``batch_size`` rows, run
-predicates and projections as column-wise kernels
-(:meth:`Expression.compile_batch`), join, sort and hash on plain value rows,
-and build no :class:`~repro.core.tuples.Tuple` at all: a tree takes the rows
-of its source relations and drains into a relation of rows.
+Execution moves **value rows**: operators exchange
+:class:`~repro.core.columnar.ColumnBatch` chunks of ``batch_size`` rows; join,
+sort, hash and sweep on those rows; run predicates, projections and join
+residuals as row kernels — one generated function per expression shape
+(:func:`~repro.core.expressions.filter_kernel`,
+:func:`~repro.core.expressions.projection_kernel`); and build no
+:class:`~repro.core.tuples.Tuple` at all: a tree takes the rows of its source
+relations and drains into a relation of rows.
 :meth:`BatchOperator.batches` is the single place that counts rows, reads the
 clock and ticks execution control.
 
@@ -39,7 +41,13 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..options import DEFAULT_BATCH_SIZE
 from .columnar import ColumnBatch
-from .expressions import AggregateFunction, Expression, ProjectionItem
+from .expressions import (
+    AggregateFunction,
+    Expression,
+    ProjectionItem,
+    filter_kernel,
+    projection_kernel,
+)
 from .joinsplit import JoinSplit
 from .operations.base import PlanPath
 from .order_spec import OrderSpec
@@ -118,7 +126,7 @@ class BatchOperator:
         self._control = control
 
     def batches(self) -> Iterator[ColumnBatch]:
-        """The operator's output as a stream of column batches.
+        """The operator's output as a stream of row batches.
 
         This wrapper owns the per-drain accounting of both engines: row
         counting for EXPLAIN ANALYZE, inclusive wall-clock under
@@ -187,24 +195,6 @@ class BatchOperator:
         return "\n".join(lines)
 
 
-def _keep(batch: ColumnBatch, selected: Sequence[int]) -> Optional[ColumnBatch]:
-    """The rows of ``batch`` at the ascending indexes ``selected``.
-
-    ``None`` when nothing is selected, the batch itself when everything is.
-    """
-    if not selected:
-        return None
-    if len(selected) == batch.length:
-        return batch
-    return batch.take(selected)
-
-
-def _filtered(batch: ColumnBatch, kernel) -> Optional[ColumnBatch]:
-    """The rows of ``batch`` a predicate kernel accepts (see :func:`_keep`)."""
-    flags = kernel(batch.columns, batch.length)
-    return _keep(batch, [i for i in range(batch.length) if flags[i]])
-
-
 # ---------------------------------------------------------------------------
 # Operators of both engines
 # ---------------------------------------------------------------------------
@@ -227,7 +217,7 @@ class SourceOp(BatchOperator):
         schema = self.output_schema
         rows = self._relation.rows
         for offset in range(0, len(rows), size):
-            yield ColumnBatch.from_rows(schema, rows[offset : offset + size])
+            yield ColumnBatch(schema, rows[offset : offset + size])
 
     def to_relation(self) -> Relation:
         """The source relation itself: the drain only does the accounting.
@@ -262,25 +252,26 @@ class _UnaryOp(BatchOperator):
 
 
 class FilterOp(_UnaryOp):
-    """Streaming selection with a column-wise predicate kernel."""
+    """Streaming selection with a row-kernel predicate."""
 
     def __init__(self, predicate: Expression, child: BatchOperator, *args, **kwargs) -> None:
         super().__init__(child, *args, **kwargs)
         self._predicate = predicate
 
     def _batches(self) -> Iterator[ColumnBatch]:
-        kernel = self._predicate.compile_batch(self._child.output_schema)
+        keep = filter_kernel(self._predicate, self._child.output_schema)
+        schema = self.output_schema
         for batch in self._child.batches():
-            kept = _filtered(batch, kernel)
-            if kept is not None:
-                yield kept
+            rows = keep(batch.rows())
+            if rows:
+                yield ColumnBatch(schema, rows)
 
     def describe(self) -> str:
         return f"Filter({self._predicate})"
 
 
 class ProjectOp(_UnaryOp):
-    """Streaming projection with column-wise item kernels."""
+    """Streaming projection with one row kernel for all items."""
 
     def __init__(
         self,
@@ -294,12 +285,12 @@ class ProjectOp(_UnaryOp):
         self._items = tuple(items)
 
     def _batches(self) -> Iterator[ColumnBatch]:
-        child_schema = self._child.output_schema
-        kernels = tuple(item.compile_batch(child_schema) for item in self._items)
+        project = projection_kernel(
+            [item.expression for item in self._items], self._child.output_schema
+        )
         schema = self.output_schema
         for batch in self._child.batches():
-            columns = [kernel(batch.columns, batch.length) for kernel in kernels]
-            yield ColumnBatch(schema, columns, batch.length)
+            yield ColumnBatch(schema, project(batch.rows()))
 
     def describe(self) -> str:
         return "Project(" + ", ".join(str(item) for item in self._items) + ")"
@@ -334,7 +325,7 @@ def _chunked(
     """Value rows, materialised or generated, as batches of at most ``size`` rows."""
     rows = iter(rows)
     while chunk := list(islice(rows, size)):
-        yield ColumnBatch.from_rows(schema, chunk)
+        yield ColumnBatch(schema, chunk)
 
 
 class _JoinOp(BatchOperator):
@@ -376,12 +367,12 @@ class _JoinOp(BatchOperator):
         """Chunk the joined value rows and apply the residual per chunk."""
         schema = self.output_schema
         residual = self._split.residual
-        kernel = None if residual is None else residual.compile_batch(schema)
+        keep = None if residual is None else filter_kernel(residual, schema)
         for batch in _chunked(schema, self._join_rows(), self.batch_size):
-            if kernel is not None:
-                batch = _filtered(batch, kernel)
-            if batch is not None:
+            if keep is None:
                 yield batch
+            elif rows := keep(batch.rows()):
+                yield ColumnBatch(schema, rows)
 
     def _join_rows(self) -> "Iterator[PyTuple]":
         """Joined value rows (pre-residual), in the reference sequence."""
@@ -517,17 +508,17 @@ class DistinctOp(_UnaryOp):
     """Hash duplicate elimination: the first occurrence of each row survives."""
 
     def _batches(self) -> Iterator[ColumnBatch]:
+        schema = self.output_schema
         seen: set = set()
         add = seen.add
         for batch in self._child.batches():
-            selected = []
-            for index, row in enumerate(batch.rows()):
+            kept = []
+            for row in batch.rows():
                 if row not in seen:
                     add(row)
-                    selected.append(index)
-            kept = _keep(batch, selected)
-            if kept is not None:
-                yield kept
+                    kept.append(row)
+            if kept:
+                yield ColumnBatch(schema, kept)
 
 
 class AggregateOp(_UnaryOp):
@@ -593,11 +584,11 @@ class _SetOp(BatchOperator):
         return (self._left, self._right)
 
     def _right_batches(self) -> Iterator[ColumnBatch]:
-        """The right input's batches, carried over the output schema."""
+        """The right input's batches, their rows relabelled with the output schema."""
         schema = self.output_schema
         for batch in self._right.batches():
             if batch.schema is not schema:
-                batch = ColumnBatch(schema, batch.columns, batch.length)
+                batch = ColumnBatch(schema, batch.rows())
             yield batch
 
 
@@ -617,16 +608,16 @@ class DifferenceOp(_SetOp):
         budget: Counter = Counter()
         for batch in self._right.batches():
             budget.update(batch.rows())
+        schema = self.output_schema
         for batch in self._left.batches():
-            selected = []
-            for index, row in enumerate(batch.rows()):
+            kept = []
+            for row in batch.rows():
                 if budget[row] > 0:
                     budget[row] -= 1
                 else:
-                    selected.append(index)
-            kept = _keep(batch, selected)
-            if kept is not None:
-                yield kept
+                    kept.append(row)
+            if kept:
+                yield ColumnBatch(schema, kept)
 
 
 class UnionOp(_SetOp):
@@ -646,15 +637,15 @@ class UnionOp(_SetOp):
         for batch in right_batches:
             surplus.update(batch.rows())
         surplus.subtract(left_counts)
+        schema = self.output_schema
         for batch in right_batches:
-            selected = []
-            for index, row in enumerate(batch.rows()):
+            kept = []
+            for row in batch.rows():
                 if surplus[row] > 0:
                     surplus[row] -= 1
-                    selected.append(index)
-            kept = _keep(batch, selected)
-            if kept is not None:
-                yield kept
+                    kept.append(row)
+            if kept:
+                yield ColumnBatch(schema, kept)
 
 
 # ---------------------------------------------------------------------------

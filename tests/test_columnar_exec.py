@@ -1,6 +1,6 @@
-"""The columnar batch engine: identical results at every chunking.
+"""The batch engine: identical results at every chunking.
 
-The physical operators execute columnar ``ColumnBatch`` chunks (see
+The physical operators execute ``ColumnBatch`` chunks of value rows (see
 ``docs/architecture.md#physical-execution``).  Because the algebra is
 list-based, correctness is *sequence* identity, not multiset identity — so
 the contract tested here is strict: for any join-shaped plan and any batch
@@ -26,6 +26,7 @@ from repro.core.expressions import (
     Comparison,
     ComparisonOperator,
     Literal,
+    compile_kernel,
 )
 from repro.core.operations import (
     BaseRelation,
@@ -188,7 +189,8 @@ class TestAccountingParity:
 
 
 class TestColumnBatch:
-    """The container itself: construction, permutation normalization, rebuild."""
+    """The container itself: a schema and value rows; permutation is
+    normalised at ``from_tuples``."""
 
     SCHEMA = RelationSchema.snapshot([("Name", STRING), ("Amount", INTEGER)], name="C")
 
@@ -199,7 +201,6 @@ class TestColumnBatch:
         ]
         batch = ColumnBatch.from_tuples(self.SCHEMA, tuples)
         assert batch.length == 2
-        assert batch.columns == [["John", "Anna"], [1, 2]]
         assert list(batch.rows()) == [("John", 1), ("Anna", 2)]
         assert batch.to_tuples() == tuples
 
@@ -210,50 +211,18 @@ class TestColumnBatch:
         batch = ColumnBatch.from_tuples(
             self.SCHEMA, [Tuple(permuted, {"Amount": 3, "Name": "Mia"})]
         )
-        assert batch.columns == [["Mia"], [3]]
+        assert list(batch.rows()) == [("Mia", 3)]
         (rebuilt,) = batch.to_tuples()
         assert rebuilt.schema.attributes == self.SCHEMA.attributes
         assert rebuilt["Name"] == "Mia" and rebuilt["Amount"] == 3
-
-    def test_a_tuple_slice_is_transposed_on_first_read_of_its_columns(self):
-        permuted = RelationSchema.snapshot(
-            [("Amount", INTEGER), ("Name", STRING)], name="C"
-        )
-        tuples = (
-            Tuple(self.SCHEMA, {"Name": "John", "Amount": 1}),
-            Tuple(permuted, {"Amount": 3, "Name": "Mia"}),
-        )
-        batch = ColumnBatch.from_tuples(self.SCHEMA, tuples)
-        assert batch._columns is None and batch.length == 2
-        # Row-wise readers (sort, hash build) never need the columns ...
-        assert list(batch.rows()) == [("John", 1), ("Mia", 3)]
-        assert batch._columns is None
-        # ... kernels do, and get the same normalised values.
-        assert batch.columns == [["John", "Mia"], [1, 3]]
-        assert list(batch.rows()) == [("John", 1), ("Mia", 3)]
-        assert batch.take([1]).columns == [["Mia"], [3]]
         empty = ColumnBatch.from_tuples(self.SCHEMA, ())
-        assert empty.columns == [[], []] and list(empty.rows()) == []
+        assert empty.length == 0 and list(empty.rows()) == []
 
-    def test_take_gathers_a_selection(self):
-        batch = ColumnBatch(self.SCHEMA, [["a", "b", "c"], [1, 2, 3]], 3)
-        taken = batch.take([0, 2])
-        assert taken.columns == [["a", "c"], [1, 3]]
-        assert taken.length == 2
-
-    def test_rows_are_kept_and_transposed_on_first_read_of_the_columns(self):
+    def test_rows_are_kept_not_copied(self):
         rows = (("a", 1), ("b", 2), ("c", 3))
         batch = ColumnBatch.from_rows(self.SCHEMA, rows)
-        assert batch._columns is None and batch.length == 3
-        # Row-wise readers get the rows that were put in, not copies ...
-        assert all(got is put for got, put in zip(batch.rows(), rows))
-        taken = batch.take([2, 0])
-        assert list(taken.rows()) == [("c", 3), ("a", 1)]
-        assert batch._columns is None and taken._columns is None
-        # ... kernels read the columns, and the rows stay what they were.
-        assert batch.columns == [["a", "b", "c"], [1, 2, 3]]
-        assert all(got is put for got, put in zip(batch.rows(), rows))
-        assert taken.columns == [["c", "a"], [3, 1]]
+        assert batch.length == 3 and batch.rows() is rows
+        assert ColumnBatch(self.SCHEMA, rows).rows() is rows
 
     def test_trusted_tuples_equal_validated_tuples(self):
         validated = Tuple(self.SCHEMA, {"Name": "John", "Amount": 1})
@@ -283,6 +252,22 @@ class TestValueRowsEndToEnd:
         assert tuple_constructions == {"trusted": len(relation)}
         assert relation.tuples is tuples and [t.values() for t in tuples] == list(relation.rows)
         assert tuple_constructions == {"trusted": len(relation)}
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    def test_parameter_variants_share_their_compiled_kernels(self, name):
+        # One miss per distinct kernel shape on the first pass over the
+        # statement's parameter variants — the first variant's — and none
+        # after: the generated source holds no value.
+        statement = STATEMENTS[name]
+        session = build_database(CHECK_SCALE, 0).session()
+        compile_kernel.cache_clear()
+        session.execute(statement.sql, statement.params[0])
+        first = compile_kernel.cache_info()
+        assert first.misses == first.currsize
+        for _ in range(2):
+            for params in statement.params:
+                session.execute(statement.sql, params)
+        assert compile_kernel.cache_info().misses == first.misses
 
     def test_a_served_request_constructs_no_tuple(self, tuple_constructions):
         statement = STATEMENTS["tjoin"]

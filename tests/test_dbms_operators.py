@@ -19,7 +19,15 @@ from hypothesis import given, settings
 
 from repro.core.equivalence import multiset_equivalent
 from repro.core.exceptions import SchemaError
-from repro.core.expressions import And, AttributeRef, Comparison, ComparisonOperator, agg_sum, count
+from repro.core.expressions import (
+    And,
+    AttributeRef,
+    Comparison,
+    ComparisonOperator,
+    ProjectionItem,
+    agg_sum,
+    count,
+)
 from repro.core.operations import (
     Aggregation,
     BaseRelation,
@@ -47,13 +55,17 @@ from repro.core.physical import (
     HashJoinOp,
     IntervalJoinOp,
     NestedLoopJoinOp,
+    ProjectOp,
     SourceOp,
     TemporalAggregateOp,
     TemporalDifferenceOp,
     TemporalDistinctOp,
     TemporalUnionOp,
+    UnionAllOp,
+    UnionOp,
 )
 from repro.core.relation import Relation
+from repro.core.schema import RelationSchema
 from repro.dbms import ConventionalDBMS, PhysicalPlanner
 from repro.dbms import executor as dbms_planner
 from repro.dbms.catalog import Catalog
@@ -255,6 +267,34 @@ class TestPlannerChoices:
         assert values(run_dbms(Difference(left, right))) == [("a", 1), ("b", 2)]
         assert values(run_dbms(UnionAll(left, right)))[-2:] == [("a", 1), ("c", 3)]
         assert values(run_dbms(Union(left, right))) == [("a", 1), ("a", 1), ("b", 2), ("c", 3)]
+
+    @pytest.mark.parametrize("union", [UnionAllOp, UnionOp])
+    def test_a_right_input_in_another_attribute_order_is_relabelled_row_for_row(self, union):
+        # The right input lists (Amount, Name); a by-name projection puts its
+        # rows into the output's order under a schema of its own, which the
+        # set operator relabels batch by batch without touching a value.
+        left = Relation.from_rows(SNAPSHOT_SCHEMA, [("a", 1), ("b", 2), ("a", 1)])
+        right = Relation.from_rows(PERMUTED_SNAPSHOT_SCHEMA, [(1, "a"), (3, "c"), (3, "c")])
+        aligned = RelationSchema.snapshot(
+            [(name, SNAPSHOT_SCHEMA.domain_of(name)) for name in SNAPSHOT_SCHEMA.attributes],
+            name="P",
+        )
+        reference = (UnionAll if union is UnionAllOp else Union)(
+            LiteralRelation(left), LiteralRelation(right)
+        ).evaluate(CONTEXT)
+        for batch_size in BATCH_SIZES:
+            relabel = ProjectOp(
+                [ProjectionItem(AttributeRef(name)) for name in aligned.attributes],
+                aligned,
+                SourceOp(right),
+            )
+            root = union(SourceOp(left), relabel)
+            for operator in root.operators():
+                operator.instrument("dbms.scan", batch_size)
+            assert relabel.output_schema is not root.output_schema
+            batches = list(root.batches())
+            assert all(batch.schema is root.output_schema for batch in batches)
+            assert [row for batch in batches for row in batch.rows()] == values(reference)
 
     def test_positional_relabel_rejects_mismatched_domains(self):
         # Like the reference ``_relabel``: a temporal right input in another

@@ -28,9 +28,11 @@ from repro.core.expressions import (
     equals,
     greater_than,
     less_than,
+    filter_kernel,
     literal,
     not_equals,
     projection_items,
+    projection_kernel,
 )
 from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.core.tuples import Tuple
@@ -173,14 +175,27 @@ class TestAggregates:
         assert count().to_sql() == "COUNT(*) AS count"
 
 
-def run_kernel(expression, tuples):
-    """Apply ``expression``'s batch kernel to ``tuples`` as one column batch."""
-    batch = ColumnBatch.from_tuples(SCHEMA, tuples)
-    return list(expression.compile_batch(SCHEMA)(batch.columns, batch.length))
+def rows_of(tuples):
+    """The value rows of ``tuples`` as a batch over ``SCHEMA`` holds them."""
+    return ColumnBatch.from_tuples(SCHEMA, tuples).rows()
 
 
-class TestBatchKernels:
-    """``compile_batch`` kernels agree with tree-walking ``evaluate``."""
+def project(expression, tuples):
+    """``expression``'s values through a one-item projection kernel."""
+    return [value for (value,) in projection_kernel([expression], SCHEMA)(rows_of(tuples))]
+
+
+def select(predicate, tuples):
+    """The rows a filter kernel keeps."""
+    return list(filter_kernel(predicate, SCHEMA)(rows_of(tuples)))
+
+
+def typed(values):
+    return [(type(value), value) for value in values]
+
+
+class TestRowKernels:
+    """Generated row kernels agree with tree-walking ``evaluate``."""
 
     CASES = [
         equals("Name", "John"),
@@ -193,6 +208,10 @@ class TestBatchKernels:
         Not(equals("Name", "Anna")),
         Arithmetic(ArithmeticOperator.ADD, attribute("Amount"), literal(2)),
         Arithmetic(ArithmeticOperator.MUL, attribute("Amount"), attribute("Amount")),
+        Arithmetic(ArithmeticOperator.DIV, attribute("Amount"), literal(4)),
+        And(),
+        Or(),
+        And(attribute("Amount")),
         literal(True),
         attribute("Amount"),
     ]
@@ -201,44 +220,66 @@ class TestBatchKernels:
         tuples = [row(), row("Anna", 2), row("Mia", 10)]
         for expression in self.CASES:
             expected = [expression.evaluate(tup) for tup in tuples]
-            assert run_kernel(expression, tuples) == expected
-            assert run_kernel(expression, []) == []
+            assert typed(project(expression, tuples)) == typed(expected)
+            assert select(expression, tuples) == [t.values() for t, v in zip(tuples, expected) if v]
+            assert project(expression, []) == [] and select(expression, []) == []
 
     def test_kernel_comparison_wraps_type_errors(self):
-        with pytest.raises(EvaluationError):
-            run_kernel(less_than("Name", 3), [row()])
+        predicate = less_than("Name", 3)
+        with pytest.raises(EvaluationError) as reference:
+            predicate.evaluate(row())
+        for run in (select, project):
+            with pytest.raises(EvaluationError) as raised:
+                run(predicate, [row("Anna", 1), row()])
+            assert str(raised.value) == str(reference.value)
+            assert isinstance(raised.value.__cause__, TypeError)
 
     def test_kernel_division_by_zero_raises(self):
         expression = Arithmetic(ArithmeticOperator.DIV, attribute("Amount"), literal(0))
-        with pytest.raises(EvaluationError):
-            run_kernel(expression, [row()])
+        with pytest.raises(EvaluationError, match="division by zero"):
+            project(expression, [row()])
 
     def test_kernel_short_circuits_like_evaluate(self):
-        # The second operand would raise on evaluation; the selection-vector
-        # kernels must skip exactly the rows all()/any() skip in the reference.
+        # The second operand would raise on evaluation; ``and``/``or`` in the
+        # generated source must skip exactly the rows all()/any() skip.
         exploding = Comparison(ComparisonOperator.LT, attribute("Missing"), literal(1))
-        assert run_kernel(And(equals("Name", "Anna"), exploding), [row()]) == [False]
-        assert run_kernel(Or(equals("Name", "John"), exploding), [row()]) == [True]
+        assert project(And(equals("Name", "Anna"), exploding), [row()]) == [False]
+        assert project(Or(equals("Name", "John"), exploding), [row()]) == [True]
+        assert select(And(equals("Name", "Anna"), exploding), [row()]) == []
         with pytest.raises(AttributeNotFound):
-            run_kernel(And(equals("Name", "John"), exploding), [row()])
+            select(And(equals("Name", "John"), exploding), [row()])
+        # A missing attribute raises only on a row that reaches it.
+        assert select(exploding, []) == []
 
     def test_permuted_tuples_are_normalised_at_the_batch_boundary(self):
         # Kernels are purely positional; ``ColumnBatch.from_tuples`` is where a
         # tuple whose schema lists the attributes in another order is aligned.
         permuted = RelationSchema.snapshot([("Amount", INTEGER), ("Name", STRING)])
         tuples = [row(), Tuple(permuted, {"Amount": 5, "Name": "John"})]
-        assert run_kernel(equals("Name", "John"), tuples) == [True, True]
+        assert project(equals("Name", "John"), tuples) == [True, True]
+        assert len(select(equals("Amount", 5), tuples)) == 2
 
     def test_base_class_fallback_evaluates_row_by_row(self):
         class Doubled(Expression):
             def evaluate(self, tup):
                 return 2 * tup["Amount"]
 
-        assert run_kernel(Doubled(), [row(), row("Anna", 2)]) == [10, 4]
+        assert project(Doubled(), [row(), row("Anna", 2)]) == [10, 4]
+        assert project(Arithmetic(ArithmeticOperator.ADD, Doubled(), literal(1)), [row()]) == [11]
 
     def test_projection_item_kernel(self):
         item = ProjectionItem(
             Arithmetic(ArithmeticOperator.ADD, attribute("Amount"), literal(1)), "Bigger"
         )
-        batch = ColumnBatch.from_tuples(SCHEMA, [row()])
-        assert list(item.compile_batch(SCHEMA)(batch.columns, batch.length)) == [6]
+        kernel = projection_kernel([item.expression, attribute("Name")], SCHEMA)
+        assert kernel(rows_of([row()])) == [(6, "John")]
+
+    def test_attribute_lists_pick_positions(self):
+        rows = rows_of([row(), row("Anna", 2)])
+        assert projection_kernel([attribute("Name"), attribute("Amount")], SCHEMA)(rows) is rows
+        assert projection_kernel([attribute("Amount"), attribute("Name")], SCHEMA)(rows) == [
+            (5, "John"), (2, "Anna"),
+        ]
+        assert projection_kernel([attribute("Amount")], SCHEMA)(rows) == [(5,), (2,)]
+        assert projection_kernel([attribute("Name")], SCHEMA)(rows) == [("John",), ("Anna",)]
+        assert projection_kernel([], SCHEMA)(rows) == [(), ()]
