@@ -41,6 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple as P
 
 from .joinsplit import (
     JoinSplit,
+    folds_into_hash_join,
     split_for_join,
     split_for_selection,
     stratum_physical_split,
@@ -518,6 +519,8 @@ def cost_annotations(
                     split = split_for_join(node)
                     if split is not None and split.algorithm == "hash":
                         physical = split.describe()
+            if folds_into_hash_join(node, dbms=engine == Engine.DBMS):
+                physical = "fused into hash join"
         child_cards = [
             visit(child, child_engine, path + (index,), fused=fuses_child and index == 0)
             for index, child in enumerate(node.children)

@@ -14,7 +14,8 @@ The physical operators do not walk the tree per row: each expression renders
 a *row form* — one Python expression over a value row — and
 :func:`filter_kernel` / :func:`projection_kernel` compile those into one
 generated function per batch shape, with ``evaluate`` as the reference they
-must agree with.
+must agree with; :func:`join_kernel` renders a hash join's probe, residual
+and projection over *pairs* of rows into one loop.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class AttributeRef(Expression):
         schema = slots.schema
         if not schema.has_attribute(self.name):
             return super().row_form(slots)  # raises AttributeNotFound per row reached
-        return f"row[{schema.index_of(self.name):d}]"
+        return slots.attribute(schema.index_of(self.name))
 
     def to_sql(self) -> str:
         return _quote_identifier(self.name)
@@ -378,10 +379,11 @@ def _connective(
 class RowSlots:
     """What a row form refers to instead of spelling it out.
 
-    Rendering over rows of ``schema`` appends each literal value to
-    ``constants`` (read as ``c[k]``) and each callable of an expression
-    without a row form to ``calls`` (called as ``e[k](row)``), in rendering
-    order, so equal shapes render equal text whatever their values.
+    Rendering over rows of ``schema`` reads attribute ``i`` as ``row[i]``
+    (:meth:`attribute`), appends each literal value to ``constants`` (read
+    as ``c[k]``) and each callable of an expression without a row form to
+    ``calls`` (called as ``e[k](row)``), in rendering order, so equal shapes
+    render equal text whatever their values.
     """
 
     __slots__ = ("schema", "constants", "calls")
@@ -391,13 +393,80 @@ class RowSlots:
         self.constants: List[Any] = []
         self.calls: List[Callable[[PyTuple], Any]] = []
 
+    def attribute(self, index: int) -> str:
+        """The value at position ``index`` of a row of ``schema``."""
+        return f"row[{index:d}]"
+
+    def whole(self) -> str:
+        """The whole row of ``schema``, as a slot call receives it."""
+        return "row"
+
     def constant(self, value: Any) -> str:
         self.constants.append(value)
         return f"c[{len(self.constants) - 1:d}]"
 
     def call(self, function: Callable[[PyTuple], Any]) -> str:
         self.calls.append(function)
-        return f"e[{len(self.calls) - 1:d}](row)"
+        return f"e[{len(self.calls) - 1:d}]({self.whole()})"
+
+
+class PairSlots(RowSlots):
+    """Row forms over a pair: the left row ``l`` and the right row ``r``
+    whose join is a row of ``schema``.
+
+    A joined row is ``l + r`` — the left input's ``left_width`` values, then
+    the right's — and, for a temporal join (``period`` = the ``(start,
+    end)`` positions of ``l``'s period, then of ``r``'s), the intersection
+    of the two periods as the fresh ``T1``/``T2``.  ``right_reads`` counts
+    the renderings that need ``r``, so a caller can tell a form that reads
+    the left row alone.
+    """
+
+    __slots__ = ("_left_width", "_right_width", "_period", "right_reads")
+
+    def __init__(
+        self,
+        schema: RelationSchemaLike,
+        left_width: int,
+        right_width: int,
+        period: Optional[PyTuple[int, int, int, int]] = None,
+    ) -> None:
+        super().__init__(schema)
+        self._left_width = left_width
+        self._right_width = right_width
+        self._period = period
+        self.right_reads = 0
+
+    def attribute(self, index: int) -> str:
+        if index < self._left_width:
+            return f"l[{index:d}]"
+        self.right_reads += 1
+        index -= self._left_width
+        if index < self._right_width:
+            return f"r[{index:d}]"
+        return self.intersection()[index - self._right_width]
+
+    def intersection(self) -> PyTuple[str, str]:
+        """The later start and the earlier end of the two periods."""
+        ls, le, rs, re = self._period
+        return (
+            f"(l[{ls:d}] if l[{ls:d}] > r[{rs:d}] else r[{rs:d}])",
+            f"(l[{le:d}] if l[{le:d}] < r[{re:d}] else r[{re:d}])",
+        )
+
+    def overlap(self) -> Optional[str]:
+        """The test that the two periods share a point (``None``: not temporal)."""
+        if self._period is None:
+            return None
+        ls, le, rs, re = self._period
+        return f"r[{rs:d}] < l[{le:d}] and l[{ls:d}] < r[{re:d}]"
+
+    def whole(self) -> str:
+        self.right_reads += 1
+        if self._period is None:
+            return "l + r"
+        start, end = self.intersection()
+        return f"l + r + ({start}, {end})"
 
 
 #: Kernels kept compiled, one per shape: the source is the cache key and
@@ -480,6 +549,72 @@ def projection_kernel(
         return [tuple(e.evaluate(view) for e in expressions) for view in views]
 
     return _bound(source, slots, reference)
+
+
+#: ``(left rows, bucket lookup) → output rows`` of one hash-join probe.
+JoinKernel = Callable[[Sequence[PyTuple], Callable], List[PyTuple]]
+
+
+def join_kernel(
+    slots: PairSlots,
+    left_key: Sequence[int],
+    conjuncts: Sequence[Expression],
+    expressions: Optional[Sequence[Expression]],
+    reference: JoinKernel,
+) -> JoinKernel:
+    """A hash join's probe, residual and projection as one comprehension.
+
+    ``(rows, get)`` — left rows and the bucket table's ``get`` — gives, for
+    each left row ``l`` and each right row ``r`` of its bucket (the key is
+    ``l``'s values at ``left_key``), the projected pair when the periods
+    overlap (a temporal join) and every residual conjunct holds:
+    ``(E1, …, En)`` of ``expressions`` over the joined row, or the joined
+    row itself when there are none.  A *leading* run of conjuncts that read
+    ``l`` alone is tested once per left row, before the lookup; a later one
+    stays after the overlap test, so an exception an earlier conjunct raises
+    still comes first.
+
+    Any exception inside the kernel re-runs that batch through
+    ``reference`` — the composition the kernel replaces — so the caller gets
+    exactly its rows or its exception, including on a left row whose
+    hoisted conjunct raises but which has no partner to reach it.
+    """
+    hoisted: List[str] = []
+    tests: List[str] = []
+    for conjunct in conjuncts:
+        reads = slots.right_reads
+        form = conjunct.row_form(slots)
+        if slots.right_reads == reads and not tests:
+            hoisted.append(form)
+        else:
+            tests.append(form)
+    overlap = slots.overlap()
+    if overlap is not None:
+        tests.insert(0, overlap)
+    if expressions is None:
+        output = slots.whole()
+    else:
+        output = "(" + "".join(f"{e.row_form(slots)}, " for e in expressions) + ")"
+    key = ", ".join(f"l[{index:d}]" for index in left_key)
+    if len(left_key) > 1:
+        key = f"({key})"
+    source = (
+        f"lambda rows, get, c, e: [{output} for l in rows"
+        + "".join(f" if {form}" for form in hoisted)
+        + f" for r in get({key}, ())"
+        + "".join(f" if {form}" for form in tests)
+        + "]"
+    )
+    kernel = compile_kernel(source)
+    constants, calls = tuple(slots.constants), tuple(slots.calls)
+
+    def run(rows: Sequence[PyTuple], get: Callable) -> List[PyTuple]:
+        try:
+            return kernel(rows, get, constants, calls)
+        except Exception:
+            return reference(rows, get)
+
+    return run
 
 
 # ---------------------------------------------------------------------------

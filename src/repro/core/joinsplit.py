@@ -21,7 +21,9 @@ The split is computed here, once, in core — both planners
 keys: the DBMS never runs the interval join) build their operators from it
 and the cost annotations of :mod:`repro.core.cost` describe the same choice
 in EXPLAIN output, so what the report prints is by construction what the
-executor runs.
+executor runs.  So is the one decision above the join:
+:func:`folds_into_hash_join` says when a projection runs inside the hash
+join below it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .operations import (
     CartesianProduct,
     Join,
     Operation,
+    Projection,
     Selection,
     TemporalCartesianProduct,
     TemporalJoin,
@@ -317,6 +320,34 @@ def stratum_physical_split(node: Operation) -> PyTuple[Optional[JoinSplit], bool
     if split is None:
         split = split_for_product(node)
     return split, False
+
+
+def dbms_physical_split(node: Operation) -> Optional[JoinSplit]:
+    """The split a DBMS-side join-shaped node executes with: a conventional
+    ``Join``, or a selection over a conventional product.  (The DBMS
+    emulates temporal joins and runs a bare product as a nested loop.)"""
+    if isinstance(node, Join):
+        return split_for_join(node)
+    fused = split_for_selection(node)
+    if fused is not None and isinstance(fused[1], CartesianProduct):
+        return fused[0]
+    return None
+
+
+def folds_into_hash_join(node: Operation, dbms: bool = False) -> bool:
+    """True when ``node`` is a projection its engine runs inside the hash
+    join below it: its child lowers to a ``HashJoinOp`` in the stratum (or,
+    with ``dbms``, in the DBMS).
+
+    The operator then emits the projected row of each surviving pair and
+    realises both nodes.  Both lowerings and EXPLAIN's annotation ask this,
+    so the annotation is what runs.
+    """
+    if not isinstance(node, Projection):
+        return False
+    child = node.child
+    split = dbms_physical_split(child) if dbms else stratum_physical_split(child)[0]
+    return split is not None and split.algorithm == "hash"
 
 
 def stratum_physical_description(node: Operation) -> PyTuple[Optional[str], bool]:

@@ -16,7 +16,9 @@ Execution moves **value rows**: operators exchange
 sort, hash and sweep on those rows; run predicates, projections and join
 residuals as row kernels — one generated function per expression shape
 (:func:`~repro.core.expressions.filter_kernel`,
-:func:`~repro.core.expressions.projection_kernel`); and build no
+:func:`~repro.core.expressions.projection_kernel`, and
+:func:`~repro.core.expressions.join_kernel` for a hash join's whole probe
+with the projection above it); and build no
 :class:`~repro.core.tuples.Tuple` at all: a tree takes the rows of its source
 relations and drains into a relation of rows.
 :meth:`BatchOperator.batches` is the single place that counts rows, reads the
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
@@ -44,15 +46,17 @@ from .columnar import ColumnBatch
 from .expressions import (
     AggregateFunction,
     Expression,
+    PairSlots,
     ProjectionItem,
     filter_kernel,
+    join_kernel,
     projection_kernel,
 )
-from .joinsplit import JoinSplit
+from .joinsplit import JoinSplit, flatten_conjuncts
 from .operations.base import PlanPath
 from .order_spec import OrderSpec
 from .period import T1, T2
-from .relation import Relation
+from .relation import Relation, hash_buckets
 from .schema import RelationSchema
 
 _UNORDERED = OrderSpec.unordered()
@@ -74,11 +78,14 @@ class BatchOperator:
     ``order`` is the known order of the output (Table 1's ``Order(r)``) and
     ``paths`` names the logical plan nodes the operator realises (a fused
     selection-over-product realises two); ``paths[0]`` is the node whose
-    output the operator produces.  The stratum's lowering fills both in; the
-    DBMS, a multiset engine whose fragments are opaque to the plan-path
-    accounting, leaves them empty except for the order a sort establishes.
-    ``rows_out`` — filled once the operator has been drained — is the actual
-    output cardinality EXPLAIN ANALYZE and the operator spans report.
+    output the operator produces, and so is each of the first
+    ``output_nodes`` (two for a projection folded into the join below it,
+    whose output has the join's row count).  The stratum's lowering fills
+    both in; the DBMS, a multiset engine whose fragments are opaque to the
+    plan-path accounting, leaves them empty except for the order a sort
+    establishes.  ``rows_out`` — filled once the operator has been drained —
+    is the actual output cardinality EXPLAIN ANALYZE and the operator spans
+    report.
 
     The planner that built the operator configures it (:meth:`instrument`):
     chunk size, the fault point its drain ticks (``stratum.pull`` or
@@ -91,9 +98,14 @@ class BatchOperator:
     point once at drain start and once per ``control.interval`` rows — once
     per interval *boundary crossed* by a batch, so the check count, and with
     it the resource-guard row accounting, is identical for every batch size —
-    which is where cancellation, deadlines, resource budgets and fault
-    injection interpose.  The plain path costs two extra branches per drain.
+    and that once per output node, so folding two nodes into one operator
+    charges what the two operators did.  This is where cancellation,
+    deadlines, resource budgets and fault injection interpose.  The plain
+    path costs two extra branches per drain.
     """
+
+    #: How many logical nodes produce exactly this operator's output rows.
+    output_nodes = 1
 
     def __init__(
         self,
@@ -144,12 +156,14 @@ class BatchOperator:
                 yield batch
         else:
             point = self.fault_point
-            control.tick(point)
+            nodes = self.output_nodes
+            for _ in range(nodes):
+                control.tick(point)
             interval = control.interval
             for batch in self._batches():
                 before = count
                 count += batch.length
-                for _ in range(count // interval - before // interval):
+                for _ in range(nodes * (count // interval - before // interval)):
                     control.tick(point)
                 yield batch
         self.rows_out = count
@@ -206,7 +220,7 @@ class SourceOp(BatchOperator):
 
     def __init__(self, relation: Relation, name: Optional[str] = None) -> None:
         super().__init__(relation.schema, relation.order)
-        self._relation = relation
+        self.relation = relation
         self._name = name
 
     def _batches(self) -> Iterator[ColumnBatch]:
@@ -215,7 +229,7 @@ class SourceOp(BatchOperator):
         # kernel upstream is purely positional.
         size = self.batch_size
         schema = self.output_schema
-        rows = self._relation.rows
+        rows = self.relation.rows
         for offset in range(0, len(rows), size):
             yield ColumnBatch(schema, rows[offset : offset + size])
 
@@ -227,11 +241,11 @@ class SourceOp(BatchOperator):
         """
         for _ in self.batches():
             pass
-        return self._relation
+        return self.relation
 
     def describe(self) -> str:
         name = "" if self._name is None else f"{self._name}, "
-        return f"Source({name}rows={len(self._relation)})"
+        return f"Source({name}rows={len(self.relation)})"
 
 
 class _UnaryOp(BatchOperator):
@@ -385,55 +399,122 @@ class HashJoinOp(_JoinOp):
     For a temporal join the period-overlap test runs per bucket entry and
     the fresh ``T1``/``T2`` carry the intersection.  Buckets keep right
     input order, so the output sequence matches the reference product.
+
+    The build side of a :class:`SourceOp` — a stored table, a ``TS`` result
+    that is one, a literal — is its relation's kept table
+    (:meth:`Relation.buckets`), hashed once per relation and key.  The probe
+    is one generated loop per left batch (:func:`join_kernel`): lookup,
+    overlap test, residual and — once :meth:`fold_projection` has folded
+    the projection above the join in — that projection, so a pair that
+    survives is built only as its projected row.
     """
 
-    def _join_rows(self) -> Iterator[PyTuple]:
-        # Keys and periods are read from the rows: a single-attribute key
-        # (the common case) is the bare value, several give one tuple per row.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._joined_schema = self.output_schema
+        self._items: Optional[PyTuple[ProjectionItem, ...]] = None
+
+    def fold_projection(
+        self,
+        items: Sequence[ProjectionItem],
+        output_schema: RelationSchema,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> "HashJoinOp":
+        """Run the projection ``items`` directly above this join inside its
+        probe: the operator then emits the projection's rows, and realises
+        its node (``paths`` = the projection's path, then this join's)."""
+        self._items = tuple(items)
+        self.output_schema = output_schema
+        self.order = order
+        self.paths = paths
+        self.output_nodes = 2
+        return self
+
+    def describe(self) -> str:
+        if self._items is None:
+            return super().describe()
+        return f"{super().describe()} → Project(" + ", ".join(map(str, self._items)) + ")"
+
+    def _batches(self) -> Iterator[ColumnBatch]:
         split = self._split
-        right_key = itemgetter(*split.equi_right_indexes)
-        left_key = itemgetter(*split.equi_left_indexes)
-        table: Dict[object, List[PyTuple]] = {}
-        get_bucket = table.get
-        for batch in self._right.batches():
-            for row in batch.rows():
-                key = right_key(row)
-                bucket = get_bucket(key)
-                if bucket is None:
-                    table[key] = [row]
-                else:
-                    bucket.append(row)
+        slots = PairSlots(
+            self._joined_schema,
+            len(self._left.output_schema.attributes),
+            len(self._right.output_schema.attributes),
+            self._left_time + self._right_time if self._temporal else None,
+        )
+        residual = () if split.residual is None else flatten_conjuncts(split.residual)
+        items = None if self._items is None else [item.expression for item in self._items]
+        probe = join_kernel(slots, split.equi_left_indexes, residual, items, self._composed)
+        get = self._build().get
+        schema, size = self.output_schema, self.batch_size
+        for batch in self._left.batches():
+            rows = probe(batch.rows(), get)
+            if len(rows) <= size:
+                if rows:
+                    yield ColumnBatch(schema, rows)
+            else:
+                for offset in range(0, len(rows), size):
+                    yield ColumnBatch(schema, rows[offset : offset + size])
+
+    def _build(self) -> Dict[object, List[PyTuple]]:
+        """The right input's rows by key, drained for its accounting."""
+        right, key = self._right, self._split.equi_right_indexes
+        if isinstance(right, SourceOp):
+            for _ in right.batches():
+                pass
+            return right.relation.buckets(key)
+        return hash_buckets((row for batch in right.batches() for row in batch.rows()), key)
+
+    def _composed(self, rows: Sequence[PyTuple], get: Callable) -> List[PyTuple]:
+        """What the probe kernel replaces, for one left batch: the joined
+        pairs, then the residual's filter kernel, then the projection's."""
+        joined = list(self._pairs(rows, get))
+        if self._split.residual is not None:
+            joined = filter_kernel(self._split.residual, self._joined_schema)(joined)
+        if self._items is not None:
+            expressions = [item.expression for item in self._items]
+            joined = projection_kernel(expressions, self._joined_schema)(joined)
+        return joined
+
+    def _pairs(self, rows: Sequence[PyTuple], get: Callable) -> Iterator[PyTuple]:
+        """The joined rows of left ``rows`` (pre-residual), in the reference
+        sequence.  A single-attribute key (the common case) is the bare
+        value, several give one tuple per row."""
+        left_key = itemgetter(*self._split.equi_left_indexes)
         if self._temporal:
             lt1, lt2 = self._left_time
             rt1, rt2 = self._right_time
-            for batch in self._left.batches():
-                for row in batch.rows():
-                    bucket = get_bucket(left_key(row))
-                    if bucket is None:
-                        continue
-                    l1, l2 = row[lt1], row[lt2]
-                    for right_row in bucket:
-                        r1, r2 = right_row[rt1], right_row[rt2]
-                        start = l1 if l1 > r1 else r1
-                        end = l2 if l2 < r2 else r2
-                        if start < end:
-                            yield row + right_row + (start, end)
+            for row in rows:
+                l1, l2 = row[lt1], row[lt2]
+                for right_row in get(left_key(row), ()):
+                    r1, r2 = right_row[rt1], right_row[rt2]
+                    start = l1 if l1 > r1 else r1
+                    end = l2 if l2 < r2 else r2
+                    if start < end:
+                        yield row + right_row + (start, end)
         else:
-            for batch in self._left.batches():
-                for row in batch.rows():
-                    for right_row in get_bucket(left_key(row), ()):
-                        yield row + right_row
+            for row in rows:
+                for right_row in get(left_key(row), ()):
+                    yield row + right_row
 
 
 class IntervalJoinOp(_JoinOp):
     """Sort-merge interval-overlap join.
 
     The right input is materialised sorted by interval start (stably, so
-    input order survives as the tie-breaker); each left tuple probes the
-    prefix with ``right.start < left.end`` by binary search and keeps the
-    candidates with ``right.end > left.start``, re-ordered by right input
-    position to preserve the reference sequence.
+    input order survives as the tie-breaker), next to the running maximum
+    of the ends.  Each left tuple bisects the prefix with ``right.start <
+    left.end`` and, within it, skips the leading entries whose running
+    maximum end is at most ``left.start`` — none of them can overlap, in
+    any totally ordered domain — so it visits O(log n + candidates)
+    entries; it keeps those with ``right.end > left.start``, re-ordered by
+    right input position to preserve the reference sequence.
+    ``candidates_examined`` counts the entries the last drain visited.
     """
+
+    candidates_examined = 0
 
     def _join_rows(self) -> Iterator[PyTuple]:
         split = self._split
@@ -448,14 +529,18 @@ class IntervalJoinOp(_JoinOp):
                 entries.append((row[rs], len(entries), row[re], row))
         entries.sort(key=lambda entry: (entry[0], entry[1]))
         starts = [entry[0] for entry in entries]
+        max_ends = list(accumulate([entry[2] for entry in entries], max))
         temporal = self._temporal
+        self.candidates_examined = 0
         for batch in self._left.batches():
             for row in batch.rows():
                 l1, l2 = row[ls], row[le]
                 limit = bisect_left(starts, l2)
+                first = bisect_right(max_ends, l1, 0, limit)
+                self.candidates_examined += limit - first
                 matches = [
                     (entry_position, start, end, right_row)
-                    for start, entry_position, end, right_row in entries[:limit]
+                    for start, entry_position, end, right_row in entries[first:limit]
                     if end > l1
                 ]
                 matches.sort()

@@ -27,7 +27,8 @@ stored tables and the wire work on :attr:`Relation.rows` alone.  A
 :class:`~repro.core.tuples.Tuple` is a *view* of one row under the schema:
 :attr:`Relation.tuples`, iteration and indexing build the views on first use
 and keep them, so only the callers that ask for ``Tuple`` objects — the
-reference operations, the analyses below — pay for them.
+reference operations, the analyses below — pay for them.  A hash join's
+build side over the relation is kept the same way (:meth:`Relation.buckets`).
 """
 
 from __future__ import annotations
@@ -54,10 +55,29 @@ from .schema import RelationSchema
 from .tuples import Tuple
 
 
+def hash_buckets(
+    rows: Iterable[PyTuple[Any, ...]], key_indexes: PyTuple[int, ...]
+) -> Dict[Any, List[PyTuple[Any, ...]]]:
+    """A hash join's build side: ``rows`` by their values at ``key_indexes``
+    (a bare value for one index, a tuple for several), each bucket in input
+    order."""
+    key = itemgetter(*key_indexes)
+    table: Dict[Any, List[PyTuple[Any, ...]]] = {}
+    get_bucket = table.get
+    for row in rows:
+        value = key(row)
+        bucket = get_bucket(value)
+        if bucket is None:
+            table[value] = [row]
+        else:
+            bucket.append(row)
+    return table
+
+
 class Relation:
     """A finite sequence of tuples over a common schema, stored as value rows."""
 
-    __slots__ = ("_schema", "_rows", "_order", "_views")
+    __slots__ = ("_schema", "_rows", "_order", "_views", "_buckets")
 
     def __init__(
         self,
@@ -89,6 +109,7 @@ class Relation:
         # The given tuples serve as the views unless one of them would read
         # its values in another order than the relation's rows.
         self._views: Optional[PyTuple[Tuple, ...]] = given if in_order else None
+        self._buckets: Optional[Dict[PyTuple[int, ...], Dict]] = None
         self._order = order or OrderSpec.unordered()
 
     # -- construction -----------------------------------------------------------
@@ -113,6 +134,7 @@ class Relation:
         relation._schema = schema
         relation._rows = tuple(rows)
         relation._views = None
+        relation._buckets = None
         relation._order = order or OrderSpec.unordered()
         return relation
 
@@ -173,6 +195,23 @@ class Relation:
             trusted = Tuple.trusted
             views = self._views = tuple([trusted(schema, row) for row in self._rows])
         return views
+
+    def buckets(self, key_indexes: PyTuple[int, ...]) -> Dict[Any, List[PyTuple[Any, ...]]]:
+        """The rows by their values at ``key_indexes`` (:func:`hash_buckets`),
+        built on the first request per key and kept: a stored table is
+        hashed once per epoch, since an append makes a new relation.
+
+        Read-only once built.  No lock, as for :attr:`tuples`: two threads
+        racing the first request each build the table and one assignment
+        wins.
+        """
+        cache = self._buckets
+        if cache is None:
+            cache = self._buckets = {}
+        table = cache.get(key_indexes)
+        if table is None:
+            table = cache[key_indexes] = hash_buckets(self._rows, key_indexes)
+        return table
 
     @property
     def cardinality(self) -> int:

@@ -14,7 +14,9 @@ semantics only (no operator but a sort knows an order), and:
   the interval join**, even for an ``ls < re ∧ rs < le`` overlap pair:
   :mod:`repro.core.cost` prices a keyless DBMS join at the product bound,
   and the optimizer's choice to pull such a join up into the stratum depends
-  on the DBMS actually being quadratic there;
+  on the DBMS actually being quadratic there; a projection directly above
+  its hash join runs inside the join's probe
+  (:func:`~repro.core.joinsplit.folds_into_hash_join`), as in the stratum;
 * temporal operations have no native counterpart in a conventional engine;
   when a fragment shipped to the DBMS nevertheless contains one — the
   paper's initial plans do exactly that — the planner falls back to
@@ -31,7 +33,13 @@ from typing import Callable, List, Optional
 
 from ..core.exceptions import EngineError, SchemaError
 from ..core.expressions import AttributeRef, ProjectionItem
-from ..core.joinsplit import JoinSplit, split_for_join, split_for_product, split_for_selection
+from ..core.joinsplit import (
+    JoinSplit,
+    folds_into_hash_join,
+    split_for_join,
+    split_for_product,
+    split_for_selection,
+)
 from ..core.operations import (
     Aggregation,
     BaseRelation,
@@ -222,6 +230,9 @@ class PhysicalPlanner:
                 split, product = fused
                 return self._join(split, node.predicate, product.output_schema(), product)
             return FilterOp(node.predicate, self._plan(node.child))
+        if folds_into_hash_join(node, dbms=True):
+            self.report.native_operations += 1  # the join the projection runs inside
+            return self._compile(node.child).fold_projection(node.items, node.output_schema())
         if isinstance(node, Projection):
             return ProjectOp(node.items, node.output_schema(), self._plan(node.child))
         if isinstance(node, Sort):

@@ -158,13 +158,14 @@ class StratumExecutor:
 
         Selections, projections, sorts, products and the join idioms execute
         through :mod:`repro.core.physical` — hash/interval joins instead
-        of materialised Cartesian products, column-wise kernels instead of
+        of materialised Cartesian products, generated row kernels instead of
         per-tuple expression-tree walks, sweep-line temporal operators.  Boundary
         subtrees (transfers, base relations, literals, the conventional
         multiset operations) are materialised through the ordinary recursion above.
         Each physical operator counts the rows it emits, so per-node actuals
         stay available to EXPLAIN ANALYZE; a product fused into a join never
-        materialises and reports no count.
+        materialises and reports no count, and a projection folded into the
+        hash join below it reports the operator's rows and time on both nodes.
 
         When lowering or draining the region fails, execution **degrades**
         instead of dying: the region is re-executed through the reference
@@ -202,16 +203,15 @@ class StratumExecutor:
             finally:
                 self._reference_only = False
         for operator in root.operators():
-            if not operator.paths:
-                continue
             self.report.stratum_operations += len(operator.paths)
-            if operator.rows_out is not None:
-                self.report.node_rows[operator.paths[0]] = operator.rows_out
-            if operator.elapsed_seconds is not None:
-                self.report.node_timings[operator.paths[0]] = (
-                    operator.started_at,
-                    operator.elapsed_seconds,
-                )
+            for path in operator.paths[: operator.output_nodes]:
+                if operator.rows_out is not None:
+                    self.report.node_rows[path] = operator.rows_out
+                if operator.elapsed_seconds is not None:
+                    self.report.node_timings[path] = (
+                        operator.started_at,
+                        operator.elapsed_seconds,
+                    )
         return relation
 
     def _apply(self, node: Operation, child_results: Sequence[Relation]) -> Relation:

@@ -26,7 +26,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple as PyTuple
 
-from ..core.joinsplit import JoinSplit, split_for_join, split_for_product, split_for_selection
+from ..core.joinsplit import (
+    JoinSplit,
+    folds_into_hash_join,
+    split_for_join,
+    split_for_product,
+    split_for_selection,
+)
 from ..core.operations import (
     CartesianProduct,
     Coalescing,
@@ -168,6 +174,8 @@ def _lower_node(
     order = node.result_order([child.order])
     if isinstance(node, Selection):
         return FilterOp(node.predicate, child, order, (path,))
+    if folds_into_hash_join(node):
+        return child.fold_projection(node.items, node.output_schema(), order, (path,) + child.paths)
     if isinstance(node, Projection):
         return ProjectOp(node.items, node.output_schema(), child, order, (path,))
     if isinstance(node, Sort):

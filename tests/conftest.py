@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import repro.core.expressions
 import repro.search.search
 import repro.session.fingerprint
 import repro.tsql.parser
@@ -98,6 +99,22 @@ def tuple_constructions(monkeypatch):
     monkeypatch.setattr(Tuple, "__init__", counted_init)
     monkeypatch.setattr(Tuple, "trusted", classmethod(counted_trusted))
     return counts
+
+
+@pytest.fixture
+def compiled_sources(monkeypatch):
+    """Every row-kernel source compiled while the fixture is active, in
+    order (a spy on the module attribute ``compile_kernel``, where every
+    kernel helper looks it up)."""
+    sources = []
+    original = repro.core.expressions.compile_kernel
+
+    def spy(source):
+        sources.append(source)
+        return original(source)
+
+    monkeypatch.setattr(repro.core.expressions, "compile_kernel", spy)
+    return sources
 
 
 @pytest.fixture

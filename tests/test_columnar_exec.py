@@ -22,12 +22,16 @@ from benchmarks.ledger.workloads import CHECK_SCALE, STATEMENTS, build_database,
 from repro import TemporalDatabase
 from repro.core.expressions import (
     And,
+    Arithmetic,
+    ArithmeticOperator,
     AttributeRef,
     Comparison,
     ComparisonOperator,
     Literal,
+    ProjectionItem,
     compile_kernel,
 )
+from repro.core.joinsplit import folds_into_hash_join
 from repro.core.operations import (
     BaseRelation,
     DuplicateElimination,
@@ -252,6 +256,32 @@ class TestValueRowsEndToEnd:
         assert tuple_constructions == {"trusted": len(relation)}
         assert relation.tuples is tuples and [t.values() for t in tuples] == list(relation.rows)
         assert tuple_constructions == {"trusted": len(relation)}
+
+    def test_the_fused_hash_join_constructs_no_tuple(self, tuple_constructions):
+        # ``tjoin``'s π runs inside its hash join's probe loop, and so does
+        # a projection computing over the fresh intersection period.
+        statement = STATEMENTS["tjoin"]
+        session = build_database(CHECK_SCALE, 0).session()
+        plan = session.execute(statement.sql, statement.params[0]).plan
+        assert folds_into_hash_join(plan.subtree_at((0,)))
+        employees, projects = scaled_paper_workload(CHECK_SCALE, 0)
+        span = Arithmetic(ArithmeticOperator.SUB, AttributeRef("T2"), AttributeRef("T1"))
+        computed = Projection(
+            ["1.EmpName", "Prj", ProjectionItem(span, "span"), "T1", "T2"],
+            TemporalJoin(
+                Comparison(ComparisonOperator.EQ, AttributeRef("1.EmpName"), AttributeRef("2.EmpName")),
+                LiteralRelation(employees),
+                LiteralRelation(projects),
+            ),
+        )
+        assert folds_into_hash_join(computed)
+        expected = computed.evaluate(CONTEXT)
+        tuple_constructions.clear()
+        relation = session.execute(statement.sql, statement.params[0]).relation
+        result = run_stratum(computed, 1024)
+        assert tuple_constructions == {}
+        assert len(relation) > 0 and len(result) > 0
+        assert result.rows == expected.rows
 
     @pytest.mark.parametrize("name", sorted(STATEMENTS))
     def test_parameter_variants_share_their_compiled_kernels(self, name):

@@ -202,7 +202,9 @@ class TestAccounting:
             isinstance(node, (DuplicateElimination, Difference, Union, UnionAll))
             for _, node in plan.locations()
         )
-        assert 0 <= len(planner.operators) - planner.report.native_operations <= 2 * relabels
+        # A projection folded into its hash join is two native operations in one operator.
+        realised = sum(operator.output_nodes for operator in planner.operators)
+        assert 0 <= realised - planner.report.native_operations <= 2 * relabels
 
     def test_no_clock_no_spans(self):
         planner = PhysicalPlanner(Catalog())

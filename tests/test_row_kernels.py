@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from benchmarks.ledger.workloads import CHECK_SCALE, WORKLOADS, build_database, warmup_ops
 
-import repro.core.expressions as expressions
 from repro.core.exceptions import AttributeNotFound
 from repro.core.expressions import (
     And,
@@ -67,9 +66,10 @@ RIGHT = Relation.from_rows(
 )
 BATCH_SIZES = (1, 2, 7, 1024)
 
-#: The only names, keywords and constants generated source may contain.
+#: The only names, keywords and constants generated source may contain
+#: (``l``, ``r`` and ``get`` are a hash join probe's pair and bucket lookup).
 KERNEL_NAMES = {"lambda", "rows", "row", "for", "in", "c", "e", "div", "if", "else",
-                "and", "or", "not", "True", "False"}
+                "and", "or", "not", "True", "False", "l", "r", "get"}
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +233,6 @@ def assert_safe(source):
 HOSTILE = ("]; __import__('os')", "it's", '"""', "a\nb", "\\", "{0}")
 
 
-@pytest.fixture
-def compiled_sources(monkeypatch):
-    """Every kernel source compiled while the fixture is active."""
-    sources = []
-    original = expressions.compile_kernel
-
-    def spy(source):
-        sources.append(source)
-        return original(source)
-
-    monkeypatch.setattr(expressions, "compile_kernel", spy)
-    return sources
-
-
 class TestGeneratedSource:
     PREDICATE = Or(
         *(Comparison(ComparisonOperator.EQ, AttributeRef("Name"), Literal(text)) for text in HOSTILE),
@@ -299,7 +285,8 @@ class TestShapeCache:
 
     def test_a_warm_workload_compiles_nothing(self, compiled_sources):
         """Every ``relational-exec`` parameter variant, twice: one miss per
-        distinct shape on the first pass, none on the second."""
+        distinct shape on the first pass — ``tjoin``'s fused probe among
+        them — none on the second."""
         session = build_database(CHECK_SCALE, 0).session()
         operations = warmup_ops(WORKLOADS["relational-exec"])
         compile_kernel.cache_clear()
@@ -307,6 +294,7 @@ class TestShapeCache:
             session.execute(op.text, op.params)
         first = compile_kernel.cache_info()
         assert first.misses == first.currsize == len(set(compiled_sources)) > 0
+        assert any(source.startswith("lambda rows, get") for source in compiled_sources)
         for op in operations:
             session.execute(op.text, op.params)
         second = compile_kernel.cache_info()

@@ -199,7 +199,7 @@ class TestTheDBMSSearchIsIdentityOnWhatTheStratumExtracted:
     each fragment search returns the fragment it was given: 0 non-identity of
     37 (``WORKLOAD_QUERIES``) + 11 (the ledger's seven statements) + 172 (the
     150 generated plans below).  Pinned so that a cost-model or rule change that
-    makes the two searches disagree shows up here first (ROADMAP item 7).
+    makes the two searches disagree shows up here first (ROADMAP item 6).
     """
 
     @staticmethod
