@@ -139,7 +139,10 @@ class Operation:
     paper_order: str = ""
     paper_cardinality: str = ""
 
-    __slots__ = ("children", "_signature", "_hash", "_order", "_guarantees")
+    __slots__ = (
+        "children", "_signature", "_hash", "_order", "_guarantees", "_feature",
+        "_period_transparent",
+    )
 
     def __init__(self, *children: "Operation") -> None:
         if len(children) != self.arity:
@@ -148,12 +151,18 @@ class Operation:
             )
         self.children: PyTuple["Operation", ...] = tuple(children)
         #: Computed once each (nodes are immutable; a copy is a new node with
-        #: empty caches): :meth:`signature`, :meth:`__hash__`, and — filled by
-        #: :mod:`repro.core.analysis` — ``derive_order`` and ``static_guarantees``.
+        #: empty caches): :meth:`signature`, :meth:`__hash__`; filled by
+        #: :mod:`repro.core.analysis`, ``derive_order`` and ``static_guarantees``;
+        #: by the memo (:func:`repro.search.memo.binding_feature`), what a rule
+        #: can observe of the node as a binding's child; and by the property
+        #: step table (:func:`repro.core.properties.child_properties`), whether
+        #: a σ's, ⋈T's or π's parameters leave the periods alone.
         self._signature: Optional[PyTuple[Any, ...]] = None
         self._hash: Optional[int] = None
         self._order: Optional[OrderSpec] = None
         self._guarantees: Optional[PyTuple[bool, bool, bool]] = None
+        self._feature: Optional[PyTuple[Any, ...]] = None
+        self._period_transparent: Optional[bool] = None
 
     # -- parameters and copying -------------------------------------------------
 

@@ -130,10 +130,66 @@ def root_properties(query: QueryResultSpec) -> OperationProperties:
 
 
 def child_properties(
-    parent: Operation, child_index: int, parent_properties: OperationProperties
+    parent: Operation,
+    child_index: int,
+    parent_properties: OperationProperties,
+    first_child: Optional[Operation] = None,
 ) -> OperationProperties:
-    """One top-down propagation step (public entry for the memo search)."""
-    return _child_properties(parent, child_index, parent_properties)
+    """One top-down propagation step, read from a table (the memo search's entry).
+
+    A step depends on the parent's operator type, the child index, the
+    parent's properties and at most one more input: whether the first child
+    has duplicate-free snapshots (coalescing, temporal difference), or
+    whether the parent's own predicate or items leave the periods alone
+    (σ, ⋈T, π — a flag kept on the node).  Keyed by those, the table
+    answers what :func:`_child_properties`, the reference :func:`annotate`
+    uses, computes; the first node of each key fills it in.
+
+    ``first_child`` stands in for ``parent.children[0]``, the only child a
+    step reads: the memo's context upgrade asks about a witness member there.
+    """
+    key = (type(parent), child_index, parent_properties, _consulted(parent, first_child))
+    step = _STEPS.get(key)
+    if step is None:
+        if first_child is not None:
+            parent = parent.with_children((first_child,) + parent.children[1:])
+        step = _STEPS[key] = _child_properties(parent, child_index, parent_properties)
+    return step
+
+
+def _consulted(parent: Operation, first_child: Optional[Operation]) -> Optional[bool]:
+    """The one input beyond (type, index, properties) a step below ``parent`` reads."""
+    if isinstance(parent, (Coalescing, TemporalDifference)):
+        return guarantees_no_snapshot_duplicates(
+            parent.children[0] if first_child is None else first_child
+        )
+    if isinstance(parent, (Selection, TemporalJoin, Projection)):
+        return _leaves_periods_alone(parent)
+    return None
+
+
+def _leaves_periods_alone(parent: Operation) -> bool:
+    """σ/⋈T: the predicate avoids the time attributes; π: it copies both
+    unchanged and computes nothing from them.  Once per node."""
+    flag = parent._period_transparent
+    if flag is None:
+        if isinstance(parent, Projection):
+            preserved = set(parent.preserved_attributes())
+            flag = T1 in preserved and T2 in preserved and not any(
+                item.attributes() & {T1, T2}
+                for item in parent.items
+                if not item.is_plain_attribute()
+            )
+        else:
+            flag = not (parent.predicate.attributes() & {T1, T2})
+        parent._period_transparent = flag
+    return flag
+
+
+#: (operator type, child index, parent properties, consulted input) → the
+#: step.  A memo of a pure function over a finite key space — a few hundred
+#: entries at most — so it is shared by every search in the process.
+_STEPS: Dict[PyTuple, OperationProperties] = {}
 
 
 def _child_properties(

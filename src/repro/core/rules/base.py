@@ -46,9 +46,10 @@ class RuleApplication:
 class TransformationRule:
     """A single directed rewrite with a declared equivalence type.
 
-    Subclasses declare :attr:`root` and implement :meth:`rewrite`, returning
-    ``None`` when the rule's syntactic pattern or its local (pre-)conditions
-    do not hold at the given subtree root, and a :class:`RuleApplication`
+    Subclasses declare :attr:`root` (and, where the pattern names it,
+    :attr:`child`) and implement :meth:`rewrite`, returning ``None`` when the
+    rest of the rule's syntactic pattern or its local (pre-)conditions do not
+    hold at the given subtree root, and a :class:`RuleApplication`
     otherwise.  ``rewrite`` must be pure: it may inspect the subtree but
     never mutate it.
     """
@@ -67,15 +68,23 @@ class TransformationRule:
     #: The operator type(s) the pattern's root must be an instance of
     #: (``Operation``: anything); drivers consult it through a :class:`RuleIndex`.
     root: Union[type, PyTuple[type, ...]] = Operation
+    #: The operator type(s) the root's first child must be an instance of
+    #: (``Operation``: anything) — the pattern one level down.  The memo
+    #: search tests it on a candidate child before building a binding.
+    child: Union[type, PyTuple[type, ...]] = Operation
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
         """Try to rewrite the subtree rooted at ``node``."""
         if not isinstance(node, self.root):
             return None
+        if self.child is not Operation and not (
+            node.children and isinstance(node.children[0], self.child)
+        ):
+            return None
         return self.rewrite(node)
 
     def rewrite(self, node: Operation) -> Optional[RuleApplication]:
-        """The rewrite of a subtree whose root is already known to fit :attr:`root`."""
+        """The rewrite of a subtree already known to fit :attr:`root` and :attr:`child`."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -77,11 +77,10 @@ class PushSelectionBelowCoalescing(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "selection and coalescing commute when the predicate is non-temporal"
     root = Selection
+    child = Coalescing
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         coalescing = node.child
-        if not isinstance(coalescing, Coalescing):
-            return None
         if node.predicate.attributes() & _TIME_ATTRIBUTES:
             return None
         rewritten = Coalescing(Selection(node.predicate, coalescing.child))
@@ -96,11 +95,10 @@ class DropCoalescingBelowNonTemporalProjection(TransformationRule):
     promise = 1.5
     description = "coalescing below a non-temporal projection is unnecessary for sets"
     root = Projection
+    child = Coalescing
 
     def rewrite(self, node: Projection) -> Optional[RuleApplication]:
         coalescing = node.child
-        if not isinstance(coalescing, Coalescing):
-            return None
         if node.attributes_used() & _TIME_ATTRIBUTES:
             return None
         rewritten = Projection(node.items, coalescing.child)
@@ -123,11 +121,10 @@ class MergeCoalescingOverUnionAll(TransformationRule):
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
     description = "inner coalescings below union ALL are redundant (snapshot multisets)"
     root = Coalescing
+    child = UnionAll
 
     def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, UnionAll):
-            return None
         if not isinstance(union.left, Coalescing) or not isinstance(union.right, Coalescing):
             return None
         rewritten = Coalescing(UnionAll(union.left.child, union.right.child))
@@ -141,11 +138,10 @@ class MergeCoalescingOverTemporalUnion(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "inner coalescings below temporal union are redundant"
     root = Coalescing
+    child = TemporalUnion
 
     def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, TemporalUnion):
-            return None
         if not isinstance(union.left, Coalescing) or not isinstance(union.right, Coalescing):
             return None
         rewritten = Coalescing(TemporalUnion(union.left.child, union.right.child))
@@ -159,11 +155,10 @@ class MergeCoalescingOverTemporalAggregation(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "coalescing the argument of a temporal aggregation is redundant"
     root = Coalescing
+    child = TemporalAggregation
 
     def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         aggregation = node.child
-        if not isinstance(aggregation, TemporalAggregation):
-            return None
         inner = aggregation.child
         if not isinstance(inner, Coalescing):
             return None
@@ -184,11 +179,10 @@ class MergeCoalescingOverProjection(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "coalescing the argument of a time-preserving projection is redundant"
     root = Coalescing
+    child = Projection
 
     def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         projection = node.child
-        if not isinstance(projection, Projection):
-            return None
         inner = projection.child
         if not isinstance(inner, Coalescing):
             return None
@@ -217,11 +211,10 @@ class PushCoalescingBelowTemporalProduct(TransformationRule):
     equivalence = EquivalenceType.MULTISET
     description = "coalesce the arguments of a temporal product instead of its projection"
     root = Coalescing
+    child = Projection
 
     def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         projection = node.child
-        if not isinstance(projection, Projection):
-            return None
         product = projection.child
         if not isinstance(product, TemporalCartesianProduct):
             return None
@@ -258,11 +251,10 @@ class PushCoalescingBelowTemporalDifference(TransformationRule):
     equivalence = EquivalenceType.MULTISET
     description = "push coalescing below temporal difference"
     root = Coalescing
+    child = TemporalDifference
 
     def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         difference = node.child
-        if not isinstance(difference, TemporalDifference):
-            return None
         if not guarantees_no_snapshot_duplicates(difference.left):
             return None
         rewritten = TemporalDifference(

@@ -60,11 +60,10 @@ class CommuteSelections(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "adjacent selections commute"
     root = Selection
+    child = Selection
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         inner = node.child
-        if not isinstance(inner, Selection):
-            return None
         rewritten = Selection(inner.predicate, Selection(node.predicate, inner.child))
         return application(rewritten, (0,), (0, 0))
 
@@ -76,11 +75,10 @@ class PushSelectionBelowProjection(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection below projection"
     root = Selection
+    child = Projection
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         projection = node.child
-        if not isinstance(projection, Projection):
-            return None
         preserved = set(projection.preserved_attributes())
         if not node.predicate.attributes() <= preserved:
             return None
@@ -95,11 +93,10 @@ class PushSelectionBelowSort(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection below sort"
     root = Selection
+    child = Sort
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         sort = node.child
-        if not isinstance(sort, Sort):
-            return None
         rewritten = Sort(sort.sort_order, Selection(node.predicate, sort.child))
         return application(rewritten, (0,), (0, 0))
 
@@ -111,11 +108,10 @@ class PushSelectionBelowDuplicateElimination(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection below duplicate elimination"
     root = Selection
+    child = DuplicateElimination
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         rdup = node.child
-        if not isinstance(rdup, DuplicateElimination):
-            return None
         if rdup.child.output_schema().is_temporal:
             # The elimination renames T1/T2, so the predicate's attribute
             # names would not resolve below it.
@@ -131,11 +127,10 @@ class PushSelectionBelowTemporalDuplicateElimination(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection below temporal duplicate elimination"
     root = Selection
+    child = TemporalDuplicateElimination
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         rdup = node.child
-        if not isinstance(rdup, TemporalDuplicateElimination):
-            return None
         if node.predicate.attributes() & _TIME_ATTRIBUTES:
             return None
         rewritten = TemporalDuplicateElimination(Selection(node.predicate, rdup.child))
@@ -149,9 +144,10 @@ class PushSelectionIntoProductLeft(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a product"
     root = Selection
+    child = CartesianProduct
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
-        return _push_into_product(node, CartesianProduct, side=0)
+        return _push_into_product(node, side=0)
 
 
 class PushSelectionIntoProductRight(TransformationRule):
@@ -161,9 +157,10 @@ class PushSelectionIntoProductRight(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection into the right argument of a product"
     root = Selection
+    child = CartesianProduct
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
-        return _push_into_product(node, CartesianProduct, side=1)
+        return _push_into_product(node, side=1)
 
 
 class PushSelectionIntoTemporalProductLeft(TransformationRule):
@@ -177,9 +174,10 @@ class PushSelectionIntoTemporalProductLeft(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a temporal product"
     root = Selection
+    child = TemporalCartesianProduct
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
-        return _push_into_product(node, TemporalCartesianProduct, side=0)
+        return _push_into_product(node, side=0)
 
 
 class PushSelectionIntoTemporalProductRight(TransformationRule):
@@ -189,15 +187,14 @@ class PushSelectionIntoTemporalProductRight(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection into the right argument of a temporal product"
     root = Selection
+    child = TemporalCartesianProduct
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
-        return _push_into_product(node, TemporalCartesianProduct, side=1)
+        return _push_into_product(node, side=1)
 
 
-def _push_into_product(node: Selection, product_type: type, side: int) -> Optional[RuleApplication]:
+def _push_into_product(node: Selection, side: int) -> Optional[RuleApplication]:
     product = node.child
-    if not isinstance(product, product_type):
-        return None
     argument = product.children[side]
     argument_schema = argument.output_schema()
     used = node.predicate.attributes()
@@ -225,11 +222,10 @@ class PushSelectionBelowUnionAll(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection below union ALL"
     root = Selection
+    child = UnionAll
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, UnionAll):
-            return None
         rewritten = UnionAll(
             Selection(node.predicate, union.left), Selection(node.predicate, union.right)
         )
@@ -243,11 +239,10 @@ class PushSelectionBelowUnion(TransformationRule):
     equivalence = EquivalenceType.MULTISET
     description = "push selection below multiset union"
     root = Selection
+    child = Union
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, Union):
-            return None
         if union.left.output_schema().is_temporal:
             # Union demotes the time attributes; the predicate's names would
             # not resolve below it.
@@ -265,11 +260,10 @@ class PushSelectionBelowTemporalUnion(TransformationRule):
     equivalence = EquivalenceType.MULTISET
     description = "push selection below temporal union"
     root = Selection
+    child = TemporalUnion
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, TemporalUnion):
-            return None
         if node.predicate.attributes() & _TIME_ATTRIBUTES:
             return None
         rewritten = TemporalUnion(
@@ -285,11 +279,10 @@ class PushSelectionIntoDifferenceLeft(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a difference"
     root = Selection
+    child = Difference
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         difference = node.child
-        if not isinstance(difference, Difference):
-            return None
         if difference.left.output_schema().is_temporal:
             return None
         rewritten = Difference(Selection(node.predicate, difference.left), difference.right)
@@ -303,11 +296,10 @@ class PushSelectionIntoTemporalDifferenceLeft(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push selection into the left argument of a temporal difference"
     root = Selection
+    child = TemporalDifference
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         difference = node.child
-        if not isinstance(difference, TemporalDifference):
-            return None
         if node.predicate.attributes() & _TIME_ATTRIBUTES:
             return None
         rewritten = TemporalDifference(
@@ -323,11 +315,10 @@ class PushSelectionBelowAggregation(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push a grouping-attribute selection below aggregation"
     root = Selection
+    child = Aggregation
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         aggregation = node.child
-        if not isinstance(aggregation, Aggregation):
-            return None
         if not node.predicate.attributes() <= set(aggregation.grouping):
             return None
         if set(aggregation.grouping) & _TIME_ATTRIBUTES:
@@ -352,11 +343,10 @@ class PushSelectionBelowTemporalAggregation(TransformationRule):
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
     description = "push a grouping-attribute selection below temporal aggregation"
     root = Selection
+    child = TemporalAggregation
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         aggregation = node.child
-        if not isinstance(aggregation, TemporalAggregation):
-            return None
         if not node.predicate.attributes() <= set(aggregation.grouping):
             return None
         rewritten = TemporalAggregation(
@@ -379,11 +369,10 @@ class MergeProjections(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "merge consecutive projections"
     root = Projection
+    child = Projection
 
     def rewrite(self, node: Projection) -> Optional[RuleApplication]:
         inner = node.child
-        if not isinstance(inner, Projection):
-            return None
         if not all(item.is_plain_attribute() for item in inner.items):
             return None
         if not node.attributes_used() <= set(inner.output_attribute_names()):
@@ -399,11 +388,10 @@ class PushProjectionBelowUnionAll(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push projection below union ALL"
     root = Projection
+    child = UnionAll
 
     def rewrite(self, node: Projection) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, UnionAll):
-            return None
         rewritten = UnionAll(
             Projection(node.items, union.left), Projection(node.items, union.right)
         )
@@ -490,11 +478,10 @@ class AssociateUnionAll(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "union ALL is associative"
     root = UnionAll
+    child = UnionAll
 
     def rewrite(self, node: UnionAll) -> Optional[RuleApplication]:
         inner = node.left
-        if not isinstance(inner, UnionAll):
-            return None
         rewritten = UnionAll(inner.left, UnionAll(inner.right, node.right))
         return application(rewritten, (0,), (1,), (0, 0), (0, 1))
 

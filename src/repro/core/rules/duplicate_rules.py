@@ -107,11 +107,10 @@ class PushDuplicateEliminationBelowUnion(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push rdup below multiset union"
     root = DuplicateElimination
+    child = Union
 
     def rewrite(self, node: DuplicateElimination) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, Union):
-            return None
         rewritten = Union(
             DuplicateElimination(union.left), DuplicateElimination(union.right)
         )
@@ -125,11 +124,10 @@ class PushTemporalDuplicateEliminationBelowTemporalUnion(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push rdupT below temporal union"
     root = TemporalDuplicateElimination
+    child = TemporalUnion
 
     def rewrite(self, node: TemporalDuplicateElimination) -> Optional[RuleApplication]:
         union = node.child
-        if not isinstance(union, TemporalUnion):
-            return None
         rewritten = TemporalUnion(
             TemporalDuplicateElimination(union.left),
             TemporalDuplicateElimination(union.right),
@@ -145,10 +143,9 @@ class CollapseDuplicateElimination(TransformationRule):
     promise = 2.0
     description = "rdup is idempotent"
     root = DuplicateElimination
+    child = DuplicateElimination
 
     def rewrite(self, node: DuplicateElimination) -> Optional[RuleApplication]:
-        if not isinstance(node.child, DuplicateElimination):
-            return None
         return application(node.child, (0,), (0, 0))
 
 
@@ -160,10 +157,9 @@ class CollapseTemporalDuplicateElimination(TransformationRule):
     promise = 2.0
     description = "rdupT is idempotent"
     root = TemporalDuplicateElimination
+    child = TemporalDuplicateElimination
 
     def rewrite(self, node: TemporalDuplicateElimination) -> Optional[RuleApplication]:
-        if not isinstance(node.child, TemporalDuplicateElimination):
-            return None
         return application(node.child, (0,), (0, 0))
 
 

@@ -52,11 +52,10 @@ class FuseSelectionOverProduct(TransformationRule):
     #: fire early so the memo search gets tight upper bounds fast.
     promise = 2.0
     root = Selection
+    child = CartesianProduct
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         product = node.child
-        if not isinstance(product, CartesianProduct):
-            return None
         rewritten = Join(node.predicate, product.left, product.right)
         return application(rewritten, (0,), (0, 0), (0, 1))
 
@@ -69,11 +68,10 @@ class FuseSelectionOverTemporalProduct(TransformationRule):
     description = "fuse a selection over a temporal product into a temporal join"
     promise = 2.0
     root = Selection
+    child = TemporalCartesianProduct
 
     def rewrite(self, node: Selection) -> Optional[RuleApplication]:
         product = node.child
-        if not isinstance(product, TemporalCartesianProduct):
-            return None
         rewritten = TemporalJoin(node.predicate, product.left, product.right)
         return application(rewritten, (0,), (0, 0), (0, 1))
 

@@ -76,11 +76,10 @@ class CollapseSorts(TransformationRule):
     promise = 2.0
     description = "collapse consecutive sorts"
     root = Sort
+    child = Sort
 
     def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         inner = node.child
-        if not isinstance(inner, Sort):
-            return None
         if not inner.sort_order.is_prefix_of(node.sort_order):
             return None
         return application(Sort(node.sort_order, inner.child), (0,), (0, 0))
@@ -93,11 +92,10 @@ class PushSortBelowSelection(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push sort below selection"
     root = Sort
+    child = Selection
 
     def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         selection = node.child
-        if not isinstance(selection, Selection):
-            return None
         rewritten = Selection(selection.predicate, Sort(node.sort_order, selection.child))
         return application(rewritten, (0,), (0, 0))
 
@@ -109,11 +107,10 @@ class PushSortBelowProjection(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push sort below projection"
     root = Sort
+    child = Projection
 
     def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         projection = node.child
-        if not isinstance(projection, Projection):
-            return None
         preserved = set(projection.preserved_attributes())
         if not set(node.sort_order.attributes) <= preserved:
             return None
@@ -128,11 +125,10 @@ class PushSortBelowDuplicateElimination(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push sort below duplicate elimination"
     root = Sort
+    child = DuplicateElimination
 
     def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         rdup = node.child
-        if not isinstance(rdup, DuplicateElimination):
-            return None
         if rdup.child.output_schema().is_temporal:
             # rdup renames the time attributes, so the pushed sort would see
             # different attribute names; keep the rule simple and skip.
@@ -148,11 +144,10 @@ class PushSortBelowCoalescing(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push sort below coalescing"
     root = Sort
+    child = Coalescing
 
     def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         coalescing = node.child
-        if not isinstance(coalescing, Coalescing):
-            return None
         if set(node.sort_order.attributes) & _TIME_ATTRIBUTES:
             return None
         rewritten = Coalescing(Sort(node.sort_order, coalescing.child))
@@ -166,11 +161,10 @@ class PushSortBelowDifference(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push sort into the left argument of a difference"
     root = Sort
+    child = Difference
 
     def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         difference = node.child
-        if not isinstance(difference, Difference):
-            return None
         if difference.left.output_schema().is_temporal:
             # The difference demotes the time attributes of a temporal
             # argument; the pushed sort would see different names.
@@ -186,11 +180,10 @@ class PushSortBelowTemporalDifference(TransformationRule):
     equivalence = EquivalenceType.LIST
     description = "push sort into the left argument of a temporal difference"
     root = Sort
+    child = TemporalDifference
 
     def rewrite(self, node: Sort) -> Optional[RuleApplication]:
         difference = node.child
-        if not isinstance(difference, TemporalDifference):
-            return None
         if set(node.sort_order.attributes) & _TIME_ATTRIBUTES:
             return None
         rewritten = TemporalDifference(

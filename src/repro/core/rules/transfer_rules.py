@@ -67,10 +67,9 @@ class EliminateTransferRoundTripToDBMS(TransformationRule):
     promise = 2.0
     description = "eliminate a TS(TD(r)) round trip"
     root = TransferToStratum
+    child = TransferToDBMS
 
     def rewrite(self, node: TransferToStratum) -> Optional[RuleApplication]:
-        if not isinstance(node.child, TransferToDBMS):
-            return None
         return application(node.child.child, (0,), (0, 0))
 
 
@@ -82,10 +81,9 @@ class EliminateTransferRoundTripToStratum(TransformationRule):
     promise = 2.0
     description = "eliminate a TD(TS(r)) round trip"
     root = TransferToDBMS
+    child = TransferToStratum
 
     def rewrite(self, node: TransferToDBMS) -> Optional[RuleApplication]:
-        if not isinstance(node.child, TransferToStratum):
-            return None
         return application(node.child.child, (0,), (0, 0))
 
 

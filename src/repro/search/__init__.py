@@ -8,7 +8,7 @@ package supplies that missing optimizer in the Volcano/Cascades tradition:
   expressions* with signature-based deduplication, so a sub-plan rewritten
   once is shared by every plan containing it;
 * :mod:`repro.search.tasks` — an explicit task stack (``OptimizeGroup`` /
-  ``ExploreGroup`` / ``ApplyRule`` / ``OptimizeInputs``) driving rule
+  ``ExploreGroup`` / ``ApplyRules`` / ``OptimizeInputs``) driving rule
   application per group expression instead of per whole plan, gated by the
   same ``rule_application_allowed`` / ``involved_properties`` machinery the
   exhaustive enumerator uses, so Definition 5.1 correctness is preserved;

@@ -69,19 +69,23 @@ def binding_feature(tree: Operation) -> PyTuple[Any, ...]:
     (and thus the number of fragments the search considers) small.  A rule
     inspecting deeper structure must extend this key.
     """
-    children = tuple(
-        (
-            _node_feature(child),
-            static_guarantees(child),
-            derive_order(child),
+    return _child_feature(tree)[:3] + (tuple(map(_child_feature, tree.children)),)
+
+
+def _child_feature(node: Operation) -> PyTuple[Any, ...]:
+    """What :func:`binding_feature` observes of ``node`` as a child: once per node."""
+    feature = node._feature
+    if feature is None:
+        feature = node._feature = (
+            _node_feature(node),
+            static_guarantees(node),
+            derive_order(node),
             tuple(
                 (_node_feature(grandchild), static_guarantees(grandchild))
-                for grandchild in child.children
+                for grandchild in node.children
             ),
         )
-        for child in tree.children
-    )
-    return (_node_feature(tree), static_guarantees(tree), derive_order(tree), children)
+    return feature
 
 
 @dataclass

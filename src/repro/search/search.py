@@ -249,11 +249,42 @@ class _Extractor:
         self.upper_bound = upper_bound
         self._frontiers: Dict[PyTuple[int, str], List[_Entry]] = {}
         self._bounds: Dict[int, PyTuple[float, float]] = {}
-        #: Per expression id, ``bounds_for`` as computed outside any group's
-        #: own bound (see there).
+        #: Per expression id, ``bounds_for`` as computed with no child group's
+        #: bound in progress (see there).
         self._expression_bounds: Dict[int, PyTuple[float, float]] = {}
         self._bounds_on_stack: Set[int] = set()
         self._cycle_cuts = 0
+        #: Per (expression id, input cardinalities): the output estimate; per
+        #: (expression id, engine, input cardinalities): with the work.  The
+        #: bounds and every frontier combination of every engine ask again.
+        self._outputs: Dict[PyTuple, float] = {}
+        self._costs: Dict[PyTuple, PyTuple[float, float]] = {}
+
+    # -- per-operator estimates ---------------------------------------------------
+
+    def output(self, expression: GroupExpression, cards: PyTuple[float, ...]) -> float:
+        """The expression's output-cardinality estimate over ``cards``."""
+        key = (expression.id, cards)
+        output = self._outputs.get(key)
+        if output is None:
+            output = self._outputs[key] = operator_cardinality(
+                expression.shell, cards, self.statistics_map, self.model,
+                estimator=self.estimator,
+            )
+        return output
+
+    def costed(
+        self, expression: GroupExpression, engine: str, cards: PyTuple[float, ...]
+    ) -> PyTuple[float, float]:
+        """``(output estimate, work)`` of the expression run by ``engine`` over ``cards``."""
+        key = (expression.id, engine, cards)
+        found = self._costs.get(key)
+        if found is None:
+            output = self.output(expression, cards)
+            found = self._costs[key] = (
+                output, operator_work(expression.shell, cards, output, engine, self.model)
+            )
+        return found
 
     # -- admissible lower bounds ------------------------------------------------
 
@@ -280,22 +311,22 @@ class _Extractor:
     def bounds_for(self, expression: GroupExpression) -> PyTuple[float, float]:
         """``(cost, cardinality)`` lower bounds over the expression's plans.
 
-        Pure for fixed statistics, and asked once per ``(group, engine)``
-        frontier, so remembered per expression — but only a value computed
-        with no group's bound in progress: below one, a child on the stack
-        answers the cycle cut's ``(0, 0)``.  A remembered value is right
-        anywhere, since computing it left every child group's bound cached.
+        Pure for fixed statistics, and asked by its group's bound and once
+        per ``(group, engine)`` frontier, so remembered per expression — but
+        only a value computed with none of its child groups' bounds in
+        progress: such a child answers the cycle cut's ``(0, 0)``.  A
+        remembered value is right anywhere, since computing it left every
+        child group's bound cached.
         """
         cached = self._expression_bounds.get(expression.id)
         if cached is not None:
             return cached
+        find, on_stack = self.memo.find, self._bounds_on_stack
+        cut = any(find(child) in on_stack for child in expression.children)
         child_bounds = [self.bounds(child) for child in expression.children]
         child_cost = sum(bound[0] for bound in child_bounds)
-        child_cards = [bound[1] for bound in child_bounds]
-        output = operator_cardinality(
-            expression.shell, child_cards, self.statistics_map, self.model,
-            estimator=self.estimator,
-        )
+        child_cards = tuple(bound[1] for bound in child_bounds)
+        output = self.output(expression, child_cards)
         # Operator *work* is monotone in the input cardinalities even where
         # the cardinality estimate is not, so under-estimated inputs give an
         # admissible work bound.  The output estimate itself is only a valid
@@ -310,7 +341,7 @@ class _Extractor:
             expression.shell, child_cards, output, self.model
         )
         result = (child_cost + work, card)
-        if not self._bounds_on_stack:
+        if not cut:
             self._expression_bounds[expression.id] = result
         return result
 
@@ -350,12 +381,9 @@ class _Extractor:
             if any(not frontier for frontier in child_frontiers):
                 continue
             for combo in _combinations(child_frontiers):
-                cards = [entry.cardinality for entry in combo]
-                output = operator_cardinality(
-                    expression.shell, cards, self.statistics_map, self.model,
-                    estimator=self.estimator,
+                output, work = self.costed(
+                    expression, engine, tuple(entry.cardinality for entry in combo)
                 )
-                work = operator_work(expression.shell, cards, output, engine, self.model)
                 cost = sum(entry.cost for entry in combo) + work
                 if cost > self.upper_bound:
                     continue
@@ -411,19 +439,23 @@ class MemoSearch:
         query: QueryResultSpec,
         statistics: Optional[Mapping[str, int]] = None,
         explorations: Optional[ExplorationStore] = None,
+        token=None,
     ) -> SearchResult:
         """Find the cheapest plan equivalent to ``initial_plan`` for ``query``.
 
         ``extract(explore(...))``, for every caller; ``explorations`` only
         lets the first step be looked up instead of run.
         """
-        return self.extract(self.explore(initial_plan, query, explorations), statistics)
+        return self.extract(
+            self.explore(initial_plan, query, explorations, token), statistics
+        )
 
     def explore(
         self,
         initial_plan: Operation,
         query: QueryResultSpec,
         explorations: Optional[ExplorationStore] = None,
+        token=None,
     ) -> Exploration:
         """Close a memo of the seed plan over the rule catalogue.
 
@@ -433,7 +465,8 @@ class MemoSearch:
         and left under — compared (the index by identity, the seed
         structurally), never assumed from where the plan came.  Stored only
         once exploration has returned; a budget-truncated one is
-        deterministic and stored like any other.
+        deterministic and stored like any other, while one a cancelled or
+        expired ``token`` stops raises its typed error and leaves nothing.
         """
         seed = ensure_output_properties(initial_plan, query)
         context = root_properties(query)
@@ -449,7 +482,7 @@ class MemoSearch:
         search_statistics = SearchStatistics()
         search_statistics.initial_expressions = memo.expressions_created
 
-        search_statistics.absorb(explore(memo, root, self.index, options))
+        search_statistics.absorb(explore(memo, root, self.index, options, token))
         search_statistics.groups = len(memo.groups)
         search_statistics.expressions = memo.expressions_created
         search_statistics.merges = memo.merges

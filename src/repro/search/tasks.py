@@ -8,19 +8,25 @@ of small tasks, in the Cascades style:
     group changed since it was last visited.
 
 ``ExploreGroup``
-    schedules, for every expression of the group, an ``ApplyRule`` task per
-    catalogue rule whose declared root admits the expression's operator —
-    highest :attr:`~repro.core.rules.base.TransformationRule.promise` first —
-    plus an ``OptimizeInputs`` task.
+    schedules, for every expression of the group, one ``ApplyRules`` task
+    over the catalogue rules whose declared root admits the expression's
+    operator, plus an ``OptimizeInputs`` task.
 
-``ApplyRule``
-    binds a rule's pattern against an expression: the expression's shell is
-    materialized over concrete member trees of its child groups, the rule's
-    ``apply`` runs on each binding, and admitted replacements (per the same
-    Figure 5 ``rule_application_allowed`` / involved-properties check the
-    exhaustive enumerator performs) are interned back into the expression's
-    group.  A task whose child groups are unchanged since its last completed
-    run is skipped: it could only re-enumerate bindings it has already tried.
+``ApplyRules``
+    binds each of those rules' patterns against the expression, highest
+    :attr:`~repro.core.rules.base.TransformationRule.promise` first: the
+    expression's shell is materialized over concrete member trees of its
+    child groups, the rule's ``apply`` runs on each binding, and admitted
+    replacements (per the same Figure 5 ``rule_application_allowed`` /
+    involved-properties check the exhaustive enumerator performs) are
+    interned back into the expression's group.  A candidate child the rule's
+    declared :attr:`~repro.core.rules.base.TransformationRule.child` pattern
+    rejects is counted as an attempt without building the binding.  A rule
+    whose child groups are unchanged since its last completed run is
+    skipped: it could only re-enumerate bindings it has already tried.
+    When a rule schedules new expressions, the rest of the rule list is
+    pushed back *beneath* their tasks, so they run before the next rule
+    exactly as they would with one task per rule.
 
 ``OptimizeInputs``
     recurses into the child groups, and performs *context upgrades*: when a
@@ -29,11 +35,14 @@ of small tasks, in the Cascades style:
     now known to have duplicate-free snapshots, making duplicates in the
     right argument irrelevant), the child is re-interned under the weaker
     context and a variant expression referencing the relaxed group is added.
+    A run that upgraded nothing is stamped like a rule's, and skipped while
+    the child groups stay unchanged.
 
 A *sweep* runs the stack to exhaustion; sweeps repeat until the memo stops
 changing (new trees discovered in one sweep become binding candidates and
 witnesses in the next), so exploration reaches the same closure the
 exhaustive enumerator computes — without ever materializing whole plans.
+A request's cancellation token is checked before every task and every rule.
 """
 
 from __future__ import annotations
@@ -119,12 +128,22 @@ class ExplorationOptions:
     max_context_seeds: int = 24
 
 
+#: The child groups' ``(canonical id, generation)``: all a stamped task reads.
+Stamp = PyTuple[PyTuple[int, int], ...]
+
+
+def _stamp(groups) -> Stamp:
+    return tuple((group.id, group.generation) for group in groups)
+
+
 class _Task:
+    __slots__ = ()
+
     def execute(self, state: "ExplorationState") -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(slots=True)
 class OptimizeGroup(_Task):
     group_id: int
 
@@ -136,7 +155,7 @@ class OptimizeGroup(_Task):
         state.push(ExploreGroup(group.id))
 
 
-@dataclass
+@dataclass(slots=True)
 class ExploreGroup(_Task):
     group_id: int
 
@@ -146,7 +165,7 @@ class ExploreGroup(_Task):
             state.schedule_expression(group.id, expression)
 
 
-@dataclass
+@dataclass(slots=True)
 class OptimizeInputs(_Task):
     group_id: int
     expression: GroupExpression
@@ -159,21 +178,24 @@ class OptimizeInputs(_Task):
             state.push(OptimizeGroup(memo.find(child_id)))
         if not expression.children:
             return
+        # The upgrade reads only the child groups (the context is fixed):
+        # unchanged since a run that upgraded nothing, it upgrades nothing.
+        stamp = _stamp([memo.group(child_id) for child_id in expression.children])
+        if state.input_stamps.get(expression.id) == stamp:
+            return
         # Context upgrade: re-derive the child contexts assuming the most
         # guaranteeing member each child group can provide.  Where that
         # clears a property the original per-tree derivation could not, the
         # child's alternatives remain valid under the weaker context (any
         # member substitutes for any other), so the child group is reseeded
-        # there and a variant expression adopts it.
-        witness_children = [
-            memo.group(child_id).witness_or_canonical() for child_id in expression.children
-        ]
-        witness_tree = expression.shell.with_children(witness_children)
+        # there and a variant expression adopts it.  A step reads no child
+        # but the first, so only its witness is looked up.
+        witness = memo.group(expression.children[0]).witness_or_canonical()
         upgraded_ids: List[int] = []
         changed = False
         for index, child_id in enumerate(expression.children):
             child_group = memo.group(child_id)
-            upgraded = child_properties(witness_tree, index, group.context)
+            upgraded = child_properties(expression.shell, index, group.context, witness)
             if _weakens(upgraded, child_group.context):
                 seeds = list(child_group.trees.values())[: state.options.max_context_seeds]
                 # All seeds are mutually substitutable, so they belong to ONE
@@ -187,40 +209,75 @@ class OptimizeInputs(_Task):
                 changed = True
             else:
                 upgraded_ids.append(child_group.id)
-        if changed:
-            added = memo.add_expression_parts(
-                group.id, expression.source, tuple(upgraded_ids), "context-upgrade"
-            )
-            if added is not None:
-                state.statistics.context_upgrades += 1
-                state.schedule_expression(group.id, added)
+        if not changed:
+            state.input_stamps[expression.id] = stamp
+            return
+        added = memo.add_expression_parts(
+            group.id, expression.source, tuple(upgraded_ids), "context-upgrade"
+        )
+        if added is not None:
+            state.statistics.context_upgrades += 1
+            state.schedule_expression(group.id, added)
 
 
-@dataclass
-class ApplyRule(_Task):
+@dataclass(slots=True)
+class ApplyRules(_Task):
     group_id: int
     expression: GroupExpression
-    position: int
-    rule: TransformationRule
+    #: ``(catalogue position, rule)`` in firing order (``RuleIndex.matching``).
+    rules: PyTuple[PyTuple[int, TransformationRule], ...]
+    #: Where in ``rules`` this run starts: a continuation resumes there.
+    start: int = 0
 
     def execute(self, state: "ExplorationState") -> None:
         memo = state.memo
+        stack = state.stack
+        token = state.token
+        expression = self.expression
+        rules = self.rules
+        below = len(stack)
+        mutations = -1
+        for index in range(self.start, len(rules)):
+            if token is not None:
+                token.check()
+            if memo.mutations != mutations:
+                # A rule's application reads nothing but the child groups
+                # (``apply`` is pure, the context fixed): the stamp and the
+                # candidates hold until the memo changes.
+                mutations = memo.mutations
+                child_groups = [memo.group(child_id) for child_id in expression.children]
+                stamp = _stamp(child_groups)
+                candidate_lists = None
+            position, rule = rules[index]
+            key = (expression.id, position)
+            if state.stamps.get(key) == stamp:
+                continue
+            if candidate_lists is None:
+                limit = state.options.max_candidates_per_child
+                candidate_lists = [child.binding_candidates(limit) for child in child_groups]
+            if not self.apply_rule(state, key, rule, candidate_lists):
+                return
+            state.stamps[key] = stamp
+            if len(stack) > below:
+                # The rule scheduled new expressions: their tasks run before
+                # the next rule, as they would with one task per rule.
+                stack.insert(below, ApplyRules(self.group_id, expression, rules, index + 1))
+                return
+
+    def apply_rule(
+        self,
+        state: "ExplorationState",
+        key: PyTuple[int, int],
+        rule: TransformationRule,
+        candidate_lists: List[List[PyTuple[int, Operation]]],
+    ) -> bool:
+        """Apply ``rule`` to every binding not yet tried; False once the budget is spent."""
+        memo = state.memo
         statistics = state.statistics
         options = state.options
-        expression = self.expression
-        rule = self.rule
-        key = (expression.id, self.position)
-        child_groups = [memo.group(child_id) for child_id in expression.children]
-        # All this task reads of the memo (apply is pure, the context fixed):
-        # unchanged since its last completed run, every binding is in ``tried``.
-        stamp = tuple((child.id, child.generation) for child in child_groups)
-        if state.stamps.get(key) == stamp:
-            return
+        shell = self.expression.shell
+        pattern = rule.child
         group = memo.group(self.group_id)
-        candidate_lists = [
-            child.binding_candidates(options.max_candidates_per_child)
-            for child in child_groups
-        ]
         tried = state.tried.setdefault(key, set())
         combinations = 0
         for combo in itertools.product(*candidate_lists):
@@ -228,16 +285,17 @@ class ApplyRule(_Task):
                 statistics.bindings_truncated += 1
                 break
             combinations += 1
-            numbers = tuple(number for number, _ in combo)
+            numbers = tuple([number for number, _ in combo])
             if numbers in tried:
                 continue
             tried.add(numbers)
-            binding = (
-                expression.shell.with_children([tree for _, tree in combo])
-                if combo
-                else expression.shell
-            )
             statistics.applications_attempted += 1
+            if not combo:
+                binding = shell
+            elif isinstance(combo[0][1], pattern):
+                binding = shell.with_children([tree for _, tree in combo])
+            else:
+                continue  # the declared child pattern fails: ``apply`` would say None
             application = rule.apply(binding)
             if application is None:
                 continue
@@ -250,13 +308,13 @@ class ApplyRule(_Task):
                 continue
             if memo.expressions_created >= options.max_expressions:
                 statistics.truncated = True
-                return
+                return False
             added = memo.add_expression(group.id, application.replacement, rule.name)
             if added is not None:
                 statistics.applications_succeeded += 1
                 statistics.record_use(rule)
                 state.schedule_expression(memo.find(group.id), added)
-        state.stamps[key] = stamp
+        return True
 
 
 class ExplorationState:
@@ -268,20 +326,25 @@ class ExplorationState:
         index: RuleIndex,
         options: ExplorationOptions,
         statistics: ExplorationStatistics,
+        token=None,
     ) -> None:
         self.memo = memo
         self.index = index
         self.options = options
         self.statistics = statistics
+        #: The request's cancellation token, if any.
+        self.token = token
         self.stack: List[_Task] = []
         self.visited_generation: Dict[int, int] = {}
         self.scheduled: Set[int] = set()
         # Both per (expression id, rule position): the bindings already
         # applied (each a tuple of its trees' memo-wide binding numbers), and
-        # the child groups' ``(canonical id, generation)`` at the start of the
-        # last *completed* run.
+        # the child groups' stamp at the start of the last *completed* run.
         self.tried: Dict[PyTuple[int, int], Set[PyTuple[int, ...]]] = {}
-        self.stamps: Dict[PyTuple[int, int], PyTuple] = {}
+        self.stamps: Dict[PyTuple[int, int], Stamp] = {}
+        #: Per expression id: the stamp of its last ``OptimizeInputs`` run
+        #: that upgraded nothing.
+        self.input_stamps: Dict[int, Stamp] = {}
 
     def push(self, task: _Task) -> None:
         self.stack.append(task)
@@ -292,9 +355,10 @@ class ExplorationState:
             return
         self.scheduled.add(expression.id)
         self.push(OptimizeInputs(group_id, expression))
-        # Pushed in reverse so the highest-promise rule is applied first.
-        for position, rule in reversed(self.index.matching(type(expression.shell))):
-            self.push(ApplyRule(group_id, expression, position, rule))
+        rules = self.index.matching(type(expression.shell))
+        if rules:
+            # Above ``OptimizeInputs``: the rules are applied first.
+            self.push(ApplyRules(group_id, expression, rules))
 
     @property
     def truncated(self) -> bool:
@@ -306,22 +370,28 @@ def explore(
     root_group: int,
     index: RuleIndex,
     options: Optional[ExplorationOptions] = None,
+    token=None,
 ) -> ExplorationStatistics:
     """Run exploration sweeps until the memo reaches its closure (or a budget).
 
-    Returns the exploration counters; the memo is mutated in place.
+    Returns the exploration counters; the memo is mutated in place.  A
+    cancelled or expired ``token`` raises its typed error from inside the
+    run, before the next task or rule.
     """
     options = options or ExplorationOptions()
     statistics = ExplorationStatistics()
-    state = ExplorationState(memo, index, options, statistics)
+    state = ExplorationState(memo, index, options, statistics, token)
+    stack = state.stack
     while statistics.sweeps < options.max_sweeps and not state.truncated:
         statistics.sweeps += 1
         mutations_before = memo.mutations
         state.visited_generation.clear()
         state.scheduled.clear()
         state.push(OptimizeGroup(memo.find(root_group)))
-        while state.stack and not state.truncated:
-            state.stack.pop().execute(state)
+        while stack and not state.truncated:
+            if token is not None:
+                token.check()
+            stack.pop().execute(state)
         if memo.mutations == mutations_before:
             break
     return statistics

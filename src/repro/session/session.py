@@ -490,7 +490,8 @@ class Session:
             # The cache is also the store of explored memos: a statement (and
             # each of its fragments) explored under another epoch is re-costed.
             optimization = database.optimize_plan(
-                initial_plan, query_spec, snapshot=snapshot, explorations=self.cache
+                initial_plan, query_spec, snapshot=snapshot, explorations=self.cache,
+                token=token,
             )
             return CachedPlan(
                 key=key,

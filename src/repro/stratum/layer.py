@@ -149,12 +149,13 @@ class TemporalQueryOptimizer:
         statistics: Optional[Mapping[str, int]] = None,
         estimator=None,
         explorations: Optional[ExplorationStore] = None,
+        token=None,
     ) -> OptimizationOutcome:
         """Find the cheapest plan equivalent to ``initial_plan``.
 
         With ``explorations`` a statement explored before (under any
         statistics) is only re-costed; the ``search.memo`` fault point fires
-        either way.
+        either way.  A cancelled or expired ``token`` stops the search.
         """
         estimator = estimator if estimator is not None else self.estimator
         initial_cost = estimate_cost(
@@ -174,7 +175,7 @@ class TemporalQueryOptimizer:
                 cost_model=self.cost_model,
                 options=self.search_options,
                 estimator=estimator,
-            ).optimize(initial_plan, query_spec, statistics, explorations)
+            ).optimize(initial_plan, query_spec, statistics, explorations, token)
         except (CancelledError, ResourceExhaustedError):
             raise
         except Exception as exc:
@@ -388,6 +389,7 @@ class TemporalDatabase(_CatalogReads):
         query_spec: QueryResultSpec,
         snapshot: Optional["DatabaseSnapshot"] = None,
         explorations: Optional[ExplorationStore] = None,
+        token=None,
     ) -> OptimizationOutcome:
         """Optimize a plan against the current statistics (or cost it as-is).
 
@@ -405,7 +407,10 @@ class TemporalDatabase(_CatalogReads):
         the fragments' alike, so the plan matches the epoch the snapshot's
         cache key carries.  ``explorations`` (the session's plan cache) goes
         to the statement's search and to every fragment's: what an earlier
-        epoch explored is re-costed, not explored again.
+        epoch explored is re-costed, not explored again.  The request's
+        ``token`` is checked inside the statement's search, so a cancel or a
+        deadline stops it where it is (the fragments' small, bounded
+        searches are not checked).
         """
         source = snapshot if snapshot is not None else self
         statistics = source.statistics()
@@ -414,7 +419,7 @@ class TemporalDatabase(_CatalogReads):
         if self.optimize_queries:
             outcome = self.optimizer.optimize(
                 initial_plan, query_spec, statistics, estimator=estimator,
-                explorations=explorations,
+                explorations=explorations, token=token,
             )
         else:
             cost = estimate_cost(initial_plan, statistics, cost_model, estimator=estimator)

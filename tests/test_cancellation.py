@@ -25,6 +25,7 @@ from repro.core.operations import (
 from repro.core.operations.base import EvaluationContext, ROOT_PATH
 from repro.core.physical import SourceOp
 from repro.core.relation import Relation
+from repro.core.rules import TransformationRule
 from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.dbms import ConventionalDBMS
 from repro.faults import (
@@ -302,6 +303,53 @@ class TestSessionCancellation:
             "SELECT EmpName FROM EMPLOYEE WHERE Dept = ?", ("Sales",), token=token
         )
         assert {t["EmpName"] for t in result.relation.tuples} == {"Anna", "John"}
+
+
+class TestAStopInsideTheSearch:
+    """A leader's cancel or deadline lands inside the memo search, not after it."""
+
+    @pytest.mark.parametrize(
+        "stop, error, code",
+        [("cancel", CancelledError, "CANCELLED"), ("deadline", DeadlineExceededError, "TIMED_OUT")],
+    )
+    #: Calls of ``apply`` (of ~170 in the whole search) after which the stop
+    #: lands: two where the same expression has further rules to run.
+    @pytest.mark.parametrize("at", [29, 92])
+    def test_a_stop_from_inside_a_rule_ends_the_request_within_one_task(
+        self, stop, error, code, at, monkeypatch, records
+    ):
+        database, cache = make_database(), PlanCache()
+        now = [0.0]
+        token = CancellationToken(deadline=1.0, clock=lambda: now[0])
+        calls, applied_after = [0], []
+        real_apply = TransformationRule.apply
+
+        def apply(rule, node):
+            calls[0] += 1
+            if calls[0] == at:
+                if stop == "cancel":
+                    token.cancel("gone")
+                else:
+                    now[0] = 2.0
+            if calls[0] >= at:
+                applied_after.append(rule)
+            return real_apply(rule, node)
+
+        monkeypatch.setattr(TransformationRule, "apply", apply)
+        with pytest.raises(error):
+            Session(database, cache=cache).execute(PAPER_SQL, token=token)
+        # Within one task: no rule after the one that saw the stop was applied.
+        assert applied_after and all(rule is applied_after[0] for rule in applied_after)
+        (record,) = records
+        assert record.error_code == code and list(record.phases) == ["parse", "optimize"]
+        assert record.phases["optimize"][2] == {"error_code": code}
+        # Nothing half-explored was kept, and the next search is a clean one.
+        assert not cache._explorations and not cache._entries
+        again = Session(database, cache=cache).execute(PAPER_SQL)
+        clean = Session(make_database(), cache=PlanCache()).execute(PAPER_SQL)
+        assert not again.cache_hit and again.optimization.explorations == (0, 3)
+        assert again.optimization.search.statistics == clean.optimization.search.statistics
+        assert again.optimization.fragment_searches == clean.optimization.fragment_searches
 
 
 class TestAWaitersTokenIsItsOwn:

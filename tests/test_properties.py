@@ -1,5 +1,9 @@
 """Tests for the Table 2 operation properties and their propagation (Section 5.3)."""
 
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
 from repro.core.expressions import equals
 from repro.core.operations import (
     Coalescing,
@@ -13,10 +17,18 @@ from repro.core.operations import (
     UnionAll,
 )
 from repro.core.order_spec import OrderSpec
-from repro.core.properties import OperationProperties, annotate, annotated_pretty
+from repro.core.properties import (
+    OperationProperties,
+    _child_properties,
+    annotate,
+    annotated_pretty,
+    child_properties,
+)
 from repro.core.query import QueryResultSpec
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, employee_relation, project_relation
 from repro.core.operations import BaseRelation
+
+from .strategies import conventional_plans, join_shaped_plans, temporal_shaped_plans
 
 
 def paper_initial_plan():
@@ -158,3 +170,42 @@ class TestPropagationDetails:
         rendered = annotated_pretty(paper_initial_plan(), LIST_QUERY)
         assert "[T T T]" in rendered
         assert "[- - -]" in rendered
+
+
+#: The eight property contexts a parent can be in.
+ALL_CONTEXTS = [OperationProperties(*flags) for flags in itertools.product((False, True), repeat=3)]
+
+GENERATED_PLANS = st.one_of(conventional_plans(), temporal_shaped_plans(), join_shaped_plans())
+
+
+class TestThePropertyStepTable:
+    """``child_properties`` answers from a table keyed by (operator type, child
+    index, context, one consulted input); ``_child_properties`` — what
+    :func:`annotate` runs — is its reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(GENERATED_PLANS)
+    def test_every_step_of_every_node_equals_the_reference(self, plan):
+        for _, node in TransferToStratum(plan).locations():
+            for index in range(len(node.children)):
+                for context in ALL_CONTEXTS:
+                    assert child_properties(node, index, context) == _child_properties(
+                        node, index, context
+                    ), (node, index, context)
+
+    @settings(max_examples=40, deadline=None)
+    @given(GENERATED_PLANS)
+    def test_a_stand_in_first_child_is_the_reference_over_the_rebuilt_node(self, plan):
+        """The memo's context upgrade asks about a witness in the first child's place."""
+        for _, node in plan.locations():
+            if not node.children:
+                continue
+            first, rest = node.children[0], node.children[1:]
+            # One stand-in with duplicate-free snapshots, one without.
+            for stand_in in (TemporalDuplicateElimination(first), UnionAll(first, first)):
+                rebuilt = node.with_children((stand_in,) + rest)
+                for index in range(len(node.children)):
+                    for context in ALL_CONTEXTS:
+                        assert child_properties(node, index, context, stand_in) == (
+                            _child_properties(rebuilt, index, context)
+                        ), (node, stand_in, index, context)

@@ -8,19 +8,27 @@ attempts must come out identical.
 """
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.enumeration import enumerate_plans
 from repro.core.operations import (
+    Aggregation,
     CartesianProduct,
     Coalescing,
+    Difference,
     DuplicateElimination,
+    LiteralRelation,
     Operation,
     Projection,
     Selection,
     Sort,
+    TemporalAggregation,
+    TemporalCartesianProduct,
+    TemporalDifference,
     TemporalDuplicateElimination,
     TemporalUnion,
     TransferToDBMS,
@@ -28,6 +36,7 @@ from repro.core.operations import (
     Union,
     UnionAll,
 )
+from repro.core.order_spec import OrderSpec
 from repro.core.properties import root_properties
 from repro.core.query import QueryResultSpec
 from repro.core.relation import Relation
@@ -42,16 +51,23 @@ from repro.core.rules import (
 from repro.search import Memo, MemoSearch
 from repro.search.memo import Group, binding_feature
 from repro.search.tasks import (
-    ApplyRule,
+    ApplyRules,
     ExplorationOptions,
     ExplorationState,
     ExplorationStatistics,
     OptimizeGroup,
+    OptimizeInputs,
 )
 from repro.workloads import paper_query
 from repro.workloads.queries import WORKLOAD_QUERIES
 
-from .strategies import NARROW_TEMPORAL_SCHEMA, SNAPSHOT_SCHEMA, join_shaped_plans
+from .strategies import (
+    NARROW_TEMPORAL_SCHEMA,
+    SNAPSHOT_SCHEMA,
+    conventional_plans,
+    join_shaped_plans,
+    temporal_shaped_plans,
+)
 from .test_rules_property_based import scenarios
 
 STATISTICS = {"EMPLOYEE": 60, "PROJECT": 96}
@@ -103,6 +119,32 @@ PARENT_GUARDS = {
 }
 
 
+#: The operator the first hand-written ``isinstance`` test of each rule's
+#: rewrite required of the root's first child (``child``/``left``), before
+#: that test moved into the declared :attr:`~TransformationRule.child`
+#: pattern — transcribed from the rewrites it was deleted from.  Every other
+#: rule declares no child pattern.
+PARENT_CHILD_GUARDS = {
+    Coalescing: "C3 C4 S-push-coal",
+    UnionAll: "C5 σ-below-⊔ π-below-⊔ ⊔-assoc",
+    TemporalUnion: "C6 σ-below-∪T D6",
+    TemporalAggregation: "C7 σ-below-γT",
+    Projection: "C8 C9 σ-below-π π-cascade S-push-π",
+    TemporalDifference: "C10 σ-into-\\T-left S-push-diffT",
+    Selection: "σ-commute S-push-σ",
+    Sort: "σ-below-sort S3",
+    DuplicateElimination: "σ-below-rdup D-idem S-push-rdup",
+    TemporalDuplicateElimination: "σ-below-rdupT DT-idem",
+    CartesianProduct: "σ-into-×-left σ-into-×-right σ×→⋈",
+    TemporalCartesianProduct: "σ-into-×T-left σ-into-×T-right σ×T→⋈T",
+    Union: "σ-below-∪ D5",
+    Difference: "σ-into-\\-left S-push-diff",
+    Aggregation: "σ-below-γ",
+    TransferToDBMS: "T-roundtrip-SD",
+    TransferToStratum: "T-roundtrip-DS",
+}
+
+
 #: Rules whose rewrite reads nothing of its root but ``child``/``left``/
 #: ``right``: un-guarded it "matches" any operator of that arity (D1 would drop
 #: a selection over a duplicate-free input), so for these the declared root
@@ -113,10 +155,19 @@ ROOT_IS_THE_WHOLE_PATTERN = set(
 )
 
 
+def fits_child_pattern(rule, node):
+    return rule.child is Operation or bool(
+        node.children and isinstance(node.children[0], rule.child)
+    )
+
+
 def matches_outside_its_root(rule, node):
-    """Does the un-guarded rewrite fire at a ``node`` the declared root excludes?"""
+    """Does the un-guarded rewrite fire at a ``node`` the declared root excludes
+    (but the declared child pattern admits)?"""
     roots = rule.root if isinstance(rule.root, tuple) else (rule.root,)
     if isinstance(node, roots) or node.arity not in {root.arity for root in roots}:
+        return False
+    if not fits_child_pattern(rule, node):
         return False
     try:
         return rule.rewrite(node) is not None
@@ -131,13 +182,20 @@ class TestDeclaredRoots:
         assert Operation not in expected.values(), "no default rule matches anything"
 
     def test_apply_checks_the_root_before_the_rewrite(self):
-        """The guard lives in ``apply``; ``rewrite`` may assume its root."""
+        """The guards live in ``apply``; ``rewrite`` may assume root and child."""
         for plan in fixed_scenarios():
             for rule in DEFAULT_RULES:
-                if not isinstance(plan, rule.root):
+                if not isinstance(plan, rule.root) or not fits_child_pattern(rule, plan):
                     assert rule.apply(plan) is None
                 elif rule.apply(plan) is not None:
                     assert rule.rewrite(plan) == rule.apply(plan)
+
+    def test_every_rule_declares_its_old_child_test_as_its_child_pattern(self):
+        expected = {
+            name: child for child, names in PARENT_CHILD_GUARDS.items() for name in names.split()
+        }
+        declared = {rule.name: rule.child for rule in DEFAULT_RULES if rule.child is not Operation}
+        assert declared == expected
 
     @settings(max_examples=40, deadline=None)
     @given(join_shaped_plans())
@@ -302,6 +360,90 @@ class TestMemoOracle:
             declared.statistics.applications_attempted < erased.statistics.applications_attempted
         )
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(conventional_plans(), temporal_shaped_plans()), st.booleans())
+    def test_generated_plan_explores_to_the_same_memo_under_list_and_set(self, plan, as_list):
+        """Declared roots and child patterns hide nothing under an order or DISTINCT either."""
+        spec = (
+            QueryResultSpec.list(OrderSpec.ascending(plan.output_schema().attributes[0]))
+            if as_list
+            else QueryResultSpec.set()
+        )
+        declared, erased = assert_same_memo(TransferToStratum(plan), spec)
+        assert (
+            declared.statistics.applications_attempted < erased.statistics.applications_attempted
+        )
+
+
+#: ``(rule tasks executed, bindings built by them)`` per registry query, the
+#: search's work by count: on the parent commit, one task per (expression,
+#: rule) built a binding for every attempt; with one task per expression and
+#: the child patterns tested on the candidate first, ...
+ONE_TASK_PER_RULE = {
+    "paper": (820, 494),
+    "paper-multiset": (1024, 2130),
+    "paper-set": (1032, 2264),
+    "double-elimination": (892, 616),
+    "selection": (1294, 496),
+    "snapshot-except": (398, 217),
+    "union-all": (156, 99),
+    "temporal-union": (92, 57),
+    "equijoin": (161, 76),
+    "temporal-join": (144, 70),
+    "join-cascade": (2262, 1292),
+    "chain-2": (588, 512),
+    "chain-3": (406, 191),
+    "chain-4": (660, 487),
+    "chain-6": (684, 496),
+}
+#: ... the same searches do this much.
+ONE_TASK_PER_EXPRESSION = {
+    "paper": (178, 170),
+    "paper-multiset": (184, 786),
+    "paper-set": (183, 856),
+    "double-elimination": (201, 228),
+    "selection": (160, 104),
+    "snapshot-except": (101, 96),
+    "union-all": (57, 54),
+    "temporal-union": (32, 23),
+    "equijoin": (33, 20),
+    "temporal-join": (22, 14),
+    "join-cascade": (233, 251),
+    "chain-2": (179, 244),
+    "chain-3": (112, 70),
+    "chain-4": (212, 222),
+    "chain-6": (230, 229),
+}
+
+
+class TestRuleWork:
+    """Fewer rule tasks and fewer bindings built — counted, not timed."""
+
+    @pytest.mark.parametrize("query", WORKLOAD_QUERIES, ids=lambda query: query.name)
+    def test_rule_tasks_and_bindings_built_per_registry_query(self, query, monkeypatch):
+        counts = {"tasks": 0, "bindings": 0}
+        execute, with_children = ApplyRules.execute, Operation.with_children
+
+        def counted_execute(task, state):
+            counts["tasks"] += 1
+            return execute(task, state)
+
+        def counted_with_children(node, children):
+            # A binding is the one ``with_children`` the rule task itself
+            # calls; rewrites (inside ``rule.apply``) build their own trees.
+            if sys._getframe(1).f_code is ApplyRules.apply_rule.__code__:
+                counts["bindings"] += 1
+            return with_children(node, children)
+
+        monkeypatch.setattr(ApplyRules, "execute", counted_execute)
+        monkeypatch.setattr(Operation, "with_children", counted_with_children)
+        plan, spec = query.build()
+        statistics = MemoSearch().optimize(plan, spec, STATISTICS).statistics
+        assert statistics.applications_attempted == DECLARED_MEMO[query.name][0]
+        measured = (counts["tasks"], counts["bindings"])
+        assert measured == ONE_TASK_PER_EXPRESSION[query.name]
+        assert all(now < before for now, before in zip(measured, ONE_TASK_PER_RULE[query.name]))
+
 
 def run_stack(state, root, until=None):
     """One sweep's task loop; returns the last task executed."""
@@ -330,14 +472,14 @@ class TestStamps:
         state, root = exploration_state()
         run_stack(state, root)
         task = next(
-            ApplyRule(group.id, expression, position, rule)
+            ApplyRules(group.id, expression, rules)
             for group in state.memo.groups.values()
             for expression in group.expressions
             if expression.children
-            for position, rule in state.index.matching(type(expression.shell))
-            if (expression.id, position) in state.stamps
+            for rules in [state.index.matching(type(expression.shell))]
+            if rules and all((expression.id, position) in state.stamps for position, _ in rules)
         )
-        key = (task.expression.id, task.position)
+        keys = [(task.expression.id, position) for position, _ in task.rules]
         reads = []
         original = Group.binding_candidates
         monkeypatch.setattr(
@@ -346,19 +488,20 @@ class TestStamps:
         )
         attempted = state.statistics.applications_attempted
         task.execute(state)
-        assert reads == [], "an unchanged stamp skips the run before it reads anything"
+        assert reads == [], "unchanged stamps skip every rule before it reads anything"
 
-        # A new binding candidate in a child group invalidates the stamp.
+        # A new binding candidate in a child group invalidates the stamps;
+        # the rules of one task share one read while the memo stands still.
         child = state.memo.group(task.expression.children[0])
-        stamp = state.stamps[key]
+        stamps = [state.stamps[key] for key in keys]
         child.generation += 1
         task.execute(state)
         assert reads == [state.memo.find(c) for c in task.expression.children]
-        assert state.stamps[key] != stamp
+        assert all(state.stamps[key] != stamp for key, stamp in zip(keys, stamps))
         assert state.statistics.applications_attempted == attempted, "nothing new to try"
 
         # So does a merge that forwards the child to another group.
-        stamp = state.stamps[key]
+        stamp = state.stamps[keys[0]]
         other = next(
             group for group in state.memo.groups.values()
             if group.context == child.context and group.id != child.id
@@ -366,19 +509,94 @@ class TestStamps:
         state.memo._merge(other.id, child.id)
         del reads[:]
         task.execute(state)
-        assert reads and state.stamps[key] != stamp
-        assert state.stamps[key][0][0] == other.id
+        assert reads and state.stamps[keys[0]] != stamp
+        assert state.stamps[keys[0]][0][0] == other.id
 
-    def test_a_truncated_run_records_no_stamp(self):
+    def test_a_truncated_run_records_no_stamp(self, monkeypatch):
         plan, spec = paper_query()
         seed_expressions = Memo()
         seed_expressions.copy_in(plan, root_properties(spec))
         budget = seed_expressions.expressions_created + 1
+        applied = []
+        apply_rule = ApplyRules.apply_rule
+
+        def recorded(task, state, key, rule, candidate_lists):
+            applied.append(key)
+            return apply_rule(task, state, key, rule, candidate_lists)
+
+        monkeypatch.setattr(ApplyRules, "apply_rule", recorded)
         state, root = exploration_state(ExplorationOptions(max_expressions=budget))
         last = run_stack(state, root)
-        assert state.truncated and isinstance(last, ApplyRule)
-        assert (last.expression.id, last.position) not in state.stamps
+        assert state.truncated and isinstance(last, ApplyRules)
+        expression_id, position = applied[-1]  # the rule that ran out of budget
+        assert expression_id == last.expression.id
+        assert (expression_id, position) not in state.stamps
+        positions = [p for p, _ in last.rules]
+        later = positions[positions.index(position) + 1:]
+        assert not any((expression_id, p) in state.stamps for p in later), "nor ran after it"
         assert state.stamps, "the runs that completed before it are stamped"
+
+    def test_an_unchanged_input_stamp_skips_before_any_witness_is_read(self, monkeypatch):
+        state, root = exploration_state()
+        run_stack(state, root)
+        memo = state.memo
+        group, expression = next(
+            (group, expression)
+            for group in memo.groups.values()
+            for expression in group.expressions
+            if expression.id in state.input_stamps
+        )
+        task = OptimizeInputs(group.id, expression)
+        reads = []
+        original = Group.witness_or_canonical
+        monkeypatch.setattr(
+            Group, "witness_or_canonical", lambda group: reads.append(group.id) or original(group)
+        )
+        del state.stack[:]
+        task.execute(state)
+        assert reads == [], "an unchanged stamp skips the upgrade before it reads a witness"
+        # ... but never the recursion into the child groups.
+        assert [t.group_id for t in state.stack] == [memo.find(c) for c in expression.children]
+
+        # A merge that forwards the first child re-opens it.
+        stamp = state.input_stamps[expression.id]
+        child = memo.group(expression.children[0])
+        other = next(
+            candidate for candidate in memo.groups.values()
+            if candidate.context == child.context and candidate.id != child.id
+        )
+        memo._merge(other.id, child.id)
+        task.execute(state)
+        assert reads == [other.id]
+        assert state.input_stamps[expression.id] != stamp
+        assert state.input_stamps[expression.id][0] == (other.id, other.generation)
+
+    def test_a_run_that_upgraded_a_context_records_no_stamp(self, monkeypatch):
+        history = LiteralRelation(
+            Relation.from_rows(NARROW_TEMPORAL_SCHEMA, [("John", 1, 4), ("John", 3, 6)])
+        )
+        left = Projection(["Name", "T1", "T2"], history)
+        plan = TemporalDifference(left, history)
+        memo = Memo()
+        root = memo.copy_in(plan, root_properties(QueryResultSpec.multiset()))
+        state = ExplorationState(memo, rule_index(), ExplorationOptions(), ExplorationStatistics())
+        expression = memo.group(root).expressions[0]
+        task = OptimizeInputs(root, expression)
+        task.execute(state)
+        stamp = state.input_stamps[expression.id]
+        # The left group learns a member with duplicate-free snapshots, so
+        # duplicates in the right argument stop mattering: an upgrade.
+        memo.add_expression(expression.children[0], TemporalDuplicateElimination(left), "test")
+        task.execute(state)
+        assert state.statistics.context_upgrades == 1
+        assert state.input_stamps[expression.id] == stamp, "an upgrading run is not stamped"
+        reads = []
+        original = Group.witness_or_canonical
+        monkeypatch.setattr(
+            Group, "witness_or_canonical", lambda group: reads.append(group.id) or original(group)
+        )
+        task.execute(state)
+        assert reads, "so the next run is not skipped"
 
 
 class TestBindingNumbers:

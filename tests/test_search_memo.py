@@ -1,5 +1,11 @@
 """Unit tests for the memo table and the task-driven exploration."""
 
+from collections import Counter
+
+import pytest
+
+import repro.search.search as search_module
+from repro.core.cost import CostModel, Engine
 from repro.core.operations import (
     BaseRelation,
     Coalescing,
@@ -13,10 +19,11 @@ from repro.core.order_spec import OrderSpec
 from repro.core.properties import root_properties
 from repro.core.query import QueryResultSpec
 from repro.core.rules import DEFAULT_RULES, RuleIndex, rules_by_name
-from repro.search import Memo, search_best_plan
+from repro.search import Memo, MemoSearch, SearchStatistics, search_best_plan
 from repro.search.memo import binding_feature
 from repro.search.tasks import explore
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, paper_query
+from repro.workloads.queries import WORKLOAD_QUERIES
 
 LIST_QUERY = QueryResultSpec.list(OrderSpec.ascending("EmpName"), distinct=True)
 
@@ -138,3 +145,54 @@ class TestSearchDeterminism:
         second = search_best_plan(plan, spec, statistics=stats)
         assert first.best_plan == second.best_plan
         assert first.best_cost.total == second.best_cost.total
+
+
+STATISTICS = {"EMPLOYEE": 60, "PROJECT": 96}
+
+
+def extracted(query):
+    """An extractor run over the query's explored memo, as ``extract`` runs one."""
+    plan, spec = query.build()
+    exploration = MemoSearch().explore(plan, spec)
+    extractor = search_module._Extractor(
+        exploration.memo, STATISTICS, CostModel(), SearchStatistics(), float("inf")
+    )
+    extractor.frontier(exploration.root, Engine.STRATUM)
+    return exploration, extractor
+
+
+class TestTheExtractorComputesOnce:
+    @pytest.mark.parametrize("query", WORKLOAD_QUERIES, ids=lambda query: query.name)
+    def test_a_remembered_bound_is_what_asking_again_computes(self, query):
+        """Only a bound no cycle cut reached is remembered, so none is stale."""
+        exploration, extractor = extracted(query)
+        remembered = dict(extractor._expression_bounds)
+        expressions = {
+            expression.id: expression
+            for group in exploration.memo.groups.values()
+            for expression in group.expressions
+        }
+        assert remembered
+        for expression_id, bound in remembered.items():
+            del extractor._expression_bounds[expression_id]
+            assert extractor.bounds_for(expressions[expression_id]) == bound
+
+    @pytest.mark.parametrize("query", WORKLOAD_QUERIES, ids=lambda query: query.name)
+    def test_each_estimate_is_computed_once_per_input_cardinalities(self, query, monkeypatch):
+        seen = []
+        real = search_module.operator_cardinality
+
+        def counted(node, cards, *args, **kwargs):
+            seen.append((id(node), tuple(cards)))
+            return real(node, cards, *args, **kwargs)
+
+        monkeypatch.setattr(search_module, "operator_cardinality", counted)
+        exploration, _ = extracted(query)
+        # A tree interned under two contexts is the shell of two expressions.
+        shells = Counter(
+            id(expression.shell)
+            for group in exploration.memo.groups.values()
+            for expression in group.expressions
+        )
+        assert seen
+        assert all(calls <= shells[key[0]] for key, calls in Counter(seen).items())
