@@ -23,7 +23,7 @@ from ..core.order_spec import OrderSpec
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..options import DEFAULT_BATCH_SIZE
-from ..search import ExplorationStore, SearchResult
+from ..search import SearchResult
 from .catalog import Catalog, CatalogSnapshot, Table
 from .executor import ExecutionReport, PhysicalPlanner
 from .optimizer import CostGuidedConventionalOptimizer
@@ -43,7 +43,7 @@ class _Engine:
     """What the live engine and a pinned snapshot share: querying a catalog.
 
     Subclasses set ``catalog`` (a :class:`Catalog` or a
-    :class:`CatalogSnapshot`), ``use_statistics`` and ``_optimizer``.
+    :class:`CatalogSnapshot`).
     """
 
     def statistics(self) -> Mapping[str, int]:
@@ -58,19 +58,6 @@ class _Engine:
     def estimator(self, **kwargs):
         """A histogram-backed estimator over the catalog's contents."""
         return self.catalog.estimator(**kwargs)
-
-    def search(
-        self, plan: Operation, explorations: Optional[ExplorationStore] = None
-    ) -> SearchResult:
-        """Run the DBMS's own optimizer over a logical plan fragment: the
-        whole search — ``best_plan`` plus the counters the stratum reports
-        when it plans a statement's fragments.  ``explorations`` is the
-        planning request's store of explored memos, if it has one."""
-        return self._optimizer.search(plan, explorations)
-
-    def optimize(self, plan: Operation) -> Operation:
-        """The fragment :meth:`search` finds cheapest."""
-        return self.search(plan).best_plan
 
     def execute(
         self,
@@ -90,8 +77,10 @@ class _Engine:
         injection into the physical operators' drains.  ``batch_size`` is
         the operators' chunk size — the stratum executor passes its own
         (``ExecutionOptions.batch_size``) through, and always
-        ``optimize=False``: its fragments were optimized when the statement
-        was planned (:meth:`repro.stratum.layer.TemporalDatabase.optimize_plan`).
+        ``optimize=False``: its fragments were chosen when the statement was
+        planned (:meth:`repro.stratum.layer.TemporalDatabase.optimize_plan`).
+        ``optimize=True`` runs the live engine's own search
+        (:meth:`ConventionalDBMS.optimize`); a pinned snapshot has none.
         """
         final_plan = self.optimize(plan) if optimize else plan
         planner = PhysicalPlanner(
@@ -99,10 +88,6 @@ class _Engine:
         )
         relation = planner.execute(final_plan)
         return DBMSResult(relation=relation, report=planner.report, optimized_plan=final_plan)
-
-    def query(self, plan: Operation, optimize: bool = True) -> Relation:
-        """Execute a plan and return only the result relation."""
-        return self.execute(plan, optimize=optimize).relation
 
 
 class ConventionalDBMS(_Engine):
@@ -124,7 +109,6 @@ class ConventionalDBMS(_Engine):
                 "optimizer an estimator_provider instead"
             )
         self.catalog = Catalog()
-        self.use_statistics = use_statistics
         self._optimizer = optimizer or CostGuidedConventionalOptimizer(
             statistics_provider=self.catalog.statistics,
             estimator_provider=self.catalog.estimator if use_statistics else None,
@@ -150,6 +134,21 @@ class ConventionalDBMS(_Engine):
         """Drop a table."""
         self.catalog.drop_table(name)
 
+    # -- querying -------------------------------------------------------------------
+
+    def search(self, plan: Operation) -> SearchResult:
+        """Run the engine's own optimizer over a logical plan fragment: the
+        whole search — ``best_plan`` plus its counters."""
+        return self._optimizer.search(plan)
+
+    def optimize(self, plan: Operation) -> Operation:
+        """The fragment :meth:`search` finds cheapest."""
+        return self.search(plan).best_plan
+
+    def query(self, plan: Operation, optimize: bool = True) -> Relation:
+        """Execute a plan and return only the result relation."""
+        return self.execute(plan, optimize=optimize).relation
+
     # -- introspection --------------------------------------------------------------
 
     def explain(self, plan: Operation, optimize: bool = True) -> str:
@@ -173,25 +172,19 @@ class ConventionalDBMS(_Engine):
         returned engine see exactly this state regardless of concurrent
         appends to the live catalog.
         """
-        return SnapshotDBMS(self.catalog.snapshot(), use_statistics=self.use_statistics)
+        return SnapshotDBMS(self.catalog.snapshot())
 
 
 class SnapshotDBMS(_Engine):
     """A read-only :class:`ConventionalDBMS` facade over a pinned catalog.
 
     Execution-compatible with the live engine (``catalog``/``execute``/
-    ``query``/``statistics``/``statistics_epoch``/``estimator``), so the
-    stratum executor and the session layer can run whole queries against a
-    snapshot unchanged.  Fragment optimization uses the cost-guided
-    optimizer over the *pinned* statistics, keeping plan choice and data
-    from the same moment — on a plan-cache miss only: a request that hits
-    the cache never calls it.
+    ``statistics``/``statistics_epoch``/``estimator``), so the stratum
+    executor and the session layer can run whole queries against a snapshot
+    unchanged.  It has no optimizer: the stratum executor hands it fragments
+    with ``optimize=False``, chosen when their statement was planned over
+    the *pinned* statistics, so plan choice and data come from one moment.
     """
 
-    def __init__(self, catalog: CatalogSnapshot, use_statistics: bool = False) -> None:
+    def __init__(self, catalog: CatalogSnapshot) -> None:
         self.catalog = catalog
-        self.use_statistics = use_statistics
-        self._optimizer = CostGuidedConventionalOptimizer(
-            statistics_provider=catalog.statistics,
-            estimator_provider=catalog.estimator if use_statistics else None,
-        )

@@ -7,11 +7,15 @@ that role for the substrate: :class:`CostGuidedConventionalOptimizer`, a
 cost-guided memo search over the core rule catalogue restricted to ≡L and ≡M
 rules — always safe for an engine that only promises multisets.
 
-It runs where a plan is *chosen*, not where it is executed: for a statement
-through :meth:`repro.stratum.layer.TemporalDatabase.optimize_plan` (once per
-plan-cache entry), and on every call only for plans handed to the DBMS
-directly (``ConventionalDBMS.execute/explain/sql_for`` with their default
-``optimize=True``).
+It runs only for plans handed to the DBMS directly
+(``ConventionalDBMS.search/optimize/explain/sql_for`` and ``execute`` with
+its default ``optimize=True``).  A statement's ``TS`` fragments never reach
+it: the stratum's own search has already explored below every ``TS`` with
+these very rule objects and priced the fragment with the same cost model at
+the DBMS's rates, so on a plan the stratum chose this search could only
+return the fragment it was given (``tests/test_stratum_layer.py`` holds the
+argument as checks; ``docs/architecture.md``, "Who optimizes a fragment, and
+when", spells it out).
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from ..core.operations import Operation
 from ..core.query import QueryResultSpec
 from ..core.rules import CONVENTIONAL_RULES, DUPLICATE_RULES, JOIN_RULES, SORTING_RULES
 from ..core.rules.base import RuleIndex, TransformationRule
-from ..search import ExplorationStore, MemoSearch, SearchOptions, SearchResult
+from ..search import MemoSearch, SearchOptions, SearchResult
 
 #: The full conventional-side catalogue, restricted to ≡L / ≡M rules: an
 #: engine that only promises multisets may apply list and multiset
 #: equivalences freely; set-level rules (D3, C4, ...) would change the
-#: duplicate structure it must preserve.  Built once, at import — a pinned
-#: snapshot (one per server request) constructs an optimizer without
-#: filtering or indexing the catalogue again.
+#: duplicate structure it must preserve.  Built once, at import.
 _MULTISET_SAFE_INDEX = RuleIndex(
     rule
     for rule in CONVENTIONAL_RULES + DUPLICATE_RULES + SORTING_RULES + JOIN_RULES
@@ -47,7 +49,7 @@ class CostGuidedConventionalOptimizer:
     the multiset-safe rules reach under the cost model.  The fragment's
     delivered order is protected: when the fragment's result is ordered, the
     search runs under a LIST result specification for exactly that order
-    (the stratum may rely on what it receives — rule S2 is the stratum
+    (the caller may rely on what it receives — rule S2 is the stratum
     optimizer's call to make, not the DBMS's), otherwise under a multiset
     specification.
     """
@@ -60,7 +62,7 @@ class CostGuidedConventionalOptimizer:
         estimator_provider: Optional[Callable[[], object]] = None,
     ) -> None:
         self._index = RuleIndex(rules) if rules is not None else _MULTISET_SAFE_INDEX
-        self._cost_model = cost_model or CostModel()
+        self.cost_model = cost_model or CostModel()
         self._statistics_provider = statistics_provider
         #: Optional zero-argument callable producing a
         #: :class:`repro.stats.estimator.CardinalityEstimator` over the
@@ -73,15 +75,11 @@ class CostGuidedConventionalOptimizer:
         """The rewrite rules the optimizer may apply."""
         return self._index.rules
 
-    def search(
-        self, plan: Operation, explorations: Optional[ExplorationStore] = None
-    ) -> SearchResult:
+    def search(self, plan: Operation) -> SearchResult:
         """Search the fragment's alternatives; the result carries the counters.
 
         Nothing is kept on the optimizer — the live engine's is shared by
-        every thread that plans against it.  What may be kept between
-        searches is the caller's: ``explorations`` (see
-        :meth:`repro.search.MemoSearch.explore`), keyed by the fragment tree.
+        every thread that plans against it.
         """
         order = derive_order(plan)
         specification = (
@@ -91,11 +89,11 @@ class CostGuidedConventionalOptimizer:
         estimator = self._estimator_provider() if self._estimator_provider else None
         return MemoSearch(
             rules=self._index,
-            cost_model=self._cost_model,
+            cost_model=self.cost_model,
             options=SearchOptions(max_expressions=600, max_sweeps=6),
             root_engine=Engine.DBMS,
             estimator=estimator,
-        ).optimize(plan, specification, statistics, explorations)
+        ).optimize(plan, specification, statistics)
 
     def optimize(self, plan: Operation) -> Operation:
         """Return the cheapest fragment plan the rule set can reach."""

@@ -121,6 +121,7 @@ class SearchStatistics:
             "memo.sweeps": self.sweeps,
             "memo.rule_firings": sum(self.rule_usage.values()),
             "memo.truncated": self.truncated,
+            "memo.exploration_reused": self.exploration_reused,
         }
 
 

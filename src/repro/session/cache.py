@@ -31,16 +31,13 @@ piece of planning reads: the parse and the plan space depend on the
 ``repro.search.tasks.explore``), the statistics, the estimator and the rows
 on the *epoch alone*, and only the choice among the enumerated plans — the
 extraction's bounds, frontiers and costs, hence the entry — on *both*.  So a
-miss for ``(fingerprint, epoch)`` whose statement (and whose ``TS``
-fragments, keyed by their own trees) was explored under an earlier epoch
-translates and extracts, and explores nothing.  Like the text memo it has no
-epoch, shares the lock and the capacity, is emptied by :meth:`PlanCache.clear`
-and left alone by :meth:`PlanCache.purge_stale`.  Reuse is decided by
-comparing the key — a re-created table under another schema is another seed
-— and a stored memo is never written again, so extractions for several
-epochs or workers read one at the same time.  (Two *different* keys planning
-at once may both explore a fragment they share before either has stored it;
-exploration is deterministic, so whichever lands last replaces an equal.)
+miss for ``(fingerprint, epoch)`` whose statement was explored under an
+earlier epoch translates and extracts, and explores nothing.  Like the text
+memo it has no epoch, shares the lock and the capacity, is emptied by
+:meth:`PlanCache.clear` and left alone by :meth:`PlanCache.purge_stale`.
+Reuse is decided by comparing the key — a re-created table under another
+schema is another seed — and a stored memo is never written again, so
+extractions for several epochs or workers read one at the same time.
 
 Concurrent misses of one key are **single-flight**
 (:meth:`PlanCache.get_or_plan`): the first request to miss registers a
@@ -111,8 +108,8 @@ class PlanCacheInfo:
     coalesced: int = 0
     #: Explored memos remembered (at most ``capacity``).
     explorations: int = 0
-    #: Searches (a statement's or a fragment's) that extracted from a
-    #: remembered exploration instead of exploring.
+    #: Statement searches that extracted from a remembered exploration
+    #: instead of exploring.
     explorations_reused: int = 0
 
     @property

@@ -111,9 +111,9 @@ class ExplainReport:
     memo_groups: Optional[int] = None
     memo_expressions: Optional[int] = None
     sweeps: Optional[int] = None
-    #: ``(reused, fresh)`` over the searches that planned the entry — the
-    #: statement's and its fragments' (``OptimizationOutcome.explorations``).
-    explorations: PyTuple[int, int] = (0, 0)
+    #: Whether the search that planned the entry re-costed an exploration the
+    #: plan cache remembered (``None``: no search ran).
+    exploration_reused: Optional[bool] = None
     rule_usage: Mapping[str, int] = field(default_factory=dict)
     rules_applied: PyTuple[str, ...] = ()
     dbms_calls: Optional[int] = None
@@ -168,9 +168,8 @@ class ExplainReport:
         if self.sweeps is not None:
             counters.append(f"sweeps={self.sweeps}")
         out.append("optimizer:  " + ", ".join(counters))
-        if any(self.explorations):
-            reused, fresh = self.explorations
-            out.append(f"explored:   fresh={fresh}, reused={reused}")
+        if self.exploration_reused is not None:
+            out.append(f"explored:   {'reused' if self.exploration_reused else 'fresh'}")
         if self.rule_usage:
             fired = ", ".join(
                 f"{name}×{count}" for name, count in sorted(self.rule_usage.items())
@@ -313,7 +312,7 @@ def build_explain_report(
         memo_groups=None if statistics is None else statistics.groups,
         memo_expressions=None if statistics is None else statistics.expressions,
         sweeps=None if statistics is None else statistics.sweeps,
-        explorations=optimization.explorations,
+        exploration_reused=None if statistics is None else statistics.exploration_reused,
         rule_usage={} if statistics is None else dict(statistics.rule_usage),
         rules_applied=() if statistics is None else optimization.search.rules_applied,
         dbms_calls=report.dbms_calls if analyze else None,

@@ -16,8 +16,7 @@ What the session adds over calling the layers directly:
 
 * a **plan cache** (:class:`~repro.session.cache.PlanCache`) keyed by
   ``(statement fingerprint, statistics epoch)`` — repeated statements skip
-  translation and optimization entirely (the statement's search *and* the
-  DBMS's searches over its fragments: the cached plan is the plan that
+  translation and optimization entirely (the cached plan is the plan that
   executes), and any data change invalidates by moving the epoch; a repeated
   statement *text* also skips the lexer, the parser and the fingerprint — a
   warm execution is lookup + bind + execute;
@@ -339,21 +338,6 @@ class Session:
                 attributes["degraded"] = optimization.degraded
             if optimization.search is not None:
                 attributes.update(optimization.search.statistics.as_span_attributes())
-            if not record.cache_hit:
-                # What this request ran on top: the DBMS's searches over the
-                # plan's fragments, under their own keys — ``memo.*`` stays
-                # the statement's search alone.  ``explorations_*``: of
-                # those searches and the statement's, how many only re-costed
-                # a memo an earlier epoch's miss had explored.
-                fragments = optimization.fragment_searches
-                reused, fresh = optimization.explorations
-                attributes.update({
-                    "fragments.searched": len(fragments),
-                    "fragments.tasks": sum(s.applications_attempted for s in fragments),
-                    "fragments.rewritten": optimization.fragments_rewritten,
-                    "explorations_reused": reused,
-                    "explorations_fresh": fresh,
-                })
         with self._phase(record, "bind", token, parameters=len(params)):
             # Estimates-only EXPLAIN of a parameterized statement: the markers
             # may stay unbound (selectivities fall back to constants).
@@ -439,7 +423,7 @@ class Session:
             if optimization.search is not None:
                 self._memo_tasks.inc(optimization.search.statistics.applications_attempted)
             if optimization.degraded is not None:
-                # "memo_search:<code>" / "dbms_fragment_search:<code>"
+                # "memo_search:<code>"
                 self._degraded.labels(stage=optimization.degraded.partition(":")[0]).inc()
         report = record.report
         if report is not None:
@@ -487,8 +471,8 @@ class Session:
             self.cache.purge_stale(database.statistics_epoch())
             statement = replace(ast, explain=False, analyze=False)
             initial_plan, query_spec = translate(statement, source.schemas())
-            # The cache is also the store of explored memos: a statement (and
-            # each of its fragments) explored under another epoch is re-costed.
+            # The cache is also the store of explored memos: a statement
+            # explored under another epoch is re-costed.
             optimization = database.optimize_plan(
                 initial_plan, query_spec, snapshot=snapshot, explorations=self.cache,
                 token=token,

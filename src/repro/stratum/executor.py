@@ -6,7 +6,7 @@ Execution is recursive over the plan:
   (after first executing any ``TD`` islands inside it in the stratum and
   splicing their materialised results back in as literal relations) and run
   **as given**: the executor never optimizes — a statement's fragments were
-  optimized when its plan was chosen
+  chosen with its plan
   (:meth:`repro.stratum.layer.TemporalDatabase.optimize_plan`), so the plan
   in the cache entry is the plan that executes;
 * every node above runs in the stratum: the pipelinable operations — the

@@ -17,14 +17,14 @@ run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 from typing import Tuple as PyTuple
 
 from ..core.cost import CostModel, PlanCost, estimate_cost
 from ..core.exceptions import CancelledError, ResourceExhaustedError, error_code
 from ..faults import FAULTS
-from ..core.operations import Operation, TransferToStratum
+from ..core.operations import Operation
 from ..core.operations.base import EvaluationContext
 from ..core.order_spec import OrderSpec
 from ..core.query import QueryResultSpec
@@ -34,13 +34,7 @@ from ..core.rules.base import TransformationRule
 from ..core.schema import RelationSchema
 from ..dbms.engine import ConventionalDBMS
 from ..options import ExecutionOptions
-from ..search import (
-    ExplorationStore,
-    MemoSearch,
-    SearchOptions,
-    SearchResult,
-    SearchStatistics,
-)
+from ..search import ExplorationStore, MemoSearch, SearchOptions, SearchResult
 from .executor import StratumExecutionReport, StratumExecutor
 from .partition import describe_partition
 
@@ -49,10 +43,10 @@ from .partition import describe_partition
 class OptimizationOutcome:
     """The result of optimizing one query.
 
-    ``search`` is the statement's memo search, alone; it is ``None`` for the
-    trivial single-plan outcome (optimization disabled, or degraded).  Out of
-    :meth:`TemporalDatabase.optimize_plan`, ``chosen_plan`` is *the plan that
-    executes*: its DBMS fragments have been through the DBMS's own search.
+    ``search`` is the statement's memo search; it is ``None`` for the trivial
+    single-plan outcome (optimization disabled, or degraded).  ``chosen_plan``
+    is *the plan that executes*: the search's ``best_plan``, or else the
+    initial plan, as it is.
     """
 
     initial_plan: Operation
@@ -60,35 +54,18 @@ class OptimizationOutcome:
     chosen_cost: PlanCost
     initial_cost: PlanCost
     search: Optional[SearchResult] = None
-    #: Set when optimization *degraded*: a search failed and its input was
-    #: kept instead — correct by rule soundness, just not cost-improved.
-    #: ``"memo_search:<error code>"`` when the statement's search failed (the
-    #: initial plan was chosen), ``"dbms_fragment_search:<error code>"`` when
-    #: a fragment's did (the fragment stays as the statement search extracted
-    #: it).  The text before the colon is the stage the session counts it
-    #: under; the optimize trace span shows the whole marker.
+    #: Set when optimization *degraded*: the statement's search failed and
+    #: the initial plan was kept instead — correct by rule soundness, just
+    #: not cost-improved.  ``"memo_search:<error code>"``: the text before
+    #: the colon is the stage the session counts it under; the optimize trace
+    #: span shows the whole marker.
     degraded: Optional[str] = None
-    #: The DBMS's own search over each ``TS`` fragment of ``chosen_plan``, in
-    #: plan pre-order — its counters only, and never added into ``search``'s.
-    fragment_searches: List[SearchStatistics] = field(default_factory=list)
-    #: How many of those searches chose a fragment other than the one given.
-    fragments_rewritten: int = 0
 
     @property
     def plans_considered(self) -> int:
         if self.search is not None:
             return self.search.statistics.plans_considered
         return 1
-
-    @property
-    def explorations(self) -> PyTuple[int, int]:
-        """``(reused, fresh)``: of the statement's search and its fragments',
-        how many extracted from a stored exploration and how many explored."""
-        searches = list(self.fragment_searches)
-        if self.search is not None:
-            searches.append(self.search.statistics)
-        reused = sum(statistics.exploration_reused for statistics in searches)
-        return reused, len(searches) - reused
 
     @property
     def improvement_factor(self) -> float:
@@ -193,46 +170,6 @@ class TemporalQueryOptimizer:
             initial_cost=initial_cost,
             search=search,
         )
-
-
-def _optimize_fragments(
-    outcome: OptimizationOutcome, dbms, explorations: Optional[ExplorationStore]
-) -> None:
-    """Hand every DBMS fragment of the chosen plan to the DBMS's own optimizer.
-
-    "The DBMS performs its own optimization" of what the stratum ships down —
-    a decision about the *statement*, so it is made here, where the plan is
-    chosen, and never by the executor.  Top-down: a ``TS`` child is replaced
-    by what ``dbms`` makes of it (``TD`` islands stay in place), then the walk
-    continues into the result, which reaches a ``TS`` nested below a ``TD``.
-    A fragment the search leaves as it was keeps its identity.
-
-    A failing fragment search degrades like a failing statement search: the
-    fragment stays as extracted, ``outcome.degraded`` says so (an earlier
-    marker wins), and only "stop" errors propagate.
-    """
-
-    def visit(node: Operation) -> Operation:
-        if isinstance(node, TransferToStratum):
-            fragment = node.child
-            try:
-                search = dbms.search(fragment, explorations)
-            except (CancelledError, ResourceExhaustedError):
-                raise
-            except Exception as exc:
-                if outcome.degraded is None:
-                    outcome.degraded = f"dbms_fragment_search:{error_code(exc)}"
-            else:
-                outcome.fragment_searches.append(search.statistics)
-                if search.best_plan != fragment:
-                    outcome.fragments_rewritten += 1
-                    node = node.with_children([search.best_plan])
-        children = [visit(child) for child in node.children]
-        if all(new is old for new, old in zip(children, node.children)):
-            return node
-        return node.with_children(children)
-
-    outcome.chosen_plan = visit(outcome.chosen_plan)
 
 
 class _CatalogReads:
@@ -394,47 +331,40 @@ class TemporalDatabase(_CatalogReads):
         """Optimize a plan against the current statistics (or cost it as-is).
 
         The single place the optimize-or-estimate policy lives: honoured by
-        :meth:`execute_plan` and by the session layer's plan cache, so both
-        entry points report identical optimization metadata.  With
-        ``optimize_queries=False`` the initial plan is costed and taken as
-        the trivial single-plan outcome.  Either way the chosen plan's DBMS
-        fragments are then optimized by the DBMS (:func:`_optimize_fragments`)
-        — everything that depends only on the statement and the statistics
-        happens here, once, and the executor runs the outcome's
-        ``chosen_plan`` as given.  With a ``snapshot`` the statistics (and,
-        under ``use_statistics``, the estimator) come from the pinned
-        contents instead of the live catalog, for the statement's search and
-        the fragments' alike, so the plan matches the epoch the snapshot's
-        cache key carries.  ``explorations`` (the session's plan cache) goes
-        to the statement's search and to every fragment's: what an earlier
-        epoch explored is re-costed, not explored again.  The request's
-        ``token`` is checked inside the statement's search, so a cancel or a
-        deadline stops it where it is (the fragments' small, bounded
-        searches are not checked).
+        :meth:`execute_plan`, :meth:`explain` and the session layer's plan
+        cache, so every entry point reports identical optimization metadata.
+        With ``optimize_queries=False`` the initial plan is costed and taken
+        as the trivial single-plan outcome.  The executor runs the outcome's
+        ``chosen_plan`` as given, ``TS`` fragments included: the statement's
+        search has already explored below every ``TS`` with the DBMS's own
+        rules and priced each fragment as the DBMS does, so a second search
+        per fragment could only return what it was given
+        (``docs/architecture.md``, "Who optimizes a fragment, and when").
+        With a ``snapshot`` the statistics (and, under ``use_statistics``,
+        the estimator) come from the pinned contents instead of the live
+        catalog, so the plan matches the epoch the snapshot's cache key
+        carries.  ``explorations`` (the session's plan cache) goes to the
+        statement's search: what an earlier epoch explored is re-costed, not
+        explored again.  The request's ``token`` is checked inside the
+        search, so a cancel or a deadline stops it where it is.
         """
         source = snapshot if snapshot is not None else self
         statistics = source.statistics()
-        cost_model = self.optimizer.cost_model
         estimator = source.estimator() if self.use_statistics else None
         if self.optimize_queries:
-            outcome = self.optimizer.optimize(
+            return self.optimizer.optimize(
                 initial_plan, query_spec, statistics, estimator=estimator,
                 explorations=explorations, token=token,
             )
-        else:
-            cost = estimate_cost(initial_plan, statistics, cost_model, estimator=estimator)
-            outcome = OptimizationOutcome(
-                initial_plan=initial_plan,
-                chosen_plan=initial_plan,
-                chosen_cost=cost,
-                initial_cost=cost,
-            )
-        _optimize_fragments(outcome, source.dbms, explorations)
-        if outcome.fragments_rewritten:
-            outcome.chosen_cost = estimate_cost(
-                outcome.chosen_plan, statistics, cost_model, estimator=estimator
-            )
-        return outcome
+        cost = estimate_cost(
+            initial_plan, statistics, self.optimizer.cost_model, estimator=estimator
+        )
+        return OptimizationOutcome(
+            initial_plan=initial_plan,
+            chosen_plan=initial_plan,
+            chosen_cost=cost,
+            initial_cost=cost,
+        )
 
     def execute_plan(self, initial_plan: Operation, query_spec: QueryResultSpec) -> QueryOutcome:
         """Optimize (optionally) and execute an algebra plan."""
@@ -462,12 +392,7 @@ class TemporalDatabase(_CatalogReads):
     def explain(self, statement: str) -> str:
         """Initial plan, chosen plan and engine assignment for a statement."""
         initial_plan, query_spec = self.parse(statement)
-        optimization = self.optimizer.optimize(
-            initial_plan,
-            query_spec,
-            self.statistics(),
-            estimator=self.estimator() if self.use_statistics else None,
-        )
+        optimization = self.optimize_plan(initial_plan, query_spec)
         lines = [
             f"statement: {statement}",
             f"result specification: {query_spec}",

@@ -46,10 +46,10 @@ def planning_work(monkeypatch):
     """Counts the work a request may do once per (statement text, epoch).
 
     A :class:`~collections.Counter` over ``"searches"`` (every
-    ``MemoSearch.optimize`` — the statement's and the DBMS fragments'),
-    ``"explorations"`` (the searches among them that ran
-    ``repro.search.tasks.explore`` instead of re-costing a remembered memo —
-    at most once per (statement or fragment tree), whatever the epoch),
+    ``MemoSearch.optimize`` — one per planned statement), ``"explorations"``
+    (the searches among them that ran ``repro.search.tasks.explore`` instead
+    of re-costing a remembered memo — at most once per statement, whatever
+    the epoch),
     ``"tokenize"`` and ``"fingerprint"``, spied where the session's and the
     search's code look the functions up.  ``clear()`` it between requests; a
     request that did none of the four leaves it empty.

@@ -184,7 +184,12 @@ class TestAccounting:
             control = CountingControl(interval=3)
             planner = PhysicalPlanner(Catalog(), control=control, batch_size=batch_size)
             planner.execute(plan)
-            expected = sum(1 + operator.rows_out // 3 for operator in planner.operators)
+            # Once per output node: a hash join with the π above folded in
+            # ticks for both, as the two operators would have.
+            expected = sum(
+                operator.output_nodes * (1 + operator.rows_out // 3)
+                for operator in planner.operators
+            )
             assert control.ticks == {"dbms.scan": expected}
 
     @settings(max_examples=60, deadline=None)

@@ -6,8 +6,7 @@ because a fallback that changes answers is a correctness bug wearing a
 robustness costume:
 
 * **memo-search failure** → the optimizer returns the default (initial)
-  plan, flagged ``OptimizationOutcome.degraded``; a failing *DBMS fragment*
-  search keeps the fragment the statement's search extracted, same flag;
+  plan, flagged ``OptimizationOutcome.degraded``;
 * **stratum physical-operator failure** → the failed pipelined region
   re-executes through the reference evaluator, flagged in
   ``StratumExecutionReport.degraded_operations``.
@@ -34,10 +33,11 @@ from repro.core.operations import (
     TemporalUnion,
 )
 from repro.core.order_spec import OrderSpec
-from repro.dbms import ConventionalDBMS, CostGuidedConventionalOptimizer
+from repro.dbms import ConventionalDBMS
 from repro.faults import FAULTS, CancellationToken, ExecutionControl, ResourceGuard
 from repro.obs import MetricsRegistry, Tracer
 from repro.options import ExecutionOptions
+from repro.search import MemoSearch
 from repro.session import Session
 from repro.stratum import StratumExecutor, TemporalDatabase
 from repro.workloads import employee_relation, project_relation
@@ -96,14 +96,11 @@ class TestMemoSearchDegradation:
         with FAULTS.armed("search.memo", times=1):
             result = session.execute(STATEMENTS[2])
         outcome = result.optimization
-        # The whole statement is one DBMS fragment of the initial plan; the
-        # DBMS's own search over it is not the machinery that failed.
-        initial = outcome.initial_plan
-        fragment = session.database.dbms.optimize(initial.child)
+        # The initial plan executes as translated: the whole statement is one
+        # DBMS fragment, and nothing searches it either.
         assert outcome.search is None
-        assert outcome.chosen_plan == initial.with_children([fragment])
-        assert len(outcome.fragment_searches) == 1
-        assert outcome.chosen_cost.total <= outcome.initial_cost.total
+        assert outcome.chosen_plan is outcome.initial_plan is result.plan
+        assert outcome.chosen_cost.total == outcome.initial_cost.total
 
     def test_memo_degradation_counted_and_flagged_on_trace(self):
         metrics = MetricsRegistry()
@@ -125,33 +122,25 @@ class TestMemoSearchDegradation:
         result = session.execute(STATEMENTS[1])
         assert result.optimization.degraded is None
 
-
-class TestFragmentSearchDegradation:
-    """The DBMS's search over a fragment runs once, at plan time — and may fail."""
-
     @staticmethod
-    def break_fragment_search(monkeypatch, error=RuntimeError("the DBMS's optimizer is broken")):
-        def search(self, plan, explorations=None):
+    def break_search(monkeypatch, error=RuntimeError("the memo search is broken")):
+        def optimize(self, *args, **kwargs):
             raise error
 
-        monkeypatch.setattr(CostGuidedConventionalOptimizer, "search", search)
+        monkeypatch.setattr(MemoSearch, "optimize", optimize)
 
     @pytest.mark.parametrize("statement", STATEMENTS)
-    def test_the_fragment_stays_as_extracted_and_the_answer_is_identical(
-        self, statement, monkeypatch
-    ):
+    def test_a_broken_search_runs_the_initial_plan_as_translated(self, statement, monkeypatch):
         healthy = Session(make_database()).execute(statement)
-        assert healthy.optimization.fragments_rewritten == 0
-        self.break_fragment_search(monkeypatch)
+        self.break_search(monkeypatch)
         degraded = Session(make_database()).execute(statement)
         outcome = degraded.optimization
-        assert outcome.degraded == "dbms_fragment_search:INTERNAL"
-        assert outcome.fragment_searches == []
-        assert outcome.chosen_plan is outcome.search.best_plan
-        assert list(degraded.relation.tuples) == list(healthy.relation.tuples)
+        assert outcome.degraded == "memo_search:INTERNAL" and outcome.search is None
+        assert outcome.chosen_plan is outcome.initial_plan is degraded.plan
+        assert same_answer(degraded.relation, healthy.relation)
 
-    def test_counted_once_flagged_on_the_span_and_the_request_is_ok(self, monkeypatch):
-        self.break_fragment_search(monkeypatch)
+    def test_counted_once_flagged_on_both_spans_and_the_request_is_ok(self, monkeypatch):
+        self.break_search(monkeypatch)
         metrics = MetricsRegistry()
         tracer = Tracer()
         session = Session(
@@ -160,28 +149,19 @@ class TestFragmentSearchDegradation:
         first = session.execute(STATEMENTS[2])
         hit = session.execute(STATEMENTS[2])  # the degraded entry serves, uncounted
         assert first.error_code is None and hit.cache_hit
+        assert hit.optimization is first.optimization
         exposition = metrics.exposition()
-        assert 'repro_degraded_total{stage="dbms_fragment_search"} 1' in exposition
+        assert 'repro_degraded_total{stage="memo_search"} 1' in exposition
         assert "repro_request_errors_total{" not in exposition
         spans = [
             next(s for s in trace.root.children if s.name == "optimize").attributes
             for trace in tracer.recent(2)
         ]
-        assert [s["degraded"] for s in spans] == ["dbms_fragment_search:INTERNAL"] * 2
-        assert spans[0]["fragments.searched"] == 0
-        assert "fragments.searched" not in spans[1]  # the hit searched nothing
-
-    def test_a_degraded_statement_search_keeps_its_own_marker(self, monkeypatch):
-        self.break_fragment_search(monkeypatch)
-        session = Session(make_database())
-        with FAULTS.armed("search.memo", times=1):
-            result = session.execute(STATEMENTS[2])
-        assert result.optimization.degraded == "memo_search:FAULT_INJECTED"
-        assert result.optimization.chosen_plan is result.optimization.initial_plan
+        assert [s["degraded"] for s in spans] == ["memo_search:INTERNAL"] * 2
 
     @pytest.mark.parametrize("stop", [CancelledError("stop"), ResourceExhaustedError("stop")])
     def test_stop_errors_propagate(self, stop, monkeypatch):
-        self.break_fragment_search(monkeypatch, stop)
+        self.break_search(monkeypatch, stop)
         session = Session(make_database())
         with pytest.raises(type(stop)):
             session.execute(STATEMENTS[0])

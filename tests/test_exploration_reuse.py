@@ -1,8 +1,8 @@
 """Re-costing a remembered exploration equals searching afresh — differentially.
 
 ``MemoSearch.optimize`` is ``extract(explore(...))``; the session's plan cache
-remembers the first step per statement (and per ``TS`` fragment tree) and
-re-runs only the second when the statistics move.  That is sound iff
+remembers the first step per statement and re-runs only the second when the
+statistics move.  That is sound iff
 
 * exploration reads nothing that moves (no statistics, estimator, cost model
   or root engine), so the remembered memo *is* the memo a fresh search at the
@@ -65,10 +65,6 @@ def assert_same_outcome(reused, fresh) -> None:
     assert reused.degraded is fresh.degraded is None
     assert reused.search.rules_applied == fresh.search.rules_applied
     assert counters(reused.search.statistics) == counters(fresh.search.statistics)
-    assert [counters(s) for s in reused.fragment_searches] == [
-        counters(s) for s in fresh.fragment_searches
-    ]
-    assert reused.fragments_rewritten == fresh.fragments_rewritten
 
 
 class TestAReplanEqualsAFreshSearch:
@@ -84,8 +80,8 @@ class TestAReplanEqualsAFreshSearch:
         temporal_db.append("PROJECT", [(f"N{i}", "P1", 2 + i, 9 + i) for i in range(3)])
         reused = temporal_db.optimize_plan(plan, spec, explorations=cache)
         fresh = temporal_db.optimize_plan(plan, spec)
-        assert reused.explorations == (1 + len(reused.fragment_searches), 0)
-        assert fresh.explorations == (0, 1 + len(fresh.fragment_searches))
+        assert reused.search.statistics.exploration_reused
+        assert not fresh.search.statistics.exploration_reused
         assert_same_outcome(reused, fresh)
         assert reused.chosen_cost != first.chosen_cost  # the statistics did move
 
@@ -99,7 +95,8 @@ class TestAReplanEqualsAFreshSearch:
         replanned = session.execute(statement.sql, params)
         fresh = Session(database).execute(statement.sql, params)
         assert not replanned.cache_hit and not fresh.cache_hit
-        assert replanned.optimization.explorations[1] == 0 < fresh.optimization.explorations[1]
+        assert replanned.optimization.search.statistics.exploration_reused
+        assert not fresh.optimization.search.statistics.exploration_reused
         assert_same_outcome(replanned.optimization, fresh.optimization)
         assert replanned.plan == fresh.plan
         assert replanned.relation.as_list() == fresh.relation.as_list()

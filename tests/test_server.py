@@ -178,7 +178,7 @@ class TestSharedPlanCache:
                 first = server.query(PAPER_SQL)  # the one free worker
                 assert first.ok and not first.cache_hit
                 assert planning_work == {
-                    "searches": 3, "explorations": 3, "tokenize": 1, "fingerprint": 1
+                    "searches": 1, "explorations": 1, "tokenize": 1, "fingerprint": 1
                 }
                 server.submit("PARK-SECOND")  # ... which now parks too
                 wait_until(lambda: server.stats().active_workers == 2)
@@ -237,9 +237,9 @@ class TestSingleFlightAcrossWorkers:
             gate = park_first_call(MemoSearch, "optimize")
             led, served = self.both_workers_miss(server, gate)
             assert led.ok and served.ok and (led.cache_hit, served.cache_hit) == (False, True)
-            # The statement's + its two fragments' — and no exploration: the
-            # serial request's three memos are re-costed at the new epoch.
-            assert planning_work == {"searches": 3}
+            # One search and no exploration: the serial request's memo is
+            # re-costed at the new epoch.
+            assert planning_work == {"searches": 1}
             assert list(served.relation.tuples) == list(led.relation.tuples)
             assert led.epoch == served.epoch == serial.epoch + 1
             # The wait is inside the waiter's ``optimize`` phase, so inside its service time.

@@ -359,25 +359,23 @@ FIRST = {"tokenize": 1, "fingerprint": 1}
 class TestAHitIsAHit:
     """A plan-cache hit runs no search, no lexer and no fingerprint — by count.
 
-    ``fragments`` is the number of ``TS`` fragments of the chosen plan: a
-    first execution runs the statement's search plus one DBMS search each.
-    ``explored`` of those searches explore a memo: the statement's and one
-    per *distinct* fragment tree (``chained`` ships one projection twice).
+    A first execution runs one search, the statement's, which explores one
+    memo; its ``fragments`` (the ``TS`` fragments of the chosen plan) are
+    searched by nothing — each is one DBMS call, executed as chosen.
     """
 
     CASES = [
-        pytest.param(PAPER_SQL, (), 2, 3, id="paper"),
-        pytest.param(CHAINED_SQL, (), 3, 3, id="chained"),
-        pytest.param(POINT_SQL, ("Sales",), 1, 2, id="point"),
+        pytest.param(PAPER_SQL, (), 2, id="paper"),
+        pytest.param(CHAINED_SQL, (), 3, id="chained"),
+        pytest.param(POINT_SQL, ("Sales",), 1, id="point"),
     ]
 
-    @pytest.mark.parametrize("sql, params, fragments, explored", CASES)
+    @pytest.mark.parametrize("sql, params, fragments", CASES)
     def test_first_execution_plans_once_and_every_repeat_does_nothing(
-        self, session, planning_work, sql, params, fragments, explored
+        self, session, planning_work, sql, params, fragments
     ):
         first = session.execute(sql, params)
-        assert planning_work == {"searches": 1 + fragments, "explorations": explored, **FIRST}
-        assert len(first.optimization.fragment_searches) == fragments
+        assert planning_work == {"searches": 1, "explorations": 1, **FIRST}
         assert first.report.dbms_calls == fragments
         planning_work.clear()
 
@@ -398,19 +396,20 @@ class TestAHitIsAHit:
         assert session.execute("EXPLAIN ANALYZE " + sql, params).explain is not None
         assert not planning_work
 
-    @pytest.mark.parametrize("sql, params, fragments, explored", CASES)
+    @pytest.mark.parametrize("sql, params, fragments", CASES)
     def test_an_epoch_bump_replans_but_neither_reparses_nor_explores(
-        self, session, planning_work, sql, params, fragments, explored
+        self, session, planning_work, sql, params, fragments
     ):
         session.execute(sql, params)
         planning_work.clear()
         session.database.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
         replanned = session.execute(sql, params)
         assert not replanned.cache_hit
-        # Every search runs again — as an extraction from the remembered memo.
-        assert planning_work == {"searches": 1 + fragments}
+        # The search runs again — as an extraction from the remembered memo.
+        assert planning_work == {"searches": 1}
         assert planning_work["explorations"] == 0
-        assert replanned.optimization.explorations == (1 + fragments, 0)
+        assert replanned.optimization.search.statistics.exploration_reused
+        assert replanned.report.dbms_calls == fragments
         planning_work.clear()
         assert session.execute(sql, params).cache_hit
         assert not planning_work
@@ -423,7 +422,7 @@ class TestAHitIsAHit:
         assert session.cache_info().explorations == 0
         assert not session.execute(PAPER_SQL).cache_hit
         # This is what keeps the ledger's ``cold-plan`` cold: it explores again.
-        assert planning_work == {"searches": 3, "explorations": 3, **FIRST}
+        assert planning_work == {"searches": 1, "explorations": 1, **FIRST}
 
     def test_the_cached_plan_is_the_plan_that_executes(self, session, monkeypatch):
         handed_over = []
@@ -463,27 +462,26 @@ class TestExploreOncePerStatement:
         for sql, params in ((PAPER_SQL, ()), (CHAINED_SQL, ()), (POINT_SQL, ("Sales",))):
             session.execute(sql, params)
         planning_work.clear()
-        reused_before = session.cache_info().explorations_reused  # chained's fragments are paper's
         for round_ in range(3):
             session.database.append("EMPLOYEE", [self.ROW])
             for sql, params in ((PAPER_SQL, ()), (CHAINED_SQL, ()), (POINT_SQL, ("Sales",))):
                 assert not session.execute(sql, params).cache_hit
-        assert planning_work == {"searches": 3 * (3 + 4 + 2)}
+        assert planning_work == {"searches": 3 * 3}
         info = session.cache_info()
-        assert info.explorations_reused - reused_before == 3 * (3 + 4 + 2)
-        assert info.explorations == 6  # 3 statements + 3 distinct fragment trees
+        assert info.explorations_reused == 3 * 3
+        assert info.explorations == 3
 
     def test_the_record_and_explain_say_what_was_reused(self, session):
         first = session.execute(PAPER_SQL).phases["optimize"][2]
-        assert (first["explorations_reused"], first["explorations_fresh"]) == (0, 3)
+        assert first["memo.exploration_reused"] is False
         hit = session.execute(PAPER_SQL).phases["optimize"][2]
-        assert not any(key.startswith("explorations_") for key in hit)  # it ran no search
+        assert hit["memo.exploration_reused"] is False  # the entry's search, as it ran
         session.database.append("EMPLOYEE", [self.ROW])
         replanned = session.execute(PAPER_SQL).phases["optimize"][2]
-        assert (replanned["explorations_reused"], replanned["explorations_fresh"]) == (3, 0)
+        assert replanned["memo.exploration_reused"] is True
         report = session.explain(PAPER_SQL, analyze=False)
-        assert report.explorations == (3, 0)
-        assert "explored:   fresh=0, reused=3" in report.render().splitlines()
+        assert report.exploration_reused is True
+        assert "explored:   reused" in report.render().splitlines()
 
     def test_a_recreated_table_under_another_schema_is_explored_afresh(
         self, session, planning_work
@@ -503,8 +501,8 @@ class TestExploreOncePerStatement:
         after = session.execute(sql)
         # Same text, same fingerprint — and another seed tree, compared, not assumed.
         assert after.fingerprint == before.fingerprint and not after.cache_hit
-        assert planning_work["explorations"] == planning_work["searches"] == 2
-        assert after.optimization.explorations == (0, 2)
+        assert planning_work["explorations"] == planning_work["searches"] == 1
+        assert not after.optimization.search.statistics.exploration_reused
         assert not after.relation.schema.is_temporal
         assert [t.values() for t in after.relation.tuples] == [("Ann",)]
 
@@ -518,7 +516,7 @@ class TestExploreOncePerStatement:
         planning_work.clear()
         old = session.execute(POINT_SQL, ("Sales",), snapshot=pinned)
         assert not old.cache_hit and old.epoch == pinned.epoch == live.epoch - 1
-        assert planning_work == {"searches": 2}  # ... and the older epoch only extracts
+        assert planning_work == {"searches": 1}  # ... and the older epoch only extracts
 
         def names(result):
             return sorted(t["EmpName"] for t in result.relation.tuples)
@@ -533,24 +531,25 @@ class TestExploreOncePerStatement:
         session.cache = PlanCache(capacity=2)
         texts = [f"SELECT EmpName FROM EMPLOYEE WHERE Dept = '{d}'" for d in "ABC"]
         explored = []
-        for text in texts:  # one statement memo + one fragment memo each
+        for text in texts:  # one statement memo each
             session.execute(text)
             explored.append(session.cache_info().explorations)
-        assert explored == [2, 2, 2]
-        # Only texts[2]'s pair is left: it re-costs, texts[0] explores again ...
+        assert explored == [1, 2, 2]
+        # texts[1]'s and texts[2]'s are left: texts[2] re-costs, texts[0] explores again ...
         session.database.append("EMPLOYEE", [self.ROW])
         planning_work.clear()
         session.execute(texts[2])
-        assert planning_work == {"searches": 2}
+        assert planning_work == {"searches": 1}
         session.execute(texts[0])  # (its text fell out of the text memo as well)
-        assert (planning_work["searches"], planning_work["explorations"]) == (4, 2)
-        # ... which evicted texts[2]'s, the least recently used.
+        assert (planning_work["searches"], planning_work["explorations"]) == (2, 1)
+        # ... which evicted texts[1]'s, the least recently used.
         planning_work.clear()
         session.database.append("EMPLOYEE", [self.ROW])
+        session.execute(texts[2])
         session.execute(texts[0])
         assert planning_work == {"searches": 2}
-        session.execute(texts[2])
-        assert planning_work["explorations"] == 2
+        session.execute(texts[1])
+        assert planning_work["explorations"] == 1
         assert session.cache_info().explorations == 2
 
     def test_a_recency_refresh_protects_an_exploration(self):
@@ -587,22 +586,21 @@ class TestExploreOncePerStatement:
         gate.release.set()
         (failed,), (served,) = leader(), waiter()
         assert isinstance(failed, CancelledError)
-        assert not served.cache_hit and served.optimization.explorations == (0, 3)
+        assert not served.cache_hit
+        assert not served.optimization.search.statistics.exploration_reused
         # The leader stored neither an entry nor a memo: the waiter took over
-        # and explored the statement and its two fragments, once each.
-        assert planning_work["explorations"] == 3 and planning_work["searches"] == 4
+        # and explored the statement, once.
+        assert planning_work["explorations"] == 1 and planning_work["searches"] == 2
         info = cache.info()
-        assert (info.misses, info.size, info.explorations, info.explorations_reused) == (2, 1, 3, 0)
+        assert (info.misses, info.size, info.explorations, info.explorations_reused) == (2, 1, 1, 0)
 
     def test_two_server_workers_explore_each_statement_once_for_any_number_of_appends(
         self, session, planning_work
     ):
         statements = ((PAPER_SQL, ()), (CHAINED_SQL, ()), (POINT_SQL, ("Sales",)))
         with Server(session.database, max_concurrency=2) as server:
-            # One at a time first: ``paper`` and ``chained`` ship the same
-            # fragments, and two *different* statements planning at once may
-            # both explore a fragment neither has stored yet (harmless — the
-            # memos are equal — but not a count to pin).
+            # Each statement explored once, then re-planned by both workers
+            # at once after every append.
             for sql, params in statements:
                 assert server.query(sql, params=params).ok
             for round_ in range(3):
@@ -612,10 +610,10 @@ class TestExploreOncePerStatement:
                 ]
                 assert all(future.result(timeout=30.0).ok for future in futures)
             info = server.plan_cache.info()
-        # 3 statements + 3 distinct fragment trees, whichever worker got there first.
-        assert planning_work["explorations"] == info.explorations == 6
-        assert info.misses == 4 * 3 and planning_work["searches"] == 4 * (3 + 4 + 2)
-        assert info.explorations_reused == planning_work["searches"] - 6
+        # One memo per statement, whichever worker got there first.
+        assert planning_work["explorations"] == info.explorations == 3
+        assert info.misses == planning_work["searches"] == 4 * 3
+        assert info.explorations_reused == planning_work["searches"] - 3
 
 
 class TestStatementMemo:
@@ -680,11 +678,9 @@ class TestStatementMemo:
         assert first.phases["parse"][2] == {"memo_hit": False}
         assert second.phases["parse"][2] == {"memo_hit": True}
         planned, hit = first.phases["optimize"][2], second.phases["optimize"][2]
-        searches = first.optimization.fragment_searches
-        assert planned["fragments.searched"] == len(searches) == 2
-        assert planned["fragments.tasks"] == sum(s.applications_attempted for s in searches) > 0
-        assert planned["fragments.rewritten"] == 0
-        # Their own keys: the statement's search is reported alone, hit or miss.
+        # The statement's search — the only one — hit or miss.
         assert planned["memo.tasks"] == first.optimization.search.statistics.applications_attempted
         assert hit["memo.tasks"] == planned["memo.tasks"]
-        assert not any(key.startswith("fragments.") for key in hit)
+        assert {key for key in planned if key.startswith("memo.")} == set(
+            first.optimization.search.statistics.as_span_attributes()
+        )
