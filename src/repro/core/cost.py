@@ -274,7 +274,7 @@ def _join_work(
 
     The stratum executes every join through the physical layer, so its work
     is the split algorithm's.  The conventional DBMS substrate plans only
-    the *hash equi-join* beyond the product (:mod:`repro.dbms.executor`): a
+    the *hash equi-join* beyond the product (:mod:`repro.core.lowering`): a
     keyless join runs there as a nested loop with the whole predicate as
     residual — never the interval join — and a temporal join is emulated at
     product cost (the temporal-penalty engine
@@ -446,7 +446,7 @@ def _fused_selection_split(node: Operation, engine: str) -> Optional[JoinSplit]:
     """The split the executor fuses a σ-over-product pair with, or ``None``.
 
     The stratum fuses *every* selection directly over a product; the
-    conventional DBMS's planner (:mod:`repro.dbms.executor`) reads the same
+    conventional DBMS's lowering (:mod:`repro.core.lowering`) reads the same
     split but only lets equi keys change the algorithm — over a conventional
     product it runs a hash join, anything else is a nested loop filtering the
     streamed product, which the product bound already prices.

@@ -16,9 +16,9 @@ the *shape of the predicate*:
 * everything else stays behind as a **residual filter** evaluated on the
   joined tuple, or falls back to a streaming nested loop.
 
-The split is computed here, once, in core — both planners
-(:mod:`repro.stratum.physical`, and :mod:`repro.dbms.executor` for the equi
-keys: the DBMS never runs the interval join) build their operators from it
+The split is computed here, once, in core — the lowering
+(:mod:`repro.core.lowering`, in both engines; the DBMS uses only the equi
+keys and never runs the interval join) builds its operators from it
 and the cost annotations of :mod:`repro.core.cost` describe the same choice
 in EXPLAIN output, so what the report prints is by construction what the
 executor runs.  So is the one decision above the join:

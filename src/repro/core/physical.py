@@ -4,12 +4,13 @@ One library of batch operators runs every conventional operation, whichever
 layer the optimizer assigned it to, and the paper's five temporal ones.  The
 paper separates the stratum from the conventional DBMS by *capability* — the
 DBMS lacks the temporal operations and pays an emulation penalty for them —
-not by implementation, so each engine is a planner that builds a **declared
-subset** of these operators and names the fault point their drains tick:
-:mod:`repro.stratum.physical` (all three join algorithms and the temporal
-operators — ``rdupT``, ``γT``, ``\\T``, ``∪T``, ``coalT`` —, ``stratum.pull``) and
-:mod:`repro.dbms.executor` (the multiset operators, never the interval join
-or a temporal operator, ``dbms.scan``).
+not by implementation, so one lowering (:mod:`repro.core.lowering`) builds a
+request's whole plan into one tree of these operators, and each engine is a
+descriptor of what it may build and which fault point its drains tick: the
+stratum all of them (``stratum.pull``), the DBMS everything but the interval
+join and the five temporal operators — ``rdupT``, ``γT``, ``\\T``, ``∪T``,
+``coalT`` — whose nodes it runs through :class:`EmulateOp` (``dbms.scan``).
+``TS``/``TD`` are :class:`TransferOp` pass-throughs inside that tree.
 
 Execution moves **value rows**: operators exchange
 :class:`~repro.core.columnar.ColumnBatch` chunks of ``batch_size`` rows; join,
@@ -24,13 +25,13 @@ relations and drains into a relation of rows.
 :meth:`BatchOperator.batches` is the single place that counts rows, reads the
 clock and ticks execution control.
 
-Every operator yields the same tuple sequence at every batch size; the ones
-the stratum builds are moreover **list-compatible** with the reference
-semantics — the *identical* sequence, only faster — because several temporal
-operations are order-sensitive (Section 6), so a merely multiset-equivalent
-result could change the answer of an enclosing operator.  Join algorithm
-choice comes from :mod:`repro.core.joinsplit`, which the cost annotations
-consume too, so EXPLAIN reports exactly what runs here.
+Every operator yields the same tuple sequence at every batch size, and that
+sequence is **list-compatible** with the reference semantics — the
+*identical* sequence, only faster — because several temporal operations are
+order-sensitive (Section 6), so a merely multiset-equivalent result could
+change the answer of an enclosing operator.  Join algorithm choice comes from
+:mod:`repro.core.joinsplit`, which the cost annotations consume too, so
+EXPLAIN reports exactly what runs here.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .expressions import (
     projection_kernel,
 )
 from .joinsplit import JoinSplit, flatten_conjuncts
-from .operations.base import PlanPath
+from .operations.base import EvaluationContext, Operation, PlanPath
 from .order_spec import OrderSpec
 from .period import T1, T2
 from .relation import Relation, hash_buckets
@@ -80,14 +81,13 @@ class BatchOperator:
     selection-over-product realises two); ``paths[0]`` is the node whose
     output the operator produces, and so is each of the first
     ``output_nodes`` (two for a projection folded into the join below it,
-    whose output has the join's row count).  The stratum's lowering fills
-    both in; the DBMS, a multiset engine whose fragments are opaque to the
-    plan-path accounting, leaves them empty except for the order a sort
-    establishes.  ``rows_out`` — filled once the operator has been drained —
-    is the actual output cardinality EXPLAIN ANALYZE and the operator spans
-    report.
+    whose output has the join's row count).  The lowering fills both in, in
+    either engine — the DBMS, a multiset engine, knows no order but the one
+    a sort establishes.  ``rows_out`` — filled once the operator has been
+    drained — is the actual output cardinality EXPLAIN ANALYZE and the
+    operator spans report.
 
-    The planner that built the operator configures it (:meth:`instrument`):
+    The lowering that built the operator configures it (:meth:`instrument`):
     chunk size, the fault point its drain ticks (``stratum.pull`` or
     ``dbms.scan`` — the only per-engine difference on an operator) and the
     engine's clock and execution control.  With a clock (a monotonic
@@ -189,8 +189,23 @@ class BatchOperator:
         for child in self.children():
             yield from child.operators()
 
+    def stored(self) -> Optional[Relation]:
+        """The relation this operator hands on unchanged, if it is one: a
+        source's, seen through any transfers above it."""
+        return None
+
     def to_relation(self) -> Relation:
-        """Drain the operator into a relation carrying the known order."""
+        """Drain the operator into a relation carrying the known order.
+
+        An operator that hands on a stored relation — a bare table scan
+        shipped across ``TS`` — computes nothing, so the drain only does the
+        accounting and not even the row list is copied.
+        """
+        stored = self.stored()
+        if stored is not None:
+            for _ in self.batches():
+                pass
+            return stored if stored.order == self.order else stored.with_order(self.order)
         rows: List[PyTuple] = []
         for batch in self.batches():
             rows.extend(batch.rows())
@@ -215,11 +230,12 @@ class BatchOperator:
 
 
 class SourceOp(BatchOperator):
-    """A materialised input: a stored table, a literal, a boundary subtree's
-    result or an emulated temporal operation's."""
+    """A materialised input: a stored table or a literal."""
 
-    def __init__(self, relation: Relation, name: Optional[str] = None) -> None:
-        super().__init__(relation.schema, relation.order)
+    def __init__(
+        self, relation: Relation, name: Optional[str] = None, paths: PyTuple[PlanPath, ...] = ()
+    ) -> None:
+        super().__init__(relation.schema, relation.order, paths)
         self.relation = relation
         self._name = name
 
@@ -233,14 +249,7 @@ class SourceOp(BatchOperator):
         for offset in range(0, len(rows), size):
             yield ColumnBatch(schema, rows[offset : offset + size])
 
-    def to_relation(self) -> Relation:
-        """The source relation itself: the drain only does the accounting.
-
-        A source at the root of an operator tree — a bare table scan shipped
-        across ``TS`` — computes nothing, so not even the row list is copied.
-        """
-        for _ in self.batches():
-            pass
+    def stored(self) -> Relation:
         return self.relation
 
     def describe(self) -> str:
@@ -333,6 +342,37 @@ class SortOp(_UnaryOp):
         return f"Sort({self._sort_order})"
 
 
+class TransferOp(_UnaryOp):
+    """``TS``/``TD``: the child's batches, handed to the receiving engine as
+    they arrive — the boundary between the engines materialises nothing.
+
+    It belongs to the receiving engine (its drain ticks that engine's fault
+    point) and charges the resource guard's byte budget for every row it
+    hands over: what the receiving engine takes in is what a request
+    materialises across the boundary.
+    """
+
+    def __init__(self, symbol: str, child: BatchOperator, *args, **kwargs) -> None:
+        super().__init__(child, *args, **kwargs)
+        self._symbol = symbol
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        guard = None if self._control is None else self._control.guard
+        if guard is None or guard.max_bytes is None:
+            yield from self._child.batches()
+            return
+        row_bytes = guard.TUPLE_OVERHEAD_BYTES + guard.ATTRIBUTE_BYTES * len(self.output_schema.attributes)
+        for batch in self._child.batches():
+            guard.charge_bytes(batch.length * row_bytes)
+            yield batch
+
+    def stored(self) -> Optional[Relation]:
+        return self._child.stored()
+
+    def describe(self) -> str:
+        return self._symbol
+
+
 def _chunked(
     schema: RelationSchema, rows: Iterable[PyTuple], size: int
 ) -> Iterator[ColumnBatch]:
@@ -400,8 +440,8 @@ class HashJoinOp(_JoinOp):
     the fresh ``T1``/``T2`` carry the intersection.  Buckets keep right
     input order, so the output sequence matches the reference product.
 
-    The build side of a :class:`SourceOp` — a stored table, a ``TS`` result
-    that is one, a literal — is its relation's kept table
+    A build side that hands on a stored relation (:meth:`~BatchOperator.stored`:
+    a stored table, also across ``TS``, or a literal) is its relation's kept table
     (:meth:`Relation.buckets`), hashed once per relation and key.  The probe
     is one generated loop per left batch (:func:`join_kernel`): lookup,
     overlap test, residual and — once :meth:`fold_projection` has folded
@@ -461,10 +501,11 @@ class HashJoinOp(_JoinOp):
     def _build(self) -> Dict[object, List[PyTuple]]:
         """The right input's rows by key, drained for its accounting."""
         right, key = self._right, self._split.equi_right_indexes
-        if isinstance(right, SourceOp):
+        stored = right.stored()
+        if stored is not None:
             for _ in right.batches():
                 pass
-            return right.relation.buckets(key)
+            return stored.buckets(key)
         return hash_buckets((row for batch in right.batches() for row in batch.rows()), key)
 
     def _composed(self, rows: Sequence[PyTuple], get: Callable) -> List[PyTuple]:
@@ -582,10 +623,10 @@ class NestedLoopJoinOp(_JoinOp):
 
 
 # ---------------------------------------------------------------------------
-# The multiset operators only the DBMS plans today
+# The multiset operators
 # ---------------------------------------------------------------------------
 #
-# They work on value rows positionally: the planner has already brought every
+# They work on value rows positionally: the lowering has already brought every
 # input into the output's attribute order (a renaming :class:`ProjectOp`).
 
 
@@ -731,6 +772,34 @@ class UnionOp(_SetOp):
                     kept.append(row)
             if kept:
                 yield ColumnBatch(schema, kept)
+
+
+class EmulateOp(BatchOperator):
+    """A temporal operation in an engine without its operator — the DBMS's
+    fallback: at the first pull it drains its inputs into relations and runs
+    the operation's reference implementation over them."""
+
+    def __init__(
+        self,
+        node: Operation,
+        children: Sequence[BatchOperator],
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+    ) -> None:
+        super().__init__(node.output_schema(), order, paths)
+        self._node = node
+        self._children = tuple(children)
+
+    def children(self) -> Sequence[BatchOperator]:
+        return self._children
+
+    def _batches(self) -> Iterator[ColumnBatch]:
+        inputs = [child.to_relation() for child in self._children]
+        result = self._node._evaluate(inputs, EvaluationContext())
+        yield from _chunked(self.output_schema, result.rows, self.batch_size)
+
+    def describe(self) -> str:
+        return f"Emulate({self._node.symbol})"
 
 
 # ---------------------------------------------------------------------------

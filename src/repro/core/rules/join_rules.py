@@ -4,7 +4,7 @@ Section 2.4 keeps the join idioms out of the fundamental algebra — every
 transformation rule of the catalogue works on the expanded
 selection-over-product form — but notes that "an implementation should
 include them for efficiency".  The physical engines took that advice long
-ago (:mod:`repro.stratum.physical` fuses a selection directly over a product
+ago (:mod:`repro.core.lowering` fuses a selection directly over a product
 into one join operator of :mod:`repro.core.physical`); these rules let the *optimizer* take it
 too: they rewrite the expanded form into an explicit :class:`Join` /
 :class:`TemporalJoin` idiom node, which the cost model prices from the

@@ -2,7 +2,6 @@
 
 from .catalog import Catalog, Table, TableStatistics
 from .engine import ConventionalDBMS, DBMSResult
-from .executor import ExecutionReport, PhysicalPlanner
 from .optimizer import CostGuidedConventionalOptimizer
 from .sqlgen import to_sql
 
@@ -11,8 +10,6 @@ __all__ = [
     "ConventionalDBMS",
     "CostGuidedConventionalOptimizer",
     "DBMSResult",
-    "ExecutionReport",
-    "PhysicalPlanner",
     "Table",
     "TableStatistics",
     "to_sql",

@@ -8,9 +8,12 @@ knows nothing about valid time beyond treating ``T1``/``T2`` as ordinary
 integer columns — temporal operations reaching it are only ever *emulated*
 (slowly), which the execution report exposes.
 
-It executes on the same batch operators as the stratum
-(:mod:`repro.core.physical`); what it may build from them — no interval
-join, no temporal operation — is declared in :mod:`repro.dbms.executor`.
+It executes through the one lowering of :mod:`repro.core.lowering` under the
+DBMS's engine descriptor (:data:`~repro.core.lowering.DBMS_ENGINE`): what it
+may build from the shared batch operators — no interval join, no temporal
+operator — is declared there.  The stratum executes a request's fragments in
+the same operator tree and never calls :meth:`ConventionalDBMS.execute`;
+that is for direct callers.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from ..core.lowering import DBMS_ENGINE, ExecutionReport, Lowering
 from ..core.operations import Operation
 from ..core.order_spec import OrderSpec
 from ..core.relation import Relation
@@ -25,7 +29,6 @@ from ..core.schema import RelationSchema
 from ..options import DEFAULT_BATCH_SIZE
 from ..search import SearchResult
 from .catalog import Catalog, CatalogSnapshot, Table
-from .executor import ExecutionReport, PhysicalPlanner
 from .optimizer import CostGuidedConventionalOptimizer
 from .sqlgen import to_sql
 
@@ -40,7 +43,7 @@ class DBMSResult:
 
 
 class _Engine:
-    """What the live engine and a pinned snapshot share: querying a catalog.
+    """What the live engine and a pinned snapshot share: reading a catalog.
 
     Subclasses set ``catalog`` (a :class:`Catalog` or a
     :class:`CatalogSnapshot`).
@@ -58,36 +61,6 @@ class _Engine:
     def estimator(self, **kwargs):
         """A histogram-backed estimator over the catalog's contents."""
         return self.catalog.estimator(**kwargs)
-
-    def execute(
-        self,
-        plan: Operation,
-        optimize: bool = True,
-        clock=None,
-        control=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> DBMSResult:
-        """Optimize (optionally) and execute a logical plan fragment.
-
-        ``clock`` (a monotonic callable) turns on per-operator timing: the
-        report's ``operator_spans`` then carry each physical operator's
-        rows and wall-clock for EXPLAIN ANALYZE and request traces.
-        ``control`` (an :class:`~repro.faults.control.ExecutionControl`)
-        threads cancellation, deadlines, resource budgets and fault
-        injection into the physical operators' drains.  ``batch_size`` is
-        the operators' chunk size — the stratum executor passes its own
-        (``ExecutionOptions.batch_size``) through, and always
-        ``optimize=False``: its fragments were chosen when the statement was
-        planned (:meth:`repro.stratum.layer.TemporalDatabase.optimize_plan`).
-        ``optimize=True`` runs the live engine's own search
-        (:meth:`ConventionalDBMS.optimize`); a pinned snapshot has none.
-        """
-        final_plan = self.optimize(plan) if optimize else plan
-        planner = PhysicalPlanner(
-            self.catalog, clock=clock, control=control, batch_size=batch_size
-        )
-        relation = planner.execute(final_plan)
-        return DBMSResult(relation=relation, report=planner.report, optimized_plan=final_plan)
 
 
 class ConventionalDBMS(_Engine):
@@ -145,6 +118,29 @@ class ConventionalDBMS(_Engine):
         """The fragment :meth:`search` finds cheapest."""
         return self.search(plan).best_plan
 
+    def execute(
+        self,
+        plan: Operation,
+        optimize: bool = True,
+        clock=None,
+        control=None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> DBMSResult:
+        """Optimize (optionally) and execute a logical plan fragment.
+
+        ``clock`` (a monotonic callable) turns on per-operator timing: the
+        report's ``node_timings`` then carry each plan node's wall-clock.
+        ``control`` (an :class:`~repro.faults.control.ExecutionControl`)
+        threads cancellation, deadlines, resource budgets and fault
+        injection into the physical operators' drains; a failure raises —
+        only the stratum degrades.  ``batch_size`` is the operators' chunk
+        size.
+        """
+        final_plan = self.optimize(plan) if optimize else plan
+        lowering = Lowering(self.catalog, batch_size, clock, control)
+        relation, report = lowering.execute(lowering.lower(final_plan, DBMS_ENGINE))
+        return DBMSResult(relation=relation, report=report, optimized_plan=final_plan)
+
     def query(self, plan: Operation, optimize: bool = True) -> Relation:
         """Execute a plan and return only the result relation."""
         return self.execute(plan, optimize=optimize).relation
@@ -154,8 +150,7 @@ class ConventionalDBMS(_Engine):
     def explain(self, plan: Operation, optimize: bool = True) -> str:
         """The physical plan the engine would run, as indented text."""
         final_plan = self.optimize(plan) if optimize else plan
-        planner = PhysicalPlanner(self.catalog)
-        return planner.plan(final_plan).explain()
+        return Lowering(self.catalog).lower(final_plan, DBMS_ENGINE).explain()
 
     def sql_for(self, plan: Operation, optimize: bool = True, pretty: bool = False) -> str:
         """The SQL text corresponding to a (conventional) plan fragment."""
@@ -168,7 +163,7 @@ class ConventionalDBMS(_Engine):
         """A read-only engine over the catalog's current contents.
 
         Pins every table's relation plus the statistics epoch atomically
-        (see :meth:`Catalog.snapshot`); queries executed through the
+        (see :meth:`Catalog.snapshot`); queries executed against the
         returned engine see exactly this state regardless of concurrent
         appends to the live catalog.
         """
@@ -178,12 +173,12 @@ class ConventionalDBMS(_Engine):
 class SnapshotDBMS(_Engine):
     """A read-only :class:`ConventionalDBMS` facade over a pinned catalog.
 
-    Execution-compatible with the live engine (``catalog``/``execute``/
-    ``statistics``/``statistics_epoch``/``estimator``), so the stratum
-    executor and the session layer can run whole queries against a snapshot
-    unchanged.  It has no optimizer: the stratum executor hands it fragments
-    with ``optimize=False``, chosen when their statement was planned over
-    the *pinned* statistics, so plan choice and data come from one moment.
+    It only reads its catalog (``catalog``/``statistics``/
+    ``statistics_epoch``/``estimator``): the stratum executor and the
+    session layer run whole queries against it unchanged, lowering its
+    fragments themselves.  It has neither an optimizer nor an ``execute``:
+    fragments arrive chosen when their statement was planned over the
+    *pinned* statistics, so plan choice and data come from one moment.
     """
 
     def __init__(self, catalog: CatalogSnapshot) -> None:

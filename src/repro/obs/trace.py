@@ -175,7 +175,6 @@ def build_trace(
     statement: str,
     phases: Mapping[str, Tuple[float, float, Mapping[str, Any]]],
     operators: Iterable[Any] = (),
-    dbms_spans: Iterable[Any] = (),
     error_code: Optional[str] = None,
 ) -> Trace:
     """Render the numbers one sampled request left behind as its span tree.
@@ -184,10 +183,9 @@ def build_trace(
     attributes)`` mapping, in lifecycle order; the root ``request`` span
     covers them and, for a failed request, carries ``error``/``error_code``.
     ``operators`` are the record's EXPLAIN lines
-    (:class:`~repro.session.explain.OperatorLine`): those the stratum timed
-    become children of the ``execute`` span, in plan order, followed by the
-    timed drains inside the DBMS fragments (``dbms_spans``,
-    :class:`~repro.dbms.executor.OperatorSpan`) in call order.
+    (:class:`~repro.session.explain.OperatorLine`): those either engine
+    timed become children of the ``execute`` span, in plan order, each with
+    its plan ``path``, actual ``rows`` and the ``engine`` that ran it.
     """
     spans = [Span(name, *stamp) for name, stamp in phases.items()]
     start = spans[0].start if spans else 0.0
@@ -203,13 +201,10 @@ def build_trace(
                     line.label,
                     line.start_seconds,
                     line.time_seconds,
-                    {"path": list(line.path), "rows": line.actual_rows},
+                    {"path": list(line.path), "rows": line.actual_rows, "engine": line.engine},
                 )
                 for line in operators
                 if line.time_seconds is not None
-            ] + [
-                Span(drain.operator, drain.start, drain.duration, {"rows": drain.rows, "engine": "dbms"})
-                for drain in dbms_spans
             ]
     return Trace(trace_id, root)
 

@@ -12,7 +12,7 @@ for the EXPLAIN output format.
 """
 
 from .cache import CachedPlan, PlanCache, PlanCacheInfo, PlanCacheKey
-from .explain import ExplainReport, OperatorLine, actual_cardinalities
+from .explain import ExplainReport, OperatorLine
 from .fingerprint import statement_fingerprint
 from .parameters import bind_parameters, collect_parameters
 from .session import Session, SessionResult, SessionTimings
@@ -27,7 +27,6 @@ __all__ = [
     "Session",
     "SessionResult",
     "SessionTimings",
-    "actual_cardinalities",
     "bind_parameters",
     "collect_parameters",
     "statement_fingerprint",

@@ -17,51 +17,27 @@ joins plan path → label, engine, estimate, actual rows and inclusive time
 once per request — the one walk of the plan in the session and
 observability layers — and the EXPLAIN table, the slow-query log's
 ``operators`` and the trace's operator spans all read those lines, so they
-cannot disagree.  Actual cardinalities come from two sources merged: the
-stratum executor records the output of every node it evaluates itself
-(:attr:`~repro.stratum.executor.StratumExecutionReport.node_rows`), and for
-``EXPLAIN ANALYZE`` a reference evaluation walk fills in the operators
-inside DBMS fragments, which the substrate executes as one opaque call.
+cannot disagree.  Actual rows and times come from the execution alone: the
+request's plan runs as one operator tree whose operators, in both engines,
+carry their plan paths
+(:attr:`~repro.core.lowering.ExecutionReport.node_rows`/``node_timings``),
+so ``EXPLAIN ANALYZE`` evaluates nothing a second time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple as PyTuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple as PyTuple
 
 from ..core.cost import OperatorCostAnnotation
+from ..core.lowering import ExecutionReport
 from ..core.operations import Operation
-from ..core.operations.base import EvaluationContext, PlanPath, ROOT_PATH
+from ..core.operations.base import PlanPath
 from ..core.query import QueryResultSpec
-from ..stratum.executor import StratumExecutionReport
 from ..stratum.partition import partition_plan
 
 if TYPE_CHECKING:
     from .session import SessionResult
-
-
-def actual_cardinalities(
-    plan: Operation, context: EvaluationContext
-) -> Dict[PlanPath, int]:
-    """Evaluate ``plan`` once, bottom-up, recording each node's output size.
-
-    Child results are shared (each subtree is evaluated exactly once), the
-    same scheme :func:`repro.core.cost.measure_cost` uses; unlike the
-    stratum executor this breaks out every operator, including those inside
-    DBMS fragments.
-    """
-    actuals: Dict[PlanPath, int] = {}
-
-    def visit(node: Operation, path: PlanPath):
-        child_results = [
-            visit(child, path + (index,)) for index, child in enumerate(node.children)
-        ]
-        result = node._evaluate(child_results, context)
-        actuals[path] = len(result)
-        return result
-
-    visit(plan, ROOT_PATH)
-    return actuals
 
 
 @dataclass(frozen=True)
@@ -85,9 +61,8 @@ class OperatorLine:
     ``None`` where the reference/fast-path implementation runs as-is."""
     time_seconds: Optional[float] = None
     """Inclusive wall-clock (children included) the operator took during the
-    ANALYZE execution; ``None`` — rendered ``-`` like the actuals — for
-    operators the executing engine never drained separately: a product
-    fused into a join, or the nodes inside an opaque DBMS fragment."""
+    ANALYZE execution; ``None`` — rendered ``-`` like the actuals — only
+    for a product fused into the join above it, which never drains."""
     start_seconds: Optional[float] = None
     """When the operator was first pulled, on the request's clock."""
 
@@ -240,29 +215,21 @@ class ExplainReport:
 
 def build_operator_lines(
     plan: Operation,
-    report: Optional[StratumExecutionReport] = None,
+    report: Optional[ExecutionReport] = None,
     annotations: Optional[Mapping[PlanPath, OperatorCostAnnotation]] = None,
-    context: Optional[EvaluationContext] = None,
 ) -> List[OperatorLine]:
     """Join every plan path to its label, engine, estimate, actuals and time.
 
     ``report`` is the execution's (absent for a plain ``EXPLAIN``): its
     ``node_rows``/``node_timings`` give the actual rows and the inclusive
-    ``(start, duration)`` of every node the stratum evaluated.  With a
-    ``context`` (``EXPLAIN ANALYZE``) a reference walk of each DBMS fragment
-    adds the rows of the nodes inside it.  ``annotations`` are the costing
-    pass's, when one was paid.
+    ``(start, duration)`` of every node either engine drained.
+    ``annotations`` are the costing pass's, when one was paid.
     """
     partition = partition_plan(plan)
-    rows: Dict[PlanPath, int] = {}
-    if context is not None:
-        for fragment_path in partition.dbms_fragments:
-            counts = actual_cardinalities(plan.subtree_at(fragment_path), context)
-            rows.update((fragment_path + path, count) for path, count in counts.items())
+    rows: Mapping[PlanPath, int] = {}
     timings: Mapping[PlanPath, PyTuple[float, float]] = {}
     if report is not None:
-        rows.update(report.node_rows)
-        timings = report.node_timings
+        rows, timings = report.node_rows, report.node_timings
     lines: List[OperatorLine] = []
     for path, node in plan.locations():
         annotation = None if annotations is None else annotations[path]

@@ -40,6 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.cost import cost_annotations
 from ..core.exceptions import ParameterError, error_code
+from ..core.lowering import ExecutionReport
 from ..options import ExecutionOptions
 from ..faults import FAULTS, ExecutionControl
 from ..core.operations import Operation
@@ -47,7 +48,7 @@ from ..core.query import QueryResultSpec
 from ..core.relation import Relation
 from ..obs.slowlog import SlowQueryLog, build_slow_query_record
 from ..obs.trace import Tracer
-from ..stratum.executor import StratumExecutionReport, StratumExecutor
+from ..stratum.executor import StratumExecutor
 from ..stratum.layer import OptimizationOutcome, TemporalDatabase
 from ..tsql.ast import Statement
 from ..tsql.parser import parse_statement
@@ -115,7 +116,7 @@ class SessionResult:
     #: The result rows; ``None`` for ``EXPLAIN [ANALYZE]``, whose answer is ``explain``.
     relation: Optional[Relation] = None
     #: The execution report — also of an ``EXPLAIN ANALYZE``.
-    report: Optional[StratumExecutionReport] = None
+    report: Optional[ExecutionReport] = None
     #: The per-operator join of path, label, estimate, actuals and time;
     #: built once, when EXPLAIN, the slow log or a sampled trace reads it.
     operators: Optional[List[OperatorLine]] = None
@@ -384,12 +385,7 @@ class Session:
                     database.optimizer.cost_model,
                     estimator=source.estimator() if database.use_statistics else None,
                 )
-            record.operators = build_operator_lines(
-                record.plan,
-                record.report,
-                annotations,
-                source.evaluation_context() if ast.analyze else None,
-            )
+            record.operators = build_operator_lines(record.plan, record.report, annotations)
         if ast.explain:
             record.explain = build_explain_report(
                 record, entry.normalized_statement, self.options.batch_size
@@ -407,7 +403,6 @@ class Session:
                 statement=record.statement,
                 phases=record.phases,
                 operators=record.operators or (),
-                dbms_spans=() if record.report is None else record.report.dbms_operator_spans,
                 error_code=record.error_code,
             )
         if self.metrics is None:

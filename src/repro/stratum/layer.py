@@ -24,6 +24,7 @@ from typing import Tuple as PyTuple
 from ..core.cost import CostModel, PlanCost, estimate_cost
 from ..core.exceptions import CancelledError, ResourceExhaustedError, error_code
 from ..faults import FAULTS
+from ..core.lowering import ExecutionReport
 from ..core.operations import Operation
 from ..core.operations.base import EvaluationContext
 from ..core.order_spec import OrderSpec
@@ -35,7 +36,7 @@ from ..core.schema import RelationSchema
 from ..dbms.engine import ConventionalDBMS
 from ..options import ExecutionOptions
 from ..search import ExplorationStore, MemoSearch, SearchOptions, SearchResult
-from .executor import StratumExecutionReport, StratumExecutor
+from .executor import StratumExecutor
 from .partition import describe_partition
 
 
@@ -82,7 +83,7 @@ class QueryOutcome:
     relation: Relation
     query_spec: QueryResultSpec
     optimization: OptimizationOutcome
-    report: StratumExecutionReport
+    report: ExecutionReport
     statement: Optional[str] = None
 
 

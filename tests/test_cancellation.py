@@ -22,7 +22,7 @@ from repro.core.operations import (
     TemporalDuplicateElimination,
     TemporalUnion,
 )
-from repro.core.operations.base import EvaluationContext, ROOT_PATH
+from repro.core.operations.base import EvaluationContext
 from repro.core.physical import SourceOp
 from repro.core.relation import Relation
 from repro.core.rules import TransformationRule
@@ -186,8 +186,9 @@ class TestDeadlineInsideATemporalDrain:
         executor, clock = self.executor_with(deadline=10**6)
         executor.execute(plan)
         checks = next(clock) - 1
-        # Two plan-node checkpoints, the source's drain, and the temporal
-        # operator's own: one tick at its start and one per `interval` rows out.
+        # Two plan-node checkpoints (one per node, while lowering), the
+        # source's drain, and the temporal operator's own: one tick at its
+        # start and one per `interval` rows out.
         assert rows_out // interval >= 2
         assert checks == 2 + (1 + rows_in // interval) + (1 + rows_out // interval)
         # Expire on the very last check: by then the source is exhausted, so
@@ -199,12 +200,11 @@ class TestDeadlineInsideATemporalDrain:
         assert executor.report.degraded_operations == []  # "stop", not "broken"
 
     def test_a_deadline_lands_inside_a_coalesce_union_difference_drain(self):
-        from repro.stratum.physical import lower_plan
+        from repro.core.lowering import Lowering
 
         interval = self.INTERVAL
         plan = Coalescing(TemporalUnion(TemporalDifference(HISTORY, SHIFTED), SHIFTED))
-        context = EvaluationContext()
-        root = lower_plan(plan, ROOT_PATH, lambda node, path: node.evaluate(context))
+        root = Lowering().lower(plan)
         root.to_relation()
         operators = list(root.operators())
         assert [operator.describe() for operator in operators] == [
@@ -218,10 +218,11 @@ class TestDeadlineInsideATemporalDrain:
         executor, clock = self.executor_with(deadline=10**6)
         executor.execute(plan)
         checks = next(clock) - 1
-        # One plan-node checkpoint for the region and one per literal fetched
-        # into it — none between the three operations any more — and every
-        # operator's own ticks: one at its start, one per `interval` rows out.
-        assert checks == 4 + sum(1 + operator.rows_out // interval for operator in operators)
+        # One checkpoint per plan node, taken while the tree is lowered, and
+        # every operator's own ticks: one at its start, one per `interval`
+        # rows out.
+        nodes = len(list(plan.locations()))
+        assert checks == nodes + sum(1 + operator.rows_out // interval for operator in operators)
         # Wherever the deadline falls the typed error comes out and nothing
         # degrades; on the very last check every input is exhausted, so only
         # coalT's own drain can be the one that raises.

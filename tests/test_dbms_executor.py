@@ -1,4 +1,4 @@
-"""Tests for the DBMS physical planner/executor and the engine facade."""
+"""Tests for the DBMS's lowering and the engine facade."""
 
 import pytest
 
@@ -21,10 +21,12 @@ from repro.core.operations import (
     Union,
     UnionAll,
 )
+from repro.core.lowering import DBMS_ENGINE, Lowering
 from repro.core.operations.base import EvaluationContext
 from repro.core.order_spec import OrderSpec
 from repro.core.physical import HashJoinOp, NestedLoopJoinOp
-from repro.dbms import ConventionalDBMS, PhysicalPlanner
+from repro.dbms import ConventionalDBMS
+from repro.stratum import StratumExecutor
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA
 
 
@@ -116,7 +118,7 @@ class TestEmulatedTemporalOperations:
             TemporalDuplicateElimination(Projection(["EmpName", "T1", "T2"], employee_scan()))
         )
         outcome = dbms.execute(plan, optimize=False)
-        assert outcome.report.emulation_count == 2
+        assert len(outcome.report.dbms_emulated_operations) == 2
         expected = plan.evaluate(reference_context)
         assert multiset_equivalent(outcome.relation, expected)
 
@@ -128,18 +130,18 @@ class TestEmulatedTemporalOperations:
             Coalescing(TemporalDuplicateElimination(TemporalDifference(left, right))),
         )
         outcome = dbms.execute(plan, optimize=False)
-        assert outcome.report.emulation_count >= 4
+        assert len(outcome.report.dbms_emulated_operations) >= 4
         expected = plan.evaluate(reference_context)
         assert multiset_equivalent(outcome.relation, expected)
 
 
 class TestJoinAlgorithmChoice:
-    """The planner reads ``core.joinsplit``: hash on equi keys, else nested loop."""
+    """The lowering reads ``core.joinsplit``: hash on equi keys, else nested loop."""
 
     @staticmethod
     def _root(dbms, predicate):
         plan = Selection(predicate, CartesianProduct(employee_scan(), project_scan()))
-        return PhysicalPlanner(dbms.catalog).plan(plan)
+        return Lowering(dbms.catalog).lower(plan, DBMS_ENGINE)
 
     def test_single_equality(self, dbms):
         root = self._root(dbms, Comparison(ComparisonOperator.EQ, attribute("1.EmpName"), attribute("2.EmpName")))
@@ -183,3 +185,13 @@ class TestEngineFacade:
         plan = Sort(OrderSpec.ascending("EmpName"), employee_scan())
         explanation = dbms.explain(plan)
         assert "Sort" in explanation and "Source(EMPLOYEE" in explanation
+
+    def test_a_pinned_engine_only_reads_its_catalog(self, dbms):
+        """A snapshot has no optimizer, so it has no ``execute`` either: the
+        stratum lowers fragments against its catalog itself."""
+        snapshot = dbms.snapshot()
+        assert not hasattr(snapshot, "execute") and not hasattr(snapshot, "optimize")
+        assert snapshot.statistics() == dbms.statistics()
+        plan = Sort(OrderSpec.ascending("EmpName"), employee_scan())
+        produced = StratumExecutor(snapshot).execute(plan)
+        assert list(produced.tuples) == list(dbms.execute(plan, optimize=False).relation.tuples)

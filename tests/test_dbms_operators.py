@@ -1,13 +1,15 @@
 """The conventional DBMS on the shared batch operators.
 
-``PhysicalPlanner`` compiles a conventional plan to the operators of
-``repro.core.physical`` — the set the stratum runs on too.  The DBMS only
+The lowering under the DBMS's engine descriptor builds a conventional plan
+from the operators of ``repro.core.physical`` — the set the stratum runs on
+too.  The DBMS only
 promises *multiset* semantics, but one operator set means one behaviour to
 pin, so the contract here is the strict one: for generated plans over every
 operation the planner admits, every batch size yields the **same tuple
 sequence**, that sequence is multiset-equal to the reference (list-equal
 under a ``Sort`` root), and the drain accounting — rows, control ticks,
-spans — is the chunking-free count the per-tuple engine it replaced had.
+node rows and times — is the chunking-free count the per-tuple engine it
+replaced had.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ from repro.core.operations import (
     Union,
     UnionAll,
 )
+from repro.core.lowering import DBMS_ENGINE, STRATUM_ENGINE, Lowering
 from repro.core.operations.base import EvaluationContext, ROOT_PATH
 from repro.core.order_spec import OrderSpec
 from repro.core.physical import (
     BatchOperator,
     CoalesceOp,
     DistinctOp,
+    EmulateOp,
     HashJoinOp,
     IntervalJoinOp,
     NestedLoopJoinOp,
@@ -66,12 +70,10 @@ from repro.core.physical import (
 )
 from repro.core.relation import Relation
 from repro.core.schema import RelationSchema
-from repro.dbms import ConventionalDBMS, PhysicalPlanner
-from repro.dbms import executor as dbms_planner
+from repro.dbms import ConventionalDBMS
 from repro.dbms.catalog import Catalog
 from repro.faults import ExecutionControl
 from repro.stratum import StratumExecutor
-from repro.stratum import physical as stratum_planner
 from repro.workloads import employee_relation
 
 from .strategies import (
@@ -100,8 +102,15 @@ def temporal(*rows):
     return LiteralRelation(Relation.from_rows(TEMPORAL_SCHEMA, rows))
 
 
+def dbms_tree(plan, batch_size=1024, **kwargs):
+    """The plan lowered under the DBMS's descriptor, and its lowering."""
+    lowering = Lowering(Catalog(), batch_size, **kwargs)
+    return lowering.lower(plan, DBMS_ENGINE), lowering
+
+
 def run_dbms(plan, batch_size=1024, **kwargs):
-    return PhysicalPlanner(Catalog(), batch_size=batch_size, **kwargs).execute(plan)
+    root, lowering = dbms_tree(plan, batch_size, **kwargs)
+    return lowering.execute(root)[0]
 
 
 def values(relation):
@@ -139,10 +148,10 @@ class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(conventional_plans())
     def test_operators_are_admissible_redrainable_and_emit_their_own_schema(self, plan):
-        root = PhysicalPlanner(Catalog(), batch_size=2).plan(plan)
+        root, _ = dbms_tree(plan, batch_size=2)
         for operator in root.operators():
-            assert type(operator) in dbms_planner.ADMISSIBLE_OPERATORS
-            assert operator.fault_point == dbms_planner.FAULT_POINT == "dbms.scan"
+            assert type(operator) in DBMS_ENGINE.operators
+            assert operator.fault_point == DBMS_ENGINE.fault_point == "dbms.scan"
             first = [batch for batch in operator.batches()]
             assert all(batch.schema is operator.output_schema for batch in first)
             assert all(0 < batch.length <= 2 for batch in first)
@@ -153,27 +162,25 @@ class TestDifferential:
     @settings(max_examples=40, deadline=None)
     @given(join_shaped_plans())
     def test_the_stratum_builds_only_its_admissible_operators(self, plan):
-        root = stratum_planner.lower_plan(
-            plan, ROOT_PATH, lambda node, path: node.relation, batch_size=2
-        )
+        root = Lowering(batch_size=2).lower(plan)
         for operator in root.operators():
             assert isinstance(operator, BatchOperator)
-            assert type(operator) in stratum_planner.ADMISSIBLE_OPERATORS
-            assert operator.fault_point == stratum_planner.FAULT_POINT == "stratum.pull"
+            assert type(operator) in STRATUM_ENGINE.operators
+            assert operator.fault_point == STRATUM_ENGINE.fault_point == "stratum.pull"
             for batch in operator.batches():
                 assert batch.schema is operator.output_schema and 0 < batch.length <= 2
 
     def test_the_engines_differ_by_the_interval_join_and_the_multiset_operators(self):
-        stratum = set(stratum_planner.ADMISSIBLE_OPERATORS)
-        dbms = set(dbms_planner.ADMISSIBLE_OPERATORS)
-        # The paper's capability split: the temporal operators are the stratum's.
+        stratum, dbms = STRATUM_ENGINE.operators, DBMS_ENGINE.operators
+        # The stratum builds everything the DBMS does, the multiset operators
+        # included; the paper's capability split: the temporal operators are
+        # the stratum's.
+        assert dbms < stratum
         assert stratum - dbms == {
             IntervalJoinOp,
             TemporalDistinctOp, TemporalAggregateOp, TemporalDifferenceOp, TemporalUnionOp, CoalesceOp,
         }
-        assert {op.__name__ for op in dbms - stratum} == {
-            "DistinctOp", "AggregateOp", "UnionAllOp", "DifferenceOp", "UnionOp",
-        }
+        assert {DistinctOp, UnionAllOp, UnionOp} <= dbms
 
 
 class TestAccounting:
@@ -182,58 +189,52 @@ class TestAccounting:
     def test_ticks_follow_the_closed_form_at_every_batch_size(self, plan):
         for batch_size in BATCH_SIZES:
             control = CountingControl(interval=3)
-            planner = PhysicalPlanner(Catalog(), control=control, batch_size=batch_size)
-            planner.execute(plan)
+            root, lowering = dbms_tree(plan, batch_size, control=control)
+            lowering.execute(root)
             # Once per output node: a hash join with the π above folded in
             # ticks for both, as the two operators would have.
             expected = sum(
                 operator.output_nodes * (1 + operator.rows_out // 3)
-                for operator in planner.operators
+                for operator in root.operators()
             )
             assert control.ticks == {"dbms.scan": expected}
 
     @settings(max_examples=60, deadline=None)
     @given(conventional_plans())
-    def test_operator_spans_report_rows_out(self, plan):
+    def test_every_node_reports_its_rows_and_time(self, plan):
         ticks = iter(range(10**6))
-        planner = PhysicalPlanner(Catalog(), clock=lambda: float(next(ticks)), batch_size=2)
-        result = planner.execute(plan)
-        spans = planner.report.operator_spans
-        assert [span.rows for span in spans] == [op.rows_out for op in planner.operators]
-        assert [span.operator for span in spans] == [op.describe() for op in planner.operators]
-        assert all(span.duration > 0 for span in spans)
-        assert spans[-1].rows == len(result)  # the root is admitted last
-        relabels = sum(
-            isinstance(node, (DuplicateElimination, Difference, Union, UnionAll))
-            for _, node in plan.locations()
-        )
-        # A projection folded into its hash join is two native operations in one operator.
-        realised = sum(operator.output_nodes for operator in planner.operators)
-        assert 0 <= realised - planner.report.native_operations <= 2 * relabels
+        root, lowering = dbms_tree(plan, batch_size=2, clock=lambda: float(next(ticks)))
+        result, report = lowering.execute(root)
+        assert report.node_rows[ROOT_PATH] == len(result)
+        # Every plan node but a product fused into the join above it.
+        fused = {path for operator in root.operators() for path in operator.paths[operator.output_nodes :]}
+        assert set(report.node_rows) == {path for path, _ in plan.locations()} - fused
+        assert report.node_timings.keys() == report.node_rows.keys()
+        assert all(seconds > 0 for _, seconds in report.node_timings.values())
+        for operator in root.operators():
+            for path in operator.paths[: operator.output_nodes]:
+                assert report.node_rows[path] == operator.rows_out
 
-    def test_no_clock_no_spans(self):
-        planner = PhysicalPlanner(Catalog())
-        planner.execute(snapshot(("a", 1)))
-        assert planner.report.operator_spans == []
+    def test_no_clock_no_timings(self):
+        root, lowering = dbms_tree(snapshot(("a", 1)))
+        assert lowering.execute(root)[1].node_timings == {}
 
-    def test_span_names(self):
-        ticks = iter(range(100))
+    def test_operator_names(self):
         plan = Selection(
             Comparison(ComparisonOperator.GT, AttributeRef("Amount"), AttributeRef("Amount")),
             DuplicateElimination(snapshot(("a", 1), ("a", 1))),
         )
-        planner = PhysicalPlanner(Catalog(), clock=lambda: float(next(ticks)))
-        planner.execute(plan)
-        assert [span.operator for span in planner.report.operator_spans] == [
-            "Source(literal, rows=2)",
-            "Distinct",
+        root, _ = dbms_tree(plan)
+        assert [operator.describe() for operator in root.operators()] == [
             "Filter(Amount > Amount)",
+            "Distinct",
+            "Source(rows=2)",
         ]
 
     def test_invalid_batch_size_is_rejected(self):
         for invalid in (0, -1, 1.5, None):
             with pytest.raises(ValueError):
-                PhysicalPlanner(Catalog(), batch_size=invalid)
+                Lowering(Catalog(), batch_size=invalid)
 
 
 class TestPlannerChoices:
@@ -243,27 +244,24 @@ class TestPlannerChoices:
             Relation.from_rows(JOIN_RIGHT_SCHEMA, [("John", "X", 2, 6), ("Mia", "Y", 7, 9)])
         )
         for plan in (Join(OVERLAP, left, right), Selection(OVERLAP, CartesianProduct(left, right))):
-            root = PhysicalPlanner(Catalog()).plan(plan)
+            root, _ = dbms_tree(plan)
             assert isinstance(root, NestedLoopJoinOp)
             assert not any(isinstance(op, IntervalJoinOp) for op in root.operators())
             assert root.describe() == f"NestedLoopJoin[nested-loop, residual: {OVERLAP}]"
             assert multiset_equivalent(root.to_relation(), plan.evaluate(CONTEXT))
         # The same predicate in stratum territory does get the interval join.
-        lowered = stratum_planner.lower_plan(
-            Join(OVERLAP, left, right), ROOT_PATH, lambda node, path: node.relation
-        )
-        assert isinstance(lowered, IntervalJoinOp)
+        assert isinstance(Lowering().lower(Join(OVERLAP, left, right)), IntervalJoinOp)
 
     def test_temporal_inputs_are_relabelled_positionally(self):
         argument = temporal(("John", "Sales", 1, 5), ("John", "Sales", 1, 5), ("Anna", "Ads", 2, 8))
-        root = PhysicalPlanner(Catalog()).plan(DuplicateElimination(argument))
+        root, _ = dbms_tree(DuplicateElimination(argument))
         assert isinstance(root, DistinctOp)
         (relabel,) = root.children()
         assert relabel.describe() == "Project(Name, Dept, T1 AS 1.T1, T2 AS 1.T2)"
         assert values(root.to_relation()) == [("John", "Sales", 1, 5), ("Anna", "Ads", 2, 8)]
 
     def test_snapshot_inputs_need_no_relabel(self):
-        root = PhysicalPlanner(Catalog()).plan(DuplicateElimination(snapshot(("a", 1))))
+        root, _ = dbms_tree(DuplicateElimination(snapshot(("a", 1))))
         assert isinstance(root.children()[0], SourceOp)
 
     def test_permuted_right_input_is_aligned_by_name(self):
@@ -309,7 +307,7 @@ class TestPlannerChoices:
         right = Relation.from_rows(TEMPORAL_SCHEMA.project(["T1", "T2", "Name", "Dept"]), [])
         plan = Difference(temporal(), LiteralRelation(right))
         with pytest.raises(SchemaError):
-            PhysicalPlanner(Catalog()).plan(plan)
+            dbms_tree(plan)
 
     def test_union_keeps_the_first_surplus_occurrences_in_right_order(self):
         left = snapshot(("a", 1))
@@ -340,8 +338,23 @@ class TestPlannerChoices:
         )
         assert outcome.relation is stored  # no tuple taken apart and rebuilt
         assert control.ticks == {"dbms.scan": 1 + len(stored) // 2}
-        (span,) = outcome.report.operator_spans
-        assert (span.operator, span.rows) == (f"Source(EMPLOYEE, rows={len(stored)})", len(stored))
+        assert outcome.report.node_rows == {ROOT_PATH: len(stored)}
+        assert set(outcome.report.node_timings) == {ROOT_PATH}
+        assert dbms.explain(BaseRelation("EMPLOYEE", stored.schema), optimize=False) == (
+            f"Source(EMPLOYEE, rows={len(stored)})"
+        )
+
+    def test_a_bare_scan_across_ts_hands_over_the_stored_relation(self):
+        dbms = ConventionalDBMS()
+        stored = dbms.load_relation("EMPLOYEE", employee_relation()).relation
+        control = CountingControl(interval=2)
+        executor = StratumExecutor(dbms, control=control, batch_size=2)
+        result = executor.execute(TransferToStratum(BaseRelation("EMPLOYEE", stored.schema)))
+        assert result is stored
+        # The scan ticks the DBMS's point, the transfer the stratum's.
+        assert control.ticks == {"dbms.scan": 1 + len(stored) // 2, "stratum.pull": 1 + len(stored) // 2}
+        assert executor.report.transferred_tuples == len(stored)
+        assert executor.report.node_rows == {ROOT_PATH: len(stored), (0,): len(stored)}
 
     def test_transfers_inside_a_fragment_are_identities(self):
         plan = TransferToStratum(Sort(OrderSpec.of("Amount DESC"), snapshot(("a", 1), ("b", 2))))
@@ -383,9 +396,7 @@ class TestHashJoinSequence:
 
     @staticmethod
     def lower(plan, batch_size):
-        return stratum_planner.lower_plan(
-            plan, ROOT_PATH, lambda node, path: node.evaluate(CONTEXT), batch_size=batch_size
-        )
+        return Lowering(batch_size=batch_size).lower(plan)
 
     @pytest.mark.parametrize("predicate", [ON_NAME, ON_BOTH], ids=["one key", "two keys"])
     @pytest.mark.parametrize("join", [Join, TemporalJoin])
@@ -425,10 +436,22 @@ class TestEmulation:
         )
         control = CountingControl(interval=2)
         outcome = dbms.execute(plan, optimize=False, control=control, batch_size=2)
-        assert outcome.report.emulated_operations == ["rdupT", "coalT"]
+        assert outcome.report.dbms_emulated_operations == ["rdupT", "coalT"]
         assert multiset_equivalent(outcome.relation, plan.evaluate(CONTEXT))
-        # Source and projection drain during compilation, under the same control.
+        # Source and projection drain at the emulation's first pull, under the same control.
         assert control.ticks["dbms.scan"] > 4
+
+    def test_an_emulation_drains_nothing_until_it_is_pulled(self):
+        plan = TemporalDuplicateElimination(
+            Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))
+        )
+        root, lowering = dbms_tree(plan)
+        assert isinstance(root, EmulateOp) and lowering.emulated == ["rdupT"]
+        assert all(operator.rows_out is None for operator in root.operators())
+        assert root.explain().splitlines() == [
+            "Emulate(rdupT)", "  Project(EmpName, T1, T2)", "    Source(rows=5)",
+        ]
+        assert list(root.to_relation().rows) == list(plan.evaluate(CONTEXT).rows)
 
     def test_the_stratum_passes_its_batch_size_and_reports_the_emulations(self, monkeypatch):
         dbms = ConventionalDBMS()

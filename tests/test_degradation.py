@@ -7,9 +7,9 @@ robustness costume:
 
 * **memo-search failure** → the optimizer returns the default (initial)
   plan, flagged ``OptimizationOutcome.degraded``;
-* **stratum physical-operator failure** → the failed pipelined region
-  re-executes through the reference evaluator, flagged in
-  ``StratumExecutionReport.degraded_operations``.
+* **an operator failure while the request's tree drains** → the request
+  re-runs once through the reference evaluator, flagged in
+  ``ExecutionReport.degraded_operations``.
 """
 
 from __future__ import annotations

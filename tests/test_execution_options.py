@@ -12,14 +12,12 @@ import pytest
 
 import repro
 from repro import DEFAULT_BATCH_SIZE, ExecutionOptions, Session, TemporalDatabase, connect
-from repro.core.operations import LiteralRelation
-from repro.core.operations.base import ROOT_PATH
+from repro.core.lowering import Lowering
 from repro.dbms.engine import ConventionalDBMS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.server import Server
 from repro.stratum.executor import StratumExecutor
-from repro.stratum.physical import lower_plan
 from repro.workloads import employee_relation
 
 
@@ -51,12 +49,7 @@ class TestOptionsObject:
             with pytest.raises(ValueError):
                 StratumExecutor(ConventionalDBMS(), batch_size=invalid)
             with pytest.raises(ValueError):
-                lower_plan(
-                    LiteralRelation(employee_relation()),
-                    ROOT_PATH,
-                    lambda node, path: node.relation,
-                    batch_size=invalid,
-                )
+                Lowering(batch_size=invalid)
 
 
 class TestRoundTrip:

@@ -57,13 +57,13 @@ from repro.core.operations import (
     TemporalCartesianProduct,
     TemporalJoin,
 )
-from repro.core.operations.base import EvaluationContext, ROOT_PATH
+from repro.core.operations.base import EvaluationContext
 from repro.core.physical import HashJoinOp, IntervalJoinOp, ProjectOp
 from repro.core.relation import Relation
 from repro.core.schema import INTEGER, STRING, RelationSchema
 from repro.faults.control import ExecutionControl, ResourceGuard
 from repro.stratum.executor import StratumExecutor
-from repro.stratum.physical import lower_plan
+from repro.core.lowering import Lowering
 
 from .conftest import in_threads
 from .strategies import (
@@ -155,10 +155,6 @@ def projected_hash_joins(draw):
     return Projection(items, plan)
 
 
-def literal_fetch(node, path):
-    return node.relation
-
-
 def drained(root, batch_size, control=None):
     for operator in root.operators():
         operator.instrument("stratum.pull", batch_size, control=control)
@@ -177,12 +173,12 @@ def outcome(compute):
 
 
 def fused(plan, batch_size):
-    return drained(lower_plan(plan, ROOT_PATH, literal_fetch), batch_size)
+    return drained(Lowering().lower(plan), batch_size)
 
 
 def unfused(plan, batch_size):
     """The operator pair the fold replaces: ``ProjectOp`` over ``HashJoinOp``."""
-    join = lower_plan(plan.child, ROOT_PATH + (0,), literal_fetch)
+    join = Lowering().lower(plan.child)
     assert isinstance(join, HashJoinOp) and join.output_nodes == 1
     return drained(ProjectOp(plan.items, plan.output_schema(), join), batch_size)
 
@@ -210,7 +206,7 @@ class TestDifferential:
         attributes = plan.output_schema().attributes
         expected = rows_of(plan.evaluate(CONTEXT), attributes)
         for batch_size in BATCH_SIZES:
-            root = lower_plan(plan, ROOT_PATH, literal_fetch)
+            root = Lowering().lower(plan)
             assert isinstance(root, HashJoinOp) and root.output_nodes == 2
             assert rows_of(drained(root, batch_size), attributes) == expected
             assert rows_of(unfused(plan, batch_size), attributes) == expected
@@ -464,7 +460,7 @@ class TestAccounting:
     def test_the_folded_operator_ticks_once_per_node(self):
         plan = Projection(["1.Name"], TemporalJoin(EQUI, TestErrorOrder.LEFT, TestErrorOrder.RIGHT))
         control = ExecutionControl(guard=ResourceGuard(), interval=1)
-        root = lower_plan(plan, ROOT_PATH, literal_fetch)
+        root = Lowering().lower(plan)
         drained(root, 1, control)
         # two sources (2 rows each) and the fold (2 rows, two nodes): one
         # tick per node at drain start and one per row
@@ -513,7 +509,7 @@ class TestIntervalProbe:
         left = intervals(LEFT_INTERVALS, 2000, 0, 3, (2, 3))
         right = intervals(RIGHT_INTERVALS, 2000, 1, 3, (4, 5, 6))
         plan = Join(OVERLAP, LiteralRelation(left), LiteralRelation(right))
-        root = lower_plan(plan, ROOT_PATH, literal_fetch)
+        root = Lowering().lower(plan)
         assert isinstance(root, IntervalJoinOp)
         result = drained(root, 1024)
         matches = sum(

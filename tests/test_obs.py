@@ -24,6 +24,7 @@ from repro.server import Server
 from repro.session import Session
 from repro.stratum import TemporalDatabase
 from repro.stratum.executor import StratumExecutor
+from repro.stratum.partition import partition_plan
 from repro.tsql.parser import parse_statement
 from repro.workloads import (
     CONCURRENT_MIX_READS,
@@ -308,7 +309,6 @@ class TestExecutionTimings:
         session = Session(database)
         result = session.execute(PAPER_SQL)
         assert result.report.node_timings == {}
-        assert result.report.dbms_operator_spans == []
 
         clock = ManualClock()
         executor = StratumExecutor(database.dbms, clock=clock)
@@ -316,9 +316,10 @@ class TestExecutionTimings:
         report = executor.report
         assert set(report.node_timings) == set(report.node_rows)
         assert all(duration >= 0.0 for _, duration in report.node_timings.values())
-        # The shipped fragments' physical operators are timed too.
-        assert report.dbms_operator_spans
-        assert all(span.rows is not None for span in report.dbms_operator_spans)
+        # The shipped fragments' operators are timed too, by plan path.
+        partition = partition_plan(result.plan)
+        inner = {path for path in partition.assignment if partition.engine_of(path) == "dbms"}
+        assert inner and inner <= set(report.node_timings)
 
     def test_session_trace_covers_the_lifecycle_with_operator_children(self):
         tracer = Tracer()
@@ -337,13 +338,29 @@ class TestExecutionTimings:
         assert execute.attributes["rows"] == len(result.relation)
         assert execute.children  # per-operator spans
 
+    def test_a_dbms_inner_operator_is_a_span_with_path_rows_and_engine(self):
+        tracer = Tracer()
+        session = Session(make_database(), options=ExecutionOptions(tracer=tracer))
+        analyzed = session.explain(PAPER_SQL)
+        spans = tracer.recent()[-1].find("execute").children
+        assert {span.attributes["engine"] for span in spans} == {"stratum", "dbms"}
+        inner = [span for span in spans if span.attributes["engine"] == "dbms"]
+        assert inner
+        for span in inner:
+            line = analyzed.line_for(tuple(span.attributes["path"]))
+            assert line.engine == "dbms" and span.name == line.label
+            assert span.attributes["rows"] == line.actual_rows is not None
+            assert span.duration == line.time_seconds is not None
+
     def test_explain_analyze_renders_time_columns(self):
         session = Session(make_database())
         rendered = session.query("EXPLAIN ANALYZE " + PAPER_SQL)
         tree_lines = [l for l in rendered.splitlines() if "est rows=" in l]
         assert all("time=" in line for line in tree_lines)
-        # The fused/DBMS-inner convention: unmeasured operators show "-".
-        assert any(line.endswith("time=-") for line in tree_lines)
+        # One operator tree: every node is measured, DBMS-inner ones too
+        # (only a product fused into a join would show "-").
+        assert not any(line.endswith("time=-") for line in tree_lines)
+        assert any("[dbms]" in line for line in tree_lines)
         assert any("%" in line for line in tree_lines)
         assert "time=" in [l for l in rendered.splitlines() if l.startswith("execution:")][0]
 

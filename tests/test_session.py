@@ -14,6 +14,7 @@ from repro.core.exceptions import (
     ResourceExhaustedError,
 )
 from repro.core.expressions import Literal, Parameter
+from repro.core.lowering import Lowering
 from repro.core.operations import Selection
 from repro.core.relation import Relation
 from repro.core.schema import STRING, RelationSchema
@@ -425,24 +426,26 @@ class TestAHitIsAHit:
         assert planning_work == {"searches": 1, "explorations": 1, **FIRST}
 
     def test_the_cached_plan_is_the_plan_that_executes(self, session, monkeypatch):
-        handed_over = []
-        real_execute = ConventionalDBMS.execute
+        lowered = []
+        real_lower = Lowering.lower
 
-        def execute(self, plan, optimize=True, **kwargs):
-            result = real_execute(self, plan, optimize=optimize, **kwargs)
-            handed_over.append((plan, optimize, result.optimized_plan))
-            return result
+        def lower(self, plan, *args, **kwargs):
+            lowered.append(plan)
+            return real_lower(self, plan, *args, **kwargs)
 
-        monkeypatch.setattr(ConventionalDBMS, "execute", execute)
+        def dbms_execute(*args, **kwargs):
+            raise AssertionError("the stratum runs its fragments inside its own operator tree")
+
+        monkeypatch.setattr(Lowering, "lower", lower)
+        monkeypatch.setattr(ConventionalDBMS, "execute", dbms_execute)
         session.execute(CHAINED_SQL)
         hit = session.execute(CHAINED_SQL)
         entry = session.cache.get(PlanCacheKey(hit.fingerprint, hit.epoch))
         assert hit.plan is entry.plan is hit.optimization.chosen_plan
-        fragments = [hit.plan.subtree_at(path) for path in partition_plan(hit.plan).dbms_fragments]
-        assert len(handed_over) == 2 * len(fragments) == 6
-        for (given, optimize, ran), fragment in zip(handed_over[3:], fragments):
-            assert optimize is False
-            assert given is fragment and ran is fragment
+        # One lowering per request, of the cached plan itself: its fragments
+        # run as extracted, each one ``TS`` crossing of the one tree.
+        assert len(lowered) == 2 and lowered[1] is hit.plan
+        assert hit.report.dbms_calls == len(partition_plan(hit.plan).dbms_fragments) == 3
 
     def test_the_executor_has_no_optimize_switch(self):
         parameters = list(inspect.signature(StratumExecutor.__init__).parameters)

@@ -43,12 +43,8 @@ from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.core.tuples import Tuple
 from repro.dbms import ConventionalDBMS
 from repro.stratum import StratumExecutor
-from repro.stratum.physical import (
-    HashJoinOp,
-    IntervalJoinOp,
-    NestedLoopJoinOp,
-    lower_plan,
-)
+from repro.core.lowering import Lowering
+from repro.core.physical import HashJoinOp, IntervalJoinOp, NestedLoopJoinOp
 from repro.workloads import employee_relation, project_relation
 
 from .strategies import (
@@ -138,7 +134,7 @@ class TestAlgorithmSelection:
     """The predicate split picks the algorithm the issue prescribes."""
 
     def lowered(self, plan):
-        return lower_plan(plan, ROOT_PATH, lambda node, path: node.relation)
+        return Lowering().lower(plan)
 
     def test_equi_predicate_selects_hash_join(self):
         plan = TemporalJoin(EQUI, SAMPLE_LEFT, SAMPLE_RIGHT)
@@ -237,7 +233,7 @@ class TestDrainIntoRelation:
         """The operator built every tuple over its own output schema one line
         earlier; ``Relation.__init__`` would walk them all again."""
         plan = Projection(["Name", "T1", "T2"], SAMPLE_LEFT)
-        root = lower_plan(plan, ROOT_PATH, lambda node, path: node.relation)
+        root = Lowering().lower(plan)
         validated = []
         original = Relation.__init__
 
@@ -269,7 +265,7 @@ class TestExplainAnnotation:
             CartesianProduct(SAMPLE_LEFT, SAMPLE_RIGHT),
         ):
             description, fuses = stratum_physical_description(plan)
-            root = lower_plan(plan, ROOT_PATH, lambda node, path: node.relation)
+            root = Lowering().lower(plan)
             assert not fuses
             assert description in root.describe()
 
@@ -277,7 +273,7 @@ class TestExplainAnnotation:
         from repro.core.operations import TransferToStratum
 
         # The DBMS substrate fuses an equi σ(×) into its native hash join
-        # (repro.dbms.executor), so that pair is annotated like the
+        # (repro.core.lowering), so that pair is annotated like the
         # stratum's fusion; every other DBMS-side shape runs the reference
         # multiset operators and stays unannotated.
         plan = TransferToStratum(Selection(EQUI, CartesianProduct(SAMPLE_LEFT, SAMPLE_RIGHT)))

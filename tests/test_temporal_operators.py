@@ -42,7 +42,8 @@ from repro.core.operations import (
     TemporalUnion,
     TransferToStratum,
 )
-from repro.core.operations.base import EvaluationContext, ROOT_PATH
+from repro.core.lowering import DBMS_ENGINE, STRATUM_ENGINE, Lowering
+from repro.core.operations.base import EvaluationContext
 from repro.core.order_spec import OrderSpec
 from repro.core.period import Period
 from repro.core.physical import (
@@ -55,11 +56,9 @@ from repro.core.physical import (
 )
 from repro.core.relation import Relation
 from repro.core.schema import Domain, INTEGER, RelationSchema, STRING, TIME
-from repro.dbms import ConventionalDBMS, PhysicalPlanner
-from repro.dbms import executor as dbms_planner
+from repro.dbms import ConventionalDBMS
 from repro.dbms.catalog import Catalog
 from repro.stratum import StratumExecutor
-from repro.stratum import physical as stratum_planner
 from repro.workloads import figure3_r1, figure3_r3
 
 from .strategies import NARROW_TEMPORAL_SCHEMA, SCORED_SCHEMA, temporal_shaped_plans
@@ -83,10 +82,8 @@ def run_stratum(plan, batch_size=1024, **kwargs):
 
 
 def lower(plan, batch_size=1024, **kwargs):
-    """The plan's root region as operators; boundary subtrees come from the reference."""
-    return stratum_planner.lower_plan(
-        plan, ROOT_PATH, lambda node, path: node.evaluate(CONTEXT), batch_size=batch_size, **kwargs
-    )
+    """The plan as the stratum's operator tree."""
+    return Lowering(batch_size=batch_size, **kwargs).lower(plan)
 
 
 def assert_list_identical(result: Relation, reference: Relation):
@@ -120,8 +117,8 @@ class TestDifferential:
     def test_operators_are_admissible_redrainable_and_emit_their_own_schema(self, plan):
         root = lower(plan, batch_size=2)
         for operator in root.operators():
-            assert type(operator) in stratum_planner.ADMISSIBLE_OPERATORS
-            assert operator.fault_point == stratum_planner.FAULT_POINT == "stratum.pull"
+            assert type(operator) in STRATUM_ENGINE.operators
+            assert operator.fault_point == STRATUM_ENGINE.fault_point == "stratum.pull"
             first = list(operator.batches())
             assert all(batch.schema is operator.output_schema for batch in first)
             assert all(0 < batch.length <= 2 for batch in first)
@@ -132,26 +129,22 @@ class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(temporal_shaped_plans())
     def test_the_dbms_planner_builds_none_of_the_operators(self, plan):
-        planner = PhysicalPlanner(Catalog())
-        root = planner.plan(plan)
+        lowering = Lowering(Catalog())
+        root = lowering.lower(plan, DBMS_ENGINE)
         for operator in root.operators():
-            assert type(operator) in dbms_planner.ADMISSIBLE_OPERATORS
+            assert type(operator) in DBMS_ENGINE.operators
             assert not isinstance(operator, TEMPORAL_OPERATORS)
         # Every temporal operation is materialise-and-emulate there, as before.
         temporal = Counter(
             node.label() for _, node in plan.locations() if isinstance(node, TEMPORAL_NODES)
         )
-        assert temporal and not temporal - Counter(planner.report.emulated_operations)
+        assert temporal and not temporal - Counter(lowering.emulated)
 
-    def test_only_the_stratum_admits_them_and_pipelines_their_nodes(self):
+    def test_only_the_stratum_admits_them(self):
         for operator_type in TEMPORAL_OPERATORS:
-            assert operator_type in stratum_planner.ADMISSIBLE_OPERATORS
-            assert operator_type not in dbms_planner.ADMISSIBLE_OPERATORS
-        for node_type in TEMPORAL_NODES:
-            assert node_type in stratum_planner.PIPELINED_TYPES
-        # All five are pipelined: nothing temporal is a region boundary.
+            assert operator_type in STRATUM_ENGINE.operators
+            assert operator_type not in DBMS_ENGINE.operators
         plan = Coalescing(TemporalDifference(narrow(("a", 1, 5)), narrow(("a", 2, 3))))
-        assert stratum_planner.is_pipelined(plan) and stratum_planner.is_pipelined(plan.child)
         root = lower(TemporalDuplicateElimination(plan))
         assert [type(operator) for operator in root.operators()] == [
             TemporalDistinctOp, CoalesceOp, TemporalDifferenceOp, SourceOp, SourceOp,
@@ -159,17 +152,11 @@ class TestDifferential:
 
     @settings(max_examples=60, deadline=None)
     @given(temporal_shaped_plans())
-    def test_a_lowered_plan_has_a_source_only_over_a_transfer_base_or_literal_leaf(self, plan):
-        fetched = []
-
-        def fetch(node, path):
-            fetched.append(node)
-            return node.evaluate(CONTEXT)
-
-        root = stratum_planner.lower_plan(plan, ROOT_PATH, fetch)
-        assert all(isinstance(node, (TransferToStratum, BaseRelation, LiteralRelation)) for node in fetched)
-        sources = [operator for operator in root.operators() if isinstance(operator, SourceOp)]
-        assert len(sources) == len(fetched)
+    def test_a_lowered_plan_has_a_source_only_at_a_leaf(self, plan):
+        root = lower(plan)
+        sources = [operator.paths for operator in root.operators() if isinstance(operator, SourceOp)]
+        leaves = [(path,) for path, node in plan.locations() if isinstance(node, (BaseRelation, LiteralRelation))]
+        assert sources == leaves
 
     def test_the_chained_shape_is_one_tree_over_its_three_leaves(self):
         leaf = narrow(("a", 1, 5), ("a", 3, 9), ("b", 2, 4))
@@ -201,14 +188,7 @@ class TestDifferential:
                 ["EmpName"], [count(alias="n")], Selection(equals("EmpName", "Anna"), argument)
             ),
         )
-        fetched = []
-
-        def fetch(node, path):
-            fetched.append(node)
-            return node.evaluate(CONTEXT)
-
-        root = stratum_planner.lower_plan(plan, ROOT_PATH, fetch)
-        assert fetched == [argument]  # nothing above the literal is materialised
+        root = lower(plan)
         assert root.explain().splitlines() == [
             "Sort(EmpName DESC)",
             "  TemporalAggregate(by=['EmpName']; COUNT(*))",
