@@ -19,7 +19,8 @@ residuals as row kernels — one generated function per expression shape
 (:func:`~repro.core.expressions.filter_kernel`,
 :func:`~repro.core.expressions.projection_kernel`, and
 :func:`~repro.core.expressions.join_kernel` for a hash join's whole probe
-with the projection above it); and build no
+with the projection above it); run ``rdupT``, ``\\T`` and ``∪T`` as one
+cover pass per input batch (:func:`_cover_pass`); and build no
 :class:`~repro.core.tuples.Tuple` at all: a tree takes the rows of its source
 relations and drains into a relation of rows.
 :meth:`BatchOperator.batches` is the single place that counts rows, reads the
@@ -808,28 +809,8 @@ class EmulateOp(BatchOperator):
 #
 # They read ``T1``/``T2`` as two integer columns found by name and build no
 # ``Period``.  A *cover* is a set of time points held as disjoint, non-adjacent
-# intervals sorted by start, in two parallel lists ``(starts, ends)``.
-
-
-def _cover_gaps(starts: List[int], ends: List[int], t1: int, t2: int) -> List[PyTuple[int, int]]:
-    """The parts of ``[t1, t2)`` outside the cover, ascending."""
-    pieces = []
-    for index in range(bisect_right(ends, t1), bisect_left(starts, t2)):
-        if t1 < starts[index]:
-            pieces.append((t1, starts[index]))
-        t1 = ends[index]
-    if t1 < t2:
-        pieces.append((t1, t2))
-    return pieces
-
-
-def _cover_add(starts: List[int], ends: List[int], t1: int, t2: int) -> None:
-    """Add ``[t1, t2)`` to the cover, absorbing every interval it meets."""
-    low, high = bisect_left(ends, t1), bisect_right(starts, t2)
-    if low < high:
-        t1, t2 = min(t1, starts[low]), max(t2, ends[high - 1])
-    starts[low:high] = [t1]
-    ends[low:high] = [t2]
+# intervals sorted by start, in two parallel lists ``(starts, ends)``; one
+# kernel, :func:`_cover_pass`, cuts rows by covers and grows them, a batch a call.
 
 
 def _period_layout(schema: RelationSchema):
@@ -847,14 +828,50 @@ def _with_period(row: PyTuple, first: int, last: int, period: PyTuple[int, int])
     return tuple(fragment)
 
 
-def _uncovered(row: PyTuple, cover, first: int, last: int) -> List[PyTuple]:
-    """``row`` cut down to the parts of its period outside ``cover``: ascending
-    fragments carrying the row's own values, the row itself if it loses nothing."""
-    t1, t2 = row[first], row[last]
-    pieces = _cover_gaps(*cover, t1, t2)
-    if pieces == [(t1, t2)]:
-        return [row]
-    return [_with_period(row, first, last, piece) for piece in pieces]
+def _cover_pass(
+    covers: Dict, rows: Iterable[PyTuple], first: int, last: int, value_of, out=None, grow=True
+) -> None:
+    """Run ``rows``, in order, against their value classes' covers.
+
+    With ``out``, each row appends the parts of its period outside its
+    class's cover, ascending, carrying its own values — the row itself when
+    no cover interval lies inside its period; a class without a cover (``None``
+    is a key like any) cuts nothing.  With ``grow``, the period then joins the
+    cover, absorbing every interval it meets, so each interval a cut walks is
+    merged away by the grow that follows.  Each step takes two bisections.
+    """
+    append = None if out is None else out.append
+    get_cover = covers.get
+    for row in rows:
+        t1, t2 = row[first], row[last]
+        key = value_of(row)
+        cover = get_cover(key)
+        if cover is None:
+            if append is not None:
+                append(row)
+            if grow:
+                covers[key] = ([t1], [t2])
+            continue
+        starts, ends = cover
+        if append is not None:
+            low, high = bisect_right(ends, t1), bisect_left(starts, t2)
+            if low == high:
+                append(row)
+            else:
+                cut = t1
+                for index in range(low, high):
+                    start = starts[index]
+                    if cut < start:
+                        append(_with_period(row, first, last, (cut, start)))
+                    cut = ends[index]
+                if cut < t2:
+                    append(_with_period(row, first, last, (cut, t2)))
+        if grow:
+            low, high = bisect_left(ends, t1), bisect_right(starts, t2)
+            if low < high:
+                t1, t2 = min(t1, starts[low]), max(t2, ends[high - 1])
+            starts[low:high] = [t1]
+            ends[low:high] = [t2]
 
 
 class TemporalDistinctOp(_UnaryOp):
@@ -867,19 +884,13 @@ class TemporalDistinctOp(_UnaryOp):
     value-equivalent periods and its fragments sit, ascending, in its slot.
     """
 
-    def _rows(self) -> Iterator[PyTuple]:
-        first, last, value_of = _period_layout(self.output_schema)
-        covers: Dict[object, PyTuple[List[int], List[int]]] = {}
+    def _batches(self) -> Iterator[ColumnBatch]:
+        layout = _period_layout(self.output_schema)
+        covers: Dict = {}
         for batch in self._child.batches():
-            for row in batch.rows():
-                key = value_of(row)
-                cover = covers.get(key)
-                if cover is None:  # the first of its value class loses nothing
-                    covers[key] = ([row[first]], [row[last]])
-                    yield row
-                    continue
-                yield from _uncovered(row, cover, first, last)
-                _cover_add(*cover, row[first], row[last])
+            rows: List[PyTuple] = []
+            _cover_pass(covers, batch.rows(), *layout, rows)
+            yield from _chunked(self.output_schema, rows, self.batch_size)
 
 
 class _TemporalSetOp(_SetOp):
@@ -891,54 +902,27 @@ class _TemporalSetOp(_SetOp):
     its attributes in another order is aligned once per drain.
     """
 
-    def _aligned_right_rows(self) -> Iterator[PyTuple]:
+    def _aligned_right_rows(self) -> List[PyTuple]:
         """The right input's rows with their values in the output's attribute order."""
-        attributes = self.output_schema.attributes
-        right = self._right.output_schema
+        rows = [row for batch in self._right.batches() for row in batch.rows()]
+        attributes, right = self.output_schema.attributes, self._right.output_schema
         if right.attributes == attributes:
-            for batch in self._right.batches():
-                yield from batch.rows()
-        else:
-            align = itemgetter(*map(right.index_of, attributes))
-            for batch in self._right.batches():
-                yield from map(align, batch.rows())
-
-
-def _cover_rows(covers: Dict, rows: Iterable[PyTuple], first: int, last: int, value_of) -> None:
-    """Add the period of every row to its value class's cover."""
-    for row in rows:
-        key = value_of(row)
-        cover = covers.get(key)
-        if cover is None:
-            covers[key] = ([row[first]], [row[last]])
-        else:
-            _cover_add(*cover, row[first], row[last])
-
-
-def _rows_outside(
-    covers: Dict, rows: Iterable[PyTuple], first: int, last: int, value_of
-) -> Iterator[PyTuple]:
-    """Each row's fragments outside its value class's cover, in its slot; a
-    row of a class without a cover (``None`` is a key like any) passes."""
-    get_cover = covers.get
-    for row in rows:
-        cover = get_cover(value_of(row))
-        if cover is None:
-            yield row
-        else:
-            yield from _uncovered(row, cover, first, last)
+            return rows
+        return list(map(itemgetter(*map(right.index_of, attributes)), rows))
 
 
 class TemporalDifferenceOp(_TemporalSetOp):
     """``\\T``: blocking on the right input, streaming over the left — each
     left row loses the union of the value-equivalent right periods."""
 
-    def _rows(self) -> Iterator[PyTuple]:
+    def _batches(self) -> Iterator[ColumnBatch]:
         layout = _period_layout(self.output_schema)
         covers: Dict = {}
-        _cover_rows(covers, self._aligned_right_rows(), *layout)
+        _cover_pass(covers, self._aligned_right_rows(), *layout)
         for batch in self._left.batches():
-            yield from _rows_outside(covers, batch.rows(), *layout)
+            rows: List[PyTuple] = []
+            _cover_pass(covers, batch.rows(), *layout, rows, grow=False)
+            yield from _chunked(self.output_schema, rows, self.batch_size)
 
 
 class TemporalUnionOp(_TemporalSetOp):
@@ -950,9 +934,10 @@ class TemporalUnionOp(_TemporalSetOp):
         layout = _period_layout(self.output_schema)
         covers: Dict = {}
         for batch in self._left.batches():
-            _cover_rows(covers, batch.rows(), *layout)
+            _cover_pass(covers, batch.rows(), *layout)
             yield batch
-        rows = _rows_outside(covers, self._aligned_right_rows(), *layout)
+        rows: List[PyTuple] = []
+        _cover_pass(covers, self._aligned_right_rows(), *layout, rows, grow=False)
         yield from _chunked(self.output_schema, rows, self.batch_size)
 
 

@@ -9,16 +9,21 @@ reference ``node._evaluate`` does (several temporal operations are
 order-sensitive, Section 6); the operators account like every other batch
 operator (rows, ticks, chunking); only the stratum builds them; a whole
 temporal plan is one operator tree; and their cost is pinned by counts — no
-``Period``, no ``Tuple``, O(n log n) cover steps, O(n) absorptions — not by a
-clock.
+``Period``, no ``Tuple``, O(n log n) cover steps counted as bisections, O(n)
+absorptions — not by a clock.  The one cover kernel behind ``rdupT``, ``\\T``
+and ``∪T`` is checked against a model that keeps covers as point sets, and
+the ledger's ``paper``/``chained`` statements at its scale against the
+reference.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import physical
 from repro.core.expressions import (
@@ -58,8 +63,8 @@ from repro.core.relation import Relation
 from repro.core.schema import Domain, INTEGER, RelationSchema, STRING, TIME
 from repro.dbms import ConventionalDBMS
 from repro.dbms.catalog import Catalog
-from repro.stratum import StratumExecutor
-from repro.workloads import figure3_r1, figure3_r3
+from repro.stratum import StratumExecutor, TemporalDatabase
+from repro.workloads import CHAINED_SQL, PAPER_SQL, figure3_r1, figure3_r3, scaled_paper_workload
 
 from .strategies import NARROW_TEMPORAL_SCHEMA, SCORED_SCHEMA, temporal_shaped_plans
 from .test_dbms_operators import BATCH_SIZES, CountingControl
@@ -103,6 +108,33 @@ def narrow(*rows):
     return literal(NARROW_TEMPORAL_SCHEMA, *rows)
 
 
+@pytest.fixture
+def bisections(monkeypatch):
+    """Every bisection the operators make, in order: (function name, cover length)."""
+    calls = []
+    for name in ("bisect_left", "bisect_right"):
+
+        def counted(intervals, point, *args, name=name, original=getattr(physical, name)):
+            calls.append((name, len(intervals)))
+            return original(intervals, point, *args)
+
+        monkeypatch.setattr(physical, name, counted)
+    return calls
+
+
+#: A cover step's two bisections: a cut finds the intervals inside a period
+#: (right of its start, left of its end), a grow those it meets or touches.
+CUT, GROW = ("bisect_right", "bisect_left"), ("bisect_left", "bisect_right")
+
+
+def cover_steps(bisections):
+    """The cuts and grows a run of bisections made."""
+    names = [name for name, _ in bisections]
+    steps = Counter(zip(names[::2], names[1::2]))
+    assert len(names) % 2 == 0 and set(steps) <= {CUT, GROW}
+    return {"cut": steps[CUT], "grow": steps[GROW]}
+
+
 class TestDifferential:
     @settings(max_examples=150, deadline=None)
     @given(temporal_shaped_plans())
@@ -139,6 +171,27 @@ class TestDifferential:
             node.label() for _, node in plan.locations() if isinstance(node, TEMPORAL_NODES)
         )
         assert temporal and not temporal - Counter(lowering.emulated)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_ledger_statements_at_its_scale_yield_the_reference_sequence(self, seed):
+        # At scale 60 a value class's cover spans many input batches, which
+        # the generated plans' few rows never reach.
+        database = TemporalDatabase()
+        for name, relation in zip(("EMPLOYEE", "PROJECT"), scaled_paper_workload(60, seed)):
+            database.register(name, relation)
+        session = database.session()
+        for sql, kernels in (
+            (PAPER_SQL, {TemporalDistinctOp, TemporalDifferenceOp}),
+            (CHAINED_SQL, {TemporalDistinctOp, TemporalDifferenceOp, TemporalUnionOp}),
+        ):
+            plan = session.execute(sql).plan
+            assert kernels <= {type(op) for op in lower(plan, catalog=database.dbms.catalog).operators()}
+            reference = database.evaluate_reference(plan)
+            for batch_size in (1, 7, 1024):
+                executor = StratumExecutor(database.dbms, batch_size=batch_size)
+                result = executor.execute(plan)
+                assert executor.report.degraded_operations == []
+                assert_list_identical(result, reference)
 
     def test_only_the_stratum_admits_them(self):
         for operator_type in TEMPORAL_OPERATORS:
@@ -291,49 +344,35 @@ class TestTemporalDistinct:
         assert values(result) == [(1, 5), (5, 9), (0, 1)]
         assert_list_identical(result, plan.evaluate(CONTEXT))
 
-    def test_one_class_of_200_mutually_overlapping_tuples_takes_n_log_n_cover_steps(self, monkeypatch):
+    def test_one_class_of_200_mutually_overlapping_tuples_takes_n_log_n_cover_steps(self, bisections):
         n = 200
         rows = [("a", 100 - (i * 37) % n, 101 + (i * 53) % n) for i in range(n)]  # all hold 100
         plan = TemporalDuplicateElimination(narrow(*rows))
         reference = plan.evaluate(CONTEXT)
-        steps = Counter()
-
-        def counted(name):
-            original = getattr(physical, name)
-
-            def wrapper(*args):
-                steps[name] += 1
-                if name.startswith("_cover"):
-                    steps["intervals"] += len(args[0])
-                return original(*args)
-
-            monkeypatch.setattr(physical, name, wrapper)
-
-        for name in ("_cover_gaps", "_cover_add", "bisect_left", "bisect_right"):
-            counted(name)
         result, _ = run_stratum(plan)
         assert_list_identical(result, reference)
-        # One gaps and one add per row after the first, two bisections each,
+        # One cut and one grow per row after the first, two bisections each,
         # and the class's cover never grows beyond the one merged interval.
-        assert steps["_cover_gaps"] == steps["_cover_add"] == n - 1
-        assert steps["bisect_left"] + steps["bisect_right"] == 4 * (n - 1)
-        assert steps["intervals"] == 2 * (n - 1)
+        assert cover_steps(bisections) == {"cut": n - 1, "grow": n - 1}
+        assert [length for _, length in bisections] == [1] * 4 * (n - 1)
 
     def test_cover_walks_are_amortised_by_the_merges(self):
-        # Every interval a gaps() walks is absorbed by the add() that follows.
-        starts, ends = [], []
-        for start in range(0, 400, 4):
-            physical._cover_add(starts, ends, start, start + 2)
-        assert len(starts) == 100
-        assert physical._cover_gaps(starts, ends, 1, 9) == [(2, 4), (6, 8)]
-        assert len(physical._cover_gaps(starts, ends, -5, 500)) == 101
-        physical._cover_add(starts, ends, -5, 500)
-        assert (starts, ends) == ([-5], [500])
-        physical._cover_add(starts, ends, 500, 510)  # adjacent intervals merge
-        physical._cover_add(starts, ends, 520, 530)
-        assert (starts, ends) == ([-5, 520], [510, 530])
-        assert physical._cover_gaps(starts, ends, 505, 525) == [(510, 520)]
-        assert physical._cover_gaps(starts, ends, 0, 10) == []
+        # Every interval a cut walks is absorbed by the grow that follows.
+        covers = {}
+
+        def cover_pass(*periods, out=None, grow=True):
+            physical._cover_pass(covers, periods, 0, 1, lambda row: (), out, grow)
+            return out
+
+        cover_pass(*[(start, start + 2) for start in range(0, 400, 4)])
+        assert len(covers[()][0]) == 100
+        assert cover_pass((1, 9), out=[], grow=False) == [(2, 4), (6, 8)]
+        assert len(cover_pass((-5, 500), out=[])) == 101
+        assert covers[()] == ([-5], [500])
+        cover_pass((500, 510), (520, 530))  # adjacent intervals merge
+        assert covers[()] == ([-5, 520], [510, 530])
+        assert cover_pass((505, 525), out=[], grow=False) == [(510, 520)]
+        assert cover_pass((0, 10), out=[], grow=False) == []
 
 
 NULLABLE = Domain("nullable")
@@ -529,23 +568,85 @@ class TestTemporalDifferenceAndUnion:
         union = run_checked(TemporalUnion(left, right))
         assert values(union)[4:] == [(0, "z", 1, "z")]
 
-    def test_one_class_takes_one_add_per_covering_row_and_one_gaps_per_row_cut(self, monkeypatch):
+    def test_one_class_takes_one_grow_per_covering_row_and_one_cut_per_row_cut(self, bisections):
         m, n = 40, 25
         covering = narrow(*[("a", 3 * i, 3 * i + 2) for i in range(m)])
         cut = narrow(*[("a", i, i + 7) for i in range(n)])
-        steps = Counter()
-        for name in ("_cover_gaps", "_cover_add"):
-
-            def counted(*args, name=name, original=getattr(physical, name)):
-                steps[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(physical, name, counted)
         run_stratum(TemporalDifference(cut, covering))
-        assert steps == {"_cover_add": m - 1, "_cover_gaps": n}
-        steps.clear()
+        assert cover_steps(bisections) == {"cut": n, "grow": m - 1}
+        bisections.clear()
         run_stratum(TemporalUnion(covering, cut))
-        assert steps == {"_cover_add": m - 1, "_cover_gaps": n}
+        assert cover_steps(bisections) == {"cut": n, "grow": m - 1}
+
+    def test_a_row_that_loses_nothing_is_passed_on_not_rebuilt(self):
+        left = Relation.from_rows(
+            NARROW_TEMPORAL_SCHEMA, [("a", 1, 3), ("b", 3, 5), ("a", 4, 6), ("a", 2, 5)]
+        )
+        right = Relation.from_rows(NARROW_TEMPORAL_SCHEMA, [("a", 3, 4), ("c", 1, 2)])
+        kept = list(left.rows[:3])
+        for root, rows, passed in (
+            (TemporalDistinctOp(SourceOp(left)), [*kept, ("a", 3, 4)], kept),
+            (TemporalDifferenceOp(SourceOp(left), SourceOp(right)), [*kept, ("a", 2, 3), ("a", 4, 5)], kept),
+            (TemporalUnionOp(SourceOp(left), SourceOp(right)), [*left.rows, right.rows[1]], [*left.rows, right.rows[1]]),
+        ):
+            drained = [row for batch in root.batches() for row in batch.rows()]
+            assert drained == rows
+            # The rows that lose nothing are the input's own objects.
+            assert all(map(is_, drained, passed))
+
+
+PERIODS = st.builds(lambda start, length: (start, start + length), st.integers(0, 30), st.integers(1, 8))
+CLASS_ROWS = st.lists(st.builds(lambda name, period: (name, *period), st.sampled_from("ab"), PERIODS), max_size=20)
+
+
+def runs(points):
+    """A set of time points as maximal intervals, ascending."""
+    intervals = []
+    for point in sorted(points):
+        if intervals and intervals[-1][1] == point:
+            intervals[-1][1] = point + 1
+        else:
+            intervals.append([point, point + 1])
+    return [tuple(interval) for interval in intervals]
+
+
+class TestCoverPass:
+    """The one cover kernel against a model that keeps each cover as a set of points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(CLASS_ROWS, CLASS_ROWS, st.sampled_from(["cut and grow", "grow", "cut"]))
+    def test_every_mode_matches_the_point_set_model(self, covering, rows, mode):
+        first, last, value_of = physical._period_layout(NARROW_TEMPORAL_SCHEMA)
+        covers, model = {}, defaultdict(set)
+        physical._cover_pass(covers, covering, first, last, value_of)
+        for name, t1, t2 in covering:
+            model[name].update(range(t1, t2))
+        out = None if mode == "grow" else []
+        physical._cover_pass(covers, rows, first, last, value_of, out, grow=mode != "cut")
+        expected, whole = [], []
+        for row in rows:
+            name, t1, t2 = row
+            kept = runs(set(range(t1, t2)) - model[name])
+            if kept == [(t1, t2)]:
+                expected.append(row)
+                whole.append(True)
+            else:
+                expected.extend((name, *piece) for piece in kept)
+                whole.extend(False for _ in kept)
+            if mode != "cut":
+                model[name].update(range(t1, t2))
+        if out is not None:
+            # Period minus cover, ascending, with the row's own values; a row
+            # that loses nothing is passed on as the same object.
+            assert out == expected
+            assert [fragment is row for fragment, row in zip(out, expected)] == whole
+        # Each cover is sorted, disjoint and non-adjacent, and as points the
+        # union of the periods it grew by.
+        assert set(covers) == {name for name, points in model.items() if points}
+        for name, (starts, ends) in covers.items():
+            assert all(start < end for start, end in zip(starts, ends))
+            assert all(end < start for end, start in zip(ends, starts[1:]))
+            assert list(zip(starts, ends)) == runs(model[name])
 
 
 class TestCoalesce:
