@@ -18,14 +18,17 @@ The model is deliberately simple and transparent:
 * each operator contributes work proportional to the tuples it consumes and
   produces, with an ``n log n`` term for sorting and pairwise terms for the
   products and the value-matching temporal operations;
-* the join idiom nodes are priced from the physical algorithm their
-  predicate split selects (:mod:`repro.core.joinsplit`) — hash build+probe,
-  sort-merge interval join, or the nested-loop product bound — per engine:
-  the conventional DBMS only implements the hash equi-join natively, so
-  keyless and temporal joins keep the product bound there.  Whole-plan
-  costing additionally prices a stratum-side σ directly over a product as
-  the fused join the executor runs (never above the expanded two-node
-  form, keeping the memo search's per-shell costing exact);
+* where an operator's price depends on how it runs, it reads
+  :func:`repro.core.lowering.physical_choice` — the same decision the
+  lowering builds from and EXPLAIN prints.  The join idiom nodes are priced
+  from the algorithm their choice selects — hash build+probe, sort-merge
+  interval join, or the nested-loop product bound — per engine: the
+  conventional DBMS only implements the hash equi-join natively, so keyless
+  and temporal joins keep the product bound there.  Whole-plan costing
+  additionally prices a σ directly over a product that the choice fuses
+  (every one in the stratum, the hash equi-join in the DBMS) as that join,
+  never above the expanded two-node form (which keeps the memo search's
+  per-shell costing exact);
 * operators executing in the DBMS (below a ``TS`` transfer in the plan) are
   scaled by an engine speed factor — the DBMS is faster for conventional
   operations, while temporal operations it would have to emulate are
@@ -39,13 +42,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple as PyTuple
 
-from .joinsplit import (
-    JoinSplit,
-    folds_into_hash_join,
-    split_for_join,
-    split_for_selection,
-    stratum_physical_split,
-)
+from .joinsplit import JoinSplit
+from .lowering import DBMS_ENGINE, STRATUM_ENGINE, Engine, child_engine, physical_choice
 from .operations import (
     Aggregation,
     BaseRelation,
@@ -124,13 +122,6 @@ class PlanCost:
 
     def __float__(self) -> float:
         return self.total
-
-
-class Engine:
-    """Engine labels used by the cost breakdown and the partitioner."""
-
-    STRATUM = "stratum"
-    DBMS = "dbms"
 
 
 # Every costing entry point accepts an optional *estimator* — duck-typed so
@@ -268,24 +259,20 @@ def _join_algorithm_work(
 
 
 def _join_work(
-    node: Operation, inputs: Sequence[float], output: float, engine: str, model: CostModel
+    node: Operation, inputs: Sequence[float], output: float, engine: Engine, model: CostModel
 ) -> float:
-    """Engine-aware work of a ``Join``/``TemporalJoin`` idiom node.
+    """Work of a ``Join``/``TemporalJoin`` idiom node, as ``engine`` runs it.
 
-    The stratum executes every join through the physical layer, so its work
-    is the split algorithm's.  The conventional DBMS substrate plans only
-    the *hash equi-join* beyond the product (:mod:`repro.core.lowering`): a
-    keyless join runs there as a nested loop with the whole predicate as
-    residual — never the interval join — and a temporal join is emulated at
-    product cost (the temporal-penalty engine
-    factor comes on top, as for every emulated temporal operation).
+    The algorithm its :func:`~repro.core.lowering.physical_choice` selects:
+    in the stratum the split's; in the DBMS a hash equi-join, a keyless
+    join as a nested loop (the product bound), and a temporal join emulated
+    at product cost (the temporal-penalty engine factor comes on top, as for
+    every emulated temporal operation).
     """
-    split = split_for_join(node)
-    if engine == Engine.STRATUM:
-        return _join_algorithm_work(split, inputs, output, model)
-    if split.algorithm == "hash" and not isinstance(node, TemporalJoin):
-        return _join_algorithm_work(split, inputs, output, model)
-    return inputs[0] * inputs[1] + output
+    split = physical_choice(node, engine).split
+    if split is None:
+        return inputs[0] * inputs[1] + output
+    return _join_algorithm_work(split, inputs, output, model)
 
 
 def _operator_work(
@@ -293,7 +280,7 @@ def _operator_work(
     inputs: Sequence[float],
     output: float,
     model: CostModel,
-    engine: str = "stratum",
+    engine: Engine = STRATUM_ENGINE,
 ) -> float:
     """CPU work of one operator, in abstract per-tuple units.
 
@@ -327,8 +314,8 @@ def _operator_work(
     return total_input + output
 
 
-def _engine_factor(node: Operation, engine: str, model: CostModel) -> float:
-    if engine == Engine.STRATUM:
+def _engine_factor(node: Operation, engine: Engine, model: CostModel) -> float:
+    if engine is STRATUM_ENGINE:
         return 1.0
     if node.is_temporal_operator or isinstance(node, Coalescing):
         return model.dbms_temporal_penalty
@@ -356,7 +343,7 @@ def operator_work(
     node: Operation,
     child_cardinalities: Sequence[float],
     output_cardinality: float,
-    engine: str,
+    engine: Engine,
     model: Optional[CostModel] = None,
 ) -> float:
     """The work one operator contributes when executed by ``engine``."""
@@ -384,7 +371,7 @@ def minimal_operator_work(
     return min(
         _operator_work(node, child_cardinalities, output_cardinality, model, engine)
         * _engine_factor(node, engine, model)
-        for engine in (Engine.STRATUM, Engine.DBMS)
+        for engine in (STRATUM_ENGINE, DBMS_ENGINE)
     )
 
 
@@ -392,7 +379,7 @@ def estimate_cost(
     plan: Operation,
     statistics: Optional[Mapping[str, int]] = None,
     model: Optional[CostModel] = None,
-    engine: str = Engine.STRATUM,
+    engine: Engine = STRATUM_ENGINE,
     estimator=None,
     physical_fusion: bool = True,
 ) -> PlanCost:
@@ -427,11 +414,10 @@ class OperatorCostAnnotation:
 
     Produced by :func:`cost_annotations` and consumed by the EXPLAIN
     rendering of :mod:`repro.session`: estimated input/output cardinalities,
-    the engine assignment the transfer operations imply, the operator's
-    own work contribution (engine factor applied), and — for stratum-side
-    joins — the physical algorithm the executor will choose
-    (:mod:`repro.core.joinsplit`), so EXPLAIN shows e.g.
-    ``⋈ [hash: id=id, residual: v>3]``.
+    the name of the engine the transfer operations assign, the operator's
+    own work contribution (engine factor applied), and the description of
+    its :func:`~repro.core.lowering.physical_choice` — the operator the
+    lowering builds — so EXPLAIN shows e.g. ``⋈ [hash: id=id, residual: v>3]``.
     """
 
     label: str
@@ -442,31 +428,11 @@ class OperatorCostAnnotation:
     physical: Optional[str] = None
 
 
-def _fused_selection_split(node: Operation, engine: str) -> Optional[JoinSplit]:
-    """The split the executor fuses a σ-over-product pair with, or ``None``.
-
-    The stratum fuses *every* selection directly over a product; the
-    conventional DBMS's lowering (:mod:`repro.core.lowering`) reads the same
-    split but only lets equi keys change the algorithm — over a conventional
-    product it runs a hash join, anything else is a nested loop filtering the
-    streamed product, which the product bound already prices.
-    """
-    pair = split_for_selection(node)
-    if pair is None:
-        return None
-    split, product = pair
-    if engine == Engine.STRATUM:
-        return split
-    if split.algorithm == "hash" and not isinstance(product, TemporalCartesianProduct):
-        return split
-    return None
-
-
 def cost_annotations(
     plan: Operation,
     statistics: Optional[Mapping[str, int]] = None,
     model: Optional[CostModel] = None,
-    engine: str = Engine.STRATUM,
+    engine: Engine = STRATUM_ENGINE,
     estimator=None,
     physical_fusion: bool = True,
 ) -> Dict[PyTuple[int, ...], OperatorCostAnnotation]:
@@ -486,43 +452,13 @@ def cost_annotations(
     annotations: Dict[PyTuple[int, ...], OperatorCostAnnotation] = {}
 
     def visit(
-        node: Operation, engine: str, path: PyTuple[int, ...], fused: bool = False
+        node: Operation, engine: Engine, path: PyTuple[int, ...], fused: bool = False
     ) -> float:
-        child_engine = engine
-        if isinstance(node, TransferToStratum):
-            child_engine = Engine.DBMS
-        elif isinstance(node, TransferToDBMS):
-            child_engine = Engine.STRATUM
-        physical: Optional[str] = None
-        fuses_child = False
-        fused_split: Optional[JoinSplit] = None
-        if physical_fusion:
-            if fused:
-                physical = "fused into σ"
-            elif engine == Engine.STRATUM:
-                split, fuses_child = stratum_physical_split(node)
-                if split is not None:
-                    physical = split.describe()
-                if fuses_child:
-                    fused_split = split
-            else:
-                # The DBMS fuses only the hash equi σ(×); label it like the
-                # stratum's fusion so EXPLAIN explains the product's free
-                # line there too.  A bare conventional ⋈ with equi keys is
-                # likewise executed (and priced) as the native hash join,
-                # so it carries the same annotation.
-                fused_split = _fused_selection_split(node, engine)
-                fuses_child = fused_split is not None
-                if fused_split is not None:
-                    physical = fused_split.describe()
-                elif isinstance(node, Join) and not isinstance(node, TemporalJoin):
-                    split = split_for_join(node)
-                    if split is not None and split.algorithm == "hash":
-                        physical = split.describe()
-            if folds_into_hash_join(node, dbms=engine == Engine.DBMS):
-                physical = "fused into hash join"
+        choice = physical_choice(node, engine) if physical_fusion and not fused else None
+        fuses_product = choice is not None and choice.fuses_product
+        below = child_engine(node, engine)
         child_cards = [
-            visit(child, child_engine, path + (index,), fused=fuses_child and index == 0)
+            visit(child, below, path + (index,), fused=fuses_product and index == 0)
             for index, child in enumerate(node.children)
         ]
         output = _node_output(node, child_cards, statistics, model, estimator)
@@ -534,27 +470,29 @@ def cost_annotations(
             work = _operator_work(node, child_cards, output, model, engine) * _engine_factor(
                 node, engine, model
             )
-            if fused_split is not None:
-                # σ directly over a product the executor fuses: price the
-                # pair as the cheaper of the split algorithm and the
-                # expanded two-node form — never *above* the expanded form,
-                # so whole-plan costing agrees exactly with the memo
-                # search, which prices the expanded shells separately and
-                # reaches the algorithm price through the explicit
-                # σ(×) → ⋈ rewrite.
+            if fuses_product:
+                # σ directly over a product its engine fuses: price the pair
+                # as the cheaper of the split algorithm and the expanded
+                # two-node form — never *above* the expanded form, so
+                # whole-plan costing agrees exactly with the memo search,
+                # which prices the expanded shells separately and reaches
+                # the algorithm price through the explicit σ(×) → ⋈ rewrite.
                 product = node.children[0]
                 product_cards = annotations[path + (0,)].input_cardinalities
-                product_output = child_cards[0]
                 unfused = _operator_work(
-                    product, product_cards, product_output, model, engine
+                    product, product_cards, child_cards[0], model, engine
                 ) * _engine_factor(product, engine, model) + work
                 fused_work = _join_algorithm_work(
-                    fused_split, product_cards, output, model
+                    choice.split, product_cards, output, model
                 ) * _engine_factor(node, engine, model)
                 work = min(fused_work, unfused)
+        if choice is not None:
+            physical = choice.describe()
+        else:
+            physical = "fused into σ" if fused else None
         annotations[path] = OperatorCostAnnotation(
             label=node.label(),
-            engine=engine,
+            engine=engine.name,
             input_cardinalities=tuple(child_cards),
             output_cardinality=output,
             work=work,
@@ -570,7 +508,7 @@ def measure_cost(
     plan: Operation,
     context,
     model: Optional[CostModel] = None,
-    engine: str = Engine.STRATUM,
+    engine: Engine = STRATUM_ENGINE,
 ) -> PlanCost:
     """The cost model evaluated at the plan's *actual* cardinalities.
 
@@ -588,14 +526,9 @@ def measure_cost(
     model = model or CostModel()
     breakdown: List[PyTuple[str, str, float]] = []
 
-    def visit(node: Operation, engine: str) -> PyTuple[float, "object"]:
-        child_engine = engine
-        if isinstance(node, TransferToStratum):
-            child_engine = Engine.DBMS
-        elif isinstance(node, TransferToDBMS):
-            child_engine = Engine.STRATUM
-        split = _fused_selection_split(node, engine)
-        if split is not None:
+    def visit(node: Operation, engine: Engine) -> PyTuple[float, "object"]:
+        choice = physical_choice(node, engine)
+        if choice.fuses_product:
             # The executor runs this σ-over-product pair as one fused
             # physical join: charge the split algorithm's work at the true
             # input/output sizes and nothing for the product, exactly
@@ -611,15 +544,16 @@ def measure_cost(
             result = node._evaluate([product_result], context)
             inputs = [float(len(relation)) for relation in grand_results]
             work = _join_algorithm_work(
-                split, inputs, float(len(result)), model
+                choice.split, inputs, float(len(result)), model
             ) * _engine_factor(node, engine, model)
-            breakdown.append((product_node.label(), engine, 0.0))
-            breakdown.append((node.label(), engine, work))
+            breakdown.append((product_node.label(), engine.name, 0.0))
+            breakdown.append((node.label(), engine.name, work))
             return sum(grand_costs) + work, result
+        below = child_engine(node, engine)
         child_costs: List[float] = []
         child_results = []
         for child in node.children:
-            cost, result = visit(child, child_engine)
+            cost, result = visit(child, below)
             child_costs.append(cost)
             child_results.append(result)
         result = node._evaluate(child_results, context)
@@ -628,7 +562,7 @@ def measure_cost(
         work = _operator_work(node, inputs, output, model, engine) * _engine_factor(
             node, engine, model
         )
-        breakdown.append((node.label(), engine, work))
+        breakdown.append((node.label(), engine.name, work))
         return sum(child_costs) + work, result
 
     total, result = visit(plan, engine)

@@ -16,14 +16,11 @@ the *shape of the predicate*:
 * everything else stays behind as a **residual filter** evaluated on the
   joined tuple, or falls back to a streaming nested loop.
 
-The split is computed here, once, in core — the lowering
-(:mod:`repro.core.lowering`, in both engines; the DBMS uses only the equi
-keys and never runs the interval join) builds its operators from it
-and the cost annotations of :mod:`repro.core.cost` describe the same choice
-in EXPLAIN output, so what the report prints is by construction what the
-executor runs.  So is the one decision above the join:
-:func:`folds_into_hash_join` says when a projection runs inside the hash
-join below it.
+This module only computes the split.  Which engine fuses what, and which
+operator finally runs, is decided once, by
+:func:`repro.core.lowering.physical_choice` — the only caller of the
+``split_for_*`` functions outside this module; the lowering builds what it
+says, :mod:`repro.core.cost` prices it and EXPLAIN prints its description.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .operations import (
     CartesianProduct,
     Join,
     Operation,
-    Projection,
     Selection,
     TemporalCartesianProduct,
     TemporalJoin,
@@ -277,10 +273,11 @@ def split_for_join(node: Operation) -> Optional[JoinSplit]:
 def split_for_selection(node: Operation) -> Optional[PyTuple[JoinSplit, Operation]]:
     """The split of a selection directly over a product, if it is one.
 
-    Returns ``(split, product)`` — the physical layer fuses the two logical
-    nodes into one join operator; any selection over a product qualifies (in
-    the worst case the whole predicate is the residual of a streaming
-    nested loop, which still avoids materialising the product).
+    Returns ``(split, product)``: the split the two logical nodes run with
+    when their engine fuses them into one join operator — the stratum fuses
+    every such pair (in the worst case the whole predicate is the residual
+    of a streaming nested loop, which still avoids materialising the
+    product), the DBMS only a hash join.
     """
     if not isinstance(node, Selection) or not isinstance(node.child, PRODUCT_TYPES):
         return None
@@ -303,59 +300,3 @@ def split_for_product(node: Operation) -> Optional[JoinSplit]:
     return split_product_predicate(
         None, left_names, right_names, isinstance(node, TemporalCartesianProduct)
     )
-
-
-def stratum_physical_split(node: Operation) -> PyTuple[Optional[JoinSplit], bool]:
-    """The split a stratum-side node executes with, if it is join shaped.
-
-    Returns ``(split, fuses_product_child)`` — the flag is True when the
-    node is a selection that consumes its product child (the fused pair runs
-    as one physical join).  The single source both EXPLAIN's annotation and
-    the cost model's fused-pair pricing derive from.
-    """
-    fused = split_for_selection(node)
-    if fused is not None:
-        return fused[0], True
-    split = split_for_join(node)
-    if split is None:
-        split = split_for_product(node)
-    return split, False
-
-
-def dbms_physical_split(node: Operation) -> Optional[JoinSplit]:
-    """The split a DBMS-side join-shaped node executes with: a conventional
-    ``Join``, or a selection over a conventional product.  (The DBMS
-    emulates temporal joins and runs a bare product as a nested loop.)"""
-    if isinstance(node, Join):
-        return split_for_join(node)
-    fused = split_for_selection(node)
-    if fused is not None and isinstance(fused[1], CartesianProduct):
-        return fused[0]
-    return None
-
-
-def folds_into_hash_join(node: Operation, dbms: bool = False) -> bool:
-    """True when ``node`` is a projection its engine runs inside the hash
-    join below it: its child lowers to a ``HashJoinOp`` in the stratum (or,
-    with ``dbms``, in the DBMS).
-
-    The operator then emits the projected row of each surviving pair and
-    realises both nodes.  Both lowerings and EXPLAIN's annotation ask this,
-    so the annotation is what runs.
-    """
-    if not isinstance(node, Projection):
-        return False
-    child = node.child
-    split = dbms_physical_split(child) if dbms else stratum_physical_split(child)[0]
-    return split is not None and split.algorithm == "hash"
-
-
-def stratum_physical_description(node: Operation) -> PyTuple[Optional[str], bool]:
-    """EXPLAIN's physical-algorithm annotation for one stratum-side node.
-
-    Returns ``(description, fuses_product_child)`` — the second flag is True
-    when the node is a selection that consumes its product child, whose own
-    line should then read as fused (the product's output never materialises).
-    """
-    split, fuses_child = stratum_physical_split(node)
-    return (split.describe() if split is not None else None), fuses_child

@@ -11,15 +11,21 @@ the tree (the exchange-operator idea of Graefe's Volcano), not a point where
 results are materialised.  Every operator carries the plan paths it realises,
 whichever engine built it.
 
+Two pure functions hold every decision the walk makes, and the cost walks,
+the memo's extraction and EXPLAIN read the same two: :func:`child_engine`
+(the ``TS``/``TD`` switch) and :func:`physical_choice` (the operator that
+runs a node in an engine, with its join split and fusions).
+
 An engine descriptor is all that differs between the engines:
 
 * its **fault point** — the drains of its operators tick ``stratum.pull`` or
   ``dbms.scan``;
 * its **admissible operators** — the DBMS lacks the interval join and the
   five temporal operators, so a keyless DBMS join is a nested loop with the
-  whole predicate as residual (:mod:`repro.core.cost` prices it quadratic,
-  and the optimizer's choice to pull such a join into the stratum depends on
-  it), and a temporal node in DBMS territory lowers to an
+  whole predicate as residual and a σ over a product fuses with it only into
+  a hash join (:mod:`repro.core.cost` prices both quadratic, and the
+  optimizer's choice to pull such a join into the stratum depends on it),
+  and a temporal node in DBMS territory lowers to an
   :class:`~repro.core.physical.EmulateOp` — the paper's emulation penalty;
 * whether its operators **know their order** — the DBMS promises multiset
   semantics, so only a sort establishes an order there (Section 4.5).
@@ -32,12 +38,12 @@ operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Sequence, Tuple as PyTuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple as PyTuple
 
 from ..options import DEFAULT_BATCH_SIZE, check_batch_size
 from .exceptions import EngineError, SchemaError
 from .expressions import AttributeRef, ProjectionItem
-from .joinsplit import JoinSplit, folds_into_hash_join, split_for_join, split_for_product, split_for_selection
+from .joinsplit import PRODUCT_TYPES, JoinSplit, split_for_join, split_for_product, split_for_selection
 from .operations import (
     Aggregation,
     BaseRelation,
@@ -53,6 +59,7 @@ from .operations import (
     TemporalAggregation,
     TemporalDifference,
     TemporalDuplicateElimination,
+    TemporalJoin,
     TemporalUnion,
     TransferToDBMS,
     TransferToStratum,
@@ -89,9 +96,14 @@ from .schema import RelationSchema
 _UNORDERED = OrderSpec.unordered()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Engine:
-    """What one engine may build and how its drains are configured."""
+    """What one engine may build and how its drains are configured.
+
+    There are exactly two, :data:`STRATUM_ENGINE` and :data:`DBMS_ENGINE`;
+    they compare and hash by identity, so the memo search keys its
+    per-engine tables on them as cheaply as on a string.
+    """
 
     #: The engine's name, as the plan partition and EXPLAIN print it.
     name: str
@@ -124,14 +136,124 @@ STRATUM_ENGINE = Engine(
     knows_order=True,
 )
 
-_SET_OPERATORS = {
-    Difference: DifferenceOp,
-    UnionAll: UnionAllOp,
-    Union: UnionOp,
-    TemporalDifference: TemporalDifferenceOp,
-    TemporalUnion: TemporalUnionOp,
-}
+_TRANSFER_TARGETS = {TransferToStratum: DBMS_ENGINE, TransferToDBMS: STRATUM_ENGINE}
 _JOIN_OPERATORS = {"hash": HashJoinOp, "interval": IntervalJoinOp, "nested-loop": NestedLoopJoinOp}
+
+
+def child_engine(node: Operation, engine: Engine) -> Engine:
+    """The engine running ``node``'s children when ``engine`` runs ``node``:
+    the DBMS below a ``TS``, the stratum below a ``TD``, else ``engine``."""
+    return _TRANSFER_TARGETS.get(type(node), engine)
+
+
+class PhysicalChoice(NamedTuple):
+    """How an engine realises one plan node (:func:`physical_choice`)."""
+
+    #: The :class:`~repro.core.physical.BatchOperator` class that runs the node.
+    operator: type
+    #: The predicate split a join operator runs with.
+    split: Optional[JoinSplit] = None
+    #: A selection that runs together with its product child as one join.
+    fuses_product: bool = False
+    #: A projection that runs inside the hash join below it.
+    folds_projection: bool = False
+
+    def describe(self) -> Optional[str]:
+        """EXPLAIN's physical column for the node."""
+        if self.folds_projection:
+            return "fused into hash join"
+        return None if self.split is None else self.split.describe()
+
+
+def _inputs(lowering: "Lowering", node: Operation, engine: Engine, children: List[BatchOperator]):
+    return children
+
+
+def _relabelled_inputs(lowering: "Lowering", node: Operation, engine: Engine, children: List[BatchOperator]):
+    """The children over the node's attributes: ``rdup``, ``\\``, ``∪`` and
+    ``⊔`` match rows positionally."""
+    schema = node.output_schema()
+    return [lowering._relabelled(child, schema, engine) for child in children]
+
+
+def _sort_inputs(lowering: "Lowering", node: Operation, engine: Engine, children: List[BatchOperator]):
+    return (node.sort_order, *children)
+
+
+def _aggregate_inputs(lowering: "Lowering", node: Operation, engine: Engine, children: List[BatchOperator]):
+    return (node.grouping, node.functions, node.output_schema(), *children)
+
+
+#: Every node type whose operator depends on the engine only through
+#: emulation: its operator class, and how the lowering gets that operator's
+#: constructor arguments (before the order and paths) from the node and its
+#: lowered children.
+_NATIVE = {
+    Sort: (SortOp, _sort_inputs),
+    DuplicateElimination: (DistinctOp, _relabelled_inputs),
+    Aggregation: (AggregateOp, _aggregate_inputs),
+    TemporalDuplicateElimination: (TemporalDistinctOp, _inputs),
+    Coalescing: (CoalesceOp, _inputs),
+    TemporalAggregation: (TemporalAggregateOp, _aggregate_inputs),
+    Difference: (DifferenceOp, _relabelled_inputs),
+    UnionAll: (UnionAllOp, _relabelled_inputs),
+    Union: (UnionOp, _relabelled_inputs),
+    TemporalDifference: (TemporalDifferenceOp, _inputs),
+    TemporalUnion: (TemporalUnionOp, _inputs),
+}
+#: The choice for every node type with no join shape, fusion or fold.
+_FIXED_CHOICES = {
+    TransferToStratum: PhysicalChoice(TransferOp),
+    TransferToDBMS: PhysicalChoice(TransferOp),
+    BaseRelation: PhysicalChoice(SourceOp),
+    LiteralRelation: PhysicalChoice(SourceOp),
+    **{node_type: PhysicalChoice(operator) for node_type, (operator, _) in _NATIVE.items()},
+}
+_EMULATE = PhysicalChoice(EmulateOp)
+_FILTER = PhysicalChoice(FilterOp)
+_PROJECT = PhysicalChoice(ProjectOp)
+_FOLDED = PhysicalChoice(HashJoinOp, folds_projection=True)
+
+
+def physical_choice(node: Operation, engine: Engine) -> PhysicalChoice:
+    """The one decision of what runs ``node`` in ``engine``.
+
+    The lowering builds what it says, the cost walks price it and EXPLAIN
+    prints its description.  A temporal node in an engine without the
+    temporal operators is emulated.  A join-shaped node — a ``⋈``/``⋈T``,
+    a product, or a selection fused with the product below it — runs the
+    join operator of its predicate split (:mod:`repro.core.joinsplit`); in
+    an engine without the interval join, a keyless split keeps the whole
+    predicate as a nested loop's residual, and a selection fuses with its
+    product only into a hash join.  A projection over a hash join runs
+    inside it, unless another projection already does.
+    """
+    if node.is_temporal_operator and not engine.temporal:
+        return _EMULATE
+    choice = _FIXED_CHOICES.get(type(node))
+    if choice is not None:
+        return choice
+    if isinstance(node, Selection):
+        fused = split_for_selection(node)
+        if fused is not None:
+            split, product = fused
+            if engine.temporal or (split.algorithm == "hash" and not product.is_temporal_operator):
+                return _join_choice(split, node.predicate, engine, True)
+        return _FILTER
+    if isinstance(node, Projection):
+        split = physical_choice(node.child, engine).split
+        return _FOLDED if split is not None and split.algorithm == "hash" else _PROJECT
+    if isinstance(node, (Join, TemporalJoin)):
+        return _join_choice(split_for_join(node), node.predicate, engine, False)
+    if isinstance(node, PRODUCT_TYPES):
+        return _join_choice(split_for_product(node), None, engine, False)
+    raise EngineError(f"the {engine.name} cannot execute operation {node.label()!r}")
+
+
+def _join_choice(split: JoinSplit, predicate, engine: Engine, fuses_product: bool) -> PhysicalChoice:
+    if not split.equi_left_indexes and IntervalJoinOp not in engine.operators:
+        split = replace(split, overlap_names=None, overlap_indexes=None, residual=predicate)
+    return PhysicalChoice(_JOIN_OPERATORS[split.algorithm], split, fuses_product)
 
 
 @dataclass
@@ -230,66 +352,42 @@ class Lowering:
         return [self._lower(child, engine, path + (index,)) for index, child in enumerate(node.children)]
 
     def _build(self, node: Operation, engine: Engine, path: PlanPath) -> BatchOperator:
-        paths = (path,)
-        if isinstance(node, (TransferToStratum, TransferToDBMS)):
+        choice = physical_choice(node, engine)
+        operator, paths = choice.operator, (path,)
+        if operator is TransferOp:
             return self._transfer(node, engine, path)
-        if isinstance(node, BaseRelation):
+        if operator is SourceOp:
+            if isinstance(node, LiteralRelation):
+                return SourceOp(node.relation, None, paths)
             if self._catalog is None:
                 raise EngineError(f"no catalog to read base relation {node.relation_name!r} from")
             relation = self._catalog.table(node.relation_name).relation
-            operator = SourceOp(relation, node.relation_name, paths)
+            source = SourceOp(relation, node.relation_name, paths)
             if engine is STRATUM_ENGINE:
                 self.implicit_transfers += 1
-                self.crossings.append(operator)
-            return operator
-        if isinstance(node, LiteralRelation):
-            return SourceOp(node.relation, None, paths)
-        if node.is_temporal_operator and not engine.temporal:
-            children = self._children(node, engine, path)
-            self.emulated.append(node.label())
-            return EmulateOp(node, children, _derived(node, engine, [c.order for c in children]), paths)
-        fused = split_for_selection(node)
-        if fused is not None and (engine.temporal or not fused[1].is_temporal_operator):
-            split, product = fused
+                self.crossings.append(source)
+            return source
+        if choice.fuses_product:
+            product = node.child
             left, right = self._children(product, engine, path + (0,))
-            inner = product.result_order([left.order, right.order])
-            order = _derived(node, engine, [inner])
-            schema = product.output_schema()
-            return self._join(split, node.predicate, schema, left, right, order, (path, path + (0,)), engine)
+            order = _derived(node, engine, [product.result_order([left.order, right.order])])
+            return operator(choice.split, product.output_schema(), left, right, order, (path, path + (0,)))
         children = self._children(node, engine, path)
         order = _derived(node, engine, [child.order for child in children])
-        if len(children) == 2:
+        if operator is EmulateOp:
+            self.emulated.append(node.label())
+            return EmulateOp(node, children, order, paths)
+        if choice.split is not None:
             left, right = children
-            if type(node) in _SET_OPERATORS:
-                if not node.is_temporal_operator:  # rows are matched positionally
-                    left = self._relabelled(left, node.output_schema(), engine)
-                    right = self._relabelled(right, node.output_schema(), engine)
-                return _SET_OPERATORS[type(node)](left, right, order, paths)
-            split = split_for_join(node) or split_for_product(node)
-            predicate = node.predicate if isinstance(node, Join) else None
-            return self._join(split, predicate, node.output_schema(), left, right, order, paths, engine)
-        (child,) = children
-        if isinstance(node, Selection):
-            return FilterOp(node.predicate, child, order, paths)
-        if folds_into_hash_join(node, dbms=not engine.temporal):
-            return child.fold_projection(node.items, node.output_schema(), order, paths + child.paths)
-        if isinstance(node, Projection):
-            return ProjectOp(node.items, node.output_schema(), child, order, paths)
-        if isinstance(node, Sort):
-            return SortOp(node.sort_order, child, order, paths)
-        if isinstance(node, DuplicateElimination):
-            return DistinctOp(self._relabelled(child, node.output_schema(), engine), order, paths)
-        if isinstance(node, Aggregation):
-            return AggregateOp(node.grouping, node.functions, node.output_schema(), child, order, paths)
-        if isinstance(node, TemporalDuplicateElimination):
-            return TemporalDistinctOp(child, order, paths)
-        if isinstance(node, Coalescing):
-            return CoalesceOp(child, order, paths)
-        if isinstance(node, TemporalAggregation):
-            return TemporalAggregateOp(
-                node.grouping, node.functions, node.output_schema(), child, order, paths
-            )
-        raise EngineError(f"the {engine.name} cannot execute operation {node.label()!r}")
+            return operator(choice.split, node.output_schema(), left, right, order, paths)
+        if operator is FilterOp:
+            return FilterOp(node.predicate, children[0], order, paths)
+        if choice.folds_projection:
+            (join,) = children
+            return join.fold_projection(node.items, node.output_schema(), order, paths + join.paths)
+        if operator is ProjectOp:
+            return ProjectOp(node.items, node.output_schema(), children[0], order, paths)
+        return operator(*_NATIVE[type(node)][1](self, node, engine, children), order, paths)
 
     def _transfer(self, node: Operation, engine: Engine, path: PlanPath) -> BatchOperator:
         """``TS``/``TD``: the child under the target engine, passed through.
@@ -299,9 +397,8 @@ class Lowering:
         unbalanced; only a fragment handed to the DBMS directly may keep its
         ``TS`` at the root.
         """
-        to_dbms = isinstance(node, TransferToStratum)
-        target = DBMS_ENGINE if to_dbms else STRATUM_ENGINE
-        if to_dbms and engine is DBMS_ENGINE and path != ROOT_PATH:
+        target = child_engine(node, engine)
+        if target is engine is DBMS_ENGINE and path != ROOT_PATH:
             raise EngineError(
                 "nested TS inside a DBMS fragment: the plan's transfer operations are unbalanced"
             )
@@ -310,7 +407,7 @@ class Lowering:
         operator = TransferOp(node.symbol, child, child.order, (path,))
         if target is not engine:
             self.crossings.append(operator)
-            self.dbms_calls += to_dbms
+            self.dbms_calls += target is DBMS_ENGINE
         return operator
 
     def _relabelled(self, child: BatchOperator, schema: RelationSchema, engine: Engine) -> BatchOperator:
@@ -335,23 +432,6 @@ class Lowering:
             for name, target in zip(source.attributes, schema.attributes)
         ]
         return self._admit(ProjectOp(items, schema, child), engine)
-
-    def _join(
-        self,
-        split: JoinSplit,
-        predicate,
-        output_schema: RelationSchema,
-        left: BatchOperator,
-        right: BatchOperator,
-        order: OrderSpec,
-        paths: PyTuple[PlanPath, ...],
-        engine: Engine,
-    ) -> BatchOperator:
-        """The split's join operator; in an engine without the interval join
-        a keyless split keeps the *whole* predicate as a nested loop's residual."""
-        if not split.equi_left_indexes and IntervalJoinOp not in engine.operators:
-            split = replace(split, overlap_names=None, overlap_indexes=None, residual=predicate)
-        return _JOIN_OPERATORS[split.algorithm](split, output_schema, left, right, order, paths)
 
 
 def _derived(node: Operation, engine: Engine, child_orders: Sequence[OrderSpec]) -> OrderSpec:

@@ -23,8 +23,9 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core.analysis import derive_order
-from ..core.cost import CostModel, Engine
+from ..core.cost import CostModel
 from ..core.equivalence import EquivalenceType
+from ..core.lowering import DBMS_ENGINE
 from ..core.operations import Operation
 from ..core.query import QueryResultSpec
 from ..core.rules import CONVENTIONAL_RULES, DUPLICATE_RULES, JOIN_RULES, SORTING_RULES
@@ -91,7 +92,7 @@ class CostGuidedConventionalOptimizer:
             rules=self._index,
             cost_model=self.cost_model,
             options=SearchOptions(max_expressions=600, max_sweeps=6),
-            root_engine=Engine.DBMS,
+            root_engine=DBMS_ENGINE,
             estimator=estimator,
         ).optimize(plan, specification, statistics)
 

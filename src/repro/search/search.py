@@ -56,14 +56,14 @@ from typing import (
 
 from ..core.cost import (
     CostModel,
-    Engine,
     PlanCost,
     estimate_cost,
     minimal_operator_work,
     operator_cardinality,
     operator_work,
 )
-from ..core.operations import Difference, Operation, TransferToDBMS, TransferToStratum
+from ..core.lowering import STRATUM_ENGINE, Engine, child_engine
+from ..core.operations import Difference, Operation
 from ..core.properties import root_properties
 from ..core.query import QueryResultSpec
 from ..core.rules import RuleIndex, TransformationRule, rule_index
@@ -222,14 +222,6 @@ class _Entry:
         return names
 
 
-def _child_engine(shell: Operation, engine: str) -> str:
-    if isinstance(shell, TransferToStratum):
-        return Engine.DBMS
-    if isinstance(shell, TransferToDBMS):
-        return Engine.STRATUM
-    return engine
-
-
 class _Extractor:
     """Bottom-up per-cardinality DP over the memo with branch-and-bound."""
 
@@ -248,7 +240,7 @@ class _Extractor:
         self.estimator = estimator
         self.stats = search_statistics
         self.upper_bound = upper_bound
-        self._frontiers: Dict[PyTuple[int, str], List[_Entry]] = {}
+        self._frontiers: Dict[PyTuple[int, Engine], List[_Entry]] = {}
         self._bounds: Dict[int, PyTuple[float, float]] = {}
         #: Per expression id, ``bounds_for`` as computed with no child group's
         #: bound in progress (see there).
@@ -275,7 +267,7 @@ class _Extractor:
         return output
 
     def costed(
-        self, expression: GroupExpression, engine: str, cards: PyTuple[float, ...]
+        self, expression: GroupExpression, engine: Engine, cards: PyTuple[float, ...]
     ) -> PyTuple[float, float]:
         """``(output estimate, work)`` of the expression run by ``engine`` over ``cards``."""
         key = (expression.id, engine, cards)
@@ -349,7 +341,7 @@ class _Extractor:
     # -- frontiers ---------------------------------------------------------------
 
     def frontier(
-        self, group_id: int, engine: str, on_stack: Optional[Set[PyTuple[int, str]]] = None
+        self, group_id: int, engine: Engine, on_stack: Optional[Set[PyTuple[int, Engine]]] = None
     ) -> List[_Entry]:
         group_id = self.memo.find(group_id)
         key = (group_id, engine)
@@ -374,9 +366,9 @@ class _Extractor:
             if bound_cost > self.upper_bound:
                 self.stats.expressions_pruned += 1
                 continue
-            child_engine = _child_engine(expression.shell, engine)
+            below = child_engine(expression.shell, engine)
             child_frontiers = [
-                self.frontier(child, child_engine, on_stack)
+                self.frontier(child, below, on_stack)
                 for child in expression.children
             ]
             if any(not frontier for frontier in child_frontiers):
@@ -420,7 +412,7 @@ class MemoSearch:
         rules: Optional[Union[RuleIndex, Iterable[TransformationRule]]] = None,
         cost_model: Optional[CostModel] = None,
         options: Optional[SearchOptions] = None,
-        root_engine: str = Engine.STRATUM,
+        root_engine: Engine = STRATUM_ENGINE,
         estimator=None,
     ) -> None:
         self.index = rule_index(rules)

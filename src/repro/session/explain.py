@@ -54,11 +54,12 @@ class OperatorLine:
     cost: Optional[float] = None
     actual_rows: Optional[int] = None
     physical: Optional[str] = None
-    """The physical algorithm the executing engine runs this operator with
-    (``hash: …``, ``interval: …``, ``nested-loop``, ``fused into σ``):
-    every stratum-side join shape carries one, and so does a DBMS-side
-    σ-over-product pair the substrate fuses into its native hash join;
-    ``None`` where the reference/fast-path implementation runs as-is."""
+    """The description of the node's :func:`~repro.core.lowering.physical_choice`
+    — the operator its engine runs it with (``hash: …``, ``interval: …``,
+    ``nested-loop``, ``fused into hash join``), or ``fused into σ`` for a
+    product the selection above runs as one join: every join shape of
+    either engine carries one; ``None`` where the operator needs no
+    algorithm choice."""
     time_seconds: Optional[float] = None
     """Inclusive wall-clock (children included) the operator took during the
     ANALYZE execution; ``None`` — rendered ``-`` like the actuals — only

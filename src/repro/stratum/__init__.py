@@ -3,7 +3,6 @@
 from .executor import StratumExecutor
 from .layer import (
     OptimizationOutcome,
-    QueryOutcome,
     TemporalDatabase,
     TemporalQueryOptimizer,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "DBMS",
     "OptimizationOutcome",
     "PlanPartition",
-    "QueryOutcome",
     "STRATUM",
     "StratumExecutor",
     "TemporalDatabase",

@@ -24,7 +24,6 @@ from typing import Tuple as PyTuple
 from ..core.cost import CostModel, PlanCost, estimate_cost
 from ..core.exceptions import CancelledError, ResourceExhaustedError, error_code
 from ..faults import FAULTS
-from ..core.lowering import ExecutionReport
 from ..core.operations import Operation
 from ..core.operations.base import EvaluationContext
 from ..core.order_spec import OrderSpec
@@ -74,17 +73,6 @@ class OptimizationOutcome:
         if self.chosen_cost.total == 0:
             return 1.0
         return self.initial_cost.total / self.chosen_cost.total
-
-
-@dataclass
-class QueryOutcome:
-    """The full record of answering one query."""
-
-    relation: Relation
-    query_spec: QueryResultSpec
-    optimization: OptimizationOutcome
-    report: ExecutionReport
-    statement: Optional[str] = None
 
 
 class TemporalQueryOptimizer:
@@ -241,7 +229,7 @@ class TemporalDatabase(_CatalogReads):
         #: estimator built from the catalog (see :mod:`repro.stats`) instead
         #: of the cost model's fixed selectivity/overlap constants.
         self.use_statistics = options.use_statistics
-        #: Lazily created default session backing :meth:`execute_tsql`.
+        #: Lazily created default session backing :meth:`execute`.
         self._default_session = None
 
     # -- data definition ---------------------------------------------------------
@@ -293,33 +281,26 @@ class TemporalDatabase(_CatalogReads):
         """A new :class:`~repro.session.session.Session` over this database.
 
         The session adds the plan cache, ``?`` parameter binding and the
-        EXPLAIN surface on top of :meth:`execute`; several sessions may
-        share one database (each has its own cache, all invalidate through
-        the shared statistics epoch).
+        EXPLAIN surface; several sessions may share one database (each has
+        its own cache, all invalidate through the shared statistics epoch).
         """
         from ..session import Session
 
         return Session(self, cache_size=cache_size, options=self.options)
 
-    def execute_tsql(self, statement: str, params: Sequence[object] = ()):
-        """Run a statement through the cached session lifecycle.
+    def execute(self, statement: str, params: Sequence[object] = ()):
+        """Parse, optimize and execute a temporal SQL statement.
 
-        Unlike :meth:`execute` this goes through a lazily created default
+        Runs through a lazily created default
         :class:`~repro.session.session.Session`: repeated statements reuse
         the cached optimized plan, ``?`` markers are bound from ``params``,
         and ``EXPLAIN`` statements return a report instead of rows.  Returns
-        a :class:`~repro.session.session.SessionResult`.
+        the request's :class:`~repro.session.session.SessionResult`
+        (``relation``, ``query_spec``, ``optimization``, ``report``, …).
         """
-        if getattr(self, "_default_session", None) is None:
+        if self._default_session is None:
             self._default_session = self.session()
         return self._default_session.execute(statement, params)
-
-    def execute(self, statement: str) -> QueryOutcome:
-        """Parse, optimize and execute a temporal SQL statement."""
-        initial_plan, query_spec = self.parse(statement)
-        outcome = self.execute_plan(initial_plan, query_spec)
-        outcome.statement = statement
-        return outcome
 
     def optimize_plan(
         self,
@@ -332,8 +313,8 @@ class TemporalDatabase(_CatalogReads):
         """Optimize a plan against the current statistics (or cost it as-is).
 
         The single place the optimize-or-estimate policy lives: honoured by
-        :meth:`execute_plan`, :meth:`explain` and the session layer's plan
-        cache, so every entry point reports identical optimization metadata.
+        :meth:`explain` and the session layer's plan cache, so every entry
+        point reports identical optimization metadata.
         With ``optimize_queries=False`` the initial plan is costed and taken
         as the trivial single-plan outcome.  The executor runs the outcome's
         ``chosen_plan`` as given, ``TS`` fragments included: the statement's
@@ -365,18 +346,6 @@ class TemporalDatabase(_CatalogReads):
             chosen_plan=initial_plan,
             chosen_cost=cost,
             initial_cost=cost,
-        )
-
-    def execute_plan(self, initial_plan: Operation, query_spec: QueryResultSpec) -> QueryOutcome:
-        """Optimize (optionally) and execute an algebra plan."""
-        optimization = self.optimize_plan(initial_plan, query_spec)
-        executor = StratumExecutor(self.dbms, batch_size=self.options.batch_size)
-        relation = executor.execute(optimization.chosen_plan)
-        return QueryOutcome(
-            relation=relation,
-            query_spec=query_spec,
-            optimization=optimization,
-            report=executor.report,
         )
 
     def run_plan(self, plan: Operation) -> Relation:

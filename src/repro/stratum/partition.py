@@ -3,10 +3,10 @@
 A plan's transfer operations (``TS``/``TD``) mark where execution crosses the
 boundary between the temporal layer and the conventional DBMS: everything
 below a ``TS`` (until a ``TD`` switches back) runs in the DBMS, everything
-else runs in the stratum.  This module derives that engine assignment, the
-DBMS fragments that will be shipped as SQL, and summary statistics used by
-the benchmarks (how much of the plan each engine executes, how many transfer
-crossings a plan performs).
+else runs in the stratum.  This module records that engine assignment — a
+walk over :func:`repro.core.lowering.child_engine`, the switch the lowering
+and the cost model follow — with the DBMS fragments and the transfer count,
+for EXPLAIN, :func:`describe_partition` and the benchmarks.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple as PyTuple
 
-from ..core.operations import Operation, TransferToDBMS, TransferToStratum
+from ..core.lowering import DBMS_ENGINE, STRATUM_ENGINE, Engine, child_engine
+from ..core.operations import Operation
 from ..core.operations.base import PlanPath, ROOT_PATH
 
 #: Engine labels.
-STRATUM = "stratum"
-DBMS = "dbms"
+STRATUM = STRATUM_ENGINE.name
+DBMS = DBMS_ENGINE.name
 
 
 @dataclass
@@ -49,24 +50,21 @@ def partition_plan(plan: Operation) -> PlanPartition:
     The root executes in the stratum (the layer receives the user query); a
     ``TS`` node itself belongs to the engine *receiving* the data (the
     stratum) while its subtree belongs to the DBMS, and symmetrically for
-    ``TD``.
+    ``TD``.  A transfer into the engine already running crosses nothing.
     """
     partition = PlanPartition()
 
-    def assign(node: Operation, path: PlanPath, engine: str) -> None:
-        partition.assignment[path] = engine
-        child_engine = engine
-        if isinstance(node, TransferToStratum):
-            child_engine = DBMS
+    def assign(node: Operation, path: PlanPath, engine: Engine) -> None:
+        partition.assignment[path] = engine.name
+        below = child_engine(node, engine)
+        if below is not engine:
             partition.transfer_count += 1
-            partition.dbms_fragments.append(path + (0,))
-        elif isinstance(node, TransferToDBMS):
-            child_engine = STRATUM
-            partition.transfer_count += 1
+            if below is DBMS_ENGINE:
+                partition.dbms_fragments.append(path + (0,))
         for index, child in enumerate(node.children):
-            assign(child, path + (index,), child_engine)
+            assign(child, path + (index,), below)
 
-    assign(plan, ROOT_PATH, STRATUM)
+    assign(plan, ROOT_PATH, STRATUM_ENGINE)
     return partition
 
 

@@ -31,7 +31,7 @@ from repro.core.expressions import (
     ProjectionItem,
     compile_kernel,
 )
-from repro.core.joinsplit import folds_into_hash_join
+from repro.core.lowering import STRATUM_ENGINE, physical_choice
 from repro.core.operations import (
     BaseRelation,
     DuplicateElimination,
@@ -265,7 +265,7 @@ class TestValueRowsEndToEnd:
         statement = STATEMENTS["tjoin"]
         session = build_database(CHECK_SCALE, 0).session()
         plan = session.execute(statement.sql, statement.params[0]).plan
-        assert folds_into_hash_join(plan.subtree_at((0,)))
+        assert physical_choice(plan.subtree_at((0,)), STRATUM_ENGINE).folds_projection
         employees, projects = scaled_paper_workload(CHECK_SCALE, 0)
         span = Arithmetic(ArithmeticOperator.SUB, AttributeRef("T2"), AttributeRef("T1"))
         computed = Projection(
@@ -276,7 +276,7 @@ class TestValueRowsEndToEnd:
                 LiteralRelation(projects),
             ),
         )
-        assert folds_into_hash_join(computed)
+        assert physical_choice(computed, STRATUM_ENGINE).folds_projection
         expected = computed.evaluate(CONTEXT)
         tuple_constructions.clear()
         relation = session.execute(statement.sql, statement.params[0]).relation

@@ -24,7 +24,7 @@ from repro.core.operations import (
 from repro.core.lowering import DBMS_ENGINE, Lowering
 from repro.core.operations.base import EvaluationContext
 from repro.core.order_spec import OrderSpec
-from repro.core.physical import HashJoinOp, NestedLoopJoinOp
+from repro.core.physical import FilterOp, HashJoinOp
 from repro.dbms import ConventionalDBMS
 from repro.stratum import StratumExecutor
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA
@@ -136,7 +136,8 @@ class TestEmulatedTemporalOperations:
 
 
 class TestJoinAlgorithmChoice:
-    """The lowering reads ``core.joinsplit``: hash on equi keys, else nested loop."""
+    """The lowering follows ``physical_choice``: a σ over a product fuses into
+    a hash join on equi keys, and otherwise filters the product's nested loop."""
 
     @staticmethod
     def _root(dbms, predicate):
@@ -161,11 +162,13 @@ class TestJoinAlgorithmChoice:
         assert isinstance(root, HashJoinOp)
         assert root.describe().endswith("residual: Dept = 'Sales']")
 
-    def test_no_equality_is_a_nested_loop_over_the_whole_predicate(self, dbms):
+    def test_no_equality_filters_the_products_nested_loop(self, dbms):
         predicate = equals("Dept", "Sales")
         root = self._root(dbms, predicate)
-        assert isinstance(root, NestedLoopJoinOp)
-        assert root.describe() == f"NestedLoopJoin[nested-loop, residual: {predicate}]"
+        assert isinstance(root, FilterOp)
+        (product,) = root.children()
+        assert product.describe() == "NestedLoopJoin[nested-loop]"
+        assert (root.paths, product.paths) == (((),), ((0,),))
 
 
 class TestEngineFacade:

@@ -58,7 +58,6 @@ from repro.core.physical import (
     EmulateOp,
     HashJoinOp,
     IntervalJoinOp,
-    NestedLoopJoinOp,
     ProjectOp,
     SourceOp,
     TemporalAggregateOp,
@@ -243,11 +242,17 @@ class TestPlannerChoices:
         right = LiteralRelation(
             Relation.from_rows(JOIN_RIGHT_SCHEMA, [("John", "X", 2, 6), ("Mia", "Y", 7, 9)])
         )
+        # A keyless σ over the product is not fused in the DBMS (only a hash
+        # join is): it filters the product's own nested loop.
+        expected = {
+            Join: [f"NestedLoopJoin[nested-loop, residual: {OVERLAP}]"],
+            Selection: [f"Filter({OVERLAP})", "NestedLoopJoin[nested-loop]"],
+        }
         for plan in (Join(OVERLAP, left, right), Selection(OVERLAP, CartesianProduct(left, right))):
             root, _ = dbms_tree(plan)
-            assert isinstance(root, NestedLoopJoinOp)
             assert not any(isinstance(op, IntervalJoinOp) for op in root.operators())
-            assert root.describe() == f"NestedLoopJoin[nested-loop, residual: {OVERLAP}]"
+            described = [op.describe() for op in root.operators()]
+            assert described[: len(expected[type(plan)])] == expected[type(plan)]
             assert multiset_equivalent(root.to_relation(), plan.evaluate(CONTEXT))
         # The same predicate in stratum territory does get the interval join.
         assert isinstance(Lowering().lower(Join(OVERLAP, left, right)), IntervalJoinOp)

@@ -36,7 +36,7 @@ from benchmarks.test_bench_perf_plan_quality import (
     overlap_join_seed,
 )
 from repro.core.analysis import derive_order
-from repro.core.cost import Engine
+from repro.core.lowering import DBMS_ENGINE, STRATUM_ENGINE
 from repro.core.operations import BaseRelation, Join, LiteralRelation, TransferToStratum
 from repro.core.query import QueryResultSpec
 from repro.core.relation import Relation
@@ -157,7 +157,7 @@ class TestPurity:
     """Exploration reads no statistics; extraction writes no memo."""
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(case=plans_and_two_statistics(), engine=st.sampled_from([Engine.STRATUM, Engine.DBMS]))
+    @given(case=plans_and_two_statistics(), engine=st.sampled_from([STRATUM_ENGINE, DBMS_ENGINE]))
     def test_explore_is_a_function_of_the_seed_and_extract_only_reads(self, case, engine):
         plan, spec, (first, second) = case
         search = MemoSearch(options=SearchOptions(max_expressions=400), root_engine=engine)

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.cost import (
     CostModel,
-    Engine,
     choose_best_plan,
     cost_annotations,
     estimate_cost,
@@ -33,6 +32,7 @@ from repro.core.cost import (
 )
 from repro.core.enumeration import enumerate_plans
 from repro.core.equivalence import EquivalenceType
+from repro.core.lowering import DBMS_ENGINE, STRATUM_ENGINE
 from repro.core.expressions import And, AttributeRef, Comparison, ComparisonOperator
 from repro.core.operations import (
     BaseRelation,
@@ -230,37 +230,37 @@ class TestJoinWorkFormulas:
         plans that build on the smaller input.
         """
         model = self.MODEL
-        work = operator_work(self._hash_join(), (100.0, 200.0), 40.0, Engine.STRATUM)
+        work = operator_work(self._hash_join(), (100.0, 200.0), 40.0, STRATUM_ENGINE)
         assert work == pytest.approx(100.0 + model.hash_build_weight * 200.0 + 40.0)
 
     def test_hash_build_weight_is_configurable(self):
         model = CostModel(hash_build_weight=3.5)
         work = operator_work(
-            self._hash_join(), (100.0, 200.0), 40.0, Engine.STRATUM, model
+            self._hash_join(), (100.0, 200.0), 40.0, STRATUM_ENGINE, model
         )
         assert work == pytest.approx(100.0 + 3.5 * 200.0 + 40.0)
 
     def test_hash_join_prefers_building_on_the_smaller_input(self):
         """With asymmetric inputs, build-on-small is strictly cheaper."""
         join = self._hash_join()
-        build_small = operator_work(join, (200.0, 100.0), 40.0, Engine.STRATUM)
-        build_large = operator_work(join, (100.0, 200.0), 40.0, Engine.STRATUM)
+        build_small = operator_work(join, (200.0, 100.0), 40.0, STRATUM_ENGINE)
+        build_large = operator_work(join, (100.0, 200.0), 40.0, STRATUM_ENGINE)
         assert build_small < build_large
         assert build_large - build_small == pytest.approx(
             (self.MODEL.hash_build_weight - 1.0) * 100.0
         )
 
     def test_interval_join_is_sort_plus_merge_plus_output(self):
-        work = operator_work(self._interval_join(), (100.0, 200.0), 40.0, Engine.STRATUM)
+        work = operator_work(self._interval_join(), (100.0, 200.0), 40.0, STRATUM_ENGINE)
         assert work == pytest.approx((100.0 + 200.0) * math.log2(200.0) + 40.0)
 
     def test_keyless_join_keeps_the_product_bound(self):
-        work = operator_work(self._nested_loop_join(), (100.0, 200.0), 40.0, Engine.STRATUM)
+        work = operator_work(self._nested_loop_join(), (100.0, 200.0), 40.0, STRATUM_ENGINE)
         assert work == pytest.approx(100.0 * 200.0 + 40.0)
 
     def test_dbms_prices_the_hash_join_natively(self):
         model = self.MODEL
-        work = operator_work(self._hash_join(), (100.0, 200.0), 40.0, Engine.DBMS)
+        work = operator_work(self._hash_join(), (100.0, 200.0), 40.0, DBMS_ENGINE)
         assert work == pytest.approx(
             (100.0 + model.hash_build_weight * 200.0 + 40.0) * model.dbms_speed
         )
@@ -270,14 +270,14 @@ class TestJoinWorkFormulas:
         filter over the streamed product, so the product bound applies."""
         model = self.MODEL
         for join in (self._interval_join(), self._nested_loop_join()):
-            work = operator_work(join, (100.0, 200.0), 40.0, Engine.DBMS)
+            work = operator_work(join, (100.0, 200.0), 40.0, DBMS_ENGINE)
             assert work == pytest.approx((100.0 * 200.0 + 40.0) * model.dbms_speed)
 
     def test_dbms_prices_temporal_joins_as_emulation(self):
         left, right = _scan_pair()
         join = TemporalJoin(_eq("1.EmpName", "2.EmpName"), left, right)
         model = self.MODEL
-        work = operator_work(join, (100.0, 200.0), 40.0, Engine.DBMS)
+        work = operator_work(join, (100.0, 200.0), 40.0, DBMS_ENGINE)
         assert work == pytest.approx((100.0 * 200.0 + 40.0) * model.dbms_temporal_penalty)
 
     def test_nested_and_equi_conjuncts_hash_join_in_the_dbms(self):
@@ -297,7 +297,7 @@ class TestJoinWorkFormulas:
             Comparison(ComparisonOperator.NE, AttributeRef("Prj"), Literal("P9")),
         )
         join = Join(nested, left, right)
-        work = operator_work(join, (100.0, 200.0), 40.0, Engine.DBMS)
+        work = operator_work(join, (100.0, 200.0), 40.0, DBMS_ENGINE)
         assert work == pytest.approx(
             (100.0 + self.MODEL.hash_build_weight * 200.0 + 40.0) * self.MODEL.dbms_speed
         )
@@ -314,7 +314,7 @@ class TestJoinWorkFormulas:
                 bound = minimal_operator_work(join, cards, 1.0, self.MODEL)
                 per_engine = [
                     operator_work(join, cards, 1.0, engine, self.MODEL)
-                    for engine in (Engine.STRATUM, Engine.DBMS)
+                    for engine in (STRATUM_ENGINE, DBMS_ENGINE)
                 ]
                 assert bound == pytest.approx(min(per_engine))
                 assert all(bound <= work + 1e-12 for work in per_engine)
@@ -323,7 +323,7 @@ class TestJoinWorkFormulas:
         join = self._interval_join()
         previous = 0.0
         for size in (2.0, 4.0, 16.0, 250.0):
-            work = operator_work(join, (size, size), 0.0, Engine.STRATUM)
+            work = operator_work(join, (size, size), 0.0, STRATUM_ENGINE)
             assert work >= previous
             previous = work
 
@@ -357,12 +357,12 @@ class TestFusedPairCosting:
                 plan.child,
                 product_annotation.input_cardinalities,
                 product_annotation.output_cardinality,
-                Engine.STRATUM,
+                STRATUM_ENGINE,
             ) + operator_work(
                 plan,
                 (product_annotation.output_cardinality,),
                 annotations[()].output_cardinality,
-                Engine.STRATUM,
+                STRATUM_ENGINE,
             )
             leaf_cost = sum(
                 annotations[path].work for path in ((0, 0), (0, 1))
@@ -386,7 +386,7 @@ class TestFusedPairCosting:
         model = CostModel()
         left, right = _scan_pair()
         equi = Selection(_eq("1.EmpName", "2.EmpName"), CartesianProduct(left, right))
-        annotations = cost_annotations(equi, STATISTICS, engine=Engine.DBMS)
+        annotations = cost_annotations(equi, STATISTICS, engine=DBMS_ENGINE)
         assert annotations[(0,)].work == 0.0
         a, b = annotations[(0,)].input_cardinalities
         output = annotations[()].output_cardinality
@@ -404,7 +404,7 @@ class TestFusedPairCosting:
         )
         # A keyless pair is *not* fused by the DBMS: product bound stays.
         keyless = Selection(_lt("1.T1", "2.T1"), CartesianProduct(left, right))
-        keyless_annotations = cost_annotations(keyless, STATISTICS, engine=Engine.DBMS)
+        keyless_annotations = cost_annotations(keyless, STATISTICS, engine=DBMS_ENGINE)
         assert keyless_annotations[(0,)].work > 0.0
 
     def test_upper_bound_stays_attainable_without_the_join_rules(self):

@@ -47,7 +47,6 @@ from repro.core.expressions import (
     Literal,
     ProjectionItem,
 )
-from repro.core.joinsplit import folds_into_hash_join
 from repro.core.operations import (
     CartesianProduct,
     Join,
@@ -63,7 +62,7 @@ from repro.core.relation import Relation
 from repro.core.schema import INTEGER, STRING, RelationSchema
 from repro.faults.control import ExecutionControl, ResourceGuard
 from repro.stratum.executor import StratumExecutor
-from repro.core.lowering import Lowering
+from repro.core.lowering import STRATUM_ENGINE, Lowering, physical_choice
 
 from .conftest import in_threads
 from .strategies import (
@@ -202,7 +201,7 @@ class TestDifferential:
     @settings(max_examples=150, deadline=None)
     @given(projected_hash_joins())
     def test_the_fused_probe_equals_the_reference_and_the_operator_pair(self, plan):
-        assert folds_into_hash_join(plan)
+        assert physical_choice(plan, STRATUM_ENGINE).folds_projection
         attributes = plan.output_schema().attributes
         expected = rows_of(plan.evaluate(CONTEXT), attributes)
         for batch_size in BATCH_SIZES:

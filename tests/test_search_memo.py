@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 import repro.search.search as search_module
-from repro.core.cost import CostModel, Engine
+from repro.core.cost import CostModel
+from repro.core.lowering import STRATUM_ENGINE
 from repro.core.operations import (
     BaseRelation,
     Coalescing,
@@ -157,7 +158,7 @@ def extracted(query):
     extractor = search_module._Extractor(
         exploration.memo, STATISTICS, CostModel(), SearchStatistics(), float("inf")
     )
-    extractor.frontier(exploration.root, Engine.STRATUM)
+    extractor.frontier(exploration.root, STRATUM_ENGINE)
     return exploration, extractor
 
 

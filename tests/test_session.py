@@ -66,10 +66,10 @@ class TestLifecycle:
         assert result.report.dbms_calls >= 1
         assert result.report.node_rows  # actual cardinalities were captured
 
-    def test_execute_tsql_facade_caches(self, session):
+    def test_database_execute_runs_the_cached_default_session(self, session):
         db = session.database
-        first = db.execute_tsql(PAPER_STATEMENT)
-        second = db.execute_tsql(PAPER_STATEMENT)
+        first = db.execute(PAPER_STATEMENT)
+        second = db.execute(PAPER_STATEMENT)
         assert not first.cache_hit
         assert second.cache_hit
         assert first.relation.as_list() == second.relation.as_list()

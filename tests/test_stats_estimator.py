@@ -261,11 +261,12 @@ class TestStatisticsWiring:
             )
             for name, relation in skewed.items():
                 db.register(name, relation)
-            outcomes[use_statistics] = db.execute_plan(plan, spec)
-        assert outcomes[True].relation == outcomes[False].relation
+            optimization = db.optimize_plan(plan, spec)
+            outcomes[use_statistics] = (optimization, db.run_plan(optimization.chosen_plan))
+        assert outcomes[True][1] == outcomes[False][1]
         assert (
-            outcomes[True].optimization.chosen_cost.total
-            != outcomes[False].optimization.chosen_cost.total
+            outcomes[True][0].chosen_cost.total
+            != outcomes[False][0].chosen_cost.total
         )
 
 

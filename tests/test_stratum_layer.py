@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from benchmarks.ledger.workloads import STATEMENTS, build_database
 from repro.core.analysis import derive_cardinality_bounds, derive_order
 from repro.core.applicability import rule_application_allowed
-from repro.core.cost import CostModel, Engine, cost_annotations
+from repro.core.cost import CostModel, cost_annotations
+from repro.core.lowering import DBMS_ENGINE
 from repro.core.equivalence import multiset_equivalent
 from repro.core.exceptions import CatalogError, ParseError
 from repro.core.expressions import equals
@@ -114,18 +115,18 @@ class TestTemporalDatabaseFacade:
         result = temporal_db.run_plan(plan)
         assert result.cardinality == employee.cardinality
 
-    def test_execute_plan_with_optimization_disabled(self, temporal_db, paper_statement):
+    def test_a_plan_with_optimization_disabled_runs_as_translated(self, temporal_db, paper_statement):
         plan, spec = temporal_db.parse(paper_statement)
         database = TemporalDatabase(
             dbms=temporal_db.dbms, options=ExecutionOptions(optimize_queries=False)
         )
-        outcome = database.execute_plan(plan, spec)
+        optimization = database.optimize_plan(plan, spec)
         # Nothing searched, the stratum's plan nor its one fragment (the
         # whole statement): the translated plan executes as it is.
-        optimization = outcome.optimization
         assert optimization.search is None and optimization.plans_considered == 1
         assert optimization.chosen_plan is optimization.initial_plan is plan
-        assert multiset_equivalent(outcome.relation, temporal_db.run_plan(plan))
+        relation = database.run_plan(optimization.chosen_plan)
+        assert multiset_equivalent(relation, temporal_db.run_plan(plan))
 
     def test_explain_reports_the_plan_that_executes(self, temporal_db, paper_statement):
         database = TemporalDatabase(
@@ -140,7 +141,7 @@ class TestTemporalDatabaseFacade:
         searched = temporal_db.explain(paper_statement).splitlines()
         assert "plans considered: 1" not in searched
 
-    def test_query_outcome_records_statement(self, temporal_db, paper_statement):
+    def test_execute_records_statement(self, temporal_db, paper_statement):
         outcome = temporal_db.execute(paper_statement)
         assert outcome.statement == paper_statement
         assert outcome.query_spec.coalesced
@@ -320,7 +321,7 @@ class TestTheStratumsSearchSubsumesTheDBMSs:
             )
             for path in partition_plan(plan).dbms_fragments:
                 inside = [a for p, a in annotations.items() if p[: len(path)] == path]
-                assert inside[-1].engine == Engine.DBMS  # post-order: the fragment root
+                assert inside[-1].engine == DBMS_ENGINE.name  # post-order: the fragment root
                 searched = database.dbms.search(plan.subtree_at(path))
                 assert searched.best_cost.total == sum(a.work for a in inside)
                 priced += 1

@@ -10,7 +10,7 @@ per-node accounting and the EXPLAIN annotation.
 
 from hypothesis import given, settings
 
-from repro.core.cost import Engine, cost_annotations
+from repro.core.cost import cost_annotations
 from repro.core.expressions import (
     And,
     AttributeRef,
@@ -24,7 +24,6 @@ from repro.core.joinsplit import (
     split_for_product,
     split_for_selection,
     split_product_predicate,
-    stratum_physical_description,
 )
 from repro.core.operations import (
     CartesianProduct,
@@ -43,7 +42,7 @@ from repro.core.schema import INTEGER, RelationSchema, STRING
 from repro.core.tuples import Tuple
 from repro.dbms import ConventionalDBMS
 from repro.stratum import StratumExecutor
-from repro.core.lowering import Lowering
+from repro.core.lowering import STRATUM_ENGINE, Lowering, physical_choice
 from repro.core.physical import HashJoinOp, IntervalJoinOp, NestedLoopJoinOp
 from repro.workloads import employee_relation, project_relation
 
@@ -264,28 +263,29 @@ class TestExplainAnnotation:
             Join(And(*OVERLAP), SAMPLE_LEFT, SAMPLE_RIGHT),
             CartesianProduct(SAMPLE_LEFT, SAMPLE_RIGHT),
         ):
-            description, fuses = stratum_physical_description(plan)
+            choice = physical_choice(plan, STRATUM_ENGINE)
             root = Lowering().lower(plan)
-            assert not fuses
-            assert description in root.describe()
+            assert not choice.fuses_product
+            assert type(root) is choice.operator
+            assert choice.describe() in root.describe()
 
-    def test_dbms_side_annotations_cover_only_the_fused_hash_pair(self):
+    def test_dbms_side_annotations_fuse_only_the_hash_pair(self):
         from repro.core.operations import TransferToStratum
 
-        # The DBMS substrate fuses an equi σ(×) into its native hash join
-        # (repro.core.lowering), so that pair is annotated like the
-        # stratum's fusion; every other DBMS-side shape runs the reference
-        # multiset operators and stays unannotated.
+        # The DBMS fuses an equi σ(×) into its native hash join
+        # (repro.core.lowering.physical_choice), so that pair is annotated
+        # like the stratum's fusion; a keyless σ filters the product, which
+        # runs as its own nested loop.
         plan = TransferToStratum(Selection(EQUI, CartesianProduct(SAMPLE_LEFT, SAMPLE_RIGHT)))
-        annotations = cost_annotations(plan, engine=Engine.STRATUM)
+        annotations = cost_annotations(plan, engine=STRATUM_ENGINE)
         assert annotations[(0,)].physical == "hash: 1.Name=2.Name"
         assert annotations[(0, 0)].physical == "fused into σ"
         keyless = TransferToStratum(
             Selection(OVERLAP[0], CartesianProduct(SAMPLE_LEFT, SAMPLE_RIGHT))
         )
-        keyless_annotations = cost_annotations(keyless, engine=Engine.STRATUM)
+        keyless_annotations = cost_annotations(keyless, engine=STRATUM_ENGINE)
         assert keyless_annotations[(0,)].physical is None
-        assert keyless_annotations[(0, 0)].physical is None
+        assert keyless_annotations[(0, 0)].physical == "nested-loop"
 
 
 class TestSchemaPermutationFallback:
