@@ -11,19 +11,19 @@ coalescing.  This package implements that foundation end to end:
     plan enumeration algorithm, and a cost model for plan selection.
 
 ``repro.search``
-    the memo-based, cost-guided plan search (the default optimizer): shared
+    the memo-based, cost-guided plan search (the one optimizer): shared
     equivalence groups, task-driven exploration, branch-and-bound extraction.
 
 ``repro.stats``
     statistics collection and cardinality estimation: per-table equi-depth
     and valid-time interval histograms, distinct-count estimation, the
-    plan-walking ``CardinalityEstimator`` feeding both optimizers, and
+    plan-walking ``CardinalityEstimator`` feeding the optimizer, and
     calibration of the cost model's engine constants from measured timings.
 
 ``repro.dbms``
     a conventional (multiset-semantics) in-memory DBMS substrate: catalog,
-    iterator-based executor, its own optimizer and a SQL generator for plan
-    fragments shipped to it.
+    execution of a plan fragment as given under the DBMS's engine
+    descriptor, and a SQL generator for the fragments shipped to it.
 
 ``repro.stratum``
     the temporal layer on top of the DBMS: efficient implementations of the

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, List, Sequence, Tuple as PyTuple
 
 from ..exceptions import TemporalSchemaError
-from ..expressions import ProjectionItem, projection_items
+from ..expressions import AttributeRef, ProjectionItem, projection_items
 from ..order_spec import OrderSpec
 from ..period import T1, T2
 from ..relation import Relation
@@ -77,13 +77,14 @@ class Projection(UnaryOperation):
             )
         pairs = []
         for item in self.items:
-            name = item.output_name
-            if item.is_plain_attribute():
-                pairs.append((name, child_schema.domain_of(name)))
+            expression = item.expression
+            if isinstance(expression, AttributeRef):  # copied, perhaps renamed
+                domain = child_schema.domain_of(expression.name)
             else:
                 # Computed columns default to the float domain; richer type
                 # inference is not needed by the paper's rules.
-                pairs.append((name, FLOAT))
+                domain = FLOAT
+            pairs.append((item.output_name, domain))
         return RelationSchema.from_pairs(pairs, name=child_schema.name)
 
     # -- Table 1 metadata -----------------------------------------------------------

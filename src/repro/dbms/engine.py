@@ -1,19 +1,21 @@
-"""The conventional DBMS substrate: catalog, optimizer and executor in one facade.
+"""The conventional DBMS substrate: a catalog and an executor in one facade.
 
 :class:`ConventionalDBMS` is the "unaltered, conventional DBMS" of the
 paper's layered architecture: it stores relations, accepts (conventional)
-logical plans, optimizes them with its own cost-guided search, executes them
-with multiset semantics, and can show the SQL text a fragment corresponds to.  It
-knows nothing about valid time beyond treating ``T1``/``T2`` as ordinary
-integer columns — temporal operations reaching it are only ever *emulated*
-(slowly), which the execution report exposes.
+logical plan fragments and executes them with multiset semantics.  It knows
+nothing about valid time beyond treating ``T1``/``T2`` as ordinary integer
+columns — temporal operations reaching it are only ever *emulated* (slowly),
+which the execution report exposes.
 
-It executes through the one lowering of :mod:`repro.core.lowering` under the
-DBMS's engine descriptor (:data:`~repro.core.lowering.DBMS_ENGINE`): what it
-may build from the shared batch operators — no interval join, no temporal
-operator — is declared there.  The stratum executes a request's fragments in
-the same operator tree and never calls :meth:`ConventionalDBMS.execute`;
-that is for direct callers.
+It has no search of its own: the statement's memo search already explores
+below every ``TS`` with the DBMS's multiset-safe rules at the DBMS's rates
+(``docs/architecture.md``, "Who optimizes a fragment, and when").  A
+fragment runs as given, through the one lowering of
+:mod:`repro.core.lowering` under the DBMS's engine descriptor
+(:data:`~repro.core.lowering.DBMS_ENGINE`), which declares what it may build
+from the shared batch operators — no interval join, no temporal operator.
+The stratum executes a request's fragments in the same operator tree and
+never calls :meth:`ConventionalDBMS.execute`; that is for direct callers.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from ..core.order_spec import OrderSpec
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..options import DEFAULT_BATCH_SIZE
-from ..search import SearchResult
 from .catalog import Catalog, CatalogSnapshot, Table
-from .optimizer import CostGuidedConventionalOptimizer
-from .sqlgen import to_sql
 
 
 @dataclass
@@ -39,7 +38,6 @@ class DBMSResult:
 
     relation: Relation
     report: ExecutionReport
-    optimized_plan: Operation
 
 
 class _Engine:
@@ -64,28 +62,10 @@ class _Engine:
 
 
 class ConventionalDBMS(_Engine):
-    """An in-memory, multiset-semantics SQL engine.
+    """An in-memory, multiset-semantics SQL engine."""
 
-    The engine's own optimization is the cost-guided memo search over its
-    catalog statistics (:class:`CostGuidedConventionalOptimizer`; pass one
-    as ``optimizer`` to change its rules or cost model).  With
-    ``use_statistics=True`` the fragment costing additionally consumes the
-    catalog's histogram-backed
-    :class:`~repro.stats.estimator.CardinalityEstimator` instead of the
-    fixed selectivity constants.
-    """
-
-    def __init__(self, optimizer=None, use_statistics: bool = False) -> None:
-        if optimizer is not None and use_statistics:
-            raise ValueError(
-                "use_statistics only wires the default optimizer; give your "
-                "optimizer an estimator_provider instead"
-            )
+    def __init__(self) -> None:
         self.catalog = Catalog()
-        self._optimizer = optimizer or CostGuidedConventionalOptimizer(
-            statistics_provider=self.catalog.statistics,
-            estimator_provider=self.catalog.estimator if use_statistics else None,
-        )
 
     # -- data definition ---------------------------------------------------------
 
@@ -109,24 +89,26 @@ class ConventionalDBMS(_Engine):
 
     # -- querying -------------------------------------------------------------------
 
-    def search(self, plan: Operation) -> SearchResult:
-        """Run the engine's own optimizer over a logical plan fragment: the
-        whole search — ``best_plan`` plus its counters."""
-        return self._optimizer.search(plan)
-
     def optimize(self, plan: Operation) -> Operation:
-        """The fragment :meth:`search` finds cheapest."""
-        return self.search(plan).best_plan
+        """Return ``plan``: the engine has no search of its own.
+
+        Kept only because the frozen ledger replay
+        (``benchmarks/ledger/replay.py``) still calls it on every fragment it
+        re-runs; it goes when that replay is next changed.
+        """
+        return plan
 
     def execute(
         self,
         plan: Operation,
-        optimize: bool = True,
+        _replayed=None,
+        /,
+        *,
         clock=None,
         control=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> DBMSResult:
-        """Optimize (optionally) and execute a logical plan fragment.
+        """Execute a logical plan fragment as given.
 
         ``clock`` (a monotonic callable) turns on per-operator timing: the
         report's ``node_timings`` then carry each plan node's wall-clock.
@@ -134,28 +116,19 @@ class ConventionalDBMS(_Engine):
         threads cancellation, deadlines, resource budgets and fault
         injection into the physical operators' drains; a failure raises —
         only the stratum degrades.  ``batch_size`` is the operators' chunk
-        size.
+        size.  The ignored second positional parameter exists only because
+        the frozen ledger replay (``benchmarks/ledger/replay.py``) still
+        passes one; it goes when that replay is next changed.
         """
-        final_plan = self.optimize(plan) if optimize else plan
         lowering = Lowering(self.catalog, batch_size, clock, control)
-        relation, report = lowering.execute(lowering.lower(final_plan, DBMS_ENGINE))
-        return DBMSResult(relation=relation, report=report, optimized_plan=final_plan)
-
-    def query(self, plan: Operation, optimize: bool = True) -> Relation:
-        """Execute a plan and return only the result relation."""
-        return self.execute(plan, optimize=optimize).relation
+        relation, report = lowering.execute(lowering.lower(plan, DBMS_ENGINE))
+        return DBMSResult(relation=relation, report=report)
 
     # -- introspection --------------------------------------------------------------
 
-    def explain(self, plan: Operation, optimize: bool = True) -> str:
-        """The physical plan the engine would run, as indented text."""
-        final_plan = self.optimize(plan) if optimize else plan
-        return Lowering(self.catalog).lower(final_plan, DBMS_ENGINE).explain()
-
-    def sql_for(self, plan: Operation, optimize: bool = True, pretty: bool = False) -> str:
-        """The SQL text corresponding to a (conventional) plan fragment."""
-        final_plan = self.optimize(plan) if optimize else plan
-        return to_sql(final_plan, pretty=pretty)
+    def explain(self, plan: Operation) -> str:
+        """The physical plan the engine runs for ``plan``, as indented text."""
+        return Lowering(self.catalog).lower(plan, DBMS_ENGINE).explain()
 
     # -- snapshots ------------------------------------------------------------------
 
@@ -176,9 +149,9 @@ class SnapshotDBMS(_Engine):
     It only reads its catalog (``catalog``/``statistics``/
     ``statistics_epoch``/``estimator``): the stratum executor and the
     session layer run whole queries against it unchanged, lowering its
-    fragments themselves.  It has neither an optimizer nor an ``execute``:
-    fragments arrive chosen when their statement was planned over the
-    *pinned* statistics, so plan choice and data come from one moment.
+    fragments themselves.  It has no ``execute``: fragments arrive chosen
+    when their statement was planned over the *pinned* statistics, so plan
+    choice and data come from one moment.
     """
 
     def __init__(self, catalog: CatalogSnapshot) -> None:

@@ -3,7 +3,7 @@
 The layer the paper defers to future work ("heuristics and cost estimation
 techniques", Section 7): equi-depth and interval histograms over stored
 relations, exact/sampled distinct counting, a plan-walking cardinality
-estimator that feeds both optimizers, and a calibration harness fitting the
+estimator that feeds the optimizer, and a calibration harness fitting the
 cost model's engine constants from measured timings.
 """
 

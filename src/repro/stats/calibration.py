@@ -141,13 +141,11 @@ def calibrate_cost_model(
         "stratum",
         lambda: [tup for tup in context_relation if predicate.evaluate(tup)],
     )
-    dbms_selection = measure(
-        "selection", "dbms", lambda: dbms.execute(selection, optimize=False)
-    )
+    dbms_selection = measure("selection", "dbms", lambda: dbms.execute(selection))
     stratum_sort = measure(
         "sort", "stratum", lambda: context_relation.sorted_by(OrderSpec.ascending("Entity"))
     )
-    dbms_sort = measure("sort", "dbms", lambda: dbms.execute(sort, optimize=False))
+    dbms_sort = measure("sort", "dbms", lambda: dbms.execute(sort))
 
     speed = median([dbms_selection / stratum_selection, dbms_sort / stratum_sort])
     dbms_speed = _clamp(speed, SPEED_RANGE)
@@ -156,7 +154,7 @@ def calibrate_cost_model(
     executor = StratumExecutor(dbms)
     rdupt = TemporalDuplicateElimination(base)
     stratum_temporal = measure("rdupT", "stratum", lambda: executor.execute(rdupt))
-    dbms_temporal = measure("rdupT", "dbms", lambda: dbms.execute(rdupt, optimize=False))
+    dbms_temporal = measure("rdupT", "dbms", lambda: dbms.execute(rdupt))
     penalty = _clamp(dbms_temporal / stratum_temporal, PENALTY_RANGE)
 
     # Transfer probe: shipping the whole relation across the boundary,

@@ -90,14 +90,12 @@ class TemporalQueryOptimizer:
         rules: Optional[Sequence[TransformationRule]] = None,
         cost_model: Optional[CostModel] = None,
         max_plans: int = 3000,
-        search_options: Optional[SearchOptions] = None,
         estimator=None,
     ) -> None:
         #: Built once, here (the default catalogue's is a process-wide singleton).
         self.index = rule_index(rules)
         self.cost_model = cost_model or CostModel()
-        self.max_plans = max_plans
-        self.search_options = search_options or SearchOptions(max_expressions=max_plans)
+        self.search_options = SearchOptions(max_expressions=max_plans)
         #: Optional histogram-backed cardinality estimator (see
         #: :mod:`repro.stats`); a per-call estimator passed to
         #: :meth:`optimize` takes precedence.
@@ -222,7 +220,7 @@ class TemporalDatabase(_CatalogReads):
         #: The execution configuration; sessions created through
         #: :meth:`session` inherit it.
         self.options = options
-        self.dbms = dbms or ConventionalDBMS(use_statistics=options.use_statistics)
+        self.dbms = dbms or ConventionalDBMS()
         self.optimizer = optimizer or TemporalQueryOptimizer()
         self.optimize_queries = options.optimize_queries
         #: When True, every optimization consumes a fresh histogram-backed
@@ -318,10 +316,10 @@ class TemporalDatabase(_CatalogReads):
         With ``optimize_queries=False`` the initial plan is costed and taken
         as the trivial single-plan outcome.  The executor runs the outcome's
         ``chosen_plan`` as given, ``TS`` fragments included: the statement's
-        search has already explored below every ``TS`` with the DBMS's own
-        rules and priced each fragment as the DBMS does, so a second search
-        per fragment could only return what it was given
-        (``docs/architecture.md``, "Who optimizes a fragment, and when").
+        search has already explored below every ``TS`` with the DBMS's
+        multiset-safe rules and priced each fragment at the DBMS's rates, so
+        the DBMS needs no search of its own (``docs/architecture.md``, "Who
+        optimizes a fragment, and when").
         With a ``snapshot`` the statistics (and, under ``use_statistics``,
         the estimator) come from the pinned contents instead of the live
         catalog, so the plan matches the epoch the snapshot's cache key

@@ -43,9 +43,9 @@ def reference_context(employee, project):
     return EvaluationContext({"EMPLOYEE": employee, "PROJECT": project})
 
 
-def check_matches_reference(dbms, plan, reference_context, optimize=True):
+def check_matches_reference(dbms, plan, reference_context):
     """The DBMS promises multiset semantics: compare against reference evaluation."""
-    produced = dbms.query(plan, optimize=optimize)
+    produced = dbms.execute(plan).relation
     expected = plan.evaluate(reference_context)
     assert multiset_equivalent(produced, expected), plan.pretty()
     return produced
@@ -57,7 +57,7 @@ class TestNativeExecution:
 
     def test_missing_table(self, dbms):
         with pytest.raises(CatalogError):
-            dbms.query(BaseRelation("NOPE", EMPLOYEE_SCHEMA))
+            dbms.execute(BaseRelation("NOPE", EMPLOYEE_SCHEMA))
 
     def test_selection_projection_sort(self, dbms, reference_context):
         plan = Sort(
@@ -92,7 +92,7 @@ class TestNativeExecution:
             ComparisonOperator.EQ, attribute("1.EmpName"), attribute("2.EmpName")
         )
         plan = Join(predicate, employee_scan(), project_scan())
-        explanation = dbms.explain(plan, optimize=False)
+        explanation = dbms.explain(plan)
         assert "HashJoin" in explanation
         check_matches_reference(dbms, plan, reference_context)
 
@@ -101,13 +101,13 @@ class TestNativeExecution:
             ComparisonOperator.EQ, attribute("1.EmpName"), attribute("2.EmpName")
         )
         plan = Selection(predicate, CartesianProduct(employee_scan(), project_scan()))
-        explanation = dbms.explain(plan, optimize=False)
+        explanation = dbms.explain(plan)
         assert "HashJoin" in explanation
         check_matches_reference(dbms, plan, reference_context)
 
     def test_sort_result_is_ordered(self, dbms):
         plan = Sort(OrderSpec.of("T1 DESC"), employee_scan())
-        result = dbms.query(plan)
+        result = dbms.execute(plan).relation
         values = [tup["T1"] for tup in result]
         assert values == sorted(values, reverse=True)
 
@@ -117,7 +117,7 @@ class TestEmulatedTemporalOperations:
         plan = Coalescing(
             TemporalDuplicateElimination(Projection(["EmpName", "T1", "T2"], employee_scan()))
         )
-        outcome = dbms.execute(plan, optimize=False)
+        outcome = dbms.execute(plan)
         assert len(outcome.report.dbms_emulated_operations) == 2
         expected = plan.evaluate(reference_context)
         assert multiset_equivalent(outcome.relation, expected)
@@ -129,7 +129,7 @@ class TestEmulatedTemporalOperations:
             OrderSpec.ascending("EmpName"),
             Coalescing(TemporalDuplicateElimination(TemporalDifference(left, right))),
         )
-        outcome = dbms.execute(plan, optimize=False)
+        outcome = dbms.execute(plan)
         assert len(outcome.report.dbms_emulated_operations) >= 4
         expected = plan.evaluate(reference_context)
         assert multiset_equivalent(outcome.relation, expected)
@@ -178,11 +178,24 @@ class TestEngineFacade:
         engine.load_relation("PROJECT", project)
         assert engine.statistics() == {"EMPLOYEE": 5, "PROJECT": 8}
 
-    def test_optimizer_is_applied_by_default(self, dbms):
+    def test_the_plan_runs_as_given(self, dbms, reference_context):
+        """The engine has no search: the selection stays above the
+        projection, in the explanation and in the rows each node produced."""
         plan = Selection(equals("Dept", "Sales"), Projection(["EmpName", "Dept"], employee_scan()))
+        explanation = dbms.explain(plan).splitlines()
+        assert [line.strip().split("(")[0] for line in explanation] == ["Filter", "Project", "Source"]
         outcome = dbms.execute(plan)
-        # The optimizer pushes the selection below the projection.
-        assert isinstance(outcome.optimized_plan, Projection)
+        assert outcome.report.node_rows == {(): 3, (0,): 5, (0, 0): 5}
+        assert multiset_equivalent(outcome.relation, plan.evaluate(reference_context))
+
+    def test_the_replay_shims_change_nothing(self, dbms):
+        """``optimize`` and ``execute``'s second positional parameter exist
+        only for the frozen ledger replay: neither alters what runs."""
+        plan = Selection(equals("Dept", "Sales"), Projection(["EmpName", "Dept"], employee_scan()))
+        assert dbms.optimize(plan) is plan
+        replayed = dbms.execute(dbms.optimize(plan), False)
+        assert list(replayed.relation.tuples) == list(dbms.execute(plan).relation.tuples)
+        assert replayed.report.node_rows == dbms.execute(plan).report.node_rows
 
     def test_explain_renders_physical_plan(self, dbms):
         plan = Sort(OrderSpec.ascending("EmpName"), employee_scan())
@@ -190,11 +203,11 @@ class TestEngineFacade:
         assert "Sort" in explanation and "Source(EMPLOYEE" in explanation
 
     def test_a_pinned_engine_only_reads_its_catalog(self, dbms):
-        """A snapshot has no optimizer, so it has no ``execute`` either: the
-        stratum lowers fragments against its catalog itself."""
+        """A snapshot has no ``execute``: the stratum lowers fragments
+        against its catalog itself."""
         snapshot = dbms.snapshot()
         assert not hasattr(snapshot, "execute") and not hasattr(snapshot, "optimize")
         assert snapshot.statistics() == dbms.statistics()
         plan = Sort(OrderSpec.ascending("EmpName"), employee_scan())
         produced = StratumExecutor(snapshot).execute(plan)
-        assert list(produced.tuples) == list(dbms.execute(plan, optimize=False).relation.tuples)
+        assert list(produced.tuples) == list(dbms.execute(plan).relation.tuples)

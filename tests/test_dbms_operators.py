@@ -345,7 +345,7 @@ class TestPlannerChoices:
         assert control.ticks == {"dbms.scan": 1 + len(stored) // 2}
         assert outcome.report.node_rows == {ROOT_PATH: len(stored)}
         assert set(outcome.report.node_timings) == {ROOT_PATH}
-        assert dbms.explain(BaseRelation("EMPLOYEE", stored.schema), optimize=False) == (
+        assert dbms.explain(BaseRelation("EMPLOYEE", stored.schema)) == (
             f"Source(EMPLOYEE, rows={len(stored)})"
         )
 
@@ -440,7 +440,7 @@ class TestEmulation:
             )
         )
         control = CountingControl(interval=2)
-        outcome = dbms.execute(plan, optimize=False, control=control, batch_size=2)
+        outcome = dbms.execute(plan, control=control, batch_size=2)
         assert outcome.report.dbms_emulated_operations == ["rdupT", "coalT"]
         assert multiset_equivalent(outcome.relation, plan.evaluate(CONTEXT))
         # Source and projection drain at the emulation's first pull, under the same control.

@@ -1,4 +1,9 @@
-"""Tests for SQL generation and the DBMS's own optimizer."""
+"""Tests for SQL generation and for the rewrites a DBMS fragment gets.
+
+The DBMS has no search of its own: the statement's search explores below
+every ``TS`` with the DBMS's multiset-safe rules, so the rewrites a DBMS
+would make to a fragment are checked there, on ``TS(fragment)``.
+"""
 
 import pytest
 
@@ -17,13 +22,16 @@ from repro.core.operations import (
     Selection,
     Sort,
     TemporalDuplicateElimination,
+    TransferToStratum,
     Union,
     UnionAll,
 )
 from repro.core.order_spec import OrderSpec
-from repro.dbms.optimizer import CostGuidedConventionalOptimizer
+from repro.core.query import QueryResultSpec
 from repro.dbms.sqlgen import to_sql
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, employee_relation
+
+from .test_stratum_layer import fragment_specification
 
 
 def employee_scan():
@@ -99,48 +107,68 @@ class TestSQLGeneration:
             to_sql(LiteralRelation(employee_relation()))
 
 
-class TestCostGuidedOptimizerRewrites:
-    """The rewrites the DBMS's own (cost-guided) search must find on a fragment."""
+def chosen_for_fragment(database, fragment):
+    """The statement search's plan for ``TS(fragment)``, rooted where a
+    fragment search roots."""
+    spec = fragment_specification(fragment)
+    return database.optimize_plan(TransferToStratum(fragment), spec).chosen_plan
 
-    def test_merges_projection_cascades(self):
+
+def labels(plan):
+    return [type(node).__name__ for _, node in plan.locations()]
+
+
+class TestTheStatementSearchRewritesAFragment:
+    """The rewrites a fragment shipped to the DBMS gets, made where they now
+    happen: in the statement search, below the ``TS``."""
+
+    def test_merges_projection_cascades(self, temporal_db):
         plan = Projection(["EmpName"], Projection(["EmpName", "Dept"], employee_scan()))
-        optimized = CostGuidedConventionalOptimizer().optimize(plan)
-        assert isinstance(optimized, Projection)
-        assert isinstance(optimized.child, BaseRelation)
+        chosen = chosen_for_fragment(temporal_db, plan)
+        assert chosen == TransferToStratum(Projection(["EmpName"], employee_scan()))
 
-    def test_removes_redundant_duplicate_elimination(self):
+    def test_removes_redundant_duplicate_elimination(self, temporal_db):
         plan = DuplicateElimination(
             DuplicateElimination(Projection(["EmpName", "Dept"], employee_scan()))
         )
-        optimized = CostGuidedConventionalOptimizer().optimize(plan)
-        labels = [type(node).__name__ for _, node in optimized.locations()]
-        assert labels.count("DuplicateElimination") == 1
+        assert labels(chosen_for_fragment(temporal_db, plan)).count("DuplicateElimination") == 1
 
-    def test_collapses_redundant_sorts(self):
+    def test_collapses_redundant_sorts(self, temporal_db):
         plan = Sort(
             OrderSpec.ascending("EmpName", "T1"),
             Sort(OrderSpec.ascending("EmpName"), employee_scan()),
         )
-        optimized = CostGuidedConventionalOptimizer().optimize(plan)
-        labels = [type(node).__name__ for _, node in optimized.locations()]
-        assert labels.count("Sort") == 1
+        assert labels(chosen_for_fragment(temporal_db, plan)).count("Sort") == 1
 
-    def test_its_result_is_a_fixpoint(self):
+    def test_pushes_selection_below_projection(self, temporal_db):
+        plan = Selection(
+            equals("Dept", "Sales"),
+            Projection(["EmpName", "Dept", "T1", "T2"], employee_scan()),
+        )
+        chosen = chosen_for_fragment(temporal_db, plan)
+        assert isinstance(chosen.child, Projection)
+        assert isinstance(chosen.child.child, Selection)
+
+    def test_preserves_the_delivered_order(self, temporal_db):
+        plan = Sort(
+            OrderSpec.ascending("EmpName"),
+            Selection(equals("Dept", "Sales"), employee_scan()),
+        )
+        # The fragment's result is ordered; the sort must survive.
+        assert "Sort" in labels(chosen_for_fragment(temporal_db, plan))
+
+    def test_its_result_is_a_fixpoint(self, temporal_db):
         plan = Selection(
             equals("Dept", "Sales"),
             Projection(["EmpName", "Dept"], Projection(["EmpName", "Dept", "T1", "T2"], employee_scan())),
         )
-        optimizer = CostGuidedConventionalOptimizer()
-        once = optimizer.optimize(plan)
-        assert once != plan
-        assert optimizer.optimize(once) == once
+        once = chosen_for_fragment(temporal_db, plan)
+        assert once != TransferToStratum(plan)
+        assert temporal_db.optimize_plan(once, QueryResultSpec.multiset()).chosen_plan == once
 
-    def test_leaves_temporal_operations_untouched(self):
+    def test_leaves_temporal_operations_untouched(self, temporal_db):
+        """No rule rewrites them; the stratum takes them over as they are."""
         plan = Coalescing(TemporalDuplicateElimination(employee_scan()))
-        assert CostGuidedConventionalOptimizer().optimize(plan) == plan
-
-    def test_custom_rule_set(self):
-        optimizer = CostGuidedConventionalOptimizer(rules=[])
-        plan = Selection(equals("Dept", "Sales"), Projection(["EmpName", "Dept"], employee_scan()))
-        assert optimizer.search(plan).statistics.applications_attempted == 0
-        assert optimizer.optimize(plan) == plan
+        assert chosen_for_fragment(temporal_db, plan) == Coalescing(
+            TemporalDuplicateElimination(TransferToStratum(employee_scan()))
+        )

@@ -51,7 +51,6 @@ from repro.core.rules.join_rules import (
     FuseSelectionOverProduct,
     FuseSelectionOverTemporalProduct,
 )
-from repro.dbms.optimizer import CostGuidedConventionalOptimizer
 from repro.options import ExecutionOptions
 from repro.search import search_best_plan
 from repro.stratum import TemporalDatabase
@@ -139,9 +138,9 @@ class TestJoinRules:
         for rule in JOIN_RULES:
             assert rule.equivalence is EquivalenceType.LIST
             assert rule in DEFAULT_RULES
-        # The DBMS's own cost-guided fragment optimizer may fuse too.
-        dbms_rule_names = {rule.name for rule in CostGuidedConventionalOptimizer().rules}
-        assert {"σ×→⋈", "σ×T→⋈T"} <= dbms_rule_names
+        # The statement search, which also explores below every TS, fuses too.
+        statement_rule_names = {rule.name for rule in TemporalDatabase().optimizer.index.rules}
+        assert {"σ×→⋈", "σ×T→⋈T"} <= statement_rule_names
 
     def test_rewrite_is_size_decreasing(self):
         left, right = _scan_pair()
@@ -304,7 +303,7 @@ class TestJoinWorkFormulas:
         dbms = ConventionalDBMS()
         dbms.load_relation("EMPLOYEE", employee_relation())
         dbms.load_relation("PROJECT", project_relation())
-        physical = dbms.explain(join, optimize=False)
+        physical = dbms.explain(join)
         assert "HashJoin" in physical
         assert "NestedLoopProduct" not in physical
 

@@ -239,15 +239,6 @@ class TestAssumedTables:
 
 
 class TestStatisticsWiring:
-    def test_explicit_optimizer_with_use_statistics_is_rejected(self):
-        from repro.dbms.engine import ConventionalDBMS
-        from repro.dbms.optimizer import CostGuidedConventionalOptimizer
-
-        with pytest.raises(ValueError):
-            ConventionalDBMS(
-                optimizer=CostGuidedConventionalOptimizer(), use_statistics=True
-            )
-
     def test_unoptimized_execution_reports_histogram_backed_cost(self, skewed):
         from repro.options import ExecutionOptions
         from repro.stratum import TemporalDatabase
