@@ -16,7 +16,7 @@ from repro.core.operations import (
     TemporalDuplicateElimination,
     TransferToStratum,
 )
-from repro.stratum.partition import DBMS, STRATUM, describe_partition, partition_plan
+from repro.stratum.partition import DBMS, STRATUM, partition_plan
 
 from .conftest import PAPER_STATEMENT, banner, make_paper_database
 
@@ -45,7 +45,7 @@ def test_figure2a_initial_plan_shape(benchmark):
     counts = partition.operator_counts()
     assert counts[DBMS] == initial_plan.size() - 1
     print(banner("Figure 2(a) — initial algebraic expression"))
-    print(describe_partition(initial_plan))
+    print(initial_plan.pretty())
 
 
 def test_figure2b_optimized_plan_shape(benchmark):
@@ -68,10 +68,6 @@ def test_figure2b_optimized_plan_shape(benchmark):
     # And the optimizer judges the rewritten plan cheaper.
     assert outcome.chosen_cost.total < outcome.initial_cost.total
     print(banner("Figure 2(b) — optimized algebraic expression (cost-chosen)"))
-    print(describe_partition(chosen))
-    print(
-        f"\nestimated cost: initial={outcome.initial_cost.total:.1f} "
-        f"chosen={outcome.chosen_cost.total:.1f} "
-        f"improvement={outcome.improvement_factor:.2f}x "
-        f"(plans considered: {outcome.plans_considered})"
-    )
+    # The same statement's EXPLAIN: each operator's engine, the chosen and
+    # initial costs and the optimizer's counters.
+    print(make_paper_database().explain(PAPER_STATEMENT))

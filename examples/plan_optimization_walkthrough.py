@@ -35,7 +35,7 @@ from repro.core import (
     rules_by_name,
 )
 from repro.dbms.sqlgen import to_sql
-from repro.stratum import TemporalDatabase, partition_plan, describe_partition
+from repro.stratum import TemporalDatabase, partition_plan
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, employee_relation, project_relation
 
 
@@ -82,7 +82,7 @@ def main() -> None:
     chosen, cost = choose_best_plan(enumeration.plans, statistics)
     print(f"  estimated cost of the initial plan: {estimate_cost(plan, statistics).total:,.1f}")
     print(f"  estimated cost of the chosen plan:  {cost.total:,.1f}\n")
-    print(describe_partition(chosen))
+    print(chosen.pretty())
 
     partition = partition_plan(chosen)
     print("\nSQL shipped to the conventional DBMS for each fragment:")

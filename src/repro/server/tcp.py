@@ -44,8 +44,11 @@ Request lines are capped at ``max_request_bytes`` (1 MiB by default): an
 oversized line is answered ``{"status": "error", "code":
 "REQUEST_TOO_LARGE"}`` and the connection is closed, so a misbehaving (or
 malicious) client cannot buffer unbounded memory server-side.  Malformed
-JSON answers ``code: "BAD_REQUEST"`` and keeps the connection; a client
-that disconnects mid-line is dropped silently.
+JSON — and valid JSON that is no request: not an object, an unknown ``op``,
+a missing ``statement``/``table``, ``params``/``rows`` that are not lists, a
+``timeout`` that is not a number, a ``request_id``/``limit`` that is not an
+integer — answers ``code: "BAD_REQUEST"`` naming what is wrong, and keeps
+the connection; a client that disconnects mid-line is dropped silently.
 
 The front end is a ``ThreadingTCPServer`` whose handler threads merely parse
 lines and block on the wrapped :class:`~repro.server.server.Server` — all
@@ -74,6 +77,22 @@ from .server import Response, Server, ServerOverloadedError
 
 #: Default cap on one request line, bytes (including the newline).
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20
+
+
+class _BadRequest(Exception):
+    """A request line the client got wrong: answered ``BAD_REQUEST``."""
+
+
+def _field(message: Dict[str, Any], name: str, kind, described: str, required: bool = False):
+    """``message[name]`` if it is a ``kind`` (never a bool); ``None`` when absent or null."""
+    value = message.get(name)
+    if value is None:
+        if required:
+            raise _BadRequest(f"missing field {name!r}")
+        return None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise _BadRequest(f"field {name!r} must be {described}, got {type(value).__name__}")
+    return value
 
 
 def response_to_wire(response: Response) -> Dict[str, Any]:
@@ -138,6 +157,8 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     "error": f"bad JSON: {exc}",
                     "code": "BAD_REQUEST",
                 }
+            except _BadRequest as exc:
+                reply = {"status": "error", "error": str(exc), "code": "BAD_REQUEST"}
             except ServerOverloadedError as exc:
                 reply = {"status": "rejected", "error": str(exc), "code": exc.code}
             except Exception as exc:  # defensive: never kill the connection
@@ -154,9 +175,11 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         except OSError:
             return False
 
-    def _dispatch(self, server: Server, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(self, server: Server, message: Any) -> Dict[str, Any]:
         if FAULTS.active:
             FAULTS.check("server.tcp")
+        if not isinstance(message, dict):
+            raise _BadRequest(f"a request is a JSON object, got {type(message).__name__}")
         op = message.get("op")
         if op == "ping":
             return {"status": "ok", "pong": True}
@@ -165,26 +188,27 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         if op == "metrics":
             return {"status": "ok", "exposition": server.metrics_exposition()}
         if op == "trace":
-            return {"status": "ok", "traces": server.recent_traces(message.get("limit"))}
+            limit = _field(message, "limit", int, "an integer")
+            return {"status": "ok", "traces": server.recent_traces(limit)}
         if op == "cancel":
             return {"status": "ok", "cancelled": self._cancel(server, message)}
         if op == "query":
             return self._query(server, message)
         if op == "append":
             response = server.append(
-                message["table"],
-                message.get("rows", ()),
-                timeout=message.get("timeout"),
+                _field(message, "table", str, "a string", required=True),
+                _field(message, "rows", list, "a list") or (),
+                timeout=_field(message, "timeout", (int, float), "a number"),
             )
             return response_to_wire(response)
-        return {"status": "error", "error": f"unknown op: {op!r}", "code": "BAD_REQUEST"}
+        raise _BadRequest(f"unknown op: {op!r}")
 
     def _query(self, server: Server, message: Dict[str, Any]) -> Dict[str, Any]:
         key = message.get("id")
         future = server.submit(
-            message["statement"],
-            params=tuple(message.get("params", ())),
-            timeout=message.get("timeout"),
+            _field(message, "statement", str, "a string", required=True),
+            params=tuple(_field(message, "params", list, "a list") or ()),
+            timeout=_field(message, "timeout", (int, float), "a number"),
         )
         # Register *before* blocking, so a second connection's cancel can
         # find the request while this one waits for the result.
@@ -200,7 +224,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         return response_to_wire(response)
 
     def _cancel(self, server: Server, message: Dict[str, Any]) -> bool:
-        request_id = message.get("request_id")
+        request_id = _field(message, "request_id", int, "an integer")
         if request_id is None:
             key = message.get("id")
             if key is None:
@@ -209,7 +233,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 request_id = self.server.pending.get(str(key))  # type: ignore[attr-defined]
         if request_id is None:
             return False
-        return server.cancel(int(request_id))
+        return server.cancel(request_id)
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):

@@ -5,10 +5,11 @@ memo search explores the same groups, fires the same rules and extracts the
 same plan, tens of milliseconds a query.  The cache removes that work for
 repeated statements while staying *correct by keying*:
 
-* the **fingerprint** identifies what the statement computes — a canonical
-  digest of the parsed AST (see :func:`repro.session.fingerprint.statement_fingerprint`),
-  so whitespace/case variants and, via ``?`` parameter markers, different
-  constants all share one entry;
+* the **fingerprint** identifies what the statement computes — a digest of
+  its normalized text, the ``statement:`` line EXPLAIN prints (see
+  :func:`repro.session.fingerprint.normalize_statement`), so whitespace/case
+  variants and, via ``?`` parameter markers, different constants all share
+  one entry;
 * the **statistics epoch** is the catalog's change counter
   (:attr:`repro.dbms.catalog.Catalog.epoch`) — an optimized plan is only as
   good as the statistics it was costed against, so any insert, create, drop
@@ -16,8 +17,10 @@ repeated statements while staying *correct by keying*:
   purged on the next miss.
 
 Next to the plans the cache keeps what depends on the statement *text*
-alone: an LRU from the exact text to its parsed ``(Statement, fingerprint)``,
-so a repeated text is neither lexed, parsed nor hashed again.  It needs no
+alone: an LRU from the exact text to its parsed ``(Statement, normalized
+text, fingerprint)``, so a repeated text is neither lexed, parsed, rendered
+nor hashed again — and a plan miss takes the entry's
+``normalized_statement`` from there.  It needs no
 epoch (a parse does not read the catalog — an epoch bump leaves it alone),
 shares the plans' lock and capacity, and is emptied by :meth:`PlanCache.clear`
 with them: "cold" means parse + fingerprint + translate + search.
@@ -142,10 +145,10 @@ class PlanCache:
             raise ValueError("plan cache capacity must be at least 1")
         self.capacity = capacity
         self._entries: "OrderedDict[PlanCacheKey, CachedPlan]" = OrderedDict()
-        #: Exact statement text -> its parse and fingerprint.  The stored
-        #: ``Statement`` is shared by every request for that text: read it,
-        #: ``dataclasses.replace`` it, never assign to it.
-        self._statements: "OrderedDict[str, PyTuple[Statement, str]]" = OrderedDict()
+        #: Exact statement text -> its parse, normalized text and
+        #: fingerprint.  The stored ``Statement`` is shared by every request
+        #: for that text: read it, ``dataclasses.replace`` it, never assign to it.
+        self._statements: "OrderedDict[str, PyTuple[Statement, str, str]]" = OrderedDict()
         #: What an exploration is a function of (see
         #: :meth:`repro.search.MemoSearch.explore`) -> the explored memo,
         #: frozen: extractions read it concurrently, nothing writes it.
@@ -253,18 +256,20 @@ class PlanCache:
         with self._lock:
             self.evictions += self._remember(self._entries, entry.key, entry)
 
-    def statement(self, text: str) -> Optional[PyTuple[Statement, str]]:
-        """The remembered ``(Statement, fingerprint)`` of an exact text, if any."""
+    def statement(self, text: str) -> Optional[PyTuple[Statement, str, str]]:
+        """The remembered ``(Statement, normalized text, fingerprint)`` of an exact text, if any."""
         with self._lock:
             parsed = self._statements.get(text)
             if parsed is not None:
                 self._statements.move_to_end(text)
             return parsed
 
-    def remember_statement(self, text: str, statement: Statement, fingerprint: str) -> None:
+    def remember_statement(
+        self, text: str, statement: Statement, normalized: str, fingerprint: str
+    ) -> None:
         """Remember a *successful* parse of ``text`` (LRU beyond capacity)."""
         with self._lock:
-            self._remember(self._statements, text, (statement, fingerprint))
+            self._remember(self._statements, text, (statement, normalized, fingerprint))
 
     def exploration(self, key: Hashable) -> Optional[Exploration]:
         """The explored memo remembered under ``key``, if any (counted as reused)."""

@@ -53,10 +53,9 @@ from ..stratum.layer import OptimizationOutcome, TemporalDatabase
 from ..tsql.ast import Statement
 from ..tsql.parser import parse_statement
 from ..tsql.translator import translate
-from ..tsql.unparse import unparse_statement
 from .cache import CachedPlan, PlanCache, PlanCacheInfo, PlanCacheKey
 from .explain import ExplainReport, OperatorLine, build_explain_report, build_operator_lines
-from .fingerprint import statement_fingerprint
+from .fingerprint import normalize_statement
 from .parameters import bind_parameters
 
 #: The lifecycle phases, in order; a request's record holds the ones it entered.
@@ -317,12 +316,14 @@ class Session:
         params = record.parameters
         source = snapshot if snapshot is not None else self.database
         with self._phase(record, "parse", token) as attributes:
-            ast, fingerprint, attributes["memo_hit"] = self._parse(record.statement)
+            ast, normalized, fingerprint, attributes["memo_hit"] = self._parse(record.statement)
             if explain is not None:  # Session.explain(): the prefix, as an argument
                 ast = replace(ast, explain=True, analyze=explain or ast.analyze)
             record.kind = ast.kind
         with self._phase(record, "optimize", token) as attributes:
-            entry, record.cache_hit, waited = self._entry_for(ast, fingerprint, snapshot, token)
+            entry, record.cache_hit, waited = self._entry_for(
+                ast, normalized, fingerprint, snapshot, token
+            )
             optimization = record.optimization = entry.optimization
             record.query_spec = entry.query_spec
             record.fingerprint, record.epoch = entry.key.fingerprint, entry.key.epoch
@@ -434,8 +435,8 @@ class Session:
 
     # -- internals ----------------------------------------------------------------
 
-    def _parse(self, text: str) -> "PyTuple[Statement, str, bool]":
-        """``(Statement, fingerprint, resolved from the cache's text memo?)``.
+    def _parse(self, text: str) -> "PyTuple[Statement, str, str, bool]":
+        """``(Statement, normalized text, fingerprint, resolved from the cache's text memo?)``.
 
         The stored ``Statement`` is shared between requests and never
         assigned to.  A text that fails to parse is not remembered, and the
@@ -447,12 +448,12 @@ class Session:
                 FAULTS.check("tsql.parse")
             return parsed + (True,)
         ast = parse_statement(text)
-        fingerprint = statement_fingerprint(ast)
-        self.cache.remember_statement(text, ast, fingerprint)
-        return ast, fingerprint, False
+        normalized, fingerprint = normalize_statement(ast)
+        self.cache.remember_statement(text, ast, normalized, fingerprint)
+        return ast, normalized, fingerprint, False
 
     def _entry_for(
-        self, ast: Statement, fingerprint: str, snapshot=None, token=None
+        self, ast: Statement, normalized: str, fingerprint: str, snapshot=None, token=None
     ) -> "PyTuple[CachedPlan, bool, Optional[float]]":
         """``(entry, cache hit?, seconds spent waiting on another request's search)``."""
         database = self.database
@@ -478,7 +479,7 @@ class Session:
                 query_spec=query_spec,
                 optimization=optimization,
                 parameter_count=statement.parameter_count,
-                normalized_statement=unparse_statement(statement),
+                normalized_statement=normalized,
             )
 
         return self.cache.get_or_plan(key, plan, token)

@@ -6,7 +6,7 @@ from .layer import (
     TemporalDatabase,
     TemporalQueryOptimizer,
 )
-from .partition import DBMS, PlanPartition, STRATUM, describe_partition, partition_plan
+from .partition import DBMS, PlanPartition, STRATUM, partition_plan
 
 __all__ = [
     "DBMS",
@@ -16,6 +16,5 @@ __all__ = [
     "StratumExecutor",
     "TemporalDatabase",
     "TemporalQueryOptimizer",
-    "describe_partition",
     "partition_plan",
 ]

@@ -36,7 +36,6 @@ from ..dbms.engine import ConventionalDBMS
 from ..options import ExecutionOptions
 from ..search import ExplorationStore, MemoSearch, SearchOptions, SearchResult
 from .executor import StratumExecutor
-from .partition import describe_partition
 
 
 @dataclass
@@ -310,9 +309,10 @@ class TemporalDatabase(_CatalogReads):
     ) -> OptimizationOutcome:
         """Optimize a plan against the current statistics (or cost it as-is).
 
-        The single place the optimize-or-estimate policy lives: honoured by
-        :meth:`explain` and the session layer's plan cache, so every entry
-        point reports identical optimization metadata.
+        The single place the optimize-or-estimate policy lives: the session
+        layer's plan cache plans every statement through it (EXPLAIN and
+        :meth:`explain` included), so every entry point reports identical
+        optimization metadata.
         With ``optimize_queries=False`` the initial plan is costed and taken
         as the trivial single-plan outcome.  The executor runs the outcome's
         ``chosen_plan`` as given, ``TS`` fragments included: the statement's
@@ -358,25 +358,15 @@ class TemporalDatabase(_CatalogReads):
     # -- introspection --------------------------------------------------------------
 
     def explain(self, statement: str) -> str:
-        """Initial plan, chosen plan and engine assignment for a statement."""
-        initial_plan, query_spec = self.parse(statement)
-        optimization = self.optimize_plan(initial_plan, query_spec)
-        lines = [
-            f"statement: {statement}",
-            f"result specification: {query_spec}",
-            "",
-            "initial plan:",
-            initial_plan.pretty(),
-            "",
-            f"plans considered: {optimization.plans_considered}",
-            f"estimated cost: initial={optimization.initial_cost.total:.1f} "
-            f"chosen={optimization.chosen_cost.total:.1f} "
-            f"(improvement {optimization.improvement_factor:.2f}x)",
-            "",
-            "chosen plan (with engine assignment):",
-            describe_partition(optimization.chosen_plan),
-        ]
-        return "\n".join(lines)
+        """The EXPLAIN report of a statement, as text.
+
+        The same request as ``execute("EXPLAIN " + statement)`` through the
+        default session — planned once, through its plan cache, request
+        record, metrics and tracer — rendered: each operator's engine and
+        estimates, the chosen and initial costs and the optimizer's
+        counters.  :meth:`parse` still gives the initial plan.
+        """
+        return self.execute("EXPLAIN " + statement).explain.render()
 
 
 class DatabaseSnapshot(_CatalogReads):

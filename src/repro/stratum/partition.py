@@ -6,13 +6,13 @@ below a ``TS`` (until a ``TD`` switches back) runs in the DBMS, everything
 else runs in the stratum.  This module records that engine assignment — a
 walk over :func:`repro.core.lowering.child_engine`, the switch the lowering
 and the cost model follow — with the DBMS fragments and the transfer count,
-for EXPLAIN, :func:`describe_partition` and the benchmarks.
+for EXPLAIN and the benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple as PyTuple
+from typing import Dict, List
 
 from ..core.lowering import DBMS_ENGINE, STRATUM_ENGINE, Engine, child_engine
 from ..core.operations import Operation
@@ -66,25 +66,3 @@ def partition_plan(plan: Operation) -> PlanPartition:
 
     assign(plan, ROOT_PATH, STRATUM_ENGINE)
     return partition
-
-
-def describe_partition(plan: Operation) -> str:
-    """Render the plan with each node's engine, for explain output."""
-    partition = partition_plan(plan)
-    lines: List[str] = []
-
-    def render(node: Operation, path: PlanPath, prefix: str, connector: str, child_prefix: str) -> None:
-        engine = partition.engine_of(path)
-        lines.append(f"{prefix}{connector}{node.label()}  [{engine}]")
-        for index, child in enumerate(node.children):
-            is_last = index == len(node.children) - 1
-            render(
-                child,
-                path + (index,),
-                child_prefix,
-                "└─ " if is_last else "├─ ",
-                child_prefix + ("   " if is_last else "│  "),
-            )
-
-    render(plan, ROOT_PATH, "", "", "")
-    return "\n".join(lines)

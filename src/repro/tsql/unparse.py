@@ -3,9 +3,12 @@
 The unparser is the inverse of :mod:`repro.tsql.parser` up to surface noise:
 for every parseable text ``t``, ``parse(unparse(parse(t)))`` equals
 ``parse(t)`` structurally (the round-trip property the front-end test suite
-checks).  It is also what the session layer uses to show a *normalized*
-statement in EXPLAIN output — keyword case, spacing and redundant
-parentheses all canonicalize away through the parse → unparse round trip.
+checks).  Its text is a statement's *normal form* — keyword case, spacing
+and redundant parentheses all canonicalize away through the parse → unparse
+round trip — and so its identity: EXPLAIN prints it, and the plan cache
+keys on its digest (:mod:`repro.session.fingerprint`).  Two statements share
+a plan exactly when they render alike, which the round trip makes the same
+as parsing alike.
 
 Predicates parsed from ``BETWEEN`` render as the equivalent conjunction of
 ``>=`` / ``<=`` comparisons (the parser desugars ``BETWEEN`` immediately, so
@@ -14,6 +17,7 @@ the AST holds no trace of it).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import List
 
 from ..core.expressions import (
@@ -114,6 +118,12 @@ def _render_literal(expression: Literal) -> str:
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
+    if isinstance(value, float):
+        # Positional, with a point always: the lexer reads no exponent
+        # (``str`` writes ``1e-05``), and an integral float must not read
+        # back as an int.  ``repr`` is the shortest text that reads back.
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else text + ".0"
     return str(value)
 
 

@@ -277,7 +277,8 @@ CHAINED_SQL = (
 )
 
 #: The parameterized point read (plan shape: the ``selection`` registry
-#: entry, modulo the rotating constant — fingerprinting normalizes it away).
+#: entry; the rotating constant binds the ``?``, so every rotation shares
+#: one fingerprint).
 POINT_SQL = "SELECT EmpName FROM EMPLOYEE WHERE Dept = ?"
 
 #: Constants rotated through the point read's ``?``.

@@ -50,9 +50,11 @@ def planning_work(monkeypatch):
     (the searches among them that ran ``repro.search.tasks.explore`` instead
     of re-costing a remembered memo — at most once per statement, whatever
     the epoch),
-    ``"tokenize"`` and ``"fingerprint"``, spied where the session's and the
-    search's code look the functions up.  ``clear()`` it between requests; a
-    request that did none of the four leaves it empty.
+    ``"tokenize"`` and ``"fingerprint"`` (``unparse_statement`` as the
+    fingerprint module calls it: rendering the normalized text the key
+    hashes), spied where the session's and the search's code look the
+    functions up.  ``clear()`` it between requests; a request that did none
+    of the four leaves it empty.
     """
     counts: Counter = Counter()
 
@@ -68,7 +70,7 @@ def planning_work(monkeypatch):
     spy(MemoSearch, "optimize", "searches")
     spy(repro.search.search, "explore", "explorations")
     spy(repro.tsql.parser, "tokenize", "tokenize")
-    spy(repro.session.fingerprint, "structural_fingerprint", "fingerprint")
+    spy(repro.session.fingerprint, "unparse_statement", "fingerprint")
     return counts
 
 

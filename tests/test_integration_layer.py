@@ -62,11 +62,12 @@ class TestPaperExample:
         # And it must still contain the temporal difference (in the stratum).
         assert chosen.contains_operator(TemporalDifference)
 
-    def test_explain_renders_both_plans(self, temporal_db, paper_statement):
+    def test_explain_renders_the_chosen_plan_and_the_initial_cost(self, temporal_db, paper_statement):
         explanation = temporal_db.explain(paper_statement)
-        assert "initial plan" in explanation
-        assert "chosen plan" in explanation
-        assert "stratum" in explanation and "dbms" in explanation
+        outcome = temporal_db.execute(paper_statement).optimization
+        assert f"(initial plan {outcome.initial_cost.total:.1f}," in explanation
+        assert f"estimated cost: {outcome.chosen_cost.total:.1f}" in explanation
+        assert "[stratum]" in explanation and "[dbms]" in explanation
 
 
 class TestOtherStatements:

@@ -10,6 +10,8 @@ import time
 import pytest
 
 from repro.faults import FAULTS
+from repro.obs.trace import Tracer
+from repro.options import ExecutionOptions
 from repro.server import (
     RetryPolicy,
     Server,
@@ -53,6 +55,33 @@ class TestWireHygiene:
             assert reply["code"] == "BAD_REQUEST"
             # same connection still serves
             assert client.ping()["pong"] is True
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            (b"[1]", "list"),
+            (b'"x"', "str"),
+            (b'{"op": "query"}', "statement"),
+            (b'{"op": "query", "statement": 5}', "statement"),
+            (b'{"op": "query", "statement": "SELECT EmpName FROM EMPLOYEE", "timeout": "5"}', "timeout"),
+            (b'{"op": "query", "statement": "SELECT EmpName FROM EMPLOYEE", "params": 5}', "params"),
+            (b'{"op": "append", "rows": []}', "table"),
+            (b'{"op": "append", "table": "EMPLOYEE", "rows": 5}', "rows"),
+            (b'{"op": "cancel", "request_id": "abc"}', "request_id"),
+            (b'{"op": "trace", "limit": "x"}', "limit"),
+            (b'{"op": "trace", "limit": true}', "limit"),
+        ],
+    )
+    def test_valid_json_that_is_no_request_answers_bad_request(self, line, field):
+        # With a tracer, so that a ``trace`` limit reaches ``Tracer.recent``.
+        with make_server(options=ExecutionOptions(tracer=Tracer())) as server:
+            with TCPFrontend(server) as front, TCPClient(*front.address) as client:
+                client._file.write(line + b"\n")
+                client._file.flush()
+                reply = json.loads(client._file.readline())
+                assert (reply["status"], reply["code"]) == ("error", "BAD_REQUEST")
+                assert field in reply["error"]
+                assert client.ping()["pong"] is True
 
     def test_unknown_op_answers_bad_request(self, frontend):
         host, port = frontend.address

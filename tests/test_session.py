@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
+import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.search.search
 from repro.core.exceptions import (
     CancelledError,
     ParameterError,
     ParseError,
+    ReproError,
     ResourceExhaustedError,
 )
 from repro.core.expressions import Literal, Parameter
 from repro.core.lowering import Lowering
 from repro.core.operations import Selection
 from repro.core.relation import Relation
-from repro.core.schema import STRING, RelationSchema
+from repro.core.schema import INTEGER, STRING, RelationSchema
 from repro.dbms import ConventionalDBMS
 from repro.faults import ResourceGuard
 from repro.options import ExecutionOptions
@@ -30,6 +35,7 @@ from repro.session import (
     collect_parameters,
     statement_fingerprint,
 )
+from repro.session.fingerprint import normalize_statement
 from repro.stratum import StratumExecutor, TemporalDatabase
 from repro.stratum.partition import partition_plan
 from repro.tsql import parse_statement
@@ -43,6 +49,7 @@ from repro.workloads import (
 )
 
 from .conftest import PAPER_STATEMENT, flight_waiters, in_threads, wait_until
+from .test_tsql_roundtrip import statements, typed
 
 
 @pytest.fixture
@@ -174,6 +181,80 @@ class TestFingerprint:
         b = statement_fingerprint(parse_statement("SELECT * FROM T WHERE x = 1.0"))
         c = statement_fingerprint(parse_statement("SELECT * FROM T WHERE x = '1'"))
         assert len({a, b, c}) == 3
+
+
+def _plain(text: str) -> str:
+    return text.removeprefix("EXPLAIN ANALYZE ").removeprefix("EXPLAIN ")
+
+
+@st.composite
+def _statement_pairs(draw):
+    """A generated statement and a second one: another draw or a variant of it."""
+    text = draw(statements())
+    other = draw(
+        st.one_of(
+            statements(),
+            st.sampled_from(
+                [
+                    text,
+                    text.replace(" ", "  "),
+                    "EXPLAIN " + _plain(text),
+                    _plain(text),
+                    unparse_statement(parse_statement(text)),
+                    text.replace("SELECT DISTINCT", "SELECT", 1),
+                ]
+            ),
+        )
+    )
+    return text, other
+
+
+def _identity_database() -> TemporalDatabase:
+    """Every table of the generator, each with every attribute it draws."""
+    database = TemporalDatabase()
+    for name in ("EMPLOYEE", "PROJECT", "ACCOUNT"):
+        database.create_table(
+            name,
+            RelationSchema.temporal(
+                [("EmpName", STRING), ("Dept", STRING), ("Salary", INTEGER), ("Prj", STRING)],
+                name=name,
+            ),
+        )
+    return database
+
+
+#: Module-level: hypothesis runs every example inside one test call.
+_IDENTITY_DATABASE = _identity_database()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+class TestOneIdentity:
+    """The plan-cache key is a digest of the text EXPLAIN prints, and nothing else."""
+
+    def test_the_fingerprint_is_the_digest_of_the_normalized_text(self):
+        statement = parse_statement("EXPLAIN ANALYZE " + PAPER_STATEMENT)
+        text = unparse_statement(replace(statement, explain=False, analyze=False))
+        assert normalize_statement(statement) == (text, _digest(text))
+        assert statement_fingerprint(statement) == _digest(text)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_statement_pairs())
+    def test_fingerprints_agree_exactly_when_the_parses_do(self, pair):
+        first, second = (
+            replace(parse_statement(text), explain=False, analyze=False) for text in pair
+        )
+        same_parse = typed(first) == typed(second)
+        assert (statement_fingerprint(first) == statement_fingerprint(second)) == same_parse
+        try:
+            report = _IDENTITY_DATABASE.execute("EXPLAIN " + pair[0]).explain.render()
+        except ReproError:
+            return  # the generator does not know the schema: not every draw translates
+        header = dict(line.split(":", 1) for line in report.splitlines()[:2])
+        printed = re.search(r"fingerprint=(\w+)", report).group(1)
+        assert _digest(header["statement"].strip()) == printed == statement_fingerprint(first)
 
 
 class TestParameters:
@@ -620,7 +701,7 @@ class TestExploreOncePerStatement:
 
 
 class TestStatementMemo:
-    """Exact text → ``(Statement, fingerprint)``, inside the plan cache."""
+    """Exact text → ``(Statement, normalized text, fingerprint)``, inside the plan cache."""
 
     def test_explain_and_plain_are_two_texts_one_fingerprint_one_plan(self, session):
         plain = session.execute(POINT_SQL, ("Sales",))
@@ -628,6 +709,18 @@ class TestStatementMemo:
         assert explained.fingerprint == plain.fingerprint and explained.cache_hit
         info = session.cache_info()
         assert (info.texts, info.size) == (2, 1)
+
+    def test_a_text_miss_renders_the_normal_form_once_and_a_plan_miss_never(
+        self, session, planning_work
+    ):
+        session.execute(PAPER_SQL)
+        assert planning_work["fingerprint"] == 1
+        session.database.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
+        planning_work.clear()
+        replanned = session.execute(PAPER_SQL)
+        assert not replanned.cache_hit and planning_work == {"searches": 1}
+        entry = session.cache.get(PlanCacheKey(replanned.fingerprint, replanned.epoch))
+        assert entry.normalized_statement is session.cache.statement(PAPER_SQL)[1]
 
     def test_a_parse_error_is_never_remembered(self, session, planning_work):
         session.execute(POINT_SQL, ("Sales",))
@@ -664,11 +757,12 @@ class TestStatementMemo:
 
     def test_explain_never_mutates_the_stored_statement(self, session):
         session.execute(PAPER_SQL)
-        stored, fingerprint = session.cache.statement(PAPER_SQL)
+        stored, normalized, fingerprint = session.cache.statement(PAPER_SQL)
         before = unparse_statement(stored)
+        assert before == normalized
         for analyze in (False, True):
             assert session.explain(PAPER_SQL, analyze=analyze).cache_hit
-        again, _ = session.cache.statement(PAPER_SQL)
+        again, _, _ = session.cache.statement(PAPER_SQL)
         assert again is stored
         assert (stored.explain, stored.analyze) == (False, False)
         assert unparse_statement(stored) == before

@@ -23,7 +23,7 @@ from repro.core.operations.base import EvaluationContext
 from repro.core.order_spec import OrderSpec
 from repro.dbms import ConventionalDBMS
 from repro.stratum import StratumExecutor, partition_plan
-from repro.stratum.partition import DBMS, STRATUM, describe_partition
+from repro.stratum.partition import DBMS, STRATUM
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA
 
 from .strategies import narrow_temporal_relations
@@ -106,9 +106,11 @@ class TestPlanPartitioning:
         assert partition.engine_of((0,)) == DBMS  # the selection
         assert partition.engine_of((0, 0, 0)) == STRATUM  # the coalescing below TD
 
-    def test_describe_partition_mentions_engines(self):
-        rendered = describe_partition(self.plan())
-        assert "[stratum]" in rendered and "[dbms]" in rendered
+    def test_both_engines_run_part_of_the_plan(self):
+        plan = self.plan()
+        assignment = partition_plan(plan).assignment
+        assert set(assignment.values()) == {STRATUM, DBMS}
+        assert len(assignment) == plan.size()
 
 
 class TestStratumExecutor:

@@ -41,7 +41,7 @@ from repro.faults import FAULTS
 from repro.options import ExecutionOptions
 from repro.search import MemoSearch, SearchOptions
 from repro.stratum import StratumExecutor, TemporalDatabase, TemporalQueryOptimizer
-from repro.stratum.partition import describe_partition, partition_plan
+from repro.stratum.partition import partition_plan
 from repro.workloads import (
     CHAINED_SQL,
     EMPLOYEE_SCHEMA,
@@ -143,12 +143,19 @@ class TestTemporalDatabaseFacade:
         )
         plan, _ = database.parse(paper_statement)
         lines = database.explain(paper_statement).splitlines()
-        assert "plans considered: 1" in lines
-        assert "(improvement 1.00x)" in lines[lines.index("plans considered: 1") + 1]
-        chosen = lines[lines.index("chosen plan (with engine assignment):") + 1:]
-        assert chosen == describe_partition(plan).splitlines()
+        assert "optimizer:  plans considered=1" in lines
+        assert any(line.endswith(" improvement 1.00x)") for line in lines)
+        # The report's plan is the translated one, operator for operator and
+        # engine for engine.
+        report = database.execute("EXPLAIN " + paper_statement).explain
+        assert [line.label for line in report.lines] == [
+            node.label() for _, node in plan.locations()
+        ]
+        assert [(line.path, line.engine) for line in report.lines] == list(
+            partition_plan(plan).assignment.items()
+        )
         searched = temporal_db.explain(paper_statement).splitlines()
-        assert "plans considered: 1" not in searched
+        assert "optimizer:  plans considered=1" not in searched
 
     def test_execute_records_statement(self, temporal_db, paper_statement):
         outcome = temporal_db.execute(paper_statement)

@@ -15,7 +15,7 @@ editors and error reporters rely on.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.exceptions import ParseError
 from repro.tsql import parse_statement, unparse_statement
@@ -37,7 +37,9 @@ _AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 
 _literals = st.one_of(
     st.integers(min_value=0, max_value=999).map(str),
-    st.floats(min_value=0, max_value=99, allow_nan=False).map(lambda f: f"{f:.2f}"),
+    # Positional decimals from tiny to beyond a double's 17 digits, where
+    # ``str(float)`` switches to an exponent the lexer does not read.
+    st.from_regex(r"[0-9]{1,22}\.[0-9]{1,8}", fullmatch=True),
     st.sampled_from(["'Sales'", "'Ads'", "''", "'O''Hara'", "TRUE", "FALSE"]),
 )
 
@@ -143,14 +145,22 @@ def statements(draw) -> str:
     return " ".join(parts)
 
 
+def typed(statement) -> str:
+    """The parse with each literal's type: ``==`` reads ``1``, ``1.0`` and ``TRUE`` alike."""
+    return repr(statement)
+
+
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(statements())
+    @example("SELECT * FROM EMPLOYEE WHERE Salary = 0.00001")
+    @example("SELECT * FROM EMPLOYEE WHERE Salary = 1000000000000000000000.5")
+    @example("SELECT * FROM EMPLOYEE WHERE Salary = 12345678901234567.0")
     def test_parse_unparse_parse_is_stable(self, text: str) -> None:
         first = parse_statement(text)
         rendered = unparse_statement(first)
         second = parse_statement(rendered)
-        assert second == first
+        assert typed(second) == typed(first)
         # And the normal form is a fixed point of the round trip.
         assert unparse_statement(second) == rendered
 
