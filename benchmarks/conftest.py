@@ -12,13 +12,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.parent / "src"))
 
-from repro import ExecutionOptions
-from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
+from repro.search import MemoSearch
+from repro.stratum import TemporalDatabase
 from repro.workloads import (
     PAPER_SQL,
     employee_relation,
@@ -31,24 +32,22 @@ from repro.workloads import (
 PAPER_STATEMENT = PAPER_SQL
 
 
-def make_paper_database(optimize_queries: bool = True, max_plans: int = 2000) -> TemporalDatabase:
+def make_paper_database() -> TemporalDatabase:
     """A TemporalDatabase loaded with the Figure 1 relations."""
-    database = TemporalDatabase(
-        optimizer=TemporalQueryOptimizer(max_plans=max_plans),
-        options=ExecutionOptions(optimize_queries=optimize_queries),
-    )
+    database = TemporalDatabase()
     database.register("EMPLOYEE", employee_relation())
     database.register("PROJECT", project_relation())
     return database
 
 
-def make_scaled_database(scale: int, optimize_queries: bool = True, max_plans: int = 500) -> TemporalDatabase:
-    """A TemporalDatabase loaded with a scaled EMPLOYEE/PROJECT workload."""
+def make_scaled_database(scale: int, optimizer: Optional[MemoSearch] = None) -> TemporalDatabase:
+    """A TemporalDatabase loaded with a scaled EMPLOYEE/PROJECT workload.
+
+    ``optimizer`` defaults to the database's own ``MemoSearch()``;
+    ``MemoSearch(rules=[])`` runs the translated plan as it is.
+    """
     employees, projects = scaled_paper_workload(scale)
-    database = TemporalDatabase(
-        optimizer=TemporalQueryOptimizer(max_plans=max_plans),
-        options=ExecutionOptions(optimize_queries=optimize_queries),
-    )
+    database = TemporalDatabase(optimizer=optimizer)
     database.register("EMPLOYEE", employees)
     database.register("PROJECT", projects)
     return database

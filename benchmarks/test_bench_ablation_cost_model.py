@@ -10,7 +10,8 @@ rather than hard-coded.
 """
 
 from repro.core.cost import CostModel
-from repro.stratum import TemporalQueryOptimizer, partition_plan
+from repro.search import MemoSearch
+from repro.stratum import partition_plan
 from repro.stratum.partition import DBMS, STRATUM
 
 from .conftest import PAPER_STATEMENT, banner, make_paper_database
@@ -29,9 +30,8 @@ def sweep():
     statistics = database.statistics()
     rows = []
     for label, model in CONFIGURATIONS:
-        optimizer = TemporalQueryOptimizer(cost_model=model)
-        outcome = optimizer.optimize(plan, spec, statistics)
-        partition = partition_plan(outcome.chosen_plan)
+        result = MemoSearch(cost_model=model).optimize(plan, spec, statistics)
+        partition = partition_plan(result.best_plan)
         counts = partition.operator_counts()
         rows.append(
             (
@@ -39,7 +39,7 @@ def sweep():
                 counts[STRATUM],
                 counts[DBMS],
                 partition.transfer_count,
-                outcome.chosen_cost.total,
+                result.best_cost.total,
             )
         )
     return rows

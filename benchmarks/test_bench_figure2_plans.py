@@ -24,7 +24,7 @@ from .conftest import PAPER_STATEMENT, banner, make_paper_database
 def optimize_paper_query():
     database = make_paper_database()
     initial_plan, spec = database.parse(PAPER_STATEMENT)
-    outcome = database.optimizer.optimize(initial_plan, spec, database.statistics())
+    outcome = database.optimize_plan(initial_plan, spec)
     return initial_plan, outcome
 
 

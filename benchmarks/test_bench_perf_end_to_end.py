@@ -12,6 +12,7 @@ the two measurements.
 import pytest
 
 from repro.core.applicability import results_acceptable
+from repro.search import MemoSearch, SearchOptions
 
 from .conftest import PAPER_STATEMENT, banner, make_scaled_database
 
@@ -19,12 +20,12 @@ SCALE = 60  # 300 EMPLOYEE tuples, 480 PROJECT tuples
 
 
 def run_unoptimized():
-    database = make_scaled_database(SCALE, optimize_queries=False)
+    database = make_scaled_database(SCALE, MemoSearch(rules=[]))
     return database.execute(PAPER_STATEMENT)
 
 
 def run_optimized():
-    database = make_scaled_database(SCALE, optimize_queries=True, max_plans=300)
+    database = make_scaled_database(SCALE, MemoSearch(options=SearchOptions(max_expressions=300)))
     return database.execute(PAPER_STATEMENT)
 
 

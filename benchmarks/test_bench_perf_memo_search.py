@@ -10,7 +10,7 @@ grows with the query.
 
 from repro.core.cost import choose_best_plan
 from repro.core.enumeration import enumerate_plans
-from repro.search import search_best_plan
+from repro.search import MemoSearch
 from repro.workloads import PAPER_SQL, chained_query
 
 from .conftest import banner, make_paper_database
@@ -28,7 +28,7 @@ def exhaustive_best(operations: int):
 
 def memo_best(operations: int):
     plan, spec = chained_query(operations)
-    return search_best_plan(plan, spec, statistics=STATISTICS)
+    return MemoSearch().optimize(plan, spec, STATISTICS)
 
 
 def test_memo_search_attempts_only_type_compatible_rules():
@@ -38,7 +38,7 @@ def test_memo_search_attempts_only_type_compatible_rules():
     (all 56 rules at every binding); with the rule index it attempts ~500.
     """
     plan, spec = make_paper_database().parse(PAPER_SQL)
-    statistics = search_best_plan(plan, spec, statistics=STATISTICS).statistics
+    statistics = MemoSearch().optimize(plan, spec, STATISTICS).statistics
     assert statistics.applications_attempted <= 1000
     assert (statistics.groups, statistics.expressions, statistics.sweeps) == (26, 55, 4)
 

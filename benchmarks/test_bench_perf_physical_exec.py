@@ -24,7 +24,6 @@ from repro.core.expressions import (
 )
 from repro.core.operations import BaseRelation, Projection, Sort, TemporalJoin
 from repro.core.order_spec import OrderSpec
-from repro.options import ExecutionOptions
 from repro.stratum import TemporalDatabase
 from repro.stratum.executor import StratumExecutor
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, scaled_paper_workload
@@ -38,7 +37,7 @@ SCALE = 60
 
 def make_database() -> TemporalDatabase:
     employees, projects = scaled_paper_workload(SCALE)
-    database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
+    database = TemporalDatabase()
     database.register("EMPLOYEE", employees)
     database.register("PROJECT", projects)
     return database

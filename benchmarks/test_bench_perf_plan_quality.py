@@ -51,8 +51,8 @@ from repro.core.query import QueryResultSpec
 from repro.core.relation import Relation
 from repro.core.rules import DEFAULT_RULES, JOIN_RULES
 from repro.core.schema import INTEGER, RelationSchema, STRING
-from repro.options import ExecutionOptions
-from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
+from repro.search import MemoSearch
+from repro.stratum import TemporalDatabase
 
 from .conftest import archive_results, banner
 
@@ -92,7 +92,7 @@ def make_database() -> TemporalDatabase:
     maintenance = Relation.from_rows(
         MAINTENANCE_SCHEMA, _interval_rows(SCALE, "m", rng)
     )
-    database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
+    database = TemporalDatabase()
     database.register("RESERVATION", reservations)
     database.register("MAINTENANCE", maintenance)
     RESULTS["reservation_tuples"] = len(reservations)
@@ -146,23 +146,19 @@ def test_perf_plan_flip_speedup(benchmark):
     seed, spec = overlap_join_seed()
     statistics = database.statistics()
 
-    baseline = TemporalQueryOptimizer(rules=BASELINE_RULES).optimize(
-        seed, spec, statistics
-    )
-    current = TemporalQueryOptimizer(rules=DEFAULT_RULES).optimize(
-        seed, spec, statistics
-    )
+    baseline = MemoSearch(rules=BASELINE_RULES).optimize(seed, spec, statistics)
+    current = MemoSearch(rules=DEFAULT_RULES).optimize(seed, spec, statistics)
 
     # The chosen plan flips: the baseline leaves the keyless overlap join in
     # the DBMS (it looks 4× cheaper at product cost), the algorithm-based
     # model keeps it in the stratum as an explicit interval ⋈.
-    assert baseline.chosen_plan.signature() != current.chosen_plan.signature()
-    assert not _contains_idiom(baseline.chosen_plan), baseline.chosen_plan.pretty()
-    assert _contains_idiom(current.chosen_plan), current.chosen_plan.pretty()
+    assert baseline.best_plan.signature() != current.best_plan.signature()
+    assert not _contains_idiom(baseline.best_plan), baseline.best_plan.pretty()
+    assert _contains_idiom(current.best_plan), current.best_plan.pretty()
 
     def run_both():
-        baseline_relation, baseline_seconds = _timed_run(database, baseline.chosen_plan)
-        current_relation, current_seconds = _timed_run(database, current.chosen_plan)
+        baseline_relation, baseline_seconds = _timed_run(database, baseline.best_plan)
+        current_relation, current_seconds = _timed_run(database, current.best_plan)
         return baseline_relation, baseline_seconds, current_relation, current_seconds
 
     baseline_relation, baseline_seconds, current_relation, current_seconds = (
@@ -180,12 +176,12 @@ def test_perf_plan_flip_speedup(benchmark):
     RESULTS.update(
         {
             "result_rows": len(current_relation),
-            "baseline_plan": baseline.chosen_plan.pretty(),
-            "current_plan": current.chosen_plan.pretty(),
-            "baseline_estimated_cost": baseline.chosen_cost.total,
-            "current_estimated_cost": current.chosen_cost.total,
-            "baseline_measured_cost": measure_cost(baseline.chosen_plan, context).total,
-            "current_measured_cost": measure_cost(current.chosen_plan, context).total,
+            "baseline_plan": baseline.best_plan.pretty(),
+            "current_plan": current.best_plan.pretty(),
+            "baseline_estimated_cost": baseline.best_cost.total,
+            "current_estimated_cost": current.best_cost.total,
+            "baseline_measured_cost": measure_cost(baseline.best_plan, context).total,
+            "current_measured_cost": measure_cost(current.best_plan, context).total,
             "baseline_seconds": baseline_seconds,
             "current_seconds": current_seconds,
             "speedup": speedup,
@@ -198,9 +194,9 @@ def test_perf_plan_flip_speedup(benchmark):
         f"result rows={len(current_relation)}"
     )
     print("baseline plan (product cost):")
-    print(baseline.chosen_plan.pretty())
+    print(baseline.best_plan.pretty())
     print("chosen plan (algorithm cost):")
-    print(current.chosen_plan.pretty())
+    print(current.best_plan.pretty())
     print(
         f"baseline={baseline_seconds * 1000:.1f}ms "
         f"current={current_seconds * 1000:.1f}ms speedup={speedup:,.1f}x"
@@ -219,15 +215,15 @@ def test_memo_agrees_with_exhaustive_on_the_flip_workload():
     enumeration = enumerate_plans(seed, spec, max_plans=60000)
     assert not enumeration.statistics.truncated
     _, exhaustive_cost = choose_best_plan(enumeration.plans, statistics)
-    memo = TemporalQueryOptimizer(rules=DEFAULT_RULES).optimize(seed, spec, statistics)
-    agreement = abs(memo.chosen_cost.total - exhaustive_cost.total) <= 1e-9 * max(
+    memo = MemoSearch(rules=DEFAULT_RULES).optimize(seed, spec, statistics)
+    agreement = abs(memo.best_cost.total - exhaustive_cost.total) <= 1e-9 * max(
         1.0, exhaustive_cost.total
     )
     RESULTS.update(
         {
             "exhaustive_plans": len(enumeration),
             "exhaustive_best_cost": exhaustive_cost.total,
-            "memo_best_cost": memo.chosen_cost.total,
+            "memo_best_cost": memo.best_cost.total,
             "memo_exhaustive_agreement": agreement,
         }
     )

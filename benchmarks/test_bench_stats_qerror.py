@@ -48,7 +48,7 @@ from repro.core.operations import (
     TemporalDuplicateElimination,
 )
 from repro.core.operations.base import EvaluationContext
-from repro.search import search_best_plan
+from repro.search import MemoSearch
 from repro.stats import CardinalityEstimator
 from repro.workloads import (
     EMPLOYEE_SCHEMA,
@@ -150,10 +150,8 @@ def test_plan_quality_stats_flip_at_least_one_query_to_cheaper_plan(workload):
     rows = []
     for named in fully_enumerable_queries():
         plan, spec = named.build()
-        without = search_best_plan(plan, spec, statistics=statistics)
-        with_stats = search_best_plan(
-            plan, spec, statistics=statistics, estimator=estimator
-        )
+        without = MemoSearch().optimize(plan, spec, statistics)
+        with_stats = MemoSearch().optimize(plan, spec, statistics, estimator=estimator)
         flipped = without.best_plan.signature() != with_stats.best_plan.signature()
         measured_off = measure_cost(without.best_plan, context).total
         measured_on = measure_cost(with_stats.best_plan, context).total

@@ -19,8 +19,8 @@ Run with::
 
 import time
 
-from repro import ExecutionOptions
-from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
+from repro.search import MemoSearch, SearchOptions
+from repro.stratum import TemporalDatabase
 from repro.workloads import scaled_paper_workload
 
 QUERY = (
@@ -32,9 +32,10 @@ QUERY = (
 
 def run(scale: int, optimize: bool):
     employees, projects = scaled_paper_workload(scale)
+    # No rules leave the translated plan as it is: everything in the DBMS.
+    rules = None if optimize else []
     database = TemporalDatabase(
-        optimizer=TemporalQueryOptimizer(max_plans=300),
-        options=ExecutionOptions(optimize_queries=optimize),
+        optimizer=MemoSearch(rules=rules, options=SearchOptions(max_expressions=300))
     )
     database.register("EMPLOYEE", employees)
     database.register("PROJECT", projects)

@@ -36,9 +36,12 @@ from .base import (
 )
 
 
-def _aggregate_domain(function: AggregateFunction):
+def _aggregate_domain(function: AggregateFunction, child_schema: RelationSchema):
+    """``COUNT`` counts, ``MIN``/``MAX`` pick an argument value, ``SUM``/``AVG`` are numbers."""
     if function.kind is AggregateKind.COUNT:
         return INTEGER
+    if function.kind in (AggregateKind.MIN, AggregateKind.MAX):
+        return child_schema.domain_of(function.argument)
     return FLOAT
 
 
@@ -80,7 +83,7 @@ class Aggregation(UnaryOperation):
                 name = "1." + attribute
             pairs.append((name, child_schema.domain_of(attribute)))
         for function in self.functions:
-            pairs.append((function.output_name, _aggregate_domain(function)))
+            pairs.append((function.output_name, _aggregate_domain(function, child_schema)))
         return RelationSchema.from_pairs(pairs)
 
     def result_order(self, child_orders: Sequence[OrderSpec]) -> OrderSpec:
@@ -162,7 +165,7 @@ class TemporalAggregation(UnaryOperation):
                 )
             pairs.append((attribute, child_schema.domain_of(attribute)))
         for function in self.functions:
-            pairs.append((function.output_name, _aggregate_domain(function)))
+            pairs.append((function.output_name, _aggregate_domain(function, child_schema)))
         pairs += [(T1, TIME), (T2, TIME)]
         return RelationSchema.from_pairs(pairs)
 

@@ -48,8 +48,6 @@ class ExecutionOptions:
 
     * ``use_statistics`` — collect table statistics and feed the
       histogram-backed cardinality estimator into the optimizer.
-    * ``optimize_queries`` — run the cost-based optimizer (off: execute the
-      translated plan as-is; useful in benchmarks and tests).
     * ``batch_size`` — rows per columnar chunk of the physical operators
       (both engines), a positive integer.
     * ``tracer`` — a :class:`~repro.obs.trace.Tracer` for structured
@@ -65,7 +63,6 @@ class ExecutionOptions:
     """
 
     use_statistics: bool = False
-    optimize_queries: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
     tracer: Optional[Any] = None
     metrics: Optional[Any] = None

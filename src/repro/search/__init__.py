@@ -21,8 +21,10 @@ package supplies that missing optimizer in the Volcano/Cascades tradition:
   :class:`repro.core.enumeration.EnumerationStatistics`.
 
 The exhaustive enumerator remains available (and is the oracle the agreement
-tests compare against); the memo search is the default optimizer behind
-:class:`repro.stratum.TemporalDatabase`.
+tests compare against); a :class:`MemoSearch` is the one optimizer a
+:class:`repro.stratum.TemporalDatabase` holds, and
+``MemoSearch(rules=, cost_model=, options=).optimize(plan, spec, statistics,
+estimator=)`` is the one-shot search.
 """
 
 from .enforcers import ensure_output_properties, missing_output_enforcers
@@ -34,7 +36,6 @@ from .search import (
     SearchOptions,
     SearchResult,
     SearchStatistics,
-    search_best_plan,
 )
 
 __all__ = [
@@ -49,5 +50,4 @@ __all__ = [
     "SearchStatistics",
     "ensure_output_properties",
     "missing_output_enforcers",
-    "search_best_plan",
 ]

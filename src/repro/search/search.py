@@ -405,7 +405,13 @@ def _combinations(frontiers: List[List[_Entry]]) -> List[PyTuple[_Entry, ...]]:
 
 
 class MemoSearch:
-    """Memo-based, cost-guided optimizer over the paper's rule catalogue."""
+    """Memo-based, cost-guided optimizer over the paper's rule catalogue.
+
+    Holds immutable configuration only — the rule index, the cost model,
+    the budgets and the root engine.  Everything a request brings (the
+    statistics, the estimator, the exploration store, the token) is an
+    argument, so one instance serves every session and worker at once.
+    """
 
     def __init__(
         self,
@@ -413,15 +419,10 @@ class MemoSearch:
         cost_model: Optional[CostModel] = None,
         options: Optional[SearchOptions] = None,
         root_engine: Engine = STRATUM_ENGINE,
-        estimator=None,
     ) -> None:
         self.index = rule_index(rules)
         self.cost_model = cost_model or CostModel()
         self.options = options or SearchOptions()
-        #: Optional histogram-backed cardinality estimator (see
-        #: :mod:`repro.stats`); replaces the fixed selectivity/overlap
-        #: constants wherever it can resolve a predicate or operator.
-        self.estimator = estimator
         #: Engine executing the plan root — the stratum for whole queries,
         #: the DBMS when optimizing a fragment on the DBMS's behalf.
         self.root_engine = root_engine
@@ -431,6 +432,7 @@ class MemoSearch:
         initial_plan: Operation,
         query: QueryResultSpec,
         statistics: Optional[Mapping[str, int]] = None,
+        estimator=None,
         explorations: Optional[ExplorationStore] = None,
         token=None,
     ) -> SearchResult:
@@ -440,7 +442,7 @@ class MemoSearch:
         lets the first step be looked up instead of run.
         """
         return self.extract(
-            self.explore(initial_plan, query, explorations, token), statistics
+            self.explore(initial_plan, query, explorations, token), statistics, estimator
         )
 
     def explore(
@@ -490,12 +492,17 @@ class MemoSearch:
         return exploration
 
     def extract(
-        self, exploration: Exploration, statistics: Optional[Mapping[str, int]] = None
+        self,
+        exploration: Exploration,
+        statistics: Optional[Mapping[str, int]] = None,
+        estimator=None,
     ) -> SearchResult:
         """Choose the cheapest plan of an explored memo under ``statistics``.
 
         Everything that reads cardinalities: the bounds, the frontiers, the
-        chosen plan and its cost.  Only reads the memo.
+        chosen plan and its cost.  Only reads the memo.  An ``estimator``
+        (see :mod:`repro.stats`) replaces the fixed selectivity/overlap
+        constants wherever it can resolve a predicate or operator.
         """
         statistics_map = dict(statistics or {})
         seed, memo = exploration.seed, exploration.memo
@@ -507,7 +514,7 @@ class MemoSearch:
 
         seed_cost = estimate_cost(
             seed, statistics_map, self.cost_model, engine=self.root_engine,
-            estimator=self.estimator,
+            estimator=estimator,
         )
         # The upper bound must be *attainable by the seed's own expressions*,
         # which the extraction prices shell-wise: whole-plan costing charges
@@ -518,12 +525,12 @@ class MemoSearch:
         # survives its own bound and restricted rule sets keep optimizing.
         seed_shell_cost = estimate_cost(
             seed, statistics_map, self.cost_model, engine=self.root_engine,
-            estimator=self.estimator, physical_fusion=False,
+            estimator=estimator, physical_fusion=False,
         )
         upper_bound = seed_shell_cost.total * self.options.upper_bound_slack + 1e-9
         extractor = _Extractor(
             memo, statistics_map, self.cost_model, search_statistics, upper_bound,
-            estimator=self.estimator,
+            estimator=estimator,
         )
         frontier = extractor.frontier(exploration.root, self.root_engine)
         rules_applied: PyTuple[str, ...] = ()
@@ -531,7 +538,7 @@ class MemoSearch:
             best_plan = frontier[0].build()
             best_cost = estimate_cost(
                 best_plan, statistics_map, self.cost_model, engine=self.root_engine,
-                estimator=self.estimator,
+                estimator=estimator,
             )
             rules_applied = tuple(frontier[0].rules())
             if best_cost.total > seed_cost.total:
@@ -547,18 +554,3 @@ class MemoSearch:
             memo=memo,
             rules_applied=rules_applied,
         )
-
-
-def search_best_plan(
-    initial_plan: Operation,
-    query: QueryResultSpec,
-    rules: Optional[Union[RuleIndex, Iterable[TransformationRule]]] = None,
-    statistics: Optional[Mapping[str, int]] = None,
-    cost_model: Optional[CostModel] = None,
-    options: Optional[SearchOptions] = None,
-    estimator=None,
-) -> SearchResult:
-    """Convenience wrapper: one-shot memo search over ``initial_plan``."""
-    return MemoSearch(
-        rules=rules, cost_model=cost_model, options=options, estimator=estimator
-    ).optimize(initial_plan, query, statistics)

@@ -4,11 +4,10 @@ One object drives the whole query lifecycle the layers below implement:
 
 * :mod:`repro.tsql` lexes/parses the statement and translates it to the
   initial algebra plan plus its Definition 5.1 result specification;
-* the :class:`~repro.stratum.layer.TemporalQueryOptimizer` (memo search)
-  rewrites the plan under the rule catalogue and picks the cheapest
-  alternative, consuming the catalog's statistics — and, with
-  ``use_statistics=True`` on the database, its histogram-backed
-  :class:`~repro.stats.estimator.CardinalityEstimator`;
+* the database's one :class:`~repro.search.MemoSearch` rewrites the plan
+  under the rule catalogue and picks the cheapest alternative, consuming the
+  catalog's statistics — and, with ``use_statistics=True`` on the database,
+  its histogram-backed :class:`~repro.stats.estimator.CardinalityEstimator`;
 * the :class:`~repro.stratum.executor.StratumExecutor` runs the chosen plan
   across the two engines.
 

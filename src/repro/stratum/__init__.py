@@ -1,11 +1,7 @@
 """The temporal layer (stratum) on top of the conventional DBMS substrate."""
 
 from .executor import StratumExecutor
-from .layer import (
-    OptimizationOutcome,
-    TemporalDatabase,
-    TemporalQueryOptimizer,
-)
+from .layer import OptimizationOutcome, TemporalDatabase
 from .partition import DBMS, PlanPartition, STRATUM, partition_plan
 
 __all__ = [
@@ -15,6 +11,5 @@ __all__ = [
     "STRATUM",
     "StratumExecutor",
     "TemporalDatabase",
-    "TemporalQueryOptimizer",
     "partition_plan",
 ]

@@ -3,8 +3,8 @@
 :class:`TemporalDatabase` is the public face of the reproduction: it owns a
 conventional DBMS substrate holding the base tables, accepts temporal SQL
 statements (or hand-built algebra plans), optimizes them with the paper's
-machinery — plan enumeration over the typed transformation rules, guarded by
-the Table 2 operation properties, followed by cost-based selection — and
+machinery — the memo search it holds over the typed transformation rules,
+guarded by the Table 2 operation properties, with cost-based selection — and
 executes the chosen plan across the two engines.
 
 The class mirrors the division of labour of Section 2.1: the front end maps
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 from typing import Tuple as PyTuple
 
-from ..core.cost import CostModel, PlanCost, estimate_cost
+from ..core.cost import PlanCost, estimate_cost
 from ..core.exceptions import CancelledError, ResourceExhaustedError, error_code
 from ..faults import FAULTS
 from ..core.operations import Operation
@@ -29,12 +29,10 @@ from ..core.operations.base import EvaluationContext
 from ..core.order_spec import OrderSpec
 from ..core.query import QueryResultSpec
 from ..core.relation import Relation
-from ..core.rules import rule_index
-from ..core.rules.base import TransformationRule
 from ..core.schema import RelationSchema
 from ..dbms.engine import ConventionalDBMS
 from ..options import ExecutionOptions
-from ..search import ExplorationStore, MemoSearch, SearchOptions, SearchResult
+from ..search import ExplorationStore, MemoSearch, SearchResult
 from .executor import StratumExecutor
 
 
@@ -42,10 +40,9 @@ from .executor import StratumExecutor
 class OptimizationOutcome:
     """The result of optimizing one query.
 
-    ``search`` is the statement's memo search; it is ``None`` for the trivial
-    single-plan outcome (optimization disabled, or degraded).  ``chosen_plan``
-    is *the plan that executes*: the search's ``best_plan``, or else the
-    initial plan, as it is.
+    ``search`` is the statement's memo search; it is ``None`` only when the
+    search degraded.  ``chosen_plan`` is *the plan that executes*: the
+    search's ``best_plan``, or else the initial plan, as it is.
     """
 
     initial_plan: Operation
@@ -72,90 +69,6 @@ class OptimizationOutcome:
         if self.chosen_cost.total == 0:
             return 1.0
         return self.initial_cost.total / self.chosen_cost.total
-
-
-class TemporalQueryOptimizer:
-    """Cost-based plan selection over the paper's rule catalogue.
-
-    The memo-based, cost-guided search of :mod:`repro.search`: it shares
-    rewritten sub-plans across alternatives and never materializes the plan
-    space, so it scales to queries the paper's Figure 5 enumeration
-    (:mod:`repro.core.enumeration`, the oracle the agreement tests compare
-    against) truncates on.
-    """
-
-    def __init__(
-        self,
-        rules: Optional[Sequence[TransformationRule]] = None,
-        cost_model: Optional[CostModel] = None,
-        max_plans: int = 3000,
-        estimator=None,
-    ) -> None:
-        #: Built once, here (the default catalogue's is a process-wide singleton).
-        self.index = rule_index(rules)
-        self.cost_model = cost_model or CostModel()
-        self.search_options = SearchOptions(max_expressions=max_plans)
-        #: Optional histogram-backed cardinality estimator (see
-        #: :mod:`repro.stats`); a per-call estimator passed to
-        #: :meth:`optimize` takes precedence.
-        self.estimator = estimator
-
-    @property
-    def rules(self) -> Sequence[TransformationRule]:
-        """The transformation rules, in catalogue order."""
-        return self.index.rules
-
-    def optimize(
-        self,
-        initial_plan: Operation,
-        query_spec: QueryResultSpec,
-        statistics: Optional[Mapping[str, int]] = None,
-        estimator=None,
-        explorations: Optional[ExplorationStore] = None,
-        token=None,
-    ) -> OptimizationOutcome:
-        """Find the cheapest plan equivalent to ``initial_plan``.
-
-        With ``explorations`` a statement explored before (under any
-        statistics) is only re-costed; the ``search.memo`` fault point fires
-        either way.  A cancelled or expired ``token`` stops the search.
-        """
-        estimator = estimator if estimator is not None else self.estimator
-        initial_cost = estimate_cost(
-            initial_plan, statistics, self.cost_model, estimator=estimator
-        )
-        # A memo-search failure degrades to the initial plan instead of
-        # failing the query: the translator's plan is a correct (if
-        # unimproved) answer, and the search is the most intricate machinery
-        # on the query path — exactly where robustness buys the most.
-        # Cancellation/deadline/budget errors mean "stop", not "the search
-        # is broken", and propagate.
-        try:
-            if FAULTS.active:
-                FAULTS.check("search.memo")
-            search = MemoSearch(
-                rules=self.index,
-                cost_model=self.cost_model,
-                options=self.search_options,
-                estimator=estimator,
-            ).optimize(initial_plan, query_spec, statistics, explorations, token)
-        except (CancelledError, ResourceExhaustedError):
-            raise
-        except Exception as exc:
-            return OptimizationOutcome(
-                initial_plan=initial_plan,
-                chosen_plan=initial_plan,
-                chosen_cost=initial_cost,
-                initial_cost=initial_cost,
-                degraded=f"memo_search:{error_code(exc)}",
-            )
-        return OptimizationOutcome(
-            initial_plan=initial_plan,
-            chosen_plan=search.best_plan,
-            chosen_cost=search.best_cost,
-            initial_cost=initial_cost,
-            search=search,
-        )
 
 
 class _CatalogReads:
@@ -211,7 +124,7 @@ class TemporalDatabase(_CatalogReads):
     def __init__(
         self,
         dbms: Optional[ConventionalDBMS] = None,
-        optimizer: Optional[TemporalQueryOptimizer] = None,
+        optimizer: Optional[MemoSearch] = None,
         options: Optional[ExecutionOptions] = None,
     ) -> None:
         if options is None:
@@ -220,8 +133,10 @@ class TemporalDatabase(_CatalogReads):
         #: :meth:`session` inherit it.
         self.options = options
         self.dbms = dbms or ConventionalDBMS()
-        self.optimizer = optimizer or TemporalQueryOptimizer()
-        self.optimize_queries = options.optimize_queries
+        #: The one optimizer: immutable configuration (rule index, cost
+        #: model, budgets), shared by every session and worker.  An empty
+        #: rule set (``MemoSearch(rules=[])``) runs the translated plan.
+        self.optimizer = optimizer or MemoSearch()
         #: When True, every optimization consumes a fresh histogram-backed
         #: estimator built from the catalog (see :mod:`repro.stats`) instead
         #: of the cost model's fixed selectivity/overlap constants.
@@ -307,19 +222,17 @@ class TemporalDatabase(_CatalogReads):
         explorations: Optional[ExplorationStore] = None,
         token=None,
     ) -> OptimizationOutcome:
-        """Optimize a plan against the current statistics (or cost it as-is).
+        """Optimize a plan against the current statistics.
 
-        The single place the optimize-or-estimate policy lives: the session
-        layer's plan cache plans every statement through it (EXPLAIN and
-        :meth:`explain` included), so every entry point reports identical
-        optimization metadata.
-        With ``optimize_queries=False`` the initial plan is costed and taken
-        as the trivial single-plan outcome.  The executor runs the outcome's
-        ``chosen_plan`` as given, ``TS`` fragments included: the statement's
-        search has already explored below every ``TS`` with the DBMS's
-        multiset-safe rules and priced each fragment at the DBMS's rates, so
-        the DBMS needs no search of its own (``docs/architecture.md``, "Who
-        optimizes a fragment, and when").
+        The single place a statement is optimized: the session layer's plan
+        cache plans every statement through it (EXPLAIN and :meth:`explain`
+        included), so every entry point reports identical optimization
+        metadata.  The executor runs the outcome's ``chosen_plan`` as given,
+        ``TS`` fragments included: the statement's search has already
+        explored below every ``TS`` with the DBMS's multiset-safe rules and
+        priced each fragment at the DBMS's rates, so the DBMS needs no search
+        of its own (``docs/architecture.md``, "Who optimizes a fragment, and
+        when").
         With a ``snapshot`` the statistics (and, under ``use_statistics``,
         the estimator) come from the pinned contents instead of the live
         catalog, so the plan matches the epoch the snapshot's cache key
@@ -331,19 +244,38 @@ class TemporalDatabase(_CatalogReads):
         source = snapshot if snapshot is not None else self
         statistics = source.statistics()
         estimator = source.estimator() if self.use_statistics else None
-        if self.optimize_queries:
-            return self.optimizer.optimize(
+        initial_cost = estimate_cost(
+            initial_plan, statistics, self.optimizer.cost_model, estimator=estimator
+        )
+        # A search failure degrades to the initial plan instead of failing
+        # the query: the translator's plan is a correct (if unimproved)
+        # answer, and the search is the most intricate machinery on the
+        # query path — exactly where robustness buys the most.
+        # Cancellation/deadline/budget errors mean "stop", not "the search
+        # is broken", and propagate.
+        try:
+            if FAULTS.active:
+                FAULTS.check("search.memo")
+            search = self.optimizer.optimize(
                 initial_plan, query_spec, statistics, estimator=estimator,
                 explorations=explorations, token=token,
             )
-        cost = estimate_cost(
-            initial_plan, statistics, self.optimizer.cost_model, estimator=estimator
-        )
+        except (CancelledError, ResourceExhaustedError):
+            raise
+        except Exception as exc:
+            return OptimizationOutcome(
+                initial_plan=initial_plan,
+                chosen_plan=initial_plan,
+                chosen_cost=initial_cost,
+                initial_cost=initial_cost,
+                degraded=f"memo_search:{error_code(exc)}",
+            )
         return OptimizationOutcome(
             initial_plan=initial_plan,
-            chosen_plan=initial_plan,
-            chosen_cost=cost,
-            initial_cost=cost,
+            chosen_plan=search.best_plan,
+            chosen_cost=search.best_cost,
+            initial_cost=initial_cost,
+            search=search,
         )
 
     def run_plan(self, plan: Operation) -> Relation:

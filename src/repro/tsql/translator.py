@@ -36,7 +36,7 @@ from typing import List, Mapping, Optional, Tuple as PyTuple
 
 from ..core.analysis import guarantees_no_snapshot_duplicates
 from ..core.exceptions import ParseError
-from ..core.expressions import AttributeRef, ProjectionItem
+from ..core.expressions import AggregateKind, AttributeRef, ProjectionItem
 from ..core.operations import (
     Aggregation,
     BaseRelation,
@@ -59,9 +59,12 @@ from ..core.operations import (
 )
 from ..core.period import T1, T2
 from ..core.query import QueryResultSpec
-from ..core.schema import RelationSchema
+from ..core.schema import FLOAT, INTEGER, TIME, RelationSchema
 from .ast import AggregateItem, SelectBlock, SelectItem, SetCombinator, Statement
 from .parser import parse_statement
+
+#: The domains ``SUM`` and ``AVG`` accept: the numbers and the time domain.
+NUMERIC = (INTEGER, FLOAT, TIME)
 
 
 def translate_statement(
@@ -184,6 +187,16 @@ class _Translator:
             if entry.expression.name not in grouping:
                 raise ParseError(
                     f"SELECT item {entry.expression.name!r} must appear in GROUP BY"
+                )
+        for function in functions:
+            if function.argument is None:
+                continue
+            if not schema.has_attribute(function.argument):
+                raise ParseError(f"{function} references unknown attribute {function.argument!r}")
+            domain = schema.domain_of(function.argument)
+            if function.kind in (AggregateKind.SUM, AggregateKind.AVG) and domain not in NUMERIC:
+                raise ParseError(
+                    f"{function} needs a numeric argument; {function.argument!r} is {domain}"
                 )
         if temporal_statement and schema.is_temporal:
             return TemporalAggregation(grouping, functions, plan)

@@ -3,7 +3,8 @@
 One frozen options object rides through all three constructors
 (``TemporalDatabase``, ``Session``, ``Server``).  These tests pin the
 round-trip and inheritance, ``batch_size`` validation, that the removed
-per-constructor keywords are rejected, and the ``repro.connect`` facade.
+per-constructor keywords are rejected, the ``repro.connect`` facade, and the
+database's one optimizer object: a ``MemoSearch`` that every request shares.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from repro.core.lowering import Lowering
 from repro.dbms.engine import ConventionalDBMS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.search import MemoSearch, SearchOptions
 from repro.server import Server
 from repro.stratum.executor import StratumExecutor
-from repro.workloads import employee_relation
+from repro.workloads import PAPER_SQL, employee_relation, scaled_paper_workload
+
+from .conftest import in_threads
 
 
 class TestOptionsObject:
@@ -56,11 +60,10 @@ class TestRoundTrip:
     """``options=`` reaches execution through every constructor."""
 
     def test_temporal_database(self):
-        options = ExecutionOptions(use_statistics=True, optimize_queries=False)
+        options = ExecutionOptions(use_statistics=True)
         db = TemporalDatabase(options=options)
         assert db.options is options
         assert db.use_statistics is True
-        assert db.optimize_queries is False
 
     def test_session_inherits_database_options(self):
         db = TemporalDatabase(options=ExecutionOptions(batch_size=32))
@@ -103,6 +106,7 @@ class TestRemovedKeywords:
         "constructor, keyword",
         [
             (TemporalDatabase, "optimize_queries"),
+            (ExecutionOptions, "optimize_queries"),
             (TemporalDatabase, "use_statistics"),
             (Session, "tracer"),
             (Session, "metrics"),
@@ -119,6 +123,49 @@ class TestRemovedKeywords:
     def test_legacy_keyword_is_a_type_error(self, constructor, keyword):
         with pytest.raises(TypeError, match=keyword):
             constructor(**{keyword: None})
+
+
+class TestOneOptimizer:
+    """The database plans with the one ``MemoSearch`` it holds."""
+
+    def test_the_default_is_a_memo_search_with_the_one_budget_default(self):
+        optimizer = TemporalDatabase().optimizer
+        assert type(optimizer) is MemoSearch
+        assert optimizer.options == SearchOptions()
+
+    def test_a_shared_search_keeps_no_per_request_state(self):
+        """Two snapshots either side of a skewing append, planned alone and
+        interleaved from four threads: each keeps its own plan and cost."""
+        database = TemporalDatabase(options=ExecutionOptions(use_statistics=True))
+        employees, projects = scaled_paper_workload(12)
+        database.register("EMPLOYEE", employees)
+        database.register("PROJECT", projects)
+        before = database.snapshot()
+        database.append("EMPLOYEE", [("Zed", "Sales", i % 5, 40 + i) for i in range(300)])
+        after = database.snapshot()
+        plan, spec = database.parse(PAPER_SQL)
+
+        def decide(snapshot):
+            outcome = database.optimize_plan(plan, spec, snapshot=snapshot)
+            return outcome.chosen_plan, outcome.chosen_cost
+
+        alone = {snapshot.epoch: decide(snapshot) for snapshot in (before, after)}
+        # The append moves the estimator enough to flip the chosen plan.
+        assert alone[before.epoch][0] != alone[after.epoch][0]
+
+        def interleaved(first, second):
+            return lambda: [
+                (snapshot.epoch, decide(snapshot)) for snapshot in (first, second) * 3
+            ]
+
+        outcomes = in_threads(
+            interleaved(before, after), interleaved(after, before),
+            interleaved(before, after), interleaved(after, before),
+        )()
+        for outcome in outcomes:
+            assert not isinstance(outcome, BaseException), outcome
+            for epoch, decision in outcome:
+                assert decision == alone[epoch]
 
 
 class TestFacade:

@@ -12,8 +12,8 @@ import pytest
 from repro.core.applicability import results_acceptable
 from repro.core.equivalence import list_equivalent, multiset_equivalent
 from repro.core.operations import Coalescing, Sort, TemporalDifference, TransferToStratum
-from repro.options import ExecutionOptions
-from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
+from repro.search import MemoSearch, SearchOptions
+from repro.stratum import TemporalDatabase
 from repro.workloads import (
     WorkloadParameters,
     employee_relation,
@@ -30,7 +30,7 @@ class TestPaperExample:
         assert list_equivalent(result, expected_result)
 
     def test_unoptimized_execution_matches_too(self, employee, project, paper_statement, expected_result):
-        database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
+        database = TemporalDatabase(optimizer=MemoSearch(rules=[]))
         database.register("EMPLOYEE", employee)
         database.register("PROJECT", project)
         result = database.query(paper_statement)
@@ -141,7 +141,9 @@ class TestScaledWorkload:
     def test_paper_query_on_generated_data(self):
         employees = generate_employees(WorkloadParameters(tuples=150, entities=30, seed=9))
         projects = generate_projects(WorkloadParameters(tuples=200, entities=30, seed=10))
-        database = TemporalDatabase(optimizer=TemporalQueryOptimizer(max_plans=300))
+        database = TemporalDatabase(
+            optimizer=MemoSearch(options=SearchOptions(max_expressions=300))
+        )
         database.register("EMPLOYEE", employees)
         database.register("PROJECT", projects)
         statement = (

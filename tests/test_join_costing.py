@@ -51,8 +51,7 @@ from repro.core.rules.join_rules import (
     FuseSelectionOverProduct,
     FuseSelectionOverTemporalProduct,
 )
-from repro.options import ExecutionOptions
-from repro.search import search_best_plan
+from repro.search import MemoSearch
 from repro.stratum import TemporalDatabase
 from repro.workloads import (
     EMPLOYEE_SCHEMA,
@@ -193,7 +192,7 @@ class TestRewriteDifferential:
             else FuseSelectionOverProduct()
         )
         rewritten = rule.apply(plan).replacement
-        database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
+        database = TemporalDatabase()
         reference = plan.evaluate(EvaluationContext())
         assert list(database.run_plan(plan).tuples) == list(reference.tuples)
         assert list(database.run_plan(rewritten).tuples) == list(reference.tuples)
@@ -420,11 +419,8 @@ class TestFusedPairCosting:
             Comparison(ComparisonOperator.EQ, AttributeRef("Dept"), Literal("Sales")),
             Selection(_eq("1.EmpName", "2.EmpName"), CartesianProduct(left, right)),
         )
-        result = search_best_plan(
-            plan,
-            QueryResultSpec.multiset(),
-            rules=CONVENTIONAL_RULES,  # no σ(×) → ⋈ rewrite available
-            statistics={"EMPLOYEE": 500, "PROJECT": 800},
+        result = MemoSearch(rules=CONVENTIONAL_RULES).optimize(  # no σ(×) → ⋈ rewrite available
+            plan, QueryResultSpec.multiset(), {"EMPLOYEE": 500, "PROJECT": 800}
         )
         # The catalogue must still improve the seed (push the one-sided
         # conjunct into the product's left argument) instead of silently
@@ -467,15 +463,15 @@ class TestJoinQueryPins:
         enumeration = enumerate_plans(plan, spec, max_plans=60000)
         assert not enumeration.statistics.truncated
         _, exhaustive_cost = choose_best_plan(enumeration.plans, STATISTICS)
-        result = search_best_plan(plan, spec, statistics=STATISTICS)
+        result = MemoSearch().optimize(plan, spec, STATISTICS)
         assert result.best_cost.total == pytest.approx(exhaustive_cost.total, rel=1e-12)
         assert _contains_idiom(result.best_plan), result.best_plan.pretty()
         assert result.best_plan in enumeration
 
     def test_chosen_plan_runs_list_compatibly_in_the_stratum(self, build):
         plan, spec = build()
-        result = search_best_plan(plan, spec, statistics=STATISTICS)
-        database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
+        result = MemoSearch().optimize(plan, spec, STATISTICS)
+        database = TemporalDatabase()
         database.register("EMPLOYEE", employee_relation())
         database.register("PROJECT", project_relation())
         produced = database.run_plan(result.best_plan)
@@ -566,7 +562,5 @@ class TestAgreementWithoutTemporalStatistics:
         _, exhaustive_cost = choose_best_plan(
             enumeration.plans, statistics, estimator=estimator
         )
-        result = search_best_plan(
-            plan, spec, statistics=statistics, estimator=estimator
-        )
+        result = MemoSearch().optimize(plan, spec, statistics, estimator=estimator)
         assert result.best_cost.total == pytest.approx(exhaustive_cost.total, rel=1e-12)

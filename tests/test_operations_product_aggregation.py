@@ -3,8 +3,18 @@
 import pytest
 from hypothesis import given
 
-from repro.core.exceptions import TemporalSchemaError
-from repro.core.expressions import agg_sum, count, equals, attribute, Comparison, ComparisonOperator
+from repro import ExecutionOptions, Session, TemporalDatabase
+from repro.core.exceptions import ParseError, TemporalSchemaError
+from repro.core.expressions import (
+    AggregateFunction,
+    AggregateKind,
+    agg_sum,
+    count,
+    equals,
+    attribute,
+    Comparison,
+    ComparisonOperator,
+)
 from repro.core.operations import (
     Aggregation,
     CartesianProduct,
@@ -17,7 +27,8 @@ from repro.core.operations import (
 from repro.core.operations.base import EvaluationContext
 from repro.core.period import Period
 from repro.core.relation import Relation
-from repro.core.schema import INTEGER, RelationSchema, STRING
+from repro.core.schema import FLOAT, INTEGER, RelationSchema, STRING, TIME
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads import employee_relation, project_relation
 
 from .strategies import narrow_temporal_relations
@@ -219,3 +230,63 @@ class TestTemporalAggregation:
             assert result.is_empty()
         else:
             assert result.cardinality <= 2 * relation.cardinality - 1
+
+
+class TestAggregateDomains:
+    """``COUNT`` is an integer, ``MIN``/``MAX`` keep their argument's domain,
+    ``SUM``/``AVG`` are numbers over numeric arguments only."""
+
+    @pytest.mark.parametrize("operation", [Aggregation, TemporalAggregation])
+    def test_output_domains(self, operation, employee):
+        functions = [
+            AggregateFunction(kind, argument)
+            for kind, argument in [
+                (AggregateKind.COUNT, "EmpName"),
+                (AggregateKind.MIN, "EmpName"),
+                (AggregateKind.MAX, "T1"),
+                (AggregateKind.SUM, "T1"),
+                (AggregateKind.AVG, "T2"),
+            ]
+        ]
+        schema = operation(["Dept"], functions, LiteralRelation(employee)).output_schema()
+        assert [schema.domain_of(function.output_name) for function in functions] == [
+            INTEGER, STRING, TIME, FLOAT, FLOAT,
+        ]
+
+    @staticmethod
+    def database():
+        database = TemporalDatabase()
+        database.register("EMPLOYEE", employee_relation())
+        database.register("PROJECT", project_relation())
+        return database
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT Dept, MIN(EmpName) FROM EMPLOYEE GROUP BY Dept",
+            "SELECT Dept, MAX(EmpName) AS M FROM EMPLOYEE GROUP BY Dept",
+            "SELECT MIN(EmpName) FROM EMPLOYEE",
+        ],
+    )
+    def test_min_max_of_a_string_match_the_reference(self, statement):
+        database = self.database()
+        result = database.execute(statement)
+        reference = database.evaluate_reference(database.parse(statement)[0])
+        schema = result.relation.schema
+        aggregate = schema.attributes[-3]  # the last attribute before T1, T2
+        assert schema.domain_of(aggregate) == STRING
+        assert sorted(result.relation.rows) == sorted(reference.rows)
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT Dept, SUM(EmpName) FROM EMPLOYEE GROUP BY Dept",
+            "SELECT AVG(Dept) FROM EMPLOYEE",
+        ],
+    )
+    def test_sum_avg_of_a_string_is_a_parse_error(self, statement):
+        metrics = MetricsRegistry()
+        session = Session(self.database(), options=ExecutionOptions(metrics=metrics))
+        with pytest.raises(ParseError, match="numeric"):
+            session.execute(statement)
+        assert "repro_degraded_total{" not in metrics.exposition()

@@ -12,7 +12,7 @@ from repro.core.applicability import results_acceptable
 from repro.core.cost import choose_best_plan, estimate_cost
 from repro.core.enumeration import enumerate_plans
 from repro.core.operations.base import EvaluationContext
-from repro.search import search_best_plan
+from repro.search import MemoSearch
 from repro.stats import CardinalityEstimator
 from repro.workloads import (
     employee_relation,
@@ -53,14 +53,14 @@ class TestAgreementWithExhaustiveEnumeration:
         enumeration = enumerate_plans(plan, spec, max_plans=60000)
         assert not enumeration.statistics.truncated, "query is not fully enumerable"
         _, exhaustive_cost = choose_best_plan(enumeration.plans, STATISTICS)
-        result = search_best_plan(plan, spec, statistics=STATISTICS)
+        result = MemoSearch().optimize(plan, spec, STATISTICS)
         assert result.best_cost.total == pytest.approx(exhaustive_cost.total, rel=1e-12)
 
     @over(QUERIES)
     def test_best_plan_is_in_the_exhaustive_closure(self, named):
         plan, spec = named.build()
         enumeration = enumerate_plans(plan, spec, max_plans=60000)
-        result = search_best_plan(plan, spec, statistics=STATISTICS)
+        result = MemoSearch().optimize(plan, spec, STATISTICS)
         # O(1) membership thanks to the signature index of EnumerationResult.
         assert result.best_plan in enumeration
 
@@ -71,14 +71,14 @@ class TestAgreementWithExhaustiveEnumeration:
             {"EMPLOYEE": employee_relation(), "PROJECT": project_relation()}
         )
         reference = plan.evaluate(context)
-        result = search_best_plan(plan, spec, statistics=STATISTICS)
+        result = MemoSearch().optimize(plan, spec, STATISTICS)
         produced = result.best_plan.evaluate(context)
         assert results_acceptable(reference, produced, spec), result.best_plan.pretty()
 
     @over(QUERIES)
     def test_reported_cost_is_the_plans_estimated_cost(self, named):
         plan, spec = named.build()
-        result = search_best_plan(plan, spec, statistics=STATISTICS)
+        result = MemoSearch().optimize(plan, spec, STATISTICS)
         recomputed = estimate_cost(result.best_plan, STATISTICS)
         assert result.best_cost.total == pytest.approx(recomputed.total)
 
@@ -87,7 +87,7 @@ class TestAgreementWithExhaustiveEnumeration:
         plan, spec = named.build()
         enumeration = enumerate_plans(plan, spec, max_plans=60000)
         assert len(enumeration) >= 100
-        result = search_best_plan(plan, spec, statistics=STATISTICS)
+        result = MemoSearch().optimize(plan, spec, STATISTICS)
         assert result.statistics.plans_considered < len(enumeration)
 
     def test_only_the_fanned_out_queries_have_100_plans_to_share(self):
@@ -116,18 +116,14 @@ class TestAgreementWithHistogramEstimates:
         _, exhaustive_cost = choose_best_plan(
             enumeration.plans, SKEWED_STATISTICS, estimator=ESTIMATOR
         )
-        result = search_best_plan(
-            plan, spec, statistics=SKEWED_STATISTICS, estimator=ESTIMATOR
-        )
+        result = MemoSearch().optimize(plan, spec, SKEWED_STATISTICS, estimator=ESTIMATOR)
         assert result.best_cost.total == pytest.approx(exhaustive_cost.total, rel=1e-12)
 
     def test_chosen_plan_satisfies_definition_51(self, named):
         plan, spec = named.build()
         context = EvaluationContext(SKEWED_RELATIONS)
         reference = plan.evaluate(context)
-        result = search_best_plan(
-            plan, spec, statistics=SKEWED_STATISTICS, estimator=ESTIMATOR
-        )
+        result = MemoSearch().optimize(plan, spec, SKEWED_STATISTICS, estimator=ESTIMATOR)
         produced = result.best_plan.evaluate(context)
         assert results_acceptable(reference, produced, spec), result.best_plan.pretty()
 

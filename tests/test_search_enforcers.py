@@ -62,11 +62,11 @@ class TestEnsureOutputProperties:
     def test_search_accepts_bare_seed_plans(self):
         from repro.core.applicability import results_acceptable
         from repro.core.operations.base import EvaluationContext
-        from repro.search import search_best_plan
+        from repro.search import MemoSearch
         from repro.workloads import employee_relation, project_relation
 
         query = QueryResultSpec(distinct=True, order_by=ORDER, coalesced=True)
-        result = search_best_plan(bare_body(), query, statistics={"EMPLOYEE": 5})
+        result = MemoSearch().optimize(bare_body(), query, {"EMPLOYEE": 5})
         context = EvaluationContext(
             {"EMPLOYEE": employee_relation(), "PROJECT": project_relation()}
         )

@@ -20,7 +20,7 @@ from repro.core.order_spec import OrderSpec
 from repro.core.properties import root_properties
 from repro.core.query import QueryResultSpec
 from repro.core.rules import DEFAULT_RULES, RuleIndex, rules_by_name
-from repro.search import Memo, MemoSearch, SearchStatistics, search_best_plan
+from repro.search import Memo, MemoSearch, SearchStatistics
 from repro.search.memo import binding_feature
 from repro.search.tasks import explore
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, paper_query
@@ -95,7 +95,7 @@ class TestMemoInterning:
 class TestExplorationSharing:
     def test_shared_subplan_rewritten_once(self):
         plan, spec = paper_query()
-        result = search_best_plan(plan, spec, statistics={"EMPLOYEE": 5, "PROJECT": 8})
+        result = MemoSearch().optimize(plan, spec, {"EMPLOYEE": 5, "PROJECT": 8})
         statistics = result.statistics
         # The memo considers far fewer fragments than the exhaustive space
         # holds plans (126 for this query), yet finds its minimum cost.
@@ -106,7 +106,7 @@ class TestExplorationSharing:
 
     def test_statistics_mirror_enumeration_statistics(self):
         plan, spec = paper_query()
-        result = search_best_plan(plan, spec, statistics={"EMPLOYEE": 5, "PROJECT": 8})
+        result = MemoSearch().optimize(plan, spec, {"EMPLOYEE": 5, "PROJECT": 8})
         statistics = result.statistics
         assert statistics.applications_attempted >= statistics.applications_succeeded
         assert statistics.rejected_by_properties > 0
@@ -116,25 +116,20 @@ class TestExplorationSharing:
     def test_rule_order_does_not_change_the_best_cost(self):
         plan, spec = paper_query()
         stats = {"EMPLOYEE": 5, "PROJECT": 8}
-        forward = search_best_plan(plan, spec, rules=list(DEFAULT_RULES), statistics=stats)
-        backward = search_best_plan(
-            plan, spec, rules=list(reversed(DEFAULT_RULES)), statistics=stats
-        )
+        forward = MemoSearch(rules=list(DEFAULT_RULES)).optimize(plan, spec, stats)
+        backward = MemoSearch(rules=list(reversed(DEFAULT_RULES))).optimize(plan, spec, stats)
         assert forward.best_cost.total == backward.best_cost.total
 
     def test_truncation_budget_respected(self):
         from repro.search import SearchOptions
 
         plan, spec = paper_query()
-        result = search_best_plan(
-            plan,
-            spec,
-            statistics={"EMPLOYEE": 5, "PROJECT": 8},
-            options=SearchOptions(max_expressions=12),
+        result = MemoSearch(options=SearchOptions(max_expressions=12)).optimize(
+            plan, spec, {"EMPLOYEE": 5, "PROJECT": 8}
         )
         assert result.statistics.truncated
         # A truncated search still returns a valid plan, no worse than the seed.
-        seed_result = search_best_plan(plan, spec, rules=[], statistics={"EMPLOYEE": 5, "PROJECT": 8})
+        seed_result = MemoSearch(rules=[]).optimize(plan, spec, {"EMPLOYEE": 5, "PROJECT": 8})
         assert result.best_cost.total <= seed_result.best_cost.total
 
 
@@ -142,8 +137,8 @@ class TestSearchDeterminism:
     def test_same_inputs_same_plan(self):
         plan, spec = paper_query()
         stats = {"EMPLOYEE": 5, "PROJECT": 8}
-        first = search_best_plan(plan, spec, statistics=stats)
-        second = search_best_plan(plan, spec, statistics=stats)
+        first = MemoSearch().optimize(plan, spec, stats)
+        second = MemoSearch().optimize(plan, spec, stats)
         assert first.best_plan == second.best_plan
         assert first.best_cost.total == second.best_cost.total
 

@@ -241,6 +241,7 @@ class TestAssumedTables:
 class TestStatisticsWiring:
     def test_unoptimized_execution_reports_histogram_backed_cost(self, skewed):
         from repro.options import ExecutionOptions
+        from repro.search import MemoSearch
         from repro.stratum import TemporalDatabase
         from repro.workloads import paper_query
 
@@ -248,7 +249,8 @@ class TestStatisticsWiring:
         outcomes = {}
         for use_statistics in (False, True):
             db = TemporalDatabase(
-                options=ExecutionOptions(optimize_queries=False, use_statistics=use_statistics)
+                optimizer=MemoSearch(rules=[]),
+                options=ExecutionOptions(use_statistics=use_statistics),
             )
             for name, relation in skewed.items():
                 db.register(name, relation)

@@ -38,9 +38,8 @@ from repro.core.rules import (
 from repro.core.rules.base import RuleIndex
 from repro.core.schema import STRING
 from repro.faults import FAULTS
-from repro.options import ExecutionOptions
 from repro.search import MemoSearch, SearchOptions
-from repro.stratum import StratumExecutor, TemporalDatabase, TemporalQueryOptimizer
+from repro.stratum import StratumExecutor, TemporalDatabase
 from repro.stratum.partition import partition_plan
 from repro.workloads import (
     CHAINED_SQL,
@@ -53,14 +52,19 @@ from repro.workloads import (
 from .strategies import conventional_plans, join_shaped_plans
 
 
-class TestTemporalQueryOptimizer:
-    def make_initial(self, temporal_db, paper_statement):
-        return temporal_db.parse(paper_statement)
+def optimize_with(temporal_db, plan, spec, **search):
+    """``optimize_plan`` over ``temporal_db``'s tables with ``MemoSearch(**search)``."""
+    database = TemporalDatabase(dbms=temporal_db.dbms, optimizer=MemoSearch(**search))
+    return database.optimize_plan(plan, spec)
+
+
+class TestOptimizePlan:
+    def test_the_database_holds_one_memo_search(self):
+        assert type(TemporalDatabase().optimizer) is MemoSearch
 
     def test_optimize_returns_cheaper_or_equal_plan(self, temporal_db, paper_statement):
-        plan, spec = self.make_initial(temporal_db, paper_statement)
-        optimizer = TemporalQueryOptimizer()
-        outcome = optimizer.optimize(plan, spec, temporal_db.statistics())
+        plan, spec = temporal_db.parse(paper_statement)
+        outcome = temporal_db.optimize_plan(plan, spec)
         assert outcome.chosen_cost.total <= outcome.initial_cost.total
         assert outcome.initial_plan == plan
         # The memo search records its own statistics.
@@ -68,27 +72,26 @@ class TestTemporalQueryOptimizer:
         assert outcome.plans_considered == outcome.search.statistics.plans_considered
 
     def test_restricted_rule_set(self, temporal_db, paper_statement):
-        plan, spec = self.make_initial(temporal_db, paper_statement)
+        plan, spec = temporal_db.parse(paper_statement)
         rules = rules_by_name()
-        optimizer = TemporalQueryOptimizer(rules=[rules["D2"], rules["S2"]])
-        outcome = optimizer.optimize(plan, spec, temporal_db.statistics())
+        outcome = optimize_with(temporal_db, plan, spec, rules=[rules["D2"], rules["S2"]])
         assert outcome.plans_considered <= 3
 
     def test_custom_cost_model_changes_choices(self, temporal_db, paper_statement):
-        plan, spec = self.make_initial(temporal_db, paper_statement)
-        dbms_biased = TemporalQueryOptimizer(cost_model=CostModel(dbms_speed=0.01, transfer_cost=0.0))
-        stratum_biased = TemporalQueryOptimizer(cost_model=CostModel(dbms_speed=10.0, transfer_cost=5.0))
-        statistics = temporal_db.statistics()
-        dbms_choice = dbms_biased.optimize(plan, spec, statistics).chosen_plan
-        stratum_choice = stratum_biased.optimize(plan, spec, statistics).chosen_plan
+        plan, spec = temporal_db.parse(paper_statement)
+        dbms_choice = optimize_with(
+            temporal_db, plan, spec, cost_model=CostModel(dbms_speed=0.01, transfer_cost=0.0)
+        ).chosen_plan
+        stratum_choice = optimize_with(
+            temporal_db, plan, spec, cost_model=CostModel(dbms_speed=10.0, transfer_cost=5.0)
+        ).chosen_plan
         # With wildly different engine speeds the chosen plans should differ
         # in how much work they leave in the DBMS (transfer placement).
         assert dbms_choice != stratum_choice
 
     def test_improvement_factor_of_identity(self, temporal_db, paper_statement):
-        plan, spec = self.make_initial(temporal_db, paper_statement)
-        optimizer = TemporalQueryOptimizer(rules=[])
-        outcome = optimizer.optimize(plan, spec, temporal_db.statistics())
+        plan, spec = temporal_db.parse(paper_statement)
+        outcome = optimize_with(temporal_db, plan, spec, rules=[])
         assert outcome.plans_considered == 1
         assert outcome.improvement_factor == pytest.approx(1.0)
 
@@ -126,24 +129,21 @@ class TestTemporalDatabaseFacade:
 
     def test_a_plan_with_optimization_disabled_runs_as_translated(self, temporal_db, paper_statement):
         plan, spec = temporal_db.parse(paper_statement)
-        database = TemporalDatabase(
-            dbms=temporal_db.dbms, options=ExecutionOptions(optimize_queries=False)
-        )
+        database = TemporalDatabase(dbms=temporal_db.dbms, optimizer=MemoSearch(rules=[]))
         optimization = database.optimize_plan(plan, spec)
-        # Nothing searched, the stratum's plan nor its one fragment (the
-        # whole statement): the translated plan executes as it is.
-        assert optimization.search is None and optimization.plans_considered == 1
-        assert optimization.chosen_plan is optimization.initial_plan is plan
+        # No rule rewrites the stratum's plan nor its one fragment (the whole
+        # statement): the translated plan executes as it is.
+        assert optimization.plans_considered == 1
+        assert optimization.chosen_plan == optimization.initial_plan == plan
         relation = database.run_plan(optimization.chosen_plan)
         assert multiset_equivalent(relation, temporal_db.run_plan(plan))
 
     def test_explain_reports_the_plan_that_executes(self, temporal_db, paper_statement):
-        database = TemporalDatabase(
-            dbms=temporal_db.dbms, options=ExecutionOptions(optimize_queries=False)
-        )
+        database = TemporalDatabase(dbms=temporal_db.dbms, optimizer=MemoSearch(rules=[]))
         plan, _ = database.parse(paper_statement)
         lines = database.explain(paper_statement).splitlines()
-        assert "optimizer:  plans considered=1" in lines
+        untouched = "optimizer:  plans considered=1,"
+        assert any(line.startswith(untouched) for line in lines)
         assert any(line.endswith(" improvement 1.00x)") for line in lines)
         # The report's plan is the translated one, operator for operator and
         # engine for engine.
@@ -155,7 +155,7 @@ class TestTemporalDatabaseFacade:
             partition_plan(plan).assignment.items()
         )
         searched = temporal_db.explain(paper_statement).splitlines()
-        assert "optimizer:  plans considered=1" not in searched
+        assert not any(line.startswith(untouched) for line in searched)
 
     def test_execute_records_statement(self, temporal_db, paper_statement):
         outcome = temporal_db.execute(paper_statement)
@@ -210,12 +210,10 @@ class TestThePlanThatExecutesIsThePlanThatWasChosen:
 
     def test_optimization_off(self, temporal_db):
         plan, spec = temporal_db.parse(CHAINED_SQL)
-        database = TemporalDatabase(
-            dbms=temporal_db.dbms, options=ExecutionOptions(optimize_queries=False)
-        )
-        outcome = database.optimize_plan(plan, spec)
-        assert outcome.search is None and outcome.degraded is None
-        assert outcome.chosen_plan is outcome.initial_plan is plan
+        outcome = optimize_with(temporal_db, plan, spec, rules=[])
+        assert outcome.degraded is None and outcome.plans_considered == 1
+        assert outcome.chosen_plan is outcome.search.best_plan
+        assert outcome.chosen_plan == outcome.initial_plan == plan
 
     def test_degraded(self, temporal_db):
         plan, spec = temporal_db.parse(CHAINED_SQL)

@@ -221,6 +221,8 @@ class TestTranslator:
             translate_statement("SELECT Nope FROM EMPLOYEE", SCHEMAS)
         with pytest.raises(ParseError):
             translate_statement("SELECT EmpName FROM EMPLOYEE WHERE Nope = 1", SCHEMAS)
+        with pytest.raises(ParseError, match="'Nope'"):
+            translate_statement("SELECT MIN(Nope) FROM EMPLOYEE", SCHEMAS)
 
     def test_coalesce_requires_temporal_result(self):
         with pytest.raises(ParseError):
