@@ -426,3 +426,6 @@ class CatalogSnapshot:
 
     def drop_table(self, name: str) -> None:
         raise CatalogError("catalog snapshots are read-only")
+
+    def insert(self, name: str, rows) -> PyTuple[int, int]:
+        raise CatalogError("catalog snapshots are read-only")

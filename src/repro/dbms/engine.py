@@ -16,12 +16,17 @@ fragment runs as given, through the one lowering of
 from the shared batch operators — no interval join, no temporal operator.
 The stratum executes a request's fragments in the same operator tree and
 never calls :meth:`ConventionalDBMS.execute`; that is for direct callers.
+
+A pinned read is the same class over a
+:class:`~repro.dbms.catalog.CatalogSnapshot`
+(:meth:`ConventionalDBMS.snapshot`): it reads, explains and executes the
+pinned rows, and the pinned catalog rejects every change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from ..core.lowering import DBMS_ENGINE, ExecutionReport, Lowering
 from ..core.operations import Operation
@@ -40,32 +45,13 @@ class DBMSResult:
     report: ExecutionReport
 
 
-class _Engine:
-    """What the live engine and a pinned snapshot share: reading a catalog.
+class ConventionalDBMS:
+    """An in-memory, multiset-semantics SQL engine over one catalog: a live
+    :class:`Catalog` (a fresh one by default) or the pinned
+    :class:`CatalogSnapshot` that :meth:`snapshot` builds."""
 
-    Subclasses set ``catalog`` (a :class:`Catalog` or a
-    :class:`CatalogSnapshot`).
-    """
-
-    def statistics(self) -> Mapping[str, int]:
-        """Cardinality per table (consumed by the stratum's cost model)."""
-        return self.catalog.statistics()
-
-    def statistics_epoch(self) -> int:
-        """The catalog's statistics epoch (see :attr:`Catalog.epoch`); a
-        snapshot's never advances."""
-        return self.catalog.epoch
-
-    def estimator(self, **kwargs):
-        """A histogram-backed estimator over the catalog's contents."""
-        return self.catalog.estimator(**kwargs)
-
-
-class ConventionalDBMS(_Engine):
-    """An in-memory, multiset-semantics SQL engine."""
-
-    def __init__(self) -> None:
-        self.catalog = Catalog()
+    def __init__(self, catalog: Optional[Union[Catalog, CatalogSnapshot]] = None) -> None:
+        self.catalog = catalog if catalog is not None else Catalog()
 
     # -- data definition ---------------------------------------------------------
 
@@ -86,6 +72,21 @@ class ConventionalDBMS(_Engine):
     def drop_table(self, name: str) -> None:
         """Drop a table."""
         self.catalog.drop_table(name)
+
+    # -- statistics ----------------------------------------------------------------
+
+    def statistics(self) -> Mapping[str, int]:
+        """Cardinality per table (consumed by the stratum's cost model)."""
+        return self.catalog.statistics()
+
+    def statistics_epoch(self) -> int:
+        """The catalog's statistics epoch (see :attr:`Catalog.epoch`); a
+        snapshot's never advances."""
+        return self.catalog.epoch
+
+    def estimator(self, **kwargs):
+        """A histogram-backed estimator over the catalog's contents."""
+        return self.catalog.estimator(**kwargs)
 
     # -- querying -------------------------------------------------------------------
 
@@ -132,27 +133,12 @@ class ConventionalDBMS(_Engine):
 
     # -- snapshots ------------------------------------------------------------------
 
-    def snapshot(self) -> "SnapshotDBMS":
-        """A read-only engine over the catalog's current contents.
+    def snapshot(self) -> "ConventionalDBMS":
+        """An engine over the catalog's current contents, pinned.
 
         Pins every table's relation plus the statistics epoch atomically
         (see :meth:`Catalog.snapshot`); queries executed against the
         returned engine see exactly this state regardless of concurrent
-        appends to the live catalog.
+        appends to the live catalog, and its catalog rejects every change.
         """
-        return SnapshotDBMS(self.catalog.snapshot())
-
-
-class SnapshotDBMS(_Engine):
-    """A read-only :class:`ConventionalDBMS` facade over a pinned catalog.
-
-    It only reads its catalog (``catalog``/``statistics``/
-    ``statistics_epoch``/``estimator``): the stratum executor and the
-    session layer run whole queries against it unchanged, lowering its
-    fragments themselves.  It has no ``execute``: fragments arrive chosen
-    when their statement was planned over the *pinned* statistics, so plan
-    choice and data come from one moment.
-    """
-
-    def __init__(self, catalog: CatalogSnapshot) -> None:
-        self.catalog = catalog
+        return ConventionalDBMS(self.catalog.snapshot())

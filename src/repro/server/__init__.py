@@ -10,10 +10,11 @@ users; this package supplies the reproduction's serving layer on top of the
   :class:`~repro.session.cache.PlanCache` (keyed by ``(fingerprint,
   statistics epoch)``, so cross-session sharing and invalidation are safe
   by construction);
-* **snapshot reads** — every query is pinned to a
-  :class:`~repro.stratum.layer.DatabaseSnapshot` at admission, so it
-  returns exactly the serial result for the epoch it was admitted at while
-  concurrent appends proceed;
+* **snapshot reads** — every query is pinned at admission to
+  :meth:`TemporalDatabase.snapshot() <repro.stratum.layer.TemporalDatabase.snapshot>`,
+  the same database class over a pinned catalog, so it returns exactly the
+  serial result for the epoch it was admitted at while concurrent appends
+  proceed;
 * **admission control** — a bounded queue with explicit rejection
   (:class:`ServerOverloadedError`) and a per-request queue-wait deadline,
   so overload produces backpressure instead of unbounded growth;

@@ -41,9 +41,8 @@ from ..core.exceptions import (
 )
 from ..options import ExecutionOptions
 from ..core.relation import Relation
-from ..faults import FAULTS, CancellationToken, ResourceGuard
+from ..faults import FAULTS, CancellationToken
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer
 from ..session.cache import PlanCache
 from ..session.session import Session
 from ..stratum.layer import TemporalDatabase
@@ -179,31 +178,23 @@ class Server:
         self.database = database or TemporalDatabase(options=options)
         #: Execution configuration applied to every worker session (and,
         #: when the server creates its own database, to the database too);
-        #: inherited from the database when not given.  Pool-shape
-        #: arguments (``max_concurrency``, ``queue_limit``,
-        #: ``request_timeout``, ``cache_size``, ``plan_cache``) describe the
-        #: container and stay constructor arguments.
-        resolved = self.options = options if options is not None else self.database.options
+        #: inherited from the database when not given.  Read on every
+        #: request — its ``cancellation``, per-request budgets and tracer
+        #: are never copied.  Pool-shape arguments (``max_concurrency``,
+        #: ``queue_limit``, ``request_timeout``, ``cache_size``,
+        #: ``plan_cache``) describe the container and stay constructor
+        #: arguments.
+        self.options = options if options is not None else self.database.options
         self.max_concurrency = max_concurrency
         self.queue_limit = queue_limit
         #: Default request deadline in seconds (``None``: no deadline).
-        #: With ``cancellation`` on (the default) the deadline holds end to
-        #: end: expired-while-queued requests are answered ``timed_out``
-        #: without running, and an *executing* request is stopped
-        #: cooperatively within one check interval of its deadline passing.
-        #: With ``cancellation`` off the deadline bounds only the queue
-        #: wait (the pre-cancellation behaviour).
+        #: With ``options.cancellation`` on (the default) the deadline holds
+        #: end to end: expired-while-queued requests are answered
+        #: ``timed_out`` without running, and an *executing* request is
+        #: stopped cooperatively within one check interval of its deadline
+        #: passing.  With it off the deadline bounds only the queue wait
+        #: (the pre-cancellation behaviour).
         self.request_timeout = request_timeout
-        #: Carry a :class:`~repro.faults.control.CancellationToken` with
-        #: every request: deadlines hold mid-execution and
-        #: :meth:`cancel`/``{"op": "cancel"}`` work.  Off, the serving path
-        #: is control-free end to end — the overhead-benchmark baseline.
-        self.cancellation = resolved.cancellation
-        #: Per-request resource budgets (rows pulled / bytes materialized);
-        #: ``None`` means unbounded.  Enforced on the same cooperative hook
-        #: as cancellation, answering ``RESOURCE_EXHAUSTED``.
-        self.max_rows_per_request = resolved.max_rows_per_request
-        self.max_bytes_per_request = resolved.max_bytes_per_request
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(cache_size)
         #: The serving counters live in a :class:`MetricsRegistry`, which is
         #: the single source of truth: :meth:`stats` reads the same
@@ -211,12 +202,8 @@ class Server:
         #: never disagree.  The default is a *per-server* registry (tests
         #: run many servers in one process); pass :data:`repro.obs.REGISTRY`
         #: to publish process-wide instead.
-        self.metrics = resolved.metrics if resolved.metrics is not None else MetricsRegistry()
-        #: Request tracing is off unless a tracer is injected; worker
-        #: sessions share it, so ``tracer.recent()`` (and the TCP ``trace``
-        #: command) sees requests from every worker.
-        self.tracer = resolved.tracer
-        self.slow_query_seconds = resolved.slow_query_seconds
+        metrics = self.options.metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_limit or 0)
         self._workers: list[threading.Thread] = []
         self._latencies = LatencyRecorder()
@@ -362,7 +349,7 @@ class Server:
         :class:`ServerClosedError` after :meth:`close`.
 
         The returned :class:`RequestFuture` carries the ``request_id``
-        :meth:`cancel` takes; with the server's ``cancellation`` on, the
+        :meth:`cancel` takes; with the options' ``cancellation`` on, the
         deadline (``timeout`` or the server default) also stops the query
         mid-execution, answering ``timed_out``.
         """
@@ -437,7 +424,7 @@ class Server:
 
     def _request(self, kind: str, deadline: Optional[float], **fields) -> _Request:
         request_id = next(self._request_ids)
-        token = CancellationToken(deadline=deadline) if self.cancellation else None
+        token = CancellationToken(deadline=deadline) if self.options.cancellation else None
         return _Request(
             kind=kind,
             future=RequestFuture(request_id),
@@ -475,13 +462,7 @@ class Server:
         # state (tables, statistics) lives in the shared database and the
         # optimized plans in the shared thread-safe cache.
         session = Session(
-            self.database,
-            cache=self.plan_cache,
-            options=self.options.replace(
-                tracer=self.tracer,
-                metrics=self.metrics,
-                slow_query_seconds=self.slow_query_seconds,
-            ),
+            self.database, cache=self.plan_cache, options=self.options.replace(metrics=self.metrics)
         )
         while True:
             item = self._queue.get()
@@ -552,7 +533,6 @@ class Server:
                         request.params,
                         snapshot=request.snapshot,
                         token=token,
-                        guard=self._guard(),
                     )
                     seconds = result.phase_seconds()
                     response = Response(
@@ -594,13 +574,6 @@ class Server:
         finally:
             with self._lock:
                 self._inflight.pop(request.request_id, None)
-
-    def _guard(self) -> Optional[ResourceGuard]:
-        if self.max_rows_per_request is None and self.max_bytes_per_request is None:
-            return None
-        return ResourceGuard(
-            max_rows=self.max_rows_per_request, max_bytes=self.max_bytes_per_request
-        )
 
     def _error_response(
         self, request: _Request, exc: BaseException, now: float
@@ -668,8 +641,9 @@ class Server:
     def recent_traces(self, limit: Optional[int] = None) -> list:
         """The last-N finished request traces as structured dicts.
 
-        Empty unless the server was constructed with a tracer.
+        Empty unless the server's options carry a tracer.
         """
-        if self.tracer is None:
+        tracer = self.options.tracer
+        if tracer is None:
             return []
-        return [trace.to_dict() for trace in self.tracer.recent(limit)]
+        return [trace.to_dict() for trace in tracer.recent(limit)]

@@ -6,8 +6,9 @@ One object drives the whole query lifecycle the layers below implement:
   initial algebra plan plus its Definition 5.1 result specification;
 * the database's one :class:`~repro.search.MemoSearch` rewrites the plan
   under the rule catalogue and picks the cheapest alternative, consuming the
-  catalog's statistics — and, with ``use_statistics=True`` on the database,
-  its histogram-backed :class:`~repro.stats.estimator.CardinalityEstimator`;
+  catalog's statistics — and, with ``use_statistics=True`` in the database's
+  options, its histogram-backed
+  :class:`~repro.stats.estimator.CardinalityEstimator`;
 * the :class:`~repro.stratum.executor.StratumExecutor` runs the chosen plan
   across the two engines.
 
@@ -41,7 +42,7 @@ from ..core.cost import cost_annotations
 from ..core.exceptions import ParameterError, error_code
 from ..core.lowering import ExecutionReport
 from ..options import ExecutionOptions
-from ..faults import FAULTS, ExecutionControl
+from ..faults import FAULTS, ExecutionControl, ResourceGuard
 from ..core.operations import Operation
 from ..core.query import QueryResultSpec
 from ..core.relation import Relation
@@ -222,13 +223,14 @@ class Session:
         ``EXPLAIN ANALYZE`` executes like the plain statement (same snapshot,
         token, guard and armed faults) with the per-operator clock on.
 
-        With a ``snapshot`` (a :class:`~repro.stratum.layer.DatabaseSnapshot`
-        from :meth:`TemporalDatabase.snapshot`) the whole lifecycle runs
-        against the pinned state: the cache key carries the snapshot's
-        epoch, a miss optimizes against the pinned statistics, and execution
-        reads only the pinned relations — so the result is exactly the
-        serial answer at that epoch even while concurrent appends advance
-        the live catalog.
+        With a ``snapshot`` (the pinned database
+        :meth:`TemporalDatabase.snapshot` returns) the whole lifecycle reads,
+        plans and executes through it in place of the session's own
+        database: the cache key carries the snapshot's epoch, a miss
+        optimizes against the pinned statistics, and execution reads only
+        the pinned relations — so the result is exactly the serial answer at
+        that epoch even while concurrent appends advance the live catalog.
+        The cache is still purged against the live epoch.
 
         With a ``token`` (:class:`~repro.faults.control.CancellationToken`)
         the lifecycle is cooperatively cancellable: the token is checked
@@ -238,10 +240,13 @@ class Session:
         :class:`~repro.core.exceptions.CancelledError` /
         :class:`~repro.core.exceptions.DeadlineExceededError`.  A ``guard``
         (:class:`~repro.faults.control.ResourceGuard`) bounds rows pulled
-        and bytes materialized on the same hook.  Any failure is recorded
-        before it propagates: the record is finished with the stable error
-        code (so is the request's trace, when sampled), and
-        ``repro_request_errors_total{code=}`` counts it.
+        and bytes materialized on the same hook; without one, the session
+        builds a fresh guard per request from its options'
+        ``max_rows_per_request``/``max_bytes_per_request`` (none when both
+        are unset).  Any failure is recorded before it propagates: the
+        record is finished with the stable error code (so is the request's
+        trace, when sampled), and ``repro_request_errors_total{code=}``
+        counts it.
         """
         return self._request(statement, params, snapshot, token, guard)
 
@@ -313,7 +318,7 @@ class Session:
     ) -> None:
         """parse → optimize → bind → execute, each once; then the renderings that need the plan."""
         params = record.parameters
-        source = snapshot if snapshot is not None else self.database
+        database = snapshot if snapshot is not None else self.database
         with self._phase(record, "parse", token) as attributes:
             ast, normalized, fingerprint, attributes["memo_hit"] = self._parse(record.statement)
             if explain is not None:  # Session.explain(): the prefix, as an argument
@@ -321,7 +326,7 @@ class Session:
             record.kind = ast.kind
         with self._phase(record, "optimize", token) as attributes:
             entry, record.cache_hit, waited = self._entry_for(
-                ast, normalized, fingerprint, snapshot, token
+                ast, normalized, fingerprint, database, token
             )
             optimization = record.optimization = entry.optimization
             record.query_spec = entry.query_spec
@@ -345,6 +350,8 @@ class Session:
             record.plan = self._bind(entry, params, optional=ast.explain and not ast.analyze)
         if not ast.explain or ast.analyze:
             with self._phase(record, "execute", token) as attributes:
+                if guard is None:
+                    guard = self._guard()
                 # The control bundle exists only when something rides on it —
                 # a token, a budget, or an armed fault point; the default path
                 # hands the executors ``None`` and stays control-free.
@@ -354,7 +361,7 @@ class Session:
                 # The per-operator clock is what sampling (or ANALYZE) turns on.
                 timed = record.trace_id is not None or ast.analyze
                 executor = StratumExecutor(
-                    source.dbms,
+                    database.dbms,
                     clock=self.tracer.clock if timed else None,
                     control=control,
                     batch_size=self.options.batch_size,
@@ -378,12 +385,11 @@ class Session:
         if costed or record.trace_id is not None:
             annotations = None
             if costed:
-                database = self.database
                 annotations = cost_annotations(
                     record.plan,
-                    source.statistics(),
+                    database.statistics(),
                     database.optimizer.cost_model,
-                    estimator=source.estimator() if database.use_statistics else None,
+                    estimator=database.estimator() if database.options.use_statistics else None,
                 )
             record.operators = build_operator_lines(record.plan, record.report, annotations)
         if ast.explain:
@@ -452,25 +458,26 @@ class Session:
         return ast, normalized, fingerprint, False
 
     def _entry_for(
-        self, ast: Statement, normalized: str, fingerprint: str, snapshot=None, token=None
+        self, ast: Statement, normalized: str, fingerprint: str, database: TemporalDatabase, token
     ) -> "PyTuple[CachedPlan, bool, Optional[float]]":
-        """``(entry, cache hit?, seconds spent waiting on another request's search)``."""
-        database = self.database
-        source = snapshot if snapshot is not None else database
-        key = PlanCacheKey(fingerprint=fingerprint, epoch=source.statistics_epoch())
+        """``(entry, cache hit?, seconds spent waiting on another request's search)``.
+
+        ``database`` is the one the request reads: the session's own, or a
+        snapshot of it.
+        """
+        key = PlanCacheKey(fingerprint=fingerprint, epoch=database.statistics_epoch())
 
         def plan() -> CachedPlan:
             # Purge against the *live* epoch: a request planning against an
             # older snapshot must not evict entries the current epoch still
             # serves from a shared cache.
-            self.cache.purge_stale(database.statistics_epoch())
+            self.cache.purge_stale(self.database.statistics_epoch())
             statement = replace(ast, explain=False, analyze=False)
-            initial_plan, query_spec = translate(statement, source.schemas())
+            initial_plan, query_spec = translate(statement, database.schemas())
             # The cache is also the store of explored memos: a statement
             # explored under another epoch is re-costed.
             optimization = database.optimize_plan(
-                initial_plan, query_spec, snapshot=snapshot, explorations=self.cache,
-                token=token,
+                initial_plan, query_spec, explorations=self.cache, token=token
             )
             return CachedPlan(
                 key=key,
@@ -482,6 +489,15 @@ class Session:
             )
 
         return self.cache.get_or_plan(key, plan, token)
+
+    def _guard(self) -> Optional[ResourceGuard]:
+        """A fresh per-request guard from the options' budgets, or None."""
+        options = self.options
+        if options.max_rows_per_request is None and options.max_bytes_per_request is None:
+            return None
+        return ResourceGuard(
+            max_rows=options.max_rows_per_request, max_bytes=options.max_bytes_per_request
+        )
 
     def _bind(self, entry: CachedPlan, params: Sequence[object], optional: bool = False) -> Operation:
         if FAULTS.active:

@@ -13,6 +13,12 @@ the DBMS and transfers the result to the stratum; the optimizer then decides
 which operations the stratum should take over (temporal duplicate
 elimination, coalescing, temporal difference, ...) and where the sort should
 run.
+
+A query reads only the substrate's catalog.  A consistent read is therefore
+the same class over a pinned catalog: :meth:`TemporalDatabase.snapshot`
+returns a ``TemporalDatabase`` whose DBMS holds a
+:class:`~repro.dbms.catalog.CatalogSnapshot`, with the live database's
+optimizer and options.
 """
 
 from __future__ import annotations
@@ -71,12 +77,68 @@ class OptimizationOutcome:
         return self.initial_cost.total / self.chosen_cost.total
 
 
-class _CatalogReads:
-    """What a query reads of the catalog, over ``self.dbms`` — live or pinned.
+class TemporalDatabase:
+    """A temporal DBMS realised as a stratum on top of a conventional DBMS.
 
-    Shared by :class:`TemporalDatabase` and :class:`DatabaseSnapshot`, so the
-    session runs one lifecycle against either.
+    Execution configuration comes from an
+    :class:`~repro.options.ExecutionOptions` (``options=``).
+    ``repro.connect()`` is the blessed constructor wrapper.
     """
+
+    def __init__(
+        self,
+        dbms: Optional[ConventionalDBMS] = None,
+        optimizer: Optional[MemoSearch] = None,
+        options: Optional[ExecutionOptions] = None,
+    ) -> None:
+        #: The execution configuration; sessions created through
+        #: :meth:`session` inherit it.
+        self.options = options if options is not None else ExecutionOptions()
+        self.dbms = dbms or ConventionalDBMS()
+        #: The one optimizer: immutable configuration (rule index, cost
+        #: model, budgets), shared by every session and worker.  An empty
+        #: rule set (``MemoSearch(rules=[])``) runs the translated plan.
+        self.optimizer = optimizer or MemoSearch()
+        #: Lazily created default session backing :meth:`execute`.
+        self._default_session = None
+
+    # -- data definition ---------------------------------------------------------
+
+    def register(self, name: str, relation: Relation, clustering: Optional[OrderSpec] = None) -> None:
+        """Store ``relation`` as base table ``name`` in the underlying DBMS."""
+        self.dbms.create_table(name, relation.schema, relation, clustering)
+
+    def create_table(self, name: str, schema: RelationSchema) -> None:
+        """Create an empty base table."""
+        self.dbms.create_table(name, schema)
+
+    def insert(self, name: str, rows) -> int:
+        """Append rows (in schema order) to a base table."""
+        return self.dbms.catalog.table(name).insert(rows)
+
+    def append(self, name: str, rows) -> PyTuple[int, int]:
+        """Like :meth:`insert`, but report ``(inserted, resulting epoch)``.
+
+        Both values come from one atomic catalog operation, so concurrent
+        appenders each learn the exact epoch their own rows landed at.
+        """
+        return self.dbms.catalog.insert(name, rows)
+
+    def snapshot(self) -> "TemporalDatabase":
+        """Pin the current table contents and epoch for consistent reads.
+
+        The returned database is this one's class over the substrate's
+        pinned engine (:meth:`~repro.dbms.engine.ConventionalDBMS.snapshot`),
+        sharing this one's optimizer and options: it reads, plans and
+        executes exactly the pinned state even while concurrent appends
+        advance the live catalog, its :meth:`statistics_epoch` never moves,
+        and every change to it raises
+        :class:`~repro.core.exceptions.CatalogError`.  A session passes one
+        per request to :meth:`repro.session.session.Session.execute`.
+        """
+        return TemporalDatabase(self.dbms.snapshot(), self.optimizer, self.options)
+
+    # -- reading the catalog -------------------------------------------------------
 
     def table(self, name: str) -> Relation:
         """The contents of a base table."""
@@ -111,71 +173,6 @@ class _CatalogReads:
         """Schema per table (the front end's translation input)."""
         catalog = self.dbms.catalog
         return {name: catalog.table(name).schema for name in catalog.table_names()}
-
-
-class TemporalDatabase(_CatalogReads):
-    """A temporal DBMS realised as a stratum on top of a conventional DBMS.
-
-    Execution configuration comes from an
-    :class:`~repro.options.ExecutionOptions` (``options=``).
-    ``repro.connect()`` is the blessed constructor wrapper.
-    """
-
-    def __init__(
-        self,
-        dbms: Optional[ConventionalDBMS] = None,
-        optimizer: Optional[MemoSearch] = None,
-        options: Optional[ExecutionOptions] = None,
-    ) -> None:
-        if options is None:
-            options = ExecutionOptions()
-        #: The execution configuration; sessions created through
-        #: :meth:`session` inherit it.
-        self.options = options
-        self.dbms = dbms or ConventionalDBMS()
-        #: The one optimizer: immutable configuration (rule index, cost
-        #: model, budgets), shared by every session and worker.  An empty
-        #: rule set (``MemoSearch(rules=[])``) runs the translated plan.
-        self.optimizer = optimizer or MemoSearch()
-        #: When True, every optimization consumes a fresh histogram-backed
-        #: estimator built from the catalog (see :mod:`repro.stats`) instead
-        #: of the cost model's fixed selectivity/overlap constants.
-        self.use_statistics = options.use_statistics
-        #: Lazily created default session backing :meth:`execute`.
-        self._default_session = None
-
-    # -- data definition ---------------------------------------------------------
-
-    def register(self, name: str, relation: Relation, clustering: Optional[OrderSpec] = None) -> None:
-        """Store ``relation`` as base table ``name`` in the underlying DBMS."""
-        self.dbms.create_table(name, relation.schema, relation, clustering)
-
-    def create_table(self, name: str, schema: RelationSchema) -> None:
-        """Create an empty base table."""
-        self.dbms.create_table(name, schema)
-
-    def insert(self, name: str, rows) -> int:
-        """Append rows (in schema order) to a base table."""
-        return self.dbms.catalog.table(name).insert(rows)
-
-    def append(self, name: str, rows) -> PyTuple[int, int]:
-        """Like :meth:`insert`, but report ``(inserted, resulting epoch)``.
-
-        Both values come from one atomic catalog operation, so concurrent
-        appenders each learn the exact epoch their own rows landed at.
-        """
-        return self.dbms.catalog.insert(name, rows)
-
-    def snapshot(self) -> "DatabaseSnapshot":
-        """Pin the current table contents and epoch for consistent reads.
-
-        The returned :class:`DatabaseSnapshot` exposes the read surface a
-        query execution needs (``dbms``/``statistics``/``estimator``/
-        ``statistics_epoch``); a session executing against it sees exactly
-        the pinned state even while concurrent appends advance the live
-        catalog (see :meth:`repro.session.session.Session.execute`).
-        """
-        return DatabaseSnapshot(self, self.dbms.snapshot())
 
     # -- querying -----------------------------------------------------------------
 
@@ -218,7 +215,6 @@ class TemporalDatabase(_CatalogReads):
         self,
         initial_plan: Operation,
         query_spec: QueryResultSpec,
-        snapshot: Optional["DatabaseSnapshot"] = None,
         explorations: Optional[ExplorationStore] = None,
         token=None,
     ) -> OptimizationOutcome:
@@ -233,17 +229,16 @@ class TemporalDatabase(_CatalogReads):
         priced each fragment at the DBMS's rates, so the DBMS needs no search
         of its own (``docs/architecture.md``, "Who optimizes a fragment, and
         when").
-        With a ``snapshot`` the statistics (and, under ``use_statistics``,
-        the estimator) come from the pinned contents instead of the live
-        catalog, so the plan matches the epoch the snapshot's cache key
-        carries.  ``explorations`` (the session's plan cache) goes to the
-        statement's search: what an earlier epoch explored is re-costed, not
-        explored again.  The request's ``token`` is checked inside the
+        The statistics (and, under ``options.use_statistics``, the
+        estimator) come from this database's catalog — on a
+        :meth:`snapshot`, the pinned contents, so the plan matches the epoch
+        the snapshot's cache key carries.  ``explorations`` (the session's
+        plan cache) goes to the statement's search: what an earlier epoch
+        explored is re-costed, not explored again.  The request's ``token`` is checked inside the
         search, so a cancel or a deadline stops it where it is.
         """
-        source = snapshot if snapshot is not None else self
-        statistics = source.statistics()
-        estimator = source.estimator() if self.use_statistics else None
+        statistics = self.statistics()
+        estimator = self.estimator() if self.options.use_statistics else None
         initial_cost = estimate_cost(
             initial_plan, statistics, self.optimizer.cost_model, estimator=estimator
         )
@@ -299,23 +294,3 @@ class TemporalDatabase(_CatalogReads):
         counters.  :meth:`parse` still gives the initial plan.
         """
         return self.execute("EXPLAIN " + statement).explain.render()
-
-
-class DatabaseSnapshot(_CatalogReads):
-    """A consistent read view of a :class:`TemporalDatabase` at one epoch.
-
-    Wraps the substrate's :class:`~repro.dbms.engine.SnapshotDBMS` (every
-    table's relation pinned atomically with the epoch) and carries the
-    owning database so optimizer configuration (rules, cost model,
-    ``use_statistics``) is shared.  Sessions pass one to
-    :meth:`~repro.session.session.Session.execute` to answer a query as of
-    admission time while concurrent appends proceed; the serving layer
-    (:mod:`repro.server`) takes one per request.
-    """
-
-    def __init__(self, database: TemporalDatabase, dbms) -> None:
-        self.database = database
-        #: The pinned substrate engine (read-only).
-        self.dbms = dbms
-        #: The statistics epoch the snapshot was taken at.
-        self.epoch = dbms.statistics_epoch()

@@ -402,11 +402,11 @@ class TestSessionSingleFlight:
         other = session.execute(POINT_SQL, params=("Sales",))  # another statement
         newer = session.execute(PAPER_SQL)  # the parked statement, at the new epoch
         assert not other.cache_hit and not newer.cache_hit
-        assert newer.epoch == pinned.epoch + 1 and not gate.release.is_set()
+        assert newer.epoch == pinned.statistics_epoch() + 1 and not gate.release.is_set()
         assert flight_waiters(cache) == 0
         gate.release.set()
         (older,) = leader()
-        assert older.epoch == pinned.epoch and not older.cache_hit
+        assert older.epoch == pinned.statistics_epoch() and not older.cache_hit
         assert cache.info().misses == 3 and cache.info().coalesced == 0
 
 
@@ -498,7 +498,7 @@ class TestCatalogConcurrency:
         database.register("EMPLOYEE", employee_relation())
         first = database.snapshot()
         pinned_rows = first.table("EMPLOYEE").cardinality
-        pinned_epoch = first.epoch
+        pinned_epoch = first.statistics_epoch()
 
         stop = threading.Event()
 
@@ -513,7 +513,7 @@ class TestCatalogConcurrency:
         try:
             for _ in range(200):
                 assert first.table("EMPLOYEE").cardinality == pinned_rows
-                assert first.epoch == pinned_epoch
+                assert first.statistics_epoch() == pinned_epoch
                 mid = database.snapshot()
                 # A fresh snapshot is internally consistent: its statistics
                 # match its own relation, even while appends race.

@@ -203,11 +203,18 @@ class TestEngineFacade:
         assert "Sort" in explanation and "Source(EMPLOYEE" in explanation
 
     def test_a_pinned_engine_only_reads_its_catalog(self, dbms):
-        """A snapshot has no ``execute``: the stratum lowers fragments
-        against its catalog itself."""
+        """A snapshot's engine runs a plan as given over the rows pinned when
+        it was taken, whatever lands in the live catalog after — and so does
+        the stratum over it."""
         snapshot = dbms.snapshot()
-        assert not hasattr(snapshot, "execute") and not hasattr(snapshot, "optimize")
-        assert snapshot.statistics() == dbms.statistics()
+        assert type(snapshot) is ConventionalDBMS
         plan = Sort(OrderSpec.ascending("EmpName"), employee_scan())
-        produced = StratumExecutor(snapshot).execute(plan)
-        assert list(produced.tuples) == list(dbms.execute(plan).relation.tuples)
+        pinned = list(dbms.execute(plan).relation.tuples)
+        dbms.catalog.insert("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
+        assert snapshot.statistics() == {"EMPLOYEE": 5, "PROJECT": 8} != dbms.statistics()
+        produced = snapshot.execute(plan)
+        assert list(produced.relation.tuples) == pinned
+        assert produced.report.node_rows == {(): 5, (0,): 5}
+        assert list(StratumExecutor(snapshot).execute(plan).tuples) == pinned
+        with pytest.raises(CatalogError):
+            snapshot.load_relation("NEW", dbms.catalog.table("PROJECT").relation)

@@ -13,8 +13,10 @@ import pytest
 
 import repro
 from repro import DEFAULT_BATCH_SIZE, ExecutionOptions, Session, TemporalDatabase, connect
+from repro.core.exceptions import ResourceExhaustedError
 from repro.core.lowering import Lowering
 from repro.dbms.engine import ConventionalDBMS
+from repro.faults import ResourceGuard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.search import MemoSearch, SearchOptions
@@ -63,7 +65,7 @@ class TestRoundTrip:
         options = ExecutionOptions(use_statistics=True)
         db = TemporalDatabase(options=options)
         assert db.options is options
-        assert db.use_statistics is True
+        assert db.options.use_statistics is True
 
     def test_session_inherits_database_options(self):
         db = TemporalDatabase(options=ExecutionOptions(batch_size=32))
@@ -82,16 +84,33 @@ class TestRoundTrip:
         )
         server = Server(options=options)
         assert server.options is options
-        assert server.tracer is tracer
-        assert server.cancellation is False
-        assert server.max_rows_per_request == 100
+        assert server.options.tracer is tracer
+        assert server.options.cancellation is False
+        assert server.options.max_rows_per_request == 100
         assert server.database.options is options
 
     def test_server_inherits_database_options(self):
         db = TemporalDatabase(options=ExecutionOptions(batch_size=16, cancellation=False))
         server = Server(database=db)
         assert server.options is db.options
-        assert server.cancellation is False
+        assert server.options.cancellation is False
+
+    def test_every_session_enforces_the_budgets(self):
+        """The per-request budgets hold outside the server too; a guard the
+        caller passes replaces them."""
+        db = TemporalDatabase(options=ExecutionOptions(max_rows_per_request=1))
+        db.register("EMPLOYEE", employee_relation())
+        with pytest.raises(ResourceExhaustedError):
+            db.execute("SELECT EmpName FROM EMPLOYEE")
+        bytes_bound = Session(db, options=ExecutionOptions(max_bytes_per_request=1))
+        with pytest.raises(ResourceExhaustedError):
+            bytes_bound.execute("SELECT EmpName FROM EMPLOYEE")
+        given = db.session().execute(
+            "SELECT EmpName FROM EMPLOYEE", guard=ResourceGuard(max_rows=10_000)
+        )
+        assert len(given.relation) == 5
+        with Server(db) as server:
+            assert server.query("SELECT EmpName FROM EMPLOYEE").code == "RESOURCE_EXHAUSTED"
 
     def test_server_defaults_to_a_private_registry(self):
         assert isinstance(Server().metrics, MetricsRegistry)
@@ -146,16 +165,17 @@ class TestOneOptimizer:
         plan, spec = database.parse(PAPER_SQL)
 
         def decide(snapshot):
-            outcome = database.optimize_plan(plan, spec, snapshot=snapshot)
+            outcome = snapshot.optimize_plan(plan, spec)
             return outcome.chosen_plan, outcome.chosen_cost
 
-        alone = {snapshot.epoch: decide(snapshot) for snapshot in (before, after)}
+        alone = {snapshot.statistics_epoch(): decide(snapshot) for snapshot in (before, after)}
         # The append moves the estimator enough to flip the chosen plan.
-        assert alone[before.epoch][0] != alone[after.epoch][0]
+        assert alone[before.statistics_epoch()][0] != alone[after.statistics_epoch()][0]
 
         def interleaved(first, second):
             return lambda: [
-                (snapshot.epoch, decide(snapshot)) for snapshot in (first, second) * 3
+                (snapshot.statistics_epoch(), decide(snapshot))
+                for snapshot in (first, second) * 3
             ]
 
         outcomes = in_threads(

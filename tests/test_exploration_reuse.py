@@ -195,7 +195,7 @@ class TestSharedUnderLoad:
             database.append("EMPLOYEE", concurrent_mix_append_batch(batch, rows=8))
             snapshots.append(database.snapshot())
         serial = {
-            (statement.name, snapshot.epoch): Session(database)
+            (statement.name, snapshot.statistics_epoch()): Session(database)
             .execute(statement.sql, statement.params[0], snapshot=snapshot)
             for statement in statements
             for snapshot in snapshots
@@ -212,7 +212,7 @@ class TestSharedUnderLoad:
                     statement = statements[(step + offset) % len(statements)]
                     snapshot = snapshots[(step * 7 + offset) % len(snapshots)]
                     result = session.execute(statement.sql, statement.params[0], snapshot=snapshot)
-                    expected = serial[statement.name, snapshot.epoch]
+                    expected = serial[statement.name, snapshot.statistics_epoch()]
                     assert result.plan == expected.plan
                     assert result.optimization.chosen_cost == expected.optimization.chosen_cost
                     assert result.relation.as_list() == expected.relation.as_list()

@@ -73,7 +73,7 @@ class TestPinnedReads:
 
         pinned = session.execute(POINT_SQL, params=("Sales",), snapshot=snapshot)
         assert list(pinned.relation.tuples) == list(expected.tuples)
-        assert pinned.epoch == snapshot.epoch
+        assert pinned.epoch == snapshot.statistics_epoch()
 
         live = session.execute(POINT_SQL, params=("Sales",))
         assert any(t["EmpName"] == "Late" for t in live.relation.tuples)

@@ -363,7 +363,7 @@ class TestExplainIsTheSameLifecycle:
         database = session.database
         snapshot = database.snapshot()
         database.append("EMPLOYEE", [("Zoe", "Sales", 1, 3)])
-        assert database.statistics_epoch() == snapshot.epoch + 1 == 3
+        assert database.statistics_epoch() == snapshot.statistics_epoch() + 1 == 3
         plain = session.execute(self.ROWS, snapshot=snapshot)
         assert (len(plain.relation), plain.epoch) == (5, 2)
         for report in (
@@ -599,7 +599,7 @@ class TestExploreOncePerStatement:
         live = session.execute(POINT_SQL, ("Sales",))  # explores, at the live epoch
         planning_work.clear()
         old = session.execute(POINT_SQL, ("Sales",), snapshot=pinned)
-        assert not old.cache_hit and old.epoch == pinned.epoch == live.epoch - 1
+        assert not old.cache_hit and old.epoch == pinned.statistics_epoch() == live.epoch - 1
         assert planning_work == {"searches": 1}  # ... and the older epoch only extracts
 
         def names(result):

@@ -37,6 +37,8 @@ from repro.core.rules import (
 )
 from repro.core.rules.base import RuleIndex
 from repro.core.schema import STRING
+from repro.dbms import ConventionalDBMS
+from repro.dbms.catalog import CatalogSnapshot
 from repro.faults import FAULTS
 from repro.search import MemoSearch, SearchOptions
 from repro.stratum import StratumExecutor, TemporalDatabase
@@ -193,6 +195,41 @@ class TestTemporalDatabaseFacade:
         assert any(isinstance(node, Coalescing) for _, node in plan.locations())
 
 
+class TestASnapshotIsAPinnedDatabase:
+    """``snapshot()`` is the same database class over a pinned catalog."""
+
+    ROWS = "SELECT EmpName FROM EMPLOYEE"
+
+    def test_the_same_classes_over_a_pinned_catalog(self, temporal_db):
+        snapshot = temporal_db.snapshot()
+        assert type(snapshot) is TemporalDatabase
+        assert type(snapshot.dbms) is ConventionalDBMS
+        assert type(snapshot.dbms.catalog) is CatalogSnapshot
+        assert snapshot.optimizer is temporal_db.optimizer
+        assert snapshot.options is temporal_db.options
+
+    def test_a_snapshot_rejects_every_change(self, temporal_db):
+        snapshot = temporal_db.snapshot()
+        for change in (
+            lambda: snapshot.register("NEW", employee_relation()),
+            lambda: snapshot.create_table("NEW", EMPLOYEE_SCHEMA),
+            lambda: snapshot.insert("EMPLOYEE", [("Zoe", "Sales", 3, 9)]),
+            lambda: snapshot.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)]),
+        ):
+            with pytest.raises(CatalogError):
+                change()
+        assert snapshot.statistics_epoch() == temporal_db.statistics_epoch()
+        assert snapshot.statistics() == temporal_db.statistics() == {"EMPLOYEE": 5, "PROJECT": 8}
+
+    def test_a_snapshot_answers_from_its_pinned_rows(self, temporal_db):
+        snapshot = temporal_db.snapshot()
+        epoch = snapshot.statistics_epoch()
+        temporal_db.append("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
+        assert len(temporal_db.query(self.ROWS)) == 6
+        assert len(snapshot.query(self.ROWS)) == 5
+        assert snapshot.statistics_epoch() == epoch == temporal_db.statistics_epoch() - 1
+
+
 def ts_fragments(plan):
     return [plan.subtree_at(path) for path in partition_plan(plan).dbms_fragments]
 
@@ -237,17 +274,20 @@ class TestThePlanThatExecutesIsThePlanThatWasChosen:
     def test_a_snapshot_runs_its_fragments_as_chosen_on_the_pinned_engine(
         self, temporal_db, paper_statement
     ):
-        """A pinned engine has no optimizer: its fragments arrive chosen, and run as given."""
+        """The plan chosen over the pinned statistics runs as given, its
+        fragments included, over the pinned rows after a live insert."""
         snapshot = temporal_db.snapshot()
-        assert not hasattr(snapshot.dbms, "optimize")
         plan, spec = temporal_db.parse(paper_statement)
-        outcome = temporal_db.optimize_plan(plan, spec, snapshot=snapshot)
+        outcome = snapshot.optimize_plan(plan, spec)
         assert outcome.chosen_plan is outcome.search.best_plan
         pinned = list(temporal_db.run_plan(outcome.chosen_plan).tuples)
         temporal_db.insert("EMPLOYEE", [("Zoe", "Sales", 3, 9)])
         assert list(temporal_db.run_plan(outcome.chosen_plan).tuples) != pinned
-        produced = StratumExecutor(snapshot.dbms).execute(outcome.chosen_plan)
-        assert list(produced.tuples) == pinned
+        executor = StratumExecutor(snapshot.dbms)
+        assert list(executor.execute(outcome.chosen_plan).tuples) == pinned
+        paths = {path for path, _ in outcome.chosen_plan.locations()}
+        assert set(executor.report.node_rows) == paths
+        assert list(snapshot.run_plan(outcome.chosen_plan).tuples) == pinned
 
 
 #: Every Table 2 property context, ``(OrderRequired, DuplicatesRelevant, PeriodPreserving)``.
