@@ -452,13 +452,25 @@ def cost_annotations(
     annotations: Dict[PyTuple[int, ...], OperatorCostAnnotation] = {}
 
     def visit(
-        node: Operation, engine: Engine, path: PyTuple[int, ...], fused: bool = False
+        node: Operation,
+        engine: Engine,
+        path: PyTuple[int, ...],
+        fused: bool = False,
+        absorber: Optional[str] = None,
     ) -> float:
         choice = physical_choice(node, engine) if physical_fusion and not fused else None
         fuses_product = choice is not None and choice.fuses_product
+        # An rdupT the operator above runs itself is priced as its own node.
+        absorbs = None if choice is None or fuses_product else choice.absorbs
         below = child_engine(node, engine)
         child_cards = [
-            visit(child, below, path + (index,), fused=fuses_product and index == 0)
+            visit(
+                child,
+                below,
+                path + (index,),
+                fused=fuses_product and index == 0,
+                absorber=node.symbol if index == absorbs else None,
+            )
             for index, child in enumerate(node.children)
         ]
         output = _node_output(node, child_cards, statistics, model, estimator)
@@ -486,7 +498,9 @@ def cost_annotations(
                     choice.split, product_cards, output, model
                 ) * _engine_factor(node, engine, model)
                 work = min(fused_work, unfused)
-        if choice is not None:
+        if absorber is not None:
+            physical = f"absorbed into {absorber}"
+        elif choice is not None:
             physical = choice.describe()
         else:
             physical = "fused into σ" if fused else None

@@ -153,10 +153,17 @@ class PhysicalChoice(NamedTuple):
     operator: type
     #: The predicate split a join operator runs with.
     split: Optional[JoinSplit] = None
-    #: A selection that runs together with its product child as one join.
-    fuses_product: bool = False
+    #: The child the operator runs itself, taking that child's inputs in its
+    #: place: the product below a selection that runs as one join, or the
+    #: ``rdupT`` below a ``coalT``, the left of a ``\\T`` or the right of a ``∪T``.
+    absorbs: Optional[int] = None
     #: A projection that runs inside the hash join below it.
     folds_projection: bool = False
+
+    @property
+    def fuses_product(self) -> bool:
+        """Whether the node is a selection that runs with its product as one join."""
+        return self.absorbs is not None and self.split is not None
 
     def describe(self) -> Optional[str]:
         """EXPLAIN's physical column for the node."""
@@ -209,6 +216,14 @@ _FIXED_CHOICES = {
     LiteralRelation: PhysicalChoice(SourceOp),
     **{node_type: PhysicalChoice(operator) for node_type, (operator, _) in _NATIVE.items()},
 }
+#: The temporal operations that run an ``rdupT`` child themselves, by the
+#: child's index: a cover pass that cuts that side can grow the cover too, and
+#: ``coalT``'s sweep can merge overlaps as well as adjacencies.
+_ABSORBING = {
+    Coalescing: PhysicalChoice(CoalesceOp, absorbs=0),
+    TemporalDifference: PhysicalChoice(TemporalDifferenceOp, absorbs=0),
+    TemporalUnion: PhysicalChoice(TemporalUnionOp, absorbs=1),
+}
 _EMULATE = PhysicalChoice(EmulateOp)
 _FILTER = PhysicalChoice(FilterOp)
 _PROJECT = PhysicalChoice(ProjectOp)
@@ -226,10 +241,15 @@ def physical_choice(node: Operation, engine: Engine) -> PhysicalChoice:
     an engine without the interval join, a keyless split keeps the whole
     predicate as a nested loop's residual, and a selection fuses with its
     product only into a hash join.  A projection over a hash join runs
-    inside it, unless another projection already does.
+    inside it, unless another projection already does.  A ``coalT`` over an
+    ``rdupT``, and a ``\\T`` (``∪T``) with one as its left (right) argument,
+    run that ``rdupT`` themselves.
     """
     if node.is_temporal_operator and not engine.temporal:
         return _EMULATE
+    choice = _ABSORBING.get(type(node))
+    if choice is not None and isinstance(node.children[choice.absorbs], TemporalDuplicateElimination):
+        return choice
     choice = _FIXED_CHOICES.get(type(node))
     if choice is not None:
         return choice
@@ -253,7 +273,7 @@ def physical_choice(node: Operation, engine: Engine) -> PhysicalChoice:
 def _join_choice(split: JoinSplit, predicate, engine: Engine, fuses_product: bool) -> PhysicalChoice:
     if not split.equi_left_indexes and IntervalJoinOp not in engine.operators:
         split = replace(split, overlap_names=None, overlap_indexes=None, residual=predicate)
-    return PhysicalChoice(_JOIN_OPERATORS[split.algorithm], split, fuses_product)
+    return PhysicalChoice(_JOIN_OPERATORS[split.algorithm], split, 0 if fuses_product else None)
 
 
 @dataclass
@@ -271,7 +291,8 @@ class ExecutionReport:
     #: Rows that crossed between the engines, implicit transfers included.
     transferred_tuples: int = 0
     #: Actual output cardinality per plan path — every node of both engines
-    #: but a product fused into the join above it.
+    #: but the child an operator runs itself (``PhysicalChoice.absorbs``): a
+    #: product fused into the join above it, an absorbed ``rdupT``.
     node_rows: Dict[PlanPath, int] = field(default_factory=dict)
     #: Per-node inclusive ``(start, duration)`` wall-clock, keyed like
     #: ``node_rows``; only filled when the tree runs with a clock.
@@ -367,13 +388,23 @@ class Lowering:
                 self.implicit_transfers += 1
                 self.crossings.append(source)
             return source
-        if choice.fuses_product:
-            product = node.child
-            left, right = self._children(product, engine, path + (0,))
-            order = _derived(node, engine, [product.result_order([left.order, right.order])])
-            return operator(choice.split, product.output_schema(), left, right, order, (path, path + (0,)))
-        children = self._children(node, engine, path)
-        order = _derived(node, engine, [child.order for child in children])
+        if choice.absorbs is None:
+            children = self._children(node, engine, path)
+            order = _derived(node, engine, [child.order for child in children])
+        else:
+            # The absorbed child never runs on its own: its inputs take its
+            # place, and the operator realises its node too.
+            children, orders = [], []
+            for index, child in enumerate(node.children):
+                if index == choice.absorbs:
+                    inputs = self._children(child, engine, path + (index,))
+                    children += inputs
+                    orders.append(child.result_order([grandchild.order for grandchild in inputs]))
+                else:
+                    children.append(self._lower(child, engine, path + (index,)))
+                    orders.append(children[-1].order)
+            order = _derived(node, engine, orders)
+            paths = (path, path + (choice.absorbs,))
         if operator is EmulateOp:
             self.emulated.append(node.label())
             return EmulateOp(node, children, order, paths)
@@ -387,7 +418,10 @@ class Lowering:
             return join.fold_projection(node.items, node.output_schema(), order, paths + join.paths)
         if operator is ProjectOp:
             return ProjectOp(node.items, node.output_schema(), children[0], order, paths)
-        return operator(*_NATIVE[type(node)][1](self, node, engine, children), order, paths)
+        arguments = _NATIVE[type(node)][1](self, node, engine, children)
+        if choice.absorbs is not None:
+            return operator(*arguments, order, paths, distinct=True)
+        return operator(*arguments, order, paths)
 
     def _transfer(self, node: Operation, engine: Engine, path: PlanPath) -> BatchOperator:
         """``TS``/``TD``: the child under the target engine, passed through.

@@ -20,7 +20,8 @@ residuals as row kernels — one generated function per expression shape
 :func:`~repro.core.expressions.projection_kernel`, and
 :func:`~repro.core.expressions.join_kernel` for a hash join's whole probe
 with the projection above it); run ``rdupT``, ``\\T`` and ``∪T`` as one
-cover pass per input batch (:func:`_cover_pass`); and build no
+cover pass per input batch (:func:`_cover_pass`) and ``coalT`` as one
+sort-and-sweep, an ``rdupT`` directly below either run inside it; and build no
 :class:`~repro.core.tuples.Tuple` at all: a tree takes the rows of its source
 relations and drains into a relation of rows.
 :meth:`BatchOperator.batches` is the single place that counts rows, reads the
@@ -673,11 +674,13 @@ class AggregateOp(_UnaryOp):
             (function, None if function.argument is None else child_schema.index_of(function.argument))
             for function in self._functions
         ]
+        key_of = itemgetter(*key_indexes) if key_indexes else lambda row: ()
         groups: Dict[PyTuple, List[PyTuple]] = {}
         for batch in self._child.batches():
             for row in batch.rows():
-                key = tuple(row[i] for i in key_indexes)
-                groups.setdefault(key, []).append(row)
+                groups.setdefault(key_of(row), []).append(row)
+        if len(key_indexes) == 1:  # the getter's bare value, as the 1-tuple a key is
+            groups = {(key,): members for key, members in groups.items()}
         return groups, arguments
 
     def _rows(self) -> Iterator[PyTuple]:
@@ -868,10 +871,19 @@ def _cover_pass(
                     append(_with_period(row, first, last, (cut, t2)))
         if grow:
             low, high = bisect_left(ends, t1), bisect_right(starts, t2)
-            if low < high:
-                t1, t2 = min(t1, starts[low]), max(t2, ends[high - 1])
-            starts[low:high] = [t1]
-            ends[low:high] = [t2]
+            if low == high:
+                starts.insert(low, t1)
+                ends.insert(low, t2)
+                continue
+            if starts[low] < t1:
+                t1 = starts[low]
+            if ends[high - 1] > t2:
+                t2 = ends[high - 1]
+            if high - low == 1:  # the common case: no list to build
+                starts[low], ends[low] = t1, t2
+            else:
+                starts[low:high] = [t1]
+                ends[low:high] = [t2]
 
 
 class TemporalDistinctOp(_UnaryOp):
@@ -900,7 +912,23 @@ class _TemporalSetOp(_SetOp):
     Classes are keyed by name in the left (= output) schema's attribute order,
     as value equivalence and union compatibility are; a right input listing
     its attributes in another order is aligned once per drain.
+
+    With ``distinct`` the operator runs the ``rdupT`` of its cut side — the
+    left of a ``\\T``, the right of a ``∪T`` — itself: that side's pass also
+    grows the cover, so each of its rows loses the other side's periods and
+    those of the earlier rows of its own side, which is what ``rdupT`` and
+    then the cut leave of it.
     """
+
+    _cut_side = ""
+
+    def __init__(self, *args, distinct: bool = False, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._distinct = distinct
+
+    def describe(self) -> str:
+        suffix = f"[absorbs {self._cut_side} rdupT]" if self._distinct else ""
+        return super().describe() + suffix
 
     def _aligned_right_rows(self) -> List[PyTuple]:
         """The right input's rows with their values in the output's attribute order."""
@@ -915,13 +943,15 @@ class TemporalDifferenceOp(_TemporalSetOp):
     """``\\T``: blocking on the right input, streaming over the left — each
     left row loses the union of the value-equivalent right periods."""
 
+    _cut_side = "left"
+
     def _batches(self) -> Iterator[ColumnBatch]:
         layout = _period_layout(self.output_schema)
         covers: Dict = {}
         _cover_pass(covers, self._aligned_right_rows(), *layout)
         for batch in self._left.batches():
             rows: List[PyTuple] = []
-            _cover_pass(covers, batch.rows(), *layout, rows, grow=False)
+            _cover_pass(covers, batch.rows(), *layout, rows, grow=self._distinct)
             yield from _chunked(self.output_schema, rows, self.batch_size)
 
 
@@ -930,6 +960,8 @@ class TemporalUnionOp(_TemporalSetOp):
     keeps what no value-equivalent *left* row covered (earlier right rows
     never subtract), its own values in the left schema's attribute order."""
 
+    _cut_side = "right"
+
     def _batches(self) -> Iterator[ColumnBatch]:
         layout = _period_layout(self.output_schema)
         covers: Dict = {}
@@ -937,12 +969,96 @@ class TemporalUnionOp(_TemporalSetOp):
             _cover_pass(covers, batch.rows(), *layout)
             yield batch
         rows: List[PyTuple] = []
-        _cover_pass(covers, self._aligned_right_rows(), *layout, rows, grow=False)
+        _cover_pass(covers, self._aligned_right_rows(), *layout, rows, grow=self._distinct)
         yield from _chunked(self.output_schema, rows, self.batch_size)
 
 
 class CoalesceOp(_UnaryOp):
-    """Blocking ``coalT``: saturation in input order within each value class.
+    """Blocking ``coalT``: one sort-and-sweep per input.
+
+    The input's positions are sorted by period start once (stably), and the
+    sweep runs one chain per value class: a period starting exactly where
+    its class's chain ends joins it, one starting later closes it.  Within a
+    class whose periods are disjoint, the reference's fixpoint merges exactly
+    these chains, so the output is each chain's merged period on its
+    *earliest* row, in input order — a row whose period did not change is
+    passed on as the same object.  ``merges`` counts the rows the last drain
+    joined to a chain.
+
+    A period starting inside its chain overlaps it, and then which pairs the
+    reference merges depends on the arrangement: the first such overlap hands
+    the input to :func:`_saturate`.  With ``distinct`` the operator runs the
+    ``rdupT`` below it itself (``coalT(rdupT(r))``): the sweep then merges
+    overlaps as well, each chain is a maximal interval of its class's union,
+    and its earliest row is the first one whose period ``rdupT`` kept whole.
+    """
+
+    merges = 0
+
+    def __init__(
+        self,
+        child: BatchOperator,
+        order: OrderSpec = _UNORDERED,
+        paths: PyTuple[PlanPath, ...] = (),
+        *,
+        distinct: bool = False,
+    ) -> None:
+        super().__init__(child, order, paths)
+        self._distinct = distinct
+
+    def describe(self) -> str:
+        return "Coalesce[absorbs rdupT]" if self._distinct else "Coalesce"
+
+    def _rows(self) -> List[PyTuple]:
+        first, last, value_of = _period_layout(self.output_schema)
+        rows = [row for batch in self._child.batches() for row in batch.rows()]
+        swept = self._sweep(rows, first, last, value_of)
+        return _saturate(rows, first, last, value_of) if swept is None else swept
+
+    def _sweep(self, rows: List[PyTuple], first: int, last: int, value_of) -> Optional[List[PyTuple]]:
+        """The coalesced rows, or ``None`` at the first overlap (unless ``distinct``)."""
+        starts = list(map(itemgetter(first), rows))
+        ends = list(map(itemgetter(last), rows))
+        keys = list(map(value_of, rows))
+        chains: Dict[object, List] = {}  # class → its open chain: [start, end, earliest position]
+        closed: List[Optional[List]] = [None] * len(rows)  # each chain, at its earliest position
+        distinct = self._distinct
+        merges = 0
+        for position in sorted(range(len(rows)), key=starts.__getitem__):
+            key = keys[position]
+            chain = chains.get(key)
+            if chain is None:
+                chains[key] = [starts[position], ends[position], position]
+                continue
+            start, end = starts[position], chain[1]
+            if start > end:
+                closed[chain[2]] = chain
+                chains[key] = [start, ends[position], position]
+                continue
+            if start == end:
+                chain[1] = ends[position]
+            elif not distinct:
+                return None
+            elif ends[position] > end:
+                chain[1] = ends[position]
+            merges += 1
+            if position < chain[2]:
+                chain[2] = position
+        for chain in chains.values():
+            closed[chain[2]] = chain
+        self.merges = merges
+        out: List[PyTuple] = []
+        for row, chain, start, end in zip(rows, closed, starts, ends):
+            if chain is not None:
+                if chain[0] == start and chain[1] == end:
+                    out.append(row)
+                else:
+                    out.append(_with_period(row, first, last, (chain[0], chain[1])))
+        return out
+
+
+def _saturate(rows: List[Optional[PyTuple]], first: int, last: int, value_of) -> List[PyTuple]:
+    """``coalT`` by saturation in input order within each value class.
 
     The members of a class are visited in input order, absorbed ones skipped;
     the visited member repeatedly absorbs the *earliest later* unabsorbed
@@ -951,48 +1067,44 @@ class CoalesceOp(_UnaryOp):
     That is the reference's merge-the-first-adjacent-pair-and-restart: a merged
     period's endpoints are endpoints of its participants, so an entry adjacent
     to neither participant is not adjacent to the merge — a saturated prefix
-    stays saturated and the restart resumes at the same member.
+    stays saturated and the restart resumes at the same member.  It handles
+    any input, overlapping periods included; an absorbed row becomes ``None``
+    in ``rows``.
     """
-
-    def _rows(self) -> Iterator[PyTuple]:
-        first, last, value_of = _period_layout(self.output_schema)
-        rows: List[Optional[PyTuple]] = []  # an absorbed row becomes ``None``
-        for batch in self._child.batches():
-            rows.extend(batch.rows())
-        classes: Dict[object, List[int]] = {}
-        for position, row in enumerate(rows):
-            classes.setdefault(value_of(row), []).append(position)
-        for members in classes.values():
-            if len(members) == 1:
+    classes: Dict[object, List[int]] = {}
+    for position, row in enumerate(rows):
+        classes.setdefault(value_of(row), []).append(position)
+    for members in classes.values():
+        if len(members) == 1:
+            continue
+        # Later positions by period start and by period end, latest first,
+        # so that ``pop()`` hands out the earliest.
+        starting: Dict[int, List[int]] = {}
+        ending: Dict[int, List[int]] = {}
+        for position in reversed(members):
+            starting.setdefault(rows[position][first], []).append(position)
+            ending.setdefault(rows[position][last], []).append(position)
+        for position in members:
+            row = rows[position]
+            if row is None:
                 continue
-            # Later positions by period start and by period end, latest first,
-            # so that ``pop()`` hands out the earliest.
-            starting: Dict[int, List[int]] = {}
-            ending: Dict[int, List[int]] = {}
-            for position in reversed(members):
-                starting.setdefault(rows[position][first], []).append(position)
-                ending.setdefault(rows[position][last], []).append(position)
-            for position in members:
-                row = rows[position]
-                if row is None:
-                    continue
-                start, end = period = row[first], row[last]
-                while True:
-                    after = _earliest_later(starting.get(end), position, rows)
-                    before = _earliest_later(ending.get(start), position, rows)
-                    if after is not None and (before is None or after < before):
-                        starting[end].pop()
-                        end = rows[after][last]
-                        rows[after] = None
-                    elif before is not None:
-                        ending[start].pop()
-                        start = rows[before][first]
-                        rows[before] = None
-                    else:
-                        break
-                if (start, end) != period:
-                    rows[position] = _with_period(row, first, last, (start, end))
-        return (row for row in rows if row is not None)
+            start, end = period = row[first], row[last]
+            while True:
+                after = _earliest_later(starting.get(end), position, rows)
+                before = _earliest_later(ending.get(start), position, rows)
+                if after is not None and (before is None or after < before):
+                    starting[end].pop()
+                    end = rows[after][last]
+                    rows[after] = None
+                elif before is not None:
+                    ending[start].pop()
+                    start = rows[before][first]
+                    rows[before] = None
+                else:
+                    break
+            if (start, end) != period:
+                rows[position] = _with_period(row, first, last, (start, end))
+    return [row for row in rows if row is not None]
 
 
 def _earliest_later(positions: Optional[List[int]], absorber: int, rows: List) -> Optional[int]:
@@ -1011,43 +1123,63 @@ def _earliest_later(positions: Optional[List[int]], absorber: int, rows: List) -
 
 
 class TemporalAggregateOp(AggregateOp):
-    """Blocking ``γT``: per group, one sweep over the argument's sorted period
-    endpoints inside the group's span, one row per non-empty constant interval.
+    """Blocking ``γT``: per group, one step per change point of its own — a
+    start or end of one of its members — and one row per non-empty constant
+    interval of the *argument*: the aggregates hold between two change
+    points, so the rows there are one slice of the argument's consecutive
+    endpoint pairs.
 
-    The active members are kept in input order, so every aggregate reduces
-    the value sequence the reference's ``compute(valid)`` sees (``AVG``'s
-    float summation order included); it is recomputed only when they change.
+    When every function is ``COUNT(*)`` the count runs on per-point deltas.
+    Otherwise the active members are kept in input order, so every aggregate
+    reduces the value sequence the reference's ``compute(valid)`` sees
+    (``AVG``'s and a float ``SUM``'s summation order included); it is
+    recomputed only at a change point.
     """
 
-    def _rows(self) -> Iterator[PyTuple]:
+    def _rows(self) -> List[PyTuple]:
         groups, arguments = self._grouped()
         child_schema = self._child.output_schema
         first, last = child_schema.index_of(T1), child_schema.index_of(T2)
         endpoints = sorted(
             {row[i] for members in groups.values() for row in members for i in (first, last)}
         )
+        pairs = list(zip(endpoints, endpoints[1:]))
+        index_of = {point: index for index, point in enumerate(endpoints)}.__getitem__
+        counting = all(at is None for _, at in arguments)
+        out: List[PyTuple] = []
         for key, members in groups.items():
+            if counting:
+                delta: Dict[int, int] = {}
+                for row in members:
+                    start, end = row[first], row[last]
+                    delta[start] = delta.get(start, 0) + 1
+                    delta[end] = delta.get(end, 0) - 1
+                points = sorted(delta)
+                active = 0
+                for point, following in zip(points, points[1:]):
+                    active += delta[point]
+                    if active:
+                        prefix = key + (active,) * len(arguments)
+                        out += [prefix + pair for pair in pairs[index_of(point) : index_of(following)]]
+                continue
             opening: Dict[int, List[int]] = {}
             closing: Dict[int, List[int]] = {}
             for position, row in enumerate(members):
                 opening.setdefault(row[first], []).append(position)
                 closing.setdefault(row[last], []).append(position)
-            active: List[int] = []  # member positions, ascending = input order
-            aggregates: PyTuple = ()
-            for index in range(
-                bisect_left(endpoints, min(opening)), bisect_left(endpoints, max(closing))
-            ):
-                point = endpoints[index]
-                if point in opening or point in closing:
-                    for position in closing.get(point, ()):
-                        del active[bisect_left(active, position)]
-                    for position in opening.get(point, ()):
-                        insort(active, position)
-                    aggregates = tuple(
+            points = sorted(opening.keys() | closing.keys())
+            positions: List[int] = []  # the active members, ascending = input order
+            for point, following in zip(points, points[1:]):
+                for position in closing.get(point, ()):
+                    del positions[bisect_left(positions, position)]
+                for position in opening.get(point, ()):
+                    insort(positions, position)
+                if positions:
+                    prefix = key + tuple(
                         function.reduce(
-                            active if at is None else [members[position][at] for position in active]
+                            positions if at is None else [members[position][at] for position in positions]
                         )
                         for function, at in arguments
                     )
-                if active:
-                    yield key + aggregates + (point, endpoints[index + 1])
+                    out += [prefix + pair for pair in pairs[index_of(point) : index_of(following)]]
+        return out

@@ -5,7 +5,7 @@ C2   coalT(r) ≡SM r
 C3   coalT(σP(r)) ≡L σP(coalT(r))                         if T1,T2 ∉ attr(P)
 C4   π_{f1..fn}(coalT(r)) ≡S π_{f1..fn}(r)                if T1,T2 ∉ attr(f1..fn)
 C5   coalT(coalT(r1) ⊔ coalT(r2)) ≡L coalT(r1 ⊔ r2)
-C6   coalT(coalT(r1) ∪T coalT(r2)) ≡L coalT(r1 ∪T r2)
+C6   coalT(coalT(r1) ∪T coalT(r2)) ≡L coalT(r1 ∪T r2)       if r1, r2 have no snapshot duplicates
 C7   coalT(γT(coalT(r))) ≡L coalT(γT(r))
 C8   coalT(π_{f,T1,T2}(coalT(r))) ≡L coalT(π_{f,T1,T2}(r)) if r has no snapshot duplicates
 C9   coalT(πA(r1 ×T r2)) ≡L πA(coalT(r1) ×T coalT(r2))     if r1, r2 have no snapshot duplicates,
@@ -114,7 +114,7 @@ class MergeCoalescingOverUnionAll(TransformationRule):
     duplicates in snapshots, because coalescing is then sensitive to how the
     argument's periods are packaged.  The rule is therefore registered with
     the strongest equivalence that provably holds for this implementation,
-    ≡SM; the deviation is documented in EXPERIMENTS.md.
+    ≡SM (``docs/architecture.md``, "Where coalT departs from the paper").
     """
 
     name = "C5"
@@ -132,7 +132,17 @@ class MergeCoalescingOverUnionAll(TransformationRule):
 
 
 class MergeCoalescingOverTemporalUnion(TransformationRule):
-    """C6: ``coalT(coalT(r1) ∪T coalT(r2)) ≡L coalT(r1 ∪T r2)``."""
+    """C6: ``coalT(coalT(r1) ∪T coalT(r2)) ≡L coalT(r1 ∪T r2)``.
+
+    Requires both arguments to have duplicate-free snapshots, a premise the
+    paper does not state.  Then every ``coalT`` on either side sees disjoint
+    periods within each value class, so it merges exactly the chains of
+    adjacent periods, and both sides emit each maximal interval of a class's
+    union on the earliest row that contributes to it.  Without the premise
+    which adjacent pairs ``coalT`` merges depends on the arrangement, and the
+    two sides are only snapshot-equivalent (``docs/architecture.md``, "Where
+    coalT departs from the paper").
+    """
 
     name = "C6"
     equivalence = EquivalenceType.LIST
@@ -143,6 +153,10 @@ class MergeCoalescingOverTemporalUnion(TransformationRule):
     def rewrite(self, node: Coalescing) -> Optional[RuleApplication]:
         union = node.child
         if not isinstance(union.left, Coalescing) or not isinstance(union.right, Coalescing):
+            return None
+        if not guarantees_no_snapshot_duplicates(union.left.child):
+            return None
+        if not guarantees_no_snapshot_duplicates(union.right.child):
             return None
         rewritten = Coalescing(TemporalUnion(union.left.child, union.right.child))
         return application(rewritten, (0,), (0, 0), (0, 1), (0, 0, 0), (0, 1, 0))
@@ -204,7 +218,7 @@ class PushCoalescingBelowTemporalProduct(TransformationRule):
     coalescing the two sides can emit the same tuples in a different order
     (the left side's coalescing repositions merged tuples), so the rule is
     registered as ≡M — the strongest level that provably holds here (see
-    EXPERIMENTS.md).
+    ``docs/architecture.md``, "Where coalT departs from the paper").
     """
 
     name = "C9"

@@ -58,12 +58,14 @@ class OperatorLine:
     — the operator its engine runs it with (``hash: …``, ``interval: …``,
     ``nested-loop``, ``fused into hash join``), or ``fused into σ`` for a
     product the selection above runs as one join: every join shape of
-    either engine carries one; ``None`` where the operator needs no
-    algorithm choice."""
+    either engine carries one; ``absorbed into coalT`` (or ``\\T``, ``∪T``)
+    for an ``rdupT`` the operator above runs itself; ``None`` where the
+    operator needs no algorithm choice."""
     time_seconds: Optional[float] = None
     """Inclusive wall-clock (children included) the operator took during the
     ANALYZE execution; ``None`` — rendered ``-`` like the actuals — only
-    for a product fused into the join above it, which never drains."""
+    for a product fused into the join above it or an absorbed ``rdupT``,
+    which never drain on their own."""
     start_seconds: Optional[float] = None
     """When the operator was first pulled, on the request's clock."""
 

@@ -279,7 +279,11 @@ class TestTemporalRegionDegradation:
         assert evaluated == reference_calls
         assert list(degraded.tuples) == list(healthy.tuples)
         assert degraded.order == healthy.order
-        assert report.node_rows == healthy_report.node_rows
+        # The reference also counts each rdupT that the operator above runs
+        # itself, which never drains on its own in the healthy tree.
+        absorbed = set(report.node_rows) - set(healthy_report.node_rows)
+        assert all(plan.subtree_at(path).symbol == "rdupT" for path in absorbed)
+        assert {path: report.node_rows[path] for path in healthy_report.node_rows} == healthy_report.node_rows
 
 
 class TestDegradationNeverMasksControl:

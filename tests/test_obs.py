@@ -358,8 +358,11 @@ class TestExecutionTimings:
         tree_lines = [l for l in rendered.splitlines() if "est rows=" in l]
         assert all("time=" in line for line in tree_lines)
         # One operator tree: every node is measured, DBMS-inner ones too
-        # (only a product fused into a join would show "-").
-        assert not any(line.endswith("time=-") for line in tree_lines)
+        # (only an absorbed rdupT, or a product fused into a join, shows "-").
+        assert [line.endswith("time=-") for line in tree_lines] == [
+            "[absorbed into " in line for line in tree_lines
+        ]
+        assert any("[absorbed into " in line for line in tree_lines)
         assert any("[dbms]" in line for line in tree_lines)
         assert any("%" in line for line in tree_lines)
         assert "time=" in [l for l in rendered.splitlines() if l.startswith("execution:")][0]

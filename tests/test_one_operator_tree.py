@@ -209,7 +209,7 @@ def assert_one_decision(plan, root, report):
     """The lowered tree, its cost annotations and its report all follow
     ``physical_choice`` at every path."""
     annotations = cost_annotations(plan)
-    fused = set()
+    fused, absorbed = set(), set()
     for operator in root.operators():
         if not operator.paths:  # a relabelling projection, no plan node of its own
             continue
@@ -217,18 +217,27 @@ def assert_one_decision(plan, root, report):
         producing = operator.paths[: operator.output_nodes]
         tail = set(operator.paths[operator.output_nodes :])
         for index, path in enumerate(producing):
-            choice = physical_choice(plan.subtree_at(path), engine)
+            node = plan.subtree_at(path)
+            choice = physical_choice(node, engine)
             assert choice.operator is type(operator), (path, plan.pretty())
             assert choice.folds_projection == (index == 0 and operator.output_nodes == 2)
-            assert choice.fuses_product == (path + (0,) in tail)
+            if choice.absorbs is None:
+                assert not tail & {path + (i,) for i in range(len(node.children))}
+            else:
+                assert path + (choice.absorbs,) in tail
+                (fused if choice.fuses_product else absorbed).add(path + (choice.absorbs,))
+                if not choice.fuses_product:
+                    assert annotations[path + (choice.absorbs,)].physical == f"absorbed into {node.symbol}"
             assert annotations[path].physical == choice.describe()
-        fused |= tail
         for path in operator.paths:
             assert annotations[path].engine == engine.name
     for path in fused:
         assert annotations[path].physical == "fused into σ" and annotations[path].work == 0.0
     assert {path for path, a in annotations.items() if a.physical == "fused into σ"} == fused
-    assert fused == {path for path, _ in plan.locations()} - set(report.node_rows)
+    # An absorbed rdupT is priced as its own node, a fused product is not.
+    assert all(annotations[path].work > 0.0 for path in absorbed)
+    assert {path for path, a in annotations.items() if (a.physical or "").startswith("absorbed")} == absorbed
+    assert fused | absorbed == {path for path, _ in plan.locations()} - set(report.node_rows)
 
 
 class TestAKeylessDBMSPairIsAFilterOverTheProduct:
@@ -281,5 +290,11 @@ def test_a_healthy_explain_analyze_evaluates_nothing_a_second_time(monkeypatch):
     assert result.report.degraded_operations == []
     lines = result.explain.lines
     assert {line.engine for line in lines} == {"stratum", "dbms"}
+    # The rdupT that \T runs itself has no drain of its own to count or time.
+    absorbed = [line for line in lines if line.physical == "absorbed into \\T"]
+    assert [line.label for line in absorbed] == ["rdupT"]
     for line in lines:
-        assert line.actual_rows is not None and line.time_seconds is not None, line
+        if line in absorbed:
+            assert line.actual_rows is None and line.time_seconds is None, line
+        else:
+            assert line.actual_rows is not None and line.time_seconds is not None, line

@@ -128,6 +128,18 @@ class TestC5AndC6:
         assert application is not None
         assert list_equivalent(run(plan), run(application.replacement))
 
+    def test_c6_requires_arguments_without_snapshot_duplicates(self):
+        # With (a, 1, 4) and (a, 4, 7) overlapping (a, 5, 6), which adjacent
+        # pair coalT merges depends on the arrangement: the two sides differ
+        # as lists, so the rule must not fire.
+        left = trel(("a", 1, 5))
+        right = trel(("a", 1, 4), ("a", 5, 6), ("a", 4, 7))
+        for r1, r2 in ((left, right), (right, left)):
+            plan = Coalescing(
+                TemporalUnion(Coalescing(LiteralRelation(r1)), Coalescing(LiteralRelation(r2)))
+            )
+            assert RULES["C6"].apply(plan) is None
+
     def test_c5_requires_inner_coalescings(self):
         plan = Coalescing(
             UnionAll(LiteralRelation(trel(("a", 1, 3))), LiteralRelation(trel(("b", 1, 3))))

@@ -297,13 +297,20 @@ class TestParameters:
         assert names == {"Anna"}
 
 
+def measured_unless_absorbed(line):
+    """An EXPLAIN ANALYZE line has its actual rows unless it is an rdupT the
+    operator above runs itself, which never drains on its own."""
+    absorbed = (line.physical or "").startswith("absorbed into ")
+    return (line.actual_rows is None) == absorbed and (not absorbed or line.label == "rdupT")
+
+
 class TestExplain:
     def test_explain_shows_estimates_and_actuals_everywhere(self, session):
         report = session.explain(PAPER_STATEMENT)
         assert report.lines
         for line in report.lines:
             assert line.estimated_rows >= 0
-            assert line.actual_rows is not None
+            assert measured_unless_absorbed(line)
             assert line.engine in ("stratum", "dbms")
         rendered = report.render()
         assert "est rows=" in rendered and "actual=" in rendered
@@ -405,7 +412,7 @@ class TestExplainWorkloads:
     def test_chained_workload_explain_is_fully_annotated(self, session):
         report = session.explain(self.CHAINED)
         assert len(report.lines) >= 8
-        assert all(line.actual_rows is not None for line in report.lines)
+        assert all(measured_unless_absorbed(line) for line in report.lines)
         assert all(line.estimated_rows >= 0 for line in report.lines)
 
     def test_skewed_workload_explain_is_fully_annotated(self):
@@ -416,7 +423,7 @@ class TestExplainWorkloads:
         db.register("EMPLOYEE", employees)
         db.register("PROJECT", projects)
         report = Session(db).explain(self.CHAINED)
-        assert all(line.actual_rows is not None for line in report.lines)
+        assert all(measured_unless_absorbed(line) for line in report.lines)
         assert all(line.estimated_rows >= 0 for line in report.lines)
         assert report.memo_groups and report.rule_usage
 
@@ -432,7 +439,7 @@ class TestUseStatistics:
         assert second.cache_hit
         assert first.relation.as_list() == second.relation.as_list()
         report = session.explain(PAPER_STATEMENT)
-        assert all(line.actual_rows is not None for line in report.lines)
+        assert all(measured_unless_absorbed(line) for line in report.lines)
 
 
 FIRST = {"tokenize": 1, "fingerprint": 1}

@@ -19,10 +19,11 @@ reference.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import accumulate
 from operator import is_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import physical
@@ -180,12 +181,18 @@ class TestDifferential:
         for name, relation in zip(("EMPLOYEE", "PROJECT"), scaled_paper_workload(60, seed)):
             database.register(name, relation)
         session = database.session()
+        # Every rdupT there runs inside the operator above it.
         for sql, kernels in (
-            (PAPER_SQL, {TemporalDistinctOp, TemporalDifferenceOp}),
-            (CHAINED_SQL, {TemporalDistinctOp, TemporalDifferenceOp, TemporalUnionOp}),
+            (PAPER_SQL, {"Coalesce[absorbs rdupT]", "TemporalDifference"}),
+            (
+                CHAINED_SQL,
+                {"Coalesce", "TemporalDifference[absorbs left rdupT]", "TemporalUnion[absorbs right rdupT]"},
+            ),
         ):
             plan = session.execute(sql).plan
-            assert kernels <= {type(op) for op in lower(plan, catalog=database.dbms.catalog).operators()}
+            operators = list(lower(plan, catalog=database.dbms.catalog).operators())
+            assert kernels <= {op.describe() for op in operators}
+            assert not any(isinstance(op, TemporalDistinctOp) for op in operators)
             reference = database.evaluate_reference(plan)
             for batch_size in (1, 7, 1024):
                 executor = StratumExecutor(database.dbms, batch_size=batch_size)
@@ -218,16 +225,15 @@ class TestDifferential:
             OrderSpec.of("Name"),
             Coalescing(TemporalUnion(TemporalDifference(distinct, leaf), distinct)),
         )
+        # Both rdupT run inside the operator above them, which realises their nodes.
         assert lower(plan).explain().splitlines() == [
             "Sort(Name ASC)",
             "  Coalesce",
-            "    TemporalUnion",
-            "      TemporalDifference",
-            "        TemporalDistinct",
-            "          Source(rows=3)",
+            "    TemporalUnion[absorbs right rdupT]",
+            "      TemporalDifference[absorbs left rdupT]",
             "        Source(rows=3)",
-            "      TemporalDistinct",
             "        Source(rows=3)",
+            "      Source(rows=3)",
         ]
         result, report = run_stratum(plan)
         assert_list_identical(result, plan.evaluate(CONTEXT))
@@ -266,10 +272,13 @@ class TestAccounting:
     @given(temporal_shaped_plans())
     def test_rows_out_is_the_reports_node_rows(self, plan):
         _, report = run_stratum(plan, batch_size=2)
-        for path, node in plan.locations():
-            if isinstance(node, TEMPORAL_NODES):
-                assert report.node_rows[path] == len(node.evaluate(CONTEXT))
         root = lower(plan, batch_size=7)
+        # An rdupT run inside the operator above it never drains on its own.
+        absorbed = {path for operator in root.operators() for path in operator.paths[operator.output_nodes :]}
+        for path, node in plan.locations():
+            if isinstance(node, TEMPORAL_NODES) and path not in absorbed:
+                assert report.node_rows[path] == len(node.evaluate(CONTEXT))
+        assert absorbed.isdisjoint(report.node_rows)
         root.to_relation()
         for operator in root.operators():
             if operator.paths:
@@ -715,7 +724,6 @@ class TestCoalesce:
     def test_a_reversed_chain_of_n_takes_n_minus_one_absorptions(self, monkeypatch):
         n = 300
         chain = [("a", start, start + 1) for start in reversed(range(n))]
-        plan = Coalescing(narrow(*chain, ("b", 0, 1)))
         probes = Counter()
 
         def counted(*args, original=physical._earliest_later):
@@ -725,12 +733,105 @@ class TestCoalesce:
 
         monkeypatch.setattr(physical, "_earliest_later", counted)
         monkeypatch.setattr(Period, "is_adjacent_to", None)  # the pair scan is gone
+        plan = Coalescing(narrow(*chain, ("b", 0, 1)))
+        root = lower(plan)
+        assert values(root.to_relation()) == [("a", 0, n), ("b", 0, 1)]
+        # Disjoint periods: the sweep joins each of the n - 1 later-starting
+        # members to the chain once, and the saturation never runs.
+        assert root.merges == n - 1 and probes == {}
+        # One overlap hands the input to the saturation: the first member
+        # absorbs the other n - 1, one per probe of the "ends at my start"
+        # index; nothing ever starts at its end, and the last round finds
+        # neither.  The overlapping member, adjacent to nothing left, misses
+        # twice; the single-member class is never probed.
+        plan = Coalescing(narrow(*chain, ("b", 0, 1), ("a", 1, 3)))
         result, _ = run_stratum(plan)
-        assert values(result) == [("a", 0, n), ("b", 0, 1)]
-        # The first member absorbs the other n - 1, one per probe of the "ends
-        # at my start" index; nothing ever starts at its end, and the last
-        # round finds neither.  The single-member class is never probed.
-        assert probes == {"hit": n - 1, "miss": n + 1}
+        assert values(result) == [("a", 0, n), ("b", 0, 1), ("a", 1, 3)]
+        assert probes == {"hit": n - 1, "miss": n + 3}
+
+
+SCORED_NULLABLE_SCHEMA = RelationSchema.temporal(
+    [("Name", STRING), ("Score", SCORED_SCHEMA.domain_of("Score")), ("Bonus", NULLABLE)], name="S"
+)
+
+
+@st.composite
+def class_lists(draw, values=st.tuples(st.sampled_from("ab"))):
+    """Rows in which value classes hold overlapping periods, equal starts and
+    chains of adjacent periods in reversed order, segment by segment."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        value, start = draw(values), draw(st.integers(0, 8))
+        kind = draw(st.sampled_from(["reversed chain", "overlap", "equal starts", "one"]))
+        if kind == "reversed chain":
+            ends = list(accumulate(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)), initial=start))
+            periods = list(zip(ends, ends[1:]))[::-1]
+        elif kind == "overlap":
+            end = start + draw(st.integers(2, 4))
+            periods = [(start, end), (end - 1, end + draw(st.integers(0, 3)))]
+        elif kind == "equal starts":
+            periods = [(start, start + draw(st.integers(1, 3))) for _ in range(2)]
+        else:
+            periods = [(start, start + draw(st.integers(1, 4)))]
+        rows += [(*value, *period) for period in periods]
+    return rows
+
+
+SCORED_VALUES = st.tuples(
+    st.sampled_from("ab"), st.sampled_from([1, 2, 0.1, 0.2, 1e16, -1e16]), st.sampled_from([None, 1])
+)
+
+
+def lowered_and_checked(plan, physical_line):
+    """The plan's root operator describes itself as ``physical_line``, and its
+    rows are the reference's list at batch sizes 1, 2 and the default."""
+    assert lower(plan).describe() == physical_line
+    reference = plan.evaluate(CONTEXT)
+    for batch_size in (1, 2, 1024):
+        assert_list_identical(lower(plan, batch_size).to_relation(), reference)
+
+
+class TestSweepAndAbsorption:
+    """Every kernel path against the reference, on derandomized inputs: the
+    coalT sweep, its fallback to the saturation, each absorbed rdupT and γT's
+    change-point walk with each kind of aggregate."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(class_lists())
+    # An overlap that forces the saturation, and a class with two equal starts.
+    @example([("a", 3, 5), ("a", 1, 3), ("a", 2, 4), ("a", 5, 6)])
+    @example([("b", 4, 6), ("a", 1, 3), ("a", 1, 2), ("a", 2, 5), ("a", 3, 4)])
+    def test_coalesce_with_and_without_its_rdupt(self, rows):
+        leaf = narrow(*rows)
+        lowered_and_checked(Coalescing(leaf), "Coalesce")
+        lowered_and_checked(Coalescing(TemporalDuplicateElimination(leaf)), "Coalesce[absorbs rdupT]")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(class_lists(), class_lists())
+    @example([("a", 1, 3), ("a", 1, 2), ("a", 2, 5)], [("a", 2, 3), ("b", 1, 2)])
+    def test_difference_and_union_run_their_rdupt(self, left_rows, right_rows):
+        left, right = narrow(*left_rows), narrow(*right_rows)
+        lowered_and_checked(
+            TemporalDifference(TemporalDuplicateElimination(left), right),
+            "TemporalDifference[absorbs left rdupT]",
+        )
+        lowered_and_checked(
+            TemporalUnion(left, TemporalDuplicateElimination(right)), "TemporalUnion[absorbs right rdupT]"
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(class_lists(SCORED_VALUES), st.sampled_from([[], ["Name"], ["Bonus", "Name"]]))
+    def test_temporal_aggregation_with_every_kind(self, rows, grouping):
+        leaf = literal(SCORED_NULLABLE_SCHEMA, *rows)
+        functions = [
+            [count(alias="n"), count(alias="m")],  # only COUNT(*): the running count
+            [count("Bonus", alias="n")],
+            *([AggregateFunction(kind, "Score", "x")] for kind in AggregateKind if kind is not AggregateKind.COUNT),
+        ]
+        for function_list in functions:
+            plan = TemporalAggregation(grouping, function_list, leaf)
+            described = ", ".join(map(str, function_list))
+            lowered_and_checked(plan, f"TemporalAggregate(by={grouping}; {described})")
 
 
 def five_operation_stack(leaf):
