@@ -53,7 +53,6 @@ from .exceptions import (
     PeriodError,
     ReproError,
     ResourceExhaustedError,
-    RuleError,
     SchemaError,
     TemporalSchemaError,
     error_code,
@@ -214,7 +213,6 @@ __all__ = [
     "PeriodError",
     "ReproError",
     "ResourceExhaustedError",
-    "RuleError",
     "SchemaError",
     "TemporalSchemaError",
     "error_code",

@@ -76,9 +76,10 @@ def involved_properties(
 ) -> Sequence[OperationProperties]:
     """Look up the properties of the operations involved in an application.
 
-    ``application.involved`` holds paths relative to ``location``; paths that
-    do not exist in the property map (which cannot happen for applications
-    produced against the annotated plan) are ignored defensively.
+    ``application.involved`` holds paths relative to ``location``; paths the
+    plan lacks are skipped.  A declared rule's paths always exist, but the
+    transfer rules declare the union over both arities they match, so a
+    unary binding lacks the binary one's paths.
     """
     found = []
     for relative in application.involved:
@@ -107,9 +108,8 @@ def is_rule_applicable(
         return None
     if properties is None:
         properties = annotate(plan, query)
-    equivalence = application.equivalence or rule.equivalence
     if not rule_application_allowed(
-        equivalence, involved_properties(properties, location, application)
+        application.equivalence, involved_properties(properties, location, application)
     ):
         return None
     return application

@@ -117,9 +117,8 @@ def enumerate_plans(
             application = rule.apply(node)
             if application is None:
                 continue
-            equivalence = application.equivalence or rule.equivalence
             if not rule_application_allowed(
-                equivalence, involved_properties(properties, location, application)
+                application.equivalence, involved_properties(properties, location, application)
             ):
                 statistics.rejected_by_properties += 1
                 continue

@@ -80,20 +80,8 @@ class EvaluationError(AlgebraError):
 
 
 # ---------------------------------------------------------------------------
-# Rules and optimization
+# Optimization
 # ---------------------------------------------------------------------------
-
-
-class RuleError(ReproError):
-    """A transformation rule is malformed or was applied where it does not
-    match."""
-
-    code = "RULE_ERROR"
-
-
-class RuleNotApplicable(RuleError):
-    """A rule was requested at a location where Definition 5.1 forbids it or
-    where its syntactic pattern / preconditions do not hold."""
 
 
 class EnumerationError(ReproError):

@@ -12,7 +12,7 @@ heuristics.
 
 from typing import Iterable, Union
 
-from .base import LambdaRule, RuleApplication, RuleIndex, TransformationRule, application
+from .base import Rule, RuleApplication, RuleIndex, TransformationRule
 from .coalescing_rules import COALESCING_RULES
 from .conventional_rules import CONVENTIONAL_RULES
 from .duplicate_rules import DUPLICATE_RULES
@@ -52,13 +52,12 @@ __all__ = [
     "DEFAULT_RULES",
     "DUPLICATE_RULES",
     "JOIN_RULES",
-    "LambdaRule",
     "RuleApplication",
+    "Rule",
     "RuleIndex",
     "SORTING_RULES",
     "TRANSFER_RULES",
     "TransformationRule",
-    "application",
     "rule_index",
     "rules_by_name",
 ]

@@ -29,55 +29,22 @@ every other catalogue rule produces, so the memo always holds both forms.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..equivalence import EquivalenceType
-from ..operations import (
-    CartesianProduct,
-    Join,
-    Selection,
-    TemporalCartesianProduct,
-    TemporalJoin,
-)
-from .base import RuleApplication, TransformationRule, application
-
-
-class FuseSelectionOverProduct(TransformationRule):
-    """``σP(r1 × r2) ≡L r1 ⋈P r2`` — introduce the θ-join idiom."""
-
-    name = "σ×→⋈"
-    equivalence = EquivalenceType.LIST
-    description = "fuse a selection over a Cartesian product into a join"
-    #: Removing the materialised product is the catalogue's biggest win;
-    #: fire early so the memo search gets tight upper bounds fast.
-    promise = 2.0
-    root = Selection
-    child = CartesianProduct
-
-    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
-        product = node.child
-        rewritten = Join(node.predicate, product.left, product.right)
-        return application(rewritten, (0,), (0, 0), (0, 1))
-
-
-class FuseSelectionOverTemporalProduct(TransformationRule):
-    """``σP(r1 ×T r2) ≡L r1 ⋈T_P r2`` — introduce the temporal-join idiom."""
-
-    name = "σ×T→⋈T"
-    equivalence = EquivalenceType.LIST
-    description = "fuse a selection over a temporal product into a temporal join"
-    promise = 2.0
-    root = Selection
-    child = TemporalCartesianProduct
-
-    def rewrite(self, node: Selection) -> Optional[RuleApplication]:
-        product = node.child
-        rewritten = TemporalJoin(node.predicate, product.left, product.right)
-        return application(rewritten, (0,), (0, 0), (0, 1))
-
+from ..equivalence import EquivalenceType as E
+from ..operations import Join, TemporalJoin
+from .base import Rule
 
 JOIN_RULES = (
-    FuseSelectionOverProduct(),
-    FuseSelectionOverTemporalProduct(),
+    # Removing the materialised product is the catalogue's biggest win: fire
+    # early so the memo search gets tight upper bounds fast.
+    Rule(
+        "σ×→⋈", E.LIST, "σ(×(r1, r2))", lambda b: Join(b["σ"].predicate, b["r1"], b["r2"]),
+        description="fuse a selection over a Cartesian product into a join", promise=2.0,
+    ),
+    Rule(
+        "σ×T→⋈T", E.LIST, "σ(×T(r1, r2))",
+        lambda b: TemporalJoin(b["σ"].predicate, b["r1"], b["r2"]),
+        description="fuse a selection over a temporal product into a temporal join",
+        promise=2.0,
+    ),
 )
 """The join-idiom introduction rules (Section 2.4 made explicit)."""

@@ -17,9 +17,9 @@ no capability check.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple as PyTuple
+from typing import Optional, Sequence, Tuple as PyTuple
 
-from ..equivalence import EquivalenceType
+from ..equivalence import EquivalenceType as E
 from ..operations import (
     Aggregation,
     CartesianProduct,
@@ -35,7 +35,7 @@ from ..operations import (
     Union,
     UnionAll,
 )
-from .base import RuleApplication, TransformationRule, application
+from .base import Bindings, Rule, TransformationRule
 
 #: Operations the conventional DBMS substrate executes natively (renders as SQL).
 CONVENTIONAL_OPERATIONS: PyTuple[type, ...] = (
@@ -52,68 +52,47 @@ CONVENTIONAL_OPERATIONS: PyTuple[type, ...] = (
 )
 
 
-def _transfer_equivalence(operation: Operation) -> EquivalenceType:
-    """≡L for sort (the DBMS honours a final ORDER BY), ≡M for everything else."""
-    if isinstance(operation, Sort):
-        return EquivalenceType.LIST
-    return EquivalenceType.MULTISET
+class _MoveAcrossTransfer(TransformationRule):
+    """Moves the operation bound to ``op`` across a ``TS``: its arity varies,
+    so the match is code, not a pattern; ``involved`` covers both arities
+    (a path the binding lacks is skipped)."""
+
+    equivalence = E.MULTISET
+
+    def equivalence_for(self, bindings: Bindings) -> E:
+        """≡L for sort (the DBMS honours a final ORDER BY), ≡M for everything else."""
+        return E.LIST if isinstance(bindings["op"], Sort) else E.MULTISET
 
 
-class EliminateTransferRoundTripToDBMS(TransformationRule):
-    """``TS(TD(r)) ≡M r`` — shipping to the DBMS and straight back is a no-op."""
-
-    name = "T-roundtrip-SD"
-    equivalence = EquivalenceType.MULTISET
-    promise = 2.0
-    description = "eliminate a TS(TD(r)) round trip"
-    root = TransferToStratum
-    child = TransferToDBMS
-
-    def rewrite(self, node: TransferToStratum) -> Optional[RuleApplication]:
-        return application(node.child.child, (0,), (0, 0))
-
-
-class EliminateTransferRoundTripToStratum(TransformationRule):
-    """``TD(TS(r)) ≡M r`` — shipping to the stratum and straight back is a no-op."""
-
-    name = "T-roundtrip-DS"
-    equivalence = EquivalenceType.MULTISET
-    promise = 2.0
-    description = "eliminate a TD(TS(r)) round trip"
-    root = TransferToDBMS
-    child = TransferToStratum
-
-    def rewrite(self, node: TransferToDBMS) -> Optional[RuleApplication]:
-        return application(node.child.child, (0,), (0, 0))
-
-
-class MoveOperationToStratum(TransformationRule):
+class MoveOperationToStratum(_MoveAcrossTransfer):
     """``TS(op(r1[, r2])) ≡M op(TS(r1)[, TS(r2)])`` — pull an operation out of the DBMS.
 
     This is the rule used by the running example to push the transfer
     operation down so that the stratum performs temporal duplicate
     elimination, coalescing and the temporal difference itself.  Any
     operation may move to the stratum (the stratum implements the full
-    algebra); the rewrite is ≡L when the moved operation is a ``sort``.
+    algebra).
     """
 
     name = "T-to-stratum"
-    equivalence = EquivalenceType.MULTISET
     description = "move the operation directly below a TS into the stratum"
     root = TransferToStratum
+    involved = ((), (0,), (0, 0), (0, 1))
 
-    def rewrite(self, node: TransferToStratum) -> Optional[RuleApplication]:
-        moved = node.child
-        if isinstance(moved, (TransferToStratum, TransferToDBMS)) or moved.arity == 0:
+    def bind(self, node: Operation, children: Sequence[Operation]) -> Optional[Bindings]:
+        if not isinstance(node, self.root):
             return None
-        new_children = [TransferToStratum(child) for child in moved.children]
-        rewritten = moved.with_children(new_children)
-        involved = [(0,)] + [(0, index) for index in range(len(moved.children))]
-        # The application is ≡L when the moved operation is a sort, ≡M otherwise.
-        return application(rewritten, *involved, equivalence=_transfer_equivalence(moved))
+        moved = children[0]
+        if isinstance(moved, (TransferToStratum, TransferToDBMS)) or not moved.arity:
+            return None
+        return {"TS": node, "op": moved}
+
+    def build(self, bindings: Bindings) -> Operation:
+        moved = bindings["op"]
+        return moved.with_children([TransferToStratum(child) for child in moved.children])
 
 
-class MoveOperationToDBMS(TransformationRule):
+class MoveOperationToDBMS(_MoveAcrossTransfer):
     """``op(TS(r1)[, TS(r2)]) ≡M TS(op(r1[, r2]))`` — push an operation into the DBMS.
 
     Applicable only to operations the conventional engine supports natively
@@ -122,25 +101,35 @@ class MoveOperationToDBMS(TransformationRule):
     """
 
     name = "T-to-dbms"
-    equivalence = EquivalenceType.MULTISET
     description = "move an operation whose inputs all come from the DBMS into the DBMS"
     root = CONVENTIONAL_OPERATIONS
+    involved = ((), (0,), (1,), (0, 0), (1, 0))
 
-    def rewrite(self, node: Operation) -> Optional[RuleApplication]:
-        if node.arity == 0 or not node.children:
+    def bind(self, node: Operation, children: Sequence[Operation]) -> Optional[Bindings]:
+        if not isinstance(node, self.root):
             return None
-        if not all(isinstance(child, TransferToStratum) for child in node.children):
-            return None
-        inner_children = [child.child for child in node.children]
-        rewritten = TransferToStratum(node.with_children(inner_children))
-        involved = [()] + [(index,) for index in range(len(node.children))]
-        # The application is ≡L when the moved operation is a sort, ≡M otherwise.
-        return application(rewritten, *involved, equivalence=_transfer_equivalence(node))
+        bindings = {"op": node}
+        for number, transfer in enumerate(children, 1):
+            if not isinstance(transfer, TransferToStratum):
+                return None
+            bindings[f"r{number}"] = transfer.children[0]
+        return bindings
+
+    def build(self, bindings: Bindings) -> Operation:
+        moved = bindings["op"]
+        inputs = [bindings[f"r{number}"] for number in range(1, moved.arity + 1)]
+        return TransferToStratum(moved.with_children(inputs))
 
 
 TRANSFER_RULES = (
-    EliminateTransferRoundTripToDBMS(),
-    EliminateTransferRoundTripToStratum(),
+    Rule(
+        "T-roundtrip-SD", E.MULTISET, "TS(TD(r))", lambda b: b["r"],
+        description="eliminate a TS(TD(r)) round trip", promise=2.0,
+    ),
+    Rule(
+        "T-roundtrip-DS", E.MULTISET, "TD(TS(r))", lambda b: b["r"],
+        description="eliminate a TD(TS(r)) round trip", promise=2.0,
+    ),
     MoveOperationToStratum(),
     MoveOperationToDBMS(),
 )

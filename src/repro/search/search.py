@@ -109,8 +109,8 @@ class SearchStatistics:
 
         ``memo.tasks`` counts the rule applications attempted — the memo
         search's unit of work, the analogue of Cascades' task count.  Only
-        type-compatible bindings are ever built (the rule index), so it
-        counts real match attempts, once per ``rule.apply`` call.
+        type-compatible rules are ever tried (the rule index), so it counts
+        real match attempts, once per ``rule.match`` call.
         """
         return {
             "memo.groups": self.groups,

@@ -15,13 +15,12 @@ of small tasks, in the Cascades style:
 ``ApplyRules``
     binds each of those rules' patterns against the expression, highest
     :attr:`~repro.core.rules.base.TransformationRule.promise` first: the
-    expression's shell is materialized over concrete member trees of its
-    child groups, the rule's ``apply`` runs on each binding, and admitted
-    replacements (per the same Figure 5 ``rule_application_allowed`` /
-    involved-properties check the exhaustive enumerator performs) are
-    interned back into the expression's group.  A candidate child the rule's
-    declared :attr:`~repro.core.rules.base.TransformationRule.child` pattern
-    rejects is counted as an attempt without building the binding.  A rule
+    rule's ``match`` tests its whole pattern and its premises on the shell
+    over concrete member trees of its child groups, and only a match is
+    materialized as a binding, checked against the same Figure 5
+    ``rule_application_allowed`` / involved-properties test the exhaustive
+    enumerator performs, and built and interned back into the expression's
+    group.  Every candidate combination counts as an attempt.  A rule
     whose child groups are unchanged since its last completed run is
     skipped: it could only re-enumerate bindings it has already tried.
     When a rule schedules new expressions, the rest of the rule list is
@@ -242,8 +241,8 @@ class ApplyRules(_Task):
                 token.check()
             if memo.mutations != mutations:
                 # A rule's application reads nothing but the child groups
-                # (``apply`` is pure, the context fixed): the stamp and the
-                # candidates hold until the memo changes.
+                # (``match`` and ``build`` are pure, the context fixed): the
+                # stamp and the candidates hold until the memo changes.
                 mutations = memo.mutations
                 child_groups = [memo.group(child_id) for child_id in expression.children]
                 stamp = _stamp(child_groups)
@@ -276,7 +275,6 @@ class ApplyRules(_Task):
         statistics = state.statistics
         options = state.options
         shell = self.expression.shell
-        pattern = rule.child
         group = memo.group(self.group_id)
         tried = state.tried.setdefault(key, set())
         combinations = 0
@@ -290,26 +288,19 @@ class ApplyRules(_Task):
                 continue
             tried.add(numbers)
             statistics.applications_attempted += 1
-            if not combo:
-                binding = shell
-            elif isinstance(combo[0][1], pattern):
-                binding = shell.with_children([tree for _, tree in combo])
-            else:
-                continue  # the declared child pattern fails: ``apply`` would say None
-            application = rule.apply(binding)
-            if application is None:
-                continue
-            equivalence = application.equivalence or rule.equivalence
-            involved = involved_properties_for_binding(
-                binding, group.context, application.involved
-            )
-            if not rule_application_allowed(equivalence, involved):
+            trees = [tree for _, tree in combo]
+            bindings = rule.match(shell, trees)
+            if bindings is None:
+                continue  # pattern or premises fail: no binding is built
+            binding = shell.with_children(trees) if trees else shell
+            involved = involved_properties_for_binding(binding, group.context, rule.involved)
+            if not rule_application_allowed(rule.equivalence_for(bindings), involved):
                 statistics.rejected_by_properties += 1
                 continue
             if memo.expressions_created >= options.max_expressions:
                 statistics.truncated = True
                 return False
-            added = memo.add_expression(group.id, application.replacement, rule.name)
+            added = memo.add_expression(group.id, rule.build(bindings), rule.name)
             if added is not None:
                 statistics.applications_succeeded += 1
                 statistics.record_use(rule)

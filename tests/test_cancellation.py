@@ -313,9 +313,9 @@ class TestAStopInsideTheSearch:
         "stop, error, code",
         [("cancel", CancelledError, "CANCELLED"), ("deadline", DeadlineExceededError, "TIMED_OUT")],
     )
-    #: Calls of ``apply`` (of ~170 in the whole search) after which the stop
+    #: Calls of ``match`` (of ~500 in the whole search) after which the stop
     #: lands: two where the same expression has further rules to run.
-    @pytest.mark.parametrize("at", [29, 92])
+    @pytest.mark.parametrize("at", [30, 92])
     def test_a_stop_from_inside_a_rule_ends_the_request_within_one_task(
         self, stop, error, code, at, monkeypatch, records
     ):
@@ -323,9 +323,9 @@ class TestAStopInsideTheSearch:
         now = [0.0]
         token = CancellationToken(deadline=1.0, clock=lambda: now[0])
         calls, applied_after = [0], []
-        real_apply = TransformationRule.apply
+        real_match = TransformationRule.match
 
-        def apply(rule, node):
+        def match(rule, node, children):
             calls[0] += 1
             if calls[0] == at:
                 if stop == "cancel":
@@ -334,9 +334,9 @@ class TestAStopInsideTheSearch:
                     now[0] = 2.0
             if calls[0] >= at:
                 applied_after.append(rule)
-            return real_apply(rule, node)
+            return real_match(rule, node, children)
 
-        monkeypatch.setattr(TransformationRule, "apply", apply)
+        monkeypatch.setattr(TransformationRule, "match", match)
         with pytest.raises(error):
             Session(database, cache=cache).execute(PAPER_SQL, token=token)
         # Within one task: no rule after the one that saw the stop was applied.

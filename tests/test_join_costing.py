@@ -46,11 +46,7 @@ from repro.core.operations import (
     TransferToStratum,
 )
 from repro.core.operations.base import EvaluationContext
-from repro.core.rules import DEFAULT_RULES, JOIN_RULES
-from repro.core.rules.join_rules import (
-    FuseSelectionOverProduct,
-    FuseSelectionOverTemporalProduct,
-)
+from repro.core.rules import DEFAULT_RULES, JOIN_RULES, rules_by_name
 from repro.search import MemoSearch
 from repro.stratum import TemporalDatabase
 from repro.workloads import (
@@ -66,6 +62,9 @@ from repro.workloads import (
 from .strategies import join_predicates, join_right_relations, temporal_relations
 
 STATISTICS = {"EMPLOYEE": 5, "PROJECT": 8}
+
+FUSE_PRODUCT = rules_by_name()["σ×→⋈"]
+FUSE_TEMPORAL_PRODUCT = rules_by_name()["σ×T→⋈T"]
 
 
 def _eq(a: str, b: str) -> Comparison:
@@ -99,7 +98,7 @@ class TestJoinRules:
         left, right = _scan_pair()
         predicate = _eq("1.EmpName", "2.EmpName")
         node = Selection(predicate, CartesianProduct(left, right))
-        result = FuseSelectionOverProduct().apply(node)
+        result = FUSE_PRODUCT.apply(node)
         assert result is not None
         assert isinstance(result.replacement, Join)
         assert result.replacement.predicate == predicate
@@ -109,15 +108,15 @@ class TestJoinRules:
         left, right = _scan_pair()
         predicate = _eq("1.EmpName", "2.EmpName")
         node = Selection(predicate, TemporalCartesianProduct(left, right))
-        result = FuseSelectionOverTemporalProduct().apply(node)
+        result = FUSE_TEMPORAL_PRODUCT.apply(node)
         assert result is not None
         assert isinstance(result.replacement, TemporalJoin)
         assert result.replacement.predicate == predicate
 
     def test_rules_do_not_match_other_shapes(self):
         left, right = _scan_pair()
-        rule = FuseSelectionOverProduct()
-        temporal_rule = FuseSelectionOverTemporalProduct()
+        rule = FUSE_PRODUCT
+        temporal_rule = FUSE_TEMPORAL_PRODUCT
         bare = CartesianProduct(left, right)
         over_projection = Selection(
             _eq("EmpName", "Dept"), Projection(["EmpName", "Dept"], left)
@@ -144,7 +143,7 @@ class TestJoinRules:
     def test_rewrite_is_size_decreasing(self):
         left, right = _scan_pair()
         node = Selection(_eq("1.EmpName", "2.EmpName"), CartesianProduct(left, right))
-        replacement = FuseSelectionOverProduct().apply(node).replacement
+        replacement = FUSE_PRODUCT.apply(node).replacement
         assert replacement.size() < node.size()
 
 
@@ -169,9 +168,9 @@ class TestRewriteDifferential:
     @given(plan=fusible_plans())
     def test_reference_evaluation_identical_tuple_sequence(self, plan):
         rule = (
-            FuseSelectionOverTemporalProduct()
+            FUSE_TEMPORAL_PRODUCT
             if isinstance(plan.child, TemporalCartesianProduct)
-            else FuseSelectionOverProduct()
+            else FUSE_PRODUCT
         )
         rewritten = rule.apply(plan).replacement
         context = EvaluationContext()
@@ -187,9 +186,9 @@ class TestRewriteDifferential:
         fused σ-over-product: both paths must stay list-compatible with the
         reference semantics."""
         rule = (
-            FuseSelectionOverTemporalProduct()
+            FUSE_TEMPORAL_PRODUCT
             if isinstance(plan.child, TemporalCartesianProduct)
-            else FuseSelectionOverProduct()
+            else FUSE_PRODUCT
         )
         rewritten = rule.apply(plan).replacement
         database = TemporalDatabase()

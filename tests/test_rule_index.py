@@ -7,6 +7,8 @@ did before rules declared their roots.  Everything except the count of
 attempts must come out identical.
 """
 
+import copy
+import dataclasses
 import hashlib
 import sys
 
@@ -43,8 +45,10 @@ from repro.core.relation import Relation
 from repro.core.rules import (
     CONVENTIONAL_OPERATIONS,
     DEFAULT_RULES,
-    LambdaRule,
+    Rule,
+    RuleApplication,
     RuleIndex,
+    TransformationRule,
     rule_index,
     rules_by_name,
 )
@@ -73,12 +77,20 @@ from .test_rules_property_based import scenarios
 STATISTICS = {"EMPLOYEE": 60, "PROJECT": 96}
 
 
+class LambdaRule(TransformationRule):
+    """A rule's match and build with no declared root: the index files it
+    under every operator type, so the memo and the enumerator try it
+    everywhere."""
+
+    def __init__(self, rule: TransformationRule) -> None:
+        self.name, self.equivalence, self.promise = rule.name, rule.equivalence, rule.promise
+        self.description, self.involved = rule.description, rule.involved
+        self.match, self.build, self.equivalence_for = rule.match, rule.build, rule.equivalence_for
+
+
 def erase_roots(rules):
     """The same rules, tried at every operator (the pre-index behaviour)."""
-    return [
-        LambdaRule(rule.name, rule.equivalence, rule.description, rule.apply, promise=rule.promise)
-        for rule in rules
-    ]
+    return [LambdaRule(rule) for rule in rules]
 
 
 ERASED_RULES = erase_roots(DEFAULT_RULES)
@@ -121,9 +133,8 @@ PARENT_GUARDS = {
 
 #: The operator the first hand-written ``isinstance`` test of each rule's
 #: rewrite required of the root's first child (``child``/``left``), before
-#: that test moved into the declared :attr:`~TransformationRule.child`
-#: pattern — transcribed from the rewrites it was deleted from.  Every other
-#: rule declares no child pattern.
+#: that test moved into the declared pattern — transcribed from the rewrites
+#: it was deleted from.  Every other rule's pattern has a variable there.
 PARENT_CHILD_GUARDS = {
     Coalescing: "C3 C4 S-push-coal",
     UnionAll: "C5 σ-below-⊔ π-below-⊔ ⊔-assoc",
@@ -145,33 +156,73 @@ PARENT_CHILD_GUARDS = {
 }
 
 
-#: Rules whose rewrite reads nothing of its root but ``child``/``left``/
-#: ``right``: un-guarded it "matches" any operator of that arity (D1 would drop
-#: a selection over a duplicate-free input), so for these the declared root
-#: *is* the pattern and :data:`PARENT_GUARDS` is the only pin.
+#: Rules whose premises and build read nothing of the root's parameters:
+#: with the root's type erased from the pattern they "match" any operator of
+#: that arity (D1 would drop a selection over a duplicate-free input), so for
+#: these the declared root *is* the pattern and :data:`PARENT_GUARDS` is the
+#: only pin.
 ROOT_IS_THE_WHOLE_PATTERN = set(
     "C1 C2 C10 D1 D2 D3 D4 D5 D6 D-idem DT-idem S2 ⊔-commute ∪-commute ∪T-commute "
     "T-roundtrip-DS T-to-stratum T-to-dbms".split()
 )
 
 
+#: Each rule's hand-listed involved paths on the parent commit, by path set
+#: (the arity-dependent transfer rules: the union over both arities).
+PARENT_INVOLVED = {
+    ((), (0,)): "D1 D2 D3 D4 C1 C2 S1 S2",
+    ((), (0,), (0, 0)): (
+        "T-roundtrip-SD T-roundtrip-DS D-idem DT-idem C3 C4 S3 S-push-σ S-push-π "
+        "S-push-rdup S-push-coal σ-commute σ-below-π σ-below-sort σ-below-rdup "
+        "σ-below-rdupT σ-below-γ σ-below-γT π-cascade"
+    ),
+    ((), (0,), (0, 0), (0, 1)): (
+        "D5 D6 C10 S-push-diff S-push-diffT σ-into-×-left σ-into-×-right σ-into-×T-left "
+        "σ-into-×T-right σ-below-⊔ σ-below-∪ σ-below-∪T σ-into-\\-left σ-into-\\T-left "
+        "π-below-⊔ σ×→⋈ σ×T→⋈T T-to-stratum"
+    ),
+    ((), (0,), (0, 0), (0, 1), (0, 0, 0), (0, 1, 0)): "C5 C6",
+    ((), (0,), (0, 0), (0, 0, 0)): "C7 C8",
+    ((), (0,), (0, 0), (0, 0, 0), (0, 0, 1)): "C9",
+    ((), (0,), (1,)): "×-commute ⊔-commute ∪-commute ∪T-commute T-to-dbms",
+    ((), (0,), (1,), (0, 0), (0, 1)): "⊔-assoc",
+}
+
+
+def child_of(rule):
+    """The operator the pattern requires of the root's first child
+    (``Operation``: a variable there, or a transfer rule's hand-written bind)."""
+    pattern = getattr(rule, "pattern", None)
+    first = pattern.children[0] if pattern is not None and pattern.children else None
+    return (first.kind if first else None) or Operation
+
+
 def fits_child_pattern(rule, node):
-    return rule.child is Operation or bool(
-        node.children and isinstance(node.children[0], rule.child)
-    )
+    child = child_of(rule)
+    return child is Operation or bool(node.children and isinstance(node.children[0], child))
+
+
+def erase_root(rule):
+    """The rule with its pattern's root type erased: anything of the arity."""
+    erased = copy.copy(rule)
+    if isinstance(rule, Rule):
+        erased.bind = dataclasses.replace(rule.pattern, kind=Operation).binder()
+    else:  # a transfer rule tests its root against its declaration
+        erased.root = Operation
+    return erased
 
 
 def matches_outside_its_root(rule, node):
-    """Does the un-guarded rewrite fire at a ``node`` the declared root excludes
-    (but the declared child pattern admits)?"""
+    """Does the root-erased pattern fire at a ``node`` the declared root
+    excludes (but the declared child pattern admits)?"""
     roots = rule.root if isinstance(rule.root, tuple) else (rule.root,)
     if isinstance(node, roots) or node.arity not in {root.arity for root in roots}:
         return False
     if not fits_child_pattern(rule, node):
         return False
     try:
-        return rule.rewrite(node) is not None
-    except AttributeError:  # it reads an attribute only its root operator has
+        return erase_root(rule).apply(node) is not None
+    except (AttributeError, KeyError):  # it reads a parameter only its root operator has
         return False
 
 
@@ -181,21 +232,50 @@ class TestDeclaredRoots:
         assert {rule.name: rule.root for rule in DEFAULT_RULES} == expected
         assert Operation not in expected.values(), "no default rule matches anything"
 
-    def test_apply_checks_the_root_before_the_rewrite(self):
-        """The guards live in ``apply``; ``rewrite`` may assume root and child."""
+    def test_apply_is_match_then_build(self):
+        """Root, child, the rest of the pattern and the premises live in
+        ``match``; ``build`` may assume all of them."""
         for plan in fixed_scenarios():
             for rule in DEFAULT_RULES:
+                bindings = rule.match(plan, plan.children)
                 if not isinstance(plan, rule.root) or not fits_child_pattern(rule, plan):
+                    assert bindings is None
+                if bindings is None:
                     assert rule.apply(plan) is None
-                elif rule.apply(plan) is not None:
-                    assert rule.rewrite(plan) == rule.apply(plan)
+                else:
+                    assert rule.apply(plan) == RuleApplication(
+                        rule.build(bindings), rule.involved, rule.equivalence_for(bindings)
+                    )
 
     def test_every_rule_declares_its_old_child_test_as_its_child_pattern(self):
         expected = {
             name: child for child, names in PARENT_CHILD_GUARDS.items() for name in names.split()
         }
-        declared = {rule.name: rule.child for rule in DEFAULT_RULES if rule.child is not Operation}
-        assert declared == expected
+        declared = {rule.name: child_of(rule) for rule in DEFAULT_RULES}
+        assert {name: kind for name, kind in declared.items() if kind is not Operation} == expected
+
+    def test_the_root_is_the_patterns_first_level(self):
+        declared = [rule for rule in DEFAULT_RULES if isinstance(rule, Rule)]
+        assert {rule.name for rule in DEFAULT_RULES} - {rule.name for rule in declared} == {
+            "T-to-stratum", "T-to-dbms"
+        }, "only the variable-arity transfer rules are classes"
+        for rule in declared:
+            assert rule.root is rule.pattern.kind
+
+    def test_involved_paths_are_the_parents(self):
+        """Derived from each pattern: every node's path, as Figure 5 defines it.
+
+        ``T-to-dbms`` alone differs: its hand-written paths left out the
+        variables' roots below its ``TS`` children, which Figure 5 involves;
+        no memo or enumeration pin moves with them in."""
+        expected = {
+            name: paths for paths, names in PARENT_INVOLVED.items() for name in names.split()
+        }
+        expected["T-to-dbms"] += ((0, 0), (1, 0))
+        assert {rule.name: rule.involved for rule in DEFAULT_RULES} == expected
+        for rule in DEFAULT_RULES:
+            if isinstance(rule, Rule):
+                assert set(rule.involved) == set(rule.pattern.paths())
 
     @settings(max_examples=40, deadline=None)
     @given(join_shaped_plans())
@@ -225,6 +305,30 @@ class TestDeclaredRoots:
             for rule in DEFAULT_RULES:
                 if rule.apply(node) is not None:
                     assert rule.name in indexed
+
+
+def assert_every_admitted_binding_builds(plans):
+    for plan in plans:
+        for _, node in plan.locations():
+            for rule in DEFAULT_RULES:
+                bindings = rule.match(node, node.children)
+                if bindings is not None:
+                    replacement = rule.build(bindings)
+                    assert isinstance(replacement, Operation), (rule.name, node)
+                    replacement.output_schema()
+
+
+class TestBuildOnlyBuilds:
+    """Every binding a pattern and its premises admit builds an operation."""
+
+    def test_scenarios_and_registry_plans(self):
+        plans = fixed_scenarios() + [query.build()[0] for query in WORKLOAD_QUERIES]
+        assert_every_admitted_binding_builds(TransferToStratum(plan) for plan in plans)
+
+    @settings(max_examples=40, deadline=None)
+    @given(join_shaped_plans())
+    def test_join_shaped_plans(self, plan):
+        assert_every_admitted_binding_builds([TransferToStratum(plan)])
 
 
 class TestRuleIndex:
@@ -396,7 +500,7 @@ ONE_TASK_PER_RULE = {
     "chain-4": (660, 487),
     "chain-6": (684, 496),
 }
-#: ... the same searches do this much.
+#: ... the same searches do this much ...
 ONE_TASK_PER_EXPRESSION = {
     "paper": (178, 170),
     "paper-multiset": (184, 786),
@@ -413,6 +517,27 @@ ONE_TASK_PER_EXPRESSION = {
     "chain-3": (112, 70),
     "chain-4": (212, 222),
     "chain-6": (230, 229),
+}
+
+
+#: ... and with each rule's whole pattern and its premises matched on the
+#: candidates first, only a match is built as a binding: this many.
+MATCHED_BINDINGS = {
+    "paper": 102,
+    "paper-multiset": 557,
+    "paper-set": 627,
+    "double-elimination": 149,
+    "selection": 59,
+    "snapshot-except": 47,
+    "union-all": 22,
+    "temporal-union": 14,
+    "equijoin": 8,
+    "temporal-join": 6,
+    "join-cascade": 121,
+    "chain-2": 163,
+    "chain-3": 42,
+    "chain-4": 140,
+    "chain-6": 147,
 }
 
 
@@ -440,9 +565,13 @@ class TestRuleWork:
         plan, spec = query.build()
         statistics = MemoSearch().optimize(plan, spec, STATISTICS).statistics
         assert statistics.applications_attempted == DECLARED_MEMO[query.name][0]
-        measured = (counts["tasks"], counts["bindings"])
-        assert measured == ONE_TASK_PER_EXPRESSION[query.name]
-        assert all(now < before for now, before in zip(measured, ONE_TASK_PER_RULE[query.name]))
+        tasks, bindings = ONE_TASK_PER_EXPRESSION[query.name]
+        assert (counts["tasks"], counts["bindings"]) == (tasks, MATCHED_BINDINGS[query.name])
+        assert counts["bindings"] < bindings
+        assert all(
+            now < before
+            for now, before in zip((tasks, bindings), ONE_TASK_PER_RULE[query.name])
+        )
 
 
 def run_stack(state, root, until=None):

@@ -60,3 +60,15 @@ def test_every_unary_stack_shape_has_a_valid_schema():
         frontier = list(reached.values())
     assert walked > 1000
     assert any({"total", "top"} <= set(plan.output_schema().attributes) for plan in frontier)
+
+
+def test_tier1_loads_the_derandomized_profile():
+    """``tests/conftest.py``: the same draws every run, unless a run asks for
+    fresh ones with ``--hypothesis-profile=random``."""
+    from hypothesis import settings
+
+    if settings.get_current_profile_name() == "random":
+        assert settings.default.print_blob and not settings.default.derandomize
+    else:
+        assert settings.get_current_profile_name() == "default"
+        assert settings.default.derandomize and settings.default.database is None
