@@ -41,9 +41,9 @@ def rule_application_allowed(
 
     ``involved`` holds the Table 2 properties of the operations that the
     rule's left-hand side mentions (including the roots of its subtree
-    variables).
+    variables).  It is read once, and only as far as needed: ≡L reads none,
+    and the first property that refuses ends the read.
     """
-    involved = list(involved)
     if equivalence is EquivalenceType.LIST:
         return True
     if equivalence is EquivalenceType.MULTISET:

@@ -114,13 +114,6 @@ class SQLGenerationError(EngineError):
     code = "SQL_GENERATION_ERROR"
 
 
-class PartitionError(EngineError):
-    """A query plan cannot be partitioned between stratum and DBMS (e.g.
-    unbalanced transfer operations)."""
-
-    code = "PARTITION_ERROR"
-
-
 class ParameterError(ReproError):
     """A statement's positional parameters were bound inconsistently (wrong
     count, or execution of a plan that still contains unbound markers)."""

@@ -227,10 +227,6 @@ class OrderSpec:
 
     # -- evaluation ------------------------------------------------------------------
 
-    def satisfied_by(self, existing: "OrderSpec") -> bool:
-        """True if data ordered by ``existing`` is also ordered by ``self``."""
-        return self.is_prefix_of(existing)
-
     def comparison_key(self) -> Callable[["ReproTuple"], Tuple]:
         """Return a key function for :func:`sorted` implementing this order.
 

@@ -247,10 +247,6 @@ class Relation:
         relation._views = self._views
         return relation
 
-    def with_tuples(self, tuples: Iterable[Tuple], order: Optional[OrderSpec] = None) -> "Relation":
-        """Return a relation over the same schema with a new tuple sequence."""
-        return Relation(self._schema, tuples, order=order if order is not None else OrderSpec.unordered())
-
     def sorted_by(self, order: OrderSpec) -> "Relation":
         """Return the relation stably sorted according to ``order``."""
         key = order.comparison_key()

@@ -92,6 +92,10 @@ class TransformationRule:
     involved: PyTuple[PlanPath, ...] = ((),)
     #: Side conditions over the bindings, tested in order after the shape.
     premises: PyTuple[Premise, ...] = ()
+    #: Per child of the root, the operator type the pattern requires there
+    #: (``None``: a variable); empty when no child is constrained.  The memo
+    #: search binds only candidates of that type.
+    child_kinds: PyTuple[Optional[type], ...] = ()
 
     def bind(self, node: Operation, children: Sequence[Operation]) -> Optional[Bindings]:
         """The left-hand side's shape at ``node`` over ``children``, premises aside."""
@@ -104,6 +108,13 @@ class TransformationRule:
     def equivalence_for(self, bindings: Bindings) -> EquivalenceType:
         """The equivalence type one application preserves."""
         return self.equivalence
+
+    @property
+    def static_equivalence(self) -> bool:
+        """Every application preserves :attr:`equivalence` (``equivalence_for``
+        is not overridden), so a location's own properties can refuse the
+        rule before any binding is formed."""
+        return getattr(self.equivalence_for, "__func__", None) is TransformationRule.equivalence_for
 
     def match(self, node: Operation, children: Sequence[Operation]) -> Optional[Bindings]:
         """Shape and premises at ``node`` over ``children`` (``node``'s own are
@@ -247,6 +258,8 @@ class Rule(TransformationRule):
         self.promise = promise
         self.bind = self.pattern.binder()  # type: ignore[method-assign]
         self.root = self.pattern.kind
+        kinds = tuple(child.kind for child in self.pattern.children)
+        self.child_kinds = kinds if any(kinds) else ()
         self.involved = tuple(sorted(self.pattern.paths(), key=lambda path: (len(path), path)))
 
 

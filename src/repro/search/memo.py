@@ -93,7 +93,8 @@ class GroupExpression:
     """One operator shell over child groups — an AND node of the plan graph.
 
     ``shell`` carries the operator's type and parameters; its own children
-    are irrelevant (``with_children`` rebuilds concrete trees from bindings).
+    are irrelevant (rules match it over candidate trees of the child groups,
+    and extraction rebuilds concrete trees with ``with_children``).
     ``source`` is the concrete tree this expression was first derived from —
     the tree rule bindings and witness analyses run on.
     """

@@ -62,7 +62,7 @@ from ..core.cost import (
     operator_cardinality,
     operator_work,
 )
-from ..core.lowering import STRATUM_ENGINE, Engine, child_engine
+from ..core.lowering import STRATUM_ENGINE, Engine, child_engine, physical_choice
 from ..core.operations import Difference, Operation
 from ..core.properties import root_properties
 from ..core.query import QueryResultSpec
@@ -83,6 +83,8 @@ class SearchStatistics:
     applications_attempted: int = 0
     applications_succeeded: int = 0
     rejected_by_properties: int = 0
+    #: Rule runs that stopped at ``max_binding_combinations``.
+    bindings_truncated: int = 0
     rule_usage: Dict[str, int] = field(default_factory=dict)
     truncated: bool = False
     sweeps: int = 0
@@ -99,6 +101,7 @@ class SearchStatistics:
         self.applications_attempted = exploration.applications_attempted
         self.applications_succeeded = exploration.applications_succeeded
         self.rejected_by_properties = exploration.rejected_by_properties
+        self.bindings_truncated = exploration.bindings_truncated
         self.rule_usage = dict(exploration.rule_usage)
         self.truncated = exploration.truncated
         self.sweeps = exploration.sweeps
@@ -109,8 +112,10 @@ class SearchStatistics:
 
         ``memo.tasks`` counts the rule applications attempted — the memo
         search's unit of work, the analogue of Cascades' task count.  Only
-        type-compatible rules are ever tried (the rule index), so it counts
-        real match attempts, once per ``rule.match`` call.
+        type-compatible rules are ever tried (the rule index), over
+        candidates of the types their patterns name, and never a rule the
+        group's context refuses, so it counts real match attempts, once per
+        ``rule.match`` call.
         """
         return {
             "memo.groups": self.groups,
@@ -246,6 +251,8 @@ class _Extractor:
         #: bound in progress (see there).
         self._expression_bounds: Dict[int, PyTuple[float, float]] = {}
         self._bounds_on_stack: Set[int] = set()
+        #: Per group id: its expressions ranked by lower bound (``ranked``).
+        self._ranked: Dict[int, List[PyTuple[PyTuple[float, float], GroupExpression]]] = {}
         self._cycle_cuts = 0
         #: Per (expression id, input cardinalities): the output estimate; per
         #: (expression id, engine, input cardinalities): with the work.  The
@@ -340,6 +347,21 @@ class _Extractor:
 
     # -- frontiers ---------------------------------------------------------------
 
+    def ranked(self, group_id: int) -> List[PyTuple[PyTuple[float, float], GroupExpression]]:
+        """The group's expressions by lower bound, cheapest first: once per
+        group, for every engine's frontier (no bound is in progress here, so
+        each ``bounds_for`` is the remembered one)."""
+        ranked = self._ranked.get(group_id)
+        if ranked is None:
+            ranked = self._ranked[group_id] = sorted(
+                (
+                    (self.bounds_for(expression), expression)
+                    for expression in self.memo.group(group_id).expressions
+                ),
+                key=lambda pair: (pair[0], pair[1].id),
+            )
+        return ranked
+
     def frontier(
         self, group_id: int, engine: Engine, on_stack: Optional[Set[PyTuple[int, Engine]]] = None
     ) -> List[_Entry]:
@@ -356,13 +378,8 @@ class _Extractor:
             return []
         on_stack.add(key)
         cuts_before = self._cycle_cuts
-        group = self.memo.group(group_id)
         best_by_card: Dict[float, _Entry] = {}
-        ranked = sorted(
-            ((self.bounds_for(expression), expression) for expression in group.expressions),
-            key=lambda pair: (pair[0], pair[1].id),
-        )
-        for (bound_cost, _), expression in ranked:
+        for (bound_cost, _), expression in self.ranked(group_id):
             if bound_cost > self.upper_bound:
                 self.stats.expressions_pruned += 1
                 continue
@@ -395,6 +412,14 @@ class _Extractor:
             self._frontiers[key] = entries
             self.stats.frontier_entries += len(entries)
         return entries
+
+
+def _fuses_a_product(node: Operation, engine: Engine) -> bool:
+    """Does whole-plan costing price a σ-over-product pair of ``node`` as one join?"""
+    if physical_choice(node, engine).fuses_product:
+        return True
+    below = child_engine(node, engine)
+    return any(_fuses_a_product(child, below) for child in node.children)
 
 
 def _combinations(frontiers: List[List[_Entry]]) -> List[PyTuple[_Entry, ...]]:
@@ -523,11 +548,14 @@ class MemoSearch:
         # caller's rule set may not contain.  Bound with the unfused seed
         # price (never below the fused estimate), so the seed always
         # survives its own bound and restricted rule sets keep optimizing.
-        seed_shell_cost = estimate_cost(
-            seed, statistics_map, self.cost_model, engine=self.root_engine,
-            estimator=estimator, physical_fusion=False,
-        )
-        upper_bound = seed_shell_cost.total * self.options.upper_bound_slack + 1e-9
+        # With no such pair in the seed the two prices are one walk's.
+        seed_shell_total = seed_cost.total
+        if _fuses_a_product(seed, self.root_engine):
+            seed_shell_total = estimate_cost(
+                seed, statistics_map, self.cost_model, engine=self.root_engine,
+                estimator=estimator, physical_fusion=False,
+            ).total
+        upper_bound = seed_shell_total * self.options.upper_bound_slack + 1e-9
         extractor = _Extractor(
             memo, statistics_map, self.cost_model, search_statistics, upper_bound,
             estimator=estimator,
@@ -536,7 +564,7 @@ class MemoSearch:
         rules_applied: PyTuple[str, ...] = ()
         if frontier:
             best_plan = frontier[0].build()
-            best_cost = estimate_cost(
+            best_cost = seed_cost if best_plan == seed else estimate_cost(
                 best_plan, statistics_map, self.cost_model, engine=self.root_engine,
                 estimator=estimator,
             )

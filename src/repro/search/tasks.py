@@ -10,22 +10,28 @@ of small tasks, in the Cascades style:
 ``ExploreGroup``
     schedules, for every expression of the group, one ``ApplyRules`` task
     over the catalogue rules whose declared root admits the expression's
-    operator, plus an ``OptimizeInputs`` task.
+    operator, plus an ``OptimizeInputs`` task.  A rule whose equivalence is
+    static and which Figure 5 already refuses on the group's own context is
+    left out for good: path ``()`` is involved in every application, and a
+    group's context never changes.
 
 ``ApplyRules``
     binds each of those rules' patterns against the expression, highest
-    :attr:`~repro.core.rules.base.TransformationRule.promise` first: the
-    rule's ``match`` tests its whole pattern and its premises on the shell
-    over concrete member trees of its child groups, and only a match is
-    materialized as a binding, checked against the same Figure 5
+    :attr:`~repro.core.rules.base.TransformationRule.promise` first, over
+    concrete member trees of its child groups — at a child where the
+    pattern names an operator type, only the candidates of that type.  Each
+    such type-compatible combination counts as an attempt: the rule's
+    ``match`` tests its whole pattern and its premises on the shell over
+    the trees, and a match gets the same Figure 5
     ``rule_application_allowed`` / involved-properties test the exhaustive
-    enumerator performs, and built and interned back into the expression's
-    group.  Every candidate combination counts as an attempt.  A rule
-    whose child groups are unchanged since its last completed run is
-    skipped: it could only re-enumerate bindings it has already tried.
-    When a rule schedules new expressions, the rest of the rule list is
-    pushed back *beneath* their tasks, so they run before the next rule
-    exactly as they would with one task per rule.
+    enumerator performs, its properties walked through the shell and the
+    trees (no binding tree is built); an admitted one is built and interned
+    back into the expression's group.  A rule whose child groups are
+    unchanged since its last completed run is skipped: it could only
+    re-enumerate bindings it has already tried.  When a rule schedules new
+    expressions, the rest of the rule list is pushed back *beneath* their
+    tasks, so they run before the next rule exactly as they would with one
+    task per rule.
 
 ``OptimizeInputs``
     recurses into the child groups, and performs *context upgrades*: when a
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..core.applicability import rule_application_allowed
 from ..core.operations import Operation
@@ -58,35 +64,45 @@ from ..core.rules.base import RuleIndex, TransformationRule
 from .memo import Context, GroupExpression, Memo
 
 
-def properties_along_path(
-    tree: Operation, context: Context, path: PlanPath
-) -> Optional[OperationProperties]:
-    """The Table 2 properties at ``path`` of a concrete tree rooted at ``context``."""
-    properties = context
-    node = tree
-    for index in path:
-        if index >= len(node.children):
-            return None
-        properties = child_properties(node, index, properties)
-        node = node.children[index]
-    return properties
-
-
-def involved_properties_for_binding(
-    tree: Operation, context: Context, involved: Sequence[PlanPath]
-) -> List[OperationProperties]:
-    """Properties of the operations a rule application involves.
+def binding_properties(
+    shell: Operation,
+    trees: Sequence[Operation],
+    context: Context,
+    paths: Sequence[PlanPath],
+) -> Iterator[OperationProperties]:
+    """The Table 2 properties at ``paths`` of the binding ``shell(trees)`` at ``context``.
 
     The memo-side counterpart of :func:`repro.core.applicability.involved_properties`:
-    the location's context plays the role of the plan-wide property map, and
-    paths outside the binding are ignored defensively, as in the original.
+    each path is walked through the shell (a step reads no child but the
+    first, so ``trees[0]`` stands in for it) and then down the trees, so the
+    binding itself is never built.  Paths the binding lacks are skipped, as
+    in the original; lazily, so a refusal stops the walk.
     """
-    found = []
-    for path in involved:
-        properties = properties_along_path(tree, context, path)
-        if properties is not None:
-            found.append(properties)
-    return found
+    for path in paths:
+        if not path:
+            yield context
+            continue
+        index = path[0]
+        if index >= len(trees):
+            continue
+        properties = child_properties(shell, index, context, trees[0])
+        node = trees[index]
+        for index in path[1:]:
+            if index >= len(node.children):
+                break
+            properties = child_properties(node, index, properties)
+            node = node.children[index]
+        else:
+            yield properties
+
+
+def refused_by_context(rule: TransformationRule, context: Context) -> bool:
+    """Does Figure 5 refuse every application of ``rule`` at a location of ``context``?
+
+    Exact for a rule with a static equivalence: path ``()`` is involved in
+    every application, so the location's own properties alone can refuse it.
+    """
+    return rule.static_equivalence and not rule_application_allowed(rule.equivalence, (context,))
 
 
 def _weakens(new: OperationProperties, old: OperationProperties) -> bool:
@@ -254,7 +270,15 @@ class ApplyRules(_Task):
             if candidate_lists is None:
                 limit = state.options.max_candidates_per_child
                 candidate_lists = [child.binding_candidates(limit) for child in child_groups]
-            if not self.apply_rule(state, key, rule, candidate_lists):
+                # Per (child index, operator type): the candidates of that type.
+                of_kind: Dict[PyTuple[int, type], List[PyTuple[int, Operation]]] = {}
+            lists = candidate_lists
+            if rule.child_kinds:
+                lists = [
+                    candidates if kind is None else _of_kind(of_kind, candidates, child, kind)
+                    for child, (candidates, kind) in enumerate(zip(candidate_lists, rule.child_kinds))
+                ]
+            if not self.apply_rule(state, key, rule, lists):
                 return
             state.stamps[key] = stamp
             if len(stack) > below:
@@ -276,6 +300,7 @@ class ApplyRules(_Task):
         options = state.options
         shell = self.expression.shell
         group = memo.group(self.group_id)
+        context = group.context
         tried = state.tried.setdefault(key, set())
         combinations = 0
         for combo in itertools.product(*candidate_lists):
@@ -291,9 +316,8 @@ class ApplyRules(_Task):
             trees = [tree for _, tree in combo]
             bindings = rule.match(shell, trees)
             if bindings is None:
-                continue  # pattern or premises fail: no binding is built
-            binding = shell.with_children(trees) if trees else shell
-            involved = involved_properties_for_binding(binding, group.context, rule.involved)
+                continue  # pattern or premises fail
+            involved = binding_properties(shell, trees, context, rule.involved)
             if not rule_application_allowed(rule.equivalence_for(bindings), involved):
                 statistics.rejected_by_properties += 1
                 continue
@@ -306,6 +330,19 @@ class ApplyRules(_Task):
                 statistics.record_use(rule)
                 state.schedule_expression(memo.find(group.id), added)
         return True
+
+
+def _of_kind(
+    of_kind: Dict[PyTuple[int, type], List[PyTuple[int, Operation]]],
+    candidates: List[PyTuple[int, Operation]],
+    child: int,
+    kind: type,
+) -> List[PyTuple[int, Operation]]:
+    """The ``(binding number, tree)`` candidates of ``child`` that are a ``kind``, in order."""
+    found = of_kind.get((child, kind))
+    if found is None:
+        found = of_kind[child, kind] = [pair for pair in candidates if isinstance(pair[1], kind)]
+    return found
 
 
 class ExplorationState:
@@ -336,6 +373,9 @@ class ExplorationState:
         #: Per expression id: the stamp of its last ``OptimizeInputs`` run
         #: that upgraded nothing.
         self.input_stamps: Dict[int, Stamp] = {}
+        #: Per (operator type, context): the index's rules for the type
+        #: that the context does not refuse (:func:`refused_by_context`).
+        self.admitted: Dict[PyTuple[type, Context], PyTuple[PyTuple[int, TransformationRule], ...]] = {}
 
     def push(self, task: _Task) -> None:
         self.stack.append(task)
@@ -346,10 +386,25 @@ class ExplorationState:
             return
         self.scheduled.add(expression.id)
         self.push(OptimizeInputs(group_id, expression))
-        rules = self.index.matching(type(expression.shell))
+        rules = self.rules_for(type(expression.shell), self.memo.group(group_id).context)
         if rules:
             # Above ``OptimizeInputs``: the rules are applied first.
             self.push(ApplyRules(group_id, expression, rules))
+
+    def rules_for(
+        self, operator_type: type, context: Context
+    ) -> PyTuple[PyTuple[int, TransformationRule], ...]:
+        """``(catalogue position, rule)`` to apply to an expression of the
+        type in a group of the context, in firing order."""
+        key = (operator_type, context)
+        rules = self.admitted.get(key)
+        if rules is None:
+            rules = self.admitted[key] = tuple(
+                pair
+                for pair in self.index.matching(operator_type)
+                if not refused_by_context(pair[1], context)
+            )
+        return rules
 
     @property
     def truncated(self) -> bool:

@@ -39,7 +39,8 @@ from repro.core.operations import (
     UnionAll,
 )
 from repro.core.order_spec import OrderSpec
-from repro.core.properties import root_properties
+from repro.core.applicability import involved_properties, is_rule_applicable
+from repro.core.properties import annotate, root_properties
 from repro.core.query import QueryResultSpec
 from repro.core.relation import Relation
 from repro.core.rules import (
@@ -61,6 +62,8 @@ from repro.search.tasks import (
     ExplorationStatistics,
     OptimizeGroup,
     OptimizeInputs,
+    binding_properties,
+    refused_by_context,
 )
 from repro.workloads import paper_query
 from repro.workloads.queries import WORKLOAD_QUERIES
@@ -398,7 +401,8 @@ def assert_same_memo(plan, spec, statistics=None):
 #: ``(applications_attempted, groups, expressions, applications_succeeded,
 #: sweeps)`` of the memo search per registry query on the parent commit, before
 #: rules declared roots and before the stamps (independent of the statistics
-#: and of ``PYTHONHASHSEED``).
+#: and of ``PYTHONHASHSEED``).  The attempts are the erased catalogue's before
+#: a group's context decided the rules it refuses (:data:`ERASED_MEMO`).
 PRE_INDEX_MEMO = {
     "paper": (8456, 26, 55, 26, 4),
     "paper-multiset": (26320, 18, 52, 27, 4),
@@ -418,26 +422,71 @@ PRE_INDEX_MEMO = {
 }
 
 
+#: The erased catalogue's attempts per registry query once a group's context
+#: decides the rules it refuses: both catalogues take that decision for every
+#: rule with a static equivalence, so the memos stay equal, ``rejected``
+#: included.  The attempts before it are :data:`PRE_INDEX_MEMO`'s.
+ERASED_MEMO = {
+    "paper": 7006,
+    "paper-multiset": 23837,
+    "paper-set": 24331,
+    "double-elimination": 10196,
+    "selection": 2422,
+    "snapshot-except": 2318,
+    "union-all": 1632,
+    "temporal-union": 980,
+    "equijoin": 686,
+    "temporal-join": 686,
+    "join-cascade": 6294,
+    "chain-2": 8192,
+    "chain-3": 2860,
+    "chain-4": 7324,
+    "chain-6": 7948,
+}
+
+
 #: ``(applications_attempted, merges)`` of the *declared* catalogue per
-#: registry query, recorded on the commit before bindings were identified by
-#: number and the analyses memoised on the node: neither may move either one
-#: (a tree that changes number in a merge would be attempted again).
+#: registry query: the merges as recorded on the commit before bindings were
+#: identified by number and the analyses memoised on the node (a tree that
+#: changes number in a merge would be attempted again).  The attempts count
+#: only the combinations of candidates whose types fit the rule's pattern, and
+#: no rule the group's context refuses; every combination counted before
+#: (:data:`EVERY_COMBINATION_ATTEMPTED`).
 DECLARED_MEMO = {
-    "paper": (494, 3),
-    "paper-multiset": (2130, 7),
-    "paper-set": (2264, 8),
-    "double-elimination": (616, 5),
-    "selection": (496, 0),
-    "snapshot-except": (217, 0),
-    "union-all": (99, 1),
-    "temporal-union": (57, 0),
-    "equijoin": (76, 0),
-    "temporal-join": (70, 0),
-    "join-cascade": (1292, 0),
-    "chain-2": (512, 1),
-    "chain-3": (191, 0),
-    "chain-4": (487, 2),
-    "chain-6": (496, 2),
+    "paper": (124, 3),
+    "paper-multiset": (731, 7),
+    "paper-set": (804, 8),
+    "double-elimination": (182, 5),
+    "selection": (89, 0),
+    "snapshot-except": (77, 0),
+    "union-all": (54, 1),
+    "temporal-union": (15, 0),
+    "equijoin": (20, 0),
+    "temporal-join": (14, 0),
+    "join-cascade": (218, 0),
+    "chain-2": (126, 1),
+    "chain-3": (47, 0),
+    "chain-4": (127, 2),
+    "chain-6": (129, 2),
+}
+#: The declared catalogue's attempts on the parent commit, when every
+#: candidate combination counted and the context decided nothing.
+EVERY_COMBINATION_ATTEMPTED = {
+    "paper": 494,
+    "paper-multiset": 2130,
+    "paper-set": 2264,
+    "double-elimination": 616,
+    "selection": 496,
+    "snapshot-except": 217,
+    "union-all": 99,
+    "temporal-union": 57,
+    "equijoin": 76,
+    "temporal-join": 70,
+    "join-cascade": 1292,
+    "chain-2": 512,
+    "chain-3": 191,
+    "chain-4": 487,
+    "chain-6": 496,
 }
 
 
@@ -446,15 +495,22 @@ class TestMemoOracle:
     def test_registry_query_explores_to_the_same_memo(self, query):
         plan, spec = query.build()
         declared, erased = assert_same_memo(plan, spec, STATISTICS)
-        # The erased catalogue *is* the old driver (the stamps skip only runs
-        # that would have found every binding already tried), and the
-        # declared one closes the same memo in as many sweeps.
+        # The erased catalogue is the old search but for the context's
+        # decisions (the stamps skip only runs that would have found every
+        # binding already tried), and the declared one closes the same memo
+        # in as many sweeps.
         statistics = declared.statistics
+        attempted, *memo = PRE_INDEX_MEMO[query.name]
         assert (
-            erased.statistics.applications_attempted, statistics.groups, statistics.expressions,
+            statistics.groups, statistics.expressions,
             statistics.applications_succeeded, statistics.sweeps,
-        ) == PRE_INDEX_MEMO[query.name]
+        ) == tuple(memo)
+        assert erased.statistics.applications_attempted == ERASED_MEMO[query.name] < attempted
         assert (statistics.applications_attempted, statistics.merges) == DECLARED_MEMO[query.name]
+        assert statistics.applications_attempted < EVERY_COMBINATION_ATTEMPTED[query.name]
+        # A truncated binding product would stop at a different binding with
+        # the candidates filtered by type than without: none is truncated.
+        assert statistics.bindings_truncated == erased.statistics.bindings_truncated == 0
 
     @settings(max_examples=25, deadline=None)
     @given(join_shaped_plans())
@@ -521,7 +577,7 @@ ONE_TASK_PER_EXPRESSION = {
 
 
 #: ... and with each rule's whole pattern and its premises matched on the
-#: candidates first, only a match is built as a binding: this many.
+#: candidates first, only a match was built as a binding: this many ...
 MATCHED_BINDINGS = {
     "paper": 102,
     "paper-multiset": 557,
@@ -541,37 +597,165 @@ MATCHED_BINDINGS = {
 }
 
 
+#: ... while now a group's context decides the rules it refuses, only
+#: candidates of the types a pattern names are combined, and a match's
+#: involved properties are walked through the shell and the trees: ``(rule
+#: tasks executed, matches)``, and no binding is built at all.
+DECIDED_BEFORE_BUILDING = {
+    "paper": (178, 56),
+    "paper-multiset": (184, 502),
+    "paper-set": (183, 575),
+    "double-elimination": (201, 103),
+    "selection": (160, 44),
+    "snapshot-except": (101, 28),
+    "union-all": (57, 22),
+    "temporal-union": (28, 6),
+    "equijoin": (33, 8),
+    "temporal-join": (22, 6),
+    "join-cascade": (233, 88),
+    "chain-2": (159, 45),
+    "chain-3": (106, 19),
+    "chain-4": (184, 45),
+    "chain-6": (194, 47),
+}
+
+
+def count_rule_work(monkeypatch):
+    """Spy on the rule work of the memo search: ``ApplyRules`` runs, ``rule.match``
+    calls and their matches, and the bindings the rule task builds itself."""
+    counts = {"tasks": 0, "match_calls": 0, "matches": 0, "bindings": 0}
+    execute, match = ApplyRules.execute, TransformationRule.match
+    with_children = Operation.with_children
+
+    def counted_execute(task, state):
+        counts["tasks"] += 1
+        return execute(task, state)
+
+    def counted_match(rule, node, children):
+        counts["match_calls"] += 1
+        bindings = match(rule, node, children)
+        counts["matches"] += bindings is not None
+        return bindings
+
+    def counted_with_children(node, children):
+        # A binding is a ``with_children`` the rule task itself calls;
+        # rewrites (inside ``rule.build``) build their own trees.
+        if sys._getframe(1).f_code is ApplyRules.apply_rule.__code__:
+            counts["bindings"] += 1
+        return with_children(node, children)
+
+    monkeypatch.setattr(ApplyRules, "execute", counted_execute)
+    monkeypatch.setattr(TransformationRule, "match", counted_match)
+    monkeypatch.setattr(Operation, "with_children", counted_with_children)
+    return counts
+
+
 class TestRuleWork:
-    """Fewer rule tasks and fewer bindings built — counted, not timed."""
+    """Fewer rule tasks, fewer attempts and no bindings built — counted, not timed."""
 
     @pytest.mark.parametrize("query", WORKLOAD_QUERIES, ids=lambda query: query.name)
     def test_rule_tasks_and_bindings_built_per_registry_query(self, query, monkeypatch):
-        counts = {"tasks": 0, "bindings": 0}
-        execute, with_children = ApplyRules.execute, Operation.with_children
+        counts = count_rule_work(monkeypatch)
 
-        def counted_execute(task, state):
-            counts["tasks"] += 1
-            return execute(task, state)
-
-        def counted_with_children(node, children):
-            # A binding is the one ``with_children`` the rule task itself
-            # calls; rewrites (inside ``rule.apply``) build their own trees.
-            if sys._getframe(1).f_code is ApplyRules.apply_rule.__code__:
-                counts["bindings"] += 1
-            return with_children(node, children)
-
-        monkeypatch.setattr(ApplyRules, "execute", counted_execute)
-        monkeypatch.setattr(Operation, "with_children", counted_with_children)
         plan, spec = query.build()
         statistics = MemoSearch().optimize(plan, spec, STATISTICS).statistics
+        # One attempt is one ``rule.match`` call.
         assert statistics.applications_attempted == DECLARED_MEMO[query.name][0]
-        tasks, bindings = ONE_TASK_PER_EXPRESSION[query.name]
-        assert (counts["tasks"], counts["bindings"]) == (tasks, MATCHED_BINDINGS[query.name])
-        assert counts["bindings"] < bindings
+        assert counts["match_calls"] == statistics.applications_attempted
+        tasks, matches = DECIDED_BEFORE_BUILDING[query.name]
+        assert (counts["tasks"], counts["matches"], counts["bindings"]) == (tasks, matches, 0)
+        assert matches <= MATCHED_BINDINGS[query.name]
+        assert tasks <= ONE_TASK_PER_EXPRESSION[query.name][0]
         assert all(
             now < before
-            for now, before in zip((tasks, bindings), ONE_TASK_PER_RULE[query.name])
+            for now, before in zip(ONE_TASK_PER_EXPRESSION[query.name], ONE_TASK_PER_RULE[query.name])
         )
+
+
+#: The search work of each ``cold-plan`` ledger statement (scale 12, seed 0,
+#: the plan cache cleared before it): ``(applications_attempted,
+#: rejected_by_properties, rule.match calls, ApplyRules runs)``.  On the
+#: parent commit, before the context decided and the candidates were filtered
+#: by type: ``tjoin`` (296, 15, 296, 72), ``paper`` (494, 50, 494, 178),
+#: ``chained`` (512, 119, 512, 179), each attempt building a binding tree
+#: for a match.
+COLD_PLAN_WORK = {
+    "tjoin": (62, 4, 62, 72),
+    "paper": (124, 4, 124, 178),
+    "chained": (126, 1, 126, 159),
+}
+
+
+class TestColdPlanWork:
+    """A change that re-inflates a cold statement's search work fails here, untimed."""
+
+    def test_the_ledger_statements_search_work(self, monkeypatch):
+        from benchmarks.ledger.workloads import STATEMENTS, WORKLOADS, build_database
+
+        workload = WORKLOADS["cold-plan"]
+        assert (workload.scale, workload.classes) == (12, tuple(COLD_PLAN_WORK))
+        session = build_database(workload.scale, 0).session()
+        counts = count_rule_work(monkeypatch)
+        for name, work in COLD_PLAN_WORK.items():
+            for key in counts:
+                counts[key] = 0
+            session.cache.clear()
+            statement = STATEMENTS[name]
+            result = session.execute(statement.sql, statement.params[0])
+            statistics = result.optimization.search.statistics
+            assert (
+                statistics.applications_attempted,
+                statistics.rejected_by_properties,
+                counts["match_calls"],
+                counts["tasks"],
+            ) == work, name
+            assert counts["bindings"] == statistics.bindings_truncated == 0, name
+
+
+def assert_decided_as_on_the_whole_plan(plan, spec):
+    """At every location of ``plan``: the involved properties walked through
+    the node as a shell over its children are ``annotate``'s, and a rule the
+    location's own context refuses is inapplicable there."""
+    properties = annotate(plan, spec)
+    for location, node in plan.locations():
+        context = properties[location]
+        for rule in DEFAULT_RULES:
+            walked = list(binding_properties(node, node.children, context, rule.involved))
+            application = RuleApplication(node, rule.involved, rule.equivalence)
+            assert walked == list(involved_properties(properties, location, application))
+            if refused_by_context(rule, context):
+                assert is_rule_applicable(plan, location, rule, spec, properties) is None
+
+
+class TestDecideBeforeBuilding:
+    def test_only_the_variable_arity_transfer_rules_have_a_dynamic_equivalence(self):
+        dynamic = {rule.name for rule in DEFAULT_RULES if not rule.static_equivalence}
+        assert dynamic == {"T-to-stratum", "T-to-dbms"}
+        assert {rule.name for rule in ERASED_RULES if not rule.static_equivalence} == dynamic
+
+    def test_child_kinds_are_the_patterns_and_a_variable_filters_nothing(self):
+        for rule in DEFAULT_RULES:
+            pattern = getattr(rule, "pattern", None)
+            kinds = tuple(child.kind for child in pattern.children) if pattern else ()
+            assert rule.child_kinds == (kinds if any(kinds) else ())
+        assert all(rule.child_kinds == () for rule in ERASED_RULES)
+
+    def test_scenarios_and_registry_plans(self):
+        for plan in fixed_scenarios():
+            for spec in (QueryResultSpec.multiset(), QueryResultSpec.set()):
+                assert_decided_as_on_the_whole_plan(TransferToStratum(plan), spec)
+        for query in WORKLOAD_QUERIES:
+            assert_decided_as_on_the_whole_plan(*query.build())
+
+    @settings(max_examples=40, deadline=None)
+    @given(join_shaped_plans(), st.booleans())
+    def test_join_shaped_plans(self, plan, as_list):
+        spec = (
+            QueryResultSpec.list(OrderSpec.ascending(plan.output_schema().attributes[0]))
+            if as_list
+            else QueryResultSpec.multiset()
+        )
+        assert_decided_as_on_the_whole_plan(TransferToStratum(plan), spec)
 
 
 def run_stack(state, root, until=None):
