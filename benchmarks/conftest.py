@@ -1,9 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see
-EXPERIMENTS.md for the index) and — where the paper's "result" is a worked
-example rather than a measurement — asserts that the regenerated content
-matches the paper before timing the code path that produces it.
+A ``test_bench_table*``/``test_bench_figure*`` benchmark regenerates the
+table or figure of the paper its file name gives and — where the paper's
+"result" is a worked example rather than a measurement — asserts that the
+regenerated content matches the paper before timing the code path that
+produces it.
 """
 
 from __future__ import annotations

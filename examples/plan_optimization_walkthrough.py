@@ -9,8 +9,8 @@ every layer of the optimization framework at work:
 2. individual transformation rules and their applicability (Definition 5.1 /
    Figure 5),
 3. exhaustive plan enumeration, with statistics,
-4. cost-based selection of a final plan, its engine partition, and the SQL
-   text shipped to the conventional DBMS for its fragments.
+4. cost-based selection of a final plan, its engine partition, and the
+   fragments the conventional DBMS executes.
 
 Run with::
 
@@ -34,7 +34,6 @@ from repro.core import (
     is_rule_applicable,
     rules_by_name,
 )
-from repro.dbms.sqlgen import to_sql
 from repro.stratum import TemporalDatabase, partition_plan
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, employee_relation, project_relation
 
@@ -85,10 +84,11 @@ def main() -> None:
     print(chosen.pretty())
 
     partition = partition_plan(chosen)
-    print("\nSQL shipped to the conventional DBMS for each fragment:")
+    print("\nThe fragments the conventional DBMS executes:")
     for index, fragment_path in enumerate(partition.dbms_fragments, start=1):
         fragment = chosen.subtree_at(fragment_path)
-        print(f"  fragment {index}: {to_sql(fragment)}")
+        print(f"  fragment {index}:")
+        print("    " + fragment.pretty().replace("\n", "\n    "))
 
     print("\nStep 5 — executing the chosen plan across both engines:")
     database = TemporalDatabase()

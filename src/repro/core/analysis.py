@@ -5,11 +5,15 @@ produced by a subtree — "``r`` does not have duplicates" (D1), "``r`` does
 not have duplicates in snapshots" (D2, C8–C10), "``r`` is coalesced" (C1).
 During plan enumeration these cannot be checked by evaluating the subtree;
 instead the optimizer uses a conservative static analysis driven by the
-Table 1 metadata of the operations: an *eliminates* operation establishes the
-guarantee, a *retains* operation passes it through from its argument(s), and
-a *generates* / *destroys* operation loses it.  The analysis is sound (it
-never claims a guarantee that might not hold) but incomplete, mirroring how a
-real optimizer would reason.
+Table 1 metadata of the operations: an *eliminates* (*enforces*) operation
+establishes the guarantee, a *retains* operation passes it through from its
+argument(s), and a *generates* / *destroys* operation loses it.
+:data:`GUARANTEES` holds each operator type's three answers, derived from
+its declared ``duplicate_behavior`` and ``coalescing_behavior`` plus the
+children a *retains* answer is read from; the leaves and a few deliberately
+conservative answers are named entries.  The analysis is sound (it never
+claims a guarantee that might not hold) but incomplete, mirroring how a real
+optimizer would reason.
 
 The module also derives, for a whole subtree, the ``Order(r)`` specification
 and the cardinality bounds of Table 1, which the sorting rules and the cost
@@ -26,7 +30,7 @@ the original keep theirs.
 
 from __future__ import annotations
 
-from typing import Tuple as PyTuple
+from typing import Callable, Dict, Tuple as PyTuple
 
 from .operations import (
     Aggregation,
@@ -35,6 +39,7 @@ from .operations import (
     Coalescing,
     Difference,
     DuplicateElimination,
+    Join,
     LiteralRelation,
     Operation,
     Projection,
@@ -51,7 +56,7 @@ from .operations import (
     Union,
     UnionAll,
 )
-from .operations.base import DuplicateBehavior
+from .operations.base import CoalescingBehavior, DuplicateBehavior
 from .order_spec import OrderSpec
 
 
@@ -64,11 +69,8 @@ def static_guarantees(op: Operation) -> PyTuple[bool, bool, bool]:
     """``(no duplicates, no snapshot duplicates, coalesced)`` of the subtree's result."""
     guarantees = op._guarantees
     if guarantees is None:
-        guarantees = op._guarantees = (
-            _no_duplicates(op),
-            _no_snapshot_duplicates(op),
-            _coalesced(op),
-        )
+        no_duplicates, no_snapshot_duplicates, coalesced = GUARANTEES[type(op)]
+        guarantees = op._guarantees = (no_duplicates(op), no_snapshot_duplicates(op), coalesced(op))
     return guarantees
 
 
@@ -91,63 +93,95 @@ def guarantees_coalesced(op: Operation) -> bool:
     return static_guarantees(op)[2]
 
 
-def _no_duplicates(op: Operation) -> bool:
-    if isinstance(op, LiteralRelation):
-        return not op.relation.has_duplicates()
-    if isinstance(op, BaseRelation):
-        # Base relations carry no constraint metadata in the logical plan;
-        # assume nothing.
-        return False
-    if op.duplicate_behavior is DuplicateBehavior.ELIMINATES:
-        return True
-    if op.duplicate_behavior is DuplicateBehavior.GENERATES:
-        return False
-    # RETAINS: the result is duplicate free whenever all arguments are.  For
-    # difference it would suffice that the left argument is, but requiring
-    # all arguments keeps the analysis uniformly sound.
-    if isinstance(op, Difference):
-        return guarantees_no_duplicates(op.left)
-    return all(guarantees_no_duplicates(child) for child in op.children)
+Guarantee = Callable[[Operation], bool]
 
 
-def _no_snapshot_duplicates(op: Operation) -> bool:
-    if isinstance(op, LiteralRelation):
-        relation = op.relation
-        return not relation.has_snapshot_duplicates()
-    if isinstance(op, BaseRelation):
-        return False
-    if isinstance(op, (TemporalDuplicateElimination, TemporalAggregation)):
-        return True
-    if isinstance(op, (Selection, Sort, TransferToDBMS, TransferToStratum, Coalescing)):
-        return guarantees_no_snapshot_duplicates(op.child)
-    if isinstance(op, TemporalDifference):
-        # The result's snapshots are subsets of the left argument's snapshots.
-        return guarantees_no_snapshot_duplicates(op.left)
-    if isinstance(op, (TemporalCartesianProduct, TemporalUnion, TemporalJoin)):
-        # The temporal join is σ over ×T; a selection passes the guarantee
-        # through, the product requires it of both arguments.
-        return all(guarantees_no_snapshot_duplicates(child) for child in op.children)
-    if isinstance(op, (DuplicateElimination, Aggregation)):
-        # Snapshot-relation results: regular duplicate freedom is what matters.
-        return True
-    if isinstance(op, Projection):
-        return False
-    if isinstance(op, (UnionAll, Union, CartesianProduct, Difference)):
-        return False
+def _holds(op: Operation) -> bool:
+    return True
+
+
+def _lost(op: Operation) -> bool:
     return False
 
 
-def _coalesced(op: Operation) -> bool:
-    if isinstance(op, LiteralRelation):
-        relation = op.relation
-        return relation.is_temporal and relation.is_coalesced()
-    if isinstance(op, BaseRelation):
-        return False
-    if isinstance(op, Coalescing):
-        return True
-    if isinstance(op, (Selection, Sort, TransferToDBMS, TransferToStratum)):
-        return guarantees_coalesced(op.child)
-    return False
+def _every_child(position: int) -> Guarantee:
+    """A *retains* answer read from every child: guarantee ``position`` of
+    :func:`static_guarantees` holds when it holds for all of them."""
+    return lambda op: all(static_guarantees(child)[position] for child in op.children)
+
+
+def _left_child(position: int) -> Guarantee:
+    """A *retains* answer read from the left child only: the result's tuples
+    (``\\``) or snapshots (``\\T``) are drawn from it."""
+    return lambda op: static_guarantees(op.children[0])[position]
+
+
+def _claims_nothing(position: int) -> Guarantee:
+    """Deliberately conservative: ×, \\, ∪ and ⋈ retain duplicates, and no
+    snapshot-duplicate freedom is claimed for their snapshot results."""
+    return _lost
+
+
+#: ``coalescing_behavior`` → the coalesced guarantee.
+_COALESCED = {
+    CoalescingBehavior.ENFORCES: _holds,
+    CoalescingBehavior.RETAINS: _every_child(2),
+    CoalescingBehavior.DESTROYS: _lost,
+    CoalescingBehavior.NOT_APPLICABLE: _lost,
+}
+
+
+def _declared(
+    operation: type,
+    duplicates_from: Callable[[int], Guarantee] = _every_child,
+    snapshot_duplicates_from: Callable[[int], Guarantee] = _every_child,
+) -> PyTuple[Guarantee, Guarantee, Guarantee]:
+    """``operation``'s guarantees as its Table 1 declaration gives them.
+
+    An *eliminates* operation establishes both duplicate guarantees (``rdup``
+    and ``γ`` return snapshot relations, where the two coincide), a
+    *generates* one loses both, and a *retains* one reads them as
+    ``duplicates_from`` and ``snapshot_duplicates_from`` say.
+    """
+    by_duplicates = {
+        DuplicateBehavior.ELIMINATES: (_holds, _holds),
+        DuplicateBehavior.GENERATES: (_lost, _lost),
+        DuplicateBehavior.RETAINS: (duplicates_from(0), snapshot_duplicates_from(1)),
+    }
+    return (*by_duplicates[operation.duplicate_behavior], _COALESCED[operation.coalescing_behavior])
+
+
+#: Operator type → ``(no duplicates, no snapshot duplicates, coalesced)``,
+#: each a function of the node.
+GUARANTEES: Dict[type, PyTuple[Guarantee, Guarantee, Guarantee]] = {
+    # Base relations carry no constraint metadata in the logical plan;
+    # assume nothing.
+    BaseRelation: (_lost, _lost, _lost),
+    LiteralRelation: (
+        lambda op: not op.relation.has_duplicates(),
+        lambda op: not op.relation.has_snapshot_duplicates(),
+        lambda op: op.relation.is_temporal and op.relation.is_coalesced(),
+    ),
+    Selection: _declared(Selection),
+    Projection: _declared(Projection),
+    UnionAll: _declared(UnionAll),
+    CartesianProduct: _declared(CartesianProduct, snapshot_duplicates_from=_claims_nothing),
+    Difference: _declared(Difference, _left_child, _claims_nothing),
+    Aggregation: _declared(Aggregation),
+    DuplicateElimination: _declared(DuplicateElimination),
+    TemporalCartesianProduct: _declared(TemporalCartesianProduct),
+    TemporalDifference: _declared(TemporalDifference, snapshot_duplicates_from=_left_child),
+    TemporalAggregation: _declared(TemporalAggregation),
+    TemporalDuplicateElimination: _declared(TemporalDuplicateElimination),
+    Union: _declared(Union, snapshot_duplicates_from=_claims_nothing),
+    TemporalUnion: _declared(TemporalUnion),
+    Sort: _declared(Sort),
+    Coalescing: _declared(Coalescing),
+    TransferToStratum: _declared(TransferToStratum),
+    TransferToDBMS: _declared(TransferToDBMS),
+    Join: _declared(Join, snapshot_duplicates_from=_claims_nothing),
+    TemporalJoin: _declared(TemporalJoin),
+}
 
 
 # ---------------------------------------------------------------------------

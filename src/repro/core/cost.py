@@ -144,86 +144,18 @@ class PlanCost:
 # branch-and-bound lower bounds rely on it).
 
 
-def _node_output(
-    node: Operation,
-    child_estimates: Sequence[float],
-    statistics: Mapping[str, int],
-    model: CostModel,
-    estimator=None,
-) -> float:
-    """Output-cardinality estimate of one node, estimator first, constants after."""
-    if isinstance(node, BaseRelation):
-        if estimator is not None:
-            return float(
-                estimator.base_cardinality(
-                    node.relation_name, statistics.get(node.relation_name)
-                )
-            )
-        return float(statistics.get(node.relation_name, model.default_base_cardinality))
-    if isinstance(node, LiteralRelation):
-        return float(len(node.relation))
-    if estimator is not None:
-        estimate = estimator.operator_cardinality(
-            node, child_estimates, fallback_overlap=model.overlap_fraction
-        )
-        if estimate is not None:
-            return float(estimate)
-    return _estimate_operator(node, child_estimates, model)
-
-
 def estimate_cardinality(
     plan: Operation,
     statistics: Optional[Mapping[str, int]] = None,
     model: Optional[CostModel] = None,
     estimator=None,
 ) -> float:
-    """Estimate the result cardinality of ``plan`` from base-table statistics."""
-    model = model or CostModel()
-    statistics = statistics or {}
-
-    def estimate(node: Operation) -> float:
-        child_estimates = [estimate(child) for child in node.children]
-        return _node_output(node, child_estimates, statistics, model, estimator)
-
-    return estimate(plan)
-
-
-def _estimate_operator(node: Operation, child_estimates: Sequence[float], model: CostModel) -> float:
-    if isinstance(node, (Selection,)):
-        return child_estimates[0] * model.selectivity
-    if isinstance(node, (Join, TemporalJoin)):
-        return child_estimates[0] * child_estimates[1] * model.selectivity * (
-            model.overlap_fraction if isinstance(node, TemporalJoin) else 1.0
-        )
-    if isinstance(node, Projection):
-        return child_estimates[0]
-    if isinstance(node, Sort):
-        return child_estimates[0]
-    if isinstance(node, (TransferToDBMS, TransferToStratum)):
-        return child_estimates[0]
-    if isinstance(node, (DuplicateElimination,)):
-        return child_estimates[0] * 0.8
-    if isinstance(node, TemporalDuplicateElimination):
-        return child_estimates[0]
-    if isinstance(node, Coalescing):
-        return child_estimates[0] * 0.7
-    if isinstance(node, (Aggregation, TemporalAggregation)):
-        return max(1.0, child_estimates[0] * 0.2)
-    if isinstance(node, CartesianProduct):
-        return child_estimates[0] * child_estimates[1]
-    if isinstance(node, TemporalCartesianProduct):
-        return child_estimates[0] * child_estimates[1] * model.overlap_fraction
-    if isinstance(node, Difference):
-        return max(0.0, child_estimates[0] - 0.5 * child_estimates[1])
-    if isinstance(node, TemporalDifference):
-        return child_estimates[0] * 0.6
-    if isinstance(node, UnionAll):
-        return child_estimates[0] + child_estimates[1]
-    if isinstance(node, (Union, TemporalUnion)):
-        return max(child_estimates) + 0.5 * min(child_estimates)
-    return child_estimates[0] if child_estimates else 1.0
-
-
+    """Estimate the result cardinality of ``plan`` from base-table statistics:
+    the root's :func:`cost_annotations` output."""
+    annotations = cost_annotations(
+        plan, statistics, model, estimator=estimator, physical_fusion=False
+    )
+    return annotations[()].output_cardinality
 
 
 def _join_algorithm_work(
@@ -259,7 +191,7 @@ def _join_algorithm_work(
 
 
 def _join_work(
-    node: Operation, inputs: Sequence[float], output: float, engine: Engine, model: CostModel
+    node: Operation, inputs: Sequence[float], output: float, model: CostModel, engine: Engine
 ) -> float:
     """Work of a ``Join``/``TemporalJoin`` idiom node, as ``engine`` runs it.
 
@@ -282,42 +214,125 @@ def _operator_work(
     model: CostModel,
     engine: Engine = STRATUM_ENGINE,
 ) -> float:
-    """CPU work of one operator, in abstract per-tuple units.
+    """CPU work of one operator, in abstract per-tuple units: its :data:`_OPERATORS` entry.
 
     ``engine`` only matters for the join idiom nodes, whose physical
     algorithm (and therefore work) differs between the engines; every other
     operator's work is engine independent, with placement entering solely
     through :func:`_engine_factor`.
     """
-    total_input = sum(inputs)
-    if isinstance(node, (BaseRelation, LiteralRelation)):
-        return output
-    if isinstance(node, Sort):
-        size = max(2.0, inputs[0])
-        return size * math.log2(size)
-    if isinstance(node, (TransferToDBMS, TransferToStratum)):
-        return model.transfer_cost * inputs[0]
-    if isinstance(node, (Join, TemporalJoin)):
-        return _join_work(node, inputs, output, engine, model)
-    if isinstance(node, (CartesianProduct, TemporalCartesianProduct)):
-        return inputs[0] * inputs[1] + output
-    if isinstance(node, (TemporalDifference, TemporalUnion)):
-        # Value matching between the two inputs (hash partitioning by value
-        # part) plus fragment construction.
-        return total_input + output + inputs[0] * model.overlap_fraction * inputs[1]
-    if isinstance(node, (TemporalDuplicateElimination, Coalescing)):
-        size = max(2.0, inputs[0])
-        return size * math.log2(size) + output
-    if isinstance(node, (DuplicateElimination, Aggregation, TemporalAggregation, Union, Difference)):
-        return total_input + output
-    # Selection, projection, union ALL and anything else: streaming work.
-    return total_input + output
+    return _OPERATORS[type(node)][1](node, inputs, output, model, engine)
+
+
+def _base_relation_output(node, inputs, statistics, model, estimator) -> float:
+    if estimator is not None:
+        return float(
+            estimator.base_cardinality(node.relation_name, statistics.get(node.relation_name))
+        )
+    return float(statistics.get(node.relation_name, model.default_base_cardinality))
+
+
+def _literal_relation_output(node, inputs, statistics, model, estimator) -> float:
+    return float(len(node.relation))
+
+
+def _estimated(formula):
+    """An operator's output entry: the estimator's data-driven estimate where
+    it has one, else ``formula(inputs, model)`` over the model's constants."""
+
+    def output(node, inputs, statistics, model, estimator) -> float:
+        if estimator is not None:
+            estimate = estimator.operator_cardinality(
+                node, inputs, fallback_overlap=model.overlap_fraction
+            )
+            if estimate is not None:
+                return float(estimate)
+        return formula(inputs, model)
+
+    return output
+
+
+#: Output entries of the operations that keep every tuple (or, for
+#: ``rdupT``, as many), that group, and that merge their inputs.
+_KEEPS_SIZE = _estimated(lambda inputs, model: inputs[0])
+_GROUPS = _estimated(lambda inputs, model: max(1.0, inputs[0] * 0.2))
+_MERGES = _estimated(lambda inputs, model: max(inputs) + 0.5 * min(inputs))
+
+
+def _scan_work(node, inputs, output, model, engine) -> float:
+    return output
+
+
+def _streaming_work(node, inputs, output, model, engine) -> float:
+    return sum(inputs) + output
+
+
+def _sort_work(node, inputs, output, model, engine) -> float:
+    size = max(2.0, inputs[0])
+    return size * math.log2(size)
+
+
+def _sort_and_sweep_work(node, inputs, output, model, engine) -> float:
+    return _sort_work(node, inputs, output, model, engine) + output
+
+
+def _product_work(node, inputs, output, model, engine) -> float:
+    return inputs[0] * inputs[1] + output
+
+
+def _value_matching_work(node, inputs, output, model, engine) -> float:
+    # Value matching between the two inputs (hash partitioning by value
+    # part) plus fragment construction.
+    return sum(inputs) + output + inputs[0] * model.overlap_fraction * inputs[1]
+
+
+def _transfer_work(node, inputs, output, model, engine) -> float:
+    return model.transfer_cost * inputs[0]
+
+
+#: Operator type → ``(output cardinality, work)``, with the signatures
+#: ``(node, child estimates, statistics, model, estimator)`` and ``(node,
+#: inputs, output, model, engine)``.
+_OPERATORS = {
+    BaseRelation: (_base_relation_output, _scan_work),
+    LiteralRelation: (_literal_relation_output, _scan_work),
+    Selection: (_estimated(lambda inputs, model: inputs[0] * model.selectivity), _streaming_work),
+    Projection: (_KEEPS_SIZE, _streaming_work),
+    UnionAll: (_estimated(lambda inputs, model: inputs[0] + inputs[1]), _streaming_work),
+    CartesianProduct: (_estimated(lambda inputs, model: inputs[0] * inputs[1]), _product_work),
+    Difference: (
+        _estimated(lambda inputs, model: max(0.0, inputs[0] - 0.5 * inputs[1])),
+        _streaming_work,
+    ),
+    Aggregation: (_GROUPS, _streaming_work),
+    DuplicateElimination: (_estimated(lambda inputs, model: inputs[0] * 0.8), _streaming_work),
+    TemporalCartesianProduct: (
+        _estimated(lambda inputs, model: inputs[0] * inputs[1] * model.overlap_fraction),
+        _product_work,
+    ),
+    TemporalDifference: (_estimated(lambda inputs, model: inputs[0] * 0.6), _value_matching_work),
+    TemporalAggregation: (_GROUPS, _streaming_work),
+    TemporalDuplicateElimination: (_KEEPS_SIZE, _sort_and_sweep_work),
+    Union: (_MERGES, _streaming_work),
+    TemporalUnion: (_MERGES, _value_matching_work),
+    Sort: (_KEEPS_SIZE, _sort_work),
+    Coalescing: (_estimated(lambda inputs, model: inputs[0] * 0.7), _sort_and_sweep_work),
+    TransferToStratum: (_KEEPS_SIZE, _transfer_work),
+    TransferToDBMS: (_KEEPS_SIZE, _transfer_work),
+    Join: (_estimated(lambda inputs, model: inputs[0] * inputs[1] * model.selectivity), _join_work),
+    TemporalJoin: (
+        _estimated(
+            lambda inputs, model: inputs[0] * inputs[1] * model.selectivity * model.overlap_fraction
+        ),
+        _join_work,
+    ),
+}
 
 
 def _engine_factor(node: Operation, engine: Engine, model: CostModel) -> float:
     if engine is STRATUM_ENGINE:
         return 1.0
-    if node.is_temporal_operator or isinstance(node, Coalescing):
+    if node.is_temporal_operator:
         return model.dbms_temporal_penalty
     return model.dbms_speed
 
@@ -334,9 +349,11 @@ def operator_cardinality(
     model: Optional[CostModel] = None,
     estimator=None,
 ) -> float:
-    """Estimated output cardinality of one operator given its input estimates."""
-    model = model or CostModel()
-    return _node_output(node, child_cardinalities, statistics or {}, model, estimator)
+    """Estimated output cardinality of one operator given its input estimates:
+    its :data:`_OPERATORS` entry."""
+    return _OPERATORS[type(node)][0](
+        node, child_cardinalities, statistics or {}, model or CostModel(), estimator
+    )
 
 
 def operator_work(
@@ -473,7 +490,7 @@ def cost_annotations(
             )
             for index, child in enumerate(node.children)
         ]
-        output = _node_output(node, child_cards, statistics, model, estimator)
+        output = operator_cardinality(node, child_cards, statistics, model, estimator)
         if fused:
             # A product consumed by the selection above it never
             # materialises; the whole pair's work is charged to the σ line.

@@ -108,12 +108,6 @@ class CatalogError(EngineError):
     code = "CATALOG_ERROR"
 
 
-class SQLGenerationError(EngineError):
-    """An algebra fragment assigned to the DBMS cannot be rendered as SQL."""
-
-    code = "SQL_GENERATION_ERROR"
-
-
 class ParameterError(ReproError):
     """A statement's positional parameters were bound inconsistently (wrong
     count, or execution of a plan that still contains unbound markers)."""

@@ -62,10 +62,6 @@ class Expression:
         evaluate, schema, trusted = self.evaluate, slots.schema, Tuple.trusted
         return slots.call(lambda row: evaluate(trusted(schema, row)))
 
-    def to_sql(self) -> str:
-        """Render the expression as SQL text for the DBMS substrate."""
-        raise NotImplementedError
-
     # Expressions are value objects: structural equality and hashing are
     # provided by the dataclass decorators on the concrete classes.
 
@@ -97,9 +93,6 @@ class AttributeRef(Expression):
             return super().row_form(slots)  # raises AttributeNotFound per row reached
         return slots.attribute(schema.index_of(self.name))
 
-    def to_sql(self) -> str:
-        return _quote_identifier(self.name)
-
     def __str__(self) -> str:
         return self.name
 
@@ -118,14 +111,6 @@ class Literal(Expression):
 
     def row_form(self, slots: "RowSlots") -> str:
         return slots.constant(self.value)
-
-    def to_sql(self) -> str:
-        if isinstance(self.value, str):
-            escaped = self.value.replace("'", "''")
-            return f"'{escaped}'"
-        if isinstance(self.value, bool):
-            return "TRUE" if self.value else "FALSE"
-        return str(self.value)
 
     def __str__(self) -> str:
         return repr(self.value)
@@ -151,9 +136,6 @@ class Parameter(Expression):
         raise EvaluationError(
             f"parameter ?{self.index + 1} is unbound; pass params=... when executing"
         )
-
-    def to_sql(self) -> str:
-        return "?"
 
     def __str__(self) -> str:
         return "?"
@@ -205,9 +187,6 @@ class Comparison(Expression):
         left = self.left.row_form(slots)
         return f"({left} {_COMPARISON_TOKENS[self.operator]} {self.right.row_form(slots)})"
 
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.operator.value} {self.right.to_sql()})"
-
     def __str__(self) -> str:
         return f"{self.left} {self.operator.value} {self.right}"
 
@@ -232,9 +211,6 @@ class And(Expression):
 
     def row_form(self, slots: "RowSlots") -> str:
         return _connective(" and ", self.operands, slots, "True")
-
-    def to_sql(self) -> str:
-        return "(" + " AND ".join(op.to_sql() for op in self.operands) + ")"
 
     def __str__(self) -> str:
         return " AND ".join(f"({op})" for op in self.operands)
@@ -261,9 +237,6 @@ class Or(Expression):
     def row_form(self, slots: "RowSlots") -> str:
         return _connective(" or ", self.operands, slots, "False")
 
-    def to_sql(self) -> str:
-        return "(" + " OR ".join(op.to_sql() for op in self.operands) + ")"
-
     def __str__(self) -> str:
         return " OR ".join(f"({op})" for op in self.operands)
 
@@ -282,9 +255,6 @@ class Not(Expression):
 
     def row_form(self, slots: "RowSlots") -> str:
         return f"(not {self.operand.row_form(slots)})"
-
-    def to_sql(self) -> str:
-        return f"(NOT {self.operand.to_sql()})"
 
     def __str__(self) -> str:
         return f"NOT ({self.operand})"
@@ -336,9 +306,6 @@ class Arithmetic(Expression):
         if self.operator is ArithmeticOperator.DIV:
             return f"div({left}, {right})"
         return f"({left} {_ARITHMETIC_TOKENS[self.operator]} {right})"
-
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.operator.value} {self.right.to_sql()})"
 
     def __str__(self) -> str:
         return f"({self.left} {self.operator.value} {self.right})"
@@ -705,14 +672,6 @@ class ProjectionItem:
             self.alias is None or self.alias == self.expression.name
         )
 
-    def to_sql(self) -> str:
-        sql = self.expression.to_sql()
-        if self.alias is not None and not (
-            isinstance(self.expression, AttributeRef) and self.alias == self.expression.name
-        ):
-            sql += f" AS {_quote_identifier(self.alias)}"
-        return sql
-
     def __str__(self) -> str:
         if self.is_plain_attribute():
             return self.output_name
@@ -809,10 +768,6 @@ class AggregateFunction:
             return max(values)
         return sum(values) / len(values)
 
-    def to_sql(self) -> str:
-        argument = "*" if self.argument is None else _quote_identifier(self.argument)
-        return f"{self.kind.value}({argument}) AS {_quote_identifier(self.output_name)}"
-
     def __str__(self) -> str:
         argument = "*" if self.argument is None else self.argument
         return f"{self.kind.value}({argument})"
@@ -841,16 +796,3 @@ def agg_max(argument: str, alias: Optional[str] = None) -> AggregateFunction:
 def agg_avg(argument: str, alias: Optional[str] = None) -> AggregateFunction:
     """``AVG(argument)`` helper."""
     return AggregateFunction(AggregateKind.AVG, argument, alias)
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
-# ---------------------------------------------------------------------------
-
-
-def _quote_identifier(name: str) -> str:
-    """Quote an identifier for SQL when it is not a plain name."""
-    if name.isidentifier():
-        return name
-    escaped = name.replace('"', '""')
-    return f'"{escaped}"'

@@ -246,15 +246,6 @@ class Operation:
         """True if any node of the subtree is an instance of ``operator_type``."""
         return any(isinstance(node, operator_type) for node in self.nodes())
 
-    def base_relation_names(self) -> List[str]:
-        """Names of the base relations referenced by the subtree, in plan order."""
-        names: List[str] = []
-        for node in self.nodes():
-            name = getattr(node, "relation_name", None)
-            if name is not None:
-                names.append(name)
-        return names
-
     # -- structural identity ----------------------------------------------------------------
 
     def signature(self) -> PyTuple[Any, ...]:
@@ -289,22 +280,27 @@ class Operation:
         """A one-line label for the node (symbol plus parameters)."""
         return self.symbol
 
-    def pretty(self) -> str:
-        """Render the subtree as an indented text diagram."""
+    def pretty(self, label: Optional[Callable[[PlanPath, "Operation"], str]] = None) -> str:
+        """Render the subtree as an indented text diagram, one line per node:
+        ``label(path, node)``, by default the node's :meth:`label`."""
         lines: List[str] = []
 
-        def render(node: "Operation", prefix: str, connector: str, child_prefix: str) -> None:
-            lines.append(prefix + connector + node.label())
+        def render(
+            node: "Operation", path: PlanPath, prefix: str, connector: str, child_prefix: str
+        ) -> None:
+            text = node.label() if label is None else label(path, node)
+            lines.append(prefix + connector + text)
             for index, child in enumerate(node.children):
                 is_last = index == len(node.children) - 1
                 render(
                     child,
+                    path + (index,),
                     child_prefix,
                     "└─ " if is_last else "├─ ",
                     child_prefix + ("   " if is_last else "│  "),
                 )
 
-        render(self, "", "", "")
+        render(self, ROOT_PATH, "", "", "")
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -40,15 +40,21 @@ simplest correct way to do so and is what :func:`annotate` provides.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple as PyTuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple as PyTuple
 
 from .analysis import guarantees_no_snapshot_duplicates
 from .operations import (
+    Aggregation,
+    CartesianProduct,
     Coalescing,
+    Difference,
     DuplicateElimination,
     Join,
     Operation,
+    Projection,
+    Selection,
     Sort,
     TemporalAggregation,
     TemporalCartesianProduct,
@@ -58,10 +64,6 @@ from .operations import (
     TemporalUnion,
     TransferToDBMS,
     TransferToStratum,
-    Selection,
-    Projection,
-    CartesianProduct,
-    Difference,
     Union,
     UnionAll,
 )
@@ -94,9 +96,8 @@ PropertyMap = Dict[PlanPath, OperationProperties]
 def annotate(plan: Operation, query: QueryResultSpec) -> PropertyMap:
     """Annotate every node of ``plan`` with its Table 2 properties.
 
-    The root's properties come from the query's result kind; children are
-    derived from their parent's node type and properties as described in the
-    module docstring.
+    The root's properties come from the query's result kind; each child's
+    are one :func:`child_properties` step from its parent's.
     """
     annotations: PropertyMap = {}
     _annotate_node(plan, ROOT_PATH, root_properties(query), annotations)
@@ -111,13 +112,9 @@ def _annotate_node(
 ) -> None:
     annotations[path] = properties
     for index, child in enumerate(node.children):
-        child_properties = _child_properties(node, index, properties)
-        _annotate_node(child, path + (index,), child_properties, annotations)
-
-
-# ---------------------------------------------------------------------------
-# Per-property propagation
-# ---------------------------------------------------------------------------
+        _annotate_node(
+            child, path + (index,), child_properties(node, index, properties), annotations
+        )
 
 
 def root_properties(query: QueryResultSpec) -> OperationProperties:
@@ -135,197 +132,138 @@ def child_properties(
     parent_properties: OperationProperties,
     first_child: Optional[Operation] = None,
 ) -> OperationProperties:
-    """One top-down propagation step, read from a table (the memo search's entry).
+    """One top-down propagation step: the properties of ``parent``'s child.
 
-    A step depends on the parent's operator type, the child index, the
-    parent's properties and at most one more input: whether the first child
-    has duplicate-free snapshots (coalescing, temporal difference), or
-    whether the parent's own predicate or items leave the periods alone
-    (σ, ⋈T, π — a flag kept on the node).  Keyed by those, the table
-    answers what :func:`_child_properties`, the reference :func:`annotate`
-    uses, computes; the first node of each key fills it in.
+    The step is a pure function of the parent's operator type, the child
+    index, the parent's properties and at most one consulted input, so it is
+    read from :data:`STEPS`, answered in full when the module loads.
 
     ``first_child`` stands in for ``parent.children[0]``, the only child a
     step reads: the memo's context upgrade asks about a witness member there.
     """
-    key = (type(parent), child_index, parent_properties, _consulted(parent, first_child))
-    step = _STEPS.get(key)
-    if step is None:
-        if first_child is not None:
-            parent = parent.with_children((first_child,) + parent.children[1:])
-        step = _STEPS[key] = _child_properties(parent, child_index, parent_properties)
-    return step
+    consults, answers = _ANSWERS[type(parent)][child_index]
+    return answers[parent_properties, consults and consults(parent, first_child)]
 
 
-def _consulted(parent: Operation, first_child: Optional[Operation]) -> Optional[bool]:
-    """The one input beyond (type, index, properties) a step below ``parent`` reads."""
-    if isinstance(parent, (Coalescing, TemporalDifference)):
-        return guarantees_no_snapshot_duplicates(
-            parent.children[0] if first_child is None else first_child
-        )
-    if isinstance(parent, (Selection, TemporalJoin, Projection)):
-        return _leaves_periods_alone(parent)
-    return None
+# ---------------------------------------------------------------------------
+# The step, per operator type and child index
+# ---------------------------------------------------------------------------
+#
+# A rule gives the child's flag when the consulted input fails (or nothing is
+# consulted) and when it holds: False clears it, True restores it, None
+# passes the parent's flag down.
+
+Rule = PyTuple[Optional[bool], Optional[bool]]
+CLEARED = (False, False)
+PASSED = (None, None)
+RESTORED = (True, True)
+#: \T's right argument: duplicates are irrelevant once its left argument
+#: has duplicate-free snapshots (a value is present at a time point or not).
+CLEARED_IF_CONSULTED = (True, False)
+#: Coalescing returns one relation for every snapshot-equivalent argument
+#: once that argument has duplicate-free snapshots.
+CLEARED_IF_CONSULTED_ELSE_PASSED = (None, False)
+#: σ, ⋈T, π: transparent for periods when they leave the periods alone.
+PASSED_IF_CONSULTED = (True, None)
 
 
-def _leaves_periods_alone(parent: Operation) -> bool:
-    """σ/⋈T: the predicate avoids the time attributes; π: it copies both
-    unchanged and computes nothing from them.  Once per node."""
+def _first_child_free(parent: Operation, first_child: Optional[Operation]) -> bool:
+    """Whether the first child (or its stand-in) has duplicate-free snapshots."""
+    return guarantees_no_snapshot_duplicates(first_child or parent.children[0])
+
+
+def _predicate_leaves_periods_alone(parent: Operation, first_child: Optional[Operation]) -> bool:
+    """σ/⋈T: the predicate avoids the time attributes.  Once per node."""
     flag = parent._period_transparent
     if flag is None:
-        if isinstance(parent, Projection):
-            preserved = set(parent.preserved_attributes())
-            flag = T1 in preserved and T2 in preserved and not any(
-                item.attributes() & {T1, T2}
-                for item in parent.items
-                if not item.is_plain_attribute()
-            )
-        else:
-            flag = not (parent.predicate.attributes() & {T1, T2})
-        parent._period_transparent = flag
+        flag = parent._period_transparent = not (parent.predicate.attributes() & {T1, T2})
     return flag
 
 
-#: (operator type, child index, parent properties, consulted input) → the
-#: step.  A memo of a pure function over a finite key space — a few hundred
-#: entries at most — so it is shared by every search in the process.
-_STEPS: Dict[PyTuple, OperationProperties] = {}
-
-
-def _child_properties(
-    parent: Operation, child_index: int, parent_properties: OperationProperties
-) -> OperationProperties:
-    return OperationProperties(
-        order_required=_child_order_required(parent, child_index, parent_properties),
-        duplicates_relevant=_child_duplicates_relevant(parent, child_index, parent_properties),
-        period_preserving=_child_period_preserving(parent, child_index, parent_properties),
-    )
-
-
-def _child_order_required(
-    parent: Operation, child_index: int, parent_properties: OperationProperties
-) -> bool:
-    # A sort re-establishes order: nothing below it needs to preserve order.
-    if isinstance(parent, Sort):
-        return False
-    # Operations with unordered results cannot pass an order requirement on.
-    if isinstance(parent, (UnionAll, Union, TemporalUnion)):
-        return False
-    # Binary operations whose result order derives from the left argument
-    # only: the right argument's order is immaterial.  The join idioms
-    # inherit this from the product of their expansion.
-    if (
-        isinstance(
-            parent,
-            (
-                CartesianProduct,
-                TemporalCartesianProduct,
-                Join,
-                TemporalJoin,
-                Difference,
-                TemporalDifference,
-            ),
+def _items_leave_periods_alone(parent: Operation, first_child: Optional[Operation]) -> bool:
+    """π: copies both time attributes unchanged and computes nothing from
+    them.  Once per node."""
+    flag = parent._period_transparent
+    if flag is None:
+        preserved = set(parent.preserved_attributes())
+        flag = parent._period_transparent = T1 in preserved and T2 in preserved and not any(
+            item.attributes() & {T1, T2} for item in parent.items if not item.is_plain_attribute()
         )
-        and child_index == 1
-    ):
-        return False
-    # Otherwise the requirement (or its absence) flows through unchanged:
-    # every remaining operation's result order derives from its argument's.
-    return parent_properties.order_required
+    return flag
 
 
-def _child_duplicates_relevant(
-    parent: Operation, child_index: int, parent_properties: OperationProperties
-) -> bool:
-    # Below a duplicate elimination, duplicates in the argument are
-    # immaterial — they will be removed anyway.
-    if isinstance(parent, (DuplicateElimination, TemporalDuplicateElimination)):
-        return False
-    # Right branch of a temporal difference: if the left argument provably
-    # has duplicate-free snapshots, duplicates on the right cannot influence
-    # the result (a value is either present at a time point or it is not).
-    if isinstance(parent, TemporalDifference) and child_index == 1:
-        if guarantees_no_snapshot_duplicates(parent.left):
-            return False
-    # Operations through which an existing irrelevance propagates: their
-    # result's duplicate structure is determined tuple-by-tuple from the
-    # argument, so if duplicates do not matter above, they do not matter
-    # below either.  Aggregation and difference are deliberately excluded —
-    # duplicate counts change their results.  The join idioms are
-    # transparent because both operations of their expansion (selection
-    # over a product) are.
-    transparent = (
-        Selection,
-        Projection,
-        Sort,
-        Coalescing,
-        TransferToDBMS,
-        TransferToStratum,
-        CartesianProduct,
-        TemporalCartesianProduct,
-        Join,
-        TemporalJoin,
-        UnionAll,
-        Union,
-        TemporalUnion,
-    )
-    if not parent_properties.duplicates_relevant and isinstance(parent, transparent):
-        return False
-    return True
+class Step(NamedTuple):
+    """Table 2's step to one child: a rule per property and the one input the
+    rules consult (``None``: they consult nothing)."""
+
+    order: Rule
+    duplicates: Rule
+    period: Rule
+    consults: Optional[Callable[[Operation, Optional[Operation]], bool]] = None
 
 
-def _child_period_preserving(
-    parent: Operation, child_index: int, parent_properties: OperationProperties
-) -> bool:
-    # Below a coalescing whose argument provably has duplicate-free
-    # snapshots, time periods need not be preserved: coalescing returns the
-    # same relation for every snapshot-equivalent argument.
-    if isinstance(parent, Coalescing) and guarantees_no_snapshot_duplicates(parent.child):
-        return False
-    # The right argument of a temporal difference only matters through its
-    # snapshots (which values are present when), not through how those
-    # points are packaged into periods.
-    if isinstance(parent, TemporalDifference) and child_index == 1:
-        return False
-    # Propagate an existing irrelevance through operations whose snapshots
-    # are determined pointwise by the argument's snapshots.
-    if not parent_properties.period_preserving:
-        if isinstance(
-            parent,
-            (
-                TemporalDuplicateElimination,
-                TemporalDifference,
-                TemporalCartesianProduct,
-                TemporalUnion,
-                TemporalAggregation,
-                Coalescing,
-                UnionAll,
-                Sort,
-                TransferToDBMS,
-                TransferToStratum,
-            ),
-        ):
-            return False
-        if isinstance(parent, Selection) and not (
-            parent.predicate.attributes() & {T1, T2}
-        ):
-            return False
-        # The temporal join is σ over ×T: transparent when, like the
-        # selection above, its predicate avoids the fresh time attributes.
-        if isinstance(parent, TemporalJoin) and not (
-            parent.predicate.attributes() & {T1, T2}
-        ):
-            return False
-        if isinstance(parent, Projection):
-            preserved = set(parent.preserved_attributes())
-            computed_use_time = any(
-                item.attributes() & {T1, T2}
-                for item in parent.items
-                if not item.is_plain_attribute()
-            )
-            if T1 in preserved and T2 in preserved and not computed_use_time:
-                return False
-    return True
+#: σ, and ⋈T's left side (the temporal join is σ over ×T).
+_FILTER = Step(PASSED, PASSED, PASSED_IF_CONSULTED, _predicate_leaves_periods_alone)
+#: The argument's order kept, its snapshots mapped pointwise.
+_TRANSPARENT = Step(PASSED, PASSED, PASSED)
+#: A sort, an unordered temporal result, the right argument of ×T.
+_CLEARS_ORDER = Step(CLEARED, PASSED, PASSED)
+
+#: Operator type → the step to each child, by index (the module docstring
+#: gives the reasons).
+STEPS: Dict[type, PyTuple[Step, ...]] = {
+    Selection: (_FILTER,),
+    Projection: (Step(PASSED, PASSED, PASSED_IF_CONSULTED, _items_leave_periods_alone),),
+    UnionAll: (_CLEARS_ORDER, _CLEARS_ORDER),
+    CartesianProduct: (Step(PASSED, PASSED, RESTORED), Step(CLEARED, PASSED, RESTORED)),
+    Difference: (Step(PASSED, RESTORED, RESTORED), Step(CLEARED, RESTORED, RESTORED)),
+    Aggregation: (Step(PASSED, RESTORED, RESTORED),),
+    DuplicateElimination: (Step(PASSED, CLEARED, RESTORED),),
+    TemporalCartesianProduct: (_TRANSPARENT, _CLEARS_ORDER),
+    TemporalDifference: (
+        Step(PASSED, RESTORED, PASSED),
+        Step(CLEARED, CLEARED_IF_CONSULTED, CLEARED, _first_child_free),
+    ),
+    TemporalAggregation: (Step(PASSED, RESTORED, PASSED),),
+    TemporalDuplicateElimination: (Step(PASSED, CLEARED, PASSED),),
+    Union: (Step(CLEARED, PASSED, RESTORED), Step(CLEARED, PASSED, RESTORED)),
+    TemporalUnion: (_CLEARS_ORDER, _CLEARS_ORDER),
+    Sort: (_CLEARS_ORDER,),
+    Coalescing: (Step(PASSED, PASSED, CLEARED_IF_CONSULTED_ELSE_PASSED, _first_child_free),),
+    TransferToStratum: (_TRANSPARENT,),
+    TransferToDBMS: (_TRANSPARENT,),
+    # The join idioms step as σ over their product does.
+    Join: (Step(PASSED, PASSED, RESTORED), Step(CLEARED, PASSED, RESTORED)),
+    TemporalJoin: (_FILTER, _FILTER._replace(order=CLEARED)),
+}
+
+
+def _flag(rule: Rule, inherited: bool, consulted: Optional[bool]) -> bool:
+    flag = rule[bool(consulted)]
+    return inherited if flag is None else flag
+
+
+def _answers(step: Step) -> Dict[PyTuple[OperationProperties, Optional[bool]], OperationProperties]:
+    """``step``'s answer for every parent context and consulted input."""
+    consulted_values = (None,) if step.consults is None else (False, True)
+    return {
+        (context, consulted): OperationProperties(
+            _flag(step.order, context.order_required, consulted),
+            _flag(step.duplicates, context.duplicates_relevant, consulted),
+            _flag(step.period, context.period_preserving, consulted),
+        )
+        for context in _CONTEXTS
+        for consulted in consulted_values
+    }
+
+
+_CONTEXTS = [OperationProperties(*flags) for flags in itertools.product((False, True), repeat=3)]
+#: :data:`STEPS` answered in full: type → per child, (consulted-input reader,
+#: (context, consulted input) → the child's properties).
+_ANSWERS = {
+    operation: tuple((step.consults, _answers(step)) for step in steps)
+    for operation, steps in STEPS.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +278,4 @@ def annotated_pretty(plan: Operation, query: QueryResultSpec) -> str:
     ``[OrderRequired DuplicatesRelevant PeriodPreserving]`` flags.
     """
     annotations = annotate(plan, query)
-    lines = []
-
-    def render(node: Operation, path: PlanPath, prefix: str, connector: str, child_prefix: str) -> None:
-        lines.append(f"{prefix}{connector}{node.label()}  {annotations[path]}")
-        for index, child in enumerate(node.children):
-            is_last = index == len(node.children) - 1
-            render(
-                child,
-                path + (index,),
-                child_prefix,
-                "└─ " if is_last else "├─ ",
-                child_prefix + ("   " if is_last else "│  "),
-            )
-
-    render(plan, ROOT_PATH, "", "", "")
-    return "\n".join(lines)
+    return plan.pretty(lambda path, node: f"{node.label()}  {annotations[path]}")

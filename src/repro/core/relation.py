@@ -41,7 +41,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -147,16 +146,6 @@ class Relation:
     ) -> "Relation":
         """Build a relation from rows given in schema attribute order."""
         return cls(schema, (Tuple.from_sequence(schema, row) for row in rows), order=order)
-
-    @classmethod
-    def from_dicts(
-        cls,
-        schema: RelationSchema,
-        rows: Iterable[Mapping[str, Any]],
-        order: Optional[OrderSpec] = None,
-    ) -> "Relation":
-        """Build a relation from ``{attribute: value}`` mappings."""
-        return cls(schema, (Tuple(schema, row) for row in rows), order=order)
 
     @classmethod
     def empty(cls, schema: RelationSchema) -> "Relation":

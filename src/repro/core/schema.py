@@ -253,13 +253,6 @@ class RelationSchema:
                 renamed.append((attribute, self.domains[attribute]))
         return RelationSchema.from_pairs(renamed, name=self.name)
 
-    def with_time(self) -> "RelationSchema":
-        """Return a temporal version of the schema (appending ``T1``/``T2``)."""
-        if self.is_temporal:
-            return self
-        pairs = [(a, self.domains[a]) for a in self.attributes]
-        return RelationSchema.temporal(pairs, name=self.name)
-
     def concat(self, other: "RelationSchema", prefixes: Tuple[str, str] = ("1.", "2.")) -> "RelationSchema":
         """Return the concatenation of two schemas, disambiguating clashes.
 

@@ -2,7 +2,6 @@
 
 from .catalog import Catalog, Table, TableStatistics
 from .engine import ConventionalDBMS, DBMSResult
-from .sqlgen import to_sql
 
 __all__ = [
     "Catalog",
@@ -10,5 +9,4 @@ __all__ = [
     "DBMSResult",
     "Table",
     "TableStatistics",
-    "to_sql",
 ]

@@ -35,7 +35,7 @@ from ..core.cost import (
     DEFAULT_OVERLAP_FRACTION,
     DEFAULT_SELECTIVITY,
     CostModel,
-    operator_cardinality,
+    cost_annotations,
 )
 from ..core.expressions import (
     And,
@@ -50,14 +50,25 @@ from ..core.expressions import (
 from ..core.operations import (
     Aggregation,
     BaseRelation,
+    CartesianProduct,
     Coalescing,
+    Difference,
     DuplicateElimination,
     Join,
     Operation,
+    Projection,
     Selection,
+    Sort,
+    TemporalAggregation,
     TemporalCartesianProduct,
+    TemporalDifference,
     TemporalDuplicateElimination,
     TemporalJoin,
+    TemporalUnion,
+    TransferToDBMS,
+    TransferToStratum,
+    Union,
+    UnionAll,
 )
 from ..core.operations.coalesce import coalesce_tuples
 from ..core.operations.duplicates import temporal_duplicate_elimination
@@ -344,10 +355,6 @@ class CardinalityEstimator:
             return self.default_base_cardinality
         return float(profile.cardinality)
 
-    def reset_assumed(self) -> None:
-        """Clear the accumulated unknown-table record."""
-        self.assumed_tables.clear()
-
     def operator_cardinality(
         self,
         node: Operation,
@@ -364,46 +371,68 @@ class CardinalityEstimator:
         the idiom and its σ ∘ ×T expansion in exact agreement in every
         estimator state.
         """
-        if isinstance(node, Selection):
-            return child_cardinalities[0] * self.selectivity(node.predicate)
-        if isinstance(node, (Join, TemporalJoin)):
-            output = (
-                child_cardinalities[0]
-                * child_cardinalities[1]
-                * self.selectivity(node.predicate)
-            )
-            if isinstance(node, TemporalJoin):
-                output *= self._overlap_or_fallback(fallback_overlap)
-            return output
-        if isinstance(node, TemporalCartesianProduct):
-            return (
-                child_cardinalities[0]
-                * child_cardinalities[1]
-                * self._overlap_or_fallback(fallback_overlap)
-            )
-        if isinstance(node, DuplicateElimination):
-            if self._rdup_ratio is None:
+        return self._ESTIMATES[type(node)](self, node, child_cardinalities, fallback_overlap)
+
+    def _filtered(self, node, inputs, fallback_overlap) -> float:
+        return inputs[0] * self.selectivity(node.predicate)
+
+    def _joined(self, node, inputs, fallback_overlap) -> float:
+        return inputs[0] * inputs[1] * self.selectivity(node.predicate)
+
+    def _temporally_joined(self, node, inputs, fallback_overlap) -> float:
+        return self._joined(node, inputs, fallback_overlap) * self._overlap_or_fallback(
+            fallback_overlap
+        )
+
+    def _overlapping(self, node, inputs, fallback_overlap) -> float:
+        return inputs[0] * inputs[1] * self._overlap_or_fallback(fallback_overlap)
+
+    def _deduplicated(self, node, inputs, fallback_overlap) -> Optional[float]:
+        return None if self._rdup_ratio is None else inputs[0] * self._rdup_ratio
+
+    def _temporally_deduplicated(self, node, inputs, fallback_overlap) -> Optional[float]:
+        return None if self._tdup_ratio is None else inputs[0] * self._tdup_ratio
+
+    def _coalesced(self, node, inputs, fallback_overlap) -> Optional[float]:
+        return None if self._coal_ratio is None else inputs[0] * self._coal_ratio
+
+    def _grouped(self, node, inputs, fallback_overlap) -> Optional[float]:
+        groups = 1.0
+        for attribute in node.grouping:
+            distinct = self._pooled_distinct(attribute)
+            if distinct is None:
                 return None
-            return child_cardinalities[0] * self._rdup_ratio
-        if isinstance(node, TemporalDuplicateElimination):
-            if self._tdup_ratio is None:
-                return None
-            return child_cardinalities[0] * self._tdup_ratio
-        if isinstance(node, Coalescing):
-            if self._coal_ratio is None:
-                return None
-            return child_cardinalities[0] * self._coal_ratio
-        if isinstance(node, Aggregation):
-            groups = 1.0
-            for attribute in node.grouping:
-                distinct = self._pooled_distinct(attribute)
-                if distinct is None:
-                    return None
-                groups *= max(1.0, distinct)
-            return min(child_cardinalities[0], groups) if node.grouping else min(
-                child_cardinalities[0], 1.0
-            )
+            groups *= max(1.0, distinct)
+        return min(inputs[0], groups) if node.grouping else min(inputs[0], 1.0)
+
+    def _no_estimate(self, node, inputs, fallback_overlap) -> None:
+        """The profiles say nothing here: the cost model's constants decide."""
         return None
+
+    #: Operator type → its data-driven estimate, one signature: ``(estimator,
+    #: node, input cardinalities, fallback overlap) -> Optional[float]``.
+    #: ``γT`` has none yet: the cost model's ``γ`` constant prices it.
+    _ESTIMATES = {
+        Selection: _filtered,
+        Projection: _no_estimate,
+        UnionAll: _no_estimate,
+        CartesianProduct: _no_estimate,
+        Difference: _no_estimate,
+        Aggregation: _grouped,
+        DuplicateElimination: _deduplicated,
+        TemporalCartesianProduct: _overlapping,
+        TemporalDifference: _no_estimate,
+        TemporalAggregation: _no_estimate,
+        TemporalDuplicateElimination: _temporally_deduplicated,
+        Union: _no_estimate,
+        TemporalUnion: _no_estimate,
+        Sort: _no_estimate,
+        Coalescing: _coalesced,
+        TransferToStratum: _no_estimate,
+        TransferToDBMS: _no_estimate,
+        Join: _joined,
+        TemporalJoin: _temporally_joined,
+    }
 
     # -- selectivities ----------------------------------------------------------
 
@@ -548,10 +577,10 @@ class CardinalityEstimator:
     # -- whole-plan estimation ---------------------------------------------------
 
     def estimate(self, plan: Operation, model: Optional[Any] = None) -> CardinalityEstimate:
-        """Walk a plan bottom-up and estimate its output cardinality.
+        """Estimate a plan's output cardinality, node by node.
 
-        Per-node estimates are exactly the ones :func:`repro.core.cost.estimate_cost`
-        would use with this estimator; the returned object additionally
+        Per-node estimates are exactly the ones :func:`repro.core.cost.cost_annotations`
+        makes with this estimator; the returned object additionally
         carries which base relations had to fall back to the default
         cardinality (``assumed_tables``).
         """
@@ -560,22 +589,18 @@ class CardinalityEstimator:
             overlap_fraction=self.fallback_overlap,
             default_base_cardinality=self.default_base_cardinality,
         )
-        assumed: Set[str] = set()
-        breakdown: List[PyTuple[str, float]] = []
-
-        def visit(node: Operation) -> float:
-            children = [visit(child) for child in node.children]
-            if isinstance(node, BaseRelation) and node.relation_name not in self.profiles:
-                assumed.add(node.relation_name)
-            output = operator_cardinality(node, children, model=model, estimator=self)
-            breakdown.append((node.label(), output))
-            return output
-
-        cardinality = visit(plan)
+        annotations = cost_annotations(plan, model=model, estimator=self, physical_fusion=False)
         return CardinalityEstimate(
-            cardinality=cardinality,
-            assumed_tables=frozenset(assumed),
-            breakdown=tuple(reversed(breakdown)),
+            cardinality=annotations[()].output_cardinality,
+            assumed_tables=frozenset(
+                node.relation_name
+                for node in plan.nodes()
+                if isinstance(node, BaseRelation) and node.relation_name not in self.profiles
+            ),
+            breakdown=tuple(
+                (annotation.label, annotation.output_cardinality)
+                for annotation in reversed(annotations.values())
+            ),
         )
 
 

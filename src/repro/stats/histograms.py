@@ -354,34 +354,6 @@ class PeriodHistogram:
             buckets=tuple(result),
         )
 
-    # -- selectivities ----------------------------------------------------------
-
-    def range_selectivity(self, low: int, high: int) -> float:
-        """Estimated fraction of periods overlapping the window ``[low, high)``.
-
-        A period misses the window only by ending at or before ``low`` or by
-        starting at or after ``high``; both counts are read off the per-bucket
-        start/end totals, interpolating within partially covered buckets.
-        """
-        if self.count == 0 or high <= low:
-            return 0.0
-        if low <= self.span_low and high >= self.span_high:
-            return 1.0
-        ended_before = 0.0
-        started_after = 0.0
-        for bucket in self.buckets:
-            width = bucket.high - bucket.low
-            if bucket.high <= low:
-                ended_before += bucket.ends
-            elif bucket.low < low:
-                ended_before += bucket.ends * (low - bucket.low) / width
-            if bucket.low >= high:
-                started_after += bucket.starts
-            elif bucket.high > high:
-                started_after += bucket.starts * (bucket.high - high) / width
-        overlapping = self.count - ended_before - started_after
-        return min(1.0, max(0.0, overlapping / self.count))
-
     def overlap_fraction(self, other: "PeriodHistogram") -> float:
         """Estimated probability that random periods from self/other overlap.
 

@@ -99,24 +99,6 @@ class TestBasicExpressions:
             division.evaluate(row())
 
 
-class TestSQLRendering:
-    def test_comparison_sql(self):
-        assert equals("Name", "John").to_sql() == "(Name = 'John')"
-
-    def test_string_escaping(self):
-        assert Literal("O'Brien").to_sql() == "'O''Brien'"
-
-    def test_boolean_sql(self):
-        sql = And(equals("Name", "John"), greater_than("Amount", 1)).to_sql()
-        assert "AND" in sql
-
-    def test_not_sql(self):
-        assert Not(equals("Name", "John")).to_sql().startswith("(NOT")
-
-    def test_identifier_quoting(self):
-        assert AttributeRef("1.T1").to_sql() == '"1.T1"'
-
-
 class TestProjectionItems:
     def test_plain_attribute(self):
         item = ProjectionItem(attribute("Name"))
@@ -169,10 +151,6 @@ class TestAggregates:
     def test_non_count_requires_argument(self):
         with pytest.raises(AttributeNotFound):
             AggregateFunction(AggregateKind.SUM)
-
-    def test_sql(self):
-        assert agg_sum("Amount").to_sql() == "SUM(Amount) AS sum_Amount"
-        assert count().to_sql() == "COUNT(*) AS count"
 
 
 def rows_of(tuples):

@@ -200,10 +200,6 @@ class TestTreeNavigation:
         assert plan.contains_operator(Selection)
         assert not plan.contains_operator(Projection)
 
-    def test_base_relation_names(self, scan):
-        plan = Selection(equals("Dept", "Sales"), scan)
-        assert plan.base_relation_names() == ["EMPLOYEE"]
-
     def test_pretty_renders_tree(self, scan):
         plan = Sort(OrderSpec.ascending("EmpName"), Selection(equals("Dept", "Sales"), scan))
         rendered = plan.pretty()

@@ -3,20 +3,36 @@
 These tests check that the *declared* metadata of every operation matches its
 *observed* behaviour: the derived order specification really describes the
 result's tuple sequence, the cardinality bounds really bound the result, and
-the duplicate/coalescing behaviour classes hold on concrete inputs.
+the duplicate/coalescing behaviour classes hold on concrete inputs.  They
+also check that every table keyed by operation type has an entry for every
+concrete operation type, and that the static guarantees agree with the
+declared behaviours.
 """
 
+import itertools
+
+import pytest
 from hypothesis import given
 
-from repro.core.analysis import derive_cardinality_bounds, derive_order
+from repro.core.analysis import (
+    GUARANTEES,
+    derive_cardinality_bounds,
+    derive_order,
+    static_guarantees,
+)
+from repro.core.cost import _OPERATORS
 from repro.core.expressions import count, equals
 from repro.core.operations import (
     ALL_OPERATION_TYPES,
+    IDIOM_TYPES,
     Aggregation,
+    BaseRelation,
+    BinaryOperation,
     CartesianProduct,
     Coalescing,
     Difference,
     DuplicateElimination,
+    Join,
     LiteralRelation,
     Projection,
     Selection,
@@ -25,9 +41,11 @@ from repro.core.operations import (
     TemporalCartesianProduct,
     TemporalDifference,
     TemporalDuplicateElimination,
+    TemporalJoin,
     TemporalUnion,
     TransferToDBMS,
     TransferToStratum,
+    UnaryOperation,
     Union,
     UnionAll,
 )
@@ -38,9 +56,12 @@ from repro.core.operations.base import (
     Operation,
 )
 from repro.core.order_spec import OrderSpec
+from repro.core.properties import STEPS
+from repro.core.relation import Relation
+from repro.stats.estimator import CardinalityEstimator
 from repro.workloads import EMPLOYEE_NAME_SCHEMA
 
-from .strategies import narrow_temporal_relations
+from .strategies import NARROW_TEMPORAL_SCHEMA, narrow_temporal_relations
 
 CONTEXT = EvaluationContext()
 
@@ -232,3 +253,113 @@ class TestCoalescingBehaviour:
     def test_enforcing_operation_coalesces(self, relation):
         result = run(Coalescing(LiteralRelation(relation)))
         assert result.is_coalesced()
+
+
+# ---------------------------------------------------------------------------
+# Every per-type table has an entry for every concrete operation type
+# ---------------------------------------------------------------------------
+
+LEAF_TYPES = {BaseRelation, LiteralRelation}
+
+#: Each table keyed by exact operation type, and whether it reads leaves.
+TABLES = {
+    "repro.core.analysis.GUARANTEES": (GUARANTEES, True),
+    "repro.core.properties.STEPS": (STEPS, False),
+    "repro.core.cost._OPERATORS": (_OPERATORS, True),
+    "repro.stats.estimator.CardinalityEstimator._ESTIMATES": (
+        CardinalityEstimator._ESTIMATES,
+        False,
+    ),
+}
+
+
+def concrete_operation_types():
+    """Every :class:`Operation` subclass but the two arity bases."""
+    found, pending = set(), list(Operation.__subclasses__())
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls not in (UnaryOperation, BinaryOperation):
+            found.add(cls)
+    return found
+
+
+class TestEveryTableIsComplete:
+    def test_the_concrete_types_are_table_1s_the_idioms_and_the_leaves(self):
+        assert concrete_operation_types() == (
+            set(ALL_OPERATION_TYPES) | set(IDIOM_TYPES) | LEAF_TYPES
+        )
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_the_table_has_an_entry_for_every_type(self, name):
+        table, reads_leaves = TABLES[name]
+        expected = concrete_operation_types() - (set() if reads_leaves else LEAF_TYPES)
+        missing = sorted(cls.__name__ for cls in expected - set(table))
+        assert not missing, f"{name} has no entry for {', '.join(missing)}"
+        assert set(table) == expected, name
+
+    def test_the_property_step_names_one_step_per_child(self):
+        for cls, steps in STEPS.items():
+            assert len(steps) == cls.arity, cls.__name__
+
+
+#: A child with all three guarantees, and one with none.
+FREE = LiteralRelation(Relation.from_rows(NARROW_TEMPORAL_SCHEMA, [("John", 1, 3)]))
+UNKNOWN = BaseRelation("N", NARROW_TEMPORAL_SCHEMA)
+#: (type, guarantee position) whose *retains* answer reads the left child only.
+READS_THE_LEFT_CHILD = {(Difference, 0), (TemporalDifference, 1)}
+#: (type, guarantee position) deliberately never claimed: snapshot-relation
+#: results that retain duplicates claim no snapshot-duplicate freedom.
+CLAIMS_NOTHING = {(CartesianProduct, 1), (Difference, 1), (Union, 1), (Join, 1)}
+
+
+def instance(cls, children):
+    """One node of ``cls`` over ``children`` (narrow temporal schema)."""
+    params = {
+        Selection: (equals("Name", "John"),),
+        Projection: (["Name", "T1", "T2"],),
+        Aggregation: (["Name"], [count()]),
+        TemporalAggregation: (["Name"], [count()]),
+        Sort: (OrderSpec.ascending("Name"),),
+        Join: (equals("1.Name", "John"),),
+        TemporalJoin: (equals("1.Name", "John"),),
+    }
+    return cls(*params.get(cls, ()), *children)
+
+
+def declared_guarantee(cls, position, child_answers):
+    """What ``cls``'s Table 1 declaration says guarantee ``position`` is."""
+    if position == 2:
+        behavior = cls.coalescing_behavior
+        if behavior is CoalescingBehavior.ENFORCES:
+            return True
+        return behavior is CoalescingBehavior.RETAINS and all(child_answers)
+    if cls.duplicate_behavior is not DuplicateBehavior.RETAINS:
+        return cls.duplicate_behavior is DuplicateBehavior.ELIMINATES
+    if (cls, position) in CLAIMS_NOTHING:
+        return False
+    if (cls, position) in READS_THE_LEFT_CHILD:
+        return child_answers[0]
+    return all(child_answers)
+
+
+class TestTheGuaranteesAgreeWithTheDeclarations:
+    @pytest.mark.parametrize(
+        "cls",
+        sorted(concrete_operation_types() - LEAF_TYPES, key=lambda cls: cls.__name__),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_every_operation_over_every_mix_of_children(self, cls):
+        for children in itertools.product((FREE, UNKNOWN), repeat=cls.arity):
+            node = instance(cls, children)
+            for position, answer in enumerate(static_guarantees(node)):
+                child_answers = [static_guarantees(child)[position] for child in children]
+                assert answer == declared_guarantee(cls, position, child_answers), (
+                    cls.__name__,
+                    position,
+                    children,
+                )
+
+    def test_the_leaves_are_named_entries(self):
+        assert static_guarantees(UNKNOWN) == (False, False, False)
+        assert static_guarantees(FREE) == (True, True, True)

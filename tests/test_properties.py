@@ -4,31 +4,57 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.expressions import equals
+from repro.core.analysis import guarantees_no_snapshot_duplicates
+from repro.core.expressions import (
+    AttributeRef,
+    Comparison,
+    ComparisonOperator,
+    Literal,
+    count,
+    equals,
+)
 from repro.core.operations import (
+    Aggregation,
+    BaseRelation,
+    BinaryOperation,
+    CartesianProduct,
     Coalescing,
+    Difference,
+    DuplicateElimination,
+    Join,
     LiteralRelation,
+    Operation,
     Projection,
     Selection,
     Sort,
+    TemporalAggregation,
+    TemporalCartesianProduct,
     TemporalDifference,
     TemporalDuplicateElimination,
+    TemporalJoin,
+    TemporalUnion,
+    TransferToDBMS,
     TransferToStratum,
+    UnaryOperation,
+    Union,
     UnionAll,
 )
 from repro.core.order_spec import OrderSpec
 from repro.core.properties import (
     OperationProperties,
-    _child_properties,
     annotate,
     annotated_pretty,
     child_properties,
 )
 from repro.core.query import QueryResultSpec
-from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, employee_relation, project_relation
-from repro.core.operations import BaseRelation
+from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA
 
-from .strategies import conventional_plans, join_shaped_plans, temporal_shaped_plans
+from .strategies import (
+    NARROW_TEMPORAL_SCHEMA,
+    conventional_plans,
+    join_shaped_plans,
+    temporal_shaped_plans,
+)
 
 
 def paper_initial_plan():
@@ -178,24 +204,132 @@ ALL_CONTEXTS = [OperationProperties(*flags) for flags in itertools.product((Fals
 GENERATED_PLANS = st.one_of(conventional_plans(), temporal_shaped_plans(), join_shaped_plans())
 
 
-class TestThePropertyStepTable:
-    """``child_properties`` answers from a table keyed by (operator type, child
-    index, context, one consulted input); ``_child_properties`` — what
-    :func:`annotate` runs — is its reference."""
+def render_step(properties):
+    """``OrderRequired DuplicatesRelevant PeriodPreserving`` as three of ``T``/``-``."""
+    return "".join("T" if flag else "-" for flag in properties.as_tuple())
 
-    @settings(max_examples=80, deadline=None)
-    @given(GENERATED_PLANS)
-    def test_every_step_of_every_node_equals_the_reference(self, plan):
-        for _, node in TransferToStratum(plan).locations():
-            for index in range(len(node.children)):
-                for context in ALL_CONTEXTS:
-                    assert child_properties(node, index, context) == _child_properties(
-                        node, index, context
-                    ), (node, index, context)
+
+RELATION = BaseRelation("N", NARROW_TEMPORAL_SCHEMA)
+#: A child with duplicate-free snapshots (``RELATION`` claims nothing).
+FREE = TemporalDuplicateElimination(RELATION)
+ON_NAME = equals("Name", "John")
+ON_TIME = Comparison(ComparisonOperator.LT, AttributeRef("T1"), Literal(3))
+
+#: One parent per (operation type, the input its step consults): the first
+#: child's snapshot-duplicate freedom below ``coalT`` and ``\T``, the
+#: parent's own period transparency for σ, ⋈T and π, nothing (``None``)
+#: for every other type.
+STEP_NODES = {
+    ("Selection", True): Selection(ON_NAME, RELATION),
+    ("Selection", False): Selection(ON_TIME, RELATION),
+    ("Projection", True): Projection(["Name", "T1", "T2"], RELATION),
+    ("Projection", False): Projection(["Name"], RELATION),
+    ("UnionAll", None): UnionAll(RELATION, RELATION),
+    ("CartesianProduct", None): CartesianProduct(RELATION, RELATION),
+    ("Difference", None): Difference(RELATION, RELATION),
+    ("Aggregation", None): Aggregation(["Name"], [count()], RELATION),
+    ("DuplicateElimination", None): DuplicateElimination(RELATION),
+    ("TemporalCartesianProduct", None): TemporalCartesianProduct(RELATION, RELATION),
+    ("TemporalDifference", True): TemporalDifference(FREE, RELATION),
+    ("TemporalDifference", False): TemporalDifference(RELATION, RELATION),
+    ("TemporalAggregation", None): TemporalAggregation(["Name"], [count()], RELATION),
+    ("TemporalDuplicateElimination", None): FREE,
+    ("Union", None): Union(RELATION, RELATION),
+    ("TemporalUnion", None): TemporalUnion(RELATION, RELATION),
+    ("Sort", None): Sort(OrderSpec.ascending("Name"), RELATION),
+    ("Coalescing", True): Coalescing(FREE),
+    ("Coalescing", False): Coalescing(RELATION),
+    ("TransferToStratum", None): TransferToStratum(RELATION),
+    ("TransferToDBMS", None): TransferToDBMS(RELATION),
+    ("Join", None): Join(ON_NAME, RELATION, RELATION),
+    ("TemporalJoin", True): TemporalJoin(ON_NAME, RELATION, RELATION),
+    ("TemporalJoin", False): TemporalJoin(ON_TIME, RELATION, RELATION),
+}
+
+#: The whole of Table 2's propagation step, pinned: (operation type, child
+#: index, consulted input) → the child's properties in each of the eight
+#: parent contexts of ``ALL_CONTEXTS``, in that order.
+TABLE_2 = {
+    ("Selection", 0, True): "--- --T -T- -TT T-- T-T TT- TTT",
+    ("Selection", 0, False): "--T --T -TT -TT T-T T-T TTT TTT",
+    ("Projection", 0, True): "--- --T -T- -TT T-- T-T TT- TTT",
+    ("Projection", 0, False): "--T --T -TT -TT T-T T-T TTT TTT",
+    ("UnionAll", 0, None): "--- --T -T- -TT --- --T -T- -TT",
+    ("UnionAll", 1, None): "--- --T -T- -TT --- --T -T- -TT",
+    ("CartesianProduct", 0, None): "--T --T -TT -TT T-T T-T TTT TTT",
+    ("CartesianProduct", 1, None): "--T --T -TT -TT --T --T -TT -TT",
+    ("Difference", 0, None): "-TT -TT -TT -TT TTT TTT TTT TTT",
+    ("Difference", 1, None): "-TT -TT -TT -TT -TT -TT -TT -TT",
+    ("Aggregation", 0, None): "-TT -TT -TT -TT TTT TTT TTT TTT",
+    ("DuplicateElimination", 0, None): "--T --T --T --T T-T T-T T-T T-T",
+    ("TemporalCartesianProduct", 0, None): "--- --T -T- -TT T-- T-T TT- TTT",
+    ("TemporalCartesianProduct", 1, None): "--- --T -T- -TT --- --T -T- -TT",
+    ("TemporalDifference", 0, True): "-T- -TT -T- -TT TT- TTT TT- TTT",
+    ("TemporalDifference", 1, True): "--- --- --- --- --- --- --- ---",
+    ("TemporalDifference", 0, False): "-T- -TT -T- -TT TT- TTT TT- TTT",
+    ("TemporalDifference", 1, False): "-T- -T- -T- -T- -T- -T- -T- -T-",
+    ("TemporalAggregation", 0, None): "-T- -TT -T- -TT TT- TTT TT- TTT",
+    ("TemporalDuplicateElimination", 0, None): "--- --T --- --T T-- T-T T-- T-T",
+    ("Union", 0, None): "--T --T -TT -TT --T --T -TT -TT",
+    ("Union", 1, None): "--T --T -TT -TT --T --T -TT -TT",
+    ("TemporalUnion", 0, None): "--- --T -T- -TT --- --T -T- -TT",
+    ("TemporalUnion", 1, None): "--- --T -T- -TT --- --T -T- -TT",
+    ("Sort", 0, None): "--- --T -T- -TT --- --T -T- -TT",
+    ("Coalescing", 0, True): "--- --- -T- -T- T-- T-- TT- TT-",
+    ("Coalescing", 0, False): "--- --T -T- -TT T-- T-T TT- TTT",
+    ("TransferToStratum", 0, None): "--- --T -T- -TT T-- T-T TT- TTT",
+    ("TransferToDBMS", 0, None): "--- --T -T- -TT T-- T-T TT- TTT",
+    ("Join", 0, None): "--T --T -TT -TT T-T T-T TTT TTT",
+    ("Join", 1, None): "--T --T -TT -TT --T --T -TT -TT",
+    ("TemporalJoin", 0, True): "--- --T -T- -TT T-- T-T TT- TTT",
+    ("TemporalJoin", 1, True): "--- --T -T- -TT --- --T -T- -TT",
+    ("TemporalJoin", 0, False): "--T --T -TT -TT T-T T-T TTT TTT",
+    ("TemporalJoin", 1, False): "--T --T -TT -TT --T --T -TT -TT",
+}
+
+
+def concrete_operation_types():
+    """Every concrete :class:`Operation` subclass with children."""
+    found, pending = [], list(Operation.__subclasses__())
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls not in (UnaryOperation, BinaryOperation) and cls.arity:
+            found.append(cls)
+    return found
+
+
+class TestTheWholeOfTable2:
+    """Every step ``child_properties`` can take, against its pinned answer."""
+
+    def test_every_step_answers_as_pinned(self):
+        for (name, index, consulted), pinned in TABLE_2.items():
+            node = STEP_NODES[name, consulted]
+            answers = " ".join(
+                render_step(child_properties(node, index, context)) for context in ALL_CONTEXTS
+            )
+            assert answers == pinned, (name, index, consulted)
+
+    def test_the_pins_cover_every_type_child_and_consulted_input(self):
+        expected = {
+            (cls.__name__, index, consulted)
+            for (name, consulted) in STEP_NODES
+            for cls in concrete_operation_types()
+            if cls.__name__ == name
+            for index in range(cls.arity)
+        }
+        assert set(TABLE_2) == expected
+        assert {name for name, _ in STEP_NODES} == {
+            cls.__name__ for cls in concrete_operation_types()
+        }
+
+    def test_the_consulted_inputs_are_the_ones_named(self):
+        assert guarantees_no_snapshot_duplicates(FREE)
+        assert not guarantees_no_snapshot_duplicates(RELATION)
 
     @settings(max_examples=40, deadline=None)
     @given(GENERATED_PLANS)
-    def test_a_stand_in_first_child_is_the_reference_over_the_rebuilt_node(self, plan):
+    def test_a_stand_in_first_child_is_the_step_of_the_rebuilt_node(self, plan):
         """The memo's context upgrade asks about a witness in the first child's place."""
         for _, node in plan.locations():
             if not node.children:
@@ -207,5 +341,5 @@ class TestThePropertyStepTable:
                 for index in range(len(node.children)):
                     for context in ALL_CONTEXTS:
                         assert child_properties(node, index, context, stand_in) == (
-                            _child_properties(rebuilt, index, context)
+                            child_properties(rebuilt, index, context)
                         ), (node, stand_in, index, context)

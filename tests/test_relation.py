@@ -26,10 +26,6 @@ class TestConstruction:
         assert employee.cardinality == 5
         assert employee[0]["EmpName"] == "John"
 
-    def test_from_dicts(self):
-        relation = Relation.from_dicts(SNAPSHOT, [{"Name": "a", "Amount": 1}])
-        assert len(relation) == 1
-
     def test_empty(self):
         relation = Relation.empty(SNAPSHOT)
         assert relation.is_empty()

@@ -141,11 +141,6 @@ class TestSchemaDerivation:
         snapshot = RelationSchema.snapshot([("A", STRING)])
         assert snapshot.drop_time() is snapshot
 
-    def test_with_time_appends_reserved_attributes(self):
-        snapshot = RelationSchema.snapshot([("A", STRING)])
-        temporal = snapshot.with_time()
-        assert temporal.attributes == ("A", "T1", "T2")
-
     def test_concat_disambiguates_clashes(self):
         other = RelationSchema.temporal([("EmpName", STRING), ("Prj", STRING)])
         combined = self.schema.concat(other)

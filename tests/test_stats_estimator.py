@@ -188,16 +188,16 @@ class TestAssumedTables:
 
     def test_statistics_mapping_backfills_unprofiled_tables(self, estimator):
         plan = BaseRelation("MISSING", PROJECT_SCHEMA)
-        estimator.reset_assumed()
+        estimator.assumed_tables.clear()
         assert estimate_cardinality(plan, {"MISSING": 77}, estimator=estimator) == 77.0
         # The table is still flagged: its histograms are missing even though
         # the caller knew its cardinality.
         assert "MISSING" in estimator.assumed_tables
-        estimator.reset_assumed()
+        estimator.assumed_tables.clear()
         assert estimate_cardinality(plan, {}, estimator=estimator) == pytest.approx(
             estimator.default_base_cardinality
         )
-        estimator.reset_assumed()
+        estimator.assumed_tables.clear()
 
     def test_mistyped_range_predicate_falls_back_instead_of_raising(self, estimator):
         from repro.core.expressions import less_than
@@ -211,13 +211,13 @@ class TestAssumedTables:
             BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA),
             BaseRelation("MISSING", PROJECT_SCHEMA),
         )
-        estimator.reset_assumed()
+        estimator.assumed_tables.clear()
         estimate = estimator.estimate(plan)
         assert estimate.assumed_tables == frozenset({"MISSING"})
         assert not estimate.data_driven
         # The estimator also accumulates across calls until reset.
         assert "MISSING" in estimator.assumed_tables
-        estimator.reset_assumed()
+        estimator.assumed_tables.clear()
         assert estimator.assumed_tables == set()
 
     def test_estimate_agrees_with_estimate_cardinality(self, skewed, estimator):

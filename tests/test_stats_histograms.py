@@ -84,7 +84,6 @@ class TestPeriodHistogram:
     def test_empty(self):
         histogram = PeriodHistogram.build([])
         assert histogram.count == 0
-        assert histogram.range_selectivity(0, 100) == 0.0
 
     def test_span_and_mean_duration(self):
         histogram = PeriodHistogram.build([(1, 5), (10, 12)])
@@ -92,22 +91,6 @@ class TestPeriodHistogram:
         assert histogram.span_low == 1
         assert histogram.span_high == 12
         assert histogram.mean_duration == pytest.approx(3.0)
-
-    def test_full_window_selectivity_is_one(self):
-        histogram = PeriodHistogram.build([(1, 5), (3, 9), (8, 12)])
-        assert histogram.range_selectivity(1, 12) == 1.0
-        assert histogram.range_selectivity(0, 100) == 1.0
-
-    def test_disjoint_window_selectivity_is_zero(self):
-        histogram = PeriodHistogram.build([(1, 5), (2, 6)])
-        assert histogram.range_selectivity(50, 60) == pytest.approx(0.0, abs=1e-9)
-        assert histogram.range_selectivity(7, 3) == 0.0
-
-    def test_partial_window(self):
-        periods = [(i, i + 1) for i in range(1, 101)]
-        histogram = PeriodHistogram.build(periods, buckets=20)
-        estimate = histogram.range_selectivity(1, 51)
-        assert estimate == pytest.approx(0.5, abs=0.1)
 
     def test_clustered_periods_overlap_more_than_spread_ones(self):
         clustered = PeriodHistogram.build([(10, 14 + i % 3) for i in range(40)])
@@ -138,6 +121,4 @@ class TestPeriodHistogram:
     @given(periods=period_columns())
     def test_selectivities_stay_in_unit_interval(self, periods):
         histogram = PeriodHistogram.build(periods)
-        for low, high in ((0, 5), (3, 30), (-5, 100)):
-            assert 0.0 <= histogram.range_selectivity(low, high) <= 1.0
         assert 0.0 <= histogram.overlap_fraction(histogram) <= 1.0
