@@ -116,6 +116,15 @@ def _left_child(position: int) -> Guarantee:
     return lambda op: static_guarantees(op.children[0])[position]
 
 
+def _snapshots_of_the_left_child_too(position: int) -> Guarantee:
+    """A *retains* answer read from every child that also needs the left
+    child's duplicate-free snapshots: ``coalT`` and ``\\T`` can return the
+    same row once for each of two value-equivalent argument tuples whose
+    periods overlap."""
+    every = _every_child(position)
+    return lambda op: every(op) and static_guarantees(op.children[0])[1]
+
+
 def _claims_nothing(position: int) -> Guarantee:
     """Deliberately conservative: ×, \\, ∪ and ⋈ retain duplicates, and no
     snapshot-duplicate freedom is claimed for their snapshot results."""
@@ -170,13 +179,15 @@ GUARANTEES: Dict[type, PyTuple[Guarantee, Guarantee, Guarantee]] = {
     Aggregation: _declared(Aggregation),
     DuplicateElimination: _declared(DuplicateElimination),
     TemporalCartesianProduct: _declared(TemporalCartesianProduct),
-    TemporalDifference: _declared(TemporalDifference, snapshot_duplicates_from=_left_child),
+    TemporalDifference: _declared(
+        TemporalDifference, _snapshots_of_the_left_child_too, _left_child
+    ),
     TemporalAggregation: _declared(TemporalAggregation),
     TemporalDuplicateElimination: _declared(TemporalDuplicateElimination),
     Union: _declared(Union, snapshot_duplicates_from=_claims_nothing),
     TemporalUnion: _declared(TemporalUnion),
     Sort: _declared(Sort),
-    Coalescing: _declared(Coalescing),
+    Coalescing: _declared(Coalescing, _snapshots_of_the_left_child_too),
     TransferToStratum: _declared(TransferToStratum),
     TransferToDBMS: _declared(TransferToDBMS),
     Join: _declared(Join, snapshot_duplicates_from=_claims_nothing),

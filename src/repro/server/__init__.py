@@ -4,8 +4,10 @@ The paper's stratum architecture assumes a DBMS serving many concurrent
 users; this package supplies the reproduction's serving layer on top of the
 :class:`~repro.session.session.Session` lifecycle:
 
-* :class:`Server` — a fixed pool of worker threads, each running its own
-  session over the shared :class:`~repro.stratum.layer.TemporalDatabase`,
+* :class:`Server` — ``max_concurrency`` pooled sessions over the shared
+  :class:`~repro.stratum.layer.TemporalDatabase`, each request running on
+  the caller's thread when a session is free and on a worker thread when
+  it has to queue,
   all sharing one process-wide, thread-safe
   :class:`~repro.session.cache.PlanCache` (keyed by ``(fingerprint,
   statistics epoch)``, so cross-session sharing and invalidation are safe

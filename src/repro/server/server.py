@@ -1,24 +1,34 @@
-"""The multi-client server core: worker pool, shared plan cache, admission.
+"""The multi-client server core: session slots, shared plan cache, admission.
 
 One :class:`Server` owns a :class:`~repro.stratum.layer.TemporalDatabase`
 and runs queries for many concurrent clients:
 
 * **admission** happens on the *caller's* thread: the request is stamped
-  with a deadline, the catalog is snapshotted (queries only — so the answer
-  is the serial result for the admission epoch no matter when a worker gets
-  to it), and the request enters a bounded queue.  A full queue rejects
-  immediately (:class:`ServerOverloadedError`) — backpressure, not
-  unbounded growth;
-* **execution** happens on one of ``max_concurrency`` worker threads, each
-  with its own :class:`~repro.session.session.Session` sharing the
-  process-wide plan cache.  A request whose deadline passed while it
-  queued is answered ``timed_out`` without executing, so a backlog drains
-  at dequeue speed instead of running stale work;
-* **results** travel back through a :class:`concurrent.futures.Future`
-  resolving to a :class:`Response` — also for failures, so one client's
-  bad statement never kills a worker.
+  with a deadline and the catalog is snapshotted (queries only — so the
+  answer is the serial result for the admission epoch no matter when the
+  request runs);
+* **slots** are a pool of ``max_concurrency``
+  :class:`~repro.session.session.Session` objects sharing the process-wide
+  plan cache: a free session is a free slot, so at most
+  ``max_concurrency`` requests execute at once;
+* **execution** happens on the thread that waits for the answer when it
+  can: a blocking caller (:meth:`Server.query`, :meth:`Server.append`, the
+  TCP front end's handler threads) that finds a free slot and nothing
+  queued ahead of it runs its request itself, with no hand-off between
+  threads;
+* **the queue is for overflow**: when every slot is busy (or requests are
+  already waiting) the request enters a bounded FIFO queue that
+  ``max_concurrency`` worker threads serve, as they serve every
+  :meth:`Server.submit`.  A full queue rejects immediately
+  (:class:`ServerOverloadedError`) — backpressure, not unbounded growth.
+  A request whose deadline passed while it queued is answered
+  ``timed_out`` without executing, so a backlog drains at dequeue speed
+  instead of running stale work;
+* **results** are a :class:`Response` — also for failures, so one client's
+  bad statement never kills a worker — resolving the request's
+  :class:`concurrent.futures.Future`.
 
-Appends go through the same queue (``kind="append"``), executing against
+Appends are admitted the same way (``kind="append"``), executing against
 the live catalog under its lock; the response reports the epoch the append
 moved the catalog to, which is what makes lost-update checks possible.
 """
@@ -31,7 +41,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from ..core.exceptions import (
     CancelledError,
@@ -205,6 +215,8 @@ class Server:
         metrics = self.options.metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_limit or 0)
+        #: The slots: a free session is a free slot (filled by :meth:`start`).
+        self._sessions: "queue.LifoQueue[Session]" = queue.LifoQueue()
         self._workers: list[threading.Thread] = []
         self._latencies = LatencyRecorder()
         self._lock = threading.Lock()
@@ -239,9 +251,9 @@ class Server:
         )
         self._worker_crashes = registry.counter(
             "repro_server_worker_crashes_total",
-            "Workers lost to an escaped BaseException (pool keeps serving).",
+            "Requests crashed by an escaped BaseException (the server keeps serving).",
         )
-        # Get-or-create: the worker sessions request the same instrument,
+        # Get-or-create: the pooled sessions request the same instrument,
         # so session-counted and server-counted failures land in one place.
         self._errors = registry.counter(
             "repro_request_errors_total",
@@ -249,7 +261,7 @@ class Server:
             labelnames=("code",),
         )
         self._active = registry.gauge(
-            "repro_server_active_workers", "Workers executing a request right now."
+            "repro_server_active_workers", "Requests executing right now, on a slot each."
         )
         self._peak_active = registry.gauge(
             "repro_server_peak_active_workers", "High-water mark of active workers."
@@ -297,13 +309,15 @@ class Server:
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> "Server":
-        """Spawn the worker pool (idempotent)."""
+        """Fill the session slots and spawn the worker pool (idempotent)."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server is closed")
             if self._started:
                 return self
             self._started = True
+        for _ in range(self.max_concurrency):
+            self._sessions.put(self._new_session())
         for index in range(self.max_concurrency):
             worker = threading.Thread(
                 target=self._worker, name=f"repro-server-worker-{index}", daemon=True
@@ -313,7 +327,8 @@ class Server:
         return self
 
     def close(self) -> None:
-        """Stop accepting requests, drain the queue, join the workers."""
+        """Stop accepting requests, drain the queue, join the workers and
+        wait for the requests running on their callers' threads."""
         with self._lock:
             if self._closed:
                 return
@@ -324,6 +339,8 @@ class Server:
                 self._queue.put(_SHUTDOWN)
             for worker in self._workers:
                 worker.join()
+            for _ in range(self.max_concurrency):
+                self._sessions.get()
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -353,17 +370,9 @@ class Server:
         deadline (``timeout`` or the server default) also stops the query
         mid-execution, answering ``timed_out``.
         """
-        snapshot = self.database.snapshot()
-        deadline = self._deadline(timeout)
-        return self._admit(
-            self._request(
-                kind="query",
-                deadline=deadline,
-                statement=statement,
-                params=tuple(params),
-                snapshot=snapshot,
-            )
-        )
+        request = self._query_request(statement, params, timeout)
+        self._admit(request, inline=False)
+        return request.future
 
     def submit_append(
         self,
@@ -372,14 +381,9 @@ class Server:
         timeout: Optional[float] = None,
     ) -> "Future[Response]":
         """Admit an append of ``rows`` (in schema order) to ``table``."""
-        return self._admit(
-            self._request(
-                kind="append",
-                deadline=self._deadline(timeout),
-                table=table,
-                rows=tuple(tuple(row) for row in rows),
-            )
-        )
+        request = self._append_request(table, rows, timeout)
+        self._admit(request, inline=False)
+        return request.future
 
     def cancel(self, request_id: int, reason: str = "cancelled by client") -> bool:
         """Cancel an admitted, unanswered request by its id.
@@ -403,9 +407,17 @@ class Server:
         statement: str,
         params: Sequence[object] = (),
         timeout: Optional[float] = None,
+        admitted: Optional[Callable[[int], None]] = None,
     ) -> Response:
-        """Admit a query and block for its response."""
-        return self.submit(statement, params, timeout=timeout).result()
+        """Admit a query and block for its response.
+
+        Admission is :meth:`submit`'s; with a slot free and nothing queued
+        the query then runs on this thread, otherwise it waits in the queue
+        for a worker.  ``admitted`` is called with the request id once the
+        request is admitted and before it runs, so a caller can make it
+        cancellable by :meth:`cancel` while it blocks here.
+        """
+        return self._call(self._query_request(statement, params, timeout), admitted)
 
     def append(
         self,
@@ -413,8 +425,41 @@ class Server:
         rows: Iterable[Sequence[object]],
         timeout: Optional[float] = None,
     ) -> Response:
-        """Admit an append and block for its response."""
-        return self.submit_append(table, rows, timeout=timeout).result()
+        """Admit an append and block for its response (on this thread when
+        a slot is free, as :meth:`query` does)."""
+        return self._call(self._append_request(table, rows, timeout), None)
+
+    def _call(
+        self, request: _Request, admitted: Optional[Callable[[int], None]]
+    ) -> Response:
+        session = self._admit(request, inline=True)
+        if admitted is not None:
+            admitted(request.request_id)
+        if session is not None:
+            self._run(session, request)
+        return request.future.result()
+
+    def _query_request(
+        self, statement: str, params: Sequence[object], timeout: Optional[float]
+    ) -> _Request:
+        snapshot = self.database.snapshot()
+        return self._request(
+            kind="query",
+            deadline=self._deadline(timeout),
+            statement=statement,
+            params=tuple(params),
+            snapshot=snapshot,
+        )
+
+    def _append_request(
+        self, table: str, rows: Iterable[Sequence[object]], timeout: Optional[float]
+    ) -> _Request:
+        return self._request(
+            kind="append",
+            deadline=self._deadline(timeout),
+            table=table,
+            rows=tuple(tuple(row) for row in rows),
+        )
 
     def _deadline(self, timeout: Optional[float]) -> Optional[float]:
         timeout = timeout if timeout is not None else self.request_timeout
@@ -435,7 +480,14 @@ class Server:
             **fields,
         )
 
-    def _admit(self, request: _Request) -> "Future[Response]":
+    def _admit(self, request: _Request, inline: bool) -> Optional[Session]:
+        """Admit ``request``: the free session it runs on when ``inline``
+        and nothing is queued ahead of it, else None once it is queued.
+
+        One decision under the server lock, so admission order is queue
+        order: a request counts as queued until a worker holds a session
+        for it (``task_done``), and no caller runs inline past it.
+        """
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server is closed")
@@ -444,40 +496,57 @@ class Server:
             self._submitted.inc()
             if request.token is not None:
                 self._inflight[request.request_id] = request.token
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            with self._lock:
+            if inline and not self._queue.unfinished_tasks:
+                try:
+                    return self._sessions.get_nowait()
+                except queue.Empty:
+                    pass
+            try:
+                self._queue.put_nowait(request)
+            except queue.Full:
                 self._inflight.pop(request.request_id, None)
-            self._rejected.inc()
-            raise ServerOverloadedError(
-                f"request queue is at its limit ({self.queue_limit}); retry later"
-            ) from None
-        return request.future
+                self._rejected.inc()
+                raise ServerOverloadedError(
+                    f"request queue is at its limit ({self.queue_limit}); retry later"
+                ) from None
+        return None
 
-    # -- the workers --------------------------------------------------------------
+    # -- execution ----------------------------------------------------------------
 
-    def _worker(self) -> None:
-        # One session per worker thread: sessions are cheap, the expensive
-        # state (tables, statistics) lives in the shared database and the
-        # optimized plans in the shared thread-safe cache.
-        session = Session(
+    def _new_session(self) -> Session:
+        # Sessions are cheap: the expensive state (tables, statistics) lives
+        # in the shared database and the optimized plans in the shared
+        # thread-safe cache.
+        return Session(
             self.database, cache=self.plan_cache, options=self.options.replace(metrics=self.metrics)
         )
+
+    def _worker(self) -> None:
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
-            try:
-                self._process(session, item)
-            except BaseException as exc:
-                # _process answers every Exception itself; what reaches
-                # here is BaseException-adjacent (KeyboardInterrupt, ...)
-                # — the thread must die, but *contained*: the request is
-                # answered, the books stay consistent, and the remaining
-                # workers keep serving.
-                self._contain_crash(item, exc)
+            session = self._sessions.get()
+            self._queue.task_done()
+            if not self._run(session, item):
                 return
+
+    def _run(self, session: Session, request: _Request) -> bool:
+        """Process ``request`` on ``session`` and free the slot; False when
+        it crashed."""
+        try:
+            self._process(session, request)
+        except BaseException as exc:
+            # _process answers every Exception itself; what reaches here is
+            # BaseException-adjacent (KeyboardInterrupt, ...) — *contained*:
+            # the request is answered, the books stay consistent, the slot
+            # gets a fresh session and the server keeps serving.  A worker
+            # thread ends; a caller running its own request returns.
+            self._contain_crash(request, exc)
+            self._sessions.put(self._new_session())
+            return False
+        self._sessions.put(session)
+        return True
 
     def _contain_crash(self, request: _Request, exc: BaseException) -> None:
         self._worker_crashes.inc()
@@ -505,12 +574,14 @@ class Server:
         token = request.token
         try:
             if request.deadline is not None and now > request.deadline:
-                exc: BaseException = DeadlineExceededError("deadline expired while queued")
+                exc: BaseException = DeadlineExceededError(
+                    "deadline expired before the request ran"
+                )
                 self._count_error(exc)
                 self._respond(request, self._error_response(request, exc, now))
                 return
             if token is not None and token.cancelled:
-                exc = CancelledError("cancelled while queued")
+                exc = CancelledError("cancelled before the request ran")
                 self._count_error(exc)
                 self._respond(request, self._error_response(request, exc, now))
                 return
@@ -561,7 +632,7 @@ class Server:
                         request_id=request.request_id,
                     )
             except Exception as exc:  # one bad request must not kill the worker
-                # Worker sessions record their own failures in the shared
+                # Sessions record their own failures in the shared
                 # ``repro_request_errors_total`` counter; the server counts
                 # only failures that never reached a session (appends,
                 # injected worker faults) so each lands exactly once.

@@ -50,8 +50,11 @@ a missing ``statement``/``table``, ``params``/``rows`` that are not lists, a
 integer — answers ``code: "BAD_REQUEST"`` naming what is wrong, and keeps
 the connection; a client that disconnects mid-line is dropped silently.
 
-The front end is a ``ThreadingTCPServer`` whose handler threads merely parse
-lines and block on the wrapped :class:`~repro.server.server.Server` — all
+The front end is a ``ThreadingTCPServer`` whose handler threads parse lines
+and call the wrapped :class:`~repro.server.server.Server`'s blocking
+``query``/``append``: with a session slot free and nothing queued, the
+handler thread runs the request itself, so a request on an idle server
+crosses no thread; only a saturated server queues it for a worker.  All
 admission control, concurrency limits and snapshots stay in the server;
 the TCP layer adds no second scheduling policy.  :class:`TCPClient` is the
 matching blocking client used by the examples and the tests; give it a
@@ -204,23 +207,26 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         raise _BadRequest(f"unknown op: {op!r}")
 
     def _query(self, server: Server, message: Dict[str, Any]) -> Dict[str, Any]:
+        statement = _field(message, "statement", str, "a string", required=True)
+        params = tuple(_field(message, "params", list, "a list") or ())
+        timeout = _field(message, "timeout", (int, float), "a number")
         key = message.get("id")
-        future = server.submit(
-            _field(message, "statement", str, "a string", required=True),
-            params=tuple(_field(message, "params", list, "a list") or ()),
-            timeout=_field(message, "timeout", (int, float), "a number"),
-        )
-        # Register *before* blocking, so a second connection's cancel can
-        # find the request while this one waits for the result.
-        if key is not None:
-            with self.server.pending_lock:  # type: ignore[attr-defined]
-                self.server.pending[str(key)] = future.request_id  # type: ignore[attr-defined]
+        if key is None:
+            return response_to_wire(server.query(statement, params, timeout=timeout))
+        key = str(key)
+        pending, lock = self.server.pending, self.server.pending_lock  # type: ignore[attr-defined]
+
+        def register(request_id: int) -> None:
+            # Before the request runs, here or on a worker, so a second
+            # connection's cancel finds it while this one blocks.
+            with lock:
+                pending[key] = request_id
+
         try:
-            response = future.result()
+            response = server.query(statement, params, timeout=timeout, admitted=register)
         finally:
-            if key is not None:
-                with self.server.pending_lock:  # type: ignore[attr-defined]
-                    self.server.pending.pop(str(key), None)  # type: ignore[attr-defined]
+            with lock:
+                pending.pop(key, None)
         return response_to_wire(response)
 
     def _cancel(self, server: Server, message: Dict[str, Any]) -> bool:

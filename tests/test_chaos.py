@@ -91,10 +91,18 @@ def _degraded_total(server: Server) -> float:
 
 
 def _drive_scenario(server: Server, scenario: int, timeout):
-    """CLIENTS threads × OPS_PER_CLIENT mixed ops; returns resolved records."""
+    """CLIENTS threads × OPS_PER_CLIENT mixed ops; returns resolved records.
+
+    Every other thread blocks on each call, so its requests run inline on
+    that thread whenever a slot is free; the others submit futures, so
+    theirs go through the queue to the workers.  Injected faults reach both
+    paths.
+    """
     records: list = []
     lock = threading.Lock()
     barrier = threading.Barrier(CLIENTS)
+    blocking = {"append": server.append, "query": server.query}
+    submitting = {"append": server.submit_append, "query": server.submit}
 
     def client(thread: int) -> None:
         # A unique client index per (scenario, thread) keeps every append
@@ -104,17 +112,21 @@ def _drive_scenario(server: Server, scenario: int, timeout):
         ops = concurrent_mix_operations(
             OPS_PER_CLIENT, client=index, append_every=APPEND_EVERY
         )
-        futures = []
         barrier.wait()
-        for kind, target, payload in ops:
-            if kind == "append":
-                futures.append((kind, target, payload, server.submit_append(target, payload, timeout=timeout)))
-            else:
-                futures.append((kind, target, payload, server.submit(target, payload, timeout=timeout)))
-        resolved = [
-            (kind, target, payload, future.result(timeout=RESULT_TIMEOUT))
-            for kind, target, payload, future in futures
-        ]
+        if thread % 2:
+            resolved = [
+                (kind, target, payload, blocking[kind](target, payload, timeout=timeout))
+                for kind, target, payload in ops
+            ]
+        else:
+            futures = [
+                (kind, target, payload, submitting[kind](target, payload, timeout=timeout))
+                for kind, target, payload in ops
+            ]
+            resolved = [
+                (kind, target, payload, future.result(timeout=RESULT_TIMEOUT))
+                for kind, target, payload, future in futures
+            ]
         with lock:
             records.extend(resolved)
 

@@ -80,6 +80,7 @@ def scenarios(t1: Relation, t2: Relation, s1: Relation, s2: Relation):
     dedup_t2 = TemporalDuplicateElimination(lt2)
     dept = LiteralRelation(as_dept(t2))
     plain_dept = LiteralRelation(as_dept(t2, temporal=False))
+    plain_dept_t1 = LiteralRelation(as_dept(t1, temporal=False))
     name_filter = equals("Name", "John")
 
     product = TemporalCartesianProduct(dedup_t1, TemporalDuplicateElimination(dept))
@@ -97,6 +98,10 @@ def scenarios(t1: Relation, t2: Relation, s1: Relation, s2: Relation):
         TemporalDuplicateElimination(dedup_t1),
         DuplicateElimination(Union(ls1, ls2)),
         TemporalDuplicateElimination(TemporalUnion(lt1, lt2)),
+        # D1 over a product of an argument whose snapshots may repeat a
+        # tuple: coalT and \T then return a row twice.
+        DuplicateElimination(CartesianProduct(Coalescing(lt2), plain_dept_t1)),
+        DuplicateElimination(CartesianProduct(TemporalDifference(lt2, lt1), plain_dept_t1)),
         # Coalescing rules.
         Coalescing(lt1),
         Coalescing(Coalescing(lt1)),

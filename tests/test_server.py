@@ -10,6 +10,7 @@ The snapshot-differential and stress coverage lives in
 from __future__ import annotations
 
 import dataclasses
+import queue
 import threading
 import time
 
@@ -39,7 +40,7 @@ def make_server(**kwargs) -> Server:
     return Server(database, **kwargs)
 
 
-from .conftest import flight_waiters, wait_until
+from .conftest import flight_waiters, in_threads, wait_until
 
 BLOCK_MARKER = "SELECT-BLOCK-MARKER"
 
@@ -154,10 +155,12 @@ class TestSharedPlanCache:
     def test_a_text_first_seen_by_one_worker_costs_the_other_nothing(
         self, monkeypatch, planning_work
     ):
-        """Worker B's first sight of a text worker A planned: no search, no lexer, no hash.
+        """Session B's first sight of a text session A planned: no search, no lexer, no hash.
 
-        Each worker is parked in turn, so which of the two serves a request
-        is decided by the test, not by the queue.
+        Each of the two sessions is parked in turn, so which of them serves
+        a request is decided by the test, not by the slot pool.  The
+        sessions are told apart by identity: both queries run inline on
+        this thread.
         """
         gates = {"PARK-FIRST": threading.Event(), "PARK-SECOND": threading.Event()}
         served_by = []
@@ -167,7 +170,7 @@ class TestSharedPlanCache:
             if statement in gates:
                 assert gates[statement].wait(timeout=30.0), "test never released the worker"
                 raise ValueError("parked worker released")
-            served_by.append(threading.current_thread().name)
+            served_by.append(id(self))
             return real_execute(self, statement, params, **kwargs)
 
         monkeypatch.setattr(Session, "execute", execute)
@@ -175,7 +178,7 @@ class TestSharedPlanCache:
             try:
                 parked = server.submit("PARK-FIRST")
                 wait_until(lambda: server.stats().active_workers == 1)
-                first = server.query(PAPER_SQL)  # the one free worker
+                first = server.query(PAPER_SQL)  # the one free session
                 assert first.ok and not first.cache_hit
                 assert planning_work == {
                     "searches": 1, "explorations": 1, "tokenize": 1, "fingerprint": 1
@@ -185,7 +188,7 @@ class TestSharedPlanCache:
                 gates["PARK-FIRST"].set()
                 assert parked.result(timeout=30.0).status == "error"
                 planning_work.clear()
-                second = server.query(PAPER_SQL)  # the other worker, its first sight
+                second = server.query(PAPER_SQL)  # the other session, its first sight
                 assert second.ok and second.cache_hit
                 assert not planning_work
                 assert len(set(served_by)) == 2
@@ -349,6 +352,141 @@ class TestAdmissionControl:
         assert stats.completed + stats.failed + stats.rejected == 3
         assert stats.rejected == 1
         assert stats.queue_depth == 0 and stats.active_workers == 0
+
+
+class GatedSlots(queue.LifoQueue):
+    """A slot pool whose *blocking* take (a worker's) waits for ``gate``.
+
+    Parks a worker between dequeuing a request and taking its session, so a
+    test can free a session while a request is still queued for it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.waiting = threading.Event()
+
+    def get(self, block=True, timeout=None):
+        if block:
+            self.waiting.set()
+            assert self.gate.wait(timeout=30.0), "test never opened the gate"
+        return super().get(block, timeout)
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """``(statement, params, thread name, session id)`` per ``Session.execute``."""
+    seen = []
+    real_execute = Session.execute
+
+    def execute(self, statement, params=(), **kwargs):
+        seen.append((statement, tuple(params), threading.current_thread().name, id(self)))
+        return real_execute(self, statement, params, **kwargs)
+
+    monkeypatch.setattr(Session, "execute", execute)
+    return seen
+
+
+def on_a_worker(thread_name: str) -> bool:
+    return thread_name.startswith("repro-server-worker-")
+
+
+class TestInlineExecution:
+    """A blocking caller runs its own request when a slot is free; only a
+    saturated server queues it for a worker."""
+
+    def test_a_free_slot_runs_the_request_on_the_callers_thread(self, executions):
+        with make_server(max_concurrency=2) as server:
+            assert server.query(POINT_SQL, params=("Sales",)).ok
+            assert server.append("EMPLOYEE", [("Zoe", "Sales", 1, 5)]).ok
+            assert server.submit(POINT_SQL, params=("Sales",)).result(timeout=30).ok
+            stats = server.stats()
+        (_, _, inline, _), (_, _, queued, _) = executions
+        assert inline == threading.current_thread().name
+        assert on_a_worker(queued)
+        assert (stats.completed, stats.submitted, stats.peak_active_workers) == (3, 3, 1)
+
+    def test_with_every_slot_busy_a_blocking_query_queues_in_order(self, blockable, executions):
+        """The queued request is answered by a worker, and a later caller does
+        not overtake it: not while it waits in the queue, and not after a
+        worker has dequeued it but before that worker holds the freed slot."""
+        server = make_server(max_concurrency=1)
+        slots = server._sessions = GatedSlots()
+        server.start()
+        try:
+            blocker = in_threads(lambda: server.query(BLOCK_MARKER))
+            wait_until(lambda: server.stats().active_workers == 1)
+            first = in_threads(lambda: server.query(POINT_SQL, params=("Sales",)))
+            assert slots.waiting.wait(timeout=30.0)  # dequeued, waiting for the slot
+            blockable.set()
+            (blocked,) = blocker()
+            assert blocked.status == "error"
+            assert server.stats().active_workers == 0  # the slot is free ...
+            later = in_threads(lambda: server.query(POINT_SQL, params=("Research",)))
+            wait_until(lambda: server.stats().queue_depth == 1)  # ... and still queued for
+            slots.gate.set()
+            (answered,), (overtaking,) = first(), later()
+        finally:
+            blockable.set()
+            slots.gate.set()
+            server.close()
+        assert answered.ok and overtaking.ok
+        assert [(statement, params) for statement, params, _, _ in executions] == [
+            (BLOCK_MARKER, ()), (POINT_SQL, ("Sales",)), (POINT_SQL, ("Research",))
+        ]
+        assert not on_a_worker(executions[0][2])
+        assert all(on_a_worker(thread) for _, _, thread, _ in executions[1:])
+
+    def test_six_tcp_clients_share_two_slots(self):
+        with make_server(max_concurrency=2, queue_limit=None) as server:
+            with TCPFrontend(server) as frontend:
+                barrier = threading.Barrier(6)
+
+                def client():
+                    with TCPClient(*frontend.address) as connection:
+                        barrier.wait(timeout=30.0)
+                        return [connection.query(PAPER_SQL)["status"] for _ in range(5)]
+
+                outcomes = in_threads(*[client] * 6)()
+            stats = server.stats()
+        assert outcomes == [["ok"] * 5] * 6
+        assert 1 <= stats.peak_active_workers <= 2
+        assert (stats.completed, stats.submitted) == (30, 30)
+
+    def test_a_deadline_already_passed_times_out_without_executing(self, executions):
+        with make_server(max_concurrency=1) as server:
+            # A deadline at the admission instant has passed when the request runs.
+            response = server.query(POINT_SQL, params=("Sales",), timeout=0.0)
+            assert response.status == "timed_out" and response.code
+            assert response.relation is None
+            stats = server.stats()
+        assert executions == []
+        assert (stats.timed_out, stats.submitted, stats.peak_active_workers) == (1, 1, 0)
+
+    def test_a_base_exception_inline_is_contained_and_the_slot_renewed(self, monkeypatch):
+        class SimulatedCrash(BaseException):
+            pass
+
+        sessions = []
+        real_execute = Session.execute
+
+        def execute(self, statement, params=(), **kwargs):
+            sessions.append(id(self))
+            if len(sessions) == 1:
+                raise SimulatedCrash("inline crash")
+            return real_execute(self, statement, params, **kwargs)
+
+        monkeypatch.setattr(Session, "execute", execute)
+        with make_server(max_concurrency=1) as server:
+            crashed = server.query(POINT_SQL, params=("Sales",))
+            assert crashed.status == "error"
+            assert crashed.error.startswith("worker crashed: SimulatedCrash")
+            # The one slot holds a fresh session, and this thread still serves.
+            assert server.query(POINT_SQL, params=("Sales",)).ok
+            stats = server.stats()
+        assert sessions[0] != sessions[1]
+        assert (stats.worker_crashes, stats.failed, stats.completed) == (1, 1, 1)
+        assert stats.submitted == 2
 
 
 class TestMetrics:
