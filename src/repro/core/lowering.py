@@ -297,6 +297,9 @@ class ExecutionReport:
     #: Per-node inclusive ``(start, duration)`` wall-clock, keyed like
     #: ``node_rows``; only filled when the tree runs with a clock.
     node_timings: Dict[PlanPath, PyTuple[float, float]] = field(default_factory=dict)
+    #: The sorts whose input served their order (:attr:`SortOp.kept_order`),
+    #: by plan path: they streamed their input and sorted nothing.
+    kept_orders: List[PlanPath] = field(default_factory=list)
     #: Failed drains re-run through the reference semantics (graceful
     #: degradation), ``"<root label> at <path>: <error code>"``; empty on
     #: every healthy execution.
@@ -349,6 +352,8 @@ class Lowering:
         for operator in root.operators():
             if operator.fault_point == stratum and not isinstance(operator, (SourceOp, TransferOp)):
                 report.stratum_operations += len(operator.paths)
+            if isinstance(operator, SortOp) and operator.kept_order:
+                report.kept_orders.append(operator.paths[0])
             for path in operator.paths[: operator.output_nodes]:
                 report.node_rows[path] = operator.rows_out
                 if operator.elapsed_seconds is not None:

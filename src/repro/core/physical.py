@@ -48,6 +48,7 @@ from ..options import DEFAULT_BATCH_SIZE
 from .columnar import ColumnBatch
 from .expressions import (
     AggregateFunction,
+    AttributeRef,
     Expression,
     PairSlots,
     ProjectionItem,
@@ -196,6 +197,24 @@ class BatchOperator:
         source's, seen through any transfers above it."""
         return None
 
+    def serve_order(self, order: OrderSpec, filtered: bool = False) -> bool:
+        """Whether this operator's drains can yield its output already
+        stably sorted by ``order`` — the sequence a sort of it would yield —
+        and, if so, arrange that they do.
+
+        A sort asks its input before it drains (the interesting orders of
+        Selinger et al., SIGMOD 1979, decided from what the operators are
+        rather than by the optimizer).  A source answers with its relation's
+        kept copy (:meth:`Relation.sorted_rows`, which declines for rows
+        without a total order and for a filtered first request); a
+        transfer, a selection, a projection whose sort keys are copied
+        attributes and a join whose sort keys are all left attributes ask
+        their (left) input.  Every ``order`` asked for names attributes of
+        :attr:`output_schema`.  ``filtered`` says that a σ or a join between
+        the sort and this operator may keep some of its rows from the sort.
+        """
+        return False
+
     def to_relation(self) -> Relation:
         """Drain the operator into a relation carrying the known order.
 
@@ -240,6 +259,12 @@ class SourceOp(BatchOperator):
         super().__init__(relation.schema, relation.order, paths)
         self.relation = relation
         self._name = name
+        self._served: Optional[PyTuple[PyTuple, ...]] = None
+
+    def serve_order(self, order: OrderSpec, filtered: bool = False) -> bool:
+        # A filtered sort builds the copy on its second request per epoch.
+        self._served = self.relation.sorted_rows(order, eager=not filtered)
+        return self._served is not None
 
     def _batches(self) -> Iterator[ColumnBatch]:
         # Slices of the relation's rows, which are in schema attribute order
@@ -247,7 +272,7 @@ class SourceOp(BatchOperator):
         # kernel upstream is purely positional.
         size = self.batch_size
         schema = self.output_schema
-        rows = self.relation.rows
+        rows = self.relation.rows if self._served is None else self._served
         for offset in range(0, len(rows), size):
             yield ColumnBatch(schema, rows[offset : offset + size])
 
@@ -291,6 +316,11 @@ class FilterOp(_UnaryOp):
             if rows:
                 yield ColumnBatch(schema, rows)
 
+    def serve_order(self, order: OrderSpec, filtered: bool = False) -> bool:
+        # A selection keeps a subsequence: selecting from the sorted input
+        # gives the sorted selection.
+        return self._child.serve_order(order, True)
+
     def describe(self) -> str:
         return f"Filter({self._predicate})"
 
@@ -317,19 +347,37 @@ class ProjectOp(_UnaryOp):
         for batch in self._child.batches():
             yield ColumnBatch(schema, project(batch.rows()))
 
+    def serve_order(self, order: OrderSpec, filtered: bool = False) -> bool:
+        below = _copied_order(order, self.output_schema, self._items, self._child.output_schema)
+        return below is not None and self._child.serve_order(below, filtered)
+
     def describe(self) -> str:
         return "Project(" + ", ".join(str(item) for item in self._items) + ")"
 
 
 class SortOp(_UnaryOp):
-    """Blocking stable sort (identical to the reference ``sort_A``)."""
+    """Blocking stable sort (identical to the reference ``sort_A``).
+
+    Before it drains, it asks its input to serve the sort order
+    (:meth:`BatchOperator.serve_order`); when the input can, the sort
+    streams the input's batches and sorts nothing (``kept_order``), and
+    otherwise it sorts the rows that reach it.
+    """
 
     def __init__(self, sort_order: OrderSpec, child: BatchOperator, *args, **kwargs) -> None:
         super().__init__(child, *args, **kwargs)
         self._sort_order = sort_order
+        #: Whether the last drain streamed an input that served the order.
+        self.kept_order = False
 
     def _batches(self) -> Iterator[ColumnBatch]:
         schema = self.output_schema
+        order = self._sort_order
+        # A key the schema lacks is left to the sort, which raises for it.
+        self.kept_order = all(map(schema.has_attribute, order.attributes)) and self._child.serve_order(order)
+        if self.kept_order:
+            yield from self._child.batches()
+            return
         rows: List[PyTuple] = []
         for batch in self._child.batches():
             rows.extend(batch.rows())
@@ -337,11 +385,12 @@ class SortOp(_UnaryOp):
             return
         # Stable sort over value rows — input order is the tie-breaker, the
         # same sequence the reference sorted(child, comparison_key) yields.
-        self._sort_order.sort_rows(rows, schema.attributes)
+        order.sort_rows(rows, schema.attributes)
         yield from _chunked(schema, rows, self.batch_size)
 
     def describe(self) -> str:
-        return f"Sort({self._sort_order})"
+        suffix = "[kept order]" if self.kept_order else ""
+        return f"Sort({self._sort_order}){suffix}"
 
 
 class TransferOp(_UnaryOp):
@@ -371,6 +420,9 @@ class TransferOp(_UnaryOp):
     def stored(self) -> Optional[Relation]:
         return self._child.stored()
 
+    def serve_order(self, order: OrderSpec, filtered: bool = False) -> bool:
+        return self._child.serve_order(order, filtered)
+
     def describe(self) -> str:
         return self._symbol
 
@@ -382,6 +434,27 @@ def _chunked(
     rows = iter(rows)
     while chunk := list(islice(rows, size)):
         yield ColumnBatch(schema, chunk)
+
+
+def _copied_order(
+    order: OrderSpec,
+    output_schema: RelationSchema,
+    items: Sequence[ProjectionItem],
+    input_schema: RelationSchema,
+) -> Optional[OrderSpec]:
+    """``order`` over a projection's output, as the same order over its
+    input, or ``None`` when an item a key names is not a copied input
+    attribute.  Output rows keep their input rows' sequence and each key's
+    values, so a stable sort commutes with such a projection."""
+    copied = {
+        name: item.expression.name
+        for name, item in zip(output_schema.attributes, items)
+        if isinstance(item.expression, AttributeRef)
+        and input_schema.has_attribute(item.expression.name)
+    }
+    if not all(attribute in copied for attribute in order.attributes):
+        return None
+    return order.rename_attributes(copied)
 
 
 class _JoinOp(BatchOperator):
@@ -406,6 +479,9 @@ class _JoinOp(BatchOperator):
         self._split = split
         self._left = left
         self._right = right
+        #: The schema of the joined rows: the output's, unless a projection
+        #: is folded in (:meth:`HashJoinOp.fold_projection`).
+        self._joined_schema = output_schema
         self._temporal = split.temporal
         if split.temporal:
             left_schema = left.output_schema
@@ -415,6 +491,23 @@ class _JoinOp(BatchOperator):
 
     def children(self) -> Sequence[BatchOperator]:
         return (self._left, self._right)
+
+    def serve_order(self, order: OrderSpec, filtered: bool = False) -> bool:
+        """Pass ``order`` to the left (probe) input when every key is a left
+        attribute, as a filtered request (a left row may match nothing).  The output is left-major — each left row's matches in a
+        run, runs in left input order — and every row of a run carries its
+        left row's key values, so stably sorting the output by left keys
+        moves whole runs as a stable sort of the left input moves its rows:
+        joining the sorted left input gives the same sequence.  A right
+        attribute or a ``⋈T``'s fresh ``T1``/``T2`` is not constant over a
+        run, so a key on one is left to the sort."""
+        joined = self._joined_schema.attributes
+        left = self._left.output_schema.attributes
+        # The joined rows are the left row's values, then the right's.
+        renamed = dict(zip(joined, left))
+        if not all(attribute in renamed for attribute in order.attributes):
+            return False
+        return self._left.serve_order(order.rename_attributes(renamed), True)
 
     def describe(self) -> str:
         return f"{super().describe()}[{self._split.describe()}]"
@@ -453,7 +546,6 @@ class HashJoinOp(_JoinOp):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._joined_schema = self.output_schema
         self._items: Optional[PyTuple[ProjectionItem, ...]] = None
 
     def fold_projection(
@@ -472,6 +564,13 @@ class HashJoinOp(_JoinOp):
         self.paths = paths
         self.output_nodes = 2
         return self
+
+    def serve_order(self, order: OrderSpec, filtered: bool = False) -> bool:
+        if self._items is not None:
+            order = _copied_order(order, self.output_schema, self._items, self._joined_schema)
+            if order is None:
+                return False
+        return super().serve_order(order, filtered)
 
     def describe(self) -> str:
         if self._items is None:

@@ -27,8 +27,10 @@ stored tables and the wire work on :attr:`Relation.rows` alone.  A
 :class:`~repro.core.tuples.Tuple` is a *view* of one row under the schema:
 :attr:`Relation.tuples`, iteration and indexing build the views on first use
 and keep them, so only the callers that ask for ``Tuple`` objects — the
-reference operations, the analyses below — pay for them.  A hash join's
-build side over the relation is kept the same way (:meth:`Relation.buckets`).
+reference operations, the analyses below — pay for them.  What a physical
+operator derives from a relation's rows alone is kept the same way, in one
+lazy slot per relation: a hash join's build side (:meth:`Relation.buckets`)
+and a sort's sorted copy (:meth:`Relation.sorted_rows`).
 """
 
 from __future__ import annotations
@@ -73,10 +75,56 @@ def hash_buckets(
     return table
 
 
+#: Value types that compare as one total order among themselves: the
+#: numbers but NaN (:func:`totally_ordered`), and the strings.
+_NUMBERS = frozenset((bool, int, float))
+_STRINGS = frozenset((str,))
+
+
+def totally_ordered(values: Sequence[Any]) -> bool:
+    """Whether ``values`` compare as one total order: all numbers and no NaN,
+    or all strings.  Anything else — a ``None``, a NaN, types that do not
+    compare or compare only partly — may not."""
+    kinds = set(map(type, values))
+    if kinds <= _STRINGS:
+        return True
+    # NaN is the one number not equal to itself.
+    return kinds <= _NUMBERS and (float not in kinds or all(value == value for value in values))
+
+
+def sorted_copy(
+    rows: Sequence[PyTuple[Any, ...]], order: OrderSpec, attributes: Sequence[str]
+) -> Optional[PyTuple[PyTuple[Any, ...], ...]]:
+    """``rows`` (over ``attributes``) stably sorted by ``order``: the
+    sequence a physical sort of them yields, ties in input order.
+
+    ``None`` when some key's values are not :func:`totally_ordered`.  A
+    served sort reads the copy through a σ or a join, i.e. a subsequence of
+    it, which equals a sort of the rows that reach the sort only under a
+    total order: ``[3.0, nan, 1.0]`` stays as it is under ``list.sort``, so
+    dropping the NaN afterwards leaves ``[3.0, 1.0]``, and a ``None`` that
+    a σ drops would make the copy's sort raise.
+    """
+    for attribute in order.attributes:
+        index = attributes.index(attribute)
+        if not totally_ordered([row[index] for row in rows]):
+            return None
+    copy = list(rows)
+    order.sort_rows(copy, attributes)
+    return tuple(copy)
+
+
+#: What :meth:`Relation.sorted_rows` keeps for an order a filtered sort asked
+#: for once: the next request builds the copy.
+_ASKED = object()
+#: Nothing kept yet (a kept ``None`` says the rows have no total order).
+_ABSENT = object()
+
+
 class Relation:
     """A finite sequence of tuples over a common schema, stored as value rows."""
 
-    __slots__ = ("_schema", "_rows", "_order", "_views", "_buckets")
+    __slots__ = ("_schema", "_rows", "_order", "_views", "_kept")
 
     def __init__(
         self,
@@ -108,7 +156,7 @@ class Relation:
         # The given tuples serve as the views unless one of them would read
         # its values in another order than the relation's rows.
         self._views: Optional[PyTuple[Tuple, ...]] = given if in_order else None
-        self._buckets: Optional[Dict[PyTuple[int, ...], Dict]] = None
+        self._kept: Optional[Dict[Any, Any]] = None
         self._order = order or OrderSpec.unordered()
 
     # -- construction -----------------------------------------------------------
@@ -133,7 +181,7 @@ class Relation:
         relation._schema = schema
         relation._rows = tuple(rows)
         relation._views = None
-        relation._buckets = None
+        relation._kept = None
         relation._order = order or OrderSpec.unordered()
         return relation
 
@@ -187,20 +235,51 @@ class Relation:
 
     def buckets(self, key_indexes: PyTuple[int, ...]) -> Dict[Any, List[PyTuple[Any, ...]]]:
         """The rows by their values at ``key_indexes`` (:func:`hash_buckets`),
-        built on the first request per key and kept: a stored table is
-        hashed once per epoch, since an append makes a new relation.
+        built on the first request per key and kept (:meth:`_kept_slot`): a
+        stored table is hashed once per epoch."""
+        kept = self._kept_slot()
+        table = kept.get(key_indexes)
+        if table is None:
+            table = kept[key_indexes] = hash_buckets(self._rows, key_indexes)
+        return table
+
+    def sorted_rows(
+        self, order: OrderSpec, eager: bool = True
+    ) -> Optional[PyTuple[PyTuple[Any, ...], ...]]:
+        """The rows stably sorted by ``order`` (:func:`sorted_copy`), kept per
+        order (:meth:`_kept_slot`): a stored table is sorted at most once per
+        epoch and order.
+
+        ``None`` when the rows have no total order under ``order`` — kept
+        too, so that is decided once per epoch — and, unless ``eager``, on
+        the first request for ``order``: a sort that only some of the rows
+        reach (through a σ or a join) pays for a copy of the whole table
+        only when it asks a second time in the same epoch, so a table that
+        changes between every such request never pays for one.
+        """
+        kept = self._kept_slot()
+        copy = kept.get(order, _ABSENT)
+        if copy is _ABSENT and not eager:
+            kept[order] = _ASKED
+            return None
+        if copy is _ABSENT or copy is _ASKED:
+            copy = kept[order] = sorted_copy(self._rows, order, self._schema.attributes)
+        return copy
+
+    def _kept_slot(self) -> Dict[Any, Any]:
+        """The one lazy slot for what an operator derives from the rows
+        alone: the hash tables by index tuple, the sorted copies by
+        :class:`OrderSpec`.  An append makes a new relation, so what a
+        relation keeps is never stale.
 
         Read-only once built.  No lock, as for :attr:`tuples`: two threads
-        racing the first request each build the table and one assignment
-        wins.
+        racing a first request each build and one assignment wins (a race
+        over an order's first request costs at most one more build).
         """
-        cache = self._buckets
-        if cache is None:
-            cache = self._buckets = {}
-        table = cache.get(key_indexes)
-        if table is None:
-            table = cache[key_indexes] = hash_buckets(self._rows, key_indexes)
-        return table
+        kept = self._kept
+        if kept is None:
+            kept = self._kept = {}
+        return kept
 
     @property
     def cardinality(self) -> int:

@@ -27,7 +27,7 @@ so ``EXPLAIN ANALYZE`` evaluates nothing a second time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple as PyTuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple as PyTuple
 
 from ..core.cost import OperatorCostAnnotation
 from ..core.lowering import ExecutionReport
@@ -59,8 +59,10 @@ class OperatorLine:
     ``nested-loop``, ``fused into hash join``), or ``fused into σ`` for a
     product the selection above runs as one join: every join shape of
     either engine carries one; ``absorbed into coalT`` (or ``\\T``, ``∪T``)
-    for an ``rdupT`` the operator above runs itself; ``None`` where the
-    operator needs no algorithm choice."""
+    for an ``rdupT`` the operator above runs itself; ``kept order`` for a
+    sort whose input served its order, so that it sorted nothing
+    (:attr:`~repro.core.lowering.ExecutionReport.kept_orders`); ``None``
+    where the operator needs no algorithm choice."""
     time_seconds: Optional[float] = None
     """Inclusive wall-clock (children included) the operator took during the
     ANALYZE execution; ``None`` — rendered ``-`` like the actuals — only
@@ -231,12 +233,14 @@ def build_operator_lines(
     partition = partition_plan(plan)
     rows: Mapping[PlanPath, int] = {}
     timings: Mapping[PlanPath, PyTuple[float, float]] = {}
+    kept: Sequence[PlanPath] = ()
     if report is not None:
-        rows, timings = report.node_rows, report.node_timings
+        rows, timings, kept = report.node_rows, report.node_timings, report.kept_orders
     lines: List[OperatorLine] = []
     for path, node in plan.locations():
         annotation = None if annotations is None else annotations[path]
         start, seconds = timings.get(path, (None, None))
+        physical = None if annotation is None else annotation.physical
         lines.append(
             OperatorLine(
                 path=path,
@@ -245,7 +249,7 @@ def build_operator_lines(
                 estimated_rows=None if annotation is None else annotation.output_cardinality,
                 cost=None if annotation is None else annotation.work,
                 actual_rows=rows.get(path),
-                physical=None if annotation is None else annotation.physical,
+                physical="kept order" if path in kept else physical,
                 time_seconds=seconds,
                 start_seconds=start,
             )
