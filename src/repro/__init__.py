@@ -17,8 +17,9 @@ coalescing.  This package implements that foundation end to end:
 ``repro.stats``
     statistics collection and cardinality estimation: per-table equi-depth
     and valid-time interval histograms, distinct-count estimation, the
-    plan-walking ``CardinalityEstimator`` feeding the optimizer, and
-    calibration of the cost model's engine constants from measured timings.
+    ``CardinalityEstimator`` whose answers about the data feed the cost
+    model, and calibration of the cost model's engine constants from
+    measured timings.
 
 ``repro.dbms``
     a conventional (multiset-semantics) in-memory DBMS substrate: catalog,

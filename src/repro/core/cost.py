@@ -11,10 +11,11 @@ quantitatively in the benchmarks.
 
 The model is deliberately simple and transparent:
 
-* cardinalities are estimated bottom-up from catalog statistics with fixed
-  selectivities (overridable per query) — or, when an *estimator* from
-  :mod:`repro.stats` is supplied, from per-attribute histograms and interval
-  histograms over valid-time periods, with the fixed constants as fallback;
+* cardinalities are estimated bottom-up, one formula per operator type
+  (:data:`_OPERATORS`), from catalog statistics and fixed constants — or,
+  when an *estimator* from :mod:`repro.stats` is supplied, from its answers
+  about the data (histogram selectivities, interval-histogram overlap,
+  pooled shrink ratios, group counts), with the constants as fallback;
 * each operator contributes work proportional to the tuples it consumes and
   produces, with an ``n log n`` term for sorting and pairwise terms for the
   products and the value-matching temporal operations;
@@ -89,12 +90,14 @@ class CostModel:
     constants can be *fitted from measured executor timings* with
     :func:`repro.stats.calibrate_cost_model` instead of guessed.
 
-    ``selectivity`` and ``overlap_fraction`` are the global fallbacks used
-    when no estimator is supplied; pass a
+    ``selectivity``, ``overlap_fraction`` and ``default_base_cardinality``
+    are the only fallbacks of the estimates.  Pass a
     :class:`repro.stats.estimator.CardinalityEstimator` to any costing entry
-    point to replace them with per-predicate histogram selectivities and a
-    data-driven temporal overlap fraction (the constants still apply to
-    predicates the histograms cannot resolve).
+    point and its answers replace them where the profiles know one — a
+    histogram selectivity per conjunct, the pooled temporal overlap, a
+    profiled table's cardinality; each constant still applies wherever the
+    profiles say nothing (a conjunct the histograms cannot resolve, no
+    temporal profile, a table neither profiled nor in the statistics).
     """
 
     selectivity: float = DEFAULT_SELECTIVITY
@@ -125,23 +128,25 @@ class PlanCost:
 
 
 # Every costing entry point accepts an optional *estimator* — duck-typed so
-# this module stays free of a dependency on :mod:`repro.stats`:
+# this module stays free of a dependency on :mod:`repro.stats`.  It answers
+# about the data only; each :data:`_OPERATORS` output entry turns an answer
+# into an estimate, and a ``None`` answer (nothing profiled) into the
+# :class:`CostModel` constant:
 #
-# ``base_cardinality(name, fallback=None) -> float``
-#     cardinality of a base relation; ``fallback`` is the caller's
-#     plain-statistics value (preferred over the estimator's default when the
-#     table has no profile, and the estimator records such tables);
-# ``operator_cardinality(node, child_cardinalities, fallback_overlap=None)
-#     -> Optional[float]``
-#     data-driven output estimate for one operator, or ``None`` to fall back
-#     to the fixed-constant model below; ``fallback_overlap`` hands the
-#     model's temporal overlap constant down so estimates missing temporal
-#     statistics still honour a tuned model.
+# ``base_cardinality(name) -> Optional[float]``
+#     the profiled cardinality of a base relation;
+# ``selectivity(predicate, fallback) -> float``
+#     a predicate's selectivity, ``fallback`` for each conjunct the
+#     histograms cannot resolve;
+# ``overlap_fraction``, ``rdup_ratio``, ``tdup_ratio``, ``coal_ratio``
+#     pooled temporal overlap and ``rdup``/``rdupT``/``coalT`` shrink ratios;
+# ``group_count(grouping) -> Optional[float]``
+#     the number of groups of those attributes.
 #
-# An estimator's per-operator estimates must depend only on the node's own
-# parameters and the input cardinalities (the memo search costs operator
-# shells, not subtrees) and must be monotone in the input cardinalities (the
-# branch-and-bound lower bounds rely on it).
+# The answers are pooled over every profiled table, never about one subtree:
+# the memo search costs operator shells, so an estimate may depend only on
+# the node's own parameters and its input cardinalities, and must be
+# monotone in the latter (the branch-and-bound lower bounds rely on it).
 
 
 def estimate_cardinality(
@@ -224,39 +229,103 @@ def _operator_work(
     return _OPERATORS[type(node)][1](node, inputs, output, model, engine)
 
 
+class _NoStatistics:
+    """The estimator when none is given: it knows nothing about the data."""
+
+    overlap_fraction = rdup_ratio = tdup_ratio = coal_ratio = None
+
+    def base_cardinality(self, name: str) -> None:
+        return None
+
+    def selectivity(self, predicate, fallback: float) -> float:
+        return fallback
+
+    def group_count(self, grouping) -> None:
+        return None
+
+
+_NO_STATISTICS = _NoStatistics()
+
+
+def _known(answer: Optional[float], fallback: float) -> float:
+    """The estimator's answer where it knows one, else the model's constant."""
+    return fallback if answer is None else answer
+
+
 def _base_relation_output(node, inputs, statistics, model, estimator) -> float:
-    if estimator is not None:
-        return float(
-            estimator.base_cardinality(node.relation_name, statistics.get(node.relation_name))
-        )
-    return float(statistics.get(node.relation_name, model.default_base_cardinality))
+    name = node.relation_name
+    known = statistics.get(name, model.default_base_cardinality)
+    return float(_known(estimator.base_cardinality(name), known))
 
 
 def _literal_relation_output(node, inputs, statistics, model, estimator) -> float:
     return float(len(node.relation))
 
 
-def _estimated(formula):
-    """An operator's output entry: the estimator's data-driven estimate where
-    it has one, else ``formula(inputs, model)`` over the model's constants."""
-
-    def output(node, inputs, statistics, model, estimator) -> float:
-        if estimator is not None:
-            estimate = estimator.operator_cardinality(
-                node, inputs, fallback_overlap=model.overlap_fraction
-            )
-            if estimate is not None:
-                return float(estimate)
-        return formula(inputs, model)
-
-    return output
+def _selection_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * estimator.selectivity(node.predicate, model.selectivity)
 
 
-#: Output entries of the operations that keep every tuple (or, for
-#: ``rdupT``, as many), that group, and that merge their inputs.
-_KEEPS_SIZE = _estimated(lambda inputs, model: inputs[0])
-_GROUPS = _estimated(lambda inputs, model: max(1.0, inputs[0] * 0.2))
-_MERGES = _estimated(lambda inputs, model: max(inputs) + 0.5 * min(inputs))
+def _join_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * inputs[1] * estimator.selectivity(node.predicate, model.selectivity)
+
+
+def _temporal_join_output(node, inputs, statistics, model, estimator) -> float:
+    # σ's selectivity times ×T's overlap, so the idiom and its expansion agree.
+    return (
+        _join_output(node, inputs, statistics, model, estimator)
+        * _known(estimator.overlap_fraction, model.overlap_fraction)
+    )
+
+
+def _temporal_product_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * inputs[1] * _known(estimator.overlap_fraction, model.overlap_fraction)
+
+
+def _keeps_size(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0]
+
+
+def _aggregation_output(node, inputs, statistics, model, estimator) -> float:
+    groups = estimator.group_count(node.grouping)
+    return max(1.0, inputs[0] * 0.2) if groups is None else min(inputs[0], groups)
+
+
+def _temporal_aggregation_output(node, inputs, statistics, model, estimator) -> float:
+    # γ's constant: the profiles have no γT answer yet.
+    return max(1.0, inputs[0] * 0.2)
+
+
+def _duplicate_elimination_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * _known(estimator.rdup_ratio, 0.8)
+
+
+def _temporal_duplicate_elimination_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * _known(estimator.tdup_ratio, 1.0)
+
+
+def _coalescing_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * _known(estimator.coal_ratio, 0.7)
+
+
+def _union_all_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] + inputs[1]
+
+
+def _product_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * inputs[1]
+
+
+def _difference_output(node, inputs, statistics, model, estimator) -> float:
+    return max(0.0, inputs[0] - 0.5 * inputs[1])
+
+
+def _temporal_difference_output(node, inputs, statistics, model, estimator) -> float:
+    return inputs[0] * 0.6
+
+
+def _merges(node, inputs, statistics, model, estimator) -> float:
+    return max(inputs) + 0.5 * min(inputs)
 
 
 def _scan_work(node, inputs, output, model, engine) -> float:
@@ -292,40 +361,31 @@ def _transfer_work(node, inputs, output, model, engine) -> float:
 
 #: Operator type → ``(output cardinality, work)``, with the signatures
 #: ``(node, child estimates, statistics, model, estimator)`` and ``(node,
-#: inputs, output, model, engine)``.
+#: inputs, output, model, engine)``.  The only table of either: an output
+#: entry reads the estimator's answer where it has one and the model's
+#: constant otherwise.
 _OPERATORS = {
     BaseRelation: (_base_relation_output, _scan_work),
     LiteralRelation: (_literal_relation_output, _scan_work),
-    Selection: (_estimated(lambda inputs, model: inputs[0] * model.selectivity), _streaming_work),
-    Projection: (_KEEPS_SIZE, _streaming_work),
-    UnionAll: (_estimated(lambda inputs, model: inputs[0] + inputs[1]), _streaming_work),
-    CartesianProduct: (_estimated(lambda inputs, model: inputs[0] * inputs[1]), _product_work),
-    Difference: (
-        _estimated(lambda inputs, model: max(0.0, inputs[0] - 0.5 * inputs[1])),
-        _streaming_work,
-    ),
-    Aggregation: (_GROUPS, _streaming_work),
-    DuplicateElimination: (_estimated(lambda inputs, model: inputs[0] * 0.8), _streaming_work),
-    TemporalCartesianProduct: (
-        _estimated(lambda inputs, model: inputs[0] * inputs[1] * model.overlap_fraction),
-        _product_work,
-    ),
-    TemporalDifference: (_estimated(lambda inputs, model: inputs[0] * 0.6), _value_matching_work),
-    TemporalAggregation: (_GROUPS, _streaming_work),
-    TemporalDuplicateElimination: (_KEEPS_SIZE, _sort_and_sweep_work),
-    Union: (_MERGES, _streaming_work),
-    TemporalUnion: (_MERGES, _value_matching_work),
-    Sort: (_KEEPS_SIZE, _sort_work),
-    Coalescing: (_estimated(lambda inputs, model: inputs[0] * 0.7), _sort_and_sweep_work),
-    TransferToStratum: (_KEEPS_SIZE, _transfer_work),
-    TransferToDBMS: (_KEEPS_SIZE, _transfer_work),
-    Join: (_estimated(lambda inputs, model: inputs[0] * inputs[1] * model.selectivity), _join_work),
-    TemporalJoin: (
-        _estimated(
-            lambda inputs, model: inputs[0] * inputs[1] * model.selectivity * model.overlap_fraction
-        ),
-        _join_work,
-    ),
+    Selection: (_selection_output, _streaming_work),
+    Projection: (_keeps_size, _streaming_work),
+    UnionAll: (_union_all_output, _streaming_work),
+    CartesianProduct: (_product_output, _product_work),
+    Difference: (_difference_output, _streaming_work),
+    Aggregation: (_aggregation_output, _streaming_work),
+    DuplicateElimination: (_duplicate_elimination_output, _streaming_work),
+    TemporalCartesianProduct: (_temporal_product_output, _product_work),
+    TemporalDifference: (_temporal_difference_output, _value_matching_work),
+    TemporalAggregation: (_temporal_aggregation_output, _streaming_work),
+    TemporalDuplicateElimination: (_temporal_duplicate_elimination_output, _sort_and_sweep_work),
+    Union: (_merges, _streaming_work),
+    TemporalUnion: (_merges, _value_matching_work),
+    Sort: (_keeps_size, _sort_work),
+    Coalescing: (_coalescing_output, _sort_and_sweep_work),
+    TransferToStratum: (_keeps_size, _transfer_work),
+    TransferToDBMS: (_keeps_size, _transfer_work),
+    Join: (_join_output, _join_work),
+    TemporalJoin: (_temporal_join_output, _join_work),
 }
 
 
@@ -352,7 +412,11 @@ def operator_cardinality(
     """Estimated output cardinality of one operator given its input estimates:
     its :data:`_OPERATORS` entry."""
     return _OPERATORS[type(node)][0](
-        node, child_cardinalities, statistics or {}, model or CostModel(), estimator
+        node,
+        child_cardinalities,
+        statistics or {},
+        model or CostModel(),
+        _NO_STATISTICS if estimator is None else estimator,
     )
 
 

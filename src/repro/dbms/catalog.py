@@ -41,7 +41,7 @@ from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..core.tuples import Tuple
 from ..faults import FAULTS
-from ..stats.estimator import CardinalityEstimator, TableProfile
+from ..stats.estimator import TableProfile
 from ..stats.histograms import EquiDepthHistogram, PeriodHistogram
 
 
@@ -362,10 +362,6 @@ class Catalog:
         with self._lock:
             return {name: table.profile() for name, table in self._tables.items()}
 
-    def estimator(self, **kwargs) -> CardinalityEstimator:
-        """A histogram-backed cardinality estimator over the current contents."""
-        return CardinalityEstimator(self.profiles(), **kwargs)
-
     def snapshot(self) -> "CatalogSnapshot":
         """Pin the current contents of every table plus the epoch, atomically.
 
@@ -385,7 +381,7 @@ class CatalogSnapshot:
     """A frozen, read-only view of a :class:`Catalog` at one epoch.
 
     Duck-types the catalog's read surface (``table``/``has_table``/
-    ``table_names``/``statistics``/``profiles``/``estimator``), so the
+    ``table_names``/``statistics``/``profiles``), so the
     executors and optimizers can run against it unchanged; any attempt to
     mutate raises :class:`~repro.core.exceptions.CatalogError`.
     """
@@ -416,10 +412,6 @@ class CatalogSnapshot:
     def profiles(self) -> Dict[str, TableProfile]:
         """Histogram/period/ratio summaries over the pinned contents."""
         return {name: table.profile() for name, table in self._tables.items()}
-
-    def estimator(self, **kwargs) -> CardinalityEstimator:
-        """A histogram-backed cardinality estimator over the pinned contents."""
-        return CardinalityEstimator(self.profiles(), **kwargs)
 
     def create_table(self, *args, **kwargs):
         raise CatalogError("catalog snapshots are read-only")

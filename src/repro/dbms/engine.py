@@ -84,10 +84,6 @@ class ConventionalDBMS:
         snapshot's never advances."""
         return self.catalog.epoch
 
-    def estimator(self, **kwargs):
-        """A histogram-backed estimator over the catalog's contents."""
-        return self.catalog.estimator(**kwargs)
-
     # -- querying -------------------------------------------------------------------
 
     def optimize(self, plan: Operation) -> Operation:

@@ -389,7 +389,7 @@ class Session:
                     record.plan,
                     database.statistics(),
                     database.optimizer.cost_model,
-                    estimator=database.estimator() if database.options.use_statistics else None,
+                    estimator=database.costing_estimator(),
                 )
             record.operators = build_operator_lines(record.plan, record.report, annotations)
         if ast.explain:

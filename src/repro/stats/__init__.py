@@ -2,9 +2,9 @@
 
 The layer the paper defers to future work ("heuristics and cost estimation
 techniques", Section 7): equi-depth and interval histograms over stored
-relations, exact/sampled distinct counting, a plan-walking cardinality
-estimator that feeds the optimizer, and a calibration harness fitting the
-cost model's engine constants from measured timings.
+relations, exact/sampled distinct counting, a cardinality estimator whose
+answers about the data feed the cost model, and a calibration harness
+fitting the cost model's engine constants from measured timings.
 """
 
 from .calibration import (
@@ -15,7 +15,6 @@ from .calibration import (
 from .distinct import distinct_ratio, estimate_distinct, exact_distinct
 from .estimator import (
     AttributeStatistics,
-    CardinalityEstimate,
     CardinalityEstimator,
     TableProfile,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "Bucket",
     "CalibrationMeasurement",
     "CalibrationResult",
-    "CardinalityEstimate",
     "CardinalityEstimator",
     "EquiDepthHistogram",
     "PeriodBucket",

@@ -1,42 +1,37 @@
-"""Data-driven cardinality estimation over algebra plans.
+"""Table profiles and what they answer about the data.
 
 :class:`TableProfile` summarises one stored relation: per-attribute
 equi-depth histograms and distinct counts, an interval histogram over the
 valid-time periods, and the shrink ratios duplicate elimination and
 coalescing would achieve on it.  :class:`CardinalityEstimator` pools the
-profiles of all base tables and walks plans producing per-predicate
-selectivities and temporal overlap fractions — replacing the global
-constants in :mod:`repro.core.cost` (``DEFAULT_SELECTIVITY``,
-``DEFAULT_OVERLAP_FRACTION``), which remain as fallbacks for predicates and
-tables the profiles cannot resolve.
+profiles of all base tables and answers questions about the data — a
+profiled table's cardinality, a predicate's selectivity, the temporal
+overlap fraction, the ``rdup``/``rdupT``/``coalT`` shrink ratios, a group
+count — and ``None`` where the profiles know nothing.  It holds no
+operator formula and no fallback constant: each operator type's estimate is
+one entry of :data:`repro.core.cost._OPERATORS`, which reads these answers
+and falls back to the :class:`~repro.core.cost.CostModel` constants
+(a selectivity's fallback is passed in, per conjunct).
 
-The estimator deliberately answers per-operator questions from *pooled*
-(table-independent) summaries: the memo search costs operator shells whose
-children are equivalence groups, not concrete subtrees, so a per-node
-estimate may depend only on the operator's own parameters and its input
-cardinalities.  That restriction is what keeps the memo search's costing in
-exact agreement with costing whole plans — the agreement tests run with a
-histogram-backed estimator to pin that down.
+The answers come from *pooled* (table-independent) summaries: the memo
+search costs operator shells whose children are equivalence groups, not
+concrete subtrees, so a per-node estimate may depend only on the operator's
+own parameters and its input cardinalities.  That restriction is what keeps
+the memo search's costing in exact agreement with costing whole plans — the
+agreement tests run with a histogram-backed estimator to pin that down.
 
-Every estimate is monotone in the input cardinalities (selectivities and
-ratios are clamped to ``[0, 1]`` and combined multiplicatively, group counts
-enter through ``min``), which the memo search's branch-and-bound lower
-bounds require for admissibility.
+Selectivities and ratios are clamped to ``[0, 1]`` and combined
+multiplicatively, and group counts enter through ``min``, so every estimate
+built from them is monotone in the input cardinalities, which the memo
+search's branch-and-bound lower bounds require for admissibility.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple as PyTuple
 
-from ..core.cost import (
-    DEFAULT_BASE_CARDINALITY,
-    DEFAULT_OVERLAP_FRACTION,
-    DEFAULT_SELECTIVITY,
-    CostModel,
-    cost_annotations,
-)
 from ..core.expressions import (
     And,
     AttributeRef,
@@ -46,29 +41,6 @@ from ..core.expressions import (
     Literal,
     Not,
     Or,
-)
-from ..core.operations import (
-    Aggregation,
-    BaseRelation,
-    CartesianProduct,
-    Coalescing,
-    Difference,
-    DuplicateElimination,
-    Join,
-    Operation,
-    Projection,
-    Selection,
-    Sort,
-    TemporalAggregation,
-    TemporalCartesianProduct,
-    TemporalDifference,
-    TemporalDuplicateElimination,
-    TemporalJoin,
-    TemporalUnion,
-    TransferToDBMS,
-    TransferToStratum,
-    Union,
-    UnionAll,
 )
 from ..core.operations.coalesce import coalesce_tuples
 from ..core.operations.duplicates import temporal_duplicate_elimination
@@ -220,79 +192,38 @@ def _merged_union_count(periods: Sequence[PyTuple[int, int]]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CardinalityEstimate:
-    """The result of estimating one plan's output cardinality."""
-
-    cardinality: float
-    #: Base relations that were *not* profiled — their cardinality came from
-    #: the caller's plain statistics mapping or the model's default, never
-    #: from histograms.  Empty means the estimate was fully data-driven;
-    #: benchmarks and tests assert on exactly that.
-    assumed_tables: frozenset
-    #: ``(operator label, estimated output cardinality)`` in pre-order.
-    breakdown: PyTuple[PyTuple[str, float], ...] = ()
-
-    @property
-    def data_driven(self) -> bool:
-        """True when no base relation fell back to the default cardinality."""
-        return not self.assumed_tables
-
-    def __float__(self) -> float:
-        return self.cardinality
-
-
 class CardinalityEstimator:
-    """Histogram-backed per-operator cardinality estimation.
+    """What the pooled table profiles answer about the data.
 
-    The estimator plugs into :mod:`repro.core.cost` (every costing entry
-    point takes an optional ``estimator``): ``base_cardinality`` replaces the
-    plain ``{name: cardinality}`` statistics mapping and records unknown
-    tables in :attr:`assumed_tables`; ``operator_cardinality`` returns a
-    data-driven estimate for the operators the profiles can resolve and
-    ``None`` for everything else, letting the constant-based model fill in.
+    Every costing entry point of :mod:`repro.core.cost` takes an optional
+    ``estimator``; each operator's output entry there reads these answers,
+    and an answer of ``None`` leaves the cost model's constant in force.
     """
 
-    def __init__(
-        self,
-        profiles: Mapping[str, TableProfile],
-        fallback_selectivity: float = DEFAULT_SELECTIVITY,
-        default_base_cardinality: float = DEFAULT_BASE_CARDINALITY,
-        fallback_overlap: float = DEFAULT_OVERLAP_FRACTION,
-    ) -> None:
+    def __init__(self, profiles: Mapping[str, TableProfile]) -> None:
         self.profiles: Dict[str, TableProfile] = dict(profiles)
-        self.fallback_selectivity = fallback_selectivity
-        self.default_base_cardinality = default_base_cardinality
-        #: Overlap fraction used when no temporal profile exists.  The
-        #: temporal join and the temporal product must estimate through the
-        #: *same* constant in that case — the join idiom is σ ∘ ×T, and the
-        #: memo-vs-exhaustive agreement relies on both forms producing the
-        #: same cardinalities in every estimator state.
-        self.fallback_overlap = fallback_overlap
-        #: Unknown base relations seen by any call since construction/reset.
-        self.assumed_tables: Set[str] = set()
         total = float(sum(profile.cardinality for profile in self.profiles.values()))
         self._attribute_pool: Dict[str, List[PyTuple[float, AttributeStatistics]]] = {}
         for profile in self.profiles.values():
             weight = profile.cardinality / total if total else 0.0
             for attribute, stats in profile.attributes.items():
                 self._attribute_pool.setdefault(attribute, []).append((weight, stats))
-        self._rdup_ratio = self._pooled_ratio(lambda p: p.row_distinct_ratio)
-        self._tdup_ratio = self._pooled_ratio(lambda p: p.tdup_fraction)
-        self._coal_ratio = self._pooled_ratio(lambda p: p.coalesced_fraction)
-        self._overlap = self._pooled_overlap()
+        #: Pooled ``rdup``/``rdupT``/``coalT`` shrink ratios, and the pooled
+        #: temporal overlap fraction (``None``: no profiled rows, or no
+        #: temporal profile).
+        self.rdup_ratio = self._pooled_ratio(lambda p: p.row_distinct_ratio)
+        self.tdup_ratio = self._pooled_ratio(lambda p: p.tdup_fraction)
+        self.coal_ratio = self._pooled_ratio(lambda p: p.coalesced_fraction)
+        self.overlap_fraction = self._pooled_overlap()
 
     @classmethod
-    def from_relations(
-        cls, relations: Mapping[str, Relation], **kwargs: Any
-    ) -> "CardinalityEstimator":
+    def from_relations(cls, relations: Mapping[str, Relation]) -> "CardinalityEstimator":
         """Profile every relation and build an estimator over the profiles."""
         return cls(
             {
                 name: TableProfile.from_relation(name, relation)
                 for name, relation in relations.items()
-            },
-            **kwargs,
+            }
         )
 
     # -- pooled summaries --------------------------------------------------------
@@ -326,124 +257,34 @@ class CardinalityEstimator:
                 denominator += weight
         return numerator / denominator if denominator else None
 
-    @property
-    def overlap_fraction(self) -> Optional[float]:
-        """The pooled temporal overlap fraction (None without temporal stats)."""
-        return self._overlap
-
-    def _overlap_or_fallback(self, model_fallback: Optional[float] = None) -> float:
-        if self._overlap is not None:
-            return self._overlap
-        if model_fallback is not None:
-            return model_fallback
-        return self.fallback_overlap
-
-    # -- the estimation interface consumed by repro.core.cost -------------------
-
-    def base_cardinality(self, name: str, fallback: Optional[float] = None) -> float:
-        """Cardinality of a base relation; unprofiled tables are recorded.
-
-        ``fallback`` is the caller's plain-statistics cardinality for the
-        table, preferred over :attr:`default_base_cardinality` when there is
-        no profile — a known count should never be replaced by a guess.
-        """
+    def base_cardinality(self, name: str) -> Optional[float]:
+        """A profiled table's cardinality; ``None`` for a table not profiled."""
         profile = self.profiles.get(name)
-        if profile is None:
-            self.assumed_tables.add(name)
-            if fallback is not None:
-                return float(fallback)
-            return self.default_base_cardinality
-        return float(profile.cardinality)
+        return None if profile is None else float(profile.cardinality)
 
-    def operator_cardinality(
-        self,
-        node: Operation,
-        child_cardinalities: Sequence[float],
-        fallback_overlap: Optional[float] = None,
-    ) -> Optional[float]:
-        """Data-driven output estimate for one operator, or None to fall back.
-
-        ``fallback_overlap`` is the caller's (cost model's) temporal overlap
-        constant, used when no temporal profile exists — preferred over
-        :attr:`fallback_overlap` so a tuned :class:`~repro.core.cost.CostModel`
-        keeps steering temporal estimates.  The temporal join and the
-        temporal product resolve the overlap through the same call, keeping
-        the idiom and its σ ∘ ×T expansion in exact agreement in every
-        estimator state.
-        """
-        return self._ESTIMATES[type(node)](self, node, child_cardinalities, fallback_overlap)
-
-    def _filtered(self, node, inputs, fallback_overlap) -> float:
-        return inputs[0] * self.selectivity(node.predicate)
-
-    def _joined(self, node, inputs, fallback_overlap) -> float:
-        return inputs[0] * inputs[1] * self.selectivity(node.predicate)
-
-    def _temporally_joined(self, node, inputs, fallback_overlap) -> float:
-        return self._joined(node, inputs, fallback_overlap) * self._overlap_or_fallback(
-            fallback_overlap
-        )
-
-    def _overlapping(self, node, inputs, fallback_overlap) -> float:
-        return inputs[0] * inputs[1] * self._overlap_or_fallback(fallback_overlap)
-
-    def _deduplicated(self, node, inputs, fallback_overlap) -> Optional[float]:
-        return None if self._rdup_ratio is None else inputs[0] * self._rdup_ratio
-
-    def _temporally_deduplicated(self, node, inputs, fallback_overlap) -> Optional[float]:
-        return None if self._tdup_ratio is None else inputs[0] * self._tdup_ratio
-
-    def _coalesced(self, node, inputs, fallback_overlap) -> Optional[float]:
-        return None if self._coal_ratio is None else inputs[0] * self._coal_ratio
-
-    def _grouped(self, node, inputs, fallback_overlap) -> Optional[float]:
+    def group_count(self, grouping: Sequence[str]) -> Optional[float]:
+        """The number of groups of ``grouping``: the product of the pooled
+        distinct counts (one group without attributes); ``None`` when an
+        attribute is not profiled."""
         groups = 1.0
-        for attribute in node.grouping:
+        for attribute in grouping:
             distinct = self._pooled_distinct(attribute)
             if distinct is None:
                 return None
             groups *= max(1.0, distinct)
-        return min(inputs[0], groups) if node.grouping else min(inputs[0], 1.0)
-
-    def _no_estimate(self, node, inputs, fallback_overlap) -> None:
-        """The profiles say nothing here: the cost model's constants decide."""
-        return None
-
-    #: Operator type → its data-driven estimate, one signature: ``(estimator,
-    #: node, input cardinalities, fallback overlap) -> Optional[float]``.
-    #: ``γT`` has none yet: the cost model's ``γ`` constant prices it.
-    _ESTIMATES = {
-        Selection: _filtered,
-        Projection: _no_estimate,
-        UnionAll: _no_estimate,
-        CartesianProduct: _no_estimate,
-        Difference: _no_estimate,
-        Aggregation: _grouped,
-        DuplicateElimination: _deduplicated,
-        TemporalCartesianProduct: _overlapping,
-        TemporalDifference: _no_estimate,
-        TemporalAggregation: _no_estimate,
-        TemporalDuplicateElimination: _temporally_deduplicated,
-        Union: _no_estimate,
-        TemporalUnion: _no_estimate,
-        Sort: _no_estimate,
-        Coalescing: _coalesced,
-        TransferToStratum: _no_estimate,
-        TransferToDBMS: _no_estimate,
-        Join: _joined,
-        TemporalJoin: _temporally_joined,
-    }
+        return groups
 
     # -- selectivities ----------------------------------------------------------
 
-    def selectivity(self, predicate: Expression) -> float:
-        """Selectivity of a predicate in ``[0, 1]`` (with constant fallbacks)."""
-        estimate = self._selectivity(predicate)
+    def selectivity(self, predicate: Expression, fallback: float) -> float:
+        """Selectivity of a predicate in ``[0, 1]``; ``fallback`` stands in
+        for each conjunct (or other operand) the histograms cannot resolve."""
+        estimate = self._selectivity(predicate, fallback)
         if estimate is None:
-            estimate = self.fallback_selectivity
+            estimate = fallback
         return min(1.0, max(0.0, estimate))
 
-    def _selectivity(self, predicate: Expression) -> Optional[float]:
+    def _selectivity(self, predicate: Expression, fallback: float) -> Optional[float]:
         if isinstance(predicate, Literal):
             if predicate.value is True:
                 return 1.0
@@ -452,23 +293,19 @@ class CardinalityEstimator:
             return None
         if isinstance(predicate, And):
             result = 1.0
-            for operand in self.selectivities(predicate.operands):
-                result *= operand
+            for operand in predicate.operands:
+                result *= self.selectivity(operand, fallback)
             return result
         if isinstance(predicate, Or):
             result = 1.0
-            for operand in self.selectivities(predicate.operands):
-                result *= 1.0 - operand
+            for operand in predicate.operands:
+                result *= 1.0 - self.selectivity(operand, fallback)
             return 1.0 - result
         if isinstance(predicate, Not):
-            return 1.0 - self.selectivity(predicate.operand)
+            return 1.0 - self.selectivity(predicate.operand, fallback)
         if isinstance(predicate, Comparison):
             return self._comparison_selectivity(predicate)
         return None
-
-    def selectivities(self, predicates: Sequence[Expression]) -> List[float]:
-        """Per-predicate selectivities (each with the constant fallback applied)."""
-        return [self.selectivity(predicate) for predicate in predicates]
 
     def _comparison_selectivity(self, comparison: Comparison) -> Optional[float]:
         left, right = comparison.left, comparison.right
@@ -573,35 +410,6 @@ class CardinalityEstimator:
         if not pool:
             return None
         return max(stats.distinct for _, stats in pool)
-
-    # -- whole-plan estimation ---------------------------------------------------
-
-    def estimate(self, plan: Operation, model: Optional[Any] = None) -> CardinalityEstimate:
-        """Estimate a plan's output cardinality, node by node.
-
-        Per-node estimates are exactly the ones :func:`repro.core.cost.cost_annotations`
-        makes with this estimator; the returned object additionally
-        carries which base relations had to fall back to the default
-        cardinality (``assumed_tables``).
-        """
-        model = model or CostModel(
-            selectivity=self.fallback_selectivity,
-            overlap_fraction=self.fallback_overlap,
-            default_base_cardinality=self.default_base_cardinality,
-        )
-        annotations = cost_annotations(plan, model=model, estimator=self, physical_fusion=False)
-        return CardinalityEstimate(
-            cardinality=annotations[()].output_cardinality,
-            assumed_tables=frozenset(
-                node.relation_name
-                for node in plan.nodes()
-                if isinstance(node, BaseRelation) and node.relation_name not in self.profiles
-            ),
-            breakdown=tuple(
-                (annotation.label, annotation.output_cardinality)
-                for annotation in reversed(annotations.values())
-            ),
-        )
 
 
 def _strip_clash_prefix(attribute: str) -> str:

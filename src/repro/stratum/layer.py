@@ -39,6 +39,7 @@ from ..core.schema import RelationSchema
 from ..dbms.engine import ConventionalDBMS
 from ..options import ExecutionOptions
 from ..search import ExplorationStore, MemoSearch, SearchResult
+from ..stats import CardinalityEstimator
 from .executor import StratumExecutor
 
 
@@ -158,9 +159,15 @@ class TemporalDatabase:
         """
         return self.dbms.statistics_epoch()
 
-    def estimator(self, **kwargs):
-        """A histogram-backed estimator over the base tables."""
-        return self.dbms.estimator(**kwargs)
+    def costing_estimator(self) -> Optional[CardinalityEstimator]:
+        """The estimator every costing of this database passes on: one over
+        the catalog's table profiles under ``options.use_statistics``, else
+        ``None`` (the cost model's constants).  The one place that option
+        is read: :meth:`optimize_plan` and the session's EXPLAIN and
+        slow-log costing both ask here."""
+        if not self.options.use_statistics:
+            return None
+        return CardinalityEstimator(self.dbms.catalog.profiles())
 
     def evaluation_context(self) -> EvaluationContext:
         """A reference-evaluation context over all base tables."""
@@ -238,7 +245,7 @@ class TemporalDatabase:
         search, so a cancel or a deadline stops it where it is.
         """
         statistics = self.statistics()
-        estimator = self.estimator() if self.options.use_statistics else None
+        estimator = self.costing_estimator()
         initial_cost = estimate_cost(
             initial_plan, statistics, self.optimizer.cost_model, estimator=estimator
         )

@@ -106,8 +106,7 @@ class TestCatalog:
         profiles = catalog.profiles()
         assert set(profiles) == {"EMPLOYEE", "PROJECT"}
         assert all(isinstance(profile, TableProfile) for profile in profiles.values())
-        estimator = catalog.estimator()
-        assert isinstance(estimator, CardinalityEstimator)
+        estimator = CardinalityEstimator(profiles)
         assert estimator.base_cardinality("EMPLOYEE") == 5.0
 
 

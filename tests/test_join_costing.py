@@ -483,9 +483,9 @@ class TestAgreementWithoutTemporalStatistics:
 
     With profiles but no temporal statistics the estimator has no pooled
     overlap fraction; both the temporal product and the temporal join then
-    fall back to the estimator's ``fallback_overlap`` constant — never to
-    the fully-constant model for one form only, which would price the two
-    ≡L-equivalent shapes apart and cost the memo search its exactness.
+    fall back to the model's ``overlap_fraction`` — through the one
+    answer both entries read, so the two ≡L-equivalent shapes never price
+    apart and the memo search keeps its exactness.
     """
 
     def _workload(self):

@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.analysis import (
     GUARANTEES,
@@ -20,7 +21,7 @@ from repro.core.analysis import (
     derive_order,
     static_guarantees,
 )
-from repro.core.cost import _OPERATORS
+from repro.core.cost import _OPERATORS, operator_cardinality, operator_work
 from repro.core.expressions import count, equals
 from repro.core.operations import (
     ALL_OPERATION_TYPES,
@@ -55,6 +56,7 @@ from repro.core.operations.base import (
     EvaluationContext,
     Operation,
 )
+from repro.core.lowering import DBMS_ENGINE, STRATUM_ENGINE
 from repro.core.order_spec import OrderSpec
 from repro.core.properties import STEPS
 from repro.core.relation import Relation
@@ -266,10 +268,6 @@ TABLES = {
     "repro.core.analysis.GUARANTEES": (GUARANTEES, True),
     "repro.core.properties.STEPS": (STEPS, False),
     "repro.core.cost._OPERATORS": (_OPERATORS, True),
-    "repro.stats.estimator.CardinalityEstimator._ESTIMATES": (
-        CardinalityEstimator._ESTIMATES,
-        False,
-    ),
 }
 
 
@@ -375,3 +373,47 @@ class TestTheGuaranteesAgreeWithTheDeclarations:
     def test_the_leaves_are_named_entries(self):
         assert static_guarantees(UNKNOWN) == (False, False, False)
         assert static_guarantees(FREE) == (True, True, True)
+
+
+# ---------------------------------------------------------------------------
+# Every entry of the one table of estimates is monotone in its inputs
+# ---------------------------------------------------------------------------
+
+CARDINALITIES = st.integers(min_value=0, max_value=10**6).map(float)
+
+
+@st.composite
+def estimators(draw):
+    """No estimator, or one profiled over a drawn relation of the narrow
+    schema (whose ``Name`` the instances' predicates and grouping name)."""
+    if draw(st.booleans()):
+        return None
+    return CardinalityEstimator.from_relations({"N": draw(narrow_temporal_relations())})
+
+
+class TestEveryEntryIsMonotone:
+    """The memo's branch-and-bound lower bounds rest on this: an entry's
+    output and work never fall when an input cardinality grows.  The one
+    exception is ``Difference``'s output, which shrinks as its right input
+    grows; ``_Extractor.bounds_for`` bounds it by zero instead."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        sorted(set(_OPERATORS) - LEAF_TYPES, key=lambda cls: cls.__name__),
+        ids=lambda cls: cls.__name__,
+    )
+    @given(data=st.data())
+    def test_growing_an_input_lowers_neither_output_nor_work(self, cls, data):
+        node = instance(cls, [UNKNOWN] * cls.arity)
+        estimator = data.draw(estimators())
+        inputs = data.draw(st.lists(CARDINALITIES, min_size=cls.arity, max_size=cls.arity))
+        grown = list(inputs)
+        grown[data.draw(st.integers(0, cls.arity - 1))] += data.draw(CARDINALITIES)
+        before = operator_cardinality(node, inputs, estimator=estimator)
+        after = operator_cardinality(node, grown, estimator=estimator)
+        if cls is not Difference:
+            assert after >= before
+        for engine in (STRATUM_ENGINE, DBMS_ENGINE):
+            assert operator_work(node, grown, after, engine) >= operator_work(
+                node, inputs, before, engine
+            )

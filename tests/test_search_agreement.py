@@ -11,6 +11,7 @@ import pytest
 from repro.core.applicability import results_acceptable
 from repro.core.cost import choose_best_plan, estimate_cost
 from repro.core.enumeration import enumerate_plans
+from repro.core.operations import BaseRelation
 from repro.core.operations.base import EvaluationContext
 from repro.search import MemoSearch
 from repro.stats import CardinalityEstimator
@@ -127,8 +128,8 @@ class TestAgreementWithHistogramEstimates:
         produced = result.best_plan.evaluate(context)
         assert results_acceptable(reference, produced, spec), result.best_plan.pretty()
 
-    def test_estimates_are_data_driven(self, named):
+    def test_every_table_is_profiled(self, named):
         plan, _ = named.build()
-        estimate = ESTIMATOR.estimate(plan)
-        assert estimate.assumed_tables == frozenset()
-        assert estimate.data_driven
+        for node in plan.nodes():
+            if isinstance(node, BaseRelation):
+                assert ESTIMATOR.base_cardinality(node.relation_name) is not None

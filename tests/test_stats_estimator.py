@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core.cost import CostModel, estimate_cardinality, estimate_cost
+from repro.core.cost import CostModel, estimate_cardinality, estimate_cost, operator_cardinality
 from repro.core.expressions import (
     And,
     AttributeRef,
@@ -34,7 +34,6 @@ from repro.workloads import (
     EMPLOYEE_SCHEMA,
     PROJECT_SCHEMA,
     employee_relation,
-    project_relation,
     skewed_paper_workload,
 )
 
@@ -50,6 +49,14 @@ def skewed():
 @pytest.fixture(scope="module")
 def estimator(skewed):
     return CardinalityEstimator.from_relations(skewed)
+
+
+#: The cost model's selectivity: what an unresolved conjunct falls back to.
+FALLBACK = CostModel().selectivity
+
+
+def selectivity(estimator, predicate):
+    return estimator.selectivity(predicate, FALLBACK)
 
 
 class TestTableProfile:
@@ -86,27 +93,26 @@ class TestSelectivities:
     def test_equality_matches_actual_frequency(self, skewed, estimator):
         employees = skewed["EMPLOYEE"]
         actual = sum(1 for t in employees if t["Dept"] == "Sales") / len(employees)
-        assert estimator.selectivity(equals("Dept", "Sales")) == pytest.approx(
+        assert selectivity(estimator, equals("Dept", "Sales")) == pytest.approx(
             actual, rel=0.25
         )
 
     def test_unknown_attribute_falls_back(self, estimator):
-        assert estimator.selectivity(equals("NoSuch", 1)) == pytest.approx(
-            estimator.fallback_selectivity
-        )
+        assert selectivity(estimator, equals("NoSuch", 1)) == FALLBACK
+        assert estimator.selectivity(equals("NoSuch", 1), 0.5) == 0.5
 
     def test_boolean_connectives(self, estimator):
-        sales = estimator.selectivity(equals("Dept", "Sales"))
-        assert estimator.selectivity(Literal(True)) == 1.0
-        assert estimator.selectivity(Literal(False)) == 0.0
-        assert estimator.selectivity(Not(equals("Dept", "Sales"))) == pytest.approx(
+        sales = selectivity(estimator, equals("Dept", "Sales"))
+        assert selectivity(estimator, Literal(True)) == 1.0
+        assert selectivity(estimator, Literal(False)) == 0.0
+        assert selectivity(estimator, Not(equals("Dept", "Sales"))) == pytest.approx(
             1.0 - sales
         )
-        conjunction = estimator.selectivity(
+        conjunction = selectivity(estimator, 
             And(equals("Dept", "Sales"), between("T1", 1, 200))
         )
         assert conjunction <= sales + 1e-9
-        disjunction = estimator.selectivity(
+        disjunction = selectivity(estimator, 
             Or(equals("Dept", "Sales"), equals("Dept", "Legal"))
         )
         assert disjunction >= sales - 1e-9
@@ -115,8 +121,8 @@ class TestSelectivities:
         prefixed = Comparison(
             ComparisonOperator.EQ, AttributeRef("1.Dept"), Literal("Sales")
         )
-        assert estimator.selectivity(prefixed) == pytest.approx(
-            estimator.selectivity(equals("Dept", "Sales"))
+        assert selectivity(estimator, prefixed) == pytest.approx(
+            selectivity(estimator, equals("Dept", "Sales"))
         )
 
     def test_equijoin_tracks_the_actual_match_rate(self, skewed, estimator):
@@ -131,7 +137,7 @@ class TestSelectivities:
             if left["EmpName"] == right["EmpName"]
         )
         actual = matches / (len(employees) * len(projects))
-        estimate = estimator.selectivity(join)
+        estimate = selectivity(estimator, join)
         # Under Zipf skew the uniform 1/d assumption is several times low; the
         # end-biased dot product must land within a factor of two instead.
         distinct = estimator.profiles["EMPLOYEE"].attributes["EmpName"].distinct
@@ -140,95 +146,92 @@ class TestSelectivities:
 
 
 class TestOperatorCardinality:
+    """The estimator's answers, read by the one table of estimates."""
+
     def test_selection_scales_by_selectivity(self, estimator):
         node = Selection(equals("Dept", "Sales"), BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA))
-        estimate = estimator.operator_cardinality(node, [100.0])
-        assert estimate == pytest.approx(
-            100.0 * estimator.selectivity(equals("Dept", "Sales"))
-        )
+        estimate = operator_cardinality(node, [100.0], estimator=estimator)
+        assert estimate == pytest.approx(100.0 * selectivity(estimator, equals("Dept", "Sales")))
 
     def test_temporal_product_uses_pooled_overlap(self, estimator):
         node = TemporalCartesianProduct(
             BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA),
             BaseRelation("PROJECT", PROJECT_SCHEMA),
         )
-        estimate = estimator.operator_cardinality(node, [10.0, 20.0])
+        estimate = operator_cardinality(node, [10.0, 20.0], estimator=estimator)
         assert estimate == pytest.approx(200.0 * estimator.overlap_fraction)
 
     def test_duplicate_elimination_and_coalescing_shrink(self, estimator):
         base = BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA)
-        for node in (
-            DuplicateElimination(base),
-            TemporalDuplicateElimination(base),
-            Coalescing(base),
+        for node, ratio in (
+            (DuplicateElimination(base), estimator.rdup_ratio),
+            (TemporalDuplicateElimination(base), estimator.tdup_ratio),
+            (Coalescing(base), estimator.coal_ratio),
         ):
-            estimate = estimator.operator_cardinality(node, [50.0])
+            estimate = operator_cardinality(node, [50.0], estimator=estimator)
+            assert estimate == pytest.approx(50.0 * ratio)
             assert 0.0 <= estimate <= 50.0
 
     def test_aggregation_bounded_by_group_count(self, estimator):
         node = Aggregation(["Dept"], [count_aggregate()], BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA))
         distinct = estimator.profiles["EMPLOYEE"].attributes["Dept"].distinct
-        assert estimator.operator_cardinality(node, [1000.0]) == pytest.approx(distinct)
-        assert estimator.operator_cardinality(node, [2.0]) == pytest.approx(2.0)
+        assert estimator.group_count(["Dept"]) == pytest.approx(distinct)
+        assert operator_cardinality(node, [1000.0], estimator=estimator) == pytest.approx(distinct)
+        assert operator_cardinality(node, [2.0], estimator=estimator) == pytest.approx(2.0)
+        assert estimator.group_count(["NoSuch"]) is None
 
     def test_unhandled_operators_fall_back(self, estimator):
         node = Projection(["EmpName"], BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA))
-        assert estimator.operator_cardinality(node, [10.0]) is None
+        assert operator_cardinality(node, [10.0], estimator=estimator) == 10.0
 
 
-class TestAssumedTables:
-    def test_known_tables_are_data_driven(self, skewed, estimator):
+class TestTheModelsConstantsAreTheOnlyFallbacks:
+    """Where the profiles know nothing, a tuned :class:`CostModel` decides."""
+
+    @pytest.fixture(scope="class")
+    def employee_only(self):
+        return CardinalityEstimator.from_relations({"EMPLOYEE": employee_relation()})
+
+    def test_tuned_selectivity_prices_an_unresolved_conjunct(self, employee_only):
+        tuned = CostModel(selectivity=0.5)
+        employee = BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA)
+        unresolved = Selection(equals("NoSuch", 1), employee)
+        assert estimate_cardinality(unresolved, {}, tuned, employee_only) == pytest.approx(2.5)
+        mixed = Selection(And(equals("Dept", "Sales"), equals("NoSuch", 1)), employee)
+        sales = employee_only.selectivity(equals("Dept", "Sales"), 0.5)
+        assert estimate_cardinality(mixed, {}, tuned, employee_only) == pytest.approx(
+            5 * sales * 0.5
+        )
+
+    def test_tuned_default_base_cardinality_prices_an_unknown_table(self, employee_only):
+        tuned = CostModel(default_base_cardinality=77)
+        missing = BaseRelation("MISSING", PROJECT_SCHEMA)
+        assert estimate_cardinality(missing, {}, tuned, employee_only) == 77.0
+        assert estimate_cardinality(missing, {}, estimator=employee_only) == (
+            CostModel().default_base_cardinality
+        )
+
+
+class TestBaseCardinality:
+    def test_known_tables_are_profiled(self, skewed, estimator):
+        assert estimator.base_cardinality("EMPLOYEE") == len(skewed["EMPLOYEE"])
         plan = Selection(equals("Dept", "Sales"), BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA))
-        estimate = estimator.estimate(plan)
-        assert estimate.assumed_tables == frozenset()
-        assert estimate.data_driven
-        assert estimate.cardinality == pytest.approx(
-            len(skewed["EMPLOYEE"]) * estimator.selectivity(equals("Dept", "Sales"))
+        assert estimate_cardinality(plan, {}, estimator=estimator) == pytest.approx(
+            len(skewed["EMPLOYEE"]) * selectivity(estimator, equals("Dept", "Sales"))
         )
 
     def test_statistics_mapping_backfills_unprofiled_tables(self, estimator):
         plan = BaseRelation("MISSING", PROJECT_SCHEMA)
-        estimator.assumed_tables.clear()
+        assert estimator.base_cardinality("MISSING") is None
         assert estimate_cardinality(plan, {"MISSING": 77}, estimator=estimator) == 77.0
-        # The table is still flagged: its histograms are missing even though
-        # the caller knew its cardinality.
-        assert "MISSING" in estimator.assumed_tables
-        estimator.assumed_tables.clear()
         assert estimate_cardinality(plan, {}, estimator=estimator) == pytest.approx(
-            estimator.default_base_cardinality
+            CostModel().default_base_cardinality
         )
-        estimator.assumed_tables.clear()
 
     def test_mistyped_range_predicate_falls_back_instead_of_raising(self, estimator):
         from repro.core.expressions import less_than
 
-        selectivity = estimator.selectivity(less_than("EmpName", 5))
-        assert 0.0 <= selectivity <= 1.0
-
-    def test_missing_tables_are_recorded(self, estimator):
-        plan = Join(
-            Literal(True),
-            BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA),
-            BaseRelation("MISSING", PROJECT_SCHEMA),
-        )
-        estimator.assumed_tables.clear()
-        estimate = estimator.estimate(plan)
-        assert estimate.assumed_tables == frozenset({"MISSING"})
-        assert not estimate.data_driven
-        # The estimator also accumulates across calls until reset.
-        assert "MISSING" in estimator.assumed_tables
-        estimator.assumed_tables.clear()
-        assert estimator.assumed_tables == set()
-
-    def test_estimate_agrees_with_estimate_cardinality(self, skewed, estimator):
-        plan = Coalescing(
-            TemporalDuplicateElimination(
-                Selection(equals("Dept", "Sales"), BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA))
-            )
-        )
-        statistics = {name: len(relation) for name, relation in skewed.items()}
-        via_cost = estimate_cardinality(plan, statistics, estimator=estimator)
-        assert estimator.estimate(plan).cardinality == pytest.approx(via_cost)
+        assert 0.0 <= selectivity(estimator, less_than("EmpName", 5)) <= 1.0
 
     def test_estimate_cost_consumes_the_estimator(self, skewed, estimator):
         plan = Selection(equals("Dept", "Legal"), BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA))
@@ -271,7 +274,7 @@ class TestEstimatorProperties:
     def test_selection_estimate_within_input_bounds(self, pair):
         left, _, estimator = pair
         plan = Selection(equals("Name", "John"), LiteralRelation(left))
-        estimate = estimator.estimate(plan).cardinality
+        estimate = estimate_cardinality(plan, estimator=estimator)
         assert 0.0 <= estimate <= len(left) + 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -282,7 +285,7 @@ class TestEstimatorProperties:
             ComparisonOperator.EQ, AttributeRef("1.Name"), AttributeRef("2.Name")
         )
         plan = Join(predicate, LiteralRelation(left), LiteralRelation(right))
-        estimate = estimator.estimate(plan).cardinality
+        estimate = estimate_cardinality(plan, estimator=estimator)
         assert 0.0 <= estimate <= len(left) * len(right) + 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -290,12 +293,15 @@ class TestEstimatorProperties:
     def test_shrinking_operators_never_grow(self, pair):
         left, _, estimator = pair
         for wrap in (DuplicateElimination, TemporalDuplicateElimination, Coalescing):
-            estimate = estimator.estimate(wrap(LiteralRelation(left))).cardinality
+            estimate = estimate_cardinality(wrap(LiteralRelation(left)), estimator=estimator)
             assert 0.0 <= estimate <= len(left) + 1e-9
 
     @settings(max_examples=25, deadline=None)
     @given(relation=temporal_relations())
-    def test_estimates_are_data_driven_for_literal_plans(self, relation):
+    def test_literal_plans_read_the_profiled_ratio(self, relation):
         estimator = CardinalityEstimator.from_relations({"R": relation})
-        estimate = estimator.estimate(Coalescing(LiteralRelation(relation)))
-        assert estimate.assumed_tables == frozenset()
+        estimate = estimate_cardinality(Coalescing(LiteralRelation(relation)), estimator=estimator)
+        if len(relation):
+            assert estimate == pytest.approx(len(relation) * estimator.coal_ratio)
+        else:
+            assert estimator.coal_ratio is None and estimate == 0.0
