@@ -45,8 +45,8 @@ def sweep():
     return rows
 
 
-def test_ablation_cost_model_sensitivity(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ablation_cost_model_sensitivity():
+    rows = sweep()
     print(banner("Ablation — cost-model sensitivity of the chosen plan"))
     print(f"{'configuration':<42} {'stratum ops':>11} {'dbms ops':>9} {'transfers':>10} {'est. cost':>12}")
     for label, stratum_ops, dbms_ops, transfers, cost in rows:

@@ -3,8 +3,7 @@
 Regenerates the Result relation at the bottom right of Figure 1 ("which
 employees worked in a department, but not on any project, and when?" —
 sorted, coalesced, duplicate free in snapshots) by running the full pipeline
-(temporal SQL -> initial plan -> optimization -> stratum/DBMS execution), and
-times that pipeline.
+(temporal SQL -> initial plan -> optimization -> stratum/DBMS execution).
 """
 
 from repro.core.equivalence import list_equivalent
@@ -18,8 +17,8 @@ def run_motivating_query():
     return database.query(PAPER_STATEMENT)
 
 
-def test_figure1_motivating_query_result(benchmark):
-    result = benchmark(run_motivating_query)
+def test_figure1_motivating_query_result():
+    result = run_motivating_query()
     expected = expected_result_relation()
     assert list_equivalent(result, expected), "the engine must reproduce Figure 1's Result"
     print(banner("Figure 1 — example relations and the motivating query"))
@@ -31,9 +30,9 @@ def test_figure1_motivating_query_result(benchmark):
     print(result.to_table())
 
 
-def test_figure1_result_properties(benchmark):
+def test_figure1_result_properties():
     """The user-required format: sorted, coalesced, no duplicates in snapshots."""
-    result = benchmark(run_motivating_query)
+    result = run_motivating_query()
     assert result.is_coalesced()
     assert not result.has_snapshot_duplicates()
     names = [tup["EmpName"] for tup in result]

@@ -4,9 +4,9 @@ Figure 2(a) is the straightforward mapping of the user query (everything
 computed in the DBMS, a single transfer at the top); Figure 2(b) is an
 optimized tree in which the transfer has been pushed down so the stratum
 performs temporal duplicate elimination, coalescing and the temporal
-difference.  This benchmark regenerates both: the initial plan from the front
+difference.  This test regenerates both: the initial plan from the front
 end and the cost-chosen plan from the enumeration, asserts the structural
-properties the paper highlights, and times the optimization step.
+properties the paper highlights.
 """
 
 from repro.core.operations import (
@@ -28,9 +28,9 @@ def optimize_paper_query():
     return initial_plan, outcome
 
 
-def test_figure2a_initial_plan_shape(benchmark):
+def test_figure2a_initial_plan_shape():
     database = make_paper_database()
-    initial_plan, spec = benchmark(database.parse, PAPER_STATEMENT)
+    initial_plan, spec = database.parse(PAPER_STATEMENT)
     # TS(sort(coalT(rdupT(rdupT(π(EMPLOYEE)) \T π(PROJECT)))))
     assert isinstance(initial_plan, TransferToStratum)
     assert isinstance(initial_plan.child, Sort)
@@ -48,8 +48,8 @@ def test_figure2a_initial_plan_shape(benchmark):
     print(initial_plan.pretty())
 
 
-def test_figure2b_optimized_plan_shape(benchmark):
-    initial_plan, outcome = benchmark(optimize_paper_query)
+def test_figure2b_optimized_plan_shape():
+    initial_plan, outcome = optimize_paper_query()
     chosen = outcome.chosen_plan
     partition = partition_plan(chosen)
     counts = partition.operator_counts()

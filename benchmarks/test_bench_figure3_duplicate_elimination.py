@@ -1,10 +1,10 @@
 """Figure 3 — regular vs. temporal duplicate elimination.
 
 Regenerates R1 = π_{EmpName,T1,T2}(EMPLOYEE), R2 = rdup(R1) and
-R3 = rdupT(R1) exactly as printed in the paper, and times both duplicate
-elimination algorithms — the reference (specification-level) implementation
-and the stratum's sweep-line batch operator, through its executor — on a scaled
-workload.
+R3 = rdupT(R1) exactly as printed in the paper, and runs both temporal
+duplicate elimination algorithms — the reference (specification-level)
+implementation and the stratum's sweep-line batch operator, through its
+executor — on a scaled workload.
 """
 
 from repro.core.equivalence import strongest_equivalence
@@ -26,14 +26,14 @@ from .conftest import banner
 CONTEXT = EvaluationContext()
 
 
-def test_figure3_relations(benchmark):
+def test_figure3_relations():
     def build():
         r1 = Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation())).evaluate(CONTEXT)
         r2 = DuplicateElimination(LiteralRelation(r1)).evaluate(CONTEXT)
         r3 = TemporalDuplicateElimination(LiteralRelation(r1)).evaluate(CONTEXT)
         return r1, r2, r3
 
-    r1, r2, r3 = benchmark(build)
+    r1, r2, r3 = build()
     assert r1.as_list() == figure3_r1().as_list()
     assert [tuple(tup.values()) for tup in r2] == figure3_r2_rows()
     assert r3.as_list() == figure3_r3().as_list()
@@ -52,16 +52,14 @@ SCALED = generate_employees(WorkloadParameters(tuples=1500, entities=150, overla
 SCALED_NARROW = Projection(["EmpName", "T1", "T2"], LiteralRelation(SCALED)).evaluate(CONTEXT)
 
 
-def test_reference_rdupt_on_scaled_workload(benchmark):
-    result = benchmark(
-        lambda: TemporalDuplicateElimination(LiteralRelation(SCALED_NARROW)).evaluate(CONTEXT)
-    )
+def test_reference_rdupt_on_scaled_workload():
+    result = TemporalDuplicateElimination(LiteralRelation(SCALED_NARROW)).evaluate(CONTEXT)
     assert not result.has_snapshot_duplicates()
 
 
-def test_stratum_rdupt_on_scaled_workload(benchmark):
+def test_stratum_rdupt_on_scaled_workload():
     executor = StratumExecutor(ConventionalDBMS())
     plan = TemporalDuplicateElimination(LiteralRelation(SCALED_NARROW))
-    result = benchmark(lambda: executor.execute(plan))
+    result = executor.execute(plan)
     assert not result.has_snapshot_duplicates()
     assert executor.report.degraded_operations == []

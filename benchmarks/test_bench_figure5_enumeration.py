@@ -1,11 +1,10 @@
 """Figure 5 — the query plan enumeration algorithm.
 
-Times the enumeration of all plans reachable from the motivating query's
-initial plan with the default (terminating) rule set, and reports the
-statistics the algorithm's behaviour is characterised by: number of plans,
-rule usage, and how many candidate applications the Table 2 property checks
-rejected.  Determinism (Section 6) is asserted by running the enumeration
-twice.
+Enumerates all plans reachable from the motivating query's initial plan
+with the default (terminating) rule set, and reports the statistics the
+algorithm's behaviour is characterised by: number of plans, rule usage, and
+how many candidate applications the Table 2 property checks rejected.
+Determinism (Section 6) is asserted by running the enumeration twice.
 """
 
 from repro.core.enumeration import enumerate_plans
@@ -19,9 +18,9 @@ def prepare():
     return database.parse(PAPER_STATEMENT)
 
 
-def test_figure5_enumeration_of_the_paper_query(benchmark):
+def test_figure5_enumeration_of_the_paper_query():
     plan, spec = prepare()
-    result = benchmark(enumerate_plans, plan, spec)
+    result = enumerate_plans(plan, spec)
     assert len(result) > 20
     assert not result.statistics.truncated
     repeat = enumerate_plans(plan, spec)
@@ -37,7 +36,7 @@ def test_figure5_enumeration_of_the_paper_query(benchmark):
         print(f"  {name:<16} {count}")
 
 
-def test_figure5_property_checks_prune_the_space(benchmark):
+def test_figure5_property_checks_prune_the_space():
     """Disabling the Figure 5 property guard (by treating the query as a set)
 
     admits strictly more rewrites than the list query allows."""
@@ -48,7 +47,7 @@ def test_figure5_property_checks_prune_the_space(benchmark):
         as_set = enumerate_plans(plan, QueryResultSpec.set())
         return as_list, as_set
 
-    as_list, as_set = benchmark(enumerate_both)
+    as_list, as_set = enumerate_both()
     assert len(as_set) > len(as_list)
     assert as_list.statistics.rejected_by_properties > 0
     print(

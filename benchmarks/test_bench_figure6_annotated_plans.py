@@ -10,10 +10,11 @@ Figure 6 prints them, and each rewrite's applicability is established through
 the Figure 5 property checks (never by fiat).
 """
 
-from repro.core.applicability import is_rule_applicable
+from repro.core.applicability import is_rule_applicable, results_acceptable
 from repro.core.operations import Coalescing, TemporalDifference, TemporalDuplicateElimination
 from repro.core.properties import annotated_pretty
 from repro.core.rules import rules_by_name
+from repro.workloads import expected_result_relation
 
 from .conftest import PAPER_STATEMENT, banner, make_paper_database
 
@@ -59,8 +60,8 @@ def walkthrough():
     return spec, steps
 
 
-def test_figure6_walkthrough(benchmark):
-    spec, steps = benchmark(walkthrough)
+def test_figure6_walkthrough():
+    spec, steps = walkthrough()
     final = steps[-1][1]
     # The final plan keeps exactly one rdupT (guarding the difference's left
     # argument) and performs the coalescing below the difference.
@@ -75,17 +76,9 @@ def test_figure6_walkthrough(benchmark):
         print(annotated_pretty(plan, spec))
 
 
-def test_figure6_rewritten_plans_stay_correct(benchmark):
-    def execute_all():
-        database = make_paper_database()
-        spec, steps = walkthrough()
-        return [database.run_plan(plan) for _, plan in steps]
-
-    results = benchmark(execute_all)
-    from repro.core.applicability import results_acceptable
-    from repro.workloads import expected_result_relation
-
+def test_figure6_rewritten_plans_stay_correct():
+    database = make_paper_database()
+    spec, steps = walkthrough()
     expected = expected_result_relation()
-    spec, _ = walkthrough()
-    for produced in results:
-        assert results_acceptable(expected, produced, spec)
+    for _, plan in steps:
+        assert results_acceptable(expected, database.run_plan(plan), spec)

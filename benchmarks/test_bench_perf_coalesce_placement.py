@@ -3,7 +3,7 @@
 The running example performs coalescing *before* the temporal difference
 "because the left argument to the temporal difference is expected to be
 smaller than the result of the temporal difference" (Section 2.1).  Rule C10
-is what licenses that move.  This benchmark measures both placements on an
+is what licenses that move.  This experiment runs both placements on an
 adjacency-heavy workload, where coalescing shrinks the left argument
 substantially, and reports the intermediate cardinalities driving the effect.
 """
@@ -57,23 +57,19 @@ def coalesce_before_difference():
     return in_stratum(TemporalDifference(Coalescing(LEFT), Coalescing(RIGHT)))
 
 
-def test_perf_coalesce_after_difference(benchmark):
-    result = benchmark(coalesce_after_difference)
+def test_perf_coalesce_after_difference():
+    result = coalesce_after_difference()
     assert result.cardinality > 0
 
 
-def test_perf_coalesce_before_difference(benchmark):
-    result = benchmark(coalesce_before_difference)
+def test_perf_coalesce_before_difference():
+    result = coalesce_before_difference()
     assert result.cardinality > 0
 
 
-def test_perf_coalesce_placement_cardinalities(benchmark):
-    def measure():
-        coalesced_left = in_stratum(Coalescing(LEFT))
-        difference = in_stratum(TemporalDifference(LEFT, RIGHT))
-        return coalesced_left, difference
-
-    coalesced_left, difference = benchmark(measure)
+def test_perf_coalesce_placement_cardinalities():
+    coalesced_left = in_stratum(Coalescing(LEFT))
+    difference = in_stratum(TemporalDifference(LEFT, RIGHT))
     print(banner("Perf-B — coalescing before vs. after the temporal difference"))
     print(f"left argument (rdupT'd):                {LEFT.relation.cardinality:>6} tuples")
     print(f"left argument after coalescing:         {coalesced_left.cardinality:>6} tuples")

@@ -1,6 +1,6 @@
-"""Perf-D — plan-space growth and enumeration cost (extension benchmark).
+"""Perf-D — plan-space growth (extension experiment).
 
-Measures how the number of generated plans and the enumeration time grow with
+Counts how the number of generated plans grows with
 (a) the size of the query (number of temporal set operations chained) and
 (b) the rule set (algebraic rules only vs. algebraic plus transfer rules),
 and how strongly the query's result kind (Definition 5.1) prunes the space.
@@ -21,27 +21,27 @@ def enumerate_for_size(operations: int, rules=DEFAULT_RULES):
     return enumerate_plans(plan, spec, rules=rules, max_plans=MAX_PLANS)
 
 
-def test_perf_enumeration_one_set_operation(benchmark):
-    result = benchmark(enumerate_for_size, 1)
+def test_perf_enumeration_one_set_operation():
+    result = enumerate_for_size(1)
     assert len(result) > 10
 
 
-def test_perf_enumeration_two_set_operations(benchmark):
-    result = benchmark(enumerate_for_size, 2)
+def test_perf_enumeration_two_set_operations():
+    result = enumerate_for_size(2)
     assert len(result) > 10
 
 
-def test_perf_enumeration_three_set_operations(benchmark):
-    result = benchmark(enumerate_for_size, 3)
+def test_perf_enumeration_three_set_operations():
+    result = enumerate_for_size(3)
     assert len(result) > 10
 
 
-def test_perf_enumeration_algebraic_rules_only(benchmark):
-    result = benchmark(enumerate_for_size, 2, ALGEBRAIC_RULES)
+def test_perf_enumeration_algebraic_rules_only():
+    result = enumerate_for_size(2, ALGEBRAIC_RULES)
     assert len(result) >= 1
 
 
-def test_perf_enumeration_scaling_report(benchmark):
+def test_perf_enumeration_scaling_report():
     def sweep():
         rows = []
         for operations in (1, 2, 3):
@@ -54,7 +54,7 @@ def test_perf_enumeration_scaling_report(benchmark):
                 rows.append((operations, f"default/{kind}", len(outcome), outcome.statistics.truncated))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print(banner("Perf-D — plan-space growth"))
     print(f"{'set ops':<8} {'rule set / query kind':<24} {'plans':<8} truncated")
     for operations, label, plans, truncated in rows:

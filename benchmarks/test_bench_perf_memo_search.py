@@ -43,22 +43,22 @@ def test_memo_search_attempts_only_type_compatible_rules():
     assert (statistics.groups, statistics.expressions, statistics.sweeps) == (26, 55, 4)
 
 
-def test_perf_memo_search_three_set_operations(benchmark):
-    result = benchmark(memo_best, 3)
+def test_perf_memo_search_three_set_operations():
+    result = memo_best(3)
     assert not result.statistics.truncated
 
 
-def test_perf_memo_search_six_set_operations(benchmark):
-    result = benchmark(memo_best, 6)
+def test_perf_memo_search_six_set_operations():
+    result = memo_best(6)
     assert not result.statistics.truncated
 
 
-def test_perf_memo_matches_exhaustive_where_it_truncates(benchmark):
+def test_perf_memo_matches_exhaustive_where_it_truncates():
     """The acceptance criterion: chained_query(6), DEFAULT_RULES, max_plans=1500."""
     enumeration, exhaustive_cost = exhaustive_best(6)
     assert enumeration.statistics.truncated, "raise the size if enumeration stops truncating"
 
-    result = benchmark.pedantic(memo_best, args=(6,), rounds=1, iterations=1)
+    result = memo_best(6)
     memo_statistics = result.statistics
     exhaustive_statistics = enumeration.statistics
 
@@ -82,7 +82,7 @@ def test_perf_memo_matches_exhaustive_where_it_truncates(benchmark):
     assert memo_statistics.plans_considered < exhaustive_statistics.plans_considered
 
 
-def test_perf_memo_scaling_report(benchmark):
+def test_perf_memo_scaling_report():
     def sweep():
         rows = []
         for operations in (2, 4, 6, 8):
@@ -100,7 +100,7 @@ def test_perf_memo_scaling_report(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print(banner("Perf-E — plan-space growth: exhaustive vs. memo"))
     print(
         f"{'set ops':<8} {'exh plans':<10} {'truncated':<10} {'exh cost':<12} "

@@ -3,7 +3,7 @@
 The stratum's physical layer executes joins with hash/interval algorithms
 and compiled predicates instead of materialising the full (temporal)
 Cartesian product through the reference λ-calculus semantics.  This
-benchmark runs a join-heavy workload over the scaled EMPLOYEE/PROJECT
+experiment runs a join-heavy workload over the scaled EMPLOYEE/PROJECT
 relations — a temporal equi-join with a residual filter, projected and
 sorted — once through the stratum executor and once through reference
 evaluation, and asserts the outputs are *identical tuple sequences* (the

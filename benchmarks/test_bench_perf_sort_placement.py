@@ -1,12 +1,12 @@
-"""Perf-A — sort placement: DBMS-side vs. stratum-side (extension benchmark).
+"""Perf-A — sort placement: DBMS-side vs. stratum-side (extension experiment).
 
 The paper argues qualitatively that "the sort operation was pushed down
-because the DBMS sorts faster than the stratum".  This benchmark makes the
-trade-off measurable in the reproduction: the same query (project EMPLOYEE,
+because the DBMS sorts faster than the stratum".  This experiment makes the
+trade-off visible in the reproduction: the same query (project EMPLOYEE,
 eliminate temporal duplicates, sort by EmpName) is executed with the sort
 placed (a) in the DBMS, below the transfer, and (b) in the stratum, above the
 transfer, and the estimated costs of both placements under the cost model are
-reported alongside the measured times.
+compared.
 """
 
 from repro.core.cost import estimate_cost
@@ -59,28 +59,20 @@ def plan_with_stratum_sort():
     )
 
 
-def test_perf_sort_in_dbms(benchmark):
-    executor = make_executor()
-    result = benchmark(executor.execute, plan_with_dbms_sort())
+def test_perf_sort_in_dbms():
+    result = make_executor().execute(plan_with_dbms_sort())
     assert not result.has_snapshot_duplicates()
 
 
-def test_perf_sort_in_stratum(benchmark):
-    executor = make_executor()
-    result = benchmark(executor.execute, plan_with_stratum_sort())
+def test_perf_sort_in_stratum():
+    result = make_executor().execute(plan_with_stratum_sort())
     assert not result.has_snapshot_duplicates()
 
 
-def test_perf_sort_placement_cost_model(benchmark):
+def test_perf_sort_placement_cost_model():
     statistics = {"EMPLOYEE": len(EMPLOYEES)}
-
-    def estimate_both():
-        return (
-            estimate_cost(plan_with_dbms_sort(), statistics),
-            estimate_cost(plan_with_stratum_sort(), statistics),
-        )
-
-    dbms_cost, stratum_cost = benchmark(estimate_both)
+    dbms_cost = estimate_cost(plan_with_dbms_sort(), statistics)
+    stratum_cost = estimate_cost(plan_with_stratum_sort(), statistics)
     print(banner("Perf-A — sort placement (cost model view)"))
     print(f"estimated cost, sort in the DBMS:    {dbms_cost.total:,.1f}")
     print(f"estimated cost, sort in the stratum: {stratum_cost.total:,.1f}")

@@ -2,13 +2,11 @@
 
 The acceptance experiment of the ``repro.session`` subsystem: a serving
 workload that executes the same (parameterized) statements over and over
-must spend dramatically less time on the optimize path once the plan cache
-is warm.  The measurement isolates the planning stage
-(``SessionResult.timings.plan_seconds``: cache lookup, plus — on a miss —
-translation and the statement's memo search) from parsing and execution, and requires a ≥ 5×
-mean speedup of warm over cold planning.  What the wall clock shows the
-counts pin: the cold round runs every search there is, the warm rounds run
-none — a hit is lookup + bind + execute.
+must stop optimizing once the plan cache is warm.  The cold round runs every
+search there is, the warm rounds run none — a hit is lookup + bind +
+execute.  What that saves in wall-clock time the performance ledger
+measures: ``cold-plan`` clears the cache before every statement,
+``warm-serve`` hits it every time.
 
 A second experiment pins down correctness of invalidation: bumping the
 statistics epoch (one ``insert``) provably discards the cached plans — the
@@ -17,9 +15,6 @@ next execution re-optimizes and sees the new rows.
 
 from __future__ import annotations
 
-import statistics as pystats
-
-from repro.search import MemoSearch
 from repro.session import Session
 from repro.workloads import CHAINED_SQL, POINT_SQL
 
@@ -32,62 +27,34 @@ from .conftest import PAPER_STATEMENT, banner, make_paper_database
 CHAINED_STATEMENT = CHAINED_SQL
 PARAMETERIZED_STATEMENT = POINT_SQL
 DEPARTMENTS = ("Sales", "Advertising", "Engineering", "Sales")
-
-#: Acceptance threshold: warm (cached) planning must be at least this much
-#: faster than cold planning on the mean.
-REQUIRED_SPEEDUP = 5.0
 ROUNDS = 8
 
 
-def _run_mix(session: Session) -> list:
-    timings = []
-    timings.append(session.execute(PAPER_STATEMENT).timings.plan_seconds)
-    timings.append(session.execute(CHAINED_STATEMENT).timings.plan_seconds)
+def _run_mix(session: Session) -> int:
+    """Execute the mix once; the number of statements executed."""
+    session.execute(PAPER_STATEMENT)
+    session.execute(CHAINED_STATEMENT)
     for dept in DEPARTMENTS:
-        timings.append(
-            session.execute(PARAMETERIZED_STATEMENT, params=(dept,)).timings.plan_seconds
-        )
-    return timings
+        session.execute(PARAMETERIZED_STATEMENT, params=(dept,))
+    return 2 + len(DEPARTMENTS)
 
 
-def test_perf_plan_cache_repeated_workload_speedup(monkeypatch):
-    """Warm optimize-path latency is ≥ 5× below cold on the repeated mix."""
+def test_perf_plan_cache_warm_rounds_run_no_search(planning_work):
+    """The cold round searches once per statement shape, the warm rounds never."""
     session = Session(make_paper_database())
-    searches = []
-    real_optimize = MemoSearch.optimize
-
-    def optimize(self, plan, *args, **kwargs):
-        searches.append(plan)
-        return real_optimize(self, plan, *args, **kwargs)
-
-    monkeypatch.setattr(MemoSearch, "optimize", optimize)
-
-    cold = _run_mix(session)  # every statement optimizes once
-    assert len(searches) == 3
-    warm: list = []
-    for _ in range(ROUNDS):
-        warm.extend(_run_mix(session))
-    assert len(searches) == 3, "a warm round ran a search"
+    _run_mix(session)  # every statement shape optimizes once
+    assert planning_work["searches"] == 3
+    warm = sum(_run_mix(session) for _ in range(ROUNDS))
+    assert planning_work["searches"] == 3, "a warm round ran a search"
 
     info = session.cache_info()
     # 3 distinct statement shapes; everything after the cold round hits.
     assert info.misses == 3
-    assert info.hits == len(warm) + len(DEPARTMENTS) - 1
+    assert info.hits == warm + len(DEPARTMENTS) - 1
 
-    cold_mean = pystats.mean(cold)
-    warm_mean = pystats.mean(warm)
-    speedup = cold_mean / warm_mean if warm_mean else float("inf")
-
-    print(banner("Perf-S — plan cache: cold vs. warm optimize-path latency"))
-    print(f"{'cold mean (s)':24} {cold_mean:>12.6f}")
-    print(f"{'warm mean (s)':24} {warm_mean:>12.6f}")
-    print(f"{'speedup':24} {speedup:>12.1f}x")
+    print(banner("Perf-S — plan cache: cold vs. warm rounds"))
+    print(f"{'searches':24} {planning_work['searches']:>6} (all in the cold round)")
     print(f"{'cache':24} {info.hits:>6} hits {info.misses:>4} misses")
-
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"plan cache speedup {speedup:.1f}x below the required "
-        f"{REQUIRED_SPEEDUP:.0f}x (cold {cold_mean:.6f}s, warm {warm_mean:.6f}s)"
-    )
 
 
 def test_perf_plan_cache_epoch_bump_invalidates():
@@ -118,10 +85,10 @@ def test_perf_plan_cache_epoch_bump_invalidates():
     assert fourth.cache_hit
 
 
-def test_perf_plan_cache_benchmark_lookup(benchmark):
-    """pytest-benchmark timing of the warm path (lookup + bind + execute)."""
+def test_perf_plan_cache_warm_lookup_hits():
+    """The warm path (lookup + bind + execute) serves the cached plan."""
     session = Session(make_paper_database())
     session.execute(PAPER_STATEMENT)
 
-    result = benchmark(session.execute, PAPER_STATEMENT)
+    result = session.execute(PAPER_STATEMENT)
     assert result.cache_hit

@@ -10,21 +10,16 @@ generated workload (Zipf values, clustered periods, heavy duplication):
   selectivity/overlap baseline, and every table the suite reads must be
   profiled (none fell back to the statistics mapping or
   ``DEFAULT_BASE_CARDINALITY``).  One q-error line per operator class is
-  printed and archived as a record, with no bound of its own;
+  printed as a record, with no bound of its own;
 * **plan quality** — every fully enumerable registry query is optimized by
   the memo search with statistics off and on; at least one query must
   change to a plan that is *strictly cheaper by measured executor cost*
   (the cost model evaluated at the plan's actual cardinalities,
   :func:`repro.core.cost.measure_cost`).
-
-The results are written as JSON to the file ``STATS_QERROR_JSON`` names,
-when set, so CI can archive the run as an artifact (a local run writes
-nothing); ``STATS_BENCH_SCALE`` shrinks the workload for smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 from statistics import median
 
 import pytest
@@ -63,12 +58,9 @@ from repro.workloads import (
     skewed_paper_workload,
 )
 
-from .conftest import archive_results, banner
+from .conftest import banner
 
-SCALE = int(os.environ.get("STATS_BENCH_SCALE", "40"))
-
-#: Shared between the tests of this module and flushed to JSON at the end.
-RESULTS: dict = {"scale": SCALE}
+SCALE = 40
 
 
 @pytest.fixture(scope="module")
@@ -154,13 +146,6 @@ def test_qerror_histograms_beat_constants(workload):
         }
         for operator, members in by_operator.items()
     }
-    RESULTS["qerror"] = {
-        "queries": rows,
-        "constant_median": constant_median,
-        "histogram_median": histogram_median,
-        "per_operator": per_operator,
-    }
-
     print(banner(f"Stats-Q — q-error on the skewed workload (scale {SCALE})"))
     print(f"{'query':16} {'actual':>8} {'const est':>10} {'hist est':>10} {'q const':>8} {'q hist':>8}")
     for row in rows:
@@ -199,8 +184,6 @@ def test_plan_quality_stats_flip_at_least_one_query_to_cheaper_plan(workload):
                 "measured_with_stats": measured_on,
             }
         )
-    RESULTS["plan_quality"] = rows
-
     print(banner("Stats-Q — plan choice with statistics off vs. on"))
     print(f"{'query':20} {'flipped':>8} {'measured off':>14} {'measured on':>14}")
     for row in rows:
@@ -219,9 +202,3 @@ def test_plan_quality_stats_flip_at_least_one_query_to_cheaper_plan(workload):
         if row["measured_with_stats"] < row["measured_without_stats"] * (1 - 1e-9)
     ]
     assert strictly_cheaper, "no flipped plan was cheaper by measured executor cost"
-
-
-def test_write_benchmark_json():
-    """Check the module's measurements; archive them when ``STATS_QERROR_JSON`` names a file."""
-    assert "qerror" in RESULTS and "plan_quality" in RESULTS, "run the full module"
-    archive_results("STATS_QERROR_JSON", RESULTS, "Stats-Q")

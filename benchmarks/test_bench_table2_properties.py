@@ -2,8 +2,8 @@
 
 Regenerates the three properties (OrderRequired, DuplicatesRelevant,
 PeriodPreserving), shows them annotated over the motivating query's initial
-plan (the shaded regions of Figure 2(a)), and times the annotation pass —
-the step the enumeration algorithm performs for every plan it considers.
+plan (the shaded regions of Figure 2(a)): the annotation pass is the step the
+enumeration algorithm performs for every plan it considers.
 """
 
 from repro.core.properties import annotate, annotated_pretty
@@ -17,9 +17,9 @@ def build_plan_and_spec():
     return database.parse(PAPER_STATEMENT)
 
 
-def test_table2_property_annotation(benchmark):
+def test_table2_property_annotation():
     plan, spec = build_plan_and_spec()
-    properties = benchmark(annotate, plan, spec)
+    properties = annotate(plan, spec)
     assert len(properties) == plan.size()
     root = properties[()]
     # The query is a list (ORDER BY) with DISTINCT: order is required, the
@@ -35,9 +35,9 @@ def test_table2_property_annotation(benchmark):
     print(annotated_pretty(plan, spec))
 
 
-def test_table2_regions_match_figure2a(benchmark):
+def test_table2_regions_match_figure2a():
     plan, spec = build_plan_and_spec()
-    properties = benchmark(annotate, plan, spec)
+    properties = annotate(plan, spec)
     below_sort = [path for path in properties if len(path) >= 2]
     assert below_sort and all(not properties[path].order_required for path in below_sort)
     below_coalescing = [path for path in properties if len(path) >= 3]
@@ -52,16 +52,10 @@ def test_table2_regions_match_figure2a(benchmark):
     assert properties[inner_dedup_path].duplicates_relevant
 
 
-def test_table2_query_kind_changes_the_root(benchmark):
+def test_table2_query_kind_changes_the_root():
     plan, _ = build_plan_and_spec()
-
-    def annotate_for_all_kinds():
-        return (
-            annotate(plan, QueryResultSpec.multiset()),
-            annotate(plan, QueryResultSpec.set()),
-        )
-
-    multiset_properties, set_properties = benchmark(annotate_for_all_kinds)
+    multiset_properties = annotate(plan, QueryResultSpec.multiset())
+    set_properties = annotate(plan, QueryResultSpec.set())
     assert not multiset_properties[()].order_required
     assert multiset_properties[()].duplicates_relevant
     assert not set_properties[()].duplicates_relevant

@@ -18,9 +18,7 @@ the tracer's own and the export format:
   tracer's ``clock`` callable (default :func:`time.perf_counter`), so tests
   drive a fake monotonic clock and assert exact durations.
 
-:meth:`Tracer.start_trace`/:meth:`Trace.span` remain for code that wants to
-record spans by hand around its own sections.  Traces export two ways:
-:meth:`Trace.to_dict` (structured, JSON-safe) and
+Traces export two ways: :meth:`Trace.to_dict` (structured, JSON-safe) and
 :meth:`Trace.to_chrome_trace` — the Chrome trace-event format (complete
 ``"X"`` events with microsecond ``ts``/``dur``), loadable directly in
 Perfetto or ``chrome://tracing``.
@@ -32,8 +30,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 class Span:
@@ -77,42 +74,12 @@ class Span:
 
 
 class Trace:
-    """One request's span tree, rooted at the request span itself.
+    """One request's span tree, rooted at the request span itself (built
+    complete by :func:`build_trace`)."""
 
-    A session request's trace arrives complete (:func:`build_trace`).  One
-    recorded by hand nests through a stack: :meth:`span` opens a child of
-    the innermost open span and closes it when the ``with`` block exits.
-    """
-
-    def __init__(
-        self, trace_id: str, root: Span, clock: Callable[[], float] = time.perf_counter
-    ) -> None:
+    def __init__(self, trace_id: str, root: Span) -> None:
         self.trace_id = trace_id
-        self.clock = clock
         self.root = root
-        self._stack: List[Span] = [root]
-
-    # -- recording ---------------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a child span of the innermost open span for the ``with`` block."""
-        span = Span(name, self.clock(), attributes=attributes)
-        self._stack[-1].children.append(span)
-        self._stack.append(span)
-        try:
-            yield span
-        finally:  # ``with`` blocks exit innermost first, so ``span`` is on top
-            span.duration = self.clock() - span.start
-            self._stack.pop()
-
-    def finish(self) -> "Trace":
-        """Close the root; idempotent."""
-        if self.root.duration is None:
-            self.root.duration = self.clock() - self.root.start
-        return self
-
-    # -- export ------------------------------------------------------------------
 
     @property
     def duration(self) -> Optional[float]:
@@ -213,14 +180,14 @@ class Tracer:
     """Sampler, trace-id source and retention ring.
 
     >>> from repro.obs import Tracer
-    >>> ticks = iter(range(100))
-    >>> tracer = Tracer(clock=lambda: float(next(ticks)))
-    >>> trace = tracer.start_trace("request")
-    >>> with trace.span("parse"):
-    ...     pass
-    >>> tracer.finish(trace)
-    >>> [span.name for span in tracer.recent()[0].spans()]
-    ['request', 'parse']
+    >>> tracer = Tracer(sample_every=2)
+    >>> [tracer.sample() for _ in range(3)]
+    ['t00000001', None, 't00000002']
+    >>> tracer.retain(trace_id="t00000001", statement="SELECT 1",
+    ...               phases={"parse": (0.0, 0.25, {}), "execute": (0.25, 1.0, {})})
+    >>> trace = tracer.recent()[0]
+    >>> [(span.name, span.duration) for span in trace.spans()]
+    [('request', 1.25), ('parse', 0.25), ('execute', 1.0)]
 
     Sampling is **deterministic**: with ``sample_every=n`` exactly every
     n-th :meth:`sample` call is sampled (the first call always is), so tests
@@ -243,9 +210,8 @@ class Tracer:
         self.clock = clock
         self._ids = itertools.count(1)
         self._calls = itertools.count()
-        #: Finished hand-recorded :class:`Trace` objects and, per sampled
-        #: session request, the keyword arguments of :func:`build_trace`.
-        self._finished: "deque[Any]" = deque(maxlen=max(1, keep))
+        #: Per sampled request, the keyword arguments of :func:`build_trace`.
+        self._finished: "deque[Dict[str, Any]]" = deque(maxlen=max(1, keep))
         self._lock = threading.Lock()
 
     def sample(self) -> Optional[str]:
@@ -253,21 +219,6 @@ class Tracer:
         if not self.enabled or next(self._calls) % self.sample_every:
             return None
         return f"t{next(self._ids):08x}"
-
-    def start_trace(self, name: str, **attributes: Any) -> Optional[Trace]:
-        """A new hand-recorded :class:`Trace`, or ``None`` when not sampled."""
-        trace_id = self.sample()
-        if trace_id is None:
-            return None
-        return Trace(trace_id, Span(name, self.clock(), attributes=attributes), self.clock)
-
-    def finish(self, trace: Optional[Trace]) -> None:
-        """Close ``trace`` and retain it in the last-N ring (None is a no-op)."""
-        if trace is None:
-            return
-        trace.finish()
-        with self._lock:
-            self._finished.append(trace)
 
     def retain(self, **request: Any) -> None:
         """Keep one sampled request — :func:`build_trace`'s arguments — in the ring."""
@@ -280,6 +231,4 @@ class Tracer:
             entries = list(self._finished)
         if limit is not None and limit >= 0:
             entries = entries[-limit:] if limit else []
-        return [
-            entry if isinstance(entry, Trace) else build_trace(**entry) for entry in entries
-        ]
+        return [build_trace(**entry) for entry in entries]

@@ -46,9 +46,10 @@ oversized line is answered ``{"status": "error", "code":
 malicious) client cannot buffer unbounded memory server-side.  Malformed
 JSON — and valid JSON that is no request: not an object, an unknown ``op``,
 a missing ``statement``/``table``, ``params``/``rows`` that are not lists, a
-``timeout`` that is not a number, a ``request_id``/``limit`` that is not an
-integer — answers ``code: "BAD_REQUEST"`` naming what is wrong, and keeps
-the connection; a client that disconnects mid-line is dropped silently.
+row that is not a list, a ``timeout`` that is not a finite number, a
+``request_id``/``limit`` that is not an integer — answers ``code:
+"BAD_REQUEST"`` naming what is wrong, and keeps the connection; a client
+that disconnects mid-line is dropped silently.
 
 The front end is a ``ThreadingTCPServer`` whose handler threads parse lines
 and call the wrapped :class:`~repro.server.server.Server`'s blocking
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import socket
 import socketserver
@@ -96,6 +98,14 @@ def _field(message: Dict[str, Any], name: str, kind, described: str, required: b
     if isinstance(value, bool) or not isinstance(value, kind):
         raise _BadRequest(f"field {name!r} must be {described}, got {type(value).__name__}")
     return value
+
+
+def _timeout(message: Dict[str, Any]) -> Optional[float]:
+    """``message["timeout"]``, a finite number or ``None`` (JSON admits ``NaN``)."""
+    timeout = _field(message, "timeout", (int, float), "a number")
+    if timeout is not None and not math.isfinite(timeout):
+        raise _BadRequest(f"field 'timeout' must be finite, got {timeout}")
+    return timeout
 
 
 def response_to_wire(response: Response) -> Dict[str, Any]:
@@ -198,18 +208,18 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         if op == "query":
             return self._query(server, message)
         if op == "append":
-            response = server.append(
-                _field(message, "table", str, "a string", required=True),
-                _field(message, "rows", list, "a list") or (),
-                timeout=_field(message, "timeout", (int, float), "a number"),
-            )
-            return response_to_wire(response)
+            table = _field(message, "table", str, "a string", required=True)
+            rows = _field(message, "rows", list, "a list") or ()
+            for row in rows:
+                if not isinstance(row, list):
+                    raise _BadRequest(f"each of 'rows' must be a list, got {type(row).__name__}")
+            return response_to_wire(server.append(table, rows, timeout=_timeout(message)))
         raise _BadRequest(f"unknown op: {op!r}")
 
     def _query(self, server: Server, message: Dict[str, Any]) -> Dict[str, Any]:
         statement = _field(message, "statement", str, "a string", required=True)
         params = tuple(_field(message, "params", list, "a list") or ())
-        timeout = _field(message, "timeout", (int, float), "a number")
+        timeout = _timeout(message)
         key = message.get("id")
         if key is None:
             return response_to_wire(server.query(statement, params, timeout=timeout))

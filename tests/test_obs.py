@@ -8,6 +8,7 @@ a barrier-released burst (mirroring ``tests/test_concurrency.py``).
 
 from __future__ import annotations
 
+import doctest
 import json
 import logging
 import threading
@@ -20,8 +21,10 @@ from repro.core.exceptions import ParameterError, ParseError, ResourceExhaustedE
 from repro.faults import FAULTS, ResourceGuard
 from repro.obs import MetricsRegistry, SlowQueryLog, Tracer, q_error
 from repro.options import ExecutionOptions
+from repro.obs.trace import build_trace
 from repro.server import Server
 from repro.session import Session
+from repro.session.explain import OperatorLine
 from repro.stratum import TemporalDatabase
 from repro.stratum.executor import StratumExecutor
 from repro.stratum.partition import partition_plan
@@ -62,32 +65,74 @@ def make_database() -> TemporalDatabase:
 # ---------------------------------------------------------------------------
 
 
+class StepClock:
+    """A monotonic clock that advances one second per read."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def retained(trace_id: str = "t1", error_code=None) -> dict:
+    """:func:`build_trace`'s arguments: parse 0.25 s, then execute 1.5 s with a
+    1 s scan inside it and a fused product that was never timed."""
+    return {
+        "trace_id": trace_id,
+        "statement": "SELECT 1",
+        "phases": {"parse": (0.0, 0.25, {"dialect": "tsql"}), "execute": (0.25, 1.5, {})},
+        "operators": [
+            OperatorLine((0,), "scan", "dbms", actual_rows=7, time_seconds=1.0, start_seconds=0.25),
+            OperatorLine((0, 0), "×", "dbms", actual_rows=7),
+        ],
+        "error_code": error_code,
+    }
+
+
 class TestTracer:
-    def test_spans_nest_and_measure_on_the_injected_clock(self):
-        clock = ManualClock()
-        tracer = Tracer(clock=clock)
-        trace = tracer.start_trace("request", statement="SELECT 1")
-        with trace.span("parse"):
-            clock.advance(0.25)
-        with trace.span("execute") as execute:
-            with trace.span("scan"):
-                clock.advance(1.0)
-            clock.advance(0.5)
-            execute.set(rows=7)
-        tracer.finish(trace)
+    def test_build_trace_nests_the_record_under_the_request_span(self):
+        trace = build_trace(**retained(error_code="TIMED_OUT"))
         root = trace.root
-        assert root.duration == pytest.approx(1.75)
-        parse, execute_span = root.children
-        assert parse.name == "parse" and parse.duration == pytest.approx(0.25)
-        assert execute_span.duration == pytest.approx(1.5)
-        assert execute_span.attributes["rows"] == 7
-        (scan,) = execute_span.children
-        assert scan.start == pytest.approx(0.25) and scan.duration == pytest.approx(1.0)
+        assert (root.name, root.start, root.duration) == ("request", 0.0, 1.75)
+        assert root.attributes == {
+            "statement": "SELECT 1", "error": True, "error_code": "TIMED_OUT"
+        }
+        parse, execute = root.children
+        assert (parse.name, parse.duration) == ("parse", 0.25)
+        assert parse.attributes == {"dialect": "tsql"}
+        (scan,) = execute.children  # the untimed line builds no span
+        assert (scan.name, scan.start, scan.duration) == ("scan", 0.25, 1.0)
+        assert scan.attributes == {"path": [0], "rows": 7, "engine": "dbms"}
+        assert "error" not in build_trace(**retained()).root.attributes
+
+    def test_spans_nest_and_measure_on_the_injected_clock(self):
+        tracer = Tracer(clock=StepClock())
+        session = Session(make_database(), options=ExecutionOptions(tracer=tracer))
+        result = session.execute(PAPER_SQL)
+        (trace,) = tracer.recent()
+        assert trace.trace_id == result.trace_id
+        root = trace.root
+        assert [span.name for span in root.children] == ["parse", "optimize", "bind", "execute"]
+        # Every stamp is a read of the injected clock: whole seconds, phases
+        # back to back, operators inside the execute span.
+        for span in trace.spans():
+            assert span.start == int(span.start) and span.duration == int(span.duration) > 0
+        for before, after in zip(root.children, root.children[1:]):
+            assert before.start + before.duration <= after.start
+        first, last = root.children[0], root.children[-1]
+        assert root.start == first.start
+        assert root.start + root.duration == last.start + last.duration
+        execute = trace.find("execute")
+        assert execute.children
+        for span in execute.children:
+            assert execute.start <= span.start
+            assert span.start + span.duration <= execute.start + execute.duration
 
     def test_sampling_is_deterministic_modular(self):
-        clock = ManualClock()
-        tracer = Tracer(sample_every=3, clock=clock)
-        sampled = [tracer.start_trace("request") is not None for _ in range(9)]
+        tracer = Tracer(sample_every=3, clock=ManualClock())
+        sampled = [tracer.sample() is not None for _ in range(9)]
         assert sampled == [True, False, False, True, False, False, True, False, False]
 
     def test_disabled_tracer_returns_none_without_reading_the_clock(self):
@@ -97,66 +142,46 @@ class TestTracer:
             calls.append(1)
             return 0.0
 
-        assert Tracer(enabled=False, clock=clock).start_trace("request") is None
-        assert Tracer(sample_every=0, clock=clock).start_trace("request") is None
+        assert Tracer(enabled=False, clock=clock).sample() is None
+        assert Tracer(sample_every=0, clock=clock).sample() is None
         assert calls == []
 
     def test_recent_is_a_bounded_ring(self):
-        clock = ManualClock()
-        tracer = Tracer(clock=clock, keep=2)
+        tracer = Tracer(clock=ManualClock(), keep=2)
         ids = []
         for _ in range(3):
-            trace = tracer.start_trace("request")
-            ids.append(trace.trace_id)
-            tracer.finish(trace)
+            ids.append(tracer.sample())
+            tracer.retain(**retained(ids[-1]))
         recent = tracer.recent()
         assert [t.trace_id for t in recent] == ids[-2:]
         assert [t.trace_id for t in tracer.recent(limit=1)] == ids[-1:]
+        assert tracer.recent(limit=0) == []
         assert len(set(ids)) == 3
 
-    def test_finish_is_none_safe_and_idempotent(self):
-        tracer = Tracer(clock=ManualClock())
-        tracer.finish(None)
-        trace = tracer.start_trace("request")
-        tracer.finish(trace)
-        duration = trace.duration
-        tracer.finish(trace)
-        assert trace.duration == duration
-
     def test_chrome_trace_round_trips_with_the_expected_keys(self):
-        clock = ManualClock()
-        tracer = Tracer(clock=clock)
-        trace = tracer.start_trace("request")
-        with trace.span("parse", dialect="tsql"):
-            clock.advance(0.002)
-        tracer.finish(trace)
+        trace = build_trace(**retained())
         exported = json.loads(json.dumps(trace.to_chrome_trace()))
         assert set(exported) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert exported["otherData"]["trace_id"] == trace.trace_id
         events = exported["traceEvents"]
-        assert [event["name"] for event in events] == ["request", "parse"]
+        assert [event["name"] for event in events] == ["request", "parse", "execute", "scan"]
         for event in events:
             assert set(event) == {"name", "ph", "ts", "dur", "pid", "tid", "args"}
             assert event["ph"] == "X"
-        parse_event = events[1]
+        parse_event, scan_event = events[1], events[3]
         assert parse_event["ts"] == pytest.approx(0.0)
-        assert parse_event["dur"] == pytest.approx(2000.0)  # microseconds
+        assert parse_event["dur"] == pytest.approx(250_000.0)  # microseconds
         assert parse_event["args"] == {"dialect": "tsql"}
+        assert scan_event["ts"] == pytest.approx(250_000.0)
 
     def test_to_dict_preserves_the_span_tree(self):
-        clock = ManualClock()
-        tracer = Tracer(clock=clock)
-        trace = tracer.start_trace("request")
-        with trace.span("outer"):
-            with trace.span("inner"):
-                clock.advance(1.0)
-        tracer.finish(trace)
+        trace = build_trace(**retained())
         payload = trace.to_dict()
         assert payload["trace_id"] == trace.trace_id
-        outer = payload["root"]["children"][0]
-        assert outer["name"] == "outer"
-        assert outer["children"][0]["name"] == "inner"
-        assert outer["children"][0]["duration"] == pytest.approx(1.0)
+        execute = payload["root"]["children"][1]
+        assert execute["name"] == "execute"
+        assert execute["children"][0]["name"] == "scan"
+        assert execute["children"][0]["duration"] == pytest.approx(1.0)
 
     def test_tracer_hammer_keeps_the_ring_consistent(self):
         tracer = Tracer(keep=16)
@@ -167,10 +192,7 @@ class TestTracer:
             try:
                 barrier.wait(timeout=10.0)
                 for _ in range(200):
-                    trace = tracer.start_trace("request")
-                    with trace.span("step"):
-                        pass
-                    tracer.finish(trace)
+                    tracer.retain(**retained(tracer.sample()))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -182,7 +204,12 @@ class TestTracer:
         assert errors == []
         recent = tracer.recent()
         assert len(recent) == 16
-        assert all(trace.duration is not None for trace in recent)
+        assert len({trace.trace_id for trace in recent}) == 16
+        assert all(trace.duration == 1.75 for trace in recent)
+
+    def test_the_tracer_doctest_passes(self):
+        failed, attempted = doctest.testmod(repro.obs.trace)
+        assert failed == 0 and attempted > 0
 
 
 # ---------------------------------------------------------------------------

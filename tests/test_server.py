@@ -10,12 +10,15 @@ The snapshot-differential and stress coverage lives in
 from __future__ import annotations
 
 import dataclasses
+import math
 import queue
 import threading
 import time
 
 import pytest
 
+from repro.core.relation import Relation
+from repro.core.schema import STRING, RelationSchema
 from repro.options import ExecutionOptions
 from repro.search import MemoSearch
 from repro.server import (
@@ -41,6 +44,8 @@ def make_server(**kwargs) -> Server:
 
 
 from .conftest import flight_waiters, in_threads, wait_until
+
+NAN = float("nan")
 
 BLOCK_MARKER = "SELECT-BLOCK-MARKER"
 
@@ -584,6 +589,39 @@ class TestTCPFrontend:
                         client.close()
             info = server.plan_cache.info()
             assert info.misses == 1 and info.hits == 3
+
+
+    @pytest.mark.parametrize(
+        "message, field",
+        [
+            ({"op": "append", "table": "EMPLOYEE", "rows": [5]}, "rows"),
+            ({"op": "append", "table": "EMPLOYEE", "rows": ["abcd"]}, "rows"),
+            # Four string columns: split per character, "abcd" would fit.
+            ({"op": "append", "table": "LETTERS", "rows": ["abcd"]}, "rows"),
+            ({"op": "append", "table": "LETTERS", "rows": [list("abcd"), "abcd"]}, "rows"),
+            (
+                {"op": "append", "table": "LETTERS", "rows": [list("abcd")], "timeout": NAN},
+                "timeout",
+            ),
+            ({"op": "query", "statement": PAPER_SQL, "timeout": NAN}, "timeout"),
+            ({"op": "query", "statement": PAPER_SQL, "timeout": -math.inf}, "timeout"),
+        ],
+        ids=["int-row", "string-row", "string-row-all-strings", "second-row", "append-nan",
+             "query-nan", "query-infinity"],
+    )
+    def test_a_row_that_is_no_list_or_a_non_finite_timeout_is_a_bad_request(self, message, field):
+        letters = RelationSchema.snapshot([(name, STRING) for name in "ABCD"], name="LETTERS")
+        with make_server() as server:
+            server.database.register("LETTERS", Relation.from_rows(letters, []))
+            epoch = server.database.statistics_epoch()
+            with TCPFrontend(server) as frontend, TCPClient(*frontend.address) as client:
+                reply = client.request(message)
+                assert (reply["status"], reply.get("code")) == ("error", "BAD_REQUEST"), reply
+                assert field in reply["error"]
+                assert client.ping()["pong"] is True
+            # Checked before anything is stored: no row of a bad batch lands.
+            assert server.database.statistics_epoch() == epoch
+            assert len(server.database.table("LETTERS")) == 0
 
 
 class TestObservabilityIntegration:
