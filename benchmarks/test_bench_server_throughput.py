@@ -3,8 +3,8 @@
 Three acceptance experiments for :mod:`repro.server`:
 
 * **serving by concurrency** — the shared ``concurrent-mix`` read workload
-  driven by 1, 4 and 16 concurrent clients against a ``max_concurrency=4``
-  worker pool.  Results must be correct (every response ``ok``), the pool
+  driven by 1, 4 and 16 concurrent clients against ``max_concurrency=4``
+  session slots.  Results must be correct (every response ``ok``), the slot
   bound must hold (peak active workers ≤ 4) and the shared plan cache must
   serve virtually every request;
 * **shared plan cache across sessions** — a *second* session's first

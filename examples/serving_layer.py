@@ -4,9 +4,10 @@ Starts a :class:`repro.server.Server` over the paper's example data, puts
 the newline-delimited-JSON TCP front end on a free local port, and drives
 it with several concurrent clients running the shared ``concurrent-mix``
 workload — parameterized reads plus interleaved appends.  Afterwards the
-server's own metrics show what happened: latency percentiles, queue/worker
-gauges, and the shared plan cache's cross-session hit rate (every statement
-is optimized once, whichever client sent it first).
+server's own metrics show what happened: latency percentiles and the
+shared plan cache's cross-session hit rate (every statement is optimized
+once, whichever client sent it first).  Each request runs on the front
+end's thread for its connection; at most ``max_concurrency`` run at once.
 
 Run with::
 
@@ -62,7 +63,7 @@ def main() -> None:
     with Server(database, max_concurrency=2, queue_limit=32) as server:
         with TCPFrontend(server) as frontend:
             host, port = frontend.address
-            print(f"serving on {host}:{port} with {server.max_concurrency} workers\n")
+            print(f"serving on {host}:{port} with {server.max_concurrency} session slots\n")
 
             log: list = []
             lock = threading.Lock()

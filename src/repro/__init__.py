@@ -41,7 +41,7 @@ coalescing.  This package implements that foundation end to end:
     ``EXPLAIN [ANALYZE]`` with per-operator estimates vs. actuals.
 
 ``repro.server``
-    the concurrent serving layer: a worker-pool ``Server`` over one shared
+    the concurrent serving layer: a ``Server`` of session slots over one shared
     database and plan cache, snapshot-pinned reads, admission control, and
     a newline-JSON TCP front end.
 

@@ -1,17 +1,17 @@
 """Cooperative cancellation, deadlines and per-request resource budgets.
 
-Python worker threads cannot be preempted, so stopping a running query is
+Python threads cannot be preempted, so stopping a running query is
 necessarily *cooperative*: the executors call back into a small control
 object at cheap, regular points — every ``interval`` tuples pulled through
 a physical operator, and once per plan node / lifecycle phase — and that
 object raises when the request should stop:
 
-* :class:`CancellationToken` — carried from ``Server.submit`` through the
+* :class:`CancellationToken` — carried from the server's admission through the
   :class:`~repro.session.session.Session` into both engines' pull loops.
   ``cancel()`` (any thread) or an expired deadline makes the *next* check
   raise :class:`~repro.core.exceptions.CancelledError` /
   :class:`~repro.core.exceptions.DeadlineExceededError`, so the query stops
-  within one check interval instead of burning a worker to completion;
+  within one check interval instead of running to completion;
 * :class:`ResourceGuard` — row and materialized-byte budgets charged from
   the same hook, raising
   :class:`~repro.core.exceptions.ResourceExhaustedError`;

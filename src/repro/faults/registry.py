@@ -12,7 +12,7 @@ fault would surface:
 ``stratum.pull``   the stratum physical operators' pull loops
 ``dbms.scan``      the conventional DBMS physical operators' pull loops
 ``catalog.append`` catalog append (supports corrupt-and-detect)
-``server.worker``  the server worker loop, before a request executes
+``server.worker``  the thread running a server request, before it executes
 ``server.tcp``     the TCP front end's request dispatch
 =================  ==========================================================
 

@@ -2,7 +2,7 @@
 
 The serving layer needs aggregate telemetry that outlives any single
 request: plan-cache hits/misses, memo tasks expanded, operator rows
-produced, admission queue depth, per-statement-kind latency
+produced, admission line length, per-statement-kind latency
 distributions.  :class:`MetricsRegistry` holds typed instruments for all
 of these and renders them two ways — :meth:`MetricsRegistry.snapshot`
 (a plain dict for programmatic readers such as ``ServerStats``) and

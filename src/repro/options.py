@@ -35,7 +35,7 @@ class ExecutionOptions:
     Construct once, pass everywhere: ``repro.connect(ExecutionOptions(...))``
     wires a :class:`~repro.stratum.layer.TemporalDatabase` from it, sessions
     created via :meth:`~repro.stratum.layer.TemporalDatabase.session` inherit
-    it, and :class:`~repro.server.server.Server` applies it to every worker
+    it, and :class:`~repro.server.server.Server` applies it to every slot's
     session.  Instances are frozen (hashable, safely shared across threads);
     derive variants with :meth:`replace`.
 
@@ -56,8 +56,6 @@ class ExecutionOptions:
       server defaults to a private registry when ``None``.
     * ``slow_query_seconds`` / ``slow_query_logger`` — slow-query-log
       threshold and sink.
-    * ``cancellation`` — create per-request cancellation tokens in the
-      server.
     * ``max_rows_per_request`` / ``max_bytes_per_request`` — per-request
       resource budgets enforced by the execution-control ticks.
     """
@@ -68,7 +66,6 @@ class ExecutionOptions:
     metrics: Optional[Any] = None
     slow_query_seconds: Optional[float] = None
     slow_query_logger: Optional[Any] = None
-    cancellation: bool = True
     max_rows_per_request: Optional[int] = None
     max_bytes_per_request: Optional[int] = None
 

@@ -4,11 +4,10 @@ The paper's stratum architecture assumes a DBMS serving many concurrent
 users; this package supplies the reproduction's serving layer on top of the
 :class:`~repro.session.session.Session` lifecycle:
 
-* :class:`Server` — ``max_concurrency`` pooled sessions over the shared
-  :class:`~repro.stratum.layer.TemporalDatabase`, each request running on
-  the caller's thread when a session is free and on a worker thread when
-  it has to queue,
-  all sharing one process-wide, thread-safe
+* :class:`Server` — ``max_concurrency`` session slots over the shared
+  :class:`~repro.stratum.layer.TemporalDatabase`, every request running on
+  the thread that asks for it (waiting in line for a slot when all are
+  busy), all sharing one process-wide, thread-safe
   :class:`~repro.session.cache.PlanCache` (keyed by ``(fingerprint,
   statistics epoch)``, so cross-session sharing and invalidation are safe
   by construction);
@@ -17,11 +16,11 @@ users; this package supplies the reproduction's serving layer on top of the
   the same database class over a pinned catalog, so it returns exactly the
   serial result for the epoch it was admitted at while concurrent appends
   proceed;
-* **admission control** — a bounded queue with explicit rejection
-  (:class:`ServerOverloadedError`) and a per-request queue-wait deadline,
-  so overload produces backpressure instead of unbounded growth;
-* **metrics** — per-request latency percentiles, queue depth, active
-  workers and plan-cache counters as one :class:`ServerStats` snapshot;
+* **admission control** — a bounded FIFO line of waiting requests with
+  explicit rejection (:class:`ServerOverloadedError`) and a per-request
+  deadline, so overload produces backpressure instead of unbounded growth;
+* **metrics** — per-request latency percentiles, line length, slots in
+  use and plan-cache counters as one :class:`ServerStats` snapshot;
 * **fault tolerance** — in-flight deadlines and :meth:`Server.cancel`
   (cooperative, answering ``timed_out``/``cancelled``), per-request
   resource budgets, worker-crash containment, and a
@@ -36,7 +35,6 @@ See ``docs/server.md`` for the architecture and the knobs.
 
 from .metrics import LatencyRecorder, LatencySummary, ServerStats
 from .server import (
-    RequestFuture,
     Response,
     Server,
     ServerClosedError,
@@ -48,7 +46,6 @@ from .tcp import RetryPolicy, TCPClient, TCPFrontend
 __all__ = [
     "LatencyRecorder",
     "LatencySummary",
-    "RequestFuture",
     "Response",
     "RetryPolicy",
     "Server",

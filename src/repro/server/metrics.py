@@ -82,15 +82,17 @@ class ServerStats:
     """One consistent snapshot of the serving layer's counters and gauges.
 
     ``submitted`` counts every admission attempt, including the
-    ``rejected`` ones that never entered the queue; ``completed`` +
+    ``rejected`` ones that never entered the line; ``completed`` +
     ``timed_out`` + ``cancelled`` + ``failed`` + ``rejected`` + the
-    requests still queued or running account for all of them.  ``latency``
+    requests still waiting or running account for all of them.  ``latency``
     covers completed requests end to end (admission to response).
     ``plan_cache`` is the shared cache's counter snapshot — its
     ``hit_rate`` across *all* sessions is the number the shared cache
-    exists for.  ``worker_crashes`` counts workers lost to an escaped
-    ``BaseException`` (each one answered its request and died; the rest of
-    the pool keeps serving).
+    exists for.  ``worker_crashes`` counts requests crashed by an escaped
+    ``BaseException`` (each was answered, its slot got a fresh session, and
+    the server keeps serving).  ``queue_depth`` is the number of requests
+    waiting in line for a slot; ``active_workers`` the number of slots in
+    use — a *worker* is the thread running a request, its caller's.
     """
 
     submitted: int

@@ -1,32 +1,32 @@
 """The multi-client server core: session slots, shared plan cache, admission.
 
 One :class:`Server` owns a :class:`~repro.stratum.layer.TemporalDatabase`
-and runs queries for many concurrent clients:
+and runs queries for many concurrent clients.  It starts no thread of its
+own: every request runs on the thread that asks for it — the caller of
+:meth:`Server.query`/:meth:`Server.append`, or a TCP front end's handler
+thread — and that thread is the request's *worker*.
 
-* **admission** happens on the *caller's* thread: the request is stamped
-  with a deadline and the catalog is snapshotted (queries only — so the
-  answer is the serial result for the admission epoch no matter when the
-  request runs);
-* **slots** are a pool of ``max_concurrency``
+* **admission** stamps the request with a deadline and, for a query, a
+  catalog snapshot (so the answer is the serial result for the admission
+  epoch no matter when the request runs); a request whose deadline has
+  already passed is answered ``timed_out`` without taking a slot;
+* **slots** are ``max_concurrency``
   :class:`~repro.session.session.Session` objects sharing the process-wide
   plan cache: a free session is a free slot, so at most
-  ``max_concurrency`` requests execute at once;
-* **execution** happens on the thread that waits for the answer when it
-  can: a blocking caller (:meth:`Server.query`, :meth:`Server.append`, the
-  TCP front end's handler threads) that finds a free slot and nothing
-  queued ahead of it runs its request itself, with no hand-off between
-  threads;
-* **the queue is for overflow**: when every slot is busy (or requests are
-  already waiting) the request enters a bounded FIFO queue that
-  ``max_concurrency`` worker threads serve, as they serve every
-  :meth:`Server.submit`.  A full queue rejects immediately
-  (:class:`ServerOverloadedError`) — backpressure, not unbounded growth.
-  A request whose deadline passed while it queued is answered
-  ``timed_out`` without executing, so a backlog drains at dequeue speed
-  instead of running stale work;
+  ``max_concurrency`` requests execute at once.  A caller that finds a slot
+  free takes it and runs its request at once;
+* **the line** holds, in admission order, the callers that found every
+  slot busy.  It is bounded by ``queue_limit``: past the bound admission
+  raises :class:`ServerOverloadedError` — backpressure, not unbounded
+  growth.  A request that finishes hands its session straight to the head
+  of the line, so no later caller overtakes a waiting one.  A waiter that
+  is cancelled or whose deadline passes leaves the line and is answered
+  ``cancelled``/``timed_out`` without running;
 * **results** are a :class:`Response` — also for failures, so one client's
-  bad statement never kills a worker — resolving the request's
-  :class:`concurrent.futures.Future`.
+  bad statement never takes down the thread serving it.
+
+The server lock is taken twice per request: once to admit it (take a slot
+or join the line) and once to release it (hand the slot on or free it).
 
 Appends are admitted the same way (``kind="append"``), executing against
 the live catalog under its lock; the response reports the epoch the append
@@ -36,10 +36,9 @@ moved the catalog to, which is what makes lost-update checks possible.
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
-from concurrent.futures import Future
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
@@ -66,7 +65,7 @@ class ServerError(ReproError):
 
 
 class ServerOverloadedError(ServerError):
-    """Admission rejected: the request queue is at its limit.
+    """Admission rejected: the line of waiting requests is at its limit.
 
     Carries the ``OVERLOADED`` code — retryable: backing off and trying
     again is exactly what backpressure asks of the client.
@@ -126,39 +125,27 @@ class Response:
         return self.status == "ok"
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: the line finds a request by ``in``
 class _Request:
     kind: str
-    future: "Future[Response]"
     admitted_at: float
-    deadline: Optional[float]
-    request_id: int = 0
-    token: Optional[CancellationToken] = None
+    request_id: int
+    #: The request's stop signal; its deadline is the request's deadline.
+    token: CancellationToken
     statement: str = ""
     params: Sequence[object] = ()
     snapshot: object = None
     table: str = ""
     rows: Sequence[Sequence[object]] = field(default_factory=tuple)
+    #: The session a finishing request handed over while this one waited.
+    session: Optional[Session] = None
 
-
-class RequestFuture(Future):
-    """A :class:`~concurrent.futures.Future` that knows its request id.
-
-    The id is what :meth:`Server.cancel` takes — returned from ``submit``
-    so a client can cancel the request it just started without waiting for
-    any part of the response.
-    """
-
-    def __init__(self, request_id: int) -> None:
-        super().__init__()
-        self.request_id = request_id
-
-
-_SHUTDOWN = object()
+    def stopped(self) -> bool:
+        return self.token.cancelled or self.token.expired()
 
 
 class Server:
-    """A thread-pooled, admission-controlled front end over one database.
+    """An admission-controlled front end over one database.
 
     >>> from repro.server import Server
     >>> from repro.workloads import employee_relation
@@ -186,24 +173,22 @@ class Server:
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be at least 1 (or None for unbounded)")
         self.database = database or TemporalDatabase(options=options)
-        #: Execution configuration applied to every worker session (and,
+        #: Execution configuration applied to every slot's session (and,
         #: when the server creates its own database, to the database too);
         #: inherited from the database when not given.  Read on every
-        #: request — its ``cancellation``, per-request budgets and tracer
-        #: are never copied.  Pool-shape arguments (``max_concurrency``,
-        #: ``queue_limit``, ``request_timeout``, ``cache_size``,
-        #: ``plan_cache``) describe the container and stay constructor
-        #: arguments.
+        #: request — its per-request budgets and tracer are never copied.
+        #: Pool-shape arguments (``max_concurrency``, ``queue_limit``,
+        #: ``request_timeout``, ``cache_size``, ``plan_cache``) describe the
+        #: container and stay constructor arguments.
         self.options = options if options is not None else self.database.options
         self.max_concurrency = max_concurrency
+        #: How many requests may wait in line for a slot (``None``: no bound).
         self.queue_limit = queue_limit
-        #: Default request deadline in seconds (``None``: no deadline).
-        #: With ``options.cancellation`` on (the default) the deadline holds
-        #: end to end: expired-while-queued requests are answered
-        #: ``timed_out`` without running, and an *executing* request is
-        #: stopped cooperatively within one check interval of its deadline
-        #: passing.  With it off the deadline bounds only the queue wait
-        #: (the pre-cancellation behaviour).
+        #: Default request deadline in seconds (``None``: no deadline).  It
+        #: holds end to end: a request whose deadline passes while it waits
+        #: in line is answered ``timed_out`` without running, and an
+        #: *executing* request is stopped cooperatively within one check
+        #: interval of its deadline passing.
         self.request_timeout = request_timeout
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(cache_size)
         #: The serving counters live in a :class:`MetricsRegistry`, which is
@@ -214,18 +199,27 @@ class Server:
         #: to publish process-wide instead.
         metrics = self.options.metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_limit or 0)
-        #: The slots: a free session is a free slot (filled by :meth:`start`).
-        self._sessions: "queue.LifoQueue[Session]" = queue.LifoQueue()
-        self._workers: list[threading.Thread] = []
         self._latencies = LatencyRecorder()
+        # Everything below up to ``_request_ids`` is guarded by ``_lock``.
         self._lock = threading.Lock()
+        #: Notified when a waiter is handed a slot or cancelled, and when a
+        #: request is answered.
+        self._changed = threading.Condition(self._lock)
         self._started = False
         self._closed = False
-        self._request_ids = itertools.count(1)
+        #: The free slots (filled by :meth:`start`); a free session is a
+        #: free slot.
+        self._free: list[Session] = []
+        #: Requests waiting for a slot, oldest first; non-empty only while
+        #: every slot is busy.
+        self._line: "deque[_Request]" = deque()
+        #: Slots in use, and the most ever in use at once.
+        self._busy = 0
+        self._peak = 0
         #: Tokens of admitted, unanswered requests, by request id — what
-        #: :meth:`cancel` looks up.  Guarded by ``_lock``.
+        #: :meth:`cancel` looks up and :meth:`close` waits to see empty.
         self._inflight: Dict[int, CancellationToken] = {}
+        self._request_ids = itertools.count(1)
         registry = self.metrics
         self._submitted = registry.counter(
             "repro_server_requests_submitted_total",
@@ -236,11 +230,11 @@ class Server:
         )
         self._rejected = registry.counter(
             "repro_server_requests_rejected_total",
-            "Requests rejected at admission (queue full).",
+            "Requests rejected at admission (line full).",
         )
         self._timed_out = registry.counter(
             "repro_server_requests_timed_out_total",
-            "Requests whose deadline expired (queued or executing).",
+            "Requests whose deadline expired (waiting or executing).",
         )
         self._failed = registry.counter(
             "repro_server_requests_failed_total", "Requests answered with an error."
@@ -253,94 +247,60 @@ class Server:
             "repro_server_worker_crashes_total",
             "Requests crashed by an escaped BaseException (the server keeps serving).",
         )
-        # Get-or-create: the pooled sessions request the same instrument,
+        # Get-or-create: the slots' sessions request the same instrument,
         # so session-counted and server-counted failures land in one place.
         self._errors = registry.counter(
             "repro_request_errors_total",
             "Failed statement executions by stable error code.",
             labelnames=("code",),
         )
-        self._active = registry.gauge(
-            "repro_server_active_workers", "Requests executing right now, on a slot each."
-        )
-        self._peak_active = registry.gauge(
-            "repro_server_peak_active_workers", "High-water mark of active workers."
-        )
-        registry.callback(
-            "repro_server_queue_depth",
-            "Requests waiting in the admission queue.",
-            self._queue.qsize,
-        )
-        registry.callback(
-            "repro_server_epoch",
-            "The live catalog's statistics epoch.",
-            self.database.statistics_epoch,
-        )
-        registry.callback(
-            "repro_plan_cache_hits_total",
-            "Shared plan-cache hits.",
-            lambda: self.plan_cache.info().hits,
-            kind="counter",
-        )
-        registry.callback(
-            "repro_plan_cache_misses_total",
-            "Shared plan-cache misses.",
-            lambda: self.plan_cache.info().misses,
-            kind="counter",
-        )
-        registry.callback(
-            "repro_plan_cache_coalesced_total",
-            "Shared plan-cache hits served by waiting for another request's search.",
-            lambda: self.plan_cache.info().coalesced,
-            kind="counter",
-        )
-        registry.callback(
-            "repro_plan_cache_explorations_reused_total",
-            "Searches that re-costed a remembered exploration instead of exploring.",
-            lambda: self.plan_cache.info().explorations_reused,
-            kind="counter",
-        )
-        registry.callback(
-            "repro_plan_cache_size",
-            "Plans currently cached.",
-            lambda: self.plan_cache.info().size,
-        )
+        for name, help, read in (
+            ("repro_server_active_workers", "Requests executing right now, on a slot each.",
+             lambda: self._busy),
+            ("repro_server_peak_active_workers", "High-water mark of active workers.",
+             lambda: self._peak),
+            ("repro_server_queue_depth", "Requests waiting in line for a slot.",
+             lambda: len(self._line)),
+            ("repro_server_epoch", "The live catalog's statistics epoch.",
+             self.database.statistics_epoch),
+            ("repro_plan_cache_size", "Plans currently cached.",
+             lambda: self.plan_cache.info().size),
+        ):
+            registry.callback(name, help, read)
+        for name, help in (
+            ("hits", "Shared plan-cache hits."),
+            ("misses", "Shared plan-cache misses."),
+            ("coalesced",
+             "Shared plan-cache hits served by waiting for another request's search."),
+            ("explorations_reused",
+             "Searches that re-costed a remembered exploration instead of exploring."),
+        ):
+            registry.callback(
+                f"repro_plan_cache_{name}_total",
+                help,
+                lambda name=name: getattr(self.plan_cache.info(), name),
+                kind="counter",
+            )
 
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> "Server":
-        """Fill the session slots and spawn the worker pool (idempotent)."""
+        """Fill the session slots (idempotent); starts no thread."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server is closed")
-            if self._started:
-                return self
-            self._started = True
-        for _ in range(self.max_concurrency):
-            self._sessions.put(self._new_session())
-        for index in range(self.max_concurrency):
-            worker = threading.Thread(
-                target=self._worker, name=f"repro-server-worker-{index}", daemon=True
-            )
-            worker.start()
-            self._workers.append(worker)
+            if not self._started:
+                self._free = [self._new_session() for _ in range(self.max_concurrency)]
+                self._started = True
         return self
 
     def close(self) -> None:
-        """Stop accepting requests, drain the queue, join the workers and
-        wait for the requests running on their callers' threads."""
+        """Stop admitting requests; return once every admitted request is
+        answered and every slot is free."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            started = self._started
-        if started:
-            for _ in self._workers:
-                self._queue.put(_SHUTDOWN)
-            for worker in self._workers:
-                worker.join()
-            for _ in range(self.max_concurrency):
-                self._sessions.get()
+            while self._inflight:
+                self._changed.wait()
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -348,59 +308,7 @@ class Server:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- admission ----------------------------------------------------------------
-
-    def submit(
-        self,
-        statement: str,
-        params: Sequence[object] = (),
-        timeout: Optional[float] = None,
-    ) -> "Future[Response]":
-        """Admit a query; returns a future resolving to its :class:`Response`.
-
-        The catalog is snapshotted *here*, on the caller's thread, under the
-        catalog lock — the returned result is the serial answer for the
-        epoch current at this moment, regardless of concurrent appends and
-        of when a worker actually executes the request.  Raises
-        :class:`ServerOverloadedError` when the queue is full and
-        :class:`ServerClosedError` after :meth:`close`.
-
-        The returned :class:`RequestFuture` carries the ``request_id``
-        :meth:`cancel` takes; with the options' ``cancellation`` on, the
-        deadline (``timeout`` or the server default) also stops the query
-        mid-execution, answering ``timed_out``.
-        """
-        request = self._query_request(statement, params, timeout)
-        self._admit(request, inline=False)
-        return request.future
-
-    def submit_append(
-        self,
-        table: str,
-        rows: Iterable[Sequence[object]],
-        timeout: Optional[float] = None,
-    ) -> "Future[Response]":
-        """Admit an append of ``rows`` (in schema order) to ``table``."""
-        request = self._append_request(table, rows, timeout)
-        self._admit(request, inline=False)
-        return request.future
-
-    def cancel(self, request_id: int, reason: str = "cancelled by client") -> bool:
-        """Cancel an admitted, unanswered request by its id.
-
-        Cooperative, so asynchronous-safe: this only flips the request's
-        token; the executing worker notices at its next check (within one
-        check interval) and answers ``cancelled``.  A request still queued
-        is answered ``cancelled`` at dequeue without executing.  Returns
-        False when the id is unknown or already answered — cancellation
-        races completion by design, and losing that race is not an error.
-        """
-        with self._lock:
-            token = self._inflight.get(request_id)
-        if token is None:
-            return False
-        token.cancel(reason)
-        return True
+    # -- requests -----------------------------------------------------------------
 
     def query(
         self,
@@ -409,15 +317,24 @@ class Server:
         timeout: Optional[float] = None,
         admitted: Optional[Callable[[int], None]] = None,
     ) -> Response:
-        """Admit a query and block for its response.
+        """Admit a query and run it on this thread; returns its response.
 
-        Admission is :meth:`submit`'s; with a slot free and nothing queued
-        the query then runs on this thread, otherwise it waits in the queue
-        for a worker.  ``admitted`` is called with the request id once the
+        The catalog is snapshotted *here*, under the catalog lock — the
+        result is the serial answer for the epoch current at this moment,
+        regardless of concurrent appends and of how long the request waits
+        in line.  The deadline (``timeout`` or the server default) holds
+        while the query waits and while it runs.  Raises
+        :class:`ServerOverloadedError` when the line is full and
+        :class:`ServerClosedError` before :meth:`start` and after
+        :meth:`close`.  ``admitted`` is called with the request id once the
         request is admitted and before it runs, so a caller can make it
         cancellable by :meth:`cancel` while it blocks here.
         """
-        return self._call(self._query_request(statement, params, timeout), admitted)
+        snapshot = self.database.snapshot()
+        request = self._request(
+            "query", timeout, statement=statement, params=tuple(params), snapshot=snapshot
+        )
+        return self._call(request, admitted)
 
     def append(
         self,
@@ -425,91 +342,123 @@ class Server:
         rows: Iterable[Sequence[object]],
         timeout: Optional[float] = None,
     ) -> Response:
-        """Admit an append and block for its response (on this thread when
-        a slot is free, as :meth:`query` does)."""
-        return self._call(self._append_request(table, rows, timeout), None)
+        """Admit an append of ``rows`` (in schema order) to ``table`` and
+        run it on this thread, as :meth:`query` does."""
+        request = self._request("append", timeout, table=table, rows=tuple(map(tuple, rows)))
+        return self._call(request, None)
+
+    def cancel(self, request_id: int, reason: str = "cancelled by client") -> bool:
+        """Cancel an admitted, unanswered request by its id.
+
+        Cooperative, so asynchronous-safe: this only flips the request's
+        token; an executing request notices at its next check (within one
+        check interval) and answers ``cancelled``.  A request waiting in
+        line leaves it at once and is answered ``cancelled`` without
+        running.  Returns False when the id is unknown or already answered
+        — cancellation races completion by design, and losing that race is
+        not an error.
+        """
+        with self._lock:
+            token = self._inflight.get(request_id)
+            if token is None:
+                return False
+            token.cancel(reason)
+            self._changed.notify_all()
+        return True
+
+    def _request(self, kind: str, timeout: Optional[float], **fields) -> _Request:
+        timeout = timeout if timeout is not None else self.request_timeout
+        now = time.perf_counter()
+        return _Request(
+            kind=kind,
+            admitted_at=now,
+            request_id=next(self._request_ids),
+            token=CancellationToken(deadline=None if timeout is None else now + timeout),
+            **fields,
+        )
 
     def _call(
         self, request: _Request, admitted: Optional[Callable[[int], None]]
     ) -> Response:
-        session = self._admit(request, inline=True)
+        session = self._admit(request)
         if admitted is not None:
             admitted(request.request_id)
-        if session is not None:
-            self._run(session, request)
-        return request.future.result()
+        if session is None:
+            session = self._wait_in_line(request)
+        if session is None:  # stopped before it got a slot
+            if request.token.expired():
+                exc: ReproError = DeadlineExceededError("deadline expired before the request ran")
+            else:
+                exc = CancelledError("cancelled before the request ran")
+            self._count_error(exc)
+            response = self._error_response(request, exc)
+        else:
+            try:
+                response = self._process(session, request)
+            except BaseException as exc:
+                # _process answers every Exception itself; what reaches here
+                # is BaseException-adjacent (KeyboardInterrupt, ...) —
+                # *contained*: the request is answered, the books stay
+                # consistent, the slot gets a fresh session and the server
+                # keeps serving.
+                response = self._crash_response(request, exc)
+                session = self._new_session()
+        self._respond(request, response)
+        self._release(request, session)
+        return response
 
-    def _query_request(
-        self, statement: str, params: Sequence[object], timeout: Optional[float]
-    ) -> _Request:
-        snapshot = self.database.snapshot()
-        return self._request(
-            kind="query",
-            deadline=self._deadline(timeout),
-            statement=statement,
-            params=tuple(params),
-            snapshot=snapshot,
-        )
-
-    def _append_request(
-        self, table: str, rows: Iterable[Sequence[object]], timeout: Optional[float]
-    ) -> _Request:
-        return self._request(
-            kind="append",
-            deadline=self._deadline(timeout),
-            table=table,
-            rows=tuple(tuple(row) for row in rows),
-        )
-
-    def _deadline(self, timeout: Optional[float]) -> Optional[float]:
-        timeout = timeout if timeout is not None else self.request_timeout
-        if timeout is None:
-            return None
-        return time.perf_counter() + timeout
-
-    def _request(self, kind: str, deadline: Optional[float], **fields) -> _Request:
-        request_id = next(self._request_ids)
-        token = CancellationToken(deadline=deadline) if self.options.cancellation else None
-        return _Request(
-            kind=kind,
-            future=RequestFuture(request_id),
-            admitted_at=time.perf_counter(),
-            deadline=deadline,
-            request_id=request_id,
-            token=token,
-            **fields,
-        )
-
-    def _admit(self, request: _Request, inline: bool) -> Optional[Session]:
-        """Admit ``request``: the free session it runs on when ``inline``
-        and nothing is queued ahead of it, else None once it is queued.
-
-        One decision under the server lock, so admission order is queue
-        order: a request counts as queued until a worker holds a session
-        for it (``task_done``), and no caller runs inline past it.
-        """
+    def _admit(self, request: _Request) -> Optional[Session]:
+        """Admit ``request``: the free session it runs on, else None — it
+        joined the line, or its deadline has already passed."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server is closed")
             if not self._started:
                 raise ServerClosedError("server is not started (call start())")
             self._submitted.inc()
-            if request.token is not None:
-                self._inflight[request.request_id] = request.token
-            if inline and not self._queue.unfinished_tasks:
-                try:
-                    return self._sessions.get_nowait()
-                except queue.Empty:
-                    pass
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
-                self._inflight.pop(request.request_id, None)
+            session = None
+            if request.token.expired():
+                pass  # answered without a slot
+            elif self._free:  # then the line is empty
+                self._busy += 1
+                self._peak = max(self._peak, self._busy)
+                session = self._free.pop()
+            elif self.queue_limit is not None and len(self._line) >= self.queue_limit:
                 self._rejected.inc()
                 raise ServerOverloadedError(
-                    f"request queue is at its limit ({self.queue_limit}); retry later"
-                ) from None
-        return None
+                    f"request line is at its limit ({self.queue_limit}); retry later"
+                )
+            else:
+                self._line.append(request)
+            self._inflight[request.request_id] = request.token
+            return session
+
+    def _wait_in_line(self, request: _Request) -> Optional[Session]:
+        """The session handed to ``request`` in line; None once it stopped (and left)."""
+        with self._lock:
+            while request.session is None:
+                if request.stopped():
+                    if request in self._line:
+                        self._line.remove(request)
+                    return None
+                self._changed.wait(_until(request.token.deadline))
+            return request.session
+
+    def _release(self, request: _Request, session: Optional[Session]) -> None:
+        """Forget the answered ``request`` and pass on the slot it held: to
+        the oldest live waiter, else back to the free slots."""
+        with self._lock:
+            del self._inflight[request.request_id]
+            if session is not None:
+                while self._line:
+                    waiter = self._line.popleft()
+                    if not waiter.stopped():  # a stopped one answers itself
+                        waiter.session = session
+                        break
+                else:
+                    self._free.append(session)
+                    self._busy -= 1
+            self._changed.notify_all()
 
     # -- execution ----------------------------------------------------------------
 
@@ -521,134 +470,69 @@ class Server:
             self.database, cache=self.plan_cache, options=self.options.replace(metrics=self.metrics)
         )
 
-    def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            session = self._sessions.get()
-            self._queue.task_done()
-            if not self._run(session, item):
-                return
-
-    def _run(self, session: Session, request: _Request) -> bool:
-        """Process ``request`` on ``session`` and free the slot; False when
-        it crashed."""
+    def _process(self, session: Session, request: _Request) -> Response:
+        token = request.token
+        in_session = False
         try:
-            self._process(session, request)
-        except BaseException as exc:
-            # _process answers every Exception itself; what reaches here is
-            # BaseException-adjacent (KeyboardInterrupt, ...) — *contained*:
-            # the request is answered, the books stay consistent, the slot
-            # gets a fresh session and the server keeps serving.  A worker
-            # thread ends; a caller running its own request returns.
-            self._contain_crash(request, exc)
-            self._sessions.put(self._new_session())
-            return False
-        self._sessions.put(session)
-        return True
-
-    def _contain_crash(self, request: _Request, exc: BaseException) -> None:
-        self._worker_crashes.inc()
-        self._failed.inc()
-        self._count_error(exc)
-        with self._lock:
-            self._inflight.pop(request.request_id, None)
-        if not request.future.done():
-            request.future.set_result(
-                Response(
-                    status="error",
-                    kind=request.kind,
-                    error=f"worker crashed: {exc!r}",
-                    code=error_code(exc),
-                    latency_seconds=time.perf_counter() - request.admitted_at,
+            if FAULTS.active:
+                FAULTS.check("server.worker", token=token)
+            if request.kind == "query":
+                in_session = True
+                result = session.execute(
+                    request.statement,
+                    request.params,
+                    snapshot=request.snapshot,
+                    token=token,
+                )
+                seconds = result.phase_seconds()
+                return Response(
+                    status="ok",
+                    kind="query",
+                    relation=result.relation,
+                    explain=None if result.explain is None else result.explain.render(),
+                    epoch=result.epoch,
+                    cache_hit=result.cache_hit,
+                    timings={name: seconds[name] for name in ("parse", "optimize", "execute")},
+                    trace_id=result.trace_id,
                     request_id=request.request_id,
                 )
+            # append() reports the epoch atomically with the insert, so
+            # concurrent appends each see their own resulting epoch.  Appends
+            # are short and atomic; they take the worker-point fault check
+            # above but no mid-flight cancellation (nothing to stop halfway).
+            inserted, epoch = self.database.append(request.table, request.rows)
+            return Response(
+                status="ok",
+                kind="append",
+                rows_inserted=inserted,
+                epoch=epoch,
+                request_id=request.request_id,
             )
+        except Exception as exc:  # one bad request must not take the thread down
+            # Sessions record their own failures in the shared
+            # ``repro_request_errors_total`` counter; the server counts only
+            # failures that never reached a session (appends, injected
+            # worker faults) so each lands exactly once.
+            if not in_session:
+                self._count_error(exc)
+            return self._error_response(request, exc)
+
+    def _crash_response(self, request: _Request, exc: BaseException) -> Response:
+        self._worker_crashes.inc()
+        self._count_error(exc)
+        return Response(
+            status="error",
+            kind=request.kind,
+            error=f"worker crashed: {exc!r}",
+            code=error_code(exc),
+            request_id=request.request_id,
+        )
 
     def _count_error(self, exc: BaseException) -> None:
         self._errors.labels(code=error_code(exc)).inc()
 
-    def _process(self, session: Session, request: _Request) -> None:
-        now = time.perf_counter()
-        token = request.token
-        try:
-            if request.deadline is not None and now > request.deadline:
-                exc: BaseException = DeadlineExceededError(
-                    "deadline expired before the request ran"
-                )
-                self._count_error(exc)
-                self._respond(request, self._error_response(request, exc, now))
-                return
-            if token is not None and token.cancelled:
-                exc = CancelledError("cancelled before the request ran")
-                self._count_error(exc)
-                self._respond(request, self._error_response(request, exc, now))
-                return
-            with self._lock:
-                # The peak needs a read-modify-write over both gauges, so it
-                # stays under the server lock even though each gauge has its
-                # own.
-                self._active.inc()
-                self._peak_active.set(
-                    max(self._peak_active.value(), self._active.value())
-                )
-            in_session = False
-            try:
-                if FAULTS.active:
-                    FAULTS.check("server.worker", token=token)
-                if request.kind == "query":
-                    in_session = True
-                    result = session.execute(
-                        request.statement,
-                        request.params,
-                        snapshot=request.snapshot,
-                        token=token,
-                    )
-                    seconds = result.phase_seconds()
-                    response = Response(
-                        status="ok",
-                        kind="query",
-                        relation=result.relation,
-                        explain=None if result.explain is None else result.explain.render(),
-                        epoch=result.epoch,
-                        cache_hit=result.cache_hit,
-                        timings={name: seconds[name] for name in ("parse", "optimize", "execute")},
-                        trace_id=result.trace_id,
-                        request_id=request.request_id,
-                    )
-                else:
-                    # append() reports the epoch atomically with the insert,
-                    # so concurrent appends each see their own resulting
-                    # epoch.  Appends are short and atomic; they take the
-                    # worker-point fault check above but no mid-flight
-                    # cancellation (nothing to stop halfway).
-                    inserted, epoch = self.database.append(request.table, request.rows)
-                    response = Response(
-                        status="ok",
-                        kind="append",
-                        rows_inserted=inserted,
-                        epoch=epoch,
-                        request_id=request.request_id,
-                    )
-            except Exception as exc:  # one bad request must not kill the worker
-                # Sessions record their own failures in the shared
-                # ``repro_request_errors_total`` counter; the server counts
-                # only failures that never reached a session (appends,
-                # injected worker faults) so each lands exactly once.
-                response = self._error_response(request, exc, time.perf_counter())
-                if not in_session:
-                    self._count_error(exc)
-            finally:
-                self._active.dec()
-            self._respond(request, response)
-        finally:
-            with self._lock:
-                self._inflight.pop(request.request_id, None)
-
-    def _error_response(
-        self, request: _Request, exc: BaseException, now: float
-    ) -> Response:
+    @staticmethod
+    def _error_response(request: _Request, exc: BaseException) -> Response:
         if isinstance(exc, DeadlineExceededError):
             status = "timed_out"
         elif isinstance(exc, CancelledError):
@@ -660,7 +544,6 @@ class Server:
             kind=request.kind,
             error=str(exc),
             code=error_code(exc),
-            latency_seconds=now - request.admitted_at,
             request_id=request.request_id,
         )
 
@@ -675,7 +558,6 @@ class Server:
         else:
             self._failed.inc()
         self._latencies.record(response.latency_seconds)
-        request.future.set_result(response)
 
     # -- introspection ------------------------------------------------------------
 
@@ -686,6 +568,8 @@ class Server:
         instruments the Prometheus exposition renders — the registry is the
         single source of truth, ``ServerStats`` just a typed view of it.
         """
+        latency, plan_cache = self._latencies.summary(), self.plan_cache.info()
+        epoch = self.database.statistics_epoch()
         with self._lock:
             return ServerStats(
                 submitted=int(self._submitted.value()),
@@ -693,14 +577,14 @@ class Server:
                 rejected=int(self._rejected.value()),
                 timed_out=int(self._timed_out.value()),
                 failed=int(self._failed.value()),
-                queue_depth=self._queue.qsize(),
-                active_workers=int(self._active.value()),
-                peak_active_workers=int(self._peak_active.value()),
+                queue_depth=len(self._line),
+                active_workers=self._busy,
+                peak_active_workers=self._peak,
                 max_concurrency=self.max_concurrency,
                 queue_limit=self.queue_limit,
-                epoch=self.database.statistics_epoch(),
-                latency=self._latencies.summary(),
-                plan_cache=self.plan_cache.info(),
+                epoch=epoch,
+                latency=latency,
+                plan_cache=plan_cache,
                 cancelled=int(self._cancelled.value()),
                 worker_crashes=int(self._worker_crashes.value()),
             )
@@ -718,3 +602,12 @@ class Server:
         if tracer is None:
             return []
         return [trace.to_dict() for trace in tracer.recent(limit)]
+
+
+def _until(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left before ``deadline``, as a wait timeout (``None``: no
+    deadline, or one too far off — infinite or NaN — to wait for)."""
+    if deadline is None:
+        return None
+    remaining = deadline - time.perf_counter()
+    return remaining if remaining < threading.TIMEOUT_MAX else None

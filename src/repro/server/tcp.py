@@ -43,25 +43,25 @@ carry an ``op``:
 Request lines are capped at ``max_request_bytes`` (1 MiB by default): an
 oversized line is answered ``{"status": "error", "code":
 "REQUEST_TOO_LARGE"}`` and the connection is closed, so a misbehaving (or
-malicious) client cannot buffer unbounded memory server-side.  Malformed
-JSON — and valid JSON that is no request: not an object, an unknown ``op``,
-a missing ``statement``/``table``, ``params``/``rows`` that are not lists, a
-row that is not a list, a ``timeout`` that is not a finite number, a
+malicious) client cannot buffer unbounded memory server-side.  A line that
+is no JSON — malformed, not UTF-8, or nested too deep to parse — and valid
+JSON that is no request: not an object, an unknown ``op``, a missing
+``statement``/``table``, ``params``/``rows`` that are not lists, a row that
+is not a list, a ``timeout`` that is not a finite number, a
 ``request_id``/``limit`` that is not an integer — answers ``code:
 "BAD_REQUEST"`` naming what is wrong, and keeps the connection; a client
 that disconnects mid-line is dropped silently.
 
 The front end is a ``ThreadingTCPServer`` whose handler threads parse lines
 and call the wrapped :class:`~repro.server.server.Server`'s blocking
-``query``/``append``: with a session slot free and nothing queued, the
-handler thread runs the request itself, so a request on an idle server
-crosses no thread; only a saturated server queues it for a worker.  All
-admission control, concurrency limits and snapshots stay in the server;
-the TCP layer adds no second scheduling policy.  :class:`TCPClient` is the
-matching blocking client used by the examples and the tests; give it a
-:class:`RetryPolicy` and it retries ``OVERLOADED``/``UNAVAILABLE`` replies
-with capped exponential backoff and jitter, and reconnects once per
-request on a broken connection.
+``query``/``append``: the handler thread runs the request itself, so a
+request crosses no thread (on a saturated server it first waits in the
+server's line for a slot).  All admission control, concurrency limits and
+snapshots stay in the server; the TCP layer adds no second scheduling
+policy.  :class:`TCPClient` is the matching blocking client used by the
+examples and the tests; give it a :class:`RetryPolicy` and it retries
+``OVERLOADED``/``UNAVAILABLE`` replies with capped exponential backoff and
+jitter, and reconnects once per request on a broken connection.
 """
 
 from __future__ import annotations
@@ -101,11 +101,18 @@ def _field(message: Dict[str, Any], name: str, kind, described: str, required: b
 
 
 def _timeout(message: Dict[str, Any]) -> Optional[float]:
-    """``message["timeout"]``, a finite number or ``None`` (JSON admits ``NaN``)."""
+    """``message["timeout"]``, a finite number or ``None`` (JSON admits
+    ``NaN`` and integers too large for a float)."""
     timeout = _field(message, "timeout", (int, float), "a number")
-    if timeout is not None and not math.isfinite(timeout):
-        raise _BadRequest(f"field 'timeout' must be finite, got {timeout}")
-    return timeout
+    if timeout is None:
+        return None
+    try:
+        seconds = float(timeout)
+    except OverflowError:
+        seconds = math.inf if timeout > 0 else -math.inf
+    if not math.isfinite(seconds):
+        raise _BadRequest(f"field 'timeout' must be finite, got {seconds}")
+    return seconds
 
 
 def response_to_wire(response: Response) -> Dict[str, Any]:
@@ -163,21 +170,24 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             if not line:
                 continue
             try:
-                reply = self._dispatch(server, json.loads(line))
-            except json.JSONDecodeError as exc:
-                reply = {
-                    "status": "error",
-                    "error": f"bad JSON: {exc}",
-                    "code": "BAD_REQUEST",
-                }
-            except _BadRequest as exc:
-                reply = {"status": "error", "error": str(exc), "code": "BAD_REQUEST"}
-            except ServerOverloadedError as exc:
-                reply = {"status": "rejected", "error": str(exc), "code": exc.code}
-            except Exception as exc:  # defensive: never kill the connection
-                reply = {"status": "error", "error": str(exc), "code": error_code(exc)}
+                message = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, nested too deep
+                reply = {"status": "error", "error": f"bad JSON: {exc}", "code": "BAD_REQUEST"}
+            else:
+                reply = self._answer(server, message)
             if not self._reply(reply):
                 return
+
+    def _answer(self, server: Server, message: Any) -> Dict[str, Any]:
+        """The one reply to a parsed request line."""
+        try:
+            return self._dispatch(server, message)
+        except _BadRequest as exc:
+            return {"status": "error", "error": str(exc), "code": "BAD_REQUEST"}
+        except ServerOverloadedError as exc:
+            return {"status": "rejected", "error": str(exc), "code": exc.code}
+        except Exception as exc:  # defensive: never kill the connection
+            return {"status": "error", "error": str(exc), "code": error_code(exc)}
 
     def _reply(self, reply: Dict[str, Any]) -> bool:
         """Write one reply line; False when the client is already gone."""
@@ -227,7 +237,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         pending, lock = self.server.pending, self.server.pending_lock  # type: ignore[attr-defined]
 
         def register(request_id: int) -> None:
-            # Before the request runs, here or on a worker, so a second
+            # Before the request runs (or waits in line), so a second
             # connection's cancel finds it while this one blocks.
             with lock:
                 pending[key] = request_id

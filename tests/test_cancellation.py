@@ -387,16 +387,19 @@ class TestAWaitersTokenIsItsOwn:
         server = Server(make_database(), max_concurrency=2)
         with server:
             gate = park_first_call(MemoSearch, "optimize")
-            leader = server.submit(PAPER_SQL)
+            leader = in_threads(lambda: server.query(PAPER_SQL))
             assert gate.entered.wait(timeout=30.0)
-            waiter = server.submit(PAPER_SQL)
+            admitted = []
+            waiter = in_threads(lambda: server.query(PAPER_SQL, admitted=admitted.append))
             wait_until(lambda: flight_waiters(server.plan_cache) == 1)
-            assert server.cancel(waiter.request_id) is True
-            cancelled = waiter.result(timeout=30.0)
+            assert server.cancel(admitted[0]) is True
+            (cancelled,) = waiter()
             assert cancelled.status == "cancelled" and cancelled.code == "CANCELLED"
-            assert not gate.release.is_set() and not leader.done()
+            # The leader still holds its slot, parked in its search.
+            assert not gate.release.is_set() and server.stats().active_workers == 1
             gate.release.set()
-            assert leader.result(timeout=30.0).ok
+            (led,) = leader()
+            assert led.ok
             assert server.query(PAPER_SQL).cache_hit
             stats = server.stats()
             assert (stats.cancelled, stats.completed, stats.worker_crashes) == (1, 2, 0)
@@ -432,13 +435,20 @@ class TestServerCancellation:
         server = Server(make_database(), max_concurrency=2)
         with server:
             with FAULTS.armed("dbms.scan", kind="latency", latency=10.0, times=4):
-                future = server.submit(prefix + "SELECT EmpName FROM EMPLOYEE")
-                time.sleep(0.05)  # let a worker pick it up and hit the stall
-                assert server.cancel(future.request_id) is True
-                response = future.result(timeout=5.0)
+                admitted = []
+                running = in_threads(
+                    lambda: server.query(
+                        prefix + "SELECT EmpName FROM EMPLOYEE", admitted=admitted.append
+                    ),
+                    timeout=5.0,
+                )
+                wait_until(lambda: admitted)
+                time.sleep(0.05)  # let it start and hit the stall
+                assert server.cancel(admitted[0]) is True
+                (response,) = running()
             assert response.status == "cancelled"
             assert response.code == "CANCELLED"
-            assert response.request_id == future.request_id
+            assert response.request_id == admitted[0]
             assert server.stats().cancelled == 1
 
     def test_cancel_unknown_or_finished_request_returns_false(self):
@@ -452,13 +462,20 @@ class TestServerCancellation:
         server = Server(make_database(), max_concurrency=1)
         with server:
             with FAULTS.armed("dbms.scan", kind="latency", latency=10.0, times=4):
-                blocker = server.submit("SELECT EmpName FROM EMPLOYEE")
-                queued = server.submit("SELECT EmpName FROM PROJECT")
-                time.sleep(0.05)
-                assert server.cancel(queued.request_id) is True
-                assert server.cancel(blocker.request_id) is True
-                blocked_response = blocker.result(timeout=5.0)
-                queued_response = queued.result(timeout=5.0)
+                admitted = []
+                blocker = in_threads(
+                    lambda: server.query("SELECT EmpName FROM EMPLOYEE", admitted=admitted.append),
+                    timeout=5.0,
+                )
+                wait_until(lambda: server.stats().active_workers == 1)
+                queued = in_threads(
+                    lambda: server.query("SELECT EmpName FROM PROJECT", admitted=admitted.append),
+                    timeout=5.0,
+                )
+                wait_until(lambda: server.stats().queue_depth == 1)
+                assert server.cancel(admitted[1]) is True
+                assert server.cancel(admitted[0]) is True
+                (blocked_response,), (queued_response,) = blocker(), queued()
             assert blocked_response.status == "cancelled"
             assert queued_response.status == "cancelled"
             stats = server.stats()
@@ -468,20 +485,14 @@ class TestServerCancellation:
         server = Server(make_database(), max_concurrency=1)
         with server:
             with FAULTS.armed("dbms.scan", kind="latency", latency=0.3, times=1):
-                blocker = server.submit("SELECT EmpName FROM EMPLOYEE")
-                stale = server.submit("SELECT EmpName FROM PROJECT", timeout=0.01)
-                assert blocker.result(timeout=5.0).ok
-                response = stale.result(timeout=5.0)
+                blocker = in_threads(lambda: server.query("SELECT EmpName FROM EMPLOYEE"))
+                wait_until(lambda: server.stats().active_workers == 1)
+                stale = in_threads(
+                    lambda: server.query("SELECT EmpName FROM PROJECT", timeout=0.01)
+                )
+                (blocked,), (response,) = blocker(), stale()
+                assert blocked.ok
             assert response.status == "timed_out" and response.code == "TIMED_OUT"
-
-    def test_cancellation_disabled_reverts_to_queue_deadline_only(self):
-        server = Server(
-            make_database(), max_concurrency=1, options=ExecutionOptions(cancellation=False)
-        )
-        with server:
-            future = server.submit("SELECT EmpName FROM EMPLOYEE")
-            assert server.cancel(future.request_id) is False  # no token registered
-            assert future.result(timeout=5.0).ok
 
     def test_per_request_resource_budget(self):
         server = Server(

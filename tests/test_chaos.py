@@ -5,7 +5,7 @@ kind, budget) from a seeded generator, arms it, drives a concurrent mix of
 queries and appends from multiple client threads, disarms, and probes.
 Four invariants hold across every scenario, whatever was injected:
 
-* **never hangs** — every future resolves within a hard timeout;
+* **never hangs** — every request is answered within a hard timeout;
 * **never loses an update** — appends either land atomically (reporting a
   distinct epoch) or fail without a trace; the final table is exactly the
   base rows plus the successful batches, verified by serial epoch replay
@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import random
 import threading
+from functools import partial
 
 from repro.core.equivalence import snapshot_set_equivalent
 from repro.faults import FAULTS
@@ -36,6 +37,8 @@ from repro.workloads import (
     employee_relation,
     project_relation,
 )
+
+from .conftest import in_threads
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 SCENARIOS = int(os.environ.get("CHAOS_SCENARIOS", "100"))
@@ -91,18 +94,17 @@ def _degraded_total(server: Server) -> float:
 
 
 def _drive_scenario(server: Server, scenario: int, timeout):
-    """CLIENTS threads × OPS_PER_CLIENT mixed ops; returns resolved records.
+    """CLIENTS threads × OPS_PER_CLIENT mixed ops; returns answered records.
 
-    Every other thread blocks on each call, so its requests run inline on
-    that thread whenever a slot is free; the others submit futures, so
-    theirs go through the queue to the workers.  Injected faults reach both
-    paths.
+    Every other client makes its calls one after another; the others make
+    all of theirs at once, one thread per call, so more requests arrive than
+    there are slots and some wait in line for one.  Injected faults reach
+    both.
     """
     records: list = []
     lock = threading.Lock()
     barrier = threading.Barrier(CLIENTS)
-    blocking = {"append": server.append, "query": server.query}
-    submitting = {"append": server.submit_append, "query": server.submit}
+    calls = {"append": server.append, "query": server.query}
 
     def client(thread: int) -> None:
         # A unique client index per (scenario, thread) keeps every append
@@ -114,21 +116,22 @@ def _drive_scenario(server: Server, scenario: int, timeout):
         )
         barrier.wait()
         if thread % 2:
-            resolved = [
-                (kind, target, payload, blocking[kind](target, payload, timeout=timeout))
-                for kind, target, payload in ops
+            responses = [
+                calls[kind](target, payload, timeout=timeout) for kind, target, payload in ops
             ]
         else:
-            futures = [
-                (kind, target, payload, submitting[kind](target, payload, timeout=timeout))
-                for kind, target, payload in ops
-            ]
-            resolved = [
-                (kind, target, payload, future.result(timeout=RESULT_TIMEOUT))
-                for kind, target, payload, future in futures
-            ]
+            responses = in_threads(
+                *[
+                    partial(calls[kind], target, payload, timeout=timeout)
+                    for kind, target, payload in ops
+                ],
+                timeout=RESULT_TIMEOUT,
+            )()
         with lock:
-            records.extend(resolved)
+            records.extend(
+                (kind, target, payload, response)
+                for (kind, target, payload), response in zip(ops, responses)
+            )
 
     threads = [threading.Thread(target=client, args=(t,)) for t in range(CLIENTS)]
     for thread in threads:

@@ -42,9 +42,9 @@ class TestOptionsObject:
 
     def test_non_defaults_names_the_turned_knobs(self):
         assert ExecutionOptions().non_defaults() == {}
-        assert ExecutionOptions(batch_size=7, cancellation=False).non_defaults() == {
+        assert ExecutionOptions(batch_size=7, use_statistics=True).non_defaults() == {
             "batch_size": 7,
-            "cancellation": False,
+            "use_statistics": True,
         }
 
     def test_batch_size_is_a_positive_integer(self):
@@ -80,20 +80,20 @@ class TestRoundTrip:
     def test_server_applies_options_to_itself_and_workers(self):
         tracer = Tracer()
         options = ExecutionOptions(
-            tracer=tracer, cancellation=False, max_rows_per_request=100
+            tracer=tracer, slow_query_seconds=0.5, max_rows_per_request=100
         )
         server = Server(options=options)
         assert server.options is options
         assert server.options.tracer is tracer
-        assert server.options.cancellation is False
+        assert server.options.slow_query_seconds == 0.5
         assert server.options.max_rows_per_request == 100
         assert server.database.options is options
 
     def test_server_inherits_database_options(self):
-        db = TemporalDatabase(options=ExecutionOptions(batch_size=16, cancellation=False))
+        db = TemporalDatabase(options=ExecutionOptions(batch_size=16, use_statistics=True))
         server = Server(database=db)
         assert server.options is db.options
-        assert server.options.cancellation is False
+        assert server.options.use_statistics is True
 
     def test_every_session_enforces_the_budgets(self):
         """The per-request budgets hold outside the server too; a guard the
@@ -126,6 +126,7 @@ class TestRemovedKeywords:
         [
             (TemporalDatabase, "optimize_queries"),
             (ExecutionOptions, "optimize_queries"),
+            (ExecutionOptions, "cancellation"),
             (TemporalDatabase, "use_statistics"),
             (Session, "tracer"),
             (Session, "metrics"),

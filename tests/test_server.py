@@ -1,17 +1,19 @@
 """The serving layer: lifecycle, admission control, shared cache, TCP.
 
 Deterministic unit tests of :mod:`repro.server` — the timing-sensitive
-admission paths (rejection, queue-wait timeout) are driven by blocking the
-worker pool on an event rather than by racing sleeps, so they cannot flake.
-The snapshot-differential and stress coverage lives in
-``tests/test_server_snapshots.py``.
+admission paths (rejection, a deadline passing in line, line order) are
+driven by parking the requests that hold the slots on an event, and by
+waiting for the line to reach a length, rather than by racing sleeps, so
+they cannot flake.  Requests come from threads of the test's own
+(``in_threads``): the server starts none.  The snapshot-differential and
+mixed-load stress coverage lives in ``tests/test_server_snapshots.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import queue
+import sys
 import threading
 import time
 
@@ -52,9 +54,9 @@ BLOCK_MARKER = "SELECT-BLOCK-MARKER"
 
 @pytest.fixture
 def blockable(monkeypatch):
-    """Patch worker sessions so the BLOCK_MARKER statement parks on an event.
+    """Patch the sessions so the BLOCK_MARKER statement parks on an event.
 
-    Lets a test occupy every worker deterministically, then fill the queue,
+    Lets a test occupy every slot deterministically, then fill the line,
     then release — no sleeps, no races.
     """
     release = threading.Event()
@@ -81,27 +83,40 @@ class TestLifecycle:
                 "John",
             ]
 
-    def test_submit_before_start_and_after_close_raise(self):
+    def test_a_request_before_start_and_after_close_raises(self):
         server = make_server()
         with pytest.raises(ServerClosedError):
-            server.submit(PAPER_SQL)
+            server.query(PAPER_SQL)
         server.start()
         assert server.query(PAPER_SQL).ok
         server.close()
         with pytest.raises(ServerClosedError):
-            server.submit(PAPER_SQL)
+            server.append("EMPLOYEE", [("Zoe", "Sales", 1, 5)])
         server.close()  # idempotent
+
+    def test_a_started_server_starts_no_thread(self):
+        server = make_server(max_concurrency=4)
+        before = threading.active_count()
+        server.start()
+        try:
+            assert threading.active_count() == before
+            assert server.query(POINT_SQL, params=("Sales",)).ok
+            assert threading.active_count() == before
+        finally:
+            server.close()
 
     def test_close_drains_queued_requests(self, blockable):
         server = make_server(max_concurrency=1)
         server.start()
-        blocker = server.submit(BLOCK_MARKER)
+        blocker = in_threads(lambda: server.query(BLOCK_MARKER))
         wait_until(lambda: server.stats().active_workers == 1)
-        queued = server.submit(POINT_SQL, params=("Sales",))
+        queued = in_threads(lambda: server.query(POINT_SQL, params=("Sales",)))
+        wait_until(lambda: server.stats().queue_depth == 1)
         blockable.set()
         server.close()
-        assert blocker.result(timeout=5).status == "error"
-        assert queued.result(timeout=5).ok
+        (blocked,), (answered,) = blocker(), queued()
+        assert blocked.status == "error"
+        assert answered.ok
 
     def test_constructor_validates_knobs(self):
         with pytest.raises(ValueError):
@@ -137,9 +152,8 @@ class TestExecution:
         database.register("PROJECT", project_relation())
         serial = Session(database).execute(PAPER_SQL).relation
         with make_server(max_concurrency=4) as server:
-            futures = [server.submit(PAPER_SQL) for _ in range(8)]
-            for future in futures:
-                response = future.result(timeout=30)
+            responses = in_threads(*[lambda: server.query(PAPER_SQL)] * 8)()
+            for response in responses:
                 assert response.ok
                 assert list(response.relation.tuples) == list(serial.tuples)
 
@@ -164,8 +178,7 @@ class TestSharedPlanCache:
 
         Each of the two sessions is parked in turn, so which of them serves
         a request is decided by the test, not by the slot pool.  The
-        sessions are told apart by identity: both queries run inline on
-        this thread.
+        sessions are told apart by identity.
         """
         gates = {"PARK-FIRST": threading.Event(), "PARK-SECOND": threading.Event()}
         served_by = []
@@ -181,17 +194,18 @@ class TestSharedPlanCache:
         monkeypatch.setattr(Session, "execute", execute)
         with make_server(max_concurrency=2) as server:
             try:
-                parked = server.submit("PARK-FIRST")
+                parked = in_threads(lambda: server.query("PARK-FIRST"))
                 wait_until(lambda: server.stats().active_workers == 1)
                 first = server.query(PAPER_SQL)  # the one free session
                 assert first.ok and not first.cache_hit
                 assert planning_work == {
                     "searches": 1, "explorations": 1, "tokenize": 1, "fingerprint": 1
                 }
-                server.submit("PARK-SECOND")  # ... which now parks too
-                wait_until(lambda: server.stats().active_workers == 2)
+                second_parked = in_threads(lambda: server.query("PARK-SECOND"))
+                wait_until(lambda: server.stats().active_workers == 2)  # ... which now parks
                 gates["PARK-FIRST"].set()
-                assert parked.result(timeout=30.0).status == "error"
+                (released,) = parked()
+                assert released.status == "error"
                 planning_work.clear()
                 second = server.query(PAPER_SQL)  # the other session, its first sight
                 assert second.ok and second.cache_hit
@@ -201,6 +215,8 @@ class TestSharedPlanCache:
             finally:
                 for gate in gates.values():
                     gate.set()
+            (released,) = second_parked()
+            assert released.status == "error"
 
     def test_external_cache_is_shared_across_servers(self):
         cache = PlanCache(64)
@@ -228,12 +244,13 @@ class TestSingleFlightAcrossWorkers:
 
     def both_workers_miss(self, server, gate, statement=PAPER_SQL):
         """Worker A parked inside its search, worker B waiting on A's flight."""
-        leader = server.submit(statement)
+        leader = in_threads(lambda: server.query(statement))
         assert gate.entered.wait(timeout=30.0)
-        waiter = server.submit(statement)
+        waiter = in_threads(lambda: server.query(statement))
         wait_until(lambda: flight_waiters(server.plan_cache) == 1)
         gate.release.set()
-        return leader.result(timeout=30.0), waiter.result(timeout=30.0)
+        (led,), (served,) = leader(), waiter()
+        return led, served
 
     def test_the_second_worker_waits_and_is_served_the_firsts_entry(
         self, planning_work, park_first_call
@@ -280,62 +297,66 @@ class TestAdmissionControl:
         server = make_server(max_concurrency=1, queue_limit=2)
         server.start()
         try:
-            blocker = server.submit(BLOCK_MARKER)
+            blocker = in_threads(lambda: server.query(BLOCK_MARKER))
             wait_until(lambda: server.stats().active_workers == 1)
-            queued = [server.submit(POINT_SQL, params=("Sales",)) for _ in range(2)]
+            queued = in_threads(*[lambda: server.query(POINT_SQL, params=("Sales",))] * 2)
+            wait_until(lambda: server.stats().queue_depth == 2)
             with pytest.raises(ServerOverloadedError):
-                server.submit(POINT_SQL, params=("Sales",))
+                server.query(POINT_SQL, params=("Sales",))
             stats = server.stats()
             assert stats.rejected == 1
             assert stats.queue_depth == 2
             blockable.set()
-            assert blocker.result(timeout=5).status == "error"
-            for future in queued:
-                assert future.result(timeout=5).ok
+            (blocked,) = blocker()
+            assert blocked.status == "error"
+            for response in queued():
+                assert response.ok
         finally:
             blockable.set()
             server.close()
         assert server.stats().rejected == 1
 
-    def test_deadline_expired_in_queue_times_out_without_running(self, blockable):
+    def test_deadline_expired_in_queue_times_out_without_running(self, blockable, executions):
         server = make_server(max_concurrency=1)
         server.start()
         try:
-            blocker = server.submit(BLOCK_MARKER)
+            blocker = in_threads(lambda: server.query(BLOCK_MARKER))
             wait_until(lambda: server.stats().active_workers == 1)
-            doomed = server.submit(POINT_SQL, params=("Sales",), timeout=0.01)
-            time.sleep(0.05)  # let the deadline pass while it queues
-            blockable.set()
-            response = doomed.result(timeout=5)
+            doomed = in_threads(lambda: server.query(POINT_SQL, params=("Sales",), timeout=0.01))
+            # Answered at its deadline, while the blocker still holds the slot.
+            (response,) = doomed()
             assert response.status == "timed_out"
             assert response.relation is None
-            assert blocker.result(timeout=5).status == "error"
+            assert server.stats().queue_depth == 0
+            blockable.set()
+            (blocked,) = blocker()
+            assert blocked.status == "error"
             stats = server.stats()
             assert stats.timed_out == 1
         finally:
             blockable.set()
             server.close()
+        assert [statement for statement, _, _ in executions] == [BLOCK_MARKER]
 
     def test_default_request_timeout_applies(self, blockable):
         server = make_server(max_concurrency=1, request_timeout=0.01)
         server.start()
         try:
-            blocker = server.submit(BLOCK_MARKER, timeout=30.0)
+            blocker = in_threads(lambda: server.query(BLOCK_MARKER, timeout=30.0))
             wait_until(lambda: server.stats().active_workers == 1)
-            doomed = server.submit(POINT_SQL, params=("Sales",))
-            time.sleep(0.05)
+            doomed = in_threads(lambda: server.query(POINT_SQL, params=("Sales",)))
+            (response,) = doomed()
+            assert response.status == "timed_out"
             blockable.set()
-            assert doomed.result(timeout=5).status == "timed_out"
-            blocker.result(timeout=5)
+            blocker()
         finally:
             blockable.set()
             server.close()
 
     def test_peak_active_workers_is_bounded_by_max_concurrency(self):
         with make_server(max_concurrency=2) as server:
-            futures = [server.submit(PAPER_SQL) for _ in range(12)]
-            for future in futures:
-                assert future.result(timeout=30).ok
+            for response in in_threads(*[lambda: server.query(PAPER_SQL)] * 12)():
+                assert response.ok
             stats = server.stats()
             assert 1 <= stats.peak_active_workers <= 2
 
@@ -343,11 +364,12 @@ class TestAdmissionControl:
         server = make_server(max_concurrency=1, queue_limit=1)
         server.start()
         try:
-            blocker = server.submit(BLOCK_MARKER)
+            blocker = in_threads(lambda: server.query(BLOCK_MARKER))
             wait_until(lambda: server.stats().active_workers == 1)
-            server.submit(POINT_SQL, params=("Sales",))
+            queued = in_threads(lambda: server.query(POINT_SQL, params=("Sales",)))
+            wait_until(lambda: server.stats().queue_depth == 1)
             with pytest.raises(ServerOverloadedError):
-                server.submit(POINT_SQL, params=("Sales",))
+                server.query(POINT_SQL, params=("Sales",))
             blockable.set()
         finally:
             blockable.set()
@@ -357,90 +379,177 @@ class TestAdmissionControl:
         assert stats.completed + stats.failed + stats.rejected == 3
         assert stats.rejected == 1
         assert stats.queue_depth == 0 and stats.active_workers == 0
-
-
-class GatedSlots(queue.LifoQueue):
-    """A slot pool whose *blocking* take (a worker's) waits for ``gate``.
-
-    Parks a worker between dequeuing a request and taking its session, so a
-    test can free a session while a request is still queued for it.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.gate = threading.Event()
-        self.waiting = threading.Event()
-
-    def get(self, block=True, timeout=None):
-        if block:
-            self.waiting.set()
-            assert self.gate.wait(timeout=30.0), "test never opened the gate"
-        return super().get(block, timeout)
+        blocker(), queued()
 
 
 @pytest.fixture
 def executions(monkeypatch):
-    """``(statement, params, thread name, session id)`` per ``Session.execute``."""
+    """``(statement, params, thread)`` per ``Session.execute``."""
     seen = []
     real_execute = Session.execute
 
     def execute(self, statement, params=(), **kwargs):
-        seen.append((statement, tuple(params), threading.current_thread().name, id(self)))
+        seen.append((statement, tuple(params), threading.current_thread()))
         return real_execute(self, statement, params, **kwargs)
 
     monkeypatch.setattr(Session, "execute", execute)
     return seen
 
 
-def on_a_worker(thread_name: str) -> bool:
-    return thread_name.startswith("repro-server-worker-")
+def on_this_thread(request):
+    """``request()`` called on a thread of its own: ``(its outcome, that thread)``."""
+    return lambda: (request(), threading.current_thread())
 
 
 class TestInlineExecution:
-    """A blocking caller runs its own request when a slot is free; only a
-    saturated server queues it for a worker."""
+    """Every request runs on the thread that asks for it; a caller that
+    finds every slot busy waits in line and is handed a slot in turn."""
 
     def test_a_free_slot_runs_the_request_on_the_callers_thread(self, executions):
         with make_server(max_concurrency=2) as server:
             assert server.query(POINT_SQL, params=("Sales",)).ok
             assert server.append("EMPLOYEE", [("Zoe", "Sales", 1, 5)]).ok
-            assert server.submit(POINT_SQL, params=("Sales",)).result(timeout=30).ok
+            ((response, caller),) = in_threads(
+                on_this_thread(lambda: server.query(POINT_SQL, params=("Research",)))
+            )()
             stats = server.stats()
-        (_, _, inline, _), (_, _, queued, _) = executions
-        assert inline == threading.current_thread().name
-        assert on_a_worker(queued)
+        assert response.ok
+        (_, _, first), (_, _, other) = executions
+        assert first is threading.current_thread()
+        assert other is caller
         assert (stats.completed, stats.submitted, stats.peak_active_workers) == (3, 3, 1)
 
-    def test_with_every_slot_busy_a_blocking_query_queues_in_order(self, blockable, executions):
-        """The queued request is answered by a worker, and a later caller does
-        not overtake it: not while it waits in the queue, and not after a
-        worker has dequeued it but before that worker holds the freed slot."""
-        server = make_server(max_concurrency=1)
-        slots = server._sessions = GatedSlots()
+    def test_the_line_runs_requests_in_admission_order(self, monkeypatch):
+        """One blocker, two waiters and a later caller run in admission
+        order, each on its caller's thread; a waiter cancelled in line and
+        one whose deadline passes in line are answered without executing;
+        ``close()`` returns only once every admitted request is answered."""
+        gates = {"PARK-BLOCKER": threading.Event(), "PARK-FIRST-WAITER": threading.Event()}
+        executed = []
+        real_execute = Session.execute
+
+        def execute(self, statement, params=(), **kwargs):
+            executed.append((statement, tuple(params), threading.current_thread()))
+            if statement in gates:
+                assert gates[statement].wait(timeout=30.0), "test never released the slot"
+                raise ValueError("parked request released")
+            return real_execute(self, statement, params, **kwargs)
+
+        monkeypatch.setattr(Session, "execute", execute)
+        server = make_server(max_concurrency=1, queue_limit=None)
         server.start()
+        request_ids = {}
+
+        def caller(name, statement, params=(), timeout=None, depth=None):
+            def request():
+                def admitted(request_id):
+                    request_ids[name] = request_id
+
+                return server.query(statement, params, timeout=timeout, admitted=admitted)
+
+            join = in_threads(on_this_thread(request))
+            if depth is not None:
+                wait_until(lambda: server.stats().queue_depth == depth)
+            return join
+
         try:
-            blocker = in_threads(lambda: server.query(BLOCK_MARKER))
+            blocker = caller("blocker", "PARK-BLOCKER")
             wait_until(lambda: server.stats().active_workers == 1)
-            first = in_threads(lambda: server.query(POINT_SQL, params=("Sales",)))
-            assert slots.waiting.wait(timeout=30.0)  # dequeued, waiting for the slot
-            blockable.set()
-            (blocked,) = blocker()
-            assert blocked.status == "error"
-            assert server.stats().active_workers == 0  # the slot is free ...
-            later = in_threads(lambda: server.query(POINT_SQL, params=("Research",)))
-            wait_until(lambda: server.stats().queue_depth == 1)  # ... and still queued for
-            slots.gate.set()
-            (answered,), (overtaking,) = first(), later()
+            first = caller("first", "PARK-FIRST-WAITER", depth=1)
+            cancelled = caller("cancelled", POINT_SQL, ("Sales",), depth=2)
+            expired = caller("expired", POINT_SQL, ("Sales",), timeout=0.05, depth=3)
+            second = caller("second", POINT_SQL, ("Research",), depth=4)
+            assert server.cancel(request_ids["cancelled"]) is True
+            # Both leave the line while the blocker still holds the slot.
+            ((gone, _),), ((late, _),) = cancelled(), expired()
+            assert (gone.status, gone.code) == ("cancelled", "CANCELLED")
+            assert (late.status, late.code) == ("timed_out", "TIMED_OUT")
+            assert server.stats().queue_depth == 2
+            gates["PARK-BLOCKER"].set()
+            # The blocker hands its slot to the first waiter: a caller arriving
+            # now finds it busy and waits behind the second.
+            wait_until(lambda: len(executed) == 2)
+            later = caller("later", POINT_SQL, ("Sales",), depth=2)
+            closing = threading.Event()
+            closer = in_threads(lambda: (server.close(), closing.set()))
+            wait_until(lambda: server._closed)
+            with pytest.raises(ServerClosedError):
+                server.query(POINT_SQL, params=("Sales",))
+            assert not closing.is_set()  # the first waiter still runs
+            gates["PARK-FIRST-WAITER"].set()
+            closer()
+            stats = server.stats()
         finally:
-            blockable.set()
-            slots.gate.set()
+            for gate in gates.values():
+                gate.set()
             server.close()
-        assert answered.ok and overtaking.ok
-        assert [(statement, params) for statement, params, _, _ in executions] == [
-            (BLOCK_MARKER, ()), (POINT_SQL, ("Sales",)), (POINT_SQL, ("Research",))
+        assert closing.is_set()
+        # close() returned with every admitted request answered and every slot free.
+        assert stats.submitted == 6 and stats.rejected == 0
+        assert (stats.completed, stats.failed, stats.cancelled, stats.timed_out) == (2, 2, 1, 1)
+        assert (stats.queue_depth, stats.active_workers, stats.peak_active_workers) == (0, 0, 1)
+        outcomes = {
+            name: join()[0]
+            for name, join in [("blocker", blocker), ("first", first), ("second", second),
+                               ("later", later)]
+        }
+        assert [response.status for response, _ in outcomes.values()] == [
+            "error", "error", "ok", "ok"
         ]
-        assert not on_a_worker(executions[0][2])
-        assert all(on_a_worker(thread) for _, _, thread, _ in executions[1:])
+        assert [(statement, params) for statement, params, _ in executed] == [
+            ("PARK-BLOCKER", ()),
+            ("PARK-FIRST-WAITER", ()),
+            (POINT_SQL, ("Research",)),
+            (POINT_SQL, ("Sales",)),
+        ]
+        assert [thread for _, _, thread in executed] == [
+            thread for _, thread in outcomes.values()
+        ]
+
+    def test_many_callers_waiting_cancelling_and_timing_out_lose_no_slot(self):
+        """More callers than cores and slots, a thread switch every few
+        bytecodes: every request is answered once and every slot comes back."""
+        callers, requests_each, slots = 12, 6, 2
+        server = make_server(max_concurrency=slots, queue_limit=None)
+        admitted = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server.start()
+
+            def caller(index):
+                def run():
+                    responses = []
+                    for attempt in range(requests_each):
+                        # Every third request has a deadline short enough to
+                        # pass in line; a canceller takes others as they come.
+                        timeout = 1e-4 if (index + attempt) % 3 == 0 else None
+                        responses.append(
+                            server.query(POINT_SQL, ("Sales",), timeout, admitted.append)
+                        )
+                    return responses
+
+                return run
+
+            def canceller():
+                for request_id in range(1, callers * requests_each + 1, 4):
+                    wait_until(lambda: len(admitted) >= request_id)
+                    server.cancel(request_id)
+
+            outcomes = in_threads(canceller, *[caller(index) for index in range(callers)])()
+            server.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes[0] is None  # the canceller saw every request admitted
+        responses = [response for outcome in outcomes[1:] for response in outcome]
+        stats = server.stats()
+        assert len(responses) == stats.submitted == callers * requests_each
+        assert {response.status for response in responses} <= {"ok", "timed_out", "cancelled"}
+        assert sum(response.ok for response in responses) == stats.completed > 0
+        assert stats.completed + stats.timed_out + stats.cancelled == stats.submitted
+        assert (stats.queue_depth, stats.active_workers) == (0, 0)
+        assert 1 <= stats.peak_active_workers <= slots
+        assert len(server._free) == slots and not server._inflight
 
     def test_six_tcp_clients_share_two_slots(self):
         with make_server(max_concurrency=2, queue_limit=None) as server:
@@ -459,6 +568,7 @@ class TestInlineExecution:
         assert (stats.completed, stats.submitted) == (30, 30)
 
     def test_a_deadline_already_passed_times_out_without_executing(self, executions):
+        """Checked at admission, before a slot is taken."""
         with make_server(max_concurrency=1) as server:
             # A deadline at the admission instant has passed when the request runs.
             response = server.query(POINT_SQL, params=("Sales",), timeout=0.0)

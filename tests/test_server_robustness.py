@@ -22,6 +22,8 @@ from repro.server import (
 from repro.stratum import TemporalDatabase
 from repro.workloads import employee_relation, project_relation
 
+from .conftest import in_threads, wait_until
+
 
 def make_server(**kwargs) -> Server:
     database = TemporalDatabase()
@@ -116,42 +118,35 @@ class TestWireHygiene:
         with TCPClient(host, port) as probe:
             assert probe.ping()["pong"] is True
 
-    def test_rejected_admission_carries_overloaded_code(self):
+    def test_rejected_admission_carries_overloaded_code(self, monkeypatch):
+        from repro.session.session import Session
+
+        release = threading.Event()
+        original = Session.execute
+
+        def parked(self, statement, *args, **kwargs):
+            if statement == "SELECT EmpName FROM EMPLOYEE":
+                assert release.wait(timeout=30.0), "test never released the slots"
+            return original(self, statement, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "execute", parked)
         with make_server(queue_limit=1) as server:
-            with TCPFrontend(server) as front:
-                host, port = front.address
-                with TCPClient(host, port) as client:
-                    # A large ``times`` budget so the client's probe queries
-                    # cannot exhaust the injections mid-loop (which would let
-                    # the blockers finish and the queue drain — a flake).
-                    with FAULTS.armed(
-                        "dbms.scan", kind="latency", latency=0.5, times=200
-                    ):
-                        # fill both workers + the one queue slot; a blocker's
-                        # own submission can race a worker draining the queue
-                        # and be rejected, so retry until exactly three are
-                        # admitted (otherwise the queue has a free slot and
-                        # the probe below is never rejected — a flake)
-                        blockers = []
-                        deadline = time.monotonic() + 5.0
-                        while len(blockers) < 3 and time.monotonic() < deadline:
-                            try:
-                                blockers.append(
-                                    server.submit("SELECT EmpName FROM EMPLOYEE")
-                                )
-                            except ServerOverloadedError:
-                                time.sleep(0.01)
-                        assert len(blockers) == 3, "could not fill the pool"
-                        overloaded = None
-                        for _ in range(20):
-                            reply = client.query("SELECT EmpName FROM PROJECT")
-                            if reply["status"] == "rejected":
-                                overloaded = reply
-                                break
-                        for blocker in blockers:
-                            blocker.result(timeout=10.0)
-                assert overloaded is not None, "queue never filled"
-                assert overloaded["code"] == "OVERLOADED"
+            with TCPFrontend(server) as front, TCPClient(*front.address) as client:
+                try:
+                    # Both slots busy and the one place in line taken.
+                    blockers = in_threads(
+                        *[lambda: server.query("SELECT EmpName FROM EMPLOYEE")] * 2
+                    )
+                    wait_until(lambda: server.stats().active_workers == 2)
+                    waiting = in_threads(lambda: server.query("SELECT EmpName FROM EMPLOYEE"))
+                    wait_until(lambda: server.stats().queue_depth == 1)
+                    overloaded = client.query("SELECT EmpName FROM PROJECT")
+                finally:
+                    release.set()
+                assert all(response.ok for response in blockers() + waiting())
+                assert client.query("SELECT EmpName FROM PROJECT")["status"] == "ok"
+        assert overloaded["status"] == "rejected"
+        assert overloaded["code"] == "OVERLOADED"
 
     def test_wire_error_replies_carry_stable_codes(self, frontend):
         host, port = frontend.address
@@ -280,7 +275,7 @@ class TestClientRetry:
 
 
 class TestWorkerCrashContainment:
-    def test_base_exception_kills_one_worker_not_the_server(self, monkeypatch):
+    def test_a_base_exception_crashes_one_request_not_the_server(self, monkeypatch):
         class SimulatedCrash(BaseException):
             """KeyboardInterrupt-like: beyond what except Exception catches."""
 
@@ -300,14 +295,14 @@ class TestWorkerCrashContainment:
             crashed = server.query("SELECT EmpName FROM EMPLOYEE")
             assert crashed.status == "error"
             assert "crashed" in crashed.error
-            # the remaining worker keeps serving
+            # the server keeps serving; the crashed slot holds a fresh session
             for _ in range(4):
                 assert server.query("SELECT EmpName FROM EMPLOYEE").ok
             stats = server.stats()
             assert stats.worker_crashes == 1
             assert stats.failed == 1 and stats.completed == 4
             assert stats.completed + stats.failed == stats.submitted
-        # close() joined the dead worker without hanging — reaching here is the proof
+        # close() saw every request answered and every slot free — reaching here is the proof
 
     def test_crash_metrics_exposed(self, monkeypatch):
         class SimulatedCrash(BaseException):

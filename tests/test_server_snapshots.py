@@ -33,6 +33,8 @@ from repro.workloads import (
     project_relation,
 )
 
+from .conftest import in_threads, wait_until
+
 
 def make_database() -> TemporalDatabase:
     database = TemporalDatabase()
@@ -86,13 +88,15 @@ class TestPinnedReads:
         server = Server(database, max_concurrency=1)
         server.start()
         try:
-            blocker = server.submit(BLOCK_MARKER)
-            pinned = server.submit(PAPER_SQL)  # admitted now, at the base epoch
+            blocker = in_threads(lambda: server.query(BLOCK_MARKER))
+            wait_until(lambda: server.stats().active_workers == 1)
+            pinned = in_threads(lambda: server.query(PAPER_SQL))  # admitted at the base epoch
+            wait_until(lambda: server.stats().queue_depth == 1)
             # The append lands *after* admission but *before* execution.
             database.insert("EMPLOYEE", [("Interloper", "Sales", 1, 12)])
             blockable.set()
-            blocker.result(timeout=10)
-            response = pinned.result(timeout=10)
+            blocker()
+            (response,) = pinned()
             assert response.ok
             assert list(response.relation.tuples) == list(serial.tuples)
             # A query admitted now sees the interloper.

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -696,10 +697,10 @@ class TestExploreOncePerStatement:
                 assert server.query(sql, params=params).ok
             for round_ in range(3):
                 server.append("EMPLOYEE", [self.ROW])
-                futures = [
-                    server.submit(sql, params=params) for sql, params in statements * 2
-                ]
-                assert all(future.result(timeout=30.0).ok for future in futures)
+                responses = in_threads(
+                    *[partial(server.query, sql, params=params) for sql, params in statements * 2]
+                )()
+                assert all(response.ok for response in responses)
             info = server.plan_cache.info()
         # One memo per statement, whichever worker got there first.
         assert planning_work["explorations"] == info.explorations == 3
