@@ -31,7 +31,7 @@ EMPLOYEES = generate_employees(
 
 def make_executor():
     dbms = ConventionalDBMS()
-    dbms.load_relation("EMPLOYEE", EMPLOYEES)
+    dbms.create_table("EMPLOYEE", EMPLOYEES.schema, EMPLOYEES)
     return StratumExecutor(dbms)
 
 

@@ -299,7 +299,10 @@ class Arithmetic(Expression):
         return self.left.attributes() | self.right.attributes()
 
     def evaluate(self, tup: Tuple) -> Any:
-        return self.operator.apply(self.left.evaluate(tup), self.right.evaluate(tup))
+        try:
+            return self.operator.apply(self.left.evaluate(tup), self.right.evaluate(tup))
+        except TypeError as exc:
+            raise EvaluationError(f"cannot evaluate {self}: {exc}") from exc
 
     def row_form(self, slots: "RowSlots") -> str:
         left, right = self.left.row_form(slots), self.right.row_form(slots)
@@ -459,8 +462,8 @@ def _bound(source: str, slots: RowSlots, reference: RowKernel) -> RowKernel:
 
     A ``TypeError`` re-runs the batch through ``reference`` — ``evaluate`` on
     trusted views — so the caller gets the exception the reference raises
-    (``Comparison.evaluate`` wraps a ``TypeError`` in an ``EvaluationError``
-    naming the comparison).
+    (``Comparison.evaluate`` and ``Arithmetic.evaluate`` wrap a ``TypeError``
+    in an ``EvaluationError`` naming the expression).
     """
     kernel = compile_kernel(source)
     constants, calls = tuple(slots.constants), tuple(slots.calls)

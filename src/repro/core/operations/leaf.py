@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Sequence, Tuple as PyTuple
 
 from ..exceptions import EvaluationError
 from ..order_spec import OrderSpec
@@ -20,9 +20,9 @@ class BaseRelation(Operation):
     """A reference to a stored base relation, looked up by name at evaluation.
 
     The node carries the relation's schema so that plan analysis (schema
-    derivation, rule preconditions) does not need access to the data, and an
-    optional *known order* describing how the stored instance is ordered
-    (e.g. a clustering order); the default is unordered.
+    derivation, rule preconditions) does not need access to the data.  A
+    stored relation is a multiset with no known order (Table 1's "stored
+    order").
     """
 
     symbol = "rel"
@@ -32,32 +32,26 @@ class BaseRelation(Operation):
     paper_order = "stored order"
     paper_cardinality = "n(r)"
 
-    __slots__ = ("relation_name", "schema", "known_order")
+    __slots__ = ("relation_name", "schema")
 
-    def __init__(
-        self,
-        relation_name: str,
-        schema: RelationSchema,
-        known_order: Optional[OrderSpec] = None,
-    ) -> None:
+    def __init__(self, relation_name: str, schema: RelationSchema) -> None:
         super().__init__()
         self.relation_name = relation_name
         self.schema = schema
-        self.known_order = known_order or OrderSpec.unordered()
 
     def params(self) -> PyTuple[Any, ...]:
-        return (self.relation_name, self.schema, self.known_order)
+        return (self.relation_name, self.schema)
 
     def with_children(self, children: Sequence[Operation]) -> "BaseRelation":
         if children:
             raise EvaluationError("BaseRelation is a leaf and takes no children")
-        return BaseRelation(self.relation_name, self.schema, self.known_order)
+        return BaseRelation(self.relation_name, self.schema)
 
     def output_schema(self) -> RelationSchema:
         return self.schema
 
     def result_order(self, child_orders: Sequence[OrderSpec]) -> OrderSpec:
-        return self.known_order
+        return OrderSpec.unordered()
 
     def cardinality_bounds(self, child_cards: Sequence[PyTuple[int, int]]) -> PyTuple[int, int]:
         # Unknown without the catalog; the cost model refines this using
@@ -71,7 +65,7 @@ class BaseRelation(Operation):
                 f"bound relation {self.relation_name!r} has schema {relation.schema}, "
                 f"plan expects {self.schema}"
             )
-        return relation.with_order(self.known_order)
+        return relation.with_order(OrderSpec.unordered())
 
     def _evaluate(self, child_results: Sequence[Relation], context: EvaluationContext) -> Relation:
         return self.evaluate(context)

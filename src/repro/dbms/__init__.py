@@ -1,6 +1,6 @@
 """The conventional DBMS substrate (the engine below the stratum)."""
 
-from .catalog import Catalog, Table, TableStatistics
+from .catalog import Catalog, Table
 from .engine import ConventionalDBMS, DBMSResult
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "ConventionalDBMS",
     "DBMSResult",
     "Table",
-    "TableStatistics",
 ]

@@ -17,24 +17,23 @@ from the shared batch operators — no interval join, no temporal operator.
 The stratum executes a request's fragments in the same operator tree and
 never calls :meth:`ConventionalDBMS.execute`; that is for direct callers.
 
-A pinned read is the same class over a
-:class:`~repro.dbms.catalog.CatalogSnapshot`
-(:meth:`ConventionalDBMS.snapshot`): it reads, explains and executes the
-pinned rows, and the pinned catalog rejects every change.
+A pinned read is the same class over a read-only
+:class:`~repro.dbms.catalog.Catalog` (:meth:`ConventionalDBMS.snapshot`): it
+reads, explains and executes the pinned tables, and the pinned catalog
+rejects every change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from ..core.lowering import DBMS_ENGINE, ExecutionReport, Lowering
 from ..core.operations import Operation
-from ..core.order_spec import OrderSpec
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..options import DEFAULT_BATCH_SIZE
-from .catalog import Catalog, CatalogSnapshot, Table
+from .catalog import Catalog, Table
 
 
 @dataclass
@@ -47,27 +46,19 @@ class DBMSResult:
 
 class ConventionalDBMS:
     """An in-memory, multiset-semantics SQL engine over one catalog: a live
-    :class:`Catalog` (a fresh one by default) or the pinned
-    :class:`CatalogSnapshot` that :meth:`snapshot` builds."""
+    :class:`Catalog` (a fresh one by default) or the read-only one that
+    :meth:`snapshot` builds."""
 
-    def __init__(self, catalog: Optional[Union[Catalog, CatalogSnapshot]] = None) -> None:
+    def __init__(self, catalog: Optional[Catalog] = None) -> None:
         self.catalog = catalog if catalog is not None else Catalog()
 
     # -- data definition ---------------------------------------------------------
 
     def create_table(
-        self,
-        name: str,
-        schema: RelationSchema,
-        rows: Optional[Relation] = None,
-        clustering: Optional[OrderSpec] = None,
+        self, name: str, schema: RelationSchema, rows: Optional[Relation] = None
     ) -> Table:
         """Create a table, optionally loading rows immediately."""
-        return self.catalog.create_table(name, schema, rows, clustering)
-
-    def load_relation(self, name: str, relation: Relation) -> Table:
-        """Create a table named ``name`` holding ``relation``."""
-        return self.catalog.create_table(name, relation.schema, relation)
+        return self.catalog.create_table(name, schema, rows)
 
     def drop_table(self, name: str) -> None:
         """Drop a table."""
@@ -132,9 +123,9 @@ class ConventionalDBMS:
     def snapshot(self) -> "ConventionalDBMS":
         """An engine over the catalog's current contents, pinned.
 
-        Pins every table's relation plus the statistics epoch atomically
-        (see :meth:`Catalog.snapshot`); queries executed against the
-        returned engine see exactly this state regardless of concurrent
-        appends to the live catalog, and its catalog rejects every change.
+        Pins every table plus the statistics epoch atomically (see
+        :meth:`Catalog.snapshot`); queries executed against the returned
+        engine see exactly this state regardless of concurrent appends to
+        the live catalog, and its catalog rejects every change.
         """
         return ConventionalDBMS(self.catalog.snapshot())

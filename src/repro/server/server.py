@@ -36,6 +36,7 @@ moved the catalog to, which is what makes lost-update checks possible.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -172,6 +173,8 @@ class Server:
             raise ValueError("max_concurrency must be at least 1")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be at least 1 (or None for unbounded)")
+        if request_timeout is not None and not math.isfinite(request_timeout):
+            raise ValueError(f"request_timeout must be finite, got {request_timeout}")
         self.database = database or TemporalDatabase(options=options)
         #: Execution configuration applied to every slot's session (and,
         #: when the server creates its own database, to the database too);
@@ -324,9 +327,10 @@ class Server:
         regardless of concurrent appends and of how long the request waits
         in line.  The deadline (``timeout`` or the server default) holds
         while the query waits and while it runs.  Raises
-        :class:`ServerOverloadedError` when the line is full and
+        :class:`ServerOverloadedError` when the line is full,
         :class:`ServerClosedError` before :meth:`start` and after
-        :meth:`close`.  ``admitted`` is called with the request id once the
+        :meth:`close`, and ``ValueError`` for a ``timeout`` that is not
+        finite.  ``admitted`` is called with the request id once the
         request is admitted and before it runs, so a caller can make it
         cancellable by :meth:`cancel` while it blocks here.
         """
@@ -367,7 +371,10 @@ class Server:
         return True
 
     def _request(self, kind: str, timeout: Optional[float], **fields) -> _Request:
-        timeout = timeout if timeout is not None else self.request_timeout
+        if timeout is None:
+            timeout = self.request_timeout
+        elif not math.isfinite(timeout):
+            raise ValueError(f"timeout must be finite, got {timeout}")
         now = time.perf_counter()
         return _Request(
             kind=kind,

@@ -16,8 +16,8 @@ run.
 
 A query reads only the substrate's catalog.  A consistent read is therefore
 the same class over a pinned catalog: :meth:`TemporalDatabase.snapshot`
-returns a ``TemporalDatabase`` whose DBMS holds a
-:class:`~repro.dbms.catalog.CatalogSnapshot`, with the live database's
+returns a ``TemporalDatabase`` whose DBMS holds a read-only copy of the
+live :class:`~repro.dbms.catalog.Catalog`, with the live database's
 optimizer and options.
 """
 
@@ -32,7 +32,6 @@ from ..core.exceptions import CancelledError, ResourceExhaustedError, error_code
 from ..faults import FAULTS
 from ..core.operations import Operation
 from ..core.operations.base import EvaluationContext
-from ..core.order_spec import OrderSpec
 from ..core.query import QueryResultSpec
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
@@ -105,20 +104,21 @@ class TemporalDatabase:
 
     # -- data definition ---------------------------------------------------------
 
-    def register(self, name: str, relation: Relation, clustering: Optional[OrderSpec] = None) -> None:
+    def register(self, name: str, relation: Relation) -> None:
         """Store ``relation`` as base table ``name`` in the underlying DBMS."""
-        self.dbms.create_table(name, relation.schema, relation, clustering)
+        self.dbms.create_table(name, relation.schema, relation)
 
     def create_table(self, name: str, schema: RelationSchema) -> None:
         """Create an empty base table."""
         self.dbms.create_table(name, schema)
 
     def insert(self, name: str, rows) -> int:
-        """Append rows (in schema order) to a base table."""
-        return self.dbms.catalog.table(name).insert(rows)
+        """Append rows (in schema order) to a base table; see :meth:`append`."""
+        return self.append(name, rows)[0]
 
     def append(self, name: str, rows) -> PyTuple[int, int]:
-        """Like :meth:`insert`, but report ``(inserted, resulting epoch)``.
+        """Append rows (in schema order) to a base table; report
+        ``(inserted, resulting epoch)``.
 
         Both values come from one atomic catalog operation, so concurrent
         appenders each learn the exact epoch their own rows landed at.
@@ -152,7 +152,7 @@ class TemporalDatabase:
     def statistics_epoch(self) -> int:
         """Monotone counter advanced by every statistics-relevant change.
 
-        Any DDL or data change (create/drop/insert/replace) advances it; the
+        Any DDL or data change (create/drop/insert) advances it; the
         plan cache of :mod:`repro.session` keys entries on the epoch, so a
         bump invalidates every plan optimized against the older statistics.
         A snapshot's never advances.

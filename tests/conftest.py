@@ -322,8 +322,8 @@ def project_scan():
 def dbms(employee, project):
     """A conventional DBMS holding the paper's base tables."""
     engine = ConventionalDBMS()
-    engine.load_relation("EMPLOYEE", employee)
-    engine.load_relation("PROJECT", project)
+    engine.create_table("EMPLOYEE", employee.schema, employee)
+    engine.create_table("PROJECT", project.schema, project)
     return engine
 
 

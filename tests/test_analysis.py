@@ -152,10 +152,6 @@ class TestCoalescedGuarantee:
 
 
 class TestDerivedOrder:
-    def test_base_relation_known_order(self):
-        scan = BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA, OrderSpec.ascending("EmpName"))
-        assert derive_order(scan) == OrderSpec.ascending("EmpName")
-
     def test_sort_overrides(self, employee):
         plan = Sort(OrderSpec.ascending("Dept"), LiteralRelation(employee))
         assert derive_order(plan) == OrderSpec.ascending("Dept")

@@ -528,7 +528,7 @@ class TestCatalogConcurrency:
         catalog.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee_relation())
         snapshot = catalog.snapshot()
         with pytest.raises(CatalogError):
-            snapshot.table("EMPLOYEE").insert([("X", "Sales", 1, 2)])
+            snapshot.insert("EMPLOYEE", [("X", "Sales", 1, 2)])
         with pytest.raises(CatalogError):
             snapshot.create_table("OTHER", EMPLOYEE_SCHEMA)
         with pytest.raises(CatalogError):

@@ -1,65 +1,48 @@
 """Tests for the DBMS catalog and stored tables."""
 
+import sys
+
 import pytest
 
 from repro.core.exceptions import CatalogError, PeriodError, SchemaError
-from repro.core.order_spec import OrderSpec
-from repro.core.relation import Relation
-from repro.dbms.catalog import Catalog, Table, TableStatistics
+from repro.dbms.catalog import Catalog
 from repro.stats import CardinalityEstimator, TableProfile
-from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, employee_relation
+from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA
+
+from .conftest import in_threads
 
 
 class TestTable:
     def test_create_with_rows(self, employee):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
+        table = Catalog().create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
         assert table.cardinality == 5
-        assert table.statistics.cardinality == 5
-        assert table.statistics.distinct_values["EmpName"] == 2
+        assert table.schema.name == "EMPLOYEE"
 
     def test_create_empty(self):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)
+        table = Catalog().create_table("EMPLOYEE", EMPLOYEE_SCHEMA)
         assert table.cardinality == 0
 
     def test_schema_mismatch_rejected(self, project):
         with pytest.raises(SchemaError):
-            Table("EMPLOYEE", EMPLOYEE_SCHEMA, project)
+            Catalog().create_table("EMPLOYEE", EMPLOYEE_SCHEMA, project)
 
     def test_insert_rows(self):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)
-        added = table.insert([("Mia", "Sales", 1, 4), ("Mia", "Ads", 4, 9)])
-        assert added == 2
-        assert table.cardinality == 2
-        assert table.statistics.distinct_values["Dept"] == 2
-
-    def test_replace(self, employee):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)
-        table.replace(employee)
-        assert table.cardinality == 5
-
-    def test_clustering_order_annotates_relation(self, employee):
-        order = OrderSpec.ascending("EmpName")
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA, employee, clustering=order)
-        assert table.relation.order == order
-
-    def test_statistics_from_relation(self, employee):
-        stats = TableStatistics.from_relation(employee)
-        assert stats.cardinality == 5
-        assert stats.distinct_values["Dept"] == 2
+        catalog = Catalog()
+        catalog.create_table("EMPLOYEE", EMPLOYEE_SCHEMA)
+        assert catalog.insert("EMPLOYEE", [("Mia", "Sales", 1, 4), ("Mia", "Ads", 4, 9)]) == (2, 2)
+        assert catalog.table("EMPLOYEE").cardinality == 2
+        # An empty batch changes nothing, the epoch included.
+        assert catalog.insert("EMPLOYEE", []) == (0, 2)
 
     def test_histogram_and_period_summaries(self, employee):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
-        histogram = table.statistics.histogram("Dept")
+        table = Catalog().create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
+        profile = table.profile()
+        histogram = profile.attributes["Dept"].histogram
         assert histogram.total == 5
         assert histogram.distinct == 2
-        period = table.statistics.period_histogram()
-        assert period is not None
-        assert period.count == 5
-        # Interleaving the table-level and statistics-level accessors must
-        # not thrash the lazy profile cache.
-        first = table.profile()
-        table.statistics.histogram("Dept")
-        assert table.profile() is first
+        assert profile.period is not None
+        assert profile.period.count == 5
+        assert table.profile() is profile
 
 
 class TestCatalog:
@@ -110,32 +93,22 @@ class TestCatalog:
         assert estimator.base_cardinality("EMPLOYEE") == 5.0
 
 
-class TestIncrementalStatistics:
-    """Satellite regression: incremental updates must equal a full recompute."""
-
+class TestAppends:
     BATCHES = (
         [("Mia", "Sales", 1, 4), ("Mia", "Sales", 4, 9)],
         [("Tom", "Ads", 2, 5)],
         [("Mia", "Sales", 1, 4), ("Ann", "Sales", 3, 7), ("Tom", "Ads", 8, 11)],
     )
 
-    def _table_after_inserts(self) -> Table:
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)
-        for batch in self.BATCHES:
-            table.insert(batch)
-        return table
-
-    def test_incremental_equals_recompute(self):
-        table = self._table_after_inserts()
-        recomputed = TableStatistics.from_relation(table.relation)
-        assert table.statistics.cardinality == recomputed.cardinality == 6
-        assert table.statistics.distinct_values == recomputed.distinct_values
-
     def test_incremental_profile_equals_recomputed_profile(self):
-        table = self._table_after_inserts()
+        catalog = Catalog()
+        catalog.create_table("EMPLOYEE", EMPLOYEE_SCHEMA)
+        for batch in self.BATCHES:
+            catalog.insert("EMPLOYEE", batch)
+        table = catalog.table("EMPLOYEE")
         recomputed = TableProfile.from_relation("EMPLOYEE", table.relation)
         incremental = table.profile()
-        assert incremental.cardinality == recomputed.cardinality
+        assert incremental.cardinality == recomputed.cardinality == 6
         assert incremental.period == recomputed.period
         assert incremental.row_distinct_ratio == recomputed.row_distinct_ratio
         assert incremental.coalesced_fraction == recomputed.coalesced_fraction
@@ -145,28 +118,19 @@ class TestIncrementalStatistics:
                 == recomputed.attributes[attribute].histogram
             )
 
-    def test_insert_does_not_rescan_the_relation(self, monkeypatch):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)
-        table.insert(self.BATCHES[0])
-
-        def fail_from_relation(relation):  # pragma: no cover - guard only
-            raise AssertionError("insert must not recompute statistics from scratch")
-
-        monkeypatch.setattr(TableStatistics, "from_relation", fail_from_relation)
-        table.insert(self.BATCHES[1])
-        assert table.statistics.cardinality == 3
-
     def test_an_append_validates_the_new_rows_only(self, employee, tuple_constructions):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
-        pinned = table.pin()
-        before = table.relation.rows
+        catalog = Catalog()
+        catalog.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
+        pinned = catalog.snapshot()
+        before = catalog.table("EMPLOYEE").relation.rows
         tuple_constructions.clear()
-        assert table.insert(self.BATCHES[2]) == 3
+        assert catalog.insert("EMPLOYEE", self.BATCHES[2]) == (3, 2)
         # k tuple validations for k new rows, whatever the table already holds;
         # a table is rows, so nothing else is constructed either.
         assert tuple_constructions == {"validated": 3}
-        assert table.relation.rows == before + tuple(self.BATCHES[2])
-        assert pinned.relation.rows is before and pinned.cardinality == len(employee)
+        assert catalog.table("EMPLOYEE").relation.rows == before + tuple(self.BATCHES[2])
+        assert pinned.table("EMPLOYEE").relation.rows is before
+        assert pinned.table("EMPLOYEE").cardinality == len(employee)
         # Every check of a new row is kept: arity, domains, the period.
         for bad, error in (
             (("Mia", "Sales", 9), SchemaError),
@@ -174,30 +138,62 @@ class TestIncrementalStatistics:
             (("Mia", "Sales", 9, 4), PeriodError),
         ):
             with pytest.raises(error):
-                table.insert([("Ann", "Ads", 1, 2), bad])
-        assert table.cardinality == len(employee) + 3
+                catalog.insert("EMPLOYEE", [("Ann", "Ads", 1, 2), bad])
+        assert catalog.table("EMPLOYEE").cardinality == len(employee) + 3
+        assert catalog.epoch == 2
 
     def test_a_table_takes_a_valid_relation_as_it_is(self, employee, tuple_constructions):
         tuple_constructions.clear()
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
-        table.replace(employee)
+        table = Catalog().create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
         assert tuple_constructions == {}
         assert table.relation.rows is employee.rows and table.relation.schema.name == "EMPLOYEE"
 
-    def test_profile_cache_invalidated_by_insert(self):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)
-        table.insert(self.BATCHES[0])
-        before = table.profile()
-        assert table.profile() is before  # cached while unchanged
-        table.insert(self.BATCHES[1])
-        after = table.profile()
-        assert after is not before
-        assert after.cardinality == 3
+    def test_a_profile_is_shared_until_an_append(self, employee, project, monkeypatch):
+        catalog = Catalog()
+        catalog.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
+        catalog.create_table("PROJECT", PROJECT_SCHEMA, project)
+        live = catalog.profiles()
+        snapshot = catalog.snapshot()
+        # An unchanged table is one object, in the live catalog and in the
+        # snapshot, and so is its profile.
+        assert snapshot.table("EMPLOYEE") is catalog.table("EMPLOYEE")
+        assert all(snapshot.profiles()[name] is live[name] for name in live)
 
-    def test_replace_restarts_statistics(self, employee):
-        table = Table("EMPLOYEE", EMPLOYEE_SCHEMA)
-        table.insert(self.BATCHES[0])
-        table.replace(employee)
-        recomputed = TableStatistics.from_relation(employee)
-        assert table.statistics.cardinality == recomputed.cardinality
-        assert table.statistics.distinct_values == recomputed.distinct_values
+        built = []
+        from_relation = TableProfile.from_relation.__func__
+        monkeypatch.setattr(
+            TableProfile,
+            "from_relation",
+            classmethod(lambda cls, *args: built.append(args[0]) or from_relation(cls, *args)),
+        )
+        catalog.insert("EMPLOYEE", self.BATCHES[1])
+        assert built == []  # an append builds no profile
+        after = catalog.profiles()
+        assert built == ["EMPLOYEE"]  # the new table's, on first use
+        assert after["EMPLOYEE"] is not live["EMPLOYEE"]
+        assert after["EMPLOYEE"].cardinality == 6
+        assert after["PROJECT"] is live["PROJECT"]
+        # The snapshot keeps the table it copied, and that table's profile.
+        assert snapshot.profiles()["EMPLOYEE"] is live["EMPLOYEE"]
+        assert snapshot.table("EMPLOYEE").cardinality == 5
+        assert catalog.profiles() == after and built == ["EMPLOYEE"]
+
+    def test_concurrent_readers_build_one_profile(self, employee, monkeypatch):
+        catalog = Catalog()
+        catalog.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee)
+        built = []
+        from_relation = TableProfile.from_relation.__func__
+        monkeypatch.setattr(
+            TableProfile,
+            "from_relation",
+            classmethod(lambda cls, *args: built.append(args[0]) or from_relation(cls, *args)),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = in_threads(*[catalog.snapshot().profiles] * 8, *[catalog.profiles] * 8)
+            outcomes = readers()
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == ["EMPLOYEE"]
+        assert all(outcome["EMPLOYEE"] is outcomes[0]["EMPLOYEE"] for outcome in outcomes)

@@ -174,8 +174,8 @@ class TestJoinAlgorithmChoice:
 class TestEngineFacade:
     def test_load_and_statistics(self, employee, project):
         engine = ConventionalDBMS()
-        engine.load_relation("EMPLOYEE", employee)
-        engine.load_relation("PROJECT", project)
+        engine.create_table("EMPLOYEE", employee.schema, employee)
+        engine.create_table("PROJECT", project.schema, project)
         assert engine.statistics() == {"EMPLOYEE": 5, "PROJECT": 8}
 
     def test_the_plan_runs_as_given(self, dbms, reference_context):
@@ -217,4 +217,4 @@ class TestEngineFacade:
         assert produced.report.node_rows == {(): 5, (0,): 5}
         assert list(StratumExecutor(snapshot).execute(plan).tuples) == pinned
         with pytest.raises(CatalogError):
-            snapshot.load_relation("NEW", dbms.catalog.table("PROJECT").relation)
+            snapshot.create_table("NEW", PROJECT_SCHEMA, dbms.catalog.table("PROJECT").relation)

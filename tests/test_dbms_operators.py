@@ -73,7 +73,7 @@ from repro.dbms import ConventionalDBMS
 from repro.dbms.catalog import Catalog
 from repro.faults import ExecutionControl
 from repro.stratum import StratumExecutor
-from repro.workloads import employee_relation
+from repro.workloads import EMPLOYEE_SCHEMA, employee_relation
 
 from .strategies import (
     JOIN_RIGHT_SCHEMA,
@@ -332,7 +332,7 @@ class TestPlannerChoices:
 
     def test_a_bare_scan_hands_over_the_stored_relation_and_is_still_accounted(self):
         dbms = ConventionalDBMS()
-        stored = dbms.load_relation("EMPLOYEE", employee_relation()).relation
+        stored = dbms.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee_relation()).relation
         ticks = iter(range(100))
         control = CountingControl(interval=2)
         outcome = dbms.execute(
@@ -351,7 +351,7 @@ class TestPlannerChoices:
 
     def test_a_bare_scan_across_ts_hands_over_the_stored_relation(self):
         dbms = ConventionalDBMS()
-        stored = dbms.load_relation("EMPLOYEE", employee_relation()).relation
+        stored = dbms.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee_relation()).relation
         control = CountingControl(interval=2)
         executor = StratumExecutor(dbms, control=control, batch_size=2)
         result = executor.execute(TransferToStratum(BaseRelation("EMPLOYEE", stored.schema)))
@@ -433,7 +433,7 @@ class TestHashJoinSequence:
 class TestEmulation:
     def test_emulated_temporal_fragments_are_counted_and_drain_under_control(self):
         dbms = ConventionalDBMS()
-        dbms.load_relation("EMPLOYEE", employee_relation())
+        dbms.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee_relation())
         plan = Coalescing(
             TemporalDuplicateElimination(
                 Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))
@@ -460,7 +460,7 @@ class TestEmulation:
 
     def test_the_stratum_passes_its_batch_size_and_reports_the_emulations(self, monkeypatch):
         dbms = ConventionalDBMS()
-        dbms.load_relation("EMPLOYEE", employee_relation())
+        dbms.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee_relation())
         plan = TransferToStratum(
             TemporalDuplicateElimination(
                 Projection(["EmpName", "T1", "T2"], LiteralRelation(employee_relation()))

@@ -299,8 +299,8 @@ class TestJoinWorkFormulas:
             (100.0 + self.MODEL.hash_build_weight * 200.0 + 40.0) * self.MODEL.dbms_speed
         )
         dbms = ConventionalDBMS()
-        dbms.load_relation("EMPLOYEE", employee_relation())
-        dbms.load_relation("PROJECT", project_relation())
+        dbms.create_table("EMPLOYEE", EMPLOYEE_SCHEMA, employee_relation())
+        dbms.create_table("PROJECT", PROJECT_SCHEMA, project_relation())
         physical = dbms.explain(join)
         assert "HashJoin" in physical
         assert "NestedLoopProduct" not in physical

@@ -50,10 +50,6 @@ class TestLeaves:
         with pytest.raises(EvaluationError):
             scan.evaluate(EvaluationContext({"EMPLOYEE": project_relation()}))
 
-    def test_base_relation_known_order(self, context, employee):
-        ordered = BaseRelation("EMPLOYEE", EMPLOYEE_SCHEMA, OrderSpec.ascending("EmpName"))
-        assert ordered.evaluate(context).order == OrderSpec.ascending("EmpName")
-
     def test_literal_relation(self, employee):
         literal_node = LiteralRelation(employee)
         assert literal_node.evaluate(EvaluationContext()) == employee

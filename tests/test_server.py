@@ -353,6 +353,22 @@ class TestAdmissionControl:
             blockable.set()
             server.close()
 
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf], ids=str)
+    def test_a_non_finite_timeout_is_rejected(self, timeout):
+        with pytest.raises(ValueError, match="request_timeout"):
+            make_server(request_timeout=timeout)
+        with make_server(max_concurrency=1) as server:
+            epoch = server.database.statistics_epoch()
+            with pytest.raises(ValueError, match="timeout"):
+                server.query(POINT_SQL, params=("Sales",), timeout=timeout)
+            with pytest.raises(ValueError, match="timeout"):
+                server.append("EMPLOYEE", [("Zoe", "Sales", 1, 5)], timeout=timeout)
+            # Rejected before admission: nothing ran, nothing landed, and
+            # the one slot still serves.
+            assert server.database.statistics_epoch() == epoch
+            assert server.stats().timed_out == 0
+            assert server.query(POINT_SQL, params=("Sales",)).ok
+
     def test_peak_active_workers_is_bounded_by_max_concurrency(self):
         with make_server(max_concurrency=2) as server:
             for response in in_threads(*[lambda: server.query(PAPER_SQL)] * 12)():

@@ -116,8 +116,8 @@ class TestPlanPartitioning:
 class TestStratumExecutor:
     def make_executor(self, employee, project):
         dbms = ConventionalDBMS()
-        dbms.load_relation("EMPLOYEE", employee)
-        dbms.load_relation("PROJECT", project)
+        dbms.create_table("EMPLOYEE", employee.schema, employee)
+        dbms.create_table("PROJECT", project.schema, project)
         return StratumExecutor(dbms)
 
     def paper_plan(self):

@@ -38,7 +38,7 @@ from repro.core.rules import (
 from repro.core.rules.base import RuleIndex
 from repro.core.schema import STRING
 from repro.dbms import ConventionalDBMS
-from repro.dbms.catalog import CatalogSnapshot
+from repro.dbms.catalog import Catalog
 from repro.faults import FAULTS
 from repro.search import MemoSearch, SearchOptions
 from repro.stratum import StratumExecutor, TemporalDatabase
@@ -204,7 +204,8 @@ class TestASnapshotIsAPinnedDatabase:
         snapshot = temporal_db.snapshot()
         assert type(snapshot) is TemporalDatabase
         assert type(snapshot.dbms) is ConventionalDBMS
-        assert type(snapshot.dbms.catalog) is CatalogSnapshot
+        assert type(snapshot.dbms.catalog) is Catalog
+        assert snapshot.dbms.catalog is not temporal_db.dbms.catalog
         assert snapshot.optimizer is temporal_db.optimizer
         assert snapshot.options is temporal_db.options
 
